@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fixtures check bench trace-demo bench-json bench-baseline tune
+.PHONY: build test lint lint-fixtures check bench bench-e2e trace-demo bench-json bench-baseline tune
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,10 @@ lint-fixtures:
 
 # check is the full pre-merge gate: vet + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
-# concurrent planning, execution, observability, and storage layers, plus
+# concurrent planning, execution, observability, and storage layers (the
+# core and exec test packages force at least two group slots in TestMain,
+# so concurrent fused groups are exercised whatever the box's CPU count;
+# the graph leg holds the shared-param first-use test), plus
 # the perf-regression gate against the committed baseline (noise-aware
 # ratio metrics; nonzero exit on regression).
 check:
@@ -45,6 +48,12 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
+# multi-cycle sessions on six workloads, every output checked bit for bit
+# (bench/README.md; `go run ./bench -traced` adds the per-layer pass).
+bench-e2e:
+	$(GO) run ./bench
 
 # trace-demo runs a small workload with tracing + metrics enabled, then
 # asserts both artifacts parse (same checks as TestTraceDemo). Load

@@ -57,8 +57,7 @@ func main() {
 			os.Exit(1)
 		}
 		tensor.SetScheduleSource(table)
-		fmt.Printf("kernel schedules from %s: %d entries (tuned for %d workers)\n",
-			*tuneTable, len(table.Entries), table.Workers)
+		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, table.Coverage(tensor.MaxWorkers()))
 	}
 
 	var tracer *obs.Tracer

@@ -59,8 +59,7 @@ func main() {
 		table, err := tune.Load(*tuneTable)
 		fatalIf(err)
 		tensor.SetScheduleSource(table)
-		fmt.Printf("kernel schedules from %s: %d entries (tuned for %d workers)\n",
-			*tuneTable, len(table.Entries), table.Workers)
+		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, table.Coverage(tensor.MaxWorkers()))
 	}
 	fmt.Printf("building %s at %s scale (%d candidate models)...\n", spec.Name, sc, spec.NumModels())
 	inst, err := spec.Build(sc, hw)

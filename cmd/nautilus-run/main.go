@@ -105,6 +105,9 @@ func main() {
 	fatalIf(err)
 
 	fmt.Printf("\n%s on %s (mini scale, real training)\n", report.Approach, report.Workload)
+	if report.TuneCoverage != "" {
+		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, report.TuneCoverage)
+	}
 	if report.Init != nil {
 		fmt.Printf("optimizer: %d materialized expressions, %d groups, solve %v\n",
 			report.Init.Materialized, report.Init.Groups, report.Init.OptimizeTime)

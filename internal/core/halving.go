@@ -85,18 +85,11 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 		if err != nil {
 			return nil, err
 		}
-		var rungResults []CandidateResult
-		for _, g := range groups {
-			branches, err := ms.trainer.TrainGroup(g, snap)
-			if err != nil {
-				return nil, err
-			}
-			for _, b := range branches {
-				rungResults = append(rungResults, CandidateResult{
-					Model: b.Item.Model.Name, ValAcc: b.ValAcc, ValLoss: b.ValLoss, Item: b.Item,
-				})
-			}
+		trained, err := ms.trainer.TrainGroups(groups, snap, ms.cfg.MemBudgetBytes, nil)
+		if err != nil {
+			return nil, err
 		}
+		rungResults := candidateResults(trained)
 		sort.Slice(rungResults, func(i, j int) bool {
 			//lint:ignore floateq deterministic tie-break requires exact equality of reported scores
 			if rungResults[i].ValAcc != rungResults[j].ValAcc {

@@ -26,6 +26,8 @@ type RunReport struct {
 	Total    time.Duration
 	Metrics  *exec.Metrics
 	Init     *InitStats
+	// TuneCoverage is ModelSelection.TuneCoverage ("" without a table).
+	TuneCoverage string
 	// FinalBest is the winning candidate of the last cycle.
 	FinalBest CandidateResult
 }
@@ -63,7 +65,7 @@ func RunWithPool(inst *workloads.Instance, cfg Config, pool *data.Pool, maxCycle
 	}
 	defer ms.Close()
 
-	report := &RunReport{Workload: inst.Spec.Name, Approach: cfg.Approach, Metrics: ms.Metrics()}
+	report := &RunReport{Workload: inst.Spec.Name, Approach: cfg.Approach, Metrics: ms.Metrics(), TuneCoverage: ms.TuneCoverage()}
 	//lint:ignore determinism wall-clock measurement of end-to-end run time, reported to the user
 	started := time.Now()
 	for k := 0; k < cycles && labeler.HasMore(); k++ {

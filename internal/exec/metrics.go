@@ -21,7 +21,9 @@ type Metrics struct {
 	LoadBytes int64
 	// TrainSteps counts optimizer steps taken.
 	TrainSteps int
-	// Wall is real elapsed time attributed to training.
+	// Wall is the time spent training, summed over groups: busy time.
+	// Groups of one cycle train concurrently (Trainer.TrainGroups), so it
+	// exceeds the cycle's elapsed time, which core.FitResult.Duration holds.
 	Wall time.Duration
 	// Disk meters actual store traffic (reads and writes).
 	Disk *storage.Counters

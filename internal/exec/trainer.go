@@ -65,15 +65,24 @@ type BranchResult struct {
 // logically equivalent to training each member separately (Section 5.2);
 // the equivalence tests in this package verify it.
 func (t *Trainer) TrainGroup(g *opt.FusedGroup, snap data.Snapshot) ([]BranchResult, error) {
+	return t.trainGroup(g, snap, t.Metrics, 0)
+}
+
+// trainGroup is TrainGroup accounting into m (nil: no accounting) with its
+// spans on slot's tracks, so groups TrainGroups runs side by side neither
+// share counters nor overlap in the trace.
+func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, slot int) ([]BranchResult, error) {
 	//lint:ignore determinism wall-clock measurement of training time for Metrics reporting
 	started := time.Now()
 	span := t.Obs.Start("train/group",
 		obs.Str("group", g.Name()),
 		obs.Int("branches", int64(len(g.Items))),
 		obs.Int("epochs", int64(g.Epochs())),
-		obs.Int("batch_size", int64(g.BatchSize())))
+		obs.Int("batch_size", int64(g.BatchSize()))).SetTrack(slotTracks * slot)
 	defer span.End()
 	if t.Obs.Enabled() {
+		// The dispatch counters are process-wide: with other groups in
+		// flight the delta also holds their kernels.
 		before := tensor.DispatchSnapshot()
 		defer func() { span.Attr(dispatchAttrs(before, tensor.DispatchSnapshot())...) }()
 	}
@@ -204,10 +213,10 @@ func (t *Trainer) TrainGroup(g *opt.FusedGroup, snap data.Snapshot) ([]BranchRes
 				}
 				b.opt.Step(mine)
 			}
-			if t.Metrics != nil {
-				t.Metrics.ComputeFLOPs += computePerRecord * int64(len(idx))
-				t.Metrics.LoadBytes += loadPerRecord * int64(len(idx))
-				t.Metrics.TrainSteps++
+			if m != nil {
+				m.ComputeFLOPs += computePerRecord * int64(len(idx))
+				m.LoadBytes += loadPerRecord * int64(len(idx))
+				m.TrainSteps++
 			}
 			if trk != nil {
 				gc.ObservePeakMemory(trk.Peak())
@@ -283,10 +292,10 @@ func (t *Trainer) TrainGroup(g *opt.FusedGroup, snap data.Snapshot) ([]BranchRes
 				gc.AddComputeTime(d)
 				samples.AddCompute(forwardPerRecord*int64(len(idx)), d)
 			}
-			if t.Metrics != nil {
+			if m != nil {
 				// Validation pays the forward-only share of the plan.
-				t.Metrics.ComputeFLOPs += forwardPerRecord * int64(len(idx))
-				t.Metrics.LoadBytes += loadPerRecord * int64(len(idx))
+				m.ComputeFLOPs += forwardPerRecord * int64(len(idx))
+				m.LoadBytes += loadPerRecord * int64(len(idx))
 			}
 			gc.AddValidRecords(int64(len(idx)))
 			gc.AddComputeFLOPs(forwardPerRecord * int64(len(idx)))
@@ -301,9 +310,9 @@ func (t *Trainer) TrainGroup(g *opt.FusedGroup, snap data.Snapshot) ([]BranchRes
 			results[i].ValLoss = lossW[i]
 		}
 	}
-	if t.Metrics != nil {
+	if m != nil {
 		//lint:ignore determinism wall-clock measurement of training time for Metrics reporting
-		t.Metrics.Wall += time.Since(started)
+		m.Wall += time.Since(started)
 	}
 	return results, nil
 }
@@ -412,7 +421,7 @@ func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph
 		defer close(ch)
 		for bi, idx := range batches {
 			as := group.Child("train/feed_assemble", obs.Int("batch", int64(bi)), obs.Int("records", int64(len(idx))))
-			as.SetTrack(2)
+			as.SetTrack(group.Track() + 2)
 			// One scope per batch: the prefetcher fills batch t+1's scope
 			// while batch t computes in its own, so recycling never crosses
 			// the pipeline boundary.

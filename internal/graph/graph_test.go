@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -505,6 +506,40 @@ func TestParamReset(t *testing.T) {
 	q.Reset()
 	if q.Tensor().Data()[0] != 7 {
 		t.Error("restored param must survive Reset")
+	}
+}
+
+// TestParamTensorConcurrentFirstUse has many goroutines take a shared
+// (frozen) param's tensor at once, as concurrently trained fused groups do:
+// the initializer must run once and everyone must see its tensor. Run under
+// -race; before first-use init was once-safe this was a data race.
+func TestParamTensorConcurrentFirstUse(t *testing.T) {
+	want := graph.NewParamGlorot("w", 11, 16, 16).Tensor()
+	for round := 0; round < 20; round++ {
+		p := graph.NewParamGlorot("w", 11, 16, 16)
+		got := make([]*tensor.Tensor, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = p.Tensor()
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if g != got[0] {
+				t.Fatalf("round %d: goroutine %d saw a different tensor than goroutine 0", round, i)
+			}
+		}
+		if !got[0].AllClose(want, 0) {
+			t.Fatalf("round %d: concurrent first use initialized different values", round)
+		}
+		// Reset keeps its meaning: the next first use re-initializes.
+		p.Reset()
+		if p.Materialized() || !p.Tensor().AllClose(want, 0) {
+			t.Fatalf("round %d: Reset after concurrent use did not restore the initial values", round)
+		}
 	}
 }
 

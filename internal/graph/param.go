@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"nautilus/internal/tensor"
 )
@@ -20,6 +22,12 @@ import (
 // time; the deterministic seed guarantees that two Params with equal
 // (seed, shape, init kind) hold bit-identical values once materialized,
 // which is what makes seed-based identity (Definition 4.3) sound.
+//
+// First-use initialization is once-safe: frozen params are shared between
+// fused groups that train concurrently, so any number of goroutines may
+// call Tensor at once and all see the one initialized tensor. Reset and
+// SetData are not synchronized against readers; they belong to the single
+// goroutine that owns the model between training runs.
 type Param struct {
 	Name  string
 	Shape []int
@@ -28,7 +36,8 @@ type Param struct {
 	kind initKind
 	std  float64 // normal std or uniform limit, per kind
 
-	data *tensor.Tensor
+	initMu sync.Mutex // serializes the first-use initializer
+	data   atomic.Pointer[tensor.Tensor]
 	// restored marks parameters whose data was replaced via SetData
 	// (checkpoint restore); their identity then derives from the actual
 	// values rather than the init spec.
@@ -97,36 +106,50 @@ func (p *Param) NumElems() int { return tensor.NumElems(p.Shape) }
 func (p *Param) Bytes() int64 { return int64(p.NumElems()) * 4 }
 
 // Materialized reports whether the backing tensor has been allocated.
-func (p *Param) Materialized() bool { return p.data != nil }
+func (p *Param) Materialized() bool { return p.data.Load() != nil }
 
 // Tensor returns the backing tensor, allocating and initializing it
 // deterministically on first use.
 func (p *Param) Tensor() *tensor.Tensor {
-	if p.data == nil {
-		rng := rand.New(rand.NewSource(p.seed))
-		switch p.kind {
-		case initZero:
-			p.data = tensor.New(p.Shape...)
-		case initOne:
-			p.data = tensor.New(p.Shape...)
-			p.data.Fill(1)
-		case initNormal:
-			p.data = tensor.RandNormal(rng, p.std, p.Shape...)
-		case initGlorot:
-			fanIn, fanOut := p.Shape[0], p.Shape[len(p.Shape)-1]
-			p.data = tensor.GlorotUniform(rng, fanIn, fanOut, p.Shape...)
-		case initHe:
-			p.data = tensor.HeNormal(rng, int(p.std), p.Shape...)
-		case initCustom:
-			p.data = p.fn(rng, p.Shape)
-			if !tensor.ShapeEq(p.data.Shape(), p.Shape) {
-				panic(fmt.Sprintf("graph: custom init for %q produced shape %v, want %v", p.Name, p.data.Shape(), p.Shape))
-			}
-		default:
-			panic(fmt.Sprintf("graph: unknown init kind %d", p.kind))
-		}
+	if d := p.data.Load(); d != nil {
+		return d
 	}
-	return p.data
+	p.initMu.Lock()
+	defer p.initMu.Unlock()
+	if d := p.data.Load(); d != nil {
+		return d
+	}
+	d := p.initialize()
+	p.data.Store(d)
+	return d
+}
+
+// initialize runs the deterministic initializer.
+func (p *Param) initialize() *tensor.Tensor {
+	rng := rand.New(rand.NewSource(p.seed))
+	switch p.kind {
+	case initZero:
+		return tensor.New(p.Shape...)
+	case initOne:
+		d := tensor.New(p.Shape...)
+		d.Fill(1)
+		return d
+	case initNormal:
+		return tensor.RandNormal(rng, p.std, p.Shape...)
+	case initGlorot:
+		fanIn, fanOut := p.Shape[0], p.Shape[len(p.Shape)-1]
+		return tensor.GlorotUniform(rng, fanIn, fanOut, p.Shape...)
+	case initHe:
+		return tensor.HeNormal(rng, int(p.std), p.Shape...)
+	case initCustom:
+		d := p.fn(rng, p.Shape)
+		if !tensor.ShapeEq(d.Shape(), p.Shape) {
+			panic(fmt.Sprintf("graph: custom init for %q produced shape %v, want %v", p.Name, d.Shape(), p.Shape))
+		}
+		return d
+	default:
+		panic(fmt.Sprintf("graph: unknown init kind %d", p.kind))
+	}
 }
 
 // SetData replaces the backing tensor (checkpoint restore). The shape must
@@ -135,7 +158,7 @@ func (p *Param) SetData(t *tensor.Tensor) {
 	if !tensor.ShapeEq(t.Shape(), p.Shape) {
 		panic(fmt.Sprintf("graph: SetData shape %v does not match param %q shape %v", t.Shape(), p.Name, p.Shape))
 	}
-	p.data = t
+	p.data.Store(t)
 	p.restored = true
 }
 
@@ -149,7 +172,7 @@ func (p *Param) SetData(t *tensor.Tensor) {
 // never merged.
 func (p *Param) Fingerprint() uint64 {
 	if p.restored {
-		return p.data.Fingerprint()
+		return p.data.Load().Fingerprint()
 	}
 	h := fnv.New64a()
 	var buf [8]byte
@@ -174,7 +197,7 @@ func (p *Param) Fingerprint() uint64 {
 // keep their data.
 func (p *Param) Reset() {
 	if !p.restored {
-		p.data = nil
+		p.data.Store(nil)
 	}
 }
 
@@ -183,8 +206,8 @@ func (p *Param) Reset() {
 // so the clone will initialize to the same values.
 func (p *Param) Clone() *Param {
 	c := &Param{Name: p.Name, Shape: append([]int(nil), p.Shape...), seed: p.seed, kind: p.kind, std: p.std, restored: p.restored, tag: p.tag, fn: p.fn}
-	if p.data != nil {
-		c.data = p.data.Clone()
+	if d := p.data.Load(); d != nil {
+		c.data.Store(d.Clone())
 	}
 	return c
 }

@@ -197,6 +197,14 @@ func (s *Span) SetTrack(track int) *Span {
 	return s
 }
 
+// Track returns the span's display track (0 for a nil span).
+func (s *Span) Track() int {
+	if s == nil {
+		return 0
+	}
+	return s.track
+}
+
 // Attr appends attributes to the span; call before End.
 func (s *Span) Attr(attrs ...Attr) {
 	if s != nil {

@@ -31,8 +31,9 @@ type Hardware struct {
 	FLOPSThroughput float64 // FLOP/s
 	DiskThroughput  float64 // bytes/s
 	WorkspaceBytes  int64   // DL-framework workspace memory per model
-	// Workers caps the CPU kernel worker count (tensor.SetMaxWorkers).
-	// 0 keeps the ambient default: the NAUTILUS_WORKERS environment
+	// Workers caps kernel workers *and* concurrently trained fused groups
+	// (tensor.SetMaxWorkers; exec.Trainer.TrainGroups runs one group per
+	// slot). 0 keeps the ambient default: the NAUTILUS_WORKERS environment
 	// variable if set, else all logical cores.
 	Workers int
 }

@@ -29,10 +29,12 @@ func workersFromEnv(s string) int {
 	return n
 }
 
-// SetMaxWorkers caps kernel parallelism at n goroutines (n <= 0 restores
-// the default, GOMAXPROCS). The initial cap honors the NAUTILUS_WORKERS
-// environment variable so benchmark and test runs are reproducible across
-// machines; profile.Hardware plumbs the same knob through configuration.
+// SetMaxWorkers caps kernel workers *and* concurrent groups at n: a kernel
+// fans out to at most n goroutines, and exec.Trainer.TrainGroups trains at
+// most n fused groups at once (n <= 0 restores the default, GOMAXPROCS).
+// The initial cap honors the NAUTILUS_WORKERS environment variable so
+// benchmark and test runs are reproducible across machines;
+// profile.Hardware plumbs the same knob through configuration.
 func SetMaxWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -40,7 +42,8 @@ func SetMaxWorkers(n int) {
 	workerCap.Store(int32(n))
 }
 
-// MaxWorkers returns the effective kernel worker cap.
+// MaxWorkers returns the effective worker cap (kernel workers per dispatch,
+// group slots per trainer).
 func MaxWorkers() int {
 	if n := int(workerCap.Load()); n > 0 {
 		return n

@@ -112,6 +112,27 @@ func (t *Table) Schedule(op tensor.Op, dims [3]int, workers int) (tensor.Schedul
 	return sch, ok
 }
 
+// Applicable counts the entries a lookup under the given worker cap can
+// reach. Schedule keys on Bucket(workers), so under a cap in another bucket
+// than the table was tuned for every dispatch misses and the kernels run on
+// their heuristics.
+func (t *Table) Applicable(workers int) int {
+	n := 0
+	for _, e := range t.Entries {
+		if e.WorkerBucket == Bucket(workers) {
+			n++
+		}
+	}
+	return n
+}
+
+// Coverage is the line loaders print so that such a table is not a silent
+// no-op.
+func (t *Table) Coverage(workers int) string {
+	return fmt.Sprintf("table tuned for %d workers, active cap %d, %d of %d entries applicable",
+		t.Workers, workers, t.Applicable(workers), len(t.Entries))
+}
+
 // Save writes the table as indented JSON at path, stamping the schema
 // version.
 func Save(path string, t *Table) error {

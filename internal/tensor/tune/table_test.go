@@ -60,6 +60,36 @@ func TestTableLookup(t *testing.T) {
 	}
 }
 
+// TestTableCoverageReportsWorkerBucketMiss pins the report for a table
+// tuned under one worker cap and used under another: every lookup misses
+// (which schedule fires is unchanged), and Coverage says so.
+func TestTableCoverageReportsWorkerBucketMiss(t *testing.T) {
+	tbl := &Table{Workers: 1}
+	tbl.Add(testEntry())
+	e := testEntry()
+	e.Op = string(tensor.OpMatMulBT)
+	tbl.Add(e)
+	if n := tbl.Applicable(1); n != 2 {
+		t.Errorf("Applicable(1) = %d, want 2", n)
+	}
+	if _, ok := tbl.Schedule(tensor.OpMatMul, [3]int{256, 256, 256}, 2); ok {
+		t.Error("lookup under cap 2 hit a table tuned for one worker")
+	}
+	if n := tbl.Applicable(2); n != 0 {
+		t.Errorf("Applicable(2) = %d, want 0", n)
+	}
+	// Caps 2 and 3 share a bucket.
+	e.WorkerBucket = Bucket(2)
+	tbl.Add(e)
+	if n := tbl.Applicable(3); n != 1 {
+		t.Errorf("Applicable(3) = %d, want 1", n)
+	}
+	want := "table tuned for 1 workers, active cap 4, 0 of 3 entries applicable"
+	if got := tbl.Coverage(4); got != want {
+		t.Errorf("Coverage(4) = %q, want %q", got, want)
+	}
+}
+
 func TestTableSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "table.json")

@@ -22,10 +22,11 @@ lint:
 
 # lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
 # exact diagnostics (positions + messages) over testdata/src/violations,
-# plus the interprocedural call-graph/summary unit tests and the parallel
-# driver's determinism check.
+# plus the interprocedural call-graph/summary unit tests, the reaching-
+# definitions value-flow tests (TestSSA*, reachdefs_test.go), and the
+# parallel driver's determinism check.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers' -count=1
+	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|SSA' -count=1
 
 # check is the full pre-merge gate: vet + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
@@ -66,16 +67,11 @@ trace-demo:
 # (no tracer vs nil sink vs active sink), the incremental-replan savings
 # after AddCandidates, the hot-path engine (parallel kernels + step
 # arena), the lint suite's per-analyzer wall time, the trace-calibration
-# conformance tightening, and the enum-vs-greedy fusion plan quality,
-# writing BENCH_obs.json + BENCH_replan.json + BENCH_kernels.json +
-# BENCH_lint.json + BENCH_calib.json + BENCH_fusion.json.
+# conformance tightening, and the enum-vs-greedy fusion plan quality;
+# -out . writes BENCH_obs.json + BENCH_replan.json + BENCH_kernels.json +
+# BENCH_lint.json + BENCH_calib.json + BENCH_fusion.json (BENCH_<exp>.json).
 bench-json:
-	$(GO) run ./cmd/nautilus-bench -exp obs -obsjson BENCH_obs.json
-	$(GO) run ./cmd/nautilus-bench -exp replan -replanjson BENCH_replan.json
-	$(GO) run ./cmd/nautilus-bench -exp kernels -tune-table TUNE_table.json -kernelsjson BENCH_kernels.json
-	$(GO) run ./cmd/nautilus-bench -exp lint -lintjson BENCH_lint.json
-	$(GO) run ./cmd/nautilus-bench -exp calib -calibjson BENCH_calib.json
-	$(GO) run ./cmd/nautilus-bench -exp fusion -fusionjson BENCH_fusion.json
+	$(GO) run ./cmd/nautilus-bench -exp obs,replan,kernels,lint,calib,fusion -tune-table TUNE_table.json -out .
 
 # bench-baseline rewrites the committed perf-regression baseline from a
 # fresh run of the gated experiments. Run it after an intentional perf

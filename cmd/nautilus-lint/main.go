@@ -15,8 +15,7 @@
 //	{"findings": [...], "timings": [...], "packages": [...]}
 //
 // where timings carries each analyzer's wall time summed over the run
-// (ssa_wall_ns is the share spent building SSA form) and packages carries
-// per-package wall time.
+// ({"analyzer", "wall_ns"}) and packages carries per-package wall time.
 //
 // -analyzers selects a subset: a comma-separated list of names to include
 // ("locksafe,ctxflow"), names prefixed with '-' to exclude from the suite

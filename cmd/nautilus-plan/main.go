@@ -27,7 +27,7 @@ import (
 
 func main() {
 	workload := flag.String("workload", "FTR-2", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
-	approach := flag.String("approach", string(core.Nautilus), "approach: nautilus, current_practice, mat_all, nautilus_no_fuse, nautilus_no_mat")
+	approach := flag.String("approach", string(core.Nautilus), "approach: "+core.ApproachNames())
 	scale := flag.String("scale", "paper", "model scale: paper or mini")
 	diskGB := flag.Float64("disk-gb", 25, "disk storage budget B_disk in GB")
 	memGB := flag.Float64("mem-gb", 10, "runtime memory budget B_mem in GB")

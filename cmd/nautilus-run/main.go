@@ -30,7 +30,7 @@ import (
 
 func main() {
 	workload := flag.String("workload", "FTR-3", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
-	approach := flag.String("approach", string(core.Nautilus), "approach: nautilus, current_practice, mat_all, nautilus_no_fuse, nautilus_no_mat")
+	approach := flag.String("approach", string(core.Nautilus), "approach: "+core.ApproachNames())
 	cycles := flag.Int("cycles", 0, "limit labeling cycles (0 = workload default)")
 	seed := flag.Int64("seed", 1, "random seed for data and shuffling")
 	workDir := flag.String("workdir", "", "working directory (default: temp dir)")

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"nautilus/internal/data"
@@ -50,9 +51,77 @@ const (
 	NautilusNoMat Approach = "nautilus_no_mat"
 )
 
+// matPolicy is how an approach picks the materialized set V.
+type matPolicy int
+
+const (
+	matNone matPolicy = iota // V = ∅
+	matAll                   // every materializable layer
+	matOpt                   // MAT OPT (Section 4.2)
+)
+
+// approachSpec is everything an Approach decides. The planner stages, Fit,
+// the simulator and the CLIs' flag help all read this one table.
+type approachSpec struct {
+	name Approach
+	mat  matPolicy
+	// singleton builds one candidate's plan given V for the approaches
+	// that train every candidate as its own group; nil means FUSE OPT
+	// groups the candidates under B_mem instead.
+	singleton func(*profile.ModelProfile, map[graph.Signature]bool) (*opt.Plan, error)
+	// fullCheckpoints marks the unmodified baseline: checkpoints hold
+	// every parameter, not just the trainable ones.
+	fullCheckpoints bool
+}
+
+var approachSpecs = []approachSpec{
+	{name: CurrentPractice, mat: matNone, fullCheckpoints: true,
+		singleton: func(prof *profile.ModelProfile, _ map[graph.Signature]bool) (*opt.Plan, error) {
+			return opt.CurrentPracticePlan(prof), nil
+		}},
+	{name: MatAll, mat: matAll,
+		singleton: func(prof *profile.ModelProfile, _ map[graph.Signature]bool) (*opt.Plan, error) {
+			return opt.ForcedLoadPlan(prof), nil
+		}},
+	{name: Nautilus, mat: matOpt},
+	{name: NautilusNoFuse, mat: matOpt, singleton: opt.SolveReusePlan},
+	{name: NautilusNoMat, mat: matNone},
+}
+
+// spec looks the approach up in the table; ok is false for an unknown one.
+func (a Approach) spec() (approachSpec, bool) {
+	for _, s := range approachSpecs {
+		if s.name == a {
+			return s, true
+		}
+	}
+	return approachSpec{}, false
+}
+
+// FullCheckpoints reports whether the approach is the unmodified baseline
+// (Current Practice): models are trained as given and checkpointed whole,
+// and nothing is profiled or optimized first.
+func (a Approach) FullCheckpoints() bool {
+	s, _ := a.spec()
+	return s.fullCheckpoints
+}
+
 // Approaches lists every runnable approach.
 func Approaches() []Approach {
-	return []Approach{CurrentPractice, MatAll, Nautilus, NautilusNoFuse, NautilusNoMat}
+	out := make([]Approach, len(approachSpecs))
+	for i, s := range approachSpecs {
+		out[i] = s.name
+	}
+	return out
+}
+
+// ApproachNames is Approaches as one comma-separated string, for flag help.
+func ApproachNames() string {
+	names := make([]string, len(approachSpecs))
+	for i, s := range approachSpecs {
+		names[i] = string(s.name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // Config holds the system configuration (Section 3, API component).
@@ -337,7 +406,7 @@ func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
 	}
 
 	res := &FitResult{Cycle: ms.cycle, ReOptimized: reopt}
-	full := ms.cfg.Approach == CurrentPractice
+	full := ms.cfg.Approach.FullCheckpoints()
 	trained, err := ms.trainer.TrainGroups(ms.planner.wp.Groups, snap, ms.cfg.MemBudgetBytes, func(gi int, g *opt.FusedGroup) error {
 		ckpt := filepath.Join(ms.cfg.WorkDir, "checkpoints", fmt.Sprintf("cycle%d_group%d.nckp", ms.cycle, gi))
 		return ms.trainer.Checkpoint(g, ckpt, full)

@@ -26,15 +26,18 @@ type HalvingResult struct {
 	FitResult
 	// RungSurvivors records how many candidates entered each rung.
 	RungSurvivors []int
+	// RungGroups records the training groups each rung ran.
+	RungGroups [][]*opt.FusedGroup
 	// TotalEpochsTrained sums candidate×epoch across rungs, the budget
 	// halving saves relative to full-epoch training of every candidate.
 	TotalEpochsTrained int
 }
 
 // FitHalving runs one model-selection cycle under successive halving: each
-// rung re-plans (and re-fuses) just the surviving candidates, so fusion
-// groups shrink with the field. Materialized artifacts are shared across
-// rungs.
+// rung regroups and re-verifies just the surviving candidates through the
+// planner's own grouping stage (Planner.planGroups), so the configured
+// Approach decides whether they fuse, and fusion groups shrink with the
+// field. Materialized artifacts are shared across rungs.
 func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*HalvingResult, error) {
 	if len(cfg.RungEpochs) == 0 {
 		return nil, fmt.Errorf("core: halving needs at least one rung")
@@ -57,6 +60,7 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 		}
 	}
 
+	spec, _ := ms.cfg.Approach.spec() // known: ensurePlanned has replanned with it
 	res := &HalvingResult{}
 	res.Cycle = ms.cycle
 	survivors := append([]opt.WorkItem(nil), ms.planner.items...)
@@ -74,17 +78,11 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 			it.Epochs = epochs
 			rungItems[i] = it
 		}
-		fuser, err := opt.NewFuser(ms.cfg.Fuser, ms.cfg.FuseStateBudget)
+		groups, _, _, err := ms.planner.planGroups(nil, spec, rungItems, ms.MaterializedSignatures())
 		if err != nil {
 			return nil, err
 		}
-		groups, err := fuser.Fuse(rungItems, ms.MaterializedSignatures(), opt.FuseConfig{
-			MemBudgetBytes:     ms.cfg.MemBudgetBytes,
-			OptimizerSlotBytes: 2,
-		})
-		if err != nil {
-			return nil, err
-		}
+		res.RungGroups = append(res.RungGroups, groups)
 		trained, err := ms.trainer.TrainGroups(groups, snap, ms.cfg.MemBudgetBytes, nil)
 		if err != nil {
 			return nil, err

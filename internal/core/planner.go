@@ -210,14 +210,14 @@ func (p *Planner) setItems(items []opt.WorkItem) error {
 }
 
 // Replan computes a fresh WorkloadPlan through the staged pipeline —
-// materialization solve, grouping (fusion or singleton), incremental
-// verification — and returns it with the delta against the previous plan.
-// On success the plan becomes current and the dirty flag clears; on error
-// the previous plan stays in place.
+// materialization solve, then grouping and incremental verification
+// (planGroups) — and returns it with the delta against the previous plan.
+// What each stage does is the approach's row in approachSpecs. On success
+// the plan becomes current and the dirty flag clears; on error the previous
+// plan stays in place.
 func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
-	switch p.cfg.Approach {
-	case CurrentPractice, MatAll, Nautilus, NautilusNoFuse, NautilusNoMat:
-	default:
+	spec, ok := p.cfg.Approach.spec()
+	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown approach %q", p.cfg.Approach)
 	}
 	//lint:ignore determinism wall-clock measurement of optimizer solve time, reported in Stats
@@ -229,16 +229,15 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	defer span.End()
 
 	wp := &WorkloadPlan{MatSigs: map[graph.Signature]bool{}}
-	if err := p.stageMatSigs(span, wp); err != nil {
+	if err := p.stageMatSigs(span, spec, wp); err != nil {
 		return nil, nil, err
 	}
-	if err := p.stageGroups(span, wp); err != nil {
-		return nil, nil, err
-	}
-	checked, err := p.stageVerify(span, wp)
+	groups, fuseStats, checked, err := p.planGroups(span, spec, p.items, wp.MatSigs)
 	if err != nil {
 		return nil, nil, err
 	}
+	wp.Groups = groups
+	wp.Stats.Fuse = fuseStats
 	//lint:ignore determinism wall-clock measurement of optimizer solve time, reported in Stats
 	wp.Stats.OptimizeTime = time.Since(start)
 	wp.Stats.Groups = len(wp.Groups)
@@ -254,13 +253,14 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	return wp, delta, nil
 }
 
-// stageMatSigs runs the materialization stage: solve for the chosen set V
-// (Section 4.2) and statically verify the solver's output.
-func (p *Planner) stageMatSigs(span *obs.Span, wp *WorkloadPlan) error {
-	switch p.cfg.Approach {
-	case CurrentPractice, NautilusNoMat:
-		return nil // nothing materialized
-	case MatAll:
+// stageMatSigs runs the materialization stage: pick the set V by the
+// approach's policy — for MAT OPT, solve (Section 4.2) and statically
+// verify the solver's output.
+func (p *Planner) stageMatSigs(span *obs.Span, spec approachSpec, wp *WorkloadPlan) error {
+	switch spec.mat {
+	case matNone:
+		return nil
+	case matAll:
 		for _, n := range p.mm.MaterializableNodes() {
 			wp.MatSigs[p.mm.Sig[n]] = true
 		}
@@ -294,84 +294,52 @@ func (p *Planner) stageMatSigs(span *obs.Span, wp *WorkloadPlan) error {
 	return nil
 }
 
-// stageGroups runs the grouping stage: model fusion (Algorithm 1) for the
-// fused approaches, parallel singleton construction for the rest.
-func (p *Planner) stageGroups(span *obs.Span, wp *WorkloadPlan) error {
-	switch p.cfg.Approach {
-	case CurrentPractice:
-		groups, err := singletonGroups(p.items, func(prof *profile.ModelProfile) (*opt.Plan, error) {
-			return opt.CurrentPracticePlan(prof), nil
-		})
-		if err != nil {
-			return err
+// planGroups runs the grouping and verification stages for a subset of the
+// candidates against materialized set sigs: model fusion under B_mem or
+// parallel singleton construction, as the approach says, then static
+// verification of the training plan, re-checking only groups not already
+// verified under this session (incremental across evolution events and
+// halving rungs). Replan calls it with every candidate, FitHalving with
+// each rung's survivors. It returns the groups, the fuser's counters (zero
+// for singletons) and how many groups were actually checked.
+func (p *Planner) planGroups(span *obs.Span, spec approachSpec, items []opt.WorkItem, sigs map[graph.Signature]bool) (groups []*opt.FusedGroup, fuseStats opt.FuseStats, checked int, err error) {
+	var memBudget int64 // only fused groups were planned against B_mem
+	if spec.singleton != nil {
+		groups, err = singletonGroups(items, sigs, spec.singleton)
+	} else {
+		var fuser opt.Fuser
+		if fuser, err = opt.NewFuser(p.cfg.Fuser, p.cfg.FuseStateBudget); err != nil {
+			return nil, fuseStats, 0, err
 		}
-		wp.Groups = groups
-		return nil
-	case MatAll:
-		groups, err := singletonGroups(p.items, func(prof *profile.ModelProfile) (*opt.Plan, error) {
-			return opt.ForcedLoadPlan(prof), nil
-		})
-		if err != nil {
-			return err
-		}
-		wp.Groups = groups
-		return nil
-	case NautilusNoFuse:
-		sigs := wp.MatSigs
-		groups, err := singletonGroups(p.items, func(prof *profile.ModelProfile) (*opt.Plan, error) {
-			return opt.SolveReusePlan(prof, sigs)
-		})
-		if err != nil {
-			return err
-		}
-		wp.Groups = groups
-		return nil
-	}
-	fuser, err := opt.NewFuser(p.cfg.Fuser, p.cfg.FuseStateBudget)
-	if err != nil {
-		return err
-	}
-	fs := span.Child("plan/fuse_opt", obs.Str("fuser", fuser.Name()))
-	var fuseStats opt.FuseStats
-	groups, err := fuser.Fuse(p.items, wp.MatSigs, opt.FuseConfig{
-		MemBudgetBytes:     p.cfg.MemBudgetBytes,
-		OptimizerSlotBytes: 2, // Adam
-		Stats:              &fuseStats,
-	})
-	fs.Attr(obs.Int("rounds", int64(fuseStats.Rounds)),
-		obs.Int("pairs_evaluated", int64(fuseStats.PairsEvaluated)),
-		obs.Int("pairs_rejected", int64(fuseStats.PairsRejected)),
-		obs.Int("states_explored", int64(fuseStats.StatesExplored)),
-		obs.Int("memo_hits", int64(fuseStats.MemoHits)),
-		obs.Int("bound_prunings", int64(fuseStats.BoundPrunings)),
-		obs.Int("fallbacks", int64(fuseStats.Fallbacks)))
-	fs.End()
-	if err != nil {
-		return err
-	}
-	wp.Groups = groups
-	wp.Stats.Fuse = fuseStats
-	return nil
-}
-
-// stageVerify statically verifies the training plan, re-checking only
-// groups not already verified under this session (incremental across
-// evolution events). It returns how many groups were actually checked.
-func (p *Planner) stageVerify(span *obs.Span, wp *WorkloadPlan) (int, error) {
-	// Only fused approaches planned against B_mem.
-	var memBudget int64
-	if p.cfg.Approach == Nautilus || p.cfg.Approach == NautilusNoMat {
 		memBudget = p.cfg.MemBudgetBytes
+		fs := span.Child("plan/fuse_opt", obs.Str("fuser", fuser.Name()))
+		groups, err = fuser.Fuse(items, sigs, opt.FuseConfig{
+			MemBudgetBytes:     memBudget,
+			OptimizerSlotBytes: opt.AdamSlotBytes,
+			Stats:              &fuseStats,
+		})
+		fs.Attr(obs.Int("rounds", int64(fuseStats.Rounds)),
+			obs.Int("pairs_evaluated", int64(fuseStats.PairsEvaluated)),
+			obs.Int("pairs_rejected", int64(fuseStats.PairsRejected)),
+			obs.Int("states_explored", int64(fuseStats.StatesExplored)),
+			obs.Int("memo_hits", int64(fuseStats.MemoHits)),
+			obs.Int("bound_prunings", int64(fuseStats.BoundPrunings)),
+			obs.Int("fallbacks", int64(fuseStats.Fallbacks)))
+		fs.End()
 	}
-	gs := span.Child("plan/verify", obs.Int("groups", int64(len(wp.Groups))))
-	checked, err := verify.GroupsIncremental(wp.Groups, p.items, memBudget, wp.MatSigs, p.verified)
+	if err != nil {
+		return nil, fuseStats, 0, err
+	}
+
+	gs := span.Child("plan/verify", obs.Int("groups", int64(len(groups))))
+	checked, err = verify.GroupsIncremental(groups, items, memBudget, sigs, p.verified)
 	gs.Attr(obs.Int("groups_checked", int64(checked)),
-		obs.Int("groups_skipped", int64(len(wp.Groups)-checked)))
+		obs.Int("groups_skipped", int64(len(groups)-checked)))
 	gs.End()
 	if err != nil {
-		return checked, fmt.Errorf("core: training plan rejected: %w", err)
+		return nil, fuseStats, checked, fmt.Errorf("core: training plan rejected: %w", err)
 	}
-	return checked, nil
+	return groups, fuseStats, checked, nil
 }
 
 // diffPlans computes the V-delta from old to new (old may be nil: first
@@ -417,10 +385,10 @@ func (d *PlanDelta) OldSigs() map[graph.Signature]bool {
 }
 
 // singletonGroups wraps every item as its own group with the given plan
-// builder applied to the item's (single-model) merged graph. Candidates are
-// independent, so construction fans out across goroutines; results keep the
-// input order and the lowest-index error wins.
-func singletonGroups(items []opt.WorkItem, planFor func(*profile.ModelProfile) (*opt.Plan, error)) ([]*opt.FusedGroup, error) {
+// builder applied to the item's (single-model) merged graph and V.
+// Candidates are independent, so construction fans out across goroutines;
+// results keep the input order and the lowest-index error wins.
+func singletonGroups(items []opt.WorkItem, sigs map[graph.Signature]bool, planFor func(*profile.ModelProfile, map[graph.Signature]bool) (*opt.Plan, error)) ([]*opt.FusedGroup, error) {
 	groups := make([]*opt.FusedGroup, len(items))
 	errs := make([]error, len(items))
 	sem := make(chan struct{}, parallelism())
@@ -441,7 +409,7 @@ func singletonGroups(items []opt.WorkItem, planFor func(*profile.ModelProfile) (
 				errs[i] = err
 				return
 			}
-			plan, err := planFor(prof)
+			plan, err := planFor(prof, sigs)
 			if err != nil {
 				errs[i] = err
 				return
@@ -449,7 +417,7 @@ func singletonGroups(items []opt.WorkItem, planFor func(*profile.ModelProfile) (
 			// Baseline groups aren't planned against B_mem, but the conformance
 			// report still wants the analytical estimate as the peak-memory
 			// reference, so compute it here like FuseModels does.
-			mem := opt.EstimatePeakMemory(plan, it.BatchSize, 2)
+			mem := opt.EstimatePeakMemory(plan, it.BatchSize, opt.AdamSlotBytes)
 			groups[i] = &opt.FusedGroup{
 				Items:        []opt.WorkItem{it},
 				MM:           m,
@@ -468,13 +436,7 @@ func singletonGroups(items []opt.WorkItem, planFor func(*profile.ModelProfile) (
 }
 
 // parallelism bounds planner fan-out (profiling, singleton construction).
-func parallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // applyPlan reconciles on-disk artifacts with a freshly replanned V and
 // rebuilds the materializer: artifacts for kept signatures stay (records

@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"nautilus/internal/data"
 	"nautilus/internal/graph"
 	"nautilus/internal/models"
+	"nautilus/internal/opt"
 )
 
 // nerInit is a ModelInitFunc over a shared mini hub, interpreting the
@@ -237,6 +240,64 @@ func TestFitHalvingNarrowsField(t *testing.T) {
 	// against three rungs to see savings accounting.
 	if res.TotalEpochsTrained != 4*1+2*2 {
 		t.Errorf("epochs trained = %d, want 8", res.TotalEpochsTrained)
+	}
+}
+
+// groupShape renders a plan's groups as member names, cost and peak memory,
+// the parts of a group an Approach decides.
+func groupShape(groups []*opt.FusedGroup) []string {
+	var out []string
+	for _, g := range groups {
+		var names []string
+		for _, it := range g.Items {
+			names = append(names, it.Model.Name)
+		}
+		sort.Strings(names)
+		out = append(out, fmt.Sprintf("%v cost=%d mem=%d", names, g.Plan.CostPerRecord, g.PeakMemBytes))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestFitHalvingHonoursApproach pins that halving rungs are grouped by the
+// planner's own grouping stage: an approach that does not fuse trains
+// singleton rung groups, and a fusing approach's first rung (every
+// candidate, at the configured epochs) is exactly the plan Replan produced.
+func TestFitHalvingHonoursApproach(t *testing.T) {
+	snaps := snapshots(t, 1)
+	halving := HalvingConfig{RungEpochs: []int{2, 1}} // rung 0 = tinyWorkload's own epochs
+
+	ms := newMS(t, NautilusNoFuse)
+	res, err := ms.FitHalving(snaps[0], halving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rung, groups := range res.RungGroups {
+		if len(groups) != res.RungSurvivors[rung] {
+			t.Errorf("nautilus_no_fuse rung %d: %d groups for %d survivors, want singletons", rung, len(groups), res.RungSurvivors[rung])
+		}
+	}
+
+	ms = newMS(t, Nautilus)
+	res, err = ms.FitHalving(snaps[0], halving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.RungGroups) != 2 {
+		t.Fatalf("%d rungs recorded, want 2", len(res.RungGroups))
+	}
+	if len(ms.Groups()) >= len(ms.Planner().Items()) {
+		t.Fatalf("nautilus fused nothing on the tiny workload (%d groups)", len(ms.Groups()))
+	}
+	if got, want := groupShape(res.RungGroups[0]), groupShape(ms.Groups()); !reflect.DeepEqual(got, want) {
+		t.Errorf("rung 0 groups differ from Replan's:\n got %v\nwant %v", got, want)
+	}
+	trained := 0
+	for _, g := range res.RungGroups[1] {
+		trained += len(g.Items)
+	}
+	if trained != res.RungSurvivors[1] {
+		t.Errorf("rung 1 groups train %d candidates, want the %d survivors", trained, res.RungSurvivors[1])
 	}
 }
 

@@ -47,8 +47,8 @@ type Trainer struct {
 	// replay. nil disables all instrumentation (nil-check cost only).
 	Obs *obs.Tracer
 	// OptSlotBytes is the optimizer-state overhead per trainable parameter
-	// byte assumed by the peak-memory replay; 0 defaults to 2 (Adam) when
-	// NewOptimizer is nil.
+	// byte assumed by the peak-memory replay; 0 defaults to
+	// opt.AdamSlotBytes when NewOptimizer is nil.
 	OptSlotBytes int64
 }
 
@@ -147,7 +147,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 		total, trainable := planModel.ParamCount()
 		slot := t.OptSlotBytes
 		if slot == 0 && t.NewOptimizer == nil {
-			slot = 2 // Adam: first and second moments
+			slot = opt.AdamSlotBytes
 		}
 		memBase = total*4 + trainable*4*slot
 	}

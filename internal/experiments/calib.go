@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"io"
 	"os"
 
@@ -110,13 +109,4 @@ func PrintCalib(w io.Writer, r *CalibResult) error {
 	p.printf("%-10s %14.4f %14.4f\n", "compute", r.ErrComputeBefore, r.ErrComputeAfter)
 	p.printf("%-10s %14.4f %14.4f\n", "load", r.ErrLoadBefore, r.ErrLoadAfter)
 	return p.err
-}
-
-// WriteCalibJSON writes the result as indented JSON at path.
-func WriteCalibJSON(path string, r *CalibResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -117,6 +117,7 @@ func simulatePlanned(inst *workloads.Instance, cfg core.Config, wp *core.Workloa
 	if err != nil {
 		return nil, err
 	}
+	full := cfg.Approach.FullCheckpoints() // the unmodified baseline: nothing profiled, whole checkpoints
 	w := simclock.Workload{
 		Items:             inst.Items,
 		Groups:            wp.Groups,
@@ -124,8 +125,8 @@ func simulatePlanned(inst *workloads.Instance, cfg core.Config, wp *core.Workloa
 		MatFLOPsPerRecord: matFLOPs,
 		MatBytesPerRecord: matBytes,
 		OptimizeSec:       wp.Stats.OptimizeTime.Seconds(),
-		ProfileModels:     cfg.Approach != core.CurrentPractice,
-		FullCheckpoints:   cfg.Approach == core.CurrentPractice,
+		ProfileModels:     !full,
+		FullCheckpoints:   full,
 	}
 	return simclock.Simulate(w, simclock.PaperSchedule(), cfg.HW, simclock.DefaultOverheads())
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"nautilus/internal/core"
 	"nautilus/internal/opt"
@@ -60,7 +58,7 @@ func Fusion() (*FusionResult, error) {
 		return nil, err
 	}
 	fuseCfg := func(stats *opt.FuseStats) opt.FuseConfig {
-		return opt.FuseConfig{MemBudgetBytes: memBudget, OptimizerSlotBytes: 2, Stats: stats}
+		return opt.FuseConfig{MemBudgetBytes: memBudget, OptimizerSlotBytes: opt.AdamSlotBytes, Stats: stats}
 	}
 	greedyFix, err := opt.GreedyFuser{}.Fuse(items, nil, fuseCfg(nil))
 	if err != nil {
@@ -152,13 +150,4 @@ func PrintFusion(w io.Writer, r *FusionResult) error {
 	p.printf("greedy search: %d rounds, %d pairs evaluated, %d rejected\n",
 		r.GreedyStats.Rounds, r.GreedyStats.PairsEvaluated, r.GreedyStats.PairsRejected)
 	return p.err
-}
-
-// WriteFusionJSON writes the result as indented JSON at path.
-func WriteFusionJSON(path string, r *FusionResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -209,7 +208,7 @@ func kernelsTrainWorkload(dir string) (*opt.FusedGroup, *storage.TensorStore, da
 	}
 	item := opt.WorkItem{Model: m, Prof: prof, Epochs: 1, BatchSize: 16, LR: 1e-3}
 	groups, err := opt.FuseModels([]opt.WorkItem{item}, nil, opt.FuseConfig{
-		MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2,
+		MemBudgetBytes: 1 << 40, OptimizerSlotBytes: opt.AdamSlotBytes,
 	})
 	if err != nil {
 		return nil, nil, data.Snapshot{}, err
@@ -389,13 +388,4 @@ func PrintKernels(w io.Writer, r *KernelsResult) error {
 	p.printf("bytes/step:  %.0f -> %.0f (%.1f%% reduction)\n",
 		t.UnpooledBytesPerStep, t.PooledBytesPerStep, t.BytesReductionPct)
 	return p.err
-}
-
-// WriteKernelsJSON writes the result as indented JSON at path.
-func WriteKernelsJSON(path string, r *KernelsResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

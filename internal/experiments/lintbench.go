@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,9 +13,8 @@ import (
 // LintBenchResult records one full-module sweep of the static-analysis
 // suite, run twice through the incremental cache: a cold leg that
 // populates a throwaway cache directory, and a warm leg in a fresh loader
-// that must replay every package. Per-analyzer wall time (with its SSA
-// share) comes from the cold leg; the cold/warm ratio gates the cache in
-// BENCH_baseline.json.
+// that must replay every package. Per-analyzer wall time comes from the
+// cold leg; the cold/warm ratio gates the cache in BENCH_baseline.json.
 type LintBenchResult struct {
 	// Packages is the number of packages analyzed.
 	Packages int `json:"packages"`
@@ -38,10 +36,8 @@ type LintBenchResult struct {
 	// WarmIdentical records that the warm leg replayed exactly the cold
 	// leg's findings (the cache's correctness contract).
 	WarmIdentical bool `json:"warm_identical"`
-	// SSAWallNs sums every analyzer's SSA-construction share.
-	SSAWallNs int64 `json:"ssa_wall_ns"`
-	// Analyzers holds each analyzer's cold-leg wall time (and SSA share)
-	// summed over all packages.
+	// Analyzers holds each analyzer's cold-leg wall time summed over all
+	// packages.
 	Analyzers []lint.AnalyzerTiming `json:"analyzers"`
 	// PackageTimings holds cold-leg per-package wall time in package order.
 	PackageTimings []lint.PackageTiming `json:"package_timings"`
@@ -112,9 +108,6 @@ func LintBench() (*LintBenchResult, error) {
 	if warmWall > 0 {
 		out.WarmSpeedup = float64(coldWall) / float64(warmWall)
 	}
-	for _, a := range cold.Analyzers {
-		out.SSAWallNs += a.SSAWallNs
-	}
 	for _, pt := range cold.Packages {
 		out.TotalWallNs += pt.WallNs
 	}
@@ -125,11 +118,11 @@ func LintBench() (*LintBenchResult, error) {
 func PrintLintBench(w io.Writer, r *LintBenchResult) error {
 	p := &printer{w: w}
 	p.printf("Lint suite over the module: %d packages, %d finding(s)\n", r.Packages, r.Findings)
-	p.printf("%-14s %12s %12s\n", "analyzer", "wall ms", "ssa ms")
+	p.printf("%-14s %12s\n", "analyzer", "wall ms")
 	for _, a := range r.Analyzers {
-		p.printf("%-14s %12.2f %12.2f\n", a.Analyzer, float64(a.WallNs)/1e6, float64(a.SSAWallNs)/1e6)
+		p.printf("%-14s %12.2f\n", a.Analyzer, float64(a.WallNs)/1e6)
 	}
-	p.printf("%-14s %12.2f %12.2f\n", "total", float64(r.TotalWallNs)/1e6, float64(r.SSAWallNs)/1e6)
+	p.printf("%-14s %12.2f\n", "total", float64(r.TotalWallNs)/1e6)
 	identical := "identical findings"
 	if !r.WarmIdentical {
 		identical = "FINDINGS DIVERGED"
@@ -138,13 +131,4 @@ func PrintLintBench(w io.Writer, r *LintBenchResult) error {
 		float64(r.ColdWallNs)/1e6, float64(r.WarmWallNs)/1e6,
 		r.WarmSpeedup, r.WarmHits, r.WarmMisses, identical)
 	return p.err
-}
-
-// WriteLintBenchJSON writes the result as indented JSON at path.
-func WriteLintBenchJSON(path string, r *LintBenchResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

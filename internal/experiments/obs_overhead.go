@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -59,7 +58,7 @@ func obsOverheadWorkload(dir string) (*opt.FusedGroup, *storage.TensorStore, err
 	}
 	item := opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 8, LR: 1e-3}
 	groups, err := opt.FuseModels([]opt.WorkItem{item}, nil, opt.FuseConfig{
-		MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2,
+		MemBudgetBytes: 1 << 40, OptimizerSlotBytes: opt.AdamSlotBytes,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -213,13 +212,4 @@ func PrintObsOverhead(w io.Writer, r *ObsOverheadResult) error {
 	p.printf("%-14s %9.3f±%.3f %9.2f%%%s\n", "active sink", r.ActiveSinkSec, r.ActiveSinkStdDev, r.ActiveSinkOverheadPct, noise(r.ActiveSinkWithinNoise))
 	p.printf("spans per run (active): %d\n", r.SpansPerRun)
 	return p.err
-}
-
-// WriteObsOverheadJSON writes the result as indented JSON at path.
-func WriteObsOverheadJSON(path string, r *ObsOverheadResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -185,13 +184,4 @@ func PrintReplan(w io.Writer, r *ReplanResult) error {
 	p.printf("plan delta: %d kept, %d new, %d orphaned signatures\n", r.KeptSigs, r.NewSigs, r.OrphanedSigs)
 	p.printf("verification: %d of %d groups re-checked\n", r.GroupsChecked, r.GroupsTotal)
 	return p.err
-}
-
-// WriteReplanJSON writes the result as indented JSON at path.
-func WriteReplanJSON(path string, r *ReplanResult) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -7,15 +7,18 @@
 // through the returned cache), no silently dropped errors, and allocation
 // hygiene in hot loops.
 //
-// On top of the syntactic analyzers, the package carries an intraprocedural
-// dataflow engine (cfg.go, dataflow.go): a statement-level CFG with
-// forward/backward solvers and value-origin tracking, powering the
-// lifetime and concurrency analyzers introduced for the arena/parallel/
-// span era — arenaescape (scoped tensors must not outlive Scope.Release),
-// spanleak (every obs span ends on every path), goroutinejoin (every
-// goroutine has a WaitGroup or channel join, and pipeline channels are
-// drained on every consumer path), and chunkdisjoint (tensor.Parallel
-// callbacks write only chunk-owned state). ignoreaudit closes the loop by
+// On top of the syntactic analyzers, the package carries two analysis
+// substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go,
+// reachdefs.go) is a statement-level CFG with forward/backward solvers,
+// value-origin tracking and reaching definitions; the declarative
+// typestate protocol engine (typestate.go) runs resource protocols over
+// it. Together they power the lifetime and concurrency analyzers
+// introduced for the arena/parallel/span era — arenaescape (scoped
+// tensors must not outlive Scope.Release), spanleak (every obs span ends
+// on every path), goroutinejoin (every goroutine has a WaitGroup or
+// channel join, and pipeline channels are drained on every consumer
+// path), and chunkdisjoint (tensor.Parallel callbacks write only
+// chunk-owned state). ignoreaudit closes the loop by
 // flagging suppressions whose analyzer no longer fires.
 //
 // Findings can be suppressed in source with
@@ -60,9 +63,6 @@ type Pass struct {
 	Fset     *token.FileSet
 
 	diags *[]Diagnostic
-	// ssaNs accumulates wall time this pass spent building SSA form
-	// (typestate.go charges it), split out in AnalyzerTiming.
-	ssaNs int64
 }
 
 // Reportf records a finding at pos.
@@ -159,13 +159,10 @@ func SelectAnalyzers(all []*Analyzer, spec string) ([]*Analyzer, error) {
 }
 
 // AnalyzerTiming is one analyzer's wall time summed over every package of
-// a run, reported by RunTimed and the CLI's -json output. SSAWallNs is the
-// share of WallNs spent building SSA form (zero for analyzers that never
-// ask for it).
+// a run, reported in Result and the CLI's -json output.
 type AnalyzerTiming struct {
-	Analyzer  string `json:"analyzer"`
-	WallNs    int64  `json:"wall_ns"`
-	SSAWallNs int64  `json:"ssa_wall_ns"`
+	Analyzer string `json:"analyzer"`
+	WallNs   int64  `json:"wall_ns"`
 }
 
 // PackageTiming is one package's wall time for the full analyzer sweep
@@ -187,31 +184,18 @@ type Result struct {
 	Packages []PackageTiming
 }
 
-// Run applies the analyzers to every package, filters suppressed findings,
-// and returns the remainder sorted by (file, line, analyzer). Malformed
-// suppression comments are reported under the analyzer name "lint".
-func Run(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) []Diagnostic {
-	return Analyze(pkgs, analyzers, fset).Findings
-}
-
-// RunTimed is Run plus per-analyzer wall time.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) ([]Diagnostic, []AnalyzerTiming) {
-	r := Analyze(pkgs, analyzers, fset)
-	return r.Findings, r.Analyzers
-}
-
 // Analyze runs the analyzer suite over every package, packages in
 // parallel (bounded by GOMAXPROCS), analyzers sequentially within each.
 // Suppression scanning, filtering, and the stale-suppression audit are
 // per package — a //lint:ignore only ever faces findings from its own
 // package — and results are merged in package order then sorted, so the
-// output is deterministic regardless of scheduling.
+// output is deterministic regardless of scheduling. Malformed suppression
+// comments are reported under the analyzer name "lint".
 func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result {
 	type pkgRun struct {
 		sup     *suppressions
 		diags   []Diagnostic
 		wall    []time.Duration
-		ssa     []int64
 		elapsed time.Duration
 	}
 	runs := make([]*pkgRun, len(pkgs))
@@ -223,7 +207,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			r := &pkgRun{sup: newSuppressions(), wall: make([]time.Duration, len(analyzers)), ssa: make([]int64, len(analyzers))}
+			r := &pkgRun{sup: newSuppressions(), wall: make([]time.Duration, len(analyzers))}
 			//lint:ignore determinism wall-clock measurement of analyzer runtime for -json timing output
 			pkgStart := time.Now()
 			r.sup.scan(pkg, fset, &r.diags)
@@ -234,7 +218,6 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 				a.Run(pass)
 				//lint:ignore determinism wall-clock measurement of analyzer runtime for -json timing output
 				r.wall[j] += time.Since(start)
-				r.ssa[j] += pass.ssaNs
 			}
 			//lint:ignore determinism wall-clock measurement of analyzer runtime for -json timing output
 			r.elapsed = time.Since(pkgStart)
@@ -245,9 +228,8 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 
 	var res Result
 	wall := make([]time.Duration, len(analyzers))
-	ssa := make([]int64, len(analyzers))
 	ran := analyzerNames(analyzers)
-	audit := hasAnalyzer(analyzers, IgnoreAuditAnalyzer.Name)
+	audit := ran[IgnoreAuditAnalyzer.Name]
 	for i, pkg := range pkgs {
 		r := runs[i]
 		for _, d := range r.diags {
@@ -262,14 +244,13 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 		}
 		for j := range analyzers {
 			wall[j] += r.wall[j]
-			ssa[j] += r.ssa[j]
 		}
 		res.Packages = append(res.Packages, PackageTiming{Package: pkg.Path, WallNs: r.elapsed.Nanoseconds()})
 	}
 	SortDiagnostics(res.Findings)
 	res.Analyzers = make([]AnalyzerTiming, len(analyzers))
 	for i, a := range analyzers {
-		res.Analyzers[i] = AnalyzerTiming{Analyzer: a.Name, WallNs: wall[i].Nanoseconds(), SSAWallNs: ssa[i]}
+		res.Analyzers[i] = AnalyzerTiming{Analyzer: a.Name, WallNs: wall[i].Nanoseconds()}
 	}
 	return res
 }
@@ -295,15 +276,6 @@ func SortDiagnostics(ds []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-func hasAnalyzer(analyzers []*Analyzer, name string) bool {
-	for _, a := range analyzers {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 func analyzerNames(analyzers []*Analyzer) map[string]bool {

@@ -77,7 +77,7 @@ func runOnFixture(t *testing.T) []lint.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lint.Run([]*lint.Package{pkg}, lint.DefaultAnalyzers(), loader.Fset)
+	return lint.Analyze([]*lint.Package{pkg}, lint.DefaultAnalyzers(), loader.Fset).Findings
 }
 
 // TestViolationsGolden runs the full analyzer suite over the fixture
@@ -164,7 +164,7 @@ func TestRunTimedReportsEveryAnalyzer(t *testing.T) {
 		t.Fatal(err)
 	}
 	analyzers := lint.DefaultAnalyzers()
-	_, timings := lint.RunTimed([]*lint.Package{pkg}, analyzers, loader.Fset)
+	timings := lint.Analyze([]*lint.Package{pkg}, analyzers, loader.Fset).Analyzers
 	if len(timings) != len(analyzers) {
 		t.Fatalf("got %d timings, want %d", len(timings), len(analyzers))
 	}
@@ -194,7 +194,7 @@ func TestIgnoreAuditScopedToRunSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := []*lint.Analyzer{lint.DeterminismAnalyzer, lint.IgnoreAuditAnalyzer}
-	diags := lint.Run([]*lint.Package{pkg}, sub, loader.Fset)
+	diags := lint.Analyze([]*lint.Package{pkg}, sub, loader.Fset).Findings
 	audits := 0
 	for _, d := range diags {
 		if d.Analyzer != "ignoreaudit" {
@@ -210,7 +210,7 @@ func TestIgnoreAuditScopedToRunSet(t *testing.T) {
 	}
 
 	// Without the audit analyzer in the set, no audit findings at all.
-	diags = lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.DeterminismAnalyzer}, loader.Fset)
+	diags = lint.Analyze([]*lint.Package{pkg}, []*lint.Analyzer{lint.DeterminismAnalyzer}, loader.Fset).Findings
 	for _, d := range diags {
 		if d.Analyzer == "ignoreaudit" {
 			t.Errorf("audit ran without being requested: %s", d)

@@ -20,7 +20,7 @@ func loadFixtureDiags(t *testing.T, noExportData bool) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Package{pkg}, DefaultAnalyzers(), loader.Fset)
+	return Analyze([]*Package{pkg}, DefaultAnalyzers(), loader.Fset).Findings
 }
 
 // stripPos projects diagnostics onto their content; positions are compared

@@ -23,10 +23,11 @@ const storagePkgPath = "nautilus/internal/storage"
 //     against the store's state at the read, not its final state.
 //
 // Declared against the typestate engine as open→swept→closed with the full
-// obligation leg: SSA-backed copy discharge (`st2 := st; st2.Close()`
-// counts), error-guarded returns exempt (`if err != nil { return err }`
-// after a failed open owes nothing — but only when the guard reads the
-// origin's own err binding), re-binding before Close is flagged, and a
+// obligation leg: a Close on a pure copy discharges (`var st2 = st;
+// st2.Close()` counts; reachdefs.go decides "pure"), error-guarded returns
+// are exempt (`if err != nil { return err }` after a failed open owes
+// nothing — but only when the guard reads the origin's own err binding),
+// re-binding before Close is flagged, and a
 // deferred Close inside the opening loop is flagged (it runs at function
 // exit, not per iteration). A store that escapes — returned, stored in a
 // struct, handed to a goroutine — transfers the obligation to its new
@@ -64,7 +65,7 @@ var storeLeaseSpec = &typestateSpec{
 	derived: func(p *Pass, t types.Type) bool { return namedType(t, tensorPkgPath, "Tensor") },
 	useInState: map[string]useMsgs{
 		"closed": {directMsg: "store %s may already be closed here; move the use before Close"},
-		"swept": {derivedMsg: "%s was read from store %s before a GC/Delete that may have dropped its rows; re-read it after the sweep or copy it out first"},
+		"swept":  {derivedMsg: "%s was read from store %s before a GC/Delete that may have dropped its rows; re-read it after the sweep or copy it out first"},
 	},
 	staleOnly:   true,
 	escapeEvent: "GC",

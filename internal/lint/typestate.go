@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"time"
 )
 
 // This file is the declarative typestate protocol engine. A resource
@@ -31,11 +30,11 @@ import (
 // Both legs interface with the interprocedural summary layer: events fire
 // through delegation to local helpers (summarySet.callDelegates /
 // dischargesAt / deferredDischarge), and escapes hand the obligation to the
-// new owner (objEscapes). The SSA layer (ssa.go) sharpens the obligation
-// leg: with copyDischarge set, a terminal called on a pure copy of the
-// origin discharges it, and the error-guard exemption only credits returns
-// whose guarding condition reads the origin's own error binding, not a
-// reassigned one.
+// new owner (objEscapes). Reaching definitions (reachdefs.go) sharpen the
+// obligation leg: with copyDischarge set, a terminal called on a pure copy
+// of the origin discharges it, and the error-guard exemption only credits
+// returns whose guarding condition reads the origin's own error binding,
+// not a reassigned one.
 //
 // spanleak, arenaescape, and goroutinejoin's WaitGroup leg are instances of
 // this engine (their findings are bit-compatible with the hand-written
@@ -101,7 +100,7 @@ type typestateSpec struct {
 	leakMsg       string                // args (value, value)
 	overwriteMsg  string                // non-"": check mid-protocol re-binding; args (value)
 	deferLoopMsg  string                // non-"": check defer-in-loop; args (value)
-	copyDischarge bool                  // SSA: terminal on a pure copy discharges
+	copyDischarge bool                  // terminal on a pure copy (reachdefs.go) discharges
 
 	// Simulation leg. states are ordered best→worst; path merge keeps the
 	// worst (may-analysis: "may already be released/closed/failed").
@@ -168,6 +167,7 @@ type tsOrigin struct {
 	obj    types.Object
 	id     *ast.Ident
 	errObj types.Object // bound error result, errResult specs only
+	errID  *ast.Ident
 	node   *cfgNode
 	call   *ast.CallExpr
 }
@@ -196,25 +196,22 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 		return
 	}
 
-	var ssa *ssaFunc
-	getSSA := func() *ssaFunc {
-		if ssa == nil {
-			//lint:ignore determinism wall-clock measurement of SSA construction for timing output
-			start := time.Now()
-			ssa = buildSSA(info, fb, cfg)
-			//lint:ignore determinism wall-clock measurement of SSA construction for timing output
-			p.ssaNs += time.Since(start).Nanoseconds()
+	var reach *reachDefs // built on the first value-flow question, if any
+	getReach := func() *reachDefs {
+		if reach == nil {
+			reach = buildReachDefs(info, fb, cfg)
 		}
-		return ssa
+		return reach
 	}
 	var parents map[ast.Node]ast.Node
 
 	for _, o := range origins {
 		o := o
-		// dischargeCall reports whether call discharges this origin: the
-		// terminal on the value itself, a delegation the summary layer
-		// credits, or (copyDischarge) the terminal on a pure SSA copy.
-		dischargeCall := func(call *ast.CallExpr) bool {
+		// dischargeCall reports whether call, evaluated at node n, discharges
+		// this origin: the terminal on the value itself, a delegation the
+		// summary layer credits, or (copyDischarge) the terminal on a
+		// variable whose every reaching definition is a copy of the origin's.
+		dischargeCall := func(n *cfgNode, call *ast.CallExpr) bool {
 			if sums.dischargesAt(call, o.obj, spec.terminal, spec.terminalFact) {
 				return true
 			}
@@ -229,18 +226,12 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 			if !ok || info.ObjectOf(id) == o.obj {
 				return false
 			}
-			s := getSSA()
-			originDef := s.defValue(o.id)
-			if originDef == nil {
-				return false
-			}
-			rd := s.reachingDef(id)
-			return rd != nil && rd.resolvesTo(originDef)
+			return getReach().resolvesTo(id, n, o.id)
 		}
 		dischargesNode := func(n *cfgNode) bool {
 			return headerContains(n, func(x ast.Node) bool {
 				call, ok := x.(*ast.CallExpr)
-				return ok && dischargeCall(call)
+				return ok && dischargeCall(n, call)
 			})
 		}
 
@@ -268,11 +259,24 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 			p.Reportf(o.call.Pos(), spec.overwriteMsg, o.obj.Name())
 			continue
 		}
+		var guards []*ast.IfStmt // errGuards(o), collected at the first return
+		haveGuards := false
 		satisfies := func(n *cfgNode) bool {
 			if dischargesNode(n) {
 				return true
 			}
-			return spec.errResult && o.errObj != nil && errGuardReturn(info, getSSA(), o, n)
+			if _, ok := n.stmt.(*ast.ReturnStmt); !ok || !spec.errResult || o.errObj == nil {
+				return false
+			}
+			if !haveGuards {
+				guards, haveGuards = errGuards(info, cfg, getReach(), o), true
+			}
+			for _, g := range guards {
+				if within(n.stmt.Pos(), g.Body) {
+					return true
+				}
+			}
+			return false
 		}
 		if !cfg.mustPassFrom(o.node, satisfies) {
 			p.Reportf(o.call.Pos(), spec.leakMsg, o.obj.Name(), o.obj.Name())
@@ -320,6 +324,7 @@ func collectOrigins(p *Pass, spec *typestateSpec, cfg *funcCFG) []tsOrigin {
 				o.id, _ = l.(*ast.Ident)
 			} else if i == len(as.Lhs)-1 && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
 				o.errObj = obj
+				o.errID, _ = l.(*ast.Ident)
 			}
 		}
 		if o.obj == nil {
@@ -376,39 +381,16 @@ func overwriteReachable(info *types.Info, cfg *funcCFG, o tsOrigin, discharges f
 	return false
 }
 
-// errGuardReturn reports whether node n is a return inside the body of an
-// `if <err-cond>` whose condition reads the origin's own error binding
-// (SSA-resolved: a reassigned err does not exempt).
-func errGuardReturn(info *types.Info, ssa *ssaFunc, o tsOrigin, n *cfgNode) bool {
-	if _, ok := n.stmt.(*ast.ReturnStmt); !ok {
-		return false
-	}
-	errDef := lookupDef(ssa, o.errObj, o.node)
-	for _, g := range errGuards(info, ssa, o, errDef) {
-		if within(n.stmt.Pos(), g.Body) {
-			return true
-		}
-	}
-	return false
-}
-
-// lookupDef finds the SSA value the origin node defines for obj.
-func lookupDef(ssa *ssaFunc, obj types.Object, node *cfgNode) *ssaValue {
-	for _, v := range ssa.defsOf(obj) {
-		if v.node == node {
-			return v
-		}
-	}
-	return nil
-}
-
 // errGuards collects the if statements whose condition mentions the
-// origin's error object — restricted, when SSA tracks the variable, to
-// conditions reading the origin's own binding.
-func errGuards(info *types.Info, ssa *ssaFunc, o tsOrigin, errDef *ssaValue) []*ast.IfStmt {
+// origin's error object. When reaching definitions track that variable the
+// condition must read the origin's own binding (a reassigned err does not
+// exempt); when they do not, any mention counts. A return inside a guard's
+// body is exempt from the obligation: the acquire failed.
+func errGuards(info *types.Info, cfg *funcCFG, reach *reachDefs, o tsOrigin) []*ast.IfStmt {
+	_, precise := reach.defs[o.errID] // tracked, and bound on a reachable node
 	var guards []*ast.IfStmt
-	for n := range ssa.cfg.byStmt {
-		ifs, ok := n.(*ast.IfStmt)
+	for _, n := range cfg.nodes {
+		ifs, ok := n.stmt.(*ast.IfStmt)
 		if !ok || ifs.Cond == nil {
 			continue
 		}
@@ -418,10 +400,8 @@ func errGuards(info *types.Info, ssa *ssaFunc, o tsOrigin, errDef *ssaValue) []*
 			if !ok || info.ObjectOf(id) != o.errObj {
 				return true
 			}
-			if errDef != nil && ssa.tracked(o.errObj) {
-				if rd := ssa.reachingDef(id); rd == nil || !rd.resolvesTo(errDef) {
-					return true // a different err reached this guard
-				}
+			if precise && !reach.resolvesTo(id, n, o.errID) {
+				return true // a different err reached this guard
 			}
 			mentions = true
 			return false
@@ -861,6 +841,24 @@ func eventReachable(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG
 		}
 		return ev.fact != nil && sums.callDelegates(call, owner, ev.fact)
 	}
+	if deferredAnywhere(cfg, isEvent) {
+		return true
+	}
+	for m := range cfg.reachableFrom(n) {
+		if m.stmt == nil {
+			continue
+		}
+		if headerContains(m, isEvent) {
+			return true
+		}
+	}
+	return false
+}
+
+// deferredAnywhere reports whether any defer statement of the function
+// contains a node satisfying isEvent (closure bodies included): defers run
+// at function exit, which is downstream of every node.
+func deferredAnywhere(cfg *funcCFG, isEvent func(ast.Node) bool) bool {
 	for _, m := range cfg.nodes {
 		ds, ok := m.stmt.(*ast.DeferStmt)
 		if !ok {
@@ -874,14 +872,6 @@ func eventReachable(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG
 			return !deferred
 		})
 		if deferred {
-			return true
-		}
-	}
-	for m := range cfg.reachableFrom(n) {
-		if m.stmt == nil {
-			continue
-		}
-		if headerContains(m, isEvent) {
 			return true
 		}
 	}
@@ -940,19 +930,8 @@ func eventJoins(info *types.Info, sums *summarySet, cfg *funcCFG, launch *cfgNod
 		}
 		return sums != nil && ev.fact != nil && sums.callDelegates(call, obj, ev.fact)
 	}
-	for _, m := range cfg.nodes {
-		if ds, ok := m.stmt.(*ast.DeferStmt); ok {
-			deferred := false
-			ast.Inspect(ds.Call, func(x ast.Node) bool {
-				if isEvent(x) {
-					deferred = true
-				}
-				return !deferred
-			})
-			if deferred {
-				return true
-			}
-		}
+	if deferredAnywhere(cfg, isEvent) {
+		return true
 	}
 	return cfg.mustPassFrom(launch, func(n *cfgNode) bool {
 		return headerContains(n, isEvent)

@@ -18,6 +18,12 @@ func (m MemoryEstimate) Total() int64 {
 	return m.ParamBytes + m.OptimizerBytes + m.WorkspaceBytes + m.ActivationPeak
 }
 
+// AdamSlotBytes is the optimizer-state overhead per trainable parameter
+// byte under Adam (first and second moments) — the optimizer every training
+// path uses unless a Trainer is handed another, so the planner's B_mem
+// estimate and the trainer's live-memory replay agree on it.
+const AdamSlotBytes = 2
+
 // EstimatePeakMemory performs the topological live-tensor analysis of
 // Figure 5 on a reuse plan: the plan's retained forward nodes are augmented
 // with a loss barrier node and one backward node per layer on the gradient
@@ -25,7 +31,7 @@ func (m MemoryEstimate) Total() int64 {
 // returns the peak, plus parameter/optimizer/workspace terms.
 //
 // optBytesPerTrainableByte is the optimizer's slot overhead (0 for plain
-// SGD, 1 for momentum, 2 for Adam).
+// SGD, 1 for momentum, AdamSlotBytes for Adam).
 func EstimatePeakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
 	prof := plan.Prof
 	m := prof.Model

@@ -47,8 +47,12 @@ check:
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) run ./cmd/nautilus-bench -exp obs,replan,calib,fusion,kernels,lint -tune-table TUNE_table.json -baseline BENCH_baseline.json
 
+# bench runs the paper-table benchmarks at the root and the layer step
+# benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
+# + backward at BERT-mini shapes, ns per activated element), so a change
+# to the activation path has a number without a 15 s bench-e2e session.
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -bench=. -benchmem . ./internal/layers
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
 # multi-cycle sessions on six workloads, every output checked bit for bit

@@ -3,6 +3,12 @@
 // pooling, merge layers, and composite blocks (transformer, residual,
 // adapter). Every layer follows the pure-function contract of graph.Layer:
 // parameters live in the layer, activations travel through the cache.
+//
+// Nonlinearities evaluate each transcendental once per element per step:
+// one scalar definition per activation yields act(z) and act′(z); a
+// train-mode forward caches act′ in the buffer z occupied, so Backward is
+// one multiply, and bias + activation run as one in-place sweep over the
+// matmul output (fusedAct; DESIGN.md "The activation epilogue").
 package layers
 
 import (
@@ -25,100 +31,140 @@ const (
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// applyActivation computes act(z) elementwise into a new tensor.
-func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
-	if act == ActNone {
-		return z
-	}
-	out := tensor.NewFrom(z, z.Shape()...)
-	zd, od := z.Data(), out.Data()
-	work := len(zd)
-	if act != ActReLU {
-		work *= 8 // transcendental cost dominates
-	}
-	switch act {
-	case ActReLU:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if v := zd[i]; v > 0 {
-					od[i] = v
-				}
-			}
-		})
-	case ActGeLU:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := float64(zd[i])
-				od[i] = float32(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
-			}
-		})
-	case ActTanh:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = float32(math.Tanh(float64(zd[i])))
-			}
-		})
-	case ActSigmoid:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = float32(1 / (1 + math.Exp(-float64(zd[i]))))
-			}
-		})
-	default:
-		panic(fmt.Sprintf("layers: unknown activation %q", act))
-	}
-	return out
+// The scalar definitions: y = act(x), d = act′(x). Trained weights and
+// bench/golden depend on these float64 expression trees bit for bit (same
+// tree ⇒ same rounding, also under fused multiply-add): see activation_test.go.
+
+func geluYD(x float64) (y, d float64) {
+	u := geluC * (x + 0.044715*x*x*x)
+	th := math.Tanh(u)
+	du := geluC * (1 + 3*0.044715*x*x)
+	return 0.5 * x * (1 + th), 0.5*(1+th) + 0.5*x*(1-th*th)*du
 }
 
-// activationBackward computes dL/dz = g ⊙ act'(z) given pre-activation z.
-func activationBackward(act string, z, g *tensor.Tensor) *tensor.Tensor {
-	if act == ActNone {
-		return g
-	}
-	out := tensor.NewFrom2(z, g, z.Shape()...)
-	zd, gd, od := z.Data(), g.Data(), out.Data()
-	work := len(zd)
-	if act != ActReLU {
-		work *= 8
-	}
+func tanhYD(x float64) (y, d float64) {
+	th := math.Tanh(x)
+	return th, 1 - th*th
+}
+
+func sigmoidYD(x float64) (y, d float64) {
+	s := 1 / (1 + math.Exp(-x))
+	return s, s * (1 - s)
+}
+
+func actYD(act string) func(x float64) (y, d float64) {
 	switch act {
-	case ActReLU:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if zd[i] > 0 {
-					od[i] = gd[i]
+	case ActGeLU:
+		return geluYD
+	case ActTanh:
+		return tanhYD
+	case ActSigmoid:
+		return sigmoidYD
+	}
+	panic(fmt.Sprintf("layers: unknown activation %q", act))
+}
+
+// actCache is what a nonlinearity's forward leaves for Backward: act′(z)
+// when deriv (train mode), else the pre-activation z. None and relu never
+// read it: their Backward needs only the output (out > 0 ⇔ z > 0).
+type actCache struct {
+	t     *tensor.Tensor
+	deriv bool
+}
+
+// actSweep is the one pass every nonlinearity runs: per element z = src
+// (+ bias per row, tensor.AddRowVec's float32 add), out = act(z), and for a
+// transcendental act keep (if non-nil) gets act′(z) when deriv, else z.
+// out and keep may alias src.
+func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32, deriv bool) {
+	sd, od, c := src.Data(), out.Data(), src.Cols()
+	if act == ActNone || act == ActReLU {
+		tensor.Parallel(src.Rows(), len(sd), func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				sr, or := sd[r*c:(r+1)*c], od[r*c:(r+1)*c]
+				if bias != nil {
+					for j := range or {
+						or[j] = sr[j] + bias[j]
+					}
+				} else {
+					copy(or, sr)
+				}
+				if act == ActReLU {
+					for j, z := range or {
+						if !(z > 0) { // not z <= 0: NaN clamps to 0 as well
+							or[j] = 0
+						}
+					}
 				}
 			}
 		})
-	case ActGeLU:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := float64(zd[i])
-				u := geluC * (x + 0.044715*x*x*x)
-				th := math.Tanh(u)
-				du := geluC * (1 + 3*0.044715*x*x)
-				d := 0.5*(1+th) + 0.5*x*(1-th*th)*du
-				od[i] = gd[i] * float32(d)
-			}
-		})
-	case ActTanh:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				th := math.Tanh(float64(zd[i]))
-				od[i] = gd[i] * float32(1-th*th)
-			}
-		})
-	case ActSigmoid:
-		tensor.Parallel(len(zd), work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s := 1 / (1 + math.Exp(-float64(zd[i])))
-				od[i] = gd[i] * float32(s*(1-s))
-			}
-		})
-	default:
-		panic(fmt.Sprintf("layers: unknown activation %q", act))
+		return
 	}
-	return out
+	f := actYD(act)
+	tensor.Parallel(src.Rows(), len(sd)*8, func(lo, hi int) { // transcendental cost dominates
+		for r := lo; r < hi; r++ {
+			for j := 0; j < c; j++ {
+				i := r*c + j
+				z := sd[i]
+				if bias != nil {
+					z += bias[j]
+				}
+				y, d := f(float64(z))
+				od[i] = float32(y)
+				if deriv {
+					z = float32(d)
+				}
+				if keep != nil {
+					keep[i] = z
+				}
+			}
+		}
+	})
+}
+
+// fusedAct is the epilogue of a layer's affine part, in place over a, the
+// matmul output the caller allocated and gives up. None and relu overwrite
+// a; the transcendentals return a second tensor and leave the actCache in a.
+func fusedAct(act string, a, bias *tensor.Tensor, train bool) (*tensor.Tensor, actCache) {
+	if act == ActNone || act == ActReLU {
+		actSweep(act, a, bias.Data(), a, nil, false)
+		return a, actCache{}
+	}
+	out := tensor.NewFrom(a, a.Shape()...)
+	actSweep(act, a, bias.Data(), out, a.Data(), train)
+	return out, actCache{t: a, deriv: train}
+}
+
+// backward returns dL/dz = g ⊙ act′(z) for the forward that produced c and
+// out. After a train-mode forward it is one multiply per element.
+func (c actCache) backward(act string, out, g *tensor.Tensor) *tensor.Tensor {
+	switch {
+	case act == ActNone:
+		return g
+	case act != ActReLU && c.deriv:
+		return tensor.Mul(g, c.t.Reshape(g.Shape()...))
+	}
+	dz := tensor.NewFrom2(out, g, g.Shape()...)
+	gd, dd := g.Data(), dz.Data()
+	if act == ActReLU {
+		od := out.Data()
+		tensor.Parallel(len(gd), len(gd), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if od[i] > 0 {
+					dd[i] = gd[i]
+				}
+			}
+		})
+		return dz
+	}
+	f, zd := actYD(act), c.t.Data() // eval-mode forward: derive act′ from z
+	tensor.Parallel(len(gd), len(gd)*8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			_, d := f(float64(zd[i]))
+			dd[i] = gd[i] * float32(d)
+		}
+	})
+	return dz
 }
 
 // activationFLOPsPerElem returns the approximate FLOPs one activation
@@ -155,11 +201,25 @@ func (l *Activation) FLOPsPerRecord(in [][]int) int64 {
 }
 
 func (l *Activation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	return applyActivation(l.Act, inputs[0]), nil
+	x := inputs[0]
+	if l.Act == ActNone {
+		return x, actCache{}
+	}
+	out := tensor.NewFrom(x, x.Shape()...)
+	// x belongs to the parent node: an eval-mode forward caches it as z as
+	// is, a train-mode one gives act′ a tensor of its own.
+	c := actCache{t: x}
+	var keep []float32
+	if train && l.Act != ActReLU {
+		c = actCache{t: tensor.NewFrom(x, x.Shape()...), deriv: true}
+		keep = c.t.Data()
+	}
+	actSweep(l.Act, x, nil, out, keep, train)
+	return out, c
 }
 
 func (l *Activation) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	return []*tensor.Tensor{activationBackward(l.Act, inputs[0], gradOut)}, nil
+	return []*tensor.Tensor{cache.(actCache).backward(l.Act, out, gradOut)}, nil
 }
 
 // Dropout zeroes a fraction of activations during training and rescales the

@@ -1,0 +1,402 @@
+package layers
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"nautilus/internal/graph"
+	"nautilus/internal/tensor"
+)
+
+// The oracle: the two-function activation path every layer used before the
+// single-evaluation epilogue (one transcendental in forward, the same one
+// again in backward), kept verbatim. The fused path must reproduce its
+// bits — trained weights and bench/golden were produced by it.
+
+// applyActivation computes act(z) elementwise into a new tensor.
+func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
+	if act == ActNone {
+		return z
+	}
+	out := tensor.NewFrom(z, z.Shape()...)
+	zd, od := z.Data(), out.Data()
+	for i := range zd {
+		switch act {
+		case ActReLU:
+			if v := zd[i]; v > 0 {
+				od[i] = v
+			}
+		case ActGeLU:
+			x := float64(zd[i])
+			od[i] = float32(0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))))
+		case ActTanh:
+			od[i] = float32(math.Tanh(float64(zd[i])))
+		case ActSigmoid:
+			od[i] = float32(1 / (1 + math.Exp(-float64(zd[i]))))
+		default:
+			panic(fmt.Sprintf("layers: unknown activation %q", act))
+		}
+	}
+	return out
+}
+
+// activationBackward computes dL/dz = g ⊙ act'(z) given pre-activation z.
+func activationBackward(act string, z, g *tensor.Tensor) *tensor.Tensor {
+	if act == ActNone {
+		return g
+	}
+	out := tensor.NewFrom2(z, g, z.Shape()...)
+	zd, gd, od := z.Data(), g.Data(), out.Data()
+	for i := range zd {
+		switch act {
+		case ActReLU:
+			if zd[i] > 0 {
+				od[i] = gd[i]
+			}
+		case ActGeLU:
+			x := float64(zd[i])
+			u := geluC * (x + 0.044715*x*x*x)
+			th := math.Tanh(u)
+			du := geluC * (1 + 3*0.044715*x*x)
+			d := 0.5*(1+th) + 0.5*x*(1-th*th)*du
+			od[i] = gd[i] * float32(d)
+		case ActTanh:
+			th := math.Tanh(float64(zd[i]))
+			od[i] = gd[i] * float32(1-th*th)
+		case ActSigmoid:
+			s := 1 / (1 + math.Exp(-float64(zd[i])))
+			od[i] = gd[i] * float32(s*(1-s))
+		default:
+			panic(fmt.Sprintf("layers: unknown activation %q", act))
+		}
+	}
+	return out
+}
+
+// Oracle layers: the pre-change Forward/Backward bodies over the real
+// layer's parameters.
+
+type oracleDense struct{ *Dense }
+
+func (l oracleDense) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	x := inputs[0]
+	z := tensor.AddRowVec(tensor.MatMul(x, l.w.Tensor()), l.b.Tensor())
+	z = z.Reshape(denseOutShape(x.Shape(), l.Out)...)
+	return applyActivation(l.Act, z), z
+}
+
+func (l oracleDense) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	x := inputs[0]
+	dz := activationBackward(l.Act, cache.(*tensor.Tensor), gradOut)
+	var dw, db, dx *tensor.Tensor
+	if need.Params {
+		dw, db = tensor.MatMulAT(x, dz), tensor.SumRows(dz)
+	}
+	if need.Inputs {
+		dx = tensor.MatMulBT(dz, l.w.Tensor()).Reshape(x.Shape()...)
+	}
+	return []*tensor.Tensor{dx}, []*tensor.Tensor{dw, db}
+}
+
+type oracleConv struct{ *Conv2D }
+
+type oracleConvCache struct {
+	cols, z *tensor.Tensor
+	geom    tensor.ConvGeom
+}
+
+func (l oracleConv) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	x := inputs[0]
+	s := x.Shape()
+	g := l.geom(s[1:])
+	cols := tensor.Im2Col(x, g)
+	z := tensor.AddRowVec(tensor.MatMul(cols, l.w.Tensor()), l.b.Tensor())
+	z = z.Reshape(s[0], g.OutH(), g.OutW(), l.OutC)
+	return applyActivation(l.Act, z), oracleConvCache{cols: cols, z: z, geom: g}
+}
+
+func (l oracleConv) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	c := cache.(oracleConvCache)
+	dz2 := activationBackward(l.Act, c.z, gradOut).Reshape(-1, l.OutC)
+	var dw, db, dx *tensor.Tensor
+	if need.Params {
+		dw, db = tensor.MatMulAT(c.cols, dz2), tensor.SumRows(dz2)
+	}
+	if need.Inputs {
+		dx = tensor.Col2Im(tensor.MatMulBT(dz2, l.w.Tensor()), inputs[0].Dim(0), c.geom)
+	}
+	return []*tensor.Tensor{dx}, []*tensor.Tensor{dw, db}
+}
+
+type oracleAdapter struct{ *Adapter }
+
+func (l oracleAdapter) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	x := inputs[0]
+	z := tensor.AddRowVec(tensor.MatMul(x, l.wd.Tensor()), l.bd.Tensor())
+	h := applyActivation(ActGeLU, z)
+	up := tensor.AddRowVec(tensor.MatMul(h, l.wu.Tensor()), l.bu.Tensor())
+	out := tensor.Add(x.Reshape(up.Shape()...), up).Reshape(x.Shape()...)
+	return out, [2]*tensor.Tensor{z, h}
+}
+
+func (l oracleAdapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	c := cache.([2]*tensor.Tensor)
+	x := inputs[0]
+	g := gradOut.Reshape(-1, l.Dim)
+	dz := activationBackward(ActGeLU, c[0], tensor.MatMulBT(g, l.wu.Tensor()))
+	var dwu, dbu, dwd, dbd, dx *tensor.Tensor
+	if need.Params {
+		dwu, dbu = tensor.MatMulAT(c[1], g), tensor.SumRows(g)
+		dwd, dbd = tensor.MatMulAT(x, dz), tensor.SumRows(dz)
+	}
+	if need.Inputs {
+		dx = tensor.AddInPlace(tensor.MatMulBT(dz, l.wd.Tensor()), g).Reshape(x.Shape()...)
+	}
+	return []*tensor.Tensor{dx}, []*tensor.Tensor{dwd, dbd, dwu, dbu}
+}
+
+type oracleRNN struct{ *RNNCell }
+
+func (l oracleRNN) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	z := tensor.MatMul(inputs[0], l.wx.Tensor())
+	tensor.AddInPlace(z, tensor.MatMul(inputs[1], l.wh.Tensor()))
+	z = tensor.AddRowVec(z, l.b.Tensor())
+	return applyActivation(ActTanh, z), z
+}
+
+func (l oracleRNN) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	x, h := inputs[0], inputs[1]
+	dz := activationBackward(ActTanh, cache.(*tensor.Tensor), gradOut)
+	var dwx, dwh, db, dx, dh *tensor.Tensor
+	if need.Params {
+		dwx, dwh, db = tensor.MatMulAT(x, dz), tensor.MatMulAT(h, dz), tensor.SumRows(dz)
+	}
+	if need.Inputs {
+		dx, dh = tensor.MatMulBT(dz, l.wx.Tensor()), tensor.MatMulBT(dz, l.wh.Tensor())
+	}
+	return []*tensor.Tensor{dx, dh}, []*tensor.Tensor{dwx, dwh, db}
+}
+
+type oracleActivation struct{ *Activation }
+
+func (l oracleActivation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	return applyActivation(l.Act, inputs[0]), nil
+}
+
+func (l oracleActivation) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	return []*tensor.Tensor{activationBackward(l.Act, inputs[0], gradOut)}, nil
+}
+
+// oracleOf returns the pre-change implementation of l; a Composite is
+// rebuilt node for node around the same layer instances (so the same
+// parameters), with every fused-nonlinearity layer swapped for its oracle.
+func oracleOf(l graph.Layer) graph.Layer {
+	switch l := l.(type) {
+	case *Dense:
+		return oracleDense{l}
+	case *Conv2D:
+		return oracleConv{l}
+	case *Adapter:
+		return oracleAdapter{l}
+	case *RNNCell:
+		return oracleRNN{l}
+	case *Activation:
+		return oracleActivation{l}
+	case *Composite:
+		inner := graph.NewModel(l.inner.Name + "_oracle")
+		twin := map[*graph.Node]*graph.Node{}
+		for _, n := range l.inner.Nodes() {
+			if n.IsInput() {
+				twin[n] = inner.AddInput(n.Name, n.Layer.(*graph.InputLayer).Shape...)
+				continue
+			}
+			parents := make([]*graph.Node, len(n.Parents))
+			for i, p := range n.Parents {
+				parents[i] = twin[p]
+			}
+			twin[n] = inner.AddNode(n.Name, oracleOf(n.Layer), parents...)
+			twin[n].Trainable = n.Trainable
+		}
+		inner.SetOutputs(twin[l.inner.Outputs[0]])
+		o := *l
+		o.inner = inner
+		return &o
+	}
+	return l
+}
+
+func bitsEqual(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Errorf("%s: got nil=%v, want nil=%v", label, got == nil, want == nil)
+		return
+	}
+	if got == nil {
+		return
+	}
+	gd, wd := got.Data(), want.Data()
+	if len(gd) != len(wd) {
+		t.Errorf("%s: length %d, want %d", label, len(gd), len(wd))
+		return
+	}
+	for i := range gd {
+		if math.Float32bits(gd[i]) != math.Float32bits(wd[i]) {
+			t.Errorf("%s[%d] = %v (bits %08x), want %v (bits %08x)", label, i,
+				gd[i], math.Float32bits(gd[i]), wd[i], math.Float32bits(wd[i]))
+			return
+		}
+	}
+}
+
+// assertMatchesOracle runs Forward+Backward in train and in eval mode and
+// requires out, every input gradient and every parameter gradient to equal
+// the oracle's bits.
+func assertMatchesOracle(t *testing.T, label string, l graph.Layer, inputs []*tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	need := graph.BackwardNeed{Inputs: true, Params: true}
+	ref := oracleOf(l)
+	wantOut, wantCache := ref.Forward(inputs, false)
+	g := tensor.RandNormal(rng, 1, wantOut.Shape()...)
+	wantIn, wantParams := ref.Backward(wantCache, inputs, wantOut, g.Clone(), need)
+	for _, train := range []bool{true, false} {
+		mode := fmt.Sprintf("%s train=%v", label, train)
+		out, cache := l.Forward(inputs, train)
+		bitsEqual(t, mode+" out", out, wantOut)
+		gotIn, gotParams := l.Backward(cache, inputs, out, g.Clone(), need)
+		for i := range wantIn {
+			bitsEqual(t, fmt.Sprintf("%s dx%d", mode, i), gotIn[i], wantIn[i])
+		}
+		if len(gotParams) != len(wantParams) {
+			t.Fatalf("%s: %d param grads, want %d", mode, len(gotParams), len(wantParams))
+		}
+		for i, p := range l.Params() {
+			bitsEqual(t, mode+" d"+p.Name, gotParams[i], wantParams[i])
+		}
+	}
+}
+
+func TestFusedLayersMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	acts := []string{ActNone, ActReLU, ActGeLU, ActTanh, ActSigmoid}
+	for _, act := range acts {
+		x := tensor.RandNormal(rng, 1, 3, 7, 6)
+		assertMatchesOracle(t, "dense/"+act, NewDense(6, 5, act, 11), []*tensor.Tensor{x})
+		assertMatchesOracle(t, "activation/"+act, NewActivation(act), []*tensor.Tensor{x})
+		img := tensor.RandNormal(rng, 1, 2, 6, 5, 3)
+		assertMatchesOracle(t, "conv2d/"+act, NewConv2D(3, 4, 3, 2, 1, act, 13), []*tensor.Tensor{img})
+	}
+	// A nonzero bias, so the fused add is exercised (biases initialize to 0).
+	d := NewDense(6, 5, ActGeLU, 17)
+	copy(d.b.Tensor().Data(), tensor.RandNormal(rng, 1, 5).Data())
+	assertMatchesOracle(t, "dense/gelu+bias", d, []*tensor.Tensor{tensor.RandNormal(rng, 1, 4, 6)})
+
+	ad := NewAdapter(8, 3, 19)
+	copy(ad.bd.Tensor().Data(), tensor.RandNormal(rng, 1, 3).Data())
+	copy(ad.bu.Tensor().Data(), tensor.RandNormal(rng, 1, 8).Data())
+	assertMatchesOracle(t, "adapter", ad, []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
+
+	cell := NewRNNCell(4, 6, 23)
+	copy(cell.b.Tensor().Data(), tensor.RandNormal(rng, 1, 6).Data())
+	assertMatchesOracle(t, "rnn_cell", cell, []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 4), tensor.RandNormal(rng, 1, 3, 6)})
+
+	for _, adapter := range []int{0, 4} {
+		blk := NewTransformerBlock(TransformerBlockConfig{Seq: 5, Dim: 8, Heads: 2, FFN: 16, Seed: 29, Adapter: adapter, AdapterSeed: 31})
+		assertMatchesOracle(t, fmt.Sprintf("transformer_block/adapter=%d", adapter), blk, []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
+	}
+	assertMatchesOracle(t, "residual_block",
+		NewResidualBlock(ResidualBlockConfig{InH: 6, InW: 6, InC: 4, MidC: 3, OutC: 8, Stride: 2, Seed: 37}),
+		[]*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 6, 6, 4)})
+}
+
+// activationSweep is the float32 input set of the scalar identity test: a
+// dense grid on [-12, 12], and every value within 8 ulps of the points
+// where the implementations switch paths — 0, math.Tanh's polynomial/exp
+// switch at |u| = 0.625 and its saturation at 0.5·MAXLOG (for tanh itself
+// and, through u(x), for gelu), sigmoid′ underflowing float32 — plus ±0,
+// ±Inf, NaN, subnormals and the float32 extremes.
+func activationSweep() []float32 {
+	var xs []float32
+	for i := -12 * 256; i <= 12*256; i++ {
+		xs = append(xs, float32(i)/256)
+	}
+	const halfMaxLog = 8.8029691931113054295988e+01 / 2
+	pivots := []float64{0, 0.625, halfMaxLog, 87.34, 103.28} // last two: sigmoid′ leaves float32 normals, then subnormals
+	for _, u := range []float64{0.625, halfMaxLog} {
+		lo, hi := 0.0, 16.0 // solve geluC·(x + 0.044715x³) = u
+		for i := 0; i < 80; i++ {
+			mid := (lo + hi) / 2
+			if geluC*(mid+0.044715*mid*mid*mid) < u {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		pivots = append(pivots, lo)
+	}
+	for _, p := range pivots {
+		for _, s := range []float32{float32(p), float32(-p)} {
+			up, down := s, s
+			xs = append(xs, s)
+			for i := 0; i < 8; i++ {
+				up = math.Nextafter32(up, float32(math.Inf(1)))
+				down = math.Nextafter32(down, float32(math.Inf(-1)))
+				xs = append(xs, up, down)
+			}
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	return append(xs, 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1.1754942e-38, -1.1754942e-38,
+		math.MaxFloat32, -math.MaxFloat32)
+}
+
+// TestActivationScalarBitIdentity pins each activation's single definition
+// to the oracle over the sweep: the emitted y, the cached act′ (train mode)
+// and the backward product with g = 1 in both modes.
+func TestActivationScalarBitIdentity(t *testing.T) {
+	xs := activationSweep()
+	z := tensor.FromSlice(xs, len(xs))
+	ones := tensor.New(len(xs))
+	ones.Fill(1)
+	for _, act := range []string{ActGeLU, ActTanh, ActSigmoid, ActReLU} {
+		wantY := applyActivation(act, z)
+		wantD := activationBackward(act, z, ones)
+		for _, train := range []bool{true, false} {
+			mode := fmt.Sprintf("%s train=%v", act, train)
+			l := NewActivation(act)
+			out, cache := l.Forward([]*tensor.Tensor{z}, train)
+			bitsEqual(t, mode+" y", out, wantY)
+			if c := cache.(actCache); c.deriv {
+				bitsEqual(t, mode+" cached act′", c.t, wantD)
+			}
+			gi, _ := l.Backward(cache, []*tensor.Tensor{z}, out, ones, graph.BackwardNeed{Inputs: true})
+			bitsEqual(t, mode+" d", gi[0], wantD)
+		}
+	}
+}
+
+// TestDenseForwardScopeTensors pins the fusion's arena footprint: a dense
+// forward with a transcendental activation takes two step-scope tensors
+// (the matmul buffer, which ends up holding act′ or z, and out) where the
+// unfused path took three (matmul, z, out); none/relu finish in the matmul
+// buffer itself.
+func TestDenseForwardScopeTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		act  string
+		want int
+	}{{ActGeLU, 2}, {ActTanh, 2}, {ActSigmoid, 2}, {ActReLU, 1}, {ActNone, 1}} {
+		for _, train := range []bool{true, false} {
+			scope := tensor.NewArena().Scope()
+			x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, 4, 6))
+			NewDense(6, 5, tc.act, 43).Forward([]*tensor.Tensor{x}, train)
+			if got := scope.Live(); got != tc.want {
+				t.Errorf("dense/%s train=%v: forward took %d scope tensors, want %d", tc.act, train, got, tc.want)
+			}
+			scope.Release()
+		}
+	}
+}

@@ -326,17 +326,16 @@ func (l *Adapter) ActivationBytesPerRecord(in [][]int) int64 {
 }
 
 type adapterCache struct {
-	z *tensor.Tensor // pre-activation bottleneck
-	h *tensor.Tensor // post-activation bottleneck
+	act actCache       // of the bottleneck pre-activation
+	h   *tensor.Tensor // post-activation bottleneck
 }
 
 func (l *Adapter) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
-	z := tensor.AddRowVec(tensor.MatMul(x, l.wd.Tensor()), l.bd.Tensor())
-	h := applyActivation(ActGeLU, z)
-	up := tensor.AddRowVec(tensor.MatMul(h, l.wu.Tensor()), l.bu.Tensor())
+	h, c := fusedAct(ActGeLU, tensor.MatMul(x, l.wd.Tensor()), l.bd.Tensor(), train)
+	up, _ := fusedAct(ActNone, tensor.MatMul(h, l.wu.Tensor()), l.bu.Tensor(), train)
 	out := tensor.Add(x.Reshape(up.Shape()...), up).Reshape(x.Shape()...)
-	return out, adapterCache{z: z, h: h}
+	return out, adapterCache{act: c, h: h}
 }
 
 func (l *Adapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
@@ -345,7 +344,7 @@ func (l *Adapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *ten
 	g := gradOut.Reshape(-1, l.Dim)
 	var dwu, dbu, dwd, dbd *tensor.Tensor
 	dh := tensor.MatMulBT(g, l.wu.Tensor())
-	dz := activationBackward(ActGeLU, c.z, dh)
+	dz := c.act.backward(ActGeLU, c.h, dh)
 	if need.Params {
 		dwu = tensor.MatMulAT(c.h, g)
 		dbu = tensor.SumRows(g)

@@ -72,7 +72,7 @@ func (l *Conv2D) FLOPsPerRecord(in [][]int) int64 {
 
 type convCache struct {
 	cols *tensor.Tensor
-	z    *tensor.Tensor // pre-activation, nil when Act == none
+	act  actCache
 	geom tensor.ConvGeom
 }
 
@@ -81,24 +81,15 @@ func (l *Conv2D) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, a
 	s := x.Shape()
 	g := l.geom(s[1:])
 	cols := tensor.Im2Col(x, g)
-	z := tensor.AddRowVec(tensor.MatMul(cols, l.w.Tensor()), l.b.Tensor())
-	z = z.Reshape(s[0], g.OutH(), g.OutW(), l.OutC)
-	c := convCache{cols: cols, geom: g}
-	if l.Act == ActNone {
-		return z, c
-	}
-	c.z = z
-	return applyActivation(l.Act, z), c
+	out, c := fusedAct(l.Act, tensor.MatMul(cols, l.w.Tensor()), l.b.Tensor(), train)
+	return out.Reshape(s[0], g.OutH(), g.OutW(), l.OutC), convCache{cols: cols, act: c, geom: g}
 }
 
 func (l *Conv2D) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	c := cache.(convCache)
 	x := inputs[0]
 	batch := x.Dim(0)
-	dz := gradOut
-	if c.z != nil {
-		dz = activationBackward(l.Act, c.z, gradOut)
-	}
+	dz := c.act.backward(l.Act, out, gradOut)
 	dz2 := dz.Reshape(-1, l.OutC)
 	var dw, db, dx *tensor.Tensor
 	if need.Params {

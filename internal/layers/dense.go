@@ -65,26 +65,15 @@ func (l *Dense) FLOPsPerRecord(in [][]int) int64 {
 	return matmul + bias + act
 }
 
-type denseCache struct {
-	z *tensor.Tensor // pre-activation, nil when Act == none
-}
-
 func (l *Dense) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
-	z := tensor.AddRowVec(tensor.MatMul(x, l.w.Tensor()), l.b.Tensor())
-	z = z.Reshape(denseOutShape(x.Shape(), l.Out)...)
-	if l.Act == ActNone {
-		return z, denseCache{}
-	}
-	return applyActivation(l.Act, z), denseCache{z: z}
+	out, c := fusedAct(l.Act, tensor.MatMul(x, l.w.Tensor()), l.b.Tensor(), train)
+	return out.Reshape(denseOutShape(x.Shape(), l.Out)...), c
 }
 
 func (l *Dense) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	x := inputs[0]
-	dz := gradOut
-	if c, ok := cache.(denseCache); ok && c.z != nil {
-		dz = activationBackward(l.Act, c.z, gradOut)
-	}
+	dz := cache.(actCache).backward(l.Act, out, gradOut)
 	var dw, db, dx *tensor.Tensor
 	if need.Params {
 		dw = tensor.MatMulAT(x, dz)

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,12 +17,21 @@ func lossOf(l graph.Layer, inputs []*tensor.Tensor, w *tensor.Tensor) float64 {
 }
 
 // checkGrads verifies a layer's analytic gradients against central finite
-// differences on a sample of input and parameter coordinates.
+// differences on a sample of input and parameter coordinates, once per
+// forward mode: train-mode and eval-mode forwards leave different caches
+// (act′ vs the pre-activation) and Backward must serve both.
 // skipInputs lists input indices that carry no gradient (e.g. token ids).
 func checkGrads(t *testing.T, l graph.Layer, inputs []*tensor.Tensor, skipInputs ...int) {
 	t.Helper()
+	for _, train := range []bool{false, true} {
+		checkGradsMode(t, l, inputs, train, skipInputs...)
+	}
+}
+
+func checkGradsMode(t *testing.T, l graph.Layer, inputs []*tensor.Tensor, train bool, skipInputs ...int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(123))
-	out, cache := l.Forward(inputs, false)
+	out, cache := l.Forward(inputs, train)
 	w := tensor.RandNormal(rng, 1, out.Shape()...)
 	gradIn, gradParams := l.Backward(cache, inputs, out, w, graph.BackwardNeed{Inputs: true, Params: true})
 
@@ -186,6 +196,33 @@ func TestLayerNormGradients(t *testing.T) {
 	x := tensor.RandNormal(rng, 2, 3, 6)
 	checkOutShape(t, l, []*tensor.Tensor{x})
 	checkGrads(t, l, []*tensor.Tensor{x})
+}
+
+// TestNormBackwardHonoursNeed: LayerNorm and ChannelAffine skip what
+// BackwardNeed says nobody reads, and what they do produce has the bits of
+// the all-true call.
+func TestNormBackwardHonoursNeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for name, l := range map[string]graph.Layer{"layer_norm": NewLayerNorm(6), "channel_affine": NewChannelAffine(6, 3)} {
+		in := []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 4, 6)}
+		out, cache := l.Forward(in, true)
+		g := tensor.RandNormal(rng, 1, out.Shape()...)
+		wantIn, wantParams := l.Backward(cache, in, out, g, graph.BackwardNeed{Inputs: true, Params: true})
+		for _, need := range []graph.BackwardNeed{{Inputs: true}, {Params: true}, {}} {
+			label := fmt.Sprintf("%s need=%+v", name, need)
+			gotIn, gotParams := l.Backward(cache, in, out, g, need)
+			ifNeeded := func(needed bool, want *tensor.Tensor) *tensor.Tensor {
+				if needed {
+					return want
+				}
+				return nil
+			}
+			bitsEqual(t, label+" dx", gotIn[0], ifNeeded(need.Inputs, wantIn[0]))
+			for i := range wantParams {
+				bitsEqual(t, label+" dparam", gotParams[i], ifNeeded(need.Params, wantParams[i]))
+			}
+		}
+	}
 }
 
 func TestLayerNormNormalizes(t *testing.T) {

@@ -86,22 +86,34 @@ func (l *LayerNorm) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *t
 	x := inputs[0]
 	rows, d := x.Rows(), l.Dim
 	g := l.gamma.Tensor().Data()
-	dgamma := tensor.NewFrom(gradOut, l.Dim)
-	dbeta := tensor.NewFrom(gradOut, l.Dim)
-	dx := tensor.NewFrom(gradOut, x.Shape()...)
-	dg, db := dgamma.Data(), dbeta.Data()
+	var dgamma, dbeta, dx *tensor.Tensor
+	if need.Params {
+		dgamma, dbeta = tensor.NewFrom(gradOut, l.Dim), tensor.NewFrom(gradOut, l.Dim)
+	}
+	if need.Inputs {
+		dx = tensor.NewFrom(gradOut, x.Shape()...)
+	}
 	for r := 0; r < rows; r++ {
-		gr, hr, dr := gradOut.Row(r), c.xhat.Row(r), dx.Row(r)
+		gr, hr := gradOut.Row(r), c.xhat.Row(r)
+		if need.Params {
+			dg, db := dgamma.Data(), dbeta.Data()
+			for j := 0; j < d; j++ {
+				dg[j] += gr[j] * hr[j]
+				db[j] += gr[j]
+			}
+		}
+		if !need.Inputs {
+			continue
+		}
 		var sumDh, sumDhH float64
 		for j := 0; j < d; j++ {
 			dh := float64(gr[j]) * float64(g[j])
 			sumDh += dh
 			sumDhH += dh * float64(hr[j])
-			dg[j] += gr[j] * hr[j]
-			db[j] += gr[j]
 		}
 		inv := float64(c.invStd[r])
 		nd := float64(d)
+		dr := dx.Row(r)
 		for j := 0; j < d; j++ {
 			dh := float64(gr[j]) * float64(g[j])
 			dr[j] = float32(inv * (dh - sumDh/nd - float64(hr[j])*sumDhH/nd))
@@ -173,18 +185,29 @@ func (l *ChannelAffine) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Te
 
 func (l *ChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	x := inputs[0]
-	dgamma := tensor.NewFrom(gradOut, l.Channels)
-	dbeta := tensor.NewFrom(gradOut, l.Channels)
-	dx := tensor.NewFrom(gradOut, x.Shape()...)
 	g := l.gamma.Tensor().Data()
-	dg, db := dgamma.Data(), dbeta.Data()
 	c := l.Channels
+	var dgamma, dbeta, dx *tensor.Tensor
+	if need.Params {
+		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.NewFrom(gradOut, c)
+	}
+	if need.Inputs {
+		dx = tensor.NewFrom(gradOut, x.Shape()...)
+	}
 	for r := 0; r < x.Rows(); r++ {
-		xr, gr, dr := x.Row(r), gradOut.Row(r), dx.Row(r)
-		for j := 0; j < c; j++ {
-			dg[j] += gr[j] * xr[j]
-			db[j] += gr[j]
-			dr[j] = gr[j] * g[j]
+		xr, gr := x.Row(r), gradOut.Row(r)
+		if need.Params {
+			dg, db := dgamma.Data(), dbeta.Data()
+			for j := 0; j < c; j++ {
+				dg[j] += gr[j] * xr[j]
+				db[j] += gr[j]
+			}
+		}
+		if need.Inputs {
+			dr := dx.Row(r)
+			for j := 0; j < c; j++ {
+				dr[j] = gr[j] * g[j]
+			}
 		}
 	}
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}

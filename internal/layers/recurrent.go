@@ -143,14 +143,12 @@ func (l *RNNCell) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, 
 	x, h := inputs[0], inputs[1]
 	z := tensor.MatMul(x, l.wx.Tensor())
 	tensor.AddInPlace(z, tensor.MatMul(h, l.wh.Tensor()))
-	z = tensor.AddRowVec(z, l.b.Tensor())
-	return applyActivation(ActTanh, z), z
+	return fusedAct(ActTanh, z, l.b.Tensor(), train)
 }
 
 func (l *RNNCell) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	z := cache.(*tensor.Tensor)
 	x, h := inputs[0], inputs[1]
-	dz := activationBackward(ActTanh, z, gradOut)
+	dz := cache.(actCache).backward(ActTanh, out, gradOut)
 	var dwx, dwh, db, dx, dh *tensor.Tensor
 	if need.Params {
 		dwx = tensor.MatMulAT(x, dz)

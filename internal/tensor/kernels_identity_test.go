@@ -86,6 +86,69 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 	}
 }
 
+// TestMatMulATTileEdges pins MatMulAT's row-block × K-block path (the
+// family's matMulTile read through transposed strides) to the naive
+// reference on the shapes the random sweep only hits by luck: m not a
+// multiple of the 4-row tile, k not a multiple of the K-block, exact-zero
+// coefficients in one to four lanes of a tile, and an Inf/NaN row of b that
+// only a zero coefficient keeps out of an output row.
+func TestMatMulATTileEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	SetMaxWorkers(4)
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	for _, tc := range []struct{ m, k, n, tileK int }{
+		{m: 4, k: 9, n: 8, tileK: 4},   // one full tile, ragged last K-block
+		{m: 7, k: 10, n: 5, tileK: 4},  // tile + 3 leftover rows
+		{m: 9, k: 13, n: 17, tileK: 5}, // two tiles + 1 row, n past one SIMD lane group
+		{m: 6, k: 5, n: 3, tileK: 0},   // default K-block (whole k)
+		{m: 3, k: 6, n: 4, tileK: 2},   // no full tile at all
+	} {
+		for lanes := 0; lanes <= 4; lanes++ {
+			a := RandNormal(rng, 1, tc.k, tc.m) // no zeros except the ones planted below
+			b := RandNormal(rng, 1, tc.k, tc.n)
+			// Term p of the first tile gets `lanes` zero coefficients
+			// (alternating signs of zero); b's row p is all Inf/NaN.
+			p := tc.k - 1 // in the ragged K-block when there is one
+			for i := 0; i < lanes && i < tc.m; i++ {
+				z := float32(0)
+				if i%2 == 1 {
+					z = negZero
+				}
+				a.Data()[p*tc.m+i] = z
+			}
+			for j := range b.Row(p) {
+				b.Row(p)[j] = inf
+				if j%2 == 1 {
+					b.Row(p)[j] = nan
+				}
+			}
+			want := MatMulATNaive(a, b)
+			for i := 0; i < lanes && i < tc.m; i++ {
+				for _, v := range want.Row(i) {
+					if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
+						t.Fatalf("m%d k%d n%d lanes %d: reference row %d saw the Inf/NaN row through a zero coefficient", tc.m, tc.k, tc.n, lanes, i)
+					}
+				}
+			}
+			for _, sch := range []Schedule{
+				{TileK: tc.tileK},
+				{TileM: 4, TileK: tc.tileK},
+				{TileM: 1, TileK: tc.tileK},
+				{TileK: tc.tileK, Workers: 4, SerialBelow: 1},
+			} {
+				SetScheduleSource(testForce{sch})
+				assertBitsEqual(t, "MatMulAT "+sch.String(), MatMulAT(a, b), want)
+				SetScheduleSource(nil)
+			}
+		}
+	}
+}
+
 // randGeom draws a conv/pool geometry with at least one output position,
 // covering non-unit strides, padding, and 1-wide degenerate planes.
 func randGeom(rng *rand.Rand) ConvGeom {

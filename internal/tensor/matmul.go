@@ -29,7 +29,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		})
 		return out
 	}
-	matMulBlocked(out, a, b, sch)
+	matMulBlocked(out, a, b, k, 1, sch)
 	return out
 }
 
@@ -139,20 +139,7 @@ func MatMulAT(a, b *Tensor) *Tensor {
 		})
 		return out
 	}
-	parallelFor(sch, m, m*k*n, func(lo, hi int) {
-		for p := 0; p < k; p++ {
-			ap := a.data[p*m : (p+1)*m]
-			bp := b.data[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := ap[i]
-				//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-				if av == 0 {
-					continue
-				}
-				saxpy(out.data[i*n:(i+1)*n], bp, av)
-			}
-		}
-	})
+	matMulBlocked(out, a, b, 1, m, sch)
 	return out
 }
 

@@ -24,10 +24,13 @@ const defaultTileM = 4
 // L2 while amortizing MatMulBT's packing pass.
 const defaultTileK = 256
 
-// matMulBlocked computes out += a×b over row blocks, reading b's rows
-// directly (they are already contiguous panels).
-func matMulBlocked(out, a, b *Tensor, sch Schedule) {
-	m, k, n := a.Rows(), a.Cols(), b.Cols()
+// matMulBlocked computes out += A×b over row blocks, reading b's rows
+// directly (they are already contiguous panels). A[i][p] is
+// a.data[i*si+p*sp]: strides (k, 1) read a as the [m,k] left operand of
+// MatMul, (1, m) read a [k,m] tensor as its transpose — MatMulAT, whose
+// four coefficients per p are then adjacent.
+func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
+	m, k, n := out.Rows(), b.Rows(), b.Cols()
 	tm := sch.TileM
 	if tm < 1 {
 		tm = defaultTileM
@@ -47,7 +50,7 @@ func matMulBlocked(out, a, b *Tensor, sch Schedule) {
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a, b.data, 0, i0, i1, kk, ke, n, tm)
+				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n, tm)
 			}
 		}
 	})
@@ -93,32 +96,29 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a, pack.data, kk, i0, i1, kk, ke, n, tm)
+				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n, tm)
 			}
 		})
 	}
 }
 
-// matMulTile accumulates out rows [i0,i1) over a's columns [kk,ke), with
-// b-panel rows read from bdata at (p-pOff)*n. Rows are processed four at a
-// time through saxpy4 when the row block and tile allow; a p-term is
-// applied via saxpy4 only when all four coefficients are nonzero —
-// otherwise per-row saxpy preserves the exact-zero skip (0×Inf, 0×NaN and
-// -0 accumulation would otherwise diverge from the reference).
-func matMulTile(out, a *Tensor, bdata []float32, pOff, i0, i1, kk, ke, n, tm int) {
-	k := a.Cols()
+// matMulTile accumulates out rows [i0,i1) over reduction terms [kk,ke),
+// with row i's coefficient for term p at ad[i*si+p*sp] and b-panel rows
+// read from bdata at (p-pOff)*n. Rows are processed four at a time through
+// saxpy4 when the row block and tile allow; a p-term is applied via saxpy4
+// only when all four coefficients are nonzero — otherwise per-row saxpy
+// preserves the exact-zero skip (0×Inf, 0×NaN and -0 accumulation would
+// otherwise diverge from the reference).
+func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n, tm int) {
 	i := i0
 	for ; tm >= 4 && i+4 <= i1; i += 4 {
-		r0 := a.data[i*k : (i+1)*k]
-		r1 := a.data[(i+1)*k : (i+2)*k]
-		r2 := a.data[(i+2)*k : (i+3)*k]
-		r3 := a.data[(i+3)*k : (i+4)*k]
 		o0 := out.data[i*n : (i+1)*n]
 		o1 := out.data[(i+1)*n : (i+2)*n]
 		o2 := out.data[(i+2)*n : (i+3)*n]
 		o3 := out.data[(i+3)*n : (i+4)*n]
-		for p := kk; p < ke; p++ {
-			a0, a1, a2, a3 := r0[p], r1[p], r2[p], r3[p]
+		q := i*si + kk*sp
+		for p := kk; p < ke; p, q = p+1, q+sp {
+			a0, a1, a2, a3 := ad[q], ad[q+si], ad[q+2*si], ad[q+3*si]
 			bp := bdata[(p-pOff)*n : (p-pOff+1)*n]
 			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
@@ -144,10 +144,9 @@ func matMulTile(out, a *Tensor, bdata []float32, pOff, i0, i1, kk, ke, n, tm int
 		}
 	}
 	for ; i < i1; i++ {
-		ai := a.data[i*k : (i+1)*k]
 		oi := out.data[i*n : (i+1)*n]
 		for p := kk; p < ke; p++ {
-			av := ai[p]
+			av := ad[i*si+p*sp]
 			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
 			if av == 0 {
 				continue

@@ -13,8 +13,7 @@ test:
 # floateq, layerpurity, uncheckederr), the dataflow-engine analyzers
 # (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the typestate
 # protocol analyzers (sessionorder, storelease), the interprocedural
-# summary-aware analyzers (locksafe, ctxflow), and the ignoreaudit
-# stale-suppression check. Runs warm through the incremental result cache
+# summary-aware locksafe, and the ignoreaudit stale-suppression check. Runs warm through the incremental result cache
 # (.nautilus-lint-cache/) by default; set LINT_NOCACHE=1 to force a full
 # uncached sweep.
 lint:
@@ -33,9 +32,10 @@ lint-fixtures:
 # concurrent planning, execution, observability, and storage layers (the
 # core and exec test packages force at least two group slots in TestMain,
 # so concurrent fused groups are exercised whatever the box's CPU count;
-# the graph leg holds the shared-param first-use test), plus
-# the perf-regression gate against the committed baseline (noise-aware
-# ratio metrics; nonzero exit on regression).
+# the graph leg holds the shared-param first-use test; the core leg also
+# runs the golden plan files), plus the perf-regression gate against the
+# committed baseline (noise-aware ratio metrics; nonzero exit on
+# regression).
 check:
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -24,9 +24,9 @@ import (
 	"runtime"
 	"strings"
 
+	"nautilus/internal/core"
 	"nautilus/internal/experiments"
 	"nautilus/internal/obs"
-	"nautilus/internal/tensor"
 	"nautilus/internal/tensor/tune"
 	"nautilus/internal/workloads"
 )
@@ -157,16 +157,23 @@ func main() {
 	}
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, " ")+" all")
 	outDir := flag.String("out", "", "write the result of each benchmark experiment that has one (obs replan kernels lint calib fusion) to <dir>/BENCH_<exp>.json")
-	tuneTable := flag.String("tune-table", "", "dispatch tensor kernels on this autotuned schedule table (make tune)")
-	fuser := flag.String("fuser", "", "override the fusion strategy for all experiments: greedy or enum (default: per-experiment)")
-	fuseBudget := flag.Int("fuse-budget", 0, "enum fuser state budget override (0 = default)")
 	baselinePath := flag.String("baseline", "", "compare this run's gated metrics against this baseline file; exit nonzero on regression")
 	writeBaseline := flag.String("write-baseline", "", "write this run's gated metrics as a new baseline file")
-	tracePath := flag.String("trace", "", "trace experiment execution spans to this file")
-	traceFormat := flag.String("trace-format", obs.FormatChrome, "trace file format: chrome or jsonl")
-	metricsPath := flag.String("metrics", "", "write metrics + conformance JSON to this file")
-	listen := flag.String("listen", "", "serve live telemetry over HTTP on this address while experiments run")
+	// Experiments fix their own approach, budgets, r and hardware; of the
+	// planner's flags they take the fusion override (default: each
+	// experiment's own strategy) and the schedule table.
+	cfg := core.Config{}
+	cfg.RegisterFlags(flag.CommandLine)
+	var tel obs.Telemetry
+	tel.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "approach", "disk-gb", "mem-gb", "max-records", "calibration", "drift-warn":
+			fmt.Fprintf(os.Stderr, "nautilus-bench: -%s does not apply: experiments set it themselves\n", f.Name)
+			os.Exit(2)
+		}
+	})
 
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
@@ -179,53 +186,24 @@ func main() {
 		}
 		selected[name] = true
 	}
-	experiments.SetFuser(*fuser, *fuseBudget)
-
-	if *tuneTable != "" {
-		table, err := tune.Load(*tuneTable)
-		if err != nil {
-			fatal(err)
-		}
-		tensor.SetScheduleSource(table)
-		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, table.Coverage(tensor.MaxWorkers()))
+	experiments.SetFuser(cfg.Fuser, cfg.FuseStateBudget)
+	tuning, err := cfg.Resolve()
+	if err != nil {
+		fatal(err)
+	}
+	if tuning != "" {
+		fmt.Printf("kernel schedules from %s: %s\n", cfg.TuneTablePath, tuning)
 	}
 
-	var tracer *obs.Tracer
-	if *tracePath != "" || *metricsPath != "" {
-		var err error
-		tracer, err = obs.OpenTracer(*tracePath, *traceFormat)
-		if err != nil {
-			fatal(err)
+	if err := tel.Open(false, os.Stdout); err != nil {
+		fatal(err)
+	}
+	experiments.SetObs(tel.Tracer)
+	defer func() {
+		if err := tel.Close(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "nautilus-bench:", err)
 		}
-	} else if *listen != "" {
-		// Live export needs a tracer even without a trace file.
-		tracer = obs.New(nil)
-	}
-	if tracer != nil {
-		experiments.SetObs(tracer)
-		defer func() {
-			if *metricsPath != "" {
-				if err := obs.WriteMetricsFile(*metricsPath, tracer); err != nil {
-					fmt.Fprintln(os.Stderr, "nautilus-bench:", err)
-				}
-			}
-			if err := tracer.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nautilus-bench:", err)
-			}
-		}()
-	}
-	if *listen != "" {
-		exporter, err := obs.StartExporter(tracer, obs.ExporterConfig{Listen: *listen})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("live telemetry on http://%s (/metrics /conformance /spans /debug/pprof/)\n", exporter.Addr())
-		defer func() {
-			if err := exporter.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nautilus-bench:", err)
-			}
-		}()
-	}
+	}()
 
 	// Metrics the gated experiments contribute toward -baseline /
 	// -write-baseline.
@@ -266,8 +244,8 @@ func main() {
 			fatal(err)
 		}
 		if regressions > 0 {
-			// Exits without running the trace/exporter defers: a failing gate
-			// is a CI stop, not a clean report.
+			// Exits without closing the telemetry: a failing gate is a CI
+			// stop, not a clean report.
 			os.Exit(1)
 		}
 	}

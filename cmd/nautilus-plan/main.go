@@ -18,62 +18,44 @@ import (
 	"nautilus/internal/core"
 	"nautilus/internal/experiments"
 	"nautilus/internal/opt"
-	"nautilus/internal/profile"
-	"nautilus/internal/tensor"
-	"nautilus/internal/tensor/tune"
 	"nautilus/internal/verify"
 	"nautilus/internal/workloads"
 )
 
 func main() {
+	cfg := core.DefaultConfig("")
+	cfg.MaxRecords = 5000
+	cfg.RegisterFlags(flag.CommandLine)
 	workload := flag.String("workload", "FTR-2", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
-	approach := flag.String("approach", string(core.Nautilus), "approach: "+core.ApproachNames())
 	scale := flag.String("scale", "paper", "model scale: paper or mini")
-	diskGB := flag.Float64("disk-gb", 25, "disk storage budget B_disk in GB")
-	memGB := flag.Float64("mem-gb", 10, "runtime memory budget B_mem in GB")
-	maxRecords := flag.Int("max-records", 5000, "expected maximum training records r")
-	fuser := flag.String("fuser", opt.FuserGreedy, "fusion strategy: greedy (Algorithm 1) or enum (cost-based partition search)")
-	fuseBudget := flag.Int("fuse-budget", 0, "enum fuser state budget (candidate groups profiled before falling back to greedy; 0 = default)")
 	dot := flag.Bool("dot", false, "emit the first group's reuse plan as Graphviz DOT and exit")
 	summary := flag.Bool("summary", false, "print the first candidate model's layer table and exit")
-	calibration := flag.String("calibration", "", "plan against measured constants from this calibration file (nautilus-run -calibrate-out)")
-	tuneTable := flag.String("tune-table", "", "dispatch tensor kernels on this autotuned schedule table (make tune)")
 	flag.Parse()
 
 	spec, err := workloads.ByName(*workload)
 	fatalIf(err)
 
 	sc := workloads.Paper
-	hw := profile.DefaultHardware()
 	if *scale == "mini" {
 		sc = workloads.Mini
-		hw = experiments.MiniHardware()
+		cfg.HW = experiments.MiniHardware()
 	}
-	if *calibration != "" {
-		hw, err = profile.LoadHardware(*calibration, hw)
-		fatalIf(err)
+	// Resolved here rather than left to PlanWorkload: the candidates are
+	// profiled against the calibrated constants.
+	tuning, err := cfg.Resolve()
+	fatalIf(err)
+	if cfg.CalibrationPath != "" {
 		fmt.Printf("calibrated constants from %s: %.3g FLOP/s, %.3g disk B/s\n",
-			*calibration, hw.FLOPSThroughput, hw.DiskThroughput)
+			cfg.CalibrationPath, cfg.HW.FLOPSThroughput, cfg.HW.DiskThroughput)
 	}
-	if *tuneTable != "" {
-		table, err := tune.Load(*tuneTable)
-		fatalIf(err)
-		tensor.SetScheduleSource(table)
-		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, table.Coverage(tensor.MaxWorkers()))
+	if tuning != "" {
+		fmt.Printf("kernel schedules from %s: %s\n", cfg.TuneTablePath, tuning)
 	}
 	fmt.Printf("building %s at %s scale (%d candidate models)...\n", spec.Name, sc, spec.NumModels())
-	inst, err := spec.Build(sc, hw)
+	inst, err := spec.Build(sc, cfg.HW)
 	fatalIf(err)
 
-	cfg := core.DefaultConfig("")
-	cfg.Approach = core.Approach(*approach)
-	cfg.HW = hw
-	cfg.DiskBudgetBytes = int64(*diskGB * float64(1<<30))
-	cfg.MemBudgetBytes = int64(*memGB * float64(1<<30))
-	cfg.Fuser = *fuser
-	cfg.FuseStateBudget = *fuseBudget
-
-	wp, err := core.PlanWorkload(inst.Items, inst.MM, cfg, *maxRecords)
+	wp, err := core.PlanWorkload(inst.Items, inst.MM, cfg, cfg.MaxRecords)
 	fatalIf(err)
 
 	if *dot {
@@ -86,7 +68,7 @@ func main() {
 	}
 
 	fmt.Printf("\napproach: %s   B_disk: %.1f GB   B_mem: %.1f GB   r: %d\n",
-		cfg.Approach, *diskGB, *memGB, *maxRecords)
+		cfg.Approach, float64(cfg.DiskBudgetBytes)/(1<<30), float64(cfg.MemBudgetBytes)/(1<<30), cfg.MaxRecords)
 	fmt.Printf("theoretical speedup (Eq. 11): %.2fX\n", experiments.TheoreticalSpeedup(inst))
 	fmt.Printf("optimizer time: %v (%d search nodes)\n", wp.Stats.OptimizeTime, wp.Stats.MatSolveNodes)
 	if fu := wp.Stats.Fuse; fu.Strategy != "" {

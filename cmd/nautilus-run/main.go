@@ -29,84 +29,51 @@ import (
 )
 
 func main() {
+	cfg := core.DefaultConfig("")
+	cfg.HW = experiments.MiniHardware()
+	cfg.MaxRecords = 600
+	cfg.RegisterFlags(flag.CommandLine)
+	var tel obs.Telemetry
+	tel.RegisterFlags(flag.CommandLine)
 	workload := flag.String("workload", "FTR-3", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
-	approach := flag.String("approach", string(core.Nautilus), "approach: "+core.ApproachNames())
 	cycles := flag.Int("cycles", 0, "limit labeling cycles (0 = workload default)")
-	seed := flag.Int64("seed", 1, "random seed for data and shuffling")
-	workDir := flag.String("workdir", "", "working directory (default: temp dir)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed for data and shuffling")
+	flag.StringVar(&cfg.WorkDir, "workdir", "", "working directory (default: temp dir)")
 	compare := flag.Bool("compare", false, "run current_practice AND nautilus, reporting speedup and accuracy parity")
-	tracePath := flag.String("trace", "", "write a span trace to this file")
-	traceFormat := flag.String("trace-format", obs.FormatChrome, "trace file format: chrome (chrome://tracing / perfetto) or jsonl")
-	metricsPath := flag.String("metrics", "", "write metrics + conformance JSON to this file")
-	calibration := flag.String("calibration", "", "plan against measured constants from this calibration file")
-	tuneTable := flag.String("tune-table", "", "dispatch tensor kernels on this autotuned schedule table (make tune)")
 	calibrateOut := flag.String("calibrate-out", "", "fit a hardware calibration from this run's trace and write it here")
-	listen := flag.String("listen", "", "serve live telemetry over HTTP on this address (/metrics, /conformance, /spans, /debug/pprof/)")
-	livePath := flag.String("live", "", "append periodic live-telemetry snapshots (JSONL) to this file")
-	driftWarn := flag.Float64("drift-warn", 1.5, "flag conformance groups whose actual/predicted time ratio falls outside [1/t, t]; <= 1 disables")
-	fuser := flag.String("fuser", opt.FuserGreedy, "fusion strategy: greedy (Algorithm 1) or enum (cost-based partition search)")
-	fuseBudget := flag.Int("fuse-budget", 0, "enum fuser state budget (candidate groups profiled before falling back to greedy; 0 = default)")
 	flag.Parse()
 
 	if *compare {
-		runCompare(*workload, *seed, *cycles)
+		runCompare(*workload, cfg.Seed, *cycles)
 		return
 	}
 
 	spec, err := workloads.ByName(*workload)
 	fatalIf(err)
 	fmt.Printf("building %s at mini scale (%d candidate models)...\n", spec.Name, spec.NumModels())
-	inst, err := spec.Build(workloads.Mini, experiments.MiniHardware())
+	inst, err := spec.Build(workloads.Mini, cfg.HW)
+	fatalIf(err)
+	// A bad -calibration or -tune-table file fails here, before the run,
+	// and the totals below are modeled with the calibrated constants.
+	_, err = cfg.Resolve()
 	fatalIf(err)
 
-	dir := *workDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "nautilus-run-")
+	if cfg.WorkDir == "" {
+		cfg.WorkDir, err = os.MkdirTemp("", "nautilus-run-")
 		fatalIf(err)
-		defer os.RemoveAll(dir)
+		defer os.RemoveAll(cfg.WorkDir)
 	}
-	cfg := core.DefaultConfig(dir)
-	cfg.Approach = core.Approach(*approach)
-	cfg.HW = experiments.MiniHardware()
-	cfg.Seed = *seed
-	cfg.MaxRecords = 600
-	if *tracePath != "" || *metricsPath != "" {
-		tr, err := obs.OpenTracer(*tracePath, *traceFormat)
-		fatalIf(err)
-		cfg.Obs = tr
-	}
-	if cfg.Obs == nil && (*calibrateOut != "" || *listen != "" || *livePath != "") {
-		// Calibration fitting and live export need the tracer's metering even
-		// when no trace file was requested; a sinkless tracer carries it.
-		cfg.Obs = obs.New(nil)
-	}
-	cfg.CalibrationPath = *calibration
-	cfg.TuneTablePath = *tuneTable
-	cfg.DriftWarn = *driftWarn
-	cfg.Fuser = *fuser
-	cfg.FuseStateBudget = *fuseBudget
+	// Calibration fitting needs the tracer's metering even when no
+	// telemetry flag asked for one.
+	fatalIf(tel.Open(*calibrateOut != "", os.Stdout))
+	cfg.Obs = tel.Tracer
 
-	var exporter *obs.Exporter
-	if *listen != "" || *livePath != "" {
-		exporter, err = obs.StartExporter(cfg.Obs, obs.ExporterConfig{SnapshotPath: *livePath, Listen: *listen})
-		fatalIf(err)
-		if *listen != "" {
-			fmt.Printf("live telemetry on http://%s (/metrics /conformance /spans /debug/pprof/)\n", exporter.Addr())
-		}
-	}
-
-	report, err := core.Run(inst, cfg, *seed, *cycles)
-	if exporter != nil {
-		fatalIf(exporter.Close())
-		if *livePath != "" {
-			fmt.Printf("live snapshots written to %s\n", *livePath)
-		}
-	}
+	report, err := core.Run(inst, cfg, cfg.Seed, *cycles)
 	fatalIf(err)
 
 	fmt.Printf("\n%s on %s (mini scale, real training)\n", report.Approach, report.Workload)
 	if report.TuneCoverage != "" {
-		fmt.Printf("kernel schedules from %s: %s\n", *tuneTable, report.TuneCoverage)
+		fmt.Printf("kernel schedules from %s: %s\n", cfg.TuneTablePath, report.TuneCoverage)
 	}
 	if report.Init != nil {
 		fmt.Printf("optimizer: %d materialized expressions, %d groups, solve %v\n",
@@ -120,38 +87,27 @@ func main() {
 	for _, c := range report.Cycles {
 		fmt.Printf("%-6d %10d %12v %9.4f  %s\n", c.Cycle, c.TrainSize, c.Duration.Round(1e6), c.BestAcc, c.BestModel)
 	}
-	// Model the totals with the same constants the planner used: the
-	// calibrated hardware when a calibration file was given.
-	hw, err := profile.LoadHardware(cfg.CalibrationPath, cfg.HW)
-	fatalIf(err)
 	fmt.Printf("\ntotal: %v | compute %.1f GFLOPs (%.1fs modeled) | disk read %.1f MB (%.1fs modeled) written %.1f MB\n",
 		report.Total.Round(1e6),
 		float64(report.Metrics.ComputeFLOPs)/1e9,
-		hw.Seconds(report.Metrics.ComputeFLOPs),
+		cfg.HW.Seconds(report.Metrics.ComputeFLOPs),
 		float64(report.Metrics.Disk.BytesRead())/1e6,
-		hw.IOSeconds(report.Metrics.Disk.BytesRead()),
+		cfg.HW.IOSeconds(report.Metrics.Disk.BytesRead()),
 		float64(report.Metrics.Disk.BytesWritten())/1e6)
 	fmt.Printf("final best: %s (accuracy %.4f)\n", report.FinalBest.Model, report.FinalBest.ValAcc)
 
-	if cfg.Obs != nil {
+	if tel.Tracer != nil {
 		fmt.Println()
-		fatalIf(obs.WriteSummary(os.Stdout, cfg.Obs, 12))
-		if *metricsPath != "" {
-			fatalIf(obs.WriteMetricsFile(*metricsPath, cfg.Obs))
-			fmt.Printf("metrics JSON written to %s\n", *metricsPath)
-		}
+		fatalIf(obs.WriteSummary(os.Stdout, tel.Tracer, 12))
 		if *calibrateOut != "" {
-			c, err := calib.FromTracer(cfg.Obs, fmt.Sprintf("nautilus-run %s %s", *workload, *approach))
+			c, err := calib.FromTracer(tel.Tracer, fmt.Sprintf("nautilus-run %s %s", *workload, cfg.Approach))
 			fatalIf(err)
 			fatalIf(profile.SaveCalibration(*calibrateOut, c))
 			fmt.Printf("calibration written to %s: compute %.3g FLOP/s (%d samples, %d trimmed), read %.3g B/s, write %.3g B/s\n",
 				*calibrateOut, c.Compute.Throughput, c.Compute.Samples, c.Compute.Trimmed,
 				c.Read.Throughput, c.Write.Throughput)
 		}
-		fatalIf(cfg.Obs.Close())
-		if *tracePath != "" {
-			fmt.Printf("trace written to %s (%s format)\n", *tracePath, *traceFormat)
-		}
+		fatalIf(tel.Close(os.Stdout))
 	}
 }
 

@@ -8,14 +8,22 @@
 //
 // The Approach knob also exposes every baseline the paper evaluates
 // (Current Practice, MAT-ALL, Nautilus without either optimization), so
-// the experiment harness drives all approaches through one code path.
+// the experiment harness drives all approaches through one code path: an
+// approach is a row of approachSpecs — a V policy, a plan policy and
+// whether candidates fuse — and the planner's stages read the row. Groups
+// are built by opt.SingletonGroups / opt.Fuser and checked by
+// verify.Groups, every group on every replan and halving rung.
+// Config.RegisterFlags and Config.Resolve are the one front door the
+// commands configure a run through.
 package core
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -65,27 +73,22 @@ const (
 type approachSpec struct {
 	name Approach
 	mat  matPolicy
-	// singleton builds one candidate's plan given V for the approaches
-	// that train every candidate as its own group; nil means FUSE OPT
-	// groups the candidates under B_mem instead.
-	singleton func(*profile.ModelProfile, map[graph.Signature]bool) (*opt.Plan, error)
+	// plan is how each group's reuse plan is chosen given V.
+	plan opt.PlanPolicy
+	// fuse says FUSE OPT groups the candidates under B_mem; otherwise
+	// every candidate trains as a group of its own.
+	fuse bool
 	// fullCheckpoints marks the unmodified baseline: checkpoints hold
 	// every parameter, not just the trainable ones.
 	fullCheckpoints bool
 }
 
 var approachSpecs = []approachSpec{
-	{name: CurrentPractice, mat: matNone, fullCheckpoints: true,
-		singleton: func(prof *profile.ModelProfile, _ map[graph.Signature]bool) (*opt.Plan, error) {
-			return opt.CurrentPracticePlan(prof), nil
-		}},
-	{name: MatAll, mat: matAll,
-		singleton: func(prof *profile.ModelProfile, _ map[graph.Signature]bool) (*opt.Plan, error) {
-			return opt.ForcedLoadPlan(prof), nil
-		}},
-	{name: Nautilus, mat: matOpt},
-	{name: NautilusNoFuse, mat: matOpt, singleton: opt.SolveReusePlan},
-	{name: NautilusNoMat, mat: matNone},
+	{name: CurrentPractice, mat: matNone, plan: opt.UnmodifiedPlan, fullCheckpoints: true},
+	{name: MatAll, mat: matAll, plan: opt.LoadFrontierPlan},
+	{name: Nautilus, mat: matOpt, plan: opt.ReusePlan, fuse: true},
+	{name: NautilusNoFuse, mat: matOpt, plan: opt.ReusePlan},
+	{name: NautilusNoMat, mat: matNone, plan: opt.ReusePlan, fuse: true},
 }
 
 // spec looks the approach up in the table; ok is false for an unknown one.
@@ -155,11 +158,6 @@ type Config struct {
 	PageCacheBytes int64
 	// Prefetch overlaps feed assembly with compute during training.
 	Prefetch bool
-	// Arena recycles step-scoped tensors across mini-batches and
-	// materialization chunks through a shared size-class buffer pool,
-	// eliminating steady-state allocator traffic on the training hot path.
-	// Results are bit-identical either way.
-	Arena bool
 	// Obs, when set, threads structured tracing, the metrics registry, and
 	// the cost-model conformance account through the planner, materializer,
 	// trainer, and tensor store. nil (the default) disables all
@@ -198,9 +196,74 @@ func DefaultConfig(workDir string) Config {
 		Loss:            train.SoftmaxCrossEntropy{},
 		PageCacheBytes:  2 << 30,
 		Prefetch:        true,
-		Arena:           true,
 		DriftWarn:       1.5,
 	}
+}
+
+// gbFlag is a byte budget read and shown in GB.
+type gbFlag struct{ bytes *int64 }
+
+func (g gbFlag) String() string {
+	if g.bytes == nil {
+		return ""
+	}
+	return strconv.FormatFloat(float64(*g.bytes)/(1<<30), 'g', -1, 64)
+}
+
+func (g gbFlag) Set(s string) error {
+	gb, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	*g.bytes = int64(gb * (1 << 30))
+	return nil
+}
+
+// RegisterFlags declares the planner's command-line flags on fs, bound to
+// the configuration's fields — the one place their names and help live.
+// Each flag defaults to the field's value at the time of the call, so a
+// command sets its own defaults first.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar((*string)(&c.Approach), "approach", string(c.Approach), "approach: "+ApproachNames())
+	fs.Var(gbFlag{&c.DiskBudgetBytes}, "disk-gb", "disk storage budget B_disk in `GB`")
+	fs.Var(gbFlag{&c.MemBudgetBytes}, "mem-gb", "runtime memory budget B_mem in `GB`")
+	fs.IntVar(&c.MaxRecords, "max-records", c.MaxRecords, "expected maximum training records r")
+	fs.StringVar(&c.Fuser, "fuser", c.Fuser, "fusion strategy: greedy (Algorithm 1) or enum (cost-based partition search)")
+	fs.IntVar(&c.FuseStateBudget, "fuse-budget", c.FuseStateBudget, "enum fuser state budget (candidate groups profiled before falling back to greedy; 0 = default)")
+	fs.StringVar(&c.CalibrationPath, "calibration", c.CalibrationPath, "plan against measured constants from this calibration file (nautilus-run -calibrate-out)")
+	fs.StringVar(&c.TuneTablePath, "tune-table", c.TuneTablePath, "dispatch tensor kernels on this autotuned schedule table (make tune)")
+	fs.Float64Var(&c.DriftWarn, "drift-warn", c.DriftWarn, "flag conformance groups whose actual/predicted time ratio falls outside [1/t, t]; <= 1 disables")
+}
+
+// Resolve applies the configuration's file-backed settings, the one place
+// either file is read: CalibrationPath's measured throughputs replace HW's
+// constants, and TuneTablePath's table becomes the tensor kernels' schedule
+// source. It returns the table's coverage under the active worker cap (""
+// without a table) and a typed *ConfigError for an unreadable file. New and
+// PlanWorkload call it; a command that needs the resolved HW earlier — to
+// profile its workload against it — calls it itself. Resolving twice lands
+// on the same values.
+func (c *Config) Resolve() (tuneCoverage string, err error) {
+	if c.CalibrationPath != "" {
+		hw, err := profile.LoadHardware(c.CalibrationPath, c.HW)
+		if err != nil {
+			return "", &ConfigError{Field: "CalibrationPath", Reason: err.Error()}
+		}
+		c.HW = hw
+	}
+	if c.TuneTablePath != "" {
+		table, err := tune.Load(c.TuneTablePath)
+		if err != nil {
+			return "", &ConfigError{Field: "TuneTablePath", Reason: err.Error()}
+		}
+		tensor.SetScheduleSource(table)
+		workers := c.HW.Workers
+		if workers <= 0 {
+			workers = tensor.MaxWorkers()
+		}
+		tuneCoverage = table.Coverage(workers)
+	}
+	return tuneCoverage, nil
 }
 
 // InitStats breaks down workload initialization time (Figure 6B's
@@ -269,25 +332,9 @@ func New(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*ModelSelection,
 	if cfg.Approach == "" {
 		cfg.Approach = Nautilus
 	}
-	if cfg.CalibrationPath != "" {
-		hw, err := profile.LoadHardware(cfg.CalibrationPath, cfg.HW)
-		if err != nil {
-			return nil, &ConfigError{Field: "CalibrationPath", Reason: err.Error()}
-		}
-		cfg.HW = hw
-	}
-	var tuning string
-	if cfg.TuneTablePath != "" {
-		table, err := tune.Load(cfg.TuneTablePath)
-		if err != nil {
-			return nil, &ConfigError{Field: "TuneTablePath", Reason: err.Error()}
-		}
-		tensor.SetScheduleSource(table)
-		workers := cfg.HW.Workers
-		if workers <= 0 {
-			workers = tensor.MaxWorkers()
-		}
-		tuning = table.Coverage(workers)
+	tuning, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	// Hand the planning rates to the conformance account so group reports
 	// can compare predicted seconds (FLOPs/rate, bytes/rate) against the
@@ -313,10 +360,10 @@ func New(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*ModelSelection,
 	if cfg.HW.Workers > 0 {
 		tensor.SetMaxWorkers(cfg.HW.Workers)
 	}
-	var arena *tensor.Arena
-	if cfg.Arena {
-		arena = tensor.NewArena()
-	}
+	// One step-scoped arena recycles tensors across mini-batches and
+	// materialization chunks; results are bit-identical to heap allocation
+	// (exec.Trainer.Arena == nil, the tests' reference).
+	arena := tensor.NewArena()
 	return &ModelSelection{
 		cfg:     cfg,
 		planner: planner,
@@ -369,7 +416,7 @@ func (ms *ModelSelection) MaterializedSignatures() map[graph.Signature]bool {
 
 // LastDelta returns the plan delta of the most recent replan (nil before
 // the first Fit): which signatures were kept, newly materialized, and
-// garbage-collected, and how much of verification ran incrementally.
+// garbage-collected.
 func (ms *ModelSelection) LastDelta() *PlanDelta { return ms.lastDelta }
 
 // Fit runs one model-selection cycle on the snapshot: it (re-)optimizes if
@@ -450,6 +497,9 @@ type WorkloadPlan struct {
 // one-shot front door to the staged planner session (no config validation:
 // experiments legitimately sweep degenerate budgets).
 func PlanWorkload(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config, maxRecords int) (*WorkloadPlan, error) {
+	if _, err := cfg.Resolve(); err != nil {
+		return nil, err
+	}
 	p := newPlanner(items, mm, cfg)
 	p.r = maxRecords
 	wp, _, err := p.Replan()

@@ -78,7 +78,7 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 			it.Epochs = epochs
 			rungItems[i] = it
 		}
-		groups, _, _, err := ms.planner.planGroups(nil, spec, rungItems, ms.MaterializedSignatures())
+		groups, _, err := ms.planner.planGroups(nil, spec, rungItems, ms.MaterializedSignatures())
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"nautilus/internal/exec"
@@ -12,7 +10,6 @@ import (
 	"nautilus/internal/mmg"
 	"nautilus/internal/obs"
 	"nautilus/internal/opt"
-	"nautilus/internal/profile"
 	"nautilus/internal/verify"
 )
 
@@ -66,10 +63,8 @@ type PlanDelta struct {
 	Kept     []graph.Signature
 	New      []graph.Signature
 	Orphaned []graph.Signature
-	// GroupsTotal and GroupsChecked report incremental verification work:
-	// of GroupsTotal groups in the new plan, only GroupsChecked were
-	// re-verified (the rest were fingerprint-identical to already-verified
-	// groups).
+	// GroupsTotal is the number of groups in the new plan; GroupsChecked is
+	// how many of them were statically verified — all of them.
 	GroupsTotal   int
 	GroupsChecked int
 	// DeletedKeys and FreedBytes report the artifact GC that applied this
@@ -83,8 +78,7 @@ type PlanDelta struct {
 // current WorkloadPlan, and reacts to evolution events — GrowData,
 // AddCandidates, RemoveCandidate — by marking the plan dirty and, on the
 // next Replan, computing a plan delta against the previous plan instead of
-// rebuilding the world. Verification is memoized across replans: groups
-// whose reuse plan is unchanged are not re-checked.
+// rebuilding the world.
 //
 // A Planner is not safe for concurrent use; ModelSelection drives one per
 // workload.
@@ -96,9 +90,6 @@ type Planner struct {
 	r     int
 	wp    *WorkloadPlan
 	dirty bool
-	// verified memoizes group fingerprints already verified under this
-	// config's budgets (see verify.GroupsIncremental).
-	verified map[string]bool
 }
 
 // NewPlanner creates a planning session for the candidate set, validating
@@ -117,7 +108,7 @@ func NewPlanner(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*Planner,
 // where experiments legitimately sweep degenerate budgets (e.g. B_disk 0
 // meaning unlimited in Figure 10's sweep).
 func newPlanner(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) *Planner {
-	return &Planner{cfg: cfg, items: items, mm: mm, verified: map[string]bool{}}
+	return &Planner{cfg: cfg, items: items, mm: mm}
 }
 
 // Items returns the current candidate set.
@@ -210,8 +201,8 @@ func (p *Planner) setItems(items []opt.WorkItem) error {
 }
 
 // Replan computes a fresh WorkloadPlan through the staged pipeline —
-// materialization solve, then grouping and incremental verification
-// (planGroups) — and returns it with the delta against the previous plan.
+// materialization solve, then grouping and verification (planGroups) — and
+// returns it with the delta against the previous plan.
 // What each stage does is the approach's row in approachSpecs. On success
 // the plan becomes current and the dirty flag clears; on error the previous
 // plan stays in place.
@@ -232,7 +223,7 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	if err := p.stageMatSigs(span, spec, wp); err != nil {
 		return nil, nil, err
 	}
-	groups, fuseStats, checked, err := p.planGroups(span, spec, p.items, wp.MatSigs)
+	groups, fuseStats, err := p.planGroups(span, spec, p.items, wp.MatSigs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,7 +235,7 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 
 	delta := diffPlans(p.wp, wp)
 	delta.GroupsTotal = len(wp.Groups)
-	delta.GroupsChecked = checked
+	delta.GroupsChecked = len(wp.Groups)
 	span.Attr(obs.Int("kept", int64(len(delta.Kept))),
 		obs.Int("new", int64(len(delta.New))),
 		obs.Int("orphaned", int64(len(delta.Orphaned))))
@@ -295,21 +286,20 @@ func (p *Planner) stageMatSigs(span *obs.Span, spec approachSpec, wp *WorkloadPl
 }
 
 // planGroups runs the grouping and verification stages for a subset of the
-// candidates against materialized set sigs: model fusion under B_mem or
-// parallel singleton construction, as the approach says, then static
-// verification of the training plan, re-checking only groups not already
-// verified under this session (incremental across evolution events and
-// halving rungs). Replan calls it with every candidate, FitHalving with
-// each rung's survivors. It returns the groups, the fuser's counters (zero
-// for singletons) and how many groups were actually checked.
-func (p *Planner) planGroups(span *obs.Span, spec approachSpec, items []opt.WorkItem, sigs map[graph.Signature]bool) (groups []*opt.FusedGroup, fuseStats opt.FuseStats, checked int, err error) {
-	var memBudget int64 // only fused groups were planned against B_mem
-	if spec.singleton != nil {
-		groups, err = singletonGroups(items, sigs, spec.singleton)
+// candidates against materialized set sigs: every candidate becomes a group
+// of its own under the approach's plan policy, or FUSE OPT partitions them
+// under B_mem, and the resulting training plan is statically verified,
+// every group every time. Replan calls it with every candidate, FitHalving
+// with each rung's survivors. It returns the groups and the fuser's
+// counters (zero when nothing fuses).
+func (p *Planner) planGroups(span *obs.Span, spec approachSpec, items []opt.WorkItem, sigs map[graph.Signature]bool) (groups []*opt.FusedGroup, fuseStats opt.FuseStats, err error) {
+	var memBudget int64 // only fused groups are planned against B_mem
+	if !spec.fuse {
+		groups, err = opt.SingletonGroups(items, sigs, spec.plan, opt.AdamSlotBytes)
 	} else {
-		var fuser opt.Fuser
+		var fuser *opt.Fuser
 		if fuser, err = opt.NewFuser(p.cfg.Fuser, p.cfg.FuseStateBudget); err != nil {
-			return nil, fuseStats, 0, err
+			return nil, fuseStats, err
 		}
 		memBudget = p.cfg.MemBudgetBytes
 		fs := span.Child("plan/fuse_opt", obs.Str("fuser", fuser.Name()))
@@ -328,18 +318,16 @@ func (p *Planner) planGroups(span *obs.Span, spec approachSpec, items []opt.Work
 		fs.End()
 	}
 	if err != nil {
-		return nil, fuseStats, 0, err
+		return nil, fuseStats, err
 	}
 
 	gs := span.Child("plan/verify", obs.Int("groups", int64(len(groups))))
-	checked, err = verify.GroupsIncremental(groups, items, memBudget, sigs, p.verified)
-	gs.Attr(obs.Int("groups_checked", int64(checked)),
-		obs.Int("groups_skipped", int64(len(groups)-checked)))
+	err = verify.Groups(groups, items, memBudget, sigs)
 	gs.End()
 	if err != nil {
-		return nil, fuseStats, checked, fmt.Errorf("core: training plan rejected: %w", err)
+		return nil, fuseStats, fmt.Errorf("core: training plan rejected: %w", err)
 	}
-	return groups, fuseStats, checked, nil
+	return groups, fuseStats, nil
 }
 
 // diffPlans computes the V-delta from old to new (old may be nil: first
@@ -384,60 +372,6 @@ func (d *PlanDelta) OldSigs() map[graph.Signature]bool {
 	return out
 }
 
-// singletonGroups wraps every item as its own group with the given plan
-// builder applied to the item's (single-model) merged graph and V.
-// Candidates are independent, so construction fans out across goroutines;
-// results keep the input order and the lowest-index error wins.
-func singletonGroups(items []opt.WorkItem, sigs map[graph.Signature]bool, planFor func(*profile.ModelProfile, map[graph.Signature]bool) (*opt.Plan, error)) ([]*opt.FusedGroup, error) {
-	groups := make([]*opt.FusedGroup, len(items))
-	errs := make([]error, len(items))
-	sem := make(chan struct{}, parallelism())
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func(i int, it opt.WorkItem) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m, err := mmg.Build(it.Model)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			prof, err := profile.Profile(m.Graph, it.Prof.HW)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			plan, err := planFor(prof, sigs)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Baseline groups aren't planned against B_mem, but the conformance
-			// report still wants the analytical estimate as the peak-memory
-			// reference, so compute it here like FuseModels does.
-			mem := opt.EstimatePeakMemory(plan, it.BatchSize, opt.AdamSlotBytes)
-			groups[i] = &opt.FusedGroup{
-				Items:        []opt.WorkItem{it},
-				MM:           m,
-				Plan:         plan,
-				PeakMemBytes: mem.Total(),
-			}
-		}(i, items[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return groups, nil
-}
-
-// parallelism bounds planner fan-out (profiling, singleton construction).
-func parallelism() int { return runtime.GOMAXPROCS(0) }
-
 // applyPlan reconciles on-disk artifacts with a freshly replanned V and
 // rebuilds the materializer: artifacts for kept signatures stay (records
 // intact), orphaned ones are garbage-collected, new ones start empty. The
@@ -447,8 +381,7 @@ func (ms *ModelSelection) applyPlan(wp *WorkloadPlan, delta *PlanDelta) error {
 		obs.Int("kept", int64(len(delta.Kept))),
 		obs.Int("new", int64(len(delta.New))),
 		obs.Int("orphaned", int64(len(delta.Orphaned))),
-		obs.Int("groups_total", int64(delta.GroupsTotal)),
-		obs.Int("groups_checked", int64(delta.GroupsChecked)))
+		obs.Int("groups_total", int64(delta.GroupsTotal)))
 	defer sp.End()
 	st, err := exec.ReconcileArtifacts(ms.store, delta.OldSigs(), wp.MatSigs)
 	if err != nil {

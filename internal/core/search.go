@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -99,7 +100,7 @@ func buildItems(assignments []map[string]any, init ModelInitFunc, hw profile.Har
 		hypers[i] = hyper
 	}
 	errs := make([]error, len(assignments))
-	sem := make(chan struct{}, parallelism())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i := range ms {
 		wg.Add(1)

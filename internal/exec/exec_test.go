@@ -199,11 +199,25 @@ func TestTrainGroupCurrentPracticeLearns(t *testing.T) {
 // singleton builds a one-model group with the given materialized set.
 func singleton(t testing.TB, it opt.WorkItem, sigs map[graph.Signature]bool) *opt.FusedGroup {
 	t.Helper()
-	groups, err := opt.FuseModels([]opt.WorkItem{it}, sigs, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	g, err := opt.BuildGroup([]opt.WorkItem{it}, sigs, opt.ReusePlan, opt.AdamSlotBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return groups[0]
+	return g
+}
+
+// fuse runs FUSE OPT (Algorithm 1) with B_mem out of the way.
+func fuse(t testing.TB, items []opt.WorkItem, sigs map[graph.Signature]bool) []*opt.FusedGroup {
+	t.Helper()
+	fuser, err := opt.NewFuser(opt.FuserGreedy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := fuser.Fuse(items, sigs, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: opt.AdamSlotBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
 }
 
 // TestNautilusPlanStatisticallyEquivalent is the Section 5.2 experiment in
@@ -244,10 +258,7 @@ func TestNautilusPlanStatisticallyEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	groups, err := opt.FuseModels(itemsB, matRes.Sigs, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := fuse(t, itemsB, matRes.Sigs)
 	trB := &Trainer{Store: storeB, Loss: train.SoftmaxCrossEntropy{}, Seed: 42}
 	accB := map[string]float64{}
 	for _, g := range groups {
@@ -285,10 +296,7 @@ func TestTrainGroupFusedSharesTrunkCompute(t *testing.T) {
 	}
 
 	items2, _ := buildWorkload(t, 2)
-	groups, err := opt.FuseModels(items2, map[graph.Signature]bool{}, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups := fuse(t, items2, map[graph.Signature]bool{})
 	if len(groups) != 1 {
 		t.Fatalf("expected full fusion, got %d groups", len(groups))
 	}

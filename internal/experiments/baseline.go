@@ -172,7 +172,6 @@ func ReplanBaselineMetrics(r *ReplanResult) []BaselineMetric {
 	var ms []BaselineMetric
 	ms = appendMetric(ms, "replan.incremental_bytes", float64(r.IncrementalBytes), false, 2)
 	ms = appendMetric(ms, "replan.savings_pct", r.SavingsPct, true, 2)
-	ms = appendMetric(ms, "replan.groups_checked", float64(r.GroupsChecked), false, 0)
 	ms = appendMetric(ms, "replan.new_sigs", float64(r.NewSigs), false, 0)
 	return ms
 }

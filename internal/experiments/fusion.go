@@ -51,32 +51,28 @@ func fusionWorkload() workloads.Spec { return workloads.FTR3() }
 func Fusion() (*FusionResult, error) {
 	r := &FusionResult{}
 
-	// Fixture leg: raw Fuser comparison under the fixture's separating
+	// Fixture leg: both fuser settings under the fixture's separating
 	// memory budget.
 	items, memBudget, err := opt.GreedyTrapWorkload()
 	if err != nil {
 		return nil, err
 	}
-	fuseCfg := func(stats *opt.FuseStats) opt.FuseConfig {
-		return opt.FuseConfig{MemBudgetBytes: memBudget, OptimizerSlotBytes: opt.AdamSlotBytes, Stats: stats}
-	}
-	greedyFix, err := opt.GreedyFuser{}.Fuse(items, nil, fuseCfg(nil))
-	if err != nil {
-		return nil, err
-	}
-	enumFuser, err := opt.NewFuser(opt.FuserEnum, 0)
-	if err != nil {
-		return nil, err
-	}
-	enumFix, err := enumFuser.Fuse(items, nil, fuseCfg(nil))
-	if err != nil {
-		return nil, err
-	}
-	for name, plan := range map[string][]*opt.FusedGroup{"greedy": greedyFix, "enum": enumFix} {
+	fixture := map[string][]*opt.FusedGroup{}
+	for _, name := range []string{opt.FuserGreedy, opt.FuserEnum} {
+		fuser, err := opt.NewFuser(name, 0)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := fuser.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: memBudget, OptimizerSlotBytes: opt.AdamSlotBytes})
+		if err != nil {
+			return nil, err
+		}
 		if err := verify.Groups(plan, items, memBudget, nil); err != nil {
 			return nil, fmt.Errorf("experiments: fixture %s plan rejected: %w", name, err)
 		}
+		fixture[name] = plan
 	}
+	greedyFix, enumFix := fixture[opt.FuserGreedy], fixture[opt.FuserEnum]
 	r.FixtureGreedyCost = opt.TotalPlanCost(greedyFix)
 	r.FixtureEnumCost = opt.TotalPlanCost(enumFix)
 	r.FixtureGreedyGroups = len(greedyFix)

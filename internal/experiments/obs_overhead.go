@@ -57,9 +57,7 @@ func obsOverheadWorkload(dir string) (*opt.FusedGroup, *storage.TensorStore, err
 		return nil, nil, err
 	}
 	item := opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 8, LR: 1e-3}
-	groups, err := opt.FuseModels([]opt.WorkItem{item}, nil, opt.FuseConfig{
-		MemBudgetBytes: 1 << 40, OptimizerSlotBytes: opt.AdamSlotBytes,
-	})
+	group, err := opt.BuildGroup([]opt.WorkItem{item}, nil, opt.ReusePlan, opt.AdamSlotBytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -67,7 +65,7 @@ func obsOverheadWorkload(dir string) (*opt.FusedGroup, *storage.TensorStore, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return groups[0], store, nil
+	return group, store, nil
 }
 
 // ObsOverhead measures trainer wall time across the three instrumentation

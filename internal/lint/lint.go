@@ -104,7 +104,6 @@ func DefaultAnalyzers() []*Analyzer {
 		AllocHygieneAnalyzer,
 		ArenaEscapeAnalyzer,
 		ChunkDisjointAnalyzer,
-		CtxFlowAnalyzer,
 		DeterminismAnalyzer,
 		FloatEqAnalyzer,
 		GoroutineJoinAnalyzer,

@@ -295,11 +295,11 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got, err := lint.SelectAnalyzers(all, ""); err != nil || len(got) != len(all) {
 		t.Errorf("empty spec: got %d analyzers (err %v), want the full suite", len(got), err)
 	}
-	got, err := lint.SelectAnalyzers(all, "locksafe,ctxflow")
+	got, err := lint.SelectAnalyzers(all, "spanleak,locksafe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"ctxflow", "locksafe"}; !reflect.DeepEqual(names(got), want) {
+	if want := []string{"locksafe", "spanleak"}; !reflect.DeepEqual(names(got), want) {
 		t.Errorf("include spec: got %v, want %v (suite order)", names(got), want)
 	}
 	got, err = lint.SelectAnalyzers(all, "-allochygiene")
@@ -314,11 +314,11 @@ func TestSelectAnalyzers(t *testing.T) {
 			t.Error("exclude spec kept allochygiene")
 		}
 	}
-	got, err = lint.SelectAnalyzers(all, "locksafe,ctxflow,-locksafe")
+	got, err = lint.SelectAnalyzers(all, "locksafe,spanleak,-locksafe")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"ctxflow"}; !reflect.DeepEqual(names(got), want) {
+	if want := []string{"spanleak"}; !reflect.DeepEqual(names(got), want) {
 		t.Errorf("mixed spec: got %v, want %v", names(got), want)
 	}
 	if _, err := lint.SelectAnalyzers(all, "nosuch"); err == nil {
@@ -331,7 +331,6 @@ func TestSelectAnalyzers(t *testing.T) {
 func TestSummaryAwareMarking(t *testing.T) {
 	want := map[string]bool{
 		"arenaescape":   true,
-		"ctxflow":       true,
 		"goroutinejoin": true,
 		"locksafe":      true,
 		"sessionorder":  true,

@@ -20,7 +20,7 @@ import (
 //     start optimistically true inside a recursive component and are only
 //     lowered, so a pair of mutually recursive enders stays credited while
 //     any unsatisfied escape route lowers the whole cycle;
-//   - may-facts (DonesWG, SendsChan, UsesCtx, Escapes, mayLock) start at
+//   - may-facts (DonesWG, SendsChan, Escapes, mayLock) start at
 //     bottom (false/empty) and only grow, the usual least fixpoint.
 //
 // Soundness caveats, by design: function literals have no summaries (their
@@ -47,8 +47,6 @@ type paramFacts struct {
 	DonesWG bool
 	// SendsChan: the function may send on or close the channel argument.
 	SendsChan bool
-	// UsesCtx: the context.Context argument is mentioned at all.
-	UsesCtx bool
 	// Escapes: the argument may leave the callee's hands (stored, returned,
 	// captured, or passed somewhere unknown).
 	Escapes bool
@@ -289,8 +287,6 @@ func (s *summarySet) compute(n *cgNode) *funcSummary {
 		case isChanType(t):
 			pf.SendsChan = sendsOrCloses(info, body, obj) ||
 				delegatesAnywhere(s, body, obj, func(f paramFacts) bool { return f.SendsChan })
-		case namedType(t, "context", "Context"):
-			pf.UsesCtx = mentionsAnywhere(info, body, obj)
 		}
 		pf.Escapes = objEscapes(info, s, body, obj)
 	}
@@ -448,22 +444,6 @@ func sendsOrCloses(info *types.Info, body ast.Node, obj types.Object) bool {
 					found = true
 				}
 			}
-		}
-		return !found
-	})
-	return found
-}
-
-// mentionsAnywhere reports any identifier use of obj in the body, nested
-// closures included.
-func mentionsAnywhere(info *types.Info, body ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
 		}
 		return !found
 	})

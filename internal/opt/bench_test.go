@@ -71,7 +71,7 @@ func BenchmarkFuseModels12(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 10 << 30, OptimizerSlotBytes: 2}); err != nil {
+		if _, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 10 << 30, OptimizerSlotBytes: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

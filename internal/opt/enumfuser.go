@@ -23,141 +23,58 @@ const maxEnumBucketItems = 20
 // state budget runs out mid-enumeration; the bucket is re-solved greedily.
 var errFuseStateBudget = errors.New("opt: fuse state budget exhausted")
 
-// EnumFuser is the cost-based fusion plan enumerator (the SystemML
-// fusion-plan idea applied to FUSE OPT). It splits the workload into
-// compatibility buckets (equal batch size and epochs — only those items
-// can ever fuse), and per bucket selects the minimum-TotalPlanCost
-// partition into fused groups by dynamic programming over member subsets.
-// Candidate groups are memoized on their member set so each subset is
-// profiled and plan-solved at most once, and a branch-and-bound check
-// (each group costs at least its most expensive member's singleton plan)
-// prunes sub-partitions that cannot beat the bucket's incumbent. A state
-// budget caps total candidate builds; a bucket that would (or does)
-// exceed it degrades gracefully to the greedy Algorithm 1 result, which
-// the DP search space contains — so the enum strategy never produces a
-// costlier plan than GreedyFuser.
-type EnumFuser struct {
-	// StateBudget caps multi-model candidate group builds across the whole
-	// Fuse call; 0 means DefaultFuseStateBudget.
-	StateBudget int
-}
-
-// Name implements Fuser.
-func (f *EnumFuser) Name() string { return FuserEnum }
-
-// Fuse implements Fuser.
-func (f *EnumFuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
-	if cfg.Stats != nil {
-		cfg.Stats.Strategy = FuserEnum
-	}
-	budget := f.StateBudget
-	if budget == 0 {
-		budget = DefaultFuseStateBudget
-	}
-	e := &enumState{
-		matSigs:   matSigs,
-		cfg:       cfg,
-		remaining: budget,
-		cache:     map[string]*FusedGroup{},
-	}
-	var out []*FusedGroup
-	for _, bucket := range compatBuckets(items) {
-		groups, err := e.fuseBucket(bucket)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, groups...)
-	}
-	sortGroups(out)
-	return out, nil
-}
-
-// enumState is one Fuse call's search state: the group memo (keyed by the
-// member set) and the remaining candidate-build budget, shared across
-// buckets.
+// enumState is one Fuse call's search state: whether buckets are
+// enumerated at all, the remaining candidate-build budget and the group
+// memo (keyed by the member set), both shared across buckets.
+//
+// Enumeration is the cost-based fusion plan search (the SystemML
+// fusion-plan idea applied to FUSE OPT): per bucket, the minimum-
+// TotalPlanCost partition into fused groups by dynamic programming over
+// member subsets. Candidate groups are memoized on their member set so each
+// subset is profiled and plan-solved at most once, and a branch-and-bound
+// check (each group costs at least its most expensive member's singleton
+// plan) prunes sub-partitions that cannot beat the bucket's incumbent. A
+// bucket that would (or does) exceed the budget degrades to Algorithm 1,
+// whose result the DP search space contains.
 type enumState struct {
 	matSigs   map[graph.Signature]bool
 	cfg       FuseConfig
+	enumerate bool
 	remaining int
 	cache     map[string]*FusedGroup
 }
 
-// compatBuckets splits items into fusibility classes — equal batch size
-// and equal epoch count — in deterministic order, with each bucket's
-// items sorted by model name so bitmask positions are stable.
-func compatBuckets(items []WorkItem) [][]WorkItem {
-	type key struct{ batch, epochs int }
-	byKey := map[key][]WorkItem{}
-	var keys []key
-	for _, it := range items {
-		k := key{it.BatchSize, it.Epochs}
-		if byKey[k] == nil {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], it)
+// fuseBucket partitions one compatibility bucket of singleton groups: by
+// Algorithm 1 in input order when not enumerating; otherwise by the
+// partition search over the name-sorted bucket (so bitmask positions are
+// stable), degrading to Algorithm 1 when the budget cannot cover it.
+func (e *enumState) fuseBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
+	if !e.enumerate || len(bucket) == 1 {
+		return fuseGreedy(bucket, e.matSigs, e.cfg)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].batch != keys[j].batch {
-			return keys[i].batch < keys[j].batch
-		}
-		return keys[i].epochs < keys[j].epochs
-	})
-	buckets := make([][]WorkItem, 0, len(keys))
-	for _, k := range keys {
-		b := byKey[k]
-		sort.Slice(b, func(i, j int) bool { return b[i].Model.Name < b[j].Model.Name })
-		buckets = append(buckets, b)
-	}
-	return buckets
-}
-
-// fuseBucket partitions one compatibility bucket, enumerating when the
-// budget allows and falling back to greedy otherwise.
-func (e *enumState) fuseBucket(items []WorkItem) ([]*FusedGroup, error) {
-	if len(items) == 1 {
-		g, err := e.buildCached(items)
-		if err != nil {
-			return nil, err
-		}
-		return []*FusedGroup{g}, nil
-	}
+	sortGroups(bucket)
 	// A bucket of n items can require up to 2^n-1 candidate builds; if
 	// that cannot fit the remaining budget, don't start a search that is
 	// doomed to abort.
-	if len(items) > maxEnumBucketItems || (1<<uint(len(items)))-1 > e.remaining {
-		return e.fallbackGreedy(items)
+	fits := len(bucket) <= maxEnumBucketItems && (1<<uint(len(bucket)))-1 <= e.remaining
+	if fits {
+		groups, err := e.solveBucket(bucket)
+		if !errors.Is(err, errFuseStateBudget) {
+			return groups, err
+		}
 	}
-	groups, err := e.solveBucket(items)
-	if errors.Is(err, errFuseStateBudget) {
-		return e.fallbackGreedy(items)
-	}
-	return groups, err
-}
-
-// fallbackGreedy solves a bucket with Algorithm 1 (the degradation path
-// when enumeration is too expensive). Singleton builds still hit the
-// shared memo, so work done before an aborted search is not repeated.
-func (e *enumState) fallbackGreedy(items []WorkItem) ([]*FusedGroup, error) {
 	if e.cfg.Stats != nil {
 		e.cfg.Stats.Fallbacks++
 	}
-	groups := make([]*FusedGroup, len(items))
-	for i := range items {
-		g, err := e.buildCached(items[i : i+1])
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = g
-	}
-	return fuseGreedy(groups, e.matSigs, e.cfg)
+	return fuseGreedy(bucket, e.matSigs, e.cfg)
 }
 
 // solveBucket finds the minimum-cost feasible partition of the bucket by
 // DP over member subsets. Every partition of mask has exactly one group
 // containing mask's lowest set bit, so candidate groups are anchored
 // there and each partition is enumerated once.
-func (e *enumState) solveBucket(items []WorkItem) ([]*FusedGroup, error) {
-	n := len(items)
+func (e *enumState) solveBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
+	n := len(bucket)
 	full := (1 << uint(n)) - 1
 
 	// Singleton plans: always feasible (a model the budget cannot hold
@@ -165,13 +82,12 @@ func (e *enumState) solveBucket(items []WorkItem) ([]*FusedGroup, error) {
 	// a fused group costs at least its costliest member's singleton plan,
 	// because the merged plan restricted to that member is itself a valid
 	// plan for it.
+	items := make([]WorkItem, n)
 	single := make([]int64, n)
-	for i := 0; i < n; i++ {
-		g, err := e.buildCached(items[i : i+1])
-		if err != nil {
-			return nil, err
-		}
+	for i, g := range bucket {
+		items[i] = g.Items[0]
 		single[i] = perEpochCost(g)
+		e.cache[memberKey(g.Items)] = g
 	}
 	// maxSingle[m] = max over set bits of single — both the group-cost
 	// lower bound for a candidate over m and (since any partition of m
@@ -269,8 +185,9 @@ func restBound(maxSingle []int64, rest int) int64 {
 }
 
 // buildCached returns the candidate group for a member set, building it at
-// most once per Fuse call. Multi-model builds draw down the state budget;
-// singleton builds are mandatory work every strategy does and are free.
+// most once per Fuse call and drawing down the state budget for each build.
+// The bucket's singletons are in the memo before the search starts: every
+// strategy needs them, so they are free.
 func (e *enumState) buildCached(items []WorkItem) (*FusedGroup, error) {
 	key := memberKey(items)
 	if g, ok := e.cache[key]; ok {
@@ -279,17 +196,15 @@ func (e *enumState) buildCached(items []WorkItem) (*FusedGroup, error) {
 		}
 		return g, nil
 	}
-	if len(items) > 1 {
-		if e.remaining <= 0 {
-			return nil, errFuseStateBudget
-		}
-		e.remaining--
+	if e.remaining <= 0 {
+		return nil, errFuseStateBudget
 	}
-	g, err := buildItemsGroup(append([]WorkItem(nil), items...), e.matSigs, e.cfg)
+	e.remaining--
+	g, err := BuildGroup(append([]WorkItem(nil), items...), e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
 	if err != nil {
 		return nil, err
 	}
-	if len(items) > 1 && e.cfg.Stats != nil {
+	if e.cfg.Stats != nil {
 		e.cfg.Stats.PairsEvaluated++
 	}
 	e.cache[key] = g

@@ -2,7 +2,9 @@ package opt
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/mmg"
@@ -18,33 +20,6 @@ const (
 	FuserEnum = "enum"
 )
 
-// Fuser is a model-fusion strategy (FUSE OPT, Section 4.3): it partitions
-// the workload into fused groups, each with a profiled merged graph, an
-// optimal reuse plan given V, and a peak-memory estimate. Every strategy
-// must emit a partition of the input items (each item in exactly one
-// group) whose multi-model groups respect cfg.MemBudgetBytes; the
-// strategies differ only in which partition they pick.
-type Fuser interface {
-	// Name identifies the strategy in stats, traces, and CLI flags.
-	Name() string
-	// Fuse partitions the work items into fused groups given the
-	// materialized set V (by expression signature).
-	Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error)
-}
-
-// NewFuser resolves a strategy name ("" means greedy). stateBudget only
-// affects the enum strategy (0 means DefaultFuseStateBudget).
-func NewFuser(name string, stateBudget int) (Fuser, error) {
-	switch name {
-	case "", FuserGreedy:
-		return GreedyFuser{}, nil
-	case FuserEnum:
-		return &EnumFuser{StateBudget: stateBudget}, nil
-	default:
-		return nil, fmt.Errorf("opt: unknown fuser %q (want %q or %q)", name, FuserGreedy, FuserEnum)
-	}
-}
-
 // FuseConfig configures the model fusion optimization.
 type FuseConfig struct {
 	// MemBudgetBytes is B_mem, the runtime memory budget a fused model's
@@ -53,13 +28,13 @@ type FuseConfig struct {
 	// OptimizerSlotBytes is the optimizer state overhead per trainable
 	// parameter byte (2 for Adam).
 	OptimizerSlotBytes int64
-	// Stats, when set, receives the strategy's search counters.
+	// Stats, when set, receives the search counters.
 	Stats *FuseStats
 }
 
-// FuseStats counts the work of one Fuse run. The greedy strategy fills
-// the Algorithm 1 counters; the enum strategy additionally fills the
-// partition-search counters.
+// FuseStats counts the work of one Fuse run: the Algorithm 1 counters for
+// every bucket solved greedily, the partition-search counters for every
+// bucket enumerated.
 type FuseStats struct {
 	// Strategy is the Fuser.Name() that produced these stats.
 	Strategy string
@@ -72,11 +47,11 @@ type FuseStats struct {
 	// PairsRejected counts greedy pairs dismissed for non-positive gain
 	// or a B_mem violation.
 	PairsRejected int
-	// StatesExplored counts partition-DP subproblems solved by the enum
-	// strategy (memoized states are not recounted).
+	// StatesExplored counts partition-DP subproblems solved while
+	// enumerating (memoized states are not recounted).
 	StatesExplored int
-	// MemoHits counts candidate-group lookups answered by the subset-
-	// fingerprint memo instead of a fresh profile + solve.
+	// MemoHits counts candidate-group lookups answered by the member-set
+	// memo instead of a fresh profile + solve.
 	MemoHits int
 	// BoundPrunings counts candidate sub-partitions skipped because a
 	// lower bound already met or exceeded the best known completion.
@@ -95,7 +70,7 @@ type FusedGroup struct {
 	// MM is the merged graph of the group's models. It is always set: a
 	// single-model group wraps its model in a one-model merge.
 	MM *mmg.MultiModel
-	// Plan is the optimal reuse plan over the merged graph given V.
+	// Plan is the group's reuse plan over the merged graph given V.
 	Plan *Plan
 	// PeakMemBytes is the analytical memory estimate at the group's batch
 	// size.
@@ -120,49 +95,191 @@ func (g *FusedGroup) Name() string {
 	return fmt.Sprintf("%s+%d", g.Items[0].Model.Name, len(g.Items)-1)
 }
 
-// FuseModels implements Algorithm 1 (FuseModels): greedy pairwise fusion.
-// It is the GreedyFuser strategy kept as a plain function for callers that
-// don't select a strategy.
-func FuseModels(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
-	return GreedyFuser{}.Fuse(items, matSigs, cfg)
-}
+// PlanPolicy says how a group's reuse plan is chosen from its profiled
+// merged graph — the one thing the paper's approaches disagree on once V
+// and the group's membership are fixed.
+type PlanPolicy int
 
-// GreedyFuser is the paper's Algorithm 1. Starting from each model's
-// optimal reuse plan given the materialized set V, it repeatedly fuses the
-// pair of groups with the highest cost reduction whose fused peak memory
-// fits B_mem, until no beneficial fusible pair remains. Only groups with
-// equal batch size and equal epoch count fuse: batch size because fused
-// branches train on the same mini-batches (the paper's condition), epochs
-// because the fused model runs one training loop.
-type GreedyFuser struct{}
+// Plan policies.
+const (
+	// ReusePlan is the optimum given V (SolveReusePlan, Section 4.3.2).
+	ReusePlan PlanPolicy = iota
+	// UnmodifiedPlan computes every layer (CurrentPracticePlan).
+	UnmodifiedPlan
+	// LoadFrontierPlan loads the whole materializable frontier whatever it
+	// costs (ForcedLoadPlan, the MAT-ALL baseline).
+	LoadFrontierPlan
+)
 
-// Name implements Fuser.
-func (GreedyFuser) Name() string { return FuserGreedy }
-
-// Fuse implements Fuser.
-func (GreedyFuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
-	if cfg.Stats != nil {
-		cfg.Stats.Strategy = FuserGreedy
+// BuildGroup is the one way a training group comes to be, whatever the
+// approach and whether it holds one model or many: merge the items' models
+// into one graph, profile it, choose the reuse plan by policy given V, and
+// estimate peak memory at the group's batch size. slotBytes is the
+// optimizer-state overhead per trainable parameter byte (AdamSlotBytes).
+func BuildGroup(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) (*FusedGroup, error) {
+	ms := make([]*graph.Model, len(items))
+	for i, it := range items {
+		ms[i] = it.Model
 	}
-	var groups []*FusedGroup
-	for _, it := range items {
-		g, err := buildItemsGroup([]WorkItem{it}, matSigs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, g)
-	}
-	groups, err := fuseGreedy(groups, matSigs, cfg)
+	mm, err := mmg.Build(ms...)
 	if err != nil {
 		return nil, err
 	}
-	sortGroups(groups)
+	prof, err := profile.Profile(mm.Graph, items[0].Prof.HW)
+	if err != nil {
+		return nil, fmt.Errorf("opt: profile merged graph: %w", err)
+	}
+	var plan *Plan
+	switch policy {
+	case ReusePlan:
+		plan, err = SolveReusePlan(prof, matSigs)
+	case UnmodifiedPlan:
+		plan = CurrentPracticePlan(prof)
+	case LoadFrontierPlan:
+		plan = ForcedLoadPlan(prof)
+	default:
+		err = fmt.Errorf("opt: unknown plan policy %d", policy)
+	}
+	if err != nil {
+		return nil, err
+	}
+	mem := EstimatePeakMemory(plan, items[0].BatchSize, slotBytes)
+	return &FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: mem.Total()}, nil
+}
+
+// SingletonGroups builds one group per item, in input order: the whole
+// training plan of the approaches that do not fuse, and the starting point
+// of FUSE OPT for those that do. Candidates are independent, so the builds
+// fan out over up to GOMAXPROCS goroutines; the lowest-index error wins.
+func SingletonGroups(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) ([]*FusedGroup, error) {
+	groups := make([]*FusedGroup, len(items))
+	errs := make([]error, len(items))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range items {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			groups[i], errs[i] = BuildGroup([]WorkItem{items[i]}, matSigs, policy, slotBytes)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return groups, nil
 }
 
-// fuseGreedy runs the greedy merge loop over pre-built singleton (or
-// partially fused) groups. The result is unsorted; callers sort once at
-// the end.
+// Fuser is the model fusion optimization (FUSE OPT, Section 4.3): it
+// partitions the workload into fused groups, each built by BuildGroup under
+// ReusePlan. Only items with equal batch size and equal epoch count can
+// share a group — batch size because fused branches train on the same
+// mini-batches (the paper's condition), epochs because the fused model runs
+// one training loop — so the search runs per compatibility bucket. It is
+// one enumerator with two settings: "enum" searches a bucket's partitions
+// exactly while the state budget lasts and solves the rest with Algorithm
+// 1; "greedy" never enumerates, so every bucket is Algorithm 1. Either way
+// the result is a partition of the input whose multi-model groups respect
+// cfg.MemBudgetBytes, and enum never costs more than greedy.
+type Fuser struct {
+	name string
+	// stateBudget caps multi-model candidate builds spent enumerating
+	// across one Fuse call.
+	stateBudget int
+}
+
+// NewFuser resolves a strategy name ("" means greedy). stateBudget only
+// matters to enum (0 means DefaultFuseStateBudget).
+func NewFuser(name string, stateBudget int) (*Fuser, error) {
+	switch name {
+	case "":
+		name = FuserGreedy
+	case FuserGreedy, FuserEnum:
+	default:
+		return nil, fmt.Errorf("opt: unknown fuser %q (want %q or %q)", name, FuserGreedy, FuserEnum)
+	}
+	if stateBudget == 0 {
+		stateBudget = DefaultFuseStateBudget
+	}
+	return &Fuser{name: name, stateBudget: stateBudget}, nil
+}
+
+// Name is the strategy name the fuser was created with, for stats, traces
+// and CLI output.
+func (f *Fuser) Name() string { return f.name }
+
+// Fuse partitions the work items into fused groups given the materialized
+// set V (by expression signature), ordered by first member name.
+func (f *Fuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
+	if cfg.Stats != nil {
+		cfg.Stats.Strategy = f.name
+	}
+	singles, err := SingletonGroups(items, matSigs, ReusePlan, cfg.OptimizerSlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	e := &enumState{
+		matSigs:   matSigs,
+		cfg:       cfg,
+		enumerate: f.name == FuserEnum,
+		remaining: f.stateBudget,
+		cache:     map[string]*FusedGroup{},
+	}
+	var out []*FusedGroup
+	for _, bucket := range compatBuckets(singles) {
+		groups, err := e.fuseBucket(bucket)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, groups...)
+	}
+	sortGroups(out)
+	return out, nil
+}
+
+// sortGroups orders groups deterministically by first member name.
+func sortGroups(groups []*FusedGroup) {
+	sort.Slice(groups, func(i, j int) bool {
+		return groups[i].Items[0].Model.Name < groups[j].Items[0].Model.Name
+	})
+}
+
+// compatBuckets splits singleton groups into fusibility classes — equal
+// batch size and equal epoch count — ordered by (batch, epochs), each
+// bucket keeping the input order.
+func compatBuckets(singles []*FusedGroup) [][]*FusedGroup {
+	type key struct{ batch, epochs int }
+	byKey := map[key][]*FusedGroup{}
+	var keys []key
+	for _, g := range singles {
+		k := key{g.BatchSize(), g.Epochs()}
+		if byKey[k] == nil {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], g)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].batch != keys[j].batch {
+			return keys[i].batch < keys[j].batch
+		}
+		return keys[i].epochs < keys[j].epochs
+	})
+	buckets := make([][]*FusedGroup, len(keys))
+	for i, k := range keys {
+		buckets[i] = byKey[k]
+	}
+	return buckets
+}
+
+// fuseGreedy is Algorithm 1 over one bucket's singleton groups: repeatedly
+// fuse the pair with the highest cost reduction whose fused peak memory
+// fits B_mem, until no beneficial fusible pair remains. Pairs are scanned
+// in list order and only a strictly larger gain displaces the incumbent,
+// so ties go to the earliest pair.
 func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
 	type pairKey struct{ a, b *FusedGroup }
 	rejected := map[pairKey]bool{}
@@ -171,16 +288,13 @@ func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg Fuse
 	fusedCache := map[pairKey]*FusedGroup{}
 
 	for {
-		// Evaluate all not-yet-rejected fusible pairs.
+		// Evaluate all not-yet-rejected pairs.
 		var bestI, bestJ int
 		var bestGroup *FusedGroup
 		var bestGain int64
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
 				gi, gj := groups[i], groups[j]
-				if gi.BatchSize() != gj.BatchSize() || gi.Epochs() != gj.Epochs() {
-					continue
-				}
 				key := pairKey{gi, gj}
 				if rejected[key] {
 					continue
@@ -188,7 +302,8 @@ func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg Fuse
 				fused := fusedCache[key]
 				if fused == nil {
 					var err error
-					fused, err = fusePair(gi, gj, matSigs, cfg)
+					members := append(append([]WorkItem(nil), gi.Items...), gj.Items...)
+					fused, err = BuildGroup(members, matSigs, ReusePlan, cfg.OptimizerSlotBytes)
 					if err != nil {
 						return nil, err
 					}
@@ -243,54 +358,10 @@ func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg Fuse
 	return groups, nil
 }
 
-// sortGroups orders a training plan deterministically by each group's
-// first member name.
-func sortGroups(groups []*FusedGroup) {
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].Items[0].Model.Name < groups[j].Items[0].Model.Name
-	})
-}
-
 // perEpochCost is the group's per-record-per-epoch cost × epochs — the
-// quantity the fusion strategies minimize the sum of.
+// quantity FUSE OPT minimizes the sum of.
 func perEpochCost(g *FusedGroup) int64 {
 	return g.Plan.CostPerRecord * int64(g.Epochs())
-}
-
-// fusePair builds the fused group for two groups' combined models.
-func fusePair(a, b *FusedGroup, matSigs map[graph.Signature]bool, cfg FuseConfig) (*FusedGroup, error) {
-	items := append(append([]WorkItem(nil), a.Items...), b.Items...)
-	return buildItemsGroup(items, matSigs, cfg)
-}
-
-// buildItemsGroup merges the items' models into one graph and builds the
-// candidate group (a singleton group when len(items) == 1).
-func buildItemsGroup(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) (*FusedGroup, error) {
-	ms := make([]*graph.Model, len(items))
-	for i, it := range items {
-		ms[i] = it.Model
-	}
-	mm, err := mmg.Build(ms...)
-	if err != nil {
-		return nil, err
-	}
-	return buildGroup(items, mm, matSigs, cfg)
-}
-
-// buildGroup profiles a merged graph, solves its reuse plan given V
-// (Section 4.3.2: the MILP with Z fixed, solved via min-cut), and estimates
-// its peak memory.
-func buildGroup(items []WorkItem, mm *mmg.MultiModel, matSigs map[graph.Signature]bool, cfg FuseConfig) (*FusedGroup, error) {
-	prof, err := profile.Profile(mm.Graph, items[0].Prof.HW)
-	if err != nil {
-		return nil, fmt.Errorf("opt: profile fused graph: %w", err)
-	}
-	plan, err := SolveReusePlan(prof, matSigs)
-	if err != nil {
-		return nil, err
-	}
-	mem := EstimatePeakMemory(plan, items[0].BatchSize, cfg.OptimizerSlotBytes)
-	return &FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: mem.Total()}, nil
 }
 
 // TotalPlanCost returns Σ over groups of cost/record × epochs — the

@@ -13,13 +13,22 @@ import (
 	"nautilus/internal/tensor"
 )
 
+// fuseModels runs FUSE OPT under Algorithm 1.
+func fuseModels(items []WorkItem, sigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
+	f, err := NewFuser(FuserGreedy, 0)
+	if err != nil {
+		return nil, err
+	}
+	return f.Fuse(items, sigs, cfg)
+}
+
 func TestFuseModelsMergesSharedFrozenWork(t *testing.T) {
 	items, mm := miniWorkload(t, 4)
 	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestFuseModelsRespectsBatchSizeBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +96,7 @@ func TestFuseModelsTightMemoryBudgetPreventsFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget below even a single model's workspace: nothing fuses.
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestFuseModelsTightMemoryBudgetPreventsFusion(t *testing.T) {
 		t.Errorf("got %d groups with 1-byte budget, want %d singletons", len(groups), len(items))
 	}
 	// Generous budget: fewer groups.
-	groups2, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups2, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestFusedGroupMemoryWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := int64(1 << 29)
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +137,7 @@ func TestFuseModelsSingleModelNoFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestFusedPlanModelTrainsBothBranches(t *testing.T) {
 	items, _ := miniWorkload(t, 2)
 	// Force same batch/epochs so they fuse; empty materialized set keeps
 	// the test focused on fusion itself.
-	groups, err := FuseModels(items, map[graph.Signature]bool{}, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups, err := fuseModels(items, map[graph.Signature]bool{}, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +276,7 @@ func TestFusionGainsGrowWithModelCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+		groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +328,7 @@ func TestFuseModelsPropertyNeverWorse(t *testing.T) {
 			})
 		}
 		budget := int64(1 << (25 + rng.Intn(16)))
-		groups, err := FuseModels(items, nil, FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2})
+		groups, err := fuseModels(items, nil, FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2})
 		if err != nil {
 			return false
 		}
@@ -357,7 +366,7 @@ func TestFuseStatsAndGroupName(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &FuseStats{}
-	groups, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2, Stats: stats})
+	groups, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +389,7 @@ func TestFuseStatsAndGroupName(t *testing.T) {
 
 	// With a 1-byte budget, every evaluated pair is rejected.
 	stats2 := &FuseStats{}
-	if _, err := FuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1, OptimizerSlotBytes: 2, Stats: stats2}); err != nil {
+	if _, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 1, OptimizerSlotBytes: 2, Stats: stats2}); err != nil {
 		t.Fatal(err)
 	}
 	if stats2.Rounds != 0 {

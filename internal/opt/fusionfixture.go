@@ -80,12 +80,11 @@ func GreedyTrapWorkload() (items []WorkItem, memBudget int64, err error) {
 	}
 
 	// Compute the separating budget empirically: every pair must fit,
-	// no triple may. buildItemsGroup needs only OptimizerSlotBytes here.
-	cfg := FuseConfig{OptimizerSlotBytes: 2}
+	// no triple may.
 	var maxPair, minTriple int64
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
-			g, err := buildItemsGroup([]WorkItem{items[i], items[j]}, nil, cfg)
+			g, err := BuildGroup([]WorkItem{items[i], items[j]}, nil, ReusePlan, AdamSlotBytes)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -93,7 +92,7 @@ func GreedyTrapWorkload() (items []WorkItem, memBudget int64, err error) {
 				maxPair = g.PeakMemBytes
 			}
 			for k := j + 1; k < len(items); k++ {
-				t, err := buildItemsGroup([]WorkItem{items[i], items[j], items[k]}, nil, cfg)
+				t, err := BuildGroup([]WorkItem{items[i], items[j], items[k]}, nil, ReusePlan, AdamSlotBytes)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -2,9 +2,13 @@
 // reuse-plan models via a polynomial-time min-cut reduction, the
 // materialization optimization (Section 4.2) via both the faithful MILP
 // formulation (Equations 8–10) and a scalable branch-and-bound search with
-// exact min-cut sub-evaluation, the model fusion optimization (Section 4.3,
-// Algorithm 1), the topological live-tensor peak-memory estimator
-// (Section 4.3.3), and the theoretical speedup bound (Equation 11).
+// exact min-cut sub-evaluation, the model fusion optimization (Section 4.3:
+// one Fuser that searches a bucket's partitions exactly or, with
+// enumeration off, is the paper's greedy Algorithm 1), the one builder
+// every training group comes from (BuildGroup: merge, profile, plan by
+// policy, estimate memory), the topological live-tensor peak-memory
+// estimator (Section 4.3.3), and the theoretical speedup bound
+// (Equation 11).
 package opt
 
 import (

@@ -130,41 +130,14 @@ func loadingGroup(t *testing.T, name string, seed int64) (*opt.FusedGroup, []opt
 	return &opt.FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: 1}, items, mprof.Sigs[f1]
 }
 
-// TestGroupsIncrementalMemoizes checks the planner session's incremental
-// re-verification contract: an unchanged group is checked once per seen
-// set, and the skip is invalidated when V stops covering its loads.
-func TestGroupsIncrementalMemoizes(t *testing.T) {
+// TestGroupsChecksEveryGroupEveryTime: verification keeps no memory of
+// earlier passes, so a group that verified under one V is rejected as soon
+// as V stops covering its loads.
+func TestGroupsChecksEveryGroupEveryTime(t *testing.T) {
 	g, items, sig := loadingGroup(t, "inc", 500)
 	groups := []*opt.FusedGroup{g}
-	loadable := map[graph.Signature]bool{sig: true}
-	seen := map[string]bool{}
-
-	checked, err := verify.GroupsIncremental(groups, items, 0, loadable, seen)
-	if err != nil {
+	if err := verify.Groups(groups, items, 0, map[graph.Signature]bool{sig: true}); err != nil {
 		t.Fatal(err)
 	}
-	if checked != 1 {
-		t.Fatalf("first pass checked %d groups, want 1", checked)
-	}
-	// Same plan, same V: the group is fingerprint-identical and skipped.
-	checked, err = verify.GroupsIncremental(groups, items, 0, loadable, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if checked != 0 {
-		t.Errorf("second pass checked %d groups, want 0 (memoized)", checked)
-	}
-	// V evolved away from the group's loaded signature: the skip no longer
-	// applies and full verification catches the now-illegal load.
-	checked, err = verify.GroupsIncremental(groups, items, 0, map[graph.Signature]bool{}, seen)
-	if checked != 1 {
-		t.Errorf("shrunk-V pass checked %d groups, want 1", checked)
-	}
-	asPlanError(t, err, verify.KindLegality)
-
-	// nil seen disables memoization entirely.
-	checked, err = verify.GroupsIncremental(groups, items, 0, loadable, nil)
-	if err != nil || checked != 1 {
-		t.Errorf("nil-seen pass checked %d (%v), want full verification", checked, err)
-	}
+	asPlanError(t, verify.Groups(groups, items, 0, map[graph.Signature]bool{}), verify.KindLegality)
 }

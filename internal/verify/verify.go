@@ -6,9 +6,8 @@
 // plans), and the B_disk / B_mem budgets. Solver bugs that violate them
 // would otherwise surface as silent wrong training results or storage blow-
 // ups deep inside execution; this package turns them into typed PlanErrors
-// at planning time. core.PlanWorkload (and through it every Fit cycle) runs
-// these checks on each plan it emits; the planner session re-checks only
-// groups whose plan changed via GroupsIncremental.
+// at planning time. core.PlanWorkload (and through it every Fit cycle and
+// halving rung) runs these checks on every group of each plan it emits.
 package verify
 
 import (
@@ -232,57 +231,12 @@ func Group(g *opt.FusedGroup, memBudgetBytes int64, loadable map[graph.Signature
 // Groups checks a full training plan: every group legal and the groups a
 // partition of the workload — each work item trained exactly once.
 func Groups(groups []*opt.FusedGroup, items []opt.WorkItem, memBudgetBytes int64, loadable map[graph.Signature]bool) error {
-	_, err := GroupsIncremental(groups, items, memBudgetBytes, loadable, nil)
-	return err
-}
-
-// GroupsIncremental is Groups with memoized per-group checks, the planner
-// session's re-verification path for workload evolution: a group whose
-// opt.FusedGroup Fingerprint is already in seen — and whose loaded
-// signatures all remain members of loadable — was verified under an earlier
-// plan with an identical reuse plan, so re-checking it cannot change the
-// outcome and is skipped. Every group actually checked (and passing) has
-// its fingerprint added to seen. The workload-partition check always runs
-// in full (it is global and cheap).
-//
-// seen must be scoped to one budget configuration: the fingerprint does not
-// encode B_mem, so reuse a seen set only while the budgets are unchanged.
-// Pass nil to disable memoization (full verification, seen not updated).
-//
-// It returns the number of groups fully re-checked this call.
-func GroupsIncremental(groups []*opt.FusedGroup, items []opt.WorkItem, memBudgetBytes int64, loadable map[graph.Signature]bool, seen map[string]bool) (checked int, err error) {
 	for _, g := range groups {
-		fp := ""
-		if seen != nil && g != nil && g.Plan != nil {
-			fp = g.Fingerprint()
-			if seen[fp] && loadedCovered(g, loadable) {
-				continue
-			}
-		}
-		checked++
 		if err := Group(g, memBudgetBytes, loadable); err != nil {
-			return checked, err
-		}
-		if fp != "" {
-			seen[fp] = true
+			return err
 		}
 	}
-	return checked, partition(groups, items)
-}
-
-// loadedCovered reports whether every materialized intermediate the group's
-// plan loads is still a member of loadable — the only Group invariant that
-// can silently flip for an unchanged plan when V evolves.
-func loadedCovered(g *opt.FusedGroup, loadable map[graph.Signature]bool) bool {
-	if loadable == nil {
-		return true
-	}
-	for _, n := range g.Plan.LoadedNodes() {
-		if !loadable[g.Plan.Prof.Sigs[n]] {
-			return false
-		}
-	}
-	return true
+	return partition(groups, items)
 }
 
 // partition checks that the groups train each work item exactly once.

@@ -310,10 +310,14 @@ func randomWorkload(t *testing.T, rng *rand.Rand, nModels int) []opt.WorkItem {
 }
 
 // TestOptimizerOutputsAlwaysVerify is the property test: on random
-// workloads, whatever OptimizeMaterialization and FuseModels emit must
+// workloads, whatever OptimizeMaterialization and FUSE OPT emit must
 // pass static verification under the budgets they were solved with.
 func TestOptimizerOutputsAlwaysVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	fuser, err := opt.NewFuser(opt.FuserGreedy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 30; trial++ {
 		items := randomWorkload(t, rng, 2+rng.Intn(3))
 		ms := make([]*graph.Model, len(items))
@@ -339,7 +343,7 @@ func TestOptimizerOutputsAlwaysVerify(t *testing.T) {
 			t.Fatalf("trial %d (solver %s): materialization output fails verification: %v", trial, matCfg.Solver, err)
 		}
 		memBudget := int64(1 + rng.Intn(1<<26))
-		groups, err := opt.FuseModels(items, res.Sigs, opt.FuseConfig{
+		groups, err := fuser.Fuse(items, res.Sigs, opt.FuseConfig{
 			MemBudgetBytes:     memBudget,
 			OptimizerSlotBytes: 2,
 		})

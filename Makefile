@@ -35,10 +35,13 @@ lint-fixtures:
 # the graph leg holds the shared-param first-use test; the core leg also
 # runs the golden plan files), plus the perf-regression gate against the
 # committed baseline (noise-aware ratio metrics; nonzero exit on
-# regression).
+# regression). vet's asmdecl pass checks the assembly kernels' frames; the
+# arm64 cross-build compiles the portable kernel bodies, the only path off
+# amd64.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) run ./cmd/nautilus-lint -analyzers= ./...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
@@ -47,12 +50,15 @@ check:
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) run ./cmd/nautilus-bench -exp obs,replan,calib,fusion,kernels,lint -tune-table TUNE_table.json -baseline BENCH_baseline.json
 
-# bench runs the paper-table benchmarks at the root and the layer step
+# bench runs the paper-table benchmarks at the root, the layer step
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
-# + backward at BERT-mini shapes, ns per activated element), so a change
-# to the activation path has a number without a 15 s bench-e2e session.
+# + backward at BERT-mini shapes, ns per activated element) and the tensor
+# kernels (BenchmarkMatMulConvShapes: the matmul family at conv-layer
+# shapes with half-zero coefficients, in gflops), so a change to the
+# activation path or the tile kernel has a number without a 15 s
+# bench-e2e session.
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/layers
+	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
 # multi-cycle sessions on six workloads, every output checked bit for bit

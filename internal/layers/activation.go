@@ -86,15 +86,13 @@ func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor
 					for j := range or {
 						or[j] = sr[j] + bias[j]
 					}
-				} else {
-					copy(or, sr)
+					sr = or
 				}
-				if act == ActReLU {
-					for j, z := range or {
-						if !(z > 0) { // not z <= 0: NaN clamps to 0 as well
-							or[j] = 0
-						}
-					}
+				switch {
+				case act == ActReLU:
+					tensor.ReLUClamp(or, sr) // !(z > 0) gives +0: NaN and -0 too
+				case bias == nil:
+					copy(or, sr)
 				}
 			}
 		})
@@ -149,11 +147,7 @@ func (c actCache) backward(act string, out, g *tensor.Tensor) *tensor.Tensor {
 	if act == ActReLU {
 		od := out.Data()
 		tensor.Parallel(len(gd), len(gd), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if od[i] > 0 {
-					dd[i] = gd[i]
-				}
-			}
+			tensor.ReLUMask(dd[lo:hi], gd[lo:hi], od[lo:hi])
 		})
 		return dz
 	}

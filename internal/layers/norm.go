@@ -189,26 +189,26 @@ func (l *ChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOu
 	c := l.Channels
 	var dgamma, dbeta, dx *tensor.Tensor
 	if need.Params {
-		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.NewFrom(gradOut, c)
+		// Both reduce over rows in ascending order; dbeta's is SumRows.
+		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.SumRows(gradOut)
+		dg := dgamma.Data()
+		for r := 0; r < x.Rows(); r++ {
+			xr, gr := x.Row(r), gradOut.Row(r)
+			for j := 0; j < c; j++ {
+				dg[j] += gr[j] * xr[j]
+			}
+		}
 	}
 	if need.Inputs {
 		dx = tensor.NewFrom(gradOut, x.Shape()...)
-	}
-	for r := 0; r < x.Rows(); r++ {
-		xr, gr := x.Row(r), gradOut.Row(r)
-		if need.Params {
-			dg, db := dgamma.Data(), dbeta.Data()
-			for j := 0; j < c; j++ {
-				dg[j] += gr[j] * xr[j]
-				db[j] += gr[j]
+		tensor.Parallel(x.Rows(), x.Len(), func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				gr, dr := gradOut.Row(r), dx.Row(r)
+				for j := 0; j < c; j++ {
+					dr[j] = gr[j] * g[j]
+				}
 			}
-		}
-		if need.Inputs {
-			dr := dx.Row(r)
-			for j := 0; j < c; j++ {
-				dr[j] = gr[j] * g[j]
-			}
-		}
+		})
 	}
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}
 }

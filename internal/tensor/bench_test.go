@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -45,5 +46,52 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SoftmaxRows(x)
+	}
+}
+
+// BenchmarkMatMulConvShapes times the matmul family where the conv
+// workloads spend it: im2col-shaped operands (many rows, 8-16 output
+// channels) whose coefficient operand is half exact zeros, as a post-ReLU
+// cols matrix or a ReLU-masked dz is, beside two dense shapes (the bench/
+// probe's 384x32x64 and 256^3). Shapes are m x k x n of the product.
+func BenchmarkMatMulConvShapes(b *testing.B) {
+	for _, tc := range []struct {
+		m, k, n int
+		sparse  bool
+	}{
+		{4096, 72, 8, true}, {4096, 32, 8, true}, {1024, 144, 16, true}, {1024, 64, 16, true},
+		{384, 32, 64, false}, {256, 256, 256, false},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		coef := func(shape ...int) *Tensor { // the operand whose zeros the family skips
+			t := RandNormal(rng, 1, shape...)
+			for i := range t.Data() {
+				if tc.sparse && rng.Intn(2) == 0 {
+					t.Data()[i] = 0
+				}
+			}
+			return t
+		}
+		ops := []struct {
+			name string
+			a, b *Tensor
+			f    func(a, b *Tensor) *Tensor
+		}{
+			{"MatMul", coef(tc.m, tc.k), RandNormal(rng, 1, tc.k, tc.n), MatMul},
+			{"MatMulBT", coef(tc.m, tc.k), RandNormal(rng, 1, tc.n, tc.k), MatMulBT},
+			{"MatMulAT", coef(tc.k, tc.m), RandNormal(rng, 1, tc.k, tc.n), MatMulAT},
+		}
+		density := "dense"
+		if tc.sparse {
+			density = "half0"
+		}
+		for _, op := range ops {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", op.name, tc.m, tc.k, tc.n, density), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.f(op.a, op.b)
+				}
+				b.ReportMetric(2*float64(tc.m)*float64(tc.k)*float64(tc.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
+			})
+		}
 	}
 }

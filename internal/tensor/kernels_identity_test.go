@@ -67,12 +67,26 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 		SetMaxWorkers(0)
 		SetScheduleSource(nil)
 	})
+	var shapes [][3]int
 	for iter := 0; iter < 40; iter++ {
-		m, k, n := 1+rng.Intn(33), 1+rng.Intn(40), 1+rng.Intn(33)
+		shapes = append(shapes, [3]int{1 + rng.Intn(33), 1 + rng.Intn(40), 1 + rng.Intn(33)})
+	}
+	// What the tile kernel branches on: every column-block mix of 16, 8
+	// and 1, with 1-3 rows left over after the 4-row tiles.
+	for i, n := range []int{1, 7, 8, 9, 15, 16, 17, 24, 33, 72} {
+		shapes = append(shapes, [3]int{4*(1+i%3) + 1 + i%3, 3 + rng.Intn(30), n})
+	}
+	nan := float32(math.NaN())
+	for iter, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
 		a := fillMixed(rng, New(m, k))
 		b := fillMixed(rng, New(k, n))
 		bt := fillMixed(rng, New(n, k))
 		at := fillMixed(rng, New(k, m))
+		if iter%5 == 4 { // a NaN coefficient is not a zero: its row must turn NaN
+			a.Data()[rng.Intn(m*k)] = nan
+			at.Data()[rng.Intn(m*k)] = nan
+		}
 		wantMM := MatMulNaive(a, b)
 		wantBT := MatMulBTNaive(a, bt)
 		wantAT := MatMulATNaive(at, b)
@@ -90,8 +104,9 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 // family's matMulTile read through transposed strides) to the naive
 // reference on the shapes the random sweep only hits by luck: m not a
 // multiple of the 4-row tile, k not a multiple of the K-block, exact-zero
-// coefficients in one to four lanes of a tile, and an Inf/NaN row of b that
-// only a zero coefficient keeps out of an output row.
+// coefficients (both signs) in every subset of a tile's four lanes, an
+// Inf/NaN row of b that only a zero coefficient keeps out of an output
+// row, and a NaN coefficient, which is not a zero.
 func TestMatMulATTileEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	SetMaxWorkers(4)
@@ -104,22 +119,27 @@ func TestMatMulATTileEdges(t *testing.T) {
 	for _, tc := range []struct{ m, k, n, tileK int }{
 		{m: 4, k: 9, n: 8, tileK: 4},   // one full tile, ragged last K-block
 		{m: 7, k: 10, n: 5, tileK: 4},  // tile + 3 leftover rows
-		{m: 9, k: 13, n: 17, tileK: 5}, // two tiles + 1 row, n past one SIMD lane group
+		{m: 9, k: 13, n: 17, tileK: 5}, // two tiles + 1 row, n = one 16-block + 1
 		{m: 6, k: 5, n: 3, tileK: 0},   // default K-block (whole k)
 		{m: 3, k: 6, n: 4, tileK: 2},   // no full tile at all
+		{m: 8, k: 7, n: 25, tileK: 3},  // column blocks of 16, 8 and 1
 	} {
-		for lanes := 0; lanes <= 4; lanes++ {
+		for lanes := 0; lanes < 32; lanes++ { // bits 0-3: zero lanes; bit 4: a NaN coefficient
 			a := RandNormal(rng, 1, tc.k, tc.m) // no zeros except the ones planted below
 			b := RandNormal(rng, 1, tc.k, tc.n)
-			// Term p of the first tile gets `lanes` zero coefficients
-			// (alternating signs of zero); b's row p is all Inf/NaN.
+			// Term p of the first tile gets a zero coefficient in each lane
+			// of the pattern (alternating signs of zero); b's row p is all
+			// Inf/NaN.
 			p := tc.k - 1 // in the ragged K-block when there is one
-			for i := 0; i < lanes && i < tc.m; i++ {
-				z := float32(0)
-				if i%2 == 1 {
-					z = negZero
+			zero := func(i int) bool { return i < 4 && lanes&(1<<i) != 0 }
+			for i := 0; i < tc.m; i++ {
+				if zero(i) {
+					a.Data()[p*tc.m+i] = []float32{0, negZero}[i%2]
 				}
-				a.Data()[p*tc.m+i] = z
+			}
+			withNaN := lanes&16 != 0
+			if withNaN {
+				a.Data()[lanes%tc.m] = nan // term 0
 			}
 			for j := range b.Row(p) {
 				b.Row(p)[j] = inf
@@ -128,10 +148,10 @@ func TestMatMulATTileEdges(t *testing.T) {
 				}
 			}
 			want := MatMulATNaive(a, b)
-			for i := 0; i < lanes && i < tc.m; i++ {
+			for i := 0; i < tc.m && !withNaN; i++ {
 				for _, v := range want.Row(i) {
-					if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
-						t.Fatalf("m%d k%d n%d lanes %d: reference row %d saw the Inf/NaN row through a zero coefficient", tc.m, tc.k, tc.n, lanes, i)
+					if zero(i) && (math.IsInf(float64(v), 0) || math.IsNaN(float64(v))) {
+						t.Fatalf("m%d k%d n%d lanes %04b: reference row %d saw the Inf/NaN row through a zero coefficient", tc.m, tc.k, tc.n, lanes, i)
 					}
 				}
 			}
@@ -221,6 +241,7 @@ func TestConvFamilyBitIdentity(t *testing.T) {
 // bodies bit for bit: one multiply then one add per element, no FMA.
 func TestSIMDHelpersMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	nan := float32(math.NaN())
 	for iter := 0; iter < 50; iter++ {
 		n := 1 + rng.Intn(130) // crosses the 8- and 32-lane boundaries
 		dst := fillMixed(rng, New(n))
@@ -239,14 +260,102 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		vadd(gotAdd.Data(), x.Data())
 		assertBitsEqual(t, "vadd", gotAdd, wantAdd)
 
-		d0, d1, d2, d3 := dst.Clone(), dst.Clone(), dst.Clone(), dst.Clone()
-		w0, w1, w2, w3 := dst.Clone(), dst.Clone(), dst.Clone(), dst.Clone()
-		a0, a1, a2, a3 := float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())
-		saxpy4(d0.Data(), d1.Data(), d2.Data(), d3.Data(), x.Data(), a0, a1, a2, a3)
-		saxpy4Generic(w0.Data(), w1.Data(), w2.Data(), w3.Data(), x.Data(), a0, a1, a2, a3)
-		assertBitsEqual(t, "saxpy4 row0", d0, w0)
-		assertBitsEqual(t, "saxpy4 row1", d1, w1)
-		assertBitsEqual(t, "saxpy4 row2", d2, w2)
-		assertBitsEqual(t, "saxpy4 row3", d3, w3)
+		// ReLU clamp and mask: -0 and NaN inputs must come out +0.
+		x.Data()[rng.Intn(n)] = nan
+		wantClamp, gotClamp := New(n), New(n)
+		reluClampGeneric(wantClamp.Data(), x.Data())
+		ReLUClamp(gotClamp.Data(), x.Data())
+		assertBitsEqual(t, "ReLUClamp", gotClamp, wantClamp)
+		for i, v := range gotClamp.Data() {
+			if !(x.Data()[i] > 0) && math.Float32bits(v) != 0 {
+				t.Fatalf("ReLUClamp(%v) = %v (bits %08x), want +0", x.Data()[i], v, math.Float32bits(v))
+			}
+		}
+		wantMask, gotMask := New(n), New(n)
+		reluMaskGeneric(wantMask.Data(), dst.Data(), x.Data())
+		ReLUMask(gotMask.Data(), dst.Data(), x.Data())
+		assertBitsEqual(t, "ReLUMask", gotMask, wantMask)
+
+		// The tile kernel under both stride forms of the family, on an
+		// accumulator that already holds values (zeros of both signs too).
+		rows, kc := 1+rng.Intn(9), 1+rng.Intn(20)
+		out := fillMixed(rng, New(rows, n))
+		b := fillMixed(rng, New(kc, n))
+		coef := fillMixed(rng, New(rows*kc))
+		coef.Data()[rng.Intn(rows*kc)] = nan
+		for _, st := range [][2]int{{kc, 1}, {1, rows}} {
+			want, got := out.Clone(), out.Clone()
+			tileKernelGeneric(want.Data(), rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
+			tileKernel(got.Data(), rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
+			assertBitsEqual(t, "tileKernel", got, want)
+		}
+	}
+
+	// What makes the exact-zero skip branchless: a skipped term adds -0, and
+	// x + (-0) is x bit for bit. Every coefficient is a zero, b holds values
+	// whose product with zero is not neutral (0 x Inf and 0 x NaN are NaN,
+	// 0 x 1 is +0 and -0 + +0 is +0), and out already holds -0, +0, both
+	// infinities and NaN: it must come back untouched. Adding the raw
+	// product, or +0 in its place, fails here.
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	const rows, kc, n = 7, 3, 25 // 4-row tile + 3 single rows; column blocks of 16, 8 and 1
+	held := []float32{negZero, 0, inf, -inf, nan, 1.5}
+	out, b, coef := New(rows, n), New(kc, n), New(rows, kc)
+	for i := range out.Data() {
+		out.Data()[i] = held[i%len(held)]
+	}
+	for i := range b.Data() {
+		b.Data()[i] = []float32{1, inf, nan, -2}[(i/len(held))%4]
+	}
+	for i := range coef.Data() {
+		coef.Data()[i] = []float32{0, negZero}[i%2]
+	}
+	for name, kernel := range map[string]func([]float32, int, int, []float32, int, int, []float32, int){
+		"tileKernel": tileKernel, "tileKernelGeneric": tileKernelGeneric,
+	} {
+		got := out.Clone()
+		kernel(got.Data(), rows, n, coef.Data(), kc, 1, b.Data(), kc)
+		assertBitsEqual(t, name+" skipped terms", got, out)
+	}
+}
+
+// TestSIMDHelpersRejectShortOperands: the assembly takes raw pointers, so
+// every wrapper must refuse an operand shorter than the extent it will
+// touch, as the portable bodies' re-slicing does.
+func TestSIMDHelpersRejectShortOperands(t *testing.T) {
+	long, short := make([]float32, 40), make([]float32, 39)
+	for name, fn := range map[string]func(){
+		"saxpy":               func() { saxpy(long, short, 2) },
+		"saxpyGeneric":        func() { saxpyGeneric(long, short, 2) },
+		"vadd":                func() { vadd(long, short) },
+		"vaddGeneric":         func() { vaddGeneric(long, short) },
+		"ReLUClamp":           func() { ReLUClamp(long, short) },
+		"reluClampGeneric":    func() { reluClampGeneric(long, short) },
+		"ReLUMask g":          func() { ReLUMask(long, short, long) },
+		"ReLUMask out":        func() { ReLUMask(long, long, short) },
+		"reluMaskGeneric":     func() { reluMaskGeneric(long, long, short) },
+		"tileKernel out":      func() { tileKernel(short, 4, 10, long, 10, 1, long, 4) },
+		"tileKernel a":        func() { tileKernel(long, 4, 10, short, 12, 1, long, 4) },
+		"tileKernel b":        func() { tileKernel(long, 4, 10, long, 10, 1, short, 4) },
+		"tileKernelGeneric a": func() { tileKernelGeneric(long, 4, 10, short, 12, 1, long, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on a short operand", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	// Empty extents are no-ops, not a wrapped-around loop count.
+	tileKernel(long, 4, 10, long, 10, 1, long, 0)
+	tileKernel(long, 4, 0, long, 10, 1, long, 4)
+	tileKernel(long, 0, 10, long, 10, 1, long, 4)
+	for i, v := range long {
+		if math.Float32bits(v) != 0 {
+			t.Fatalf("empty-extent tileKernel wrote long[%d] = %v", i, v)
+		}
 	}
 }

@@ -2,21 +2,40 @@ package tensor
 
 // Blocked, schedule-parameterized matmul variants. The strategy: keep the
 // seed's per-output-element accumulation chain (ascending p, one multiply
-// then one add per term, exact-zero a-coefficients skipped) but feed it
-// through the SIMD micro-kernels and reorganize the loops for locality:
+// then one add per term, exact-zero a-coefficients skipped) but run it in
+// a register tile and reorganize the loops for locality:
 //
-//   - TileM groups output rows so each load of a b-panel row updates
-//     several output rows (saxpy4 shares one x load across four
-//     accumulator rows);
+//   - tileKernel (simd_amd64.s; portable body in simd.go) loads a 4-row ×
+//     16/8/1-column block of out into registers, runs a whole K-block over
+//     it and stores it once, so an output element is loaded and stored once
+//     per K-block instead of once per term, and each load of a b-panel row
+//     feeds four output rows. TileM is the row block handed to it; rows
+//     past a multiple of four go through the same body one at a time.
 //   - TileK blocks the reduction dimension so the b panel in flight stays
 //     cache-resident across the whole row sweep (and, for MatMulBT, so the
 //     transposed panel can be packed once into a contiguous slab).
+//
+// The exact-zero skip is branchless. A skipped term adds -0.0 in place of
+// its product, and x + (-0.0) is x bit for bit for every float32 x: +0
+// stays +0 (only -0 + -0 is -0), -0 stays -0, infinities and NaNs pass
+// through. So a 0×Inf or 0×NaN product never reaches the accumulator, as
+// the reference's `continue` guarantees, and no pattern of zeros among a
+// tile's four coefficients leaves the SIMD path — post-ReLU operands are
+// about half zeros, so a branch on "all four nonzero" would fail fifteen
+// terms in sixteen. +0.0 would not do: -0 + +0 is +0. "Zero" is Go's
+// a == 0: both signs, and never NaN (a NaN coefficient turns its row NaN).
+//
+// Each term is one multiply then one add, never a fused multiply-add, which
+// rounds once where the reference rounds twice. The multiply takes
+// (b, coefficient) and the add (product, accumulator), as saxpyAsm does:
+// x86 returns its first NaN operand, so when two NaNs meet the payload that
+// survives is the one saxpy would leave.
 //
 // Loop blocking never changes which terms reach an output element or in
 // what order — each element still sees its terms in ascending p — so every
 // variant is bit-identical to the naive reference for any tile sizes.
 
-// defaultTileM is the output-row block fed to the multi-row micro-kernel.
+// defaultTileM is the output-row block fed to the tile kernel.
 const defaultTileM = 4
 
 // defaultTileK is the reduction-panel depth used when the schedule does
@@ -50,17 +69,17 @@ func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n, tm)
+				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n)
 			}
 		}
 	})
 }
 
 // matMulBTPacked computes a × bᵀ by packing K-blocks of bᵀ into a
-// contiguous [tk, n] slab, then running the same row-axpy micro-kernels
-// against the slab. Packing turns MatMulBT's column-strided b accesses
-// into the contiguous panels MatMul enjoys and gives the family's
-// exact-zero skip to the BT form for free.
+// contiguous [tk, n] slab, then running the same tile kernel against the
+// slab. Packing turns MatMulBT's column-strided b accesses into the
+// contiguous panels MatMul enjoys and gives the family's exact-zero skip
+// to the BT form for free.
 func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Rows()
@@ -96,7 +115,7 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n, tm)
+				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n)
 			}
 		})
 	}
@@ -104,54 +123,8 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 
 // matMulTile accumulates out rows [i0,i1) over reduction terms [kk,ke),
 // with row i's coefficient for term p at ad[i*si+p*sp] and b-panel rows
-// read from bdata at (p-pOff)*n. Rows are processed four at a time through
-// saxpy4 when the row block and tile allow; a p-term is applied via saxpy4
-// only when all four coefficients are nonzero — otherwise per-row saxpy
-// preserves the exact-zero skip (0×Inf, 0×NaN and -0 accumulation would
-// otherwise diverge from the reference).
-func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n, tm int) {
-	i := i0
-	for ; tm >= 4 && i+4 <= i1; i += 4 {
-		o0 := out.data[i*n : (i+1)*n]
-		o1 := out.data[(i+1)*n : (i+2)*n]
-		o2 := out.data[(i+2)*n : (i+3)*n]
-		o3 := out.data[(i+3)*n : (i+4)*n]
-		q := i*si + kk*sp
-		for p := kk; p < ke; p, q = p+1, q+sp {
-			a0, a1, a2, a3 := ad[q], ad[q+si], ad[q+2*si], ad[q+3*si]
-			bp := bdata[(p-pOff)*n : (p-pOff+1)*n]
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				saxpy4(o0, o1, o2, o3, bp, a0, a1, a2, a3)
-				continue
-			}
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if a0 != 0 {
-				saxpy(o0, bp, a0)
-			}
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if a1 != 0 {
-				saxpy(o1, bp, a1)
-			}
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if a2 != 0 {
-				saxpy(o2, bp, a2)
-			}
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if a3 != 0 {
-				saxpy(o3, bp, a3)
-			}
-		}
-	}
-	for ; i < i1; i++ {
-		oi := out.data[i*n : (i+1)*n]
-		for p := kk; p < ke; p++ {
-			av := ad[i*si+p*sp]
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if av == 0 {
-				continue
-			}
-			saxpy(oi, bdata[(p-pOff)*n:(p-pOff+1)*n], av)
-		}
-	}
+// read from bdata at (p-pOff)*n: one tileKernel call over the block's
+// sub-slices.
+func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int) {
+	tileKernel(out.data[i0*n:i1*n], i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk)
 }

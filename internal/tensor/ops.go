@@ -100,16 +100,13 @@ func AddRowVec(a, v *Tensor) *Tensor {
 
 // SumRows returns the column-wise sum over all rows of a's 2-D view: a
 // vector of length a.Cols(). It is the gradient counterpart of AddRowVec.
-// It runs serially: all rows accumulate into one shared output vector, and
-// chunked accumulation would change float summation order.
+// It runs serially, one vector add per row: all rows accumulate into one
+// shared output vector, and chunked accumulation would change float
+// summation order.
 func SumRows(a *Tensor) *Tensor {
-	c := a.Cols()
-	out := NewFrom(a, c)
+	out := NewFrom(a, a.Cols())
 	for r := 0; r < a.Rows(); r++ {
-		ar := a.Row(r)
-		for j := 0; j < c; j++ {
-			out.data[j] += ar[j]
-		}
+		vadd(out.data, a.Row(r))
 	}
 	return out
 }

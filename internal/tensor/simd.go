@@ -11,20 +11,48 @@ func saxpyGeneric(dst, x []float32, a float32) {
 	}
 }
 
-func saxpy4Generic(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	x = x[:len(d0)]
-	for i := range x {
-		v := x[i]
-		d0[i] += a0 * v
-		d1[i] += a1 * v
-		d2[i] += a2 * v
-		d3[i] += a3 * v
-	}
-}
-
 func vaddGeneric(dst, x []float32) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] += x[i]
+	}
+}
+
+// tileKernelGeneric is the matmul family's tile body: for r < rows and
+// j < n, out[r*n+j] accumulates a[r*si+p*sp]*b[p*n+j] over p in [0,kc) in
+// ascending p, one multiply then one add per term; a term whose
+// coefficient is exactly zero (either sign) never touches the accumulator.
+func tileKernelGeneric(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+	for r := 0; r < rows; r++ {
+		or := out[r*n : (r+1)*n]
+		for p := 0; p < kc; p++ {
+			av := a[r*si+p*sp]
+			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
+			if av == 0 {
+				continue
+			}
+			saxpyGeneric(or, b[p*n:(p+1)*n], av)
+		}
+	}
+}
+
+func reluClampGeneric(dst, src []float32) {
+	src = src[:len(dst)]
+	for i, z := range src {
+		if !(z > 0) { // not z <= 0: NaN clamps to +0 as well
+			z = 0
+		}
+		dst[i] = z
+	}
+}
+
+func reluMaskGeneric(dst, g, out []float32) {
+	g, out = g[:len(dst)], out[:len(dst)]
+	for i := range dst {
+		var v float32
+		if out[i] > 0 {
+			v = g[i]
+		}
+		dst[i] = v
 	}
 }

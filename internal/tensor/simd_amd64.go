@@ -13,10 +13,16 @@ package tensor
 func saxpyAsm(dst, x *float32, n int, a float32)
 
 //go:noescape
-func saxpy4Asm(d0, d1, d2, d3, x *float32, n int, a0, a1, a2, a3 float32)
+func vaddAsm(dst, x *float32, n int)
 
 //go:noescape
-func vaddAsm(dst, x *float32, n int)
+func tileKernelAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
+
+//go:noescape
+func reluClampAsm(dst, src *float32, n int)
+
+//go:noescape
+func reluMaskAsm(dst, grad, out *float32, n int)
 
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -45,41 +51,82 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
+// The wrappers re-slice every operand to the length the assembly will
+// touch before taking its address, so a short operand panics here exactly
+// as it does in the portable body instead of reading or writing out of
+// bounds.
+
 // saxpy computes dst[i] += a*x[i] for i in [0, len(dst)), in ascending
 // order with one multiply then one add per element (never FMA).
 func saxpy(dst, x []float32, a float32) {
-	if len(dst) == 0 {
+	if !hasAVX2 {
+		saxpyGeneric(dst, x, a)
 		return
 	}
-	if hasAVX2 {
+	x = x[:len(dst)]
+	if len(dst) > 0 {
 		saxpyAsm(&dst[0], &x[0], len(dst), a)
-		return
 	}
-	saxpyGeneric(dst, x, a)
-}
-
-// saxpy4 runs four axpy rows over a shared x: d<r>[i] += a<r>*x[i]. The
-// rows are independent accumulators, so the interleaving across rows does
-// not affect any single row's result.
-func saxpy4(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	if len(d0) == 0 {
-		return
-	}
-	if hasAVX2 {
-		saxpy4Asm(&d0[0], &d1[0], &d2[0], &d3[0], &x[0], len(d0), a0, a1, a2, a3)
-		return
-	}
-	saxpy4Generic(d0, d1, d2, d3, x, a0, a1, a2, a3)
 }
 
 // vadd computes dst[i] += x[i] for i in [0, len(dst)).
 func vadd(dst, x []float32) {
-	if len(dst) == 0 {
+	if !hasAVX2 {
+		vaddGeneric(dst, x)
 		return
 	}
-	if hasAVX2 {
+	x = x[:len(dst)]
+	if len(dst) > 0 {
 		vaddAsm(&dst[0], &x[0], len(dst))
+	}
+}
+
+// tileKernel is tileKernelGeneric through the register-tile assembly: four
+// rows per call, and each leftover row as a tile of row stride 0 (its four
+// lanes compute and store the same row).
+func tileKernel(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+	if !hasAVX2 {
+		tileKernelGeneric(out, rows, n, a, si, sp, b, kc)
 		return
 	}
-	vaddGeneric(dst, x)
+	if rows <= 0 || n <= 0 || kc <= 0 { // also: the assembly's loops count down to zero
+		return
+	}
+	// The last element of each operand the kernel reaches.
+	_, _, _ = out[rows*n-1], a[(rows-1)*si+(kc-1)*sp], b[kc*n-1]
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		tileKernelAsm(&out[r*n], n, &a[r*si], si, sp, &b[0], n, kc)
+	}
+	for ; r < rows; r++ {
+		tileKernelAsm(&out[r*n], 0, &a[r*si], 0, sp, &b[0], n, kc)
+	}
+}
+
+// ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
+// and -0 included), for i in [0, len(dst)), without a branch per element.
+// dst may be src.
+func ReLUClamp(dst, src []float32) {
+	if !hasAVX2 {
+		reluClampGeneric(dst, src)
+		return
+	}
+	src = src[:len(dst)]
+	if len(dst) > 0 {
+		reluClampAsm(&dst[0], &src[0], len(dst))
+	}
+}
+
+// ReLUMask writes dst[i] = g[i] where out[i] > 0 and +0 elsewhere, for i in
+// [0, len(dst)): ReLU's backward from its output, without a branch per
+// element. dst may be g.
+func ReLUMask(dst, g, out []float32) {
+	if !hasAVX2 {
+		reluMaskGeneric(dst, g, out)
+		return
+	}
+	g, out = g[:len(dst)], out[:len(dst)]
+	if len(dst) > 0 {
+		reluMaskAsm(&dst[0], &g[0], &out[0], len(dst))
+	}
 }

@@ -6,8 +6,16 @@ package tensor
 
 func saxpy(dst, x []float32, a float32) { saxpyGeneric(dst, x, a) }
 
-func saxpy4(d0, d1, d2, d3, x []float32, a0, a1, a2, a3 float32) {
-	saxpy4Generic(d0, d1, d2, d3, x, a0, a1, a2, a3)
+func vadd(dst, x []float32) { vaddGeneric(dst, x) }
+
+func tileKernel(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+	tileKernelGeneric(out, rows, n, a, si, sp, b, kc)
 }
 
-func vadd(dst, x []float32) { vaddGeneric(dst, x) }
+// ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
+// and -0 included), for i in [0, len(dst)). dst may be src.
+func ReLUClamp(dst, src []float32) { reluClampGeneric(dst, src) }
+
+// ReLUMask writes dst[i] = g[i] where out[i] > 0 and +0 elsewhere, for i in
+// [0, len(dst)): ReLU's backward from its output. dst may be g.
+func ReLUMask(dst, g, out []float32) { reluMaskGeneric(dst, g, out) }

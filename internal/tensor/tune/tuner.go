@@ -118,7 +118,7 @@ func candidatesFor(op tensor.Op, workers int) []tensor.Schedule {
 	case tensor.OpMatMul, tensor.OpMatMulBT, tensor.OpMatMulAT:
 		variants = []tensor.Schedule{
 			{},                     // blocked, default tiles
-			{TileM: 1},             // single-row saxpy stream
+			{TileM: 1},             // one output row per tile
 			{TileK: 128},           // shallow panels
 			{TileK: 256},           // default packing depth, explicit
 			{TileM: 4, TileK: 512}, // deep panels

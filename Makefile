@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fixtures check bench bench-e2e trace-demo bench-json bench-baseline tune
+.PHONY: build test lint lint-fixtures check bench bench-e2e trace-demo tune
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,12 @@ lint-fixtures:
 # core and exec test packages force at least two group slots in TestMain,
 # so concurrent fused groups are exercised whatever the box's CPU count;
 # the graph leg holds the shared-param first-use test; the core leg also
-# runs the golden plan files), plus the perf-regression gate against the
-# committed baseline (noise-aware ratio metrics; nonzero exit on
-# regression). vet's asmdecl pass checks the assembly kernels' frames; the
-# arm64 cross-build compiles the portable kernel bodies, the only path off
-# amd64.
+# runs the golden plan files), plus a short pass of the end-to-end ledger
+# (all six ./bench workloads, every output checked bit for bit; nonzero
+# exit on any failed check or operation — timing claims are made from
+# alternating parent/change pairs, bench/README.md, not from this step).
+# vet's asmdecl pass checks the assembly kernels' frames; the arm64
+# cross-build compiles the portable kernel bodies, the only path off amd64.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -48,17 +49,20 @@ check:
 	$(GO) test -race ./internal/opt/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
-	$(GO) run ./cmd/nautilus-bench -exp obs,replan,calib,fusion,kernels,lint -tune-table TUNE_table.json -baseline BENCH_baseline.json
+	$(GO) run ./bench -seconds 3
 
 # bench runs the paper-table benchmarks at the root, the layer step
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
-# + backward at BERT-mini shapes, ns per activated element) and the tensor
+# + backward at BERT-mini shapes, ns per activated element), the tensor
 # kernels (BenchmarkMatMulConvShapes: the matmul family at conv-layer
-# shapes with half-zero coefficients, in gflops), so a change to the
-# activation path or the tile kernel has a number without a 15 s
-# bench-e2e session.
+# shapes with half-zero coefficients, in gflops; BenchmarkEltwiseAdd256:
+# serial vs fanned out), so a change to the activation path or the tile
+# kernel has a number without a 15 s bench-e2e session, and the
+# observability-overhead benchmarks (internal/exec:
+# BenchmarkTrainGroupNoObs/ActiveObs over one trainer loop and
+# BenchmarkTrainStepPooled/Unpooled; internal/obs: span and counter cost).
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor
+	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor ./internal/exec ./internal/obs
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
 # multi-cycle sessions on six workloads, every output checked bit for bit
@@ -73,26 +77,10 @@ trace-demo:
 	$(GO) run ./cmd/nautilus-run -workload FTR-3 -cycles 1 -trace demo.trace -metrics demo_metrics.json
 	$(GO) test -run TestTraceDemo -count=1 .
 
-# bench-json measures observability overhead on the trainer hot loop
-# (no tracer vs nil sink vs active sink), the incremental-replan savings
-# after AddCandidates, the hot-path engine (parallel kernels + step
-# arena), the lint suite's per-analyzer wall time, the trace-calibration
-# conformance tightening, and the enum-vs-greedy fusion plan quality;
-# -out . writes BENCH_obs.json + BENCH_replan.json + BENCH_kernels.json +
-# BENCH_lint.json + BENCH_calib.json + BENCH_fusion.json (BENCH_<exp>.json).
-bench-json:
-	$(GO) run ./cmd/nautilus-bench -exp obs,replan,kernels,lint,calib,fusion -tune-table TUNE_table.json -out .
-
-# bench-baseline rewrites the committed perf-regression baseline from a
-# fresh run of the gated experiments. Run it after an intentional perf
-# change, eyeball the diff, and commit the new BENCH_baseline.json.
-bench-baseline:
-	$(GO) run ./cmd/nautilus-bench -exp obs,replan,calib,fusion,kernels,lint -tune-table TUNE_table.json -write-baseline BENCH_baseline.json
-
 # tune re-benchmarks every kernel shape class on this machine and
 # rewrites the committed schedule table. Run it after kernel changes or
-# on new hardware; check loads the table and hard-errors on a version
-# mismatch, so regenerate + commit TUNE_table.json together with any
-# table-format change.
+# on new hardware; go run ./bench (check's last step, bench-e2e) loads
+# TUNE_table.json through tune.Load and hard-errors on a version mismatch,
+# so regenerate + commit the table together with any table-format change.
 tune:
 	$(GO) run ./cmd/nautilus-bench -exp tune -tune-out TUNE_table.json

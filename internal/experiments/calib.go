@@ -18,26 +18,26 @@ import (
 // DefaultHardware constants the paper assumes, once with the fitted ones.
 // Calibration tightens conformance when the After columns beat Before.
 type CalibResult struct {
-	Workload string `json:"workload"`
-	Cycles   int    `json:"cycles"`
+	Workload string
+	Cycles   int
 
-	ComputeSamples int `json:"compute_samples"`
-	ComputeTrimmed int `json:"compute_trimmed"`
-	ReadSamples    int `json:"read_samples"`
+	ComputeSamples int
+	ComputeTrimmed int
+	ReadSamples    int
 
 	// Static constants (profile.DefaultHardware) vs fitted ones.
-	DefaultFLOPS   float64 `json:"default_flops_per_sec"`
-	FittedFLOPS    float64 `json:"fitted_flops_per_sec"`
-	DefaultReadBps float64 `json:"default_read_bytes_per_sec"`
-	FittedReadBps  float64 `json:"fitted_read_bytes_per_sec"`
+	DefaultFLOPS   float64
+	FittedFLOPS    float64
+	DefaultReadBps float64
+	FittedReadBps  float64
 
 	// Mean |predicted − actual| / actual over per-sample seconds, scored
 	// on the outlier-trimmed sample set (the measurements the fit trusts)
 	// so a single GC stall cannot dominate either column.
-	ErrComputeBefore float64 `json:"err_compute_before"`
-	ErrComputeAfter  float64 `json:"err_compute_after"`
-	ErrLoadBefore    float64 `json:"err_load_before"`
-	ErrLoadAfter     float64 `json:"err_load_after"`
+	ErrComputeBefore float64
+	ErrComputeAfter  float64
+	ErrLoadBefore    float64
+	ErrLoadAfter     float64
 }
 
 // Calib runs the calibration-tightens-conformance experiment on a small

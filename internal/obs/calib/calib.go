@@ -142,8 +142,8 @@ func Trim(samples []obs.Sample) []obs.Sample {
 // MeanAbsRelErr scores a throughput constant against measured samples:
 // the mean of |predicted seconds − actual seconds| / actual seconds,
 // where predicted seconds is work/throughput. It is the conformance
-// tightness metric BENCH_calib.json reports before vs after calibration.
-// Returns 0 when no sample is usable.
+// tightness metric nautilus-bench -exp calib prints before vs after
+// calibration. Returns 0 when no sample is usable.
 func MeanAbsRelErr(samples []obs.Sample, throughput float64) float64 {
 	if throughput <= 0 {
 		return 0

@@ -10,8 +10,8 @@ import (
 
 // GreedyTrapWorkload builds a four-model workload on which Algorithm 1 is
 // provably suboptimal, together with a memory budget that exposes the
-// trap. It backs the enum-vs-greedy fixture test and the `-exp fusion`
-// benchmark.
+// trap. It backs the enum-vs-greedy fixture test and the trap.fixture
+// golden plans.
 //
 // The construction: four models A..D over one shared input, with three
 // frozen trunk blocks shared pairwise — P (the widest) by {A,B}, Q by

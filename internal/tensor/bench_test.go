@@ -49,6 +49,30 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	}
 }
 
+// BenchmarkEltwiseAdd256 times tensor.Add on 256x256 operands (65 536
+// elements, exactly parallelThreshold) serially and fanned out over the
+// ambient worker cap: the number behind the parallelThreshold / SerialBelow
+// decision for elementwise kernels.
+func BenchmarkEltwiseAdd256(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := RandNormal(rng, 1, 256, 256)
+	y := RandNormal(rng, 1, 256, 256)
+	prev := int(workerCap.Load())
+	b.Cleanup(func() { SetMaxWorkers(prev) })
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=MaxWorkers", MaxWorkers()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			SetMaxWorkers(tc.workers)
+			b.SetBytes(3 * 256 * 256 * 4)
+			for i := 0; i < b.N; i++ {
+				Add(x, y)
+			}
+		})
+	}
+}
+
 // BenchmarkMatMulConvShapes times the matmul family where the conv
 // workloads spend it: im2col-shaped operands (many rows, 8-16 output
 // channels) whose coefficient operand is half exact zeros, as a post-ReLU

@@ -128,18 +128,6 @@ func scheduleFor(op Op, dims [3]int) Schedule {
 	return sch
 }
 
-// ScheduleFor reports the schedule the next dispatch of (op, dims) would
-// use and whether it came from the installed tuned table. Benchmarks use
-// it to label which schedule fired without re-deriving table lookups.
-func ScheduleFor(op Op, dims [3]int) (Schedule, bool) {
-	if box, ok := scheduleSource.Load().(sourceBox); ok && box.src != nil {
-		if sch, ok := box.src.Schedule(op, dims, MaxWorkers()); ok {
-			return sch, true
-		}
-	}
-	return Schedule{}, false
-}
-
 // opStats accumulates dispatch counts and the last schedule fired for one
 // op. last is stored as a Schedule value under the mutex-free atomic.
 type opStats struct {
@@ -161,7 +149,11 @@ func recordDispatch(op Op, sch Schedule, tuned bool) {
 	} else {
 		st.fallback.Add(1)
 	}
-	st.last.Store(sch)
+	// Storing boxes sch on the heap; launches repeat one schedule per op,
+	// so only a change pays for it.
+	if last, ok := st.last.Load().(Schedule); !ok || last != sch {
+		st.last.Store(sch)
+	}
 }
 
 // OpDispatch is one op's dispatch statistics snapshot: how many kernel
@@ -201,13 +193,12 @@ func DispatchCounts() (tuned, fallback int64) {
 	return tuned, fallback
 }
 
-// WouldParallelize reports whether a dispatch under sch chunks [0,n)
+// wouldParallelize reports whether a dispatch under sch chunks [0,n)
 // across goroutines rather than running serially: the schedule's worker
 // count (or the ambient cap) must exceed one, the loop must be divisible,
 // and the work estimate must clear the schedule's serial cutoff (or the
-// global threshold when the schedule doesn't set one). Benchmarks use it
-// to decide whether a kernel's serial and dispatched paths even differ.
-func WouldParallelize(sch Schedule, n, work int) bool {
+// global threshold when the schedule doesn't set one).
+func wouldParallelize(sch Schedule, n, work int) bool {
 	workers := sch.Workers
 	if limit := MaxWorkers(); workers <= 0 || workers > limit {
 		workers = limit
@@ -226,7 +217,7 @@ func WouldParallelize(sch Schedule, n, work int) bool {
 // state, so results are bit-identical to a serial run (the chunkdisjoint
 // analyzer checks parallelFor callbacks too).
 func parallelFor(sch Schedule, n, work int, fn func(lo, hi int)) {
-	if !WouldParallelize(sch, n, work) {
+	if !wouldParallelize(sch, n, work) {
 		fn(0, n)
 		return
 	}

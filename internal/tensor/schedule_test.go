@@ -38,8 +38,8 @@ func TestWouldParallelize(t *testing.T) {
 		{"workers above cap clamp to cap", Schedule{Workers: 64, SerialBelow: 1}, 100, 10, true},
 	}
 	for _, c := range cases {
-		if got := WouldParallelize(c.sch, c.n, c.work); got != c.want {
-			t.Errorf("%s: WouldParallelize = %v, want %v", c.name, got, c.want)
+		if got := wouldParallelize(c.sch, c.n, c.work); got != c.want {
+			t.Errorf("%s: wouldParallelize = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -83,18 +83,17 @@ func TestScheduleSourceDispatchCounts(t *testing.T) {
 	}
 }
 
-// TestScheduleForMatchesDispatch pins the benchmark-labeling helper to
-// the dispatch path: both must resolve the same schedule.
-func TestScheduleForMatchesDispatch(t *testing.T) {
+// TestScheduleForDoesNotAllocate pins the per-launch cost of the dispatch
+// counters: a repeated launch of one op under one schedule stays off the
+// heap, with or without a tuned source.
+func TestScheduleForDoesNotAllocate(t *testing.T) {
 	t.Cleanup(func() { SetScheduleSource(nil) })
-	forced := Schedule{TileM: 2, Workers: 1}
-	SetScheduleSource(testForce{forced})
-	sch, ok := ScheduleFor(OpMatMul, [3]int{8, 8, 8})
-	if !ok || sch != forced {
-		t.Fatalf("ScheduleFor = %+v, %v; want %+v, true", sch, ok, forced)
-	}
-	SetScheduleSource(nil)
-	if _, ok := ScheduleFor(OpMatMul, [3]int{8, 8, 8}); ok {
-		t.Fatal("ScheduleFor reports a tuned hit with no source installed")
+	dims := [3]int{8, 8, 8}
+	for _, src := range []ScheduleSource{nil, testForce{Schedule{TileM: 2, Workers: 1}}} {
+		SetScheduleSource(src)
+		scheduleFor(OpMatMul, dims) // first launch records the schedule
+		if allocs := testing.AllocsPerRun(100, func() { scheduleFor(OpMatMul, dims) }); allocs != 0 {
+			t.Errorf("source %v: scheduleFor allocates %v times per launch, want 0", src, allocs)
+		}
 	}
 }

@@ -60,9 +60,13 @@ check:
 # kernel has a number without a 15 s bench-e2e session, and the
 # observability-overhead benchmarks (internal/exec:
 # BenchmarkTrainGroupNoObs/ActiveObs over one trainer loop and
-# BenchmarkTrainStepPooled/Unpooled; internal/obs: span and counter cost).
+# BenchmarkTrainStepPooled/Unpooled; internal/obs: span and counter cost),
+# and the optimizer's own (internal/opt: BenchmarkBuildGroupPair — one
+# paper-scale trial merge, the ns/op and allocs/op behind plan_zoo's
+# opt.fuse_s — BenchmarkFuseModels12, BenchmarkOptimizeMaterialization12Models,
+# BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut).
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor ./internal/exec ./internal/obs
+	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
 # multi-cycle sessions on six workloads, every output checked bit for bit

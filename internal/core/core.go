@@ -494,10 +494,14 @@ type WorkloadPlan struct {
 // materialized set V and the grouped reuse plans. Both the live system
 // (ModelSelection) and the paper-scale simulator consume it, so simulated
 // experiments replay exactly the decisions the real system makes. It is a
-// one-shot front door to the staged planner session (no config validation:
-// experiments legitimately sweep degenerate budgets).
+// one-shot front door to the staged planner session (candidates are
+// validated, the configuration is not: experiments legitimately sweep
+// degenerate budgets).
 func PlanWorkload(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config, maxRecords int) (*WorkloadPlan, error) {
 	if _, err := cfg.Resolve(); err != nil {
+		return nil, err
+	}
+	if err := validateCandidates(items); err != nil {
 		return nil, err
 	}
 	p := newPlanner(items, mm, cfg)

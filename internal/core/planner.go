@@ -10,6 +10,7 @@ import (
 	"nautilus/internal/mmg"
 	"nautilus/internal/obs"
 	"nautilus/internal/opt"
+	"nautilus/internal/profile"
 	"nautilus/internal/verify"
 )
 
@@ -55,6 +56,45 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
+// CandidateError reports a candidate set the planner cannot hold: two
+// candidates under one model name (RemoveCandidate, the fusers' member-set
+// memo and checkpoints all key by name), or a work item whose profile is
+// missing or describes another model (every group's facts are derived from
+// its members' profiles).
+type CandidateError struct {
+	// Model is the offending candidate's model name.
+	Model string
+	// Reason explains the rejection.
+	Reason string
+}
+
+// Error implements error.
+func (e *CandidateError) Error() string {
+	return fmt.Sprintf("core: invalid candidate %q: %s", e.Model, e.Reason)
+}
+
+// validateCandidates rejects a candidate set with a typed *CandidateError.
+func validateCandidates(items []opt.WorkItem) error {
+	seen := make(map[string]bool, len(items))
+	for i, it := range items {
+		if it.Model == nil {
+			return &CandidateError{Reason: fmt.Sprintf("work item %d has no model", i)}
+		}
+		name := it.Model.Name
+		if seen[name] {
+			return &CandidateError{Model: name, Reason: "duplicate model name"}
+		}
+		seen[name] = true
+		if it.Prof == nil {
+			return &CandidateError{Model: name, Reason: "missing profile (profile.Profile the model first)"}
+		}
+		if it.Prof.Model != it.Model {
+			return &CandidateError{Model: name, Reason: "profile describes another model"}
+		}
+	}
+	return nil
+}
+
 // PlanDelta describes how one replan changed the materialized set V
 // relative to the previous plan: which signatures survive (their on-disk
 // artifacts are reused as-is), which are new (materialized from row zero),
@@ -76,9 +116,12 @@ type PlanDelta struct {
 // Planner is the planning session behind a model-selection workload: it
 // owns the candidate set, the expected-maximum record count r, and the
 // current WorkloadPlan, and reacts to evolution events — GrowData,
-// AddCandidates, RemoveCandidate — by marking the plan dirty and, on the
-// next Replan, computing a plan delta against the previous plan instead of
-// rebuilding the world.
+// AddCandidates, RemoveCandidate — by marking the plan dirty. The next
+// Replan re-solves MAT OPT and FUSE OPT from scratch over the current
+// candidates (each candidate is profiled once, when it joins, and every
+// group's facts derive from those profiles); what is incremental is V's
+// artifacts: the returned delta says which materialized signatures are
+// kept as they are, which are new and which are orphaned.
 //
 // A Planner is not safe for concurrent use; ModelSelection drives one per
 // workload.
@@ -93,12 +136,17 @@ type Planner struct {
 }
 
 // NewPlanner creates a planning session for the candidate set, validating
-// the configuration (typed *ConfigError on rejection).
+// the configuration (typed *ConfigError on rejection) and the candidates
+// (typed *CandidateError: duplicate model name, missing or foreign
+// profile).
 func NewPlanner(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*Planner, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("core: empty candidate set")
 	}
 	if err := validateConfig(cfg); err != nil {
+		return nil, err
+	}
+	if err := validateCandidates(items); err != nil {
 		return nil, err
 	}
 	return newPlanner(items, mm, cfg), nil
@@ -148,18 +196,23 @@ func (p *Planner) GrowData(trainSize int) bool {
 // AddCandidates grows the workload with new candidates mid-run (the
 // "evolving model selection workloads" extension of Section 7). Every new
 // candidate's model is statically verified first; a malformed model rejects
-// the whole evolution with a typed *verify.PlanError (errors.As) and leaves
-// the session unchanged.
+// the whole evolution with a typed *verify.PlanError (errors.As), a name
+// already in the workload or a missing or foreign profile with a typed
+// *CandidateError, and either leaves the session unchanged.
 func (p *Planner) AddCandidates(items ...opt.WorkItem) error {
 	if len(items) == 0 {
 		return nil
 	}
 	for _, it := range items {
 		if err := verify.Model(it.Model); err != nil {
-			return fmt.Errorf("core: candidate %q rejected: %w", it.Model.Name, err)
+			return fmt.Errorf("core: candidate rejected: %w", err)
 		}
 	}
-	return p.setItems(append(append([]opt.WorkItem(nil), p.items...), items...))
+	next := append(append([]opt.WorkItem(nil), p.items...), items...)
+	if err := validateCandidates(next); err != nil {
+		return err
+	}
+	return p.setItems(next)
 }
 
 // RemoveCandidate drops a candidate by model name.
@@ -182,15 +235,15 @@ func (p *Planner) RemoveCandidate(name string) error {
 	return p.setItems(next)
 }
 
-// setItems swaps the candidate set, rebuilds the merged graph eagerly (so
-// graph-level conflicts surface at the evolution event, not the next Fit),
-// and marks the plan dirty.
+// setItems swaps the (validated) candidate set, rebuilds the merged graph
+// eagerly from the candidates' profiles (so graph-level conflicts surface at
+// the evolution event, not the next Fit), and marks the plan dirty.
 func (p *Planner) setItems(items []opt.WorkItem) error {
-	models := make([]*graph.Model, len(items))
+	profs := make([]*profile.ModelProfile, len(items))
 	for i, it := range items {
-		models[i] = it.Model
+		profs[i] = it.Prof
 	}
-	multi, err := mmg.Build(models...)
+	multi, _, err := mmg.BuildProfiled(profs...)
 	if err != nil {
 		return err
 	}

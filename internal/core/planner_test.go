@@ -4,13 +4,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
 	"nautilus/internal/mmg"
+	"nautilus/internal/models"
 	"nautilus/internal/obs"
 	"nautilus/internal/opt"
+	"nautilus/internal/profile"
 	"nautilus/internal/verify"
 )
 
@@ -324,6 +327,86 @@ func TestAddCandidatesRejectsMalformedModel(t *testing.T) {
 	after := ms.Candidates()
 	if len(after) != len(before) {
 		t.Errorf("rejected evolution changed the candidate set: %v -> %v", before, after)
+	}
+}
+
+// freshCandidate builds and profiles one more tiny feature-transfer
+// candidate under the given model name.
+func freshCandidate(t *testing.T, name string) opt.WorkItem {
+	t.Helper()
+	m, err := models.NewBERTHub(models.BERTMini()).FeatureTransferModel(name, models.FeatLastHidden, 9, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profile.Profile(m, miniHW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 8, LR: 5e-3}
+}
+
+// TestPlannerRejectsDuplicateNamesAndBadProfiles: a candidate whose model
+// name is taken, or whose profile is missing or describes another model, is
+// refused with a typed *CandidateError by AddCandidates (candidate set
+// before == after, plan still clean) and by NewPlanner. Before the check a
+// first duplicate was accepted — RemoveCandidate then dropped both — and a
+// second one panicked inside the merge on a duplicate node name.
+func TestPlannerRejectsDuplicateNamesAndBadProfiles(t *testing.T) {
+	ms := newMS(t, Nautilus)
+	if _, err := ms.Fit(snapshots(t, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := ms.Candidates()
+
+	other := freshCandidate(t, "other")
+	noProfile := freshCandidate(t, "t9")
+	noProfile.Prof = nil
+	foreignProfile := freshCandidate(t, "t9")
+	foreignProfile.Prof = other.Prof
+	cases := []struct {
+		name  string
+		items []opt.WorkItem
+		model string
+	}{
+		{"duplicate of an existing name", []opt.WorkItem{freshCandidate(t, "t0")}, "t0"},
+		{"the same duplicate again", []opt.WorkItem{freshCandidate(t, "t0")}, "t0"},
+		{"duplicate within one call", []opt.WorkItem{freshCandidate(t, "t9"), freshCandidate(t, "t9")}, "t9"},
+		{"missing profile", []opt.WorkItem{noProfile}, "t9"},
+		{"profile of another model", []opt.WorkItem{foreignProfile}, "t9"},
+	}
+	for _, tc := range cases {
+		err := ms.AddCandidates(tc.items...)
+		var ce *CandidateError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: AddCandidates = %v, want *CandidateError", tc.name, err)
+		} else if ce.Model != tc.model {
+			t.Errorf("%s: CandidateError.Model = %q, want %q", tc.name, ce.Model, tc.model)
+		}
+		if after := ms.Candidates(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: rejected evolution changed the candidate set: %v -> %v", tc.name, before, after)
+		}
+		if ms.Planner().NeedsReplan() {
+			t.Errorf("%s: rejected evolution marked the plan dirty", tc.name)
+		}
+
+		items, mm := tinyWorkload(t)
+		cfg := DefaultConfig(t.TempDir())
+		cfg.HW = miniHW
+		_, err = NewPlanner(append(items, tc.items...), mm, cfg)
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: NewPlanner = %v, want *CandidateError", tc.name, err)
+		}
+		if _, err = PlanWorkload(append(items, tc.items...), mm, cfg, 600); !errors.As(err, &ce) {
+			t.Errorf("%s: PlanWorkload = %v, want *CandidateError", tc.name, err)
+		}
+	}
+
+	// A well-formed newcomer is still welcome afterwards.
+	if err := ms.AddCandidates(other); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ms.Candidates()); got != len(before)+1 {
+		t.Errorf("%d candidates after a valid AddCandidates, want %d", got, len(before)+1)
 	}
 }
 

@@ -134,10 +134,12 @@ func buildItems(assignments []map[string]any, init ModelInitFunc, hw profile.Har
 
 // AddCandidates grows the workload with new candidates mid-run (the
 // "evolving model selection workloads" extension of Section 7): the
-// multi-model graph is rebuilt, the next Fit replans incrementally, and
-// materialized artifacts the new plan still uses survive on disk. A
-// malformed candidate model rejects the evolution with a typed
-// *verify.PlanError (errors.As).
+// multi-model graph is rebuilt, the next Fit replans (MAT OPT and FUSE OPT
+// are re-solved; V's artifacts are what is incremental), and materialized
+// artifacts the new plan still uses survive on disk. A malformed candidate
+// model rejects the evolution with a typed *verify.PlanError, a taken model
+// name or a missing or foreign profile with a typed *CandidateError
+// (errors.As).
 func (ms *ModelSelection) AddCandidates(items ...opt.WorkItem) error {
 	return ms.planner.AddCandidates(items...)
 }

@@ -239,6 +239,40 @@ func TestReachablePrunesDeadBranches(t *testing.T) {
 	}
 }
 
+// TestReachableOrderOnMultiOutputDiamond: two outputs over one diamond, the
+// second output listed first and a dead branch in the middle. Reachable
+// visits the shared nodes once and returns insertion (topological) order
+// whatever order the outputs and parents are walked in.
+func TestReachableOrderOnMultiOutputDiamond(t *testing.T) {
+	m := graph.NewModel("diamond")
+	in := m.AddInput("in", 4)
+	left := m.AddNode("left", layers.NewDense(4, 3, layers.ActTanh, 1), in)
+	m.AddNode("dead", layers.NewDense(4, 3, layers.ActTanh, 2), in)
+	right := m.AddNode("right", layers.NewDense(4, 3, layers.ActTanh, 3), in)
+	join := m.AddNode("join", layers.NewAdd(2), right, left)
+	out1 := m.AddNode("out1", layers.NewDense(3, 2, layers.ActNone, 4), join)
+	out2 := m.AddNode("out2", layers.NewDense(3, 2, layers.ActNone, 5), left)
+	m.AddNode("dead_tail", layers.NewDense(2, 2, layers.ActNone, 6), out2)
+	m.SetOutputs(out2, out1)
+
+	var got []string
+	for _, n := range m.Reachable() {
+		got = append(got, n.Name)
+	}
+	want := []string{"in", "left", "right", "join", "out1", "out2"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Reachable = %v, want %v", got, want)
+	}
+	// A view whose only output is the inner join drops both heads.
+	got = got[:0]
+	for _, n := range m.WithOutputs(join).Reachable() {
+		got = append(got, n.Name)
+	}
+	if strings.Join(got, " ") != "in left right join" {
+		t.Errorf("Reachable of the join view = %v", got)
+	}
+}
+
 func TestTrainableParamsAndCounts(t *testing.T) {
 	m, _, _, _ := buildChain(t)
 	tp := m.TrainableParams()

@@ -237,13 +237,20 @@ func Ancestors(n *Node) map[*Node]bool {
 // Reachable returns the nodes of m reachable from its outputs, in
 // topological (insertion) order. Plans prune by dropping unreachable nodes.
 func (m *Model) Reachable() []*Node {
-	keep := map[*Node]bool{}
-	for _, o := range m.Outputs {
-		for n := range Ancestors(o) {
-			keep[n] = true
+	// One walk from all outputs over a shared visited set: a fused group's
+	// k heads share one trunk, which is visited once, not k times.
+	keep := make(map[*Node]bool, len(m.nodes))
+	stack := append([]*Node(nil), m.Outputs...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if keep[n] {
+			continue
 		}
+		keep[n] = true
+		stack = append(stack, n.Parents...)
 	}
-	var out []*Node
+	out := make([]*Node, 0, len(keep))
 	for _, n := range m.nodes {
 		if keep[n] {
 			out = append(out, n)

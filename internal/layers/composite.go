@@ -23,6 +23,12 @@ type Composite struct {
 	inputNames []string
 	params     []*graph.Param
 	trainable  []*graph.Param
+
+	// Per-record facts of the inner model, computed once at construction.
+	outShape        []int
+	flops           int64 // forward FLOPs of every inner node
+	trainableFLOPs  int64 // ... of the inner trainable nodes only
+	activationBytes int64 // activation bytes of every inner node
 }
 
 func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite {
@@ -43,8 +49,27 @@ func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite
 		}
 	}
 	c.trainable = inner.TrainableParams()
-	if _, err := inner.Validate(); err != nil {
+	shapes, err := inner.Validate()
+	if err != nil {
 		panic(fmt.Sprintf("layers: composite %q inner model invalid: %v", typ, err))
+	}
+	// The inner model's input shapes are fixed (OutShape rejects any other),
+	// so its cost-model facts are constants of the composite.
+	c.outShape = shapes[inner.Outputs[0]]
+	for _, n := range inner.Nodes() {
+		if n.IsInput() {
+			continue
+		}
+		ins := make([][]int, len(n.Parents))
+		for i, p := range n.Parents {
+			ins[i] = shapes[p]
+		}
+		f := n.Layer.FLOPsPerRecord(ins)
+		c.flops += f
+		if !n.Frozen() {
+			c.trainableFLOPs += f
+		}
+		c.activationBytes += graph.ActivationBytesPerRecord(n, ins)
 	}
 	return c
 }
@@ -69,61 +94,18 @@ func (c *Composite) OutShape(in [][]int) []int {
 			panic(fmt.Sprintf("layers: composite %q input %d is %v, want %v", c.typ, i, in[i], want))
 		}
 	}
-	shapes := c.inner.Shapes()
-	return append([]int(nil), shapes[c.inner.Outputs[0]]...)
+	return append([]int(nil), c.outShape...)
 }
 
-func (c *Composite) FLOPsPerRecord(in [][]int) int64 {
-	shapes := c.inner.Shapes()
-	var total int64
-	for _, n := range c.inner.Nodes() {
-		if n.IsInput() {
-			continue
-		}
-		ins := make([][]int, len(n.Parents))
-		for i, p := range n.Parents {
-			ins[i] = shapes[p]
-		}
-		total += n.Layer.FLOPsPerRecord(ins)
-	}
-	return total
-}
+func (c *Composite) FLOPsPerRecord(in [][]int) int64 { return c.flops }
 
 // TrainableFLOPsPerRecord implements graph.PartialFLOPs: the forward FLOPs
 // of just the inner trainable nodes (e.g. the adapters).
-func (c *Composite) TrainableFLOPsPerRecord(in [][]int) int64 {
-	shapes := c.inner.Shapes()
-	var total int64
-	for _, n := range c.inner.Nodes() {
-		if n.IsInput() || n.Frozen() {
-			continue
-		}
-		ins := make([][]int, len(n.Parents))
-		for i, p := range n.Parents {
-			ins[i] = shapes[p]
-		}
-		total += n.Layer.FLOPsPerRecord(ins)
-	}
-	return total
-}
+func (c *Composite) TrainableFLOPsPerRecord(in [][]int) int64 { return c.trainableFLOPs }
 
 // ActivationBytesPerRecord sums the activation bytes of every inner node,
 // accounting for all intermediate tensors the backward pass needs.
-func (c *Composite) ActivationBytesPerRecord(in [][]int) int64 {
-	shapes := c.inner.Shapes()
-	var total int64
-	for _, n := range c.inner.Nodes() {
-		if n.IsInput() {
-			continue
-		}
-		ins := make([][]int, len(n.Parents))
-		for i, p := range n.Parents {
-			ins[i] = shapes[p]
-		}
-		total += graph.ActivationBytesPerRecord(n, ins)
-	}
-	return total
-}
+func (c *Composite) ActivationBytesPerRecord(in [][]int) int64 { return c.activationBytes }
 
 func (c *Composite) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	feeds := make(map[string]*tensor.Tensor, len(inputs))

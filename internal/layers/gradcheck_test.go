@@ -450,6 +450,68 @@ func TestCompositeFLOPsAndActivationBytes(t *testing.T) {
 	}
 }
 
+// TestCompositeFactsMatchInnerModel: the four per-record facts a composite
+// computes once at construction equal the per-call recomputation they
+// replaced (a walk over the inner model's inferred shapes), OutShape hands
+// out a fresh slice, and it still rejects any input shape but the inner
+// model's own.
+func TestCompositeFactsMatchInnerModel(t *testing.T) {
+	blocks := map[string]*Composite{
+		"transformer": NewTransformerBlock(TransformerBlockConfig{Seq: 4, Dim: 8, Heads: 2, FFN: 16, Seed: 81}),
+		"adapter":     NewTransformerBlock(TransformerBlockConfig{Seq: 4, Dim: 8, Heads: 2, FFN: 16, Seed: 81, Adapter: 4, AdapterSeed: 7}),
+		"residual":    NewResidualBlock(ResidualBlockConfig{InH: 6, InW: 6, InC: 4, MidC: 2, OutC: 8, Stride: 2, Seed: 5}),
+	}
+	for name, c := range blocks {
+		inner := c.Inner()
+		shapes := inner.Shapes()
+		var flops, trainable, actBytes int64
+		for _, n := range inner.Nodes() {
+			if n.IsInput() {
+				continue
+			}
+			ins := make([][]int, len(n.Parents))
+			for i, p := range n.Parents {
+				ins[i] = shapes[p]
+			}
+			f := n.Layer.FLOPsPerRecord(ins)
+			flops += f
+			if !n.Frozen() {
+				trainable += f
+			}
+			actBytes += graph.ActivationBytesPerRecord(n, ins)
+		}
+		in := [][]int{inner.Inputs()[0].Layer.(*graph.InputLayer).Shape}
+		if got := c.FLOPsPerRecord(in); got != flops {
+			t.Errorf("%s: FLOPsPerRecord %d, inner model says %d", name, got, flops)
+		}
+		if got := c.TrainableFLOPsPerRecord(in); got != trainable {
+			t.Errorf("%s: TrainableFLOPsPerRecord %d, inner model says %d", name, got, trainable)
+		}
+		if got := c.ActivationBytesPerRecord(in); got != actBytes {
+			t.Errorf("%s: ActivationBytesPerRecord %d, inner model says %d", name, got, actBytes)
+		}
+		out := c.OutShape(in)
+		if !tensor.ShapeEq(out, shapes[inner.Outputs[0]]) {
+			t.Errorf("%s: OutShape %v, inner model says %v", name, out, shapes[inner.Outputs[0]])
+		}
+		out[0] = -1
+		if again := c.OutShape(in); again[0] == -1 {
+			t.Errorf("%s: OutShape returned its cached slice", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: OutShape accepted a foreign input shape", name)
+				}
+			}()
+			c.OutShape([][]int{{3, 3}})
+		}()
+	}
+	if f := blocks["adapter"].TrainableFLOPsPerRecord(nil); f <= 0 || f >= blocks["adapter"].FLOPsPerRecord(nil) {
+		t.Errorf("adapter block: trainable FLOPs %d should be a proper part of %d", f, blocks["adapter"].FLOPsPerRecord(nil))
+	}
+}
+
 func TestLayerIdentitySignatures(t *testing.T) {
 	// Same type+config+seed ⇒ same signature; differing seed or
 	// trainability ⇒ different.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"nautilus/internal/graph"
+	"nautilus/internal/profile"
 )
 
 // MultiModel is the merged graph plus the mapping from each source model's
@@ -32,70 +33,147 @@ type SourceRef struct {
 	Node  *graph.Node
 }
 
-// Build merges the given models into a multi-model graph. Materializable
-// nodes with identical expression signatures collapse into one merged node
+// Build merges bare models into a multi-model graph. Materializable nodes
+// with identical expression signatures collapse into one merged node
 // (sharing the first source's layer instance); all other nodes are copied
 // per model. The merged model's outputs are the concatenation of the source
-// models' outputs.
+// models' outputs. Nobody has vouched for bare models, so the merged graph
+// is validated; callers that hold the models' profiles use BuildProfiled.
 func Build(models ...*graph.Model) (*MultiModel, error) {
+	mm, _, err := merge(models, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mm.Graph.Validate(); err != nil {
+		return nil, fmt.Errorf("mmg: merged graph invalid: %w", err)
+	}
+	return mm, nil
+}
+
+// BuildProfiled merges profiled models and derives the merged graph's
+// profile in the same pass. Merging changes no per-node fact: a shared node
+// is materializable — frozen with frozen ancestors, so never on the
+// gradient path — and a per-model copy keeps its layer, its Trainable flag
+// and (mapped) parents, so every merged node's signature, shape, FLOPs,
+// training multiplier and sizes are those of its first source node. Only
+// c_load is recomputed, from the first profile's hardware. Nothing is
+// re-hashed, re-inferred or re-validated: the members' profiles already
+// vouch for their models, and verify.Groups validates every merged graph a
+// plan actually emits.
+func BuildProfiled(profs ...*profile.ModelProfile) (*MultiModel, *profile.ModelProfile, error) {
+	models := make([]*graph.Model, len(profs))
+	for i, p := range profs {
+		if p == nil || p.Model == nil {
+			return nil, nil, fmt.Errorf("mmg: model %d has no profile", i)
+		}
+		models[i] = p.Model
+	}
+	return merge(models, profs)
+}
+
+// merge is the one merge loop. profs is nil for bare models (signatures and
+// materializability are computed here, no profile is derived) or parallel
+// to models.
+func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *profile.ModelProfile, error) {
 	if len(models) == 0 {
-		return nil, fmt.Errorf("mmg: no models")
+		return nil, nil, fmt.Errorf("mmg: no models")
+	}
+	total := 0
+	for _, m := range models {
+		total += m.NumNodes()
 	}
 	merged := graph.NewModel(multiName(models))
 	mm := &MultiModel{
 		Graph:     merged,
 		Models:    append([]*graph.Model(nil), models...),
-		NodeOf:    map[*graph.Model]map[*graph.Node]*graph.Node{},
-		SourcesOf: map[*graph.Node][]SourceRef{},
-		Sig:       map[*graph.Node]graph.Signature{},
+		NodeOf:    make(map[*graph.Model]map[*graph.Node]*graph.Node, len(models)),
+		SourcesOf: make(map[*graph.Node][]SourceRef, total),
+		Sig:       make(map[*graph.Node]graph.Signature, total),
+	}
+	var prof *profile.ModelProfile
+	var layers []profile.LayerProfile // backing store of prof.Layers; never grows past total
+	if profs != nil {
+		prof = &profile.ModelProfile{
+			Model:  merged,
+			Layers: make(map[*graph.Node]*profile.LayerProfile, total),
+			Shapes: make(map[*graph.Node][]int, total),
+			Sigs:   mm.Sig,
+			HW:     profs[0].HW,
+		}
+		layers = make([]profile.LayerProfile, 0, total)
 	}
 	bySig := map[graph.Signature]*graph.Node{}
 
 	var outs []*graph.Node
-	for _, m := range models {
-		sigs := m.ExprSignatures()
-		mat := m.Materializable()
-		mm.NodeOf[m] = map[*graph.Node]*graph.Node{}
+	for i, m := range models {
+		var sigs map[*graph.Node]graph.Signature
+		var mat map[*graph.Node]bool
+		if profs != nil {
+			sigs = profs[i].Sigs
+		} else {
+			sigs = m.ExprSignatures()
+			mat = m.Materializable()
+		}
+		nodeOf := make(map[*graph.Node]*graph.Node, m.NumNodes())
+		mm.NodeOf[m] = nodeOf
 		for _, n := range m.Nodes() {
 			sig := sigs[n]
-			if mat[n] {
+			var lp *profile.LayerProfile // the source node's facts; nil for bare models
+			var isMat bool
+			if profs == nil {
+				isMat = mat[n]
+			} else if lp = profs[i].Layers[n]; lp != nil {
+				isMat = lp.Materializable
+			} else {
+				return nil, nil, fmt.Errorf("mmg: profile of model %q has no entry for node %q", m.Name, n.Name)
+			}
+			if isMat {
 				if existing := bySig[sig]; existing != nil {
-					mm.NodeOf[m][n] = existing
+					nodeOf[n] = existing
 					mm.SourcesOf[existing] = append(mm.SourcesOf[existing], SourceRef{Model: m, Node: n})
 					continue
 				}
 			}
 			parents := make([]*graph.Node, len(n.Parents))
-			for i, p := range n.Parents {
-				parents[i] = mm.NodeOf[m][p]
-				if parents[i] == nil {
-					return nil, fmt.Errorf("mmg: model %q node %q used before definition", m.Name, p.Name)
+			for j, p := range n.Parents {
+				parents[j] = nodeOf[p]
+				if parents[j] == nil {
+					return nil, nil, fmt.Errorf("mmg: model %q node %q used before definition", m.Name, p.Name)
 				}
 			}
-			name := mergedName(m, n, mat[n], sig)
+			name := mergedName(m, n, isMat, sig)
 			if merged.Node(name) != nil {
 				// Distinct expressions colliding on a name can only happen
-				// for non-materializable twins across models; disambiguate.
+				// for non-materializable twins across same-named models;
+				// disambiguate once, and refuse a third twin.
 				name = fmt.Sprintf("%s@%s", name, m.Name)
+				if merged.Node(name) != nil {
+					return nil, nil, fmt.Errorf("mmg: model name %q is used by more than two models", m.Name)
+				}
 			}
 			nn := merged.AddNode(name, n.Layer, parents...)
 			nn.Trainable = n.Trainable
-			mm.NodeOf[m][n] = nn
+			nodeOf[n] = nn
 			mm.SourcesOf[nn] = append(mm.SourcesOf[nn], SourceRef{Model: m, Node: n})
 			mm.Sig[nn] = sig
-			if mat[n] {
+			if isMat {
 				bySig[sig] = nn
+			}
+			if lp != nil {
+				layers = append(layers, *lp)
+				mlp := &layers[len(layers)-1]
+				mlp.Node = nn
+				mlp.LoadFLOPs = prof.HW.LoadFLOPs(mlp.OutBytes)
+				prof.Layers[nn] = mlp
+				prof.Shapes[nn] = mlp.OutShape
 			}
 		}
 		for _, o := range m.Outputs {
-			outs = append(outs, mm.NodeOf[m][o])
+			outs = append(outs, nodeOf[o])
 		}
 	}
 	merged.SetOutputs(outs...)
-	if _, err := merged.Validate(); err != nil {
-		return nil, fmt.Errorf("mmg: merged graph invalid: %w", err)
-	}
-	return mm, nil
+	return mm, prof, nil
 }
 
 // OutputsOf returns the merged nodes corresponding to one source model's

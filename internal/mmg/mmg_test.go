@@ -8,6 +8,7 @@ import (
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
 	"nautilus/internal/models"
+	"nautilus/internal/profile"
 	"nautilus/internal/tensor"
 )
 
@@ -180,5 +181,88 @@ func TestBuildSingleModelIsIdentity(t *testing.T) {
 	}
 	if mm.Graph.NumNodes() != a.NumNodes() {
 		t.Errorf("single-model merge changed node count: %d vs %d", mm.Graph.NumNodes(), a.NumNodes())
+	}
+}
+
+func profiled(t *testing.T, ms ...*graph.Model) []*profile.ModelProfile {
+	t.Helper()
+	profs := make([]*profile.ModelProfile, len(ms))
+	for i, m := range ms {
+		p, err := profile.Profile(m, profile.DefaultHardware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs[i] = p
+	}
+	return profs
+}
+
+// TestBuildProfiledDerivesTheMergedProfile spot-checks the derivation on the
+// two-heads pair (internal/verify's differential test is the field-by-field
+// oracle over whole workloads): same merge as Build, one LayerProfile per
+// merged node copied from its first source, c_load from the first profile's
+// hardware.
+func TestBuildProfiledDerivesTheMergedProfile(t *testing.T) {
+	a, b := twoHeads()
+	profs := profiled(t, a, b)
+	profs[1].HW.DiskThroughput /= 2 // the group's HW is the first member's
+	mm, prof, err := BuildProfiled(profs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mm.Graph.NumNodes(); got != 5 {
+		t.Fatalf("merged nodes = %d, want 5", got)
+	}
+	if prof.Model != mm.Graph || len(prof.Layers) != 5 || len(prof.Shapes) != 5 {
+		t.Fatalf("derived profile covers %d layers / %d shapes of %q, want 5 / 5 of the merged graph", len(prof.Layers), len(prof.Shapes), prof.Model.Name)
+	}
+	for _, src := range []struct {
+		p *profile.ModelProfile
+		n string
+	}{{profs[0], "d2"}, {profs[0], "h"}, {profs[1], "h"}} {
+		sn := src.p.Model.Node(src.n)
+		n := mm.NodeOf[src.p.Model][sn]
+		got, want := prof.Layers[n], src.p.Layers[sn]
+		if got.Node != n || got.CompFLOPs != want.CompFLOPs || got.MemBytes != want.MemBytes || got.Materializable != want.Materializable {
+			t.Errorf("%s/%s: derived %+v, source %+v", src.p.Model.Name, src.n, got, want)
+		}
+		if got.LoadFLOPs != profs[0].HW.LoadFLOPs(want.OutBytes) {
+			t.Errorf("%s/%s: c_load %d not from the first member's hardware", src.p.Model.Name, src.n, got.LoadFLOPs)
+		}
+		if prof.Sigs[n] != src.p.Sigs[sn] {
+			t.Errorf("%s/%s: signature changed by merging", src.p.Model.Name, src.n)
+		}
+	}
+}
+
+func TestBuildProfiledRejectsBadProfiles(t *testing.T) {
+	a, b := twoHeads()
+	profs := profiled(t, a, b)
+	if _, _, err := BuildProfiled(profs[0], nil); err == nil {
+		t.Error("nil profile should error")
+	}
+	if _, _, err := BuildProfiled(); err == nil {
+		t.Error("empty BuildProfiled should error")
+	}
+	// A profile that predates a node of its model has no facts for it.
+	extra := b.AddNode("h2", layers.NewDense(8, 2, layers.ActNone, 9), b.Node("d2"))
+	b.SetOutputs(b.Node("h"), extra)
+	if _, _, err := BuildProfiled(profs...); err == nil {
+		t.Error("profile missing a node of its model should error")
+	}
+}
+
+// TestBuildSameNamedModelsErrorsNotPanics: two same-named models merge (the
+// second's per-model copies are disambiguated); a third used to panic inside
+// graph.AddNode on the duplicate node name.
+func TestBuildSameNamedModelsErrorsNotPanics(t *testing.T) {
+	a, _ := twoHeads()
+	b, _ := twoHeads()
+	c, _ := twoHeads()
+	if _, err := Build(a, b); err != nil {
+		t.Fatalf("two same-named models: %v", err)
+	}
+	if _, err := Build(a, b, c); err == nil {
+		t.Error("three same-named models should error")
 	}
 }

@@ -11,11 +11,14 @@ import (
 	"nautilus/internal/profile"
 )
 
-// benchWorkload builds n paper-scale feature-transfer candidates.
-func benchWorkload(b *testing.B, n int) ([]WorkItem, *mmg.MultiModel) {
+// benchWorkload builds n paper-scale feature-transfer candidates, cycling
+// through strats (by default three of FTR-1's).
+func benchWorkload(b *testing.B, n int, strats ...models.FeatureStrategy) ([]WorkItem, *mmg.MultiModel) {
 	b.Helper()
 	hub := models.NewBERTHub(models.BERTBase())
-	strats := []models.FeatureStrategy{models.FeatLastHidden, models.FeatSecondLastHidden, models.FeatSumLast4}
+	if len(strats) == 0 {
+		strats = []models.FeatureStrategy{models.FeatLastHidden, models.FeatSecondLastHidden, models.FeatSumLast4}
+	}
 	var items []WorkItem
 	var ms []*graph.Model
 	for i := 0; i < n; i++ {
@@ -72,6 +75,26 @@ func BenchmarkFuseModels12(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fuseModels(items, res.Sigs, FuseConfig{MemBudgetBytes: 10 << 30, OptimizerSlotBytes: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildGroupPair is one trial merge of FUSE OPT at paper scale: two
+// FTR-3 candidates (BERT-base trunk, concat-last-4 feature, own heads)
+// under the V that MAT OPT picks for them. plan_zoo builds 4 246 such groups
+// a session (opt.fuse_states), so this ns/op and allocs/op are the per-merge
+// numbers behind its opt.fuse_s.
+func BenchmarkBuildGroupPair(b *testing.B) {
+	items, mm := benchWorkload(b, 2, models.FeatConcatLast4)
+	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 25 << 30, MaxRecords: 5000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildGroup(items, res.Sigs, ReusePlan, AdamSlotBytes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // DefaultFuseStateBudget bounds how many multi-model candidate groups the
-// enum strategy will profile and plan-solve before a bucket degrades to
-// greedy. Each candidate build is a full profile + min-cut solve, so this
-// is the knob that trades search optimality for planning latency.
+// enum strategy will build before a bucket degrades to greedy. Each
+// candidate build is one BuildGroup — a merge, a min-cut solve and a
+// peak-memory replay; the profile is derived, not recomputed — so this is
+// the knob that trades search optimality for planning latency.
 const DefaultFuseStateBudget = 4096
 
 // maxEnumBucketItems is the bitmask width cap: a compatibility bucket
@@ -31,7 +32,7 @@ var errFuseStateBudget = errors.New("opt: fuse state budget exhausted")
 // fusion-plan idea applied to FUSE OPT): per bucket, the minimum-
 // TotalPlanCost partition into fused groups by dynamic programming over
 // member subsets. Candidate groups are memoized on their member set so each
-// subset is profiled and plan-solved at most once, and a branch-and-bound
+// subset is built (BuildGroup) at most once, and a branch-and-bound
 // check (each group costs at least its most expensive member's singleton
 // plan) prunes sub-partitions that cannot beat the bucket's incumbent. A
 // bucket that would (or does) exceed the budget degrades to Algorithm 1,
@@ -212,7 +213,8 @@ func (e *enumState) buildCached(items []WorkItem) (*FusedGroup, error) {
 }
 
 // memberKey is the memo key for a candidate group: its sorted member
-// model names. Buckets never share items, so the key is unique globally.
+// model names. Buckets never share items and the planner rejects duplicate
+// model names (core.CandidateError), so the key is unique globally.
 func memberKey(items []WorkItem) string {
 	names := make([]string, len(items))
 	for i, it := range items {

@@ -41,8 +41,9 @@ type FuseStats struct {
 	// Rounds is the number of greedy iterations that merged a pair.
 	Rounds int
 	// PairsEvaluated counts fused candidate groups actually built
-	// (profile + reuse-plan solve + memory estimate): greedy pairs and
-	// enumerated subset candidates alike. Cached groups don't recount.
+	// (BuildGroup: merge with a profile derived from the members', reuse-plan
+	// solve, memory estimate): greedy pairs and enumerated subset candidates
+	// alike. Cached groups don't recount.
 	PairsEvaluated int
 	// PairsRejected counts greedy pairs dismissed for non-positive gain
 	// or a B_mem violation.
@@ -51,7 +52,7 @@ type FuseStats struct {
 	// enumerating (memoized states are not recounted).
 	StatesExplored int
 	// MemoHits counts candidate-group lookups answered by the member-set
-	// memo instead of a fresh profile + solve.
+	// memo instead of a fresh BuildGroup.
 	MemoHits int
 	// BoundPrunings counts candidate sub-partitions skipped because a
 	// lower bound already met or exceeded the best known completion.
@@ -113,21 +114,20 @@ const (
 
 // BuildGroup is the one way a training group comes to be, whatever the
 // approach and whether it holds one model or many: merge the items' models
-// into one graph, profile it, choose the reuse plan by policy given V, and
-// estimate peak memory at the group's batch size. slotBytes is the
-// optimizer-state overhead per trainable parameter byte (AdamSlotBytes).
+// into one graph whose profile is derived from the items' own profiles
+// (mmg.BuildProfiled — nothing is re-hashed, re-inferred or re-validated;
+// verify.Groups validates the groups a plan emits), choose the reuse plan
+// by policy given V, and estimate peak memory at the group's batch size.
+// slotBytes is the optimizer-state overhead per trainable parameter byte
+// (AdamSlotBytes).
 func BuildGroup(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) (*FusedGroup, error) {
-	ms := make([]*graph.Model, len(items))
+	profs := make([]*profile.ModelProfile, len(items))
 	for i, it := range items {
-		ms[i] = it.Model
+		profs[i] = it.Prof
 	}
-	mm, err := mmg.Build(ms...)
+	mm, prof, err := mmg.BuildProfiled(profs...)
 	if err != nil {
 		return nil, err
-	}
-	prof, err := profile.Profile(mm.Graph, items[0].Prof.HW)
-	if err != nil {
-		return nil, fmt.Errorf("opt: profile merged graph: %w", err)
 	}
 	var plan *Plan
 	switch policy {

@@ -74,11 +74,10 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 	if cfg.MaxRecords <= 0 {
 		return nil, fmt.Errorf("opt: MaxRecords must be positive")
 	}
-	mmProf, err := profile.Profile(mm.Graph, itemsHW(items))
+	cands, err := candidates(mm, items)
 	if err != nil {
 		return nil, err
 	}
-	cands := candidates(mm, mmProf)
 
 	var chosen map[graph.Signature]bool
 	var explored int
@@ -138,14 +137,25 @@ func (r *MatResult) pruneUnused(maxRecords int) {
 }
 
 // candidates extracts the candidate set U from the multi-model graph,
-// ordered by descending sharing then size (a good branching order).
-func candidates(mm *mmg.MultiModel, mmProf *profile.ModelProfile) []MatCandidate {
+// ordered by descending sharing then size (a good branching order). A
+// merged node's output size is its first source node's, read from that
+// item's profile — the workload graph itself is never profiled.
+func candidates(mm *mmg.MultiModel, items []WorkItem) ([]MatCandidate, error) {
+	profOf := make(map[*graph.Model]*profile.ModelProfile, len(items))
+	for _, it := range items {
+		profOf[it.Model] = it.Prof
+	}
 	var out []MatCandidate
 	for _, n := range mm.MaterializableNodes() {
+		src := mm.SourcesOf[n][0]
+		prof := profOf[src.Model]
+		if prof == nil {
+			return nil, fmt.Errorf("opt: multi-model graph holds model %q, which is not a work item", src.Model.Name)
+		}
 		out = append(out, MatCandidate{
 			Node:        n,
 			Sig:         mm.Sig[n],
-			BytesPerRec: mmProf.Layers[n].OutBytes,
+			BytesPerRec: prof.Layers[src.Node].OutBytes,
 			SharedBy:    mm.SharedCount(n),
 		})
 	}
@@ -158,7 +168,7 @@ func candidates(mm *mmg.MultiModel, mmProf *profile.ModelProfile) []MatCandidate
 		}
 		return out[i].Sig < out[j].Sig
 	})
-	return out
+	return out, nil
 }
 
 // workloadCost evaluates Σ_i C(M_i^opt)·epochs_i (per record) exactly for a
@@ -366,12 +376,4 @@ func BuildMILP(cands []MatCandidate, items []WorkItem, cfg MatConfig) (*milp.Pro
 		p.AddConstraint(milp.LE, float64(cfg.DiskBudgetBytes), terms...)
 	}
 	return p, zVar
-}
-
-// itemsHW returns the hardware profile shared by the workload's profiles.
-func itemsHW(items []WorkItem) profile.Hardware {
-	if len(items) > 0 {
-		return items[0].Prof.HW
-	}
-	return profile.DefaultHardware()
 }

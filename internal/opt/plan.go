@@ -5,10 +5,10 @@
 // exact min-cut sub-evaluation, the model fusion optimization (Section 4.3:
 // one Fuser that searches a bucket's partitions exactly or, with
 // enumeration off, is the paper's greedy Algorithm 1), the one builder
-// every training group comes from (BuildGroup: merge, profile, plan by
-// policy, estimate memory), the topological live-tensor peak-memory
-// estimator (Section 4.3.3), and the theoretical speedup bound
-// (Equation 11).
+// every training group comes from (BuildGroup: merge the members and
+// derive the merged graph's profile from theirs, plan by policy, estimate
+// memory), the topological live-tensor peak-memory estimator (Section
+// 4.3.3), and the theoretical speedup bound (Equation 11).
 package opt
 
 import (

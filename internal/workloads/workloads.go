@@ -250,7 +250,7 @@ func (s Spec) Build(scale Scale, hw profile.Hardware) (*Instance, error) {
 		return nil, fmt.Errorf("workloads: unknown approach %q", s.Approach)
 	}
 
-	var ms []*graph.Model
+	var profs []*profile.ModelProfile
 	idx := 0
 	for _, v := range variants {
 		for _, bs := range s.BatchSizes {
@@ -268,13 +268,13 @@ func (s Spec) Build(scale Scale, hw profile.Hardware) (*Instance, error) {
 					inst.Items = append(inst.Items, opt.WorkItem{
 						Model: m, Prof: prof, Epochs: ep, BatchSize: bs, LR: lr * lrScale,
 					})
-					ms = append(ms, m)
+					profs = append(profs, prof)
 					idx++
 				}
 			}
 		}
 	}
-	mm, err := mmg.Build(ms...)
+	mm, _, err := mmg.BuildProfiled(profs...)
 	if err != nil {
 		return nil, err
 	}

@@ -13,19 +13,19 @@ test:
 # floateq, layerpurity, uncheckederr), the dataflow-engine analyzers
 # (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the typestate
 # protocol analyzers (sessionorder, storelease), the interprocedural
-# summary-aware locksafe, and the ignoreaudit stale-suppression check. Runs warm through the incremental result cache
-# (.nautilus-lint-cache/) by default; set LINT_NOCACHE=1 to force a full
-# uncached sweep.
+# summary-aware locksafe, and the ignoreaudit stale-suppression check.
+# One whole-module sweep (well under a second); check's lint step is the
+# same invocation.
 lint:
-	$(GO) run ./cmd/nautilus-lint $(if $(LINT_NOCACHE),,-cache) ./...
+	$(GO) run ./cmd/nautilus-lint ./...
 
 # lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
 # exact diagnostics (positions + messages) over testdata/src/violations,
 # plus the interprocedural call-graph/summary unit tests, the reaching-
-# definitions value-flow tests (TestSSA*, reachdefs_test.go), and the
+# definitions value-flow tests (TestReachDefs*, reachdefs_test.go), and the
 # parallel driver's determinism check.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|SSA' -count=1
+	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|ReachDefs' -count=1
 
 # check is the full pre-merge gate: vet + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
@@ -43,7 +43,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) run ./cmd/nautilus-lint -analyzers= ./...
+	$(GO) run ./cmd/nautilus-lint ./...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...

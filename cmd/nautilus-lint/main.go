@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nautilus-lint [-json] [-tests=false] [-analyzers=spec] [-cache] [-diff ref] [packages...]
+//	nautilus-lint [-json] [-tests=false] [-list] [-analyzers=spec] [packages...]
 //
 // Package patterns are directories relative to the module root; a
 // trailing "/..." includes everything beneath. With no arguments it
@@ -23,19 +23,6 @@
 // analyzers (those consulting interprocedural function summaries) are
 // marked with '*'.
 //
-// -cache reuses per-package results across runs from -cache-dir (default
-// .nautilus-lint-cache at the module root): a package whose sources,
-// transitive module-internal imports, analyzer set, and tool sources are
-// all unchanged replays its stored findings without being parsed or
-// type-checked, so a warm run on an unchanged tree does no type-checking
-// at all. Output is byte-identical to an uncached run.
-//
-// -diff <git-ref> keeps only findings on lines changed since the ref
-// (computed from `git diff -U0 <ref>`): full packages are still analyzed
-// (and cached) for correctness, but untouched pre-existing findings don't
-// fail the run — the mode CI uses to gate pull requests on new findings
-// only.
-//
 // Suppress an intentional finding in source with
 // `//lint:ignore <analyzer> <reason>` on the offending line or the line
 // above it; the ignoreaudit analyzer flags suppressions that no longer
@@ -43,10 +30,10 @@
 //
 // Exit codes:
 //
-//	0  clean — no findings (with -diff: none on changed lines)
-//	1  findings reported (with -diff: at least one on a changed line)
-//	2  load or usage error (bad pattern, unknown analyzer, parse/type-check
-//	   failure, bad git ref)
+//	0  clean — no findings
+//	1  findings reported
+//	2  load or usage error (bad pattern, unknown flag or analyzer,
+//	   parse/type-check failure)
 package main
 
 import (
@@ -70,12 +57,9 @@ func main() {
 	tests := flag.Bool("tests", true, "also analyze in-package _test.go files")
 	list := flag.Bool("list", false, "list analyzers (summary-aware marked with '*') and exit")
 	spec := flag.String("analyzers", "", "comma-separated analyzer subset; prefix a name with '-' to exclude it")
-	useCache := flag.Bool("cache", false, "replay unchanged packages from the incremental result cache")
-	cacheDir := flag.String("cache-dir", ".nautilus-lint-cache", "cache directory (relative paths resolve against the module root)")
-	diffRef := flag.String("diff", "", "only report findings on lines changed since this git ref")
 	flag.Usage = func() {
 		fmt.Fprint(os.Stderr,
-			"usage: nautilus-lint [-json] [-tests=false] [-list] [-analyzers=spec] [-cache] [-diff ref] [packages...]\n"+
+			"usage: nautilus-lint [-json] [-tests=false] [-list] [-analyzers=spec] [packages...]\n"+
 				"exit codes: 0 no findings, 1 findings reported, 2 load/usage error\n")
 		flag.PrintDefaults()
 	}
@@ -107,30 +91,11 @@ func main() {
 		fatal(err)
 	}
 	loader.IncludeTests = *tests
-	var res lint.Result
-	if *useCache {
-		cache, err := lint.OpenCache(*cacheDir, loader, analyzers)
-		if err != nil {
-			fatal(err)
-		}
-		res, _, err = lint.AnalyzeCached(loader, cache, analyzers, flag.Args()...)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		pkgs, err := loader.Load(flag.Args()...)
-		if err != nil {
-			fatal(err)
-		}
-		res = lint.Analyze(pkgs, analyzers, loader.Fset)
+	pkgs, err := loader.Load(flag.Args()...)
+	if err != nil {
+		fatal(err)
 	}
-	if *diffRef != "" {
-		changed, err := lint.ChangedLines(loader.ModuleRoot, *diffRef)
-		if err != nil {
-			fatal(err)
-		}
-		res.Findings = lint.FilterByDiff(res.Findings, changed, loader.ModuleRoot)
-	}
+	res := lint.Analyze(pkgs, analyzers, loader.Fset)
 
 	if *jsonOut {
 		if res.Findings == nil {

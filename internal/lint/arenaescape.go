@@ -54,27 +54,20 @@ var ArenaEscapeAnalyzer = &Analyzer{
 // that is never released is wasteful but not corrupting — the hazards are
 // uses and escapes past Release, which the simulation leg reports.
 var arenaEscapeSpec = &typestateSpec{
-	name:   "arenaescape",
-	origin: scopeOrigin,
-	valueType: func(p *Pass, t types.Type) bool {
-		return namedType(t, tensorPkgPath, "Scope")
-	},
+	origin:     scopeOrigin,
+	valueType:  scopeProtocol.carries,
 	states:     []string{"live", "released"},
 	start:      "live",
 	paramStart: "live",
-	events: []eventSpec{{
-		method: "Release",
-		fact:   func(f paramFacts) bool { return f.ReleasesScope },
-		to:     "released",
-	}},
-	derived: func(p *Pass, t types.Type) bool { return typeCarriesTensors(t) },
+	events:     []eventSpec{{method: scopeProtocol.terminal, delegable: true, to: "released"}},
+	derived:    typeCarriesTensors,
 	useInState: map[string]useMsgs{
 		"released": {
 			derivedMsg: "%s is backed by scope %s, which may already be released here; move the use before Release or copy the tensor out",
 			directMsg:  "scope %s may already be released here",
 		},
 	},
-	escapeEvent: "Release",
+	escapeEvent: scopeProtocol.terminal,
 	escapeMsg:   "%s is backed by scope %s but escapes via %s, and the scope is released before the function returns; copy it out of the scope first",
 }
 

@@ -25,6 +25,9 @@ import (
 type cgNode struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
+	// body is the declaration's entry in the package's body index: the CFG
+	// the summary fixpoint iterates over is the one the analyzers walk.
+	body *funcBody
 	// callees are the package-local functions this body calls directly,
 	// deduplicated, in first-call order.
 	callees []*cgNode
@@ -34,16 +37,6 @@ type cgNode struct {
 	// scc is the index of this node's strongly connected component in
 	// callGraph.sccs (callee components first).
 	scc int
-
-	cfg *funcCFG // built lazily, shared across summary fixpoint iterations
-}
-
-// funcCFG returns the node's control-flow graph, building it on first use.
-func (n *cgNode) funcCFG() *funcCFG {
-	if n.cfg == nil {
-		n.cfg = buildCFG(n.decl.Body)
-	}
-	return n.cfg
 }
 
 // selfRecursive reports whether the node calls itself directly.
@@ -71,20 +64,17 @@ type callGraph struct {
 // buildCallGraph constructs the call graph of one package.
 func buildCallGraph(pkg *Package) *callGraph {
 	g := &callGraph{nodes: map[*types.Func]*cgNode{}}
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &cgNode{fn: fn, decl: fd, scc: -1}
-			g.nodes[fn] = n
-			g.order = append(g.order, n)
+	for _, fb := range pkg.bodies() {
+		if fb.decl == nil {
+			continue
 		}
+		fn, ok := pkg.Info.Defs[fb.decl.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		n := &cgNode{fn: fn, decl: fb.decl, body: fb, scc: -1}
+		g.nodes[fn] = n
+		g.order = append(g.order, n)
 	}
 	for _, n := range g.order {
 		seen := map[*cgNode]bool{}

@@ -325,8 +325,7 @@ func f() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bodies []funcBody
-	funcBodies(file, func(fb funcBody) { bodies = append(bodies, fb) })
+	bodies := funcBodies(file, false)
 	if len(bodies) != 2 {
 		t.Fatalf("funcBodies yielded %d bodies, want 2 (decl + literal)", len(bodies))
 	}
@@ -355,6 +354,82 @@ func f() {
 	}
 	if !found {
 		t.Error("literal's own CFG is missing its body")
+	}
+}
+
+// TestBodyIndex pins the per-package body index every flow analyzer and
+// the summary layer share: each FuncDecl and each FuncLit — nested ones
+// included — appears exactly once, with a CFG of its own statements built
+// on first use and reused after, and bodies from _test.go files carry the
+// flag eachBody filters on.
+func TestBodyIndex(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name, src string) *ast.File {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	prod := parse("p.go", `package p
+func f() {
+	outer := func() {
+		nested := func() {
+			deep()
+		}
+		nested()
+	}
+	outer()
+}`)
+	test := parse("p_test.go", `package p
+func helper() {
+	go func() { inTest() }()
+}`)
+	pkg := &Package{Path: "p", Files: []*ast.File{prod, test}, testFiles: map[*ast.File]bool{test: true}}
+
+	seen := map[*ast.BlockStmt]int{}
+	calls := map[string]*funcBody{} // callee name → the body whose own CFG holds the call
+	for _, fb := range pkg.bodies() {
+		seen[fb.body]++
+		if fb.cfg() != fb.cfg() {
+			t.Error("cfg() rebuilt the graph on its second call")
+		}
+		for _, n := range fb.cfg().nodes {
+			if name := stmtText(n.stmt); name != "" {
+				if calls[name] != nil {
+					t.Errorf("call to %s sits in two bodies' CFGs", name)
+				}
+				calls[name] = fb
+			}
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("index holds %d distinct bodies, want 5 (f, outer, nested, helper, helper's literal)", len(seen))
+	}
+	for body, n := range seen {
+		if n != 1 {
+			t.Errorf("body at %s yielded %d times, want once", fset.Position(body.Pos()), n)
+		}
+	}
+	if fb := calls["deep"]; fb == nil || fb.lit == nil || len(fb.cfg().nodes) != 2 {
+		t.Errorf("nested literal's CFG should be exactly its own call plus exit, got %+v", fb)
+	}
+	if fb := calls["outer"]; fb == nil || fb.decl == nil {
+		t.Errorf("outer() should sit in f's own CFG, got %+v", fb)
+	}
+	if fb := calls["inTest"]; fb == nil || !fb.inTest {
+		t.Errorf("literal in p_test.go should be flagged inTest, got %+v", fb)
+	}
+
+	var visited []*funcBody
+	(&Pass{Pkg: pkg, Fset: fset}).eachBody(func(fb *funcBody) { visited = append(visited, fb) })
+	if len(visited) != 3 {
+		t.Errorf("eachBody visited %d bodies, want the 3 outside p_test.go", len(visited))
+	}
+	for _, fb := range visited {
+		if fb.inTest {
+			t.Errorf("eachBody visited a test-file body at %s", fset.Position(fb.body.Pos()))
+		}
 	}
 }
 

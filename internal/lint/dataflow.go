@@ -116,28 +116,95 @@ func forwardSolve[F any](c *funcCFG, entry F,
 }
 
 // funcBody is one function body under analysis: a declared function or a
-// function literal, each treated as an independent unit.
+// function literal, each treated as an independent unit. Its CFG and
+// parent map are built on first use and shared by every analyzer and the
+// summary layer; a package is analyzed by one goroutine (Analyze), so the
+// lazy fields need no lock.
 type funcBody struct {
 	decl *ast.FuncDecl // nil for literals
 	lit  *ast.FuncLit  // nil for declarations
 	typ  *ast.FuncType
 	body *ast.BlockStmt
+	// inTest marks a body in a _test.go file; the flow analyzers skip those.
+	inTest bool
+
+	graph *funcCFG
+	up    map[ast.Node]ast.Node
+}
+
+// cfg returns the body's control-flow graph.
+func (fb *funcBody) cfg() *funcCFG {
+	if fb.graph == nil {
+		fb.graph = buildCFG(fb.body)
+	}
+	return fb.graph
+}
+
+// parents returns the child→parent map of the body's subtree, nested
+// literals included.
+func (fb *funcBody) parents() map[ast.Node]ast.Node {
+	if fb.up == nil {
+		fb.up = parentMap(fb.body)
+	}
+	return fb.up
+}
+
+// parentMap builds a child→parent map for the subtree.
+func parentMap(root ast.Node) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
 }
 
 // funcBodies yields every function body in the file — each FuncDecl and
-// each FuncLit (at any nesting depth) — for independent analysis.
-func funcBodies(f *ast.File, visit func(fb funcBody)) {
+// each FuncLit (at any nesting depth), outermost first — for independent
+// analysis.
+func funcBodies(f *ast.File, inTest bool) []*funcBody {
+	var out []*funcBody
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body != nil {
-				visit(funcBody{decl: fn, typ: fn.Type, body: fn.Body})
+				out = append(out, &funcBody{decl: fn, typ: fn.Type, body: fn.Body, inTest: inTest})
 			}
 		case *ast.FuncLit:
-			visit(funcBody{lit: fn, typ: fn.Type, body: fn.Body})
+			out = append(out, &funcBody{lit: fn, typ: fn.Type, body: fn.Body, inTest: inTest})
 		}
 		return true
 	})
+	return out
+}
+
+// bodies returns the package's body index — every function body of every
+// file, in file order — built once on first use.
+func (p *Package) bodies() []*funcBody {
+	p.bodyOnce.Do(func() {
+		for _, f := range p.Files {
+			p.bodyIdx = append(p.bodyIdx, funcBodies(f, p.testFiles[f])...)
+		}
+	})
+	return p.bodyIdx
+}
+
+// eachBody visits every function body outside test files: the sweep the
+// flow analyzers (typestate specs, locksafe, goroutinejoin) share.
+func (p *Pass) eachBody(visit func(fb *funcBody)) {
+	for _, fb := range p.Pkg.bodies() {
+		if !fb.inTest {
+			visit(fb)
+		}
+	}
 }
 
 // declaredWithin reports whether obj's declaration position lies inside

@@ -53,48 +53,41 @@ var GoroutineJoinAnalyzer = &Analyzer{
 func runGoroutineJoin(p *Pass) {
 	sums := p.Pkg.summaries()
 	constructors := pipelineConstructors(p)
-	for _, f := range p.Pkg.Files {
-		if p.InTestFile(f.Pos()) {
-			continue
-		}
-		funcBodies(f, func(fb funcBody) {
-			goroutineJoinFunc(p.Pkg.Info, sums, fb, p.Reportf)
-			pipelineConsumerCheck(p, fb, constructors)
-		})
-	}
+	p.eachBody(func(fb *funcBody) {
+		goroutineJoinFunc(p, sums, fb)
+		pipelineConsumerCheck(p, fb, constructors)
+	})
 }
 
-// goroutineJoinFunc checks every go statement in one function body. It is
-// shared between the analyzer (report = Pass.Reportf) and the summary
-// computer's spawnsUnjoined post-pass (report = a flag setter).
-func goroutineJoinFunc(info *types.Info, sums *summarySet, fb funcBody, report func(pos token.Pos, format string, args ...any)) {
-	cfg := buildCFG(fb.body)
-	for _, n := range cfg.nodes {
+// goroutineJoinFunc checks every go statement in one function body.
+func goroutineJoinFunc(p *Pass, sums *summarySet, fb *funcBody) {
+	for _, n := range fb.cfg().nodes {
 		gs, ok := n.stmt.(*ast.GoStmt)
 		if !ok {
 			continue
 		}
 		if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-			goLitCheck(info, sums, cfg, fb, n, gs, lit, report)
+			goLitCheck(p, sums, fb, n, gs, lit)
 		} else {
-			goNamedCheck(info, sums, cfg, fb, n, gs, report)
+			goNamedCheck(p, sums, fb, n, gs)
 		}
 	}
 }
 
 // goLitCheck classifies a `go func(){...}()` launch by the literal's body.
-func goLitCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody, n *cfgNode, gs *ast.GoStmt, lit *ast.FuncLit, report func(pos token.Pos, format string, args ...any)) {
+func goLitCheck(p *Pass, sums *summarySet, fb *funcBody, n *cfgNode, gs *ast.GoStmt, lit *ast.FuncLit) {
+	info, cfg := p.Pkg.Info, fb.cfg()
 	if wg := enclosingWaitGroupDone(info, lit, fb.body); wg != nil {
 		if !eventPrecedes(fb.body, wgJoinProtocol.add, wg, gs.Pos(), identResolver(info)) {
-			report(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wg.Name(), wg.Name())
+			p.Reportf(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wg.Name(), wg.Name())
 		} else if !eventJoins(info, sums, cfg, n, wgJoinProtocol.wait, wg) {
-			report(gs.Pos(), "goroutine joined by %s.Wait, but a path from the launch reaches return without waiting", wg.Name())
+			p.Reportf(gs.Pos(), "goroutine joined by %s.Wait, but a path from the launch reaches return without waiting", wg.Name())
 		}
 		return
 	}
 	if wgf := fieldWaitGroupDone(info, lit); wgf != nil {
 		if !eventPrecedes(fb.body, wgJoinProtocol.add, wgf, gs.Pos(), fieldResolver(info)) {
-			report(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wgf.Name(), wgf.Name())
+			p.Reportf(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wgf.Name(), wgf.Name())
 		}
 		// The Wait rides on the owning value's state — typically a Close
 		// method joining the loop — which this function can't see. The
@@ -103,7 +96,7 @@ func goLitCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody, n
 	}
 	chans := enclosingChannelActivity(info, lit, fb.body)
 	if len(chans) == 0 {
-		report(gs.Pos(), "goroutine has no join protocol: no WaitGroup.Done and no send/close on an enclosing channel")
+		p.Reportf(gs.Pos(), "goroutine has no join protocol: no WaitGroup.Done and no send/close on an enclosing channel")
 		return
 	}
 	for _, ch := range chans {
@@ -111,14 +104,12 @@ func goLitCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody, n
 			return
 		}
 	}
-	report(gs.Pos(), "goroutine signals on channel %s, but no path after the launch is guaranteed to receive from it and the channel never leaves the function", chans[0].Name())
+	p.Reportf(gs.Pos(), "goroutine signals on channel %s, but no path after the launch is guaranteed to receive from it and the channel never leaves the function", chans[0].Name())
 }
 
 // goNamedCheck classifies a `go f(args...)` launch through f's summary.
-func goNamedCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody, n *cfgNode, gs *ast.GoStmt, report func(pos token.Pos, format string, args ...any)) {
-	if sums == nil {
-		return
-	}
+func goNamedCheck(p *Pass, sums *summarySet, fb *funcBody, n *cfgNode, gs *ast.GoStmt) {
+	info, cfg := p.Pkg.Info, fb.cfg()
 	sum := sums.calleeSummary(gs.Call)
 	if sum == nil {
 		return // external function or function value: out of reach
@@ -134,9 +125,9 @@ func goNamedCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody,
 			continue
 		}
 		if !eventPrecedes(fb.body, wgJoinProtocol.add, wg, gs.Pos(), identResolver(info)) {
-			report(gs.Pos(), "goroutine %s calls %s.Done but no %s.Add precedes the launch", sum.fn.Name(), wg.Name(), wg.Name())
+			p.Reportf(gs.Pos(), "goroutine %s calls %s.Done but no %s.Add precedes the launch", sum.fn.Name(), wg.Name(), wg.Name())
 		} else if !eventJoins(info, sums, cfg, n, wgJoinProtocol.wait, wg) {
-			report(gs.Pos(), "goroutine %s joined by %s.Wait, but a path from the launch reaches return without waiting", sum.fn.Name(), wg.Name())
+			p.Reportf(gs.Pos(), "goroutine %s joined by %s.Wait, but a path from the launch reaches return without waiting", sum.fn.Name(), wg.Name())
 		}
 		return
 	}
@@ -157,7 +148,7 @@ func goNamedCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody,
 		}
 	}
 	if len(chans) > 0 {
-		report(gs.Pos(), "goroutine %s signals on channel %s, but no path after the launch is guaranteed to receive from it and the channel never leaves the function", sum.fn.Name(), chans[0].Name())
+		p.Reportf(gs.Pos(), "goroutine %s signals on channel %s, but no path after the launch is guaranteed to receive from it and the channel never leaves the function", sum.fn.Name(), chans[0].Name())
 		return
 	}
 	if sum.decl.Recv != nil {
@@ -166,7 +157,7 @@ func goNamedCheck(info *types.Info, sums *summarySet, cfg *funcCFG, fb funcBody,
 	if signalsSomehow(info, sums, sum.decl.Body) {
 		return // signals on state the launch site can't see; give it the benefit
 	}
-	report(gs.Pos(), "goroutine launches %s, which has no join protocol: it neither Dones a WaitGroup nor signals on a channel", sum.fn.Name())
+	p.Reportf(gs.Pos(), "goroutine launches %s, which has no join protocol: it neither Dones a WaitGroup nor signals on a channel", sum.fn.Name())
 }
 
 // signalsSomehow reports whether a body contains any completion signal at
@@ -273,8 +264,6 @@ func fieldWaitGroupDone(info *types.Info, lit *ast.FuncLit) *types.Var {
 	return wg
 }
 
-// fieldAddBeforeLaunch reports whether wg.Add(...) on the same struct field
-// appears before the go statement in the enclosing body.
 // The Add-before-launch and Wait-joins judgments are instances of the
 // typestate engine's WaitGroup protocol helpers (eventPrecedes / eventJoins
 // over wgJoinProtocol in typestate.go); only the receiver resolvers —
@@ -334,9 +323,9 @@ func enclosingChannelActivity(info *types.Info, lit *ast.FuncLit, encl ast.Node)
 // the pipeline-constructor handoff, where joining is the consumer's job.
 // Uses inside function literals don't count: the producer goroutine's own
 // sends and close are its protocol, not an escape.
-func channelLeavesFunction(info *types.Info, fb funcBody, ch types.Object) bool {
+func channelLeavesFunction(info *types.Info, fb *funcBody, ch types.Object) bool {
 	leaves := false
-	parents := parentMap(fb.body)
+	parents := fb.parents()
 	insideLit := func(n ast.Node) bool {
 		for p := parents[n]; p != nil; p = parents[p] {
 			if _, ok := p.(*ast.FuncLit); ok {
@@ -483,12 +472,12 @@ func shallowGoLits(body ast.Node, visit func(*ast.FuncLit)) {
 // pipelineConsumerCheck flags bindings of a pipeline constructor's channel
 // that are not drained on every path: no deferred `for range ch` drain, no
 // dominating range, and the channel never handed onward.
-func pipelineConsumerCheck(p *Pass, fb funcBody, constructors map[types.Object]bool) {
+func pipelineConsumerCheck(p *Pass, fb *funcBody, constructors map[types.Object]bool) {
 	if len(constructors) == 0 {
 		return
 	}
 	info := p.Pkg.Info
-	cfg := buildCFG(fb.body)
+	cfg := fb.cfg()
 	for _, n := range cfg.nodes {
 		as, ok := n.stmt.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {

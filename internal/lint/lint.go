@@ -10,9 +10,13 @@
 // On top of the syntactic analyzers, the package carries two analysis
 // substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go,
 // reachdefs.go) is a statement-level CFG with forward/backward solvers,
-// value-origin tracking and reaching definitions; the declarative
-// typestate protocol engine (typestate.go) runs resource protocols over
-// it. Together they power the lifetime and concurrency analyzers
+// value-origin tracking and reaching definitions, reached through one
+// per-package body index (Package.bodies: each function body with its CFG
+// and parent map built once and shared); the declarative typestate
+// protocol engine (typestate.go) runs resource protocols over it, crediting
+// delegation through the interprocedural summaries (summary.go) and their
+// one protocol table. Together they power the lifetime and concurrency
+// analyzers
 // introduced for the arena/parallel/span era — arenaescape (scoped
 // tensors must not outlive Scope.Release), spanleak (every obs span ends
 // on every path), goroutinejoin (every goroutine has a WaitGroup or
@@ -20,6 +24,9 @@
 // path), and chunkdisjoint (tensor.Parallel callbacks write only
 // chunk-owned state). ignoreaudit closes the loop by
 // flagging suppressions whose analyzer no longer fires.
+//
+// There is one driver: Loader.Load type-checks the requested packages and
+// Analyze sweeps them; nothing is cached between runs.
 //
 // Findings can be suppressed in source with
 //
@@ -246,7 +253,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 		}
 		res.Packages = append(res.Packages, PackageTiming{Package: pkg.Path, WallNs: r.elapsed.Nanoseconds()})
 	}
-	SortDiagnostics(res.Findings)
+	sortDiagnostics(res.Findings)
 	res.Analyzers = make([]AnalyzerTiming, len(analyzers))
 	for i, a := range analyzers {
 		res.Analyzers[i] = AnalyzerTiming{Analyzer: a.Name, WallNs: wall[i].Nanoseconds()}
@@ -254,11 +261,9 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, fset *token.FileSet) Result
 	return res
 }
 
-// SortDiagnostics puts findings in the output order every entry point
-// shares: (file, line, analyzer, col, message). Cache replay merges stored
-// findings with fresh ones and re-sorts with this, so a warm run's output
-// is byte-identical to a cold run's.
-func SortDiagnostics(ds []Diagnostic) {
+// sortDiagnostics puts findings in output order: (file, line, analyzer,
+// col, message).
+func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
 		if a.File != b.File {

@@ -136,6 +136,27 @@ func TestViolationsGolden(t *testing.T) {
 	}
 }
 
+// TestModuleSweepClean holds the module itself to the bar `make check`
+// sets: the whole tree (test files included) under every analyzer, zero
+// findings. A new violation in product code fails here, not only in the
+// Makefile.
+func TestModuleSweepClean(t *testing.T) {
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("loaded %d packages from %s; the sweep did not reach the module", len(pkgs), loader.ModuleRoot)
+	}
+	for _, d := range lint.Analyze(pkgs, lint.DefaultAnalyzers(), loader.Fset).Findings {
+		t.Error(d)
+	}
+}
+
 // TestRunSortedByPosition pins the CLI contract: diagnostics arrive sorted
 // by (file, line, analyzer).
 func TestRunSortedByPosition(t *testing.T) {

@@ -32,10 +32,18 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
+	// testFiles marks the _test.go files among Files.
+	testFiles map[*ast.File]bool
+
 	// sums caches the interprocedural summary set (see summary.go); it is
 	// computed once per package, on first use, by any summary-aware analyzer.
 	sumOnce sync.Once
 	sums    *summarySet
+	// bodyIdx is the body index (see dataflow.go): every function body with
+	// its lazily built CFG and parent map, shared by the summary layer and
+	// every flow analyzer.
+	bodyOnce sync.Once
+	bodyIdx  []*funcBody
 }
 
 // Loader loads and type-checks the packages of a single Go module using
@@ -53,7 +61,8 @@ type Loader struct {
 	// IncludeTests parses in-package _test.go files too.
 	IncludeTests bool
 
-	pkgs     map[string]*Package
+	parsed   map[string]*dirSource     // directory → its files, parsed once
+	imports  map[string]*types.Package // import path → bodiless import variant
 	loading  map[string]bool
 	dirOf    map[string]string // import path → directory override
 	fallback types.ImporterFrom
@@ -92,7 +101,8 @@ func NewLoader(dir string) (*Loader, error) {
 		ModuleRoot:   root,
 		ModulePath:   modPath,
 		IncludeTests: true,
-		pkgs:         map[string]*Package{},
+		parsed:       map[string]*dirSource{},
+		imports:      map[string]*types.Package{},
 		loading:      map[string]bool{},
 		dirOf:        map[string]string{},
 	}
@@ -176,23 +186,13 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// PackageRef names one module package resolved from a pattern, before any
-// parsing or type-checking has happened.
-type PackageRef struct {
-	// Path is the package's import path.
-	Path string
-	// Dir is the absolute directory holding its sources.
-	Dir string
-}
-
-// ResolvePackages maps the given patterns to module packages without
-// parsing or type-checking anything — the cheap half of Load, split out so
-// the incremental cache can decide which packages need a full analysis
-// before paying for one. A pattern is a directory, or a directory followed
-// by "/..." to include every package beneath it; patterns are interpreted
-// relative to the module root unless absolute. The result is deduplicated
-// and sorted by import path.
-func (l *Loader) ResolvePackages(patterns ...string) ([]PackageRef, error) {
+// Load resolves the given patterns to module packages and type-checks
+// them (and, transitively, the declarations of every module package they
+// import). A pattern is a directory, or a directory followed by "/..." to
+// include every package beneath it; patterns are interpreted relative to
+// the module root unless absolute. The returned slice is deduplicated and
+// sorted by import path.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -219,34 +219,22 @@ func (l *Loader) ResolvePackages(patterns ...string) ([]PackageRef, error) {
 		}
 	}
 
-	var refs []PackageRef
+	var paths []string
 	seen := map[string]bool{}
 	for _, dir := range dirs {
 		path, err := l.importPathFor(dir)
 		if err != nil {
 			return nil, err
 		}
-		if seen[path] {
-			continue
+		if !seen[path] {
+			seen[path] = true
+			paths = append(paths, path)
 		}
-		seen[path] = true
-		refs = append(refs, PackageRef{Path: path, Dir: l.dirFor(path)})
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Path < refs[j].Path })
-	return refs, nil
-}
-
-// Load resolves the given patterns to module packages and type-checks
-// them (and, transitively, every module package they import). The returned
-// slice is sorted by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	refs, err := l.ResolvePackages(patterns...)
-	if err != nil {
-		return nil, err
-	}
+	sort.Strings(paths)
 	var out []*Package
-	for _, ref := range refs {
-		pkg, err := l.analysisPackage(ref.Path)
+	for _, path := range paths {
+		pkg, err := l.analysisPackage(path)
 		if err != nil {
 			return nil, err
 		}
@@ -321,13 +309,16 @@ func goPackageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// load parses and type-checks one package without its test files
-// (memoized), recursively loading module-internal imports first via the
-// Importer interface below. Keeping imports test-free is what the go tool
-// itself does: in-package test files may import packages that (indirectly)
-// import this one, which is only a cycle if tests join the import graph.
-func (l *Loader) load(path string) (*Package, error) {
-	if p, ok := l.pkgs[path]; ok {
+// importVariant type-checks the declarations of one package without its
+// test files (memoized), recursively loading module-internal imports first
+// via the Importer interface below. Keeping imports test-free is what the
+// go tool itself does: in-package test files may import packages that
+// (indirectly) import this one, which is only a cycle if tests join the
+// import graph. Importers only see the package's exported declarations, so
+// function bodies are skipped here; analysisPackage is where every body is
+// checked, exactly once.
+func (l *Loader) importVariant(path string) (*types.Package, error) {
+	if p, ok := l.imports[path]; ok {
 		return p, nil
 	}
 	if l.loading[path] {
@@ -336,39 +327,31 @@ func (l *Loader) load(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	pkg, err := l.check(path, false)
+	src, err := l.parseDir(l.dirFor(path))
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = pkg
-	return pkg, nil
+	var files []*ast.File
+	for _, f := range src.all {
+		if !src.tests[f] {
+			files = append(files, f)
+		}
+	}
+	tpkg, err := l.check(path, files, nil)
+	if err != nil {
+		return nil, err
+	}
+	l.imports[path] = tpkg
+	return tpkg, nil
 }
 
-// analysisPackage returns the package the analyzers should see: the
-// test-augmented variant when IncludeTests is set and test files exist,
-// else the plain import variant.
+// analysisPackage returns the package the analyzers see: every function
+// body type-checked, in-package test files included when IncludeTests is
+// set. It is a compilation unit of its own — importers of the package get
+// importVariant, as the go tool gives them the test-free build.
 func (l *Loader) analysisPackage(path string) (*Package, error) {
-	base, err := l.load(path)
-	if err != nil {
-		return nil, err
-	}
-	if !l.IncludeTests {
-		return base, nil
-	}
-	files, err := l.parseDir(base.Dir, true)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == len(base.Files) {
-		return base, nil // no in-package test files
-	}
-	return l.check(path, true)
-}
-
-// check runs one go/types pass over the package's files.
-func (l *Loader) check(path string, withTests bool) (*Package, error) {
 	dir := l.dirFor(path)
-	files, err := l.parseDir(dir, withTests)
+	src, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -380,30 +363,51 @@ func (l *Loader) check(path string, withTests bool) (*Package, error) {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
+	tpkg, err := l.check(path, src.all, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Path: path, Dir: dir, Files: src.all, Types: tpkg, Info: info, testFiles: src.tests}, nil
+}
+
+// check runs one go/types pass over files. A nil info asks for the
+// declarations only (the import variant): function bodies are not checked.
+func (l *Loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
 	var typeErrs []error
 	conf := &types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+		Importer:         l,
+		Error:            func(err error) { typeErrs = append(typeErrs, err) },
+		IgnoreFuncBodies: info == nil,
 	}
 	tpkg, _ := conf.Check(path, l.Fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, typeErrs[0])
 	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	return tpkg, nil
 }
 
-// parseDir parses the package's Go files: all non-test files plus, when
-// withTests is set, _test.go files belonging to the same package. Files
-// excluded by build constraints (//go:build lines or _GOOS/_GOARCH name
-// suffixes) are skipped for the host platform, exactly as the go tool
-// would — otherwise a portable/assembly file pair (tensor's SIMD
-// fallbacks) would redeclare its symbols under the type checker.
-func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
+// dirSource is one directory's parsed Go files, parsed once per Loader and
+// shared by the package's import and analysis variants.
+type dirSource struct {
+	all   []*ast.File        // directory order
+	tests map[*ast.File]bool // the in-package _test.go files among them; empty unless IncludeTests
+}
+
+// parseDir parses the package's Go files (memoized): all non-test files
+// plus, when IncludeTests is set, _test.go files belonging to the same
+// package. Files excluded by build constraints (//go:build lines or
+// _GOOS/_GOARCH name suffixes) are skipped for the host platform, exactly
+// as the go tool would — otherwise a portable/assembly file pair (tensor's
+// SIMD fallbacks) would redeclare its symbols under the type checker.
+func (l *Loader) parseDir(dir string) (*dirSource, error) {
+	if src, ok := l.parsed[dir]; ok {
+		return src, nil
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	src := &dirSource{tests: map[*ast.File]bool{}}
 	var pkgName string
 	for _, e := range entries {
 		name := e.Name()
@@ -411,7 +415,7 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !withTests {
+		if isTest && !l.IncludeTests {
 			continue
 		}
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
@@ -425,19 +429,20 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
 			continue
 		}
-		if !isTest {
-			if pkgName == "" {
-				pkgName = f.Name.Name
-			} else if f.Name.Name != pkgName {
-				return nil, fmt.Errorf("lint: %s: mixed packages %q and %q", dir, pkgName, f.Name.Name)
-			}
+		if isTest {
+			src.tests[f] = true
+		} else if pkgName == "" {
+			pkgName = f.Name.Name
+		} else if f.Name.Name != pkgName {
+			return nil, fmt.Errorf("lint: %s: mixed packages %q and %q", dir, pkgName, f.Name.Name)
 		}
-		files = append(files, f)
+		src.all = append(src.all, f)
 	}
-	if len(files) == 0 {
+	if len(src.all) == len(src.tests) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	return files, nil
+	l.parsed[dir] = src
+	return src, nil
 }
 
 // Import implements types.Importer.
@@ -450,11 +455,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // cached export data when available, falling back to the source importer.
 func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
+		return l.importVariant(path)
 	}
 	if !l.noExportData && l.exports.has(path) {
 		if pkg, err := l.gc.ImportFrom(path, srcDir, 0); err == nil {

@@ -42,29 +42,23 @@ var LockSafeAnalyzer = &Analyzer{
 func runLockSafe(p *Pass) {
 	sums := p.Pkg.summaries()
 	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		if p.InTestFile(f.Pos()) {
-			continue
-		}
-		funcBodies(f, func(fb funcBody) {
-			cfg := buildCFG(fb.body)
-			exitf, _ := lockCheckBody(sums, info, fb, cfg, p.Reportf)
-			for k, h := range exitf.held {
-				name := k.name()
-				switch {
-				case !h.must:
-					p.Reportf(h.pos, "%s.%s is not released on every path to return; add defer %s.%s() or unlock the missed branch",
-						name, h.mode.lockName(), name, h.mode.unlockName())
-				case fb.decl != nil:
-					if _, ok := keyToSym(info, fb.decl, k); !ok {
-						p.Reportf(h.pos, "%s is locked but never unlocked, and no caller can reach it to release it", name)
-					}
-					// A summarizable must-held exit is the lock-helper shape:
-					// the caller-side check inherits the obligation.
+	p.eachBody(func(fb *funcBody) {
+		exitf := lockCheckBody(sums, info, fb, p.Reportf)
+		for k, h := range exitf.held {
+			name := k.name()
+			switch {
+			case !h.must:
+				p.Reportf(h.pos, "%s.%s is not released on every path to return; add defer %s.%s() or unlock the missed branch",
+					name, h.mode.lockName(), name, h.mode.unlockName())
+			case fb.decl != nil:
+				if _, ok := keyToSym(info, fb.decl, k); !ok {
+					p.Reportf(h.pos, "%s is locked but never unlocked, and no caller can reach it to release it", name)
 				}
+				// A summarizable must-held exit is the lock-helper shape:
+				// the caller-side check inherits the obligation.
 			}
-		})
-	}
+		}
+	})
 }
 
 // lockKey names one mutex inside a single function body: the root
@@ -169,8 +163,8 @@ func (f *lockFact) mergeFrom(src *lockFact) bool {
 	return changed
 }
 
-// lockReporter receives findings during the reporting sweep; nil-safe via
-// nopLockReport.
+// lockReporter receives findings during the reporting sweep; nopLockReport
+// discards them (the solver's transfer passes, summary computation).
 type lockReporter func(pos token.Pos, format string, args ...any)
 
 func nopLockReport(token.Pos, string, ...any) {}
@@ -324,12 +318,9 @@ func paramObjIndex(info *types.Info, decl *ast.FuncDecl, obj types.Object) int {
 // lockCheckBody runs the lock-state analysis over one function body:
 // solve to fixpoint, replay each node once against its converged entry
 // fact for findings, then apply deferred releases to the exit state.
-// Returns the post-defer exit fact and the deferred release set. report
-// may be nil (summary computation).
-func lockCheckBody(s *summarySet, info *types.Info, fb funcBody, cfg *funcCFG, report lockReporter) (*lockFact, map[lockKey]lockMode) {
-	if report == nil {
-		report = nopLockReport
-	}
+// Returns the post-defer exit fact.
+func lockCheckBody(s *summarySet, info *types.Info, fb *funcBody, report lockReporter) *lockFact {
+	cfg := fb.cfg()
 	transfer := func(n *cfgNode, in *lockFact) *lockFact {
 		out := in.clone()
 		lockTransfer(s, info, n, out, nopLockReport)
@@ -351,8 +342,7 @@ func lockCheckBody(s *summarySet, info *types.Info, fb funcBody, cfg *funcCFG, r
 	if f, ok := facts[cfg.exit]; ok {
 		exitf = f.clone()
 	}
-	deferred := deferredLockReleases(s, info, fb.body)
-	for k, m := range deferred {
+	for k, m := range deferredLockReleases(s, info, fb.body) {
 		if h, held := exitf.held[k]; held {
 			switch {
 			case h.mode == lockRead && m == lockWrite:
@@ -365,7 +355,7 @@ func lockCheckBody(s *summarySet, info *types.Info, fb funcBody, cfg *funcCFG, r
 			exitf.rel[k] = relInfo{mode: m, must: true}
 		}
 	}
-	return exitf, deferred
+	return exitf
 }
 
 // lockTransfer applies one node's lock effects to the fact in place.
@@ -522,8 +512,7 @@ func deferredLockReleases(s *summarySet, info *types.Info, body *ast.BlockStmt) 
 // releasesLock, and mayLock unions every reachable acquisition.
 func lockSummaryFacts(s *summarySet, n *cgNode, sum *funcSummary) {
 	info := s.pkg.Info
-	fb := funcBody{decl: n.decl, typ: n.decl.Type, body: n.decl.Body}
-	exitf, _ := lockCheckBody(s, info, fb, n.funcCFG(), nil)
+	exitf := lockCheckBody(s, info, n.body, nopLockReport)
 	for k, h := range exitf.held {
 		if !h.must {
 			continue

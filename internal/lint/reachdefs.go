@@ -119,9 +119,10 @@ type reachDef struct {
 }
 
 // buildReachDefs solves reaching definitions for one function body.
-func buildReachDefs(info *types.Info, fb funcBody, cfg *funcCFG) *reachDefs {
+func buildReachDefs(info *types.Info, fb *funcBody) *reachDefs {
 	r := &reachDefs{info: info, defs: map[*ast.Ident]reachDef{}}
-	r.tracked = trackedVars(info, fb, cfg)
+	cfg := fb.cfg()
+	r.tracked = trackedVars(info, fb)
 
 	entry := reachFact{}
 	for _, name := range paramNames(fb.typ) {
@@ -196,7 +197,7 @@ func paramNames(typ *ast.FuncType) []*ast.Ident {
 // trackedVars gathers the variables that take part: *types.Var locals
 // declared within the function (parameters and named results included),
 // minus the unsafe ones (see the file comment).
-func trackedVars(info *types.Info, fb funcBody, cfg *funcCFG) map[types.Object]bool {
+func trackedVars(info *types.Info, fb *funcBody) map[types.Object]bool {
 	var root ast.Node = fb.body
 	if fb.decl != nil {
 		root = fb.decl
@@ -212,7 +213,7 @@ func trackedVars(info *types.Info, fb funcBody, cfg *funcCFG) map[types.Object]b
 	for _, name := range paramNames(fb.typ) {
 		add(info.ObjectOf(name))
 	}
-	for _, n := range cfg.nodes {
+	for _, n := range fb.cfg().nodes {
 		for _, site := range defSites(info, n) {
 			add(site.obj)
 		}

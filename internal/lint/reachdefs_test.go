@@ -38,9 +38,8 @@ func buildReachFixture(t *testing.T, src string) *reachFixture {
 	}
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			cfg := buildCFG(fd.Body)
-			fb := funcBody{decl: fd, typ: fd.Type, body: fd.Body}
-			return &reachFixture{info: info, cfg: cfg, reach: buildReachDefs(info, fb, cfg), fd: fd}
+			fb := &funcBody{decl: fd, typ: fd.Type, body: fd.Body}
+			return &reachFixture{info: info, cfg: fb.cfg(), reach: buildReachDefs(info, fb), fd: fd}
 		}
 	}
 	t.Fatal("no function f in source")
@@ -122,7 +121,7 @@ func checkReach(t *testing.T, src string, queries []reachQuery, tracked map[stri
 
 // d is a copy of a copy of a on one path and a copy of a on the other: both
 // reaching definitions resolve to a's.
-func TestSSACopyChainResolves(t *testing.T) {
+func TestReachDefsCopyChainResolves(t *testing.T) {
 	checkReach(t, `package p
 func g() int { return 0 }
 func f(c bool) int {
@@ -136,7 +135,7 @@ func f(c bool) int {
 }`, []reachQuery{{use: occ{"d", 3}, def: occ{"a", 1}, resolves: true, reaching: 2}}, nil)
 }
 
-func TestSSAOverwriteSeparateDefs(t *testing.T) {
+func TestReachDefsOverwriteSeparateDefs(t *testing.T) {
 	checkReach(t, `package p
 func g() int { return 0 }
 func f() int {
@@ -151,7 +150,7 @@ func f() int {
 
 // Where SSA placed a phi, a diamond join shows as two reaching definitions,
 // and the use resolves to neither branch's alone.
-func TestSSADiamondPhi(t *testing.T) {
+func TestReachDefsDiamondPhi(t *testing.T) {
 	checkReach(t, `package p
 func f(c bool) int {
 	x := 1
@@ -169,7 +168,7 @@ func f(c bool) int {
 }
 
 // A loop-carried variable must not collapse to its pre-loop definition.
-func TestSSALoopPhi(t *testing.T) {
+func TestReachDefsLoopPhi(t *testing.T) {
 	checkReach(t, `package p
 func f(n int) int {
 	s := 0
@@ -181,7 +180,7 @@ func f(n int) int {
 }
 
 // A tuple assignment defines every LHS; the guard reads that err.
-func TestSSATupleAssignDefs(t *testing.T) {
+func TestReachDefsTupleAssignDefs(t *testing.T) {
 	checkReach(t, `package p
 func g() (int, error) { return 0, nil }
 func f() error {
@@ -199,7 +198,7 @@ func f() error {
 
 // Parameters and named results are defined at entry; out = a copies the
 // parameter.
-func TestSSAParamsDefinedAtEntry(t *testing.T) {
+func TestReachDefsParamsDefinedAtEntry(t *testing.T) {
 	checkReach(t, `package p
 func f(a int) (out int) {
 	out = a
@@ -212,7 +211,7 @@ func f(a int) (out int) {
 }
 
 // Address-taken and closure-captured variables are excluded.
-func TestSSAUnsafeVarsExcluded(t *testing.T) {
+func TestReachDefsUnsafeVarsExcluded(t *testing.T) {
 	checkReach(t, `package p
 func sink(p *int) {}
 func f() int {
@@ -227,7 +226,7 @@ func f() int {
 }
 
 // A variable mentioned in a defer reads its exit-time value: excluded.
-func TestSSADeferMentionExcluded(t *testing.T) {
+func TestReachDefsDeferMentionExcluded(t *testing.T) {
 	checkReach(t, `package p
 func end(x int) {}
 func f() {

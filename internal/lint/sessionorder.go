@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 const corePkgPath = "nautilus/internal/core"
 
@@ -42,10 +39,12 @@ var failedMutationMsg = map[string]string{
 }
 
 var sessionOrderSpec = &typestateSpec{
-	name:      "sessionorder",
-	origin:    plannerOrigin,
+	// Only the exported constructor starts a session; accessors returning an
+	// existing planner (ModelSelection.Planner()) are not origins — the
+	// session history belongs to the owner.
+	origin:    constructorOrigin("NewPlanner", corePkgPath, "Planner"),
 	errResult: true,
-	valueType: func(p *Pass, t types.Type) bool { return namedType(t, corePkgPath, "Planner") },
+	valueType: func(t types.Type) bool { return namedType(t, corePkgPath, "Planner") },
 	// Rank order is best→worst for the pessimistic path merge: a session
 	// that is planned on one path and failed on another must be treated as
 	// failed at the join.
@@ -63,25 +62,4 @@ var sessionOrderSpec = &typestateSpec{
 			"failed": "planner %s's Plan is read after a Replan whose error was discarded; handle the error first",
 		}},
 	},
-}
-
-// plannerOrigin matches core.NewPlanner calls: the exported constructor
-// returning (*core.Planner, error). Accessors returning an existing
-// planner (ModelSelection.Planner()) are not origins — the session history
-// belongs to the owner.
-func plannerOrigin(p *Pass, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fun.Name != "NewPlanner" {
-			return false
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != "NewPlanner" {
-			return false
-		}
-	default:
-		return false
-	}
-	tup, ok := p.Pkg.Info.TypeOf(call).(*types.Tuple)
-	return ok && tup.Len() == 2 && namedType(tup.At(0).Type(), corePkgPath, "Planner")
 }

@@ -51,12 +51,10 @@ var SpanLeakAnalyzer = &Analyzer{
 // has no use-after-End hazard (End is idempotent), only the exit
 // obligation.
 var spanLeakSpec = &typestateSpec{
-	name:         "spanleak",
 	origin:       spanOrigin,
 	originLabel:  spanMethodName,
 	unboundMsg:   "span from %s is dropped without being ended; bind it and defer End",
-	terminal:     "End",
-	terminalFact: func(f paramFacts) bool { return f.EndsSpan },
+	protocol:     spanProtocol,
 	leakMsg:      "span %s is not ended on every path to return; add defer %s.End() or end it on the missed branch",
 	overwriteMsg: "span %s is re-bound before being ended; the earlier span never reaches End — end it before re-binding",
 	deferLoopMsg: "span %s is started in a loop but its deferred End runs at function exit, not per iteration; end it at the end of the iteration",
@@ -80,26 +78,4 @@ func spanMethodName(call *ast.CallExpr) string {
 		return sel.Sel.Name
 	}
 	return "Start"
-}
-
-// The escape and deferred-End judgments live in the shared summary layer
-// (objEscapes / deferredDischarge in summary.go), which credits delegation
-// to local helpers; only parentMap remains here.
-
-// parentMap builds a child→parent map for the subtree.
-func parentMap(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 const storagePkgPath = "nautilus/internal/storage"
 
@@ -32,7 +29,7 @@ const storagePkgPath = "nautilus/internal/storage"
 // exit, not per iteration). A store that escapes — returned, stored in a
 // struct, handed to a goroutine — transfers the obligation to its new
 // owner, and a helper taking a *TensorStore parameter that closes it on
-// every path (the ClosesStore summary fact) discharges the caller's
+// every path (the Discharges summary fact) discharges the caller's
 // obligation through the call. Test files are skipped.
 var StoreLeaseAnalyzer = &Analyzer{
 	Name:         "storelease",
@@ -42,13 +39,11 @@ var StoreLeaseAnalyzer = &Analyzer{
 }
 
 var storeLeaseSpec = &typestateSpec{
-	name:      "storelease",
-	origin:    storeOrigin,
+	origin:    constructorOrigin("NewTensorStore", storagePkgPath, storeProtocol.typeName),
 	errResult: true,
-	valueType: func(p *Pass, t types.Type) bool { return namedType(t, storagePkgPath, "TensorStore") },
+	valueType: storeProtocol.carries,
 
-	terminal:      "Close",
-	terminalFact:  func(f paramFacts) bool { return f.ClosesStore },
+	protocol:      storeProtocol,
 	leakMsg:       "store %s is not closed on every path to return; add defer %s.Close() or close it on the missed branch",
 	overwriteMsg:  "store %s is re-bound before being closed; the earlier store's directory handle and cache leak — close it before re-binding",
 	deferLoopMsg:  "store %s is opened in a loop but its deferred Close runs at function exit, not per iteration; close it at the end of the iteration",
@@ -60,9 +55,9 @@ var storeLeaseSpec = &typestateSpec{
 	events: []eventSpec{
 		{method: "GC", to: "swept"},
 		{method: "Delete", to: "swept"},
-		{method: "Close", to: "closed", fact: func(f paramFacts) bool { return f.ClosesStore }},
+		{method: storeProtocol.terminal, delegable: true, to: "closed"},
 	},
-	derived: func(p *Pass, t types.Type) bool { return namedType(t, tensorPkgPath, "Tensor") },
+	derived: func(t types.Type) bool { return namedType(t, tensorPkgPath, "Tensor") },
 	useInState: map[string]useMsgs{
 		"closed": {directMsg: "store %s may already be closed here; move the use before Close"},
 		"swept":  {derivedMsg: "%s was read from store %s before a GC/Delete that may have dropped its rows; re-read it after the sweep or copy it out first"},
@@ -70,23 +65,4 @@ var storeLeaseSpec = &typestateSpec{
 	staleOnly:   true,
 	escapeEvent: "GC",
 	escapeMsg:   "%s was read from store %s but escapes via %s, and the store is swept before the function returns; copy it out first",
-}
-
-// storeOrigin matches storage.NewTensorStore calls returning
-// (*storage.TensorStore, error).
-func storeOrigin(p *Pass, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fun.Name != "NewTensorStore" {
-			return false
-		}
-	case *ast.SelectorExpr:
-		if fun.Sel.Name != "NewTensorStore" {
-			return false
-		}
-	default:
-		return false
-	}
-	tup, ok := p.Pkg.Info.TypeOf(call).(*types.Tuple)
-	return ok && tup.Len() == 2 && namedType(tup.At(0).Type(), storagePkgPath, "TensorStore")
 }

@@ -16,8 +16,8 @@ import (
 // The summary lattice is mixed-monotone, solved per SCC by iterating its
 // members to a fixpoint against each other:
 //
-//   - must-facts (EndsSpan, ReleasesScope, WaitsWG, errNever/errAlways)
-//     start optimistically true inside a recursive component and are only
+//   - must-facts (Discharges, errNever/errAlways) start optimistically
+//     true inside a recursive component and are only
 //     lowered, so a pair of mutually recursive enders stays credited while
 //     any unsatisfied escape route lowers the whole cycle;
 //   - may-facts (DonesWG, SendsChan, Escapes, mayLock) start at
@@ -30,18 +30,49 @@ import (
 // as escapes; and lock-helper facts inside a recursive SCC start
 // pessimistically empty, so a self-recursive lock helper is not credited.
 
+// protocol is one must-discharge resource protocol: a value of the named
+// type owes a call of its terminal method on every path to return.
+type protocol struct {
+	pkgPath, typeName string
+	terminal          string
+}
+
+// The protocol table is the one place that says which (type, terminal
+// method) pairs are must-discharge obligations. The summary layer computes
+// paramFacts.Discharges for a parameter of a listed type, and the typestate
+// specs and goroutinejoin's WaitGroup leg point at their row for the
+// terminal they credit through delegation; a fifth protocol is one row.
+var (
+	spanProtocol      = &protocol{obsPkgPath, "Span", "End"}
+	scopeProtocol     = &protocol{tensorPkgPath, "Scope", "Release"}
+	storeProtocol     = &protocol{storagePkgPath, "TensorStore", "Close"}
+	waitGroupProtocol = &protocol{"sync", "WaitGroup", "Wait"}
+
+	protocols = []*protocol{spanProtocol, scopeProtocol, storeProtocol, waitGroupProtocol}
+)
+
+// carries reports whether t (possibly behind pointers) is the protocol's
+// type.
+func (pr *protocol) carries(t types.Type) bool {
+	return namedType(t, pr.pkgPath, pr.typeName)
+}
+
+// protocolOf returns the protocol binding values of type t, or nil.
+func protocolOf(t types.Type) *protocol {
+	for _, pr := range protocols {
+		if pr.carries(t) {
+			return pr
+		}
+	}
+	return nil
+}
+
 // paramFacts is what a function's summary says about one parameter.
 type paramFacts struct {
-	// EndsSpan: the *obs.Span argument is ended on every path to return
-	// (directly, by delegation, or by defer).
-	EndsSpan bool
-	// ReleasesScope: the *tensor.Scope argument is released on every path.
-	ReleasesScope bool
-	// WaitsWG: the *sync.WaitGroup argument is waited on on every path.
-	WaitsWG bool
-	// ClosesStore: the *storage.TensorStore argument is closed on every
-	// path — the delegated-cleanup half of the storelease protocol.
-	ClosesStore bool
+	// Discharges: the terminal of the argument's protocol (its type's row in
+	// the protocol table) runs on every path to return — directly, by
+	// delegation, or by defer. False for a parameter of any other type.
+	Discharges bool
 	// DonesWG: the function may call Done on the WaitGroup argument —
 	// the worker half of the launch protocol.
 	DonesWG bool
@@ -50,6 +81,14 @@ type paramFacts struct {
 	// Escapes: the argument may leave the callee's hands (stored, returned,
 	// captured, or passed somewhere unknown).
 	Escapes bool
+}
+
+// or folds g into f: each fact of the union holds when it holds for either.
+func (f *paramFacts) or(g paramFacts) {
+	f.Discharges = f.Discharges || g.Discharges
+	f.DonesWG = f.DonesWG || g.DonesWG
+	f.SendsChan = f.SendsChan || g.SendsChan
+	f.Escapes = f.Escapes || g.Escapes
 }
 
 // lockMode distinguishes write locks from read locks on a sync.RWMutex
@@ -110,10 +149,6 @@ type funcSummary struct {
 	// mayLock: locks this function may acquire anywhere, transitively
 	// through local callees; used for re-acquisition deadlock checks.
 	mayLock map[lockSym]lockMode
-
-	// spawnsUnjoined: the function launches a goroutine the goroutinejoin
-	// analyzer cannot tie to a join protocol.
-	spawnsUnjoined bool
 }
 
 // paramIndex maps a call-site argument index to a parameter index,
@@ -135,8 +170,7 @@ func (sum *funcSummary) equal(o *funcSummary) bool {
 		return false
 	}
 	if len(sum.params) != len(o.params) ||
-		sum.errNever != o.errNever || sum.errAlways != o.errAlways ||
-		sum.spawnsUnjoined != o.spawnsUnjoined {
+		sum.errNever != o.errNever || sum.errAlways != o.errAlways {
 		return false
 	}
 	for i := range sum.params {
@@ -218,14 +252,6 @@ func computeSummaries(pkg *Package) *summarySet {
 			}
 		}
 	}
-	// spawnsUnjoined consumes the converged protocol facts (DonesWG,
-	// SendsChan, WaitsWG), so it runs as a post-pass, not in the fixpoint.
-	for _, n := range s.graph.order {
-		unjoined := false
-		fb := funcBody{decl: n.decl, typ: n.decl.Type, body: n.decl.Body}
-		goroutineJoinFunc(pkg.Info, s, fb, func(token.Pos, string, ...any) { unjoined = true })
-		s.byFn[n.fn].spawnsUnjoined = unjoined
-	}
 	return s
 }
 
@@ -236,11 +262,7 @@ func (s *summarySet) optimisticInit(n *cgNode) *funcSummary {
 	sig := n.fn.Type().(*types.Signature)
 	sum.params = make([]paramFacts, sig.Params().Len())
 	for i := range sum.params {
-		t := sig.Params().At(i).Type()
-		sum.params[i].EndsSpan = namedType(t, obsPkgPath, "Span")
-		sum.params[i].ReleasesScope = namedType(t, tensorPkgPath, "Scope")
-		sum.params[i].WaitsWG = namedType(t, "sync", "WaitGroup")
-		sum.params[i].ClosesStore = namedType(t, storagePkgPath, "TensorStore")
+		sum.params[i].Discharges = protocolOf(sig.Params().At(i).Type()) != nil
 	}
 	sum.errNever, sum.errAlways = hasErrorResult(sig), hasErrorResult(sig)
 	return sum
@@ -262,7 +284,6 @@ func (s *summarySet) compute(n *cgNode) *funcSummary {
 	info := s.pkg.Info
 	sum := &funcSummary{fn: n.fn, decl: n.decl}
 	sig := n.fn.Type().(*types.Signature)
-	cfg := n.funcCFG()
 	body := n.decl.Body
 
 	sum.params = make([]paramFacts, sig.Params().Len())
@@ -273,79 +294,72 @@ func (s *summarySet) compute(n *cgNode) *funcSummary {
 		}
 		pf := &sum.params[i]
 		t := obj.Type()
-		switch {
-		case namedType(t, obsPkgPath, "Span"):
-			pf.EndsSpan = s.mustDischarge(cfg, body, obj, "End", func(f paramFacts) bool { return f.EndsSpan })
-		case namedType(t, tensorPkgPath, "Scope"):
-			pf.ReleasesScope = s.mustDischarge(cfg, body, obj, "Release", func(f paramFacts) bool { return f.ReleasesScope })
-		case namedType(t, storagePkgPath, "TensorStore"):
-			pf.ClosesStore = s.mustDischarge(cfg, body, obj, "Close", func(f paramFacts) bool { return f.ClosesStore })
-		case namedType(t, "sync", "WaitGroup"):
-			pf.WaitsWG = s.mustDischarge(cfg, body, obj, "Wait", func(f paramFacts) bool { return f.WaitsWG })
-			pf.DonesWG = callsMethodOnAnywhere(info, body, obj, "Done") ||
-				delegatesAnywhere(s, body, obj, func(f paramFacts) bool { return f.DonesWG })
-		case isChanType(t):
-			pf.SendsChan = sendsOrCloses(info, body, obj) ||
-				delegatesAnywhere(s, body, obj, func(f paramFacts) bool { return f.SendsChan })
+		if pr := protocolOf(t); pr != nil {
+			pf.Discharges = s.mustDischarge(n.body, obj, pr.terminal)
 		}
-		pf.Escapes = objEscapes(info, s, body, obj)
+		switch {
+		case waitGroupProtocol.carries(t):
+			pf.DonesWG = callsMethodOnAnywhere(info, body, obj, "Done") || s.delegatedAnywhere(body, obj).DonesWG
+		case isChanType(t):
+			pf.SendsChan = sendsOrCloses(info, body, obj) || s.delegatedAnywhere(body, obj).SendsChan
+		}
+		pf.Escapes = objEscapes(info, s, n.body, obj)
 	}
 
 	sum.errNever, sum.errAlways = s.errorFacts(n, sig)
 	lockSummaryFacts(s, n, sum)
-	if cur := s.byFn[n.fn]; cur != nil {
-		sum.spawnsUnjoined = cur.spawnsUnjoined // preserved; set by the post-pass
-	}
 	return sum
 }
 
 // mustDischarge reports whether every path from entry to return discharges
-// the obligation on obj: a direct method call (End/Release/Wait), a call
-// delegating to a local function whose summary discharges that argument,
-// or a defer of either form.
-func (s *summarySet) mustDischarge(cfg *funcCFG, body *ast.BlockStmt, obj types.Object, method string, pred func(paramFacts) bool) bool {
-	if s.deferredDischarge(body, obj, method, pred) {
+// the obligation on obj: a direct call of its protocol's terminal method, a
+// call delegating to a local function whose summary discharges that
+// argument, or a defer of either form.
+func (s *summarySet) mustDischarge(fb *funcBody, obj types.Object, terminal string) bool {
+	if s.deferredDischarge(fb.body, obj, terminal) {
 		return true
 	}
+	cfg := fb.cfg()
 	must := cfg.mustPass(func(n *cfgNode) bool {
 		return headerContains(n, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
-			return ok && s.dischargesAt(call, obj, method, pred)
+			return ok && s.dischargesAt(call, obj, terminal)
 		})
 	})
 	return must[cfg.entry]
 }
 
 // dischargesAt reports whether one call discharges the obligation on obj.
-func (s *summarySet) dischargesAt(call *ast.CallExpr, obj types.Object, method string, pred func(paramFacts) bool) bool {
-	if recv, ok := methodCallOn(call, method); ok && identObj(s.pkg.Info, recv) == obj {
+func (s *summarySet) dischargesAt(call *ast.CallExpr, obj types.Object, terminal string) bool {
+	if recv, ok := methodCallOn(call, terminal); ok && identObj(s.pkg.Info, recv) == obj {
 		return true
 	}
-	return s.callDelegates(call, obj, pred)
+	return s.delegated(call, obj).Discharges
 }
 
-// callDelegates reports whether call passes obj as an argument to a local
-// function whose summary satisfies pred at that parameter position.
-func (s *summarySet) callDelegates(call *ast.CallExpr, obj types.Object, pred func(paramFacts) bool) bool {
+// delegated returns what call's callee does with obj: the union of the
+// local callee's summary facts over every parameter position obj is passed
+// at. It is zero when the callee has no summary or obj is not an argument.
+func (s *summarySet) delegated(call *ast.CallExpr, obj types.Object) (facts paramFacts) {
 	sum := s.calleeSummary(call)
 	if sum == nil {
-		return false
+		return facts
 	}
 	for i, a := range call.Args {
 		if argRootObj(s.pkg.Info, a) != obj {
 			continue
 		}
-		if pi := sum.paramIndex(i); pi >= 0 && pred(sum.params[pi]) {
-			return true
+		if pi := sum.paramIndex(i); pi >= 0 {
+			facts.or(sum.params[pi])
 		}
 	}
-	return false
+	return facts
 }
 
 // deferredDischarge reports whether any defer in the body discharges obj:
 // `defer obj.Method()`, a deferred closure containing such a call, or a
 // deferred delegation to a local discharger.
-func (s *summarySet) deferredDischarge(body *ast.BlockStmt, obj types.Object, method string, pred func(paramFacts) bool) bool {
+func (s *summarySet) deferredDischarge(body *ast.BlockStmt, obj types.Object, terminal string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -355,13 +369,13 @@ func (s *summarySet) deferredDischarge(body *ast.BlockStmt, obj types.Object, me
 		if !ok {
 			return true
 		}
-		if s.dischargesAt(ds.Call, obj, method, pred) {
+		if s.dischargesAt(ds.Call, obj, terminal) {
 			found = true
 			return false
 		}
 		if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
 			ast.Inspect(lit.Body, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok && s.dischargesAt(call, obj, method, pred) {
+				if call, ok := x.(*ast.CallExpr); ok && s.dischargesAt(call, obj, terminal) {
 					found = true
 				}
 				return !found
@@ -409,20 +423,16 @@ func callsMethodOnAnywhere(info *types.Info, body ast.Node, obj types.Object, se
 	return found
 }
 
-// delegatesAnywhere reports a call anywhere in the body (closures included)
-// passing obj to a local function whose summary satisfies pred.
-func delegatesAnywhere(s *summarySet, body ast.Node, obj types.Object, pred func(paramFacts) bool) bool {
-	found := false
+// delegatedAnywhere unions delegated over every call in the body, closures
+// included: what local callees may do with obj anywhere below this function.
+func (s *summarySet) delegatedAnywhere(body ast.Node, obj types.Object) (facts paramFacts) {
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok {
+			facts.or(s.delegated(call, obj))
 		}
-		if call, ok := n.(*ast.CallExpr); ok && s.callDelegates(call, obj, pred) {
-			found = true
-		}
-		return !found
+		return true
 	})
-	return found
+	return facts
 }
 
 // sendsOrCloses reports a send on or close of channel obj anywhere in the
@@ -541,11 +551,11 @@ func (s *summarySet) errExprRange(e ast.Expr) (canNil, canNonNil bool) {
 // hands: returned, stored beyond a plain rebind, placed in a composite /
 // index / channel send, captured by a function literal, handed to a
 // goroutine, or passed to a call not known (by local summary) to keep the
-// argument local. sums may be nil for a purely syntactic judgment.
-func objEscapes(info *types.Info, sums *summarySet, body *ast.BlockStmt, obj types.Object) bool {
-	parents := parentMap(body)
+// argument local.
+func objEscapes(info *types.Info, sums *summarySet, fb *funcBody, obj types.Object) bool {
+	parents := fb.parents()
 	escaped := false
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fb.body, func(n ast.Node) bool {
 		if escaped {
 			return false
 		}
@@ -637,11 +647,9 @@ func callArgEscapes(info *types.Info, sums *summarySet, parents map[ast.Node]ast
 		if _, ok := parents[call].(*ast.GoStmt); ok {
 			return true // another goroutine owns it now
 		}
-		if sums != nil {
-			if sum := sums.calleeSummary(call); sum != nil {
-				if pi := sum.paramIndex(i); pi >= 0 && !sum.params[pi].Escapes {
-					return false // callee keeps it local; obligations transfer
-				}
+		if sum := sums.calleeSummary(call); sum != nil {
+			if pi := sum.paramIndex(i); pi >= 0 && !sum.params[pi].Escapes {
+				return false // callee keeps it local; obligations transfer
 			}
 		}
 		return true

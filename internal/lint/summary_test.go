@@ -1,7 +1,11 @@
 package lint
 
 import (
+	"fmt"
+	"os"
+	"path"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,16 +44,62 @@ func TestSummaryEndsSpan(t *testing.T) {
 		"endSpanMutualB":   true,
 		"spanCycleLeaky":   false, // the escape path lowers the seed
 	} {
-		if got := summaryByName(t, s, name).params[0].EndsSpan; got != want {
-			t.Errorf("%s EndsSpan = %v, want %v", name, got, want)
+		if got := summaryByName(t, s, name).params[0].Discharges; got != want {
+			t.Errorf("%s Discharges = %v, want %v", name, got, want)
 		}
 	}
 }
 
 func TestSummaryReleasesScope(t *testing.T) {
 	s := loadSummaryFixture(t)
-	if !summaryByName(t, s, "releaseScope").params[0].ReleasesScope {
+	if !summaryByName(t, s, "releaseScope").params[0].Discharges {
 		t.Error("releaseScope does not summarize as releasing its scope")
+	}
+}
+
+// TestSummaryDischargesEveryProtocol generates, for every row of the
+// protocol table, a direct discharger, a one-branch one, a mutually
+// recursive pair (true only through the optimistic seed of its SCC) and a
+// parameter of an unlisted type, and reads the one Discharges fact off
+// each — so a new row is covered the day it is added.
+func TestSummaryDischargesEveryProtocol(t *testing.T) {
+	var imports, funcs strings.Builder
+	for i, pr := range protocols {
+		fmt.Fprintf(&imports, "\tp%d %q\n", i, pr.pkgPath)
+		typ, term := fmt.Sprintf("*p%d.%s", i, pr.typeName), pr.terminal
+		fmt.Fprintf(&funcs, "func direct%d(v %s) { v.%s() }\n", i, typ, term)
+		fmt.Fprintf(&funcs, "func branch%d(v %s, ok bool) {\n\tif ok {\n\t\tv.%s()\n\t}\n}\n", i, typ, term)
+		fmt.Fprintf(&funcs, "func mutualA%d(v %s, n int) {\n\tif n == 0 {\n\t\tv.%s()\n\t\treturn\n\t}\n\tmutualB%d(v, n-1)\n}\n", i, typ, term, i)
+		fmt.Fprintf(&funcs, "func mutualB%d(v %s, n int) { mutualA%d(v, n) }\n", i, typ, i)
+		fmt.Fprintf(&funcs, "func unlisted%d(v %s, w *int) { v.%s() }\n", i, typ, term)
+	}
+	dir := filepath.Join(t.TempDir(), "protos")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "package protos\n\nimport (\n" + imports.String() + ")\n\n" + funcs.String()
+	if err := os.WriteFile(filepath.Join(dir, "protos.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pkg.summaries()
+	for i, pr := range protocols {
+		label := path.Base(pr.pkgPath) + "." + pr.typeName + "." + pr.terminal
+		for name, want := range map[string]bool{"direct": true, "branch": false, "mutualA": true, "mutualB": true} {
+			if got := summaryByName(t, s, fmt.Sprint(name, i)).params[0].Discharges; got != want {
+				t.Errorf("%s: %s Discharges = %v, want %v", label, name, got, want)
+			}
+		}
+		if summaryByName(t, s, fmt.Sprint("unlisted", i)).params[1].Discharges {
+			t.Errorf("%s: a *int parameter summarizes as discharging", label)
+		}
 	}
 }
 
@@ -102,7 +152,7 @@ func TestSummaryEscapes(t *testing.T) {
 	if !summaryByName(t, s, "stash").params[0].Escapes {
 		t.Error("stash stores to a package variable but does not summarize as escaping")
 	}
-	if !summaryByName(t, s, "endSpan").params[0].EndsSpan {
+	if !summaryByName(t, s, "endSpan").params[0].Discharges {
 		t.Fatal("precondition: endSpan ends its span")
 	}
 }
@@ -112,7 +162,7 @@ func TestSummaryGoroutineProtocolFacts(t *testing.T) {
 	if !summaryByName(t, s, "doneWorker").params[0].DonesWG {
 		t.Error("doneWorker does not summarize as Done-ing its WaitGroup")
 	}
-	if !summaryByName(t, s, "waiter").params[0].WaitsWG {
+	if !summaryByName(t, s, "waiter").params[0].Discharges {
 		t.Error("waiter does not summarize as waiting on its WaitGroup")
 	}
 	if !summaryByName(t, s, "sender").params[0].SendsChan {

@@ -28,7 +28,7 @@ import (
 //     worsening event is still reachable.
 //
 // Both legs interface with the interprocedural summary layer: events fire
-// through delegation to local helpers (summarySet.callDelegates /
+// through delegation to local helpers (summarySet.delegated /
 // dischargesAt / deferredDischarge), and escapes hand the obligation to the
 // new owner (objEscapes). Reaching definitions (reachdefs.go) sharpen the
 // obligation leg: with copyDischarge set, a terminal called on a pure copy
@@ -54,10 +54,11 @@ type useMsgs struct {
 // local helper the summary layer proves fires the event on a parameter).
 type eventSpec struct {
 	method string
-	// fact credits delegation: a call passing the tracked value to a local
-	// function whose summary satisfies fact counts as the event. Nil means
-	// the event only fires through a direct method call.
-	fact func(paramFacts) bool
+	// delegable marks the terminal of the value's row in the protocol table
+	// (summary.go): a call passing the tracked value to a local function
+	// whose summary discharges that parameter counts as the event. Other
+	// events only fire through a direct method call.
+	delegable bool
 	// to is the state after the event; "" leaves the state unchanged.
 	to string
 	// keepIn lists states the event does not change (e.g. staging data on a
@@ -76,8 +77,6 @@ type eventSpec struct {
 // corresponding leg: a spec with no leakMsg has no exit obligation, a spec
 // with no states has no state simulation.
 type typestateSpec struct {
-	name string
-
 	// origin matches calls that create a tracked value.
 	origin func(p *Pass, call *ast.CallExpr) bool
 	// originLabel renders the origin for the unbound message.
@@ -88,19 +87,18 @@ type typestateSpec struct {
 	errResult bool
 	// valueType recognizes the tracked value's type: binds tuple results
 	// and seeds parameters.
-	valueType func(p *Pass, t types.Type) bool
+	valueType func(t types.Type) bool
 
 	// unboundMsg flags an origin call used as a bare statement (the handle
 	// is dropped and can never be discharged); args (originLabel).
 	unboundMsg string
 
 	// Obligation leg.
-	terminal      string                // discharging method name
-	terminalFact  func(paramFacts) bool // summary fact crediting delegation
-	leakMsg       string                // args (value, value)
-	overwriteMsg  string                // non-"": check mid-protocol re-binding; args (value)
-	deferLoopMsg  string                // non-"": check defer-in-loop; args (value)
-	copyDischarge bool                  // terminal on a pure copy (reachdefs.go) discharges
+	protocol      *protocol // protocol-table row naming the discharging terminal
+	leakMsg       string    // args (value, value)
+	overwriteMsg  string    // non-"": check mid-protocol re-binding; args (value)
+	deferLoopMsg  string    // non-"": check defer-in-loop; args (value)
+	copyDischarge bool      // terminal on a pure copy (reachdefs.go) discharges
 
 	// Simulation leg. states are ordered best→worst; path merge keeps the
 	// worst (may-analysis: "may already be released/closed/failed").
@@ -108,7 +106,7 @@ type typestateSpec struct {
 	start      string // state of a freshly bound origin
 	paramStart string // non-"": seed valueType parameters in this state
 	events     []eventSpec
-	derived    func(p *Pass, t types.Type) bool // types carrying derived values
+	derived    func(t types.Type) bool // types carrying derived values
 	useInState map[string]useMsgs
 	// staleOnly restricts derivedMsg to values bound before the owner
 	// reached its current (worse) state: rows read before a GC are stale
@@ -119,6 +117,28 @@ type typestateSpec struct {
 	// args (value, owner, how).
 	escapeEvent string
 	escapeMsg   string
+}
+
+// constructorOrigin matches calls of the constructor named ctor (bare or
+// package-qualified) returning (*pkgPath.typeName, error) — the origin
+// shape of the errResult specs.
+func constructorOrigin(ctor, pkgPath, typeName string) func(*Pass, *ast.CallExpr) bool {
+	return func(p *Pass, call *ast.CallExpr) bool {
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			if fun.Name != ctor {
+				return false
+			}
+		case *ast.SelectorExpr:
+			if fun.Sel.Name != ctor {
+				return false
+			}
+		default:
+			return false
+		}
+		tup, ok := p.Pkg.Info.TypeOf(call).(*types.Tuple)
+		return ok && tup.Len() == 2 && namedType(tup.At(0).Type(), pkgPath, typeName)
+	}
 }
 
 func (s *typestateSpec) rank(state string) int {
@@ -142,20 +162,12 @@ func (s *typestateSpec) eventByMethod(method string) *eventSpec {
 // runTypestate drives one spec over every non-test function in the package.
 func runTypestate(p *Pass, spec *typestateSpec) {
 	sums := p.Pkg.summaries()
-	for _, f := range p.Pkg.Files {
-		if p.InTestFile(f.Pos()) {
-			continue
+	p.eachBody(func(fb *funcBody) {
+		typestateObligations(p, sums, spec, fb)
+		if len(spec.states) > 0 {
+			typestateSimulate(p, sums, spec, fb)
 		}
-		funcBodies(f, func(fb funcBody) { typestateFunc(p, sums, spec, fb) })
-	}
-}
-
-func typestateFunc(p *Pass, sums *summarySet, spec *typestateSpec, fb funcBody) {
-	cfg := buildCFG(fb.body)
-	typestateObligations(p, sums, spec, fb, cfg)
-	if len(spec.states) > 0 {
-		typestateSimulate(p, sums, spec, fb, cfg)
-	}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -172,8 +184,9 @@ type tsOrigin struct {
 	call   *ast.CallExpr
 }
 
-func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb funcBody, cfg *funcCFG) {
+func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb *funcBody) {
 	info := p.Pkg.Info
+	cfg := fb.cfg()
 
 	// Dropped handles: a bare origin call as its own statement.
 	if spec.unboundMsg != "" {
@@ -199,11 +212,11 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 	var reach *reachDefs // built on the first value-flow question, if any
 	getReach := func() *reachDefs {
 		if reach == nil {
-			reach = buildReachDefs(info, fb, cfg)
+			reach = buildReachDefs(info, fb)
 		}
 		return reach
 	}
-	var parents map[ast.Node]ast.Node
+	terminal := spec.protocol.terminal
 
 	for _, o := range origins {
 		o := o
@@ -212,13 +225,13 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 		// summary layer credits, or (copyDischarge) the terminal on a
 		// variable whose every reaching definition is a copy of the origin's.
 		dischargeCall := func(n *cfgNode, call *ast.CallExpr) bool {
-			if sums.dischargesAt(call, o.obj, spec.terminal, spec.terminalFact) {
+			if sums.dischargesAt(call, o.obj, terminal) {
 				return true
 			}
 			if !spec.copyDischarge {
 				return false
 			}
-			recv, ok := methodCallOn(call, spec.terminal)
+			recv, ok := methodCallOn(call, terminal)
 			if !ok {
 				return false
 			}
@@ -239,17 +252,14 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb fun
 		// inside the loop only runs at function exit — every iteration but
 		// the last leaks until then.
 		if spec.deferLoopMsg != "" {
-			if parents == nil {
-				parents = parentMap(fb.body)
-			}
-			if loop := enclosingLoop(parents, o.node.stmt); loop != nil &&
-				sums.deferredDischarge(loop, o.obj, spec.terminal, spec.terminalFact) {
+			if loop := enclosingLoop(fb.parents(), o.node.stmt); loop != nil &&
+				sums.deferredDischarge(loop, o.obj, terminal) {
 				p.Reportf(o.call.Pos(), spec.deferLoopMsg, o.obj.Name())
 				continue
 			}
 		}
-		if sums.deferredDischarge(fb.body, o.obj, spec.terminal, spec.terminalFact) ||
-			objEscapes(info, sums, fb.body, o.obj) {
+		if sums.deferredDischarge(fb.body, o.obj, terminal) ||
+			objEscapes(info, sums, fb, o.obj) {
 			continue
 		}
 		// Re-binding mid-protocol: another definition of the variable is
@@ -319,7 +329,7 @@ func collectOrigins(p *Pass, spec *typestateSpec, cfg *funcCFG) []tsOrigin {
 			if obj == nil || obj.Name() == "_" {
 				continue
 			}
-			if spec.valueType != nil && spec.valueType(p, obj.Type()) {
+			if spec.valueType != nil && spec.valueType(obj.Type()) {
 				o.obj = obj
 				o.id, _ = l.(*ast.Ident)
 			} else if i == len(as.Lhs)-1 && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
@@ -465,8 +475,9 @@ func (f *protoFact) mergeFrom(src *protoFact) bool {
 	return changed
 }
 
-func typestateSimulate(p *Pass, sums *summarySet, spec *typestateSpec, fb funcBody, cfg *funcCFG) {
+func typestateSimulate(p *Pass, sums *summarySet, spec *typestateSpec, fb *funcBody) {
 	info := p.Pkg.Info
+	cfg := fb.cfg()
 	startRank := spec.rank(spec.start)
 
 	entry := newProtoFact()
@@ -475,7 +486,7 @@ func typestateSimulate(p *Pass, sums *summarySet, spec *typestateSpec, fb funcBo
 		for _, field := range fb.typ.Params.List {
 			for _, name := range field.Names {
 				obj := info.ObjectOf(name)
-				if obj != nil && spec.valueType(p, obj.Type()) {
+				if obj != nil && spec.valueType(obj.Type()) {
 					entry.state[obj] = pr
 				}
 			}
@@ -561,11 +572,11 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 						}
 					}
 				}
-				if ev.fact == nil {
+				if !ev.delegable {
 					continue
 				}
 				for obj := range f.state {
-					if sums.callDelegates(call, obj, ev.fact) {
+					if sums.delegated(call, obj).Discharges {
 						applyEvent(spec, ev, f, obj, false)
 					}
 				}
@@ -605,9 +616,9 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 			delete(f.state, obj)
 		}
 		switch {
-		case rhsOrigin[ri] && bindableOrigin(p, spec, as, obj):
+		case rhsOrigin[ri] && bindableOrigin(spec, as, obj):
 			f.state[obj] = startRank
-		case rhsDerived[ri] != nil && spec.derived != nil && spec.derived(p, obj.Type()):
+		case rhsDerived[ri] != nil && spec.derived != nil && spec.derived(obj.Type()):
 			f.derived[obj] = *rhsDerived[ri]
 		}
 	}
@@ -616,11 +627,11 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 // bindableOrigin reports whether this LHS receives the origin value: plain
 // specs need a 1:1 assignment; errResult specs bind the tracked-type slot
 // of the result tuple.
-func bindableOrigin(p *Pass, spec *typestateSpec, as *ast.AssignStmt, obj types.Object) bool {
+func bindableOrigin(spec *typestateSpec, as *ast.AssignStmt, obj types.Object) bool {
 	if !spec.errResult {
 		return len(as.Rhs) == len(as.Lhs)
 	}
-	return spec.valueType != nil && spec.valueType(p, obj.Type())
+	return spec.valueType != nil && spec.valueType(obj.Type())
 }
 
 // derivedOf returns the binding derived by expression e, or nil: e mentions
@@ -839,7 +850,7 @@ func eventReachable(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG
 		if recv, ok := methodCallOn(call, ev.method); ok && identObj(info, recv) == owner {
 			return true
 		}
-		return ev.fact != nil && sums.callDelegates(call, owner, ev.fact)
+		return ev.delegable && sums.delegated(call, owner).Discharges
 	}
 	if deferredAnywhere(cfg, isEvent) {
 		return true
@@ -883,14 +894,14 @@ func deferredAnywhere(cfg *funcCFG, isEvent func(ast.Node) bool) bool {
 // ---------------------------------------------------------------------------
 
 // wgJoinProtocol declares the WaitGroup leg of goroutinejoin as engine
-// events: Add must precede the launch, Done is the goroutine's signal, and
-// Wait must join every path from the launch to exit.
+// events: Add must precede the launch, and Wait must join every path from
+// the launch to exit (the goroutine's Done is how goroutinejoin classifies
+// the launch in the first place).
 var wgJoinProtocol = struct {
-	add, done, wait eventSpec
+	add, wait eventSpec
 }{
 	add:  eventSpec{method: "Add"},
-	done: eventSpec{method: "Done", fact: func(f paramFacts) bool { return f.DonesWG }},
-	wait: eventSpec{method: "Wait", fact: func(f paramFacts) bool { return f.WaitsWG }},
+	wait: eventSpec{method: waitGroupProtocol.terminal, delegable: true},
 }
 
 // eventPrecedes reports whether an ev-method call on obj appears before pos
@@ -917,8 +928,8 @@ func eventPrecedes(body ast.Node, ev eventSpec, obj types.Object, pos token.Pos,
 
 // eventJoins reports whether an ev-method call on obj runs on every path
 // from the launch node to exit (or is deferred anywhere in the function). A
-// call handing obj to a local function whose summary satisfies the event's
-// fact counts too.
+// call handing obj to a local function whose summary discharges it counts
+// too when the event is delegable.
 func eventJoins(info *types.Info, sums *summarySet, cfg *funcCFG, launch *cfgNode, ev eventSpec, obj types.Object) bool {
 	isEvent := func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
@@ -928,7 +939,7 @@ func eventJoins(info *types.Info, sums *summarySet, cfg *funcCFG, launch *cfgNod
 		if recv, ok := methodCallOn(call, ev.method); ok && identObj(info, recv) == obj {
 			return true
 		}
-		return sums != nil && ev.fact != nil && sums.callDelegates(call, obj, ev.fact)
+		return ev.delegable && sums.delegated(call, obj).Discharges
 	}
 	if deferredAnywhere(cfg, isEvent) {
 		return true

@@ -74,11 +74,12 @@ bench:
 bench-e2e:
 	$(GO) run ./bench
 
-# trace-demo runs a small workload with tracing + metrics enabled, then
-# asserts both artifacts parse (same checks as TestTraceDemo). Load
-# demo.trace in chrome://tracing or ui.perfetto.dev.
+# trace-demo runs a small workload with the trace, the telemetry report and
+# its live JSONL stream enabled, then asserts the artifacts parse and agree
+# (same checks as TestTraceDemo). Load demo.trace in chrome://tracing or
+# ui.perfetto.dev.
 trace-demo:
-	$(GO) run ./cmd/nautilus-run -workload FTR-3 -cycles 1 -trace demo.trace -metrics demo_metrics.json
+	$(GO) run ./cmd/nautilus-run -workload FTR-3 -cycles 1 -trace demo.trace -metrics demo_metrics.json -live demo_live.jsonl
 	$(GO) test -run TestTraceDemo -count=1 .
 
 # tune re-benchmarks every kernel shape class on this machine and

@@ -98,7 +98,7 @@ func main() {
 
 	if tel.Tracer != nil {
 		fmt.Println()
-		fatalIf(obs.WriteSummary(os.Stdout, tel.Tracer, 12))
+		fatalIf(obs.WriteSummary(os.Stdout, tel.Tracer.Report(), 12))
 		if *calibrateOut != "" {
 			c, err := calib.FromTracer(tel.Tracer, fmt.Sprintf("nautilus-run %s %s", *workload, cfg.Approach))
 			fatalIf(err)

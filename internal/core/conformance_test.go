@@ -9,8 +9,8 @@ import (
 
 // eq5PerRecord recomputes the plan's per-record costs directly from the
 // node-level actions and profiled layer costs — Equation 5 from first
-// principles, independent of the Plan accessor methods the trainer meters
-// through.
+// principles, independent of the Plan accessor methods the trainer and the
+// conformance report cost through.
 func eq5PerRecord(p *opt.Plan) (trainFLOPs, forwardFLOPs, loadBytes int64) {
 	for n, a := range p.Actions {
 		layer := p.Prof.Layers[n]
@@ -28,11 +28,12 @@ func eq5PerRecord(p *opt.Plan) (trainFLOPs, forwardFLOPs, loadBytes int64) {
 }
 
 // TestConformanceMatchesCostModel is the cost-model conformance property:
-// after planning and actually executing a workload, the metered compute
-// FLOPs must exactly equal the plan's Equation 5 recomputation expanded by
-// the records trained, the metered load bytes must exactly equal the
-// plan's materialized-read volume, and the replayed live-tensor peak must
-// stay under the analytical B_mem estimate the optimizer planned against.
+// after planning and actually executing a workload, each group's metered
+// record counts are exactly the epochs × training records and validation
+// records of the cycles it trained in, its predicted totals are the plan's
+// Equation 5 recomputation expanded by those counts, the live trainer.*
+// counters sum to the same totals, and the replayed live-tensor peak stays
+// under the analytical B_mem estimate the optimizer planned against.
 func TestConformanceMatchesCostModel(t *testing.T) {
 	for _, approach := range []Approach{Nautilus, MatAll} {
 		approach := approach
@@ -49,9 +50,14 @@ func TestConformanceMatchesCostModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ms.Close()
+			wantTrain, wantValid := map[string]int64{}, map[string]int64{}
 			for _, snap := range snapshots(t, 2) {
 				if _, err := ms.Fit(snap); err != nil {
 					t.Fatal(err)
+				}
+				for _, g := range ms.Groups() {
+					wantTrain[g.Name()] += int64(g.Epochs() * snap.TrainSize())
+					wantValid[g.Name()] += int64(snap.ValidSize())
 				}
 			}
 
@@ -63,30 +69,34 @@ func TestConformanceMatchesCostModel(t *testing.T) {
 			if len(reports) != len(byName) {
 				t.Fatalf("%d conformance groups, want %d", len(reports), len(byName))
 			}
+			var sumFLOPs, sumLoad int64
 			for _, r := range reports {
 				g := byName[r.Group]
 				if g == nil {
 					t.Fatalf("conformance group %q not in plan", r.Group)
 				}
-				trainFLOPs, forwardFLOPs, loadBytes := eq5PerRecord(g.Plan)
-				if r.TrainRecords == 0 {
-					t.Fatalf("group %s metered no training records", r.Group)
+				if r.TrainRecords == 0 || r.TrainRecords != wantTrain[r.Group] {
+					t.Errorf("group %s: metered %d training records, epochs x train size over its cycles is %d",
+						r.Group, r.TrainRecords, wantTrain[r.Group])
+				}
+				if r.ValidRecords != wantValid[r.Group] {
+					t.Errorf("group %s: metered %d validation records, valid size over its cycles is %d",
+						r.Group, r.ValidRecords, wantValid[r.Group])
 				}
 
+				trainFLOPs, forwardFLOPs, loadBytes := eq5PerRecord(g.Plan)
 				wantFLOPs := trainFLOPs*r.TrainRecords + forwardFLOPs*r.ValidRecords
-				if r.ActualComputeFLOPs != wantFLOPs {
-					t.Errorf("group %s: metered %d FLOPs, Eq. 5 recomputation %d",
-						r.Group, r.ActualComputeFLOPs, wantFLOPs)
+				if r.PredictedComputeFLOPs != wantFLOPs {
+					t.Errorf("group %s: predicted %d FLOPs, Eq. 5 recomputation %d",
+						r.Group, r.PredictedComputeFLOPs, wantFLOPs)
 				}
 				wantLoad := loadBytes * (r.TrainRecords + r.ValidRecords)
-				if r.ActualLoadBytes != wantLoad {
-					t.Errorf("group %s: metered %d load bytes, plan read volume %d",
-						r.Group, r.ActualLoadBytes, wantLoad)
+				if r.PredictedLoadBytes != wantLoad {
+					t.Errorf("group %s: predicted %d load bytes, plan read volume %d",
+						r.Group, r.PredictedLoadBytes, wantLoad)
 				}
-				if r.ComputeDelta != 0 || r.LoadDelta != 0 {
-					t.Errorf("group %s: nonzero deltas compute=%d load=%d",
-						r.Group, r.ComputeDelta, r.LoadDelta)
-				}
+				sumFLOPs += wantFLOPs
+				sumLoad += wantLoad
 
 				// MAT-ALL loads at the frontier, so its plans must actually
 				// read materialized bytes for the property to be non-vacuous.
@@ -103,6 +113,15 @@ func TestConformanceMatchesCostModel(t *testing.T) {
 					t.Errorf("group %s: metered peak %d exceeds analytical bound %d",
 						r.Group, r.ActualPeakMemoryBytes, g.PeakMemBytes)
 				}
+			}
+			// The live counters are stepped batch by batch; the Eq. 5 totals
+			// above are per-record costs times whole-run counts.
+			reg := tr.Registry()
+			if got := reg.Counter("trainer.compute_flops").Value(); got != sumFLOPs {
+				t.Errorf("trainer.compute_flops = %d, Eq. 5 over every group %d", got, sumFLOPs)
+			}
+			if got := reg.Counter("trainer.load_bytes").Value(); got != sumLoad {
+				t.Errorf("trainer.load_bytes = %d, plan read volume over every group %d", got, sumLoad)
 			}
 		})
 	}

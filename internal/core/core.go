@@ -466,18 +466,11 @@ func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
 	res.Best = bestResult(res.Results)
 	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	res.Duration = time.Since(started)
-	// Mirror the cumulative execution account into the metrics registry, so
-	// -metrics output carries the same totals exec.Metrics reports
-	// (exec.wall_ns is busy time summed over groups, not elapsed time).
-	if reg := ms.cfg.Obs.Registry(); reg != nil {
-		reg.Gauge("exec.compute_flops").Set(ms.metrics.ComputeFLOPs)
-		reg.Gauge("exec.load_bytes").Set(ms.metrics.LoadBytes)
-		reg.Gauge("exec.train_steps").Set(int64(ms.metrics.TrainSteps))
-		reg.Gauge("exec.wall_ns").Set(ms.metrics.Wall.Nanoseconds())
-		if ms.metrics.Disk != nil {
-			reg.Gauge("exec.disk_read_bytes").Set(ms.metrics.Disk.BytesRead())
-			reg.Gauge("exec.disk_written_bytes").Set(ms.metrics.Disk.BytesWritten())
-		}
+	// Physical disk traffic so far, checkpoints included: the store.*
+	// counters carry only the tensor store's share.
+	if reg := ms.cfg.Obs.Registry(); reg != nil && ms.metrics.Disk != nil {
+		reg.Gauge("exec.disk_read_bytes").Set(ms.metrics.Disk.BytesRead())
+		reg.Gauge("exec.disk_written_bytes").Set(ms.metrics.Disk.BytesWritten())
 	}
 	return res, nil
 }

@@ -118,8 +118,8 @@ func TestFitIdenticalOnAnySlotCount(t *testing.T) {
 						if v := tr.Registry().Gauge("trainer.groups_in_flight").Value(); v > 3 || (approach == CurrentPractice && v != 3) {
 							t.Errorf("%d groups in flight on 3 slots", v)
 						}
-						if v := tr.Registry().Gauge("exec.train_steps").Value(); v != int64(want.TrainSteps) {
-							t.Errorf("exec.train_steps gauge %d, want %d", v, want.TrainSteps)
+						if v := tr.Registry().Counter("trainer.steps").Value(); v != int64(want.TrainSteps) {
+							t.Errorf("trainer.steps counter %d, want %d", v, want.TrainSteps)
 						}
 					}
 				}

@@ -31,5 +31,5 @@ func BenchmarkTrainGroupNoObs(b *testing.B) {
 }
 
 func BenchmarkTrainGroupActiveObs(b *testing.B) {
-	benchTrainGroup(b, obs.New(obs.NewJSONLSink(struct{ io.Writer }{io.Discard})))
+	benchTrainGroup(b, obs.New(obs.NewChromeTraceSink(io.Discard)))
 }

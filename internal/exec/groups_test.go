@@ -228,7 +228,7 @@ func TestTrainGroupsErrorStopsAdmissionAndJoins(t *testing.T) {
 	if trainer.Metrics.TrainSteps != 0 || checkpointed.Load() != 0 {
 		t.Errorf("groups started after the failure: %d steps, %d checkpoints", trainer.Metrics.TrainSteps, checkpointed.Load())
 	}
-	for _, st := range trainer.Obs.SpanStats() {
+	for _, st := range trainer.Obs.Report().Spans {
 		if st.Name == "train/group" && st.Count != 2 {
 			t.Errorf("%d groups started, want 2", st.Count)
 		}

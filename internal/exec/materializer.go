@@ -148,11 +148,6 @@ func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *te
 		obs.Int("records", int64(n)),
 		obs.Int("outputs", int64(len(nodes))))
 	defer span.End()
-	if mz.Obs.Enabled() {
-		before := tensor.DispatchSnapshot()
-		defer func() { span.Attr(dispatchAttrs(before, tensor.DispatchSnapshot())...) }()
-	}
-	mz.Obs.Registry().Counter("materializer.records").Add(int64(n))
 	chunks := mz.forwardPipeline(model, span, deltaX, n)
 	// On early error return, drain the pipeline so its goroutine finishes
 	// and already-computed scopes are recycled.

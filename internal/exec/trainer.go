@@ -80,12 +80,6 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 		obs.Int("epochs", int64(g.Epochs())),
 		obs.Int("batch_size", int64(g.BatchSize()))).SetTrack(slotTracks * slot)
 	defer span.End()
-	if t.Obs.Enabled() {
-		// The dispatch counters are process-wide: with other groups in
-		// flight the delta also holds their kernels.
-		before := tensor.DispatchSnapshot()
-		defer func() { span.Attr(dispatchAttrs(before, tensor.DispatchSnapshot())...) }()
-	}
 	planModel, feeds, err := opt.BuildPlanModel(g.Plan)
 	if err != nil {
 		return nil, err
@@ -135,7 +129,6 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	cSteps := reg.Counter("trainer.steps")
 	hWait := reg.Histogram("trainer.feed_wait_ns", feedWaitBuckets)
 	samples := t.Obs.Samples()
-	defer t.publishArenaStats(reg)
 
 	// Live-tensor replay of the Section 4.3.3 peak-memory estimate: params
 	// + optimizer slots as a standing base, forward activations seeded per
@@ -220,11 +213,8 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 			}
 			if trk != nil {
 				gc.ObservePeakMemory(trk.Peak())
-				reg.Gauge("trainer.peak_live_bytes").SetMax(trk.Peak())
 			}
 			gc.AddTrainRecords(int64(len(idx)))
-			gc.AddComputeFLOPs(computePerRecord * int64(len(idx)))
-			gc.AddLoadBytes(loadPerRecord * int64(len(idx)))
 			cFlops.Add(computePerRecord * int64(len(idx)))
 			cLoad.Add(loadPerRecord * int64(len(idx)))
 			cSteps.Add(1)
@@ -298,8 +288,6 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				m.LoadBytes += loadPerRecord * int64(len(idx))
 			}
 			gc.AddValidRecords(int64(len(idx)))
-			gc.AddComputeFLOPs(forwardPerRecord * int64(len(idx)))
-			gc.AddLoadBytes(loadPerRecord * int64(len(idx)))
 			cFlops.Add(forwardPerRecord * int64(len(idx)))
 			cLoad.Add(loadPerRecord * int64(len(idx)))
 			scope.Release()
@@ -357,19 +345,6 @@ func allocOf(s *tensor.Scope) tensor.Alloc {
 		return nil
 	}
 	return s
-}
-
-// publishArenaStats exports the arena's hit/miss counters as registry
-// gauges after a group trains.
-func (t *Trainer) publishArenaStats(reg *obs.Registry) {
-	if t.Arena == nil || reg == nil {
-		return
-	}
-	st := t.Arena.Stats()
-	reg.Gauge("trainer.arena_gets").Set(st.Gets)
-	reg.Gauge("trainer.arena_hits").Set(st.Hits)
-	reg.Gauge("trainer.arena_misses").Set(st.Misses)
-	reg.Gauge("trainer.arena_pooled_bytes").Set(st.PooledBytes)
 }
 
 // Checkpoint writes the group's trained weights. Nautilus plans persist

@@ -16,9 +16,10 @@ type CostPrediction struct {
 	PeakMemoryBytes       int64 `json:"peak_memory_bytes"`
 }
 
-// Conformance accumulates predicted-vs-actual cost accounting per fused
+// Conformance accumulates predicted-vs-metered cost accounting per fused
 // group. The executor registers each group's plan predictions once and
-// meters actuals as it trains; Report renders the comparison.
+// meters records, wall time and live memory as it trains; Report renders
+// the comparison.
 type Conformance struct {
 	mu     sync.Mutex
 	groups map[string]*GroupConformance
@@ -81,7 +82,7 @@ func (c *Conformance) Group(name string) *GroupConformance {
 	return g
 }
 
-// GroupConformance accumulates one group's predictions and actuals.
+// GroupConformance accumulates one group's predictions and meters.
 type GroupConformance struct {
 	mu   sync.Mutex
 	name string
@@ -89,8 +90,6 @@ type GroupConformance struct {
 
 	trainRecords int64
 	validRecords int64
-	computeFLOPs int64
-	loadBytes    int64
 	peakMemory   int64 // high-water mark over all batches
 	computeTime  time.Duration
 	loadTime     time.Duration
@@ -123,26 +122,6 @@ func (g *GroupConformance) AddValidRecords(n int64) {
 	}
 	g.mu.Lock()
 	g.validRecords += n
-	g.mu.Unlock()
-}
-
-// AddComputeFLOPs meters executed cost-model compute.
-func (g *GroupConformance) AddComputeFLOPs(f int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.computeFLOPs += f
-	g.mu.Unlock()
-}
-
-// AddLoadBytes meters materialized intermediates read.
-func (g *GroupConformance) AddLoadBytes(b int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.loadBytes += b
 	g.mu.Unlock()
 }
 
@@ -180,26 +159,20 @@ func (g *GroupConformance) ObservePeakMemory(bytes int64) {
 	g.mu.Unlock()
 }
 
-// GroupReport is one group's predicted-vs-actual comparison. Predicted
-// totals expand the per-record predictions by the metered record counts
-// (training records pay the Eq. 5 cost, validation records the forward
-// share; both pay the load volume), so Delta == 0 means the executor did
-// exactly what the plan costed.
+// GroupReport is one group's predicted-vs-metered comparison. What is
+// metered: records through the training and validation loops, wall time
+// computing and assembling feeds, the live-tensor peak. Predicted totals
+// expand the plan's per-record costs by the metered record counts (training
+// records pay the Eq. 5 cost, validation records the forward share; both
+// pay the load volume) — what the plan says this much work costs.
 type GroupReport struct {
 	Group        string         `json:"group"`
 	Predicted    CostPrediction `json:"predicted"`
 	TrainRecords int64          `json:"train_records"`
 	ValidRecords int64          `json:"valid_records"`
 
-	PredictedComputeFLOPs int64   `json:"predicted_compute_flops"`
-	ActualComputeFLOPs    int64   `json:"actual_compute_flops"`
-	ComputeDelta          int64   `json:"compute_delta"`
-	ComputeErrPct         float64 `json:"compute_err_pct"`
-
-	PredictedLoadBytes int64   `json:"predicted_load_bytes"`
-	ActualLoadBytes    int64   `json:"actual_load_bytes"`
-	LoadDelta          int64   `json:"load_delta"`
-	LoadErrPct         float64 `json:"load_err_pct"`
+	PredictedComputeFLOPs int64 `json:"predicted_compute_flops"`
+	PredictedLoadBytes    int64 `json:"predicted_load_bytes"`
 
 	PredictedPeakMemoryBytes int64   `json:"predicted_peak_memory_bytes"`
 	ActualPeakMemoryBytes    int64   `json:"actual_peak_memory_bytes"`
@@ -246,18 +219,11 @@ func (g *GroupConformance) report(flopsPerSec, readBytesPerSec, driftWarn float6
 		ValidRecords: g.validRecords,
 
 		PredictedComputeFLOPs: g.pred.ComputeFLOPsPerRecord*g.trainRecords + g.pred.ForwardFLOPsPerRecord*g.validRecords,
-		ActualComputeFLOPs:    g.computeFLOPs,
-
-		PredictedLoadBytes: g.pred.LoadBytesPerRecord * (g.trainRecords + g.validRecords),
-		ActualLoadBytes:    g.loadBytes,
+		PredictedLoadBytes:    g.pred.LoadBytesPerRecord * (g.trainRecords + g.validRecords),
 
 		PredictedPeakMemoryBytes: g.pred.PeakMemoryBytes,
 		ActualPeakMemoryBytes:    g.peakMemory,
 	}
-	r.ComputeDelta = r.ActualComputeFLOPs - r.PredictedComputeFLOPs
-	r.LoadDelta = r.ActualLoadBytes - r.PredictedLoadBytes
-	r.ComputeErrPct = errPct(r.ComputeDelta, r.PredictedComputeFLOPs)
-	r.LoadErrPct = errPct(r.LoadDelta, r.PredictedLoadBytes)
 	if r.PredictedPeakMemoryBytes > 0 {
 		r.MemoryUsePct = 100 * float64(r.ActualPeakMemoryBytes) / float64(r.PredictedPeakMemoryBytes)
 	}
@@ -283,16 +249,6 @@ func (g *GroupConformance) report(flopsPerSec, readBytesPerSec, driftWarn float6
 		}
 	}
 	return r
-}
-
-func errPct(delta, predicted int64) float64 {
-	if predicted == 0 {
-		if delta == 0 {
-			return 0
-		}
-		return 100
-	}
-	return 100 * float64(delta) / float64(predicted)
 }
 
 // MemTracker replays the executor's tensor allocations to a live-bytes

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,48 +13,21 @@ import (
 	"time"
 )
 
-// LiveSnapshot is one point-in-time view of a running tracer: the metrics
-// registry, the cost-model conformance report so far, and the tree of
-// spans still open — everything a long training run exposes while it
-// executes instead of only post-mortem. AtNs is relative to the tracer's
-// base time.
-type LiveSnapshot struct {
-	AtNs        int64         `json:"at_ns"`
-	Metrics     *Snapshot     `json:"metrics,omitempty"`
-	Conformance []GroupReport `json:"conformance,omitempty"`
-	OpenSpans   []OpenSpan    `json:"open_spans,omitempty"`
-}
-
-// Live captures a snapshot of the tracer's current state (nil tracer →
-// nil).
-func (t *Tracer) Live() *LiveSnapshot {
-	if t == nil {
-		return nil
-	}
-	return &LiveSnapshot{
-		AtNs:        now().Sub(t.base).Nanoseconds(),
-		Metrics:     t.Registry().Snapshot(),
-		Conformance: t.Conformance().Report(),
-		OpenSpans:   t.OpenSpans(),
-	}
-}
-
 // ExporterConfig configures a live telemetry exporter.
 type ExporterConfig struct {
-	// SnapshotPath, when non-empty, appends one LiveSnapshot JSON object
-	// per Interval to this file (JSONL).
+	// SnapshotPath, when non-empty, appends one Report JSON object per
+	// Interval to this file (JSONL).
 	SnapshotPath string
 	// Interval between periodic snapshots; 0 defaults to 2s.
 	Interval time.Duration
-	// Listen, when non-empty, serves the live endpoints over HTTP on this
-	// address (e.g. "localhost:6060" or ":0" for an ephemeral port):
-	// /metrics (expvar-compatible flat JSON), /conformance, /spans, and
-	// the stdlib pprof handlers under /debug/pprof/.
+	// Listen, when non-empty, serves the Report at /metrics and the stdlib
+	// pprof handlers under /debug/pprof/ over HTTP on this address (e.g.
+	// "localhost:6060" or ":0" for an ephemeral port).
 	Listen string
 }
 
-// Exporter periodically snapshots a tracer to JSONL and/or serves its
-// live state over HTTP, so a multi-hour training run can be inspected
+// Exporter periodically appends a tracer's Report to a JSONL file and/or
+// serves it over HTTP, so a multi-hour training run can be inspected
 // while it executes. Start it with StartExporter, stop it with Close:
 // Close joins the snapshot goroutine (writing one final snapshot), shuts
 // the HTTP server down, and closes the snapshot file.
@@ -147,12 +121,12 @@ func (e *Exporter) snapshotLoop() {
 	}
 }
 
-// writeSnapshot appends one LiveSnapshot line (no-op without a file).
+// writeSnapshot appends one Report line (no-op without a file).
 func (e *Exporter) writeSnapshot() {
 	if e.enc == nil {
 		return
 	}
-	snap := e.t.Live()
+	snap := e.t.Report()
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = e.enc.Encode(snap)
@@ -195,19 +169,12 @@ func (e *Exporter) handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		_, _ = fmt.Fprint(w, "nautilus live telemetry\n\n/metrics\n/conformance\n/spans\n/debug/pprof/\n")
+		_, _ = fmt.Fprint(w, "nautilus live telemetry\n\n/metrics\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, expvarMap(e.t.Registry().Snapshot()))
-	})
-	mux.HandleFunc("/conformance", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, e.t.Conformance().Report())
-	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, struct {
-			Open  []OpenSpan `json:"open"`
-			Stats []SpanStat `json:"stats"`
-		}{e.t.OpenSpans(), e.t.SpanStats()})
+		w.Header().Set("Content-Type", "application/json")
+		// Encode errors past the header are connection-level; nothing to do.
+		_ = writeIndented(w, e.t.Report())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -217,30 +184,10 @@ func (e *Exporter) handler() http.Handler {
 	return mux
 }
 
-// expvarMap flattens a registry snapshot into the expvar convention: one
-// top-level key per variable, scalars for counters and gauges, objects
-// for histograms.
-func expvarMap(s *Snapshot) map[string]any {
-	out := map[string]any{}
-	if s == nil {
-		return out
-	}
-	for name, v := range s.Counters {
-		out[name] = v
-	}
-	for name, v := range s.Gauges {
-		out[name] = v
-	}
-	for name, h := range s.Histograms {
-		out[name] = h
-	}
-	return out
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeIndented is the one indented encoding of a Report: the /metrics body
+// and the -metrics file.
+func writeIndented(w io.Writer, r *Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	// Encode errors past the header are connection-level; nothing to do.
-	_ = enc.Encode(v)
+	return enc.Encode(r)
 }

@@ -2,9 +2,10 @@
 // the planner/materializer/trainer pipeline, a typed metrics registry
 // (counters, gauges, histograms), and a cost-model conformance report that
 // records the optimizer's predicted compute FLOPs / load bytes / peak
-// memory per fused group next to the executor's metered actuals — the
-// measured-vs-modeled accounting that keeps the Section 4.1 cost model
-// honest (the paper's Figure 11 utilization story).
+// memory per fused group next to what the executor metered (records,
+// seconds, live-tensor peak) — the measured-vs-modeled accounting that
+// keeps the Section 4.1 cost model honest (the paper's Figure 11
+// utilization story). Tracer.Report is the one reader of all three.
 //
 // Every entry point is nil-receiver safe: a nil *Tracer (and every handle
 // derived from one) makes all span, registry, and conformance operations
@@ -16,7 +17,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -44,8 +44,8 @@ type Tracer struct {
 	// childTime accumulates, per *open* span, the total duration of its
 	// ended children — the bookkeeping behind exclusive (self) time.
 	childTime map[uint64]time.Duration
-	// open tracks every span not yet ended, keyed by id, so the live
-	// exporter can snapshot the in-flight span tree.
+	// open tracks every span not yet ended, keyed by id, so a Report can
+	// show the in-flight span tree.
 	open  map[uint64]*Span
 	stats map[string]*SpanStat
 }
@@ -96,9 +96,9 @@ func (t *Tracer) Samples() *SampleLog {
 	return t.samples
 }
 
-// OpenSpan is one still-running span in a live snapshot. StartNs is
-// relative to the tracer's base time; ElapsedNs is how long the span has
-// been open at snapshot time.
+// OpenSpan is one still-running span in a Report. StartNs is relative to
+// the tracer's base time; ElapsedNs is how long the span has been open at
+// report time.
 type OpenSpan struct {
 	ID        uint64 `json:"id"`
 	Parent    uint64 `json:"parent,omitempty"`
@@ -106,31 +106,6 @@ type OpenSpan struct {
 	Name      string `json:"name"`
 	StartNs   int64  `json:"start_ns"`
 	ElapsedNs int64  `json:"elapsed_ns"`
-}
-
-// OpenSpans snapshots every span currently open, ordered by id (creation
-// order). Only creation-time fields are read, so a snapshot never races
-// the owning goroutine's Attr calls.
-func (t *Tracer) OpenSpans() []OpenSpan {
-	if t == nil {
-		return nil
-	}
-	at := now().Sub(t.base)
-	t.mu.Lock()
-	out := make([]OpenSpan, 0, len(t.open))
-	for _, s := range t.open {
-		out = append(out, OpenSpan{
-			ID:        s.id,
-			Parent:    s.parent,
-			Track:     s.track,
-			Name:      s.name,
-			StartNs:   s.start.Nanoseconds(),
-			ElapsedNs: (at - s.start).Nanoseconds(),
-		})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Close flushes and closes the sink, if any.
@@ -146,17 +121,20 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(0, 0, name, attrs)
+	return t.newSpan(nil, name, attrs)
 }
 
-func (t *Tracer) newSpan(parent uint64, track int, name string, attrs []Attr) *Span {
-	start := now().Sub(t.base)
+// newSpan opens a span under parent (nil: a root), on the parent's track.
+func (t *Tracer) newSpan(parent *Span, name string, attrs []Attr) *Span {
+	s := &Span{t: t, name: name, start: now().Sub(t.base), attrs: attrs}
 	t.mu.Lock()
 	t.nextID++
-	id := t.nextID
-	t.childTime[id] = 0
-	s := &Span{t: t, id: id, parent: parent, track: track, name: name, start: start, attrs: attrs}
-	t.open[id] = s
+	s.id = t.nextID
+	if parent != nil {
+		s.parent, s.track = parent.id, parent.track
+	}
+	t.childTime[s.id] = 0
+	t.open[s.id] = s
 	t.mu.Unlock()
 	return s
 }
@@ -169,7 +147,7 @@ type Span struct {
 	t      *Tracer
 	id     uint64
 	parent uint64
-	track  int
+	track  int // guarded by t.mu: a Report reads it while the span is open
 	name   string
 	start  time.Duration // since tracer base
 	attrs  []Attr
@@ -184,7 +162,7 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.t.newSpan(s.id, s.track, name, attrs)
+	return s.t.newSpan(s, name, attrs)
 }
 
 // SetTrack moves the span (and, by inheritance, its children) onto a
@@ -192,7 +170,9 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 // training loop. Returns s for chaining.
 func (s *Span) SetTrack(track int) *Span {
 	if s != nil {
+		s.t.mu.Lock()
 		s.track = track
+		s.t.mu.Unlock()
 	}
 	return s
 }
@@ -202,6 +182,8 @@ func (s *Span) Track() int {
 	if s == nil {
 		return 0
 	}
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
 	return s.track
 }
 
@@ -277,9 +259,6 @@ func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
 
 // Int builds an integer attribute.
 func Int(k string, v int64) Attr { return Attr{Key: k, Val: v} }
-
-// F64 builds a float attribute.
-func F64(k string, v float64) Attr { return Attr{Key: k, Val: v} }
 
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Val: v} }

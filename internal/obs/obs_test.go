@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // collectSink records emitted events in order.
@@ -69,7 +70,7 @@ func TestSpanStatsExclusiveTime(t *testing.T) {
 	root.End()
 
 	stats := map[string]SpanStat{}
-	for _, st := range tr.SpanStats() {
+	for _, st := range tr.Report().Spans {
 		stats[st.Name] = st
 	}
 	outer, inner := stats["outer"], stats["inner"]
@@ -148,7 +149,6 @@ func TestNilSafety(t *testing.T) {
 	g := conf.Group("g")
 	g.SetPredicted(CostPrediction{})
 	g.AddTrainRecords(1)
-	g.AddComputeFLOPs(1)
 	g.ObservePeakMemory(1)
 	if conf.Report() != nil {
 		t.Error("nil conformance report not nil")
@@ -160,42 +160,11 @@ func TestNilSafety(t *testing.T) {
 	if m.Peak() != 0 || m.Live() != 0 {
 		t.Error("nil MemTracker returned nonzero")
 	}
-	if tr.SpanStats() != nil {
-		t.Error("nil tracer span stats not nil")
+	if tr.Report() != nil {
+		t.Error("nil tracer report not nil")
 	}
-	if err := WriteSummary(&bytes.Buffer{}, tr, 5); err != nil {
+	if err := WriteSummary(&bytes.Buffer{}, tr.Report(), 5); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(NewJSONLSink(&buf))
-	root := tr.Start("a", Int("n", 42))
-	root.Child("b").End()
-	root.End()
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var e jsonlEvent
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if e.Name == "" || e.ID == 0 {
-			t.Errorf("line %q missing name or id", line)
-		}
-	}
-	var last jsonlEvent
-	if err := json.Unmarshal([]byte(lines[1]), &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Name != "a" || last.Attrs["n"] != float64(42) {
-		t.Errorf("root line = %+v", last)
 	}
 }
 
@@ -282,6 +251,8 @@ func TestRegistry(t *testing.T) {
 
 func TestConformanceReport(t *testing.T) {
 	c := NewConformance()
+	c.SetRates(1000, 10) // FLOP/s, read bytes/s
+	c.SetDriftWarn(1.5)
 	g := c.Group("m1")
 	g.SetPredicted(CostPrediction{
 		ComputeFLOPsPerRecord: 100,
@@ -290,11 +261,9 @@ func TestConformanceReport(t *testing.T) {
 		PeakMemoryBytes:       1000,
 	})
 	g.AddTrainRecords(10)
-	g.AddComputeFLOPs(100 * 10)
-	g.AddLoadBytes(8 * 10)
 	g.AddValidRecords(5)
-	g.AddComputeFLOPs(40 * 5)
-	g.AddLoadBytes(8 * 5)
+	g.AddComputeTime(1200 * time.Millisecond)
+	g.AddLoadTime(12 * time.Second)
 	g.ObservePeakMemory(700)
 	g.ObservePeakMemory(600) // lower observation must not regress the mark
 
@@ -303,20 +272,26 @@ func TestConformanceReport(t *testing.T) {
 		t.Fatalf("%d reports, want 1", len(reports))
 	}
 	r := reports[0]
-	if r.PredictedComputeFLOPs != 1200 || r.ActualComputeFLOPs != 1200 || r.ComputeDelta != 0 {
-		t.Errorf("compute: %+v", r)
+	if r.TrainRecords != 10 || r.ValidRecords != 5 {
+		t.Errorf("records: %+v", r)
 	}
-	if r.PredictedLoadBytes != 120 || r.LoadDelta != 0 {
-		t.Errorf("load: %+v", r)
+	// Training records pay Eq. 5, validation records the forward share; both load.
+	if r.PredictedComputeFLOPs != 100*10+40*5 || r.PredictedLoadBytes != 8*15 {
+		t.Errorf("predicted totals: %+v", r)
+	}
+	if r.PredictedComputeSec != 1.2 || r.ActualComputeSec != 1.2 || r.ComputeDrift != 1 {
+		t.Errorf("compute seconds: %+v", r)
+	}
+	if r.PredictedLoadSec != 12 || r.LoadDrift != 1 || r.DriftWarn {
+		t.Errorf("load seconds: %+v", r)
 	}
 	if r.ActualPeakMemoryBytes != 700 || r.MemoryUsePct != 70 {
 		t.Errorf("memory: %+v", r)
 	}
-	// A drifting executor shows a nonzero delta and error percentage.
-	g.AddComputeFLOPs(60)
-	r = c.Report()[0]
-	if r.ComputeDelta != 60 || r.ComputeErrPct != 5 {
-		t.Errorf("drift: delta %d errpct %v", r.ComputeDelta, r.ComputeErrPct)
+	// A load leg twice as slow as the planner's rate leaves the warn band.
+	g.AddLoadTime(12 * time.Second)
+	if r = c.Report()[0]; r.LoadDrift != 2 || !r.DriftWarn {
+		t.Errorf("drift: load x%v warn %v, want x2 and a warning", r.LoadDrift, r.DriftWarn)
 	}
 }
 
@@ -339,44 +314,46 @@ func TestMemTracker(t *testing.T) {
 	}
 }
 
-func TestWriteSummaryAndMetricsJSON(t *testing.T) {
+func TestWriteSummaryAndReport(t *testing.T) {
 	tr := New(nil)
 	s := tr.Start("plan/workload")
 	s.Child("plan/mat_opt").End()
 	s.End()
+	still := tr.Start("train/group").SetTrack(3)
 	tr.Registry().Counter("trainer.compute_flops").Add(123)
+	tr.Registry().Histogram("trainer.feed_wait_ns", []int64{10, 100}).Observe(7)
 	gc := tr.Conformance().Group("g")
 	gc.SetPredicted(CostPrediction{ComputeFLOPsPerRecord: 2, PeakMemoryBytes: 10})
 	gc.AddTrainRecords(3)
-	gc.AddComputeFLOPs(6)
 	gc.ObservePeakMemory(4)
 
+	rep := tr.Report()
 	var buf bytes.Buffer
-	if err := WriteSummary(&buf, tr, 10); err != nil {
+	if err := WriteSummary(&buf, rep, 10); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"plan/workload", "cost-model conformance", "delta +0", "40.0% of bound"} {
+	for _, want := range []string{"plan/workload", "trainer.feed_wait_ns", "cost-model conformance",
+		"3 train + 0 valid records", "predicted 6 FLOPs", "40.0% of bound"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
 
-	b, err := MetricsJSON(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep MetricsReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatal(err)
-	}
 	if rep.Metrics.Counters["trainer.compute_flops"] != 123 {
-		t.Errorf("metrics JSON counters = %+v", rep.Metrics.Counters)
+		t.Errorf("report counters = %+v", rep.Metrics.Counters)
 	}
-	if len(rep.Conformance) != 1 || rep.Conformance[0].ComputeDelta != 0 {
-		t.Errorf("metrics JSON conformance = %+v", rep.Conformance)
+	if len(rep.Conformance) != 1 || rep.Conformance[0].PredictedComputeFLOPs != 6 {
+		t.Errorf("report conformance = %+v", rep.Conformance)
 	}
 	if len(rep.Spans) != 2 {
-		t.Errorf("metrics JSON spans = %+v", rep.Spans)
+		t.Errorf("report spans = %+v, want the two ended names", rep.Spans)
+	}
+	if len(rep.OpenSpans) != 1 || rep.OpenSpans[0].Name != "train/group" || rep.OpenSpans[0].Track != 3 {
+		t.Errorf("report open spans = %+v, want train/group on track 3", rep.OpenSpans)
+	}
+	still.End()
+	if rep = tr.Report(); len(rep.OpenSpans) != 0 || len(rep.Spans) != 3 {
+		t.Errorf("after End: %d open, %d ended names, want 0 and 3", len(rep.OpenSpans), len(rep.Spans))
 	}
 }

@@ -38,62 +38,6 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// jsonlEvent is the JSON-lines wire form of an Event.
-type jsonlEvent struct {
-	Name    string         `json:"name"`
-	ID      uint64         `json:"id"`
-	Parent  uint64         `json:"parent,omitempty"`
-	Track   int            `json:"track,omitempty"`
-	StartNs int64          `json:"start_ns"`
-	DurNs   int64          `json:"dur_ns"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
-
-// JSONLSink writes one JSON object per span per line — the grep/jq-friendly
-// trace format.
-type JSONLSink struct {
-	enc *json.Encoder
-	c   io.Closer
-	err error
-}
-
-// NewJSONLSink wraps w. If w is also an io.Closer, Close closes it.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{enc: json.NewEncoder(w)}
-	if c, ok := w.(io.Closer); ok {
-		s.c = c
-	}
-	return s
-}
-
-// Emit writes the event as one line.
-func (s *JSONLSink) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
-	s.err = s.enc.Encode(jsonlEvent{
-		Name:    e.Name,
-		ID:      e.ID,
-		Parent:  e.Parent,
-		Track:   e.Track,
-		StartNs: e.Start.Nanoseconds(),
-		DurNs:   e.Dur.Nanoseconds(),
-		Attrs:   attrMap(e.Attrs),
-	})
-}
-
-// Close reports the first write error and closes the underlying writer if
-// it is closable.
-func (s *JSONLSink) Close() error {
-	if s.c != nil {
-		if cerr := s.c.Close(); s.err == nil {
-			s.err = cerr
-		}
-		s.c = nil
-	}
-	return s.err
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event). Timestamps
 // and durations are in microseconds, per the trace-event format.
 type chromeEvent struct {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -20,25 +19,52 @@ type SpanStat struct {
 	Max       time.Duration `json:"max_ns"`
 }
 
-// SpanStats returns per-name statistics over all ended spans, sorted by
-// exclusive time descending (nil tracer → nil).
-func (t *Tracer) SpanStats() []SpanStat {
+// Report is the telemetry document: everything a tracer knows at one
+// instant. -metrics writes it once at exit, -live appends it per interval,
+// /metrics serves it, WriteSummary renders it; there is no other reader of
+// tracer state. AtNs is relative to the tracer's base time; Spans is sorted
+// by exclusive time descending, OpenSpans by id (creation order).
+type Report struct {
+	AtNs        int64         `json:"at_ns"`
+	Metrics     *Snapshot     `json:"metrics"`
+	Conformance []GroupReport `json:"conformance"`
+	Spans       []SpanStat    `json:"spans"`
+	OpenSpans   []OpenSpan    `json:"open_spans"`
+}
+
+// Report captures the tracer's current state (nil tracer → nil). Ended and
+// open spans are read under one lock, so a span is in exactly one of them.
+func (t *Tracer) Report() *Report {
 	if t == nil {
 		return nil
 	}
+	at := now().Sub(t.base)
+	r := &Report{AtNs: at.Nanoseconds(), Metrics: t.reg.Snapshot(), Conformance: t.conf.Report()}
 	t.mu.Lock()
-	out := make([]SpanStat, 0, len(t.stats))
+	r.Spans = make([]SpanStat, 0, len(t.stats))
 	for _, st := range t.stats {
-		out = append(out, *st)
+		r.Spans = append(r.Spans, *st)
+	}
+	r.OpenSpans = make([]OpenSpan, 0, len(t.open))
+	for _, s := range t.open {
+		r.OpenSpans = append(r.OpenSpans, OpenSpan{
+			ID:        s.id,
+			Parent:    s.parent,
+			Track:     s.track,
+			Name:      s.name,
+			StartNs:   s.start.Nanoseconds(),
+			ElapsedNs: (at - s.start).Nanoseconds(),
+		})
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Exclusive != out[j].Exclusive {
-			return out[i].Exclusive > out[j].Exclusive
+	sort.Slice(r.Spans, func(i, j int) bool {
+		if r.Spans[i].Exclusive != r.Spans[j].Exclusive {
+			return r.Spans[i].Exclusive > r.Spans[j].Exclusive
 		}
-		return out[i].Name < out[j].Name
+		return r.Spans[i].Name < r.Spans[j].Name
 	})
-	return out
+	sort.Slice(r.OpenSpans, func(i, j int) bool { return r.OpenSpans[i].ID < r.OpenSpans[j].ID })
+	return r
 }
 
 // errWriter accumulates the first write error so report rendering can
@@ -55,14 +81,13 @@ func (e *errWriter) printf(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-// WriteSummary prints the human-readable observability summary: the top
-// spans by exclusive time, then the cost-model conformance table.
-func WriteSummary(w io.Writer, t *Tracer, topN int) error {
-	if t == nil {
+// WriteSummary renders a Report for people: the top spans by exclusive
+// time, the histograms, then the cost-model conformance table.
+func WriteSummary(w io.Writer, r *Report, topN int) error {
+	if r == nil {
 		return nil
 	}
-	stats := t.SpanStats()
-	if len(stats) > 0 {
+	if stats := r.Spans; len(stats) > 0 {
 		var grand time.Duration
 		for _, st := range stats {
 			grand += st.Exclusive
@@ -90,10 +115,10 @@ func WriteSummary(w io.Writer, t *Tracer, topN int) error {
 			}
 		}
 	}
-	if err := writeHistograms(w, t.Registry().Snapshot()); err != nil {
+	if err := writeHistograms(w, r.Metrics); err != nil {
 		return err
 	}
-	return WriteConformance(w, t.Conformance())
+	return writeConformance(w, r.Conformance)
 }
 
 // writeHistograms prints every registry histogram with its count, mean,
@@ -128,53 +153,28 @@ func writeHistograms(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// WriteConformance prints the predicted-vs-actual cost-model comparison,
-// one block per fused group.
-func WriteConformance(w io.Writer, c *Conformance) error {
-	reports := c.Report()
+// writeConformance prints the predicted-vs-metered comparison, one block
+// per fused group: the plan's totals over the metered record counts, in
+// seconds at the planner's rates against metered wall time (ratio 0 while
+// rates or time are absent), and the live-tensor peak against its bound.
+func writeConformance(w io.Writer, reports []GroupReport) error {
 	if len(reports) == 0 {
 		return nil
 	}
 	ew := &errWriter{w: w}
-	ew.printf("-- cost-model conformance (predicted vs actual) --\n")
+	ew.printf("-- cost-model conformance (predicted vs metered) --\n")
 	for _, r := range reports {
-		ew.printf("group %s (%d train + %d valid records)\n", r.Group, r.TrainRecords, r.ValidRecords)
-		ew.printf("  compute FLOPs  predicted %d  actual %d  delta %+d (%.2f%%)\n",
-			r.PredictedComputeFLOPs, r.ActualComputeFLOPs, r.ComputeDelta, r.ComputeErrPct)
-		ew.printf("  load bytes     predicted %d  actual %d  delta %+d (%.2f%%)\n",
-			r.PredictedLoadBytes, r.ActualLoadBytes, r.LoadDelta, r.LoadErrPct)
-		ew.printf("  peak memory    bound %d  metered %d (%.1f%% of bound)\n",
-			r.PredictedPeakMemoryBytes, r.ActualPeakMemoryBytes, r.MemoryUsePct)
-		if r.ComputeDrift > 0 || r.LoadDrift > 0 {
-			warn := ""
-			if r.DriftWarn {
-				warn = "  DRIFT WARNING: calibrate the hardware profile (see -calibrate-out)"
-			}
-			ew.printf("  time drift     compute %.3fs pred / %.3fs actual (x%.2f)  load %.3fs pred / %.3fs actual (x%.2f)%s\n",
-				r.PredictedComputeSec, r.ActualComputeSec, r.ComputeDrift,
-				r.PredictedLoadSec, r.ActualLoadSec, r.LoadDrift, warn)
+		warn := ""
+		if r.DriftWarn {
+			warn = "  DRIFT WARNING: calibrate the hardware profile (see -calibrate-out)"
 		}
+		ew.printf("group %s (%d train + %d valid records)%s\n", r.Group, r.TrainRecords, r.ValidRecords, warn)
+		ew.printf("  compute      predicted %d FLOPs = %.3fs  metered %.3fs (x%.2f)\n",
+			r.PredictedComputeFLOPs, r.PredictedComputeSec, r.ActualComputeSec, r.ComputeDrift)
+		ew.printf("  load         predicted %d bytes = %.3fs  metered %.3fs (x%.2f)\n",
+			r.PredictedLoadBytes, r.PredictedLoadSec, r.ActualLoadSec, r.LoadDrift)
+		ew.printf("  peak memory  bound %d  metered %d (%.1f%% of bound)\n",
+			r.PredictedPeakMemoryBytes, r.ActualPeakMemoryBytes, r.MemoryUsePct)
 	}
 	return ew.err
-}
-
-// MetricsReport is the -metrics JSON document: the registry snapshot, the
-// conformance report, and per-name span statistics.
-type MetricsReport struct {
-	Metrics     *Snapshot     `json:"metrics"`
-	Conformance []GroupReport `json:"conformance"`
-	Spans       []SpanStat    `json:"spans"`
-}
-
-// MetricsJSON marshals the tracer's registry, conformance report, and span
-// statistics as an indented JSON document.
-func MetricsJSON(t *Tracer) ([]byte, error) {
-	if t == nil {
-		return nil, fmt.Errorf("obs: metrics JSON of nil tracer")
-	}
-	return json.MarshalIndent(MetricsReport{
-		Metrics:     t.Registry().Snapshot(),
-		Conformance: t.Conformance().Report(),
-		Spans:       t.SpanStats(),
-	}, "", "  ")
 }

@@ -10,6 +10,7 @@ import (
 
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
+	"nautilus/internal/obs"
 	"nautilus/internal/tensor"
 )
 
@@ -305,6 +306,8 @@ func TestTensorStoreQuickRoundTrip(t *testing.T) {
 
 func TestRowCacheHitsAndEviction(t *testing.T) {
 	s, c := newStore(t)
+	tr := obs.New(nil)
+	s.SetObs(tr)
 	s.EnableCache(10 * 8 * 4) // 10 rows of 8 floats
 	x := tensor.New(20, 8)
 	for i := range x.Data() {
@@ -347,6 +350,21 @@ func TestRowCacheHitsAndEviction(t *testing.T) {
 	}
 	if c.BytesRead() == before {
 		t.Error("evicted row should re-read from disk")
+	}
+	// The registry's store.* series are the same account, read live: cold
+	// bytes are the disk counter's, row hits and misses the cache's, and
+	// appended bytes what was written less the one file header.
+	reg := tr.Registry()
+	hits, misses = s.CacheStats()
+	for name, want := range map[string]int64{
+		"store.read.cold_bytes":   c.BytesRead(),
+		"store.read.cache_hits":   hits,
+		"store.read.cache_misses": misses,
+		"store.append.bytes":      int64(4 * x.Len()),
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

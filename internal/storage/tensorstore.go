@@ -300,14 +300,9 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 		reg.Counter("store.read.cold_bytes").Add(coldBytes)
 		reg.Counter("store.read.cache_hits").Add(int64(len(idx) - coldRows))
 		reg.Counter("store.read.cache_misses").Add(int64(coldRows))
-		reg.Histogram("store.read.cold_bytes_per_call", readBytesBuckets).Observe(coldBytes)
 	}
 	return out, nil
 }
-
-// readBytesBuckets sizes the per-call cold-read histogram: 4 KB to 4 MB in
-// decade-ish steps, tuned to mini-batch gather volumes.
-var readBytesBuckets = []int64{0, 4 << 10, 64 << 10, 512 << 10, 4 << 20}
 
 // ReadRange reads records [lo, hi).
 func (s *TensorStore) ReadRange(key string, lo, hi int) (*tensor.Tensor, error) {

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -36,11 +35,10 @@ type Schedule struct {
 	// Kernel selects the variant: "" or "blocked"/"fast" runs the
 	// schedule-parameterized kernel, "naive" forces the seed reference.
 	Kernel string `json:"kernel,omitempty"`
-	// TileM/TileN/TileK size the register/cache blocking; 0 means the
-	// kernel's default. MatMul family: TileM is the output-row block fed to
-	// the multi-row SIMD micro-kernel, TileK the packed/cached panel depth.
+	// TileM/TileK size the register/cache blocking; 0 means the kernel's
+	// default. MatMul family: TileM is the output-row block fed to the
+	// multi-row SIMD micro-kernel, TileK the packed/cached panel depth.
 	TileM int `json:"tile_m,omitempty"`
-	TileN int `json:"tile_n,omitempty"`
 	TileK int `json:"tile_k,omitempty"`
 	// Workers caps goroutines for this dispatch; 0 means the ambient
 	// MaxWorkers cap, 1 forces serial.
@@ -51,8 +49,8 @@ type Schedule struct {
 	SerialBelow int `json:"serial_below,omitempty"`
 }
 
-// String renders a compact schedule descriptor for span attributes and
-// benchmark reports, e.g. "blocked m4k256 w1".
+// String renders a compact schedule descriptor for tuner and benchmark
+// reports, e.g. "blocked m4k256 w1".
 func (s Schedule) String() string {
 	kern := s.Kernel
 	if kern == "" {
@@ -61,9 +59,6 @@ func (s Schedule) String() string {
 	tiles := ""
 	if s.TileM > 0 {
 		tiles += fmt.Sprintf("m%d", s.TileM)
-	}
-	if s.TileN > 0 {
-		tiles += fmt.Sprintf("n%d", s.TileN)
 	}
 	if s.TileK > 0 {
 		tiles += fmt.Sprintf("k%d", s.TileK)
@@ -114,91 +109,22 @@ func CurrentScheduleSource() ScheduleSource {
 	return nil
 }
 
-// scheduleFor resolves the schedule for one kernel dispatch and records it
-// in the per-op dispatch statistics.
+// scheduleFor resolves the schedule for one kernel dispatch: the installed
+// source's answer, else the zero Schedule (all defaults).
 func scheduleFor(op Op, dims [3]int) Schedule {
-	if box, ok := scheduleSource.Load().(sourceBox); ok && box.src != nil {
-		if sch, ok := box.src.Schedule(op, dims, MaxWorkers()); ok {
-			recordDispatch(op, sch, true)
+	if src := CurrentScheduleSource(); src != nil {
+		if sch, ok := src.Schedule(op, dims, MaxWorkers()); ok {
 			return sch
 		}
 	}
-	var sch Schedule // zero value = default variant + default heuristics
-	recordDispatch(op, sch, false)
-	return sch
+	return Schedule{}
 }
 
-// opStats accumulates dispatch counts and the last schedule fired for one
-// op. last is stored as a Schedule value under the mutex-free atomic.
-type opStats struct {
-	tuned    atomic.Int64
-	fallback atomic.Int64
-	last     atomic.Value // of Schedule
-}
-
-var dispatchStats sync.Map // Op -> *opStats
-
-func recordDispatch(op Op, sch Schedule, tuned bool) {
-	v, ok := dispatchStats.Load(op)
-	if !ok {
-		v, _ = dispatchStats.LoadOrStore(op, &opStats{})
-	}
-	st := v.(*opStats)
-	if tuned {
-		st.tuned.Add(1)
-	} else {
-		st.fallback.Add(1)
-	}
-	// Storing boxes sch on the heap; launches repeat one schedule per op,
-	// so only a change pays for it.
-	if last, ok := st.last.Load().(Schedule); !ok || last != sch {
-		st.last.Store(sch)
-	}
-}
-
-// OpDispatch is one op's dispatch statistics snapshot: how many kernel
-// launches resolved a tuned schedule vs fell back to the defaults, and the
-// schedule that fired last.
-type OpDispatch struct {
-	Op       Op
-	Tuned    int64
-	Fallback int64
-	Last     Schedule
-}
-
-// DispatchSnapshot returns per-op dispatch statistics sorted by op name.
-// The trainer and materializer diff consecutive snapshots to attach
-// which-schedule-fired attributes to their spans.
-func DispatchSnapshot() []OpDispatch {
-	var out []OpDispatch
-	dispatchStats.Range(func(k, v any) bool {
-		st := v.(*opStats)
-		d := OpDispatch{Op: k.(Op), Tuned: st.tuned.Load(), Fallback: st.fallback.Load()}
-		if last, ok := st.last.Load().(Schedule); ok {
-			d.Last = last
-		}
-		out = append(out, d)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
-	return out
-}
-
-// DispatchCounts sums tuned and fallback dispatches across all ops.
-func DispatchCounts() (tuned, fallback int64) {
-	for _, d := range DispatchSnapshot() {
-		tuned += d.Tuned
-		fallback += d.Fallback
-	}
-	return tuned, fallback
-}
-
-// wouldParallelize reports whether a dispatch under sch chunks [0,n)
-// across goroutines rather than running serially: the schedule's worker
-// count (or the ambient cap) must exceed one, the loop must be divisible,
-// and the work estimate must clear the schedule's serial cutoff (or the
-// global threshold when the schedule doesn't set one).
-func wouldParallelize(sch Schedule, n, work int) bool {
+// fanOut is how many goroutines a dispatch under sch chunks [0,n) across:
+// the schedule's worker count (or the ambient cap) clamped to the cap and
+// to n, and 1 — run serially — while the work estimate stays below the
+// schedule's serial cutoff (or the global threshold when it sets none).
+func fanOut(sch Schedule, n, work int) int {
 	workers := sch.Workers
 	if limit := MaxWorkers(); workers <= 0 || workers > limit {
 		workers = limit
@@ -207,7 +133,10 @@ func wouldParallelize(sch Schedule, n, work int) bool {
 	if cutoff <= 0 {
 		cutoff = parallelThreshold
 	}
-	return work >= cutoff && workers > 1 && n > 1
+	if work < cutoff {
+		return 1
+	}
+	return max(1, min(workers, n))
 }
 
 // parallelFor is the schedule-aware sibling of Parallel: it splits [0,n)
@@ -217,16 +146,10 @@ func wouldParallelize(sch Schedule, n, work int) bool {
 // state, so results are bit-identical to a serial run (the chunkdisjoint
 // analyzer checks parallelFor callbacks too).
 func parallelFor(sch Schedule, n, work int, fn func(lo, hi int)) {
-	if !wouldParallelize(sch, n, work) {
+	workers := fanOut(sch, n, work)
+	if workers == 1 {
 		fn(0, n)
 		return
-	}
-	workers := sch.Workers
-	if limit := MaxWorkers(); workers <= 0 || workers > limit {
-		workers = limit
-	}
-	if workers > n {
-		workers = n
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup

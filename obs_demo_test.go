@@ -1,8 +1,8 @@
 // End-to-end check of the observability surface: run the nautilus-run CLI
-// with -trace and -metrics on a small workload and assert both artifacts
-// parse and carry the promised guarantees (valid Chrome trace, zero
-// compute/load deltas, metered peak under the B_mem estimate). `make
-// trace-demo` runs the same flow interactively.
+// with -trace, -metrics and -live on a small workload and assert the
+// artifacts parse and carry the promised guarantees (valid Chrome trace, one
+// telemetry document behind -metrics and -live, metered peak under the
+// B_mem estimate). `make trace-demo` runs the same flow interactively.
 package nautilus_test
 
 import (
@@ -10,7 +10,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"nautilus/internal/obs"
 )
 
 // chromeTrace mirrors the trace-event envelope chrome://tracing loads.
@@ -27,26 +31,6 @@ type chromeTrace struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
-// metricsDoc mirrors obs.MetricsReport's JSON shape.
-type metricsDoc struct {
-	Metrics struct {
-		Counters map[string]int64 `json:"counters"`
-		Gauges   map[string]int64 `json:"gauges"`
-	} `json:"metrics"`
-	Conformance []struct {
-		Group                    string `json:"group"`
-		ComputeDelta             int64  `json:"compute_delta"`
-		LoadDelta                int64  `json:"load_delta"`
-		ActualComputeFLOPs       int64  `json:"actual_compute_flops"`
-		PredictedPeakMemoryBytes int64  `json:"predicted_peak_memory_bytes"`
-		ActualPeakMemoryBytes    int64  `json:"actual_peak_memory_bytes"`
-	} `json:"conformance"`
-	Spans []struct {
-		Name  string `json:"name"`
-		Count int64  `json:"count"`
-	} `json:"spans"`
-}
-
 func TestTraceDemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real training via go run")
@@ -54,9 +38,10 @@ func TestTraceDemo(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "demo.trace")
 	metricsPath := filepath.Join(dir, "demo_metrics.json")
+	livePath := filepath.Join(dir, "demo_live.jsonl")
 	cmd := exec.Command("go", "run", "./cmd/nautilus-run",
 		"-workload", "FTR-3", "-cycles", "1",
-		"-trace", tracePath, "-metrics", metricsPath)
+		"-trace", tracePath, "-metrics", metricsPath, "-live", livePath)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("nautilus-run failed: %v\n%s", err, out)
@@ -92,13 +77,14 @@ func TestTraceDemo(t *testing.T) {
 		}
 	}
 
-	// The metrics JSON must carry per-group conformance with exactly-zero
-	// compute and load deltas and a metered peak under the planned bound.
+	// The -metrics file is the telemetry document: per-group conformance
+	// with work metered and a peak under the planned bound, the registry,
+	// and a stats row for every span name in the trace.
 	metricsBytes, err := os.ReadFile(metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc metricsDoc
+	var doc obs.Report
 	if err := json.Unmarshal(metricsBytes, &doc); err != nil {
 		t.Fatalf("metrics file is not valid JSON: %v", err)
 	}
@@ -106,21 +92,55 @@ func TestTraceDemo(t *testing.T) {
 		t.Fatal("metrics carry no conformance groups")
 	}
 	for _, g := range doc.Conformance {
-		if g.ComputeDelta != 0 || g.LoadDelta != 0 {
-			t.Errorf("group %s: nonzero deltas compute=%d load=%d", g.Group, g.ComputeDelta, g.LoadDelta)
-		}
-		if g.ActualComputeFLOPs == 0 {
-			t.Errorf("group %s: no compute metered", g.Group)
+		if g.TrainRecords == 0 || g.PredictedComputeFLOPs == 0 || g.ActualComputeSec <= 0 {
+			t.Errorf("group %s: no work metered: %+v", g.Group, g)
 		}
 		if g.ActualPeakMemoryBytes <= 0 || g.ActualPeakMemoryBytes > g.PredictedPeakMemoryBytes {
 			t.Errorf("group %s: metered peak %d outside (0, bound %d]",
 				g.Group, g.ActualPeakMemoryBytes, g.PredictedPeakMemoryBytes)
 		}
 	}
-	if len(doc.Metrics.Counters) == 0 || len(doc.Spans) == 0 {
-		t.Error("metrics JSON missing registry counters or span stats")
+	stats := map[string]int64{}
+	for _, st := range doc.Spans {
+		stats[st.Name] = st.Count
 	}
-	if doc.Metrics.Gauges["exec.compute_flops"] == 0 {
-		t.Error("exec.compute_flops gauge not mirrored into the registry")
+	for name := range names {
+		if stats[name] == 0 {
+			t.Errorf("span %s is in the trace but has no stats row", name)
+		}
+	}
+	if len(doc.OpenSpans) != 0 {
+		t.Errorf("%d spans still open at exit: %+v", len(doc.OpenSpans), doc.OpenSpans)
+	}
+	counters, gauges := doc.Metrics.Counters, doc.Metrics.Gauges
+	if counters["trainer.compute_flops"] == 0 || counters["trainer.steps"] == 0 {
+		t.Errorf("trainer counters empty: %+v", counters)
+	}
+	// One feed wait per optimizer step, one train/batch span per step.
+	if h := doc.Metrics.Histograms["trainer.feed_wait_ns"]; h.Count != counters["trainer.steps"] || stats["train/batch"] != h.Count {
+		t.Errorf("feed waits %d, train/batch spans %d, trainer.steps %d: want all equal",
+			h.Count, stats["train/batch"], counters["trainer.steps"])
+	}
+	// The disk gauges hold checkpoint traffic on top of the store's.
+	if gauges["exec.disk_written_bytes"] <= counters["store.append.bytes"] || gauges["exec.disk_read_bytes"] < counters["store.read.cold_bytes"] {
+		t.Errorf("disk gauges %+v below the store's own counters %+v", gauges, counters)
+	}
+
+	// The last -live line is the same document taken a moment earlier:
+	// every counter and the whole conformance section agree.
+	liveBytes, err := os.ReadFile(livePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(liveBytes)), "\n")
+	var last obs.Report
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatalf("last live line is not valid JSON: %v", err)
+	}
+	if !reflect.DeepEqual(last.Metrics.Counters, counters) {
+		t.Errorf("last live line counters %+v, metrics file %+v", last.Metrics.Counters, counters)
+	}
+	if !reflect.DeepEqual(last.Conformance, doc.Conformance) {
+		t.Errorf("last live line conformance %+v, metrics file %+v", last.Conformance, doc.Conformance)
 	}
 }

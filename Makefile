@@ -64,7 +64,10 @@ check:
 # and the optimizer's own (internal/opt: BenchmarkBuildGroupPair — one
 # paper-scale trial merge, the ns/op and allocs/op behind plan_zoo's
 # opt.fuse_s — BenchmarkFuseModels12, BenchmarkOptimizeMaterialization12Models,
-# BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut).
+# BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut on one reused
+# Energy, BenchmarkWorkloadCost12Models — one MAT OPT objective evaluation,
+# twelve cost-only min-cuts — and BenchmarkEstimatePeakMemoryFused — the
+# Figure 5 replay of a four-member paper-scale group).
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt
 

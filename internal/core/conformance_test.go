@@ -12,9 +12,9 @@ import (
 // principles, independent of the Plan accessor methods the trainer and the
 // conformance report cost through.
 func eq5PerRecord(p *opt.Plan) (trainFLOPs, forwardFLOPs, loadBytes int64) {
-	for n, a := range p.Actions {
-		layer := p.Prof.Layers[n]
-		switch a {
+	for _, n := range p.Model().Nodes() {
+		layer := p.Prof.Layer(n)
+		switch p.Action(n) {
 		case opt.Computed:
 			trainFLOPs += layer.CompFLOPs
 			forwardFLOPs += layer.ForwardFLOPs

@@ -306,7 +306,7 @@ func (p *Planner) stageMatSigs(span *obs.Span, spec approachSpec, wp *WorkloadPl
 		return nil
 	case matAll:
 		for _, n := range p.mm.MaterializableNodes() {
-			wp.MatSigs[p.mm.Sig[n]] = true
+			wp.MatSigs[p.mm.Sig(n)] = true
 		}
 		return nil
 	}

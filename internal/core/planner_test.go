@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nautilus/internal/graph"
@@ -408,6 +409,47 @@ func TestPlannerRejectsDuplicateNamesAndBadProfiles(t *testing.T) {
 	if got := len(ms.Candidates()); got != len(before)+1 {
 		t.Errorf("%d candidates after a valid AddCandidates, want %d", got, len(before)+1)
 	}
+}
+
+// TestMatOptRejectsProfilesMissingACandidateNode: MAT OPT reads each
+// candidate layer's size from its first source model's profile. A profile
+// that predates a node of its model, or that describes another model, has
+// no entry for that node — it used to be dereferenced unchecked inside
+// OptimizeMaterialization; now it is an error naming model and node, like
+// the sibling "model is not a work item" case.
+func TestMatOptRejectsProfilesMissingACandidateNode(t *testing.T) {
+	cfg := opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 100}
+	wantErr := func(label string, items []opt.WorkItem, mm *mmg.MultiModel, names ...string) {
+		t.Helper()
+		_, err := opt.OptimizeMaterialization(mm, items, cfg)
+		if err == nil {
+			t.Fatalf("%s: OptimizeMaterialization accepted the workload", label)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name %q", label, err, name)
+			}
+		}
+	}
+
+	// A frozen layer added after profiling: a new materializable node, so a
+	// candidate of U, that the stale profile has no entry for.
+	stale := freshCandidate(t, "stale")
+	late := stale.Model.AddNode("late", layers.NewDense(9, 4, layers.ActNone, 5), stale.Model.Outputs[0])
+	stale.Model.Outputs[0].Trainable = false
+	stale.Model.SetOutputs(late)
+	mm, err := mmg.Build(stale.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr("stale profile", []opt.WorkItem{stale}, mm, `"stale"`, `"late"`)
+
+	foreign := freshCandidate(t, "foreign")
+	foreign.Prof = freshCandidate(t, "other").Prof
+	if mm, err = mmg.Build(foreign.Model); err != nil {
+		t.Fatal(err)
+	}
+	wantErr("profile of another model", []opt.WorkItem{foreign}, mm, `"foreign"`)
 }
 
 func TestRemoveCandidateErrors(t *testing.T) {

@@ -125,7 +125,7 @@ func TestMaterializerIncrementalMatchesBulk(t *testing.T) {
 	sigs := map[graph.Signature]bool{}
 	// Pick the last block's signature.
 	mat := mm.MaterializableNodes()
-	sig := mm.Sig[mat[len(mat)-1]]
+	sig := mm.Sig(mat[len(mat)-1])
 	sigs[sig] = true
 
 	pool := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7})
@@ -411,7 +411,7 @@ func TestMaterializerResetDropsArtifacts(t *testing.T) {
 	_ = items
 	sigs := map[graph.Signature]bool{}
 	mat := mm.MaterializableNodes()
-	sig := mm.Sig[mat[0]]
+	sig := mm.Sig(mat[0])
 	sigs[sig] = true
 	store, _ := newTestStore(t)
 	mz, err := NewMaterializer(store, mm, sigs)

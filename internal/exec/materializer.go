@@ -82,7 +82,7 @@ func NewMaterializer(store *storage.TensorStore, mm *mmg.MultiModel, sigs map[gr
 	var outs []*graph.Node
 	outputs := map[*graph.Node]graph.Signature{}
 	for _, n := range mm.Graph.Nodes() {
-		if sig, ok := mm.Sig[n]; ok && sigs[sig] {
+		if sig := mm.Sig(n); sigs[sig] {
 			outs = append(outs, n)
 			outputs[n] = sig
 		}

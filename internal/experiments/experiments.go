@@ -144,19 +144,16 @@ func MaterializationCost(inst *workloads.Instance, sigs map[graph.Signature]bool
 	}
 	var chosen []*graph.Node
 	for _, n := range inst.MM.Graph.Nodes() {
-		if sigs[inst.MM.Sig[n]] {
+		if sigs[inst.MM.Sig(n)] {
 			chosen = append(chosen, n)
-			bytes += prof.Layers[n].OutBytes
+			bytes += prof.Layer(n).OutBytes
 		}
 	}
-	need := map[*graph.Node]bool{}
-	for _, c := range chosen {
-		for n := range graph.Ancestors(c) {
-			need[n] = true
+	// The ancestor closure of V is what a view with V as its outputs reaches.
+	for i, needed := range inst.MM.Graph.WithOutputs(chosen...).MarkReachable(nil) {
+		if needed {
+			flops += prof.Layers[i].ForwardFLOPs
 		}
-	}
-	for n := range need {
-		flops += prof.Layers[n].ForwardFLOPs
 	}
 	return flops, bytes, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"nautilus/internal/tensor"
 )
@@ -14,22 +15,23 @@ import (
 // materializable per paper Definition 2.4: it is a model input layer, or it
 // is frozen and all of its parents are materializable. Materializable nodes
 // are exactly those whose outputs never change during training and thus
-// cause redundant computation when recomputed.
-func (m *Model) Materializable() map[*Node]bool {
-	mat := make(map[*Node]bool, len(m.nodes))
-	for _, n := range m.nodes {
+// cause redundant computation when recomputed. The result is indexed by
+// Node.Index().
+func (m *Model) Materializable() []bool {
+	mat := make([]bool, len(m.nodes))
+	for i, n := range m.nodes {
 		if n.IsInput() {
-			mat[n] = true
+			mat[i] = true
 			continue
 		}
 		v := n.Frozen()
 		for _, p := range n.Parents {
-			if !mat[p] {
+			if !mat[p.index] {
 				v = false
 				break
 			}
 		}
-		mat[n] = v
+		mat[i] = v
 	}
 	return mat
 }
@@ -43,7 +45,12 @@ type Signature uint64
 
 // String renders the signature as fixed-width hex, used as a stable key for
 // materialized artifacts on disk.
-func (s Signature) String() string { return fmt.Sprintf("%016x", uint64(s)) }
+func (s Signature) String() string {
+	var b [32]byte
+	copy(b[:16], "0000000000000000")
+	h := strconv.AppendUint(b[16:16], uint64(s), 16)
+	return string(b[len(h) : 16+len(h)]) // zero padding, then the digits
+}
 
 // LayerSignature hashes a node's layer identity: type, canonicalized
 // config, and the fingerprints of its parameters. Trainability is included
@@ -70,19 +77,19 @@ func LayerSignature(n *Node) Signature {
 // every node: a recursive hash over the node's layer signature and the
 // expression signatures of its ordered parents. Dataset input nodes hash
 // their shape and feed key, so the same logical input matches across
-// models.
-func (m *Model) ExprSignatures() map[*Node]Signature {
-	sigs := make(map[*Node]Signature, len(m.nodes))
-	for _, n := range m.nodes {
+// models. The result is indexed by Node.Index().
+func (m *Model) ExprSignatures() []Signature {
+	sigs := make([]Signature, len(m.nodes))
+	for i, n := range m.nodes {
 		h := fnv.New64a()
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(LayerSignature(n)))
 		h.Write(buf[:])
 		for _, p := range n.Parents {
-			binary.LittleEndian.PutUint64(buf[:], uint64(sigs[p]))
+			binary.LittleEndian.PutUint64(buf[:], uint64(sigs[p.index]))
 			h.Write(buf[:])
 		}
-		sigs[n] = Signature(h.Sum64())
+		sigs[i] = Signature(h.Sum64())
 	}
 	return sigs
 }

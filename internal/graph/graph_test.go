@@ -34,8 +34,8 @@ func TestModelValidateAndShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.ShapeEq(shapes[d3], []int{3}) {
-		t.Errorf("output shape = %v, want [3]", shapes[d3])
+	if !tensor.ShapeEq(shapes[d3.Index()], []int{3}) {
+		t.Errorf("output shape = %v, want [3]", shapes[d3.Index()])
 	}
 }
 
@@ -140,8 +140,8 @@ func TestMaterializableAnalysis(t *testing.T) {
 	mat := m.Materializable()
 	want := map[string]bool{"in": true, "f1": true, "tr": false, "f2": false, "mix": false, "head": false}
 	for name, v := range want {
-		if mat[m.Node(name)] != v {
-			t.Errorf("materializable[%s] = %v, want %v", name, mat[m.Node(name)], v)
+		if mat[m.Node(name).Index()] != v {
+			t.Errorf("materializable[%s] = %v, want %v", name, mat[m.Node(name).Index()], v)
 		}
 	}
 }
@@ -162,14 +162,14 @@ func TestExprSignaturesMergeAcrossModels(t *testing.T) {
 	}
 	a, b := build(1), build(2)
 	sa, sb := a.ExprSignatures(), b.ExprSignatures()
-	if sa[a.Node("d1")] != sb[b.Node("d1")] || sa[a.Node("d2")] != sb[b.Node("d2")] {
+	if sa[a.Node("d1").Index()] != sb[b.Node("d1").Index()] || sa[a.Node("d2").Index()] != sb[b.Node("d2").Index()] {
 		t.Error("shared frozen trunk must have equal expression signatures")
 	}
-	if sa[a.Node("h")] == sb[b.Node("h")] {
+	if sa[a.Node("h").Index()] == sb[b.Node("h").Index()] {
 		t.Error("different heads must have different signatures")
 	}
 	// Signatures must differ between consecutive depths.
-	if sa[a.Node("d1")] == sa[a.Node("d2")] {
+	if sa[a.Node("d1").Index()] == sa[a.Node("d2").Index()] {
 		t.Error("different depths must have different signatures")
 	}
 }
@@ -585,7 +585,7 @@ func TestFeedKeyAndSignatureString(t *testing.T) {
 		t.Error("feed keys wrong")
 	}
 	sigs := m.ExprSignatures()
-	s := sigs[feed].String()
+	s := sigs[feed.Index()].String()
 	if len(s) != 16 {
 		t.Errorf("signature string %q should be 16 hex chars", s)
 	}

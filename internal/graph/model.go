@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Node is one vertex of a model DAG: a layer application with ordered
 // parent inputs. Trainability is a property of the node, not the layer, so
@@ -15,7 +18,13 @@ type Node struct {
 	// A node whose layer has no parameters is always effectively frozen
 	// (Definition 2.3).
 	Trainable bool
+
+	index int // position in the owning model's Nodes(), set by AddNode
 }
+
+// Index is the node's position in its model's insertion (topological) order,
+// m.Nodes()[n.Index()] == n (WithOutputs views too): the key of every per-node slice.
+func (n *Node) Index() int { return n.index }
 
 // Frozen reports whether the node's parameters are not updated during
 // training (paper Definition 2.3): either it is explicitly non-trainable or
@@ -59,14 +68,14 @@ func (m *Model) AddNode(name string, layer Layer, parents ...*Node) *Node {
 		panic(fmt.Sprintf("graph: duplicate node name %q in model %q", name, m.Name))
 	}
 	for _, p := range parents {
-		if m.byName[p.Name] != p {
+		if p.index >= len(m.nodes) || m.nodes[p.index] != p {
 			panic(fmt.Sprintf("graph: parent %q of node %q is not part of model %q", p.Name, name, m.Name))
 		}
 	}
 	if _, isInput := layer.(*InputLayer); isInput && len(parents) != 0 {
 		panic(fmt.Sprintf("graph: input node %q cannot have parents", name))
 	}
-	n := &Node{Name: name, Layer: layer, Parents: append([]*Node(nil), parents...)}
+	n := &Node{Name: name, Layer: layer, Parents: append([]*Node(nil), parents...), index: len(m.nodes)}
 	m.nodes = append(m.nodes, n)
 	m.byName[name] = n
 	return n
@@ -106,8 +115,8 @@ func (m *Model) NumNodes() int { return len(m.nodes) }
 
 // Validate checks structural invariants: at least one output, outputs and
 // parents belong to the model, and shape inference succeeds end to end. It
-// returns the inferred per-record output shapes keyed by node.
-func (m *Model) Validate() (map[*Node][]int, error) {
+// returns the inferred per-record output shapes, indexed by Node.Index().
+func (m *Model) Validate() ([][]int, error) {
 	if len(m.Outputs) == 0 {
 		return nil, fmt.Errorf("graph: model %q has no outputs", m.Name)
 	}
@@ -116,15 +125,15 @@ func (m *Model) Validate() (map[*Node][]int, error) {
 			return nil, fmt.Errorf("graph: output %q is not part of model %q", o.Name, m.Name)
 		}
 	}
-	shapes := map[*Node][]int{}
+	shapes := make([][]int, len(m.nodes))
 	for _, n := range m.nodes {
 		in := make([][]int, len(n.Parents))
 		for i, p := range n.Parents {
-			s, ok := shapes[p]
-			if !ok {
+			// Only a hand-edited node can have a parent at or after itself.
+			if p.index >= n.index || m.nodes[p.index] != p {
 				return nil, fmt.Errorf("graph: node %q used before definition", p.Name)
 			}
-			in[i] = s
+			in[i] = shapes[p.index]
 		}
 		func() {
 			defer func() {
@@ -132,20 +141,10 @@ func (m *Model) Validate() (map[*Node][]int, error) {
 					panic(fmt.Sprintf("graph: shape inference failed at node %q (%s): %v", n.Name, n.Layer.Type(), r))
 				}
 			}()
-			shapes[n] = n.Layer.OutShape(in)
+			shapes[n.index] = n.Layer.OutShape(in)
 		}()
 	}
 	return shapes, nil
-}
-
-// Shapes returns per-record output shapes for every node, panicking on
-// invalid models. It is the non-error variant of Validate for internal use.
-func (m *Model) Shapes() map[*Node][]int {
-	shapes, err := m.Validate()
-	if err != nil {
-		panic(err)
-	}
-	return shapes
 }
 
 // TrainableParams returns the parameters of all trainable nodes in a stable
@@ -216,47 +215,35 @@ func (m *Model) ParamCount() (total, trainable int64) {
 	return total, trainable
 }
 
-// Ancestors returns the set of nodes reachable from n through parent edges,
-// including n itself.
-func Ancestors(n *Node) map[*Node]bool {
-	seen := map[*Node]bool{}
-	var walk func(*Node)
-	walk = func(x *Node) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		for _, p := range x.Parents {
-			walk(p)
-		}
-	}
-	walk(n)
-	return seen
-}
-
 // Reachable returns the nodes of m reachable from its outputs, in
 // topological (insertion) order. Plans prune by dropping unreachable nodes.
 func (m *Model) Reachable() []*Node {
-	// One walk from all outputs over a shared visited set: a fused group's
-	// k heads share one trunk, which is visited once, not k times.
-	keep := make(map[*Node]bool, len(m.nodes))
-	stack := append([]*Node(nil), m.Outputs...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if keep[n] {
-			continue
-		}
-		keep[n] = true
-		stack = append(stack, n.Parents...)
-	}
-	out := make([]*Node, 0, len(keep))
-	for _, n := range m.nodes {
-		if keep[n] {
-			out = append(out, n)
+	out := make([]*Node, 0, len(m.nodes))
+	for i, keep := range m.MarkReachable(nil) {
+		if keep {
+			out = append(out, m.nodes[i])
 		}
 	}
 	return out
+}
+
+// MarkReachable reports, by Node.Index(), which nodes the outputs reach.
+// Insertion order is topological, so one reverse sweep marks every ancestor
+// once, however many heads share a trunk. buf is reused if large enough.
+func (m *Model) MarkReachable(buf []bool) []bool {
+	keep := slices.Grow(buf[:0], len(m.nodes))[:len(m.nodes)]
+	clear(keep)
+	for _, o := range m.Outputs {
+		keep[o.index] = true
+	}
+	for i := len(m.nodes) - 1; i >= 0; i-- {
+		if keep[i] {
+			for _, p := range m.nodes[i].Parents {
+				keep[p.index] = true
+			}
+		}
+	}
+	return keep
 }
 
 // WithOutputs returns a shallow view of the model sharing its nodes but

@@ -9,7 +9,10 @@ import (
 // parameter count, trainability — with totals, in the style DL frameworks
 // print. It panics if the model does not validate.
 func (m *Model) Summary() string {
-	shapes := m.Shapes()
+	shapes, err := m.Validate()
+	if err != nil {
+		panic(err)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Model: %s\n", m.Name)
 	fmt.Fprintf(&b, "%-34s %-18s %-14s %12s %10s\n", "node (type)", "output shape", "parents", "params", "trainable")
@@ -63,7 +66,7 @@ func (m *Model) Summary() string {
 		if len(par) > 14 {
 			par = par[:11] + "..."
 		}
-		fmt.Fprintf(&b, "%-34s %-18s %-14s %12d %10s\n", name, fmt.Sprint(shapes[n]), par, params, flag)
+		fmt.Fprintf(&b, "%-34s %-18s %-14s %12d %10s\n", name, fmt.Sprint(shapes[n.Index()]), par, params, flag)
 	}
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 92))
 	fmt.Fprintf(&b, "total params: %d   trainable: %d (%.1f%%)\n",

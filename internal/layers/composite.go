@@ -55,14 +55,14 @@ func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite
 	}
 	// The inner model's input shapes are fixed (OutShape rejects any other),
 	// so its cost-model facts are constants of the composite.
-	c.outShape = shapes[inner.Outputs[0]]
+	c.outShape = shapes[inner.Outputs[0].Index()]
 	for _, n := range inner.Nodes() {
 		if n.IsInput() {
 			continue
 		}
 		ins := make([][]int, len(n.Parents))
 		for i, p := range n.Parents {
-			ins[i] = shapes[p]
+			ins[i] = shapes[p.Index()]
 		}
 		f := n.Layer.FLOPsPerRecord(ins)
 		c.flops += f

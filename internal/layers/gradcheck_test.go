@@ -463,7 +463,10 @@ func TestCompositeFactsMatchInnerModel(t *testing.T) {
 	}
 	for name, c := range blocks {
 		inner := c.Inner()
-		shapes := inner.Shapes()
+		shapes, err := inner.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var flops, trainable, actBytes int64
 		for _, n := range inner.Nodes() {
 			if n.IsInput() {
@@ -471,7 +474,7 @@ func TestCompositeFactsMatchInnerModel(t *testing.T) {
 			}
 			ins := make([][]int, len(n.Parents))
 			for i, p := range n.Parents {
-				ins[i] = shapes[p]
+				ins[i] = shapes[p.Index()]
 			}
 			f := n.Layer.FLOPsPerRecord(ins)
 			flops += f
@@ -491,8 +494,8 @@ func TestCompositeFactsMatchInnerModel(t *testing.T) {
 			t.Errorf("%s: ActivationBytesPerRecord %d, inner model says %d", name, got, actBytes)
 		}
 		out := c.OutShape(in)
-		if !tensor.ShapeEq(out, shapes[inner.Outputs[0]]) {
-			t.Errorf("%s: OutShape %v, inner model says %v", name, out, shapes[inner.Outputs[0]])
+		if !tensor.ShapeEq(out, shapes[inner.Outputs[0].Index()]) {
+			t.Errorf("%s: OutShape %v, inner model says %v", name, out, shapes[inner.Outputs[0].Index()])
 		}
 		out[0] = -1
 		if again := c.OutShape(in); again[0] == -1 {

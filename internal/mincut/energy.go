@@ -13,21 +13,27 @@ import "fmt"
 // constant term, which is how the reuse-plan objective's (c_comp − c_load)
 // coefficient can go negative when loading costs more than recomputing.
 type Energy struct {
-	n        int
-	cost1    []int64 // a_v, cost when x_v = 1
-	cost0    []int64 // b_v, cost when x_v = 0
-	pairs    []pairTerm
-	constant int64
-}
+	cost1 []int64 // a_v, cost when x_v = 1
+	cost0 []int64 // b_v, cost when x_v = 0
 
-type pairTerm struct {
-	u, v int
-	c    int64
+	// g holds the pairwise terms as edges between nodes v+2 from the moment
+	// they are added; Min adds the unary edges to the terminals 0 and 1.
+	g Graph
 }
 
 // NewEnergy returns an energy over n binary variables, numbered 0..n-1.
 func NewEnergy(n int) *Energy {
-	return &Energy{n: n, cost1: make([]int64, n), cost0: make([]int64, n)}
+	e := &Energy{}
+	e.Reset(n)
+	return e
+}
+
+// Reset clears the energy to n variables and no terms, keeping its arrays.
+func (e *Energy) Reset(n int) {
+	e.cost0, e.cost1 = resize(e.cost0, n), resize(e.cost1, n)
+	clear(e.cost0)
+	clear(e.cost1)
+	e.g.Reset(n + 2)
 }
 
 // AddUnary adds cost0 when x_v = 0 and cost1 when x_v = 1. Either may be
@@ -40,7 +46,8 @@ func (e *Energy) AddUnary(v int, cost0, cost1 int64) {
 // AddImplication adds an ∞ penalty for (x_u = 1, x_v = 0), i.e. the hard
 // constraint x_u ⇒ x_v.
 func (e *Energy) AddImplication(u, v int) {
-	e.pairs = append(e.pairs, pairTerm{u: u, v: v, c: Inf})
+	// Penalty for u ∈ S, v ∈ T: edge u→v.
+	e.g.AddEdge(u+2, v+2, Inf)
 }
 
 // AddPairwise adds a finite penalty c ≥ 0 for (x_u = 1, x_v = 0).
@@ -48,23 +55,22 @@ func (e *Energy) AddPairwise(u, v int, c int64) {
 	if c < 0 {
 		panic(fmt.Sprintf("mincut: negative pairwise term %d", c))
 	}
-	e.pairs = append(e.pairs, pairTerm{u: u, v: v, c: c})
+	e.g.AddEdge(u+2, v+2, c)
 }
 
-// Solve exactly minimizes the energy, returning the argmin labelling and
-// its value. Solve returns an error when the hard constraints are
-// unsatisfiable (minimum ≥ Inf).
-func (e *Energy) Solve() ([]bool, int64, error) {
+// Min exactly minimizes the energy and returns the minimum alone, or an
+// error when the hard constraints are unsatisfiable (minimum ≥ Inf). The
+// terms are consumed: call Min or Solve once per Reset.
+func (e *Energy) Min() (int64, error) {
 	const (
 		s = 0
 		t = 1
 	)
-	g := NewGraph(e.n + 2)
-	constant := e.constant
-	for v := 0; v < e.n; v++ {
+	var constant int64
+	for v := range e.cost0 {
 		a, b := e.cost1[v], e.cost0[v]
 		// Shift so both are non-negative; the smaller becomes constant.
-		base := min64(a, b)
+		base := min(a, b)
 		if base > 0 || (base < 0 && base != -Inf) {
 			constant += base
 			a -= base
@@ -72,47 +78,30 @@ func (e *Energy) Solve() ([]bool, int64, error) {
 		}
 		// x_v = 1 (source side) pays a: edge v→t cut when v ∈ S.
 		if a > 0 {
-			g.AddEdge(v+2, t, a)
+			e.g.AddEdge(v+2, t, a)
 		}
 		// x_v = 0 (sink side) pays b: edge s→v cut when v ∈ T.
 		if b > 0 {
-			g.AddEdge(s, v+2, b)
+			e.g.AddEdge(s, v+2, b)
 		}
 	}
-	for _, p := range e.pairs {
-		// Penalty for u ∈ S, v ∈ T: edge u→v.
-		g.AddEdge(p.u+2, p.v+2, p.c)
-	}
-	flow := g.MaxFlow(s, t)
+	flow := e.g.MaxFlow(s, t)
 	value := satAdd(constant, flow)
 	if flow >= Inf {
-		return nil, value, fmt.Errorf("mincut: hard constraints unsatisfiable")
+		return value, fmt.Errorf("mincut: hard constraints unsatisfiable")
 	}
-	side := g.MinCutSide(s)
-	labels := make([]bool, e.n)
-	for v := 0; v < e.n; v++ {
-		labels[v] = side[v+2]
-	}
-	return labels, value, nil
+	return value, nil
 }
 
-// Eval computes the energy of a given labelling, used by tests to verify
-// optimality against brute force.
-func (e *Energy) Eval(x []bool) int64 {
-	total := e.constant
-	for v := 0; v < e.n; v++ {
-		if x[v] {
-			total = satAdd(total, e.cost1[v])
-		} else {
-			total = satAdd(total, e.cost0[v])
-		}
+// Solve is Min plus the argmin labelling — of all minimizers the one with
+// the fewest variables at 1, whatever the term order (Graph.MinCutSide) —
+// in the energy's own slice, valid until its next Reset.
+func (e *Energy) Solve() ([]bool, int64, error) {
+	value, err := e.Min()
+	if err != nil {
+		return nil, value, err
 	}
-	for _, p := range e.pairs {
-		if x[p.u] && !x[p.v] {
-			total = satAdd(total, p.c)
-		}
-	}
-	return total
+	return e.g.MinCutSide(0)[2:], value, nil
 }
 
 // satAdd adds saturating at ±Inf so hard-constraint arithmetic cannot

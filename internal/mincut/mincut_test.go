@@ -2,13 +2,38 @@ package mincut
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// Eval computes the energy of a given labelling, to verify optimality
+// against brute force. It reads the terms back out of the network, so it
+// works before and after a solve: an edge's original capacity is its
+// residual plus its reverse's, and the pairwise terms are the edges that
+// touch neither terminal.
+func (e *Energy) Eval(x []bool) int64 {
+	var total int64
+	for v := range e.cost0 {
+		if x[v] {
+			total = satAdd(total, e.cost1[v])
+		} else {
+			total = satAdd(total, e.cost0[v])
+		}
+	}
+	for i := 0; i < len(e.g.to); i += 2 {
+		u, v := int(e.g.to[i^1]), int(e.g.to[i])
+		if u >= 2 && v >= 2 && x[u-2] && !x[v-2] {
+			total = satAdd(total, e.g.cap[i]+e.g.cap[i^1])
+		}
+	}
+	return total
+}
+
 func TestMaxFlowTextbook(t *testing.T) {
 	// Classic 6-node example with max flow 23.
-	g := NewGraph(6)
+	g := new(Graph)
+	g.Reset(6)
 	g.AddEdge(0, 1, 16)
 	g.AddEdge(0, 2, 13)
 	g.AddEdge(1, 2, 10)
@@ -25,7 +50,8 @@ func TestMaxFlowTextbook(t *testing.T) {
 }
 
 func TestMaxFlowDisconnected(t *testing.T) {
-	g := NewGraph(4)
+	g := new(Graph)
+	g.Reset(4)
 	g.AddEdge(0, 1, 5)
 	g.AddEdge(2, 3, 5)
 	if got := g.MaxFlow(0, 3); got != 0 {
@@ -34,7 +60,8 @@ func TestMaxFlowDisconnected(t *testing.T) {
 }
 
 func TestMinCutSideSeparates(t *testing.T) {
-	g := NewGraph(4)
+	g := new(Graph)
+	g.Reset(4)
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(1, 2, 1) // bottleneck
 	g.AddEdge(2, 3, 10)
@@ -144,13 +171,60 @@ func TestEnergyMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// randomEnergy resets e to a seeded random instance over n variables.
+func randomEnergy(e *Energy, n int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	e.Reset(n)
+	for v := 0; v < n; v++ {
+		e.AddUnary(v, int64(rng.Intn(41)-20), int64(rng.Intn(41)-20))
+	}
+	for i := 0; i < 2*n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			if rng.Intn(3) == 0 {
+				e.AddImplication(u, v)
+			} else {
+				e.AddPairwise(u, v, int64(rng.Intn(15)))
+			}
+		}
+	}
+}
+
+// TestEnergyReuseMatchesFresh: an Energy that has solved other instances —
+// larger ones (a stale tail of head, level, cost arrays) and smaller ones
+// (arrays grown mid-life) — labels and prices an instance exactly as a new
+// Energy does, and Min agrees with Solve.
+func TestEnergyReuseMatchesFresh(t *testing.T) {
+	sizes := []int{3, 40, 9, 120, 2, 40}
+	reused := &Energy{}
+	for round := 0; round < 3; round++ {
+		for i, n := range sizes {
+			seed := int64(100*round + i)
+			fresh := NewEnergy(n)
+			randomEnergy(fresh, n, seed)
+			want, wantVal, wantErr := fresh.Solve()
+
+			randomEnergy(reused, n, seed)
+			got, val, err := reused.Solve()
+			if (err == nil) != (wantErr == nil) || val != wantVal || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, %d variables: reused energy found %v (%d, %v), a fresh one %v (%d, %v)", round, n, got, val, err, want, wantVal, wantErr)
+			}
+			randomEnergy(reused, n, seed)
+			if val, err := reused.Min(); (err == nil) != (wantErr == nil) || val != wantVal {
+				t.Fatalf("round %d, %d variables: Min = %d (%v), Solve found %d", round, n, val, err, wantVal)
+			}
+		}
+	}
+}
+
 func TestNegativeCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewGraph(2).AddEdge(0, 1, -1)
+	g := new(Graph)
+	g.Reset(2)
+	g.AddEdge(0, 1, -1)
 }
 
 func TestSatAddSaturates(t *testing.T) {

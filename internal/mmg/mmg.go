@@ -7,24 +7,39 @@ package mmg
 
 import (
 	"fmt"
+	"slices"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/profile"
 )
 
 // MultiModel is the merged graph plus the mapping from each source model's
-// nodes to merged nodes.
+// nodes to merged nodes. Its per-node tables are slices: the merged graph's
+// by merged Node.Index(), each source model's by that model's.
 type MultiModel struct {
 	Graph  *graph.Model
 	Models []*graph.Model
-	// NodeOf maps (source model, source node) to the merged node.
-	NodeOf map[*graph.Model]map[*graph.Node]*graph.Node
-	// SourcesOf lists, for every merged node, the (model, node) pairs that
-	// merged into it.
-	SourcesOf map[*graph.Node][]SourceRef
-	// Sig is the expression signature of every merged node.
-	Sig map[*graph.Node]graph.Signature
+
+	nodeOf  [][]*graph.Node   // [model position][source node index] → merged node
+	sources [][]SourceRef     // [merged node index] → the nodes merged into it
+	sigs    []graph.Signature // [merged node index] → expression signature
 }
+
+// NodeOf returns the merged node that node n of source model m became, or
+// nil if m is not one of the merged models.
+func (mm *MultiModel) NodeOf(m *graph.Model, n *graph.Node) *graph.Node {
+	if i := slices.Index(mm.Models, m); i >= 0 {
+		return mm.nodeOf[i][n.Index()]
+	}
+	return nil
+}
+
+// SourcesOf lists the (model, node) pairs that merged into merged node n,
+// first source first.
+func (mm *MultiModel) SourcesOf(n *graph.Node) []SourceRef { return mm.sources[n.Index()] }
+
+// Sig returns the expression signature of merged node n.
+func (mm *MultiModel) Sig(n *graph.Node) graph.Signature { return mm.sigs[n.Index()] }
 
 // SourceRef identifies one source-model node merged into a multi-model
 // node.
@@ -82,64 +97,65 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 	for _, m := range models {
 		total += m.NumNodes()
 	}
+	// First model plus a few unshared nodes per later one; tables grow if not.
+	expect := models[0].NumNodes() + 4*(len(models)-1)
 	merged := graph.NewModel(multiName(models))
 	mm := &MultiModel{
-		Graph:     merged,
-		Models:    append([]*graph.Model(nil), models...),
-		NodeOf:    make(map[*graph.Model]map[*graph.Node]*graph.Node, len(models)),
-		SourcesOf: make(map[*graph.Node][]SourceRef, total),
-		Sig:       make(map[*graph.Node]graph.Signature, total),
+		Graph:   merged,
+		Models:  append([]*graph.Model(nil), models...),
+		nodeOf:  make([][]*graph.Node, len(models)),
+		sources: make([][]SourceRef, 0, expect),
+		sigs:    make([]graph.Signature, 0, expect),
 	}
-	var prof *profile.ModelProfile
-	var layers []profile.LayerProfile // backing store of prof.Layers; never grows past total
+	var derive *profile.Deriver
 	if profs != nil {
-		prof = &profile.ModelProfile{
-			Model:  merged,
-			Layers: make(map[*graph.Node]*profile.LayerProfile, total),
-			Shapes: make(map[*graph.Node][]int, total),
-			Sigs:   mm.Sig,
-			HW:     profs[0].HW,
-		}
-		layers = make([]profile.LayerProfile, 0, total)
+		derive = profile.NewDeriver(merged, profs[0], expect)
 	}
-	bySig := map[graph.Signature]*graph.Node{}
+	// One backing array for first sources, one for the per-model node tables.
+	firstSource := make([]SourceRef, 0, expect)
+	nodeOfAll := make([]*graph.Node, total)
+	bySig := make(map[graph.Signature]*graph.Node, models[0].NumNodes())
 
-	var outs []*graph.Node
+	var outs, parents []*graph.Node
 	for i, m := range models {
-		var sigs map[*graph.Node]graph.Signature
-		var mat map[*graph.Node]bool
-		if profs != nil {
-			sigs = profs[i].Sigs
-		} else {
+		var sigs []graph.Signature
+		var mat []bool
+		if profs == nil {
 			sigs = m.ExprSignatures()
 			mat = m.Materializable()
+		} else if len(profs[i].Layers) != m.NumNodes() {
+			return nil, nil, fmt.Errorf("mmg: profile of model %q covers %d of its %d nodes", m.Name, len(profs[i].Layers), m.NumNodes())
 		}
-		nodeOf := make(map[*graph.Node]*graph.Node, m.NumNodes())
-		mm.NodeOf[m] = nodeOf
-		for _, n := range m.Nodes() {
-			sig := sigs[n]
+		nodeOf := nodeOfAll[:m.NumNodes():m.NumNodes()]
+		nodeOfAll = nodeOfAll[m.NumNodes():]
+		mm.nodeOf[i] = nodeOf
+		for j, n := range m.Nodes() {
 			var lp *profile.LayerProfile // the source node's facts; nil for bare models
+			var sig graph.Signature
 			var isMat bool
 			if profs == nil {
-				isMat = mat[n]
-			} else if lp = profs[i].Layers[n]; lp != nil {
-				isMat = lp.Materializable
+				sig, isMat = sigs[j], mat[j]
 			} else {
-				return nil, nil, fmt.Errorf("mmg: profile of model %q has no entry for node %q", m.Name, n.Name)
+				lp = &profs[i].Layers[j]
+				sig, isMat = lp.Sig, lp.Materializable
 			}
 			if isMat {
 				if existing := bySig[sig]; existing != nil {
-					nodeOf[n] = existing
-					mm.SourcesOf[existing] = append(mm.SourcesOf[existing], SourceRef{Model: m, Node: n})
+					nodeOf[j] = existing
+					srcs := mm.sources[existing.Index()]
+					if cap(srcs) == 1 { // leaving firstSource: room for every later model at once
+						srcs = append(make([]SourceRef, 0, 1+len(models)-i), srcs...)
+					}
+					mm.sources[existing.Index()] = append(srcs, SourceRef{Model: m, Node: n})
 					continue
 				}
 			}
-			parents := make([]*graph.Node, len(n.Parents))
-			for j, p := range n.Parents {
-				parents[j] = nodeOf[p]
-				if parents[j] == nil {
+			parents = parents[:0] // AddNode copies it
+			for _, p := range n.Parents {
+				if p.Index() >= j {
 					return nil, nil, fmt.Errorf("mmg: model %q node %q used before definition", m.Name, p.Name)
 				}
+				parents = append(parents, nodeOf[p.Index()])
 			}
 			name := mergedName(m, n, isMat, sig)
 			if merged.Node(name) != nil {
@@ -153,37 +169,26 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 			}
 			nn := merged.AddNode(name, n.Layer, parents...)
 			nn.Trainable = n.Trainable
-			nodeOf[n] = nn
-			mm.SourcesOf[nn] = append(mm.SourcesOf[nn], SourceRef{Model: m, Node: n})
-			mm.Sig[nn] = sig
+			nodeOf[j] = nn
+			firstSource = append(firstSource, SourceRef{Model: m, Node: n})
+			mm.sources = append(mm.sources, firstSource[len(firstSource)-1:len(firstSource):len(firstSource)])
+			mm.sigs = append(mm.sigs, sig)
 			if isMat {
 				bySig[sig] = nn
 			}
 			if lp != nil {
-				layers = append(layers, *lp)
-				mlp := &layers[len(layers)-1]
-				mlp.Node = nn
-				mlp.LoadFLOPs = prof.HW.LoadFLOPs(mlp.OutBytes)
-				prof.Layers[nn] = mlp
-				prof.Shapes[nn] = mlp.OutShape
+				derive.Add(nn, profs[i], lp)
 			}
 		}
 		for _, o := range m.Outputs {
-			outs = append(outs, nodeOf[o])
+			outs = append(outs, nodeOf[o.Index()])
 		}
 	}
 	merged.SetOutputs(outs...)
-	return mm, prof, nil
-}
-
-// OutputsOf returns the merged nodes corresponding to one source model's
-// outputs.
-func (mm *MultiModel) OutputsOf(m *graph.Model) []*graph.Node {
-	outs := make([]*graph.Node, len(m.Outputs))
-	for i, o := range m.Outputs {
-		outs[i] = mm.NodeOf[m][o]
+	if derive == nil {
+		return mm, nil, nil
 	}
-	return outs
+	return mm, derive.Profile(), nil
 }
 
 // MaterializableNodes returns the merged graph's materializable non-input
@@ -191,8 +196,8 @@ func (mm *MultiModel) OutputsOf(m *graph.Model) []*graph.Node {
 func (mm *MultiModel) MaterializableNodes() []*graph.Node {
 	mat := mm.Graph.Materializable()
 	var out []*graph.Node
-	for _, n := range mm.Graph.Nodes() {
-		if mat[n] && !n.IsInput() {
+	for i, n := range mm.Graph.Nodes() {
+		if mat[i] && !n.IsInput() {
 			out = append(out, n)
 		}
 	}
@@ -200,7 +205,7 @@ func (mm *MultiModel) MaterializableNodes() []*graph.Node {
 }
 
 // SharedCount returns how many source nodes merged into n.
-func (mm *MultiModel) SharedCount(n *graph.Node) int { return len(mm.SourcesOf[n]) }
+func (mm *MultiModel) SharedCount(n *graph.Node) int { return len(mm.sources[n.Index()]) }
 
 func multiName(models []*graph.Model) string {
 	if len(models) == 1 {

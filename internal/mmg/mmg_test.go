@@ -3,6 +3,7 @@ package mmg
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nautilus/internal/graph"
@@ -42,14 +43,14 @@ func TestBuildMergesSharedTrunk(t *testing.T) {
 		t.Errorf("merged outputs = %d, want 2", len(mm.Graph.Outputs))
 	}
 	// Both models map d2 to the same merged node.
-	if mm.NodeOf[a][a.Node("d2")] != mm.NodeOf[b][b.Node("d2")] {
+	if mm.NodeOf(a, a.Node("d2")) != mm.NodeOf(b, b.Node("d2")) {
 		t.Error("shared trunk not merged")
 	}
-	if mm.SharedCount(mm.NodeOf[a][a.Node("d2")]) != 2 {
+	if mm.SharedCount(mm.NodeOf(a, a.Node("d2"))) != 2 {
 		t.Error("shared count wrong")
 	}
 	// Heads map to different nodes.
-	if mm.NodeOf[a][a.Node("h")] == mm.NodeOf[b][b.Node("h")] {
+	if mm.NodeOf(a, a.Node("h")) == mm.NodeOf(b, b.Node("h")) {
 		t.Error("distinct heads wrongly merged")
 	}
 }
@@ -75,7 +76,7 @@ func TestBuildDivergentTrunksDoNotMerge(t *testing.T) {
 	}
 	// d2 has identical config+seed in both but different parents
 	// (expression signatures differ), so it must NOT merge.
-	if mm.NodeOf[a][a.Node("d2")] == mm.NodeOf[c][c.Node("d2")] {
+	if mm.NodeOf(a, a.Node("d2")) == mm.NodeOf(c, c.Node("d2")) {
 		t.Error("d2 merged despite divergent ancestry")
 	}
 }
@@ -94,15 +95,15 @@ func TestMergedGraphExecutionMatchesSources(t *testing.T) {
 	ta, _ := a.Forward(map[string]*tensor.Tensor{"in": x}, false)
 	tb, _ := b.Forward(map[string]*tensor.Tensor{"in": x}, false)
 
-	inName := mm.NodeOf[a][a.Node("in")].Name
+	inName := mm.NodeOf(a, a.Node("in")).Name
 	tm, err := mm.Graph.Forward(map[string]*tensor.Tensor{inName: x}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tm.Output(mm.OutputsOf(a)[0]).AllClose(ta.Output(a.Outputs[0]), 1e-6) {
+	if !tm.Output(mm.NodeOf(a, a.Outputs[0])).AllClose(ta.Output(a.Outputs[0]), 1e-6) {
 		t.Error("merged graph diverges from model a")
 	}
-	if !tm.Output(mm.OutputsOf(b)[0]).AllClose(tb.Output(b.Outputs[0]), 1e-6) {
+	if !tm.Output(mm.NodeOf(b, b.Outputs[0])).AllClose(tb.Output(b.Outputs[0]), 1e-6) {
 		t.Error("merged graph diverges from model b")
 	}
 }
@@ -213,25 +214,76 @@ func TestBuildProfiledDerivesTheMergedProfile(t *testing.T) {
 	if got := mm.Graph.NumNodes(); got != 5 {
 		t.Fatalf("merged nodes = %d, want 5", got)
 	}
-	if prof.Model != mm.Graph || len(prof.Layers) != 5 || len(prof.Shapes) != 5 {
-		t.Fatalf("derived profile covers %d layers / %d shapes of %q, want 5 / 5 of the merged graph", len(prof.Layers), len(prof.Shapes), prof.Model.Name)
+	if prof.Model != mm.Graph || len(prof.Layers) != 5 {
+		t.Fatalf("derived profile covers %d layers of %q, want 5 of the merged graph", len(prof.Layers), prof.Model.Name)
 	}
 	for _, src := range []struct {
 		p *profile.ModelProfile
 		n string
 	}{{profs[0], "d2"}, {profs[0], "h"}, {profs[1], "h"}} {
 		sn := src.p.Model.Node(src.n)
-		n := mm.NodeOf[src.p.Model][sn]
-		got, want := prof.Layers[n], src.p.Layers[sn]
+		n := mm.NodeOf(src.p.Model, sn)
+		got, want := prof.Layer(n), src.p.Layer(sn)
 		if got.Node != n || got.CompFLOPs != want.CompFLOPs || got.MemBytes != want.MemBytes || got.Materializable != want.Materializable {
 			t.Errorf("%s/%s: derived %+v, source %+v", src.p.Model.Name, src.n, got, want)
 		}
 		if got.LoadFLOPs != profs[0].HW.LoadFLOPs(want.OutBytes) {
 			t.Errorf("%s/%s: c_load %d not from the first member's hardware", src.p.Model.Name, src.n, got.LoadFLOPs)
 		}
-		if prof.Sigs[n] != src.p.Sigs[sn] {
+		if prof.Sig(n) != src.p.Sig(sn) {
 			t.Errorf("%s/%s: signature changed by merging", src.p.Model.Name, src.n)
 		}
+	}
+}
+
+// TestBuildProfiledParameterTable: the derived profile's parameter table and
+// per-layer parameter ids are those profile.Profile computes for the merged
+// graph — every parameter once, in first-use order — whether the members
+// share parameters (the trunk; one head's layer reused by a third model) or
+// the first member is itself a derived profile, which keeps no index.
+func TestBuildProfiledParameterTable(t *testing.T) {
+	a, b := twoHeads()
+	c := graph.NewModel("c") // trains its own trunk layer, then applies b's head layer frozen
+	in := c.AddInput("in", 4)
+	own := c.AddNode("own", layers.NewDense(4, 8, layers.ActTanh, 300), in)
+	own.Trainable = true
+	c.SetOutputs(c.AddNode("h", b.Node("h").Layer, own))
+	profs := profiled(t, a, b, c)
+
+	check := func(label string, profs ...*profile.ModelProfile) *profile.ModelProfile {
+		t.Helper()
+		mm, got, err := BuildProfiled(profs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := profile.Profile(mm.Graph, profs[0].HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumParams() != want.NumParams() {
+			t.Fatalf("%s: %d parameters, want %d", label, got.NumParams(), want.NumParams())
+		}
+		for id := int32(0); int(id) < want.NumParams(); id++ {
+			if *got.Param(id) != *want.Param(id) {
+				t.Errorf("%s: parameter %d is %+v, want %+v", label, id, *got.Param(id), *want.Param(id))
+			}
+		}
+		for i := range want.Layers {
+			if !reflect.DeepEqual(got.Layers[i].Params, want.Layers[i].Params) {
+				t.Errorf("%s: node %q holds parameters %v, want %v", label, want.Layers[i].Node.Name, got.Layers[i].Params, want.Layers[i].Params)
+			}
+		}
+		return got
+	}
+	check("a+b+c", profs...)
+	ab := check("a+b", profs[0], profs[1])
+	abc := check("(a+b)+c", ab, profs[2])
+	if n := abc.NumParams(); n != 10 { // d1, d2, two heads, c's own layer: w and b each; b's head counted once
+		t.Errorf("(a+b)+c holds %d parameters, want 10", n)
+	}
+	// A merge that adds nothing to the first member's table shares it.
+	if alone := check("a", profs[0]); alone.Param(0) != profs[0].Param(0) {
+		t.Error("a singleton merge copied its member's parameter table")
 	}
 }
 

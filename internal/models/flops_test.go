@@ -20,7 +20,7 @@ func TestBERTBaseFLOPsMatchPublishedNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := prof.Layers[m.Node("block_1")]
+	block := prof.Layer(m.Node("block_1"))
 	gf := float64(block.ForwardFLOPs) / 1e9
 	if gf < 1.4 || gf > 2.4 {
 		t.Errorf("per-block forward = %.2f GFLOPs, expected ≈1.8", gf)
@@ -28,8 +28,8 @@ func TestBERTBaseFLOPsMatchPublishedNumbers(t *testing.T) {
 	// Whole frozen trunk (12 blocks + embeddings) ≈ 22 GFLOPs.
 	var trunk int64
 	for _, n := range m.Nodes() {
-		if prof.Layers[n].Materializable {
-			trunk += prof.Layers[n].ForwardFLOPs
+		if prof.Layer(n).Materializable {
+			trunk += prof.Layer(n).ForwardFLOPs
 		}
 	}
 	tg := float64(trunk) / 1e9
@@ -41,7 +41,7 @@ func TestBERTBaseFLOPsMatchPublishedNumbers(t *testing.T) {
 	if block.OutBytes != 128*768*4 {
 		t.Errorf("block output bytes = %d, want %d", block.OutBytes, 128*768*4)
 	}
-	inputBytes := prof.Layers[m.Node("ids")].OutBytes
+	inputBytes := prof.Layer(m.Node("ids")).OutBytes
 	if ratio := float64(block.OutBytes) / float64(inputBytes); ratio < 100 {
 		t.Errorf("intermediate/input size ratio = %.0f, paper cites up to 100X", ratio)
 	}
@@ -63,7 +63,7 @@ func TestResNet50FLOPsMatchPublishedNumbers(t *testing.T) {
 	}
 	var fwd int64
 	for _, n := range m.Nodes() {
-		fwd += prof.Layers[n].ForwardFLOPs
+		fwd += prof.Layer(n).ForwardFLOPs
 	}
 	gf := float64(fwd) / 1e9
 	if gf < 2.0 || gf > 3.5 {

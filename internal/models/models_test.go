@@ -26,7 +26,7 @@ func TestBERTFeatureTransferStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		out := shapes[m.Outputs[0]]
+		out := shapes[m.Outputs[0].Index()]
 		if !tensor.ShapeEq(out, []int{h.Cfg.Seq, 5}) {
 			t.Errorf("%s: output shape %v, want [%d 5]", strat, out, h.Cfg.Seq)
 		}
@@ -34,11 +34,11 @@ func TestBERTFeatureTransferStrategies(t *testing.T) {
 		mat := m.Materializable()
 		for i := 1; i <= h.Cfg.Blocks; i++ {
 			n := m.Node(fmt.Sprintf("block_%d", i))
-			if !mat[n] {
+			if !mat[n.Index()] {
 				t.Errorf("%s: trunk block_%d should be materializable", strat, i)
 			}
 		}
-		if mat[m.Node("head_block")] || mat[m.Node("classifier")] {
+		if mat[m.Node("head_block").Index()] || mat[m.Node("classifier").Index()] {
 			t.Errorf("%s: head must not be materializable", strat)
 		}
 	}
@@ -94,10 +94,10 @@ func TestBERTFineTuneFreezingBoundary(t *testing.T) {
 	}
 	mat := m.Materializable()
 	// 4 blocks total; blocks 1-2 frozen, 3-4 trainable.
-	if !mat[m.Node("block_2")] {
+	if !mat[m.Node("block_2").Index()] {
 		t.Error("block_2 should be materializable")
 	}
-	if mat[m.Node("block_3")] || mat[m.Node("block_4")] {
+	if mat[m.Node("block_3").Index()] || mat[m.Node("block_4").Index()] {
 		t.Error("tuned blocks must not be materializable")
 	}
 	_, trainable := m.ParamCount()
@@ -131,10 +131,10 @@ func TestBERTAdapterModelTrainsOnlyAdaptersAndHead(t *testing.T) {
 	}
 	// Adapted blocks are not materializable, lower blocks are.
 	mat := m.Materializable()
-	if !mat[m.Node("block_2")] {
+	if !mat[m.Node("block_2").Index()] {
 		t.Error("unadapted block_2 should be materializable")
 	}
-	if mat[m.Node("block_3")] {
+	if mat[m.Node("block_3").Index()] {
 		t.Error("adapted block_3 must not be materializable")
 	}
 }
@@ -149,13 +149,13 @@ func TestSharedTrunkSignaturesMatchAcrossCandidates(t *testing.T) {
 	sa, sb := a.ExprSignatures(), b.ExprSignatures()
 	for i := 1; i <= h.Cfg.Blocks-1; i++ {
 		name := fmt.Sprintf("block_%d", i)
-		if sa[a.Node(name)] != sb[b.Node(name)] {
+		if sa[a.Node(name).Index()] != sb[b.Node(name).Index()] {
 			t.Errorf("%s signatures differ across candidates", name)
 		}
 	}
 	// The fine-tuned top block differs (trainable fresh copy).
 	top := fmt.Sprintf("block_%d", h.Cfg.Blocks)
-	if sa[a.Node(top)] == sb[b.Node(top)] {
+	if sa[a.Node(top).Index()] == sb[b.Node(top).Index()] {
 		t.Error("frozen vs trainable top block must differ in signature")
 	}
 }
@@ -187,13 +187,13 @@ func TestResNetFineTuneModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tuneTop=%d: %v", tuneTop, err)
 		}
-		if !tensor.ShapeEq(shapes[m.Outputs[0]], []int{2}) {
-			t.Errorf("output shape %v, want [2]", shapes[m.Outputs[0]])
+		if !tensor.ShapeEq(shapes[m.Outputs[0].Index()], []int{2}) {
+			t.Errorf("output shape %v, want [2]", shapes[m.Outputs[0].Index()])
 		}
 		mat := m.Materializable()
 		frozenBlocks := 0
 		for i := 1; i <= total; i++ {
-			if mat[m.Node(fmt.Sprintf("block_%d", i))] {
+			if mat[m.Node(fmt.Sprintf("block_%d", i)).Index()] {
 				frozenBlocks++
 			}
 		}
@@ -244,8 +244,8 @@ func TestResNet50Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.ShapeEq(shapes[m.Node("gap")], []int{2048}) {
-		t.Errorf("GAP output %v, want [2048]", shapes[m.Node("gap")])
+	if !tensor.ShapeEq(shapes[m.Node("gap").Index()], []int{2048}) {
+		t.Errorf("GAP output %v, want [2048]", shapes[m.Node("gap").Index()])
 	}
 	total, _ := m.ParamCount()
 	if total < 20_000_000 {

@@ -39,10 +39,10 @@ func TestUnrolledRNNStructure(t *testing.T) {
 	}
 	// The frozen unrolled trunk is materializable end to end.
 	mat := m.Materializable()
-	if !mat[m.Node(fmt.Sprintf("h_%d", hub.Cfg.Seq))] {
+	if !mat[m.Node(fmt.Sprintf("h_%d", hub.Cfg.Seq)).Index()] {
 		t.Error("final hidden state should be materializable")
 	}
-	if mat[m.Node("classifier")] {
+	if mat[m.Node("classifier").Index()] {
 		t.Error("trainable head must not be materializable")
 	}
 }

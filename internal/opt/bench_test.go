@@ -44,7 +44,7 @@ func BenchmarkSolveReusePlanBERTBase(b *testing.B) {
 	items, mm := benchWorkload(b, 1)
 	sigs := map[graph.Signature]bool{}
 	for _, n := range mm.MaterializableNodes() {
-		sigs[mm.Sig[n]] = true
+		sigs[mm.Sig(n)] = true
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,11 +100,62 @@ func BenchmarkBuildGroupPair(b *testing.B) {
 	}
 }
 
-func BenchmarkEnergyMinCut(b *testing.B) {
-	// Representative reuse-plan energy: chain of 40 nodes with branching.
+// BenchmarkWorkloadCost12Models is one evaluation of MAT OPT's objective —
+// twelve cost-only min-cuts, one per model — for the loadable set MAT OPT
+// ends on. The B&B and its greedy incumbent make |U|+1 to a few hundred of
+// these per replan (plan_zoo: 13 812 plan pricings a session).
+func BenchmarkWorkloadCost12Models(b *testing.B) {
+	items, mm := benchWorkload(b, 12)
+	cands, err := candidates(mm, items)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 25 << 30, MaxRecords: 5000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := newMatSearch(new(scratch), cands, items)
+	for c, cand := range cands {
+		s.chosen[c] = res.Sigs[cand.Sig]
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := mincut.NewEnergy(80)
+		if _, err := s.cost(len(cands)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimatePeakMemoryFused is the Figure 5 replay of one fused
+// group at paper scale: four FTR-3 candidates on a BERT-base trunk under the
+// V MAT OPT picks for them. Every BuildGroup ends in one.
+func BenchmarkEstimatePeakMemoryFused(b *testing.B) {
+	items, mm := benchWorkload(b, 4, models.FeatConcatLast4)
+	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 25 << 30, MaxRecords: 5000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := BuildGroup(items, res.Sigs, ReusePlan, AdamSlotBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if est := EstimatePeakMemory(g.Plan, g.BatchSize(), AdamSlotBytes); est.Total() != g.PeakMemBytes {
+			b.Fatalf("estimate %d, group carries %d", est.Total(), g.PeakMemBytes)
+		}
+	}
+}
+
+func BenchmarkEnergyMinCut(b *testing.B) {
+	// Representative reuse-plan energy: chain of 40 nodes with branching,
+	// reset and solved on one reusable Energy as the planner does.
+	b.ReportAllocs()
+	e := mincut.NewEnergy(80)
+	for i := 0; i < b.N; i++ {
+		e.Reset(80)
 		for v := 0; v < 80; v++ {
 			e.AddUnary(v, int64(v%7), int64((v*13)%11))
 			if v > 0 {

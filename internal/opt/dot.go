@@ -21,7 +21,7 @@ func PlanDOT(p *Plan) string {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	for _, n := range nodes {
 		attrs := []string{fmt.Sprintf("label=%q", n.Name+"\\n"+n.Layer.Type())}
-		switch p.Actions[n] {
+		switch p.Action(n) {
 		case Loaded:
 			attrs = append(attrs, `style=filled`, `fillcolor="#cfe2ff"`)
 		case Pruned:
@@ -34,12 +34,12 @@ func PlanDOT(p *Plan) string {
 		fmt.Fprintf(&b, "  %q [%s];\n", n.Name, strings.Join(attrs, ", "))
 	}
 	for _, n := range nodes {
-		if p.Actions[n] == Pruned {
+		if p.Action(n) == Pruned {
 			continue
 		}
 		for _, par := range n.Parents {
 			style := ""
-			if p.Actions[par] == Pruned {
+			if p.Action(par) == Pruned {
 				style = " [style=dashed, color=gray]"
 			}
 			fmt.Fprintf(&b, "  %q -> %q%s;\n", par.Name, n.Name, style)

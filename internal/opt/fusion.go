@@ -143,8 +143,17 @@ func BuildGroup(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanP
 	if err != nil {
 		return nil, err
 	}
-	mem := EstimatePeakMemory(plan, items[0].BatchSize, slotBytes)
-	return &FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: mem.Total()}, nil
+	return newGroup(items, mm, plan, slotBytes)
+}
+
+// newGroup completes a group, refusing a plan that computes over a pruned parent.
+func newGroup(items []WorkItem, mm *mmg.MultiModel, plan *Plan, slotBytes int64) (*FusedGroup, error) {
+	g := &FusedGroup{Items: items, MM: mm, Plan: plan}
+	if n, parent := plan.prunedInput(); n != nil {
+		return nil, fmt.Errorf("opt: group %s: plan computes %q but its parent %q is pruned", g.Name(), n.Name, parent.Name)
+	}
+	g.PeakMemBytes = EstimatePeakMemory(plan, items[0].BatchSize, slotBytes).Total()
+	return g, nil
 }
 
 // SingletonGroups builds one group per item, in input order: the whole

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,8 +209,8 @@ func TestEstimatePeakMemoryComponents(t *testing.T) {
 		t.Error("workspace not taken from hardware config")
 	}
 	// Optimizer state covers trainable params at 2 bytes/byte.
-	_, trainBytes := items[0].Prof.ParamBytes()
-	if est.OptimizerBytes != 2*trainBytes {
+	_, trainable := items[0].Model.ParamCount()
+	if trainBytes := 4 * trainable; est.OptimizerBytes != 2*trainBytes {
 		t.Errorf("optimizer bytes %d, want %d", est.OptimizerBytes, 2*trainBytes)
 	}
 	if est.Total() != est.ParamBytes+est.OptimizerBytes+est.WorkspaceBytes+est.ActivationPeak {
@@ -397,5 +398,52 @@ func TestFuseStatsAndGroupName(t *testing.T) {
 	}
 	if stats2.PairsRejected != stats2.PairsEvaluated || stats2.PairsEvaluated == 0 {
 		t.Errorf("rejected %d of %d evaluated; all should be rejected", stats2.PairsRejected, stats2.PairsEvaluated)
+	}
+}
+
+// TestBuildGroupRejectsComputedNodeWithPrunedParent: a plan that computes a
+// node while pruning one of its parents has no peak-memory replay — the
+// map-keyed estimator looked the pruned parent up as position 0 and charged
+// its consumers to the first retained tensor, a wrong peak and no error.
+// The group builder refuses the plan, naming group, node and parent; the
+// estimator itself holds nothing for the missing tensor.
+func TestBuildGroupRejectsComputedNodeWithPrunedParent(t *testing.T) {
+	m := graph.NewModel("bad")
+	in := m.AddInput("in", 16)
+	d1 := m.AddNode("d1", layers.NewDense(16, 64, layers.ActTanh, 1), in)
+	d2 := m.AddNode("d2", layers.NewDense(64, 8, layers.ActTanh, 2), d1)
+	h := m.AddNode("h", layers.NewDense(8, 2, layers.ActNone, 3), d2)
+	d1.Trainable, h.Trainable = true, true // nothing merges: nodes keep their model-qualified names
+	m.SetOutputs(h)
+	prof, err := profile.Profile(m, miniHW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []WorkItem{{Model: m, Prof: prof, Epochs: 1, BatchSize: 8}}
+	mm, gprof, err := mmg.BuildProfiled(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	legal := CurrentPracticePlan(gprof)
+	if _, err := newGroup(items, mm, legal, AdamSlotBytes); err != nil {
+		t.Fatalf("legal plan refused: %v", err)
+	}
+
+	bad := CurrentPracticePlan(gprof)
+	bad.Actions[mm.NodeOf(m, d1).Index()] = Pruned // d2 stays computed
+	_, err = newGroup(items, mm, bad, AdamSlotBytes)
+	if err == nil {
+		t.Fatal("plan computing d2 over a pruned d1 was accepted")
+	}
+	for _, want := range []string{"group bad", `"bad/d2"`, `"bad/d1"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	// The replay ignores the edge to the tensor that does not exist: what
+	// is left is the legal plan minus d1's activation while d2 runs.
+	if got, max := EstimatePeakMemory(bad, 8, AdamSlotBytes), EstimatePeakMemory(legal, 8, AdamSlotBytes); got.ActivationPeak <= 0 || got.ActivationPeak > max.ActivationPeak {
+		t.Errorf("illegal plan's activation peak %d, legal plan's %d", got.ActivationPeak, max.ActivationPeak)
 	}
 }

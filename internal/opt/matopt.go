@@ -79,11 +79,13 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 		return nil, err
 	}
 
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	var chosen map[graph.Signature]bool
 	var explored int
 	switch cfg.Solver {
 	case "", "bnb":
-		chosen, explored, err = solveBnB(cands, items, cfg)
+		chosen, explored, err = solveBnB(sc, cands, items, cfg)
 	case "milp":
 		chosen, explored, err = solveMILP(cands, items, cfg)
 	default:
@@ -101,7 +103,7 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 		}
 	}
 	for _, it := range items {
-		plan, err := SolveReusePlan(it.Prof, chosen)
+		plan, err := sc.solve(it.Prof, chosen)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +122,7 @@ func (r *MatResult) pruneUnused(maxRecords int) {
 	used := map[graph.Signature]bool{}
 	for _, plan := range r.Plans {
 		for _, n := range plan.LoadedNodes() {
-			used[plan.Prof.Sigs[n]] = true
+			used[plan.Prof.Sig(n)] = true
 		}
 	}
 	var kept []MatCandidate
@@ -143,19 +145,25 @@ func (r *MatResult) pruneUnused(maxRecords int) {
 func candidates(mm *mmg.MultiModel, items []WorkItem) ([]MatCandidate, error) {
 	profOf := make(map[*graph.Model]*profile.ModelProfile, len(items))
 	for _, it := range items {
+		if it.Prof == nil || it.Prof.Model != it.Model {
+			return nil, fmt.Errorf("opt: work item %q carries no profile of its model", it.Model.Name)
+		}
+		if n := len(it.Prof.Layers); n < it.Model.NumNodes() {
+			return nil, fmt.Errorf("opt: profile of model %q has no entry for node %q", it.Model.Name, it.Model.Nodes()[n].Name)
+		}
 		profOf[it.Model] = it.Prof
 	}
 	var out []MatCandidate
 	for _, n := range mm.MaterializableNodes() {
-		src := mm.SourcesOf[n][0]
+		src := mm.SourcesOf(n)[0]
 		prof := profOf[src.Model]
 		if prof == nil {
 			return nil, fmt.Errorf("opt: multi-model graph holds model %q, which is not a work item", src.Model.Name)
 		}
 		out = append(out, MatCandidate{
 			Node:        n,
-			Sig:         mm.Sig[n],
-			BytesPerRec: prof.Layers[src.Node].OutBytes,
+			Sig:         mm.Sig(n),
+			BytesPerRec: prof.Layer(src.Node).OutBytes,
 			SharedBy:    mm.SharedCount(n),
 		})
 	}
@@ -171,18 +179,60 @@ func candidates(mm *mmg.MultiModel, items []WorkItem) ([]MatCandidate, error) {
 	return out, nil
 }
 
-// workloadCost evaluates Σ_i C(M_i^opt)·epochs_i (per record) exactly for a
-// given loadable set via per-model min-cuts.
-func workloadCost(items []WorkItem, sigs map[graph.Signature]bool) (int64, error) {
+// matSearch is one MAT OPT search over subsets of U. A subset is chosen[] by
+// candidate position, not a signature set: each item knows which candidate
+// each of its nodes is, so pricing a subset fills one []bool per item.
+type matSearch struct {
+	sc     *scratch
+	cands  []MatCandidate
+	items  []WorkItem
+	candOf [][]int32 // [item][node index] → 1 + candidate position, 0 if none
+	chosen []bool    // by candidate position
+}
+
+func newMatSearch(sc *scratch, cands []MatCandidate, items []WorkItem) *matSearch {
+	pos := make(map[graph.Signature]int32, len(cands))
+	for c, cand := range cands {
+		pos[cand.Sig] = int32(c) + 1
+	}
+	s := &matSearch{sc: sc, cands: cands, items: items, candOf: make([][]int32, len(items)), chosen: make([]bool, len(cands))}
+	for k, it := range items {
+		s.candOf[k] = make([]int32, len(it.Prof.Layers))
+		for i := range it.Prof.Layers {
+			s.candOf[k][i] = pos[it.Prof.Layers[i].Sig]
+		}
+	}
+	return s
+}
+
+// cost evaluates Σ_i C(M_i^opt)·epochs_i (per record) exactly, by per-model
+// min-cuts, for the loadable set chosen ∪ cands[from:].
+func (s *matSearch) cost(from int) (int64, error) {
 	var total int64
-	for _, it := range items {
-		plan, err := SolveReusePlan(it.Prof, sigs)
+	for k, it := range s.items {
+		candOf := s.candOf[k]
+		s.sc.loadable = resize(s.sc.loadable, len(candOf))
+		for i, c := range candOf {
+			s.sc.loadable[i] = c > 0 && (int(c) > from || s.chosen[c-1])
+		}
+		cost, err := s.sc.planCost(it.Prof, s.sc.loadable)
 		if err != nil {
 			return 0, err
 		}
-		total += plan.CostPerRecord * int64(it.Epochs)
+		total += cost * int64(it.Epochs)
 	}
 	return total, nil
+}
+
+// sigs is the chosen subset as a signature set.
+func (s *matSearch) sigs() map[graph.Signature]bool {
+	out := map[graph.Signature]bool{}
+	for c, in := range s.chosen {
+		if in {
+			out[s.cands[c].Sig] = true
+		}
+	}
+	return out
 }
 
 // solveBnB searches subsets of U by depth-first branch & bound. The lower
@@ -190,43 +240,39 @@ func workloadCost(items []WorkItem, sigs map[graph.Signature]bool) (int64, error
 // free, which is valid because growing the loadable set never raises the
 // optimal plan cost; budget feasibility is enforced on decided candidates
 // only.
-func solveBnB(cands []MatCandidate, items []WorkItem, cfg MatConfig) (map[graph.Signature]bool, int, error) {
+func solveBnB(sc *scratch, cands []MatCandidate, items []WorkItem, cfg MatConfig) (map[graph.Signature]bool, int, error) {
 	maxNodes := cfg.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 50_000
 	}
 	r := int64(cfg.MaxRecords)
+	s := newMatSearch(sc, cands, items)
 
 	// Incumbent: greedy in candidate order.
-	bestSigs, bestCost, err := greedyMat(cands, items, cfg)
+	bestCost, err := s.greedy(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
+	bestSigs := s.sigs()
+	clear(s.chosen)
 
 	explored := 0
 	var firstErr error
-	sigs := map[graph.Signature]bool{}
 
 	// The optimistic bound treats undecided candidates as free and
-	// materialized; at depth i that's {decided yes} ∪ cands[i:].
-	var dfs func(i int, usedBytes int64)
-	dfs = func(i int, usedBytes int64) {
+	// materialized: at depth i, {decided yes} ∪ cands[i:]. A "yes" on
+	// cands[i] leaves that set as it was, so the yes child is handed its
+	// parent's bound (≥ 0) instead of recomputing it.
+	var dfs func(i int, usedBytes, bound int64)
+	dfs = func(i int, usedBytes, bound int64) {
 		if firstErr != nil || explored >= maxNodes {
 			return
 		}
 		explored++
-		// Bound with all undecided included.
-		opt := map[graph.Signature]bool{}
-		for s := range sigs {
-			opt[s] = true
-		}
-		for _, c := range cands[i:] {
-			opt[c.Sig] = true
-		}
-		bound, err := workloadCost(items, opt)
-		if err != nil {
-			firstErr = err
-			return
+		if bound < 0 {
+			if bound, firstErr = s.cost(i); firstErr != nil {
+				return
+			}
 		}
 		if bound >= bestCost {
 			return
@@ -234,54 +280,51 @@ func solveBnB(cands []MatCandidate, items []WorkItem, cfg MatConfig) (map[graph.
 		if i == len(cands) {
 			// bound is exact here.
 			bestCost = bound
-			bestSigs = map[graph.Signature]bool{}
-			for s := range sigs {
-				bestSigs[s] = true
-			}
+			bestSigs = s.sigs()
 			return
 		}
 		c := cands[i]
 		if usedBytes+c.BytesPerRec*r <= cfg.DiskBudgetBytes {
-			sigs[c.Sig] = true
-			dfs(i+1, usedBytes+c.BytesPerRec*r)
-			delete(sigs, c.Sig)
+			s.chosen[i] = true
+			dfs(i+1, usedBytes+c.BytesPerRec*r, bound)
+			s.chosen[i] = false
 		}
-		dfs(i+1, usedBytes)
+		dfs(i+1, usedBytes, -1)
 	}
-	dfs(0, 0)
+	dfs(0, 0, -1)
 	if firstErr != nil {
 		return nil, explored, firstErr
 	}
 	return bestSigs, explored, nil
 }
 
-// greedyMat builds the initial incumbent: scan candidates in order, keep a
-// candidate if it fits the budget and strictly lowers workload cost.
-func greedyMat(cands []MatCandidate, items []WorkItem, cfg MatConfig) (map[graph.Signature]bool, int64, error) {
+// greedy builds the initial incumbent in s.chosen and returns its cost: in
+// candidate order, keep what fits the budget and strictly lowers the cost.
+func (s *matSearch) greedy(cfg MatConfig) (int64, error) {
 	r := int64(cfg.MaxRecords)
-	sigs := map[graph.Signature]bool{}
-	cost, err := workloadCost(items, sigs)
+	none := len(s.cands) // no optimistic tail: the loadable set is chosen alone
+	cost, err := s.cost(none)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var used int64
-	for _, c := range cands {
+	for i, c := range s.cands {
 		if used+c.BytesPerRec*r > cfg.DiskBudgetBytes {
 			continue
 		}
-		sigs[c.Sig] = true
-		nc, err := workloadCost(items, sigs)
+		s.chosen[i] = true
+		nc, err := s.cost(none)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		if nc < cost {
 			cost = nc
 			used += c.BytesPerRec * r
 		} else {
-			delete(sigs, c.Sig)
+			s.chosen[i] = false
 		}
 	}
-	return sigs, cost, nil
+	return cost, nil
 }
 
 // solveMILP builds and solves the joint MILP of Section 4.2.2
@@ -326,44 +369,47 @@ func BuildMILP(cands []MatCandidate, items []WorkItem, cfg MatConfig) (*milp.Pro
 
 	for _, it := range items {
 		scale := r * float64(it.Epochs)
-		xVar := map[*graph.Node]int{}
-		yVar := map[*graph.Node]int{}
-		for _, n := range it.Prof.Model.Reachable() {
-			lp := it.Prof.Layers[n]
+		reachable := it.Prof.Model.Reachable()
+		// X and Y variables by Node.Index(); only reachable nodes get one.
+		xVar := make([]int, len(it.Prof.Layers))
+		yVar := make([]int, len(it.Prof.Layers))
+		for _, n := range reachable {
+			lp := it.Prof.Layer(n)
 			// Objective: X·cload + Y·(ccomp − cload), scaled (Equation 9).
-			xVar[n] = newVar(float64(lp.LoadFLOPs) * scale)
+			xVar[n.Index()] = newVar(float64(lp.LoadFLOPs) * scale)
 			if !n.IsInput() {
-				yVar[n] = newVar(float64(lp.CompFLOPs-lp.LoadFLOPs) * scale)
+				yVar[n.Index()] = newVar(float64(lp.CompFLOPs-lp.LoadFLOPs) * scale)
 			}
 		}
-		outs := map[*graph.Node]bool{}
+		isOut := make([]bool, len(it.Prof.Layers))
 		for _, o := range it.Prof.Model.Outputs {
-			outs[o] = true
+			isOut[o.Index()] = true
 		}
-		for _, n := range it.Prof.Model.Reachable() {
+		for _, n := range reachable {
+			x, y := xVar[n.Index()], yVar[n.Index()]
 			// (a) outputs present.
-			if outs[n] {
-				p.AddConstraint(milp.GE, 1, milp.Term{Var: xVar[n], Coef: 1})
+			if isOut[n.Index()] {
+				p.AddConstraint(milp.GE, 1, milp.Term{Var: x, Coef: 1})
 			}
 			if n.IsInput() {
 				continue
 			}
 			// (b) Y ≤ X.
-			p.AddConstraint(milp.GE, 0, milp.Term{Var: xVar[n], Coef: 1}, milp.Term{Var: yVar[n], Coef: -1})
+			p.AddConstraint(milp.GE, 0, milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1})
 			// (c) computed ⇒ every parent present.
 			for _, par := range n.Parents {
-				p.AddConstraint(milp.GE, 0, milp.Term{Var: xVar[par], Coef: 1}, milp.Term{Var: yVar[n], Coef: -1})
+				p.AddConstraint(milp.GE, 0, milp.Term{Var: xVar[par.Index()], Coef: 1}, milp.Term{Var: y, Coef: -1})
 			}
 			// (d) loaded (X−Y=1) only if the matching candidate is
 			// materialized; non-materializable layers have no candidate and
 			// get X−Y ≤ 0.
-			sig := it.Prof.Sigs[n]
-			if z, ok := zVar[sig]; ok && it.Prof.Layers[n].Materializable {
+			lp := it.Prof.Layer(n)
+			if z, ok := zVar[lp.Sig]; ok && lp.Materializable {
 				p.AddConstraint(milp.LE, 0,
-					milp.Term{Var: xVar[n], Coef: 1}, milp.Term{Var: yVar[n], Coef: -1}, milp.Term{Var: z, Coef: -1})
+					milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1}, milp.Term{Var: z, Coef: -1})
 			} else {
 				p.AddConstraint(milp.LE, 0,
-					milp.Term{Var: xVar[n], Coef: 1}, milp.Term{Var: yVar[n], Coef: -1})
+					milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1})
 			}
 		}
 	}

@@ -206,7 +206,7 @@ func TestOptimizeMaterializationPrunesUnusedCandidates(t *testing.T) {
 	loaded := map[graph.Signature]bool{}
 	for _, plan := range res.Plans {
 		for _, n := range plan.LoadedNodes() {
-			loaded[plan.Prof.Sigs[n]] = true
+			loaded[plan.Prof.Sig(n)] = true
 		}
 	}
 	for _, c := range res.Materialized {

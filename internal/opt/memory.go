@@ -1,9 +1,5 @@
 package opt
 
-import (
-	"nautilus/internal/graph"
-)
-
 // MemoryEstimate breaks down the analytical peak-memory estimate of
 // training a (possibly fused) reuse-plan model (Section 4.3.3).
 type MemoryEstimate struct {
@@ -33,209 +29,144 @@ const AdamSlotBytes = 2
 // optBytesPerTrainableByte is the optimizer's slot overhead (0 for plain
 // SGD, 1 for momentum, AdamSlotBytes for Adam).
 func EstimatePeakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return sc.peakMemory(plan, batch, optBytesPerTrainableByte)
+}
+
+func (sc *scratch) peakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
 	prof := plan.Prof
 	m := prof.Model
+	nodes := m.Nodes()
+	n := len(nodes)
 
-	// Retained nodes in topological order.
-	var fwd []*graph.Node
-	for _, n := range m.Reachable() {
-		if plan.Actions[n] != Pruned {
-			fwd = append(fwd, n)
+	// The augmented graph (Figure 5B) is traversed in one topological order:
+	// retained forward nodes in graph order (positions 0..F-1), the loss
+	// node (F), backward nodes in reverse forward order. Every step makes
+	// one tensor, identified by its position.
+	sc.reach = m.MarkReachable(sc.reach)
+	sc.fpos, sc.bpos = resize(sc.fpos, n), resize(sc.bpos, n)
+	F := int32(0)
+	for i := range nodes {
+		sc.fpos[i] = -1
+		if sc.reach[i] && plan.Actions[i] != Pruned {
+			sc.fpos[i] = F
+			F++
 		}
 	}
 
+	// Parameters of computed nodes, each once however many nodes hold it.
 	est := MemoryEstimate{WorkspaceBytes: prof.HW.WorkspaceBytes}
-	seenParam := map[*graph.Param]bool{}
-	trainSet := map[*graph.Param]bool{}
-	for _, p := range m.TrainableParams() {
-		trainSet[p] = true
-	}
-	for _, n := range fwd {
-		if plan.Actions[n] != Computed {
+	sc.seenParam = resize(sc.seenParam, prof.NumParams())
+	clear(sc.seenParam)
+	for i := range nodes {
+		if sc.fpos[i] < 0 || plan.Actions[i] != Computed {
 			continue
 		}
-		for _, p := range n.Layer.Params() {
-			if seenParam[p] {
+		for _, id := range prof.Layers[i].Params {
+			if sc.seenParam[id] {
 				continue
 			}
-			seenParam[p] = true
-			est.ParamBytes += p.Bytes()
-			if trainSet[p] {
-				est.OptimizerBytes += p.Bytes() * optBytesPerTrainableByte
+			sc.seenParam[id] = true
+			p := prof.Param(id)
+			est.ParamBytes += p.Bytes
+			if p.Trainable {
+				est.OptimizerBytes += p.Bytes * optBytesPerTrainableByte
 			}
 		}
 	}
 
-	// Augmented graph (Figure 5B). Node ids: forward nodes 0..F-1, loss
-	// node F, backward node of fwd[i] at F+1+i (when present).
-	// needGrad: gradient flows into the node (it or an ancestor trains).
-	needGrad := map[*graph.Node]bool{}
-	for _, n := range fwd {
-		v := plan.Actions[n] == Computed && !n.Frozen()
-		if !v {
-			for _, p := range n.Parents {
-				if needGrad[p] {
-					v = true
-					break
-				}
-			}
-		}
-		needGrad[n] = v
-	}
-	// Backward node exists for computed nodes that either need grads
-	// themselves or must propagate them (any parent needs grads).
-	hasBwd := map[*graph.Node]bool{}
-	for _, n := range fwd {
-		if plan.Actions[n] != Computed {
+	// needGrad: gradient flows into the node (it or an ancestor trains). A
+	// computed node that trains or must propagate grads has a backward node.
+	sc.needGrad = resize(sc.needGrad, n)
+	for i, nd := range nodes {
+		sc.bpos[i] = -1
+		sc.needGrad[i] = false
+		if sc.fpos[i] < 0 {
 			continue
 		}
-		if !n.Frozen() || anyNeeds(n.Parents, needGrad) {
-			hasBwd[n] = true
+		computed := plan.Actions[i] == Computed
+		trains := computed && nd.Trainable && len(prof.Layers[i].Params) > 0 // !Frozen()
+		fromParent := false
+		for _, p := range nd.Parents {
+			fromParent = fromParent || sc.needGrad[p.Index()]
+		}
+		sc.needGrad[i] = trains || fromParent
+		if computed && (trains || fromParent) {
+			sc.bpos[i] = 0 // has a backward node; positioned below
+		}
+	}
+	steps := F + 1
+	for i := n - 1; i >= 0; i-- {
+		if sc.bpos[i] == 0 {
+			sc.bpos[i] = steps
+			steps++
 		}
 	}
 
-	idx := map[*graph.Node]int{}
-	for i, n := range fwd {
-		idx[n] = i
+	// A step's tensor (s_mem; the loss: nothing) lives to its last consumer.
+	sc.size, sc.release = resize(sc.size, int(steps)), resize(sc.release, int(steps))
+	sc.lastUse = resize(sc.lastUse, int(steps))
+	for s := range sc.lastUse {
+		sc.lastUse[s] = int32(s)
+		sc.size[s], sc.release[s] = 0, 0
 	}
-	F := len(fwd)
-	loss := F
-	bwdIdx := map[*graph.Node]int{}
-	total := F + 1
-	for _, n := range fwd {
-		if hasBwd[n] {
-			bwdIdx[n] = total
-			total++
+	use := func(tensor, at int32) {
+		if at > sc.lastUse[tensor] {
+			sc.lastUse[tensor] = at
 		}
 	}
-
-	// Tensor sizes: each augmented node produces one tensor of its s_mem.
-	size := make([]int64, total)
-	for i, n := range fwd {
-		size[i] = prof.Layers[n].MemBytes
-	}
-	size[loss] = 0 // scalar loss; negligible
-	for n, bi := range bwdIdx {
-		size[bi] = prof.Layers[n].MemBytes
-	}
-
-	// Consumers of each augmented node's tensor (Figure 5B edges).
-	consumers := make([][]int, total)
-	childrenOf := childMap(m, fwd, plan)
-	outputs := map[*graph.Node]bool{}
+	sc.isOut = resize(sc.isOut, n)
+	clear(sc.isOut)
 	for _, o := range m.Outputs {
-		outputs[o] = true
+		sc.isOut[o.Index()] = true
 	}
-	for _, n := range fwd {
-		i := idx[n]
-		// Forward edges: parent output consumed by child forward node.
-		if plan.Actions[n] == Computed {
-			for _, p := range n.Parents {
-				consumers[idx[p]] = append(consumers[idx[p]], i)
-			}
+	for i, nd := range nodes {
+		f, b := sc.fpos[i], sc.bpos[i]
+		if f < 0 {
+			continue
 		}
-		// Output → loss.
-		if outputs[n] {
-			consumers[i] = append(consumers[i], loss)
+		sc.size[f] = prof.Layers[i].MemBytes
+		if sc.isOut[i] {
+			use(f, F) // output → loss
 		}
-		if bi, ok := bwdIdx[n]; ok {
-			// (l_i, l'_i): backward needs the forward output.
-			consumers[i] = append(consumers[i], bi)
-			// (l_p, l'_i): backward needs the forward inputs.
-			for _, p := range n.Parents {
-				consumers[idx[p]] = append(consumers[idx[p]], bi)
+		if plan.Actions[i] != Computed {
+			continue
+		}
+		if b >= 0 {
+			sc.size[b] = prof.Layers[i].MemBytes
+			use(f, b) // (l_i, l'_i): backward needs the forward output
+		}
+		for _, p := range nd.Parents {
+			pi := p.Index()
+			pf := sc.fpos[pi]
+			if pf < 0 {
+				continue // an illegal plan (verify.Plan, BuildGroup): no tensor to hold
 			}
-			// (l'_s, l'_i): child backward gradients feed this backward.
-			fedFromLoss := true
-			for _, s := range childrenOf[n] {
-				if sb, ok := bwdIdx[s]; ok {
-					consumers[sb] = append(consumers[sb], bi)
-					fedFromLoss = false
+			use(pf, f) // parent output consumed by the child's forward
+			if b >= 0 {
+				use(pf, b) // (l_p, l'_i): backward needs the forward inputs
+				if pb := sc.bpos[pi]; pb >= 0 {
+					use(b, pb) // (l'_s, l'_i): a child's gradient feeds the parent's backward
 				}
 			}
-			// Output layers (or layers whose children have no backward)
-			// receive their gradient from the loss node.
-			if fedFromLoss || outputs[n] {
-				consumers[loss] = append(consumers[loss], bi)
-			}
 		}
 	}
-
-	// Topological traversal order: forward nodes in order, loss, backward
-	// nodes in reverse forward order (a valid topological order of the
-	// augmented DAG). Track liveness: a tensor is live from its producer
-	// until its last consumer has been processed.
-	order := make([]int, 0, total)
-	for i := 0; i < F; i++ {
-		order = append(order, i)
-	}
-	order = append(order, loss)
-	for i := F - 1; i >= 0; i-- {
-		if bi, ok := bwdIdx[fwd[i]]; ok {
-			order = append(order, bi)
-		}
-	}
-	pos := make([]int, total)
-	for p, id := range order {
-		pos[id] = p
-	}
-	lastUse := make([]int, total)
-	for id := range lastUse {
-		lastUse[id] = pos[id] // at least live while produced
-	}
-	for id, cs := range consumers {
-		for _, c := range cs {
-			if pos[c] > lastUse[id] {
-				lastUse[id] = pos[c]
-			}
-		}
-	}
+	// The loss node's edges into backward nodes are not replayed: its
+	// tensor is a scalar (size 0), however long it lives.
 
 	// Sweep: allocate at production, free after last use.
-	var live, peak int64
-	freeAt := make([][]int, len(order)+1)
-	for id := range size {
-		freeAt[lastUse[id]+1] = append(freeAt[lastUse[id]+1], id)
+	for s, last := range sc.lastUse {
+		sc.release[last] += sc.size[s]
 	}
-	for p, id := range order {
-		live += size[id]
+	var live, peak int64
+	for s := range sc.size {
+		live += sc.size[s]
 		if live > peak {
 			peak = live
 		}
-		for _, f := range freeAt[p+1] {
-			live -= size[f]
-		}
+		live -= sc.release[s]
 	}
 	est.ActivationPeak = peak * int64(batch)
 	return est
-}
-
-// childMap returns, for every retained node, its retained computed
-// children.
-func childMap(m *graph.Model, fwd []*graph.Node, plan *Plan) map[*graph.Node][]*graph.Node {
-	ch := map[*graph.Node][]*graph.Node{}
-	retained := map[*graph.Node]bool{}
-	for _, n := range fwd {
-		retained[n] = true
-	}
-	for _, n := range fwd {
-		if plan.Actions[n] != Computed {
-			continue
-		}
-		for _, p := range n.Parents {
-			if retained[p] {
-				ch[p] = append(ch[p], n)
-			}
-		}
-	}
-	return ch
-}
-
-func anyNeeds(ns []*graph.Node, set map[*graph.Node]bool) bool {
-	for _, n := range ns {
-		if set[n] {
-			return true
-		}
-	}
-	return false
 }

@@ -49,7 +49,7 @@ func randomDAG(rng *rand.Rand, name string) *graph.Model {
 func bruteForcePlanCost(prof *profile.ModelProfile, loadable map[graph.Signature]bool) int64 {
 	nodes := prof.Model.Reachable()
 	canLoad := func(n *graph.Node) bool {
-		return n.IsInput() || loadable[prof.Sigs[n]]
+		return n.IsInput() || loadable[prof.Sig(n)]
 	}
 	outputs := map[*graph.Node]bool{}
 	for _, o := range prof.Model.Outputs {
@@ -75,12 +75,12 @@ func bruteForcePlanCost(prof *profile.ModelProfile, loadable map[graph.Signature
 							return
 						}
 					}
-					cost += prof.Layers[n].CompFLOPs
+					cost += prof.Layer(n).CompFLOPs
 				case Loaded:
 					if !canLoad(n) {
 						return
 					}
-					cost += prof.Layers[n].LoadFLOPs
+					cost += prof.Layer(n).LoadFLOPs
 				}
 			}
 			if cost < best {
@@ -110,8 +110,8 @@ func TestSolveReusePlanMatchesBruteForce(t *testing.T) {
 		loadable := map[graph.Signature]bool{}
 		mat := m.Materializable()
 		for _, n := range m.Nodes() {
-			if mat[n] && !n.IsInput() && rng.Intn(2) == 0 {
-				loadable[prof.Sigs[n]] = true
+			if mat[n.Index()] && !n.IsInput() && rng.Intn(2) == 0 {
+				loadable[prof.Sig(n)] = true
 			}
 		}
 		plan, err := SolveReusePlan(prof, loadable)
@@ -165,19 +165,19 @@ func TestPlanLoadsAllMaterializedWhenFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadable := map[graph.Signature]bool{prof.Sigs[d1]: true, prof.Sigs[d2]: true}
+	loadable := map[graph.Signature]bool{prof.Sig(d1): true, prof.Sig(d2): true}
 	plan, err := SolveReusePlan(prof, loadable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Actions[d2] != Loaded {
-		t.Errorf("d2 action = %v, want loaded", plan.Actions[d2])
+	if plan.Action(d2) != Loaded {
+		t.Errorf("d2 action = %v, want loaded", plan.Action(d2))
 	}
-	if plan.Actions[d1] != Pruned || plan.Actions[in] != Pruned {
-		t.Errorf("ancestors should be pruned: d1=%v in=%v", plan.Actions[d1], plan.Actions[in])
+	if plan.Action(d1) != Pruned || plan.Action(in) != Pruned {
+		t.Errorf("ancestors should be pruned: d1=%v in=%v", plan.Action(d1), plan.Action(in))
 	}
-	if plan.Actions[h] != Computed {
-		t.Errorf("head action = %v, want computed", plan.Actions[h])
+	if plan.Action(h) != Computed {
+		t.Errorf("head action = %v, want computed", plan.Action(h))
 	}
 }
 
@@ -199,13 +199,13 @@ func TestPlanPrefersRecomputeOnSlowDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadable := map[graph.Signature]bool{prof.Sigs[d1]: true}
+	loadable := map[graph.Signature]bool{prof.Sig(d1): true}
 	plan, err := SolveReusePlan(prof, loadable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Actions[d1] != Computed {
-		t.Errorf("d1 action = %v, want computed (load too slow)", plan.Actions[d1])
+	if plan.Action(d1) != Computed {
+		t.Errorf("d1 action = %v, want computed (load too slow)", plan.Action(d1))
 	}
 }
 
@@ -225,7 +225,7 @@ func TestBuildPlanModelExecutionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadable := map[graph.Signature]bool{prof.Sigs[d2]: true}
+	loadable := map[graph.Signature]bool{prof.Sig(d2): true}
 	plan, err := SolveReusePlan(prof, loadable)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestBuildPlanModelRejectsPrunedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &Plan{Prof: prof, Actions: map[*graph.Node]Action{in: Pruned, h: Pruned}}
+	plan := newPlan(prof) // in and h both pruned
 	if _, _, err := BuildPlanModel(plan); err == nil {
 		t.Error("pruned output should be rejected")
 	}
@@ -297,9 +297,9 @@ func TestCurrentPracticePlanCountsEverything(t *testing.T) {
 	var want int64
 	for _, n := range m.Reachable() {
 		if n.IsInput() {
-			want += prof.Layers[n].LoadFLOPs
+			want += prof.Layer(n).LoadFLOPs
 		} else {
-			want += prof.Layers[n].CompFLOPs
+			want += prof.Layer(n).CompFLOPs
 		}
 	}
 	if cp.CostPerRecord != want {
@@ -323,7 +323,7 @@ func TestPlanDOTRendersAllActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := SolveReusePlan(prof, map[graph.Signature]bool{prof.Sigs[d2]: true})
+	plan, err := SolveReusePlan(prof, map[graph.Signature]bool{prof.Sig(d2): true})
 	if err != nil {
 		t.Fatal(err)
 	}

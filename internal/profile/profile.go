@@ -70,6 +70,7 @@ func (h Hardware) IOSeconds(bytes int64) float64 {
 type LayerProfile struct {
 	Node     *graph.Node
 	OutShape []int
+	Sig      graph.Signature // expression signature (Definitions 4.1–4.3)
 
 	ForwardFLOPs   int64 // raw forward-pass FLOPs
 	CompFLOPs      int64 // c_comp with the 1×/2×/3× training multiplier
@@ -77,16 +78,49 @@ type LayerProfile struct {
 	LoadFLOPs      int64 // c_load
 	MemBytes       int64 // s_mem (composite-aware)
 	Materializable bool
+	Params         []int32 // ModelProfile.Param ids of the layer's parameters
+}
+
+// ParamProfile is one distinct parameter of a profiled model.
+type ParamProfile struct {
+	Param     *graph.Param
+	Bytes     int64
+	Trainable bool // some trainable node updates it (graph.Model.TrainableParams)
 }
 
 // ModelProfile aggregates the profiling information of one candidate model.
 type ModelProfile struct {
-	Model  *graph.Model
-	Layers map[*graph.Node]*LayerProfile
-	Shapes map[*graph.Node][]int
-	Sigs   map[*graph.Node]graph.Signature
+	Model *graph.Model
+	// Layers holds one entry per node, parallel to Model.Nodes(): the facts
+	// of node n are Layers[n.Index()] (Layer, Sig and Shape read them).
+	Layers []LayerProfile
 	HW     Hardware
+
+	// The parameter table (NumParams, Param): the model's distinct parameters
+	// in first-use order, one entry however many nodes hold the parameter,
+	// so memory accounting counts it once. It is shared followed by own: a
+	// derived profile shares its first member's table rather than copy it.
+	shared, own []ParamProfile
+	// paramID indexes the table by parameter. A derived profile keeps none.
+	paramID map[*graph.Param]int32
 }
+
+// NumParams is the number of distinct parameters the model's layers hold.
+func (p *ModelProfile) NumParams() int { return len(p.shared) + len(p.own) }
+
+// Param returns entry id of the parameter table, 0 ≤ id < NumParams().
+func (p *ModelProfile) Param(id int32) *ParamProfile {
+	if int(id) < len(p.shared) {
+		return &p.shared[id]
+	}
+	return &p.own[int(id)-len(p.shared)]
+}
+
+// Layer returns the profile of one of the model's nodes.
+func (p *ModelProfile) Layer(n *graph.Node) *LayerProfile { return &p.Layers[n.Index()] }
+
+// Sig returns a node's expression signature.
+func (p *ModelProfile) Sig(n *graph.Node) graph.Signature { return p.Layers[n.Index()].Sig }
 
 // Profile computes the full profile of a model. It fails if the model does
 // not validate.
@@ -99,19 +133,24 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 	sigs := m.ExprSignatures()
 	needGrad := gradPath(m)
 
-	p := &ModelProfile{
-		Model:  m,
-		Layers: make(map[*graph.Node]*LayerProfile, m.NumNodes()),
-		Shapes: shapes,
-		Sigs:   sigs,
-		HW:     hw,
-	}
+	held := 0 // parameters over all nodes, shared ones counted per holder
 	for _, n := range m.Nodes() {
+		held += len(n.Layer.Params())
+	}
+	p := &ModelProfile{
+		Model:   m,
+		Layers:  make([]LayerProfile, m.NumNodes()),
+		own:     make([]ParamProfile, 0, held),
+		HW:      hw,
+		paramID: make(map[*graph.Param]int32, held),
+	}
+	ids := make([]int32, 0, held) // backing array of every LayerProfile.Params
+	for i, n := range m.Nodes() {
 		in := make([][]int, len(n.Parents))
-		for i, par := range n.Parents {
-			in[i] = shapes[par]
+		for j, par := range n.Parents {
+			in[j] = shapes[par.Index()]
 		}
-		outShape := shapes[n]
+		outShape := shapes[i]
 		outBytes := int64(tensor.NumElems(outShape)) * 4
 
 		var fwd int64
@@ -131,7 +170,7 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 			} else {
 				comp = 3 * fwd // forward + input gradient + parameter gradient
 			}
-		case needGrad[n]:
+		case needGrad[i]:
 			comp = 2 * fwd // forward + input gradient only
 		default:
 			comp = fwd
@@ -144,36 +183,142 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 			memBytes = graph.ActivationBytesPerRecord(n, in)
 		}
 
-		p.Layers[n] = &LayerProfile{
+		first := len(ids)
+		for _, q := range n.Layer.Params() {
+			id, ok := p.paramID[q]
+			if !ok {
+				id = int32(len(p.own))
+				p.paramID[q] = id
+				p.own = append(p.own, ParamProfile{Param: q, Bytes: q.Bytes()})
+			}
+			ids = append(ids, id)
+		}
+		if n.Trainable { // what the node trains, as graph.Model.TrainableParams has it
+			trains := n.Layer.Params()
+			if pt, ok := n.Layer.(graph.PartialTrainer); ok {
+				trains = pt.TrainableSubset()
+			}
+			for _, q := range trains {
+				if id, ok := p.paramID[q]; ok {
+					p.own[id].Trainable = true
+				}
+			}
+		}
+
+		p.Layers[i] = LayerProfile{
 			Node:           n,
 			OutShape:       outShape,
+			Sig:            sigs[i],
 			ForwardFLOPs:   fwd,
 			CompFLOPs:      comp,
 			OutBytes:       outBytes,
 			LoadFLOPs:      hw.LoadFLOPs(outBytes),
 			MemBytes:       memBytes,
-			Materializable: mat[n],
+			Materializable: mat[i],
+			Params:         ids[first:len(ids):len(ids)],
 		}
 	}
 	return p, nil
 }
 
-// gradPath marks nodes whose backward pass must run when the full model
-// trains: a node is on the gradient path if it is trainable or any ancestor
-// is. (Materializable nodes are never on it.)
-func gradPath(m *graph.Model) map[*graph.Node]bool {
-	need := map[*graph.Node]bool{}
-	for _, n := range m.Nodes() {
+// Deriver builds the profile of a graph merged from profiled models without
+// re-profiling it: every merged node's facts are those of its first source
+// node in a member's profile (mmg.BuildProfiled). Only parameter ids cannot
+// be copied: they index a per-model table. The merged table begins with the
+// first member's (shared, so its ids stand); a later member's ids are
+// translated once per parameter, to the entry an earlier member made if one
+// holds the parameter too — so a parameter is counted once, and is trainable
+// if any member trains it.
+type Deriver struct {
+	p    *ModelProfile
+	base *ModelProfile // the first member
+	// extra indexes p.own[:indexed], as base.paramID does p.shared; a member
+	// finds its own additions through remap, so they wait for the next one.
+	extra   map[*graph.Param]int32
+	indexed int
+
+	src   *ModelProfile // the later member being added
+	remap []int32       // src's parameter id → 1 + p's, 0 until translated
+}
+
+// NewDeriver starts the profile of merged (about nodes nodes) from its first member.
+func NewDeriver(merged *graph.Model, first *ModelProfile, nodes int) *Deriver {
+	p := &ModelProfile{Model: merged, Layers: make([]LayerProfile, 0, nodes), shared: first.own, HW: first.HW}
+	if first.paramID == nil { // first is itself derived: no index to share, so index a copy
+		p.shared, p.own = nil, append(append([]ParamProfile(nil), first.shared...), first.own...)
+	}
+	return &Deriver{p: p, base: first}
+}
+
+// Profile returns the derived profile; the Deriver must not be used after.
+func (d *Deriver) Profile() *ModelProfile { return d.p }
+
+// Add appends the profile of merged node n from lp, its first source node's
+// in member src; c_load is recomputed from the first member's hardware.
+func (d *Deriver) Add(n *graph.Node, src *ModelProfile, lp *LayerProfile) {
+	p := d.p
+	p.Layers = append(p.Layers, *lp)
+	out := &p.Layers[len(p.Layers)-1]
+	out.Node = n
+	out.LoadFLOPs = p.HW.LoadFLOPs(out.OutBytes)
+	if src == d.base || len(lp.Params) == 0 {
+		return // the first member's ids are the merged ids
+	}
+	if src != d.src {
+		d.src, d.remap = src, make([]int32, src.NumParams())
+		if d.extra == nil && d.indexed < len(p.own) {
+			d.extra = make(map[*graph.Param]int32, 2*len(p.own))
+		}
+		for ; d.indexed < len(p.own); d.indexed++ {
+			d.extra[p.own[d.indexed].Param] = int32(len(p.shared) + d.indexed)
+		}
+	}
+	out.Params = make([]int32, len(lp.Params))
+	for i, sid := range lp.Params {
+		if d.remap[sid] == 0 {
+			d.remap[sid] = 1 + d.intern(*src.Param(sid))
+		}
+		out.Params[i] = d.remap[sid] - 1
+	}
+}
+
+// intern returns q's id in the merged table, adding it if no member held it.
+func (d *Deriver) intern(q ParamProfile) int32 {
+	p := d.p
+	id, ok := d.base.paramID[q.Param]
+	if !ok {
+		id, ok = d.extra[q.Param]
+	}
+	switch {
+	case !ok:
+		p.own = append(p.own, q)
+		return int32(p.NumParams() - 1)
+	case q.Trainable && !p.Param(id).Trainable:
+		if int(id) < len(p.shared) { // the first member's table is not ours to write: take a copy
+			p.own = append(append(make([]ParamProfile, 0, p.NumParams()+8), p.shared...), p.own...)
+			p.shared = nil // ids stand; the next member re-indexes a few entries it need not
+		}
+		p.Param(id).Trainable = true
+	}
+	return id
+}
+
+// gradPath marks nodes (by index) whose backward pass must run when the
+// full model trains: a node is on the gradient path if it is trainable or
+// any ancestor is. (Materializable nodes are never on it.)
+func gradPath(m *graph.Model) []bool {
+	need := make([]bool, m.NumNodes())
+	for i, n := range m.Nodes() {
 		v := !n.Frozen()
 		if !v {
 			for _, p := range n.Parents {
-				if need[p] {
+				if need[p.Index()] {
 					v = true
 					break
 				}
 			}
 		}
-		need[n] = v
+		need[i] = v
 	}
 	return need
 }
@@ -182,8 +327,8 @@ func gradPath(m *graph.Model) map[*graph.Node]bool {
 // model: the sum of c_comp over all layers (what Current Practice pays).
 func (p *ModelProfile) TotalCompFLOPs() int64 {
 	var total int64
-	for _, lp := range p.Layers {
-		total += lp.CompFLOPs
+	for i := range p.Layers {
+		total += p.Layers[i].CompFLOPs
 	}
 	return total
 }
@@ -193,16 +338,10 @@ func (p *ModelProfile) TotalCompFLOPs() int64 {
 // theoretical-speedup bound (Equation 11) divides by.
 func (p *ModelProfile) NonMaterializableCompFLOPs() int64 {
 	var total int64
-	for _, lp := range p.Layers {
-		if !lp.Materializable {
+	for i := range p.Layers {
+		if lp := &p.Layers[i]; !lp.Materializable {
 			total += lp.CompFLOPs
 		}
 	}
 	return total
-}
-
-// ParamBytes returns the model's total parameter bytes (all, trainable).
-func (p *ModelProfile) ParamBytes() (total, trainable int64) {
-	t, tr := p.Model.ParamCount()
-	return t * 4, tr * 4
 }

@@ -27,9 +27,9 @@ func TestProfileCostMultipliers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := p.Layers[m.Node("d1")]
-	d2 := p.Layers[m.Node("d2")]
-	d3 := p.Layers[m.Node("d3")]
+	d1 := p.Layer(m.Node("d1"))
+	d2 := p.Layer(m.Node("d2"))
+	d3 := p.Layer(m.Node("d3"))
 	// d1, d2 are materializable (frozen, materializable parents): 1×.
 	if d1.CompFLOPs != d1.ForwardFLOPs || d2.CompFLOPs != d2.ForwardFLOPs {
 		t.Error("materializable layers must cost 1× forward")
@@ -60,7 +60,7 @@ func TestProfileFrozenOnGradPathCosts2x(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := p.Layers[d2]
+	lp := p.Layer(d2)
 	if lp.CompFLOPs != 2*lp.ForwardFLOPs {
 		t.Errorf("frozen-on-grad-path cost %d, want 2×%d", lp.CompFLOPs, lp.ForwardFLOPs)
 	}
@@ -76,7 +76,7 @@ func TestProfileLoadCostMatchesHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := p.Layers[m.Node("d1")]
+	d1 := p.Layer(m.Node("d1"))
 	// 8 floats = 32 bytes; 32/1e9 s × 1e12 FLOP/s = 32000 FLOPs.
 	if d1.OutBytes != 32 {
 		t.Fatalf("out bytes = %d", d1.OutBytes)
@@ -97,7 +97,7 @@ func TestProfileCompositeMemoryExceedsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := p.Layers[blk]
+	lp := p.Layer(blk)
 	if lp.MemBytes <= lp.OutBytes {
 		t.Errorf("composite s_mem %d should exceed s_disk %d (internal activations)", lp.MemBytes, lp.OutBytes)
 	}
@@ -112,7 +112,13 @@ func TestAggregates(t *testing.T) {
 	if p.TotalCompFLOPs() <= p.NonMaterializableCompFLOPs() {
 		t.Error("total must exceed irreducible for a frozen-trunk model")
 	}
-	total, trainable := p.ParamBytes()
+	var total, trainable int64
+	for id := int32(0); int(id) < p.NumParams(); id++ {
+		total += p.Param(id).Bytes
+		if p.Param(id).Trainable {
+			trainable += p.Param(id).Bytes
+		}
+	}
 	if total <= trainable || trainable != (8*4+4)*4 {
 		t.Errorf("param bytes total=%d trainable=%d", total, trainable)
 	}

@@ -44,7 +44,7 @@ func simWorkload(t *testing.T, materialize bool) Workload {
 		}
 		if materialize {
 			if sigs == nil {
-				sigs = map[graph.Signature]bool{mprof.Sigs[mmSingle.NodeOf[m][f]]: true}
+				sigs = map[graph.Signature]bool{mprof.Sig(mmSingle.NodeOf(m, f)): true}
 			}
 			plan, err := opt.SolveReusePlan(mprof, sigs)
 			if err != nil {

@@ -69,19 +69,17 @@ func assertDerivedEqualsFresh(t *testing.T, label string, g *opt.FusedGroup) {
 	if g, w := indices(gIdx, got.Graph.Outputs), indices(wIdx, want.Graph.Outputs); !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: outputs at nodes %v, want %v", label, g, w)
 	}
-	for _, c := range []struct {
-		what      string
-		got, want int
-	}{
-		{"MultiModel.Sig", len(got.Sig), len(want.Sig)},
-		{"MultiModel.SourcesOf", len(got.SourcesOf), len(want.SourcesOf)},
-		{"MultiModel.NodeOf", len(got.NodeOf), len(want.NodeOf)},
-		{"ModelProfile.Layers", len(gotProf.Layers), len(wantProf.Layers)},
-		{"ModelProfile.Shapes", len(gotProf.Shapes), len(wantProf.Shapes)},
-		{"ModelProfile.Sigs", len(gotProf.Sigs), len(wantProf.Sigs)},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s: %s has %d entries, want %d", label, c.what, c.got, c.want)
+	if g, w := len(gotProf.Layers), len(wantProf.Layers); g != w {
+		t.Fatalf("%s: ModelProfile.Layers has %d entries, want %d", label, g, w)
+	}
+	// The parameter table, entry by entry: same parameters in the same
+	// first-use order, so the per-layer ids below mean the same thing.
+	if g, w := gotProf.NumParams(), wantProf.NumParams(); g != w {
+		t.Fatalf("%s: parameter table has %d entries, want %d", label, g, w)
+	}
+	for id := int32(0); int(id) < wantProf.NumParams(); id++ {
+		if g, w := *gotProf.Param(id), *wantProf.Param(id); g != w {
+			t.Errorf("%s: parameter %d is %+v, want %+v", label, id, g, w)
 		}
 	}
 	if gotProf.Model != got.Graph {
@@ -100,23 +98,16 @@ func assertDerivedEqualsFresh(t *testing.T, label string, g *opt.FusedGroup) {
 		if gp, wp := indices(gIdx, g.Parents), indices(wIdx, w.Parents); !reflect.DeepEqual(gp, wp) {
 			t.Errorf("%s: parents at nodes %v, want %v", at, gp, wp)
 		}
-		if got.Sig[g] != want.Sig[w] {
-			t.Errorf("%s: MultiModel.Sig %s, want %s", at, got.Sig[g], want.Sig[w])
+		if got.Sig(g) != want.Sig(w) {
+			t.Errorf("%s: MultiModel.Sig %s, want %s", at, got.Sig(g), want.Sig(w))
 		}
-		if !reflect.DeepEqual(got.SourcesOf[g], want.SourcesOf[w]) {
-			t.Errorf("%s: SourcesOf %v, want %v", at, got.SourcesOf[g], want.SourcesOf[w])
+		if !reflect.DeepEqual(got.SourcesOf(g), want.SourcesOf(w)) {
+			t.Errorf("%s: SourcesOf %v, want %v", at, got.SourcesOf(g), want.SourcesOf(w))
 		}
-		if gotProf.Sigs[g] != wantProf.Sigs[w] {
-			t.Errorf("%s: ModelProfile.Sigs %s, want %s", at, gotProf.Sigs[g], wantProf.Sigs[w])
+		if g.Index() != i {
+			t.Errorf("%s: merged node reports Index() %d", at, g.Index())
 		}
-		if !reflect.DeepEqual(gotProf.Shapes[g], wantProf.Shapes[w]) {
-			t.Errorf("%s: ModelProfile.Shapes %v, want %v", at, gotProf.Shapes[g], wantProf.Shapes[w])
-		}
-		gl, wl := gotProf.Layers[g], wantProf.Layers[w]
-		if gl == nil {
-			t.Errorf("%s: no derived LayerProfile", at)
-			continue
-		}
+		gl, wl := gotProf.Layer(g), wantProf.Layer(w)
 		if gl.Node != g {
 			t.Errorf("%s: LayerProfile.Node points at %p, not the merged node", at, gl.Node)
 		}
@@ -130,8 +121,8 @@ func assertDerivedEqualsFresh(t *testing.T, label string, g *opt.FusedGroup) {
 	}
 	for _, m := range models {
 		for _, n := range m.Nodes() {
-			gi, gok := gIdx[got.NodeOf[m][n]]
-			wi, wok := wIdx[want.NodeOf[m][n]]
+			gi, gok := gIdx[got.NodeOf(m, n)]
+			wi, wok := wIdx[want.NodeOf(m, n)]
 			if gi != wi || !gok || !wok {
 				t.Errorf("%s: NodeOf[%s][%s] is merged node %d, want %d", label, m.Name, n.Name, gi, wi)
 			}

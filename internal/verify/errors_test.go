@@ -42,8 +42,8 @@ func TestPlanErrorKinds(t *testing.T) {
 		m, prof := chainModel(t, "load", 2)
 		plan := opt.CurrentPracticePlan(prof)
 		f1 := m.Node("f1")
-		plan.CostPerRecord += prof.Layers[f1].LoadFLOPs - prof.Layers[f1].CompFLOPs
-		plan.Actions[f1] = opt.Loaded
+		plan.CostPerRecord += prof.Layer(f1).LoadFLOPs - prof.Layer(f1).CompFLOPs
+		plan.Actions[f1.Index()] = opt.Loaded
 		err := fmt.Errorf("core: training plan rejected: %w", verify.Plan(plan, map[graph.Signature]bool{}))
 		pe := asPlanError(t, err, verify.KindLegality)
 		if pe.Node != "f1" {
@@ -94,12 +94,12 @@ func TestPlanErrorKinds(t *testing.T) {
 		item := opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 16}
 		res := &opt.MatResult{
 			Materialized: []opt.MatCandidate{{
-				Node: f1, Sig: prof.Sigs[f1], BytesPerRec: prof.Layers[f1].OutBytes, SharedBy: 1,
+				Node: f1, Sig: prof.Sig(f1), BytesPerRec: prof.Layer(f1).OutBytes, SharedBy: 1,
 			}},
-			Sigs:           map[graph.Signature]bool{prof.Sigs[f1]: true},
+			Sigs:           map[graph.Signature]bool{prof.Sig(f1): true},
 			Plans:          map[*graph.Model]*opt.Plan{m: plan},
 			TotalCostFLOPs: plan.CostPerRecord * records * 2,
-			StorageBytes:   prof.Layers[f1].OutBytes * records,
+			StorageBytes:   prof.Layer(f1).OutBytes * records,
 		}
 		cfg := opt.MatConfig{MaxRecords: records, DiskBudgetBytes: res.StorageBytes - 1}
 		asPlanError(t, verify.MatResult(res, []opt.WorkItem{item}, cfg), verify.KindBudget)
@@ -119,15 +119,15 @@ func loadingGroup(t *testing.T, name string, seed int64) (*opt.FusedGroup, []opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := mm.NodeOf[m][m.Node("f1")]
+	f1 := mm.NodeOf(m, m.Node("f1"))
 	if f1 == nil {
 		t.Fatal("merged graph lost node f1")
 	}
 	plan := opt.CurrentPracticePlan(mprof)
-	plan.CostPerRecord += mprof.Layers[f1].LoadFLOPs - mprof.Layers[f1].CompFLOPs
-	plan.Actions[f1] = opt.Loaded
+	plan.CostPerRecord += mprof.Layer(f1).LoadFLOPs - mprof.Layer(f1).CompFLOPs
+	plan.Actions[f1.Index()] = opt.Loaded
 	items := []opt.WorkItem{{Model: m, Prof: prof, Epochs: 2, BatchSize: 16}}
-	return &opt.FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: 1}, items, mprof.Sigs[f1]
+	return &opt.FusedGroup{Items: items, MM: mm, Plan: plan, PeakMemBytes: 1}, items, mprof.Sig(f1)
 }
 
 // TestGroupsChecksEveryGroupEveryTime: verification keeps no memory of

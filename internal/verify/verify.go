@@ -11,6 +11,7 @@
 package verify
 
 import (
+	"slices"
 	"sort"
 
 	"nautilus/internal/graph"
@@ -34,7 +35,7 @@ func Model(m *graph.Model) error {
 	}
 	mat := m.Materializable()
 	for _, n := range m.Nodes() {
-		if !mat[n] {
+		if !mat[n.Index()] {
 			continue
 		}
 		if n.IsInput() {
@@ -45,7 +46,7 @@ func Model(m *graph.Model) error {
 				withModel(m.Name).withNode(n.Name)
 		}
 		for _, p := range n.Parents {
-			if !mat[p] {
+			if !mat[p.Index()] {
 				return planErrf(KindModel, "verify: model %q: node %q marked materializable but parent %q is not (Definition 2.4)", m.Name, n.Name, p.Name).
 					withModel(m.Name).withNode(n.Name)
 			}
@@ -108,7 +109,7 @@ func validateShapes(m *graph.Model) (err error) {
 // signature; pass nil to skip the membership check (baselines that load
 // the full materializable frontier).
 //
-// Invariants: every reachable node has an action; no output is pruned;
+// Invariants: the plan has an action for every node; no output is pruned;
 // every computed node's parents are retained (loaded or computed); every
 // loaded non-input node is materializable per Definition 2.4 and, when
 // loadable is given, a member of V; and CostPerRecord equals the
@@ -121,14 +122,14 @@ func Plan(p *opt.Plan, loadable map[graph.Signature]bool) error {
 	if err := Model(m); err != nil {
 		return err
 	}
+	if len(p.Actions) != m.NumNodes() || len(p.Prof.Layers) != m.NumNodes() {
+		return planErrf(KindLegality, "verify: plan(%s): %d actions and %d layer profiles for %d nodes", m.Name, len(p.Actions), len(p.Prof.Layers), m.NumNodes()).
+			withModel(m.Name)
+	}
 	mat := m.Materializable()
 	var cost int64
 	for _, n := range m.Reachable() {
-		a, ok := p.Actions[n]
-		if !ok {
-			return planErrf(KindLegality, "verify: plan(%s): node %q has no action", m.Name, n.Name).
-				withModel(m.Name).withNode(n.Name)
-		}
+		a := p.Action(n)
 		switch a {
 		case opt.Pruned:
 			// Legality is judged from the consumers' side below.
@@ -137,24 +138,24 @@ func Plan(p *opt.Plan, loadable map[graph.Signature]bool) error {
 				return planErrf(KindLegality, "verify: plan(%s): input %q marked computed", m.Name, n.Name).
 					withModel(m.Name).withNode(n.Name)
 			}
-			cost += p.Prof.Layers[n].CompFLOPs
+			cost += p.Prof.Layer(n).CompFLOPs
 			for _, par := range n.Parents {
-				if p.Actions[par] == opt.Pruned {
+				if p.Action(par) == opt.Pruned {
 					return planErrf(KindLegality, "verify: plan(%s): node %q is computed but its input %q is pruned", m.Name, n.Name, par.Name).
 						withModel(m.Name).withNode(n.Name)
 				}
 			}
 		case opt.Loaded:
-			cost += p.Prof.Layers[n].LoadFLOPs
+			cost += p.Prof.Layer(n).LoadFLOPs
 			if n.IsInput() {
 				continue // dataset inputs are always loadable
 			}
-			if !mat[n] {
+			if !mat[n.Index()] {
 				return planErrf(KindLegality, "verify: plan(%s): node %q is loaded but not materializable (Definition 2.4)", m.Name, n.Name).
 					withModel(m.Name).withNode(n.Name)
 			}
-			if loadable != nil && !loadable[p.Prof.Sigs[n]] {
-				return planErrf(KindLegality, "verify: plan(%s): node %q (sig %s) is loaded but not in the materialized set V", m.Name, n.Name, p.Prof.Sigs[n]).
+			if loadable != nil && !loadable[p.Prof.Sig(n)] {
+				return planErrf(KindLegality, "verify: plan(%s): node %q (sig %s) is loaded but not in the materialized set V", m.Name, n.Name, p.Prof.Sig(n)).
 					withModel(m.Name).withNode(n.Name)
 			}
 		default:
@@ -163,7 +164,7 @@ func Plan(p *opt.Plan, loadable map[graph.Signature]bool) error {
 		}
 	}
 	for _, o := range m.Outputs {
-		if p.Actions[o] == opt.Pruned {
+		if p.Action(o) == opt.Pruned {
 			return planErrf(KindLegality, "verify: plan(%s): output %q is pruned", m.Name, o.Name).
 				withModel(m.Name).withNode(o.Name)
 		}
@@ -204,7 +205,7 @@ func Group(g *opt.FusedGroup, memBudgetBytes int64, loadable map[graph.Signature
 		return planErrf(KindFusion, "verify: group(%s): missing merged graph", name).withGroup(name)
 	}
 	for _, it := range g.Items {
-		if g.MM.NodeOf[it.Model] == nil {
+		if !slices.Contains(g.MM.Models, it.Model) {
 			return planErrf(KindFusion, "verify: group(%s): item %q is not part of the merged graph", name, it.Model.Name).
 				withGroup(name).withModel(it.Model.Name)
 		}
@@ -214,7 +215,7 @@ func Group(g *opt.FusedGroup, memBudgetBytes int64, loadable map[graph.Signature
 	}
 	mat := g.MM.Graph.Materializable()
 	for _, n := range g.MM.Graph.Nodes() {
-		if g.MM.SharedCount(n) > 1 && !mat[n] && !n.IsInput() {
+		if g.MM.SharedCount(n) > 1 && !mat[n.Index()] && !n.IsInput() {
 			return planErrf(KindFusion, "verify: group(%s): merged node %q is shared by %d models but not materializable (Definition 4.3)", name, n.Name, g.MM.SharedCount(n)).
 				withGroup(name).withNode(n.Name)
 		}

@@ -68,11 +68,11 @@ func TestRejectsLoadOfNonMaterializedSig(t *testing.T) {
 	m, prof := chainModel(t, "loader", 10)
 	plan := opt.CurrentPracticePlan(prof)
 	f1 := m.Node("f1")
-	plan.CostPerRecord += prof.Layers[f1].LoadFLOPs - prof.Layers[f1].CompFLOPs
-	plan.Actions[f1] = opt.Loaded
+	plan.CostPerRecord += prof.Layer(f1).LoadFLOPs - prof.Layer(f1).CompFLOPs
+	plan.Actions[f1.Index()] = opt.Loaded
 
 	// Legal when V contains f1's signature...
-	if err := verify.Plan(plan, map[graph.Signature]bool{prof.Sigs[f1]: true}); err != nil {
+	if err := verify.Plan(plan, map[graph.Signature]bool{prof.Sig(f1): true}); err != nil {
 		t.Fatalf("plan loading a materialized sig rejected: %v", err)
 	}
 	// ...illegal against an empty V.
@@ -85,8 +85,8 @@ func TestRejectsLoadOfNonMaterializableNode(t *testing.T) {
 	m, prof := chainModel(t, "trainload", 20)
 	plan := opt.CurrentPracticePlan(prof)
 	head := m.Node("head")
-	plan.CostPerRecord += prof.Layers[head].LoadFLOPs - prof.Layers[head].CompFLOPs
-	plan.Actions[head] = opt.Loaded
+	plan.CostPerRecord += prof.Layer(head).LoadFLOPs - prof.Layer(head).CompFLOPs
+	plan.Actions[head.Index()] = opt.Loaded
 	wantErr(t, verify.Plan(plan, nil), "not materializable")
 }
 
@@ -96,8 +96,8 @@ func TestRejectsComputedNodeWithPrunedInput(t *testing.T) {
 	m, prof := chainModel(t, "pruned", 30)
 	plan := opt.CurrentPracticePlan(prof)
 	f1 := m.Node("f1")
-	plan.CostPerRecord -= prof.Layers[f1].CompFLOPs
-	plan.Actions[f1] = opt.Pruned
+	plan.CostPerRecord -= prof.Layer(f1).CompFLOPs
+	plan.Actions[f1.Index()] = opt.Pruned
 	wantErr(t, verify.Plan(plan, nil), "is pruned")
 }
 
@@ -213,12 +213,12 @@ func TestRejectsOverBudgetMaterialization(t *testing.T) {
 	item := opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 16}
 	res := &opt.MatResult{
 		Materialized: []opt.MatCandidate{{
-			Node: f1, Sig: prof.Sigs[f1], BytesPerRec: prof.Layers[f1].OutBytes, SharedBy: 1,
+			Node: f1, Sig: prof.Sig(f1), BytesPerRec: prof.Layer(f1).OutBytes, SharedBy: 1,
 		}},
-		Sigs:           map[graph.Signature]bool{prof.Sigs[f1]: true},
+		Sigs:           map[graph.Signature]bool{prof.Sig(f1): true},
 		Plans:          map[*graph.Model]*opt.Plan{m: plan},
 		TotalCostFLOPs: plan.CostPerRecord * records * 2,
-		StorageBytes:   prof.Layers[f1].OutBytes * records,
+		StorageBytes:   prof.Layer(f1).OutBytes * records,
 	}
 	cfg := opt.MatConfig{MaxRecords: records, DiskBudgetBytes: res.StorageBytes}
 	if err := verify.MatResult(res, []opt.WorkItem{item}, cfg); err != nil {
@@ -239,12 +239,12 @@ func TestRejectsInconsistentMatResult(t *testing.T) {
 	fresh := func() *opt.MatResult {
 		return &opt.MatResult{
 			Materialized: []opt.MatCandidate{{
-				Node: f1, Sig: prof.Sigs[f1], BytesPerRec: prof.Layers[f1].OutBytes, SharedBy: 1,
+				Node: f1, Sig: prof.Sig(f1), BytesPerRec: prof.Layer(f1).OutBytes, SharedBy: 1,
 			}},
-			Sigs:           map[graph.Signature]bool{prof.Sigs[f1]: true},
+			Sigs:           map[graph.Signature]bool{prof.Sig(f1): true},
 			Plans:          map[*graph.Model]*opt.Plan{m: plan},
 			TotalCostFLOPs: plan.CostPerRecord * records,
-			StorageBytes:   prof.Layers[f1].OutBytes * records,
+			StorageBytes:   prof.Layer(f1).OutBytes * records,
 		}
 	}
 	cfg := opt.MatConfig{MaxRecords: records, DiskBudgetBytes: 1 << 40}

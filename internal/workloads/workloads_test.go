@@ -94,8 +94,8 @@ func TestDistinctHeadSeedsAcrossCandidates(t *testing.T) {
 	}
 	// FTR-3 has one strategy: all 12 models share the frozen trunk but
 	// have distinct trainable heads.
-	sigA := inst.Items[0].Prof.Sigs[inst.Items[0].Model.Node("classifier")]
-	sigB := inst.Items[1].Prof.Sigs[inst.Items[1].Model.Node("classifier")]
+	sigA := inst.Items[0].Prof.Sig(inst.Items[0].Model.Node("classifier"))
+	sigB := inst.Items[1].Prof.Sig(inst.Items[1].Model.Node("classifier"))
 	if sigA == sigB {
 		t.Error("candidate heads must differ")
 	}

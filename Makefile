@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fixtures check bench bench-e2e trace-demo tune
+.PHONY: build test lint lint-fixtures check check-exhaustive bench bench-e2e trace-demo tune
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,10 @@ lint-fixtures:
 # alternating parent/change pairs, bench/README.md, not from this step).
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
 # cross-build compiles the portable kernel bodies, the only path off amd64.
+# The layers package rides the tensor/graph race leg for LayerNorm.Backward's
+# row fan-out. Under GODEBUG=cpu.fma=off math.Exp leaves its FMA path, so
+# that leg proves the vector transcendentals' init self-check stands them
+# down and every bit-identity test passes on the scalar bodies.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -47,16 +51,27 @@ check:
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...
-	$(GO) test -race ./internal/tensor/... ./internal/graph/...
+	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/tensor ./internal/layers
 	$(GO) run ./bench -seconds 3
+
+# check-exhaustive compares the vector GELU, tanh and exp-sub kernels with
+# the scalar definitions on all 2^32 float32 inputs each, float32 rows and
+# float64 lanes (two goroutines; ~4 min in all on 2 vCPUs). Run it after any
+# edit to vecmath_amd64.s.
+check-exhaustive:
+	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 
 # bench runs the paper-table benchmarks at the root, the layer step
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
-# + backward at BERT-mini shapes, ns per activated element), the tensor
-# kernels (BenchmarkMatMulConvShapes: the matmul family at conv-layer
-# shapes with half-zero coefficients, in gflops; BenchmarkEltwiseAdd256:
-# serial vs fanned out), so a change to the activation path or the tile
+# + backward at BERT-mini shapes, ns per activated element;
+# BenchmarkActSweepGELU beside BenchmarkGeluRowScalar: the bias+gelu+gelu′
+# epilogue alone through the row kernel and through the scalar definition,
+# at 128x3072 and 32x64), the tensor kernels (BenchmarkSoftmaxRows: 512x128
+# through the exp kernel; BenchmarkMatMulConvShapes: the matmul family at
+# conv-layer shapes with half-zero coefficients, in gflops;
+# BenchmarkEltwiseAdd256: serial vs fanned out), so a change to the activation path or the tile
 # kernel has a number without a 15 s bench-e2e session, and the
 # observability-overhead benchmarks (internal/exec:
 # BenchmarkTrainGroupNoObs/ActiveObs over one trainer loop and

@@ -29,37 +29,30 @@ const (
 	ActSigmoid = "sigmoid"
 )
 
-const geluC = 0.7978845608028654 // sqrt(2/pi)
-
 // The scalar definitions: y = act(x), d = act′(x). Trained weights and
 // bench/golden depend on these float64 expression trees bit for bit (same
 // tree ⇒ same rounding, also under fused multiply-add): see activation_test.go.
-
-func geluYD(x float64) (y, d float64) {
-	u := geluC * (x + 0.044715*x*x*x)
-	th := math.Tanh(u)
-	du := geluC * (1 + 3*0.044715*x*x)
-	return 0.5 * x * (1 + th), 0.5*(1+th) + 0.5*x*(1-th*th)*du
-}
-
-func tanhYD(x float64) (y, d float64) {
-	th := math.Tanh(x)
-	return th, 1 - th*th
-}
+// gelu and tanh live in tensor beside the vector kernels that repeat them.
 
 func sigmoidYD(x float64) (y, d float64) {
 	s := 1 / (1 + math.Exp(-x))
 	return s, s * (1 - s)
 }
 
-func actYD(act string) func(x float64) (y, d float64) {
+func sigmoidRow(out, keep, src, bias []float32, deriv bool) {
+	tensor.RowYD(sigmoidYD, out, keep, src, bias, deriv)
+}
+
+// actRow returns act's row evaluator (tensor.RowYD's contract): gelu and
+// tanh through the vector kernels where they run, sigmoid the scalar sweep.
+func actRow(act string) func(out, keep, src, bias []float32, deriv bool) {
 	switch act {
 	case ActGeLU:
-		return geluYD
+		return tensor.GeluRow
 	case ActTanh:
-		return tanhYD
+		return tensor.TanhRow
 	case ActSigmoid:
-		return sigmoidYD
+		return sigmoidRow
 	}
 	panic(fmt.Sprintf("layers: unknown activation %q", act))
 }
@@ -98,24 +91,14 @@ func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor
 		})
 		return
 	}
-	f := actYD(act)
+	row := actRow(act)
 	tensor.Parallel(src.Rows(), len(sd)*8, func(lo, hi int) { // transcendental cost dominates
 		for r := lo; r < hi; r++ {
-			for j := 0; j < c; j++ {
-				i := r*c + j
-				z := sd[i]
-				if bias != nil {
-					z += bias[j]
-				}
-				y, d := f(float64(z))
-				od[i] = float32(y)
-				if deriv {
-					z = float32(d)
-				}
-				if keep != nil {
-					keep[i] = z
-				}
+			var kr []float32
+			if keep != nil {
+				kr = keep[r*c : (r+1)*c]
 			}
+			row(od[r*c:(r+1)*c], kr, sd[r*c:(r+1)*c], bias, deriv)
 		}
 	})
 }
@@ -151,11 +134,11 @@ func (c actCache) backward(act string, out, g *tensor.Tensor) *tensor.Tensor {
 		})
 		return dz
 	}
-	f, zd := actYD(act), c.t.Data() // eval-mode forward: derive act′ from z
+	row, zd := actRow(act), c.t.Data() // eval-mode forward: derive act′ from z
 	tensor.Parallel(len(gd), len(gd)*8, func(lo, hi int) {
+		row(dd[lo:hi], dd[lo:hi], zd[lo:hi], nil, true) // keep is stored last: dd = act′(z)
 		for i := lo; i < hi; i++ {
-			_, d := f(float64(zd[i]))
-			dd[i] = gd[i] * float32(d)
+			dd[i] = gd[i] * dd[i]
 		}
 	})
 	return dz

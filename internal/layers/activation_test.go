@@ -15,6 +15,8 @@ import (
 // again in backward), kept verbatim. The fused path must reproduce its
 // bits — trained weights and bench/golden were produced by it.
 
+const geluC = 0.7978845608028654 // sqrt(2/pi)
+
 // applyActivation computes act(z) elementwise into a new tensor.
 func applyActivation(act string, z *tensor.Tensor) *tensor.Tensor {
 	if act == ActNone {
@@ -179,6 +181,40 @@ func (l oracleRNN) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *te
 	return []*tensor.Tensor{dx, dh}, []*tensor.Tensor{dwx, dwh, db}
 }
 
+// oracleMHA is the attention forward before its temporaries stopped being
+// copied: AddRowVec into a second tensor per projection, SoftmaxRows into a
+// fresh tensor copied into the attn slab. Backward is unchanged.
+type oracleMHA struct{ *MultiHeadAttention }
+
+func (l oracleMHA) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	x := inputs[0]
+	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
+	heads := l.Heads
+	dh := dim / heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+
+	q := tensor.AddRowVec(tensor.MatMul(x, l.wq.Tensor()), l.bq.Tensor())
+	k := tensor.AddRowVec(tensor.MatMul(x, l.wk.Tensor()), l.bk.Tensor())
+	v := tensor.AddRowVec(tensor.MatMul(x, l.wv.Tensor()), l.bv.Tensor())
+
+	attn := tensor.NewFrom(x, batch, heads, seq, seq)
+	ctx := tensor.NewFrom(x, batch*seq, dim)
+	for b := 0; b < batch; b++ {
+		for h := 0; h < heads; h++ {
+			qh := headSlice(q, b, h, seq, dim, dh)
+			kh := headSlice(k, b, h, seq, dim, dh)
+			vh := headSlice(v, b, h, seq, dim, dh)
+			scores := tensor.ScaleInPlace(tensor.MatMulBT(qh, kh), scale)
+			a := tensor.SoftmaxRows(scores)
+			copy(attn.Data()[((b*heads)+h)*seq*seq:], a.Data())
+			oh := tensor.MatMul(a, vh)
+			writeHeadSlice(ctx, oh, b, h, seq, dim, dh)
+		}
+	}
+	out := tensor.AddRowVec(tensor.MatMul(ctx, l.wo.Tensor()), l.bo.Tensor())
+	return out.Reshape(batch, seq, dim), mhaCache{q: q, k: k, v: v, attn: attn, ctx: ctx}
+}
+
 type oracleActivation struct{ *Activation }
 
 func (l oracleActivation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
@@ -204,6 +240,8 @@ func oracleOf(l graph.Layer) graph.Layer {
 		return oracleRNN{l}
 	case *Activation:
 		return oracleActivation{l}
+	case *MultiHeadAttention:
+		return oracleMHA{l}
 	case *Composite:
 		inner := graph.NewModel(l.inner.Name + "_oracle")
 		twin := map[*graph.Node]*graph.Node{}
@@ -302,6 +340,14 @@ func TestFusedLayersMatchOracle(t *testing.T) {
 	copy(cell.b.Tensor().Data(), tensor.RandNormal(rng, 1, 6).Data())
 	assertMatchesOracle(t, "rnn_cell", cell, []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 4), tensor.RandNormal(rng, 1, 3, 6)})
 
+	mha := NewMultiHeadAttention(8, 2, 27)
+	for _, p := range mha.Params()[1:] { // bq, then every other one is a bias: nonzero, so the in-place add shows
+		if p.Tensor().Rank() == 1 {
+			copy(p.Tensor().Data(), tensor.RandNormal(rng, 1, 8).Data())
+		}
+	}
+	assertMatchesOracle(t, "mha", mha, []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 5, 8)})
+
 	for _, adapter := range []int{0, 4} {
 		blk := NewTransformerBlock(TransformerBlockConfig{Seq: 5, Dim: 8, Heads: 2, FFN: 16, Seed: 29, Adapter: adapter, AdapterSeed: 31})
 		assertMatchesOracle(t, fmt.Sprintf("transformer_block/adapter=%d", adapter), blk, []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
@@ -398,5 +444,160 @@ func TestDenseForwardScopeTensors(t *testing.T) {
 			}
 			scope.Release()
 		}
+	}
+}
+
+// TestAttentionForwardScopeTensors pins attention's arena footprint: the
+// four projections finish in their matmul buffers and softmax writes the
+// attn slab directly, so a forward takes q, k, v, attn, ctx, out and six
+// tensors per (batch, head) — three head slices, MatMulBT's packed operand,
+// scores, the head output — where it took four more plus one per (batch,
+// head).
+func TestAttentionForwardScopeTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const batch, heads = 3, 2
+	scope := tensor.NewArena().Scope()
+	defer scope.Release()
+	x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, batch, 5, 8))
+	NewMultiHeadAttention(8, heads, 49).Forward([]*tensor.Tensor{x}, true)
+	if got, want := scope.Live(), 6+6*batch*heads; got != want {
+		t.Errorf("attention forward took %d scope tensors, want %d", got, want)
+	}
+}
+
+// The scalar definitions and the transcendental sweep as actSweep had them
+// before the row kernels, verbatim: the reference for the call-shape matrix.
+
+func scalarYD(act string) func(x float64) (y, d float64) {
+	switch act {
+	case ActGeLU:
+		return func(x float64) (y, d float64) {
+			u := geluC * (x + 0.044715*x*x*x)
+			th := math.Tanh(u)
+			du := geluC * (1 + 3*0.044715*x*x)
+			return 0.5 * x * (1 + th), 0.5*(1+th) + 0.5*x*(1-th*th)*du
+		}
+	case ActTanh:
+		return func(x float64) (y, d float64) {
+			th := math.Tanh(x)
+			return th, 1 - th*th
+		}
+	case ActSigmoid:
+		return func(x float64) (y, d float64) {
+			s := 1 / (1 + math.Exp(-x))
+			return s, s * (1 - s)
+		}
+	}
+	panic(fmt.Sprintf("layers: unknown activation %q", act))
+}
+
+func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32, deriv bool) {
+	sd, od, c := src.Data(), out.Data(), src.Cols()
+	f := scalarYD(act)
+	for r := 0; r < src.Rows(); r++ {
+		for j := 0; j < c; j++ {
+			i := r*c + j
+			z := sd[i]
+			if bias != nil {
+				z += bias[j]
+			}
+			y, d := f(float64(z))
+			od[i] = float32(y)
+			if deriv {
+				z = float32(d)
+			}
+			if keep != nil {
+				keep[i] = z
+			}
+		}
+	}
+}
+
+// TestActSweepCallShapes is the call-shape matrix: every width from 0 to 67
+// (so every c mod 4 tail, with and without whole 4-blocks), bias nil and
+// non-nil, keep nil / fresh / aliasing src, out fresh / aliasing src, train
+// and eval, serial and fanned out over two workers.
+func TestActSweepCallShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	defer tensor.SetMaxWorkers(0)
+	for _, workers := range []int{1, 2} {
+		tensor.SetMaxWorkers(workers)
+		widths := []int{0, 1, 3, 4, 5, 31, 64, 67}
+		if workers == 1 {
+			widths = widths[:0]
+			for c := 0; c <= 67; c++ {
+				widths = append(widths, c)
+			}
+		}
+		for _, c := range widths {
+			rows := 3
+			if workers == 2 && c > 0 {
+				rows = 8192/c + 1 // rows·c·8 reaches the fan-out threshold
+			}
+			x := tensor.RandNormal(rng, 2, rows, c)
+			for i := range x.Data() {
+				if rng.Intn(16) == 0 {
+					x.Data()[i] = []float32{0, float32(math.Copysign(0, -1)), 40, -40}[rng.Intn(4)]
+				}
+			}
+			for _, act := range []string{ActGeLU, ActTanh, ActSigmoid} {
+				for shape := 0; shape < 24; shape++ {
+					withBias, keepMode, outAlias, train := shape&1 == 1, shape>>1%3, shape/6&1 == 1, shape/12 == 1
+					var bias []float32
+					if withBias {
+						bias = tensor.RandNormal(rng, 1, c).Data()
+					}
+					run := func(sweep func(string, *tensor.Tensor, []float32, *tensor.Tensor, []float32, bool)) (out *tensor.Tensor, keep []float32) {
+						src := x.Clone()
+						out = tensor.New(rows, c)
+						if outAlias {
+							out = src
+						}
+						switch keepMode {
+						case 1:
+							keep = make([]float32, rows*c)
+						case 2:
+							keep = src.Data()
+						}
+						sweep(act, src, bias, out, keep, train)
+						return out, keep
+					}
+					label := fmt.Sprintf("%s c=%d workers=%d bias=%v keep=%d outAlias=%v train=%v", act, c, workers, withBias, keepMode, outAlias, train)
+					got, gotKeep := run(actSweep)
+					want, wantKeep := run(scalarSweep)
+					bitsEqual(t, label+" out", got, want)
+					if keepMode != 0 {
+						bitsEqual(t, label+" keep", tensor.FromSlice(gotKeep, rows, c), tensor.FromSlice(wantKeep, rows, c))
+					}
+				}
+			}
+		}
+	}
+	// Zero-width rows: every activation, Rows() = 3 and nothing to sweep.
+	for _, act := range []string{ActNone, ActReLU, ActGeLU, ActTanh, ActSigmoid} {
+		x := tensor.New(3, 0)
+		out, cache := NewActivation(act).Forward([]*tensor.Tensor{x}, true)
+		if out.Rows() != 3 || out.Len() != 0 {
+			t.Errorf("%s of a [3,0] tensor: %v", act, out)
+		}
+		NewActivation(act).Backward(cache, []*tensor.Tensor{x}, out, tensor.New(3, 0), graph.BackwardNeed{Inputs: true})
+	}
+}
+
+// TestActSweepAllocations: the sweep itself allocates nothing per call —
+// no temp rows, no per-chunk buffers. The one allocation counted is the
+// closure tensor.Parallel takes, which every kernel built on it has had
+// since before the row kernels.
+func TestActSweepAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	x, out := tensor.RandNormal(rng, 1, 8, 67), tensor.New(8, 67)
+	keep, bias := make([]float32, x.Len()), make([]float32, 67)
+	for _, act := range []string{ActGeLU, ActTanh, ActSigmoid} {
+		if n := testing.AllocsPerRun(50, func() { actSweep(act, x, bias, out, keep, true) }); n > 1 {
+			t.Errorf("actSweep(%s): %v allocations per call, want at most the Parallel closure", act, n)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { tensor.SoftmaxRowsInto(out, x) }); n > 1 {
+		t.Errorf("SoftmaxRowsInto: %v allocations per call, want at most the Parallel closure", n)
 	}
 }

@@ -90,9 +90,11 @@ func (l *MultiHeadAttention) Forward(inputs []*tensor.Tensor, train bool) (*tens
 	dh := dim / heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
-	q := tensor.AddRowVec(tensor.MatMul(x, l.wq.Tensor()), l.bq.Tensor())
-	k := tensor.AddRowVec(tensor.MatMul(x, l.wk.Tensor()), l.bk.Tensor())
-	v := tensor.AddRowVec(tensor.MatMul(x, l.wv.Tensor()), l.bv.Tensor())
+	// Each projection's bias lands in the matmul buffer itself: nobody else
+	// holds it, and the add is AddRowVec's float32 a[j]+b[j].
+	q := tensor.AddRowVecInPlace(tensor.MatMul(x, l.wq.Tensor()), l.bq.Tensor())
+	k := tensor.AddRowVecInPlace(tensor.MatMul(x, l.wk.Tensor()), l.bk.Tensor())
+	v := tensor.AddRowVecInPlace(tensor.MatMul(x, l.wv.Tensor()), l.bv.Tensor())
 
 	attn := tensor.NewFrom(x, batch, heads, seq, seq)
 	ctx := tensor.NewFrom(x, batch*seq, dim)
@@ -102,13 +104,13 @@ func (l *MultiHeadAttention) Forward(inputs []*tensor.Tensor, train bool) (*tens
 			kh := headSlice(k, b, h, seq, dim, dh)
 			vh := headSlice(v, b, h, seq, dim, dh)
 			scores := tensor.ScaleInPlace(tensor.MatMulBT(qh, kh), scale)
-			a := tensor.SoftmaxRows(scores)
-			copy(attn.Data()[((b*heads)+h)*seq*seq:], a.Data())
+			slab := attn.Data()[((b*heads)+h)*seq*seq : ((b*heads)+h+1)*seq*seq]
+			a := tensor.SoftmaxRowsInto(tensor.FromSlice(slab, seq, seq), scores)
 			oh := tensor.MatMul(a, vh)
 			writeHeadSlice(ctx, oh, b, h, seq, dim, dh)
 		}
 	}
-	out := tensor.AddRowVec(tensor.MatMul(ctx, l.wo.Tensor()), l.bo.Tensor())
+	out := tensor.AddRowVecInPlace(tensor.MatMul(ctx, l.wo.Tensor()), l.bo.Tensor())
 	return out.Reshape(batch, seq, dim), mhaCache{q: q, k: k, v: v, attn: attn, ctx: ctx}
 }
 

@@ -40,3 +40,41 @@ func BenchmarkDenseGeLUStep(b *testing.B) {
 func BenchmarkAdapterStep(b *testing.B) {
 	benchStep(b, NewAdapter(32, 64, 1), 384*64, 32, 12, 32)
 }
+
+// benchActSweep times the train-mode epilogue alone — bias add, gelu, gelu′
+// into the matmul buffer — in ns per element.
+func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32, deriv bool), rows, c int) {
+	rng := rand.New(rand.NewSource(1))
+	z, out := tensor.RandNormal(rng, 1, rows, c), tensor.New(rows, c)
+	bias, keep := tensor.RandNormal(rng, 1, c).Data(), make([]float32, rows*c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if row == nil {
+			actSweep(ActGeLU, z, bias, out, keep, true)
+			continue
+		}
+		for r := 0; r < rows; r++ {
+			row(out.Row(r), keep[r*c:(r+1)*c], z.Row(r), bias, true)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*c), "ns/elem")
+}
+
+// BenchmarkActSweepGELU is actSweep as the layers call it, at a BERT-base
+// FFN shape and at BERT-mini's.
+func BenchmarkActSweepGELU(b *testing.B) {
+	b.Run("128x3072", func(b *testing.B) { benchActSweep(b, nil, 128, 3072) })
+	b.Run("32x64", func(b *testing.B) { benchActSweep(b, nil, 32, 64) })
+}
+
+// BenchmarkGeluRowScalar is the same rows through the scalar definition,
+// serially: what every element cost before the row kernels, and still does
+// off amd64 or without FMA.
+func BenchmarkGeluRowScalar(b *testing.B) {
+	scalar := func(out, keep, src, bias []float32, deriv bool) {
+		tensor.RowYD(scalarYD(ActGeLU), out, keep, src, bias, deriv)
+	}
+	b.Run("128x3072", func(b *testing.B) { benchActSweep(b, scalar, 128, 3072) })
+	b.Run("32x64", func(b *testing.B) { benchActSweep(b, scalar, 32, 64) })
+}

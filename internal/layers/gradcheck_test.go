@@ -225,6 +225,71 @@ func TestNormBackwardHonoursNeed(t *testing.T) {
 	}
 }
 
+// layerNormBackwardSerial is LayerNorm.Backward before its dx rows fanned
+// out, verbatim: one ascending pass over the rows doing both jobs.
+func layerNormBackwardSerial(l *LayerNorm, c lnCache, x, gradOut *tensor.Tensor, need graph.BackwardNeed) (dx, dgamma, dbeta *tensor.Tensor) {
+	rows, d := x.Rows(), l.Dim
+	g := l.gamma.Tensor().Data()
+	if need.Params {
+		dgamma, dbeta = tensor.NewFrom(gradOut, l.Dim), tensor.NewFrom(gradOut, l.Dim)
+	}
+	if need.Inputs {
+		dx = tensor.NewFrom(gradOut, x.Shape()...)
+	}
+	for r := 0; r < rows; r++ {
+		gr, hr := gradOut.Row(r), c.xhat.Row(r)
+		if need.Params {
+			dg, db := dgamma.Data(), dbeta.Data()
+			for j := 0; j < d; j++ {
+				dg[j] += gr[j] * hr[j]
+				db[j] += gr[j]
+			}
+		}
+		if !need.Inputs {
+			continue
+		}
+		var sumDh, sumDhH float64
+		for j := 0; j < d; j++ {
+			dh := float64(gr[j]) * float64(g[j])
+			sumDh += dh
+			sumDhH += dh * float64(hr[j])
+		}
+		inv := float64(c.invStd[r])
+		nd := float64(d)
+		dr := dx.Row(r)
+		for j := 0; j < d; j++ {
+			dh := float64(gr[j]) * float64(g[j])
+			dr[j] = float32(inv * (dh - sumDh/nd - float64(hr[j])*sumDhH/nd))
+		}
+	}
+	return dx, dgamma, dbeta
+}
+
+// TestLayerNormBackwardFanOutBits: dx rows computed under tensor.Parallel
+// (384×32·8 work is past the fan-out threshold at a cap of 2) and the
+// dgamma/dbeta reduction in its own serial loop carry the serial body's
+// bits, for every BackwardNeed.
+func TestLayerNormBackwardFanOutBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	l := NewLayerNorm(32)
+	copy(l.gamma.Tensor().Data(), tensor.RandNormal(rng, 1, 32).Data())
+	in := []*tensor.Tensor{tensor.RandNormal(rng, 2, 32, 12, 32)}
+	out, cache := l.Forward(in, true)
+	g := tensor.RandNormal(rng, 1, out.Shape()...)
+	defer tensor.SetMaxWorkers(0)
+	for _, workers := range []int{1, 2} {
+		tensor.SetMaxWorkers(workers)
+		for _, need := range []graph.BackwardNeed{{Inputs: true, Params: true}, {Inputs: true}, {Params: true}, {}} {
+			label := fmt.Sprintf("workers=%d need=%+v", workers, need)
+			wantDx, wantDg, wantDb := layerNormBackwardSerial(l, cache.(lnCache), in[0], g, need)
+			gotIn, gotParams := l.Backward(cache, in, out, g, need)
+			bitsEqual(t, label+" dx", gotIn[0], wantDx)
+			bitsEqual(t, label+" dgamma", gotParams[0], wantDg)
+			bitsEqual(t, label+" dbeta", gotParams[1], wantDb)
+		}
+	}
+}
+
 func TestLayerNormNormalizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewLayerNorm(8)

@@ -86,39 +86,40 @@ func (l *LayerNorm) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *t
 	x := inputs[0]
 	rows, d := x.Rows(), l.Dim
 	g := l.gamma.Tensor().Data()
-	var dgamma, dbeta, dx *tensor.Tensor
-	if need.Params {
+	var dgamma, dbeta *tensor.Tensor
+	if need.Params { // all rows reduce into one vector: serial, ascending r
 		dgamma, dbeta = tensor.NewFrom(gradOut, l.Dim), tensor.NewFrom(gradOut, l.Dim)
-	}
-	if need.Inputs {
-		dx = tensor.NewFrom(gradOut, x.Shape()...)
-	}
-	for r := 0; r < rows; r++ {
-		gr, hr := gradOut.Row(r), c.xhat.Row(r)
-		if need.Params {
-			dg, db := dgamma.Data(), dbeta.Data()
+		dg, db := dgamma.Data(), dbeta.Data()
+		for r := 0; r < rows; r++ {
+			gr, hr := gradOut.Row(r), c.xhat.Row(r)
 			for j := 0; j < d; j++ {
 				dg[j] += gr[j] * hr[j]
 				db[j] += gr[j]
 			}
 		}
-		if !need.Inputs {
-			continue
-		}
-		var sumDh, sumDhH float64
-		for j := 0; j < d; j++ {
-			dh := float64(gr[j]) * float64(g[j])
-			sumDh += dh
-			sumDhH += dh * float64(hr[j])
-		}
-		inv := float64(c.invStd[r])
-		nd := float64(d)
-		dr := dx.Row(r)
-		for j := 0; j < d; j++ {
-			dh := float64(gr[j]) * float64(g[j])
-			dr[j] = float32(inv * (dh - sumDh/nd - float64(hr[j])*sumDhH/nd))
-		}
 	}
+	if !need.Inputs {
+		return []*tensor.Tensor{nil}, []*tensor.Tensor{dgamma, dbeta}
+	}
+	dx := tensor.NewFrom(gradOut, x.Shape()...)
+	tensor.Parallel(rows, x.Len()*8, func(lo, hi int) { // row r of dx reads only row r
+		for r := lo; r < hi; r++ {
+			gr, hr := gradOut.Row(r), c.xhat.Row(r)
+			var sumDh, sumDhH float64
+			for j := 0; j < d; j++ {
+				dh := float64(gr[j]) * float64(g[j])
+				sumDh += dh
+				sumDhH += dh * float64(hr[j])
+			}
+			inv := float64(c.invStd[r])
+			nd := float64(d)
+			dr := dx.Row(r)
+			for j := 0; j < d; j++ {
+				dh := float64(gr[j]) * float64(g[j])
+				dr[j] = float32(inv * (dh - sumDh/nd - float64(hr[j])*sumDhH/nd))
+			}
+		}
+	})
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}
 }
 

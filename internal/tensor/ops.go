@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
@@ -81,21 +78,21 @@ func ScaleInPlace(a *Tensor, s float32) *Tensor {
 }
 
 // AddRowVec adds vector v (length a.Cols()) to every row of a's 2-D view.
-func AddRowVec(a, v *Tensor) *Tensor {
+func AddRowVec(a, v *Tensor) *Tensor { return AddRowVecInPlace(a.Clone(), v) }
+
+// AddRowVecInPlace is AddRowVec over a itself — the same float32 a[j]+v[j],
+// for a buffer nobody else holds — and returns a.
+func AddRowVecInPlace(a, v *Tensor) *Tensor {
 	c := a.Cols()
 	if v.Len() != c {
 		panic(fmt.Sprintf("tensor: AddRowVec vector length %d != cols %d", v.Len(), c))
 	}
-	out := NewFrom(a, a.shape...)
 	parallelFor(scheduleFor(OpEltwise, [3]int{a.Rows(), c, 0}), a.Rows(), a.Len(), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			ar, or := a.Row(r), out.Row(r)
-			for j := 0; j < c; j++ {
-				or[j] = ar[j] + v.data[j]
-			}
+			vadd(a.Row(r), v.data)
 		}
 	})
-	return out
+	return a
 }
 
 // SumRows returns the column-wise sum over all rows of a's 2-D view: a
@@ -151,32 +148,35 @@ func Transpose2D(a *Tensor) *Tensor {
 // SoftmaxRows applies a numerically stable softmax to each row of a's 2-D
 // view.
 func SoftmaxRows(a *Tensor) *Tensor {
-	out := NewFrom(a, a.shape...)
+	return SoftmaxRowsInto(NewFrom(a, a.shape...), a)
+}
+
+// SoftmaxRowsInto is SoftmaxRows into dst, a tensor of a's shape the caller
+// owns (dst may be a), and returns dst.
+func SoftmaxRowsInto(dst, a *Tensor) *Tensor {
+	checkSame("SoftmaxRowsInto", dst, a)
 	c := a.Cols()
+	if c == 0 {
+		return dst
+	}
 	// Exp dominates; weight the work estimate accordingly so moderate row
 	// counts still parallelize.
 	parallelFor(scheduleFor(OpRowwise, [3]int{a.Rows(), c, 0}), a.Rows(), a.Len()*8, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			ar, or := a.Row(r), out.Row(r)
+			ar, or := a.Row(r), dst.Row(r)
 			maxv := ar[0]
 			for _, v := range ar[1:] {
 				if v > maxv {
 					maxv = v
 				}
 			}
-			var sum float64
-			for j := 0; j < c; j++ {
-				e := math.Exp(float64(ar[j] - maxv))
-				or[j] = float32(e)
-				sum += e
-			}
-			inv := float32(1 / sum)
-			for j := 0; j < c; j++ {
+			inv := float32(1 / expSubRow(or, ar, maxv))
+			for j := range or {
 				or[j] *= inv
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // SoftmaxRowsBackward computes the input gradient of SoftmaxRows given the

@@ -39,14 +39,13 @@ func New(shape ...int) *Tensor {
 // FromSlice wraps data in a tensor with the given shape. The slice is not
 // copied; the caller must not alias it elsewhere.
 func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
+	// Only the copy reaches the panic message, so the caller's variadic
+	// slice stays on its stack.
+	t := &Tensor{shape: append([]int(nil), shape...), data: data}
+	if n := NumElems(t.shape); n != len(data) {
+		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", t.shape, n, len(data)))
 	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	return t
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -76,7 +75,7 @@ func (t *Tensor) Rows() int {
 	if len(t.shape) == 0 {
 		return 1
 	}
-	return t.Len() / t.shape[len(t.shape)-1]
+	return NumElems(t.shape[:len(t.shape)-1])
 }
 
 // Cols returns the size of the last dimension, or 1 for a scalar.

@@ -34,6 +34,18 @@ func TestFromSliceAndAccessors(t *testing.T) {
 	if x.Dim(-1) != 3 || x.Dim(0) != 2 {
 		t.Errorf("Dim(-1)=%d Dim(0)=%d", x.Dim(-1), x.Dim(0))
 	}
+	// Zero-width rows still count: Rows is the product of the leading
+	// dimensions, and the row-wise kernels take [3, 0] as a no-op.
+	z := New(3, 0)
+	if z.Rows() != 3 || z.Cols() != 0 || New(2, 3, 0).Rows() != 6 {
+		t.Errorf("[3,0]: Rows,Cols = %d,%d, want 3,0; [2,3,0]: Rows = %d, want 6", z.Rows(), z.Cols(), New(2, 3, 0).Rows())
+	}
+	if y := SoftmaxRows(z); y.Rows() != 3 || y.Len() != 0 {
+		t.Errorf("SoftmaxRows([3,0]) = %v", y)
+	}
+	if y := AddRowVecInPlace(z, New(0)); y != z {
+		t.Errorf("AddRowVecInPlace([3,0]) = %v", y)
+	}
 }
 
 func TestFromSliceSizeMismatchPanics(t *testing.T) {
@@ -110,6 +122,9 @@ func TestAddRowVecAndSumRows(t *testing.T) {
 		if got.Data()[i] != want[i] {
 			t.Fatalf("AddRowVec[%d] = %v, want %v", i, got.Data()[i], want[i])
 		}
+	}
+	if in := AddRowVecInPlace(a.Clone(), v); !in.AllClose(got, 0) {
+		t.Errorf("AddRowVecInPlace = %v, want AddRowVec's %v", in.Data(), got.Data())
 	}
 	s := SumRows(a)
 	if s.At(0) != 5 || s.At(1) != 7 || s.At(2) != 9 {

@@ -1,0 +1,152 @@
+//go:build amd64
+
+package tensor
+
+import "math"
+
+// Dispatch for the vector transcendentals (vecmath_amd64.s). The kernels
+// repeat math.Exp's FMA path, so they run only where math.Exp takes it
+// (AVX and FMA) and only after vecMathAgrees has compared them with the
+// scalar definitions bit for bit in this process: a GODEBUG=cpu.fma=off run
+// or a build whose scalar expression trees fuse leaves the scalar bodies in
+// place. One verdict gates all three kernels.
+
+//go:noescape
+func geluRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+
+//go:noescape
+func tanhRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+
+//go:noescape
+func geluF64Asm(y, d, x *float64, n int)
+
+//go:noescape
+func tanhF64Asm(y, d, x *float64, n int)
+
+//go:noescape
+func expSubAsm(out *float32, e *float64, src *float32, max float32, n int) int
+
+// vecAct is one activation's kernels beside the definition they repeat:
+// the float32 row, and the same lanes with float64 in and out.
+type vecAct struct {
+	row func(out, keep, src, bias *float32, n int, deriv bool)
+	f64 func(y, d, x *float64, n int)
+	f   func(x float64) (y, d float64)
+}
+
+var (
+	vecGelu = vecAct{geluRowAsm, geluF64Asm, geluYD}
+	vecTanh = vecAct{tanhRowAsm, tanhF64Asm, tanhYD}
+)
+
+var useVecMath = vecMathGate(math.Exp)
+
+func vecMathGate(exp func(float64) float64) bool { return hasAVX2 && hasFMA() && vecMathAgrees(exp) }
+
+func hasFMA() bool {
+	_, _, ecx1, _ := cpuidAsm(1, 0)
+	return ecx1&(1<<12) != 0
+}
+
+// vecMathAgrees runs the kernels over a fixed probe set — 512 strided
+// values on [-95, 95] and the neighbourhoods of every point where tanh or
+// gelu (u(0.7634259) = 0.625, u(10.031089) = 0.5·MAXLOG) switch paths, ±0,
+// ±Inf, NaN, a subnormal and MaxFloat32 — and compares with the scalar definitions, at float64 as well
+// as through the float32 rows: math.Exp's FMA and non-FMA paths differ in
+// the last bit on about one argument in ten, a fused scalar tree likewise,
+// and almost no float32 output shows either.
+func vecMathAgrees(exp func(float64) float64) bool {
+	const strided = 512
+	xs := make([]float32, 0, strided+128)
+	for i := 0; i < strided; i++ {
+		xs = append(xs, float32(i-strided/2)*0.371)
+	}
+	inf := float32(math.Inf(1))
+	for _, p := range []float32{0, 0.625, 44.014847, 0.7634259, 10.031089, 1e-40, math.MaxFloat32, inf} {
+		up, down := p, -p
+		for i := 0; i < 4; i++ {
+			xs = append(xs, up, -up, down, -down)
+			up, down = math.Nextafter32(up, inf), math.Nextafter32(down, inf)
+		}
+	}
+	xs = append(xs, float32(math.NaN()), 0, 0, 0)
+	n := len(xs)
+	y, d := make([]float32, n), make([]float32, n)
+	x64, y64, d64 := make([]float64, n), make([]float64, n), make([]float64, n)
+	if expSubAsm(&y[0], &y64[0], &xs[0], 0, strided) != strided {
+		return false
+	}
+	for i, x := range xs {
+		if x64[i] = float64(x); i < strided && math.Float64bits(y64[i]) != math.Float64bits(exp(x64[i])) {
+			return false
+		}
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, k := range []vecAct{vecGelu, vecTanh} {
+		k.row(&y[0], &d[0], &xs[0], nil, n, true)
+		k.f64(&y64[0], &d64[0], &x64[0], n)
+		for i, x := range x64 {
+			wy, wd := k.f(x)
+			if !same(y64[i], wy) || !same(d64[i], wd) || !same(float64(y[i]), float64(float32(wy))) || !same(float64(d[i]), float64(float32(wd))) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// GeluRow is RowYD over geluYD, four lanes at a time where the vector path
+// is active; the last len(src) mod 4 elements take the scalar body.
+func GeluRow(out, keep, src, bias []float32, deriv bool) {
+	actRow(vecGelu, out, keep, src, bias, deriv)
+}
+
+// TanhRow is RowYD over tanhYD, likewise.
+func TanhRow(out, keep, src, bias []float32, deriv bool) {
+	actRow(vecTanh, out, keep, src, bias, deriv)
+}
+
+func actRow(k vecAct, out, keep, src, bias []float32, deriv bool) {
+	n4 := 0
+	if useVecMath {
+		n4 = len(src) &^ 3
+	}
+	if n4 > 0 {
+		var kp, bp *float32
+		if keep != nil {
+			kp = &keep[:n4][0]
+		}
+		if bias != nil {
+			bp = &bias[:n4][0]
+		}
+		k.row(&out[:n4][0], kp, &src[0], bp, n4, deriv)
+	}
+	rowYD(k.f, out, keep, src, bias, deriv, n4)
+}
+
+// expSubRow is expSubGeneric from a zero sum. The kernel leaves each e in a
+// stack block so the additions stay sequential in ascending j; a 4-block
+// the kernel declines (a lane NaN or outside [-700, 100]: masked scores,
+// -Inf) goes through math.Exp, which owns the under/overflow branches.
+func expSubRow(or, ar []float32, maxv float32) (sum float64) {
+	n4 := len(ar) &^ 3
+	if !useVecMath || n4 == 0 {
+		return expSubGeneric(or, ar, maxv, 0)
+	}
+	or = or[:len(ar)]
+	var buf [32]float64
+	for j := 0; j < n4; {
+		n := min(n4-j, len(buf))
+		done := expSubAsm(&or[j], &buf[0], &ar[j], maxv, n)
+		for _, e := range buf[:done] {
+			sum += e
+		}
+		if j += done; done < n {
+			sum = expSubGeneric(or[j:j+4], ar[j:j+4], maxv, sum)
+			j += 4
+		}
+	}
+	return expSubGeneric(or[n4:], ar[n4:], maxv, sum)
+}

@@ -1,0 +1,357 @@
+// AVX2+FMA row kernels for the transcendental activations and softmax's
+// exp. Each float64 lane repeats the scalar definition operation for
+// operation, so every lane rounds exactly as the scalar call does:
+//
+//   EXP4    math.archExp's FMA path (exp_amd64.s, Shibata's algorithm),
+//           instruction for instruction on ymm lanes, for arguments whose
+//           result is a normal number (callers keep them in [-700, 100]).
+//   TANH4   math.tanh (tanh.go): both of its branches for every lane — the
+//           Cephes rational and 1 - 2/(exp(2|u|)+1) — blended on |u|. The
+//           Go compiler does not fuse on GOAMD64=v1, so this part is VMULPD
+//           and VADDPD only, in the source's association order.
+//   gelu    geluYD's expression tree around TANH4, unfused as well.
+//
+// FMA appears exactly where exp_amd64.s uses it and nowhere else. The Go
+// wrappers (vecmath_amd64.go) run these only after a package-init self-check
+// has found them bit-identical to the scalar bodies on this CPU.
+
+#include "textflag.h"
+
+#define D4(off, v) \
+	DATA vm<>+(off+0)(SB)/8, v; \
+	DATA vm<>+(off+8)(SB)/8, v; \
+	DATA vm<>+(off+16)(SB)/8, v; \
+	DATA vm<>+(off+24)(SB)/8, v
+
+// exp_amd64.s's constants, spelled as there.
+D4(0, $1.4426950408889634073599246810018920)                   // LOG2E
+D4(32, $0.69314718055966295651160180568695068359375)           // LN2U
+D4(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+D4(96, $0.0625)
+D4(128, $2.4801587301587301587e-5)
+D4(160, $1.9841269841269841270e-4)
+D4(192, $1.3888888888888888889e-3)
+D4(224, $8.3333333333333333333e-3)
+D4(256, $4.1666666666666666667e-2)
+D4(288, $1.6666666666666666667e-1)
+D4(320, $0.5)
+D4(352, $1.0)
+D4(384, $2.0)
+D4(416, $0x3FF) // exponent bias, int64 lanes
+// tanh.go's P, Q and thresholds (0.5*MAXLOG written out).
+D4(448, $-9.64399179425052238628e-1)
+D4(480, $-9.92877231001918586564e1)
+D4(512, $-1.61468768441708447952e3)
+D4(544, $1.12811678491632931402e2)
+D4(576, $2.23548839060100448583e3)
+D4(608, $4.84406305325125486048e3)
+D4(640, $0.625)
+D4(672, $4.40148459655565271479940e+01)
+D4(704, $100.0) // clamp on 2|u| for lanes the saturation blend replaces
+D4(736, $0x7FFFFFFFFFFFFFFF)
+D4(768, $0x8000000000000000)
+// geluYD's constants (0.134145 is the folded 3*0.044715).
+D4(800, $0.7978845608028654)
+D4(832, $0.044715)
+D4(864, $0.134145)
+// expSubAsm's block limits.
+D4(896, $-700.0)
+GLOBL vm<>(SB), RODATA|NOPTR, $928
+
+#define cLOG2E   vm<>+0(SB)
+#define cLN2U    vm<>+32(SB)
+#define cLN2L    vm<>+64(SB)
+#define c0625    vm<>+96(SB)
+#define cE8      vm<>+128(SB)
+#define cE7      vm<>+160(SB)
+#define cE6      vm<>+192(SB)
+#define cE5      vm<>+224(SB)
+#define cE4      vm<>+256(SB)
+#define cE3      vm<>+288(SB)
+#define cHalf    vm<>+320(SB)
+#define cOne     vm<>+352(SB)
+#define cTwo     vm<>+384(SB)
+#define cBias    vm<>+416(SB)
+#define cP0      vm<>+448(SB)
+#define cP1      vm<>+480(SB)
+#define cP2      vm<>+512(SB)
+#define cQ0      vm<>+544(SB)
+#define cQ1      vm<>+576(SB)
+#define cQ2      vm<>+608(SB)
+#define cMid     vm<>+640(SB)
+#define cSat     vm<>+672(SB)
+#define c100     vm<>+704(SB)
+#define cAbs     vm<>+736(SB)
+#define cSign    vm<>+768(SB)
+#define cGelu    vm<>+800(SB)
+#define cG044    vm<>+832(SB)
+#define cG134    vm<>+864(SB)
+#define cExpLo   vm<>+896(SB)
+
+// EXP4: a = exp(a) in four float64 lanes. p, kx (the X half) and ky are
+// scratch. archExp's steps in order: k = int32(a*LOG2E), rounded as MXCSR
+// says; a -= k*LN2U; a -= k*LN2L (both fused); a *= 1/16; Horner over the
+// Taylor coefficients (fused); a *= p; three times a *= a+2, then
+// a = a*(a+2)+1 (fused): (1+r)^16 - 1 built by squaring; scale by 2^k.
+#define EXP4(a, p, kx, ky) \
+	VMULPD       cLOG2E, a, p; \
+	VCVTPD2DQY   p, kx; \
+	VCVTDQ2PD    kx, p; \
+	VFNMADD231PD cLN2U, p, a; \
+	VFNMADD231PD cLN2L, p, a; \
+	VMULPD       c0625, a, a; \
+	VMOVUPD      cE8, p; \
+	VFMADD213PD  cE7, a, p; \
+	VFMADD213PD  cE6, a, p; \
+	VFMADD213PD  cE5, a, p; \
+	VFMADD213PD  cE4, a, p; \
+	VFMADD213PD  cE3, a, p; \
+	VFMADD213PD  cHalf, a, p; \
+	VFMADD213PD  cOne, a, p; \
+	VMULPD       p, a, a; \
+	VADDPD       cTwo, a, p; \
+	VMULPD       p, a, a; \
+	VADDPD       cTwo, a, p; \
+	VMULPD       p, a, a; \
+	VADDPD       cTwo, a, p; \
+	VMULPD       p, a, a; \
+	VADDPD       cTwo, a, p; \
+	VFMADD213PD  cOne, p, a; \
+	VPMOVSXDQ    kx, ky; \
+	VPADDQ       cBias, ky, ky; \
+	VPSLLQ       $52, ky, ky; \
+	VMULPD       ky, a, a
+
+// TANH4: Y2 = tanh(Y1). Y0 and Y1 survive; Y3-Y9 are scratch. The rational
+// is u + ((u*s)*num)/den with s = u*u. Blend order follows tanh.go's switch:
+// the rational, replaced where |u| >= 0.625 by the exp form carrying u's
+// sign, replaced where |u| > 0.5*MAXLOG by +-1, replaced where u == 0 by u
+// itself (-0 stays -0). A NaN lane fails every ordered compare and keeps the
+// rational's NaN.
+#define TANH4 \
+	VANDPD    cAbs, Y1, Y2; \
+	VMULPD    Y1, Y1, Y6; \
+	VMULPD    cP0, Y6, Y7; \
+	VADDPD    cP1, Y7, Y7; \
+	VMULPD    Y6, Y7, Y7; \
+	VADDPD    cP2, Y7, Y7; \
+	VADDPD    cQ0, Y6, Y8; \
+	VMULPD    Y6, Y8, Y8; \
+	VADDPD    cQ1, Y8, Y8; \
+	VMULPD    Y6, Y8, Y8; \
+	VADDPD    cQ2, Y8, Y8; \
+	VMULPD    Y6, Y1, Y9; \
+	VMULPD    Y7, Y9, Y9; \
+	VDIVPD    Y8, Y9, Y9; \
+	VADDPD    Y9, Y1, Y9; \
+	VADDPD    Y2, Y2, Y3; \
+	VMINPD    c100, Y3, Y3; \
+	EXP4(Y3, Y4, X5, Y5); \
+	VADDPD    cOne, Y3, Y3; \
+	VMOVUPD   cTwo, Y4; \
+	VDIVPD    Y3, Y4, Y3; \
+	VMOVUPD   cOne, Y4; \
+	VSUBPD    Y3, Y4, Y3; \
+	VANDPD    cSign, Y1, Y4; \
+	VORPD     Y4, Y3, Y3; \
+	VORPD     cOne, Y4, Y4; \
+	VCMPPD    $0x1D, cMid, Y2, Y5; \
+	VBLENDVPD Y5, Y3, Y9, Y9; \
+	VCMPPD    $0x1E, cSat, Y2, Y5; \
+	VBLENDVPD Y5, Y4, Y9, Y9; \
+	VXORPD    Y5, Y5, Y5; \
+	VCMPPD    $0, Y5, Y1, Y5; \
+	VBLENDVPD Y5, Y1, Y9, Y2
+
+// GELUY: Y0 = x in, Y3 = y = (0.5*x)*(1+th) out, with u = geluC*(x +
+// ((0.044715*x)*x)*x) through TANH4; leaves th in Y2, 0.5*x in Y10 and 1+th
+// in Y11 for GELUD: Y5 = d = 0.5*(1+th) + ((0.5*x)*(1-th*th))*du with
+// du = geluC*(1 + (0.134145*x)*x).
+#define GELUY \
+	VMULPD cG044, Y0, Y1; \
+	VMULPD Y0, Y1, Y1; \
+	VMULPD Y0, Y1, Y1; \
+	VADDPD Y1, Y0, Y1; \
+	VMULPD cGelu, Y1, Y1; \
+	TANH4; \
+	VMULPD cHalf, Y0, Y10; \
+	VADDPD cOne, Y2, Y11; \
+	VMULPD Y11, Y10, Y3
+
+#define GELUD \
+	VMULPD  cG134, Y0, Y4; \
+	VMULPD  Y0, Y4, Y4; \
+	VADDPD  cOne, Y4, Y4; \
+	VMULPD  cGelu, Y4, Y4; \
+	VMULPD  cHalf, Y11, Y11; \
+	VMULPD  Y2, Y2, Y5; \
+	VMOVUPD cOne, Y6; \
+	VSUBPD  Y5, Y6, Y5; \
+	VMULPD  Y5, Y10, Y5; \
+	VMULPD  Y4, Y5, Y5; \
+	VADDPD  Y5, Y11, Y5
+
+// TANHD: Y5 = 1 - th*th from th in Y2.
+#define TANHD \
+	VMULPD  Y2, Y2, Y5; \
+	VMOVUPD cOne, Y6; \
+	VSUBPD  Y5, Y6, Y5
+
+// The two activation rows share this frame: n is a positive multiple of 4;
+// per 4-block, z = src (+ bias, added in float32) is loaded before anything
+// is stored, so out and keep may alias src; out gets float32(y); keep, when
+// non-nil, gets float32(act'(z)) if deriv, else z, and is stored after out.
+#define ROWARGS \
+	MOVQ    out+0(FP), DI; \
+	MOVQ    keep+8(FP), R8; \
+	MOVQ    src+16(FP), SI; \
+	MOVQ    bias+24(FP), R9; \
+	MOVQ    n+32(FP), CX; \
+	MOVBQZX deriv+40(FP), R10; \
+	XORQ    AX, AX
+
+// func geluRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+TEXT ·geluRowAsm(SB), NOSPLIT, $0-41
+	ROWARGS
+
+gloop:
+	VMOVUPS    (SI)(AX*4), X15
+	TESTQ      R9, R9
+	JZ         gwiden
+	VADDPS     (R9)(AX*4), X15, X15
+
+gwiden:
+	VCVTPS2PD  X15, Y0
+	GELUY
+	VCVTPD2PSY Y3, X3
+	VMOVUPS    X3, (DI)(AX*4)
+	TESTQ      R8, R8
+	JZ         gnext
+	TESTQ      R10, R10
+	JZ         gkeep
+	GELUD
+	VCVTPD2PSY Y5, X15
+
+gkeep:
+	VMOVUPS    X15, (R8)(AX*4)
+
+gnext:
+	ADDQ       $4, AX
+	CMPQ       AX, CX
+	JL         gloop
+	VZEROUPPER
+	RET
+
+// func tanhRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+TEXT ·tanhRowAsm(SB), NOSPLIT, $0-41
+	ROWARGS
+
+tloop:
+	VMOVUPS    (SI)(AX*4), X15
+	TESTQ      R9, R9
+	JZ         twiden
+	VADDPS     (R9)(AX*4), X15, X15
+
+twiden:
+	VCVTPS2PD  X15, Y1
+	TANH4
+	VCVTPD2PSY Y2, X3
+	VMOVUPS    X3, (DI)(AX*4)
+	TESTQ      R8, R8
+	JZ         tnext
+	TESTQ      R10, R10
+	JZ         tkeep
+	TANHD
+	VCVTPD2PSY Y5, X15
+
+tkeep:
+	VMOVUPS    X15, (R8)(AX*4)
+
+tnext:
+	ADDQ       $4, AX
+	CMPQ       AX, CX
+	JL         tloop
+	VZEROUPPER
+	RET
+
+// The same lanes with float64 in and out: what the init self-check and the
+// identity tests compare. A last-bit difference in a float64 y or d survives
+// the narrowing to float32 about once in 2^29 values, so the float32 rows
+// alone would pass a fused multiply-add that does not belong.
+
+// func geluF64Asm(y, d, x *float64, n int)
+TEXT ·geluF64Asm(SB), NOSPLIT, $0-32
+	MOVQ    y+0(FP), DI
+	MOVQ    d+8(FP), R8
+	MOVQ    x+16(FP), SI
+	MOVQ    n+24(FP), CX
+	XORQ    AX, AX
+
+gfloop:
+	VMOVUPD (SI)(AX*8), Y0
+	GELUY
+	VMOVUPD Y3, (DI)(AX*8)
+	GELUD
+	VMOVUPD Y5, (R8)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      gfloop
+	VZEROUPPER
+	RET
+
+// func tanhF64Asm(y, d, x *float64, n int)
+TEXT ·tanhF64Asm(SB), NOSPLIT, $0-32
+	MOVQ    y+0(FP), DI
+	MOVQ    d+8(FP), R8
+	MOVQ    x+16(FP), SI
+	MOVQ    n+24(FP), CX
+	XORQ    AX, AX
+
+tfloop:
+	VMOVUPD (SI)(AX*8), Y1
+	TANH4
+	VMOVUPD Y2, (DI)(AX*8)
+	TANHD
+	VMOVUPD Y5, (R8)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JL      tfloop
+	VZEROUPPER
+	RET
+
+// func expSubAsm(out *float32, e *float64, src *float32, max float32, n int) int
+// Per 4-block of src, in order: a = float64(src - max), the subtraction in
+// float32; if any lane is NaN or outside [-700, 100] — where archExp would
+// leave its straight-line path — stop and return the number of elements
+// done; else e = exp(a) and out = float32(e). n is a multiple of 4.
+TEXT ·expSubAsm(SB), NOSPLIT, $0-48
+	MOVQ         out+0(FP), DI
+	MOVQ         e+8(FP), R8
+	MOVQ         src+16(FP), SI
+	VBROADCASTSS max+24(FP), X14
+	MOVQ         n+32(FP), CX
+	XORQ         AX, AX
+
+eloop:
+	CMPQ       AX, CX
+	JGE        edone
+	VMOVUPS    (SI)(AX*4), X0
+	VSUBPS     X14, X0, X0
+	VCVTPS2PD  X0, Y0
+	VCMPPD     $0x1D, cExpLo, Y0, Y1
+	VCMPPD     $0x12, c100, Y0, Y2
+	VANDPD     Y2, Y1, Y1
+	VMOVMSKPD  Y1, BX
+	CMPL       BX, $15
+	JNE        edone
+	EXP4(Y0, Y1, X2, Y2)
+	VMOVUPD    Y0, (R8)(AX*8)
+	VCVTPD2PSY Y0, X1
+	VMOVUPS    X1, (DI)(AX*4)
+	ADDQ       $4, AX
+	JMP        eloop
+
+edone:
+	VZEROUPPER
+	MOVQ       AX, ret+40(FP)
+	RET

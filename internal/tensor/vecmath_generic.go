@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package tensor
+
+// Non-amd64 builds run the scalar definitions directly.
+
+// GeluRow is RowYD over geluYD.
+func GeluRow(out, keep, src, bias []float32, deriv bool) {
+	RowYD(geluYD, out, keep, src, bias, deriv)
+}
+
+// TanhRow is RowYD over tanhYD.
+func TanhRow(out, keep, src, bias []float32, deriv bool) {
+	RowYD(tanhYD, out, keep, src, bias, deriv)
+}
+
+func expSubRow(or, ar []float32, maxv float32) float64 { return expSubGeneric(or, ar, maxv, 0) }

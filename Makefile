@@ -9,11 +9,11 @@ test:
 	$(GO) test ./...
 
 # nautilus-lint is the repo's own stdlib static-analysis suite
-# (internal/lint): the syntactic analyzers (allochygiene, determinism,
-# floateq, layerpurity, uncheckederr), the dataflow-engine analyzers
-# (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the typestate
-# protocol analyzers (sessionorder, storelease), the interprocedural
-# summary-aware locksafe, and the ignoreaudit stale-suppression check.
+# (internal/lint), eleven analyzers: the syntactic ones (allochygiene,
+# determinism, floateq, layerpurity, uncheckederr), the dataflow-engine
+# ones (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the
+# interprocedural summary-aware locksafe, and the ignoreaudit
+# stale-suppression check.
 # One whole-module sweep (well under a second); check's lint step is the
 # same invocation.
 lint:
@@ -21,11 +21,12 @@ lint:
 
 # lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
 # exact diagnostics (positions + messages) over testdata/src/violations,
-# plus the interprocedural call-graph/summary unit tests, the reaching-
-# definitions value-flow tests (TestReachDefs*, reachdefs_test.go), and the
-# parallel driver's determinism check.
+# plus the interprocedural call-graph/summary unit tests, the seeded-
+# regression yield corpus (TestSeededRegressions: each analyzer must catch
+# its bug re-introduced into a copy of the real package), and the parallel
+# driver's determinism check.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|ReachDefs' -count=1
+	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|SeededRegressions' -count=1
 
 # check is the full pre-merge gate: vet + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
@@ -63,7 +64,9 @@ check:
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 
-# bench runs the paper-table benchmarks at the root, the layer step
+# bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
+# backoff factor, Figure 5 estimate; the paper's tables and figures are
+# `nautilus-bench -exp <name>`), the layer step
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
 # + backward at BERT-mini shapes, ns per activated element;
 # BenchmarkActSweepGELU beside BenchmarkGeluRowScalar: the bias+gelu+gelu′

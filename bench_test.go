@@ -1,16 +1,13 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 5). Each benchmark runs the corresponding experiment and
-// reports the headline quantity as a custom metric (speedups, minutes), so
-// `go test -bench=. -benchmem` doubles as the reproduction harness.
-// cmd/nautilus-bench prints the full row sets.
-//
-// Paper-scale benchmarks drive the real optimizer over BERT-base /
-// ResNet-50 profiles and replay plans on the cost-clock simulator
-// (seconds each); BenchmarkFig7_LearningCurves runs real mini-scale
-// training (tens of seconds).
+// Optimizer benchmarks with no other home: solve time at the largest
+// workload, the B&B+min-cut solver against the joint MILP, the storage
+// response to the backoff estimate r, and one Figure 5 peak-memory
+// estimate — all at paper scale over the real optimizer. The paper's
+// tables and figures themselves are printed by `nautilus-bench -exp <name>`
+// and their shapes asserted in internal/experiments/experiments_test.go.
 package nautilus_test
 
 import (
+	"strconv"
 	"testing"
 
 	"nautilus/internal/core"
@@ -18,144 +15,6 @@ import (
 	"nautilus/internal/opt"
 	"nautilus/internal/workloads"
 )
-
-func BenchmarkTable3_WorkloadCatalog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.TheoreticalSpeedup, "eq11_"+r.Workload)
-			}
-		}
-	}
-}
-
-func BenchmarkFig6A_EndToEndRuntimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6A()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.NautilusSpeedup, "speedup_"+r.Workload)
-			}
-		}
-	}
-}
-
-func BenchmarkFig6B_CycleBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6B()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.InitNautilusMin, "init_nautilus_min")
-			b.ReportMetric(r.InitCurrentPracticeMin, "init_current_min")
-			b.ReportMetric(r.CycleSpeedups[len(r.CycleSpeedups)-1], "cycle10_speedup")
-		}
-	}
-}
-
-func BenchmarkFig6C_LabelingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6C()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[0].Speedup, "speedup_0.5s_per_label")
-			b.ReportMetric(rows[len(rows)-1].Speedup, "speedup_8s_per_label")
-		}
-	}
-}
-
-func BenchmarkFig7_LearningCurves(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7(experiments.DefaultFig7Config())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.Speedup, "real_speedup")
-			last := len(r.Nautilus) - 1
-			b.ReportMetric(r.Nautilus[last].BestAcc, "nautilus_final_acc")
-			b.ReportMetric(r.CurrentPractice[last].BestAcc, "current_final_acc")
-		}
-	}
-}
-
-func BenchmarkFig8_Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.NoFuseSlowdownPct, "noFUSE_pct_"+r.Workload)
-				b.ReportMetric(r.NoMatSlowdownPct, "noMAT_pct_"+r.Workload)
-			}
-		}
-	}
-}
-
-func BenchmarkFig9_NumModels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			first, last := rows[0], rows[len(rows)-1]
-			b.ReportMetric(first.CurrentPractice/first.Nautilus, "speedup_1model")
-			b.ReportMetric(last.CurrentPractice/last.Nautilus, "speedup_8models")
-		}
-	}
-}
-
-func BenchmarkFig10A_StorageBudget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10A()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[len(rows)-1].Speedup, "plateau_speedup")
-		}
-	}
-}
-
-func BenchmarkFig10B_MemoryBudget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10B()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[len(rows)-1].Speedup, "plateau_speedup")
-		}
-	}
-}
-
-func BenchmarkFig11_ResourceUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.ReadRatio, "read_reduction")
-			b.ReportMetric(r.WriteRatio, "write_reduction")
-			b.ReportMetric(100*r.UtilizationNautilus, "util_nautilus_pct")
-			b.ReportMetric(100*r.UtilizationCP, "util_current_pct")
-		}
-	}
-}
 
 func BenchmarkOptimizer_SolveTime(b *testing.B) {
 	// §5.3: optimizer solve time at practical workload sizes. The B&B
@@ -175,26 +34,6 @@ func BenchmarkOptimizer_SolveTime(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(res.NodesExplored), "bnb_nodes")
-		}
-	}
-}
-
-func BenchmarkTheoreticalSpeedup(b *testing.B) {
-	var insts []*workloads.Instance
-	for _, s := range workloads.All() {
-		inst, err := experiments.PaperInstance(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = append(insts, inst)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, inst := range insts {
-			s := experiments.TheoreticalSpeedup(inst)
-			if i == 0 {
-				b.ReportMetric(s, "eq11_"+inst.Spec.Name)
-			}
 		}
 	}
 }
@@ -242,7 +81,7 @@ func BenchmarkAblation_BackoffFactor(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.ReportMetric(float64(res.StorageBytes)/float64(1<<30), "storageGB_r"+itoa(r))
+				b.ReportMetric(float64(res.StorageBytes)/float64(1<<30), "storageGB_r"+strconv.Itoa(r))
 			}
 		}
 	}
@@ -267,18 +106,4 @@ func BenchmarkAblation_MemoryEstimator(b *testing.B) {
 			b.ReportMetric(float64(est.Total())/float64(1<<30), "peakGB")
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

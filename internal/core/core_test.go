@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"nautilus/internal/models"
 	"nautilus/internal/opt"
 	"nautilus/internal/profile"
+	"nautilus/internal/storage"
 )
 
 // miniHW: see opt tests — disk fast enough that materialization pays off
@@ -166,6 +168,29 @@ func TestNautilusWritesLessCheckpointDataThanCurrentPractice(t *testing.T) {
 	// savings dominate across even a single cycle at these sizes.
 	if written[Nautilus] >= written[CurrentPractice] {
 		t.Errorf("nautilus wrote %d bytes, current practice %d", written[Nautilus], written[CurrentPractice])
+	}
+}
+
+// A session whose store was closed must fail its next Fit with
+// storage.ErrClosed instead of silently reopening artifact files: ms.store
+// is a field, the shape no function-local lifecycle check can follow.
+func TestFitAfterCloseReportsClosedStore(t *testing.T) {
+	ms := newMS(t, Nautilus)
+	snaps := snapshots(t, 2)
+	if _, err := ms.Fit(snaps[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(ms.Planner().Plan().MatSigs) == 0 {
+		t.Fatal("precondition: the nautilus plan materializes nothing, so Fit would not reach the store")
+	}
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.Fit(snaps[1]); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("Fit after Close: err = %v, want storage.ErrClosed", err)
+	}
+	if err := ms.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
 	}
 }
 

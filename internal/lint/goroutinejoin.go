@@ -32,9 +32,9 @@ import (
 // Consumer side: a call to a same-package pipeline constructor (a function
 // returning a channel that is fed and closed by a goroutine it spawns)
 // must drain the channel on every path — a deferred `for range ch` drain,
-// a dominating range, or handing the channel onward. Early returns that
-// strand the producer blocked on send leak the goroutine and everything
-// it holds.
+// a dominating range whose body cannot leave the loop early, or handing the
+// channel onward. Early returns that strand the producer blocked on send
+// leak the goroutine and everything it holds.
 //
 // Goroutines launched with a named package-local function are classified
 // through that function's interprocedural summary: a WaitGroup argument
@@ -471,7 +471,7 @@ func shallowGoLits(body ast.Node, visit func(*ast.FuncLit)) {
 
 // pipelineConsumerCheck flags bindings of a pipeline constructor's channel
 // that are not drained on every path: no deferred `for range ch` drain, no
-// dominating range, and the channel never handed onward.
+// dominating run-to-completion range, and the channel never handed onward.
 func pipelineConsumerCheck(p *Pass, fb *funcBody, constructors map[types.Object]bool) {
 	if len(constructors) == 0 {
 		return
@@ -540,10 +540,31 @@ func deferredDrain(info *types.Info, body ast.Node, ch types.Object) bool {
 }
 
 // receiveRangeDominates reports whether every path from the binding passes
-// a `for range ch` (which completes only once the producer closes ch).
+// a `for range ch` that runs to completion (which it does only once the
+// producer closes ch). A loop whose body can leave early is not a drain: the
+// producer stays blocked on its next send.
 func receiveRangeDominates(info *types.Info, cfg *funcCFG, bind *cfgNode, ch types.Object) bool {
 	return cfg.mustPassFrom(bind, func(n *cfgNode) bool {
 		rs, ok := n.stmt.(*ast.RangeStmt)
-		return ok && identObj(info, rs.X) == ch
+		return ok && identObj(info, rs.X) == ch && !leavesLoopEarly(cfg, n, rs.Body)
 	})
+}
+
+// leavesLoopEarly reports whether the loop headed by node loop can be left
+// from inside its body — a return, a break or goto out, a branch to an outer
+// label, an explicit panic: some body node has a successor that is neither
+// in the body nor the loop header.
+func leavesLoopEarly(cfg *funcCFG, loop *cfgNode, body *ast.BlockStmt) bool {
+	inBody := func(n *cfgNode) bool { return n.stmt != nil && within(n.stmt.Pos(), body) }
+	for _, n := range cfg.nodes {
+		if !inBody(n) {
+			continue
+		}
+		for _, s := range n.succs {
+			if s != loop && !inBody(s) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -8,9 +8,8 @@
 // hygiene in hot loops.
 //
 // On top of the syntactic analyzers, the package carries two analysis
-// substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go,
-// reachdefs.go) is a statement-level CFG with forward/backward solvers,
-// value-origin tracking and reaching definitions, reached through one
+// substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go) is
+// a statement-level CFG with forward/backward solvers, reached through one
 // per-package body index (Package.bodies: each function body with its CFG
 // and parent map built once and shared); the declarative typestate
 // protocol engine (typestate.go) runs resource protocols over it, crediting
@@ -117,9 +116,7 @@ func DefaultAnalyzers() []*Analyzer {
 		IgnoreAuditAnalyzer,
 		LayerPurityAnalyzer,
 		LockSafeAnalyzer,
-		SessionOrderAnalyzer,
 		SpanLeakAnalyzer,
-		StoreLeaseAnalyzer,
 		UncheckedErrAnalyzer,
 	}
 }

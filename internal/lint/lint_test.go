@@ -354,9 +354,7 @@ func TestSummaryAwareMarking(t *testing.T) {
 		"arenaescape":   true,
 		"goroutinejoin": true,
 		"locksafe":      true,
-		"sessionorder":  true,
 		"spanleak":      true,
-		"storelease":    true,
 		"uncheckederr":  true,
 	}
 	for _, a := range lint.DefaultAnalyzers() {

@@ -41,14 +41,13 @@ type protocol struct {
 // method) pairs are must-discharge obligations. The summary layer computes
 // paramFacts.Discharges for a parameter of a listed type, and the typestate
 // specs and goroutinejoin's WaitGroup leg point at their row for the
-// terminal they credit through delegation; a fifth protocol is one row.
+// terminal they credit through delegation; a fourth protocol is one row.
 var (
 	spanProtocol      = &protocol{obsPkgPath, "Span", "End"}
 	scopeProtocol     = &protocol{tensorPkgPath, "Scope", "Release"}
-	storeProtocol     = &protocol{storagePkgPath, "TensorStore", "Close"}
 	waitGroupProtocol = &protocol{"sync", "WaitGroup", "Wait"}
 
-	protocols = []*protocol{spanProtocol, scopeProtocol, storeProtocol, waitGroupProtocol}
+	protocols = []*protocol{spanProtocol, scopeProtocol, waitGroupProtocol}
 )
 
 // carries reports whether t (possibly behind pointers) is the protocol's

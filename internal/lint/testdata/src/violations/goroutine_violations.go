@@ -146,3 +146,40 @@ func goSuppressed(msgs []string, sink func(string)) {
 		}
 	}()
 }
+
+// Goroutinejoin: ranging over the channel is a drain only if the loop runs
+// to completion — an early return from the body strands the producer on its
+// next send just as the indexed receive above does (the Materializer's
+// append loop without its deferred drain).
+
+func consumeRangeLeaky(n, limit int) (int, error) {
+	vals := produceInts(n) // want "goroutinejoin: pipeline channel vals from produceInts is not drained on every path; an early return leaves the producer goroutine blocked on send — add `defer func() { for range vals { ... } }()` after the call"
+	total := 0
+	for v := range vals {
+		if v > limit {
+			return total, errTooLarge
+		}
+		total += v
+	}
+	return total, nil
+}
+
+// Not flagged: nothing in the body leaves the range loop — `continue` stays
+// in it, and the unlabeled break binds to the switch.
+
+func consumeRangeDrained(n, limit int) int {
+	vals := produceInts(n)
+	total := 0
+	for v := range vals {
+		if v > limit {
+			continue
+		}
+		switch {
+		case v%2 == 0:
+			break
+		default:
+			total += v
+		}
+	}
+	return total
+}

@@ -7,38 +7,30 @@ import (
 )
 
 // This file is the declarative typestate protocol engine. A resource
-// protocol — span Start→End, scope New→Release, store Open→Close, planner
-// event ordering — is declared as a typestateSpec (a small state machine
-// plus message templates) and the engine supplies the analysis machinery
-// every protocol analyzer used to hand-roll:
+// protocol — span Start→End, scope New→Release — is declared as a
+// typestateSpec (a small state machine plus message templates) and the
+// engine supplies the analysis machinery:
 //
 //   - an obligation leg (spanleak's shape): every tracked origin must reach
-//     its terminal event on all paths to exit, unless a defer discharges it,
-//     it escapes to a new owner, or an error-guarded return proves the
-//     resource was never acquired. Extras the raw analyzers lacked: a
-//     re-binding check (overwriting the only handle before the terminal
-//     leaks the old value) and a defer-in-loop check (a deferred terminal
-//     inside the origin's own loop runs at function exit, not per
-//     iteration);
+//     its terminal event on all paths to exit, unless a defer discharges it
+//     or it escapes to a new owner; plus a re-binding check (overwriting the
+//     only handle before the terminal leaks the old value) and a
+//     defer-in-loop check (a deferred terminal inside the origin's own loop
+//     runs at function exit, not per iteration);
 //
 //   - a simulation leg (arenaescape's shape): a forward may-analysis over
 //     the CFG tracking each value's protocol state and the values derived
-//     from it, reporting uses in bad states, protocol events fired in
-//     states that forbid them, and derived values escaping while a
-//     worsening event is still reachable.
+//     from it, reporting uses in bad states and derived values escaping
+//     while a worsening event is still reachable.
 //
 // Both legs interface with the interprocedural summary layer: events fire
 // through delegation to local helpers (summarySet.delegated /
 // dischargesAt / deferredDischarge), and escapes hand the obligation to the
-// new owner (objEscapes). Reaching definitions (reachdefs.go) sharpen the
-// obligation leg: with copyDischarge set, a terminal called on a pure copy
-// of the origin discharges it, and the error-guard exemption only credits
-// returns whose guarding condition reads the origin's own error binding,
-// not a reassigned one.
+// new owner (objEscapes).
 //
-// spanleak, arenaescape, and goroutinejoin's WaitGroup leg are instances of
-// this engine (their findings are bit-compatible with the hand-written
-// originals); sessionorder and storelease are declared directly against it.
+// The engine holds exactly what its three users need: spanleak (obligation
+// leg), arenaescape (simulation leg) and goroutinejoin's WaitGroup leg (the
+// helpers at the end of the file).
 
 // useMsgs are the diagnostics for mentioning a value while its protocol
 // owner sits in a given state.
@@ -61,32 +53,18 @@ type eventSpec struct {
 	delegable bool
 	// to is the state after the event; "" leaves the state unchanged.
 	to string
-	// keepIn lists states the event does not change (e.g. staging data on a
-	// never-planned planner leaves it never-planned).
-	keepIn []string
-	// errDiscardedTo, when non-"", is the state entered instead of `to`
-	// when the call's trailing error result is discarded at the call site
-	// (bare expression statement, or `_` in the error position).
-	errDiscardedTo string
-	// badIn maps states in which firing this event is itself a finding to
-	// the message template; args (owner).
-	badIn map[string]string
 }
 
 // typestateSpec declares one protocol. Zero-valued sections disable the
 // corresponding leg: a spec with no leakMsg has no exit obligation, a spec
 // with no states has no state simulation.
 type typestateSpec struct {
-	// origin matches calls that create a tracked value.
+	// origin matches calls that create a tracked value, bound by a plain
+	// `v := origin(...)` assignment.
 	origin func(p *Pass, call *ast.CallExpr) bool
 	// originLabel renders the origin for the unbound message.
 	originLabel func(call *ast.CallExpr) string
-	// errResult marks origins returning (T, error): values bind through
-	// tuple assignments, and the obligation leg exempts error-guarded
-	// returns (the acquire failed, there is nothing to release).
-	errResult bool
-	// valueType recognizes the tracked value's type: binds tuple results
-	// and seeds parameters.
+	// valueType recognizes the tracked value's type, to seed parameters.
 	valueType func(t types.Type) bool
 
 	// unboundMsg flags an origin call used as a bare statement (the handle
@@ -94,51 +72,24 @@ type typestateSpec struct {
 	unboundMsg string
 
 	// Obligation leg.
-	protocol      *protocol // protocol-table row naming the discharging terminal
-	leakMsg       string    // args (value, value)
-	overwriteMsg  string    // non-"": check mid-protocol re-binding; args (value)
-	deferLoopMsg  string    // non-"": check defer-in-loop; args (value)
-	copyDischarge bool      // terminal on a pure copy (reachdefs.go) discharges
+	protocol     *protocol // protocol-table row naming the discharging terminal
+	leakMsg      string    // args (value, value)
+	overwriteMsg string    // non-"": check mid-protocol re-binding; args (value)
+	deferLoopMsg string    // non-"": check defer-in-loop; args (value)
 
 	// Simulation leg. states are ordered best→worst; path merge keeps the
-	// worst (may-analysis: "may already be released/closed/failed").
+	// worst (may-analysis: "may already be released").
 	states     []string
 	start      string // state of a freshly bound origin
 	paramStart string // non-"": seed valueType parameters in this state
 	events     []eventSpec
 	derived    func(t types.Type) bool // types carrying derived values
 	useInState map[string]useMsgs
-	// staleOnly restricts derivedMsg to values bound before the owner
-	// reached its current (worse) state: rows read before a GC are stale
-	// after it, rows read after are fine.
-	staleOnly bool
 	// escapeEvent/escapeMsg flag derived values stored to fields, globals,
 	// or channels while the named event is still reachable downstream;
 	// args (value, owner, how).
 	escapeEvent string
 	escapeMsg   string
-}
-
-// constructorOrigin matches calls of the constructor named ctor (bare or
-// package-qualified) returning (*pkgPath.typeName, error) — the origin
-// shape of the errResult specs.
-func constructorOrigin(ctor, pkgPath, typeName string) func(*Pass, *ast.CallExpr) bool {
-	return func(p *Pass, call *ast.CallExpr) bool {
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if fun.Name != ctor {
-				return false
-			}
-		case *ast.SelectorExpr:
-			if fun.Sel.Name != ctor {
-				return false
-			}
-		default:
-			return false
-		}
-		tup, ok := p.Pkg.Info.TypeOf(call).(*types.Tuple)
-		return ok && tup.Len() == 2 && namedType(tup.At(0).Type(), pkgPath, typeName)
-	}
 }
 
 func (s *typestateSpec) rank(state string) int {
@@ -174,14 +125,11 @@ func runTypestate(p *Pass, spec *typestateSpec) {
 // Obligation leg
 // ---------------------------------------------------------------------------
 
-// tsOrigin is one tracked binding `v := origin(...)` (or `v, err := ...`).
+// tsOrigin is one tracked binding `v := origin(...)`.
 type tsOrigin struct {
-	obj    types.Object
-	id     *ast.Ident
-	errObj types.Object // bound error result, errResult specs only
-	errID  *ast.Ident
-	node   *cfgNode
-	call   *ast.CallExpr
+	obj  types.Object
+	node *cfgNode
+	call *ast.CallExpr
 }
 
 func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb *funcBody) {
@@ -209,42 +157,16 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb *fu
 		return
 	}
 
-	var reach *reachDefs // built on the first value-flow question, if any
-	getReach := func() *reachDefs {
-		if reach == nil {
-			reach = buildReachDefs(info, fb)
-		}
-		return reach
-	}
 	terminal := spec.protocol.terminal
-
 	for _, o := range origins {
 		o := o
-		// dischargeCall reports whether call, evaluated at node n, discharges
-		// this origin: the terminal on the value itself, a delegation the
-		// summary layer credits, or (copyDischarge) the terminal on a
-		// variable whose every reaching definition is a copy of the origin's.
-		dischargeCall := func(n *cfgNode, call *ast.CallExpr) bool {
-			if sums.dischargesAt(call, o.obj, terminal) {
-				return true
-			}
-			if !spec.copyDischarge {
-				return false
-			}
-			recv, ok := methodCallOn(call, terminal)
-			if !ok {
-				return false
-			}
-			id, ok := recv.(*ast.Ident)
-			if !ok || info.ObjectOf(id) == o.obj {
-				return false
-			}
-			return getReach().resolvesTo(id, n, o.id)
-		}
+		// dischargesNode reports whether node n discharges this origin: the
+		// terminal on the value itself, or a delegation the summary layer
+		// credits.
 		dischargesNode := func(n *cfgNode) bool {
 			return headerContains(n, func(x ast.Node) bool {
 				call, ok := x.(*ast.CallExpr)
-				return ok && dischargeCall(n, call)
+				return ok && sums.dischargesAt(call, o.obj, terminal)
 			})
 		}
 
@@ -269,79 +191,31 @@ func typestateObligations(p *Pass, sums *summarySet, spec *typestateSpec, fb *fu
 			p.Reportf(o.call.Pos(), spec.overwriteMsg, o.obj.Name())
 			continue
 		}
-		var guards []*ast.IfStmt // errGuards(o), collected at the first return
-		haveGuards := false
-		satisfies := func(n *cfgNode) bool {
-			if dischargesNode(n) {
-				return true
-			}
-			if _, ok := n.stmt.(*ast.ReturnStmt); !ok || !spec.errResult || o.errObj == nil {
-				return false
-			}
-			if !haveGuards {
-				guards, haveGuards = errGuards(info, cfg, getReach(), o), true
-			}
-			for _, g := range guards {
-				if within(n.stmt.Pos(), g.Body) {
-					return true
-				}
-			}
-			return false
-		}
-		if !cfg.mustPassFrom(o.node, satisfies) {
+		if !cfg.mustPassFrom(o.node, dischargesNode) {
 			p.Reportf(o.call.Pos(), spec.leakMsg, o.obj.Name(), o.obj.Name())
 		}
 	}
 }
 
-// collectOrigins finds the tracked bindings: for plain specs a single
-// `v := origin(...)` assignment; for errResult specs a tuple
-// `v, err := origin(...)` whose value slot has the tracked type.
+// collectOrigins finds the tracked bindings: each single-valued
+// `v := origin(...)` assignment.
 func collectOrigins(p *Pass, spec *typestateSpec, cfg *funcCFG) []tsOrigin {
 	info := p.Pkg.Info
 	var origins []tsOrigin
 	for _, n := range cfg.nodes {
 		as, ok := n.stmt.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
+		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
 			continue
 		}
 		call, ok := as.Rhs[0].(*ast.CallExpr)
 		if !ok || !spec.origin(p, call) {
 			continue
 		}
-		if !spec.errResult {
-			if len(as.Lhs) != 1 {
-				continue
-			}
-			obj := identObj(info, as.Lhs[0])
-			if obj == nil || obj.Name() == "_" {
-				continue
-			}
-			id, _ := as.Lhs[0].(*ast.Ident)
-			origins = append(origins, tsOrigin{obj: obj, id: id, node: n, call: call})
+		obj := identObj(info, as.Lhs[0])
+		if obj == nil || obj.Name() == "_" {
 			continue
 		}
-		// Tuple binding: the value slot is the LHS with the tracked type;
-		// the error binds last.
-		var o tsOrigin
-		for i, l := range as.Lhs {
-			obj := identObj(info, l)
-			if obj == nil || obj.Name() == "_" {
-				continue
-			}
-			if spec.valueType != nil && spec.valueType(obj.Type()) {
-				o.obj = obj
-				o.id, _ = l.(*ast.Ident)
-			} else if i == len(as.Lhs)-1 && types.Identical(obj.Type(), types.Universe.Lookup("error").Type()) {
-				o.errObj = obj
-				o.errID, _ = l.(*ast.Ident)
-			}
-		}
-		if o.obj == nil {
-			continue
-		}
-		o.node, o.call = n, call
-		origins = append(origins, o)
+		origins = append(origins, tsOrigin{obj: obj, node: n, call: call})
 	}
 	return origins
 }
@@ -377,8 +251,8 @@ func overwriteReachable(info *types.Info, cfg *funcCFG, o tsOrigin, discharges f
 		}
 		seen[n] = true
 		if n.stmt != nil {
-			for _, site := range defSites(info, n) {
-				if site.obj == o.obj {
+			for _, obj := range defSites(info, n) {
+				if obj == o.obj {
 					return true
 				}
 			}
@@ -391,58 +265,55 @@ func overwriteReachable(info *types.Info, cfg *funcCFG, o tsOrigin, discharges f
 	return false
 }
 
-// errGuards collects the if statements whose condition mentions the
-// origin's error object. When reaching definitions track that variable the
-// condition must read the origin's own binding (a reassigned err does not
-// exempt); when they do not, any mention counts. A return inside a guard's
-// body is exempt from the obligation: the acquire failed.
-func errGuards(info *types.Info, cfg *funcCFG, reach *reachDefs, o tsOrigin) []*ast.IfStmt {
-	_, precise := reach.defs[o.errID] // tracked, and bound on a reachable node
-	var guards []*ast.IfStmt
-	for _, n := range cfg.nodes {
-		ifs, ok := n.stmt.(*ast.IfStmt)
-		if !ok || ifs.Cond == nil {
-			continue
+// defSites lists the variables a CFG node defines, in evaluation order.
+func defSites(info *types.Info, n *cfgNode) []types.Object {
+	var out []types.Object
+	add := func(e ast.Expr) {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
 		}
-		mentions := false
-		ast.Inspect(ifs.Cond, func(x ast.Node) bool {
-			id, ok := x.(*ast.Ident)
-			if !ok || info.ObjectOf(id) != o.errObj {
-				return true
-			}
-			if precise && !reach.resolvesTo(id, n, o.errID) {
-				return true // a different err reached this guard
-			}
-			mentions = true
-			return false
-		})
-		if mentions {
-			guards = append(guards, ifs)
+		if obj := info.ObjectOf(id); obj != nil {
+			out = append(out, obj)
 		}
 	}
-	return guards
+	switch st := n.stmt.(type) {
+	case *ast.AssignStmt:
+		for _, l := range st.Lhs {
+			add(l)
+		}
+	case *ast.IncDecStmt:
+		add(st.X)
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, name := range vs.Names {
+						add(name)
+					}
+				}
+			}
+		}
+	case *ast.RangeStmt:
+		add(st.Key)
+		add(st.Value)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
 // Simulation leg
 // ---------------------------------------------------------------------------
 
-// protoBind records what a derived value was derived from, and the owner's
-// state rank at binding time (for staleOnly specs).
-type protoBind struct {
-	owner types.Object
-	rank  int
-}
-
 // protoFact is one CFG node's entry state: tracked owners' state ranks and
-// the values derived from them.
+// the values derived from them (derived value → owner).
 type protoFact struct {
 	state   map[types.Object]int
-	derived map[types.Object]protoBind
+	derived map[types.Object]types.Object
 }
 
 func newProtoFact() *protoFact {
-	return &protoFact{state: map[types.Object]int{}, derived: map[types.Object]protoBind{}}
+	return &protoFact{state: map[types.Object]int{}, derived: map[types.Object]types.Object{}}
 }
 
 func (f *protoFact) clone() *protoFact {
@@ -513,41 +384,6 @@ func typestateSimulate(p *Pass, sums *summarySet, spec *typestateSpec, fb *funcB
 	}
 }
 
-// applyEvent advances one tracked object's state for an event firing.
-func applyEvent(spec *typestateSpec, ev *eventSpec, f *protoFact, obj types.Object, discarded bool) {
-	cur := f.state[obj]
-	curName := spec.states[cur]
-	for _, keep := range ev.keepIn {
-		if curName == keep {
-			return
-		}
-	}
-	to := ev.to
-	if discarded && ev.errDiscardedTo != "" {
-		to = ev.errDiscardedTo
-	}
-	if to == "" {
-		return
-	}
-	f.state[obj] = spec.rank(to)
-}
-
-// errDiscarded reports whether the call's trailing error result is dropped
-// at this node: the call is a bare statement, or the error slot binds `_`.
-func errDiscarded(n *cfgNode, call *ast.CallExpr) bool {
-	switch st := n.stmt.(type) {
-	case *ast.ExprStmt:
-		return st.X == call
-	case *ast.AssignStmt:
-		if len(st.Rhs) != 1 || st.Rhs[0] != call || len(st.Lhs) == 0 {
-			return false
-		}
-		id, ok := st.Lhs[len(st.Lhs)-1].(*ast.Ident)
-		return ok && id.Name == "_"
-	}
-	return false
-}
-
 // protoTransfer applies one node's effect to the fact in place.
 func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int, n *cfgNode, f *protoFact) {
 	info := p.Pkg.Info
@@ -565,10 +401,13 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 			}
 			for i := range spec.events {
 				ev := &spec.events[i]
+				if ev.to == "" {
+					continue
+				}
 				if recv, ok := methodCallOn(call, ev.method); ok {
 					if obj := identObj(info, recv); obj != nil {
 						if _, tracked := f.state[obj]; tracked {
-							applyEvent(spec, ev, f, obj, errDiscarded(n, call))
+							f.state[obj] = spec.rank(ev.to)
 						}
 					}
 				}
@@ -577,7 +416,7 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 				}
 				for obj := range f.state {
 					if sums.delegated(call, obj).Discharges {
-						applyEvent(spec, ev, f, obj, false)
+						f.state[obj] = spec.rank(ev.to)
 					}
 				}
 			}
@@ -592,7 +431,7 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 	}
 	// RHS judgments use the pre-assignment state; single-RHS multi-LHS
 	// (v, err := call(...)) derives every carrier LHS from the same call.
-	rhsDerived := make([]*protoBind, len(as.Rhs))
+	rhsDerived := make([]types.Object, len(as.Rhs))
 	rhsOrigin := make([]bool, len(as.Rhs))
 	for i, r := range as.Rhs {
 		if call, ok := r.(*ast.CallExpr); ok && spec.origin(p, call) {
@@ -616,31 +455,21 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 			delete(f.state, obj)
 		}
 		switch {
-		case rhsOrigin[ri] && bindableOrigin(spec, as, obj):
+		case rhsOrigin[ri] && len(as.Rhs) == len(as.Lhs):
 			f.state[obj] = startRank
 		case rhsDerived[ri] != nil && spec.derived != nil && spec.derived(obj.Type()):
-			f.derived[obj] = *rhsDerived[ri]
+			f.derived[obj] = rhsDerived[ri]
 		}
 	}
 }
 
-// bindableOrigin reports whether this LHS receives the origin value: plain
-// specs need a 1:1 assignment; errResult specs bind the tracked-type slot
-// of the result tuple.
-func bindableOrigin(spec *typestateSpec, as *ast.AssignStmt, obj types.Object) bool {
-	if !spec.errResult {
-		return len(as.Rhs) == len(as.Lhs)
-	}
-	return spec.valueType != nil && spec.valueType(obj.Type())
-}
-
-// derivedOf returns the binding derived by expression e, or nil: e mentions
+// derivedOf returns the owner expression e derives from, or nil: e mentions
 // a tracked owner or an already-derived value (skipping nested function
 // literals).
-func derivedOf(info *types.Info, e ast.Expr, f *protoFact) *protoBind {
-	var bind *protoBind
+func derivedOf(info *types.Info, e ast.Expr, f *protoFact) types.Object {
+	var owner types.Object
 	shallowInspect(e, func(n ast.Node) bool {
-		if bind != nil {
+		if owner != nil {
 			return false
 		}
 		id, ok := n.(*ast.Ident)
@@ -651,17 +480,14 @@ func derivedOf(info *types.Info, e ast.Expr, f *protoFact) *protoBind {
 		if obj == nil {
 			return true
 		}
-		if rank, ok := f.state[obj]; ok {
-			bind = &protoBind{owner: obj, rank: rank}
-			return false
+		if _, ok := f.state[obj]; ok {
+			owner = obj
+		} else if o, ok := f.derived[obj]; ok {
+			owner = o
 		}
-		if b, ok := f.derived[obj]; ok {
-			bind = &b
-			return false
-		}
-		return true
+		return owner == nil
 	})
-	return bind
+	return owner
 }
 
 // protoReport emits simulation findings for one node given its entry fact.
@@ -675,9 +501,8 @@ func protoReport(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG, n
 	}
 
 	// Uses in a bad state: any mention of a derived value whose owner may
-	// have worsened (staleOnly: past its binding state), or of an owner in
-	// a state with a direct-use message. The defining assignment itself
-	// re-derives, so skip LHS positions.
+	// have worsened, or of an owner in a state with a direct-use message.
+	// The defining assignment itself re-derives, so skip LHS positions.
 	lhs := map[ast.Node]bool{}
 	if as, ok := n.stmt.(*ast.AssignStmt); ok {
 		for _, l := range as.Lhs {
@@ -697,49 +522,16 @@ func protoReport(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG, n
 			if obj == nil {
 				return true
 			}
-			if b, ok := in.derived[obj]; ok {
-				if rank, live := in.state[b.owner]; live {
-					msgs := spec.useInState[spec.states[rank]]
-					if msgs.derivedMsg != "" && (!spec.staleOnly || rank > b.rank) {
-						report(id.Pos(), msgs.derivedMsg, obj.Name(), b.owner.Name())
+			if owner, ok := in.derived[obj]; ok {
+				if rank, live := in.state[owner]; live {
+					if msg := spec.useInState[spec.states[rank]].derivedMsg; msg != "" {
+						report(id.Pos(), msg, obj.Name(), owner.Name())
 					}
 				}
 			} else if rank, ok := in.state[obj]; ok {
 				msgs := spec.useInState[spec.states[rank]]
 				if msgs.directMsg != "" && !isEventReceiver(spec, n, id) {
 					report(id.Pos(), msgs.directMsg, obj.Name())
-				}
-			}
-			return true
-		})
-	}
-
-	// Events fired in states that forbid them.
-	for _, root := range headerNodes(n) {
-		shallowInspect(root, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for i := range spec.events {
-				ev := &spec.events[i]
-				if len(ev.badIn) == 0 {
-					continue
-				}
-				recv, ok := methodCallOn(call, ev.method)
-				if !ok {
-					continue
-				}
-				obj := identObj(info, recv)
-				if obj == nil {
-					continue
-				}
-				rank, tracked := in.state[obj]
-				if !tracked {
-					continue
-				}
-				if msg := ev.badIn[spec.states[rank]]; msg != "" {
-					report(call.Pos(), msg, obj.Name())
 				}
 			}
 			return true
@@ -757,7 +549,7 @@ func protoReport(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG, n
 		if obj == nil {
 			return
 		}
-		owner := in.derived[obj].owner
+		owner := in.derived[obj]
 		if eventReachable(p, sums, spec, cfg, n, owner) {
 			report(pos, spec.escapeMsg, obj.Name(), owner.Name(), how)
 		}

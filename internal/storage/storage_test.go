@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +148,92 @@ func TestTensorStoreEmptyKeyCount(t *testing.T) {
 	}
 	if _, err := s.ReadRows("fresh2", []int{0}); err == nil {
 		t.Error("reading an empty key should error")
+	}
+}
+
+// A closed store refuses every operation that would touch a file or the
+// directory with ErrClosed — it used to reopen handles silently and leak
+// them — creates nothing on disk, and closes a second time as a no-op.
+func TestTensorStoreClosedRefusesOperations(t *testing.T) {
+	s, _ := newStore(t)
+	if err := s.Append("k", tensor.New(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func() error{
+		"Append":      func() error { return s.Append("k", tensor.New(1, 3)) },
+		"AppendNew":   func() error { return s.Append("fresh", tensor.New(1, 3)) },
+		"Count":       func() error { _, err := s.Count("k"); return err },
+		"RecordShape": func() error { _, err := s.RecordShape("k"); return err },
+		"ReadRows":    func() error { _, err := s.ReadRows("k", []int{0}); return err },
+		"ReadRowsIn":  func() error { _, err := s.ReadRowsIn("k", []int{0}, nil); return err },
+		"ReadRange":   func() error { _, err := s.ReadRange("k", 0, 1); return err },
+		"Delete":      func() error { return s.Delete("k") },
+		"Keys":        func() error { _, err := s.Keys(); return err },
+		"GC":          func() error { _, _, err := s.GC(func(string) bool { return false }); return err },
+	}
+	for name, op := range ops {
+		if err := op(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s on a closed store: err = %v, want ErrClosed", name, err)
+		}
+	}
+	if len(s.files) != 0 {
+		t.Errorf("closed store holds %d open handles", len(s.files))
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), "fresh.nts")); !os.IsNotExist(err) {
+		t.Errorf("Append on a closed store created a file (stat err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), "k.nts")); err != nil {
+		t.Errorf("Delete/GC on a closed store removed the artifact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	// The directory is intact: a new store over it serves the rows.
+	re, err := NewTensorStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, err := re.Count("k"); err != nil || n != 2 {
+		t.Errorf("reopened count = %d (%v), want 2", n, err)
+	}
+}
+
+// Close racing readers and appenders: every operation either completes or
+// reports ErrClosed, and none reopens a handle behind Close.
+func TestTensorStoreCloseRacesOperations(t *testing.T) {
+	s, _ := newStore(t)
+	if err := s.Append("k", tensor.New(4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var err error
+				if w%2 == 0 {
+					_, err = s.ReadRows("k", []int{i % 4})
+				} else {
+					err = s.Append(fmt.Sprintf("w%d", w), tensor.New(1, 3))
+				}
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	if err := s.Close(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	if len(s.files) != 0 {
+		t.Errorf("%d handles reopened behind Close", len(s.files))
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -17,6 +18,11 @@ import (
 // tensorStoreMagic identifies materialized-output files.
 const tensorStoreMagic = "NTS1"
 
+// ErrClosed is returned by every TensorStore operation that touches a file
+// or the directory once Close has run. A closed store stays closed: reopen
+// the directory with NewTensorStore.
+var ErrClosed = errors.New("storage: tensor store is closed")
+
 // TensorStore persists materialized layer outputs on disk, one file per
 // key (the producing expression's signature). Records append incrementally
 // as new labeled data arrives; reads fetch row ranges or gathered batches.
@@ -30,8 +36,9 @@ type TensorStore struct {
 	cache    *rowCache
 	obs      *obs.Tracer
 
-	mu    sync.Mutex
-	files map[string]*os.File
+	mu     sync.Mutex
+	files  map[string]*os.File
+	closed bool
 }
 
 // SetObs attaches an observability tracer: reads and writes emit spans
@@ -82,6 +89,9 @@ func (s *TensorStore) path(key string) string {
 }
 
 func (s *TensorStore) open(key string) (*os.File, error) {
+	if s.closed {
+		return nil, ErrClosed
+	}
 	if f := s.files[key]; f != nil {
 		return f, nil
 	}
@@ -344,6 +354,9 @@ func (s *TensorStore) TotalBytes() int64 {
 func (s *TensorStore) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if f := s.files[key]; f != nil {
 		_ = f.Close() // the file is being deleted; close errors are moot
 		delete(s.files, key)
@@ -359,6 +372,12 @@ func (s *TensorStore) Delete(key string) error {
 
 // Keys lists every key with a file in the store, sorted.
 func (s *TensorStore) Keys() ([]string, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("storage: list store dir: %w", err)
@@ -411,10 +430,12 @@ func (s *TensorStore) GC(keep func(key string) bool) (deleted []string, freed in
 	return deleted, freed, nil
 }
 
-// Close releases all open file handles.
+// Close releases all open file handles. Operations on the store fail with
+// ErrClosed from here on; a second Close is a no-op.
 func (s *TensorStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
 	for k, f := range s.files {
 		if err := f.Close(); err != nil && first == nil {

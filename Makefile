@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fixtures check check-exhaustive bench bench-e2e trace-demo tune
+.PHONY: build test lint lint-fixtures check check-exhaustive fuzz bench bench-e2e trace-demo tune
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,15 @@ check:
 # edit to vecmath_amd64.s.
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
+
+# fuzz runs FuzzLoadParamsInto, the checkpoint reader's fuzz target, for
+# 60 s on two workers (property: an error that leaves the model untouched,
+# or every listed param restored bit-exactly; never a panic). It is not part
+# of check: plain go test replays only the committed seed corpus under
+# internal/storage/testdata/fuzz/FuzzLoadParamsInto. A failing input is
+# written there too; commit it with the fix.
+fuzz:
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadParamsInto$$' -fuzztime 60s -parallel 2
 
 # bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
 # backoff factor, Figure 5 estimate; the paper's tables and figures are

@@ -75,7 +75,7 @@ func TestMaterializerErrorReleasesChunkScopes(t *testing.T) {
 	mz.inputName = "no_such_input" // forces ForwardOpts to fail on the first chunk
 
 	snap := nerSnapshot(t, 2)
-	err = mz.AppendDelta(Train, snap.TrainX)
+	err = mz.SyncSplit(Train, snap.TrainX)
 	if err == nil || !strings.Contains(err.Error(), "no feed for input") {
 		t.Fatalf("want missing-feed forward error, got %v", err)
 	}

@@ -85,21 +85,21 @@ func TestMaterializerAppendAndCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := nerSnapshot(t, 2)
-	if err := mz.AppendDelta(Train, snap.TrainX); err != nil {
+	if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
 		t.Fatal(err)
 	}
-	if err := mz.AppendDelta(Valid, snap.ValidX); err != nil {
+	if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
 		t.Fatal(err)
 	}
-	for _, sig := range mz.MaterializedSigs() {
-		n, err := mz.Count(sig, Train)
+	for sig := range res.Sigs {
+		n, err := store.Count(storeKey(sig, Train))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != snap.TrainSize() {
 			t.Errorf("sig %v: %d train records materialized, want %d", sig, n, snap.TrainSize())
 		}
-		nv, _ := mz.Count(sig, Valid)
+		nv, _ := store.Count(storeKey(sig, Valid))
 		if nv != snap.ValidSize() {
 			t.Errorf("sig %v: %d valid records, want %d", sig, nv, snap.ValidSize())
 		}
@@ -119,28 +119,26 @@ func TestMaterializerNilWhenNothingChosen(t *testing.T) {
 }
 
 func TestMaterializerIncrementalMatchesBulk(t *testing.T) {
-	// Appending two deltas must equal materializing the union at once.
-	items, mm := buildWorkload(t, 1)
-	_ = items
-	sigs := map[graph.Signature]bool{}
+	// Syncing a grown split onto a store that holds its prefix must equal
+	// materializing the whole split at once.
+	_, mm := buildWorkload(t, 1)
 	// Pick the last block's signature.
 	mat := mm.MaterializableNodes()
 	sig := mm.Sig(mat[len(mat)-1])
-	sigs[sig] = true
+	sigs := map[graph.Signature]bool{sig: true}
 
-	pool := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7})
+	xAll, _ := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7}).LabelBatch(60)
+	prefix, _ := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7}).LabelBatch(30)
 
 	storeA, _ := newTestStore(t)
 	mzA, err := NewMaterializer(storeA, mm, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, _ := pool.LabelBatch(30)
-	x2, _ := pool.LabelBatch(30)
-	if err := mzA.AppendDelta(Train, x1); err != nil {
+	if err := mzA.SyncSplit(Train, prefix); err != nil {
 		t.Fatal(err)
 	}
-	if err := mzA.AppendDelta(Train, x2); err != nil {
+	if err := mzA.SyncSplit(Train, xAll); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,9 +147,7 @@ func TestMaterializerIncrementalMatchesBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7})
-	xAll, _ := all.LabelBatch(60)
-	if err := mzB.AppendDelta(Train, xAll); err != nil {
+	if err := mzB.SyncSplit(Train, xAll); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,11 +155,11 @@ func TestMaterializerIncrementalMatchesBulk(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	a, err := storeA.ReadRows(storeKey(sig, Train), idx)
+	a, err := storeA.ReadRowsIn(storeKey(sig, Train), idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := storeB.ReadRows(storeKey(sig, Train), idx)
+	b, err := storeB.ReadRowsIn(storeKey(sig, Train), idx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +247,10 @@ func TestNautilusPlanStatisticallyEquivalent(t *testing.T) {
 	if mz, err := NewMaterializer(storeB, mmB, matRes.Sigs); err != nil {
 		t.Fatal(err)
 	} else if mz != nil {
-		if err := mz.AppendDelta(Train, snap.TrainX); err != nil {
+		if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
 			t.Fatal(err)
 		}
-		if err := mz.AppendDelta(Valid, snap.ValidX); err != nil {
+		if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,10 +321,10 @@ func TestTrainGroupLoadsMaterializedFeatures(t *testing.T) {
 	if mz == nil {
 		t.Fatal("expected materialization")
 	}
-	if err := mz.AppendDelta(Train, snap.TrainX); err != nil {
+	if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
 		t.Fatal(err)
 	}
-	if err := mz.AppendDelta(Valid, snap.ValidX); err != nil {
+	if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
 		t.Fatal(err)
 	}
 	tr := &Trainer{Store: store, Loss: train.SoftmaxCrossEntropy{}, Seed: 3, Metrics: metrics}
@@ -387,10 +383,10 @@ func TestPrefetchProducesIdenticalResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if mz != nil {
-			if err := mz.AppendDelta(Train, snap.TrainX); err != nil {
+			if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
 				t.Fatal(err)
 			}
-			if err := mz.AppendDelta(Valid, snap.ValidX); err != nil {
+			if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -406,36 +402,35 @@ func TestPrefetchProducesIdenticalResults(t *testing.T) {
 	}
 }
 
+// Tearing a plan down wholesale is reconciling against an empty V: every
+// artifact goes, and SyncSplit re-materializes from row zero.
 func TestMaterializerResetDropsArtifacts(t *testing.T) {
-	items, mm := buildWorkload(t, 1)
-	_ = items
-	sigs := map[graph.Signature]bool{}
-	mat := mm.MaterializableNodes()
-	sig := mm.Sig(mat[0])
-	sigs[sig] = true
+	_, mm := buildWorkload(t, 1)
+	sig := mm.Sig(mm.MaterializableNodes()[0])
+	sigs := map[graph.Signature]bool{sig: true}
 	store, _ := newTestStore(t)
 	mz, err := NewMaterializer(store, mm, sigs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := nerSnapshot(t, 1)
-	if err := mz.AppendDelta(Train, snap.TrainX); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := mz.Count(sig, Train); n == 0 {
-		t.Fatal("nothing materialized")
-	}
-	if err := mz.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := mz.Count(sig, Train); n != 0 {
-		t.Errorf("reset left %d records", n)
-	}
-	// SyncSplit after reset re-materializes from scratch.
 	if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := mz.Count(sig, Train); n != snap.TrainSize() {
+	key := storeKey(sig, Train)
+	if n, _ := store.Count(key); n == 0 {
+		t.Fatal("nothing materialized")
+	}
+	if _, err := ReconcileArtifacts(store, sigs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := store.Count(key); n != 0 {
+		t.Errorf("reset left %d records", n)
+	}
+	if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := store.Count(key); n != snap.TrainSize() {
 		t.Errorf("re-sync materialized %d, want %d", n, snap.TrainSize())
 	}
 }

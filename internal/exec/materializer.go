@@ -104,22 +104,6 @@ func NewMaterializer(store *storage.TensorStore, mm *mmg.MultiModel, sigs map[gr
 	}, nil
 }
 
-// MaterializedSigs returns the signatures this materializer maintains.
-func (mz *Materializer) MaterializedSigs() []graph.Signature {
-	var out []graph.Signature
-	for _, sig := range mz.outputs {
-		out = append(out, sig)
-	}
-	return out
-}
-
-// AppendDelta computes the chosen outputs for the newly labeled records ΔD⁺
-// of one split and appends them to the store. Records must arrive in the
-// same order as the snapshot accumulates them.
-func (mz *Materializer) AppendDelta(split Split, deltaX *tensor.Tensor) error {
-	return mz.appendNodes(split, mz.outputNodes(), deltaX)
-}
-
 // outputNodes lists the chosen nodes sorted by name for deterministic
 // forwarding and append order.
 func (mz *Materializer) outputNodes() []*graph.Node {
@@ -201,7 +185,7 @@ func (mz *Materializer) forwardPipeline(model *graph.Model, span *obs.Span, delt
 			cs := span.Child("mat/chunk", obs.Int("records", int64(hi-lo)))
 			cs.SetTrack(2)
 			scope := mz.Arena.Scope()
-			chunk := sliceRecordsIn(deltaX, lo, hi, allocOf(scope))
+			chunk := sliceRecords(deltaX, lo, hi, allocOf(scope))
 			tape, err := model.ForwardOpts(map[string]*tensor.Tensor{mz.inputName: chunk}, graph.ForwardOptions{Alloc: allocOf(scope)})
 			cs.End()
 			ch <- matChunk{tape: tape, scope: scope, err: err}
@@ -249,26 +233,8 @@ func (mz *Materializer) SyncSplit(split Split, fullX *tensor.Tensor) error {
 	}
 	sort.Ints(haves)
 	for _, have := range haves {
-		if err := mz.appendNodes(split, byHave[have], sliceRecords(fullX, have, total)); err != nil {
+		if err := mz.appendNodes(split, byHave[have], sliceRecords(fullX, have, total, nil)); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// Count returns how many records of a split are materialized for sig.
-func (mz *Materializer) Count(sig graph.Signature, split Split) (int, error) {
-	return mz.store.Count(storeKey(sig, split))
-}
-
-// Reset drops all artifacts of this materializer (used when a plan is torn
-// down wholesale; evolution events reconcile instead).
-func (mz *Materializer) Reset() error {
-	for _, sig := range mz.outputs {
-		for _, split := range []Split{Train, Valid} {
-			if err := mz.store.Delete(storeKey(sig, split)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -323,23 +289,9 @@ func ReconcileArtifacts(store *storage.TensorStore, oldSigs, newSigs map[graph.S
 	return st, nil
 }
 
-// Reconcile garbage-collects every artifact not maintained by this
-// materializer, comparing against the previous plan's materialized set.
-func (mz *Materializer) Reconcile(oldSigs map[graph.Signature]bool) (*ReconcileStats, error) {
-	newSigs := make(map[graph.Signature]bool, len(mz.outputs))
-	for _, sig := range mz.outputs {
-		newSigs[sig] = true
-	}
-	return ReconcileArtifacts(mz.store, oldSigs, newSigs)
-}
-
-// sliceRecords copies records [lo,hi) along dim 0.
-func sliceRecords(t *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	return sliceRecordsIn(t, lo, hi, nil)
-}
-
-// sliceRecordsIn is sliceRecords allocating from a (nil = heap).
-func sliceRecordsIn(t *tensor.Tensor, lo, hi int, a tensor.Alloc) *tensor.Tensor {
+// sliceRecords copies records [lo,hi) along dim 0 into a tensor allocated
+// from a (nil = heap).
+func sliceRecords(t *tensor.Tensor, lo, hi int, a tensor.Alloc) *tensor.Tensor {
 	shape := append([]int(nil), t.Shape()...)
 	rec := t.Len() / shape[0]
 	shape[0] = hi - lo

@@ -16,15 +16,12 @@ import (
 
 // Trainer trains fused (or singleton) reuse-plan models on dataset
 // snapshots, reading materialized intermediates from the tensor store. One
-// optimizer instance runs per trainable branch, each branch belonging to
-// one source model of the group (the multi-optimizer training of
-// Section 3).
+// Adam instance at the item's learning rate runs per trainable branch, each
+// branch belonging to one source model of the group (the multi-optimizer
+// training of Section 3).
 type Trainer struct {
 	Store *storage.TensorStore
 	Loss  train.Loss
-	// NewOptimizer builds a branch optimizer from its work item; defaults
-	// to Adam at the item's learning rate.
-	NewOptimizer func(opt.WorkItem) train.Optimizer
 	// Seed drives mini-batch shuffling.
 	Seed int64
 	// Metrics, when set, accumulates execution accounting.
@@ -46,10 +43,6 @@ type Trainer struct {
 	// the cost-model conformance account, and the live-tensor peak-memory
 	// replay. nil disables all instrumentation (nil-check cost only).
 	Obs *obs.Tracer
-	// OptSlotBytes is the optimizer-state overhead per trainable parameter
-	// byte assumed by the peak-memory replay; 0 defaults to
-	// opt.AdamSlotBytes when NewOptimizer is nil.
-	OptSlotBytes int64
 }
 
 // BranchResult reports one source model's training outcome.
@@ -87,16 +80,11 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	if len(planModel.Outputs) != len(g.Items) {
 		return nil, fmt.Errorf("exec: %d outputs for %d branches", len(planModel.Outputs), len(g.Items))
 	}
-	newOpt := t.NewOptimizer
-	if newOpt == nil {
-		newOpt = func(it opt.WorkItem) train.Optimizer { return train.NewAdam(it.LR) }
-	}
-
 	// Branch optimizers over each source model's trainable params (layer
 	// instances are shared between source models and the plan model).
 	type branch struct {
 		out    *graph.Node
-		opt    train.Optimizer
+		opt    *train.Adam
 		params map[*graph.Param]bool
 	}
 	branches := make([]branch, len(g.Items))
@@ -105,7 +93,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 		for _, p := range it.Model.TrainableParams() {
 			params[p] = true
 		}
-		branches[i] = branch{out: planModel.Outputs[i], opt: newOpt(it), params: params}
+		branches[i] = branch{out: planModel.Outputs[i], opt: train.NewAdam(it.LR), params: params}
 	}
 
 	computePerRecord := g.Plan.ComputeFLOPsPerRecord()
@@ -138,11 +126,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	if t.Obs.Enabled() {
 		trk = &obs.MemTracker{}
 		total, trainable := planModel.ParamCount()
-		slot := t.OptSlotBytes
-		if slot == 0 && t.NewOptimizer == nil {
-			slot = opt.AdamSlotBytes
-		}
-		memBase = total*4 + trainable*4*slot
+		memBase = total*4 + trainable*4*opt.AdamSlotBytes
 	}
 	var es, bs *obs.Span
 	defer func() { bs.End(); es.End() }() // close spans left open by error returns
@@ -256,7 +240,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 			idx := idxAll[lo:hi]
 			scope := t.Arena.Scope()
 			fa := vs.Child("train/feed_assemble", obs.Int("records", int64(len(idx))))
-			feedsMap, err := t.batchFeedsIn(planModel, feeds, Valid, snap.ValidX, idx, allocOf(scope))
+			feedsMap, err := t.batchFeeds(planModel, feeds, Valid, snap.ValidX, idx, allocOf(scope))
 			gc.AddLoadTime(fa.End())
 			if err != nil {
 				vs.End()
@@ -307,14 +291,9 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 
 // batchFeeds assembles the feed map for one mini-batch: dataset inputs
 // gather from the in-memory snapshot, materialized feeds read from the
-// store.
-func (t *Trainer) batchFeeds(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int) (map[string]*tensor.Tensor, error) {
-	return t.batchFeedsIn(planModel, feedSigs, split, x, idx, nil)
-}
-
-// batchFeedsIn is batchFeeds allocating every feed from a (the batch's step
-// scope), so the whole step derives from recycled buffers.
-func (t *Trainer) batchFeedsIn(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, a tensor.Alloc) (map[string]*tensor.Tensor, error) {
+// store. Every feed is allocated from a (the batch's step scope), so the
+// whole step derives from recycled buffers.
+func (t *Trainer) batchFeeds(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, a tensor.Alloc) (map[string]*tensor.Tensor, error) {
 	feeds := map[string]*tensor.Tensor{}
 	for _, in := range planModel.Inputs() {
 		if sig, ok := feedSigs[in.Name]; ok {
@@ -401,7 +380,7 @@ func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph
 			// while batch t computes in its own, so recycling never crosses
 			// the pipeline boundary.
 			scope := t.Arena.Scope()
-			feeds, err := t.batchFeedsIn(planModel, feedSigs, Train, snap.TrainX, idx, allocOf(scope))
+			feeds, err := t.batchFeeds(planModel, feedSigs, Train, snap.TrainX, idx, allocOf(scope))
 			// Assembly time (store reads + host gathers) is the actual load
 			// leg of the conformance drift account.
 			gc.AddLoadTime(as.End())

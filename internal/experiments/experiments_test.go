@@ -254,3 +254,22 @@ func TestHardwareSweepMonotoneLoads(t *testing.T) {
 	}
 	PrintHardwareSweep(io.Discard, rows)
 }
+
+// Figure 7's parity claim: Current Practice and Nautilus train logically
+// equivalent SGD, so their best validation accuracies are bit-identical
+// cycle by cycle.
+func TestFig7ApproachesReachEqualAccuracy(t *testing.T) {
+	r, err := Fig7(Fig7Config{LRs: 1, Cycles: 1, Seed: 11, WorkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.CurrentPractice) != 1 || len(r.Nautilus) != 1 {
+		t.Fatalf("cycles: current practice %d, nautilus %d; want 1 each", len(r.CurrentPractice), len(r.Nautilus))
+	}
+	for i, cp := range r.CurrentPractice {
+		nt := r.Nautilus[i]
+		if cp.Cycle != nt.Cycle || cp.BestAcc != nt.BestAcc {
+			t.Errorf("cycle %d: current practice best acc %v, nautilus cycle %d best acc %v", cp.Cycle, cp.BestAcc, nt.Cycle, nt.BestAcc)
+		}
+	}
+}

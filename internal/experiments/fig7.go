@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"nautilus/internal/core"
-	"nautilus/internal/data"
 	"nautilus/internal/obs"
 	"nautilus/internal/profile"
 	"nautilus/internal/workloads"
@@ -44,7 +43,8 @@ func MiniHardware() profile.Hardware {
 type Fig7Config struct {
 	// LRs per strategy (2 strategies are always used).
 	LRs int
-	// Cycles of labeling + model selection.
+	// Cycles of labeling + model selection (0: the workload's whole
+	// schedule).
 	Cycles int
 	// SecPerLabel adds simulated human labeling time per record
 	// (Figure 7B); 0 reproduces Figure 7A.
@@ -78,11 +78,11 @@ type Fig7Result struct {
 	Speedup float64
 }
 
-// Fig7 reproduces Figure 7 in miniature with *real* training: the same
-// evolving-data loop runs under Current Practice and Nautilus, recording
-// best-so-far validation accuracy against elapsed time. Both curves reach
-// the same accuracies (logically equivalent SGD); Nautilus reaches them
-// faster.
+// Fig7 reproduces Figure 7 in miniature with *real* training: core.Run
+// drives the same evolving-data loop under Current Practice and Nautilus,
+// and each cycle's elapsed time adds the simulated labeling time to its
+// Fit. Both curves reach the same accuracies cycle by cycle (logically
+// equivalent SGD, §5.2); Nautilus reaches them faster.
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	if cfg.LRs == 0 {
 		cfg = DefaultFig7Config()
@@ -115,28 +115,17 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		ccfg.MaxRecords = 600
 		ccfg.Obs = cfg.Obs
 
-		pool := inst.NewPool(cfg.Seed)
-		perCycle, trainPer, _ := inst.CycleSchedule()
-		labeler := data.NewLabeler(pool, perCycle, trainPer)
-
-		ms, err := core.New(inst.Items, inst.MM, ccfg)
+		rep, err := core.Run(inst, ccfg, cfg.Seed, cfg.Cycles)
 		if err != nil {
 			return nil, err
 		}
+		perCycle, _, _ := inst.CycleSchedule()
 		elapsed := 0.0
-		var pts []Fig7Point
-		for k := 0; k < cfg.Cycles && labeler.HasMore(); k++ {
-			snap, _, _ := labeler.NextCycle()
-			elapsed += cfg.SecPerLabel * float64(perCycle)
-			fit, err := ms.Fit(snap)
-			if err != nil {
-				_ = ms.Close() // already failing; Fit's error wins
-				return nil, err
-			}
-			elapsed += fit.Duration.Seconds()
-			pts = append(pts, Fig7Point{Cycle: fit.Cycle, ElapsedSec: elapsed, BestAcc: fit.Best.ValAcc})
+		pts := make([]Fig7Point, len(rep.Cycles))
+		for i, c := range rep.Cycles {
+			elapsed += cfg.SecPerLabel*float64(perCycle) + c.Duration.Seconds()
+			pts[i] = Fig7Point{Cycle: c.Cycle, ElapsedSec: elapsed, BestAcc: c.BestAcc}
 		}
-		_ = ms.Close() // read-only session: nothing buffered to flush
 		totals[ai] = elapsed
 		if approach == core.CurrentPractice {
 			out.CurrentPractice = pts

@@ -373,30 +373,6 @@ func TestParamLazyMaterializationAndFingerprint(t *testing.T) {
 	}
 }
 
-func TestLayerRegistryRoundTrip(t *testing.T) {
-	for _, typ := range []string{"dense", "layer_norm", "mha", "transformer_block", "residual_block"} {
-		found := false
-		for _, r := range graph.RegisteredLayerTypes() {
-			if r == typ {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("layer type %q not registered", typ)
-		}
-	}
-	l, err := graph.NewLayerFromConfig("dense", map[string]any{"in": 3.0, "out": 2.0, "act": "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Type() != "dense" {
-		t.Errorf("rebuilt layer type = %q", l.Type())
-	}
-	if _, err := graph.NewLayerFromConfig("no_such_layer", nil); err == nil {
-		t.Error("unknown type should error")
-	}
-}
-
 // TestRandomDAGEndToEndGradients is the engine-level property test: on
 // random dense/concat DAGs with random trainability, every accumulated
 // parameter gradient must match central finite differences of the full
@@ -492,34 +468,6 @@ func TestTapeOutputsAndLiveBytes(t *testing.T) {
 	// Live bytes: x(2×4) + d1(2×5) + d2(2×6) + d3(2×3) = 36 floats.
 	if got := tape.LiveActivationBytes(); got != 36*4 {
 		t.Errorf("live bytes = %d, want %d", got, 36*4)
-	}
-}
-
-func TestConfigHelpers(t *testing.T) {
-	cfg := map[string]any{
-		"ints":  []any{1.0, 2.0},
-		"int":   3.0,
-		"float": 1.5,
-		"str":   "x",
-	}
-	ints, err := graph.IntSlice(cfg, "ints")
-	if err != nil || len(ints) != 2 || ints[1] != 2 {
-		t.Errorf("IntSlice = %v (%v)", ints, err)
-	}
-	if _, err := graph.IntSlice(cfg, "str"); err == nil {
-		t.Error("IntSlice on string should error")
-	}
-	if v, err := graph.Int(cfg, "int"); err != nil || v != 3 {
-		t.Errorf("Int = %v (%v)", v, err)
-	}
-	if _, err := graph.Int(cfg, "str"); err == nil {
-		t.Error("Int on string should error")
-	}
-	if v, err := graph.Float(cfg, "float"); err != nil || v != 1.5 {
-		t.Errorf("Float = %v (%v)", v, err)
-	}
-	if _, err := graph.Float(cfg, "str"); err == nil {
-		t.Error("Float on string should error")
 	}
 }
 

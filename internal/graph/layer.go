@@ -1,9 +1,6 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
-
 	"nautilus/internal/tensor"
 )
 
@@ -17,7 +14,7 @@ import (
 // shapes (batch dimension excluded); tensors passed to Forward/Backward
 // carry the batch as their leading dimension.
 type Layer interface {
-	// Type returns the registered layer type name, e.g. "dense".
+	// Type returns the layer type name, e.g. "dense".
 	Type() string
 	// Config returns the serializable hyperparameter configuration. Two
 	// layers of the same type with equal configs compute the same function
@@ -124,97 +121,4 @@ func (l *InputLayer) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tenso
 
 func (l *InputLayer) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	return nil, nil
-}
-
-// layerFactory builds a layer of a registered type from its config, used
-// when restoring model architectures from checkpoints.
-type layerFactory func(cfg map[string]any) (Layer, error)
-
-var layerRegistry = map[string]layerFactory{}
-
-// RegisterLayerType registers a factory for deserializing layers of the
-// given type. It panics on duplicate registration.
-func RegisterLayerType(typ string, f layerFactory) {
-	if _, dup := layerRegistry[typ]; dup {
-		panic(fmt.Sprintf("graph: duplicate layer type %q", typ))
-	}
-	layerRegistry[typ] = f
-}
-
-// NewLayerFromConfig instantiates a layer of a registered type.
-func NewLayerFromConfig(typ string, cfg map[string]any) (Layer, error) {
-	f, ok := layerRegistry[typ]
-	if !ok {
-		return nil, fmt.Errorf("graph: unknown layer type %q", typ)
-	}
-	return f(cfg)
-}
-
-// RegisteredLayerTypes returns the sorted names of all registered layer
-// types.
-func RegisteredLayerTypes() []string {
-	names := make([]string, 0, len(layerRegistry))
-	for n := range layerRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterLayerType("input", func(cfg map[string]any) (Layer, error) {
-		shape, err := IntSlice(cfg, "shape")
-		if err != nil {
-			return nil, err
-		}
-		key, _ := cfg["feed_key"].(string)
-		return &InputLayer{Shape: shape, FeedKey: key}, nil
-	})
-}
-
-// IntSlice extracts an int slice config value, tolerating the []any form
-// produced by JSON round-trips.
-func IntSlice(cfg map[string]any, key string) ([]int, error) {
-	switch v := cfg[key].(type) {
-	case []int:
-		return append([]int(nil), v...), nil
-	case []any:
-		out := make([]int, len(v))
-		for i, x := range v {
-			f, ok := x.(float64)
-			if !ok {
-				return nil, fmt.Errorf("graph: config %q element %d is %T, want number", key, i, x)
-			}
-			out[i] = int(f)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("graph: config %q is %T, want int slice", key, v)
-	}
-}
-
-// Int extracts an int config value, tolerating JSON float64.
-func Int(cfg map[string]any, key string) (int, error) {
-	switch v := cfg[key].(type) {
-	case int:
-		return v, nil
-	case int64:
-		return int(v), nil
-	case float64:
-		return int(v), nil
-	default:
-		return 0, fmt.Errorf("graph: config %q is %T, want int", key, v)
-	}
-}
-
-// Float extracts a float config value, tolerating ints.
-func Float(cfg map[string]any, key string) (float64, error) {
-	switch v := cfg[key].(type) {
-	case float64:
-		return v, nil
-	case int:
-		return float64(v), nil
-	default:
-		return 0, fmt.Errorf("graph: config %q is %T, want float", key, v)
-	}
 }

@@ -161,35 +161,3 @@ func (l *RNNCell) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *ten
 	}
 	return []*tensor.Tensor{dx, dh}, []*tensor.Tensor{dwx, dwh, db}
 }
-
-func init() {
-	graph.RegisterLayerType("select_seq", func(cfg map[string]any) (graph.Layer, error) {
-		t, err := graph.Int(cfg, "t")
-		if err != nil {
-			return nil, err
-		}
-		seq, err := graph.Int(cfg, "seq")
-		if err != nil {
-			return nil, err
-		}
-		return NewSelectSeq(t, seq), nil
-	})
-	graph.RegisterLayerType("initial_state", func(cfg map[string]any) (graph.Layer, error) {
-		h, err := graph.Int(cfg, "hidden")
-		if err != nil {
-			return nil, err
-		}
-		return NewInitialState(h), nil
-	})
-	graph.RegisterLayerType("rnn_cell", func(cfg map[string]any) (graph.Layer, error) {
-		in, err := graph.Int(cfg, "in")
-		if err != nil {
-			return nil, err
-		}
-		h, err := graph.Int(cfg, "hidden")
-		if err != nil {
-			return nil, err
-		}
-		return NewRNNCell(in, h, 0), nil
-	})
-}

@@ -15,9 +15,9 @@ func (m MemoryEstimate) Total() int64 {
 }
 
 // AdamSlotBytes is the optimizer-state overhead per trainable parameter
-// byte under Adam (first and second moments) — the optimizer every training
-// path uses unless a Trainer is handed another, so the planner's B_mem
-// estimate and the trainer's live-memory replay agree on it.
+// byte under Adam (first and second moments) — the one optimizer the
+// trainer runs, so the planner's B_mem estimate and the trainer's
+// live-memory replay agree on it.
 const AdamSlotBytes = 2
 
 // EstimatePeakMemory performs the topological live-tensor analysis of
@@ -26,8 +26,8 @@ const AdamSlotBytes = 2
 // path; a topological traversal tracks which output tensors are live and
 // returns the peak, plus parameter/optimizer/workspace terms.
 //
-// optBytesPerTrainableByte is the optimizer's slot overhead (0 for plain
-// SGD, 1 for momentum, AdamSlotBytes for Adam).
+// optBytesPerTrainableByte is the optimizer's slot overhead per trainable
+// parameter byte (AdamSlotBytes on every training path).
 func EstimatePeakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)

@@ -31,14 +31,15 @@ type paramEntry struct {
 	Offset int64  `json:"offset"`
 }
 
-// checkpointHeader is the JSON header of a checkpoint file.
+// checkpointHeader is the JSON header of a checkpoint file. The
+// architecture (Nodes, Outputs) documents the file; restores rebuild the
+// model from code and read only Params.
 type checkpointHeader struct {
 	Model   string       `json:"model"`
 	Nodes   []archNode   `json:"nodes"`
 	Outputs []string     `json:"outputs"`
 	Params  []paramEntry `json:"params"`
-	// TrainableOnly marks checkpoints that store only trainable weights;
-	// they can only be restored into an existing model.
+	// TrainableOnly marks checkpoints that store only trainable weights.
 	TrainableOnly bool `json:"trainable_only,omitempty"`
 }
 
@@ -121,109 +122,103 @@ func SaveModel(path string, m *graph.Model, opts CheckpointOptions, counters *Co
 	return nil
 }
 
-// readCheckpoint parses path into its header and the byte offset where
-// parameter data begins.
-func readCheckpoint(path string) (*checkpointHeader, *os.File, int64, error) {
-	f, err := os.Open(path)
+// readCheckpoint parses path into its header, the byte offset where
+// parameter data begins, and the file size. Every length it reads from the
+// file is checked against the file size before it sizes an allocation.
+func readCheckpoint(path string) (hdr *checkpointHeader, f *os.File, base, size int64, err error) {
+	f, err = os.Open(path)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("storage: open checkpoint: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("storage: open checkpoint: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			_ = f.Close() // read-side close on the error path
+		}
+	}()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("storage: stat checkpoint %s: %w", path, err)
+	}
+	size = st.Size()
 	pre := make([]byte, 12)
+	if size < int64(len(pre)) {
+		return nil, nil, 0, 0, fmt.Errorf("storage: checkpoint %s: %d bytes is shorter than its %d-byte prefix", path, size, len(pre))
+	}
 	if _, err := f.ReadAt(pre, 0); err != nil {
-		_ = f.Close() // read-side close on the error path
-		return nil, nil, 0, err
+		return nil, nil, 0, 0, fmt.Errorf("storage: read checkpoint %s: %w", path, err)
 	}
 	if string(pre[:4]) != checkpointMagic {
-		_ = f.Close() // read-side close on the error path
-		return nil, nil, 0, fmt.Errorf("storage: %s is not a checkpoint", path)
+		return nil, nil, 0, 0, fmt.Errorf("storage: %s is not a checkpoint", path)
 	}
-	hlen := int64(binary.LittleEndian.Uint64(pre[4:]))
+	hlen := binary.LittleEndian.Uint64(pre[4:])
+	if hlen > uint64(size-12) {
+		return nil, nil, 0, 0, fmt.Errorf("storage: checkpoint %s: header length %d exceeds the %d bytes after the prefix", path, hlen, size-12)
+	}
 	hb := make([]byte, hlen)
 	if _, err := f.ReadAt(hb, 12); err != nil {
-		_ = f.Close() // read-side close on the error path
-		return nil, nil, 0, err
+		return nil, nil, 0, 0, fmt.Errorf("storage: read checkpoint %s header: %w", path, err)
 	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(hb, &hdr); err != nil {
-		_ = f.Close() // read-side close on the error path
-		return nil, nil, 0, fmt.Errorf("storage: parse checkpoint header: %w", err)
+	hdr = &checkpointHeader{}
+	if err := json.Unmarshal(hb, hdr); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("storage: parse checkpoint %s header: %w", path, err)
 	}
-	return &hdr, f, 12 + hlen, nil
-}
-
-// LoadModel restores a full checkpoint into a new model. Trainable-only
-// checkpoints cannot be loaded this way (frozen weights are absent); use
-// LoadParamsInto with a freshly rebuilt model instead.
-func LoadModel(path string, counters *Counters) (*graph.Model, error) {
-	hdr, f, base, err := readCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if hdr.TrainableOnly {
-		return nil, fmt.Errorf("storage: %s is a trainable-only checkpoint; use LoadParamsInto", path)
-	}
-	m := graph.NewModel(hdr.Model)
-	for _, an := range hdr.Nodes {
-		layer, err := graph.NewLayerFromConfig(an.Type, an.Config)
-		if err != nil {
-			return nil, fmt.Errorf("storage: node %q: %w", an.Name, err)
-		}
-		parents := make([]*graph.Node, len(an.Parents))
-		for i, pn := range an.Parents {
-			parents[i] = m.Node(pn)
-			if parents[i] == nil {
-				return nil, fmt.Errorf("storage: node %q references unknown parent %q", an.Name, pn)
-			}
-		}
-		n := m.AddNode(an.Name, layer, parents...)
-		n.Trainable = an.Trainable
-	}
-	var outs []*graph.Node
-	for _, o := range hdr.Outputs {
-		n := m.Node(o)
-		if n == nil {
-			return nil, fmt.Errorf("storage: unknown output %q", o)
-		}
-		outs = append(outs, n)
-	}
-	m.SetOutputs(outs...)
-	if err := loadParams(hdr, f, base, m, counters); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return hdr, f, 12 + int64(hlen), size, nil
 }
 
 // LoadParamsInto restores the parameters recorded in the checkpoint into an
-// existing model with matching node and parameter names.
+// existing model with matching node and parameter names: a restore rebuilds
+// the model from code and loads its weights, full and trainable-only
+// checkpoints alike. A corrupt or foreign file is an error and leaves the
+// model untouched when the header is at fault.
 func LoadParamsInto(path string, m *graph.Model, counters *Counters) error {
-	hdr, f, base, err := readCheckpoint(path)
+	hdr, f, base, size, err := readCheckpoint(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return loadParams(hdr, f, base, m, counters)
+	if err := loadParams(hdr, f, base, size, m, counters); err != nil {
+		return fmt.Errorf("storage: checkpoint %s: %w", path, err)
+	}
+	return nil
 }
 
-func loadParams(hdr *checkpointHeader, f *os.File, base int64, m *graph.Model, counters *Counters) error {
+// loadParams validates every entry of hdr against m and the file size, then
+// reads and installs the blobs.
+func loadParams(hdr *checkpointHeader, f *os.File, base, size int64, m *graph.Model, counters *Counters) error {
 	byName := map[string]*graph.Param{}
 	for _, n := range m.Nodes() {
 		for _, p := range n.Layer.Params() {
 			byName[n.Name+"\x00"+p.Name] = p
 		}
 	}
-	var read int64
-	for _, e := range hdr.Params {
-		p := byName[e.Node+"\x00"+e.Param]
+	params := make([]*graph.Param, len(hdr.Params))
+	seen := make(map[string]bool, len(hdr.Params))
+	for i, e := range hdr.Params {
+		key := e.Node + "\x00" + e.Param
+		p := byName[key]
 		if p == nil {
-			return fmt.Errorf("storage: checkpoint param %s/%s not present in model", e.Node, e.Param)
+			return fmt.Errorf("param %s/%s not present in model", e.Node, e.Param)
 		}
-		n := tensor.NumElems(e.Shape)
-		buf := make([]byte, 4*n)
+		if seen[key] {
+			return fmt.Errorf("param %s/%s listed twice", e.Node, e.Param)
+		}
+		seen[key] = true
+		if !tensor.ShapeEq(e.Shape, p.Shape) {
+			return fmt.Errorf("param %s/%s: checkpoint shape %v, model shape %v", e.Node, e.Param, e.Shape, p.Shape)
+		}
+		if e.Offset < 0 || e.Offset > size-base-p.Bytes() {
+			return fmt.Errorf("param %s/%s: %d bytes at data offset %d overrun the %d data bytes", e.Node, e.Param, p.Bytes(), e.Offset, size-base)
+		}
+		params[i] = p
+	}
+	var read int64
+	for i, e := range hdr.Params {
+		p := params[i]
+		buf := make([]byte, p.Bytes())
 		if _, err := f.ReadAt(buf, base+e.Offset); err != nil {
-			return fmt.Errorf("storage: read param %s/%s: %w", e.Node, e.Param, err)
+			return fmt.Errorf("read param %s/%s: %w", e.Node, e.Param, err)
 		}
-		t := tensor.New(e.Shape...)
+		t := tensor.New(p.Shape...)
 		for i := range t.Data() {
 			t.Data()[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 		}

@@ -40,7 +40,7 @@ func TestTensorStoreGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantFreed := s.SizeBytes("gone1") + s.SizeBytes("gone2")
+	wantFreed := 2 * (headerSize(1) + 4*3*4) // two files of 4 records × 3 floats
 
 	deleted, freed, err := s.GC(func(key string) bool { return key == "keepme" })
 	if err != nil {

@@ -6,15 +6,23 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
-	"nautilus/internal/graph"
-	"nautilus/internal/layers"
 	"nautilus/internal/obs"
 	"nautilus/internal/tensor"
 )
+
+// rows returns the record indices [lo, hi).
+func rows(lo, hi int) []int {
+	idx := make([]int, hi-lo)
+	for i := range idx {
+		idx[i] = lo + i
+	}
+	return idx
+}
 
 func newStore(t *testing.T) (*TensorStore, *Counters) {
 	t.Helper()
@@ -38,16 +46,12 @@ func TestTensorStoreAppendReadRoundTrip(t *testing.T) {
 	if err != nil || n != 5 {
 		t.Fatalf("count = %d (%v), want 5", n, err)
 	}
-	got, err := s.ReadRange("k1", 0, 5)
+	got, err := s.ReadRowsIn("k1", rows(0, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.AllClose(a, 0) {
-		t.Error("read-back differs from written data")
-	}
-	shape, err := s.RecordShape("k1")
-	if err != nil || !tensor.ShapeEq(shape, []int{3, 2}) {
-		t.Errorf("record shape = %v (%v)", shape, err)
+	if !got.AllClose(a, 0) || !tensor.ShapeEq(got.Shape(), a.Shape()) {
+		t.Errorf("read-back %v differs from written %v", got.Shape(), a.Shape())
 	}
 }
 
@@ -67,7 +71,7 @@ func TestTensorStoreIncrementalAppend(t *testing.T) {
 		t.Fatalf("count = %d, want 5", n)
 	}
 	// The appended records land after the first batch.
-	got, err := s.ReadRange("k", 3, 5)
+	got, err := s.ReadRowsIn("k", rows(3, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestTensorStoreReadRowsGather(t *testing.T) {
 	if err := s.Append("k", x); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadRows("k", []int{3, 1})
+	got, err := s.ReadRowsIn("k", []int{3, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +114,32 @@ func TestTensorStoreCountersAndSizes(t *testing.T) {
 	if c.BytesWritten() < 320 {
 		t.Errorf("bytes written = %d, want >= 320", c.BytesWritten())
 	}
-	if _, err := s.ReadRange("k", 0, 10); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(0, 10), nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.BytesRead() != 320 {
 		t.Errorf("bytes read = %d, want 320", c.BytesRead())
 	}
-	if s.SizeBytes("k") < 320 || s.TotalBytes() < 320 {
-		t.Error("size accounting wrong")
+	if st, err := os.Stat(filepath.Join(s.Dir(), "k.nts")); err != nil || st.Size() != headerSize(1)+320 {
+		t.Errorf("file size = %v (%v), want header %d + 320 data bytes", st, err, headerSize(1))
 	}
 	c.Reset()
 	if c.BytesRead() != 0 || c.Writes() != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// A negative row index is an error naming the key and row. Unchecked, row
+// -1 of a rank-1 key of width 2 read the header's rank and dim words back
+// as two floats.
+func TestTensorStoreReadRowsRejectsNegativeRow(t *testing.T) {
+	s, _ := newStore(t)
+	if err := s.Append("k", tensor.FromSlice([]float32{1, 2, 3, 4}, 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ReadRowsIn("k", []int{1, -1}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"k" row -1`) {
+		t.Errorf("ReadRowsIn row -1 = %v, %v; want an error naming key and row", got, err)
 	}
 }
 
@@ -146,7 +164,7 @@ func TestTensorStoreEmptyKeyCount(t *testing.T) {
 	if n, err := s.Count("fresh"); err != nil || n != 0 {
 		t.Errorf("fresh key count = %d (%v)", n, err)
 	}
-	if _, err := s.ReadRows("fresh2", []int{0}); err == nil {
+	if _, err := s.ReadRowsIn("fresh2", []int{0}, nil); err == nil {
 		t.Error("reading an empty key should error")
 	}
 }
@@ -163,16 +181,13 @@ func TestTensorStoreClosedRefusesOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := map[string]func() error{
-		"Append":      func() error { return s.Append("k", tensor.New(1, 3)) },
-		"AppendNew":   func() error { return s.Append("fresh", tensor.New(1, 3)) },
-		"Count":       func() error { _, err := s.Count("k"); return err },
-		"RecordShape": func() error { _, err := s.RecordShape("k"); return err },
-		"ReadRows":    func() error { _, err := s.ReadRows("k", []int{0}); return err },
-		"ReadRowsIn":  func() error { _, err := s.ReadRowsIn("k", []int{0}, nil); return err },
-		"ReadRange":   func() error { _, err := s.ReadRange("k", 0, 1); return err },
-		"Delete":      func() error { return s.Delete("k") },
-		"Keys":        func() error { _, err := s.Keys(); return err },
-		"GC":          func() error { _, _, err := s.GC(func(string) bool { return false }); return err },
+		"Append":     func() error { return s.Append("k", tensor.New(1, 3)) },
+		"AppendNew":  func() error { return s.Append("fresh", tensor.New(1, 3)) },
+		"Count":      func() error { _, err := s.Count("k"); return err },
+		"ReadRowsIn": func() error { _, err := s.ReadRowsIn("k", []int{0}, nil); return err },
+		"Delete":     func() error { return s.Delete("k") },
+		"Keys":       func() error { _, err := s.Keys(); return err },
+		"GC":         func() error { _, _, err := s.GC(func(string) bool { return false }); return err },
 	}
 	for name, op := range ops {
 		if err := op(); !errors.Is(err, ErrClosed) {
@@ -217,7 +232,7 @@ func TestTensorStoreCloseRacesOperations(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				var err error
 				if w%2 == 0 {
-					_, err = s.ReadRows("k", []int{i % 4})
+					_, err = s.ReadRowsIn("k", []int{i % 4}, nil)
 				} else {
 					err = s.Append(fmt.Sprintf("w%d", w), tensor.New(1, 3))
 				}
@@ -237,133 +252,6 @@ func TestTensorStoreCloseRacesOperations(t *testing.T) {
 	}
 }
 
-// buildTestModel builds a small frozen-trunk + trainable-head model.
-func buildTestModel() *graph.Model {
-	m := graph.NewModel("ckpt-test")
-	in := m.AddInput("in", 4)
-	d1 := m.AddNode("d1", layers.NewDense(4, 6, layers.ActTanh, 11), in)
-	_ = d1
-	d2 := m.AddNode("d2", layers.NewDense(6, 3, layers.ActNone, 12), d1)
-	d2.Trainable = true
-	m.SetOutputs(d2)
-	return m
-}
-
-func TestCheckpointFullRoundTrip(t *testing.T) {
-	m := buildTestModel()
-	// Mutate a weight so restored values differ from seed init.
-	m.Node("d2").Layer.Params()[0].Tensor().Data()[0] = 42
-	path := filepath.Join(t.TempDir(), "model.nckp")
-	c := &Counters{}
-	if err := SaveModel(path, m, CheckpointOptions{}, c); err != nil {
-		t.Fatal(err)
-	}
-	if c.BytesWritten() == 0 {
-		t.Error("checkpoint write not metered")
-	}
-	restored, err := LoadModel(path, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.NumNodes() != m.NumNodes() {
-		t.Fatalf("restored %d nodes, want %d", restored.NumNodes(), m.NumNodes())
-	}
-	if got := restored.Node("d2").Layer.Params()[0].Tensor().Data()[0]; got != 42 {
-		t.Errorf("restored weight = %v, want 42", got)
-	}
-	if !restored.Node("d2").Trainable || restored.Node("d1").Trainable {
-		t.Error("trainability flags lost")
-	}
-	// Behavioural equivalence: same forward outputs.
-	x := tensor.FromSlice([]float32{1, -1, 0.5, 2}, 1, 4)
-	t1, _ := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
-	t2, _ := restored.Forward(map[string]*tensor.Tensor{"in": x}, false)
-	if !t1.Output(m.Outputs[0]).AllClose(t2.Output(restored.Outputs[0]), 1e-6) {
-		t.Error("restored model computes different outputs")
-	}
-}
-
-func TestCheckpointTrainableOnly(t *testing.T) {
-	m := buildTestModel()
-	path := filepath.Join(t.TempDir(), "trainable.nckp")
-	if err := SaveModel(path, m, CheckpointOptions{TrainableOnly: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Full load must refuse.
-	if _, err := LoadModel(path, nil); err == nil {
-		t.Error("loading a trainable-only checkpoint as full model should error")
-	}
-	// Restoring into a rebuilt model works and only touches the head.
-	m.Node("d2").Layer.Params()[0].Tensor().Data()[0] = 7
-	if err := SaveModel(path, m, CheckpointOptions{TrainableOnly: true}, nil); err != nil {
-		t.Fatal(err)
-	}
-	fresh := buildTestModel()
-	if err := LoadParamsInto(path, fresh, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.Node("d2").Layer.Params()[0].Tensor().Data()[0]; got != 7 {
-		t.Errorf("restored trainable weight = %v, want 7", got)
-	}
-}
-
-func TestCheckpointSizeEstimates(t *testing.T) {
-	m := buildTestModel()
-	full := CheckpointSizeBytes(m, CheckpointOptions{})
-	trainOnly := CheckpointSizeBytes(m, CheckpointOptions{TrainableOnly: true})
-	if trainOnly >= full {
-		t.Errorf("trainable-only size %d should be < full %d", trainOnly, full)
-	}
-	// d2: 6*3+3 params = 21 floats = 84 bytes + header.
-	if trainOnly != 4096+84 {
-		t.Errorf("trainable-only = %d, want %d", trainOnly, 4096+84)
-	}
-}
-
-func TestCheckpointCompositeModelRoundTrip(t *testing.T) {
-	// Composite layers (transformer block) serialize via their config and
-	// restore with identical weights thanks to seed-derived params.
-	m := graph.NewModel("composite")
-	in := m.AddInput("ids", 4, 8)
-	blk := m.AddNode("blk", layers.NewTransformerBlock(layers.TransformerBlockConfig{
-		Seq: 4, Dim: 8, Heads: 2, FFN: 16, Seed: 5,
-	}), in)
-	_ = blk
-	head := m.AddNode("head", layers.NewDense(8, 2, layers.ActNone, 6), blk)
-	head.Trainable = true
-	m.SetOutputs(head)
-
-	path := filepath.Join(t.TempDir(), "composite.nckp")
-	if err := SaveModel(path, m, CheckpointOptions{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadModel(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	x := tensor.RandNormal(rng, 1, 2, 4, 8)
-	t1, _ := m.Forward(map[string]*tensor.Tensor{"ids": x}, false)
-	t2, _ := restored.Forward(map[string]*tensor.Tensor{"ids": x}, false)
-	if !t1.Output(m.Outputs[0]).AllClose(t2.Output(restored.Outputs[0]), 1e-5) {
-		t.Error("restored composite model computes different outputs")
-	}
-}
-
-func TestLoadModelRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk")
-	if err := writeFile(path, []byte("not a checkpoint at all")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(path, nil); err == nil {
-		t.Error("garbage file should fail to load")
-	}
-}
-
-func writeFile(path string, b []byte) error {
-	return os.WriteFile(path, b, 0o644)
-}
-
 // TestTensorStoreQuickRoundTrip: random shapes and values survive an
 // append/read cycle bit-exactly.
 func TestTensorStoreQuickRoundTrip(t *testing.T) {
@@ -381,7 +269,7 @@ func TestTensorStoreQuickRoundTrip(t *testing.T) {
 		if err != nil || cnt < n {
 			return false
 		}
-		got, err := s.ReadRange(key, cnt-n, cnt)
+		got, err := s.ReadRowsIn(key, rows(cnt-n, cnt), nil)
 		if err != nil {
 			return false
 		}
@@ -405,7 +293,7 @@ func TestRowCacheHitsAndEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cold read of rows 0-4: all misses, disk bytes counted.
-	if _, err := s.ReadRange("k", 0, 5); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(0, 5), nil); err != nil {
 		t.Fatal(err)
 	}
 	cold := c.BytesRead()
@@ -413,7 +301,7 @@ func TestRowCacheHitsAndEviction(t *testing.T) {
 		t.Fatalf("cold bytes = %d, want %d", cold, 5*8*4)
 	}
 	// Warm re-read: all hits, no new disk bytes, values identical.
-	got, err := s.ReadRange("k", 0, 5)
+	got, err := s.ReadRowsIn("k", rows(0, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,11 +317,11 @@ func TestRowCacheHitsAndEviction(t *testing.T) {
 	}
 	// Reading 12 more rows overflows the 10-row capacity: earliest rows
 	// evict; a re-read of row 0 must miss again.
-	if _, err := s.ReadRange("k", 5, 17); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(5, 17), nil); err != nil {
 		t.Fatal(err)
 	}
 	before := c.BytesRead()
-	if _, err := s.ReadRows("k", []int{0}); err != nil {
+	if _, err := s.ReadRowsIn("k", []int{0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.BytesRead() == before {
@@ -462,7 +350,7 @@ func TestRowCacheInvalidatedOnDelete(t *testing.T) {
 	if err := s.Append("k", tensor.New(2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadRange("k", 0, 2); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("k"); err != nil {
@@ -475,7 +363,7 @@ func TestRowCacheInvalidatedOnDelete(t *testing.T) {
 	if err := s.Append("k", y); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadRange("k", 0, 2)
+	got, err := s.ReadRowsIn("k", rows(0, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,10 +378,10 @@ func TestRowCacheOversizeRowBypasses(t *testing.T) {
 	if err := s.Append("k", tensor.New(1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadRange("k", 0, 1); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadRange("k", 0, 1); err != nil {
+	if _, err := s.ReadRowsIn("k", rows(0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, _ := s.CacheStats()

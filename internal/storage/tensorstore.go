@@ -25,7 +25,7 @@ var ErrClosed = errors.New("storage: tensor store is closed")
 
 // TensorStore persists materialized layer outputs on disk, one file per
 // key (the producing expression's signature). Records append incrementally
-// as new labeled data arrives; reads fetch row ranges or gathered batches.
+// as new labeled data arrives; reads gather mini-batches of rows.
 //
 // File layout: magic, uint32 rank, rank×uint32 record dims, then float32
 // record data in row-major order. The record count is derived from the file
@@ -222,28 +222,11 @@ func (s *TensorStore) countLocked(key string) (int, error) {
 	return int((st.Size() - headerSize(len(shape))) / recBytes), nil
 }
 
-// RecordShape returns the per-record shape stored under key, or nil if the
-// key holds no records yet.
-func (s *TensorStore) RecordShape(key string) ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.open(key)
-	if err != nil {
-		return nil, err
-	}
-	return readHeader(f)
-}
-
-// ReadRows gathers the given record indices into a [len(idx), ...rec]
+// ReadRowsIn gathers the given record indices into a [len(idx), ...rec]
 // tensor, the access pattern of mini-batch training over materialized
-// features.
-func (s *TensorStore) ReadRows(key string, idx []int) (*tensor.Tensor, error) {
-	return s.ReadRowsIn(key, idx, nil)
-}
-
-// ReadRowsIn is ReadRows allocating the result from a (nil falls back to
-// the heap); the trainer's feed prefetcher passes its step scope so
-// materialized feeds participate in tensor recycling.
+// features. The result is allocated from a (nil falls back to the heap);
+// the trainer's feed prefetcher passes its step scope so materialized feeds
+// participate in tensor recycling.
 func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor.Tensor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,6 +264,9 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 	buf := make([]byte, recBytes)
 	var coldBytes int64
 	for i, r := range idx {
+		if r < 0 {
+			return nil, fmt.Errorf("storage: read %q row %d: negative row index", key, r)
+		}
 		dst := out.Data()[i*recElems : (i+1)*recElems]
 		if s.cache != nil {
 			if row, ok := s.cache.get(key, r); ok {
@@ -312,41 +298,6 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 		reg.Counter("store.read.cache_misses").Add(int64(coldRows))
 	}
 	return out, nil
-}
-
-// ReadRange reads records [lo, hi).
-func (s *TensorStore) ReadRange(key string, lo, hi int) (*tensor.Tensor, error) {
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	return s.ReadRows(key, idx)
-}
-
-// SizeBytes returns the on-disk size of key's file (0 if absent).
-func (s *TensorStore) SizeBytes(key string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, err := os.Stat(s.path(key))
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}
-
-// TotalBytes returns the total on-disk size of every file in the store.
-func (s *TensorStore) TotalBytes() int64 {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total
 }
 
 // Delete removes key's file, e.g. when re-optimization drops a materialized

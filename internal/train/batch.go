@@ -6,13 +6,6 @@ import (
 	"nautilus/internal/tensor"
 )
 
-// Batch is one mini-batch of inputs and labels with the batch dimension
-// leading.
-type Batch struct {
-	X *tensor.Tensor
-	Y *tensor.Tensor
-}
-
 // Batches splits n records into shuffled mini-batch index slices of the
 // given size. The final batch may be smaller. The shuffle order derives
 // from rng so epochs are reproducible.
@@ -29,15 +22,9 @@ func Batches(n, batchSize int, rng *rand.Rand) [][]int {
 	return out
 }
 
-// Gather copies the given record rows of a [n, ...] tensor into a new
-// [len(idx), ...] tensor.
-func Gather(t *tensor.Tensor, idx []int) *tensor.Tensor {
-	return GatherIn(nil, t, idx)
-}
-
-// GatherIn is Gather allocating the batch from a (nil falls back to the
-// heap); the trainer passes its step scope so feeds root the step's tensor
-// recycling.
+// GatherIn copies the given record rows of a [n, ...] tensor into a
+// [len(idx), ...] tensor allocated from a (nil falls back to the heap); the
+// trainer passes its step scope so feeds root the step's tensor recycling.
 func GatherIn(a tensor.Alloc, t *tensor.Tensor, idx []int) *tensor.Tensor {
 	shape := append([]int(nil), t.Shape()...)
 	recSize := t.Len() / shape[0]

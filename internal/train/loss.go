@@ -1,6 +1,5 @@
 // Package train provides the training primitives of the Nautilus substrate:
-// loss functions, mini-batch SGD and Adam optimizers, and batch iteration
-// helpers. The multi-branch fused-model training loop lives in
+// loss functions, the Adam optimizer, and batch iteration helpers. The multi-branch fused-model training loop lives in
 // internal/exec and composes these primitives.
 package train
 

@@ -14,65 +14,11 @@ import (
 type Optimizer interface {
 	// Step applies one update to every param present in grads.
 	Step(grads map[*graph.Param]*tensor.Tensor)
-	// Clone returns a fresh optimizer with the same hyperparameters and no
-	// accumulated state.
-	Clone() Optimizer
-	// StateBytes reports optimizer slot memory for the given params, used
-	// by checkpoint sizing.
-	StateBytes(params []*graph.Param) int64
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*graph.Param]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: map[*graph.Param]*tensor.Tensor{}}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(grads map[*graph.Param]*tensor.Tensor) {
-	for p, g := range grads {
-		w := p.Tensor()
-		//lint:ignore floateq Momentum==0 is the exact configured "plain SGD" sentinel
-		if o.Momentum == 0 {
-			tensor.AxpyInPlace(w, float32(-o.LR), g)
-			continue
-		}
-		v := o.vel[p]
-		if v == nil {
-			v = tensor.New(w.Shape()...)
-			o.vel[p] = v
-		}
-		tensor.ScaleInPlace(v, float32(o.Momentum))
-		tensor.AxpyInPlace(v, 1, g)
-		tensor.AxpyInPlace(w, float32(-o.LR), v)
-	}
-}
-
-// Clone implements Optimizer.
-func (o *SGD) Clone() Optimizer { return NewSGD(o.LR, o.Momentum) }
-
-// StateBytes implements Optimizer.
-func (o *SGD) StateBytes(params []*graph.Param) int64 {
-	//lint:ignore floateq Momentum==0 is the exact configured "plain SGD" sentinel
-	if o.Momentum == 0 {
-		return 0
-	}
-	var n int64
-	for _, p := range params {
-		n += p.Bytes()
-	}
-	return n
-}
-
-// Adam is the Adam optimizer with bias correction, the default for
-// transformer fine-tuning.
+// Adam is the Adam optimizer with bias correction, the one optimizer the
+// trainer runs: the planner's B_mem estimate charges its two moment slots
+// per trainable parameter byte (opt.AdamSlotBytes).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
@@ -115,16 +61,4 @@ func (o *Adam) Step(grads map[*graph.Param]*tensor.Tensor) {
 			wd[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
 		}
 	}
-}
-
-// Clone implements Optimizer.
-func (o *Adam) Clone() Optimizer { return NewAdam(o.LR) }
-
-// StateBytes implements Optimizer.
-func (o *Adam) StateBytes(params []*graph.Param) int64 {
-	var n int64
-	for _, p := range params {
-		n += 2 * p.Bytes()
-	}
-	return n
 }

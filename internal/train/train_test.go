@@ -7,6 +7,7 @@ import (
 
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
+	"nautilus/internal/opt"
 	"nautilus/internal/tensor"
 )
 
@@ -83,8 +84,11 @@ func TestAccuracyExact(t *testing.T) {
 	}
 }
 
-// trainToy fits y = argmax over a linear map of x, returning final loss.
-func trainToy(t *testing.T, opt Optimizer, steps int) float64 {
+// trainToy fits y = argmax over a linear map of x and returns the loss on
+// the whole set after training. batch > 0 trains on shuffled mini-batches
+// of that size, assembled the way the trainer assembles them (Batches,
+// GatherIn); batch == 0 steps on the full set.
+func trainToy(t *testing.T, opt Optimizer, steps, batch int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	m := graph.NewModel("toy")
@@ -113,69 +117,82 @@ func trainToy(t *testing.T, opt Optimizer, steps int) float64 {
 		}
 	}
 
-	var loss float64
-	for i := 0; i < steps; i++ {
-		tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, true)
+	loss := func(xb, yb *tensor.Tensor, train bool) (float64, *graph.Tape) {
+		tape, err := m.Forward(map[string]*tensor.Tensor{"in": xb}, train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var grad *tensor.Tensor
-		loss, grad = SoftmaxCrossEntropy{}.Compute(tape.Output(o), y)
-		if err := tape.Backward(map[string]*tensor.Tensor{"o": grad}); err != nil {
-			t.Fatal(err)
+		l, grad := SoftmaxCrossEntropy{}.Compute(tape.Output(o), yb)
+		if train {
+			if err := tape.Backward(map[string]*tensor.Tensor{"o": grad}); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return l, tape
+	}
+	shuffle := rand.New(rand.NewSource(4))
+	var epoch [][]int
+	for i := 0; i < steps; i++ {
+		xb, yb := x, y
+		if batch > 0 {
+			if len(epoch) == 0 {
+				epoch = Batches(n, batch, shuffle)
+			}
+			xb, yb = GatherIn(nil, x, epoch[0]), GatherIn(nil, y, epoch[0])
+			epoch = epoch[1:]
+		}
+		_, tape := loss(xb, yb, true)
 		opt.Step(tape.ParamGrads())
 	}
-	return loss
+	final, _ := loss(x, y, false)
+	return final
 }
 
+// Stochastic gradient descent in the sense the trainer runs it: shuffled
+// mini-batches gathered per step, each followed by an Adam update.
 func TestSGDConverges(t *testing.T) {
-	final := trainToy(t, NewSGD(0.5, 0.9), 150)
+	final := trainToy(t, NewAdam(0.01), 200, 16)
 	if final > 0.25 {
-		t.Errorf("SGD final loss %v, want < 0.25", final)
+		t.Errorf("mini-batch final loss %v, want < 0.25", final)
 	}
 }
 
 func TestAdamConverges(t *testing.T) {
-	final := trainToy(t, NewAdam(0.01), 150)
+	final := trainToy(t, NewAdam(0.01), 150, 0)
 	if final > 0.25 {
 		t.Errorf("Adam final loss %v, want < 0.25", final)
 	}
 }
 
 func TestAdamBeatsUntrained(t *testing.T) {
-	initial := trainToy(t, NewAdam(0), 1) // zero LR: no learning
-	trained := trainToy(t, NewAdam(0.01), 100)
+	initial := trainToy(t, NewAdam(0), 1, 0) // zero LR: no learning
+	trained := trainToy(t, NewAdam(0.01), 100, 0)
 	if trained >= initial {
 		t.Errorf("training did not reduce loss: %v -> %v", initial, trained)
 	}
 }
 
-func TestOptimizerCloneFreshState(t *testing.T) {
-	o := NewAdam(0.01)
-	p := graph.NewParamNormal("w", 1, 1, 2)
-	g := tensor.FromSlice([]float32{1, 1}, 2)
-	o.Step(map[*graph.Param]*tensor.Tensor{p: g})
-	c := o.Clone().(*Adam)
-	if c.t != 0 || len(c.m) != 0 {
-		t.Error("clone must start with fresh state")
-	}
-	if c.LR != o.LR {
-		t.Error("clone must keep hyperparameters")
-	}
-}
-
+// TestOptimizerStateBytes ties FUSE OPT's B_mem bound to the optimizer the
+// trainer runs: after one step Adam holds exactly opt.AdamSlotBytes bytes of
+// moment state per trainable parameter byte.
 func TestOptimizerStateBytes(t *testing.T) {
-	p := graph.NewParamNormal("w", 1, 1, 10)
-	params := []*graph.Param{p}
-	if got := NewSGD(0.1, 0).StateBytes(params); got != 0 {
-		t.Errorf("plain SGD state = %d, want 0", got)
+	params := []*graph.Param{graph.NewParamNormal("w", 1, 1, 10), graph.NewParamNormal("b", 2, 1, 3)}
+	grads := map[*graph.Param]*tensor.Tensor{}
+	var paramBytes int64
+	for _, p := range params {
+		grads[p] = tensor.New(p.Shape...)
+		paramBytes += p.Bytes()
 	}
-	if got := NewSGD(0.1, 0.9).StateBytes(params); got != 40 {
-		t.Errorf("momentum SGD state = %d, want 40", got)
+	o := NewAdam(0.1)
+	o.Step(grads)
+	var state int64
+	for _, slots := range []map[*graph.Param]*tensor.Tensor{o.m, o.v} {
+		for _, s := range slots {
+			state += 4 * int64(s.Len())
+		}
 	}
-	if got := NewAdam(0.1).StateBytes(params); got != 80 {
-		t.Errorf("adam state = %d, want 80", got)
+	if want := opt.AdamSlotBytes * paramBytes; state != want {
+		t.Errorf("adam state = %d bytes, want opt.AdamSlotBytes × %d = %d", state, paramBytes, want)
 	}
 }
 
@@ -204,7 +221,7 @@ func TestBatchesCoverAllRecords(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	x := tensor.FromSlice([]float32{0, 0, 1, 1, 2, 2, 3, 3}, 4, 2)
-	g := Gather(x, []int{2, 0})
+	g := GatherIn(nil, x, []int{2, 0})
 	if g.At(0, 0) != 2 || g.At(1, 1) != 0 {
 		t.Errorf("gather = %v", g.Data())
 	}

@@ -64,14 +64,17 @@ check:
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 
-# fuzz runs FuzzLoadParamsInto, the checkpoint reader's fuzz target, for
-# 60 s on two workers (property: an error that leaves the model untouched,
-# or every listed param restored bit-exactly; never a panic). It is not part
-# of check: plain go test replays only the committed seed corpus under
-# internal/storage/testdata/fuzz/FuzzLoadParamsInto. A failing input is
-# written there too; commit it with the fix.
+# fuzz runs the storage decoders' fuzz targets for 30 s each on two
+# workers: FuzzLoadParamsInto, the checkpoint reader (property: an error
+# that leaves the model untouched, or every listed param restored
+# bit-exactly), and FuzzTensorStoreHeader, a store file's header (property:
+# Count and ReadRowsIn both fail, or every counted row reads back the file's
+# floats). Never a panic. It is not part of check: plain go test replays only
+# the committed seed corpora under internal/storage/testdata/fuzz/. A failing
+# input is written there too; commit it with the fix.
 fuzz:
-	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadParamsInto$$' -fuzztime 60s -parallel 2
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadParamsInto$$' -fuzztime 30s -parallel 2
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzTensorStoreHeader$$' -fuzztime 30s -parallel 2
 
 # bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
 # backoff factor, Figure 5 estimate; the paper's tables and figures are
@@ -88,9 +91,9 @@ fuzz:
 # observability-overhead benchmarks (internal/exec:
 # BenchmarkTrainGroupNoObs/ActiveObs over one trainer loop and
 # BenchmarkTrainStepPooled/Unpooled; internal/obs: span and counter cost),
-# and the optimizer's own (internal/opt: BenchmarkBuildGroupPair — one
-# paper-scale trial merge, the ns/op and allocs/op behind plan_zoo's
-# opt.fuse_s — BenchmarkFuseModels12, BenchmarkOptimizeMaterialization12Models,
+# and the optimizer's own (internal/opt: BenchmarkBuildGroupPair — pricing
+# one paper-scale FUSE OPT trial pair on a merged view, the ns/op and
+# allocs/op behind plan_zoo's opt.fuse_s — BenchmarkFuseModels12, BenchmarkOptimizeMaterialization12Models,
 # BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut on one reused
 # Energy, BenchmarkWorkloadCost12Models — one MAT OPT objective evaluation,
 # twelve cost-only min-cuts — and BenchmarkEstimatePeakMemoryFused — the

@@ -143,7 +143,7 @@ type Config struct {
 	// Fuser is the fusion strategy ("greedy" — Algorithm 1 — or "enum",
 	// the cost-based partition enumeration). Empty means greedy.
 	Fuser string
-	// FuseStateBudget caps enumerated candidate-group builds per plan for
+	// FuseStateBudget caps enumerated candidate-group pricings per plan for
 	// the enum fuser (0 means opt.DefaultFuseStateBudget); buckets that
 	// would exceed it degrade to greedy.
 	FuseStateBudget int
@@ -229,7 +229,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Var(gbFlag{&c.MemBudgetBytes}, "mem-gb", "runtime memory budget B_mem in `GB`")
 	fs.IntVar(&c.MaxRecords, "max-records", c.MaxRecords, "expected maximum training records r")
 	fs.StringVar(&c.Fuser, "fuser", c.Fuser, "fusion strategy: greedy (Algorithm 1) or enum (cost-based partition search)")
-	fs.IntVar(&c.FuseStateBudget, "fuse-budget", c.FuseStateBudget, "enum fuser state budget (candidate groups profiled before falling back to greedy; 0 = default)")
+	fs.IntVar(&c.FuseStateBudget, "fuse-budget", c.FuseStateBudget, "enum fuser state budget (candidate groups priced before falling back to greedy; 0 = default)")
 	fs.StringVar(&c.CalibrationPath, "calibration", c.CalibrationPath, "plan against measured constants from this calibration file (nautilus-run -calibrate-out)")
 	fs.StringVar(&c.TuneTablePath, "tune-table", c.TuneTablePath, "dispatch tensor kernels on this autotuned schedule table (make tune)")
 	fs.Float64Var(&c.DriftWarn, "drift-warn", c.DriftWarn, "flag conformance groups whose actual/predicted time ratio falls outside [1/t, t]; <= 1 disables")

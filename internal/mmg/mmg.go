@@ -93,28 +93,13 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 	if len(models) == 0 {
 		return nil, nil, fmt.Errorf("mmg: no models")
 	}
-	total := 0
-	for _, m := range models {
-		total += m.NumNodes()
-	}
-	// First model plus a few unshared nodes per later one; tables grow if not.
-	expect := models[0].NumNodes() + 4*(len(models)-1)
 	merged := graph.NewModel(multiName(models))
-	mm := &MultiModel{
-		Graph:   merged,
-		Models:  append([]*graph.Model(nil), models...),
-		nodeOf:  make([][]*graph.Node, len(models)),
-		sources: make([][]SourceRef, 0, expect),
-		sigs:    make([]graph.Signature, 0, expect),
-	}
+	mm := &MultiModel{Graph: merged, Models: append([]*graph.Model(nil), models...), nodeOf: make([][]*graph.Node, len(models))}
 	var derive *profile.Deriver
 	if profs != nil {
-		derive = profile.NewDeriver(merged, profs[0], expect)
+		derive = profile.NewDeriver(merged, profs[0], models[0].NumNodes())
 	}
-	// One backing array for first sources, one for the per-model node tables.
-	firstSource := make([]SourceRef, 0, expect)
-	nodeOfAll := make([]*graph.Node, total)
-	bySig := make(map[graph.Signature]*graph.Node, models[0].NumNodes())
+	bySig := map[graph.Signature]*graph.Node{}
 
 	var outs, parents []*graph.Node
 	for i, m := range models {
@@ -126,8 +111,7 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 		} else if len(profs[i].Layers) != m.NumNodes() {
 			return nil, nil, fmt.Errorf("mmg: profile of model %q covers %d of its %d nodes", m.Name, len(profs[i].Layers), m.NumNodes())
 		}
-		nodeOf := nodeOfAll[:m.NumNodes():m.NumNodes()]
-		nodeOfAll = nodeOfAll[m.NumNodes():]
+		nodeOf := make([]*graph.Node, m.NumNodes())
 		mm.nodeOf[i] = nodeOf
 		for j, n := range m.Nodes() {
 			var lp *profile.LayerProfile // the source node's facts; nil for bare models
@@ -142,11 +126,7 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 			if isMat {
 				if existing := bySig[sig]; existing != nil {
 					nodeOf[j] = existing
-					srcs := mm.sources[existing.Index()]
-					if cap(srcs) == 1 { // leaving firstSource: room for every later model at once
-						srcs = append(make([]SourceRef, 0, 1+len(models)-i), srcs...)
-					}
-					mm.sources[existing.Index()] = append(srcs, SourceRef{Model: m, Node: n})
+					mm.sources[existing.Index()] = append(mm.sources[existing.Index()], SourceRef{Model: m, Node: n})
 					continue
 				}
 			}
@@ -170,8 +150,7 @@ func merge(models []*graph.Model, profs []*profile.ModelProfile) (*MultiModel, *
 			nn := merged.AddNode(name, n.Layer, parents...)
 			nn.Trainable = n.Trainable
 			nodeOf[j] = nn
-			firstSource = append(firstSource, SourceRef{Model: m, Node: n})
-			mm.sources = append(mm.sources, firstSource[len(firstSource)-1:len(firstSource):len(firstSource)])
+			mm.sources = append(mm.sources, []SourceRef{{Model: m, Node: n}})
 			mm.sigs = append(mm.sigs, sig)
 			if isMat {
 				bySig[sig] = nn

@@ -80,21 +80,24 @@ func BenchmarkFuseModels12(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildGroupPair is one trial merge of FUSE OPT at paper scale: two
-// FTR-3 candidates (BERT-base trunk, concat-last-4 feature, own heads)
-// under the V that MAT OPT picks for them. plan_zoo builds 4 246 such groups
-// a session (opt.fuse_states), so this ns/op and allocs/op are the per-merge
-// numbers behind its opt.fuse_s.
+// BenchmarkBuildGroupPair prices one FUSE OPT trial pair at paper scale:
+// two FTR-3 candidates (BERT-base trunk, concat-last-4 feature, own heads)
+// under the V that MAT OPT picks for them, on a warm scratch with the Fuse
+// call's numbering — the merged view, the reuse-plan solve and the memory
+// replay, no graph. plan_zoo prices 4 246 such groups a session
+// (opt.fuse_states) and builds a graph only for the 92 it emits, so this
+// ns/op and allocs/op are the per-trial numbers behind its opt.fuse_s.
 func BenchmarkBuildGroupPair(b *testing.B) {
 	items, mm := benchWorkload(b, 2, models.FeatConcatLast4)
 	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 25 << 30, MaxRecords: 5000})
 	if err != nil {
 		b.Fatal(err)
 	}
+	sc, nb := new(scratch), number(items)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildGroup(items, res.Sigs, ReusePlan, AdamSlotBytes); err != nil {
+		if _, err := sc.price(nb, items, res.Sigs, ReusePlan, AdamSlotBytes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +132,7 @@ func BenchmarkWorkloadCost12Models(b *testing.B) {
 
 // BenchmarkEstimatePeakMemoryFused is the Figure 5 replay of one fused
 // group at paper scale: four FTR-3 candidates on a BERT-base trunk under the
-// V MAT OPT picks for them. Every BuildGroup ends in one.
+// V MAT OPT picks for them. Every trial pricing ends in one.
 func BenchmarkEstimatePeakMemoryFused(b *testing.B) {
 	items, mm := benchWorkload(b, 4, models.FeatConcatLast4)
 	res, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: 25 << 30, MaxRecords: 5000})

@@ -10,10 +10,9 @@ import (
 )
 
 // DefaultFuseStateBudget bounds how many multi-model candidate groups the
-// enum strategy will build before a bucket degrades to greedy. Each
-// candidate build is one BuildGroup — a merge, a min-cut solve and a
-// peak-memory replay; the profile is derived, not recomputed — so this is
-// the knob that trades search optimality for planning latency.
+// enum strategy will price before a bucket degrades to greedy. Each pricing
+// is a merged view, a min-cut solve and a peak-memory replay, so this is the
+// knob that trades search optimality for planning latency.
 const DefaultFuseStateBudget = 4096
 
 // maxEnumBucketItems is the bitmask width cap: a compatibility bucket
@@ -24,37 +23,43 @@ const maxEnumBucketItems = 20
 // state budget runs out mid-enumeration; the bucket is re-solved greedily.
 var errFuseStateBudget = errors.New("opt: fuse state budget exhausted")
 
-// enumState is one Fuse call's search state: whether buckets are
-// enumerated at all, the remaining candidate-build budget and the group
-// memo (keyed by the member set), both shared across buckets.
+// enumState is one Fuse call's search state, shared across buckets: what
+// trials are priced with, whether buckets are enumerated at all, the
+// remaining candidate budget and the trial memo (keyed by the member set).
 //
 // Enumeration is the cost-based fusion plan search (the SystemML
 // fusion-plan idea applied to FUSE OPT): per bucket, the minimum-
 // TotalPlanCost partition into fused groups by dynamic programming over
 // member subsets. Candidate groups are memoized on their member set so each
-// subset is built (BuildGroup) at most once, and a branch-and-bound
-// check (each group costs at least its most expensive member's singleton
-// plan) prunes sub-partitions that cannot beat the bucket's incumbent. A
+// subset is priced at most once, and a branch-and-bound check (each group
+// costs at least its most expensive member's singleton plan) prunes
+// sub-partitions that cannot beat the bucket's incumbent. A
 // bucket that would (or does) exceed the budget degrades to Algorithm 1,
 // whose result the DP search space contains.
 type enumState struct {
+	sc        *scratch
+	nums      *numbering
 	matSigs   map[graph.Signature]bool
 	cfg       FuseConfig
 	enumerate bool
 	remaining int
-	cache     map[string]*FusedGroup
+	cache     map[string]*trial
 }
 
-// fuseBucket partitions one compatibility bucket of singleton groups: by
+func (e *enumState) price(items []WorkItem) (*trial, error) {
+	return e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+}
+
+// fuseBucket partitions one compatibility bucket of singleton trials: by
 // Algorithm 1 in input order when not enumerating; otherwise by the
 // partition search over the name-sorted bucket (so bitmask positions are
 // stable), degrading to Algorithm 1 when the budget cannot cover it.
-func (e *enumState) fuseBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
+func (e *enumState) fuseBucket(bucket []*trial) ([]*trial, error) {
 	if !e.enumerate || len(bucket) == 1 {
-		return fuseGreedy(bucket, e.matSigs, e.cfg)
+		return e.fuseGreedy(bucket)
 	}
-	sortGroups(bucket)
-	// A bucket of n items can require up to 2^n-1 candidate builds; if
+	sortTrials(bucket)
+	// A bucket of n items can require up to 2^n-1 candidate pricings; if
 	// that cannot fit the remaining budget, don't start a search that is
 	// doomed to abort.
 	fits := len(bucket) <= maxEnumBucketItems && (1<<uint(len(bucket)))-1 <= e.remaining
@@ -67,14 +72,14 @@ func (e *enumState) fuseBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
 	if e.cfg.Stats != nil {
 		e.cfg.Stats.Fallbacks++
 	}
-	return fuseGreedy(bucket, e.matSigs, e.cfg)
+	return e.fuseGreedy(bucket)
 }
 
 // solveBucket finds the minimum-cost feasible partition of the bucket by
 // DP over member subsets. Every partition of mask has exactly one group
 // containing mask's lowest set bit, so candidate groups are anchored
 // there and each partition is enumerated once.
-func (e *enumState) solveBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
+func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 	n := len(bucket)
 	full := (1 << uint(n)) - 1
 
@@ -86,9 +91,9 @@ func (e *enumState) solveBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
 	items := make([]WorkItem, n)
 	single := make([]int64, n)
 	for i, g := range bucket {
-		items[i] = g.Items[0]
-		single[i] = perEpochCost(g)
-		e.cache[memberKey(g.Items)] = g
+		items[i] = g.items[0]
+		single[i] = g.perEpochCost()
+		e.cache[memberKey(g.items)] = g
 	}
 	// maxSingle[m] = max over set bits of single — both the group-cost
 	// lower bound for a candidate over m and (since any partition of m
@@ -125,20 +130,20 @@ func (e *enumState) solveBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
 			rest := mask ^ sub
 			if best != math.MaxInt64 && maxSingle[sub]+restBound(maxSingle, rest) >= best {
 				// Even an ideally cheap group over sub cannot beat the
-				// incumbent partition of this mask — skip the build.
+				// incumbent partition of this mask — skip the pricing.
 				if e.cfg.Stats != nil {
 					e.cfg.Stats.BoundPrunings++
 				}
 				continue
 			}
-			g, err := e.buildCached(subsetItems(items, sub))
+			g, err := e.priceCached(subsetItems(items, sub))
 			if err != nil {
 				return 0, err
 			}
-			if len(g.Items) > 1 && g.PeakMemBytes > e.cfg.MemBudgetBytes {
+			if len(g.items) > 1 && g.peak > e.cfg.MemBudgetBytes {
 				continue // infeasible fusion under B_mem
 			}
-			cost := perEpochCost(g)
+			cost := g.perEpochCost()
 			if best != math.MaxInt64 && cost+restBound(maxSingle, rest) >= best {
 				if e.cfg.Stats != nil {
 					e.cfg.Stats.BoundPrunings++
@@ -163,11 +168,11 @@ func (e *enumState) solveBucket(bucket []*FusedGroup) ([]*FusedGroup, error) {
 	}
 
 	// Reconstruct the winning partition; every chosen subset is in the
-	// memo, so these builds are cache hits.
-	var groups []*FusedGroup
+	// memo, so these pricings are cache hits.
+	var groups []*trial
 	for mask := full; mask != 0; {
 		sub := choice[mask]
-		g, err := e.buildCached(subsetItems(items, sub))
+		g, err := e.priceCached(subsetItems(items, sub))
 		if err != nil {
 			return nil, err
 		}
@@ -185,11 +190,11 @@ func restBound(maxSingle []int64, rest int) int64 {
 	return maxSingle[rest]
 }
 
-// buildCached returns the candidate group for a member set, building it at
-// most once per Fuse call and drawing down the state budget for each build.
-// The bucket's singletons are in the memo before the search starts: every
-// strategy needs them, so they are free.
-func (e *enumState) buildCached(items []WorkItem) (*FusedGroup, error) {
+// priceCached returns the candidate trial for a member set, pricing it at
+// most once per Fuse call and drawing down the state budget for each
+// pricing. The bucket's singletons are in the memo before the search
+// starts: every strategy needs them, so they are free.
+func (e *enumState) priceCached(items []WorkItem) (*trial, error) {
 	key := memberKey(items)
 	if g, ok := e.cache[key]; ok {
 		if e.cfg.Stats != nil {
@@ -201,7 +206,7 @@ func (e *enumState) buildCached(items []WorkItem) (*FusedGroup, error) {
 		return nil, errFuseStateBudget
 	}
 	e.remaining--
-	g, err := BuildGroup(append([]WorkItem(nil), items...), e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+	g, err := e.price(items)
 	if err != nil {
 		return nil, err
 	}

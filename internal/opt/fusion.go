@@ -2,9 +2,7 @@ package opt
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/mmg"
@@ -40,10 +38,10 @@ type FuseStats struct {
 	Strategy string
 	// Rounds is the number of greedy iterations that merged a pair.
 	Rounds int
-	// PairsEvaluated counts fused candidate groups actually built
-	// (BuildGroup: merge with a profile derived from the members', reuse-plan
-	// solve, memory estimate): greedy pairs and enumerated subset candidates
-	// alike. Cached groups don't recount.
+	// PairsEvaluated counts the trial groups priced — on a merged view of
+	// the members' profiles: reuse-plan solve and memory estimate, no graph
+	// built — greedy pairs and enumerated subset candidates alike. Cached
+	// trials don't recount. Only the groups Fuse returns become graphs.
 	PairsEvaluated int
 	// PairsRejected counts greedy pairs dismissed for non-positive gain
 	// or a B_mem violation.
@@ -52,7 +50,7 @@ type FuseStats struct {
 	// enumerating (memoized states are not recounted).
 	StatesExplored int
 	// MemoHits counts candidate-group lookups answered by the member-set
-	// memo instead of a fresh BuildGroup.
+	// memo instead of a fresh pricing.
 	MemoHits int
 	// BoundPrunings counts candidate sub-partitions skipped because a
 	// lower bound already met or exceeded the best known completion.
@@ -69,7 +67,8 @@ type FusedGroup struct {
 	// Items are the source (M_i, ϕ_i) pairs fused into this group.
 	Items []WorkItem
 	// MM is the merged graph of the group's models. It is always set: a
-	// single-model group wraps its model in a one-model merge.
+	// single-model group wraps its model in a one-model merge. Only a group
+	// that is returned is built; FUSE OPT's trial groups are views.
 	MM *mmg.MultiModel
 	// Plan is the group's reuse plan over the merged graph given V.
 	Plan *Plan
@@ -108,75 +107,79 @@ const (
 	// UnmodifiedPlan computes every layer (CurrentPracticePlan).
 	UnmodifiedPlan
 	// LoadFrontierPlan loads the whole materializable frontier whatever it
-	// costs (ForcedLoadPlan, the MAT-ALL baseline).
+	// costs (the MAT-ALL baseline).
 	LoadFrontierPlan
 )
 
 // BuildGroup is the one way a training group comes to be, whatever the
-// approach and whether it holds one model or many: merge the items' models
-// into one graph whose profile is derived from the items' own profiles
-// (mmg.BuildProfiled — nothing is re-hashed, re-inferred or re-validated;
-// verify.Groups validates the groups a plan emits), choose the reuse plan
-// by policy given V, and estimate peak memory at the group's batch size.
-// slotBytes is the optimizer-state overhead per trainable parameter byte
-// (AdamSlotBytes).
+// approach and however many models it holds: price it on a merged view of
+// the items' profiles (the plan by policy given V, its peak memory), then
+// build the merged graph and derive its profile from the items'
+// (mmg.BuildProfiled; verify.Groups validates the groups a plan emits).
+// FUSE OPT prices every trial group and builds only those it returns.
+// slotBytes is the optimizer-state bytes per trainable byte (AdamSlotBytes).
 func BuildGroup(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) (*FusedGroup, error) {
-	profs := make([]*profile.ModelProfile, len(items))
-	for i, it := range items {
+	sc := scratchPool.Get().(*scratch)
+	t, err := sc.price(number(items), items, matSigs, policy, slotBytes)
+	scratchPool.Put(sc)
+	if err != nil {
+		return nil, err
+	}
+	return t.build()
+}
+
+// trial is a priced group: what FUSE OPT compares, and building reuses.
+type trial struct {
+	items   []WorkItem
+	actions []Action // by merged node
+	cost    int64    // CostPerRecord
+	peak    int64    // PeakMemBytes
+}
+
+// perEpochCost is cost/record × epochs; FUSE OPT minimizes the sum.
+func (t *trial) perEpochCost() int64 { return t.cost * int64(t.items[0].Epochs) }
+
+// price is BuildGroup's first step on sc, with nb numbering the items'
+// profiles.
+func (sc *scratch) price(nb *numbering, items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) (*trial, error) {
+	v, err := sc.merge(nb, items)
+	if err != nil {
+		return nil, err
+	}
+	actions, cost, err := sc.plan(v, matSigs, policy)
+	if err != nil {
+		return nil, err
+	}
+	peak := sc.peakMemory(v, actions, items[0].BatchSize, slotBytes).Total()
+	return &trial{items: items, actions: actions, cost: cost, peak: peak}, nil
+}
+
+// build is BuildGroup's second step: the merged graph, its derived profile
+// and the priced plan over it, refused if it computes a node over a pruned
+// parent.
+func (t *trial) build() (*FusedGroup, error) {
+	profs := make([]*profile.ModelProfile, len(t.items))
+	for i, it := range t.items {
 		profs[i] = it.Prof
 	}
 	mm, prof, err := mmg.BuildProfiled(profs...)
 	if err != nil {
 		return nil, err
 	}
-	var plan *Plan
-	switch policy {
-	case ReusePlan:
-		plan, err = SolveReusePlan(prof, matSigs)
-	case UnmodifiedPlan:
-		plan = CurrentPracticePlan(prof)
-	case LoadFrontierPlan:
-		plan = ForcedLoadPlan(prof)
-	default:
-		err = fmt.Errorf("opt: unknown plan policy %d", policy)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newGroup(items, mm, plan, slotBytes)
-}
-
-// newGroup completes a group, refusing a plan that computes over a pruned parent.
-func newGroup(items []WorkItem, mm *mmg.MultiModel, plan *Plan, slotBytes int64) (*FusedGroup, error) {
-	g := &FusedGroup{Items: items, MM: mm, Plan: plan}
-	if n, parent := plan.prunedInput(); n != nil {
+	g := &FusedGroup{Items: t.items, MM: mm, Plan: &Plan{Prof: prof, Actions: t.actions, CostPerRecord: t.cost}, PeakMemBytes: t.peak}
+	if n, parent := g.Plan.prunedInput(); n != nil {
 		return nil, fmt.Errorf("opt: group %s: plan computes %q but its parent %q is pruned", g.Name(), n.Name, parent.Name)
 	}
-	g.PeakMemBytes = EstimatePeakMemory(plan, items[0].BatchSize, slotBytes).Total()
 	return g, nil
 }
 
 // SingletonGroups builds one group per item, in input order: the whole
-// training plan of the approaches that do not fuse, and the starting point
-// of FUSE OPT for those that do. Candidates are independent, so the builds
-// fan out over up to GOMAXPROCS goroutines; the lowest-index error wins.
+// training plan of the approaches that do not fuse.
 func SingletonGroups(items []WorkItem, matSigs map[graph.Signature]bool, policy PlanPolicy, slotBytes int64) ([]*FusedGroup, error) {
 	groups := make([]*FusedGroup, len(items))
-	errs := make([]error, len(items))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			groups[i], errs[i] = BuildGroup([]WorkItem{items[i]}, matSigs, policy, slotBytes)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i, it := range items {
+		var err error
+		if groups[i], err = BuildGroup([]WorkItem{it}, matSigs, policy, slotBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -184,9 +187,9 @@ func SingletonGroups(items []WorkItem, matSigs map[graph.Signature]bool, policy 
 }
 
 // Fuser is the model fusion optimization (FUSE OPT, Section 4.3): it
-// partitions the workload into fused groups, each built by BuildGroup under
-// ReusePlan. Only items with equal batch size and equal epoch count can
-// share a group — batch size because fused branches train on the same
+// partitions the workload into fused groups, each priced and built as
+// BuildGroup does under ReusePlan. Only items with equal batch size and
+// equal epoch count can share a group — batch size because fused branches train on the same
 // mini-batches (the paper's condition), epochs because the fused model runs
 // one training loop — so the search runs per compatibility bucket. It is
 // one enumerator with two settings: "enum" searches a bucket's partitions
@@ -196,7 +199,7 @@ func SingletonGroups(items []WorkItem, matSigs map[graph.Signature]bool, policy 
 // cfg.MemBudgetBytes, and enum never costs more than greedy.
 type Fuser struct {
 	name string
-	// stateBudget caps multi-model candidate builds spent enumerating
+	// stateBudget caps multi-model candidate pricings spent enumerating
 	// across one Fuse call.
 	stateBudget int
 }
@@ -222,54 +225,69 @@ func NewFuser(name string, stateBudget int) (*Fuser, error) {
 func (f *Fuser) Name() string { return f.name }
 
 // Fuse partitions the work items into fused groups given the materialized
-// set V (by expression signature), ordered by first member name.
+// set V (by expression signature), ordered by first member name. Trials,
+// singletons included, are priced with one scratch and one numbering.
 func (f *Fuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
 	if cfg.Stats != nil {
 		cfg.Stats.Strategy = f.name
 	}
-	singles, err := SingletonGroups(items, matSigs, ReusePlan, cfg.OptimizerSlotBytes)
-	if err != nil {
-		return nil, err
-	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	e := &enumState{
+		sc:        sc,
+		nums:      number(items),
 		matSigs:   matSigs,
 		cfg:       cfg,
 		enumerate: f.name == FuserEnum,
 		remaining: f.stateBudget,
-		cache:     map[string]*FusedGroup{},
+		cache:     map[string]*trial{},
 	}
-	var out []*FusedGroup
+	singles := make([]*trial, len(items))
+	for i, it := range items {
+		var err error
+		if singles[i], err = e.price([]WorkItem{it}); err != nil {
+			return nil, err
+		}
+	}
+	var out []*trial
 	for _, bucket := range compatBuckets(singles) {
-		groups, err := e.fuseBucket(bucket)
+		trials, err := e.fuseBucket(bucket)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, groups...)
+		out = append(out, trials...)
 	}
-	sortGroups(out)
-	return out, nil
+	sortTrials(out)
+	groups := make([]*FusedGroup, len(out))
+	for i, t := range out {
+		var err error
+		if groups[i], err = t.build(); err != nil {
+			return nil, err
+		}
+	}
+	return groups, nil
 }
 
-// sortGroups orders groups deterministically by first member name.
-func sortGroups(groups []*FusedGroup) {
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].Items[0].Model.Name < groups[j].Items[0].Model.Name
+// sortTrials orders trials deterministically by first member name.
+func sortTrials(trials []*trial) {
+	sort.Slice(trials, func(i, j int) bool {
+		return trials[i].items[0].Model.Name < trials[j].items[0].Model.Name
 	})
 }
 
-// compatBuckets splits singleton groups into fusibility classes — equal
+// compatBuckets splits singleton trials into fusibility classes — equal
 // batch size and equal epoch count — ordered by (batch, epochs), each
 // bucket keeping the input order.
-func compatBuckets(singles []*FusedGroup) [][]*FusedGroup {
+func compatBuckets(singles []*trial) [][]*trial {
 	type key struct{ batch, epochs int }
-	byKey := map[key][]*FusedGroup{}
+	byKey := map[key][]*trial{}
 	var keys []key
-	for _, g := range singles {
-		k := key{g.BatchSize(), g.Epochs()}
+	for _, t := range singles {
+		k := key{t.items[0].BatchSize, t.items[0].Epochs}
 		if byKey[k] == nil {
 			keys = append(keys, k)
 		}
-		byKey[k] = append(byKey[k], g)
+		byKey[k] = append(byKey[k], t)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].batch != keys[j].batch {
@@ -277,53 +295,51 @@ func compatBuckets(singles []*FusedGroup) [][]*FusedGroup {
 		}
 		return keys[i].epochs < keys[j].epochs
 	})
-	buckets := make([][]*FusedGroup, len(keys))
+	buckets := make([][]*trial, len(keys))
 	for i, k := range keys {
 		buckets[i] = byKey[k]
 	}
 	return buckets
 }
 
-// fuseGreedy is Algorithm 1 over one bucket's singleton groups: repeatedly
+// fuseGreedy is Algorithm 1 over one bucket's singleton trials: repeatedly
 // fuse the pair with the highest cost reduction whose fused peak memory
 // fits B_mem, until no beneficial fusible pair remains. Pairs are scanned
 // in list order and only a strictly larger gain displaces the incumbent,
 // so ties go to the earliest pair.
-func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
-	type pairKey struct{ a, b *FusedGroup }
-	rejected := map[pairKey]bool{}
-	// Groups are immutable once built, so a pair's fused candidate can be
-	// evaluated once and reused across greedy rounds.
-	fusedCache := map[pairKey]*FusedGroup{}
+func (e *enumState) fuseGreedy(groups []*trial) ([]*trial, error) {
+	cfg := e.cfg
+	// Trials are immutable once priced, so a pair is priced once and its
+	// fused trial reused across greedy rounds; a rejected pair maps to nil.
+	type pairKey struct{ a, b *trial }
+	tried := map[pairKey]*trial{}
 
 	for {
 		// Evaluate all not-yet-rejected pairs.
 		var bestI, bestJ int
-		var bestGroup *FusedGroup
+		var bestGroup *trial
 		var bestGain int64
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
 				gi, gj := groups[i], groups[j]
 				key := pairKey{gi, gj}
-				if rejected[key] {
+				fused, seen := tried[key]
+				if seen && fused == nil {
 					continue
 				}
-				fused := fusedCache[key]
-				if fused == nil {
+				if !seen {
 					var err error
-					members := append(append([]WorkItem(nil), gi.Items...), gj.Items...)
-					fused, err = BuildGroup(members, matSigs, ReusePlan, cfg.OptimizerSlotBytes)
-					if err != nil {
+					if fused, err = e.price(append(append([]WorkItem(nil), gi.items...), gj.items...)); err != nil {
 						return nil, err
 					}
-					fusedCache[key] = fused
+					tried[key] = fused
 					if cfg.Stats != nil {
 						cfg.Stats.PairsEvaluated++
 					}
 				}
-				gain := perEpochCost(gi) + perEpochCost(gj) - perEpochCost(fused)
-				if gain <= 0 || fused.PeakMemBytes > cfg.MemBudgetBytes {
-					rejected[key] = true
+				gain := gi.perEpochCost() + gj.perEpochCost() - fused.perEpochCost()
+				if gain <= 0 || fused.peak > cfg.MemBudgetBytes {
+					tried[key] = nil
 					if cfg.Stats != nil {
 						cfg.Stats.PairsRejected++
 					}
@@ -341,19 +357,11 @@ func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg Fuse
 		if cfg.Stats != nil {
 			cfg.Stats.Rounds++
 		}
-		// Replace the pair with the fused group, and drop cache entries
-		// that reference the merged-away groups: no future pair can name
-		// them again, and keeping them would retain their profiled graphs
-		// (O(n²) dead *FusedGroup pointers over a full run).
-		merged := map[*FusedGroup]bool{groups[bestI]: true, groups[bestJ]: true}
-		for key := range rejected {
-			if merged[key.a] || merged[key.b] {
-				delete(rejected, key)
-			}
-		}
-		for key := range fusedCache {
-			if merged[key.a] || merged[key.b] {
-				delete(fusedCache, key)
+		// Replace the pair with the fused trial, and drop the pairs that
+		// name a merged-away trial: no future round can try them again.
+		for key := range tried {
+			if key.a == groups[bestI] || key.a == groups[bestJ] || key.b == groups[bestI] || key.b == groups[bestJ] {
+				delete(tried, key)
 			}
 		}
 		next := groups[:0:0]
@@ -367,19 +375,13 @@ func fuseGreedy(groups []*FusedGroup, matSigs map[graph.Signature]bool, cfg Fuse
 	return groups, nil
 }
 
-// perEpochCost is the group's per-record-per-epoch cost × epochs — the
-// quantity FUSE OPT minimizes the sum of.
-func perEpochCost(g *FusedGroup) int64 {
-	return g.Plan.CostPerRecord * int64(g.Epochs())
-}
-
 // TotalPlanCost returns Σ over groups of cost/record × epochs — the
 // workload's planned cost per training record summed across every group's
 // full epoch schedule (the quantity Equation 6 scales by r).
 func TotalPlanCost(groups []*FusedGroup) int64 {
 	var total int64
 	for _, g := range groups {
-		total += perEpochCost(g)
+		total += g.Plan.CostPerRecord * int64(g.Epochs())
 	}
 	return total
 }

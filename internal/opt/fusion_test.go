@@ -420,19 +420,19 @@ func TestBuildGroupRejectsComputedNodeWithPrunedParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := []WorkItem{{Model: m, Prof: prof, Epochs: 1, BatchSize: 8}}
-	mm, gprof, err := mmg.BuildProfiled(prof)
+	legal, err := new(scratch).price(number(items), items, nil, UnmodifiedPlan, AdamSlotBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	legal := CurrentPracticePlan(gprof)
-	if _, err := newGroup(items, mm, legal, AdamSlotBytes); err != nil {
+	g, err := legal.build()
+	if err != nil {
 		t.Fatalf("legal plan refused: %v", err)
 	}
 
-	bad := CurrentPracticePlan(gprof)
-	bad.Actions[mm.NodeOf(m, d1).Index()] = Pruned // d2 stays computed
-	_, err = newGroup(items, mm, bad, AdamSlotBytes)
+	bad := *legal
+	bad.actions = append([]Action(nil), legal.actions...)
+	bad.actions[g.MM.NodeOf(m, d1).Index()] = Pruned // d2 stays computed
+	_, err = bad.build()
 	if err == nil {
 		t.Fatal("plan computing d2 over a pruned d1 was accepted")
 	}
@@ -443,7 +443,8 @@ func TestBuildGroupRejectsComputedNodeWithPrunedParent(t *testing.T) {
 	}
 	// The replay ignores the edge to the tensor that does not exist: what
 	// is left is the legal plan minus d1's activation while d2 runs.
-	if got, max := EstimatePeakMemory(bad, 8, AdamSlotBytes), EstimatePeakMemory(legal, 8, AdamSlotBytes); got.ActivationPeak <= 0 || got.ActivationPeak > max.ActivationPeak {
+	badPlan := &Plan{Prof: g.Plan.Prof, Actions: bad.actions}
+	if got, max := EstimatePeakMemory(badPlan, 8, AdamSlotBytes), EstimatePeakMemory(g.Plan, 8, AdamSlotBytes); got.ActivationPeak <= 0 || got.ActivationPeak > max.ActivationPeak {
 		t.Errorf("illegal plan's activation peak %d, legal plan's %d", got.ActivationPeak, max.ActivationPeak)
 	}
 }

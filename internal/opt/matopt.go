@@ -103,7 +103,7 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 		}
 	}
 	for _, it := range items {
-		plan, err := sc.solve(it.Prof, chosen)
+		plan, err := SolveReusePlan(it.Prof, chosen)
 		if err != nil {
 			return nil, err
 		}
@@ -186,6 +186,7 @@ type matSearch struct {
 	sc     *scratch
 	cands  []MatCandidate
 	items  []WorkItem
+	views  []view    // by item: its profile, wrapped once per search
 	candOf [][]int32 // [item][node index] → 1 + candidate position, 0 if none
 	chosen []bool    // by candidate position
 }
@@ -195,8 +196,9 @@ func newMatSearch(sc *scratch, cands []MatCandidate, items []WorkItem) *matSearc
 	for c, cand := range cands {
 		pos[cand.Sig] = int32(c) + 1
 	}
-	s := &matSearch{sc: sc, cands: cands, items: items, candOf: make([][]int32, len(items)), chosen: make([]bool, len(cands))}
+	s := &matSearch{sc: sc, cands: cands, items: items, views: make([]view, len(items)), candOf: make([][]int32, len(items)), chosen: make([]bool, len(cands))}
 	for k, it := range items {
+		s.views[k].wrap(it.Prof)
 		s.candOf[k] = make([]int32, len(it.Prof.Layers))
 		for i := range it.Prof.Layers {
 			s.candOf[k][i] = pos[it.Prof.Layers[i].Sig]
@@ -215,7 +217,7 @@ func (s *matSearch) cost(from int) (int64, error) {
 		for i, c := range candOf {
 			s.sc.loadable[i] = c > 0 && (int(c) > from || s.chosen[c-1])
 		}
-		cost, err := s.sc.planCost(it.Prof, s.sc.loadable)
+		cost, err := s.sc.planCost(&s.views[k], s.sc.loadable)
 		if err != nil {
 			return 0, err
 		}

@@ -31,46 +31,44 @@ const AdamSlotBytes = 2
 func EstimatePeakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return sc.peakMemory(plan, batch, optBytesPerTrainableByte)
+	return sc.peakMemory(sc.view.wrap(plan.Prof), plan.Actions, batch, optBytesPerTrainableByte)
 }
 
-func (sc *scratch) peakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
-	prof := plan.Prof
-	m := prof.Model
-	nodes := m.Nodes()
-	n := len(nodes)
+// peakMemory replays actions, a plan over v.
+func (sc *scratch) peakMemory(v *view, actions []Action, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
+	n := len(v.layer)
 
 	// The augmented graph (Figure 5B) is traversed in one topological order:
 	// retained forward nodes in graph order (positions 0..F-1), the loss
 	// node (F), backward nodes in reverse forward order. Every step makes
 	// one tensor, identified by its position.
-	sc.reach = m.MarkReachable(sc.reach)
+	sc.reach = v.markReachable(sc.reach)
 	sc.fpos, sc.bpos = resize(sc.fpos, n), resize(sc.bpos, n)
 	F := int32(0)
-	for i := range nodes {
+	for i := range v.layer {
 		sc.fpos[i] = -1
-		if sc.reach[i] && plan.Actions[i] != Pruned {
+		if sc.reach[i] && actions[i] != Pruned {
 			sc.fpos[i] = F
 			F++
 		}
 	}
 
 	// Parameters of computed nodes, each once however many nodes hold it.
-	est := MemoryEstimate{WorkspaceBytes: prof.HW.WorkspaceBytes}
-	sc.seenParam = resize(sc.seenParam, prof.NumParams())
+	est := MemoryEstimate{WorkspaceBytes: v.profs[0].HW.WorkspaceBytes}
+	sc.seenParam = resize(sc.seenParam, v.nparams)
 	clear(sc.seenParam)
-	for i := range nodes {
-		if sc.fpos[i] < 0 || plan.Actions[i] != Computed {
+	for i, lp := range v.layer {
+		if sc.fpos[i] < 0 || actions[i] != Computed {
 			continue
 		}
-		for _, id := range prof.Layers[i].Params {
-			if sc.seenParam[id] {
+		for _, id := range lp.Params {
+			key, p, trains := v.param(i, id)
+			if sc.seenParam[key] {
 				continue
 			}
-			sc.seenParam[id] = true
-			p := prof.Param(id)
+			sc.seenParam[key] = true
 			est.ParamBytes += p.Bytes
-			if p.Trainable {
+			if trains {
 				est.OptimizerBytes += p.Bytes * optBytesPerTrainableByte
 			}
 		}
@@ -79,17 +77,17 @@ func (sc *scratch) peakMemory(plan *Plan, batch int, optBytesPerTrainableByte in
 	// needGrad: gradient flows into the node (it or an ancestor trains). A
 	// computed node that trains or must propagate grads has a backward node.
 	sc.needGrad = resize(sc.needGrad, n)
-	for i, nd := range nodes {
+	for i, lp := range v.layer {
 		sc.bpos[i] = -1
 		sc.needGrad[i] = false
 		if sc.fpos[i] < 0 {
 			continue
 		}
-		computed := plan.Actions[i] == Computed
-		trains := computed && nd.Trainable && len(prof.Layers[i].Params) > 0 // !Frozen()
+		computed := actions[i] == Computed
+		trains := computed && lp.Node.Trainable && len(lp.Params) > 0 // !Frozen()
 		fromParent := false
-		for _, p := range nd.Parents {
-			fromParent = fromParent || sc.needGrad[p.Index()]
+		for _, p := range v.parents(i) {
+			fromParent = fromParent || sc.needGrad[p]
 		}
 		sc.needGrad[i] = trains || fromParent
 		if computed && (trains || fromParent) {
@@ -118,27 +116,26 @@ func (sc *scratch) peakMemory(plan *Plan, batch int, optBytesPerTrainableByte in
 	}
 	sc.isOut = resize(sc.isOut, n)
 	clear(sc.isOut)
-	for _, o := range m.Outputs {
-		sc.isOut[o.Index()] = true
+	for _, o := range v.outs {
+		sc.isOut[o] = true
 	}
-	for i, nd := range nodes {
+	for i, lp := range v.layer {
 		f, b := sc.fpos[i], sc.bpos[i]
 		if f < 0 {
 			continue
 		}
-		sc.size[f] = prof.Layers[i].MemBytes
+		sc.size[f] = lp.MemBytes
 		if sc.isOut[i] {
 			use(f, F) // output → loss
 		}
-		if plan.Actions[i] != Computed {
+		if actions[i] != Computed {
 			continue
 		}
 		if b >= 0 {
-			sc.size[b] = prof.Layers[i].MemBytes
+			sc.size[b] = lp.MemBytes
 			use(f, b) // (l_i, l'_i): backward needs the forward output
 		}
-		for _, p := range nd.Parents {
-			pi := p.Index()
+		for _, pi := range v.parents(i) {
 			pf := sc.fpos[pi]
 			if pf < 0 {
 				continue // an illegal plan (verify.Plan, BuildGroup): no tensor to hold

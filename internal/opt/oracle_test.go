@@ -296,12 +296,14 @@ func randomWorkload(t *testing.T, rng *rand.Rand, nModels int) []opt.WorkItem {
 	return items
 }
 
-// aliasedWorkload is four models whose parameters are shared in the ways the
+// aliasedWorkload is five models whose parameters are shared in the ways the
 // zoo's are not, so the merged profile's parameter table has work to do: a
 // and b apply one frozen layer instance above their own trainable layers
 // (two non-materializable nodes of a fused graph holding the same
 // parameters); c holds a layer frozen that d trains (one parameter, frozen
-// in one member and trained in another); and c applies that layer twice.
+// in one member and trained in another); c applies that layer twice; and e
+// applies it twice to the same input (two nodes of one model, one
+// expression, which every merge collapses).
 func aliasedWorkload(t *testing.T) []opt.WorkItem {
 	t.Helper()
 	above := layers.NewDense(6, 6, layers.ActTanh, 71)
@@ -335,6 +337,10 @@ func aliasedWorkload(t *testing.T) []opt.WorkItem {
 			tr := m.AddNode("trained", tied, in)
 			tr.Trainable = true
 			return tr
+		}),
+		build("alias-eeeee", func(m *graph.Model, in *graph.Node) *graph.Node {
+			cat := m.AddNode("cat", layers.NewConcat(2), m.AddNode("left", tied, in), m.AddNode("right", tied, in))
+			return m.AddNode("mix", layers.NewDense(12, 6, layers.ActTanh, 73), cat)
 		}),
 	}
 }
@@ -377,7 +383,7 @@ func assertPlanMatchesOracle(t *testing.T, label string, plan *opt.Plan, sigs ma
 // -short), every singleton's plan and memory estimate equal the oracles',
 // and so do those of every group either fuser emits (under the three named
 // V and the first four random ones) and, on workloads of at most six
-// models, of every subset BuildGroup can merge. A four-model
+// models, of every subset BuildGroup can merge. A five-model
 // fixture with parameters shared across nodes and members rides along.
 func TestFlatPlannerMatchesMapOracle(t *testing.T) {
 	type row struct {

@@ -152,62 +152,16 @@ func (p *Plan) prunedInput() (n, parent *graph.Node) {
 	return nil, nil
 }
 
-// newPlan returns a plan over prof's graph that prunes every node.
-func newPlan(prof *profile.ModelProfile) *Plan {
-	return &Plan{Prof: prof, Actions: make([]Action, prof.Model.NumNodes())}
-}
-
 // CurrentPracticePlan returns the no-reuse plan: every node computed, only
 // dataset inputs loaded — what the Current Practice baseline executes.
 func CurrentPracticePlan(prof *profile.ModelProfile) *Plan {
-	p := newPlan(prof)
-	for _, n := range prof.Model.Reachable() {
-		if n.IsInput() {
-			p.Actions[n.Index()] = Loaded
-			p.CostPerRecord += prof.Layer(n).LoadFLOPs
-		} else {
-			p.Actions[n.Index()] = Computed
-			p.CostPerRecord += prof.Layer(n).CompFLOPs
-		}
-	}
-	return p
-}
-
-// ForcedLoadPlan builds the MAT-ALL baseline's plan: every materialized
-// output at the materializable frontier is loaded unconditionally —
-// "irrespective of whether it is efficient to compute them rather than
-// loading them" (Section 5.1) — and everything beneath it is pruned.
-func ForcedLoadPlan(prof *profile.ModelProfile) *Plan {
-	m := prof.Model
-	mat := m.Materializable()
-	plan := newPlan(prof)
-	var visit func(n *graph.Node)
-	visit = func(n *graph.Node) {
-		i := n.Index()
-		if plan.Actions[i] != Pruned {
-			return
-		}
-		if mat[i] {
-			plan.Actions[i] = Loaded
-			plan.CostPerRecord += prof.Layers[i].LoadFLOPs
-			return
-		}
-		plan.Actions[i] = Computed
-		plan.CostPerRecord += prof.Layers[i].CompFLOPs
-		for _, p := range n.Parents {
-			visit(p)
-		}
-	}
-	for _, o := range m.Outputs {
-		visit(o)
-	}
+	plan, _ := planOf(prof, nil, UnmodifiedPlan) // only ReusePlan can fail
 	return plan
 }
 
-// scratch is every buffer a reuse-plan solve and a peak-memory replay need,
-// kept between calls so the planner's inner loop allocates nothing once
-// warm. Slices are by Node.Index() unless noted; each call overwrites what
-// it reads, so no result depends on what a scratch held before.
+// scratch is every buffer a plan choice, a peak-memory replay and a merged
+// view need, kept so the planner's inner loop allocates nothing once warm.
+// Slices are by view node unless noted; each call overwrites what it reads.
 type scratch struct {
 	energy            mincut.Energy
 	reach, loadable   []bool
@@ -215,12 +169,17 @@ type scratch struct {
 
 	fpos, bpos      []int32 // position of the node's forward / backward step, −1 if none
 	needGrad, isOut []bool
-	seenParam       []bool  // by profile.ModelProfile.Param id
+	seenParam       []bool  // by the view's parameter key
 	size, release   []int64 // by step position
 	lastUse         []int32 // by step position
+
+	view   view    // what the public entry points and FUSE OPT's trials price
+	first  []int32 // merge: by expression number, 1 + the view node holding it
+	nodeOf []int32 // merge: by node of the member being added, its view node
 }
 
-// scratchPool lends one to each public entry point (MAT OPT: per search).
+// scratchPool lends one to each public entry point (MAT OPT: per search;
+// FUSE OPT: per Fuse call).
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // resize returns s at length n, contents unspecified, reusing its array.
@@ -232,86 +191,129 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // the polynomial-time min-cut reduction of Section 4.3.2; optimality is
 // exact.
 func SolveReusePlan(prof *profile.ModelProfile, loadableSigs map[graph.Signature]bool) (*Plan, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	return sc.solve(prof, loadableSigs)
+	return planOf(prof, loadableSigs, ReusePlan)
 }
 
-func (sc *scratch) solve(prof *profile.ModelProfile, loadableSigs map[graph.Signature]bool) (*Plan, error) {
-	sc.loadable = resize(sc.loadable, len(prof.Layers))
-	for i := range prof.Layers {
-		sc.loadable[i] = len(loadableSigs) > 0 && loadableSigs[prof.Layers[i].Sig]
+// planOf is the policy's plan over prof's own graph.
+func planOf(prof *profile.ModelProfile, loadableSigs map[graph.Signature]bool, policy PlanPolicy) (*Plan, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	actions, cost, err := sc.plan(sc.view.wrap(prof), loadableSigs, policy)
+	if err != nil {
+		return nil, err
 	}
-	sc.setEnergy(prof, sc.loadable)
+	return &Plan{Prof: prof, Actions: actions, CostPerRecord: cost}, nil
+}
+
+// plan chooses v's plan by policy: an action per view node, and the cost.
+// Current Practice computes every node the outputs reach; MAT-ALL stops at
+// the materializable frontier and loads it, whatever it costs (Section 5.1).
+func (sc *scratch) plan(v *view, loadableSigs map[graph.Signature]bool, policy PlanPolicy) ([]Action, int64, error) {
+	switch policy {
+	case ReusePlan:
+		return sc.solve(v, loadableSigs)
+	case UnmodifiedPlan, LoadFrontierPlan:
+	default:
+		return nil, 0, fmt.Errorf("opt: unknown plan policy %d", policy)
+	}
+	actions, need := make([]Action, len(v.layer)), make([]bool, len(v.layer))
+	var cost int64
+	for _, o := range v.outs {
+		need[o] = true
+	}
+	for i := len(need) - 1; i >= 0; i-- {
+		if !need[i] {
+			continue
+		}
+		if lp := v.layer[i]; lp.Node.IsInput() || policy == LoadFrontierPlan && lp.Materializable {
+			actions[i] = Loaded
+			cost += v.load(i)
+			continue
+		}
+		actions[i] = Computed
+		cost += v.layer[i].CompFLOPs
+		for _, p := range v.parents(i) {
+			need[p] = true
+		}
+	}
+	return actions, cost, nil
+}
+
+// solve finds v's optimal reuse plan given V.
+func (sc *scratch) solve(v *view, loadableSigs map[graph.Signature]bool) ([]Action, int64, error) {
+	sc.loadable = resize(sc.loadable, len(v.layer))
+	for i, lp := range v.layer {
+		sc.loadable[i] = len(loadableSigs) > 0 && loadableSigs[lp.Sig]
+	}
+	sc.setEnergy(v, sc.loadable)
 	labels, cost, err := sc.energy.Solve()
 	if err != nil {
-		return nil, fmt.Errorf("opt: reuse plan for %q: %w", prof.Model.Name, err)
+		return nil, 0, fmt.Errorf("opt: reuse plan for %q: %w", v.profs[0].Model.Name, err)
 	}
-	plan := newPlan(prof)
-	plan.CostPerRecord = cost
-	for i, n := range prof.Model.Nodes() {
+	actions := make([]Action, len(v.layer))
+	for i, lp := range v.layer {
 		switch {
 		case !sc.reach[i] || !labels[sc.present[i]]:
 			// Pruned.
-		case n.IsInput() || !labels[sc.computed[i]]:
-			plan.Actions[i] = Loaded
+		case lp.Node.IsInput() || !labels[sc.computed[i]]:
+			actions[i] = Loaded
 		default:
-			plan.Actions[i] = Computed
+			actions[i] = Computed
 		}
 	}
-	return plan, nil
+	return actions, cost, nil
 }
 
 // planCost is the optimal plan's CostPerRecord alone: no labels, no Plan.
-func (sc *scratch) planCost(prof *profile.ModelProfile, loadable []bool) (int64, error) {
-	sc.setEnergy(prof, loadable)
+func (sc *scratch) planCost(v *view, loadable []bool) (int64, error) {
+	sc.setEnergy(v, loadable)
 	cost, err := sc.energy.Min()
 	if err != nil {
-		return 0, fmt.Errorf("opt: reuse plan for %q: %w", prof.Model.Name, err)
+		return 0, fmt.Errorf("opt: reuse plan for %q: %w", v.profs[0].Model.Name, err)
 	}
 	return cost, nil
 }
 
-// setEnergy states prof's reuse-plan problem as sc.energy. loadable says, by
-// node index, which non-input nodes may be loaded. A reachable node gets a
+// setEnergy states v's reuse-plan problem as sc.energy. loadable says, by
+// view node, which non-input nodes may be loaded. A reachable node gets a
 // present variable, and a separate computed one only if it is a loadable
 // non-input; the variables left over cost nothing and touch no term.
-func (sc *scratch) setEnergy(prof *profile.ModelProfile, loadable []bool) {
-	m := prof.Model
-	nodes := m.Nodes()
-	sc.reach = m.MarkReachable(sc.reach)
-	sc.present, sc.computed = resize(sc.present, len(nodes)), resize(sc.computed, len(nodes))
+func (sc *scratch) setEnergy(v *view, loadable []bool) {
+	n := len(v.layer)
+	sc.reach = v.markReachable(sc.reach)
+	sc.present, sc.computed = resize(sc.present, n), resize(sc.computed, n)
 	e := &sc.energy
-	e.Reset(2 * len(nodes))
+	e.Reset(2 * n)
 	nv := 0
-	for i, n := range nodes {
+	for i, lp := range v.layer {
 		if !sc.reach[i] {
 			continue
 		}
-		lp := &prof.Layers[i]
 		pv, cv := nv, nv
 		nv++
+		input := lp.Node.IsInput()
 		switch {
-		case n.IsInput():
-			e.AddUnary(pv, 0, lp.LoadFLOPs)
+		case input:
+			e.AddUnary(pv, 0, v.load(i))
 		case loadable[i]:
 			cv = nv
 			nv++
-			e.AddUnary(pv, 0, lp.LoadFLOPs)
-			e.AddUnary(cv, 0, lp.CompFLOPs-lp.LoadFLOPs)
+			load := v.load(i)
+			e.AddUnary(pv, 0, load)
+			e.AddUnary(cv, 0, lp.CompFLOPs-load)
 			e.AddImplication(cv, pv)
 		default:
 			e.AddUnary(pv, 0, lp.CompFLOPs)
 		}
 		sc.present[i], sc.computed[i] = int32(pv), int32(cv)
-		if !n.IsInput() {
-			for _, par := range n.Parents {
-				e.AddImplication(cv, int(sc.present[par.Index()]))
+		if !input {
+			for _, par := range v.parents(i) {
+				e.AddImplication(cv, int(sc.present[par]))
 			}
 		}
 	}
-	for _, o := range m.Outputs {
-		e.AddUnary(int(sc.present[o.Index()]), mincut.Inf, 0) // outputs must be present
+	for _, o := range v.outs {
+		e.AddUnary(int(sc.present[o]), mincut.Inf, 0) // outputs must be present
 	}
 }
 

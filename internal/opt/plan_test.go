@@ -280,7 +280,7 @@ func TestBuildPlanModelRejectsPrunedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := newPlan(prof) // in and h both pruned
+	plan := &Plan{Prof: prof, Actions: make([]Action, m.NumNodes())} // in and h both pruned
 	if _, _, err := BuildPlanModel(plan); err == nil {
 		t.Error("pruned output should be rejected")
 	}

@@ -96,24 +96,32 @@ type ModelProfile struct {
 	Layers []LayerProfile
 	HW     Hardware
 
-	// The parameter table (NumParams, Param): the model's distinct parameters
-	// in first-use order, one entry however many nodes hold the parameter,
-	// so memory accounting counts it once. It is shared followed by own: a
-	// derived profile shares its first member's table rather than copy it.
-	shared, own []ParamProfile
-	// paramID indexes the table by parameter. A derived profile keeps none.
+	// params is the parameter table (NumParams, Param): the model's distinct
+	// parameters in first-use order, one entry however many nodes hold the
+	// parameter, so memory accounting counts it once. paramID indexes it.
+	params  []ParamProfile
 	paramID map[*graph.Param]int32
 }
 
 // NumParams is the number of distinct parameters the model's layers hold.
-func (p *ModelProfile) NumParams() int { return len(p.shared) + len(p.own) }
+func (p *ModelProfile) NumParams() int { return len(p.params) }
 
 // Param returns entry id of the parameter table, 0 ≤ id < NumParams().
-func (p *ModelProfile) Param(id int32) *ParamProfile {
-	if int(id) < len(p.shared) {
-		return &p.shared[id]
+func (p *ModelProfile) Param(id int32) *ParamProfile { return &p.params[id] }
+
+// intern returns q's id in the table, adding q if no entry holds its
+// parameter; a trainable q makes the entry trainable.
+func (p *ModelProfile) intern(q ParamProfile) int32 {
+	id, ok := p.paramID[q.Param]
+	switch {
+	case !ok:
+		id = int32(len(p.params))
+		p.paramID[q.Param] = id
+		p.params = append(p.params, q)
+	case q.Trainable:
+		p.params[id].Trainable = true
 	}
-	return &p.own[int(id)-len(p.shared)]
+	return id
 }
 
 // Layer returns the profile of one of the model's nodes.
@@ -140,7 +148,7 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 	p := &ModelProfile{
 		Model:   m,
 		Layers:  make([]LayerProfile, m.NumNodes()),
-		own:     make([]ParamProfile, 0, held),
+		params:  make([]ParamProfile, 0, held),
 		HW:      hw,
 		paramID: make(map[*graph.Param]int32, held),
 	}
@@ -185,23 +193,15 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 
 		first := len(ids)
 		for _, q := range n.Layer.Params() {
-			id, ok := p.paramID[q]
-			if !ok {
-				id = int32(len(p.own))
-				p.paramID[q] = id
-				p.own = append(p.own, ParamProfile{Param: q, Bytes: q.Bytes()})
-			}
-			ids = append(ids, id)
+			ids = append(ids, p.intern(ParamProfile{Param: q, Bytes: q.Bytes()}))
 		}
 		if n.Trainable { // what the node trains, as graph.Model.TrainableParams has it
 			trains := n.Layer.Params()
 			if pt, ok := n.Layer.(graph.PartialTrainer); ok {
 				trains = pt.TrainableSubset()
 			}
-			for _, q := range trains {
-				if id, ok := p.paramID[q]; ok {
-					p.own[id].Trainable = true
-				}
+			for _, q := range trains { // a subset of Params: interned above
+				p.intern(ParamProfile{Param: q, Bytes: q.Bytes(), Trainable: true})
 			}
 		}
 
@@ -224,83 +224,35 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 // Deriver builds the profile of a graph merged from profiled models without
 // re-profiling it: every merged node's facts are those of its first source
 // node in a member's profile (mmg.BuildProfiled). Only parameter ids cannot
-// be copied: they index a per-model table. The merged table begins with the
-// first member's (shared, so its ids stand); a later member's ids are
-// translated once per parameter, to the entry an earlier member made if one
-// holds the parameter too — so a parameter is counted once, and is trainable
+// be copied: they index a per-model table, so each is interned into the
+// merged table by parameter — a parameter is counted once, and is trainable
 // if any member trains it.
-type Deriver struct {
-	p    *ModelProfile
-	base *ModelProfile // the first member
-	// extra indexes p.own[:indexed], as base.paramID does p.shared; a member
-	// finds its own additions through remap, so they wait for the next one.
-	extra   map[*graph.Param]int32
-	indexed int
-
-	src   *ModelProfile // the later member being added
-	remap []int32       // src's parameter id → 1 + p's, 0 until translated
-}
+type Deriver struct{ p *ModelProfile }
 
 // NewDeriver starts the profile of merged (about nodes nodes) from its first member.
 func NewDeriver(merged *graph.Model, first *ModelProfile, nodes int) *Deriver {
-	p := &ModelProfile{Model: merged, Layers: make([]LayerProfile, 0, nodes), shared: first.own, HW: first.HW}
-	if first.paramID == nil { // first is itself derived: no index to share, so index a copy
-		p.shared, p.own = nil, append(append([]ParamProfile(nil), first.shared...), first.own...)
-	}
-	return &Deriver{p: p, base: first}
+	n := first.NumParams()
+	return &Deriver{p: &ModelProfile{Model: merged, Layers: make([]LayerProfile, 0, nodes), HW: first.HW, params: make([]ParamProfile, 0, n), paramID: make(map[*graph.Param]int32, n)}}
 }
 
 // Profile returns the derived profile; the Deriver must not be used after.
 func (d *Deriver) Profile() *ModelProfile { return d.p }
 
 // Add appends the profile of merged node n from lp, its first source node's
-// in member src; c_load is recomputed from the first member's hardware.
+// in member src; c_load is recomputed at the merged profile's hardware.
 func (d *Deriver) Add(n *graph.Node, src *ModelProfile, lp *LayerProfile) {
 	p := d.p
 	p.Layers = append(p.Layers, *lp)
 	out := &p.Layers[len(p.Layers)-1]
 	out.Node = n
 	out.LoadFLOPs = p.HW.LoadFLOPs(out.OutBytes)
-	if src == d.base || len(lp.Params) == 0 {
-		return // the first member's ids are the merged ids
-	}
-	if src != d.src {
-		d.src, d.remap = src, make([]int32, src.NumParams())
-		if d.extra == nil && d.indexed < len(p.own) {
-			d.extra = make(map[*graph.Param]int32, 2*len(p.own))
-		}
-		for ; d.indexed < len(p.own); d.indexed++ {
-			d.extra[p.own[d.indexed].Param] = int32(len(p.shared) + d.indexed)
-		}
+	if len(lp.Params) == 0 {
+		return
 	}
 	out.Params = make([]int32, len(lp.Params))
 	for i, sid := range lp.Params {
-		if d.remap[sid] == 0 {
-			d.remap[sid] = 1 + d.intern(*src.Param(sid))
-		}
-		out.Params[i] = d.remap[sid] - 1
+		out.Params[i] = p.intern(*src.Param(sid))
 	}
-}
-
-// intern returns q's id in the merged table, adding it if no member held it.
-func (d *Deriver) intern(q ParamProfile) int32 {
-	p := d.p
-	id, ok := d.base.paramID[q.Param]
-	if !ok {
-		id, ok = d.extra[q.Param]
-	}
-	switch {
-	case !ok:
-		p.own = append(p.own, q)
-		return int32(p.NumParams() - 1)
-	case q.Trainable && !p.Param(id).Trainable:
-		if int(id) < len(p.shared) { // the first member's table is not ours to write: take a copy
-			p.own = append(append(make([]ParamProfile, 0, p.NumParams()+8), p.shared...), p.own...)
-			p.shared = nil // ids stand; the next member re-indexes a few entries it need not
-		}
-		p.Param(id).Trainable = true
-	}
-	return id
 }
 
 // gradPath marks nodes (by index) whose backward pass must run when the

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -278,6 +280,110 @@ func TestTensorStoreQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// storeFile is a hand-made store file: the magic, the header words (rank,
+// then the dims) and data zero bytes.
+func storeFile(words []uint32, data int) []byte {
+	raw := []byte(tensorStoreMagic)
+	for _, w := range words {
+		raw = binary.LittleEndian.AppendUint32(raw, w)
+	}
+	return append(raw, make([]byte, data)...)
+}
+
+// malformedHeaders are store files whose header no stored record fits:
+// the record count Count must report (-1: an error) and text the errors
+// must carry.
+var malformedHeaders = []struct {
+	name    string
+	raw     []byte
+	count   int
+	errText string
+}{
+	{"zero dim", storeFile([]uint32{1, 0}, 16), -1, "zero or overflowing"},
+	{"zero inner dim", storeFile([]uint32{2, 3, 0}, 16), -1, "zero or overflowing"},
+	{"overflowing dims", storeFile([]uint32{2, 0xFFFFFFFF, 0xFFFFFFFF}, 16), -1, "zero or overflowing"},
+	{"overflowing rank 4", storeFile([]uint32{4, 1 << 16, 1 << 16, 1 << 16, 1 << 16}, 16), -1, "zero or overflowing"},
+	{"huge record, no data", storeFile([]uint32{3, 1 << 16, 1 << 16, 1 << 16}, 16), 0, "outside the 0 records"},
+}
+
+// A header no record fits is an error from Count and ReadRowsIn naming the
+// key, or, when the record size is real but no record is stored, a count of
+// zero and a refused read. The zero dimension made Count divide by zero; the
+// overflowing and huge records made ReadRowsIn panic in makeslice. Append
+// refuses to write a zero-size record's header in the first place.
+func TestTensorStoreRejectsMalformedHeaders(t *testing.T) {
+	for _, c := range malformedHeaders {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := newStore(t)
+			if err := os.WriteFile(filepath.Join(s.Dir(), "bad.nts"), c.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n, err := s.Count("bad")
+			if c.count < 0 {
+				if err == nil || !strings.Contains(err.Error(), c.errText) || !strings.Contains(err.Error(), `"bad"`) {
+					t.Errorf("Count = %d, %v; want an error naming the key and containing %q", n, err, c.errText)
+				}
+			} else if err != nil || n != c.count {
+				t.Errorf("Count = %d, %v; want %d", n, err, c.count)
+			}
+			if _, err := s.ReadRowsIn("bad", []int{0}, nil); err == nil || !strings.Contains(err.Error(), c.errText) || !strings.Contains(err.Error(), `"bad"`) {
+				t.Errorf("ReadRowsIn row 0 = %v; want an error naming the key and containing %q", err, c.errText)
+			}
+		})
+	}
+	s, _ := newStore(t)
+	if err := s.Append("k", tensor.New(3, 0)); err == nil || !strings.Contains(err.Error(), "zero or overflowing") {
+		t.Errorf("Append of [3, 0] records = %v, want it refused", err)
+	}
+	if n, err := s.Count("k"); err != nil || n != 0 {
+		t.Errorf("Count after a refused Append = %d, %v; want 0, nil", n, err)
+	}
+}
+
+// FuzzTensorStoreHeader feeds arbitrary bytes to the store as one key's
+// file. The property: Count and ReadRowsIn both fail, or Count is n, rows
+// 0..n-1 read back exactly the file's floats and row n is refused. Never a
+// panic. The committed corpus (testdata/fuzz/FuzzTensorStoreHeader) holds
+// valid files of rank 0–3, a partial record, truncated and foreign headers
+// and the files of TestTensorStoreRejectsMalformedHeaders; plain go test
+// replays it.
+func FuzzTensorStoreHeader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "k.nts"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewTensorStore(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		n, err := s.Count("k")
+		if err != nil {
+			if _, rerr := s.ReadRowsIn("k", []int{0}, nil); rerr == nil {
+				t.Fatalf("Count fails (%v) but row 0 reads", err)
+			}
+			return
+		}
+		if _, err := s.ReadRowsIn("k", []int{n}, nil); err == nil {
+			t.Fatalf("Count is %d but row %d reads", n, n)
+		}
+		if n == 0 {
+			return
+		}
+		got, err := s.ReadRowsIn("k", rows(0, n), nil)
+		if err != nil {
+			t.Fatalf("Count is %d but rows 0..%d fail: %v", n, n-1, err)
+		}
+		base := 8 + 4*int(binary.LittleEndian.Uint32(raw[4:]))
+		for i, v := range got.Data() {
+			if want := binary.LittleEndian.Uint32(raw[base+4*i:]); math.Float32bits(v) != want {
+				t.Fatalf("element %d = %#x, file holds %#x", i, math.Float32bits(v), want)
+			}
+		}
+	})
 }
 
 func TestRowCacheHitsAndEviction(t *testing.T) {

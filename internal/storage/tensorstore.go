@@ -106,36 +106,74 @@ func (s *TensorStore) open(key string) (*os.File, error) {
 // headerSize returns the byte size of a header with the given rank.
 func headerSize(rank int) int64 { return int64(4 + 4 + 4*rank) }
 
-// readHeader returns the record shape, or nil if the file is empty.
-func readHeader(f *os.File) ([]int, error) {
+// recordBytes is the byte size of one record of the given shape; false if
+// a dimension is zero or does not fit a header word, or the size overflows.
+func recordBytes(shape []int) (int64, bool) {
+	n := int64(4)
+	for _, d := range shape {
+		if d <= 0 || d > math.MaxUint32 || n > math.MaxInt64/int64(d) {
+			return 0, false
+		}
+		n *= int64(d)
+	}
+	return n, true
+}
+
+// readHeader returns the record shape and its byte size, or a nil shape if
+// the file is empty. A record size that is zero or overflows is an error
+// naming the key: no record could be counted or read.
+func readHeader(f *os.File, key string) ([]int, int64, error) {
 	var magic [4]byte
 	n, err := f.ReadAt(magic[:], 0)
 	if n == 0 {
-		return nil, nil // empty file: no header yet
+		return nil, 0, nil // empty file: no header yet
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if string(magic[:]) != tensorStoreMagic {
-		return nil, fmt.Errorf("storage: bad magic %q", magic)
+		return nil, 0, fmt.Errorf("storage: bad magic %q", magic)
 	}
 	var rankBuf [4]byte
 	if _, err := f.ReadAt(rankBuf[:], 4); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	rank := int(binary.LittleEndian.Uint32(rankBuf[:]))
 	if rank < 0 || rank > 8 {
-		return nil, fmt.Errorf("storage: implausible rank %d", rank)
+		return nil, 0, fmt.Errorf("storage: implausible rank %d", rank)
 	}
 	dims := make([]byte, 4*rank)
 	if _, err := f.ReadAt(dims, 8); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	shape := make([]int, rank)
 	for i := range shape {
 		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
 	}
-	return shape, nil
+	recBytes, ok := recordBytes(shape)
+	if !ok {
+		return nil, 0, fmt.Errorf("storage: key %q: header record shape %v has a zero or overflowing size", key, shape)
+	}
+	return shape, recBytes, nil
+}
+
+// stored opens key's file and reads its header: the record shape and byte
+// size, and how many whole records the file holds. A file with no header
+// yet has a nil shape and no records.
+func (s *TensorStore) stored(key string) (*os.File, []int, int64, int, error) {
+	f, err := s.open(key)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	shape, recBytes, err := readHeader(f, key)
+	if err != nil || shape == nil {
+		return f, nil, 0, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return f, shape, recBytes, int((st.Size() - headerSize(len(shape))) / recBytes), nil
 }
 
 // Append writes the records of recs (shape [n, ...rec]) to the end of key's
@@ -153,12 +191,15 @@ func (s *TensorStore) Append(key string, recs *tensor.Tensor) error {
 			s.obs.Samples().AddWrite(wroteBytes, d)
 		}
 	}()
+	recShape := recs.Shape()[1:]
+	if _, ok := recordBytes(recShape); !ok {
+		return fmt.Errorf("storage: append %q: records of shape %v have a zero or overflowing size", key, recShape)
+	}
 	f, err := s.open(key)
 	if err != nil {
 		return err
 	}
-	recShape := recs.Shape()[1:]
-	existing, err := readHeader(f)
+	existing, _, err := readHeader(f, key)
 	if err != nil {
 		return err
 	}
@@ -203,23 +244,8 @@ func (s *TensorStore) Count(key string) (int, error) {
 }
 
 func (s *TensorStore) countLocked(key string) (int, error) {
-	f, err := s.open(key)
-	if err != nil {
-		return 0, err
-	}
-	shape, err := readHeader(f)
-	if err != nil {
-		return 0, err
-	}
-	if shape == nil {
-		return 0, nil
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	recBytes := int64(tensor.NumElems(shape)) * 4
-	return int((st.Size() - headerSize(len(shape))) / recBytes), nil
+	_, _, _, count, err := s.stored(key)
+	return count, err
 }
 
 // ReadRowsIn gathers the given record indices into a [len(idx), ...rec]
@@ -240,19 +266,21 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 			s.obs.Samples().AddRead(coldSample, d)
 		}
 	}()
-	f, err := s.open(key)
-	if err != nil {
-		return nil, err
-	}
-	shape, err := readHeader(f)
+	f, shape, recBytes, count, err := s.stored(key)
 	if err != nil {
 		return nil, err
 	}
 	if shape == nil {
 		return nil, fmt.Errorf("storage: key %q is empty", key)
 	}
-	recElems := tensor.NumElems(shape)
-	recBytes := int64(recElems) * 4
+	// Rows are checked before anything is allocated: the header, not the
+	// file, sizes the result.
+	for _, r := range idx {
+		if r < 0 || r >= count {
+			return nil, fmt.Errorf("storage: read %q row %d: outside the %d records stored", key, r, count)
+		}
+	}
+	recElems := int(recBytes / 4)
 	base := headerSize(len(shape))
 	outShape := append([]int{len(idx)}, shape...)
 	var out *tensor.Tensor
@@ -264,9 +292,6 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 	buf := make([]byte, recBytes)
 	var coldBytes int64
 	for i, r := range idx {
-		if r < 0 {
-			return nil, fmt.Errorf("storage: read %q row %d: negative row index", key, r)
-		}
 		dst := out.Data()[i*recElems : (i+1)*recElems]
 		if s.cache != nil {
 			if row, ok := s.cache.get(key, r); ok {

@@ -64,17 +64,20 @@ check:
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 
-# fuzz runs the storage decoders' fuzz targets for 30 s each on two
-# workers: FuzzLoadParamsInto, the checkpoint reader (property: an error
-# that leaves the model untouched, or every listed param restored
-# bit-exactly), and FuzzTensorStoreHeader, a store file's header (property:
-# Count and ReadRowsIn both fail, or every counted row reads back the file's
-# floats). Never a panic. It is not part of check: plain go test replays only
-# the committed seed corpora under internal/storage/testdata/fuzz/. A failing
-# input is written there too; commit it with the fix.
+# fuzz runs the decoders' fuzz targets for 30 s each on two workers:
+# FuzzLoadParamsInto, the checkpoint reader (property: an error that leaves
+# the model untouched, or every listed param restored bit-exactly),
+# FuzzTensorStoreHeader, a store file's header (property: Count and
+# ReadRowsIn both fail, or every counted row reads back the file's floats),
+# and FuzzLoadCalibration, a calibration file (property: an error, or
+# hardware whose LoadFLOPs/Seconds/IOSeconds are finite and non-negative).
+# Never a panic. It is not part of check: plain go test replays only the
+# committed seed corpora under internal/{storage,profile}/testdata/fuzz/. A
+# failing input is written there too; commit it with the fix.
 fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadParamsInto$$' -fuzztime 30s -parallel 2
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzTensorStoreHeader$$' -fuzztime 30s -parallel 2
+	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzLoadCalibration$$' -fuzztime 30s -parallel 2
 
 # bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
 # backoff factor, Figure 5 estimate; the paper's tables and figures are
@@ -86,7 +89,9 @@ fuzz:
 # at 128x3072 and 32x64), the tensor kernels (BenchmarkSoftmaxRows: 512x128
 # through the exp kernel; BenchmarkMatMulConvShapes: the matmul family at
 # conv-layer shapes with half-zero coefficients, in gflops;
-# BenchmarkEltwiseAdd256: serial vs fanned out), so a change to the activation path or the tile
+# BenchmarkEltwiseAdd256: serial vs fanned out; BenchmarkScopeGet: one warm
+# step-scope allocation, ns/op and allocs/op, which must read 0), so a
+# change to the activation path, the allocator or the tile
 # kernel has a number without a 15 s bench-e2e session, and the
 # observability-overhead benchmarks (internal/exec:
 # BenchmarkTrainGroupNoObs/ActiveObs over one trainer loop and

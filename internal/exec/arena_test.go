@@ -1,43 +1,123 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"nautilus/internal/graph"
+	"nautilus/internal/opt"
 	"nautilus/internal/tensor"
 	"nautilus/internal/train"
 )
 
+// arenaApproaches mirrors core's approach table at this layer: the
+// materialized set V each plan sees, the reuse policy, whether FUSE OPT
+// groups the candidates, and whether checkpoints hold every parameter.
+var arenaApproaches = []struct {
+	name      string
+	mat       string // "none", "all" (every materializable layer) or "opt" (MAT OPT)
+	plan      opt.PlanPolicy
+	fuse      bool
+	fullCkpts bool
+}{
+	{"current_practice", "none", opt.UnmodifiedPlan, false, true},
+	{"mat_all", "all", opt.LoadFrontierPlan, false, false},
+	{"nautilus", "opt", opt.ReusePlan, true, false},
+	{"nautilus_no_fuse", "opt", opt.ReusePlan, false, false},
+	{"nautilus_no_mat", "none", opt.ReusePlan, true, false},
+}
+
 // TestArenaTrainingBitIdentical verifies the arena is purely a physical
-// optimization: training with tensor recycling produces exactly the results
-// of training without it.
+// optimization, for every approach: materializing and training with tensor
+// recycling — TrainGroups on two slots, each group's step scope recycled
+// per batch, feeds prefetched into their own scopes — gives exactly the
+// accuracy and loss bits and the checkpoint bytes of heap allocation on one
+// slot without prefetch.
 func TestArenaTrainingBitIdentical(t *testing.T) {
 	snap := nerSnapshot(t, 2)
-
-	itemsA, _ := buildWorkload(t, 1)
-	storeA, _ := newTestStore(t)
-	plain := &Trainer{Store: storeA, Loss: train.SoftmaxCrossEntropy{}, Seed: 7}
-	resA, err := plain.TrainGroup(singleton(t, itemsA[0], nil), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	itemsB, _ := buildWorkload(t, 1)
-	storeB, _ := newTestStore(t)
-	pooled := &Trainer{Store: storeB, Loss: train.SoftmaxCrossEntropy{}, Seed: 7, Arena: tensor.NewArena(), Prefetch: true}
-	resB, err := pooled.TrainGroup(singleton(t, itemsB[0], nil), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(resA) != len(resB) {
-		t.Fatalf("branch count mismatch")
-	}
-	for i := range resA {
-		// floateq deliberately skips test files: bit-identity is the
-		// property under test here, so exact comparison is the point.
-		if resA[i].ValAcc != resB[i].ValAcc || resA[i].ValLoss != resB[i].ValLoss || resA[i].FinalLoss != resB[i].FinalLoss {
-			t.Fatalf("arena changed results: %+v vs %+v", resA[i], resB[i])
-		}
+	for _, ap := range arenaApproaches {
+		t.Run(ap.name, func(t *testing.T) {
+			run := func(arena *tensor.Arena, slots int) (accs []string, ckpts map[string][]byte) {
+				withSlots(t, slots)
+				items, mm := buildWorkload(t, 3)
+				sigs := map[graph.Signature]bool{}
+				switch ap.mat {
+				case "all":
+					for _, n := range mm.MaterializableNodes() {
+						sigs[mm.Sig(n)] = true
+					}
+				case "opt":
+					res, err := opt.OptimizeMaterialization(mm, items, opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 200})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sigs = res.Sigs
+				}
+				store, _ := newTestStore(t)
+				mz, err := NewMaterializer(store, mm, sigs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mz != nil {
+					mz.Arena = arena
+					if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
+						t.Fatal(err)
+					}
+					if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var groups []*opt.FusedGroup
+				if ap.fuse {
+					groups = fuse(t, items, sigs)
+				} else {
+					for _, it := range items {
+						g, err := opt.BuildGroup([]opt.WorkItem{it}, sigs, ap.plan, opt.AdamSlotBytes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						groups = append(groups, g)
+					}
+				}
+				trainer := &Trainer{Store: store, Loss: train.SoftmaxCrossEntropy{}, Seed: 7, Arena: arena, Prefetch: arena != nil}
+				dir := t.TempDir()
+				res, err := trainer.TrainGroups(groups, snap, 1<<40, func(gi int, g *opt.FusedGroup) error {
+					return trainer.Checkpoint(g, filepath.Join(dir, fmt.Sprintf("g%d.nckp", gi)), ap.fullCkpts)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, branches := range res {
+					for _, r := range branches {
+						accs = append(accs, fmt.Sprintf("%s %x %x %x", r.Item.Model.Name, math.Float64bits(r.ValAcc), math.Float64bits(r.ValLoss), math.Float64bits(r.FinalLoss)))
+					}
+				}
+				ckpts = map[string][]byte{}
+				for gi := range groups {
+					name := fmt.Sprintf("g%d.nckp", gi)
+					if ckpts[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return accs, ckpts
+			}
+			wantAccs, wantCkpts := run(nil, 1)
+			arena := tensor.NewArena()
+			gotAccs, gotCkpts := run(arena, 2)
+			if !reflect.DeepEqual(gotAccs, wantAccs) {
+				t.Errorf("arena changed results:\n got %v\nwant %v", gotAccs, wantAccs)
+			}
+			if !reflect.DeepEqual(gotCkpts, wantCkpts) {
+				t.Errorf("arena changed checkpoint bytes")
+			}
+			if st := arena.Stats(); st.Hits == 0 {
+				t.Errorf("the arena served no recycled buffer: %+v", st)
+			}
+		})
 	}
 }
 

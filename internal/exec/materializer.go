@@ -185,8 +185,8 @@ func (mz *Materializer) forwardPipeline(model *graph.Model, span *obs.Span, delt
 			cs := span.Child("mat/chunk", obs.Int("records", int64(hi-lo)))
 			cs.SetTrack(2)
 			scope := mz.Arena.Scope()
-			chunk := sliceRecords(deltaX, lo, hi, allocOf(scope))
-			tape, err := model.ForwardOpts(map[string]*tensor.Tensor{mz.inputName: chunk}, graph.ForwardOptions{Alloc: allocOf(scope)})
+			chunk := sliceRecords(deltaX, lo, hi, scope)
+			tape, err := model.ForwardOpts(map[string]*tensor.Tensor{mz.inputName: chunk}, graph.ForwardOptions{Alloc: scope})
 			cs.End()
 			ch <- matChunk{tape: tape, scope: scope, err: err}
 			if err != nil {
@@ -290,17 +290,12 @@ func ReconcileArtifacts(store *storage.TensorStore, oldSigs, newSigs map[graph.S
 }
 
 // sliceRecords copies records [lo,hi) along dim 0 into a tensor allocated
-// from a (nil = heap).
-func sliceRecords(t *tensor.Tensor, lo, hi int, a tensor.Alloc) *tensor.Tensor {
+// from s (nil = heap).
+func sliceRecords(t *tensor.Tensor, lo, hi int, s *tensor.Scope) *tensor.Tensor {
 	shape := append([]int(nil), t.Shape()...)
 	rec := t.Len() / shape[0]
 	shape[0] = hi - lo
-	var out *tensor.Tensor
-	if a != nil {
-		out = a.Get(shape...)
-	} else {
-		out = tensor.New(shape...)
-	}
+	out := s.Get(shape...)
 	copy(out.Data(), t.Data()[lo*rec:hi*rec])
 	return out
 }

@@ -32,12 +32,12 @@ type Trainer struct {
 	// bit-identical with or without it.
 	Prefetch bool
 	// Arena, when set, recycles every step-scoped tensor (feeds, forward
-	// intermediates, layer caches, gradients) across mini-batches: each
-	// batch runs inside a tensor.Scope released once its optimizer step
-	// retires, so steady-state training stops allocating. Results are
-	// bit-identical with or without it, and the peak-memory conformance
-	// replay is unaffected (it meters logical tensor lifetimes, not
-	// physical buffers).
+	// intermediates, layer caches, gradients) across mini-batches: a group
+	// takes one tensor.Scope from it, recycles that scope once each batch's
+	// optimizer step retires and releases it when the group is done, so
+	// steady-state training stops allocating. Results are bit-identical
+	// with or without it, and the peak-memory conformance replay is
+	// unaffected (it meters logical tensor lifetimes, not physical buffers).
 	Arena *tensor.Arena
 	// Obs, when set, emits per-group/epoch/batch spans, registry metrics,
 	// the cost-model conformance account, and the live-tensor peak-memory
@@ -131,14 +131,23 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	var es, bs *obs.Span
 	defer func() { bs.End(); es.End() }() // close spans left open by error returns
 
+	// One step scope serves every batch of the group, training and
+	// validation alike: it recycles after each batch, so from the second
+	// step on it allocates without a lock, and it goes back to the arena
+	// when the group is done. The prefetcher cannot share it (a scope has
+	// one owner), so feeds come in scopes of their own and ForwardOpts
+	// re-headers them into step.
+	step := t.Arena.Scope()
+	defer step.Release()
+
 	for epoch := 0; epoch < g.Epochs(); epoch++ {
 		es = span.Child("train/epoch", obs.Int("epoch", int64(epoch)))
 		batches := train.Batches(n, g.BatchSize(), rng)
 		nextFeeds := t.feedPipeline(planModel, feeds, snap, batches, span, gc)
 		// Drain on every exit: an early error return below would otherwise
-		// strand the prefetch goroutine blocked on send (and its prefetched
-		// scope unrecycled). After a clean epoch the channel is already
-		// closed and empty, so the deferred range is a no-op.
+		// strand the prefetch goroutine blocked on send (and its feed scope
+		// unrecycled). After a clean epoch the channel is already closed
+		// and empty, so the deferred range is a no-op.
 		defer func() {
 			for fed := range nextFeeds {
 				fed.scope.Release()
@@ -154,8 +163,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				fed.scope.Release()
 				return nil, fed.err
 			}
-			feedsMap := fed.feeds
-			tape, err := planModel.ForwardOpts(feedsMap, graph.ForwardOptions{Train: true, Alloc: allocOf(fed.scope)})
+			tape, err := planModel.ForwardOpts(fed.feeds, graph.ForwardOptions{Train: true, Alloc: step})
 			if err != nil {
 				fed.scope.Release()
 				return nil, err
@@ -164,7 +172,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				trk.Reset(memBase + tape.LiveActivationBytes())
 				tape.SetAllocObserver(trk)
 			}
-			yb := train.GatherIn(allocOf(fed.scope), snap.TrainY, idx)
+			yb := train.GatherIn(step, snap.TrainY, idx)
 			outGrads := map[string]*tensor.Tensor{}
 			for _, b := range branches {
 				logits := tape.Output(b.out)
@@ -204,6 +212,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 			cSteps.Add(1)
 			// The optimizer has stepped and metering is done: every tensor
 			// of this batch (feeds, activations, caches, gradients) is dead.
+			step.Recycle()
 			fed.scope.Release()
 			// The batch's wall time minus the feed wait is pure compute: it
 			// feeds both the conformance drift account (predicted vs actual
@@ -238,22 +247,21 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				hi = vn
 			}
 			idx := idxAll[lo:hi]
-			scope := t.Arena.Scope()
 			fa := vs.Child("train/feed_assemble", obs.Int("records", int64(len(idx))))
-			feedsMap, err := t.batchFeeds(planModel, feeds, Valid, snap.ValidX, idx, allocOf(scope))
+			feedsMap, err := t.batchFeeds(planModel, feeds, Valid, snap.ValidX, idx, step)
 			gc.AddLoadTime(fa.End())
 			if err != nil {
 				vs.End()
 				return nil, err
 			}
 			vb := vs.Child("train/valid_batch", obs.Int("records", int64(len(idx))))
-			tape, err := planModel.ForwardOpts(feedsMap, graph.ForwardOptions{Alloc: allocOf(scope)})
+			tape, err := planModel.ForwardOpts(feedsMap, graph.ForwardOptions{Alloc: step})
 			if err != nil {
 				vb.End()
 				vs.End()
 				return nil, err
 			}
-			yb := train.GatherIn(allocOf(scope), snap.ValidY, idx)
+			yb := train.GatherIn(step, snap.ValidY, idx)
 			w := float64(len(idx)) / float64(vn)
 			for bi, b := range branches {
 				out := tape.Output(b.out)
@@ -274,7 +282,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 			gc.AddValidRecords(int64(len(idx)))
 			cFlops.Add(forwardPerRecord * int64(len(idx)))
 			cLoad.Add(loadPerRecord * int64(len(idx)))
-			scope.Release()
+			step.Recycle()
 		}
 		vs.End()
 		for i := range results {
@@ -291,20 +299,20 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 
 // batchFeeds assembles the feed map for one mini-batch: dataset inputs
 // gather from the in-memory snapshot, materialized feeds read from the
-// store. Every feed is allocated from a (the batch's step scope), so the
-// whole step derives from recycled buffers.
-func (t *Trainer) batchFeeds(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, a tensor.Alloc) (map[string]*tensor.Tensor, error) {
+// store. Every feed is allocated from s, so the whole step derives from
+// recycled buffers.
+func (t *Trainer) batchFeeds(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, s *tensor.Scope) (map[string]*tensor.Tensor, error) {
 	feeds := map[string]*tensor.Tensor{}
 	for _, in := range planModel.Inputs() {
 		if sig, ok := feedSigs[in.Name]; ok {
-			rows, err := t.Store.ReadRowsIn(storeKey(sig, split), idx, a)
+			rows, err := t.Store.ReadRowsIn(storeKey(sig, split), idx, s)
 			if err != nil {
 				return nil, fmt.Errorf("exec: read materialized %v: %w", sig, err)
 			}
 			feeds[in.Name] = rows
 			continue
 		}
-		feeds[in.Name] = train.GatherIn(a, x, idx)
+		feeds[in.Name] = train.GatherIn(s, x, idx)
 	}
 	return feeds, nil
 }
@@ -315,15 +323,6 @@ func shapeOf(t *tensor.Tensor) []int {
 		return nil
 	}
 	return t.Shape()
-}
-
-// allocOf converts a possibly-nil *tensor.Scope into a tensor.Alloc without
-// producing a typed-nil interface.
-func allocOf(s *tensor.Scope) tensor.Alloc {
-	if s == nil {
-		return nil
-	}
-	return s
 }
 
 // Checkpoint writes the group's trained weights. Nautilus plans persist
@@ -344,7 +343,7 @@ func (t *Trainer) Checkpoint(g *opt.FusedGroup, path string, full bool) error {
 	return storage.SaveModel(path, planModel, storage.CheckpointOptions{TrainableOnly: !full}, counters)
 }
 
-// fedBatch is one prefetched mini-batch's feeds plus the step scope they
+// fedBatch is one prefetched mini-batch's feeds plus the feed scope they
 // were allocated from; the compute loop releases the scope once the batch's
 // optimizer step retires.
 type fedBatch struct {
@@ -364,7 +363,9 @@ var feedWaitBuckets = []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 // store reads overlap the previous batch's compute; otherwise feeds are
 // assembled lazily on receive. Assembly spans are children of the group
 // span on a separate track, so the trace shows the overlap (or its
-// absence) directly against the batch spans.
+// absence) directly against the batch spans. Each batch's feeds are
+// assembled in a scope of their own whose ownership travels with the batch
+// to the compute loop.
 func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph.Signature, snap data.Snapshot, batches [][]int, group *obs.Span, gc *obs.GroupConformance) <-chan fedBatch {
 	buf := 0
 	if t.Prefetch {
@@ -376,11 +377,10 @@ func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph
 		for bi, idx := range batches {
 			as := group.Child("train/feed_assemble", obs.Int("batch", int64(bi)), obs.Int("records", int64(len(idx))))
 			as.SetTrack(group.Track() + 2)
-			// One scope per batch: the prefetcher fills batch t+1's scope
-			// while batch t computes in its own, so recycling never crosses
-			// the pipeline boundary.
+			// One feed scope per batch: the prefetcher fills batch t+1's
+			// while batch t computes in the group's step scope.
 			scope := t.Arena.Scope()
-			feeds, err := t.batchFeeds(planModel, feedSigs, Train, snap.TrainX, idx, allocOf(scope))
+			feeds, err := t.batchFeeds(planModel, feedSigs, Train, snap.TrainX, idx, scope)
 			// Assembly time (store reads + host gathers) is the actual load
 			// leg of the conformance drift account.
 			gc.AddLoadTime(as.End())

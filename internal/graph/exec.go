@@ -18,7 +18,7 @@ type Tape struct {
 	paramGrads map[*Param]*tensor.Tensor
 	inputGrads map[*Node]*tensor.Tensor
 
-	alloc tensor.Alloc
+	alloc *tensor.Scope
 
 	allocObs AllocObserver
 }
@@ -54,13 +54,13 @@ func (t *Tape) observeFree(x *tensor.Tensor) {
 type ForwardOptions struct {
 	// Train enables training-only layer behaviour (dropout).
 	Train bool
-	// Alloc, when non-nil, is the allocation strategy for the pass: feeds
-	// are re-headered to derive from it, so every intermediate, cache, and
-	// (later) gradient tensor the pass creates comes from the same scope and
-	// can be recycled wholesale once the step retires. Logical allocation
+	// Alloc, when non-nil, is the step scope of the pass: feeds not already
+	// in it are re-headered into it, so every intermediate, cache, and
+	// (later) gradient tensor the pass creates comes from the scope and can
+	// be recycled wholesale once the step retires. Logical allocation
 	// reporting to the AllocObserver is unaffected — metering counts tensor
 	// lifetimes, not mallocs.
-	Alloc tensor.Alloc
+	Alloc *tensor.Scope
 }
 
 // Forward executes the model on the given feeds. Every input node of the

@@ -22,12 +22,16 @@ import (
 //     scope as allocator, method calls and field reads on derived values,
 //     composites) and its type can carry tensors;
 //   - `s.Release()` marks the scope released on the paths through it;
-//     assignment to a tracked variable kills its association.
+//     `s.Recycle()` invalidates every value derived from s so far while s
+//     itself stays live for the next batch; assignment to a tracked
+//     variable kills its association.
 //
-// Two finding classes:
+// Three finding classes:
 //
 //   - use after Release: any use of a derived value (or the scope itself)
 //     on a path where its scope may already be released;
+//   - use after Recycle: any use of a value derived from a scope before a
+//     Recycle that may have run on the path since;
 //   - escape before Release: a derived value stored into a struct field, a
 //     package-level variable, or sent on a channel, while a Release of its
 //     scope is still reachable downstream — the stored alias outlives the
@@ -45,7 +49,7 @@ import (
 // negative).
 var ArenaEscapeAnalyzer = &Analyzer{
 	Name:         "arenaescape",
-	Doc:          "flags arena-scoped tensors used after Scope.Release or escaping to fields/globals/channels that outlive the scope",
+	Doc:          "flags arena-scoped tensors used after Scope.Release or Scope.Recycle, or escaping to fields/globals/channels that outlive the scope",
 	SummaryAware: true,
 	Run:          func(p *Pass) { runTypestate(p, arenaEscapeSpec) },
 }
@@ -67,8 +71,10 @@ var arenaEscapeSpec = &typestateSpec{
 			directMsg:  "scope %s may already be released here",
 		},
 	},
-	escapeEvent: scopeProtocol.terminal,
-	escapeMsg:   "%s is backed by scope %s but escapes via %s, and the scope is released before the function returns; copy it out of the scope first",
+	escapeEvent:  scopeProtocol.terminal,
+	escapeMsg:    "%s is backed by scope %s but escapes via %s, and the scope is released before the function returns; copy it out of the scope first",
+	recycleEvent: "Recycle",
+	recycleMsg:   "%s was allocated from scope %s before a Recycle that may have run on the way here; move the use before Recycle or copy the tensor out",
 }
 
 // scopeOrigin matches a call returning *tensor.Scope from a method named

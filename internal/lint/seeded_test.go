@@ -89,10 +89,10 @@ var seededRegressions = []seededRegression{
 		want: "locksafe",
 	},
 	{
-		name: "Arena.Get oversize path returns holding a.mu",
+		name: "Arena.Scope pool hit returns holding a.mu",
 		dir:  "internal/tensor", file: "arena.go",
-		old:  "\t\ta.stats.Misses++\n\t\ta.mu.Unlock()\n\t\tt := New(shape...)\n",
-		new:  "\t\ta.stats.Misses++\n\t\tt := New(shape...)\n",
+		old:  "\t\ts.idle = false\n\t\ta.mu.Unlock()\n\t\treturn s\n",
+		new:  "\t\ts.idle = false\n\t\treturn s\n",
 		want: "locksafe",
 	},
 	{
@@ -113,7 +113,14 @@ var seededRegressions = []seededRegression{
 		name: "Trainer validation scope released before scoring",
 		dir:  "internal/exec", file: "trainer.go",
 		old:  "\t\t\tw := float64(len(idx)) / float64(vn)\n",
-		new:  "\t\t\tw := float64(len(idx)) / float64(vn)\n\t\t\tscope.Release()\n",
+		new:  "\t\t\tw := float64(len(idx)) / float64(vn)\n\t\t\tstep.Release()\n",
+		want: "arenaescape",
+	},
+	{
+		name: "Trainer step scope recycled before the optimizer step",
+		dir:  "internal/exec", file: "trainer.go",
+		old:  "\t\t\tall := tape.ParamGrads()\n",
+		new:  "\t\t\tstep.Recycle()\n\t\t\tall := tape.ParamGrads()\n",
 		want: "arenaescape",
 	},
 	{

@@ -36,6 +36,21 @@ func arenaEscapeField(a *tensor.Arena, h *tensorHolder) {
 	s.Release()
 }
 
+// Arenaescape: a batch tensor is read after the step scope recycled — the
+// scope lives on, but the buffer already backs the next batch.
+
+func arenaUseAfterRecycle(a *tensor.Arena, batches int) float32 {
+	s := a.Scope()
+	defer s.Release()
+	var sum float32
+	for i := 0; i < batches; i++ {
+		x := s.Get(4) // not flagged: x is re-derived every batch
+		s.Recycle()
+		sum += x.Data()[0] // want "arenaescape: x was allocated from scope s before a Recycle that may have run on the way here; move the use before Recycle or copy the tensor out"
+	}
+	return sum
+}
+
 // Not flagged: the prefetch-pipeline handoff — the tensor crosses the
 // channel with its scope unreleased; releasing is the consumer's job.
 

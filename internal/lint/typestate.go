@@ -90,6 +90,12 @@ type typestateSpec struct {
 	// args (value, owner, how).
 	escapeEvent string
 	escapeMsg   string
+	// recycleEvent names a method that invalidates every value derived from
+	// the owner so far while the owner itself stays in its state (a step
+	// scope recycled between batches); a later use of such a value gets
+	// recycleMsg, args (value, owner).
+	recycleEvent string
+	recycleMsg   string
 }
 
 func (s *typestateSpec) rank(state string) int {
@@ -305,15 +311,17 @@ func defSites(info *types.Info, n *cfgNode) []types.Object {
 // Simulation leg
 // ---------------------------------------------------------------------------
 
-// protoFact is one CFG node's entry state: tracked owners' state ranks and
-// the values derived from them (derived value → owner).
+// protoFact is one CFG node's entry state: tracked owners' state ranks, the
+// values derived from them, and the derived values a recycle event has
+// invalidated (both value → owner).
 type protoFact struct {
-	state   map[types.Object]int
-	derived map[types.Object]types.Object
+	state    map[types.Object]int
+	derived  map[types.Object]types.Object
+	recycled map[types.Object]types.Object
 }
 
 func newProtoFact() *protoFact {
-	return &protoFact{state: map[types.Object]int{}, derived: map[types.Object]types.Object{}}
+	return &protoFact{state: map[types.Object]int{}, derived: map[types.Object]types.Object{}, recycled: map[types.Object]types.Object{}}
 }
 
 func (f *protoFact) clone() *protoFact {
@@ -324,11 +332,14 @@ func (f *protoFact) clone() *protoFact {
 	for k, v := range f.derived {
 		c.derived[k] = v
 	}
+	for k, v := range f.recycled {
+		c.recycled[k] = v
+	}
 	return c
 }
 
 // mergeFrom folds src into f (may-analysis: worst state wins, first deriver
-// wins).
+// wins, recycled on any path is recycled).
 func (f *protoFact) mergeFrom(src *protoFact) bool {
 	changed := false
 	for k, v := range src.state {
@@ -337,10 +348,12 @@ func (f *protoFact) mergeFrom(src *protoFact) bool {
 			changed = true
 		}
 	}
-	for k, v := range src.derived {
-		if _, ok := f.derived[k]; !ok {
-			f.derived[k] = v
-			changed = true
+	for _, m := range []struct{ dst, src map[types.Object]types.Object }{{f.derived, src.derived}, {f.recycled, src.recycled}} {
+		for k, v := range m.src {
+			if _, ok := m.dst[k]; !ok {
+				m.dst[k] = v
+				changed = true
+			}
 		}
 	}
 	return changed
@@ -399,6 +412,16 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 			if !ok {
 				return true
 			}
+			if recv, ok := methodCallOn(call, spec.recycleEvent); ok {
+				if owner := identObj(info, recv); owner != nil {
+					for v, o := range f.derived {
+						if o == owner {
+							delete(f.derived, v)
+							f.recycled[v] = o
+						}
+					}
+				}
+			}
 			for i := range spec.events {
 				ev := &spec.events[i]
 				if ev.to == "" {
@@ -451,6 +474,7 @@ func protoTransfer(p *Pass, sums *summarySet, spec *typestateSpec, startRank int
 		}
 		// Kill first: any assignment severs the old association.
 		delete(f.derived, obj)
+		delete(f.recycled, obj)
 		if _, wasTracked := f.state[obj]; wasTracked {
 			delete(f.state, obj)
 		}
@@ -522,7 +546,9 @@ func protoReport(p *Pass, sums *summarySet, spec *typestateSpec, cfg *funcCFG, n
 			if obj == nil {
 				return true
 			}
-			if owner, ok := in.derived[obj]; ok {
+			if owner, ok := in.recycled[obj]; ok {
+				report(id.Pos(), spec.recycleMsg, obj.Name(), owner.Name())
+			} else if owner, ok := in.derived[obj]; ok {
 				if rank, live := in.state[owner]; live {
 					if msg := spec.useInState[spec.states[rank]].derivedMsg; msg != "" {
 						report(id.Pos(), msg, obj.Name(), owner.Name())

@@ -3,6 +3,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -10,6 +11,16 @@ import (
 // LoadCalibration rejects files written by a different major version so a
 // stale or foreign file fails loudly instead of silently skewing plans.
 const CalibrationVersion = 1
+
+// A fitted channel's throughput, in FLOPs or bytes per second, must lie in
+// [minThroughput, maxThroughput]; 0 marks a channel without a fit. Outside
+// that range a file is corrupt or foreign, and the planner would turn it
+// into overflowing or infinite costs (a 1e-300 B/s read channel makes every
+// c_load of a real layer exceed an int64).
+const (
+	minThroughput = 1.0
+	maxThroughput = 1e18
+)
 
 // ChannelFit summarizes the robust regression of one throughput channel:
 // how many samples went in, how many the outlier trim discarded, the
@@ -91,6 +102,15 @@ func LoadCalibration(path string) (*Calibration, error) {
 	if c.Version != CalibrationVersion {
 		return nil, fmt.Errorf("profile: calibration %s has version %d, this build reads version %d — refit it (nautilus-run -calibrate-out)",
 			path, c.Version, CalibrationVersion)
+	}
+	for _, ch := range []struct {
+		name string
+		fit  ChannelFit
+	}{{"compute", c.Compute}, {"read", c.Read}, {"write", c.Write}} {
+		if t := ch.fit.Throughput; math.IsNaN(t) || t < 0 || t > 0 && (t < minThroughput || t > maxThroughput) {
+			return nil, fmt.Errorf("profile: calibration %s: %s throughput %g is outside [%g, %g] (0 for an unfitted channel)",
+				path, ch.name, t, minThroughput, maxThroughput)
+		}
 	}
 	if c.Compute.Throughput <= 0 && c.Read.Throughput <= 0 && c.Write.Throughput <= 0 {
 		return nil, fmt.Errorf("profile: calibration %s fits no channel (all throughputs zero)", path)

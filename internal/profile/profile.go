@@ -18,6 +18,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/tensor"
@@ -48,9 +49,19 @@ func DefaultHardware() Hardware {
 }
 
 // LoadFLOPs converts a byte count into the equivalent missed compute FLOPs,
-// the unit c_load is expressed in.
+// the unit c_load is expressed in. An extreme throughput ratio saturates at
+// the int64 bounds instead of wrapping around to a negative cost.
 func (h Hardware) LoadFLOPs(bytes int64) int64 {
-	return int64(float64(bytes) / h.DiskThroughput * h.FLOPSThroughput)
+	f := float64(bytes) / h.DiskThroughput * h.FLOPSThroughput
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= math.MaxInt64:
+		return math.MaxInt64
+	case f <= math.MinInt64:
+		return math.MinInt64
+	}
+	return int64(f)
 }
 
 // Seconds converts a FLOPs quantity into wall-clock seconds at the

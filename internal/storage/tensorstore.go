@@ -250,10 +250,10 @@ func (s *TensorStore) countLocked(key string) (int, error) {
 
 // ReadRowsIn gathers the given record indices into a [len(idx), ...rec]
 // tensor, the access pattern of mini-batch training over materialized
-// features. The result is allocated from a (nil falls back to the heap);
-// the trainer's feed prefetcher passes its step scope so materialized feeds
-// participate in tensor recycling.
-func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor.Tensor, error) {
+// features. The result is allocated from scope (nil falls back to the
+// heap); the trainer's feed prefetcher passes its feed scope so
+// materialized feeds participate in tensor recycling.
+func (s *TensorStore) ReadRowsIn(key string, idx []int, scope *tensor.Scope) (*tensor.Tensor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sp := s.obs.Start("store/read", obs.Str("key", key), obs.Int("rows", int64(len(idx))))
@@ -282,13 +282,9 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, a tensor.Alloc) (*tensor
 	}
 	recElems := int(recBytes / 4)
 	base := headerSize(len(shape))
-	outShape := append([]int{len(idx)}, shape...)
-	var out *tensor.Tensor
-	if a != nil {
-		out = a.Get(outShape...)
-	} else {
-		out = tensor.New(outShape...)
-	}
+	var dims [4]int // the shape stays on the stack up to rank 4
+	outShape := append(append(dims[:0], len(idx)), shape...)
+	out := scope.Get(outShape...)
 	buf := make([]byte, recBytes)
 	var coldBytes int64
 	for i, r := range idx {

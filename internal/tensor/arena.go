@@ -5,48 +5,23 @@ import (
 	"sync"
 )
 
-// Alloc is a tensor allocation strategy. The zero strategy (a nil Alloc, or
-// Heap) makes fresh garbage-collected buffers; Arena/Scope recycle buffers
-// across training steps. Every Get returns a zero-filled tensor, matching
-// New, so kernels that accumulate into or partially write their output
-// (MatMul, Im2Col padding, Col2Im scatter) work identically under either
-// strategy.
-type Alloc interface {
-	// Get returns a zero-filled tensor of the given shape.
-	Get(shape ...int) *Tensor
-	// Put returns a tensor's buffer for reuse. The caller must not touch t
-	// afterwards. Implementations may ignore it (Heap, Scope — a Scope
-	// recycles wholesale on Release instead).
-	Put(t *Tensor)
-}
-
-// Heap is the default allocation strategy: plain make, no reuse.
-type Heap struct{}
-
-// Get implements Alloc.
-func (Heap) Get(shape ...int) *Tensor { return New(shape...) }
-
-// Put implements Alloc (a no-op; the garbage collector reclaims).
-func (Heap) Put(*Tensor) {}
-
 // Size-class bounds: buffers are pooled in power-of-two classes from
 // 1<<arenaMinBits to 1<<arenaMaxBits float32s. Smaller requests round up to
 // the minimum class; larger ones bypass the pool entirely.
 const (
 	arenaMinBits = 6  // 64 floats, 256 B
 	arenaMaxBits = 28 // 256 Mi floats, 1 GiB
+	slabHeaders  = 128
 )
 
-// Arena is a thread-safe size-class buffer pool for tensor backing arrays.
-// Get pops a recycled buffer of the next power-of-two class (zeroing the
-// handed-out region) or makes one on a miss; Put pushes the buffer back.
-// Steady-state training reaches a 100% hit rate after the first step, so
-// per-step tensor garbage drops to ~zero — the physical side of the
-// allocator. Logical tensor lifetimes (what graph.Tape reports to its
-// AllocObserver and obs.MemTracker replays against the Section 4.3.3 B_mem
-// estimate) are unchanged: metering counts tensors, not mallocs.
+// Arena pools the buffers and idle scopes of released step scopes. A Scope
+// recycles its own buffers between steps without a lock; the arena's mutex
+// guards only Scope(), Release(), and a step needing more buffers of a
+// class than its scope recycled (in steady state, never). A released scope
+// returns every buffer, so buffers flow to whichever scope needs them next.
 type Arena struct {
 	mu    sync.Mutex
+	idle  []*Scope // released scopes, their header slabs kept
 	free  [arenaMaxBits + 1][][]float32
 	stats ArenaStats
 }
@@ -58,8 +33,13 @@ type ArenaStats struct {
 	Gets, Hits, Misses int64
 	// Puts counts buffers returned for reuse.
 	Puts int64
-	// PooledBytes is the byte footprint currently idle in the free lists.
-	PooledBytes int64
+}
+
+func (st *ArenaStats) add(o ArenaStats) {
+	st.Gets += o.Gets
+	st.Hits += o.Hits
+	st.Misses += o.Misses
+	st.Puts += o.Puts
 }
 
 // NewArena returns an empty arena.
@@ -68,71 +48,14 @@ func NewArena() *Arena { return &Arena{} }
 // arenaClass returns the size-class exponent for n floats, or -1 when n is
 // outside the pooled range.
 func arenaClass(n int) int {
-	if n <= 0 {
-		return -1
+	if c := max(bits.Len(uint(n-1)), arenaMinBits); n > 0 && c <= arenaMaxBits {
+		return c
 	}
-	c := bits.Len(uint(n - 1))
-	if c < arenaMinBits {
-		c = arenaMinBits
-	}
-	if c > arenaMaxBits {
-		return -1
-	}
-	return c
+	return -1
 }
 
-// Get implements Alloc.
-func (a *Arena) Get(shape ...int) *Tensor {
-	n := NumElems(shape)
-	c := arenaClass(n)
-	if c < 0 {
-		a.mu.Lock()
-		a.stats.Gets++
-		a.stats.Misses++
-		a.mu.Unlock()
-		t := New(shape...)
-		t.alloc = a
-		return t
-	}
-	var buf []float32
-	a.mu.Lock()
-	a.stats.Gets++
-	if l := a.free[c]; len(l) > 0 {
-		buf = l[len(l)-1]
-		a.free[c] = l[:len(l)-1]
-		a.stats.Hits++
-		a.stats.PooledBytes -= int64(cap(buf)) * 4
-	} else {
-		a.stats.Misses++
-	}
-	a.mu.Unlock()
-	if buf == nil {
-		buf = make([]float32, 1<<c)
-	}
-	data := buf[:n]
-	clear(data)
-	return &Tensor{shape: append([]int(nil), shape...), data: data, alloc: a}
-}
-
-// Put implements Alloc. Only buffers whose capacity is exactly a pooled
-// size class are kept; anything else is dropped for the garbage collector.
-func (a *Arena) Put(t *Tensor) {
-	if t == nil || cap(t.data) == 0 {
-		return
-	}
-	buf := t.data[:0]
-	c := bits.Len(uint(cap(buf) - 1))
-	if c < arenaMinBits || c > arenaMaxBits || cap(buf) != 1<<c {
-		return
-	}
-	a.mu.Lock()
-	a.free[c] = append(a.free[c], buf)
-	a.stats.Puts++
-	a.stats.PooledBytes += int64(cap(buf)) * 4
-	a.mu.Unlock()
-}
-
-// Stats returns a snapshot of the arena's allocation traffic.
+// Stats returns the traffic of every scope released so far: a scope's
+// counters join the arena's when it goes back to the pool.
 func (a *Arena) Stats() ArenaStats {
 	if a == nil {
 		return ArenaStats{}
@@ -142,120 +65,194 @@ func (a *Arena) Stats() ArenaStats {
 	return a.stats
 }
 
-// Scope returns a fresh step scope drawing from the arena. A nil arena
-// yields a nil scope, whose methods fall back to heap allocation — callers
-// thread one variable through unconditionally.
+// Scope opens a step scope: an idle one from the pool, or a new one. A nil
+// arena yields a nil scope, whose methods fall back to heap allocation —
+// callers thread one variable through unconditionally.
 func (a *Arena) Scope() *Scope {
 	if a == nil {
 		return nil
 	}
+	a.mu.Lock()
+	if n := len(a.idle); n > 0 {
+		s := a.idle[n-1]
+		a.idle = a.idle[:n-1]
+		s.idle = false
+		a.mu.Unlock()
+		return s
+	}
+	a.mu.Unlock()
 	return &Scope{arena: a}
 }
 
-// Scope is a step-scoped allocation context: every tensor Get during one
-// training step (mini-batch forward + backward + optimizer step, or one
-// materialization chunk) is recorded, and Release returns all of them to
-// the arena at once. Tensors derived from a scoped tensor (via NewFrom or
-// the tensor kernels) allocate from the same scope, so installing the scope
-// on the step's root tensors — the batch feeds — is enough to capture every
-// forward intermediate, cache, and gradient of the step.
-//
-// A Scope is safe for concurrent Gets (the feed prefetcher allocates batch
-// t+1's feeds while batch t computes in a sibling scope), but Release must
-// happen strictly after the last use of every tensor in the scope: the
-// buffers are recycled immediately and will back unrelated tensors.
+// Scope is a step-scoped allocator: Recycle takes back every tensor Get
+// since the last one (a training step, a materialization chunk) into the
+// scope's own free lists and header slab. Tensors derived from a scoped
+// tensor (NewFrom, the kernels) allocate from the same scope, so rooting it
+// at a step's feeds captures every intermediate, cache, and gradient. A
+// Scope has one owner and no lock; ownership moves by handing it over, as
+// the prefetcher sends a filled scope to the compute loop. Recycle and
+// Release must follow the last use of the scope's tensors.
 type Scope struct {
 	arena *Arena
-	mu    sync.Mutex
-	taken []*Tensor
+	free  [arenaMaxBits + 1][][]float32 // recycled by this scope's steps
+	taken [][]float32                   // pooled buffers handed out since the last Recycle
+	slab  [][]Tensor                    // header chunks of slabHeaders each
+	used  int                           // headers handed out since the last Recycle
+	stats ArenaStats                    // traffic not yet added to the arena's
+	idle  bool                          // in the arena's pool; guarded by arena.mu
 }
 
-// Get implements Alloc. On a nil scope it falls back to New.
+// Get returns a zero-filled tensor of the given shape from the scope. On a
+// nil scope it falls back to New.
 func (s *Scope) Get(shape ...int) *Tensor {
 	if s == nil {
 		return New(shape...)
 	}
-	t := s.arena.Get(shape...)
-	t.alloc = s
-	s.mu.Lock()
-	s.taken = append(s.taken, t)
-	s.mu.Unlock()
+	n := checkedElems(shape)
+	s.stats.Gets++
+	var data []float32
+	if c := arenaClass(n); c < 0 {
+		s.stats.Misses++
+		data = make([]float32, n)
+	} else if buf := s.pop(c); buf != nil {
+		s.stats.Hits++
+		s.taken = append(s.taken, buf)
+		data = buf[:n]
+		clear(data)
+	} else {
+		s.stats.Misses++
+		s.taken = append(s.taken, make([]float32, 1<<c))
+		data = s.taken[len(s.taken)-1][:n]
+	}
+	t := s.header()
+	t.setShape(shape)
+	t.data, t.scope = data, s
 	return t
 }
 
-// Put implements Alloc as a no-op: a scope recycles wholesale on Release,
-// so nothing is returned early (and no tensor can be double-freed).
-func (s *Scope) Put(*Tensor) {}
+// pop takes a free buffer of class c: one the scope recycled, else one a
+// released scope left in the arena (under its lock), else nil.
+func (s *Scope) pop(c int) []float32 {
+	l := &s.free[c]
+	if len(*l) == 0 {
+		s.arena.mu.Lock()
+		defer s.arena.mu.Unlock()
+		l = &s.arena.free[c]
+	}
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	buf := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return buf
+}
 
-// Release returns every tensor allocated through the scope to the arena
-// and resets the scope for reuse. All tensors handed out since the last
-// Release become invalid.
+// header returns a blank tensor header: the next slot of the scope's slab,
+// or a fresh heap header on a nil scope.
+func (s *Scope) header() *Tensor {
+	if s == nil {
+		return new(Tensor)
+	}
+	if s.used == len(s.slab)*slabHeaders {
+		s.slab = append(s.slab, make([]Tensor, slabHeaders))
+	}
+	t := &s.slab[s.used/slabHeaders][s.used%slabHeaders]
+	s.used++
+	return t
+}
+
+// Recycle returns every buffer and header handed out since the last
+// Recycle to the scope's free lists; the scope itself stays live for the
+// next step. All tensors taken from it before the call become invalid.
+func (s *Scope) Recycle() {
+	if s == nil {
+		return
+	}
+	for _, buf := range s.taken {
+		c := bits.Len(uint(cap(buf) - 1))
+		s.free[c] = append(s.free[c], buf)
+	}
+	s.stats.Puts += int64(len(s.taken))
+	s.taken = s.taken[:0]
+	// Blank the used headers: a stale pointer then fails loudly instead of
+	// reading a buffer that already backs another tensor.
+	for i := 0; i < s.used; i += slabHeaders {
+		clear(s.slab[i/slabHeaders][:min(slabHeaders, s.used-i)])
+	}
+	s.used = 0
+}
+
+// Release recycles the scope, hands all its buffers to the arena for any
+// scope's next steps, and returns the scope to the pool. A second Release
+// of a scope already in the pool is a no-op.
 func (s *Scope) Release() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	taken := s.taken
-	s.taken = nil
-	s.mu.Unlock()
-	for _, t := range taken {
-		t.alloc = nil
-		s.arena.Put(t)
+	a := s.arena
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if s.idle {
+		return
 	}
+	s.Recycle()
+	for c, l := range s.free {
+		a.free[c] = append(a.free[c], l...)
+		s.free[c] = l[:0]
+	}
+	s.idle = true
+	a.idle = append(a.idle, s)
+	a.stats.add(s.stats)
+	s.stats = ArenaStats{}
 }
 
-// Live returns how many tensors the scope currently holds (test hook).
-func (s *Scope) Live() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.taken)
-}
+// Live returns how many pooled buffers the scope has handed out since its
+// last Recycle (test hook).
+func (s *Scope) Live() int { return len(s.taken) }
 
 // NewFrom returns a zero-filled tensor of the given shape allocated from
-// src's allocator — the propagation rule that threads a step scope through
-// the kernels: feeds are allocated from the scope, every derived tensor
-// follows. A nil src or an unscoped src falls back to New.
+// src's scope — the rule that threads a step scope through the kernels. A
+// nil or unscoped src falls back to New.
 func NewFrom(src *Tensor, shape ...int) *Tensor {
-	if src != nil && src.alloc != nil {
-		return src.alloc.Get(shape...)
+	if src == nil {
+		return New(shape...)
 	}
-	return New(shape...)
+	return src.scope.Get(shape...)
 }
 
 // NewFrom2 is NewFrom over two candidate sources, preferring the first
 // scoped one. Binary kernels use it so the output lands in the step scope
 // even when one operand is an unscoped view or parameter.
 func NewFrom2(a, b *Tensor, shape ...int) *Tensor {
-	if a != nil && a.alloc != nil {
-		return a.alloc.Get(shape...)
+	if a != nil && a.scope != nil {
+		return a.scope.Get(shape...)
 	}
 	return NewFrom(b, shape...)
 }
 
-// CloneIn returns a deep copy of t allocated from a; a nil a inherits t's
-// own allocator (matching Clone).
-func CloneIn(a Alloc, t *Tensor) *Tensor {
-	var c *Tensor
-	if a != nil {
-		c = a.Get(t.shape...)
-	} else {
-		c = NewFrom(t, t.shape...)
+// CloneIn returns a deep copy of t allocated from s; a nil s inherits t's
+// own scope (matching Clone).
+func CloneIn(s *Scope, t *Tensor) *Tensor {
+	if s == nil {
+		s = t.scope
 	}
+	c := s.Get(t.shape...)
 	copy(c.data, t.data)
 	return c
 }
 
-// WithAlloc returns a header alias of t whose derived tensors allocate from
-// a. It is how an executor roots a step scope at the batch feeds: the alias
-// shares t's buffer (nothing is copied or recorded for release — the feed
-// itself stays owned by its creator) but everything computed *from* it lands
-// in the scope. A nil a, nil t, or already-scoped t is returned unchanged.
-func WithAlloc(a Alloc, t *Tensor) *Tensor {
-	if t == nil || a == nil || t.alloc != nil {
+// WithAlloc re-headers t into scope s — how an executor roots a step scope
+// at the batch feeds. The alias shares t's buffer, which stays owned by its
+// creator (nothing is copied or recorded for recycling), but everything
+// computed from it lands in s. A nil s or t, or a t already in s, is
+// returned unchanged.
+func WithAlloc(s *Scope, t *Tensor) *Tensor {
+	if t == nil || s == nil || t.scope == s {
 		return t
 	}
-	return &Tensor{shape: t.shape, data: t.data, alloc: a}
+	h := s.header()
+	h.setShape(t.shape)
+	h.data, h.scope = t.data, s
+	return h
 }

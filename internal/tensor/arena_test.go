@@ -2,38 +2,40 @@ package tensor
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
 func TestArenaReusesSizeClasses(t *testing.T) {
 	a := NewArena()
-	t1 := a.Get(4, 16) // 64 floats, exactly the min class
+	s := a.Scope()
+	t1 := s.Get(4, 16) // 64 floats, exactly the min class
 	buf := t1.data[:cap(t1.data)]
-	a.Put(t1)
-	t2 := a.Get(8, 8)
+	s.Recycle()
+	t2 := s.Get(8, 8)
 	if &buf[0] != &t2.data[0] {
 		t.Fatalf("expected recycled buffer for same size class")
 	}
+	s.Release()
 	st := a.Stats()
-	if st.Gets != 2 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+	if st.Gets != 2 || st.Hits != 1 || st.Misses != 1 || st.Puts != 2 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
 }
 
 func TestArenaGetZeroesRecycledBuffers(t *testing.T) {
-	a := NewArena()
-	t1 := a.Get(10)
-	for i := range t1.data {
-		t1.data[i] = 7
-	}
+	s := NewArena().Scope()
+	defer s.Release()
+	t1 := s.Get(10)
 	// Dirty the slack beyond len too: the next Get may use a longer prefix.
 	full := t1.data[:cap(t1.data)]
 	for i := range full {
 		full[i] = 9
 	}
-	a.Put(t1)
-	t2 := a.Get(40)
+	s.Recycle()
+	t2 := s.Get(40)
+	if &t2.data[0] != &full[0] {
+		t.Fatalf("expected the dirtied buffer back")
+	}
 	for i, v := range t2.data {
 		if v != 0 {
 			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
@@ -56,12 +58,13 @@ func TestArenaClassBounds(t *testing.T) {
 	}
 	// Oversized Gets still work, they just are not pooled.
 	a := NewArena()
-	big := a.Get(1<<arenaMaxBits + 1)
+	s := a.Scope()
+	big := s.Get(1<<arenaMaxBits + 1)
 	if big.Len() != 1<<arenaMaxBits+1 {
 		t.Fatalf("oversize get wrong len")
 	}
-	a.Put(big)
-	if st := a.Stats(); st.PooledBytes != 0 {
+	s.Release()
+	if st := a.Stats(); st.Misses != 1 || st.Puts != 0 {
 		t.Fatalf("oversize buffer must not be pooled: %+v", st)
 	}
 }
@@ -79,16 +82,40 @@ func TestScopeReleaseRecycles(t *testing.T) {
 	if s.Live() != 0 {
 		t.Fatalf("live after release = %d", s.Live())
 	}
-	// Second round should be all hits.
+	// The pool hands the same scope back, and the arena holds the buffers it
+	// returned: all hits.
+	if s2 := a.Scope(); s2 != s {
+		t.Fatalf("pool did not return the released scope")
+	}
 	before := a.Stats()
 	for i := 0; i < 5; i++ {
 		s.Get(32, 32)
 	}
+	s.Release()
 	after := a.Stats()
 	if hits := after.Hits - before.Hits; hits != 5 {
 		t.Fatalf("expected 5 hits after warmup, got %d", hits)
 	}
+}
+
+// TestScopeDoubleReleaseIsNoOp: a second Release neither recycles anything
+// again nor puts the scope in the pool twice — two later Scope calls must
+// hand out two different scopes.
+func TestScopeDoubleReleaseIsNoOp(t *testing.T) {
+	a := NewArena()
+	s := a.Scope()
+	s.Get(16)
 	s.Release()
+	s.Release()
+	if st := a.Stats(); st.Gets != 1 || st.Puts != 1 {
+		t.Fatalf("double release counted twice: %+v", st)
+	}
+	s1, s2 := a.Scope(), a.Scope()
+	if s1 == s2 {
+		t.Fatalf("one scope handed out twice: the pool held it twice")
+	}
+	s1.Release()
+	s2.Release()
 }
 
 func TestNilArenaAndScopeFallBackToHeap(t *testing.T) {
@@ -98,10 +125,11 @@ func TestNilArenaAndScopeFallBackToHeap(t *testing.T) {
 		t.Fatalf("nil arena must yield nil scope")
 	}
 	got := s.Get(3, 3)
-	if got == nil || got.Len() != 9 || got.alloc != nil {
+	if got == nil || got.Len() != 9 || got.scope != nil {
 		t.Fatalf("nil scope Get must heap-allocate: %+v", got)
 	}
-	s.Release() // must not panic
+	s.Recycle() // must not panic
+	s.Release()
 	if st := a.Stats(); st != (ArenaStats{}) {
 		t.Fatalf("nil arena stats must be zero")
 	}
@@ -112,17 +140,17 @@ func TestNewFromPropagatesScope(t *testing.T) {
 	s := a.Scope()
 	feed := s.Get(4, 8)
 	derived := NewFrom(feed, 4, 4)
-	if derived.alloc != Alloc(s) {
+	if derived.scope != s {
 		t.Fatalf("derived tensor must inherit the scope")
 	}
 	// Kernels propagate too.
 	sum := Add(feed, feed)
-	if sum.alloc != Alloc(s) {
+	if sum.scope != s {
 		t.Fatalf("kernel output must inherit the scope")
 	}
 	// NewFrom2 prefers the first scoped operand.
 	plain := New(4, 8)
-	if out := NewFrom2(plain, feed, 2, 2); out.alloc != Alloc(s) {
+	if out := NewFrom2(plain, feed, 2, 2); out.scope != s {
 		t.Fatalf("NewFrom2 must find the scoped operand")
 	}
 	if live := s.Live(); live != 4 {
@@ -131,41 +159,120 @@ func TestNewFromPropagatesScope(t *testing.T) {
 	s.Release()
 }
 
+// TestReshapeAliasDoesNotDoubleFree: a Reshape alias shares its source's
+// buffer without recording it, so a recycle returns the buffer once and two
+// later Gets of its class get two different buffers.
 func TestReshapeAliasDoesNotDoubleFree(t *testing.T) {
 	a := NewArena()
 	s := a.Scope()
-	orig := s.Get(4, 8)
-	view := orig.Reshape(8, 4)
-	if view.alloc != Alloc(s) {
+	orig := s.Get(4, 16)
+	view := orig.Reshape(16, 4)
+	if view.scope != s {
 		t.Fatalf("reshape must keep the scope")
 	}
 	if s.Live() != 1 {
 		t.Fatalf("reshape must not be recorded separately: live=%d", s.Live())
 	}
+	s.Recycle()
+	x, y := s.Get(64), s.Get(64)
+	if &x.data[0] == &y.data[0] {
+		t.Fatalf("one buffer handed out twice after recycling a reshaped tensor")
+	}
 	s.Release()
-	if st := a.Stats(); st.Puts != 1 {
-		t.Fatalf("exactly one Put expected, got %+v", st)
+	if st := a.Stats(); st.Puts != 3 || st.Hits != 1 {
+		t.Fatalf("want 3 puts (orig, x, y) and 1 hit, got %+v", st)
 	}
 }
 
-func TestScopeConcurrentGets(t *testing.T) {
+// TestWithAllocReheadersForeignScope: a feed from another scope (or the
+// heap) is re-headered into the target scope — same buffer, derived tensors
+// land in the target — while a tensor already in it comes back unchanged.
+func TestWithAllocReheadersForeignScope(t *testing.T) {
 	a := NewArena()
-	s := a.Scope()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.Get(16, 16)
-			}
-		}()
+	feedScope, step := a.Scope(), a.Scope()
+	feed := feedScope.Get(3, 4)
+	feed.Fill(5)
+	for _, src := range []*Tensor{feed, New(3, 4)} {
+		in := WithAlloc(step, src)
+		if in == src || in.scope != step || &in.data[0] != &src.data[0] || !ShapeEq(in.Shape(), src.Shape()) {
+			t.Fatalf("WithAlloc did not re-header %v into the step scope", src.Shape())
+		}
+		if out := Add(in, in); out.scope != step {
+			t.Fatalf("tensor derived from the re-headered feed left the step scope")
+		}
 	}
-	wg.Wait()
-	if s.Live() != 800 {
-		t.Fatalf("live = %d, want 800", s.Live())
+	if step.Live() != 2 || feedScope.Live() != 1 {
+		t.Fatalf("re-headering must record nothing: step live %d, feed live %d", step.Live(), feedScope.Live())
 	}
-	s.Release()
+	if own := step.Get(2); WithAlloc(step, own) != own {
+		t.Fatalf("a tensor already in the scope must come back unchanged")
+	}
+	step.Release()
+	if feed.data[0] != 5 {
+		t.Fatalf("recycling the step scope touched the feed's buffer")
+	}
+	feedScope.Release()
+}
+
+// TestScopeHandoffOverChannel is the single-owner contract the feed
+// prefetcher relies on: a producer fills a scope and sends it; from then on
+// only the consumer touches it, computes in it and releases it. -race holds
+// that nothing is shared.
+func TestScopeHandoffOverChannel(t *testing.T) {
+	a := NewArena()
+	type batch struct {
+		x     *Tensor
+		scope *Scope
+	}
+	ch := make(chan batch, 1)
+	go func() {
+		defer close(ch)
+		for i := 0; i < 50; i++ {
+			s := a.Scope()
+			x := s.Get(16, 16)
+			x.Fill(float32(i))
+			ch <- batch{x: x, scope: s}
+		}
+	}()
+	i := 0
+	for b := range ch {
+		y := Add(b.x, b.x)
+		if y.scope != b.scope || y.data[0] != float32(2*i) {
+			t.Fatalf("batch %d: consumer computed %v in %p, want %d in %p", i, y.data[0], y.scope, 2*i, b.scope)
+		}
+		b.scope.Release()
+		i++
+	}
+	st := a.Stats()
+	if st.Gets != 100 || st.Puts != 100 {
+		t.Fatalf("handoff lost traffic: %+v", st)
+	}
+	if st.Misses > 6 {
+		t.Fatalf("at most three batches are in flight at once, yet %d misses", st.Misses)
+	}
+}
+
+// TestScopeGetAllocs pins the heap objects per tensor: none for a warm
+// scope's Get or for NewFrom over a scoped source (the variadic shape stays
+// on the stack, the header comes from the slab), and at most header plus
+// buffer for New. Each run recycles, as a training step does.
+func TestScopeGetAllocs(t *testing.T) {
+	s := NewArena().Scope()
+	defer s.Release()
+	a, b, c := 3, 5, 7
+	get := func() { s.Get(a, b, c); s.Recycle() }
+	newFrom := func() { NewFrom(s.Get(a, b), a, b); s.Recycle() }
+	get()
+	newFrom()
+	if n := testing.AllocsPerRun(100, get); n != 0 {
+		t.Errorf("warm Scope.Get: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, newFrom); n != 0 {
+		t.Errorf("Scope.Get + NewFrom(scoped): %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { New(a, b, c) }); n > 2 {
+		t.Errorf("New: %v allocs, want at most 2", n)
+	}
 }
 
 func TestCloneInheritsAllocator(t *testing.T) {
@@ -174,21 +281,21 @@ func TestCloneInheritsAllocator(t *testing.T) {
 	feed := s.Get(3, 3)
 	feed.Fill(2)
 	c := feed.Clone()
-	if c.alloc != Alloc(s) {
+	if c.scope != s {
 		t.Fatalf("Clone must inherit the scope")
 	}
 	if c.data[0] != 2 {
 		t.Fatalf("Clone must copy data")
 	}
-	// CloneIn with explicit target allocator.
+	// CloneIn with explicit target scope.
 	h := CloneIn(nil, feed)
-	if h.alloc != Alloc(s) {
-		t.Fatalf("CloneIn(nil) inherits source allocator")
+	if h.scope != s {
+		t.Fatalf("CloneIn(nil) inherits source scope")
 	}
 	s2 := a.Scope()
 	c2 := CloneIn(s2, feed)
-	if c2.alloc != Alloc(s2) {
-		t.Fatalf("CloneIn must use the given allocator")
+	if c2.scope != s2 {
+		t.Fatalf("CloneIn must use the given scope")
 	}
 	s.Release()
 	s2.Release()

@@ -49,6 +49,25 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	}
 }
 
+// BenchmarkScopeGet times one warm step-scope allocation at an attention
+// head's shape — the NewFrom(x, seq, dh) every kernel output goes through —
+// with a Recycle every 64 Gets, as a training step recycles its scope:
+// ns/op is the allocator's per-tensor cost, allocs/op must read 0.
+func BenchmarkScopeGet(b *testing.B) {
+	s := NewArena().Scope()
+	defer s.Release()
+	seq, dh := 16, 32
+	src := s.Get(seq, dh)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 63 {
+			s.Recycle()
+			src = s.Get(seq, dh)
+		}
+		NewFrom(src, seq, dh)
+	}
+}
+
 // BenchmarkEltwiseAdd256 times tensor.Add on 256x256 operands (65 536
 // elements, exactly parallelThreshold) serially and fanned out over the
 // ambient worker cap: the number behind the parallelThreshold / SerialBelow

@@ -215,11 +215,12 @@ func ConcatLast(ts ...*Tensor) *Tensor {
 			panic(fmt.Sprintf("tensor: ConcatLast row mismatch %d vs %d", t.Rows(), rows))
 		}
 		total += t.Cols()
-		if src == nil && t.alloc != nil {
+		if src == nil && t.scope != nil {
 			src = t
 		}
 	}
-	shape := append([]int(nil), ts[0].shape...)
+	var dims [4]int // the shape stays on the stack up to rank 4
+	shape := append(dims[:0], ts[0].shape...)
 	shape[len(shape)-1] = total
 	out := NewFrom(src, shape...)
 	for r := 0; r < rows; r++ {
@@ -246,7 +247,8 @@ func SplitLast(a *Tensor, widths []int) []*Tensor {
 	}
 	outs := make([]*Tensor, len(widths))
 	for i, w := range widths {
-		shape := append([]int(nil), a.shape...)
+		var dims [4]int
+		shape := append(dims[:0], a.shape...)
 		shape[len(shape)-1] = w
 		outs[i] = NewFrom(a, shape...)
 	}

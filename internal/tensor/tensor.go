@@ -14,26 +14,49 @@ import (
 	"math"
 )
 
-// Tensor is a dense row-major float32 tensor. alloc remembers the
-// allocation strategy the tensor came from (nil for plain heap tensors);
-// NewFrom and the kernels consult it so tensors derived from a step-scoped
-// tensor allocate from the same scope.
+// Tensor is a dense row-major float32 tensor. scope remembers the step
+// scope the tensor was allocated from (nil for plain heap tensors); NewFrom
+// and the kernels consult it so tensors derived from a step-scoped tensor
+// allocate from the same scope. A shape of rank ≤ 4 lives in dims, inside
+// the header, so a tensor is one heap object besides its buffer — and none
+// when the header comes from a scope's slab.
 type Tensor struct {
 	shape []int
+	dims  [4]int
 	data  []float32
-	alloc Alloc
+	scope *Scope
+}
+
+// setShape stores a copy of shape in t: inline in dims when the rank fits,
+// on the heap otherwise. The caller's slice never escapes through it.
+func (t *Tensor) setShape(shape []int) {
+	if len(shape) <= len(t.dims) {
+		t.shape = t.dims[:len(shape):len(shape)]
+		copy(t.shape, shape)
+		return
+	}
+	t.shape = append([]int(nil), shape...)
+}
+
+// checkedElems returns the element count of shape, panicking on a negative
+// dimension. The panic formats a copy, so shape stays on the caller's stack
+// (NewFrom(x, seq, dh) allocates nothing for its variadic shape).
+func checkedElems(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
+		}
+		n *= d
+	}
+	return n
 }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	t := &Tensor{data: make([]float32, checkedElems(shape))}
+	t.setShape(shape)
+	return t
 }
 
 // FromSlice wraps data in a tensor with the given shape. The slice is not
@@ -41,7 +64,8 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float32, shape ...int) *Tensor {
 	// Only the copy reaches the panic message, so the caller's variadic
 	// slice stays on its stack.
-	t := &Tensor{shape: append([]int(nil), shape...), data: data}
+	t := &Tensor{data: data}
+	t.setShape(shape)
 	if n := NumElems(t.shape); n != len(data) {
 		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", t.shape, n, len(data)))
 	}
@@ -106,7 +130,7 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Clone returns a deep copy allocated from t's own allocator (heap for
+// Clone returns a deep copy allocated from t's own scope (heap for
 // unscoped tensors).
 func (t *Tensor) Clone() *Tensor {
 	c := NewFrom(t, t.shape...)
@@ -117,7 +141,13 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a new tensor header sharing t's data with a new shape of
 // the same total size. At most one dimension may be -1, which is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+	// The new header shares t's data and scope: a reshape of a scoped
+	// tensor keeps deriving from the scope. It is not a Get, so the buffer
+	// stays recorded once and recycles once.
+	r := t.scope.header()
+	r.setShape(shape)
+	r.data, r.scope = t.data, t.scope
+	shape = r.shape
 	infer, n := -1, 1
 	for i, d := range shape {
 		if d == -1 {
@@ -139,10 +169,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != t.Len() {
 		panic(fmt.Sprintf("tensor: reshape %v to %v changes size", t.shape, shape))
 	}
-	// The new header shares t's data and allocator: a reshape of a scoped
-	// tensor keeps deriving from the scope. (Only the original Get is
-	// recorded for release, so the alias cannot cause a double free.)
-	return &Tensor{shape: shape, data: t.data, alloc: t.alloc}
+	return r
 }
 
 // Row returns a view of row r of the 2-D interpretation of t.

@@ -23,18 +23,14 @@ func Batches(n, batchSize int, rng *rand.Rand) [][]int {
 }
 
 // GatherIn copies the given record rows of a [n, ...] tensor into a
-// [len(idx), ...] tensor allocated from a (nil falls back to the heap); the
+// [len(idx), ...] tensor allocated from s (nil falls back to the heap); the
 // trainer passes its step scope so feeds root the step's tensor recycling.
-func GatherIn(a tensor.Alloc, t *tensor.Tensor, idx []int) *tensor.Tensor {
-	shape := append([]int(nil), t.Shape()...)
+func GatherIn(s *tensor.Scope, t *tensor.Tensor, idx []int) *tensor.Tensor {
+	var dims [4]int // the shape stays on the stack up to rank 4
+	shape := append(dims[:0], t.Shape()...)
 	recSize := t.Len() / shape[0]
 	shape[0] = len(idx)
-	var out *tensor.Tensor
-	if a != nil {
-		out = a.Get(shape...)
-	} else {
-		out = tensor.New(shape...)
-	}
+	out := s.Get(shape...)
 	for i, r := range idx {
 		copy(out.Data()[i*recSize:(i+1)*recSize], t.Data()[r*recSize:(r+1)*recSize])
 	}

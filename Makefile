@@ -69,15 +69,19 @@ check-exhaustive:
 # the model untouched, or every listed param restored bit-exactly),
 # FuzzTensorStoreHeader, a store file's header (property: Count and
 # ReadRowsIn both fail, or every counted row reads back the file's floats),
-# and FuzzLoadCalibration, a calibration file (property: an error, or
-# hardware whose LoadFLOPs/Seconds/IOSeconds are finite and non-negative).
-# Never a panic. It is not part of check: plain go test replays only the
-# committed seed corpora under internal/{storage,profile}/testdata/fuzz/. A
-# failing input is written there too; commit it with the fix.
+# FuzzLoadCalibration, a calibration file (property: an error, or
+# hardware whose LoadFLOPs/Seconds/IOSeconds are finite and non-negative),
+# and FuzzLoadTuneTable, a kernel schedule table (property: an error, or
+# every schedule in it runs the matmul family at two workers bit-identically
+# to no table). Never a panic. It is not part of check: plain go test
+# replays only the committed seed corpora under
+# internal/{storage,profile,tensor/tune}/testdata/fuzz/. A failing input is
+# written there too; commit it with the fix.
 fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadParamsInto$$' -fuzztime 30s -parallel 2
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzTensorStoreHeader$$' -fuzztime 30s -parallel 2
 	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzLoadCalibration$$' -fuzztime 30s -parallel 2
+	$(GO) test ./internal/tensor/tune -run '^$$' -fuzz '^FuzzLoadTuneTable$$' -fuzztime 30s -parallel 2
 
 # bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
 # backoff factor, Figure 5 estimate; the paper's tables and figures are

@@ -132,7 +132,7 @@ func main() {
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "approach", "disk-gb", "mem-gb", "max-records", "calibration", "drift-warn":
+		case "approach", "disk-gb", "mem-gb", "max-records", "calibration":
 			fmt.Fprintf(os.Stderr, "nautilus-bench: -%s does not apply: experiments set it themselves\n", f.Name)
 			os.Exit(2)
 		}

@@ -169,10 +169,6 @@ type Config struct {
 	// planning, so the cost model runs against this machine rather than the
 	// paper's reference hardware.
 	CalibrationPath string
-	// DriftWarn is the conformance drift-ratio threshold: a group whose
-	// actual/predicted time ratio falls outside [1/DriftWarn, DriftWarn] is
-	// flagged in the conformance report. <= 1 disables the warning.
-	DriftWarn float64
 	// TuneTablePath, when non-empty, names an autotuned kernel-schedule
 	// table (tune.Table JSON regenerated by `make tune`); loading it
 	// installs the table as the tensor kernels' schedule source, so hot
@@ -196,7 +192,6 @@ func DefaultConfig(workDir string) Config {
 		Loss:            train.SoftmaxCrossEntropy{},
 		PageCacheBytes:  2 << 30,
 		Prefetch:        true,
-		DriftWarn:       1.5,
 	}
 }
 
@@ -232,7 +227,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.FuseStateBudget, "fuse-budget", c.FuseStateBudget, "enum fuser state budget (candidate groups priced before falling back to greedy; 0 = default)")
 	fs.StringVar(&c.CalibrationPath, "calibration", c.CalibrationPath, "plan against measured constants from this calibration file (nautilus-run -calibrate-out)")
 	fs.StringVar(&c.TuneTablePath, "tune-table", c.TuneTablePath, "dispatch tensor kernels on this autotuned schedule table (make tune)")
-	fs.Float64Var(&c.DriftWarn, "drift-warn", c.DriftWarn, "flag conformance groups whose actual/predicted time ratio falls outside [1/t, t]; <= 1 disables")
 }
 
 // Resolve applies the configuration's file-backed settings, the one place
@@ -340,7 +334,6 @@ func New(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*ModelSelection,
 	// can compare predicted seconds (FLOPs/rate, bytes/rate) against the
 	// wall time the trainer meters.
 	cfg.Obs.Conformance().SetRates(cfg.HW.FLOPSThroughput, cfg.HW.DiskThroughput)
-	cfg.Obs.Conformance().SetDriftWarn(cfg.DriftWarn)
 	planner, err := NewPlanner(items, mm, cfg)
 	if err != nil {
 		return nil, err

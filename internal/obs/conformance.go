@@ -29,10 +29,11 @@ type Conformance struct {
 	// Zero rates leave the time-domain drift columns empty.
 	flopsPerSec     float64
 	readBytesPerSec float64
-	// driftWarn is the drift-ratio threshold beyond which a group report
-	// is flagged (ratio outside [1/driftWarn, driftWarn]). <= 1 disables.
-	driftWarn float64
 }
+
+// driftWarn is the drift-ratio threshold beyond which a group report is
+// flagged: an actual/predicted time ratio outside [1/driftWarn, driftWarn].
+const driftWarn = 1.5
 
 // NewConformance returns an empty conformance report.
 func NewConformance() *Conformance {
@@ -50,18 +51,6 @@ func (c *Conformance) SetRates(flopsPerSec, readBytesPerSec float64) {
 	c.mu.Lock()
 	c.flopsPerSec = flopsPerSec
 	c.readBytesPerSec = readBytesPerSec
-	c.mu.Unlock()
-}
-
-// SetDriftWarn sets the drift-ratio warn threshold: a group whose
-// actual/predicted time ratio falls outside [1/t, t] is flagged in the
-// report. t <= 1 disables the warning.
-func (c *Conformance) SetDriftWarn(t float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.driftWarn = t
 	c.mu.Unlock()
 }
 
@@ -190,8 +179,7 @@ type GroupReport struct {
 	PredictedLoadSec    float64 `json:"predicted_load_sec,omitempty"`
 	ActualLoadSec       float64 `json:"actual_load_sec,omitempty"`
 	LoadDrift           float64 `json:"load_drift,omitempty"`
-	// DriftWarn is set when a drift ratio falls outside the configured
-	// [1/threshold, threshold] band (SetDriftWarn).
+	// DriftWarn is set when a drift ratio falls outside [1/1.5, 1.5].
 	DriftWarn bool `json:"drift_warn,omitempty"`
 }
 
@@ -204,12 +192,12 @@ func (c *Conformance) Report() []GroupReport {
 	defer c.mu.Unlock()
 	out := make([]GroupReport, 0, len(c.order))
 	for _, name := range c.order {
-		out = append(out, c.groups[name].report(c.flopsPerSec, c.readBytesPerSec, c.driftWarn))
+		out = append(out, c.groups[name].report(c.flopsPerSec, c.readBytesPerSec))
 	}
 	return out
 }
 
-func (g *GroupConformance) report(flopsPerSec, readBytesPerSec, driftWarn float64) GroupReport {
+func (g *GroupConformance) report(flopsPerSec, readBytesPerSec float64) GroupReport {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r := GroupReport{
@@ -241,11 +229,9 @@ func (g *GroupConformance) report(flopsPerSec, readBytesPerSec, driftWarn float6
 	if r.PredictedLoadSec > 0 && r.ActualLoadSec > 0 {
 		r.LoadDrift = r.ActualLoadSec / r.PredictedLoadSec
 	}
-	if driftWarn > 1 {
-		for _, ratio := range []float64{r.ComputeDrift, r.LoadDrift} {
-			if ratio > 0 && (ratio > driftWarn || ratio < 1/driftWarn) {
-				r.DriftWarn = true
-			}
+	for _, ratio := range []float64{r.ComputeDrift, r.LoadDrift} {
+		if ratio > 0 && (ratio > driftWarn || ratio < 1/driftWarn) {
+			r.DriftWarn = true
 		}
 	}
 	return r

@@ -252,7 +252,6 @@ func TestRegistry(t *testing.T) {
 func TestConformanceReport(t *testing.T) {
 	c := NewConformance()
 	c.SetRates(1000, 10) // FLOP/s, read bytes/s
-	c.SetDriftWarn(1.5)
 	g := c.Group("m1")
 	g.SetPredicted(CostPrediction{
 		ComputeFLOPsPerRecord: 100,

@@ -17,12 +17,21 @@ func (g ConvGeom) OutH() int { return (g.InH+2*g.PadH-g.KH)/g.StrideH + 1 }
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return (g.InW+2*g.PadW-g.KW)/g.StrideW + 1 }
 
-// The conv/pool kernels dispatch on the tuned schedule table like the
-// matmul family: each resolves a Schedule for its shape and runs either
-// the cache-aware variant (conv_fast.go) or the seed reference body. The
-// variants differ only in loop organization — merged contiguous copies,
-// divide-free row counters, channel-inner pooling — so results stay
-// bit-identical for any schedule.
+// The conv/pool kernels resolve a Schedule for their shape like the matmul
+// family; it decides only the fan-out. Their bodies are cache-aware
+// reorganizations of the seed loops, none of which changes what any output
+// element receives or in what order, so results are bit-identical to the
+// seed bodies (the tests' oracle) under any schedule:
+//
+//   - merged interior copies: a patch row's KW per-kj copies read
+//     consecutive memory whenever the whole row is in bounds (the kj
+//     offset enters the source index with coefficient 1 regardless of
+//     stride), so they collapse into one KW*InC copy/accumulate;
+//   - divide-free iteration: the (b, i, j) output position advances by
+//     carry counters instead of per-row div/mod;
+//   - channel-inner pooling: the window scan streams each [InC] input row
+//     once, comparing all channels per position, instead of rescanning
+//     the window per channel.
 
 // Im2Col lowers an NHWC input [batch, InH, InW, InC] into a matrix
 // [batch*OutH*OutW, KH*KW*InC] so convolution becomes a single MatMul with a
@@ -39,50 +48,38 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	rows := batch * oh * ow
 	out := NewFrom(x, rows, cols)
 	sch := scheduleFor(OpIm2Col, [3]int{rows, cols, 0})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, rows, rows*cols, func(lo, hi int) {
-			im2ColRange(out, x, g, oh, ow, lo, hi)
-		})
-		return out
-	}
 	parallelFor(sch, rows, rows*cols, func(lo, hi int) {
-		im2ColFast(out, x, g, oh, ow, lo, hi)
+		im2ColRows(out, x, g, oh, ow, lo, hi)
 	})
 	return out
 }
 
-// Im2ColNaive is the seed reference body for Im2Col, single-threaded.
-func Im2ColNaive(x *Tensor, g ConvGeom) *Tensor {
-	s := x.Shape()
-	if len(s) != 4 || s[1] != g.InH || s[2] != g.InW || s[3] != g.InC {
-		panic(fmt.Sprintf("tensor: Im2ColNaive input shape %v does not match geometry %+v", s, g))
-	}
-	batch := s[0]
-	oh, ow := g.OutH(), g.OutW()
-	rows := batch * oh * ow
-	out := NewFrom(x, rows, g.KH*g.KW*g.InC)
-	im2ColRange(out, x, g, oh, ow, 0, rows)
-	return out
-}
-
-// im2ColRange is the seed Im2Col body over output rows [lo,hi): per-row
-// div/mod position recovery and per-kj copies.
-func im2ColRange(out, x *Tensor, g ConvGeom, oh, ow, lo, hi int) {
+// im2ColRows lowers output rows [lo,hi) with merged interior copies.
+func im2ColRows(out, x *Tensor, g ConvGeom, oh, ow, lo, hi int) {
+	rowLen := g.KW * g.InC
+	b := lo / (oh * ow)
+	rem := lo - b*oh*ow
+	i := rem / ow
+	j := rem - i*ow
 	for row := lo; row < hi; row++ {
-		b := row / (oh * ow)
-		rem := row - b*oh*ow
-		i := rem / ow
-		j := rem - i*ow
 		dst := out.Row(row)
+		xj0 := j*g.StrideW - g.PadW
+		interior := xj0 >= 0 && xj0+g.KW <= g.InW
 		di := 0
 		for ki := 0; ki < g.KH; ki++ {
 			yi := i*g.StrideH + ki - g.PadH
 			if yi < 0 || yi >= g.InH {
-				di += g.KW * g.InC
+				di += rowLen
+				continue
+			}
+			if interior {
+				src := ((b*g.InH+yi)*g.InW + xj0) * g.InC
+				copy(dst[di:di+rowLen], x.data[src:src+rowLen])
+				di += rowLen
 				continue
 			}
 			for kj := 0; kj < g.KW; kj++ {
-				xj := j*g.StrideW + kj - g.PadW
+				xj := xj0 + kj
 				if xj < 0 || xj >= g.InW {
 					di += g.InC
 					continue
@@ -90,6 +87,15 @@ func im2ColRange(out, x *Tensor, g ConvGeom, oh, ow, lo, hi int) {
 				src := ((b*g.InH+yi)*g.InW + xj) * g.InC
 				copy(dst[di:di+g.InC], x.data[src:src+g.InC])
 				di += g.InC
+			}
+		}
+		j++
+		if j == ow {
+			j = 0
+			i++
+			if i == oh {
+				i = 0
+				b++
 			}
 		}
 	}
@@ -104,51 +110,46 @@ func Col2Im(cols *Tensor, batch int, g ConvGeom) *Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	out := NewFrom(cols, batch, g.InH, g.InW, g.InC)
 	sch := scheduleFor(OpCol2Im, [3]int{batch, oh * ow, g.KH * g.KW * g.InC})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, batch, cols.Len(), func(blo, bhi int) {
-			col2ImRange(out, cols, g, oh, ow, blo, bhi)
-		})
-		return out
-	}
 	parallelFor(sch, batch, cols.Len(), func(blo, bhi int) {
-		col2ImFast(out, cols, g, oh, ow, blo, bhi)
+		col2ImBatch(out, cols, g, oh, ow, blo, bhi)
 	})
 	return out
 }
 
-// Col2ImNaive is the seed reference body for Col2Im, single-threaded.
-func Col2ImNaive(cols *Tensor, batch int, g ConvGeom) *Tensor {
-	oh, ow := g.OutH(), g.OutW()
-	out := NewFrom(cols, batch, g.InH, g.InW, g.InC)
-	col2ImRange(out, cols, g, oh, ow, 0, batch)
-	return out
-}
-
-// col2ImRange is the seed Col2Im body over examples [blo,bhi).
-func col2ImRange(out, cols *Tensor, g ConvGeom, oh, ow, blo, bhi int) {
+// col2ImBatch scatters examples [blo,bhi) back with merged interior
+// accumulates. Per output element the adds arrive in the same (i, j, ki,
+// kj) order as the seed loop; the merge only batches independent elements.
+func col2ImBatch(out, cols *Tensor, g ConvGeom, oh, ow, blo, bhi int) {
+	rowLen := g.KW * g.InC
 	for b := blo; b < bhi; b++ {
 		row := b * oh * ow
 		for i := 0; i < oh; i++ {
 			for j := 0; j < ow; j++ {
 				src := cols.Row(row)
 				row++
+				xj0 := j*g.StrideW - g.PadW
+				interior := xj0 >= 0 && xj0+g.KW <= g.InW
 				si := 0
 				for ki := 0; ki < g.KH; ki++ {
 					yi := i*g.StrideH + ki - g.PadH
 					if yi < 0 || yi >= g.InH {
-						si += g.KW * g.InC
+						si += rowLen
+						continue
+					}
+					if interior {
+						dst := ((b*g.InH+yi)*g.InW + xj0) * g.InC
+						vadd(out.data[dst:dst+rowLen], src[si:si+rowLen])
+						si += rowLen
 						continue
 					}
 					for kj := 0; kj < g.KW; kj++ {
-						xj := j*g.StrideW + kj - g.PadW
+						xj := xj0 + kj
 						if xj < 0 || xj >= g.InW {
 							si += g.InC
 							continue
 						}
 						dst := ((b*g.InH+yi)*g.InW + xj) * g.InC
-						for c := 0; c < g.InC; c++ {
-							out.data[dst+c] += src[si+c]
-						}
+						vadd(out.data[dst:dst+g.InC], src[si:si+g.InC])
 						si += g.InC
 					}
 				}
@@ -168,61 +169,60 @@ func MaxPool2D(x *Tensor, g ConvGeom) (*Tensor, []int32) {
 	arg := make([]int32, out.Len())
 	rows := batch * oh * ow
 	sch := scheduleFor(OpMaxPool, [3]int{rows, g.InC, g.KH * g.KW})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, rows, out.Len()*g.KH*g.KW, func(lo, hi int) {
-			maxPoolRange(out, arg, x, g, oh, ow, lo, hi)
-		})
-		return out, arg
-	}
 	parallelFor(sch, rows, out.Len()*g.KH*g.KW, func(lo, hi int) {
-		maxPoolFast(out, arg, x, g, oh, ow, lo, hi)
+		maxPoolRows(out, arg, x, g, oh, ow, lo, hi)
 	})
 	return out, arg
 }
 
-// MaxPool2DNaive is the seed reference body for MaxPool2D, single-threaded.
-func MaxPool2DNaive(x *Tensor, g ConvGeom) (*Tensor, []int32) {
-	s := x.Shape()
-	batch := s[0]
-	oh, ow := g.OutH(), g.OutW()
-	out := NewFrom(x, batch, oh, ow, g.InC)
-	arg := make([]int32, out.Len())
-	maxPoolRange(out, arg, x, g, oh, ow, 0, batch*oh*ow)
-	return out, arg
-}
-
-// maxPoolRange is the seed MaxPool2D body (channel-outer window scan) over
-// output positions [lo,hi).
-func maxPoolRange(out *Tensor, arg []int32, x *Tensor, g ConvGeom, oh, ow, lo, hi int) {
+// maxPoolRows pools output positions [lo,hi) channel-inner: per window
+// position one contiguous [InC] input row is streamed and compared across
+// all channels. Per channel the comparisons happen in the same (ki, kj)
+// order with the same strict-greater first-wins rule as the seed loop, so
+// both the values and the argmax indices are identical.
+func maxPoolRows(out *Tensor, arg []int32, x *Tensor, g ConvGeom, oh, ow, lo, hi int) {
+	c := g.InC
+	best := make([]float32, c)
+	idx := make([]int32, c)
+	b := lo / (oh * ow)
+	rem := lo - b*oh*ow
+	i := rem / ow
+	j := rem - i*ow
 	for row := lo; row < hi; row++ {
-		b := row / (oh * ow)
-		rem := row - b*oh*ow
-		i := rem / ow
-		j := rem - i*ow
-		oi := row * g.InC
-		for c := 0; c < g.InC; c++ {
-			best := float32(0)
-			bestIdx := int32(-1)
-			for ki := 0; ki < g.KH; ki++ {
-				yi := i*g.StrideH + ki - g.PadH
-				if yi < 0 || yi >= g.InH {
+		for cc := 0; cc < c; cc++ {
+			best[cc] = 0
+			idx[cc] = -1
+		}
+		for ki := 0; ki < g.KH; ki++ {
+			yi := i*g.StrideH + ki - g.PadH
+			if yi < 0 || yi >= g.InH {
+				continue
+			}
+			for kj := 0; kj < g.KW; kj++ {
+				xj := j*g.StrideW + kj - g.PadW
+				if xj < 0 || xj >= g.InW {
 					continue
 				}
-				for kj := 0; kj < g.KW; kj++ {
-					xj := j*g.StrideW + kj - g.PadW
-					if xj < 0 || xj >= g.InW {
-						continue
-					}
-					idx := ((b*g.InH+yi)*g.InW+xj)*g.InC + c
-					v := x.data[idx]
-					if bestIdx < 0 || v > best {
-						best, bestIdx = v, int32(idx)
+				base := ((b*g.InH+yi)*g.InW + xj) * c
+				xr := x.data[base : base+c]
+				for cc, v := range xr {
+					if idx[cc] < 0 || v > best[cc] {
+						best[cc], idx[cc] = v, int32(base+cc)
 					}
 				}
 			}
-			out.data[oi] = best
-			arg[oi] = bestIdx
-			oi++
+		}
+		oi := row * c
+		copy(out.data[oi:oi+c], best)
+		copy(arg[oi:oi+c], idx)
+		j++
+		if j == ow {
+			j = 0
+			i++
+			if i == oh {
+				i = 0
+				b++
+			}
 		}
 	}
 }
@@ -234,12 +234,7 @@ func maxPoolRange(out *Tensor, arg []int32, x *Tensor, g ConvGeom, oh, ow, lo, h
 func MaxPool2DBackward(grad *Tensor, arg []int32, inShape []int) *Tensor {
 	out := NewFrom(grad, inShape...)
 	batch := inShape[0]
-	if batch == 0 || len(arg)%batch != 0 {
-		for i, idx := range arg {
-			if idx >= 0 {
-				out.data[idx] += grad.data[i]
-			}
-		}
+	if batch == 0 {
 		return out
 	}
 	perBatch := len(arg) / batch
@@ -262,12 +257,6 @@ func GlobalAvgPool(x *Tensor) *Tensor {
 	out := NewFrom(x, batch, c)
 	inv := 1 / float32(h*w)
 	sch := scheduleFor(OpGap, [3]int{batch, h * w, c})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, batch, x.Len(), func(blo, bhi int) {
-			gapRange(out, x, h, w, c, inv, blo, bhi)
-		})
-		return out
-	}
 	parallelFor(sch, batch, x.Len(), func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
 			ob := out.Row(b)
@@ -280,32 +269,6 @@ func GlobalAvgPool(x *Tensor) *Tensor {
 		}
 	})
 	return out
-}
-
-// GlobalAvgPoolNaive is the seed reference body for GlobalAvgPool,
-// single-threaded.
-func GlobalAvgPoolNaive(x *Tensor) *Tensor {
-	s := x.Shape()
-	batch, h, w, c := s[0], s[1], s[2], s[3]
-	out := NewFrom(x, batch, c)
-	gapRange(out, x, h, w, c, 1/float32(h*w), 0, batch)
-	return out
-}
-
-// gapRange is the seed GlobalAvgPool body over examples [blo,bhi).
-func gapRange(out, x *Tensor, h, w, c int, inv float32, blo, bhi int) {
-	for b := blo; b < bhi; b++ {
-		ob := out.Row(b)
-		for p := 0; p < h*w; p++ {
-			xr := x.data[(b*h*w+p)*c : (b*h*w+p+1)*c]
-			for j := 0; j < c; j++ {
-				ob[j] += xr[j]
-			}
-		}
-		for j := 0; j < c; j++ {
-			ob[j] *= inv
-		}
-	}
 }
 
 // GlobalAvgPoolBackward broadcasts the [batch, channels] gradient uniformly

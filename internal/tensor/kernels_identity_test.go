@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The blocked/tiled/fast kernel variants must be bit-identical to the
-// seed naive references for every schedule: any tile sizes (including
+// The tiled and cache-aware kernels must be bit-identical to the seed
+// bodies in reference_test.go for every schedule: any tile sizes (including
 // non-divisible edge tiles and degenerate 1-row/1-col shapes), serial or
 // parallel. These tests sweep random shapes and schedules and compare
 // raw float32 bit patterns, with exact zeros (both signs) injected to
@@ -49,7 +49,9 @@ func assertBitsEqual(t *testing.T, name string, got, want *Tensor) {
 
 // matmulSchedules enumerates schedules to sweep: default tiles, random
 // tiles (edge tiles when they don't divide the shape), single-row tiles,
-// and a forced-parallel leg so -race exercises the chunked path.
+// a forced-parallel leg so -race exercises the chunked path, and tiles
+// larger than any matrix, which must clamp rather than overflow i0+tm in a
+// chunk starting past row 0.
 func matmulSchedules(rng *rand.Rand, k int) []Schedule {
 	return []Schedule{
 		{},
@@ -57,6 +59,7 @@ func matmulSchedules(rng *rand.Rand, k int) []Schedule {
 		{TileM: 1 + rng.Intn(6), TileK: 1 + rng.Intn(k+4)},
 		{TileM: 4, TileK: 256},
 		{TileM: 1 + rng.Intn(6), TileK: 1 + rng.Intn(k+4), Workers: 4, SerialBelow: 1},
+		{TileM: math.MaxInt, TileK: math.MaxInt, Workers: 4, SerialBelow: 1},
 	}
 }
 
@@ -87,9 +90,9 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 			a.Data()[rng.Intn(m*k)] = nan
 			at.Data()[rng.Intn(m*k)] = nan
 		}
-		wantMM := MatMulNaive(a, b)
-		wantBT := MatMulBTNaive(a, bt)
-		wantAT := MatMulATNaive(at, b)
+		wantMM := refMatMul(a, b)
+		wantBT := refMatMulBT(a, bt)
+		wantAT := refMatMulAT(at, b)
 		for _, sch := range matmulSchedules(rng, k) {
 			SetScheduleSource(testForce{sch})
 			assertBitsEqual(t, "MatMul "+sch.String(), MatMul(a, b), wantMM)
@@ -101,8 +104,8 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 }
 
 // TestMatMulATTileEdges pins MatMulAT's row-block × K-block path (the
-// family's matMulTile read through transposed strides) to the naive
-// reference on the shapes the random sweep only hits by luck: m not a
+// family's matMulTile read through transposed strides) to the seed
+// body on the shapes the random sweep only hits by luck: m not a
 // multiple of the 4-row tile, k not a multiple of the K-block, exact-zero
 // coefficients (both signs) in every subset of a tile's four lanes, an
 // Inf/NaN row of b that only a zero coefficient keeps out of an output
@@ -147,7 +150,7 @@ func TestMatMulATTileEdges(t *testing.T) {
 					b.Row(p)[j] = nan
 				}
 			}
-			want := MatMulATNaive(a, b)
+			want := refMatMulAT(a, b)
 			for i := 0; i < tc.m && !withNaN; i++ {
 				for _, v := range want.Row(i) {
 					if zero(i) && (math.IsInf(float64(v), 0) || math.IsNaN(float64(v))) {
@@ -187,9 +190,9 @@ func randGeom(rng *rand.Rand) ConvGeom {
 
 func convSchedules() []Schedule {
 	return []Schedule{
-		{},                           // fast variant, serial heuristics
-		{Workers: 4, SerialBelow: 1}, // fast variant, forced parallel
-		{Kernel: "fast", Workers: 1}, // fast variant, forced serial
+		{},                           // default heuristics
+		{Workers: 4, SerialBelow: 1}, // forced parallel
+		{Workers: 1},                 // forced serial
 	}
 }
 
@@ -207,10 +210,10 @@ func TestConvFamilyBitIdentity(t *testing.T) {
 		oh, ow := g.OutH(), g.OutW()
 		cols := fillMixed(rng, New(batch*oh*ow, g.KH*g.KW*g.InC))
 
-		wantIm := Im2ColNaive(x, g)
-		wantCol := Col2ImNaive(cols, batch, g)
-		wantMP, wantArg := MaxPool2DNaive(x, g)
-		wantGap := GlobalAvgPoolNaive(x)
+		wantIm := refIm2Col(x, g)
+		wantCol := refCol2Im(cols, batch, g)
+		wantMP, wantArg := refMaxPool2D(x, g)
+		wantGap := refGlobalAvgPool(x)
 		for _, sch := range convSchedules() {
 			SetScheduleSource(testForce{sch})
 			assertBitsEqual(t, "Im2Col "+sch.String(), Im2Col(x, g), wantIm)
@@ -224,8 +227,8 @@ func TestConvFamilyBitIdentity(t *testing.T) {
 			}
 			assertBitsEqual(t, "GlobalAvgPool "+sch.String(), GlobalAvgPool(x), wantGap)
 
-			// Backward scatters: same body either path; the forced-parallel
-			// leg checks chunk disjointness under -race.
+			// Backward scatters have no seed body of their own; the
+			// forced-parallel leg checks chunk disjointness under -race.
 			grad := fillMixed(rng, New(batch, g.InC))
 			assertBitsEqual(t, "GlobalAvgPoolBackward "+sch.String(),
 				GlobalAvgPoolBackward(grad, x.Shape()), GlobalAvgPoolBackward(grad, x.Shape()))

@@ -2,16 +2,52 @@ package tensor
 
 import "fmt"
 
-// The matmul family dispatches on the tuned schedule table (see
-// schedule.go): each public kernel resolves a Schedule for its shape and
-// runs either the blocked SIMD variant (matmul_blocked.go) or the seed
-// scalar reference. Both are bit-identical: every output element
-// accumulates its terms in ascending p with one multiply then one add per
-// term, and terms with an exact-zero a-coefficient are skipped — the
-// sparsity fast path the seed MatMul had, now uniform across the family
-// (MatMulBT historically computed unskipped dot products; it shares the
-// skip semantics since the packed variant landed, so frozen-layer zero
-// gradients short-circuit in backward passes too).
+// The matmul family has one body per op, parameterized by the Schedule its
+// shape resolves to (see schedule.go). The strategy: keep the seed's
+// per-output-element accumulation chain (ascending p, one multiply then one
+// add per term, exact-zero a-coefficients skipped — the sparsity fast path
+// the seed MatMul had, uniform across the family, so frozen-layer zero
+// gradients short-circuit in backward passes too) but run it in a register
+// tile and reorganize the loops for locality:
+//
+//   - tileKernel (simd_amd64.s; portable body in simd.go) loads a 4-row ×
+//     16/8/1-column block of out into registers, runs a whole K-block over
+//     it and stores it once, so an output element is loaded and stored once
+//     per K-block instead of once per term, and each load of a b-panel row
+//     feeds four output rows. TileM is the row block handed to it; rows
+//     past a multiple of four go through the same body one at a time.
+//   - TileK blocks the reduction dimension so the b panel in flight stays
+//     cache-resident across the whole row sweep (and, for MatMulBT, so the
+//     transposed panel can be packed once into a contiguous slab).
+//
+// The exact-zero skip is branchless. A skipped term adds -0.0 in place of
+// its product, and x + (-0.0) is x bit for bit for every float32 x: +0
+// stays +0 (only -0 + -0 is -0), -0 stays -0, infinities and NaNs pass
+// through. So a 0×Inf or 0×NaN product never reaches the accumulator, as
+// the seed loop's `continue` guarantees, and no pattern of zeros among a
+// tile's four coefficients leaves the SIMD path — post-ReLU operands are
+// about half zeros, so a branch on "all four nonzero" would fail fifteen
+// terms in sixteen. +0.0 would not do: -0 + +0 is +0. "Zero" is Go's
+// a == 0: both signs, and never NaN (a NaN coefficient turns its row NaN).
+//
+// Each term is one multiply then one add, never a fused multiply-add, which
+// rounds once where the seed loop rounds twice. The multiply takes
+// (b, coefficient) and the add (product, accumulator), as saxpyAsm does:
+// x86 returns its first NaN operand, so when two NaNs meet the payload that
+// survives is the one saxpy would leave.
+//
+// Loop blocking never changes which terms reach an output element or in
+// what order — each element still sees its terms in ascending p — so every
+// schedule is bit-identical to the seed scalar loops for any tile sizes
+// (the tests keep those loops as their oracle).
+
+// defaultTileM is the output-row block fed to the tile kernel.
+const defaultTileM = 4
+
+// defaultTileK is the reduction-panel depth used when the schedule does
+// not specify one; 256 float32 rows of a moderate n keep the panel within
+// L2 while amortizing MatMulBT's packing pass.
+const defaultTileK = 256
 
 // MatMul computes the matrix product of a's 2-D view [m,k] and b's 2-D view
 // [k,n], returning an [m,n] tensor.
@@ -22,49 +58,8 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch [%d,%d]x[%d,%d]", m, k, k2, n))
 	}
 	out := NewFrom2(a, b, m, n)
-	sch := scheduleFor(OpMatMul, [3]int{m, k, n})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, m, m*k*n, func(lo, hi int) {
-			matMulRange(out, a, b, lo, hi)
-		})
-		return out
-	}
-	matMulBlocked(out, a, b, k, 1, sch)
+	matMulBlocked(out, a, b, k, 1, scheduleFor(OpMatMul, [3]int{m, k, n}))
 	return out
-}
-
-// MatMulNaive is the seed scalar reference for MatMul: the row-axpy triple
-// loop, single-threaded. It is the autotuner's baseline leg and the
-// bit-identity oracle for the blocked variant.
-func MatMulNaive(a, b *Tensor) *Tensor {
-	m, k := a.Rows(), a.Cols()
-	k2, n := b.Rows(), b.Cols()
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulNaive inner dimension mismatch [%d,%d]x[%d,%d]", m, k, k2, n))
-	}
-	out := NewFrom2(a, b, m, n)
-	matMulRange(out, a, b, 0, m)
-	return out
-}
-
-// matMulRange runs the seed MatMul body over output rows [lo,hi).
-func matMulRange(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Cols(), b.Cols()
-	for i := lo; i < hi; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		oi := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if av == 0 {
-				continue
-			}
-			bp := b.data[p*n : (p+1)*n]
-			for j := range bp {
-				oi[j] += av * bp[j]
-			}
-		}
-	}
 }
 
 // MatMulBT computes a × bᵀ where a is [m,k] and b is [n,k], returning [m,n].
@@ -76,51 +71,8 @@ func MatMulBT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulBT inner dimension mismatch [%d,%d]x[%d,%d]T", m, k, n, k2))
 	}
 	out := NewFrom2(a, b, m, n)
-	sch := scheduleFor(OpMatMulBT, [3]int{m, k, n})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, m, m*k*n, func(lo, hi int) {
-			matMulBTRange(out, a, b, lo, hi)
-		})
-		return out
-	}
-	matMulBTPacked(out, a, b, sch)
+	matMulBTPacked(out, a, b, scheduleFor(OpMatMulBT, [3]int{m, k, n}))
 	return out
-}
-
-// MatMulBTNaive is the scalar reference for MatMulBT: per-element dot
-// products in ascending p with the family's exact-zero skip on a's
-// coefficients, single-threaded.
-func MatMulBTNaive(a, b *Tensor) *Tensor {
-	m, k := a.Rows(), a.Cols()
-	n, k2 := b.Rows(), b.Cols()
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulBTNaive inner dimension mismatch [%d,%d]x[%d,%d]T", m, k, n, k2))
-	}
-	out := NewFrom2(a, b, m, n)
-	matMulBTRange(out, a, b, 0, m)
-	return out
-}
-
-// matMulBTRange runs the scalar MatMulBT body over output rows [lo,hi).
-func matMulBTRange(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Cols(), b.Rows()
-	for i := lo; i < hi; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		oi := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b.data[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				av := ai[p]
-				//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-				if av == 0 {
-					continue
-				}
-				s += av * bj[p]
-			}
-			oi[j] = s
-		}
-	}
 }
 
 // MatMulAT computes aᵀ × b where a is [k,m] and b is [k,n], returning [m,n].
@@ -132,46 +84,96 @@ func MatMulAT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulAT inner dimension mismatch [%d,%d]T x [%d,%d]", k, m, k2, n))
 	}
 	out := NewFrom2(a, b, m, n)
-	sch := scheduleFor(OpMatMulAT, [3]int{m, k, n})
-	if sch.Kernel == "naive" {
-		parallelFor(sch, m, m*k*n, func(lo, hi int) {
-			matMulATRange(out, a, b, lo, hi)
-		})
-		return out
-	}
-	matMulBlocked(out, a, b, 1, m, sch)
+	matMulBlocked(out, a, b, 1, m, scheduleFor(OpMatMulAT, [3]int{m, k, n}))
 	return out
 }
 
-// MatMulATNaive is the seed scalar reference for MatMulAT, single-threaded.
-func MatMulATNaive(a, b *Tensor) *Tensor {
-	k, m := a.Rows(), a.Cols()
-	k2, n := b.Rows(), b.Cols()
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulATNaive inner dimension mismatch [%d,%d]T x [%d,%d]", k, m, k2, n))
+// tileM is the schedule's output-row block clamped to [1, m]: a tile taller
+// than the matrix is the whole matrix, and i0+tm cannot overflow.
+func tileM(sch Schedule, m int) int {
+	tm := sch.TileM
+	if tm < 1 {
+		tm = defaultTileM
 	}
-	out := NewFrom2(a, b, m, n)
-	matMulATRange(out, a, b, 0, m)
-	return out
+	return max(1, min(tm, m))
 }
 
-// matMulATRange runs the seed MatMulAT body over output columns-of-a
-// (= output rows) [lo,hi).
-func matMulATRange(out, a, b *Tensor, lo, hi int) {
-	k, m, n := a.Rows(), a.Cols(), b.Cols()
-	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			av := ap[i]
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
-			if av == 0 {
-				continue
+// matMulBlocked computes out += A×b over row blocks, reading b's rows
+// directly (they are already contiguous panels). A[i][p] is
+// a.data[i*si+p*sp]: strides (k, 1) read a as the [m,k] left operand of
+// MatMul, (1, m) read a [k,m] tensor as its transpose — MatMulAT, whose
+// four coefficients per p are then adjacent.
+func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
+	m, k, n := out.Rows(), b.Rows(), b.Cols()
+	tm := tileM(sch, m)
+	tk := sch.TileK
+	if tk < 1 || tk > k {
+		tk = k
+	}
+	parallelFor(sch, m, m*k*n, func(lo, hi int) {
+		for kk := 0; kk < k; kk += tk {
+			ke := kk + tk
+			if ke > k {
+				ke = k
 			}
-			oi := out.data[i*n : (i+1)*n]
-			for j := range bp {
-				oi[j] += av * bp[j]
+			for i0 := lo; i0 < hi; i0 += tm {
+				i1 := i0 + tm
+				if i1 > hi {
+					i1 = hi
+				}
+				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n)
 			}
 		}
+	})
+}
+
+// matMulBTPacked computes a × bᵀ by packing K-blocks of bᵀ into a
+// contiguous [tk, n] slab, then running the same tile kernel against the
+// slab. Packing turns MatMulBT's column-strided b accesses into the
+// contiguous panels MatMul enjoys and gives the family's exact-zero skip
+// to the BT form for free.
+func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
+	m, k := a.Rows(), a.Cols()
+	n := b.Rows()
+	tm := tileM(sch, m)
+	tk := sch.TileK
+	if tk < 1 {
+		tk = defaultTileK
 	}
+	if tk > k {
+		tk = k
+	}
+	// One packed slab reused across K-blocks; derived from the operands'
+	// allocator so step-scoped callers stay arena-pooled.
+	pack := NewFrom2(a, b, tk, n)
+	for kk := 0; kk < k; kk += tk {
+		ke := kk + tk
+		if ke > k {
+			ke = k
+		}
+		// pack[p-kk][j] = b[j][p]: contiguous writes, strided reads.
+		for p := kk; p < ke; p++ {
+			pr := pack.data[(p-kk)*n : (p-kk+1)*n]
+			for j := range pr {
+				pr[j] = b.data[j*k+p]
+			}
+		}
+		parallelFor(sch, m, m*(ke-kk)*n, func(lo, hi int) {
+			for i0 := lo; i0 < hi; i0 += tm {
+				i1 := i0 + tm
+				if i1 > hi {
+					i1 = hi
+				}
+				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n)
+			}
+		})
+	}
+}
+
+// matMulTile accumulates out rows [i0,i1) over reduction terms [kk,ke),
+// with row i's coefficient for term p at ad[i*si+p*sp] and b-panel rows
+// read from bdata at (p-pOff)*n: one tileKernel call over the block's
+// sub-slices.
+func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int) {
+	tileKernel(out.data[i0*n:i1*n], i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk)
 }

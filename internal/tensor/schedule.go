@@ -26,18 +26,16 @@ const (
 	OpRowwise     Op = "rowwise"      // softmax forward/backward rows
 )
 
-// Schedule parameterizes one kernel execution: which variant to run, its
-// tile sizes, and the parallelization decision. The zero value means "all
-// defaults": the blocked/fast kernel variant with its built-in tiles, the
+// Schedule parameterizes one kernel execution: its tile sizes and the
+// parallelization decision. Every op has one body; the schedule only shapes
+// how it runs. The zero value means "all defaults": the built-in tiles, the
 // ambient worker cap, and the global parallel threshold — exactly the
 // pre-tuning heuristics.
 type Schedule struct {
-	// Kernel selects the variant: "" or "blocked"/"fast" runs the
-	// schedule-parameterized kernel, "naive" forces the seed reference.
-	Kernel string `json:"kernel,omitempty"`
 	// TileM/TileK size the register/cache blocking; 0 means the kernel's
 	// default. MatMul family: TileM is the output-row block fed to the
-	// multi-row SIMD micro-kernel, TileK the packed/cached panel depth.
+	// multi-row SIMD micro-kernel (clamped to the row count), TileK the
+	// packed/cached panel depth (clamped to the reduction depth).
 	TileM int `json:"tile_m,omitempty"`
 	TileK int `json:"tile_k,omitempty"`
 	// Workers caps goroutines for this dispatch; 0 means the ambient
@@ -50,12 +48,8 @@ type Schedule struct {
 }
 
 // String renders a compact schedule descriptor for tuner and benchmark
-// reports, e.g. "blocked m4k256 w1".
+// reports, e.g. "m4k256 w1" ("default" stands for the built-in tiles).
 func (s Schedule) String() string {
-	kern := s.Kernel
-	if kern == "" {
-		kern = "default"
-	}
 	tiles := ""
 	if s.TileM > 0 {
 		tiles += fmt.Sprintf("m%d", s.TileM)
@@ -63,8 +57,8 @@ func (s Schedule) String() string {
 	if s.TileK > 0 {
 		tiles += fmt.Sprintf("k%d", s.TileK)
 	}
-	if tiles != "" {
-		tiles = " " + tiles
+	if tiles == "" {
+		tiles = "default"
 	}
 	w := "w*"
 	if s.Workers > 0 {
@@ -74,7 +68,7 @@ func (s Schedule) String() string {
 	if s.SerialBelow > 0 {
 		cut = fmt.Sprintf(" cut%d", s.SerialBelow)
 	}
-	return fmt.Sprintf("%s%s %s%s", kern, tiles, w, cut)
+	return fmt.Sprintf("%s %s%s", tiles, w, cut)
 }
 
 // ScheduleSource resolves a tuned schedule for (op, dims) under the current

@@ -11,8 +11,9 @@ func TestScheduleString(t *testing.T) {
 		want string
 	}{
 		{Schedule{}, "default w*"},
-		{Schedule{Kernel: "naive", Workers: 1}, "naive w1"},
-		{Schedule{Kernel: "blocked", TileM: 4, TileK: 256, Workers: 1}, "blocked m4k256 w1"},
+		{Schedule{Workers: 1}, "default w1"},
+		{Schedule{TileM: 4, TileK: 256, Workers: 1}, "m4k256 w1"},
+		{Schedule{TileK: 128}, "k128 w*"},
 		{Schedule{Workers: 8, SerialBelow: 1}, "default w8 cut1"},
 	}
 	for _, c := range cases {
@@ -66,11 +67,11 @@ func (l *askLog) Schedule(op Op, dims [3]int, workers int) (Schedule, bool) {
 }
 
 // TestScheduleSourceIsAskedAndObeyed runs one kernel per Op under a source
-// that records its lookups and forces the serial seed variant: each kernel
-// asks once, with its own op, its own dispatch dims and the ambient worker
-// cap; its output is the naive reference's bit for bit; and the schedule it
-// was handed keeps a loop the default schedule would fan out on the calling
-// goroutine. Uninstalling the source restores the zero Schedule.
+// that records its lookups and forces one worker: each kernel asks once,
+// with its own op, its own dispatch dims and the ambient worker cap; its
+// output is the seed body's (reference_test.go) bit for bit; and the
+// schedule it was handed keeps a loop the default schedule would fan out on
+// the calling goroutine. Uninstalling the source restores the zero Schedule.
 func TestScheduleSourceIsAskedAndObeyed(t *testing.T) {
 	SetMaxWorkers(4)
 	t.Cleanup(func() {
@@ -85,26 +86,26 @@ func TestScheduleSourceIsAskedAndObeyed(t *testing.T) {
 	const batch = 8
 	x := fillMixed(rng, New(batch, g.InH, g.InW, g.InC))
 	positions, window := g.OutH()*g.OutW(), g.KH*g.KW*g.InC
-	cols := Im2ColNaive(x, g)
-	pooled, arg := MaxPool2DNaive(x, g)
+	cols := refIm2Col(x, g)
+	pooled, arg := refMaxPool2D(x, g)
 	big := fillMixed(rng, New(512, 256))
 
-	forced := Schedule{Kernel: "naive", Workers: 1}
+	forced := Schedule{Workers: 1}
 	cases := []struct {
 		op   Op
 		dims [3]int
 		run  func() *Tensor
 		want *Tensor
 	}{
-		{OpMatMul, [3]int{m, k, n}, func() *Tensor { return MatMul(a, b) }, MatMulNaive(a, b)},
-		{OpMatMulBT, [3]int{m, k, n}, func() *Tensor { return MatMulBT(a, bt) }, MatMulBTNaive(a, bt)},
-		{OpMatMulAT, [3]int{m, k, n}, func() *Tensor { return MatMulAT(at, b) }, MatMulATNaive(at, b)},
+		{OpMatMul, [3]int{m, k, n}, func() *Tensor { return MatMul(a, b) }, refMatMul(a, b)},
+		{OpMatMulBT, [3]int{m, k, n}, func() *Tensor { return MatMulBT(a, bt) }, refMatMulBT(a, bt)},
+		{OpMatMulAT, [3]int{m, k, n}, func() *Tensor { return MatMulAT(at, b) }, refMatMulAT(at, b)},
 		{OpIm2Col, [3]int{batch * positions, window, 0}, func() *Tensor { return Im2Col(x, g) }, cols},
-		{OpCol2Im, [3]int{batch, positions, window}, func() *Tensor { return Col2Im(cols, batch, g) }, Col2ImNaive(cols, batch, g)},
+		{OpCol2Im, [3]int{batch, positions, window}, func() *Tensor { return Col2Im(cols, batch, g) }, refCol2Im(cols, batch, g)},
 		{OpMaxPool, [3]int{batch * positions, g.InC, g.KH * g.KW}, func() *Tensor { out, _ := MaxPool2D(x, g); return out }, pooled},
 		{OpMaxPoolBack, [3]int{batch, len(arg) / batch, 0}, func() *Tensor { return MaxPool2DBackward(pooled, arg, x.Shape()) }, nil},
-		{OpGap, [3]int{batch, g.InH * g.InW, g.InC}, func() *Tensor { return GlobalAvgPool(x) }, GlobalAvgPoolNaive(x)},
-		{OpGapBack, [3]int{batch, g.InH * g.InW, g.InC}, func() *Tensor { return GlobalAvgPoolBackward(GlobalAvgPoolNaive(x), x.Shape()) }, nil},
+		{OpGap, [3]int{batch, g.InH * g.InW, g.InC}, func() *Tensor { return GlobalAvgPool(x) }, refGlobalAvgPool(x)},
+		{OpGapBack, [3]int{batch, g.InH * g.InW, g.InC}, func() *Tensor { return GlobalAvgPoolBackward(refGlobalAvgPool(x), x.Shape()) }, nil},
 		{OpEltwise, [3]int{big.Len(), 0, 0}, func() *Tensor { return Add(big, big) }, nil},
 		{OpRowwise, [3]int{512, 256, 0}, func() *Tensor { return SoftmaxRows(big) }, nil},
 	}

@@ -1,5 +1,5 @@
 // Package tune autotunes the tensor kernels: it benchmarks candidate
-// schedules (kernel variant, tile sizes, worker count, serial cutoff) per
+// schedules (tile sizes, worker count, serial cutoff) per
 // shape class and persists the winners in a versioned JSON table that the
 // kernels dispatch on at runtime (tensor.SetScheduleSource).
 //
@@ -45,11 +45,11 @@ type Entry struct {
 
 	// Case names the representative shape the entry was tuned on.
 	Case string `json:"case,omitempty"`
-	// BaseNsOp is the seed reference (naive kernel, one worker) timing.
+	// BaseNsOp is the timing with no table: the zero Schedule at one worker.
 	BaseNsOp float64 `json:"base_ns_op,omitempty"`
 	// BestNsOp is the chosen schedule's timing on the same shape.
 	BestNsOp float64 `json:"best_ns_op,omitempty"`
-	// Speedup is BaseNsOp / BestNsOp.
+	// Speedup is BaseNsOp / BestNsOp: what the entry buys over no table.
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
@@ -150,7 +150,9 @@ func Save(path string, t *Table) error {
 
 // Load reads and validates a schedule table. A version mismatch is a hard
 // error: schedules are measurements against a specific kernel generation,
-// and dispatching stale ones would silently undo the tuning.
+// and dispatching stale ones would silently undo the tuning. So is a
+// negative schedule field, which no tuner writes. Unknown keys (such as the
+// retired "kernel") are ignored.
 func Load(path string) (*Table, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -166,6 +168,11 @@ func Load(path string) (*Table, error) {
 	}
 	if len(t.Entries) == 0 {
 		return nil, fmt.Errorf("tune: table %s has no entries", path)
+	}
+	for i, e := range t.Entries {
+		if s := e.Schedule; s.TileM < 0 || s.TileK < 0 || s.Workers < 0 || s.SerialBelow < 0 {
+			return nil, fmt.Errorf("tune: table %s entry %d (%s): negative schedule field in %+v", path, i, e.Op, s)
+		}
 	}
 	t.buildIndex()
 	return &t, nil

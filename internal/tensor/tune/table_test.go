@@ -1,8 +1,10 @@
 package tune
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nautilus/internal/tensor"
@@ -174,4 +176,136 @@ func TestTuneSmoke(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// checkSchedulesRun runs MatMul, MatMulBT and MatMulAT on one small fixed
+// shape under every distinct schedule of tbl at two workers, and fails
+// unless each output equals the kernel's with no table, bit for bit.
+func checkSchedulesRun(t *testing.T, tbl *Table) {
+	t.Helper()
+	tensor.SetMaxWorkers(2)
+	t.Cleanup(func() {
+		tensor.SetMaxWorkers(0)
+		tensor.SetScheduleSource(nil)
+	})
+	rng := rand.New(rand.NewSource(3))
+	const m, k, n = 10, 24, 18
+	a, b := tensor.RandNormal(rng, 1, m, k), tensor.RandNormal(rng, 1, k, n)
+	bt, at := tensor.RandNormal(rng, 1, n, k), tensor.RandNormal(rng, 1, k, m)
+	ops := []struct {
+		name string
+		run  func() *tensor.Tensor
+	}{
+		{"MatMul", func() *tensor.Tensor { return tensor.MatMul(a, b) }},
+		{"MatMulBT", func() *tensor.Tensor { return tensor.MatMulBT(a, bt) }},
+		{"MatMulAT", func() *tensor.Tensor { return tensor.MatMulAT(at, b) }},
+	}
+	tensor.SetScheduleSource(nil)
+	want := make([]uint64, len(ops))
+	for i, op := range ops {
+		want[i] = op.run().Fingerprint()
+	}
+	seen := map[tensor.Schedule]bool{}
+	for i, e := range tbl.Entries {
+		if seen[e.Schedule] {
+			continue
+		}
+		seen[e.Schedule] = true
+		tensor.SetScheduleSource(forceSchedule{e.Schedule})
+		for j, op := range ops {
+			if op.run().Fingerprint() != want[j] {
+				t.Fatalf("entry %d (%s): %s under %s differs from the kernel with no table", i, e.Op, op.name, e.Schedule)
+			}
+		}
+	}
+}
+
+// corruptTables are hand-made tables Load must reject or run safely. Every
+// body is also a seed of FuzzLoadTuneTable (testdata/fuzz). A tile_m of
+// MaxInt used to load and then crash the process: a worker's chunk starting
+// past row 0 overflowed i0+tm into a negative slice bound.
+var corruptTables = []struct {
+	name, body string
+	err        string // "" means: loads, and every schedule runs bit-identically
+}{
+	{"huge_tile_m", `{"version":1,"entries":[{"op":"matmul","dim_buckets":[7,7,7],"worker_bucket":2,"schedule":{"tile_m":9223372036854775807,"workers":2,"serial_below":1}}]}`, ""},
+	{"huge_tile_k", `{"version":1,"entries":[{"op":"matmul_bt","dim_buckets":[7,7,7],"worker_bucket":2,"schedule":{"tile_m":3,"tile_k":9223372036854775807,"workers":2,"serial_below":1}}]}`, ""},
+	{"huge_workers", `{"version":1,"entries":[{"op":"matmul_at","dim_buckets":[7,7,7],"worker_bucket":2,"schedule":{"workers":9223372036854775807,"serial_below":1}}]}`, ""},
+	{"naive_kernel", `{"version":1,"entries":[{"op":"gap","dim_buckets":[5,11,4],"worker_bucket":1,"schedule":{"kernel":"naive","workers":1}}]}`, ""},
+	{"negative_tile_m", `{"version":1,"entries":[{"op":"matmul","dim_buckets":[7,7,7],"worker_bucket":2,"schedule":{"tile_m":-4,"workers":2}}]}`, "entry 0 (matmul)"},
+	{"negative_tile_k", `{"version":1,"entries":[{"op":"matmul","schedule":{"workers":1}},{"op":"matmul_bt","schedule":{"tile_k":-1}}]}`, "entry 1 (matmul_bt)"},
+	{"negative_workers", `{"version":1,"entries":[{"op":"matmul_at","schedule":{"workers":-2}}]}`, "entry 0 (matmul_at)"},
+	{"negative_serial_below", `{"version":1,"entries":[{"op":"im2col","schedule":{"serial_below":-1}}]}`, "entry 0 (im2col)"},
+	{"wrong_version", `{"version":2,"entries":[{"op":"matmul"}]}`, "version 2"},
+	{"no_entries", `{"version":1,"entries":[]}`, "no entries"},
+	{"not_json", `{"version":1,"entries":[{"op":"matmul","schedule":`, "parse"},
+	{"overflowing_tile", `{"version":1,"entries":[{"op":"matmul","schedule":{"tile_m":9223372036854775808}}]}`, "parse"},
+}
+
+func TestLoadRejectsOrRunsCorruptTables(t *testing.T) {
+	for _, tc := range corruptTables {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "table.json")
+			if err := writeFile(path, tc.body); err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := Load(path)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Load error %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSchedulesRun(t, tbl)
+		})
+	}
+}
+
+// TestCommittedTuneTableLoads pins what ./bench reads: the repo's
+// TUNE_table.json, whose two "kernel": "naive" entries name a variant that
+// no longer exists, still loads (encoding/json ignores the unknown key) and
+// every schedule in it runs bit-identically. A stricter Load would break
+// ./bench here first. The table was tuned at one worker, so under a cap of
+// 2 none of it applies; a regenerated table with entries at cap 2 would
+// change the kernels the benchmark dispatches.
+func TestCommittedTuneTableLoads(t *testing.T) {
+	const path = "../../../TUNE_table.json"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"kernel": "naive"`); n != 2 {
+		t.Errorf(`committed table has %d "kernel": "naive" entries, want the 2 it was tuned with`, n)
+	}
+	tbl, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(tbl.Coverage(2))
+	if n := tbl.Applicable(2); n != 0 {
+		t.Errorf("%d of %d entries apply at cap 2, want 0: %s", n, len(tbl.Entries), tbl.Coverage(2))
+	}
+	checkSchedulesRun(t, tbl)
+}
+
+// FuzzLoadTuneTable: any file either fails to load, or every schedule in it
+// runs the matmul family at two workers bit-identically to no table. Never
+// a panic. The committed corpus (testdata/fuzz/FuzzLoadTuneTable) holds the
+// repo's TUNE_table.json and the corruptTables bodies; plain go test
+// replays it.
+func FuzzLoadTuneTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "table.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Load(path)
+		if err != nil {
+			return
+		}
+		checkSchedulesRun(t, tbl)
+	})
 }

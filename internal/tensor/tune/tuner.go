@@ -46,9 +46,10 @@ func (f forceSchedule) Schedule(tensor.Op, [3]int, int) (tensor.Schedule, bool) 
 }
 
 // Tune benchmarks every case's candidate schedules and returns the table
-// of winners. Each case is timed against the seed reference (naive
-// kernel, one worker); the fastest serial candidate wins unless a
-// parallel candidate beats it by the hysteresis margin. The schedule
+// of winners. Each case is timed against the zero Schedule at one worker —
+// what the kernel runs with no table on one core; the fastest serial
+// candidate wins unless a parallel candidate beats it by the hysteresis
+// margin. The schedule
 // source installed before the call is restored when Tune returns — the
 // caller decides whether to install the new table.
 func Tune(cases []Case, opts Options) (*Table, error) {
@@ -73,8 +74,9 @@ func Tune(cases []Case, opts Options) (*Table, error) {
 		if c.Run == nil || c.Op == "" {
 			return nil, fmt.Errorf("tune: case %q is incomplete", c.Name)
 		}
-		base := timeSchedule(c, tensor.Schedule{Kernel: "naive", Workers: 1})
-		bestSch, bestNs := tensor.Schedule{Kernel: "naive", Workers: 1}, base
+		bestSch := tensor.Schedule{Workers: 1}
+		base := timeSchedule(c, bestSch)
+		bestNs := base
 		var bestParSch tensor.Schedule
 		bestParNs, havePar := 0.0, false
 		for _, cand := range candidatesFor(c.Op, workers) {
@@ -111,24 +113,19 @@ func Tune(cases []Case, opts Options) (*Table, error) {
 // candidatesFor enumerates the schedules worth measuring for an op
 // family under the given worker cap. Every candidate carries an explicit
 // worker count; parallel legs force SerialBelow=1 so the measurement
-// actually exercises the chunked path even for small work estimates.
+// actually exercises the chunked path even for small work estimates. Only
+// the matmul family has tiles to choose; the other ops' tables decide
+// workers and cutoffs alone.
 func candidatesFor(op tensor.Op, workers int) []tensor.Schedule {
-	var variants []tensor.Schedule
+	variants := []tensor.Schedule{{}} // default tiles (serially, the baseline re-entered)
 	switch op {
 	case tensor.OpMatMul, tensor.OpMatMulBT, tensor.OpMatMulAT:
-		variants = []tensor.Schedule{
-			{},                     // blocked, default tiles
-			{TileM: 1},             // one output row per tile
-			{TileK: 128},           // shallow panels
-			{TileK: 256},           // default packing depth, explicit
-			{TileM: 4, TileK: 512}, // deep panels
-			{Kernel: "naive"},      // seed body (baseline re-entered as a candidate)
-		}
-	default:
-		variants = []tensor.Schedule{
-			{},                // fast variant
-			{Kernel: "naive"}, // seed body
-		}
+		variants = append(variants,
+			tensor.Schedule{TileM: 1},             // one output row per tile
+			tensor.Schedule{TileK: 128},           // shallow panels
+			tensor.Schedule{TileK: 256},           // default packing depth, explicit
+			tensor.Schedule{TileM: 4, TileK: 512}, // deep panels
+		)
 	}
 	var out []tensor.Schedule
 	for _, v := range variants {

@@ -10,8 +10,8 @@ test:
 
 # nautilus-lint is the repo's own stdlib static-analysis suite
 # (internal/lint), eleven analyzers: the syntactic ones (allochygiene,
-# determinism, floateq, layerpurity, uncheckederr), the dataflow-engine
-# ones (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the
+# determinism, floateq, layerpurity, uncheckederr), the CFG passes
+# (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the
 # interprocedural summary-aware locksafe, and the ignoreaudit
 # stale-suppression check.
 # One whole-module sweep (well under a second); check's lint step is the
@@ -28,7 +28,7 @@ lint:
 lint-fixtures:
 	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|SeededRegressions' -count=1
 
-# check is the full pre-merge gate: vet + build + the full analyzer
+# check is the full pre-merge gate: vet + gofmt + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
 # concurrent planning, execution, observability, and storage layers (the
 # core and exec test packages force at least two group slots in TestMain,
@@ -46,6 +46,7 @@ lint-fixtures:
 # down and every bit-identity test passes on the scalar bodies.
 check:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) run ./cmd/nautilus-lint ./...

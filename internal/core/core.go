@@ -419,23 +419,10 @@ func (ms *ModelSelection) LastDelta() *PlanDelta { return ms.lastDelta }
 func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
 	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	started := time.Now()
-	ms.cycle++
-	span := ms.cfg.Obs.Start("core/fit",
-		obs.Int("cycle", int64(ms.cycle)),
-		obs.Int("train_records", int64(snap.TrainSize())))
+	span, reopt, err := ms.beginCycle(snap)
 	defer span.End()
-	reopt, err := ms.ensurePlanned(snap.TrainSize())
 	if err != nil {
 		return nil, err
-	}
-	span.Attr(obs.Bool("reoptimized", reopt))
-	if ms.materializer != nil {
-		if err := ms.materializer.SyncSplit(exec.Train, snap.TrainX); err != nil {
-			return nil, err
-		}
-		if err := ms.materializer.SyncSplit(exec.Valid, snap.ValidX); err != nil {
-			return nil, err
-		}
 	}
 
 	// Model selection restarts every candidate from its initial weights.
@@ -494,6 +481,31 @@ func PlanWorkload(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config, maxRecor
 	p.r = maxRecords
 	wp, _, err := p.Replan()
 	return wp, err
+}
+
+// beginCycle is the prologue Fit and FitHalving share: it counts the
+// cycle, opens its core/fit span, replans if needed, and brings the
+// materialized splits up to the snapshot. It reports whether a replan ran.
+// The caller ends the span, on error too.
+func (ms *ModelSelection) beginCycle(snap data.Snapshot) (*obs.Span, bool, error) {
+	ms.cycle++
+	span := ms.cfg.Obs.Start("core/fit",
+		obs.Int("cycle", int64(ms.cycle)),
+		obs.Int("train_records", int64(snap.TrainSize())))
+	reopt, err := ms.ensurePlanned(snap.TrainSize())
+	if err != nil {
+		return span, false, err
+	}
+	span.Attr(obs.Bool("reoptimized", reopt))
+	if ms.materializer != nil {
+		if err := ms.materializer.SyncSplit(exec.Train, snap.TrainX); err != nil {
+			return span, reopt, err
+		}
+		if err := ms.materializer.SyncSplit(exec.Valid, snap.ValidX); err != nil {
+			return span, reopt, err
+		}
+	}
+	return span, reopt, nil
 }
 
 // ensurePlanned reacts to dataset growth and pending evolution events: it

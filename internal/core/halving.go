@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"nautilus/internal/data"
-	"nautilus/internal/exec"
 	"nautilus/internal/opt"
 )
 
@@ -46,23 +46,17 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 	if keep <= 0 || keep >= 1 {
 		keep = 0.5
 	}
-	ms.cycle++
-	// Ensure materialization is in place (same path as Fit).
-	if _, err := ms.ensurePlanned(snap.TrainSize()); err != nil {
+	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
+	started := time.Now()
+	span, reopt, err := ms.beginCycle(snap)
+	defer span.End()
+	if err != nil {
 		return nil, err
-	}
-	if ms.materializer != nil {
-		if err := ms.materializer.SyncSplit(exec.Train, snap.TrainX); err != nil {
-			return nil, err
-		}
-		if err := ms.materializer.SyncSplit(exec.Valid, snap.ValidX); err != nil {
-			return nil, err
-		}
 	}
 
 	spec, _ := ms.cfg.Approach.spec() // known: ensurePlanned has replanned with it
 	res := &HalvingResult{}
-	res.Cycle = ms.cycle
+	res.Cycle, res.ReOptimized = ms.cycle, reopt
 	survivors := append([]opt.WorkItem(nil), ms.planner.items...)
 
 	for rung, epochs := range cfg.RungEpochs {
@@ -117,5 +111,7 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 		}
 		survivors = next
 	}
+	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
+	res.Duration = time.Since(started)
 	return res, nil
 }

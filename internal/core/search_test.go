@@ -301,6 +301,29 @@ func TestFitHalvingHonoursApproach(t *testing.T) {
 	}
 }
 
+// TestFitHalvingReportsCycleFacts pins the FitResult facts a halving cycle
+// shares with Fit: its wall-clock duration, and that the first cycle is the
+// one that planned.
+func TestFitHalvingReportsCycleFacts(t *testing.T) {
+	snaps := snapshots(t, 2)
+	ms := newMS(t, Nautilus)
+	halving := HalvingConfig{RungEpochs: []int{1}}
+	res, err := ms.FitHalving(snaps[0], halving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycle != 1 || !res.ReOptimized || res.Duration <= 0 {
+		t.Errorf("first cycle: Cycle=%d ReOptimized=%v Duration=%v, want 1, true, > 0", res.Cycle, res.ReOptimized, res.Duration)
+	}
+	res, err = ms.FitHalving(snaps[0], halving)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycle != 2 || res.ReOptimized || res.Duration <= 0 {
+		t.Errorf("unchanged snapshot: Cycle=%d ReOptimized=%v Duration=%v, want 2, false, > 0", res.Cycle, res.ReOptimized, res.Duration)
+	}
+}
+
 func TestFitHalvingValidation(t *testing.T) {
 	snaps := snapshots(t, 1)
 	ms := newMS(t, Nautilus)

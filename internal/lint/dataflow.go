@@ -2,13 +2,16 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // This file holds the solver half of the dataflow engine: a backward
 // must-pass (all-paths) analysis, forward reachability, and a generic
-// forward worklist solver, plus the per-function driver that feeds every
-// FuncDecl and FuncLit body to an analysis independently.
+// forward worklist solver, the CFG walks more than one pass shares
+// (definition sites, re-binding, enclosing loop, deferred calls), plus the
+// per-function driver that feeds every FuncDecl and FuncLit body to an
+// analysis independently.
 
 // mustPass computes, for every node, whether every path from that node to
 // the function exit passes through a statement satisfying the predicate
@@ -115,6 +118,111 @@ func forwardSolve[F any](c *funcCFG, entry F,
 	return in
 }
 
+// enclosingLoop returns the body of the innermost for/range statement
+// containing stmt, or nil.
+func enclosingLoop(parents map[ast.Node]ast.Node, stmt ast.Stmt) *ast.BlockStmt {
+	for n := parents[stmt]; n != nil; n = parents[n] {
+		switch l := n.(type) {
+		case *ast.ForStmt:
+			return l.Body
+		case *ast.RangeStmt:
+			return l.Body
+		case *ast.FuncLit:
+			return nil // the loop, if any, is outside this body
+		}
+	}
+	return nil
+}
+
+// overwriteReachable runs a blocked DFS from the successors of from, the
+// node defining obj: nodes satisfying discharges stop the walk; reaching
+// another definition of obj (including from itself around a loop) means the
+// first value is overwritten while still owing its discharge.
+func overwriteReachable(info *types.Info, cfg *funcCFG, obj types.Object, from *cfgNode, discharges func(*cfgNode) bool) bool {
+	seen := map[*cfgNode]bool{}
+	work := append([]*cfgNode{}, from.succs...)
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[n] {
+			continue
+		}
+		seen[n] = true
+		if n.stmt != nil {
+			for _, def := range defSites(info, n) {
+				if def == obj {
+					return true
+				}
+			}
+			if discharges(n) {
+				continue // obligation met on this path; stop expanding
+			}
+		}
+		work = append(work, n.succs...)
+	}
+	return false
+}
+
+// defSites lists the variables a CFG node defines, in evaluation order.
+func defSites(info *types.Info, n *cfgNode) []types.Object {
+	var out []types.Object
+	add := func(e ast.Expr) {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		if obj := info.ObjectOf(id); obj != nil {
+			out = append(out, obj)
+		}
+	}
+	switch st := n.stmt.(type) {
+	case *ast.AssignStmt:
+		for _, l := range st.Lhs {
+			add(l)
+		}
+	case *ast.IncDecStmt:
+		add(st.X)
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, name := range vs.Names {
+						add(name)
+					}
+				}
+			}
+		}
+	case *ast.RangeStmt:
+		add(st.Key)
+		add(st.Value)
+	}
+	return out
+}
+
+// deferredAnywhere reports whether any defer statement of the body itself
+// (not of a nested literal) contains a node satisfying pred, the deferred
+// closure's body included: defers run at function exit, which is
+// downstream of every node.
+func deferredAnywhere(cfg *funcCFG, pred func(ast.Node) bool) bool {
+	for _, m := range cfg.nodes {
+		ds, ok := m.stmt.(*ast.DeferStmt)
+		if !ok {
+			continue
+		}
+		deferred := false
+		ast.Inspect(ds.Call, func(x ast.Node) bool {
+			if pred(x) {
+				deferred = true
+			}
+			return !deferred
+		})
+		if deferred {
+			return true
+		}
+	}
+	return false
+}
+
 // funcBody is one function body under analysis: a declared function or a
 // function literal, each treated as an independent unit. Its CFG and
 // parent map are built on first use and shared by every analyzer and the
@@ -198,7 +306,7 @@ func (p *Package) bodies() []*funcBody {
 }
 
 // eachBody visits every function body outside test files: the sweep the
-// flow analyzers (typestate specs, locksafe, goroutinejoin) share.
+// flow analyzers (spanleak, arenaescape, locksafe, goroutinejoin) share.
 func (p *Pass) eachBody(visit func(fb *funcBody)) {
 	for _, fb := range p.Pkg.bodies() {
 		if !fb.inTest {

@@ -69,8 +69,9 @@ func (fx *defFixture) defs() [][]string {
 	return out
 }
 
-// origin returns the k-th (0-based) node defining name, as a tracked origin.
-func (fx *defFixture) origin(t *testing.T, name string, k int) tsOrigin {
+// overwritten reports whether the k-th (0-based) definition of name is
+// overwritten before a node satisfying discharges.
+func (fx *defFixture) overwritten(t *testing.T, name string, k int, discharges func(*cfgNode) bool) bool {
 	t.Helper()
 	for _, n := range fx.nodes() {
 		for _, obj := range defSites(fx.info, n) {
@@ -78,14 +79,16 @@ func (fx *defFixture) origin(t *testing.T, name string, k int) tsOrigin {
 				continue
 			}
 			if k == 0 {
-				return tsOrigin{obj: obj, node: n}
+				return overwriteReachable(fx.info, fx.cfg, obj, n, discharges)
 			}
 			k--
 		}
 	}
 	t.Fatalf("definition %d of %s not found", k, name)
-	return tsOrigin{}
+	return false
 }
+
+func noDischarge(*cfgNode) bool { return false }
 
 // A tuple assignment defines every named LHS; the blank identifier none.
 func TestReachDefsTupleAssignDefs(t *testing.T) {
@@ -117,14 +120,13 @@ func f() int {
 	if got, want := fx.defs(), [][]string{{"a"}, {"a"}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("defs = %v, want %v", got, want)
 	}
-	first := fx.origin(t, "a", 0)
-	if !overwriteReachable(fx.info, fx.cfg, first, func(*cfgNode) bool { return false }) {
+	if !fx.overwritten(t, "a", 0, noDischarge) {
 		t.Error("the re-assignment is not seen as overwriting the first definition")
 	}
-	if overwriteReachable(fx.info, fx.cfg, first, callsTo("end")) {
+	if fx.overwritten(t, "a", 0, callsTo("end")) {
 		t.Error("a discharge before the re-assignment does not stop the walk")
 	}
-	if overwriteReachable(fx.info, fx.cfg, fx.origin(t, "a", 1), func(*cfgNode) bool { return false }) {
+	if fx.overwritten(t, "a", 1, noDischarge) {
 		t.Error("the last definition is reported as overwritten")
 	}
 }
@@ -145,7 +147,7 @@ func f(c bool) int {
 	if got, want := fx.defs(), [][]string{{"x"}, {"x"}, {"x"}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("defs = %v, want %v", got, want)
 	}
-	if !overwriteReachable(fx.info, fx.cfg, fx.origin(t, "x", 0), func(*cfgNode) bool { return false }) {
+	if !fx.overwritten(t, "x", 0, noDischarge) {
 		t.Error("branch assignments do not overwrite the definition above them")
 	}
 }
@@ -170,7 +172,7 @@ func f(xs []int) int {
 	if got := fx.defs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("defs = %v, want %v", got, want)
 	}
-	if !overwriteReachable(fx.info, fx.cfg, fx.origin(t, "h", 0), func(*cfgNode) bool { return false }) {
+	if !fx.overwritten(t, "h", 0, noDischarge) {
 		t.Error("a definition inside a loop does not reach itself around the back edge")
 	}
 }

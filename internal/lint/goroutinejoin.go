@@ -78,15 +78,15 @@ func goroutineJoinFunc(p *Pass, sums *summarySet, fb *funcBody) {
 func goLitCheck(p *Pass, sums *summarySet, fb *funcBody, n *cfgNode, gs *ast.GoStmt, lit *ast.FuncLit) {
 	info, cfg := p.Pkg.Info, fb.cfg()
 	if wg := enclosingWaitGroupDone(info, lit, fb.body); wg != nil {
-		if !eventPrecedes(fb.body, wgJoinProtocol.add, wg, gs.Pos(), identResolver(info)) {
+		if !callPrecedes(info, fb.body, "Add", wg, gs.Pos()) {
 			p.Reportf(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wg.Name(), wg.Name())
-		} else if !eventJoins(info, sums, cfg, n, wgJoinProtocol.wait, wg) {
+		} else if !joinsEveryPath(sums, cfg, n, waitGroupProtocol.terminal, wg) {
 			p.Reportf(gs.Pos(), "goroutine joined by %s.Wait, but a path from the launch reaches return without waiting", wg.Name())
 		}
 		return
 	}
 	if wgf := fieldWaitGroupDone(info, lit); wgf != nil {
-		if !eventPrecedes(fb.body, wgJoinProtocol.add, wgf, gs.Pos(), fieldResolver(info)) {
+		if !callPrecedes(info, fb.body, "Add", wgf, gs.Pos()) {
 			p.Reportf(gs.Pos(), "goroutine calls %s.Done but no %s.Add precedes the launch", wgf.Name(), wgf.Name())
 		}
 		// The Wait rides on the owning value's state — typically a Close
@@ -124,9 +124,9 @@ func goNamedCheck(p *Pass, sums *summarySet, fb *funcBody, n *cfgNode, gs *ast.G
 		if wg == nil {
 			continue
 		}
-		if !eventPrecedes(fb.body, wgJoinProtocol.add, wg, gs.Pos(), identResolver(info)) {
+		if !callPrecedes(info, fb.body, "Add", wg, gs.Pos()) {
 			p.Reportf(gs.Pos(), "goroutine %s calls %s.Done but no %s.Add precedes the launch", sum.fn.Name(), wg.Name(), wg.Name())
-		} else if !eventJoins(info, sums, cfg, n, wgJoinProtocol.wait, wg) {
+		} else if !joinsEveryPath(sums, cfg, n, waitGroupProtocol.terminal, wg) {
 			p.Reportf(gs.Pos(), "goroutine %s joined by %s.Wait, but a path from the launch reaches return without waiting", sum.fn.Name(), wg.Name())
 		}
 		return
@@ -264,26 +264,40 @@ func fieldWaitGroupDone(info *types.Info, lit *ast.FuncLit) *types.Var {
 	return wg
 }
 
-// The Add-before-launch and Wait-joins judgments are instances of the
-// typestate engine's WaitGroup protocol helpers (eventPrecedes / eventJoins
-// over wgJoinProtocol in typestate.go); only the receiver resolvers —
-// local-variable vs struct-field WaitGroups — are declared here.
-
-// identResolver resolves a receiver expression to its local-variable
-// object.
-func identResolver(info *types.Info) func(ast.Expr) types.Object {
-	return func(e ast.Expr) types.Object { return identObj(info, e) }
+// callPrecedes reports whether a method call on obj — a local variable or
+// the struct field a selector receiver names — appears before pos in body.
+func callPrecedes(info *types.Info, body ast.Node, method string, obj types.Object, pos token.Pos) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() >= pos {
+			return true
+		}
+		if recv, ok := methodCallOn(call, method); ok {
+			if f := fieldObj(info, recv); f != nil {
+				found = f == obj
+			} else {
+				found = identObj(info, recv) == obj
+			}
+		}
+		return !found
+	})
+	return found
 }
 
-// fieldResolver resolves a receiver expression to the struct field it
-// selects (`e.wg` → the wg field), for WaitGroups owned by a value.
-func fieldResolver(info *types.Info) func(ast.Expr) types.Object {
-	return func(e ast.Expr) types.Object {
-		if v := fieldObj(info, e); v != nil {
-			return v
-		}
-		return nil
+// joinsEveryPath reports whether obj's discharging method runs on every
+// path from the launch node to exit, or is deferred in the body. A call
+// handing obj to a local function whose summary discharges it counts too.
+func joinsEveryPath(sums *summarySet, cfg *funcCFG, launch *cfgNode, method string, obj types.Object) bool {
+	joins := func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		return ok && sums.dischargesAt(call, obj, method)
 	}
+	return deferredAnywhere(cfg, joins) ||
+		cfg.mustPassFrom(launch, func(n *cfgNode) bool { return headerContains(n, joins) })
 }
 
 // enclosingChannelActivity returns channel variables declared outside the

@@ -11,11 +11,10 @@
 // substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go) is
 // a statement-level CFG with forward/backward solvers, reached through one
 // per-package body index (Package.bodies: each function body with its CFG
-// and parent map built once and shared); the declarative typestate
-// protocol engine (typestate.go) runs resource protocols over it, crediting
-// delegation through the interprocedural summaries (summary.go) and their
-// one protocol table. Together they power the lifetime and concurrency
-// analyzers
+// and parent map built once and shared); the interprocedural summaries
+// (summary.go) and their one protocol table credit delegation to local
+// helpers. Each flow analyzer is a direct pass over the body index that
+// calls both. Together they power the lifetime and concurrency analyzers
 // introduced for the arena/parallel/span era — arenaescape (scoped
 // tensors must not outlive Scope.Release), spanleak (every obs span ends
 // on every path), goroutinejoin (every goroutine has a WaitGroup or

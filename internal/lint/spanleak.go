@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 const obsPkgPath = "nautilus/internal/obs"
@@ -12,9 +13,9 @@ const obsPkgPath = "nautilus/internal/obs"
 // conformance report depends on — and because obs.Span.End is idempotent,
 // the fix (a defer, or an End on the missed branch) is always safe.
 //
-// The protocol (Start→End) is declared as a typestateSpec; the engine in
-// typestate.go supplies the path analysis. A span variable counts as
-// handled when:
+// Each `sp := x.Start(...)` / `sp := x.Child(...)` binding owes an End; the
+// must-pass solver in dataflow.go supplies the path analysis. A span
+// variable counts as handled when:
 //
 //   - any defer in the function ends it (`defer sp.End()` directly, or a
 //     deferred closure whose body calls sp.End() — the trainer's
@@ -32,7 +33,8 @@ const obsPkgPath = "nautilus/internal/obs"
 // is a span re-bound before its End (the earlier span's only handle is
 // gone) and a span started inside a loop whose deferred End sits in the
 // same loop (the defer runs at function exit, not per iteration).
-// Test files are skipped: test spans die with the process.
+// Test files are skipped: test spans die with the process. A span has no
+// use-after-End hazard (End is idempotent), only the exit obligation.
 //
 // The interprocedural layer sharpens both directions: passing the span to
 // a package-local helper whose summary ends it on every path counts as an
@@ -44,20 +46,66 @@ var SpanLeakAnalyzer = &Analyzer{
 	Name:         "spanleak",
 	Doc:          "flags obs spans started without End on every exit path (early returns, panics without defer, dropped span handles)",
 	SummaryAware: true,
-	Run:          func(p *Pass) { runTypestate(p, spanLeakSpec) },
+	Run: func(p *Pass) {
+		sums := p.Pkg.summaries()
+		p.eachBody(func(fb *funcBody) { spanLeakFunc(p, sums, fb) })
+	},
 }
 
-// spanLeakSpec declares the Start→End obligation. No simulation leg: a span
-// has no use-after-End hazard (End is idempotent), only the exit
-// obligation.
-var spanLeakSpec = &typestateSpec{
-	origin:       spanOrigin,
-	originLabel:  spanMethodName,
-	unboundMsg:   "span from %s is dropped without being ended; bind it and defer End",
-	protocol:     spanProtocol,
-	leakMsg:      "span %s is not ended on every path to return; add defer %s.End() or end it on the missed branch",
-	overwriteMsg: "span %s is re-bound before being ended; the earlier span never reaches End — end it before re-binding",
-	deferLoopMsg: "span %s is started in a loop but its deferred End runs at function exit, not per iteration; end it at the end of the iteration",
+// spanLeakFunc checks every span origin in one body: dropped handles, and
+// the End obligation of each single-valued `sp := origin(...)` binding.
+func spanLeakFunc(p *Pass, sums *summarySet, fb *funcBody) {
+	for _, n := range fb.cfg().nodes {
+		switch st := n.stmt.(type) {
+		case *ast.ExprStmt:
+			if call, ok := st.X.(*ast.CallExpr); ok && spanOrigin(p, call) {
+				p.Reportf(call.Pos(), "span from %s is dropped without being ended; bind it and defer End", call.Fun.(*ast.SelectorExpr).Sel.Name)
+			}
+		case *ast.AssignStmt:
+			if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
+				continue
+			}
+			call, ok := st.Rhs[0].(*ast.CallExpr)
+			if !ok || !spanOrigin(p, call) {
+				continue
+			}
+			if obj := identObj(p.Pkg.Info, st.Lhs[0]); obj != nil && obj.Name() != "_" {
+				spanObligation(p, sums, fb, n, call, obj)
+			}
+		}
+	}
+}
+
+// spanObligation checks that the span bound to obj at node origin reaches
+// End, reporting at most one finding: a deferred End inside the origin's
+// own loop, then — unless a defer ends it or it escapes to a new owner — a
+// re-binding before End, then a path to exit that misses End.
+func spanObligation(p *Pass, sums *summarySet, fb *funcBody, origin *cfgNode, call *ast.CallExpr, obj types.Object) {
+	info, cfg, end := p.Pkg.Info, fb.cfg(), spanProtocol.terminal
+	// The span re-binds every iteration, but a defer inside the loop only
+	// runs at function exit — every iteration but the last leaks until then.
+	if loop := enclosingLoop(fb.parents(), origin.stmt); loop != nil && sums.deferredDischarge(loop, obj, end) {
+		p.Reportf(call.Pos(), "span %s is started in a loop but its deferred End runs at function exit, not per iteration; end it at the end of the iteration", obj.Name())
+		return
+	}
+	if sums.deferredDischarge(fb.body, obj, end) || objEscapes(info, sums, fb, obj) {
+		return
+	}
+	// ends reports whether a node ends this span: End on the value itself,
+	// or a delegation the summary layer credits.
+	ends := func(n *cfgNode) bool {
+		return headerContains(n, func(x ast.Node) bool {
+			c, ok := x.(*ast.CallExpr)
+			return ok && sums.dischargesAt(c, obj, end)
+		})
+	}
+	if overwriteReachable(info, cfg, obj, origin, ends) {
+		p.Reportf(call.Pos(), "span %s is re-bound before being ended; the earlier span never reaches End — end it before re-binding", obj.Name())
+		return
+	}
+	if !cfg.mustPassFrom(origin, ends) {
+		p.Reportf(call.Pos(), "span %s is not ended on every path to return; add defer %s.End() or end it on the missed branch", obj.Name(), obj.Name())
+	}
 }
 
 // spanOrigin matches a call whose single result is *obs.Span from the
@@ -71,11 +119,4 @@ func spanOrigin(p *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return namedType(p.Pkg.Info.TypeOf(call), obsPkgPath, "Span")
-}
-
-func spanMethodName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return "Start"
 }

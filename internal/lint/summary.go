@@ -16,10 +16,10 @@ import (
 // The summary lattice is mixed-monotone, solved per SCC by iterating its
 // members to a fixpoint against each other:
 //
-//   - must-facts (Discharges, errNever/errAlways) start optimistically
-//     true inside a recursive component and are only
-//     lowered, so a pair of mutually recursive enders stays credited while
-//     any unsatisfied escape route lowers the whole cycle;
+//   - must-facts (Discharges, errNever) start optimistically true inside
+//     a recursive component and are only lowered, so a pair of mutually
+//     recursive enders stays credited while any unsatisfied escape route
+//     lowers the whole cycle;
 //   - may-facts (DonesWG, SendsChan, Escapes, mayLock) start at
 //     bottom (false/empty) and only grow, the usual least fixpoint.
 //
@@ -39,8 +39,8 @@ type protocol struct {
 
 // The protocol table is the one place that says which (type, terminal
 // method) pairs are must-discharge obligations. The summary layer computes
-// paramFacts.Discharges for a parameter of a listed type, and the typestate
-// specs and goroutinejoin's WaitGroup leg point at their row for the
+// paramFacts.Discharges for a parameter of a listed type, and spanleak,
+// arenaescape and goroutinejoin's WaitGroup leg point at their row for the
 // terminal they credit through delegation; a fourth protocol is one row.
 var (
 	spanProtocol      = &protocol{obsPkgPath, "Span", "End"}
@@ -133,11 +133,9 @@ type funcSummary struct {
 	// params holds one fact set per signature parameter (receiver excluded).
 	params []paramFacts
 
-	// errNever / errAlways classify the error result across all returns:
-	// provably always nil, or provably always non-nil. Both false when the
-	// function has no error result or the returns are mixed/unknown.
-	errNever  bool
-	errAlways bool
+	// errNever: the error result is provably nil on every return. False
+	// when the function has no error result or a return may be non-nil.
+	errNever bool
 
 	// holdsAtExit: locks acquired here and still held on every path to
 	// return — the lock-helper shape; callers inherit the held state.
@@ -169,7 +167,7 @@ func (sum *funcSummary) equal(o *funcSummary) bool {
 		return false
 	}
 	if len(sum.params) != len(o.params) ||
-		sum.errNever != o.errNever || sum.errAlways != o.errAlways {
+		sum.errNever != o.errNever {
 		return false
 	}
 	for i := range sum.params {
@@ -263,7 +261,7 @@ func (s *summarySet) optimisticInit(n *cgNode) *funcSummary {
 	for i := range sum.params {
 		sum.params[i].Discharges = protocolOf(sig.Params().At(i).Type()) != nil
 	}
-	sum.errNever, sum.errAlways = hasErrorResult(sig), hasErrorResult(sig)
+	sum.errNever = hasErrorResult(sig)
 	return sum
 }
 
@@ -305,7 +303,7 @@ func (s *summarySet) compute(n *cgNode) *funcSummary {
 		pf.Escapes = objEscapes(info, s, n.body, obj)
 	}
 
-	sum.errNever, sum.errAlways = s.errorFacts(n, sig)
+	sum.errNever = s.returnsNilErr(n, sig)
 	lockSummaryFacts(s, n, sum)
 	return sum
 }
@@ -464,10 +462,10 @@ func isChanType(t types.Type) bool {
 	return ok
 }
 
-// errorFacts classifies the function's error result across all explicit
-// returns. Naked returns, no returns, and unknown expressions make both
-// facts false (the conservative "could be either").
-func (s *summarySet) errorFacts(n *cgNode, sig *types.Signature) (never, always bool) {
+// returnsNilErr reports whether every explicit return of the function yields
+// a nil error. Naked returns, no returns, and unknown expressions make it
+// false (the conservative "could be non-nil").
+func (s *summarySet) returnsNilErr(n *cgNode, sig *types.Signature) bool {
 	errType := types.Universe.Lookup("error").Type()
 	errIdx := -1
 	for i := 0; i < sig.Results().Len(); i++ {
@@ -476,9 +474,9 @@ func (s *summarySet) errorFacts(n *cgNode, sig *types.Signature) (never, always 
 		}
 	}
 	if errIdx < 0 {
-		return false, false
+		return false
 	}
-	never, always = true, true
+	never := true
 	returns := 0
 	shallowInspect(n.decl.Body, func(x ast.Node) bool {
 		rs, ok := x.(*ast.ReturnStmt)
@@ -486,64 +484,39 @@ func (s *summarySet) errorFacts(n *cgNode, sig *types.Signature) (never, always 
 			return true
 		}
 		returns++
-		canNil, canNonNil := true, true
+		canNonNil := true
 		switch {
 		case len(rs.Results) == 0:
 			// Naked return through named results: unknown.
 		case len(rs.Results) == 1 && sig.Results().Len() > 1:
 			// Tuple-forward: return g(...) — judged by the callee's facts.
 			if call, ok := rs.Results[0].(*ast.CallExpr); ok {
-				canNil, canNonNil = s.errExprRange(call)
+				canNonNil = s.errCanBeNonNil(call)
 			}
 		case errIdx < len(rs.Results):
-			canNil, canNonNil = s.errExprRange(rs.Results[errIdx])
+			canNonNil = s.errCanBeNonNil(rs.Results[errIdx])
 		}
 		if canNonNil {
 			never = false
 		}
-		if canNil {
-			always = false
-		}
 		return true
 	})
-	if returns == 0 {
-		return false, false
-	}
-	return never, always
+	return never && returns > 0
 }
 
-// errExprRange bounds what an error-position expression can evaluate to:
-// (can be nil, can be non-nil).
-func (s *summarySet) errExprRange(e ast.Expr) (canNil, canNonNil bool) {
-	info := s.pkg.Info
-	if tv, ok := info.Types[e]; ok && tv.IsNil() {
-		return true, false
+// errCanBeNonNil reports whether an error-position expression may evaluate
+// to a non-nil error: false only for a nil literal or a call to a local
+// function whose summary proves its error nil.
+func (s *summarySet) errCanBeNonNil(e ast.Expr) bool {
+	if tv, ok := s.pkg.Info.Types[e]; ok && tv.IsNil() {
+		return false
 	}
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		if fn, ok := calleeObj(info, x).(*types.Func); ok && fn.Pkg() != nil {
-			switch {
-			case fn.Pkg().Path() == "errors" && fn.Name() == "New",
-				fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf":
-				return false, true
-			}
-		}
-		if sum := s.calleeSummary(x); sum != nil {
-			if sum.errNever {
-				return true, false
-			}
-			if sum.errAlways {
-				return false, true
-			}
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			if _, ok := x.X.(*ast.CompositeLit); ok {
-				return false, true
-			}
+	if call, ok := e.(*ast.CallExpr); ok {
+		if sum := s.calleeSummary(call); sum != nil && sum.errNever {
+			return false
 		}
 	}
-	return true, true
+	return true
 }
 
 // objEscapes reports whether obj's value can leave the enclosing function's

@@ -105,17 +105,15 @@ func TestSummaryDischargesEveryProtocol(t *testing.T) {
 
 func TestSummaryErrorFacts(t *testing.T) {
 	s := loadSummaryFixture(t)
-	cases := map[string][2]bool{ // {errNever, errAlways}
-		"errNil":     {true, false},
-		"errBoom":    {false, true},
-		"errMixed":   {false, false},
-		"errForward": {true, false}, // inherits errNil through the call
+	cases := map[string]bool{ // errNever
+		"errNil":     true,
+		"errBoom":    false,
+		"errMixed":   false,
+		"errForward": true, // inherits errNil through the call
 	}
 	for name, want := range cases {
-		sum := summaryByName(t, s, name)
-		if sum.errNever != want[0] || sum.errAlways != want[1] {
-			t.Errorf("%s = (never %v, always %v), want (never %v, always %v)",
-				name, sum.errNever, sum.errAlways, want[0], want[1])
+		if got := summaryByName(t, s, name).errNever; got != want {
+			t.Errorf("%s errNever = %v, want %v", name, got, want)
 		}
 	}
 }

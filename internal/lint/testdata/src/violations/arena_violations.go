@@ -79,3 +79,11 @@ func arenaSuppressed(a *tensor.Arena) float32 {
 	//lint:ignore arenaescape fixture demonstrating a suppressed use-after-release
 	return x.Data()[0]
 }
+
+// Arenaescape: the scope itself is asked for a buffer after its Release.
+
+func arenaScopeUseAfterRelease(a *tensor.Arena) *tensor.Tensor {
+	s := a.Scope()
+	s.Release()
+	return s.Get(4) // want "arenaescape: scope s may already be released here"
+}

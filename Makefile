@@ -9,11 +9,9 @@ test:
 	$(GO) test ./...
 
 # nautilus-lint is the repo's own stdlib static-analysis suite
-# (internal/lint), eleven analyzers: the syntactic ones (allochygiene,
-# determinism, floateq, layerpurity, uncheckederr), the CFG passes
-# (arenaescape, spanleak, goroutinejoin, chunkdisjoint), the
-# interprocedural summary-aware locksafe, and the ignoreaudit
-# stale-suppression check.
+# (internal/lint), seven analyzers: the syntactic ones (allochygiene,
+# determinism, floateq, layerpurity, uncheckederr), the CFG pass spanleak,
+# and the ignoreaudit stale-suppression check.
 # One whole-module sweep (well under a second); check's lint step is the
 # same invocation.
 lint:
@@ -21,12 +19,13 @@ lint:
 
 # lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
 # exact diagnostics (positions + messages) over testdata/src/violations,
-# plus the interprocedural call-graph/summary unit tests, the seeded-
-# regression yield corpus (TestSeededRegressions: each analyzer must catch
-# its bug re-introduced into a copy of the real package), and the parallel
-# driver's determinism check.
+# plus the interprocedural call-graph/summary unit tests, the static leg of
+# the seeded-regression yield corpus (TestSeededRegressions: each analyzer
+# must catch its bug re-introduced into a copy of the real package; the
+# pattern leaves out its build-tagged dynamic leg, which check runs), and
+# the parallel driver's determinism check.
 lint-fixtures:
-	$(GO) test ./internal/lint -run 'Golden|IgnoreAudit|RunSorted|RunTimed|CallGraph|Summary|Analyze|SelectAnalyzers|SeededRegressions' -count=1
+	$(GO) test ./internal/lint -run '^Test(ViolationsGolden|IgnoreAudit|RunSorted|RunTimed|DiagnosticJSON|CallGraph|Summary|AnalyzeParallel|SelectAnalyzers|SeededRegressions$$)' -count=1
 
 # check is the full pre-merge gate: vet + gofmt + build + the full analyzer
 # suite (interprocedural summaries included) + the race detector over the
@@ -38,6 +37,9 @@ lint-fixtures:
 # (all six ./bench workloads, every output checked bit for bit; nonzero
 # exit on any failed check or operation — timing claims are made from
 # alternating parent/change pairs, bench/README.md, not from this step).
+# The seeded leg is the yield corpus's dynamic half: each lock, goroutine,
+# arena or chunk bug the corpus seeds must fail its named test under
+# go test -race -cpu 2 (applied through -overlay) and pass without it.
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
 # cross-build compiles the portable kernel bodies, the only path off amd64.
 # The layers package rides the tensor/graph race leg for LayerNorm.Backward's
@@ -55,6 +57,7 @@ check:
 	$(GO) test -race ./internal/opt/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
+	$(GO) test -tags seeded -run '^TestSeededRegressionsDynamic$$' -count=1 ./internal/lint
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/tensor ./internal/layers
 	$(GO) run ./bench -seconds 3
 

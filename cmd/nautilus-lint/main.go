@@ -18,7 +18,7 @@
 // ({"analyzer", "wall_ns"}) and packages carries per-package wall time.
 //
 // -analyzers selects a subset: a comma-separated list of names to include
-// ("locksafe,spanleak"), names prefixed with '-' to exclude from the suite
+// ("floateq,spanleak"), names prefixed with '-' to exclude from the suite
 // ("-allochygiene"), or a mix. -list shows the suite; summary-aware
 // analyzers (those consulting interprocedural function summaries) are
 // marked with '*'.

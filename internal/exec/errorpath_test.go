@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"nautilus/internal/opt"
+	"nautilus/internal/storage"
 	"nautilus/internal/tensor"
 	"nautilus/internal/train"
 )
 
 // badGradLoss returns a gradient of the wrong shape, exercising the
-// trainer's mid-epoch error path (the one the goroutinejoin analyzer
-// flagged before the pipeline drain was added).
+// trainer's mid-epoch error path (the one that stranded the prefetch
+// goroutine before the pipeline drain was deferred).
 type badGradLoss struct{ train.SoftmaxCrossEntropy }
 
 func (badGradLoss) Compute(logits, labels *tensor.Tensor) (float64, *tensor.Tensor) {
@@ -36,14 +37,8 @@ func TestTrainGroupBadLossGradientReleasesPipeline(t *testing.T) {
 		t.Fatalf("want loss-gradient shape error, got %v", err)
 	}
 
-	// The deferred drain lets the prefetch goroutine run to completion;
-	// poll up to ~2s in bounded steps.
-	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > baseline {
-		t.Errorf("prefetch goroutine leaked: %d goroutines, baseline %d", g, baseline)
-	}
+	// The deferred drain lets the prefetch goroutine run to completion.
+	requireNoGoroutineLeak(t, baseline, "prefetch")
 
 	// Both the failed batch's scope and the drained prefetched scopes went
 	// back to the pool.
@@ -52,9 +47,23 @@ func TestTrainGroupBadLossGradientReleasesPipeline(t *testing.T) {
 	}
 }
 
-// TestMaterializerErrorReleasesChunkScopes asserts a forward failure inside
-// the materializer pipeline still recycles the errored chunk's scope (the
-// path the arenaescape/goroutinejoin sweep tightened).
+// requireNoGoroutineLeak polls up to ~2s in bounded steps for the
+// goroutine count to fall back to baseline: a pipeline producer stranded on
+// send by an undrained channel never gets there.
+func requireNoGoroutineLeak(t *testing.T, baseline int, what string) {
+	t.Helper()
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Errorf("%s goroutine leaked: %d goroutines, baseline %d", what, g, baseline)
+	}
+}
+
+// TestMaterializerErrorReleasesChunkScopes asserts a failure inside the
+// materializer pipeline — in the forward pass, or in an append while the
+// producer still has chunks to send — neither strands the chunk producer
+// nor leaks the errored chunk's scope.
 func TestMaterializerErrorReleasesChunkScopes(t *testing.T) {
 	items, mm := buildWorkload(t, 2)
 	res, err := opt.OptimizeMaterialization(mm, items, opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 200})
@@ -64,22 +73,37 @@ func TestMaterializerErrorReleasesChunkScopes(t *testing.T) {
 	if len(res.Materialized) == 0 {
 		t.Fatal("expected materialization at mini hardware ratios")
 	}
-	store, _ := newTestStore(t)
-	mz, err := NewMaterializer(store, mm, res.Sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := tensor.NewArena()
-	mz.Arena = arena
-	mz.ChunkSize = 8
-	mz.inputName = "no_such_input" // forces ForwardOpts to fail on the first chunk
-
 	snap := nerSnapshot(t, 2)
-	err = mz.SyncSplit(Train, snap.TrainX)
-	if err == nil || !strings.Contains(err.Error(), "no feed for input") {
-		t.Fatalf("want missing-feed forward error, got %v", err)
+	syncFails := func(want string, poison func(mz *Materializer, store *storage.TensorStore)) {
+		t.Helper()
+		store, _ := newTestStore(t)
+		mz, err := NewMaterializer(store, mm, res.Sigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := tensor.NewArena()
+		mz.Arena = arena
+		mz.ChunkSize = 8
+		poison(mz, store)
+		baseline := runtime.NumGoroutine()
+		err = mz.SyncSplit(Train, snap.TrainX)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want an error containing %q, got %v", want, err)
+		}
+		requireNoGoroutineLeak(t, baseline, "chunk producer")
+		if st := arena.Stats(); st.Puts == 0 {
+			t.Errorf("errored chunk's scope was not released: %+v", st)
+		}
 	}
-	if st := arena.Stats(); st.Puts == 0 {
-		t.Errorf("errored chunk's scope was not released: %+v", st)
-	}
+	// ForwardOpts fails on the first chunk.
+	syncFails("no feed for input", func(mz *Materializer, _ *storage.TensorStore) {
+		mz.inputName = "no_such_input"
+	})
+	// A one-wide record under the first output's key makes the first
+	// chunk's append fail; only the deferred drain unblocks the producer.
+	syncFails("holds records of shape", func(mz *Materializer, store *storage.TensorStore) {
+		if err := store.Append(storeKey(mz.outputs[mz.outputNodes()[0]], Train), tensor.New(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -110,6 +110,17 @@ func buildCallGraph(pkg *Package) *callGraph {
 	return g
 }
 
+// calleeObj resolves the called function or method object.
+func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return info.ObjectOf(fun)
+	case *ast.SelectorExpr:
+		return info.ObjectOf(fun.Sel)
+	}
+	return nil
+}
+
 // isFuncValued reports whether e's static type is a function signature.
 func isFuncValued(info *types.Info, e ast.Expr) bool {
 	t := info.TypeOf(e)

@@ -7,8 +7,7 @@ import (
 
 // This file is the reusable intraprocedural control-flow layer of the
 // dataflow engine: a statement-level CFG over go/ast, consumed by the
-// solvers in dataflow.go and the lifetime/concurrency analyzers built on
-// them (arenaescape, spanleak, goroutinejoin, chunkdisjoint).
+// solver in dataflow.go, the summary layer and spanleak.
 //
 // Design choices, tuned for the analyses this repo needs:
 //

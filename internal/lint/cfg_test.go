@@ -156,29 +156,6 @@ func f(n int) {
 	}
 }
 
-func TestReachableFromBranches(t *testing.T) {
-	cfg := buildCFG(parseBody(t, `package p
-func f(a bool) {
-	if a {
-		left()
-	} else {
-		right()
-	}
-	after()
-}`))
-	from := nodeCalling(t, cfg, "left")
-	reach := cfg.reachableFrom(from)
-	if !reach[nodeCalling(t, cfg, "after")] {
-		t.Error("statement after the branch not reachable from the then-arm")
-	}
-	if reach[nodeCalling(t, cfg, "right")] {
-		t.Error("else-arm spuriously reachable from the then-arm")
-	}
-	if !reach[cfg.exit] {
-		t.Error("exit not reachable")
-	}
-}
-
 func TestSwitchDefaultBlocksFallthroughEdge(t *testing.T) {
 	// With a default clause, control cannot skip the switch body entirely.
 	cfg := buildCFG(parseBody(t, `package p
@@ -208,64 +185,6 @@ func f(k int) {
 	origin = nodeCalling(t, cfg, "acquire")
 	if cfg.mustPassFrom(origin, callsTo("release")) {
 		t.Error("must-pass held although a defaultless switch can match nothing")
-	}
-}
-
-func TestForwardSolveLoopFixpoint(t *testing.T) {
-	// A gen-only may-analysis: collect the names of called functions on
-	// paths into each node. The loop's back edge must propagate the body's
-	// calls around the cycle, and the solver must terminate.
-	cfg := buildCFG(parseBody(t, `package p
-func f(n int) {
-	before()
-	for i := 0; i < n; i++ {
-		inside()
-	}
-	after()
-}`))
-	type fact = map[string]bool
-	transfer := func(n *cfgNode, in fact) fact {
-		out := make(fact, len(in)+1)
-		for k := range in {
-			out[k] = true
-		}
-		for _, root := range headerNodes(n) {
-			shallowInspect(root, func(x ast.Node) bool {
-				if call, ok := x.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok {
-						out[id.Name] = true
-					}
-				}
-				return true
-			})
-		}
-		return out
-	}
-	clone := func(f fact) fact { return transfer(&cfgNode{}, f) }
-	merge := func(dst, src fact) bool {
-		changed := false
-		for k := range src {
-			if !dst[k] {
-				dst[k] = true
-				changed = true
-			}
-		}
-		return changed
-	}
-	facts := forwardSolve(cfg, fact{}, transfer, clone, merge)
-
-	afterIn := facts[nodeCalling(t, cfg, "after")]
-	for _, want := range []string{"before", "inside"} {
-		if !afterIn[want] {
-			t.Errorf("fact at after() is missing %q: %v", want, afterIn)
-		}
-	}
-	insideIn := facts[nodeCalling(t, cfg, "inside")]
-	if !insideIn["inside"] {
-		t.Error("loop back edge did not propagate the body's own call")
-	}
-	if insideIn["after"] {
-		t.Error("fact flowed backwards from after() into the loop body")
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // This file holds the solver half of the dataflow engine: a backward
-// must-pass (all-paths) analysis, forward reachability, and a generic
-// forward worklist solver, the CFG walks more than one pass shares
-// (definition sites, re-binding, enclosing loop, deferred calls), plus the
+// must-pass (all-paths) analysis and the CFG walks spanleak and the summary
+// layer share (definition sites, re-binding, enclosing loop), plus the
 // per-function driver that feeds every FuncDecl and FuncLit body to an
 // analysis independently.
 
@@ -63,59 +62,6 @@ func (c *funcCFG) mustPassFrom(origin *cfgNode, satisfies func(*cfgNode) bool) b
 		}
 	}
 	return true
-}
-
-// reachableFrom returns the set of nodes reachable from the successors of
-// from (exclusive of from itself unless it sits on a cycle).
-func (c *funcCFG) reachableFrom(from *cfgNode) map[*cfgNode]bool {
-	seen := map[*cfgNode]bool{}
-	var stack []*cfgNode
-	stack = append(stack, from.succs...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, n.succs...)
-	}
-	return seen
-}
-
-// forwardSolve runs a forward may-analysis to its least fixpoint and
-// returns each node's entry fact. transfer must not mutate its input;
-// merge folds src into dst and reports whether dst changed; clone deep-
-// copies a fact when a node's entry state is first populated.
-func forwardSolve[F any](c *funcCFG, entry F,
-	transfer func(*cfgNode, F) F,
-	clone func(F) F,
-	merge func(dst, src F) bool,
-) map[*cfgNode]F {
-	in := map[*cfgNode]F{c.entry: entry}
-	work := []*cfgNode{c.entry}
-	queued := map[*cfgNode]bool{c.entry: true}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n] = false
-		out := transfer(n, in[n])
-		for _, s := range n.succs {
-			cur, ok := in[s]
-			changed := false
-			if !ok {
-				in[s] = clone(out)
-				changed = true
-			} else if merge(cur, out) {
-				changed = true
-			}
-			if changed && !queued[s] {
-				work = append(work, s)
-				queued[s] = true
-			}
-		}
-	}
-	return in
 }
 
 // enclosingLoop returns the body of the innermost for/range statement
@@ -197,30 +143,6 @@ func defSites(info *types.Info, n *cfgNode) []types.Object {
 		add(st.Value)
 	}
 	return out
-}
-
-// deferredAnywhere reports whether any defer statement of the body itself
-// (not of a nested literal) contains a node satisfying pred, the deferred
-// closure's body included: defers run at function exit, which is
-// downstream of every node.
-func deferredAnywhere(cfg *funcCFG, pred func(ast.Node) bool) bool {
-	for _, m := range cfg.nodes {
-		ds, ok := m.stmt.(*ast.DeferStmt)
-		if !ok {
-			continue
-		}
-		deferred := false
-		ast.Inspect(ds.Call, func(x ast.Node) bool {
-			if pred(x) {
-				deferred = true
-			}
-			return !deferred
-		})
-		if deferred {
-			return true
-		}
-	}
-	return false
 }
 
 // funcBody is one function body under analysis: a declared function or a
@@ -305,20 +227,14 @@ func (p *Package) bodies() []*funcBody {
 	return p.bodyIdx
 }
 
-// eachBody visits every function body outside test files: the sweep the
-// flow analyzers (spanleak, arenaescape, locksafe, goroutinejoin) share.
+// eachBody visits every function body outside test files: the sweep of the
+// flow analyzer, spanleak.
 func (p *Pass) eachBody(visit func(fb *funcBody)) {
 	for _, fb := range p.Pkg.bodies() {
 		if !fb.inTest {
 			visit(fb)
 		}
 	}
-}
-
-// declaredWithin reports whether obj's declaration position lies inside
-// node — the engine's notion of "local to this body/loop/literal".
-func declaredWithin(obj types.Object, n ast.Node) bool {
-	return obj != nil && obj.Pos() != 0 && within(obj.Pos(), n)
 }
 
 // namedType reports whether t (possibly behind pointers) is the named type
@@ -364,21 +280,4 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 		return nil
 	}
 	return info.ObjectOf(id)
-}
-
-// mentionsObj reports whether any identifier under root (skipping nested
-// function literals) resolves to one of the given objects.
-func mentionsObj(info *types.Info, root ast.Node, objs map[types.Object]bool) bool {
-	found := false
-	shallowInspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && objs[info.ObjectOf(id)] {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

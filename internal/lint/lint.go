@@ -9,19 +9,15 @@
 //
 // On top of the syntactic analyzers, the package carries two analysis
 // substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go) is
-// a statement-level CFG with forward/backward solvers, reached through one
+// a statement-level CFG with a must-pass solver, reached through one
 // per-package body index (Package.bodies: each function body with its CFG
 // and parent map built once and shared); the interprocedural summaries
-// (summary.go) and their one protocol table credit delegation to local
-// helpers. Each flow analyzer is a direct pass over the body index that
-// calls both. Together they power the lifetime and concurrency analyzers
-// introduced for the arena/parallel/span era — arenaescape (scoped
-// tensors must not outlive Scope.Release), spanleak (every obs span ends
-// on every path), goroutinejoin (every goroutine has a WaitGroup or
-// channel join, and pipeline channels are drained on every consumer
-// path), and chunkdisjoint (tensor.Parallel callbacks write only
-// chunk-owned state). ignoreaudit closes the loop by
-// flagging suppressions whose analyzer no longer fires.
+// (summary.go) credit delegation to local helpers. spanleak (every obs span
+// ends on every path) is a direct pass over the body index that calls
+// both; uncheckederr reads the summaries' always-nil error fact.
+// ignoreaudit closes the loop by flagging suppressions whose analyzer no
+// longer fires. Lock, goroutine-join, arena-lifetime and chunk-race bugs
+// are left to the race-enabled test suite (DESIGN.md "Yield").
 //
 // There is one driver: Loader.Load type-checks the requested packages and
 // Analyze sweeps them; nothing is cached between runs.
@@ -107,14 +103,10 @@ func (d Diagnostic) String() string {
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		AllocHygieneAnalyzer,
-		ArenaEscapeAnalyzer,
-		ChunkDisjointAnalyzer,
 		DeterminismAnalyzer,
 		FloatEqAnalyzer,
-		GoroutineJoinAnalyzer,
 		IgnoreAuditAnalyzer,
 		LayerPurityAnalyzer,
-		LockSafeAnalyzer,
 		SpanLeakAnalyzer,
 		UncheckedErrAnalyzer,
 	}

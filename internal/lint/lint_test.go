@@ -316,11 +316,11 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got, err := lint.SelectAnalyzers(all, ""); err != nil || len(got) != len(all) {
 		t.Errorf("empty spec: got %d analyzers (err %v), want the full suite", len(got), err)
 	}
-	got, err := lint.SelectAnalyzers(all, "spanleak,locksafe")
+	got, err := lint.SelectAnalyzers(all, "spanleak,floateq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"locksafe", "spanleak"}; !reflect.DeepEqual(names(got), want) {
+	if want := []string{"floateq", "spanleak"}; !reflect.DeepEqual(names(got), want) {
 		t.Errorf("include spec: got %v, want %v (suite order)", names(got), want)
 	}
 	got, err = lint.SelectAnalyzers(all, "-allochygiene")
@@ -335,7 +335,7 @@ func TestSelectAnalyzers(t *testing.T) {
 			t.Error("exclude spec kept allochygiene")
 		}
 	}
-	got, err = lint.SelectAnalyzers(all, "locksafe,spanleak,-locksafe")
+	got, err = lint.SelectAnalyzers(all, "floateq,spanleak,-floateq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +351,8 @@ func TestSelectAnalyzers(t *testing.T) {
 // summaries — the CLI's -list marker and the docs both key off this.
 func TestSummaryAwareMarking(t *testing.T) {
 	want := map[string]bool{
-		"arenaescape":   true,
-		"goroutinejoin": true,
-		"locksafe":      true,
-		"spanleak":      true,
-		"uncheckederr":  true,
+		"spanleak":     true,
+		"uncheckederr": true,
 	}
 	for _, a := range lint.DefaultAnalyzers() {
 		if a.SummaryAware != want[a.Name] {

@@ -8,20 +8,25 @@ import (
 	"testing"
 )
 
-// seededRegression re-introduces one bug into a copy of a real package: old
-// is replaced by new in file, and want names the analyzer that must report
-// in that file. want == "" records a gap — a regression no analyzer sees —
-// so that an analyzer learning to see it flips the row visibly.
+// seededRegression re-introduces one bug into a real package: old is
+// replaced by new in file. want names the analyzer that must report in that
+// file; want == "" means no analyzer sees the bug, and the static leg holds
+// such a row silent so that an analyzer learning to see it flips the row
+// visibly. dynamic names a test of the package (Name or Name/subtest) that
+// fails with the seed under go test -race and passes without it
+// (TestSeededRegressionsDynamic). A row with neither is a recorded gap.
 type seededRegression struct {
 	name      string
 	dir, file string // package directory (module-relative) and file in it
 	old, new  string
 	want      string
+	dynamic   string
 }
 
-// seededRegressions is the yield corpus: why each analyzer is in the suite
-// (DESIGN.md "Yield" prints this table; TestSeededRegressions holds the two
-// equal). PR numbers name the change that fixed the bug the row re-seeds.
+// seededRegressions is the yield corpus: why each analyzer is in the suite,
+// and which test guards each bug no analyzer sees (DESIGN.md "Yield" prints
+// this table; TestSeededRegressions holds the two equal). PR numbers name
+// the change that fixed the bug the row re-seeds.
 var seededRegressions = []seededRegression{
 	{
 		name: "Dropout.Forward writes its receiver (PR 1)",
@@ -35,100 +40,99 @@ var seededRegressions = []seededRegression{
 		dir:  "internal/exec", file: "trainer.go",
 		old: "\t\tdefer func() {\n\t\t\tfor fed := range nextFeeds {\n\t\t\t\tfed.scope.Release()\n\t\t\t}\n\t\t}()\n" +
 			"\t\tfor bi, idx := range batches {\n",
-		new:  "\t\tfor bi, idx := range batches {\n",
-		want: "goroutinejoin",
+		new:     "\t\tfor bi, idx := range batches {\n",
+		dynamic: "TestTrainGroupBadLossGradientReleasesPipeline",
 	},
 	{
 		name: "Materializer chunk drain not deferred (PR 5)",
 		dir:  "internal/exec", file: "materializer.go",
 		old: "\tdefer func() {\n\t\tfor c := range chunks {\n\t\t\tc.scope.Release()\n\t\t}\n\t}()\n" +
 			"\tfor c := range chunks {\n",
-		new:  "\tfor c := range chunks {\n",
-		want: "goroutinejoin",
+		new:     "\tfor c := range chunks {\n",
+		dynamic: "TestMaterializerErrorReleasesChunkScopes",
 	},
 	{
 		name: "Exporter serve goroutine launched without wg.Add (PR 7)",
 		dir:  "internal/obs", file: "export.go",
-		old:  "\t\te.wg.Add(1)\n\t\tgo func() {\n",
-		new:  "\t\tgo func() {\n",
-		want: "goroutinejoin",
+		old:     "\t\te.wg.Add(1)\n\t\tgo func() {\n",
+		new:     "\t\tgo func() {\n",
+		dynamic: "TestExporterHTTPEndpoints",
 	},
 	{
 		name: "Exporter snapshotLoop launched without wg.Add (PR 7)",
 		dir:  "internal/obs", file: "export.go",
-		old:  "\te.wg.Add(1)\n\tgo e.snapshotLoop()\n",
-		new:  "\tgo e.snapshotLoop()\n",
-		want: "",
+		old:     "\te.wg.Add(1)\n\tgo e.snapshotLoop()\n",
+		new:     "\tgo e.snapshotLoop()\n",
+		dynamic: "TestExporterSnapshotsUnderLoad",
 	},
 	{
 		name: "Exporter.Close does not wg.Wait (PR 7)",
 		dir:  "internal/obs", file: "export.go",
-		old:  "\te.wg.Wait()\n\te.mu.Lock()\n",
-		new:  "\te.mu.Lock()\n",
-		want: "",
+		old: "\te.wg.Wait()\n\te.mu.Lock()\n",
+		new: "\te.mu.Lock()\n", // a gap: the loop's last write and Close both hold e.mu, so -race is silent
 	},
 	{
 		name: "Exporter.snapshotLoop never calls wg.Done (PR 7)",
 		dir:  "internal/obs", file: "export.go",
-		old:  "\tdefer e.wg.Done()\n\tticker := ",
-		new:  "\tticker := ",
-		want: "",
+		old:     "\tdefer e.wg.Done()\n\tticker := ",
+		new:     "\tticker := ",
+		dynamic: "TestExporterSnapshotsUnderLoad",
 	},
 	{
 		name: "Span.SetTrack writes track without the tracer mutex (PR 20)",
 		dir:  "internal/obs", file: "obs.go",
-		old:  "\t\ts.t.mu.Lock()\n\t\ts.track = track\n\t\ts.t.mu.Unlock()\n",
-		new:  "\t\ts.track = track\n",
-		want: "", // a data race, not a lock-protocol error: go test -race owns it
+		old:     "\t\ts.t.mu.Lock()\n\t\ts.track = track\n\t\ts.t.mu.Unlock()\n",
+		new:     "\t\ts.track = track\n",
+		dynamic: "TestSetTrackDuringSnapshots",
 	},
 	{
 		name: "Span.End returns early holding t.mu",
 		dir:  "internal/obs", file: "obs.go",
-		old:  "\t\td := s.dur\n\t\tt.mu.Unlock()\n\t\treturn d\n",
-		new:  "\t\treturn s.dur\n",
-		want: "locksafe",
+		old:     "\t\td := s.dur\n\t\tt.mu.Unlock()\n\t\treturn d\n",
+		new:     "\t\treturn s.dur\n",
+		dynamic: "TestEndIdempotent",
 	},
 	{
 		name: "Arena.Scope pool hit returns holding a.mu",
 		dir:  "internal/tensor", file: "arena.go",
-		old:  "\t\ts.idle = false\n\t\ta.mu.Unlock()\n\t\treturn s\n",
-		new:  "\t\ts.idle = false\n\t\treturn s\n",
-		want: "locksafe",
+		old:     "\t\ts.idle = false\n\t\ta.mu.Unlock()\n\t\treturn s\n",
+		new:     "\t\ts.idle = false\n\t\treturn s\n",
+		dynamic: "TestScopeHandoffOverChannel",
 	},
 	{
 		name: "Span.Track calls SetTrack under the mutex both take",
 		dir:  "internal/obs", file: "obs.go",
-		old:  "\tdefer s.t.mu.Unlock()\n\treturn s.track\n",
-		new:  "\tdefer s.t.mu.Unlock()\n\treturn s.SetTrack(s.track).track\n",
-		want: "locksafe",
+		old:     "\tdefer s.t.mu.Unlock()\n\treturn s.track\n",
+		new:     "\tdefer s.t.mu.Unlock()\n\treturn s.SetTrack(s.track).track\n",
+		dynamic: "TestSetTrackDuringSnapshots",
 	},
 	{
 		name: "TensorStore.SetObs never unlocks",
 		dir:  "internal/storage", file: "tensorstore.go",
-		old:  "\ts.obs = tr\n\ts.mu.Unlock()\n",
-		new:  "\ts.obs = tr\n",
-		want: "", // reads as a lock helper: held at exit on every path
+		old:     "\ts.obs = tr\n\ts.mu.Unlock()\n",
+		new:     "\ts.obs = tr\n",
+		dynamic: "TestRowCacheHitsAndEviction",
 	},
 	{
 		name: "Trainer validation scope released before scoring",
 		dir:  "internal/exec", file: "trainer.go",
-		old:  "\t\t\tw := float64(len(idx)) / float64(vn)\n",
-		new:  "\t\t\tw := float64(len(idx)) / float64(vn)\n\t\t\tstep.Release()\n",
-		want: "arenaescape",
+		old:     "\t\t\tw := float64(len(idx)) / float64(vn)\n",
+		new:     "\t\t\tw := float64(len(idx)) / float64(vn)\n\t\t\tstep.Release()\n",
+		dynamic: "TestArenaTrainingBitIdentical/nautilus",
 	},
 	{
 		name: "Trainer step scope recycled before the optimizer step",
 		dir:  "internal/exec", file: "trainer.go",
-		old:  "\t\t\tall := tape.ParamGrads()\n",
-		new:  "\t\t\tstep.Recycle()\n\t\t\tall := tape.ParamGrads()\n",
-		want: "arenaescape",
+		old:     "\t\t\tall := tape.ParamGrads()\n",
+		new:     "\t\t\tstep.Recycle()\n\t\t\tall := tape.ParamGrads()\n",
+		dynamic: "TestArenaTrainingBitIdentical/nautilus",
 	},
 	{
 		name: "Materializer chunk scope released before Append",
 		dir:  "internal/exec", file: "materializer.go",
-		old:  "\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
-		new:  "\t\tc.scope.Release()\n\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
-		want: "", // the scope is a struct field (c.scope), not a tracked local
+		old:     "\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
+		new:     "\t\tc.scope.Release()\n\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
+		dynamic: "TestArenaTrainingBitIdentical/mat_all",
 	},
 	{
 		name: "Trainer wall-clock read loses its pragma",
@@ -172,7 +176,7 @@ var seededRegressions = []seededRegression{
 			"\t\t\txr, or, hr := x.Row(r), out.Row(r), xhat.Row(r)\n\t\t\tvar mean float64\n",
 		new: "\tvar mean float64\n\ttensor.Parallel(rows, x.Len()*8, func(lo, hi int) {\n\t\tfor r := lo; r < hi; r++ {\n" +
 			"\t\t\txr, or, hr := x.Row(r), out.Row(r), xhat.Row(r)\n\t\t\tmean = 0\n",
-		want: "chunkdisjoint",
+		dynamic: "TestLayerNormBackwardFanOutBits",
 	},
 	{
 		name: "Stale floateq pragma on an integer comparison",
@@ -183,9 +187,10 @@ var seededRegressions = []seededRegression{
 	},
 }
 
-// TestSeededRegressions is the yield test behind the analyzer suite: each
-// row's bug, seeded into a copy of the package it once lived in, must be
-// caught by the analyzer the row names — and a gap row by none.
+// TestSeededRegressions is the static leg of the yield test: each row's bug,
+// seeded into a copy of the package it once lived in, must be caught by the
+// analyzer the row names — and any other row by none — and a row's dynamic
+// test must still be declared in its package.
 func TestSeededRegressions(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -239,6 +244,12 @@ func TestSeededRegressions(t *testing.T) {
 			if n := strings.Count(string(b), row.old); n != 1 {
 				t.Fatalf("old text matches %s/%s %d times, want exactly once — the seed has rotted", row.dir, row.file, n)
 			}
+			if row.dynamic != "" {
+				top, _, _ := strings.Cut(row.dynamic, "/")
+				if !declaresTest(t, filepath.Join(loader.ModuleRoot, filepath.FromSlash(row.dir)), top) {
+					t.Errorf("no test file of %s declares %s — point the row at the test that now guards it", row.dir, top)
+				}
+			}
 			if !cleanChecked[row.dir] {
 				cleanChecked[row.dir] = true
 				for _, d := range analyze(t, row.dir, "", "") {
@@ -255,7 +266,7 @@ func TestSeededRegressions(t *testing.T) {
 			}
 			switch {
 			case row.want == "" && len(got) > 0:
-				t.Errorf("recorded gap is now caught — name the analyzer in the row:\n%s", strings.Join(got, "\n"))
+				t.Errorf("a row no analyzer wants is now caught — name the analyzer in the row:\n%s", strings.Join(got, "\n"))
 			case row.want != "" && !caught:
 				t.Errorf("%s reports nothing in %s; findings:\n%s", row.want, row.file, strings.Join(got, "\n"))
 			}
@@ -280,19 +291,45 @@ func TestSeededRegressions(t *testing.T) {
 	}
 }
 
+// declaresTest reports whether a _test.go file in dir declares test name.
+func declaresTest(t *testing.T, dir, name string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(b), "\nfunc "+name+"(t *testing.T) {") {
+			return true
+		}
+	}
+	return false
+}
+
 // yieldTable renders the corpus as DESIGN.md's markdown rows: one per seed
-// (seed, file, catching analyzer or gap), then one per analyzer with its
-// caught count (a row prefix; DESIGN.md adds the gaps column by hand).
+// (seed, file, catching analyzer, dynamic test — a row with neither is a
+// gap), then one per analyzer with its caught count (a row prefix;
+// DESIGN.md adds the gaps column by hand).
 func yieldTable() []string {
 	var lines []string
 	caught := map[string]int{}
 	for _, row := range seededRegressions {
-		by := "— (gap)"
+		by, dyn := "—", "—"
 		if row.want != "" {
 			by = "`" + row.want + "`"
 			caught[row.want]++
 		}
-		lines = append(lines, fmt.Sprintf("| %s | `%s/%s` | %s |", row.name, row.dir, row.file, by))
+		switch {
+		case row.dynamic != "":
+			dyn = "`" + row.dynamic + "`"
+		case row.want == "":
+			dyn = "— (gap)"
+		}
+		lines = append(lines, fmt.Sprintf("| %s | `%s/%s` | %s | %s |", row.name, row.dir, row.file, by, dyn))
 	}
 	for _, a := range DefaultAnalyzers() {
 		lines = append(lines, fmt.Sprintf("| `%s` | %d |", a.Name, caught[a.Name]))

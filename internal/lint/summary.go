@@ -4,14 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // This file is the interprocedural half of the dataflow engine: per-function
 // summaries computed bottom-up over the call graph's SCC condensation, so
 // the intraprocedural analyzers can see through one level of indirection —
-// an obligation delegated to a helper (releaseAll(scope), endSpans(sp)) is
-// credited at the call site instead of being a false negative, and a value
-// passed to a helper that keeps it local stops counting as an escape.
+// an obligation delegated to a helper (endSpans(sp)) is credited at the
+// call site instead of being a false negative, and a value passed to a
+// helper that keeps it local stops counting as an escape.
 //
 // The summary lattice is mixed-monotone, solved per SCC by iterating its
 // members to a fixpoint against each other:
@@ -20,15 +21,14 @@ import (
 //     a recursive component and are only lowered, so a pair of mutually
 //     recursive enders stays credited while any unsatisfied escape route
 //     lowers the whole cycle;
-//   - may-facts (DonesWG, SendsChan, Escapes, mayLock) start at
-//     bottom (false/empty) and only grow, the usual least fixpoint.
+//   - the may-fact (Escapes) starts at bottom (false) and only grows, the
+//     usual least fixpoint.
 //
 // Soundness caveats, by design: function literals have no summaries (their
 // bodies are opaque to the CFG and the call graph alike); calls through
 // function values or interface methods resolve to nothing, so delegation
 // through them is never credited and arguments passed to them always count
-// as escapes; and lock-helper facts inside a recursive SCC start
-// pessimistically empty, so a self-recursive lock helper is not credited.
+// as escapes.
 
 // protocol is one must-discharge resource protocol: a value of the named
 // type owes a call of its terminal method on every path to return.
@@ -39,15 +39,13 @@ type protocol struct {
 
 // The protocol table is the one place that says which (type, terminal
 // method) pairs are must-discharge obligations. The summary layer computes
-// paramFacts.Discharges for a parameter of a listed type, and spanleak,
-// arenaescape and goroutinejoin's WaitGroup leg point at their row for the
-// terminal they credit through delegation; a fourth protocol is one row.
+// paramFacts.Discharges for a parameter of a listed type, and spanleak
+// points at its row for the terminal it credits through delegation; a
+// second protocol is one row.
 var (
-	spanProtocol      = &protocol{obsPkgPath, "Span", "End"}
-	scopeProtocol     = &protocol{tensorPkgPath, "Scope", "Release"}
-	waitGroupProtocol = &protocol{"sync", "WaitGroup", "Wait"}
+	spanProtocol = &protocol{obsPkgPath, "Span", "End"}
 
-	protocols = []*protocol{spanProtocol, scopeProtocol, waitGroupProtocol}
+	protocols = []*protocol{spanProtocol}
 )
 
 // carries reports whether t (possibly behind pointers) is the protocol's
@@ -72,11 +70,6 @@ type paramFacts struct {
 	// the protocol table) runs on every path to return — directly, by
 	// delegation, or by defer. False for a parameter of any other type.
 	Discharges bool
-	// DonesWG: the function may call Done on the WaitGroup argument —
-	// the worker half of the launch protocol.
-	DonesWG bool
-	// SendsChan: the function may send on or close the channel argument.
-	SendsChan bool
 	// Escapes: the argument may leave the callee's hands (stored, returned,
 	// captured, or passed somewhere unknown).
 	Escapes bool
@@ -85,44 +78,7 @@ type paramFacts struct {
 // or folds g into f: each fact of the union holds when it holds for either.
 func (f *paramFacts) or(g paramFacts) {
 	f.Discharges = f.Discharges || g.Discharges
-	f.DonesWG = f.DonesWG || g.DonesWG
-	f.SendsChan = f.SendsChan || g.SendsChan
 	f.Escapes = f.Escapes || g.Escapes
-}
-
-// lockMode distinguishes write locks from read locks on a sync.RWMutex
-// (a plain Mutex only ever holds lockWrite).
-type lockMode uint8
-
-const (
-	lockWrite lockMode = 1 + iota
-	lockRead
-)
-
-func (m lockMode) lockName() string {
-	if m == lockRead {
-		return "RLock"
-	}
-	return "Lock"
-}
-
-func (m lockMode) unlockName() string {
-	if m == lockRead {
-		return "RUnlock"
-	}
-	return "Unlock"
-}
-
-// lockSym names a mutex in a function's own frame of reference, so lock
-// effects can be translated across call sites: rooted at the method
-// receiver, at a parameter, or at a package-level variable, plus the
-// selector path from the root down to the mutex ("" when the root itself
-// is the mutex).
-type lockSym struct {
-	recv   bool
-	param  int          // parameter index when >= 0 (and recv is false)
-	global types.Object // package-level root when non-nil
-	rel    string       // ".mu", ".state.mu", or ""
 }
 
 // funcSummary is the interprocedural fact sheet of one declared function.
@@ -136,16 +92,6 @@ type funcSummary struct {
 	// errNever: the error result is provably nil on every return. False
 	// when the function has no error result or a return may be non-nil.
 	errNever bool
-
-	// holdsAtExit: locks acquired here and still held on every path to
-	// return — the lock-helper shape; callers inherit the held state.
-	holdsAtExit map[lockSym]lockMode
-	// releasesLock: locks released here without a local acquisition on
-	// every path — the unlock-helper shape.
-	releasesLock map[lockSym]lockMode
-	// mayLock: locks this function may acquire anywhere, transitively
-	// through local callees; used for re-acquisition deadlock checks.
-	mayLock map[lockSym]lockMode
 }
 
 // paramIndex maps a call-site argument index to a parameter index,
@@ -163,33 +109,7 @@ func (sum *funcSummary) paramIndex(arg int) int {
 }
 
 func (sum *funcSummary) equal(o *funcSummary) bool {
-	if o == nil {
-		return false
-	}
-	if len(sum.params) != len(o.params) ||
-		sum.errNever != o.errNever {
-		return false
-	}
-	for i := range sum.params {
-		if sum.params[i] != o.params[i] {
-			return false
-		}
-	}
-	return lockMapsEqual(sum.holdsAtExit, o.holdsAtExit) &&
-		lockMapsEqual(sum.releasesLock, o.releasesLock) &&
-		lockMapsEqual(sum.mayLock, o.mayLock)
-}
-
-func lockMapsEqual(a, b map[lockSym]lockMode) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return o != nil && sum.errNever == o.errNever && slices.Equal(sum.params, o.params)
 }
 
 // summarySet is one package's interprocedural layer: the call graph plus a
@@ -253,7 +173,7 @@ func computeSummaries(pkg *Package) *summarySet {
 }
 
 // optimisticInit seeds a recursive SCC member: must-facts true wherever the
-// parameter type is eligible, may-facts and lock maps at bottom.
+// parameter type is eligible, may-facts at bottom.
 func (s *summarySet) optimisticInit(n *cgNode) *funcSummary {
 	sum := &funcSummary{fn: n.fn, decl: n.decl}
 	sig := n.fn.Type().(*types.Signature)
@@ -278,10 +198,8 @@ func hasErrorResult(sig *types.Signature) bool {
 // compute derives one function's summary against the current state of its
 // callees' summaries (final for lower SCCs, in-flight for its own).
 func (s *summarySet) compute(n *cgNode) *funcSummary {
-	info := s.pkg.Info
 	sum := &funcSummary{fn: n.fn, decl: n.decl}
 	sig := n.fn.Type().(*types.Signature)
-	body := n.decl.Body
 
 	sum.params = make([]paramFacts, sig.Params().Len())
 	for i := range sum.params {
@@ -290,21 +208,13 @@ func (s *summarySet) compute(n *cgNode) *funcSummary {
 			continue
 		}
 		pf := &sum.params[i]
-		t := obj.Type()
-		if pr := protocolOf(t); pr != nil {
+		if pr := protocolOf(obj.Type()); pr != nil {
 			pf.Discharges = s.mustDischarge(n.body, obj, pr.terminal)
 		}
-		switch {
-		case waitGroupProtocol.carries(t):
-			pf.DonesWG = callsMethodOnAnywhere(info, body, obj, "Done") || s.delegatedAnywhere(body, obj).DonesWG
-		case isChanType(t):
-			pf.SendsChan = sendsOrCloses(info, body, obj) || s.delegatedAnywhere(body, obj).SendsChan
-		}
-		pf.Escapes = objEscapes(info, s, n.body, obj)
+		pf.Escapes = objEscapes(s.pkg.Info, s, n.body, obj)
 	}
 
 	sum.errNever = s.returnsNilErr(n, sig)
-	lockSummaryFacts(s, n, sum)
 	return sum
 }
 
@@ -400,66 +310,6 @@ func argRootObj(info *types.Info, e ast.Expr) types.Object {
 		break
 	}
 	return identObj(info, e)
-}
-
-// callsMethodOnAnywhere reports a call obj.sel(...) anywhere in the body,
-// nested closures included — the worker-side Done shape.
-func callsMethodOnAnywhere(info *types.Info, body ast.Node, obj types.Object, sel string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if recv, ok := methodCallOn(call, sel); ok && identObj(info, recv) == obj {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// delegatedAnywhere unions delegated over every call in the body, closures
-// included: what local callees may do with obj anywhere below this function.
-func (s *summarySet) delegatedAnywhere(body ast.Node, obj types.Object) (facts paramFacts) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			facts.or(s.delegated(call, obj))
-		}
-		return true
-	})
-	return facts
-}
-
-// sendsOrCloses reports a send on or close of channel obj anywhere in the
-// body, nested closures included.
-func sendsOrCloses(info *types.Info, body ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			if identObj(info, x.Chan) == obj {
-				found = true
-			}
-		case *ast.CallExpr:
-			if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "close" && len(x.Args) == 1 {
-				if _, isBuiltin := info.ObjectOf(id).(*types.Builtin); isBuiltin && identObj(info, x.Args[0]) == obj {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isChanType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
 }
 
 // returnsNilErr reports whether every explicit return of the function yields

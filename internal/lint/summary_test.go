@@ -50,13 +50,6 @@ func TestSummaryEndsSpan(t *testing.T) {
 	}
 }
 
-func TestSummaryReleasesScope(t *testing.T) {
-	s := loadSummaryFixture(t)
-	if !summaryByName(t, s, "releaseScope").params[0].Discharges {
-		t.Error("releaseScope does not summarize as releasing its scope")
-	}
-}
-
 // TestSummaryDischargesEveryProtocol generates, for every row of the
 // protocol table, a direct discharger, a one-branch one, a mutually
 // recursive pair (true only through the optimistic seed of its SCC) and a
@@ -118,30 +111,6 @@ func TestSummaryErrorFacts(t *testing.T) {
 	}
 }
 
-func TestSummaryLockHelpers(t *testing.T) {
-	s := loadSummaryFixture(t)
-	lock := summaryByName(t, s, "lock")
-	if len(lock.holdsAtExit) != 1 {
-		t.Fatalf("lock holdsAtExit = %v, want one receiver-rooted entry", lock.holdsAtExit)
-	}
-	for sym, mode := range lock.holdsAtExit {
-		if !sym.recv || sym.rel != ".mu" || mode != lockWrite {
-			t.Errorf("lock holdsAtExit entry = %+v mode %v, want recv .mu write", sym, mode)
-		}
-	}
-	unlock := summaryByName(t, s, "unlock")
-	if len(unlock.releasesLock) != 1 {
-		t.Fatalf("unlock releasesLock = %v, want one receiver-rooted entry", unlock.releasesLock)
-	}
-	bump := summaryByName(t, s, "bump")
-	if len(bump.holdsAtExit) != 0 {
-		t.Errorf("bump holdsAtExit = %v, want empty (helper-acquired lock is defer-released)", bump.holdsAtExit)
-	}
-	if len(bump.mayLock) == 0 {
-		t.Error("bump mayLock is empty; the helper's acquisition should surface transitively")
-	}
-}
-
 func TestSummaryEscapes(t *testing.T) {
 	s := loadSummaryFixture(t)
 	if summaryByName(t, s, "keepLocal").params[0].Escapes {
@@ -152,18 +121,5 @@ func TestSummaryEscapes(t *testing.T) {
 	}
 	if !summaryByName(t, s, "endSpan").params[0].Discharges {
 		t.Fatal("precondition: endSpan ends its span")
-	}
-}
-
-func TestSummaryGoroutineProtocolFacts(t *testing.T) {
-	s := loadSummaryFixture(t)
-	if !summaryByName(t, s, "doneWorker").params[0].DonesWG {
-		t.Error("doneWorker does not summarize as Done-ing its WaitGroup")
-	}
-	if !summaryByName(t, s, "waiter").params[0].Discharges {
-		t.Error("waiter does not summarize as waiting on its WaitGroup")
-	}
-	if !summaryByName(t, s, "sender").params[0].SendsChan {
-		t.Error("sender does not summarize as sending on its channel")
 	}
 }

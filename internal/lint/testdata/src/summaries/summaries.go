@@ -4,10 +4,8 @@ package summaries
 
 import (
 	"errors"
-	"sync"
 
 	"nautilus/internal/obs"
-	"nautilus/internal/tensor"
 )
 
 // endSpan ends its span argument on every path.
@@ -50,9 +48,6 @@ func spanCycleLeaky(sp *obs.Span, n int) {
 	spanCycleLeaky(sp, n-1)
 }
 
-// releaseScope releases its scope argument.
-func releaseScope(s *tensor.Scope) { s.Release() }
-
 // Error-result classification.
 
 func errNil() error { return nil }
@@ -69,23 +64,6 @@ func errMixed(ok bool) error {
 // errForward inherits errNil's always-nil classification.
 func errForward() error { return errNil() }
 
-// Lock helpers.
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (g *guarded) lock() { g.mu.Lock() }
-
-func (g *guarded) unlock() { g.mu.Unlock() }
-
-func (g *guarded) bump() {
-	g.lock()
-	defer g.unlock()
-	g.n++
-}
-
 // Escape classification.
 
 func keepLocal(sp *obs.Span) bool { return sp == nil }
@@ -93,14 +71,3 @@ func keepLocal(sp *obs.Span) bool { return sp == nil }
 var spanSink *obs.Span
 
 func stash(sp *obs.Span) { spanSink = sp }
-
-// Goroutine-protocol parameter facts.
-
-func doneWorker(wg *sync.WaitGroup) { defer wg.Done() }
-
-func waiter(wg *sync.WaitGroup) { wg.Wait() }
-
-func sender(ch chan int) {
-	ch <- 1
-	close(ch)
-}

@@ -1,10 +1,7 @@
 package violations
 
 import (
-	"sync"
-
 	"nautilus/internal/obs"
-	"nautilus/internal/tensor"
 )
 
 // Delegated obligations: helpers that discharge (or fail to discharge) a
@@ -49,41 +46,6 @@ func spanDelegatedLeaky(tr *obs.Tracer, fail bool) bool {
 	return true
 }
 
-// releaseScopeFor discharges the Release obligation for its caller.
-func releaseScopeFor(s *tensor.Scope) {
-	s.Release()
-}
-
-// Arenaescape: the delegated Release counts as the real thing, so a use
-// after the helper call is a use after release.
-
-func arenaDelegatedUseAfter(a *tensor.Arena) float32 {
-	s := a.Scope()
-	x := s.Get(4)
-	releaseScopeFor(s)
-	return x.Data()[0] // want "arenaescape: x is backed by scope s, which may already be released here; move the use before Release or copy the tensor out"
-}
-
-// Arenaescape: a delegated Release downstream makes a field escape fatal,
-// exactly as a direct Release would.
-
-func arenaDelegatedEscape(a *tensor.Arena, h *tensorHolder) {
-	s := a.Scope()
-	x := s.Get(8)
-	h.t = x // want "arenaescape: x is backed by scope s but escapes via a struct field, and the scope is released before the function returns; copy it out of the scope first"
-	releaseScopeFor(s)
-}
-
-// Clean: delegated release with every use strictly before it.
-
-func arenaDelegatedOrdered(a *tensor.Arena) float32 {
-	s := a.Scope()
-	x := s.Get(4)
-	v := x.Data()[0]
-	releaseScopeFor(s)
-	return v
-}
-
 // resetCounter can never fail; its error result exists to satisfy an
 // interface shape.
 func resetCounter() error {
@@ -94,69 +56,4 @@ func resetCounter() error {
 
 func dropInfallibleError() {
 	resetCounter()
-}
-
-// awaitWorkers delegates the Wait half of the join protocol.
-func awaitWorkers(wg *sync.WaitGroup) {
-	wg.Wait()
-}
-
-// Clean: the goroutine is joined through the Wait-delegating helper.
-
-func launchWithDelegatedWait(work []int) int {
-	var wg sync.WaitGroup
-	total := 0
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, w := range work {
-			total += w
-		}
-	}()
-	awaitWorkers(&wg)
-	return total
-}
-
-// countDone is a named worker whose WaitGroup parameter summary (Dones it)
-// classifies launches of it.
-func countDone(wg *sync.WaitGroup, out []int) {
-	defer wg.Done()
-	for i := range out {
-		out[i] = i
-	}
-}
-
-// Clean: named-function launch, classified through the callee's summary
-// and joined by Wait.
-
-func launchNamedJoined(out []int) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go countDone(&wg, out)
-	wg.Wait()
-}
-
-// Goroutinejoin: named-function launch where an early return skips Wait.
-
-func launchNamedLeaky(out []int, skip bool) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go countDone(&wg, out) // want "goroutinejoin: goroutine countDone joined by wg.Wait, but a path from the launch reaches return without waiting"
-	if skip {
-		return
-	}
-	wg.Wait()
-}
-
-// spinForever signals nothing — no WaitGroup, no channel.
-func spinForever(n int) {
-	for i := 0; i < n; i++ {
-		_ = i
-	}
-}
-
-// Goroutinejoin: a named launch with no join protocol at all.
-
-func launchUnjoinedNamed() {
-	go spinForever(1000) // want "goroutinejoin: goroutine launches spinForever, which has no join protocol: it neither Dones a WaitGroup nor signals on a channel"
 }

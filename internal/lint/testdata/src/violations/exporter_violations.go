@@ -2,8 +2,6 @@ package violations
 
 import (
 	"errors"
-	"sync"
-	"time"
 
 	"nautilus/internal/obs"
 )
@@ -11,17 +9,11 @@ import (
 // errTruncated stands in for an encoder failure in these fixtures.
 var errTruncated = errors.New("truncated snapshot")
 
-// Fixtures shaped like the live-telemetry exporter's periodic-snapshot
-// goroutine: a ticker loop guarded by a stop channel, a mutex around the
-// encoder, and spans around each snapshot. The leaky variants are the
-// shutdown bugs the spanleak and locksafe analyzers exist to catch; the
-// clean variant is the WaitGroup-joined shape the real exporter uses.
+// Fixtures shaped like the live-telemetry exporter's periodic snapshot:
+// a span around each snapshot, missed on the encoder's error path.
 
 type leakyExporter struct {
-	mu      sync.Mutex
 	tr      *obs.Tracer
-	stop    chan struct{}
-	wg      sync.WaitGroup
 	written int
 }
 
@@ -37,78 +29,7 @@ func (e *leakyExporter) snapshotLeaky(fail bool) error {
 	return nil
 }
 
-// Locksafe: the encoder mutex stays held when a tick races the close.
-
-func (e *leakyExporter) writeLeaky(closed bool) {
-	e.mu.Lock() // want "locksafe: e.mu.Lock is not released on every path to return; add defer e.mu.Unlock() or unlock the missed branch"
-	if closed {
-		return
-	}
-	e.written++
-	e.mu.Unlock()
-}
-
-// Field-WaitGroup half-protocol: the goroutine Dones the exporter's
-// WaitGroup field, but nothing Added it first — Close's Wait returns
-// early and the snapshot races the file close.
-
-func (e *leakyExporter) startNoAdd() {
-	e.stop = make(chan struct{})
-	go func() { // want "goroutinejoin: goroutine calls wg.Done but no wg.Add precedes the launch"
-		defer e.wg.Done()
-		<-e.stop
-	}()
-}
-
-// Clean: the real exporter shape — the snapshot goroutine is registered
-// with the WaitGroup before it starts, drains on the stop channel, and
-// Close joins it before touching shared state.
-
-type joinedExporter struct {
-	mu      sync.Mutex
-	tr      *obs.Tracer
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	written int
-}
-
-func (e *joinedExporter) start(interval time.Duration) {
-	e.stop = make(chan struct{})
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				e.write()
-			case <-e.stop:
-				e.write()
-				return
-			}
-		}
-	}()
-}
-
-func (e *joinedExporter) write() {
-	sp := e.tr.Start("export/snapshot")
-	defer sp.End()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.written++
-}
-
-func (e *joinedExporter) close() int {
-	close(e.stop)
-	e.wg.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.written
-}
-
-// Suppressed: a deliberately unjoined fire-and-forget snapshot, annotated
-// in place.
+// Suppressed: a deliberately leaked snapshot span, annotated in place.
 
 func (e *leakyExporter) snapshotSuppressed(fail bool) error {
 	//lint:ignore spanleak fixture demonstrating a suppressed exporter snapshot leak

@@ -102,6 +102,10 @@ func TestEndIdempotent(t *testing.T) {
 	if len(sink.events) != 1 {
 		t.Errorf("emitted %d events, want 1", len(sink.events))
 	}
+	// The repeated End must leave the tracer mutex free: Track takes it.
+	if got := s.Track(); got != 0 {
+		t.Errorf("track after End = %d, want 0", got)
+	}
 }
 
 // TestChildOutlivesParent pins the prefetch-shaped lifecycle: a child that

@@ -137,8 +137,9 @@ func fanOut(sch Schedule, n, work int) int {
 // into contiguous chunks under the schedule's worker count and
 // serial-vs-parallel cutoff instead of the global defaults. The callback
 // contract is identical to Parallel's — fn must write only chunk-disjoint
-// state, so results are bit-identical to a serial run (the chunkdisjoint
-// analyzer checks parallelFor callbacks too).
+// state, so results are bit-identical to a serial run (a shared write is a
+// data race go test -race reports once two workers fan out: the lint
+// package's seeded corpus holds that for LayerNorm's row callback).
 func parallelFor(sch Schedule, n, work int, fn func(lo, hi int)) {
 	workers := fanOut(sch, n, work)
 	if workers == 1 {

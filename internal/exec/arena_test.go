@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nautilus/internal/graph"
+	"nautilus/internal/layers"
 	"nautilus/internal/opt"
 	"nautilus/internal/tensor"
 	"nautilus/internal/train"
@@ -34,16 +35,18 @@ var arenaApproaches = []struct {
 // TestArenaTrainingBitIdentical verifies the arena is purely a physical
 // optimization, for every approach: materializing and training with tensor
 // recycling — TrainGroups on two slots, each group's step scope recycled
-// per batch, feeds prefetched into their own scopes — gives exactly the
-// accuracy and loss bits and the checkpoint bytes of heap allocation on one
-// slot without prefetch.
+// per batch and each activation freed into it at its last use, feeds
+// prefetched into their own scopes — gives exactly the accuracy and loss
+// bits and the checkpoint bytes of heap allocation on one slot without
+// prefetch. One candidate reads the trunk through an output that aliases
+// its input, so an early free of a shared buffer shows too.
 func TestArenaTrainingBitIdentical(t *testing.T) {
 	snap := nerSnapshot(t, 2)
 	for _, ap := range arenaApproaches {
 		t.Run(ap.name, func(t *testing.T) {
 			run := func(arena *tensor.Arena, slots int) (accs []string, ckpts map[string][]byte) {
 				withSlots(t, slots)
-				items, mm := buildWorkload(t, 3)
+				items, mm := workloadOf(t, append(bertCandidates(t, 3), aliasedCandidate(t))...)
 				sigs := map[graph.Signature]bool{}
 				switch ap.mat {
 				case "all":
@@ -119,6 +122,31 @@ func TestArenaTrainingBitIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// aliasedCandidate is a feature-transfer candidate whose head reads the
+// last hidden layer through a rate-0 Dropout, which returns its input: the
+// trunk's output buffer must outlive its own last use until the head's
+// backward step has read the alias.
+func aliasedCandidate(t testing.TB) *graph.Model {
+	t.Helper()
+	src := bertCandidates(t, 1)[0]
+	m := graph.NewModel("aliased")
+	twin := map[*graph.Node]*graph.Node{}
+	feat := src.Node("head_block").Parents[0]
+	for _, n := range src.Nodes() {
+		parents := make([]*graph.Node, len(n.Parents))
+		for i, p := range n.Parents {
+			parents[i] = twin[p]
+		}
+		twin[n] = m.AddNode(n.Name, n.Layer, parents...)
+		twin[n].Trainable = n.Trainable
+		if n == feat {
+			twin[n] = m.AddNode("feat_drop0", layers.NewDropout(0), twin[n])
+		}
+	}
+	m.SetOutputs(twin[src.Outputs[0]])
+	return m
 }
 
 // TestArenaSteadyStateAllocs asserts the recycling actually takes hold:

@@ -61,9 +61,9 @@ func requireNoGoroutineLeak(t *testing.T, baseline int, what string) {
 }
 
 // TestMaterializerErrorReleasesChunkScopes asserts a failure inside the
-// materializer pipeline — in the forward pass, or in an append while the
-// producer still has chunks to send — neither strands the chunk producer
-// nor leaks the errored chunk's scope.
+// materializer pipeline — an append while the producer still has chunks to
+// send — neither strands the chunk producer nor leaks the errored chunk's
+// scope.
 func TestMaterializerErrorReleasesChunkScopes(t *testing.T) {
 	items, mm := buildWorkload(t, 2)
 	res, err := opt.OptimizeMaterialization(mm, items, opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 200})
@@ -95,10 +95,6 @@ func TestMaterializerErrorReleasesChunkScopes(t *testing.T) {
 			t.Errorf("errored chunk's scope was not released: %+v", st)
 		}
 	}
-	// ForwardOpts fails on the first chunk.
-	syncFails("no feed for input", func(mz *Materializer, _ *storage.TensorStore) {
-		mz.inputName = "no_such_input"
-	})
 	// A one-wide record under the first output's key makes the first
 	// chunk's append fail; only the deferred drain unblocks the producer.
 	syncFails("holds records of shape", func(mz *Materializer, store *storage.TensorStore) {

@@ -24,21 +24,36 @@ var miniHW = profile.Hardware{FLOPSThroughput: 6e12, DiskThroughput: 6e10, Works
 // identical (but independent) workloads.
 func buildWorkload(t testing.TB, n int) ([]opt.WorkItem, *mmg.MultiModel) {
 	t.Helper()
+	return workloadOf(t, bertCandidates(t, n)...)
+}
+
+// bertCandidates returns n feature-transfer candidates over one BERT-mini
+// trunk, alternating the last and second-last hidden layer as features.
+func bertCandidates(t testing.TB, n int) []*graph.Model {
+	t.Helper()
 	hub := models.NewBERTHub(models.BERTMini())
 	strats := []models.FeatureStrategy{models.FeatLastHidden, models.FeatSecondLastHidden}
-	var items []opt.WorkItem
 	var ms []*graph.Model
 	for i := 0; i < n; i++ {
 		m, err := hub.FeatureTransferModel(fmt.Sprintf("m%d", i), strats[i%len(strats)], 9, int64(500+i))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// workloadOf profiles the candidates and merges them into one workload.
+func workloadOf(t testing.TB, ms ...*graph.Model) ([]opt.WorkItem, *mmg.MultiModel) {
+	t.Helper()
+	var items []opt.WorkItem
+	for _, m := range ms {
 		prof, err := profile.Profile(m, miniHW)
 		if err != nil {
 			t.Fatal(err)
 		}
 		items = append(items, opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 8, LR: 1e-3})
-		ms = append(ms, m)
 	}
 	mm, err := mmg.Build(ms...)
 	if err != nil {

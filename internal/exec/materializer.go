@@ -54,12 +54,12 @@ func keySig(key string) (graph.Signature, bool) {
 type Materializer struct {
 	store *storage.TensorStore
 
-	// matModel is the multi-model graph restricted to the chosen nodes.
+	// matModel is the multi-model graph restricted to the chosen nodes,
+	// compiled once into matProg.
 	matModel *graph.Model
+	matProg  *graph.Program
 	// outputs maps each chosen node to its signature.
 	outputs map[*graph.Node]graph.Signature
-	// inputName is the dataset input node's name in the merged graph.
-	inputName string
 	// ChunkSize bounds how many records are forwarded at once.
 	ChunkSize int
 	// Prefetch overlaps the forward pass of chunk t+1 with the store
@@ -94,11 +94,12 @@ func NewMaterializer(store *storage.TensorStore, mm *mmg.MultiModel, sigs map[gr
 	if len(inputs) != 1 {
 		return nil, fmt.Errorf("exec: materializer expects one dataset input, found %d", len(inputs))
 	}
+	matModel := mm.Graph.WithOutputs(outs...)
 	return &Materializer{
 		store:     store,
-		matModel:  mm.Graph.WithOutputs(outs...),
+		matModel:  matModel,
+		matProg:   graph.Compile(matModel, false),
 		outputs:   outputs,
-		inputName: inputs[0].Name,
 		ChunkSize: 64,
 		Prefetch:  true,
 	}, nil
@@ -122,9 +123,9 @@ func (mz *Materializer) outputNodes() []*graph.Node {
 // its own arena scope, released after its appends (the store copies rows
 // synchronously).
 func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *tensor.Tensor) error {
-	model := mz.matModel
+	prog := mz.matProg
 	if len(nodes) < len(mz.outputs) {
-		model = mz.matModel.WithOutputs(nodes...)
+		prog = graph.Compile(mz.matModel.WithOutputs(nodes...), false)
 	}
 	n := deltaX.Dim(0)
 	span := mz.Obs.Start("mat/append_delta",
@@ -132,7 +133,7 @@ func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *te
 		obs.Int("records", int64(n)),
 		obs.Int("outputs", int64(len(nodes))))
 	defer span.End()
-	chunks := mz.forwardPipeline(model, span, deltaX, n)
+	chunks := mz.forwardPipeline(prog, span, deltaX, n)
 	// On early error return, drain the pipeline so its goroutine finishes
 	// and already-computed scopes are recycled.
 	defer func() {
@@ -141,12 +142,6 @@ func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *te
 		}
 	}()
 	for c := range chunks {
-		if c.err != nil {
-			// The errored chunk was already received, so the deferred drain
-			// never sees it; recycle its scope here.
-			c.scope.Release()
-			return fmt.Errorf("exec: materialize: %w", c.err)
-		}
 		for _, node := range nodes {
 			if err := mz.store.Append(storeKey(mz.outputs[node], split), c.tape.Output(node)); err != nil {
 				c.scope.Release()
@@ -163,13 +158,12 @@ func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *te
 type matChunk struct {
 	tape  *graph.Tape
 	scope *tensor.Scope
-	err   error
 }
 
 // forwardPipeline forwards deltaX chunk by chunk, one chunk ahead of the
 // consumer when Prefetch is set (buffered channel of 1). Chunk spans sit on
 // a separate trace track so the overlap against appends is visible.
-func (mz *Materializer) forwardPipeline(model *graph.Model, span *obs.Span, deltaX *tensor.Tensor, n int) <-chan matChunk {
+func (mz *Materializer) forwardPipeline(prog *graph.Program, span *obs.Span, deltaX *tensor.Tensor, n int) <-chan matChunk {
 	buf := 0
 	if mz.Prefetch {
 		buf = 1
@@ -186,12 +180,9 @@ func (mz *Materializer) forwardPipeline(model *graph.Model, span *obs.Span, delt
 			cs.SetTrack(2)
 			scope := mz.Arena.Scope()
 			chunk := sliceRecords(deltaX, lo, hi, scope)
-			tape, err := model.ForwardOpts(map[string]*tensor.Tensor{mz.inputName: chunk}, graph.ForwardOptions{Alloc: scope})
+			tape := prog.Run([]*tensor.Tensor{chunk}, graph.ForwardOptions{Alloc: scope})
 			cs.End()
-			ch <- matChunk{tape: tape, scope: scope, err: err}
-			if err != nil {
-				return
-			}
+			ch <- matChunk{tape: tape, scope: scope}
 		}
 	}()
 	return ch

@@ -33,15 +33,16 @@ type Trainer struct {
 	Prefetch bool
 	// Arena, when set, recycles every step-scoped tensor (feeds, forward
 	// intermediates, layer caches, gradients) across mini-batches: a group
-	// takes one tensor.Scope from it, recycles that scope once each batch's
-	// optimizer step retires and releases it when the group is done, so
-	// steady-state training stops allocating. Results are bit-identical
-	// with or without it, and the peak-memory conformance replay is
-	// unaffected (it meters logical tensor lifetimes, not physical buffers).
+	// takes one tensor.Scope from it, the tape frees each activation into
+	// it at its last use, the scope recycles once each batch's optimizer
+	// step retires and goes back when the group is done, so steady-state
+	// training stops allocating. Results are bit-identical with or without
+	// it, and so is the tape's live-byte meter (it counts tensor lifetimes,
+	// not physical buffers).
 	Arena *tensor.Arena
 	// Obs, when set, emits per-group/epoch/batch spans, registry metrics,
-	// the cost-model conformance account, and the live-tensor peak-memory
-	// replay. nil disables all instrumentation (nil-check cost only).
+	// and the cost-model conformance account, the tape's metered live-byte
+	// peak included. nil disables all instrumentation (nil-check cost only).
 	Obs *obs.Tracer
 }
 
@@ -80,21 +81,33 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	if len(planModel.Outputs) != len(g.Items) {
 		return nil, fmt.Errorf("exec: %d outputs for %d branches", len(planModel.Outputs), len(g.Items))
 	}
+	prog := graph.Compile(planModel, false)
 	// Branch optimizers over each source model's trainable params (layer
-	// instances are shared between source models and the plan model).
+	// instances are shared between source models and the plan model), found
+	// among the program's parameters once per group.
 	type branch struct {
 		out    *graph.Node
 		opt    *train.Adam
-		params map[*graph.Param]bool
+		params []*graph.Param
+		at     []int            // by params: its number in prog.Params()
+		grads  []*tensor.Tensor // by params: this step's gradient
+	}
+	num := make(map[*graph.Param]int, len(prog.Params()))
+	for k, p := range prog.Params() {
+		num[p] = k
 	}
 	branches := make([]branch, len(g.Items))
 	for i, it := range g.Items {
-		params := map[*graph.Param]bool{}
+		b := branch{out: planModel.Outputs[i], opt: train.NewAdam(it.LR)}
 		for _, p := range it.Model.TrainableParams() {
-			params[p] = true
+			if k, ok := num[p]; ok {
+				b.params, b.at = append(b.params, p), append(b.at, k)
+			}
 		}
-		branches[i] = branch{out: planModel.Outputs[i], opt: train.NewAdam(it.LR), params: params}
+		b.grads = make([]*tensor.Tensor, len(b.at))
+		branches[i] = b
 	}
+	outGrads := make([]*tensor.Tensor, len(branches)) // by branch = by output
 
 	computePerRecord := g.Plan.ComputeFLOPsPerRecord()
 	loadPerRecord := g.Plan.LoadBytesPerRecord()
@@ -118,13 +131,11 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	hWait := reg.Histogram("trainer.feed_wait_ns", feedWaitBuckets)
 	samples := t.Obs.Samples()
 
-	// Live-tensor replay of the Section 4.3.3 peak-memory estimate: params
-	// + optimizer slots as a standing base, forward activations seeded per
-	// batch, gradient tensors tracked through the tape's alloc observer.
-	var trk *obs.MemTracker
+	// The measured side of the Section 4.3.3 peak-memory estimate: params +
+	// optimizer slots as a standing base, plus the tape's live-byte peak,
+	// metered against the liveness table the estimate replays.
 	var memBase int64
 	if t.Obs.Enabled() {
-		trk = &obs.MemTracker{}
 		total, trainable := planModel.ParamCount()
 		memBase = total*4 + trainable*4*opt.AdamSlotBytes
 	}
@@ -135,7 +146,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	// validation alike: it recycles after each batch, so from the second
 	// step on it allocates without a lock, and it goes back to the arena
 	// when the group is done. The prefetcher cannot share it (a scope has
-	// one owner), so feeds come in scopes of their own and ForwardOpts
+	// one owner), so feeds come in scopes of their own and Program.Run
 	// re-headers them into step.
 	step := t.Arena.Scope()
 	defer step.Release()
@@ -143,7 +154,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	for epoch := 0; epoch < g.Epochs(); epoch++ {
 		es = span.Child("train/epoch", obs.Int("epoch", int64(epoch)))
 		batches := train.Batches(n, g.BatchSize(), rng)
-		nextFeeds := t.feedPipeline(planModel, feeds, snap, batches, span, gc)
+		nextFeeds := t.feedPipeline(prog, feeds, snap, batches, span, gc)
 		// Drain on every exit: an early error return below would otherwise
 		// strand the prefetch goroutine blocked on send (and its feed scope
 		// unrecycled). After a clean epoch the channel is already closed
@@ -163,18 +174,9 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				fed.scope.Release()
 				return nil, fed.err
 			}
-			tape, err := planModel.ForwardOpts(fed.feeds, graph.ForwardOptions{Train: true, Alloc: step})
-			if err != nil {
-				fed.scope.Release()
-				return nil, err
-			}
-			if trk != nil {
-				trk.Reset(memBase + tape.LiveActivationBytes())
-				tape.SetAllocObserver(trk)
-			}
+			tape := prog.Run(fed.feeds, graph.ForwardOptions{Train: true, Alloc: step})
 			yb := train.GatherIn(step, snap.TrainY, idx)
-			outGrads := map[string]*tensor.Tensor{}
-			for _, b := range branches {
+			for i, b := range branches {
 				logits := tape.Output(b.out)
 				loss, grad := t.Loss.Compute(logits, yb)
 				if grad == nil || !grad.SameShape(logits) {
@@ -182,30 +184,24 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 					return nil, fmt.Errorf("exec: loss gradient for branch %q has shape %v, want logits shape %v", b.out.Name, shapeOf(grad), logits.Shape())
 				}
 				lastLoss = loss
-				outGrads[b.out.Name] = grad
+				outGrads[i] = grad
 			}
-			if err := tape.Backward(outGrads); err != nil {
+			if err := tape.BackwardOutputs(outGrads, graph.BackwardOptions{}); err != nil {
 				fed.scope.Release()
 				return nil, err
 			}
-			all := tape.ParamGrads()
 			for _, b := range branches {
-				mine := map[*graph.Param]*tensor.Tensor{}
-				for p, gr := range all {
-					if b.params[p] {
-						mine[p] = gr
-					}
+				for j, k := range b.at {
+					b.grads[j] = tape.ParamGradAt(k)
 				}
-				b.opt.Step(mine)
+				b.opt.StepEach(b.params, b.grads)
 			}
 			if m != nil {
 				m.ComputeFLOPs += computePerRecord * int64(len(idx))
 				m.LoadBytes += loadPerRecord * int64(len(idx))
 				m.TrainSteps++
 			}
-			if trk != nil {
-				gc.ObservePeakMemory(trk.Peak())
-			}
+			gc.ObservePeakMemory(memBase + tape.PeakBytes())
 			gc.AddTrainRecords(int64(len(idx)))
 			cFlops.Add(computePerRecord * int64(len(idx)))
 			cLoad.Add(loadPerRecord * int64(len(idx)))
@@ -248,19 +244,14 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 			}
 			idx := idxAll[lo:hi]
 			fa := vs.Child("train/feed_assemble", obs.Int("records", int64(len(idx))))
-			feedsMap, err := t.batchFeeds(planModel, feeds, Valid, snap.ValidX, idx, step)
+			fed, err := t.batchFeeds(prog, feeds, Valid, snap.ValidX, idx, step)
 			gc.AddLoadTime(fa.End())
 			if err != nil {
 				vs.End()
 				return nil, err
 			}
 			vb := vs.Child("train/valid_batch", obs.Int("records", int64(len(idx))))
-			tape, err := planModel.ForwardOpts(feedsMap, graph.ForwardOptions{Alloc: step})
-			if err != nil {
-				vb.End()
-				vs.End()
-				return nil, err
-			}
+			tape := prog.Run(fed, graph.ForwardOptions{Alloc: step})
 			yb := train.GatherIn(step, snap.ValidY, idx)
 			w := float64(len(idx)) / float64(vn)
 			for bi, b := range branches {
@@ -297,22 +288,22 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	return results, nil
 }
 
-// batchFeeds assembles the feed map for one mini-batch: dataset inputs
-// gather from the in-memory snapshot, materialized feeds read from the
-// store. Every feed is allocated from s, so the whole step derives from
+// batchFeeds assembles the feeds of one mini-batch in prog.Inputs() order:
+// dataset inputs gather from the in-memory snapshot, materialized feeds
+// read from the store. Every feed is allocated from s, so the whole step derives from
 // recycled buffers.
-func (t *Trainer) batchFeeds(planModel *graph.Model, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, s *tensor.Scope) (map[string]*tensor.Tensor, error) {
-	feeds := map[string]*tensor.Tensor{}
-	for _, in := range planModel.Inputs() {
+func (t *Trainer) batchFeeds(prog *graph.Program, feedSigs map[string]graph.Signature, split Split, x *tensor.Tensor, idx []int, s *tensor.Scope) ([]*tensor.Tensor, error) {
+	feeds := make([]*tensor.Tensor, len(prog.Inputs()))
+	for k, in := range prog.Inputs() {
 		if sig, ok := feedSigs[in.Name]; ok {
 			rows, err := t.Store.ReadRowsIn(storeKey(sig, split), idx, s)
 			if err != nil {
 				return nil, fmt.Errorf("exec: read materialized %v: %w", sig, err)
 			}
-			feeds[in.Name] = rows
+			feeds[k] = rows
 			continue
 		}
-		feeds[in.Name] = train.GatherIn(s, x, idx)
+		feeds[k] = train.GatherIn(s, x, idx)
 	}
 	return feeds, nil
 }
@@ -347,7 +338,7 @@ func (t *Trainer) Checkpoint(g *opt.FusedGroup, path string, full bool) error {
 // were allocated from; the compute loop releases the scope once the batch's
 // optimizer step retires.
 type fedBatch struct {
-	feeds map[string]*tensor.Tensor
+	feeds []*tensor.Tensor // in the program's input order
 	scope *tensor.Scope
 	err   error
 }
@@ -366,7 +357,7 @@ var feedWaitBuckets = []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 // absence) directly against the batch spans. Each batch's feeds are
 // assembled in a scope of their own whose ownership travels with the batch
 // to the compute loop.
-func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph.Signature, snap data.Snapshot, batches [][]int, group *obs.Span, gc *obs.GroupConformance) <-chan fedBatch {
+func (t *Trainer) feedPipeline(prog *graph.Program, feedSigs map[string]graph.Signature, snap data.Snapshot, batches [][]int, group *obs.Span, gc *obs.GroupConformance) <-chan fedBatch {
 	buf := 0
 	if t.Prefetch {
 		buf = 1
@@ -380,7 +371,7 @@ func (t *Trainer) feedPipeline(planModel *graph.Model, feedSigs map[string]graph
 			// One feed scope per batch: the prefetcher fills batch t+1's
 			// while batch t computes in the group's step scope.
 			scope := t.Arena.Scope()
-			feeds, err := t.batchFeeds(planModel, feedSigs, Train, snap.TrainX, idx, scope)
+			feeds, err := t.batchFeeds(prog, feedSigs, Train, snap.TrainX, idx, scope)
 			// Assembly time (store reads + host gathers) is the actual load
 			// leg of the conformance drift account.
 			gc.AddLoadTime(as.End())

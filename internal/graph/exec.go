@@ -6,48 +6,36 @@ import (
 	"nautilus/internal/tensor"
 )
 
-// Tape records one forward pass over a model so gradients can be
-// back-propagated. It owns all activations and layer caches; layers stay
-// stateless.
+// Tape records one forward pass of a Program so gradients can be
+// back-propagated. It owns the step's activations, layer caches and
+// gradients, in slices indexed by program position; layers stay stateless.
+//
+// The tape follows the program's liveness table: after each step it
+// returns the activations whose last use that step was to the step scope
+// (Scope.Free), and it meters its live bytes against the same table
+// (PeakBytes). An output that shares its input's buffer — Dropout in eval
+// mode or at rate 0, an identity Activation, a Reshape or Flatten view —
+// keeps that buffer alive until its own last use too. Feeds are never
+// freed: they belong to the caller.
 type Tape struct {
-	model  *Model
-	train  bool
-	acts   map[*Node]*tensor.Tensor
-	caches map[*Node]any
-
-	paramGrads map[*Param]*tensor.Tensor
-	inputGrads map[*Node]*tensor.Tensor
-
+	prog  *Program
+	train bool
 	alloc *tensor.Scope
 
-	allocObs AllocObserver
-}
+	acts       []*tensor.Tensor // by position
+	ins        []*tensor.Tensor // by parent slot: the inputs each layer ran on
+	grads      []*tensor.Tensor // by position: the gradient w.r.t. the node's output
+	paramGrads []*tensor.Tensor // by Program.Params() number
+	caches     []any            // by position
 
-// AllocObserver receives the byte-level tensor allocation and release
-// events of a backward pass, letting observers replay the executor's
-// live-tensor high-water mark (the B_mem cross-check against the
-// analytical estimate of Section 4.3.3). Forward activations are not
-// reported — they are all live for the whole tape lifetime and observers
-// seed themselves from LiveActivationBytes.
-type AllocObserver interface {
-	Alloc(bytes int64)
-	Free(bytes int64)
-}
+	// owner[p] is the position whose buffer p's output is (p itself unless
+	// it aliases an input); refs[o] counts o's live sharers. bytes is the
+	// metered size by step: an alias's forward step meters nothing.
+	owner, refs []int32
+	bytes       []int64
+	live, peak  int64
 
-// SetAllocObserver installs (or, with nil, removes) the tape's allocation
-// observer. Call between Forward and Backward.
-func (t *Tape) SetAllocObserver(o AllocObserver) { t.allocObs = o }
-
-func (t *Tape) observeAlloc(x *tensor.Tensor) {
-	if t.allocObs != nil && x != nil {
-		t.allocObs.Alloc(int64(x.Len()) * 4)
-	}
-}
-
-func (t *Tape) observeFree(x *tensor.Tensor) {
-	if t.allocObs != nil && x != nil {
-		t.allocObs.Free(int64(x.Len()) * 4)
-	}
+	backwardDone bool
 }
 
 // ForwardOptions controls a forward pass.
@@ -56,10 +44,10 @@ type ForwardOptions struct {
 	Train bool
 	// Alloc, when non-nil, is the step scope of the pass: feeds not already
 	// in it are re-headered into it, so every intermediate, cache, and
-	// (later) gradient tensor the pass creates comes from the scope and can
-	// be recycled wholesale once the step retires. Logical allocation
-	// reporting to the AllocObserver is unaffected — metering counts tensor
-	// lifetimes, not mallocs.
+	// (later) gradient tensor the pass creates comes from the scope, is
+	// freed into it at its last use and recycled wholesale once the step
+	// retires. Metering counts tensor lifetimes, not mallocs, so it is the
+	// same with or without a scope.
 	Alloc *tensor.Scope
 }
 
@@ -71,52 +59,127 @@ func (m *Model) Forward(feeds map[string]*tensor.Tensor, train bool) (*Tape, err
 	return m.ForwardOpts(feeds, ForwardOptions{Train: train})
 }
 
-// ForwardOpts is Forward with explicit options.
+// ForwardOpts is Forward with explicit options. It compiles the model for
+// this one pass; callers that run a model step after step compile it once
+// (Compile) and call Program.Run.
 func (m *Model) ForwardOpts(feeds map[string]*tensor.Tensor, opts ForwardOptions) (*Tape, error) {
-	t := &Tape{
-		model:  m,
-		train:  opts.Train,
-		acts:   make(map[*Node]*tensor.Tensor, len(m.nodes)),
-		caches: make(map[*Node]any),
-		alloc:  opts.Alloc,
-	}
-	for _, n := range m.Reachable() {
-		if n.IsInput() {
-			v, ok := feeds[n.Name]
-			if !ok {
-				return nil, fmt.Errorf("graph: no feed for input %q of model %q", n.Name, m.Name)
-			}
-			t.acts[n] = tensor.WithAlloc(opts.Alloc, v)
-			continue
+	p := Compile(m, false)
+	in := make([]*tensor.Tensor, len(p.inputs))
+	for k, n := range p.inputs {
+		v, ok := feeds[n.Name]
+		if !ok {
+			return nil, fmt.Errorf("graph: no feed for input %q of model %q", n.Name, m.Name)
 		}
-		in := make([]*tensor.Tensor, len(n.Parents))
-		for i, p := range n.Parents {
-			in[i] = t.acts[p]
-		}
-		out, cache := n.Layer.Forward(in, opts.Train)
-		t.acts[n] = out
-		t.caches[n] = cache
+		in[k] = v
 	}
-	return t, nil
+	return p.Run(in, opts), nil
 }
 
-// Output returns the recorded activation of a node.
-func (t *Tape) Output(n *Node) *tensor.Tensor { return t.acts[n] }
-
-// Outputs returns the activations of the model's output nodes in order.
-func (t *Tape) Outputs() []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(t.model.Outputs))
-	for i, o := range t.model.Outputs {
-		outs[i] = t.acts[o]
+// Run runs the program on feeds given in Inputs() order.
+func (p *Program) Run(feeds []*tensor.Tensor, opts ForwardOptions) *Tape {
+	t := p.newTape(opts)
+	for k, n := range p.inputs {
+		t.acts[p.pos[n.index]] = feeds[k]
 	}
-	return outs
+	t.forward()
+	return t
+}
+
+// newTape allocates a tape's slices: one array of tensor pointers cut into
+// five, one of int32s cut into two.
+func (p *Program) newTape(opts ForwardOptions) *Tape {
+	n, np := len(p.nodes), len(p.params)
+	ptrs := make([]*tensor.Tensor, 2*n+len(p.par)+np)
+	idx := make([]int32, 2*n)
+	return &Tape{
+		prog: p, train: opts.Train, alloc: opts.Alloc,
+		acts: ptrs[:n:n], grads: ptrs[n : 2*n : 2*n], ins: ptrs[2*n : 2*n+len(p.par) : 2*n+len(p.par)],
+		paramGrads: ptrs[2*n+len(p.par):],
+		caches:     make([]any, n),
+		owner:      idx[:n:n], refs: idx[n:],
+		bytes: make([]int64, p.live.Steps()),
+	}
+}
+
+// forward runs every forward step, the feeds already in acts.
+func (t *Tape) forward() {
+	p := t.prog
+	for i, n := range p.nodes {
+		t.owner[i], t.refs[i] = int32(i), 1
+		if n.IsInput() {
+			t.acts[i] = tensor.WithAlloc(t.alloc, t.acts[i])
+		} else {
+			in := t.ins[p.parOff[i]:p.parOff[i+1]]
+			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {
+				in[j] = t.acts[q]
+			}
+			out, cache := n.Layer.Forward(in, t.train)
+			t.acts[i], t.caches[i] = out, cache
+			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {
+				if tensor.SameBuffer(out, in[j]) {
+					o := t.owner[q]
+					t.owner[i] = o
+					t.refs[o]++
+					break
+				}
+			}
+		}
+		full := int64(t.acts[i].Len()) * 4
+		if t.owner[i] == int32(i) {
+			t.bytes[i] = full
+		}
+		if b := p.live.Bwd[i]; b >= 0 {
+			t.bytes[b] = full // Figure 5: a backward step's tensor is s_mem
+		}
+		t.step(int32(i))
+	}
+}
+
+// step meters step s's tensor and retires the tensors whose last use s
+// is: a forward tensor's buffer goes back to the scope once no alias of it
+// is live, a backward tensor leaves the meter.
+func (t *Tape) step(s int32) {
+	p := t.prog
+	t.live += t.bytes[s]
+	t.peak = max(t.peak, t.live)
+	for d := p.dies[s]; d >= 0; d = p.next[d] {
+		if d >= p.live.F {
+			t.live -= t.bytes[d]
+			continue
+		}
+		o := t.owner[d]
+		if t.refs[o]--; t.refs[o] == 0 {
+			t.live -= t.bytes[o]
+			if !p.nodes[o].IsInput() {
+				t.alloc.Free(t.acts[d]) // d shares o's buffer
+			}
+		}
+		t.acts[d], t.caches[d] = nil, nil
+	}
+}
+
+// PeakBytes returns the high-water mark of the tape's metered live bytes
+// so far: forward activations held from their step to their last use (an
+// alias sharing its input's bytes), and a backward step's gradient metered
+// at its node's output size from the step to its last use — the program's
+// liveness table replayed over the pass's real tensor sizes.
+func (t *Tape) PeakBytes() int64 { return t.peak }
+
+// Output returns the recorded activation of a node: nil if the program
+// does not run the node or the activation is past its last use.
+func (t *Tape) Output(n *Node) *tensor.Tensor {
+	if i := t.prog.position(n); i >= 0 {
+		return t.acts[i]
+	}
+	return nil
 }
 
 // BackwardOptions controls which gradients a backward pass produces.
 type BackwardOptions struct {
 	// InputGrads forces gradient flow all the way to input nodes, whose
-	// gradients become available via InputGrad. Composite layers use this
-	// to chain backward passes through their inner model.
+	// gradients become available via InputGradAt. Composite layers use this
+	// to chain backward passes through their inner model. The program must
+	// be compiled with inputGrads.
 	InputGrads bool
 	// SkipParamGrads suppresses all parameter-gradient computation; a
 	// frozen composite uses it so its inner backward pass only routes
@@ -127,145 +190,126 @@ type BackwardOptions struct {
 // Backward back-propagates the given output gradients (keyed by node name)
 // through the tape, accumulating parameter gradients for trainable nodes.
 func (t *Tape) Backward(outGrads map[string]*tensor.Tensor) error {
-	return t.BackwardOpts(outGrads, BackwardOptions{})
+	for name, g := range outGrads {
+		n := t.prog.model.Node(name)
+		if n == nil {
+			return fmt.Errorf("graph: output gradient for unknown node %q", name)
+		}
+		if i := t.prog.position(n); i >= 0 {
+			t.grads[i] = tensor.CloneIn(t.alloc, g)
+		}
+	}
+	return t.backward(BackwardOptions{})
 }
 
-// BackwardOpts is Backward with explicit options.
+// BackwardOutputs is Backward with explicit options and the gradients
+// given in the model's output order.
+func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor, opts BackwardOptions) error {
+	for k, o := range t.prog.outs {
+		t.grads[o] = tensor.CloneIn(t.alloc, outGrads[k])
+	}
+	return t.backward(opts)
+}
+
+// backward runs the loss step and every backward step, the output
+// gradients already in grads.
 //
 // Gradient work is skipped below nodes with no trainable ancestors, and
 // parameter-gradient computation is skipped at frozen nodes; this realizes
 // the paper's cost model where a trainable layer costs 3× its forward
 // FLOPs, a frozen non-materializable layer 2×, and a materializable layer
 // 1× (Section 4.1).
-func (t *Tape) BackwardOpts(outGrads map[string]*tensor.Tensor, opts BackwardOptions) error {
-	m := t.model
-	if t.paramGrads == nil {
-		t.paramGrads = map[*Param]*tensor.Tensor{}
+func (t *Tape) backward(opts BackwardOptions) error {
+	p := t.prog
+	switch {
+	case t.backwardDone:
+		return fmt.Errorf("graph: second backward pass over one tape of model %q", p.model.Name)
+	case opts.InputGrads && !p.inputGrads:
+		return fmt.Errorf("graph: input gradients of model %q, compiled without them", p.model.Name)
 	}
-	if t.inputGrads == nil {
-		t.inputGrads = map[*Node]*tensor.Tensor{}
+	t.backwardDone = true
+	needGrad := p.needGrad
+	if opts.InputGrads {
+		needGrad = p.live.NeedGrad
 	}
-	needGrad := t.needGradSet(opts.InputGrads)
-
-	nodeGrads := map[*Node]*tensor.Tensor{}
-	for name, g := range outGrads {
-		n := m.Node(name)
-		if n == nil {
-			return fmt.Errorf("graph: output gradient for unknown node %q", name)
+	t.step(p.live.F) // the loss
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		b := p.live.Bwd[i]
+		if b < 0 {
+			continue // an input keeps its gradient; no other node has one
 		}
-		nodeGrads[n] = tensor.CloneIn(t.alloc, g)
-		t.observeAlloc(nodeGrads[n])
-	}
-
-	reach := m.Reachable()
-	for i := len(reach) - 1; i >= 0; i-- {
-		n := reach[i]
-		g := nodeGrads[n]
-		if g == nil {
-			continue
-		}
-		if n.IsInput() {
-			if opts.InputGrads {
-				t.inputGrads[n] = g
-			} else {
-				t.observeFree(g)
+		if g := t.grads[i]; g != nil {
+			if err := t.backwardNode(i, g, needGrad, opts); err != nil {
+				return err
 			}
-			continue
+			// The gradient is dead once distributed to params and parents.
+			t.alloc.Free(g)
+			t.grads[i] = nil
 		}
-		needParams := !n.Frozen() && !opts.SkipParamGrads
-		needInputs := anyParentNeedsGrad(n, needGrad)
-		if !needParams && !needInputs {
-			t.observeFree(g)
-			continue
-		}
-		in := make([]*tensor.Tensor, len(n.Parents))
-		for j, p := range n.Parents {
-			in[j] = t.acts[p]
-		}
-		gradIn, gradParams := n.Layer.Backward(t.caches[n], in, t.acts[n], g, BackwardNeed{Inputs: needInputs, Params: needParams})
-		if needParams {
-			params := n.Layer.Params()
-			if len(gradParams) != len(params) {
-				return fmt.Errorf("graph: node %q returned %d param grads for %d params", n.Name, len(gradParams), len(params))
-			}
-			for j, p := range params {
-				if gradParams[j] == nil {
-					continue
-				}
-				if acc := t.paramGrads[p]; acc != nil {
-					tensor.AddInPlace(acc, gradParams[j])
-				} else {
-					t.paramGrads[p] = tensor.CloneIn(t.alloc, gradParams[j])
-					t.observeAlloc(t.paramGrads[p])
-				}
-			}
-		}
-		for j, p := range n.Parents {
-			if gradIn == nil || gradIn[j] == nil || !needGrad[p] {
-				continue
-			}
-			if acc := nodeGrads[p]; acc != nil {
-				tensor.AddInPlace(acc, gradIn[j])
-			} else {
-				nodeGrads[p] = tensor.CloneIn(t.alloc, gradIn[j])
-				t.observeAlloc(nodeGrads[p])
-			}
-		}
-		// n's own gradient is dead once distributed to params and parents.
-		t.observeFree(g)
+		t.step(b)
 	}
 	return nil
 }
 
-// ParamGrads returns the accumulated parameter gradients.
-func (t *Tape) ParamGrads() map[*Param]*tensor.Tensor { return t.paramGrads }
-
-// InputGrad returns the gradient that flowed into the named input node
-// during a BackwardOpts call with InputGrads set, or nil.
-func (t *Tape) InputGrad(name string) *tensor.Tensor {
-	n := t.model.Node(name)
-	if n == nil {
+// backwardNode runs position i's layer backward on its output gradient g
+// and accumulates the parameter and parent gradients.
+func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts BackwardOptions) error {
+	p := t.prog
+	n := p.nodes[i]
+	parents := p.par[p.parOff[i]:p.parOff[i+1]]
+	needParams := p.flags[i]&Seeds != 0 && !opts.SkipParamGrads
+	needInputs := false
+	for _, q := range parents {
+		needInputs = needInputs || needGrad[q]
+	}
+	if !needParams && !needInputs {
 		return nil
 	}
-	return t.inputGrads[n]
-}
-
-// needGradSet computes, for every node, whether gradient must flow *into*
-// it: true iff the node or any of its ancestors is trainable, or it is an
-// input node and input gradients were requested.
-func (t *Tape) needGradSet(inputGrads bool) map[*Node]bool {
-	need := map[*Node]bool{}
-	for _, n := range t.model.nodes {
-		v := !n.Frozen() || (inputGrads && n.IsInput())
-		if !v {
-			for _, p := range n.Parents {
-				if need[p] {
-					v = true
-					break
-				}
+	in := t.ins[p.parOff[i]:p.parOff[i+1]]
+	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, t.acts[i], g, BackwardNeed{Inputs: needInputs, Params: needParams})
+	if needParams {
+		nums := p.paramOf[p.paramOff[i]:p.paramOff[i+1]]
+		if len(gradParams) != len(nums) {
+			return fmt.Errorf("graph: node %q returned %d param grads for %d params", n.Name, len(gradParams), len(nums))
+		}
+		for j, k := range nums {
+			if gradParams[j] != nil {
+				accumulate(&t.paramGrads[k], gradParams[j], t.alloc)
 			}
 		}
-		need[n] = v
 	}
-	return need
-}
-
-func anyParentNeedsGrad(n *Node, need map[*Node]bool) bool {
-	for _, p := range n.Parents {
-		if need[p] {
-			return true
+	for j, q := range parents {
+		if gradIn != nil && gradIn[j] != nil && needGrad[q] {
+			accumulate(&t.grads[q], gradIn[j], t.alloc)
 		}
 	}
-	return false
+	return nil
 }
 
-// LiveActivationBytes returns the total bytes of all activations currently
-// recorded on the tape, used by tests validating the analytical peak-memory
-// estimator against real executions.
-func (t *Tape) LiveActivationBytes() int64 {
-	var total int64
-	for _, a := range t.acts {
-		total += int64(a.Len()) * 4
+// accumulate adds g into *acc, which it first makes a copy of g in s.
+func accumulate(acc **tensor.Tensor, g *tensor.Tensor, s *tensor.Scope) {
+	if *acc != nil {
+		tensor.AddInPlace(*acc, g)
+	} else {
+		*acc = tensor.CloneIn(s, g)
 	}
-	return total
 }
+
+// ParamGrads returns the accumulated parameter gradients.
+func (t *Tape) ParamGrads() map[*Param]*tensor.Tensor {
+	grads := map[*Param]*tensor.Tensor{}
+	for k, g := range t.paramGrads {
+		if g != nil {
+			grads[t.prog.params[k]] = g
+		}
+	}
+	return grads
+}
+
+// ParamGradAt returns the accumulated gradient of Program.Params()[k], or
+// nil if the pass produced none.
+func (t *Tape) ParamGradAt(k int) *tensor.Tensor { return t.paramGrads[k] }
+
+// InputGradAt returns the gradient that flowed into the program's k-th
+// input (Inputs() order) during a pass with InputGrads set, or nil.
+func (t *Tape) InputGradAt(k int) *tensor.Tensor { return t.grads[t.prog.pos[t.prog.inputs[k].index]] }

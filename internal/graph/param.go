@@ -1,8 +1,13 @@
 // Package graph implements the DL model representation used throughout
 // Nautilus: a DAG of layers (paper Definition 2.2) with frozen flags
-// (Definition 2.3), a forward/backward execution engine, materializable-layer
-// analysis (Definition 2.4), and expression identity signatures
-// (Definition 4.3) that power multi-model merging.
+// (Definition 2.3), materializable-layer analysis (Definition 2.4),
+// expression identity signatures (Definition 4.3) that power multi-model
+// merging, and the execution engine. One liveness table (Liveness: the
+// step order of the Figure 5 augmented graph and each tensor's last use)
+// serves both the planner's peak-memory estimate and the engine: Compile
+// turns a model into a Program, and a Tape runs it on slices by position,
+// freeing every activation into the step scope at its last use and
+// metering its live bytes against the same table.
 package graph
 
 import (

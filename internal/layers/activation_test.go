@@ -159,31 +159,6 @@ func (l oracleAdapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dwd, dbd, dwu, dbu}
 }
 
-type oracleRNN struct{ *RNNCell }
-
-func (l oracleRNN) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	z := tensor.MatMul(inputs[0], l.wx.Tensor())
-	tensor.AddInPlace(z, tensor.MatMul(inputs[1], l.wh.Tensor()))
-	z = tensor.AddRowVec(z, l.b.Tensor())
-	return applyActivation(ActTanh, z), z
-}
-
-func (l oracleRNN) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	x, h := inputs[0], inputs[1]
-	dz := activationBackward(ActTanh, cache.(*tensor.Tensor), gradOut)
-	var dwx, dwh, db, dx, dh *tensor.Tensor
-	if need.Params {
-		dwx, dwh, db = tensor.MatMulAT(x, dz), tensor.MatMulAT(h, dz), tensor.SumRows(dz)
-	}
-	if need.Inputs {
-		dx, dh = tensor.MatMulBT(dz, l.wx.Tensor()), tensor.MatMulBT(dz, l.wh.Tensor())
-	}
-	return []*tensor.Tensor{dx, dh}, []*tensor.Tensor{dwx, dwh, db}
-}
-
-// oracleMHA is the attention forward before its temporaries stopped being
-// copied: AddRowVec into a second tensor per projection, SoftmaxRows into a
-// fresh tensor copied into the attn slab. Backward is unchanged.
 type oracleMHA struct{ *MultiHeadAttention }
 
 func (l oracleMHA) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
@@ -236,8 +211,6 @@ func oracleOf(l graph.Layer) graph.Layer {
 		return oracleConv{l}
 	case *Adapter:
 		return oracleAdapter{l}
-	case *RNNCell:
-		return oracleRNN{l}
 	case *Activation:
 		return oracleActivation{l}
 	case *MultiHeadAttention:
@@ -259,7 +232,7 @@ func oracleOf(l graph.Layer) graph.Layer {
 		}
 		inner.SetOutputs(twin[l.inner.Outputs[0]])
 		o := *l
-		o.inner = inner
+		o.inner, o.prog = inner, graph.Compile(inner, true)
 		return &o
 	}
 	return l
@@ -335,10 +308,6 @@ func TestFusedLayersMatchOracle(t *testing.T) {
 	copy(ad.bd.Tensor().Data(), tensor.RandNormal(rng, 1, 3).Data())
 	copy(ad.bu.Tensor().Data(), tensor.RandNormal(rng, 1, 8).Data())
 	assertMatchesOracle(t, "adapter", ad, []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
-
-	cell := NewRNNCell(4, 6, 23)
-	copy(cell.b.Tensor().Data(), tensor.RandNormal(rng, 1, 6).Data())
-	assertMatchesOracle(t, "rnn_cell", cell, []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 4), tensor.RandNormal(rng, 1, 3, 6)})
 
 	mha := NewMultiHeadAttention(8, 2, 27)
 	for _, p := range mha.Params()[1:] { // bq, then every other one is a bias: nonzero, so the in-place add shows

@@ -19,10 +19,12 @@ type Composite struct {
 	typ   string
 	cfg   map[string]any
 	inner *graph.Model
+	// prog is inner compiled once, here, with input gradients: every group
+	// running the composite shares it, so nothing may compile it lazily.
+	prog *graph.Program
 
-	inputNames []string
-	params     []*graph.Param
-	trainable  []*graph.Param
+	params    []*graph.Param // prog.Params(): every inner node is reachable
+	trainable []*graph.Param
 
 	// Per-record facts of the inner model, computed once at construction.
 	outShape        []int
@@ -32,20 +34,20 @@ type Composite struct {
 }
 
 func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite {
-	c := &Composite{typ: typ, cfg: cfg, inner: inner}
-	for _, in := range inner.Inputs() {
-		c.inputNames = append(c.inputNames, in.Name)
+	c := &Composite{typ: typ, cfg: cfg, inner: inner, prog: graph.Compile(inner, true)}
+	if len(c.prog.Nodes()) != inner.NumNodes() {
+		panic(fmt.Sprintf("layers: composite %q has inner nodes its output does not read", typ))
 	}
-	seen := map[*graph.Param]bool{}
+	// Qualify each param's name by the inner node holding it first, for
+	// checkpointing: prog.Params() lists the params in that order.
+	c.params = c.prog.Params()
+	k := 0
 	for _, n := range inner.Nodes() {
 		for _, p := range n.Layer.Params() {
-			if seen[p] {
-				continue
+			if k < len(c.params) && p == c.params[k] {
+				p.Name = n.Name + "." + p.Name
+				k++
 			}
-			seen[p] = true
-			// Qualify the param name by its inner node for checkpointing.
-			p.Name = n.Name + "." + p.Name
-			c.params = append(c.params, p)
 		}
 	}
 	c.trainable = inner.TrainableParams()
@@ -107,37 +109,31 @@ func (c *Composite) TrainableFLOPsPerRecord(in [][]int) int64 { return c.trainab
 // accounting for all intermediate tensors the backward pass needs.
 func (c *Composite) ActivationBytesPerRecord(in [][]int) int64 { return c.activationBytes }
 
+// Forward runs the inner program in the scope of the composite's first
+// input, so the inner tape frees into the step scope of the outer one.
 func (c *Composite) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	feeds := make(map[string]*tensor.Tensor, len(inputs))
-	for i, name := range c.inputNames {
-		feeds[name] = inputs[i]
-	}
-	tape, err := c.inner.Forward(feeds, train)
-	if err != nil {
-		panic(fmt.Sprintf("layers: composite %q forward: %v", c.typ, err))
-	}
+	tape := c.prog.Run(inputs, graph.ForwardOptions{Train: train, Alloc: inputs[0].Scope()})
 	return tape.Output(c.inner.Outputs[0]), tape
 }
 
 func (c *Composite) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	tape := cache.(*graph.Tape)
-	err := tape.BackwardOpts(
-		map[string]*tensor.Tensor{c.inner.Outputs[0].Name: gradOut},
+	err := tape.BackwardOutputs(
+		[]*tensor.Tensor{gradOut},
 		graph.BackwardOptions{InputGrads: need.Inputs, SkipParamGrads: !need.Params},
 	)
 	if err != nil {
 		panic(fmt.Sprintf("layers: composite %q backward: %v", c.typ, err))
 	}
-	gradIn := make([]*tensor.Tensor, len(c.inputNames))
+	gradIn := make([]*tensor.Tensor, len(inputs))
 	if need.Inputs {
-		for i, name := range c.inputNames {
-			gradIn[i] = tape.InputGrad(name)
+		for i := range gradIn {
+			gradIn[i] = tape.InputGradAt(i)
 		}
 	}
-	pg := tape.ParamGrads()
 	gradParams := make([]*tensor.Tensor, len(c.params))
-	for i, p := range c.params {
-		gradParams[i] = pg[p] // nil for frozen inner params
+	for i := range gradParams {
+		gradParams[i] = tape.ParamGradAt(i) // nil for frozen inner params
 	}
 	return gradIn, gradParams
 }

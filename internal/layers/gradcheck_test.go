@@ -604,46 +604,3 @@ func TestLayerIdentitySignatures(t *testing.T) {
 		t.Error("frozen vs trainable must differ")
 	}
 }
-
-func TestSelectSeqGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	l := NewSelectSeq(2, 5)
-	x := tensor.RandNormal(rng, 1, 2, 5, 3)
-	checkOutShape(t, l, []*tensor.Tensor{x})
-	checkGrads(t, l, []*tensor.Tensor{x})
-}
-
-func TestSelectSeqOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSelectSeq(5, 5)
-}
-
-func TestInitialStateGradients(t *testing.T) {
-	l := NewInitialState(4)
-	ids := tensor.New(3, 2) // content irrelevant
-	out, cache := l.Forward([]*tensor.Tensor{ids}, false)
-	if !tensor.ShapeEq(out.Shape(), []int{3, 4}) {
-		t.Fatalf("shape %v", out.Shape())
-	}
-	g := tensor.New(3, 4)
-	g.Fill(1)
-	_, gp := l.Backward(cache, []*tensor.Tensor{ids}, out, g, graph.BackwardNeed{Params: true})
-	for _, v := range gp[0].Data() {
-		if v != 3 { // summed over the batch
-			t.Fatalf("h0 grad = %v, want 3", v)
-		}
-	}
-}
-
-func TestRNNCellGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	l := NewRNNCell(4, 3, 51)
-	x := tensor.RandNormal(rng, 1, 2, 4)
-	h := tensor.RandNormal(rng, 1, 2, 3)
-	checkOutShape(t, l, []*tensor.Tensor{x, h})
-	checkGrads(t, l, []*tensor.Tensor{x, h})
-}

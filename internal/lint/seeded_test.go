@@ -68,8 +68,9 @@ var seededRegressions = []seededRegression{
 	{
 		name: "Exporter.Close does not wg.Wait (PR 7)",
 		dir:  "internal/obs", file: "export.go",
-		old: "\te.wg.Wait()\n\te.mu.Lock()\n",
-		new: "\te.mu.Lock()\n", // a gap: the loop's last write and Close both hold e.mu, so -race is silent
+		old:     "\te.wg.Wait()\n\te.mu.Lock()\n",
+		new:     "\te.mu.Lock()\n", // the loop's last write and Close both hold e.mu, so -race is silent
+		dynamic: "TestExporterCloseWritesFinalSnapshot",
 	},
 	{
 		name: "Exporter.snapshotLoop never calls wg.Done (PR 7)",
@@ -123,8 +124,8 @@ var seededRegressions = []seededRegression{
 	{
 		name: "Trainer step scope recycled before the optimizer step",
 		dir:  "internal/exec", file: "trainer.go",
-		old:     "\t\t\tall := tape.ParamGrads()\n",
-		new:     "\t\t\tstep.Recycle()\n\t\t\tall := tape.ParamGrads()\n",
+		old:     "\t\t\tfor _, b := range branches {\n\t\t\t\tfor j, k := range b.at {\n",
+		new:     "\t\t\tstep.Recycle()\n\t\t\tfor _, b := range branches {\n\t\t\t\tfor j, k := range b.at {\n",
 		dynamic: "TestArenaTrainingBitIdentical/nautilus",
 	},
 	{
@@ -133,6 +134,21 @@ var seededRegressions = []seededRegression{
 		old:     "\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
 		new:     "\t\tc.scope.Release()\n\t\tfor _, node := range nodes {\n\t\t\tif err := mz.store.Append(",
 		dynamic: "TestArenaTrainingBitIdentical/mat_all",
+	},
+	{
+		name: "Tape frees a forward activation one step before its last use",
+		dir:  "internal/graph", file: "program.go",
+		old: "func (p *Program) retireAt(s int) int32 { return p.live.LastUse[s] }\n",
+		new: "func (p *Program) retireAt(s int) int32 {\n\tif last := p.live.LastUse[s]; int32(s) < p.live.F && last > int32(s) {\n" +
+			"\t\treturn last - 1\n\t}\n\treturn p.live.LastUse[s]\n}\n",
+		dynamic: "TestTapePeakMatchesLivenessReplay",
+	},
+	{
+		name: "Tape drops the alias rule: a Flatten or rate-0 Dropout output outlives its freed input",
+		dir:  "internal/graph", file: "exec.go",
+		old:     "\t\t\t\tif tensor.SameBuffer(out, in[j]) {\n",
+		new:     "\t\t\t\tif false && tensor.SameBuffer(out, in[j]) {\n",
+		dynamic: "TestTapePeakMatchesLivenessReplay",
 	},
 	{
 		name: "Trainer wall-clock read loses its pragma",

@@ -236,61 +236,3 @@ func (g *GroupConformance) report(flopsPerSec, readBytesPerSec float64) GroupRep
 	}
 	return r
 }
-
-// MemTracker replays the executor's tensor allocations to a live-bytes
-// high-water mark — the cross-check of the analytical B_mem estimate
-// against real execution. It implements graph's AllocObserver interface.
-// The tape reports logical tensor lifetimes, independent of the physical
-// allocator: the step arena may serve a tensor from a recycled buffer, but
-// the observer still sees a full Alloc/Free pair, so B_mem conformance is
-// unchanged by pooling. Not safe for concurrent use: one tracker serves
-// one training loop.
-type MemTracker struct {
-	live int64
-	peak int64
-}
-
-// Reset starts a new measurement window with the given already-live base
-// bytes (parameters, optimizer state, forward activations).
-func (m *MemTracker) Reset(base int64) {
-	if m == nil {
-		return
-	}
-	m.live = base
-	m.peak = base
-}
-
-// Alloc records n bytes coming live.
-func (m *MemTracker) Alloc(n int64) {
-	if m == nil {
-		return
-	}
-	m.live += n
-	if m.live > m.peak {
-		m.peak = m.live
-	}
-}
-
-// Free records n bytes released.
-func (m *MemTracker) Free(n int64) {
-	if m == nil {
-		return
-	}
-	m.live -= n
-}
-
-// Live returns current live bytes.
-func (m *MemTracker) Live() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.live
-}
-
-// Peak returns the high-water mark since the last Reset.
-func (m *MemTracker) Peak() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.peak
-}

@@ -84,6 +84,38 @@ func TestExporterSnapshotsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestExporterCloseWritesFinalSnapshot: with an interval no tick reaches,
+// the only snapshot is the one Close flushes, so the file's last line must
+// hold a counter bumped just before Close — every time. A Close that shut
+// the file without joining the snapshot goroutine would lose that line
+// whenever it won the race for the file.
+func TestExporterCloseWritesFinalSnapshot(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		tr := obs.New(nil)
+		path := filepath.Join(t.TempDir(), "live.jsonl")
+		e, err := obs.StartExporter(tr, obs.ExporterConfig{SnapshotPath: path, Interval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Registry().Counter("ops").Add(int64(round + 1))
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		var last obs.Report
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("round %d: no final snapshot (%v) in %q", round, err, data)
+		}
+		if last.Metrics == nil || last.Metrics.Counters["ops"] != int64(round+1) {
+			t.Fatalf("round %d: final snapshot %+v, want ops = %d", round, last.Metrics, round+1)
+		}
+	}
+}
+
 // TestSetTrackDuringSnapshots moves spans between tracks while the exporter
 // reports the open-span tree every millisecond: trainGroup and feedPipeline
 // set the track of spans that are already open, and -live / -listen read it

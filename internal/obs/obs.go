@@ -3,7 +3,8 @@
 // (counters, gauges, histograms), and a cost-model conformance report that
 // records the optimizer's predicted compute FLOPs / load bytes / peak
 // memory per fused group next to what the executor metered (records,
-// seconds, live-tensor peak) — the measured-vs-modeled accounting that
+// seconds, and the live-tensor peak the graph tape meters under the
+// liveness table the estimate replays) — the measured-vs-modeled accounting that
 // keeps the Section 4.1 cost model honest (the paper's Figure 11
 // utilization story). Tracer.Report is the one reader of all three.
 //

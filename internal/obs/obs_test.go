@@ -157,13 +157,6 @@ func TestNilSafety(t *testing.T) {
 	if conf.Report() != nil {
 		t.Error("nil conformance report not nil")
 	}
-	var m *MemTracker
-	m.Reset(1)
-	m.Alloc(2)
-	m.Free(1)
-	if m.Peak() != 0 || m.Live() != 0 {
-		t.Error("nil MemTracker returned nonzero")
-	}
 	if tr.Report() != nil {
 		t.Error("nil tracer report not nil")
 	}
@@ -295,25 +288,6 @@ func TestConformanceReport(t *testing.T) {
 	g.AddLoadTime(12 * time.Second)
 	if r = c.Report()[0]; r.LoadDrift != 2 || !r.DriftWarn {
 		t.Errorf("drift: load x%v warn %v, want x2 and a warning", r.LoadDrift, r.DriftWarn)
-	}
-}
-
-func TestMemTracker(t *testing.T) {
-	m := &MemTracker{}
-	m.Reset(100)
-	m.Alloc(50)
-	m.Alloc(25)
-	m.Free(60)
-	m.Alloc(10)
-	if m.Live() != 125 {
-		t.Errorf("live = %d, want 125", m.Live())
-	}
-	if m.Peak() != 175 {
-		t.Errorf("peak = %d, want 175", m.Peak())
-	}
-	m.Reset(10)
-	if m.Peak() != 10 || m.Live() != 10 {
-		t.Errorf("after reset live/peak = %d/%d, want 10/10", m.Live(), m.Peak())
 	}
 }
 

@@ -235,9 +235,8 @@ func TestEstimatePeakMemoryScalesWithBatch(t *testing.T) {
 }
 
 // TestEstimatePeakMemoryUpperBoundsRealExecution checks the estimator
-// against the real engine: the analytical activation peak (which retains
-// tensors for the backward pass) must upper-bound the tape's total
-// activation bytes for the forward pass.
+// against the real engine: the analytical activation peak must
+// upper-bound the live bytes the tape meters over a training step.
 func TestEstimatePeakMemoryUpperBoundsRealExecution(t *testing.T) {
 	m := graph.NewModel("memcheck")
 	in := m.AddInput("in", 16)
@@ -261,9 +260,12 @@ func TestEstimatePeakMemoryUpperBoundsRealExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := tape.LiveActivationBytes()
-	if est.ActivationPeak < real {
-		t.Errorf("estimated peak %d below real forward-pass bytes %d", est.ActivationPeak, real)
+	if err := tape.Backward(map[string]*tensor.Tensor{"h": tensor.New(batch, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	real := tape.PeakBytes()
+	if est.ActivationPeak < real || real == 0 {
+		t.Errorf("estimated peak %d below the training step's metered peak %d", est.ActivationPeak, real)
 	}
 }
 

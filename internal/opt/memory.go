@@ -1,5 +1,7 @@
 package opt
 
+import "nautilus/internal/graph"
+
 // MemoryEstimate breaks down the analytical peak-memory estimate of
 // training a (possibly fused) reuse-plan model (Section 4.3.3).
 type MemoryEstimate struct {
@@ -36,29 +38,32 @@ func EstimatePeakMemory(plan *Plan, batch int, optBytesPerTrainableByte int64) M
 
 // peakMemory replays actions, a plan over v.
 func (sc *scratch) peakMemory(v *view, actions []Action, batch int, optBytesPerTrainableByte int64) MemoryEstimate {
-	n := len(v.layer)
-
-	// The augmented graph (Figure 5B) is traversed in one topological order:
-	// retained forward nodes in graph order (positions 0..F-1), the loss
-	// node (F), backward nodes in reverse forward order. Every step makes
-	// one tensor, identified by its position.
+	// The augmented graph (Figure 5B) is graph.Liveness's: retained nodes
+	// are held, computed ones run their layer, trainable ones seed gradient.
 	sc.reach = v.markReachable(sc.reach)
-	sc.fpos, sc.bpos = resize(sc.fpos, n), resize(sc.bpos, n)
-	F := int32(0)
-	for i := range v.layer {
-		sc.fpos[i] = -1
+	sc.flags = resize(sc.flags, len(v.layer))
+	for i, lp := range v.layer {
+		var f uint8
 		if sc.reach[i] && actions[i] != Pruned {
-			sc.fpos[i] = F
-			F++
+			f = graph.Held
+			if actions[i] == Computed {
+				f |= graph.Computed
+				if lp.Node.Trainable && len(lp.Params) > 0 { // !Frozen()
+					f |= graph.Seeds
+				}
+			}
 		}
+		sc.flags[i] = f
 	}
+	lv := &sc.live
+	lv.Build(v.parOff, v.par, sc.flags, v.outs)
 
 	// Parameters of computed nodes, each once however many nodes hold it.
 	est := MemoryEstimate{WorkspaceBytes: v.profs[0].HW.WorkspaceBytes}
 	sc.seenParam = resize(sc.seenParam, v.nparams)
 	clear(sc.seenParam)
 	for i, lp := range v.layer {
-		if sc.fpos[i] < 0 || actions[i] != Computed {
+		if lv.Fwd[i] < 0 || actions[i] != Computed {
 			continue
 		}
 		for _, id := range lp.Params {
@@ -74,96 +79,18 @@ func (sc *scratch) peakMemory(v *view, actions []Action, batch int, optBytesPerT
 		}
 	}
 
-	// needGrad: gradient flows into the node (it or an ancestor trains). A
-	// computed node that trains or must propagate grads has a backward node.
-	sc.needGrad = resize(sc.needGrad, n)
+	// A node's forward and backward tensors are both s_mem; the loss: nothing.
+	steps := lv.Steps()
+	sc.size, sc.release = resize(sc.size, steps), resize(sc.release, steps)
+	clear(sc.size)
 	for i, lp := range v.layer {
-		sc.bpos[i] = -1
-		sc.needGrad[i] = false
-		if sc.fpos[i] < 0 {
-			continue
+		if f := lv.Fwd[i]; f >= 0 {
+			sc.size[f] = lp.MemBytes
 		}
-		computed := actions[i] == Computed
-		trains := computed && lp.Node.Trainable && len(lp.Params) > 0 // !Frozen()
-		fromParent := false
-		for _, p := range v.parents(i) {
-			fromParent = fromParent || sc.needGrad[p]
-		}
-		sc.needGrad[i] = trains || fromParent
-		if computed && (trains || fromParent) {
-			sc.bpos[i] = 0 // has a backward node; positioned below
-		}
-	}
-	steps := F + 1
-	for i := n - 1; i >= 0; i-- {
-		if sc.bpos[i] == 0 {
-			sc.bpos[i] = steps
-			steps++
-		}
-	}
-
-	// A step's tensor (s_mem; the loss: nothing) lives to its last consumer.
-	sc.size, sc.release = resize(sc.size, int(steps)), resize(sc.release, int(steps))
-	sc.lastUse = resize(sc.lastUse, int(steps))
-	for s := range sc.lastUse {
-		sc.lastUse[s] = int32(s)
-		sc.size[s], sc.release[s] = 0, 0
-	}
-	use := func(tensor, at int32) {
-		if at > sc.lastUse[tensor] {
-			sc.lastUse[tensor] = at
-		}
-	}
-	sc.isOut = resize(sc.isOut, n)
-	clear(sc.isOut)
-	for _, o := range v.outs {
-		sc.isOut[o] = true
-	}
-	for i, lp := range v.layer {
-		f, b := sc.fpos[i], sc.bpos[i]
-		if f < 0 {
-			continue
-		}
-		sc.size[f] = lp.MemBytes
-		if sc.isOut[i] {
-			use(f, F) // output → loss
-		}
-		if actions[i] != Computed {
-			continue
-		}
-		if b >= 0 {
+		if b := lv.Bwd[i]; b >= 0 {
 			sc.size[b] = lp.MemBytes
-			use(f, b) // (l_i, l'_i): backward needs the forward output
-		}
-		for _, pi := range v.parents(i) {
-			pf := sc.fpos[pi]
-			if pf < 0 {
-				continue // an illegal plan (verify.Plan, BuildGroup): no tensor to hold
-			}
-			use(pf, f) // parent output consumed by the child's forward
-			if b >= 0 {
-				use(pf, b) // (l_p, l'_i): backward needs the forward inputs
-				if pb := sc.bpos[pi]; pb >= 0 {
-					use(b, pb) // (l'_s, l'_i): a child's gradient feeds the parent's backward
-				}
-			}
 		}
 	}
-	// The loss node's edges into backward nodes are not replayed: its
-	// tensor is a scalar (size 0), however long it lives.
-
-	// Sweep: allocate at production, free after last use.
-	for s, last := range sc.lastUse {
-		sc.release[last] += sc.size[s]
-	}
-	var live, peak int64
-	for s := range sc.size {
-		live += sc.size[s]
-		if live > peak {
-			peak = live
-		}
-		live -= sc.release[s]
-	}
-	est.ActivationPeak = peak * int64(batch)
+	est.ActivationPeak = graph.PeakLive(sc.size, lv.LastUse, sc.release) * int64(batch)
 	return est
 }

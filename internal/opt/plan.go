@@ -167,11 +167,10 @@ type scratch struct {
 	reach, loadable   []bool
 	present, computed []int32 // energy variables: node retained / computed (equal when it cannot be loaded)
 
-	fpos, bpos      []int32 // position of the node's forward / backward step, −1 if none
-	needGrad, isOut []bool
-	seenParam       []bool  // by the view's parameter key
-	size, release   []int64 // by step position
-	lastUse         []int32 // by step position
+	live          graph.Liveness // peakMemory's step table
+	flags         []uint8        // by node: peakMemory's graph.Liveness flags
+	seenParam     []bool         // by the view's parameter key
+	size, release []int64        // by step position
 
 	view   view    // what the public entry points and FUSE OPT's trials price
 	first  []int32 // merge: by expression number, 1 + the view node holding it

@@ -111,7 +111,8 @@ func (s *Scope) Get(shape ...int) *Tensor {
 	n := checkedElems(shape)
 	s.stats.Gets++
 	var data []float32
-	if c := arenaClass(n); c < 0 {
+	c := arenaClass(n)
+	if c < 0 {
 		s.stats.Misses++
 		data = make([]float32, n)
 	} else if buf := s.pop(c); buf != nil {
@@ -127,6 +128,9 @@ func (s *Scope) Get(shape ...int) *Tensor {
 	t := s.header()
 	t.setShape(shape)
 	t.data, t.scope = data, s
+	if c >= 0 {
+		t.taken = len(s.taken)
+	}
 	return t
 }
 
@@ -162,6 +166,27 @@ func (s *Scope) header() *Tensor {
 	return t
 }
 
+// Free returns t's buffer to the scope's free lists before the step ends,
+// so a later Get of the same step can reuse it. Every header over the
+// buffer (t, its reshapes, the layer outputs that alias it) becomes
+// invalid. Free is a no-op for a buffer the scope does not own: a heap
+// tensor, a parameter, a feed re-headered into the scope by WithAlloc, an
+// unpooled oversize buffer, or one already freed. Like Get, it is for the
+// scope's one owner.
+func (s *Scope) Free(t *Tensor) {
+	if s == nil || t == nil || t.scope != s || t.taken == 0 || t.taken > len(s.taken) {
+		return
+	}
+	buf := s.taken[t.taken-1]
+	if buf == nil || &buf[0] != &t.data[0] {
+		return
+	}
+	s.taken[t.taken-1] = nil
+	c := bits.Len(uint(cap(buf) - 1))
+	s.free[c] = append(s.free[c], buf)
+	s.stats.Puts++
+}
+
 // Recycle returns every buffer and header handed out since the last
 // Recycle to the scope's free lists; the scope itself stays live for the
 // next step. All tensors taken from it before the call become invalid.
@@ -170,10 +195,13 @@ func (s *Scope) Recycle() {
 		return
 	}
 	for _, buf := range s.taken {
+		if buf == nil {
+			continue // freed early
+		}
 		c := bits.Len(uint(cap(buf) - 1))
 		s.free[c] = append(s.free[c], buf)
+		s.stats.Puts++
 	}
-	s.stats.Puts += int64(len(s.taken))
 	s.taken = s.taken[:0]
 	// Blank the used headers: a stale pointer then fails loudly instead of
 	// reading a buffer that already backs another tensor.
@@ -208,7 +236,7 @@ func (s *Scope) Release() {
 }
 
 // Live returns how many pooled buffers the scope has handed out since its
-// last Recycle (test hook).
+// last Recycle, freed ones included (test hook).
 func (s *Scope) Live() int { return len(s.taken) }
 
 // NewFrom returns a zero-filled tensor of the given shape allocated from

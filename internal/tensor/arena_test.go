@@ -214,6 +214,41 @@ func TestWithAllocReheadersForeignScope(t *testing.T) {
 	feedScope.Release()
 }
 
+// TestScopeFreeReusesWithinStep: Free hands a buffer the scope owns to the
+// next Get of its class within the same step, once however many headers
+// share it, and leaves buffers the scope does not own alone — a feed
+// re-headered by WithAlloc, a heap tensor, another scope's tensor.
+func TestScopeFreeReusesWithinStep(t *testing.T) {
+	a := NewArena()
+	feedScope, s := a.Scope(), a.Scope()
+	x := s.Get(4, 16)
+	view := x.Reshape(16, 4)
+	s.Free(view)
+	s.Free(x) // the buffer is already back: a no-op
+	y := s.Get(64)
+	if &y.data[0] != &x.data[:1][0] {
+		t.Fatalf("the freed buffer was not reused by the next Get of its class")
+	}
+	z := s.Get(64)
+	if &z.data[0] == &y.data[0] {
+		t.Fatalf("one freed buffer handed out twice")
+	}
+	feed := feedScope.Get(8)
+	feed.Fill(3)
+	heap := New(8)
+	for _, u := range []*Tensor{WithAlloc(s, feed), feed, heap, nil} {
+		s.Free(u)
+	}
+	if w := s.Get(8); w.data[0] != 0 || &w.data[0] == &feed.data[0] {
+		t.Fatalf("Free took back a buffer the scope does not own")
+	}
+	s.Release()
+	feedScope.Release()
+	if st := a.Stats(); st.Gets != st.Puts {
+		t.Fatalf("Free lost or double-counted a buffer: %+v", st)
+	}
+}
+
 // TestScopeHandoffOverChannel is the single-owner contract the feed
 // prefetcher relies on: a producer fills a scope and sends it; from then on
 // only the consumer touches it, computes in it and releases it. -race holds

@@ -17,14 +17,17 @@ import (
 // Tensor is a dense row-major float32 tensor. scope remembers the step
 // scope the tensor was allocated from (nil for plain heap tensors); NewFrom
 // and the kernels consult it so tensors derived from a step-scoped tensor
-// allocate from the same scope. A shape of rank ≤ 4 lives in dims, inside
-// the header, so a tensor is one heap object besides its buffer — and none
-// when the header comes from a scope's slab.
+// allocate from the same scope. taken is 1 + the buffer's entry in that
+// scope's taken list when the scope owns the buffer, else 0 (Scope.Free).
+// A shape of rank ≤ 4 lives in dims, inside the header, so a tensor is one
+// heap object besides its buffer — and none when the header comes from a
+// scope's slab.
 type Tensor struct {
 	shape []int
 	dims  [4]int
 	data  []float32
 	scope *Scope
+	taken int
 }
 
 // setShape stores a copy of shape in t: inline in dims when the rank fits,
@@ -75,6 +78,9 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
+
+// Scope returns the step scope t derives from, nil for a heap tensor.
+func (t *Tensor) Scope() *Scope { return t.scope }
 
 // Data returns the backing slice. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
@@ -146,7 +152,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	// stays recorded once and recycles once.
 	r := t.scope.header()
 	r.setShape(shape)
-	r.data, r.scope = t.data, t.scope
+	r.data, r.scope, r.taken = t.data, t.scope, t.taken
 	shape = r.shape
 	infer, n := -1, 1
 	for i, d := range shape {
@@ -185,11 +191,11 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
+// SameBuffer reports whether a and b are headers over one buffer: a layer
+// output that is its input or a reshape of it. Views that start at an
+// offset into a buffer are not detected; no layer makes one.
+func SameBuffer(a, b *Tensor) bool {
+	return len(a.data) > 0 && len(b.data) > 0 && &a.data[0] == &b.data[0]
 }
 
 // SameShape reports whether t and o have identical shapes.

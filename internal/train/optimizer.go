@@ -38,27 +38,46 @@ func NewAdam(lr float64) *Adam {
 
 // Step implements Optimizer.
 func (o *Adam) Step(grads map[*graph.Param]*tensor.Tensor) {
-	o.t++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c1, c2 := o.tick()
 	for p, g := range grads {
-		w := p.Tensor()
-		m := o.m[p]
-		v := o.v[p]
-		if m == nil {
-			m = tensor.New(w.Shape()...)
-			v = tensor.New(w.Shape()...)
-			o.m[p] = m
-			o.v[p] = v
+		o.update(p, g, c1, c2)
+	}
+}
+
+// StepEach is Step over grads[i] of params[i], skipping nil gradients: the
+// trainer's form, whose branch parameter lists are fixed per group.
+func (o *Adam) StepEach(params []*graph.Param, grads []*tensor.Tensor) {
+	c1, c2 := o.tick()
+	for i, g := range grads {
+		if g != nil {
+			o.update(params[i], g, c1, c2)
 		}
-		wd, gd, md, vd := w.Data(), g.Data(), m.Data(), v.Data()
-		b1, b2 := float32(o.Beta1), float32(o.Beta2)
-		for i := range wd {
-			md[i] = b1*md[i] + (1-b1)*gd[i]
-			vd[i] = b2*vd[i] + (1-b2)*gd[i]*gd[i]
-			mhat := float64(md[i]) / c1
-			vhat := float64(vd[i]) / c2
-			wd[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
-		}
+	}
+}
+
+// tick advances the step count and returns the bias corrections.
+func (o *Adam) tick() (c1, c2 float64) {
+	o.t++
+	return 1 - math.Pow(o.Beta1, float64(o.t)), 1 - math.Pow(o.Beta2, float64(o.t))
+}
+
+func (o *Adam) update(p *graph.Param, g *tensor.Tensor, c1, c2 float64) {
+	w := p.Tensor()
+	m := o.m[p]
+	v := o.v[p]
+	if m == nil {
+		m = tensor.New(w.Shape()...)
+		v = tensor.New(w.Shape()...)
+		o.m[p] = m
+		o.v[p] = v
+	}
+	wd, gd, md, vd := w.Data(), g.Data(), m.Data(), v.Data()
+	b1, b2 := float32(o.Beta1), float32(o.Beta2)
+	for i := range wd {
+		md[i] = b1*md[i] + (1-b1)*gd[i]
+		vd[i] = b2*vd[i] + (1-b2)*gd[i]*gd[i]
+		mhat := float64(md[i]) / c1
+		vhat := float64(vd[i]) / c2
+		wd[i] -= float32(o.LR * mhat / (math.Sqrt(vhat) + o.Eps))
 	}
 }

@@ -89,9 +89,14 @@ fuzz:
 
 # bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
 # backoff factor, Figure 5 estimate; the paper's tables and figures are
-# `nautilus-bench -exp <name>`), the layer step
+# `nautilus-bench -exp <name>`), the whole-step engine benchmarks
+# (internal/graph: BenchmarkMiniBERTForwardBackward — one mini BERT training
+# step in a recycled step scope, ns/op and allocs/op, the closest number to
+# a trainer step — and BenchmarkMiniBERTForwardOnly), the layer step
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
 # + backward at BERT-mini shapes, ns per activated element;
+# BenchmarkAttentionStep: one BERT-mini self-attention layer's step in a
+# recycled scope, ns/op and allocs/op;
 # BenchmarkActSweepGELU beside BenchmarkGeluRowScalar: the bias+gelu+gelu′
 # epilogue alone through the row kernel and through the scalar definition,
 # at 128x3072 and 32x64), the tensor kernels (BenchmarkSoftmaxRows: 512x128
@@ -112,7 +117,7 @@ fuzz:
 # twelve cost-only min-cuts — and BenchmarkEstimatePeakMemoryFused — the
 # Figure 5 replay of a four-member paper-scale group).
 bench:
-	$(GO) test -bench=. -benchmem . ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt
+	$(GO) test -bench=. -benchmem . ./internal/graph ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt
 
 # bench-e2e is the end-to-end benchmark BENCHMARK.json declares: real
 # multi-cycle sessions on six workloads, every output checked bit for bit

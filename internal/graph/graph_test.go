@@ -494,6 +494,17 @@ func TestParamReset(t *testing.T) {
 	}
 }
 
+// TestParamFillsDrawNothing: a zero or one fill (biases, LayerNorm gains,
+// re-initialized every cycle when trainable) builds its tensor — header and
+// buffer — and no random source, which would be two more objects and ~5 KB.
+func TestParamFillsDrawNothing(t *testing.T) {
+	for _, p := range []*graph.Param{graph.NewParam("b", 64), graph.NewParamOnes("g", 64)} {
+		if n := testing.AllocsPerRun(20, func() { p.Reset(); p.Tensor() }); n > 2 {
+			t.Errorf("%s: %v allocations per re-initialization, want 2", p.Name, n)
+		}
+	}
+}
+
 // TestParamTensorConcurrentFirstUse has many goroutines take a shared
 // (frozen) param's tensor at once, as concurrently trained fused groups do:
 // the initializer must run once and everyone must see its tensor. Run under

@@ -129,9 +129,10 @@ func (p *Param) Tensor() *tensor.Tensor {
 	return d
 }
 
-// initialize runs the deterministic initializer.
+// initialize runs the deterministic initializer. Only the kinds that draw
+// seed a random source: zero and one fills never do, and trainable
+// parameters are re-initialized every cycle.
 func (p *Param) initialize() *tensor.Tensor {
-	rng := rand.New(rand.NewSource(p.seed))
 	switch p.kind {
 	case initZero:
 		return tensor.New(p.Shape...)
@@ -140,14 +141,14 @@ func (p *Param) initialize() *tensor.Tensor {
 		d.Fill(1)
 		return d
 	case initNormal:
-		return tensor.RandNormal(rng, p.std, p.Shape...)
+		return tensor.RandNormal(p.rng(), p.std, p.Shape...)
 	case initGlorot:
 		fanIn, fanOut := p.Shape[0], p.Shape[len(p.Shape)-1]
-		return tensor.GlorotUniform(rng, fanIn, fanOut, p.Shape...)
+		return tensor.GlorotUniform(p.rng(), fanIn, fanOut, p.Shape...)
 	case initHe:
-		return tensor.HeNormal(rng, int(p.std), p.Shape...)
+		return tensor.HeNormal(p.rng(), int(p.std), p.Shape...)
 	case initCustom:
-		d := p.fn(rng, p.Shape)
+		d := p.fn(p.rng(), p.Shape)
 		if !tensor.ShapeEq(d.Shape(), p.Shape) {
 			panic(fmt.Sprintf("graph: custom init for %q produced shape %v, want %v", p.Name, d.Shape(), p.Shape))
 		}
@@ -156,6 +157,9 @@ func (p *Param) initialize() *tensor.Tensor {
 		panic(fmt.Sprintf("graph: unknown init kind %d", p.kind))
 	}
 }
+
+// rng returns a random source seeded with the parameter's seed.
+func (p *Param) rng() *rand.Rand { return rand.New(rand.NewSource(p.seed)) }
 
 // SetData replaces the backing tensor (checkpoint restore). The shape must
 // match the declared parameter shape.

@@ -161,6 +161,10 @@ func (l oracleAdapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut
 
 type oracleMHA struct{ *MultiHeadAttention }
 
+// The per-(batch, head) chain of public kernels MultiHeadAttention ran
+// before the fused attention kernels: copy each head out, run the products
+// and the softmax on it, scatter the result back.
+
 func (l oracleMHA) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
 	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -179,7 +183,7 @@ func (l oracleMHA) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor,
 			qh := headSlice(q, b, h, seq, dim, dh)
 			kh := headSlice(k, b, h, seq, dim, dh)
 			vh := headSlice(v, b, h, seq, dim, dh)
-			scores := tensor.ScaleInPlace(tensor.MatMulBT(qh, kh), scale)
+			scores := scaleInPlace(tensor.MatMulBT(qh, kh), scale)
 			a := tensor.SoftmaxRows(scores)
 			copy(attn.Data()[((b*heads)+h)*seq*seq:], a.Data())
 			oh := tensor.MatMul(a, vh)
@@ -188,6 +192,99 @@ func (l oracleMHA) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor,
 	}
 	out := tensor.AddRowVec(tensor.MatMul(ctx, l.wo.Tensor()), l.bo.Tensor())
 	return out.Reshape(batch, seq, dim), mhaCache{q: q, k: k, v: v, attn: attn, ctx: ctx}
+}
+
+func (l oracleMHA) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	c := cache.(mhaCache)
+	x := inputs[0]
+	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
+	heads := l.Heads
+	dh := dim / heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+
+	g := gradOut.Reshape(batch*seq, dim)
+	dctx := tensor.MatMulBT(g, l.wo.Tensor())
+	dq := tensor.NewFrom(gradOut, batch*seq, dim)
+	dk := tensor.NewFrom(gradOut, batch*seq, dim)
+	dv := tensor.NewFrom(gradOut, batch*seq, dim)
+	for b := 0; b < batch; b++ {
+		for h := 0; h < heads; h++ {
+			a := tensor.FromSlice(c.attn.Data()[((b*heads)+h)*seq*seq:((b*heads)+h+1)*seq*seq], seq, seq)
+			vh := headSlice(c.v, b, h, seq, dim, dh)
+			qh := headSlice(c.q, b, h, seq, dim, dh)
+			kh := headSlice(c.k, b, h, seq, dim, dh)
+			doh := headSlice(dctx, b, h, seq, dim, dh)
+
+			dvh := tensor.MatMulAT(a, doh)
+			da := tensor.MatMulBT(doh, vh)
+			ds := scaleInPlace(softmaxRowsBackward(a, da), scale)
+			dqh := tensor.MatMul(ds, kh)
+			dkh := tensor.MatMulAT(ds, qh)
+
+			writeHeadSlice(dq, dqh, b, h, seq, dim, dh)
+			writeHeadSlice(dk, dkh, b, h, seq, dim, dh)
+			writeHeadSlice(dv, dvh, b, h, seq, dim, dh)
+		}
+	}
+
+	var dwq, dwk, dwv, dbq, dbk, dbv, dwo, dbo, dx *tensor.Tensor
+	if need.Params {
+		xf := x.Reshape(batch*seq, dim)
+		dwq, dwk, dwv = tensor.MatMulAT(xf, dq), tensor.MatMulAT(xf, dk), tensor.MatMulAT(xf, dv)
+		dbq, dbk, dbv = tensor.SumRows(dq), tensor.SumRows(dk), tensor.SumRows(dv)
+		dwo, dbo = tensor.MatMulAT(c.ctx, g), tensor.SumRows(g)
+	}
+	if need.Inputs {
+		dx = tensor.MatMulBT(dq, l.wq.Tensor())
+		tensor.AddInPlace(dx, tensor.MatMulBT(dk, l.wk.Tensor()))
+		tensor.AddInPlace(dx, tensor.MatMulBT(dv, l.wv.Tensor()))
+		dx = dx.Reshape(batch, seq, dim)
+	}
+	return []*tensor.Tensor{dx}, []*tensor.Tensor{dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo}
+}
+
+// headSlice copies head h of batch element b out of a [batch*seq, dim]
+// matrix into a contiguous [seq, dh] matrix.
+func headSlice(m *tensor.Tensor, b, h, seq, dim, dh int) *tensor.Tensor {
+	out := tensor.NewFrom(m, seq, dh)
+	for s := 0; s < seq; s++ {
+		copy(out.Row(s), m.Row(b*seq + s)[h*dh:(h+1)*dh])
+	}
+	return out
+}
+
+// writeHeadSlice scatters a [seq, dh] head matrix back into the head-h
+// columns of batch element b of a [batch*seq, dim] matrix.
+func writeHeadSlice(dst, src *tensor.Tensor, b, h, seq, dim, dh int) {
+	for s := 0; s < seq; s++ {
+		copy(dst.Row(b*seq + s)[h*dh:(h+1)*dh], src.Row(s))
+	}
+}
+
+// scaleInPlace multiplies every element of a by s and returns a.
+func scaleInPlace(a *tensor.Tensor, s float32) *tensor.Tensor {
+	for i := range a.Data() {
+		a.Data()[i] *= s
+	}
+	return a
+}
+
+// softmaxRowsBackward is softmax's input gradient from its output y and
+// upstream gradient g, per row: dx = y ⊙ (g − Σ g⊙y), the sum in float64.
+func softmaxRowsBackward(y, g *tensor.Tensor) *tensor.Tensor {
+	out := tensor.NewFrom2(y, g, y.Shape()...)
+	for r := 0; r < y.Rows(); r++ {
+		yr, gr, or := y.Row(r), g.Row(r), out.Row(r)
+		var dot float64
+		for j := range yr {
+			dot += float64(yr[j] * gr[j])
+		}
+		d := float32(dot)
+		for j := range yr {
+			or[j] = yr[j] * (gr[j] - d)
+		}
+	}
+	return out
 }
 
 type oracleActivation struct{ *Activation }
@@ -416,21 +513,30 @@ func TestDenseForwardScopeTensors(t *testing.T) {
 	}
 }
 
-// TestAttentionForwardScopeTensors pins attention's arena footprint: the
-// four projections finish in their matmul buffers and softmax writes the
-// attn slab directly, so a forward takes q, k, v, attn, ctx, out and six
-// tensors per (batch, head) — three head slices, MatMulBT's packed operand,
-// scores, the head output — where it took four more plus one per (batch,
-// head).
+// TestAttentionForwardScopeTensors pins attention's arena footprint to a
+// count independent of batch×heads. Forward: q, k, v (biases added in
+// their matmul buffers), the fused kernel's attn, ctx and scratch slab,
+// out — where the per-head chain took six more per (batch, head). Backward:
+// dwo, dbo, dctx and MatMulBT's packed operand, the fused kernel's dq, dk,
+// dv and scratch slab, three weight and three bias gradients, and dx from
+// three more MatMulBTs (two tensors each).
 func TestAttentionForwardScopeTensors(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	const batch, heads = 3, 2
-	scope := tensor.NewArena().Scope()
-	defer scope.Release()
-	x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, batch, 5, 8))
-	NewMultiHeadAttention(8, heads, 49).Forward([]*tensor.Tensor{x}, true)
-	if got, want := scope.Live(), 6+6*batch*heads; got != want {
-		t.Errorf("attention forward took %d scope tensors, want %d", got, want)
+	const forward, backward = 7, 20
+	for _, sh := range []struct{ batch, heads int }{{1, 1}, {3, 2}, {5, 4}} {
+		scope := tensor.NewArena().Scope()
+		x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, sh.batch, 5, 8))
+		g := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, sh.batch, 5, 8))
+		l := NewMultiHeadAttention(8, sh.heads, 49)
+		out, cache := l.Forward([]*tensor.Tensor{x}, true)
+		if got := scope.Live(); got != forward {
+			t.Errorf("batch %d heads %d: attention forward took %d scope tensors, want %d", sh.batch, sh.heads, got, forward)
+		}
+		l.Backward(cache, []*tensor.Tensor{x}, out, g, graph.BackwardNeed{Inputs: true, Params: true})
+		if got := scope.Live() - forward; got != backward {
+			t.Errorf("batch %d heads %d: attention backward took %d scope tensors, want %d", sh.batch, sh.heads, got, backward)
+		}
+		scope.Release()
 	}
 }
 

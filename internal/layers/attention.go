@@ -86,9 +86,7 @@ type mhaCache struct {
 func (l *MultiHeadAttention) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
 	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
-	heads := l.Heads
-	dh := dim / heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	scale := float32(1 / math.Sqrt(float64(dim/l.Heads)))
 
 	// Each projection's bias lands in the matmul buffer itself: nobody else
 	// holds it, and the add is AddRowVec's float32 a[j]+b[j].
@@ -96,20 +94,7 @@ func (l *MultiHeadAttention) Forward(inputs []*tensor.Tensor, train bool) (*tens
 	k := tensor.AddRowVecInPlace(tensor.MatMul(x, l.wk.Tensor()), l.bk.Tensor())
 	v := tensor.AddRowVecInPlace(tensor.MatMul(x, l.wv.Tensor()), l.bv.Tensor())
 
-	attn := tensor.NewFrom(x, batch, heads, seq, seq)
-	ctx := tensor.NewFrom(x, batch*seq, dim)
-	for b := 0; b < batch; b++ {
-		for h := 0; h < heads; h++ {
-			qh := headSlice(q, b, h, seq, dim, dh)
-			kh := headSlice(k, b, h, seq, dim, dh)
-			vh := headSlice(v, b, h, seq, dim, dh)
-			scores := tensor.ScaleInPlace(tensor.MatMulBT(qh, kh), scale)
-			slab := attn.Data()[((b*heads)+h)*seq*seq : ((b*heads)+h+1)*seq*seq]
-			a := tensor.SoftmaxRowsInto(tensor.FromSlice(slab, seq, seq), scores)
-			oh := tensor.MatMul(a, vh)
-			writeHeadSlice(ctx, oh, b, h, seq, dim, dh)
-		}
-	}
+	attn, ctx := tensor.Attention(q, k, v, batch, l.Heads, scale)
 	out := tensor.AddRowVecInPlace(tensor.MatMul(ctx, l.wo.Tensor()), l.bo.Tensor())
 	return out.Reshape(batch, seq, dim), mhaCache{q: q, k: k, v: v, attn: attn, ctx: ctx}
 }
@@ -118,9 +103,7 @@ func (l *MultiHeadAttention) Backward(cache any, inputs []*tensor.Tensor, out, g
 	c := cache.(mhaCache)
 	x := inputs[0]
 	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
-	heads := l.Heads
-	dh := dim / heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
+	scale := float32(1 / math.Sqrt(float64(dim/l.Heads)))
 
 	g := gradOut.Reshape(batch*seq, dim)
 	var dwo, dbo *tensor.Tensor
@@ -130,28 +113,7 @@ func (l *MultiHeadAttention) Backward(cache any, inputs []*tensor.Tensor, out, g
 	}
 	dctx := tensor.MatMulBT(g, l.wo.Tensor())
 
-	dq := tensor.NewFrom(gradOut, batch*seq, dim)
-	dk := tensor.NewFrom(gradOut, batch*seq, dim)
-	dv := tensor.NewFrom(gradOut, batch*seq, dim)
-	for b := 0; b < batch; b++ {
-		for h := 0; h < heads; h++ {
-			a := tensor.FromSlice(c.attn.Data()[((b*heads)+h)*seq*seq:((b*heads)+h+1)*seq*seq], seq, seq)
-			vh := headSlice(c.v, b, h, seq, dim, dh)
-			qh := headSlice(c.q, b, h, seq, dim, dh)
-			kh := headSlice(c.k, b, h, seq, dim, dh)
-			doh := headSlice(dctx, b, h, seq, dim, dh)
-
-			dvh := tensor.MatMulAT(a, doh)
-			da := tensor.MatMulBT(doh, vh)
-			ds := tensor.ScaleInPlace(tensor.SoftmaxRowsBackward(a, da), scale)
-			dqh := tensor.MatMul(ds, kh)
-			dkh := tensor.MatMulAT(ds, qh)
-
-			writeHeadSlice(dq, dqh, b, h, seq, dim, dh)
-			writeHeadSlice(dk, dkh, b, h, seq, dim, dh)
-			writeHeadSlice(dv, dvh, b, h, seq, dim, dh)
-		}
-	}
+	dq, dk, dv := tensor.AttentionBackward(c.q, c.k, c.v, c.attn, dctx, scale)
 
 	var dwq, dwk, dwv, dbq, dbk, dbv *tensor.Tensor
 	if need.Params {
@@ -174,23 +136,4 @@ func (l *MultiHeadAttention) Backward(cache any, inputs []*tensor.Tensor, out, g
 
 	return []*tensor.Tensor{dxOut},
 		[]*tensor.Tensor{dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo}
-}
-
-// headSlice copies head h of batch element b out of a [batch*seq, dim]
-// matrix into a contiguous [seq, dh] matrix.
-func headSlice(m *tensor.Tensor, b, h, seq, dim, dh int) *tensor.Tensor {
-	out := tensor.NewFrom(m, seq, dh)
-	for s := 0; s < seq; s++ {
-		src := m.Row(b*seq + s)[h*dh : (h+1)*dh]
-		copy(out.Row(s), src)
-	}
-	return out
-}
-
-// writeHeadSlice scatters a [seq, dh] head matrix back into the head-h
-// columns of batch element b of a [batch*seq, dim] matrix.
-func writeHeadSlice(dst, src *tensor.Tensor, b, h, seq, dim, dh int) {
-	for s := 0; s < seq; s++ {
-		copy(dst.Row(b*seq + s)[h*dh:(h+1)*dh], src.Row(s))
-	}
 }

@@ -41,6 +41,27 @@ func BenchmarkAdapterStep(b *testing.B) {
 	benchStep(b, NewAdapter(32, 64, 1), 384*64, 32, 12, 32)
 }
 
+// BenchmarkAttentionStep is one BERT-mini self-attention layer's training
+// step — forward(train), then backward with every gradient — in a step
+// scope recycled after each step, as exec runs it: batch 32, seq 12, dim 32,
+// two heads of 16.
+func BenchmarkAttentionStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	l := NewMultiHeadAttention(32, 2, 1)
+	x, g := tensor.RandNormal(rng, 1, 32, 12, 32), tensor.RandNormal(rng, 1, 32, 12, 32)
+	scope := tensor.NewArena().Scope()
+	defer scope.Release()
+	need := graph.BackwardNeed{Inputs: true, Params: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := []*tensor.Tensor{tensor.WithAlloc(scope, x)}
+		out, cache := l.Forward(in, true)
+		l.Backward(cache, in, out, tensor.WithAlloc(scope, g), need)
+		scope.Recycle()
+	}
+}
+
 // benchActSweep times the train-mode epilogue alone — bias add, gelu, gelu′
 // into the matmul buffer — in ns per element.
 func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32, deriv bool), rows, c int) {

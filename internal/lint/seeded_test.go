@@ -151,6 +151,13 @@ var seededRegressions = []seededRegression{
 		dynamic: "TestTapePeakMatchesLivenessReplay",
 	},
 	{
+		name: "Attention chunks share a scratch slot: a chunk size parallelFor does not cut",
+		dir:  "internal/tensor", file: "attention.go",
+		old:     "\tchunk := (n + workers - 1) / workers\n",
+		new:     "\tchunk := n/workers + 1\n",
+		dynamic: "TestAttentionMatchesPerHeadChain",
+	},
+	{
 		name: "Trainer wall-clock read loses its pragma",
 		dir:  "internal/exec", file: "trainer.go",
 		old:  "\t\t//lint:ignore determinism wall-clock measurement of training time for Metrics reporting\n",

@@ -1,0 +1,91 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestAttentionMatchesPerHeadChain holds the fused attention kernels bit for
+// bit to the per-(batch, head) chain of public kernels they replaced
+// (refAttention, refAttentionBackward): sequence lengths off the tile
+// kernel's 4- and 8-column blocks, odd head widths, one to four heads,
+// zeros of both signs, NaN and ±Inf planted in q, k, v and dctx, worker
+// caps 1–3, on the heap and in a step scope. The larger shapes pass the
+// parallel threshold, so under -race two or three chunks run at once and a
+// scratch slot they shared would be reported.
+func TestAttentionMatchesPerHeadChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	t.Cleanup(func() { SetMaxWorkers(0) })
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for i, sh := range []struct{ batch, seq, heads, dh int }{
+		{1, 1, 1, 1},
+		{2, 3, 4, 1},
+		{2, 5, 3, 3},
+		{3, 12, 2, 16}, // BERT-mini
+		{2, 13, 4, 7},
+		{4, 7, 1, 9},
+		{6, 12, 2, 16}, // fans out
+		{8, 13, 4, 9},  // fans out
+	} {
+		dim := sh.heads * sh.dh
+		rows := sh.batch * sh.seq
+		q, k, v, dctx := fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim))
+		if i%2 == 1 { // specials: one of each in every operand
+			for _, m := range []*Tensor{q, k, v, dctx} {
+				for _, x := range []float32{nan, inf, -inf} {
+					m.data[rng.Intn(len(m.data))] = x
+				}
+			}
+		}
+		scale := float32(1 / math.Sqrt(float64(sh.dh)))
+		wantAttn, wantCtx := refAttention(q, k, v, sh.batch, sh.heads, scale)
+		wantDQ, wantDK, wantDV := refAttentionBackward(q, k, v, wantAttn, dctx, scale)
+		for workers := 1; workers <= 3; workers++ {
+			SetMaxWorkers(workers)
+			for _, scoped := range []bool{false, true} {
+				label := fmt.Sprintf("batch %d seq %d heads %d dh %d workers %d scoped %v", sh.batch, sh.seq, sh.heads, sh.dh, workers, scoped)
+				var scope *Scope
+				if scoped {
+					scope = NewArena().Scope()
+				}
+				qs, ks, vs, ds := WithAlloc(scope, q), WithAlloc(scope, k), WithAlloc(scope, v), WithAlloc(scope, dctx)
+				attn, ctx := Attention(qs, ks, vs, sh.batch, sh.heads, scale)
+				assertBitsEqual(t, label+" attn", attn, wantAttn)
+				assertBitsEqual(t, label+" ctx", ctx, wantCtx)
+				dq, dk, dv := AttentionBackward(qs, ks, vs, attn, ds, scale)
+				assertBitsEqual(t, label+" dq", dq, wantDQ)
+				assertBitsEqual(t, label+" dk", dk, wantDK)
+				assertBitsEqual(t, label+" dv", dv, wantDV)
+				scope.Release()
+			}
+		}
+	}
+}
+
+// TestAttentionScopeFootprint: each kernel takes its outputs and one
+// scratch slab from the step scope whatever batch×heads is, and hands the
+// slab back, so the next Get of its size class reuses it.
+func TestAttentionScopeFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, batch := range []int{1, 5} {
+		scope := NewArena().Scope()
+		q := WithAlloc(scope, RandNormal(rng, 1, batch*12, 32))
+		attn, _ := Attention(q, q, q, batch, 2, 0.25)
+		if got := scope.Live(); got != 3 {
+			t.Errorf("batch %d: Attention took %d scope tensors, want attn, ctx and the scratch slab", batch, got)
+		}
+		if scope.stats.Puts != 1 {
+			t.Errorf("batch %d: Attention returned %d buffers to the scope, want its scratch slab", batch, scope.stats.Puts)
+		}
+		AttentionBackward(q, q, q, attn, q, 0.25)
+		if got := scope.Live(); got != 3+4 {
+			t.Errorf("batch %d: AttentionBackward took %d scope tensors, want dq, dk, dv and the scratch slab", batch, got-3)
+		}
+		if scope.stats.Puts != 2 {
+			t.Errorf("batch %d: AttentionBackward returned %d buffers to the scope, want its scratch slab", batch, scope.stats.Puts-1)
+		}
+		scope.Release()
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,9 +75,10 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(33), 1 + rng.Intn(40), 1 + rng.Intn(33)})
 	}
-	// What the tile kernel branches on: every column-block mix of 16, 8
-	// and 1, with 1-3 rows left over after the 4-row tiles.
-	for i, n := range []int{1, 7, 8, 9, 15, 16, 17, 24, 33, 72} {
+	// What the tile kernel branches on: every column-block mix of 16, 8, 4
+	// and 1, with 1-3 rows left over after the 4-row tiles (n = 12 is the
+	// attention score width at BERT-mini's sequence length: 8 + 4).
+	for i, n := range []int{1, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 20, 24, 33, 72} {
 		shapes = append(shapes, [3]int{4*(1+i%3) + 1 + i%3, 3 + rng.Intn(30), n})
 	}
 	nan := float32(math.NaN())
@@ -279,19 +281,12 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		ReLUMask(gotMask.Data(), dst.Data(), x.Data())
 		assertBitsEqual(t, "ReLUMask", gotMask, wantMask)
 
-		// The tile kernel under both stride forms of the family, on an
-		// accumulator that already holds values (zeros of both signs too).
-		rows, kc := 1+rng.Intn(9), 1+rng.Intn(20)
-		out := fillMixed(rng, New(rows, n))
-		b := fillMixed(rng, New(kc, n))
-		coef := fillMixed(rng, New(rows*kc))
-		coef.Data()[rng.Intn(rows*kc)] = nan
-		for _, st := range [][2]int{{kc, 1}, {1, rows}} {
-			want, got := out.Clone(), out.Clone()
-			tileKernelGeneric(want.Data(), rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
-			tileKernel(got.Data(), rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
-			assertBitsEqual(t, "tileKernel", got, want)
-		}
+		checkTileKernel(t, rng, n)
+	}
+	// Every column-block mix of 16, 8, 4 and 1 by name: 4 and 12 end on
+	// the 4-block, 5, 7, 13 and 20 leave single columns after it.
+	for _, n := range []int{4, 5, 7, 12, 13, 20} {
+		checkTileKernel(t, rng, n)
 	}
 
 	// What makes the exact-zero skip branchless: a skipped term adds -0, and
@@ -302,7 +297,7 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 	// product, or +0 in its place, fails here.
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
-	const rows, kc, n = 7, 3, 25 // 4-row tile + 3 single rows; column blocks of 16, 8 and 1
+	const rows, kc, n = 7, 3, 29 // 4-row tile + 3 single rows; column blocks of 16, 8, 4 and 1
 	held := []float32{negZero, 0, inf, -inf, nan, 1.5}
 	out, b, coef := New(rows, n), New(kc, n), New(rows, kc)
 	for i := range out.Data() {
@@ -314,12 +309,34 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 	for i := range coef.Data() {
 		coef.Data()[i] = []float32{0, negZero}[i%2]
 	}
-	for name, kernel := range map[string]func([]float32, int, int, []float32, int, int, []float32, int){
+	for name, kernel := range map[string]func([]float32, int, int, int, []float32, int, int, []float32, int){
 		"tileKernel": tileKernel, "tileKernelGeneric": tileKernelGeneric,
 	} {
 		got := out.Clone()
-		kernel(got.Data(), rows, n, coef.Data(), kc, 1, b.Data(), kc)
+		kernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc)
 		assertBitsEqual(t, name+" skipped terms", got, out)
+	}
+}
+
+// checkTileKernel runs the tile kernel against its portable body at width
+// n under both stride forms of the family (A row-major and transposed), on
+// an accumulator that already holds values (zeros of both signs too), with
+// a NaN coefficient, for out row strides n (the matmuls) and wider (the
+// attention kernels' head columns, whose gap columns must stay untouched).
+func checkTileKernel(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	rows, kc := 1+rng.Intn(9), 1+rng.Intn(20)
+	b := fillMixed(rng, New(kc, n))
+	coef := fillMixed(rng, New(rows*kc))
+	coef.Data()[rng.Intn(rows*kc)] = float32(math.NaN())
+	for _, os := range []int{n, n + 1 + rng.Intn(5)} {
+		out := fillMixed(rng, New(rows, os))
+		for _, st := range [][2]int{{kc, 1}, {1, rows}} {
+			want, got := out.Clone(), out.Clone()
+			tileKernelGeneric(want.Data(), os, rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
+			tileKernel(got.Data(), os, rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
+			assertBitsEqual(t, fmt.Sprintf("tileKernel n=%d os=%d rows=%d", n, os, rows), got, want)
+		}
 	}
 }
 
@@ -329,19 +346,20 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 	long, short := make([]float32, 40), make([]float32, 39)
 	for name, fn := range map[string]func(){
-		"saxpy":               func() { saxpy(long, short, 2) },
-		"saxpyGeneric":        func() { saxpyGeneric(long, short, 2) },
-		"vadd":                func() { vadd(long, short) },
-		"vaddGeneric":         func() { vaddGeneric(long, short) },
-		"ReLUClamp":           func() { ReLUClamp(long, short) },
-		"reluClampGeneric":    func() { reluClampGeneric(long, short) },
-		"ReLUMask g":          func() { ReLUMask(long, short, long) },
-		"ReLUMask out":        func() { ReLUMask(long, long, short) },
-		"reluMaskGeneric":     func() { reluMaskGeneric(long, long, short) },
-		"tileKernel out":      func() { tileKernel(short, 4, 10, long, 10, 1, long, 4) },
-		"tileKernel a":        func() { tileKernel(long, 4, 10, short, 12, 1, long, 4) },
-		"tileKernel b":        func() { tileKernel(long, 4, 10, long, 10, 1, short, 4) },
-		"tileKernelGeneric a": func() { tileKernelGeneric(long, 4, 10, short, 12, 1, long, 4) },
+		"saxpy":                 func() { saxpy(long, short, 2) },
+		"saxpyGeneric":          func() { saxpyGeneric(long, short, 2) },
+		"vadd":                  func() { vadd(long, short) },
+		"vaddGeneric":           func() { vaddGeneric(long, short) },
+		"ReLUClamp":             func() { ReLUClamp(long, short) },
+		"reluClampGeneric":      func() { reluClampGeneric(long, short) },
+		"ReLUMask g":            func() { ReLUMask(long, short, long) },
+		"ReLUMask out":          func() { ReLUMask(long, long, short) },
+		"reluMaskGeneric":       func() { reluMaskGeneric(long, long, short) },
+		"tileKernel out":        func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4) },
+		"tileKernel out stride": func() { tileKernel(long, 13, 4, 4, long, 4, 1, long, 4) },
+		"tileKernel a":          func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4) },
+		"tileKernel b":          func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4) },
+		"tileKernelGeneric a":   func() { tileKernelGeneric(long, 10, 4, 10, short, 12, 1, long, 4) },
 	} {
 		func() {
 			defer func() {
@@ -353,9 +371,9 @@ func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 		}()
 	}
 	// Empty extents are no-ops, not a wrapped-around loop count.
-	tileKernel(long, 4, 10, long, 10, 1, long, 0)
-	tileKernel(long, 4, 0, long, 10, 1, long, 4)
-	tileKernel(long, 0, 10, long, 10, 1, long, 4)
+	tileKernel(long, 10, 4, 10, long, 10, 1, long, 0)
+	tileKernel(long, 10, 4, 0, long, 10, 1, long, 4)
+	tileKernel(long, 10, 0, 10, long, 10, 1, long, 4)
 	for i, v := range long {
 		if math.Float32bits(v) != 0 {
 			t.Fatalf("empty-extent tileKernel wrote long[%d] = %v", i, v)

@@ -11,11 +11,13 @@ import "fmt"
 // tile and reorganize the loops for locality:
 //
 //   - tileKernel (simd_amd64.s; portable body in simd.go) loads a 4-row ×
-//     16/8/1-column block of out into registers, runs a whole K-block over
-//     it and stores it once, so an output element is loaded and stored once
-//     per K-block instead of once per term, and each load of a b-panel row
-//     feeds four output rows. TileM is the row block handed to it; rows
-//     past a multiple of four go through the same body one at a time.
+//     16/8/4/1-column block of out into registers, runs a whole K-block
+//     over it and stores it once, so an output element is loaded and
+//     stored once per K-block instead of once per term, and each load of a
+//     b-panel row feeds four output rows. TileM is the row block handed to
+//     it; rows past a multiple of four go through the same body one at a
+//     time. The 4-column block (XMM) keeps n = 12, the attention score
+//     width at BERT-mini's sequence length, off the single-column path.
 //   - TileK blocks the reduction dimension so the b panel in flight stays
 //     cache-resident across the whole row sweep (and, for MatMulBT, so the
 //     transposed panel can be packed once into a contiguous slab).
@@ -175,5 +177,5 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 // read from bdata at (p-pOff)*n: one tileKernel call over the block's
 // sub-slices.
 func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int) {
-	tileKernel(out.data[i0*n:i1*n], i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk)
+	tileKernel(out.data[i0*n:i1*n], n, i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk)
 }

@@ -67,16 +67,6 @@ func AxpyInPlace(a *Tensor, s float32, b *Tensor) *Tensor {
 	return a
 }
 
-// ScaleInPlace multiplies every element of a by s and returns a.
-func ScaleInPlace(a *Tensor, s float32) *Tensor {
-	parallelFor(scheduleFor(OpEltwise, [3]int{len(a.data), 0, 0}), len(a.data), len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a.data[i] *= s
-		}
-	})
-	return a
-}
-
 // AddRowVec adds vector v (length a.Cols()) to every row of a's 2-D view.
 func AddRowVec(a, v *Tensor) *Tensor { return AddRowVecInPlace(a.Clone(), v) }
 
@@ -163,42 +153,26 @@ func SoftmaxRowsInto(dst, a *Tensor) *Tensor {
 	// counts still parallelize.
 	parallelFor(scheduleFor(OpRowwise, [3]int{a.Rows(), c, 0}), a.Rows(), a.Len()*8, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			ar, or := a.Row(r), dst.Row(r)
-			maxv := ar[0]
-			for _, v := range ar[1:] {
-				if v > maxv {
-					maxv = v
-				}
-			}
-			inv := float32(1 / expSubRow(or, ar, maxv))
-			for j := range or {
-				or[j] *= inv
-			}
+			softmaxRow(dst.Row(r), a.Row(r))
 		}
 	})
 	return dst
 }
 
-// SoftmaxRowsBackward computes the input gradient of SoftmaxRows given the
-// softmax output y and upstream gradient g: dx = y ⊙ (g − rowsum(g⊙y)).
-func SoftmaxRowsBackward(y, g *Tensor) *Tensor {
-	checkSame("SoftmaxRowsBackward", y, g)
-	out := NewFrom2(y, g, y.shape...)
-	c := y.Cols()
-	parallelFor(scheduleFor(OpRowwise, [3]int{y.Rows(), c, 0}), y.Rows(), y.Len()*2, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			yr, gr, or := y.Row(r), g.Row(r), out.Row(r)
-			var dot float64
-			for j := 0; j < c; j++ {
-				dot += float64(yr[j] * gr[j])
-			}
-			d := float32(dot)
-			for j := 0; j < c; j++ {
-				or[j] = yr[j] * (gr[j] - d)
-			}
+// softmaxRow is softmax's row body, shared by SoftmaxRowsInto and the fused
+// attention forward: or = exp(ar − max) / Σ exp(ar − max), the sum taken in
+// float64 in ascending order. ar must be non-empty; or may be ar.
+func softmaxRow(or, ar []float32) {
+	maxv := ar[0]
+	for _, v := range ar[1:] {
+		if v > maxv {
+			maxv = v
 		}
-	})
-	return out
+	}
+	inv := float32(1 / expSubRow(or, ar, maxv))
+	for j := range or {
+		or[j] *= inv
+	}
 }
 
 // ConcatLast concatenates tensors along the last dimension. All inputs must

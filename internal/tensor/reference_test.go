@@ -218,3 +218,86 @@ func refGlobalAvgPool(x *Tensor) *Tensor {
 	}
 	return out
 }
+
+// refScaleInPlace is the retired ScaleInPlace: every element of a times s.
+func refScaleInPlace(a *Tensor, s float32) *Tensor {
+	for i := range a.data {
+		a.data[i] *= s
+	}
+	return a
+}
+
+// refSoftmaxRowsBackward is the retired SoftmaxRowsBackward: the input
+// gradient of SoftmaxRows from its output y and upstream gradient g, per
+// row dx = y ⊙ (g − Σ g⊙y), the sum in float64 in ascending order.
+func refSoftmaxRowsBackward(y, g *Tensor) *Tensor {
+	out := New(y.shape...)
+	c := y.Cols()
+	for r := 0; r < y.Rows(); r++ {
+		yr, gr, or := y.Row(r), g.Row(r), out.Row(r)
+		var dot float64
+		for j := 0; j < c; j++ {
+			dot += float64(yr[j] * gr[j])
+		}
+		d := float32(dot)
+		for j := 0; j < c; j++ {
+			or[j] = yr[j] * (gr[j] - d)
+		}
+	}
+	return out
+}
+
+// refHead copies head h of batch element b out of a [batch*seq, heads*dh]
+// matrix into a contiguous [seq, dh] matrix; writeRefHead scatters one back.
+func refHead(m *Tensor, b, h, seq, dh int) *Tensor {
+	out := New(seq, dh)
+	for s := 0; s < seq; s++ {
+		copy(out.Row(s), m.Row(b*seq + s)[h*dh:(h+1)*dh])
+	}
+	return out
+}
+
+func writeRefHead(dst, src *Tensor, b, h, seq, dh int) {
+	for s := 0; s < seq; s++ {
+		copy(dst.Row(b*seq + s)[h*dh:(h+1)*dh], src.Row(s))
+	}
+}
+
+// refAttention is the per-(batch, head) chain of public kernels the fused
+// Attention replaced: copy the head out, MatMulBT, scale, softmax, MatMul,
+// scatter the head output back.
+func refAttention(q, k, v *Tensor, batch, heads int, scale float32) (attn, ctx *Tensor) {
+	seq, dim := q.Rows()/batch, q.Cols()
+	dh := dim / heads
+	attn, ctx = New(batch, heads, seq, seq), New(batch*seq, dim)
+	for b := 0; b < batch; b++ {
+		for h := 0; h < heads; h++ {
+			scores := refScaleInPlace(MatMulBT(refHead(q, b, h, seq, dh), refHead(k, b, h, seq, dh)), scale)
+			pr := b*heads + h
+			a := SoftmaxRowsInto(FromSlice(attn.data[pr*seq*seq:(pr+1)*seq*seq], seq, seq), scores)
+			writeRefHead(ctx, MatMul(a, refHead(v, b, h, seq, dh)), b, h, seq, dh)
+		}
+	}
+	return attn, ctx
+}
+
+// refAttentionBackward is the per-(batch, head) chain the fused
+// AttentionBackward replaced.
+func refAttentionBackward(q, k, v, attn, dctx *Tensor, scale float32) (dq, dk, dv *Tensor) {
+	batch, heads, seq := attn.Dim(0), attn.Dim(1), attn.Dim(2)
+	dim := q.Cols()
+	dh := dim / heads
+	dq, dk, dv = New(batch*seq, dim), New(batch*seq, dim), New(batch*seq, dim)
+	for b := 0; b < batch; b++ {
+		for h := 0; h < heads; h++ {
+			pr := b*heads + h
+			a := FromSlice(attn.data[pr*seq*seq:(pr+1)*seq*seq], seq, seq)
+			doh := refHead(dctx, b, h, seq, dh)
+			ds := refScaleInPlace(refSoftmaxRowsBackward(a, MatMulBT(doh, refHead(v, b, h, seq, dh))), scale)
+			writeRefHead(dq, MatMul(ds, refHead(k, b, h, seq, dh)), b, h, seq, dh)
+			writeRefHead(dk, MatMulAT(ds, refHead(q, b, h, seq, dh)), b, h, seq, dh)
+			writeRefHead(dv, MatMulAT(a, doh), b, h, seq, dh)
+		}
+	}
+	return dq, dk, dv
+}

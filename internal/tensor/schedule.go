@@ -23,7 +23,7 @@ const (
 	OpGap         Op = "gap"          // global average pooling
 	OpGapBack     Op = "gap_back"     // global average pooling gradient
 	OpEltwise     Op = "eltwise"      // elementwise add/sub/mul/scale/axpy
-	OpRowwise     Op = "rowwise"      // softmax forward/backward rows
+	OpRowwise     Op = "rowwise"      // softmax rows
 )
 
 // Schedule parameterizes one kernel execution: its tile sizes and the

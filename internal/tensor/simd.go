@@ -19,12 +19,14 @@ func vaddGeneric(dst, x []float32) {
 }
 
 // tileKernelGeneric is the matmul family's tile body: for r < rows and
-// j < n, out[r*n+j] accumulates a[r*si+p*sp]*b[p*n+j] over p in [0,kc) in
+// j < n, out[r*os+j] accumulates a[r*si+p*sp]*b[p*n+j] over p in [0,kc) in
 // ascending p, one multiply then one add per term; a term whose
 // coefficient is exactly zero (either sign) never touches the accumulator.
-func tileKernelGeneric(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+// The matmuls pass os = n; the attention kernels write a head's columns of
+// a wider matrix in place.
+func tileKernelGeneric(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
 	for r := 0; r < rows; r++ {
-		or := out[r*n : (r+1)*n]
+		or := out[r*os : r*os+n]
 		for p := 0; p < kc; p++ {
 			av := a[r*si+p*sp]
 			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check

@@ -84,22 +84,22 @@ func vadd(dst, x []float32) {
 // tileKernel is tileKernelGeneric through the register-tile assembly: four
 // rows per call, and each leftover row as a tile of row stride 0 (its four
 // lanes compute and store the same row).
-func tileKernel(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
 	if !hasAVX2 {
-		tileKernelGeneric(out, rows, n, a, si, sp, b, kc)
+		tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 		return
 	}
 	if rows <= 0 || n <= 0 || kc <= 0 { // also: the assembly's loops count down to zero
 		return
 	}
 	// The last element of each operand the kernel reaches.
-	_, _, _ = out[rows*n-1], a[(rows-1)*si+(kc-1)*sp], b[kc*n-1]
+	_, _, _ = out[(rows-1)*os+n-1], a[(rows-1)*si+(kc-1)*sp], b[kc*n-1]
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		tileKernelAsm(&out[r*n], n, &a[r*si], si, sp, &b[0], n, kc)
+		tileKernelAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
 	}
 	for ; r < rows; r++ {
-		tileKernelAsm(&out[r*n], 0, &a[r*si], 0, sp, &b[0], n, kc)
+		tileKernelAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
 	}
 }
 

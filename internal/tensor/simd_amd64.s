@@ -69,7 +69,10 @@ done:
 	RET
 
 // The tile kernel keeps a 4-row block of out in registers for a whole
-// K-block and makes the exact-zero skip branchless. Register roles:
+// K-block and makes the exact-zero skip branchless. It sweeps the columns
+// in blocks of 16 and 8 (YMM), one of 4 (the same term on XMM) and single
+// columns, so n = 12 — BERT-mini's sequence length, the attention score
+// width — is 8 + 4 instead of 8 + 1 + 1 + 1 + 1. Register roles:
 //   Y0-Y7  accumulators (row r: Y(2r), Y(2r+1))   Y8, Y9  the b-row columns
 //   Y10 broadcast coefficient   Y11 its blend key   Y12, Y13 products
 //   Y14 -0.0 (0x80000000) in every lane
@@ -102,6 +105,14 @@ done:
 	VMULPS       Y10, Y8, Y12; \
 	VPMINSD      Y11, Y12, Y12; \
 	VADDPS       acc, Y12, acc
+
+#define TERM4(coef, acc) \
+	VBROADCASTSS coef, X10; \
+	VCMPPS       $4, X14, X10, X11; \
+	VPXOR        X14, X11, X11; \
+	VMULPS       X10, X8, X12; \
+	VPMINSD      X11, X12, X12; \
+	VADDPS       acc, X12, acc
 
 #define TERM1(coef, acc) \
 	VMOVSS  coef, X10; \
@@ -170,7 +181,7 @@ term16:
 
 block8:
 	CMPQ    SI, $8
-	JL      block1
+	JL      block4
 	VMOVUPS (DI), Y0
 	VMOVUPS (DI)(R8*4), Y1
 	VMOVUPS (DI)(R8*8), Y2
@@ -196,6 +207,35 @@ term8:
 	ADDQ    $32, DI
 	ADDQ    $32, BX
 	SUBQ    $8, SI
+
+block4:
+	CMPQ    SI, $4
+	JL      block1
+	VMOVUPS (DI), X0
+	VMOVUPS (DI)(R8*4), X1
+	VMOVUPS (DI)(R8*8), X2
+	VMOVUPS (DI)(R9*4), X3
+	MOVQ    a+16(FP), AX
+	MOVQ    BX, DX
+	MOVQ    kc+56(FP), CX
+
+term4:
+	VMOVUPS (DX), X8
+	TERM4((AX), X0)
+	TERM4((AX)(R10*4), X1)
+	TERM4((AX)(R10*8), X2)
+	TERM4((AX)(R11*4), X3)
+	LEAQ    (AX)(R13*4), AX
+	LEAQ    (DX)(R12*4), DX
+	DECQ    CX
+	JNZ     term4
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(R8*4)
+	VMOVUPS X2, (DI)(R8*8)
+	VMOVUPS X3, (DI)(R9*4)
+	ADDQ    $16, DI
+	ADDQ    $16, BX
+	SUBQ    $4, SI
 
 block1:
 	CMPQ   SI, $0

@@ -8,8 +8,8 @@ func saxpy(dst, x []float32, a float32) { saxpyGeneric(dst, x, a) }
 
 func vadd(dst, x []float32) { vaddGeneric(dst, x) }
 
-func tileKernel(out []float32, rows, n int, a []float32, si, sp int, b []float32, kc int) {
-	tileKernelGeneric(out, rows, n, a, si, sp, b, kc)
+func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+	tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 }
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN

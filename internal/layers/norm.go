@@ -113,10 +113,11 @@ func (l *LayerNorm) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *t
 			}
 			inv := float64(c.invStd[r])
 			nd := float64(d)
+			meanDh := sumDh / nd // loop-invariant: the same quotient per element
 			dr := dx.Row(r)
 			for j := 0; j < d; j++ {
 				dh := float64(gr[j]) * float64(g[j])
-				dr[j] = float32(inv * (dh - sumDh/nd - float64(hr[j])*sumDhH/nd))
+				dr[j] = float32(inv * (dh - meanDh - float64(hr[j])*sumDhH/nd))
 			}
 		}
 	})

@@ -17,7 +17,9 @@ import "fmt"
 // backward row body — each product accumulated by the same tile kernel from
 // +0 over ascending p with the zero-skipped A coefficient. So the outputs
 // equal that chain bit for bit on any worker count (the tests keep the
-// chain as their oracle).
+// chain as their oracle). Whether a product runs the tile kernel's dense
+// body changes no bit either: q and dctx are scanned once per call, each
+// pair's softmax slab (and in backward its ds slab) once per pair.
 
 // Attention returns the softmax weights attn [batch, heads, seq, seq] and
 // the concatenated head outputs ctx [batch*seq, heads*dh] of projections
@@ -28,12 +30,13 @@ func Attention(q, k, v *Tensor, batch, heads int, scale float32) (attn, ctx *Ten
 	attn = NewFrom(q, batch, heads, seq, seq)
 	ctx = NewFrom(q, batch*seq, dim)
 	pairs := batch * heads
+	denseQ := denseCoefs(q.data)
 	pairFanOut(q, pairs, seq*dh, pairs*seq*seq*(4*dh+8), func(pack []float32, lo, hi int) {
 		for pr := lo; pr < hi; pr++ {
 			off := pr/heads*seq*dim + pr%heads*dh // the head's first element
 			a := attn.data[pr*seq*seq : (pr+1)*seq*seq]
 			packHeadT(pack, k.data[off:], seq, dh, dim)
-			tileKernel(a, seq, seq, seq, q.data[off:], dim, 1, pack, dh)
+			tileKernel(a, seq, seq, seq, q.data[off:], dim, 1, pack, dh, denseQ)
 			for r := 0; r < seq; r++ {
 				row := a[r*seq : (r+1)*seq]
 				for j := range row {
@@ -42,7 +45,7 @@ func Attention(q, k, v *Tensor, batch, heads int, scale float32) (attn, ctx *Ten
 				softmaxRow(row, row)
 			}
 			packHead(pack, v.data[off:], seq, dh, dim)
-			tileKernel(ctx.data[off:], dim, seq, dh, a, seq, 1, pack, seq)
+			tileKernel(ctx.data[off:], dim, seq, dh, a, seq, 1, pack, seq, denseCoefs(a))
 		}
 	})
 	return attn, ctx
@@ -65,16 +68,17 @@ func AttentionBackward(q, k, v, attn, dctx *Tensor, scale float32) (dq, dk, dv *
 	dk = NewFrom(dctx, batch*seq, dim)
 	dv = NewFrom(dctx, batch*seq, dim)
 	pairs := batch * heads
+	denseDctx := denseCoefs(dctx.data)
 	pairFanOut(dctx, pairs, seq*dh+seq*seq, pairs*seq*seq*(8*dh+4), func(s []float32, lo, hi int) {
 		pack, ds := s[:seq*dh], s[seq*dh:]
 		for pr := lo; pr < hi; pr++ {
 			off := pr/heads*seq*dim + pr%heads*dh
 			a := attn.data[pr*seq*seq : (pr+1)*seq*seq]
 			packHead(pack, dctx.data[off:], seq, dh, dim)
-			tileKernel(dv.data[off:], dim, seq, dh, a, 1, seq, pack, seq)
+			tileKernel(dv.data[off:], dim, seq, dh, a, 1, seq, pack, seq, denseCoefs(a))
 			clear(ds)
 			packHeadT(pack, v.data[off:], seq, dh, dim)
-			tileKernel(ds, seq, seq, seq, dctx.data[off:], dim, 1, pack, dh)
+			tileKernel(ds, seq, seq, seq, dctx.data[off:], dim, 1, pack, dh, denseDctx)
 			for r := 0; r < seq; r++ {
 				yr, gr := a[r*seq:(r+1)*seq], ds[r*seq:(r+1)*seq]
 				var dot float64
@@ -86,10 +90,11 @@ func AttentionBackward(q, k, v, attn, dctx *Tensor, scale float32) (dq, dk, dv *
 					gr[j] = float32(yr[j]*(gr[j]-d)) * scale
 				}
 			}
+			denseDs := denseCoefs(ds)
 			packHead(pack, k.data[off:], seq, dh, dim)
-			tileKernel(dq.data[off:], dim, seq, dh, ds, seq, 1, pack, seq)
+			tileKernel(dq.data[off:], dim, seq, dh, ds, seq, 1, pack, seq, denseDs)
 			packHead(pack, q.data[off:], seq, dh, dim)
-			tileKernel(dk.data[off:], dim, seq, dh, ds, 1, seq, pack, seq)
+			tileKernel(dk.data[off:], dim, seq, dh, ds, 1, seq, pack, seq, denseDs)
 		}
 	})
 	return dq, dk, dv

@@ -12,7 +12,11 @@ import (
 // (refAttention, refAttentionBackward): sequence lengths off the tile
 // kernel's 4- and 8-column blocks, odd head widths, one to four heads,
 // zeros of both signs, NaN and ±Inf planted in q, k, v and dctx, worker
-// caps 1–3, on the heap and in a step scope. The larger shapes pass the
+// caps 1–3, on the heap and in a step scope. Half the shapes draw q, k, v
+// and dctx with no zero, so the tile kernel's dense body runs wherever a
+// scan allows it; every shape's first batch element has softmax rows with
+// exact zeros (underflowed scores) in front of ±Inf/NaN rows of v and dctx,
+// which only the skip keeps out of ctx and dv. The larger shapes pass the
 // parallel threshold, so under -race two or three chunks run at once and a
 // scratch slot they shared would be reported.
 func TestAttentionMatchesPerHeadChain(t *testing.T) {
@@ -31,7 +35,14 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 	} {
 		dim := sh.heads * sh.dh
 		rows := sh.batch * sh.seq
-		q, k, v, dctx := fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim)), fillMixed(rng, New(rows, dim))
+		fill := fillMixed
+		if i%4 >= 2 {
+			fill = fillDense
+		}
+		q, k, v, dctx := fill(rng, New(rows, dim)), fill(rng, New(rows, dim)), fill(rng, New(rows, dim)), fill(rng, New(rows, dim))
+		if sh.seq >= 2 {
+			plantUnderflow(q, k, v, dctx, sh.heads, sh.dh)
+		}
 		if i%2 == 1 { // specials: one of each in every operand
 			for _, m := range []*Tensor{q, k, v, dctx} {
 				for _, x := range []float32{nan, inf, -inf} {
@@ -42,6 +53,20 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 		scale := float32(1 / math.Sqrt(float64(sh.dh)))
 		wantAttn, wantCtx := refAttention(q, k, v, sh.batch, sh.heads, scale)
 		wantDQ, wantDK, wantDV := refAttentionBackward(q, k, v, wantAttn, dctx, scale)
+		if sh.seq >= 2 && i%2 == 0 { // the skip is what keeps these finite
+			for h := 0; h < sh.heads; h++ {
+				if w := wantAttn.data[h*sh.seq*sh.seq+1]; w != 0 {
+					t.Fatalf("shape %d head %d: attn[0][1] = %v, want an underflowed 0", i, h, w)
+				}
+				for j := h * sh.dh; j < (h+1)*sh.dh; j++ {
+					for _, x := range []float32{wantCtx.Row(0)[j], wantDV.Row(1)[j]} {
+						if math.IsInf(float64(x), 0) || math.IsNaN(float64(x)) {
+							t.Fatalf("shape %d head %d: reference ctx row 0 or dv row 1 saw an Inf/NaN row through a zero weight", i, h)
+						}
+					}
+				}
+			}
+		}
 		for workers := 1; workers <= 3; workers++ {
 			SetMaxWorkers(workers)
 			for _, scoped := range []bool{false, true} {
@@ -61,6 +86,18 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 				scope.Release()
 			}
 		}
+	}
+}
+
+// plantUnderflow makes attn[0][1] of every head of batch element 0 an exact
+// zero — q row 0 and k row 0 are +10, k row 1 is -10, so the row's scores
+// differ by at least 200·scale·dh — and puts ±Inf/NaN behind it: v row 1
+// (ctx row 0's term 1) and dctx row 0 (dv row 1's term 0).
+func plantUnderflow(q, k, v, dctx *Tensor, heads, dh int) {
+	specials := []float32{float32(math.Inf(1)), float32(math.NaN()), float32(math.Inf(-1))}
+	for c := 0; c < heads*dh; c++ {
+		q.Row(0)[c], k.Row(0)[c], k.Row(1)[c] = 10, 10, -10
+		v.Row(1)[c], dctx.Row(0)[c] = specials[c%3], specials[(c+1)%3]
 	}
 }
 

@@ -34,6 +34,34 @@ func fillMixed(rng *rand.Rand, x *Tensor) *Tensor {
 	return x
 }
 
+// fillDense fills a tensor with normals and no zero of either sign: the
+// coefficients the tile kernel's dense body runs on.
+func fillDense(rng *rand.Rand, x *Tensor) *Tensor {
+	d := x.Data()
+	for i := range d {
+		for d[i] = float32(rng.NormFloat64()); math.Float32bits(d[i])<<1 == 0; d[i] = float32(rng.NormFloat64()) {
+		}
+	}
+	return x
+}
+
+// plantSpecials writes NaN, +Inf and -Inf into the matrix x, the two
+// infinities in distinct rows and columns, so no product sum along a row
+// or a column of x meets both. Their sum would be x86's default NaN (bits
+// ffc00000), and where two NaN payloads meet in an add the result depends
+// on the operand order, which compiled Go — the seed oracle — does not fix:
+// a -race build swaps it.
+func plantSpecials(rng *rand.Rand, x *Tensor) {
+	rows, cols, d := x.Rows(), x.Cols(), x.Data()
+	d[rng.Intn(len(d))] = float32(math.NaN())
+	r, c := rng.Intn(rows), rng.Intn(cols)
+	d[r*cols+c] = float32(math.Inf(1))
+	if rows > 1 && cols > 1 {
+		r, c = (r+1+rng.Intn(rows-1))%rows, (c+1+rng.Intn(cols-1))%cols
+		d[r*cols+c] = float32(math.Inf(-1))
+	}
+}
+
 func assertBitsEqual(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	gd, wd := got.Data(), want.Data()
@@ -88,6 +116,12 @@ func TestMatMulFamilyBitIdentity(t *testing.T) {
 		b := fillMixed(rng, New(k, n))
 		bt := fillMixed(rng, New(n, k))
 		at := fillMixed(rng, New(k, m))
+		if iter%2 == 1 { // no zero coefficient: the dense kernel's operands, specials in b
+			fillDense(rng, a)
+			fillDense(rng, at)
+			plantSpecials(rng, b)
+			plantSpecials(rng, bt)
+		}
 		if iter%5 == 4 { // a NaN coefficient is not a zero: its row must turn NaN
 			a.Data()[rng.Intn(m*k)] = nan
 			at.Data()[rng.Intn(m*k)] = nan
@@ -169,6 +203,61 @@ func TestMatMulATTileEdges(t *testing.T) {
 				SetScheduleSource(testForce{sch})
 				assertBitsEqual(t, "MatMulAT "+sch.String(), MatMulAT(a, b), want)
 				SetScheduleSource(nil)
+			}
+		}
+	}
+}
+
+// TestMatMulFamilyLoneZero plants one zero coefficient (either sign) in
+// an otherwise zero-free operand, in front of a b row that is all Inf and
+// NaN: only the skip keeps that row out of the coefficient's output row, so
+// a dense choice made over the wrong rows turns it NaN. The zero sits at
+// the first term, in the ragged last K-block, in a 1-3-row tail after the
+// 4-row tiles and in the second chunk of a parallel fan-out, for MatMul,
+// MatMulBT and MatMulAT at worker caps 1-3.
+func TestMatMulFamilyLoneZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	t.Cleanup(func() {
+		SetMaxWorkers(0)
+		SetScheduleSource(nil)
+	})
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	const m, k, n, tileK = 11, 10, 13, 4 // two 4-row tiles + 3 rows; K-blocks 4, 4, 2
+	for _, at := range []struct {
+		name string
+		i, p int
+	}{
+		{"first term", 1, 0},
+		{"ragged K-block", 2, k - 1},
+		{"row tail", m - 2, 5},
+		{"second chunk", 7, 3}, // rows 6-10 at two workers, 4-7 at three
+	} {
+		for sign, zero := range []float32{0, float32(math.Copysign(0, -1))} {
+			a, aT := fillDense(rng, New(m, k)), fillDense(rng, New(k, m))
+			b, bt := fillDense(rng, New(k, n)), fillDense(rng, New(n, k))
+			a.Data()[at.i*k+at.p], aT.Data()[at.p*m+at.i] = zero, zero
+			for j := 0; j < n; j++ {
+				special := []float32{inf, -inf, nan}[j%3]
+				b.Data()[at.p*n+j], bt.Data()[j*k+at.p] = special, special
+			}
+			wantMM, wantBT, wantAT := refMatMul(a, b), refMatMulBT(a, bt), refMatMulAT(aT, b)
+			for _, want := range []*Tensor{wantMM, wantBT, wantAT} {
+				for _, v := range want.Row(at.i) {
+					if math.IsInf(float64(v), 0) || math.IsNaN(float64(v)) {
+						t.Fatalf("%s: reference row %d saw the Inf/NaN row through its zero coefficient", at.name, at.i)
+					}
+				}
+			}
+			for workers := 1; workers <= 3; workers++ {
+				SetMaxWorkers(workers)
+				for _, sch := range []Schedule{{TileK: tileK}, {TileK: tileK, SerialBelow: 1}, {TileM: 1, SerialBelow: 1}} {
+					label := fmt.Sprintf("%s sign %d workers %d %s", at.name, sign, workers, sch.String())
+					SetScheduleSource(testForce{sch})
+					assertBitsEqual(t, "MatMul "+label, MatMul(a, b), wantMM)
+					assertBitsEqual(t, "MatMulBT "+label, MatMulBT(a, bt), wantBT)
+					assertBitsEqual(t, "MatMulAT "+label, MatMulAT(aT, b), wantAT)
+					SetScheduleSource(nil)
+				}
 			}
 		}
 	}
@@ -310,7 +399,10 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		coef.Data()[i] = []float32{0, negZero}[i%2]
 	}
 	for name, kernel := range map[string]func([]float32, int, int, int, []float32, int, int, []float32, int){
-		"tileKernel": tileKernel, "tileKernelGeneric": tileKernelGeneric,
+		"tileKernel": func(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+			tileKernel(out, os, rows, n, a, si, sp, b, kc, false)
+		},
+		"tileKernelGeneric": tileKernelGeneric,
 	} {
 		got := out.Clone()
 		kernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc)
@@ -322,20 +414,30 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 // n under both stride forms of the family (A row-major and transposed), on
 // an accumulator that already holds values (zeros of both signs too), with
 // a NaN coefficient, for out row strides n (the matmuls) and wider (the
-// attention kernels' head columns, whose gap columns must stay untouched).
+// attention kernels' head columns, whose gap columns must stay untouched):
+// the skip body on coefficients with zeros, and both bodies on zero-free
+// coefficients against b holding zeros, ±Inf and NaN.
 func checkTileKernel(t *testing.T, rng *rand.Rand, n int) {
 	t.Helper()
 	rows, kc := 1+rng.Intn(9), 1+rng.Intn(20)
 	b := fillMixed(rng, New(kc, n))
-	coef := fillMixed(rng, New(rows*kc))
-	coef.Data()[rng.Intn(rows*kc)] = float32(math.NaN())
+	plantSpecials(rng, b)
+	mixed, dense := fillMixed(rng, New(rows*kc)), fillDense(rng, New(rows*kc))
+	for _, c := range []*Tensor{mixed, dense} {
+		c.Data()[rng.Intn(rows*kc)] = float32(math.NaN())
+	}
 	for _, os := range []int{n, n + 1 + rng.Intn(5)} {
 		out := fillMixed(rng, New(rows, os))
 		for _, st := range [][2]int{{kc, 1}, {1, rows}} {
-			want, got := out.Clone(), out.Clone()
-			tileKernelGeneric(want.Data(), os, rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
-			tileKernel(got.Data(), os, rows, n, coef.Data(), st[0], st[1], b.Data(), kc)
-			assertBitsEqual(t, fmt.Sprintf("tileKernel n=%d os=%d rows=%d", n, os, rows), got, want)
+			for _, tc := range []struct {
+				coef  *Tensor
+				dense bool
+			}{{mixed, false}, {dense, false}, {dense, true}} {
+				want, got := out.Clone(), out.Clone()
+				tileKernelGeneric(want.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], b.Data(), kc)
+				tileKernel(got.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], b.Data(), kc, tc.dense)
+				assertBitsEqual(t, fmt.Sprintf("tileKernel n=%d os=%d rows=%d dense=%v", n, os, rows, tc.dense), got, want)
+			}
 		}
 	}
 }
@@ -355,10 +457,13 @@ func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 		"ReLUMask g":            func() { ReLUMask(long, short, long) },
 		"ReLUMask out":          func() { ReLUMask(long, long, short) },
 		"reluMaskGeneric":       func() { reluMaskGeneric(long, long, short) },
-		"tileKernel out":        func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4) },
-		"tileKernel out stride": func() { tileKernel(long, 13, 4, 4, long, 4, 1, long, 4) },
-		"tileKernel a":          func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4) },
-		"tileKernel b":          func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4) },
+		"tileKernel out":        func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4, false) },
+		"tileKernel out stride": func() { tileKernel(long, 13, 4, 4, long, 4, 1, long, 4, false) },
+		"tileKernel a":          func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4, false) },
+		"tileKernel b":          func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4, false) },
+		"tileKernel dense out":  func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4, true) },
+		"tileKernel dense a":    func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4, true) },
+		"tileKernel dense b":    func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4, true) },
 		"tileKernelGeneric a":   func() { tileKernelGeneric(long, 10, 4, 10, short, 12, 1, long, 4) },
 	} {
 		func() {
@@ -371,9 +476,11 @@ func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 		}()
 	}
 	// Empty extents are no-ops, not a wrapped-around loop count.
-	tileKernel(long, 10, 4, 10, long, 10, 1, long, 0)
-	tileKernel(long, 10, 4, 0, long, 10, 1, long, 4)
-	tileKernel(long, 10, 0, 10, long, 10, 1, long, 4)
+	for _, dense := range []bool{false, true} {
+		tileKernel(long, 10, 4, 10, long, 10, 1, long, 0, dense)
+		tileKernel(long, 10, 4, 0, long, 10, 1, long, 4, dense)
+		tileKernel(long, 10, 0, 10, long, 10, 1, long, 4, dense)
+	}
 	for i, v := range long {
 		if math.Float32bits(v) != 0 {
 			t.Fatalf("empty-extent tileKernel wrote long[%d] = %v", i, v)

@@ -32,6 +32,17 @@ import "fmt"
 // terms in sixteen. +0.0 would not do: -0 + +0 is +0. "Zero" is Go's
 // a == 0: both signs, and never NaN (a NaN coefficient turns its row NaN).
 //
+// Dense operands skip the skip. The skip costs four of a 16-column term's
+// nine vector ops, and most coefficient operands hold no ±0 at all (GELU
+// and LayerNorm outputs, softmax weights and their gradients; ReLU outputs
+// are the exception). So the tile kernel has a dense twin without it, and a
+// caller runs the twin over coefficients one vector scan (denseCoefs) found
+// free of ±0 — where every skip key keeps its product, so both bodies give
+// the same bits. The scan runs once per operand, never per tile: MatMul and
+// MatMulBT scan each chunk's rows of a inside the fan-out, MatMulAT the
+// whole operand before it, the attention kernels q or dctx once per call
+// and each pair's softmax slabs once per pair.
+//
 // Each term is one multiply then one add, never a fused multiply-add, which
 // rounds once where the seed loop rounds twice. The multiply takes
 // (b, coefficient) and the add (product, accumulator), as saxpyAsm does:
@@ -112,7 +123,15 @@ func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
 	if tk < 1 || tk > k {
 		tk = k
 	}
+	// A chunk that reads whole rows of a (sp == 1: MatMul, and MatMulAT of
+	// one column) scans them inside the fan-out; MatMulAT's chunk reads a
+	// band of columns, so its whole operand is scanned once before it.
+	whole := sp != 1 && denseCoefs(a.data)
 	parallelFor(sch, m, m*k*n, func(lo, hi int) {
+		dense := whole
+		if sp == 1 {
+			dense = denseRows(a.data, si, lo, hi, 0, k)
+		}
 		for kk := 0; kk < k; kk += tk {
 			ke := kk + tk
 			if ke > k {
@@ -123,7 +142,7 @@ func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n)
+				matMulTile(out, a.data, si, sp, b.data, 0, i0, i1, kk, ke, n, dense)
 			}
 		}
 	})
@@ -161,12 +180,13 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 			}
 		}
 		parallelFor(sch, m, m*(ke-kk)*n, func(lo, hi int) {
+			dense := denseRows(a.data, k, lo, hi, kk, ke)
 			for i0 := lo; i0 < hi; i0 += tm {
 				i1 := i0 + tm
 				if i1 > hi {
 					i1 = hi
 				}
-				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n)
+				matMulTile(out, a.data, k, 1, pack.data, kk, i0, i1, kk, ke, n, dense)
 			}
 		})
 	}
@@ -175,7 +195,22 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 // matMulTile accumulates out rows [i0,i1) over reduction terms [kk,ke),
 // with row i's coefficient for term p at ad[i*si+p*sp] and b-panel rows
 // read from bdata at (p-pOff)*n: one tileKernel call over the block's
-// sub-slices.
-func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int) {
-	tileKernel(out.data[i0*n:i1*n], n, i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk)
+// sub-slices, dense as the caller's scan decided.
+func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int, dense bool) {
+	tileKernel(out.data[i0*n:i1*n], n, i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk, dense)
+}
+
+// denseRows is denseCoefs over columns [c0,c1) of rows [lo,hi) of the
+// row-major a (row stride rs): one scan when those rows are one contiguous
+// span, else one per row, stopped at the first row with a zero.
+func denseRows(a []float32, rs, lo, hi, c0, c1 int) bool {
+	if c0 == 0 && c1 == rs {
+		return denseCoefs(a[lo*rs : hi*rs])
+	}
+	for i := lo; i < hi; i++ {
+		if !denseCoefs(a[i*rs+c0 : i*rs+c1]) {
+			return false
+		}
+	}
+	return true
 }

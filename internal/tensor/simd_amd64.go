@@ -19,6 +19,12 @@ func vaddAsm(dst, x *float32, n int)
 func tileKernelAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
 
 //go:noescape
+func tileKernelDenseAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
+
+//go:noescape
+func zeroFreeAsm(x *float32, n int) bool
+
+//go:noescape
 func reluClampAsm(dst, src *float32, n int)
 
 //go:noescape
@@ -83,8 +89,10 @@ func vadd(dst, x []float32) {
 
 // tileKernel is tileKernelGeneric through the register-tile assembly: four
 // rows per call, and each leftover row as a tile of row stride 0 (its four
-// lanes compute and store the same row).
-func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+// lanes compute and store the same row). dense selects the body without the
+// exact-zero skip; the caller passes denseCoefs of the coefficients the call
+// reads, so it is only true where both bodies give the same bits.
+func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int, dense bool) {
 	if !hasAVX2 {
 		tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 		return
@@ -96,11 +104,31 @@ func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []flo
 	_, _, _ = out[(rows-1)*os+n-1], a[(rows-1)*si+(kc-1)*sp], b[kc*n-1]
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		tileKernelAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
+		if dense {
+			tileKernelDenseAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
+		} else {
+			tileKernelAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
+		}
 	}
 	for ; r < rows; r++ {
-		tileKernelAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
+		if dense {
+			tileKernelDenseAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
+		} else {
+			tileKernelAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
+		}
 	}
+}
+
+// denseCoefs reports whether the tile kernel may run its dense body over
+// coefficients drawn from x: AVX2 is present and no element of x is a zero
+// of either sign (Go's x[i] == 0; NaN and subnormals are not zero). One
+// vector scan, stopped at the first zero; without AVX2 there is one body
+// and nothing to scan.
+func denseCoefs(x []float32) bool {
+	if !hasAVX2 {
+		return false
+	}
+	return len(x) == 0 || zeroFreeAsm(&x[0], len(x))
 }
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN

@@ -8,9 +8,13 @@ func saxpy(dst, x []float32, a float32) { saxpyGeneric(dst, x, a) }
 
 func vadd(dst, x []float32) { vaddGeneric(dst, x) }
 
-func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+// tileKernel ignores dense: off amd64 the portable body is the only one.
+func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int, dense bool) {
 	tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 }
+
+// denseCoefs is false without a dense body to choose, so callers scan nothing.
+func denseCoefs(x []float32) bool { return false }
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
 // and -0 included), for i in [0, len(dst)). dst may be src.

@@ -9,9 +9,9 @@ test:
 	$(GO) test ./...
 
 # nautilus-lint is the repo's own stdlib static-analysis suite
-# (internal/lint), seven analyzers: the syntactic ones (allochygiene,
-# determinism, floateq, layerpurity, uncheckederr), the CFG pass spanleak,
-# and the ignoreaudit stale-suppression check.
+# (internal/lint), six syntactic analyzers and no CFG pass: allochygiene,
+# determinism, floateq, layerpurity, uncheckederr, and the ignoreaudit
+# stale-suppression check.
 # One whole-module sweep (well under a second); check's lint step is the
 # same invocation.
 lint:
@@ -19,26 +19,26 @@ lint:
 
 # lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
 # exact diagnostics (positions + messages) over testdata/src/violations,
-# plus the interprocedural call-graph/summary unit tests, the static leg of
-# the seeded-regression yield corpus (TestSeededRegressions: each analyzer
-# must catch its bug re-introduced into a copy of the real package; the
-# pattern leaves out its build-tagged dynamic leg, which check runs), and
-# the parallel driver's determinism check.
+# plus the static leg of the seeded-regression yield corpus
+# (TestSeededRegressions: each analyzer must catch its bug re-introduced
+# into a copy of the real package; the pattern leaves out its build-tagged
+# dynamic leg, which check runs), and the parallel driver's determinism
+# check.
 lint-fixtures:
-	$(GO) test ./internal/lint -run '^Test(ViolationsGolden|IgnoreAudit|RunSorted|RunTimed|DiagnosticJSON|CallGraph|Summary|AnalyzeParallel|SelectAnalyzers|SeededRegressions$$)' -count=1
+	$(GO) test ./internal/lint -run '^Test(ViolationsGolden|IgnoreAudit|RunSorted|RunTimed|DiagnosticJSON|AnalyzeParallel|SelectAnalyzers|SeededRegressions$$)' -count=1
 
 # check is the full pre-merge gate: vet + gofmt + build + the full analyzer
-# suite (interprocedural summaries included) + the race detector over the
-# concurrent planning, execution, observability, and storage layers (the
-# core and exec test packages force at least two group slots in TestMain,
-# so concurrent fused groups are exercised whatever the box's CPU count;
+# suite + the race detector over the concurrent planning, execution,
+# observability, and storage layers (the core and exec test packages force
+# at least two group slots in TestMain, so concurrent fused groups are
+# exercised whatever the box's CPU count;
 # the graph leg holds the shared-param first-use test; the core leg also
 # runs the golden plan files), plus a short pass of the end-to-end ledger
 # (all six ./bench workloads, every output checked bit for bit; nonzero
 # exit on any failed check or operation — timing claims are made from
 # alternating parent/change pairs, bench/README.md, not from this step).
 # The seeded leg is the yield corpus's dynamic half: each lock, goroutine,
-# arena or chunk bug the corpus seeds must fail its named test under
+# arena, chunk or span bug the corpus seeds must fail its named test under
 # go test -race -cpu 2 (applied through -overlay) and pass without it.
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
 # cross-build compiles the portable kernel bodies, the only path off amd64.

@@ -18,10 +18,8 @@
 // ({"analyzer", "wall_ns"}) and packages carries per-package wall time.
 //
 // -analyzers selects a subset: a comma-separated list of names to include
-// ("floateq,spanleak"), names prefixed with '-' to exclude from the suite
-// ("-allochygiene"), or a mix. -list shows the suite; summary-aware
-// analyzers (those consulting interprocedural function summaries) are
-// marked with '*'.
+// ("floateq,uncheckederr"), names prefixed with '-' to exclude from the
+// suite ("-allochygiene"), or a mix. -list shows the suite.
 //
 // Suppress an intentional finding in source with
 // `//lint:ignore <analyzer> <reason>` on the offending line or the line
@@ -55,7 +53,7 @@ type jsonReport struct {
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings and timings as JSON")
 	tests := flag.Bool("tests", true, "also analyze in-package _test.go files")
-	list := flag.Bool("list", false, "list analyzers (summary-aware marked with '*') and exit")
+	list := flag.Bool("list", false, "list analyzers and exit")
 	spec := flag.String("analyzers", "", "comma-separated analyzer subset; prefix a name with '-' to exclude it")
 	flag.Usage = func() {
 		fmt.Fprint(os.Stderr,
@@ -66,13 +64,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("analyzers ('*' = summary-aware: consults interprocedural function summaries)")
 		for _, a := range lint.DefaultAnalyzers() {
-			mark := " "
-			if a.SummaryAware {
-				mark = "*"
-			}
-			fmt.Printf("%s %-14s %s\n", mark, a.Name, a.Doc)
+			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
 	}

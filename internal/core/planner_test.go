@@ -432,8 +432,23 @@ func TestMatOptRejectsProfilesMissingACandidateNode(t *testing.T) {
 		}
 	}
 
-	// A frozen layer added after profiling: a new materializable node, so a
-	// candidate of U, that the stale profile has no entry for.
+	stale, mm := staleCandidate(t)
+	wantErr("stale profile", []opt.WorkItem{stale}, mm, `"stale"`, `"late"`)
+
+	foreign := freshCandidate(t, "foreign")
+	foreign.Prof = freshCandidate(t, "other").Prof
+	mm, err := mmg.Build(foreign.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr("profile of another model", []opt.WorkItem{foreign}, mm, `"foreign"`)
+}
+
+// staleCandidate is a candidate with a frozen layer added after profiling:
+// a new materializable node, so a candidate of U, that the stale profile
+// has no entry for. It comes with its merged graph.
+func staleCandidate(t *testing.T) (opt.WorkItem, *mmg.MultiModel) {
+	t.Helper()
 	stale := freshCandidate(t, "stale")
 	late := stale.Model.AddNode("late", layers.NewDense(9, 4, layers.ActNone, 5), stale.Model.Outputs[0])
 	stale.Model.Outputs[0].Trainable = false
@@ -442,14 +457,36 @@ func TestMatOptRejectsProfilesMissingACandidateNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantErr("stale profile", []opt.WorkItem{stale}, mm, `"stale"`, `"late"`)
+	return stale, mm
+}
 
-	foreign := freshCandidate(t, "foreign")
-	foreign.Prof = freshCandidate(t, "other").Prof
-	if mm, err = mmg.Build(foreign.Model); err != nil {
-		t.Fatal(err)
+// TestReplanErrorsEndTheirSpans replans a stale-profiled candidate under a
+// live tracer with every approach: MAT OPT fails inside plan/mat_opt, the
+// plan policies fail inside planGroups, and each error return must leave no
+// span open.
+func TestReplanErrorsEndTheirSpans(t *testing.T) {
+	for _, approach := range Approaches() {
+		stale, mm := staleCandidate(t)
+		cfg := DefaultConfig(t.TempDir())
+		cfg.HW = miniHW
+		cfg.Approach = approach
+		cfg.Obs = obs.New(nil)
+		p, err := NewPlanner([]opt.WorkItem{stale}, mm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.GrowData(100)
+		if _, _, err := p.Replan(); err == nil || !strings.Contains(err.Error(), `"stale"`) {
+			t.Fatalf("%s: Replan = %v, want the stale profile's error", approach, err)
+		}
+		rep := cfg.Obs.Report()
+		if len(rep.Spans) == 0 {
+			t.Errorf("%s: the tracer recorded no span", approach)
+		}
+		for _, sp := range rep.OpenSpans {
+			t.Errorf("%s: span %s still open after Replan's error return", approach, sp.Name)
+		}
 	}
-	wantErr("profile of another model", []opt.WorkItem{foreign}, mm, `"foreign"`)
 }
 
 func TestRemoveCandidateErrors(t *testing.T) {

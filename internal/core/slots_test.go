@@ -90,9 +90,10 @@ func runSlotSession(t *testing.T, spec workloads.Spec, approach Approach, slots 
 // TestFitIdenticalOnAnySlotCount is the differential check behind running
 // fused groups concurrently: one slot and several give bit-identical
 // accuracies and losses, byte-identical checkpoints and equal execution
-// counts, for every approach, with and without observability. The grids are
-// cut to one learning rate and short epochs; shapes, depths, batch sizes and
-// the two-epoch-setting split of FTR-3 are kept.
+// counts, for every approach, with and without observability (where every
+// span must be ended when the session is done). The grids are cut to one
+// learning rate and short epochs; shapes, depths, batch sizes and the
+// two-epoch-setting split of FTR-3 are kept.
 func TestFitIdenticalOnAnySlotCount(t *testing.T) {
 	prev := tensor.MaxWorkers()
 	t.Cleanup(func() { tensor.SetMaxWorkers(prev) })
@@ -120,6 +121,9 @@ func TestFitIdenticalOnAnySlotCount(t *testing.T) {
 						}
 						if v := tr.Registry().Counter("trainer.steps").Value(); v != int64(want.TrainSteps) {
 							t.Errorf("trainer.steps counter %d, want %d", v, want.TrainSteps)
+						}
+						for _, sp := range tr.Report().OpenSpans {
+							t.Errorf("span %s still open after the session", sp.Name)
 						}
 					}
 				}

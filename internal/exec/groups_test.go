@@ -195,8 +195,8 @@ func (l rowsFailLoss) Compute(logits, labels *tensor.Tensor) (float64, *tensor.T
 
 // TestTrainGroupsErrorStopsAdmissionAndJoins fails the two groups that
 // start first (the longest) on two slots: the error of the lower plan index
-// comes back, the two shorter groups never start, every goroutine is joined
-// and every step scope is back in the arena.
+// comes back, the two shorter groups never start, every goroutine is joined,
+// every step scope is back in the arena and every span is ended.
 func TestTrainGroupsErrorStopsAdmissionAndJoins(t *testing.T) {
 	withSlots(t, 2)
 	items, _ := buildWorkload(t, 4)
@@ -245,4 +245,5 @@ func TestTrainGroupsErrorStopsAdmissionAndJoins(t *testing.T) {
 	if st := arena.Stats(); st.Gets == 0 || st.Gets != st.Puts {
 		t.Errorf("step scopes left unreleased: %+v", st)
 	}
+	requireNoOpenSpans(t, trainer.Obs)
 }

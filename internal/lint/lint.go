@@ -7,17 +7,13 @@
 // through the returned cache), no silently dropped errors, and allocation
 // hygiene in hot loops.
 //
-// On top of the syntactic analyzers, the package carries two analysis
-// substrates. The intraprocedural dataflow engine (cfg.go, dataflow.go) is
-// a statement-level CFG with a must-pass solver, reached through one
-// per-package body index (Package.bodies: each function body with its CFG
-// and parent map built once and shared); the interprocedural summaries
-// (summary.go) credit delegation to local helpers. spanleak (every obs span
-// ends on every path) is a direct pass over the body index that calls
-// both; uncheckederr reads the summaries' always-nil error fact.
-// ignoreaudit closes the loop by flagging suppressions whose analyzer no
-// longer fires. Lock, goroutine-join, arena-lifetime and chunk-race bugs
-// are left to the race-enabled test suite (DESIGN.md "Yield").
+// Every analyzer is a syntactic pass over one type-checked package; none
+// builds a control-flow graph or follows calls. ignoreaudit closes the loop
+// by flagging suppressions whose analyzer no longer fires. Bugs that are
+// properties of runs rather than of source text are left to the test
+// suite: lock, goroutine-join, arena-lifetime and chunk-race bugs to the
+// race-enabled tests, and spans left open on an error path to the tests
+// that end with no open span in the tracer's report (DESIGN.md "Yield").
 //
 // There is one driver: Loader.Load type-checks the requested packages and
 // Analyze sweeps them; nothing is cached between runs.
@@ -49,10 +45,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// SummaryAware marks analyzers that consult the interprocedural
-	// function summaries (summary.go) and therefore see through one level
-	// of package-local delegation.
-	SummaryAware bool
 	// Run inspects the package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -107,7 +99,6 @@ func DefaultAnalyzers() []*Analyzer {
 		FloatEqAnalyzer,
 		IgnoreAuditAnalyzer,
 		LayerPurityAnalyzer,
-		SpanLeakAnalyzer,
 		UncheckedErrAnalyzer,
 	}
 }

@@ -264,12 +264,12 @@ func TestDiagnosticJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAnalyzeParallelDeterminism runs the parallel driver over two fixture
-// packages twice and asserts byte-identical findings and per-package
-// timing coverage — scheduling must not leak into the output.
+// TestAnalyzeParallelDeterminism runs the parallel driver over the fixture
+// package and a real module package twice and asserts byte-identical
+// findings and per-package timing coverage — scheduling must not leak into
+// the output.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
 	vdir, _ := fixtureFiles(t)
-	sdir := filepath.Join("testdata", "src", "summaries")
 	loader, err := lint.NewLoader(vdir)
 	if err != nil {
 		t.Fatal(err)
@@ -278,11 +278,11 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spkg, err := loader.LoadDir(sdir)
+	mod, err := loader.Load("internal/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := []*lint.Package{vpkg, spkg}
+	pkgs := append([]*lint.Package{vpkg}, mod...)
 	first := lint.Analyze(pkgs, lint.DefaultAnalyzers(), loader.Fset)
 	second := lint.Analyze(pkgs, lint.DefaultAnalyzers(), loader.Fset)
 	if !reflect.DeepEqual(first.Findings, second.Findings) {
@@ -316,11 +316,11 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got, err := lint.SelectAnalyzers(all, ""); err != nil || len(got) != len(all) {
 		t.Errorf("empty spec: got %d analyzers (err %v), want the full suite", len(got), err)
 	}
-	got, err := lint.SelectAnalyzers(all, "spanleak,floateq")
+	got, err := lint.SelectAnalyzers(all, "uncheckederr,floateq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"floateq", "spanleak"}; !reflect.DeepEqual(names(got), want) {
+	if want := []string{"floateq", "uncheckederr"}; !reflect.DeepEqual(names(got), want) {
 		t.Errorf("include spec: got %v, want %v (suite order)", names(got), want)
 	}
 	got, err = lint.SelectAnalyzers(all, "-allochygiene")
@@ -335,29 +335,15 @@ func TestSelectAnalyzers(t *testing.T) {
 			t.Error("exclude spec kept allochygiene")
 		}
 	}
-	got, err = lint.SelectAnalyzers(all, "floateq,spanleak,-floateq")
+	got, err = lint.SelectAnalyzers(all, "floateq,uncheckederr,-floateq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"spanleak"}; !reflect.DeepEqual(names(got), want) {
+	if want := []string{"uncheckederr"}; !reflect.DeepEqual(names(got), want) {
 		t.Errorf("mixed spec: got %v, want %v", names(got), want)
 	}
 	if _, err := lint.SelectAnalyzers(all, "nosuch"); err == nil {
 		t.Error("unknown analyzer name did not error")
-	}
-}
-
-// TestSummaryAwareMarking pins which analyzers advertise interprocedural
-// summaries — the CLI's -list marker and the docs both key off this.
-func TestSummaryAwareMarking(t *testing.T) {
-	want := map[string]bool{
-		"spanleak":     true,
-		"uncheckederr": true,
-	}
-	for _, a := range lint.DefaultAnalyzers() {
-		if a.SummaryAware != want[a.Name] {
-			t.Errorf("%s SummaryAware = %v, want %v", a.Name, a.SummaryAware, want[a.Name])
-		}
 	}
 }
 

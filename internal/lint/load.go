@@ -31,19 +31,6 @@ type Package struct {
 	// Types and Info carry the go/types results.
 	Types *types.Package
 	Info  *types.Info
-
-	// testFiles marks the _test.go files among Files.
-	testFiles map[*ast.File]bool
-
-	// sums caches the interprocedural summary set (see summary.go); it is
-	// computed once per package, on first use, by any summary-aware analyzer.
-	sumOnce sync.Once
-	sums    *summarySet
-	// bodyIdx is the body index (see dataflow.go): every function body with
-	// its lazily built CFG and parent map, shared by the summary layer and
-	// every flow analyzer.
-	bodyOnce sync.Once
-	bodyIdx  []*funcBody
 }
 
 // Loader loads and type-checks the packages of a single Go module using
@@ -367,7 +354,7 @@ func (l *Loader) analysisPackage(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Package{Path: path, Dir: dir, Files: src.all, Types: tpkg, Info: info, testFiles: src.tests}, nil
+	return &Package{Path: path, Dir: dir, Files: src.all, Types: tpkg, Info: info}, nil
 }
 
 // check runs one go/types pass over files. A nil info asks for the

@@ -188,9 +188,9 @@ var seededRegressions = []seededRegression{
 	{
 		name: "Trainer validation span not ended on a feed error",
 		dir:  "internal/exec", file: "trainer.go",
-		old:  "\t\t\tif err != nil {\n\t\t\t\tvs.End()\n\t\t\t\treturn nil, err\n\t\t\t}\n\t\t\tvb := ",
-		new:  "\t\t\tif err != nil {\n\t\t\t\treturn nil, err\n\t\t\t}\n\t\t\tvb := ",
-		want: "spanleak",
+		old:     "\t\t\tif err != nil {\n\t\t\t\tvs.End()\n\t\t\t\treturn nil, err\n\t\t\t}\n\t\t\tvb := ",
+		new:     "\t\t\tif err != nil {\n\t\t\t\treturn nil, err\n\t\t\t}\n\t\t\tvb := ",
+		dynamic: "TestTrainGroupValidationFeedErrorEndsSpans",
 	},
 	{
 		name: "LayerNorm row mean hoisted out of the fan-out callback",

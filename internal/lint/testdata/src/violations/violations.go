@@ -106,3 +106,22 @@ func suppressed() time.Time { return time.Now() }
 func malformed(a, b float64) bool {
 	return a != b // want "floateq: != on floating-point operands; compare with an epsilon or on math.Float64bits"
 }
+
+// resetCounter can never fail; its error result exists to satisfy an
+// interface shape.
+func resetCounter() error {
+	return nil
+}
+
+// Unchecked error: the analyzer does not read the callee's body, so an
+// always-nil error dropped on the floor is still a finding.
+
+func dropInfallibleError() {
+	resetCounter() // want "uncheckederr: result of resetCounter contains an ignored error"
+}
+
+// Not flagged: `_ =` is the visible, legal discard.
+
+func discardInfallibleError() {
+	_ = resetCounter()
+}

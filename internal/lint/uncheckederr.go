@@ -10,18 +10,15 @@ import (
 // legal (it is visible in review), as are `defer`/`go` statements, whose
 // results Go itself discards, and writers documented to never fail
 // (hash.Hash, strings.Builder, bytes.Buffer, and fmt.Fprint* into them).
-// Package-local callees whose summary proves the error result is nil on
-// every return (errNever) are treated as infallible too, so helpers that
-// only exist to satisfy an interface stop producing noise.
+// A callee's body is never consulted: a local function whose error is
+// always nil is discarded with `_ =` like any other.
 var UncheckedErrAnalyzer = &Analyzer{
-	Name:         "uncheckederr",
-	Doc:          "flags statements that silently discard an error result",
-	SummaryAware: true,
-	Run:          runUncheckedErr,
+	Name: "uncheckederr",
+	Doc:  "flags statements that silently discard an error result",
+	Run:  runUncheckedErr,
 }
 
 func runUncheckedErr(p *Pass) {
-	sums := p.Pkg.summaries()
 	errType := types.Universe.Lookup("error").Type()
 	for _, f := range p.Pkg.Files {
 		if p.InTestFile(f.Pos()) {
@@ -41,9 +38,6 @@ func runUncheckedErr(p *Pass) {
 			}
 			if infallible(p, call) {
 				return true
-			}
-			if sum := sums.calleeSummary(call); sum != nil && sum.errNever {
-				return true // provably always-nil error result
 			}
 			p.Reportf(call.Pos(), "result of %s contains an ignored error", types.ExprString(call.Fun))
 			return true

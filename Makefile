@@ -96,12 +96,15 @@ fuzz:
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
 # + backward at BERT-mini shapes, ns per activated element;
 # BenchmarkAttentionStep: one BERT-mini self-attention layer's step in a
-# recycled scope, ns/op and allocs/op;
+# recycled scope, ns/op and allocs/op; BenchmarkChannelAffine: the
+# per-channel affine's forward and its backward at ResNet-mini shapes,
+# channels 8/16/32/64, ns per element;
 # BenchmarkActSweepGELU beside BenchmarkGeluRowScalar: the bias+gelu+gelu′
 # epilogue alone through the row kernel and through the scalar definition,
 # at 128x3072 and 32x64), the tensor kernels (BenchmarkSoftmaxRows: 512x128
 # through the exp kernel; BenchmarkMatMulConvShapes: the matmul family at
-# conv-layer shapes with half-zero coefficients, in gflops;
+# conv-layer shapes with half-zero coefficients, in gflops, all through the
+# dense tile body since their b operands are finite;
 # BenchmarkEltwiseAdd256: serial vs fanned out; BenchmarkScopeGet: one warm
 # step-scope allocation, ns/op and allocs/op, which must read 0), so a
 # change to the activation path, the allocator or the tile

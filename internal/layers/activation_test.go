@@ -287,6 +287,51 @@ func softmaxRowsBackward(y, g *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// oracleChannelAffine is ChannelAffine's scalar row loops from before the
+// channel helpers, kept verbatim.
+type oracleChannelAffine struct{ *ChannelAffine }
+
+func (l oracleChannelAffine) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	x := inputs[0]
+	out := tensor.NewFrom(x, x.Shape()...)
+	g, b := l.gamma.Tensor().Data(), l.beta.Tensor().Data()
+	c := l.Channels
+	for r := 0; r < x.Rows(); r++ {
+		xr, or := x.Row(r), out.Row(r)
+		for j := 0; j < c; j++ {
+			or[j] = xr[j]*g[j] + b[j]
+		}
+	}
+	return out, nil
+}
+
+func (l oracleChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	x := inputs[0]
+	g := l.gamma.Tensor().Data()
+	c := l.Channels
+	var dgamma, dbeta, dx *tensor.Tensor
+	if need.Params {
+		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.SumRows(gradOut)
+		dg := dgamma.Data()
+		for r := 0; r < x.Rows(); r++ {
+			xr, gr := x.Row(r), gradOut.Row(r)
+			for j := 0; j < c; j++ {
+				dg[j] += gr[j] * xr[j]
+			}
+		}
+	}
+	if need.Inputs {
+		dx = tensor.NewFrom(gradOut, x.Shape()...)
+		for r := 0; r < x.Rows(); r++ {
+			gr, dr := gradOut.Row(r), dx.Row(r)
+			for j := 0; j < c; j++ {
+				dr[j] = gr[j] * g[j]
+			}
+		}
+	}
+	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}
+}
+
 type oracleActivation struct{ *Activation }
 
 func (l oracleActivation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
@@ -312,6 +357,8 @@ func oracleOf(l graph.Layer) graph.Layer {
 		return oracleActivation{l}
 	case *MultiHeadAttention:
 		return oracleMHA{l}
+	case *ChannelAffine:
+		return oracleChannelAffine{l}
 	case *Composite:
 		inner := graph.NewModel(l.inner.Name + "_oracle")
 		twin := map[*graph.Node]*graph.Node{}
@@ -363,11 +410,21 @@ func bitsEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 // the oracle's bits.
 func assertMatchesOracle(t *testing.T, label string, l graph.Layer, inputs []*tensor.Tensor) {
 	t.Helper()
+	assertMatchesOracleGrad(t, label, l, inputs, nil)
+}
+
+// assertMatchesOracleGrad is assertMatchesOracle with the output gradient
+// drawn standard normal and then handed to plant, when plant is not nil.
+func assertMatchesOracleGrad(t *testing.T, label string, l graph.Layer, inputs []*tensor.Tensor, plant func(*tensor.Tensor)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	need := graph.BackwardNeed{Inputs: true, Params: true}
 	ref := oracleOf(l)
 	wantOut, wantCache := ref.Forward(inputs, false)
 	g := tensor.RandNormal(rng, 1, wantOut.Shape()...)
+	if plant != nil {
+		plant(g)
+	}
 	wantIn, wantParams := ref.Backward(wantCache, inputs, wantOut, g.Clone(), need)
 	for _, train := range []bool{true, false} {
 		mode := fmt.Sprintf("%s train=%v", label, train)
@@ -421,6 +478,49 @@ func TestFusedLayersMatchOracle(t *testing.T) {
 	assertMatchesOracle(t, "residual_block",
 		NewResidualBlock(ResidualBlockConfig{InH: 6, InW: 6, InC: 4, MidC: 3, OutC: 8, Stride: 2, Seed: 37}),
 		[]*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 6, 6, 4)})
+
+	// ChannelAffine at ResNet-mini widths (12 leaves a 4-channel tail after
+	// the 8-lane block), on a few rows and on enough to fan out, with
+	// specials planted in x, γ, β and the output gradient: NaNs of distinct
+	// payloads meet in each multiply and add in both operand orders.
+	for _, c := range []int{8, 12, 64} {
+		for _, shape := range [][]int{{2, 3, 5, c}, {4, 32, 32, c}} {
+			l := NewChannelAffine(c, 41)
+			copy(l.beta.Tensor().Data(), tensor.RandNormal(rng, 1, c).Data())
+			x := tensor.RandNormal(rng, 1, shape...)
+			plantAffineSpecials(x, l.gamma.Tensor(), l.beta.Tensor(), 0)
+			assertMatchesOracleGrad(t, fmt.Sprintf("channel_affine/%v", shape), l, []*tensor.Tensor{x},
+				func(g *tensor.Tensor) { plantAffineSpecials(g, nil, nil, 1) })
+		}
+	}
+}
+
+// plantAffineSpecials writes ±0, ±Inf and NaNs of three payloads into
+// every fifth row of m, channel j of row r getting specials[(r/5 + j +
+// shift) % 7], and, when gamma and beta are given, NaNs of other payloads,
+// -0 and ±Inf into them at channels of another period. So across rows
+// every special of x meets every special of γ in the forward multiply in
+// every lane of every channel block, the gradient's meet x's in dγ's
+// multiply and γ's in dx's, and dγ's and dβ's NaN running sums meet NaN
+// terms of other payloads. shift offsets the gradient's pattern from x's.
+func plantAffineSpecials(m, gamma, beta *tensor.Tensor, shift int) {
+	nan := math.Float32frombits
+	negZero, inf := float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	specials := []float32{0, negZero, inf, -inf, nan(0x7fc0000a), nan(0xffc0000b), nan(0x7fc0000c)}
+	for r := 0; r < m.Rows(); r += 5 {
+		for j := range m.Row(r) {
+			m.Row(r)[j] = specials[(r/5+j+shift)%len(specials)]
+		}
+	}
+	if gamma == nil {
+		return
+	}
+	for j, g := range gamma.Data() {
+		gamma.Data()[j] = []float32{g, negZero, inf, nan(0x7fc0000d), g, nan(0xffc0000e)}[j%6]
+	}
+	for j, b := range beta.Data() {
+		beta.Data()[j] = []float32{b, nan(0x7fc0000f), b, -inf, b}[j%5]
+	}
 }
 
 // activationSweep is the float32 input set of the scalar identity test: a

@@ -1,6 +1,7 @@
 package layers
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -98,4 +99,35 @@ func BenchmarkGeluRowScalar(b *testing.B) {
 	}
 	b.Run("128x3072", func(b *testing.B) { benchActSweep(b, scalar, 128, 3072) })
 	b.Run("32x64", func(b *testing.B) { benchActSweep(b, scalar, 32, 64) })
+}
+
+// BenchmarkChannelAffine times ChannelAffine's forward and its backward
+// (dx, dγ and dβ) at ResNet-mini's shapes — batch 32, 8 and 32 channels at
+// 16×16, 16 and 64 at 8×8 — in a step scope recycled after each call, in
+// ns per element.
+func BenchmarkChannelAffine(b *testing.B) {
+	for _, sh := range []struct{ c, hw int }{{8, 16}, {16, 8}, {32, 16}, {64, 8}} {
+		rng := rand.New(rand.NewSource(1))
+		l := NewChannelAffine(sh.c, 1)
+		x, g := tensor.RandNormal(rng, 1, 32, sh.hw, sh.hw, sh.c), tensor.RandNormal(rng, 1, 32, sh.hw, sh.hw, sh.c)
+		need := graph.BackwardNeed{Inputs: true, Params: true}
+		for _, pass := range []string{"fwd", "bwd"} {
+			b.Run(fmt.Sprintf("c%d/%dx%d/%s", sh.c, sh.hw, sh.hw, pass), func(b *testing.B) {
+				scope := tensor.NewArena().Scope()
+				defer scope.Release()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					in := []*tensor.Tensor{tensor.WithAlloc(scope, x)}
+					if pass == "fwd" {
+						l.Forward(in, true)
+					} else {
+						l.Backward(nil, in, nil, tensor.WithAlloc(scope, g), need)
+					}
+					scope.Recycle()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Len()), "ns/elem")
+			})
+		}
+	}
 }

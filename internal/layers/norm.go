@@ -173,14 +173,9 @@ func (l *ChannelAffine) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Te
 	x := inputs[0]
 	out := tensor.NewFrom(x, x.Shape()...)
 	g, b := l.gamma.Tensor().Data(), l.beta.Tensor().Data()
-	c := l.Channels
+	c, xd, od := l.Channels, x.Data(), out.Data()
 	tensor.Parallel(x.Rows(), x.Len()*2, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xr, or := x.Row(r), out.Row(r)
-			for j := 0; j < c; j++ {
-				or[j] = xr[j]*g[j] + b[j]
-			}
-		}
+		tensor.ChannelAffineRows(od[lo*c:hi*c], xd[lo*c:hi*c], g, b)
 	})
 	return out, nil
 }
@@ -188,28 +183,19 @@ func (l *ChannelAffine) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Te
 func (l *ChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	x := inputs[0]
 	g := l.gamma.Tensor().Data()
-	c := l.Channels
+	c, gd := l.Channels, gradOut.Data()
 	var dgamma, dbeta, dx *tensor.Tensor
 	if need.Params {
-		// Both reduce over rows in ascending order; dbeta's is SumRows.
-		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.SumRows(gradOut)
-		dg := dgamma.Data()
-		for r := 0; r < x.Rows(); r++ {
-			xr, gr := x.Row(r), gradOut.Row(r)
-			for j := 0; j < c; j++ {
-				dg[j] += gr[j] * xr[j]
-			}
-		}
+		// One pass reduces both over rows in ascending order; dbeta's adds
+		// are SumRows'.
+		dgamma, dbeta = tensor.NewFrom(gradOut, c), tensor.NewFrom(gradOut, c)
+		tensor.ChannelGradRows(dgamma.Data(), dbeta.Data(), gd, x.Data())
 	}
 	if need.Inputs {
 		dx = tensor.NewFrom(gradOut, x.Shape()...)
+		dd := dx.Data()
 		tensor.Parallel(x.Rows(), x.Len(), func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				gr, dr := gradOut.Row(r), dx.Row(r)
-				for j := 0; j < c; j++ {
-					dr[j] = gr[j] * g[j]
-				}
-			}
+			tensor.ChannelScaleRows(dd[lo*c:hi*c], gd[lo*c:hi*c], g)
 		})
 	}
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}

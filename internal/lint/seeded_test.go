@@ -158,6 +158,20 @@ var seededRegressions = []seededRegression{
 		dynamic: "TestAttentionMatchesPerHeadChain",
 	},
 	{
+		name: "Tile kernel runs dense over a non-finite b",
+		dir:  "internal/tensor", file: "simd_amd64.go",
+		old:     "\treturn len(b) == 0 || finiteAsm(&b[0], len(b))\n",
+		new:     "\treturn true\n",
+		dynamic: "TestMatMulFamilyLoneZero",
+	},
+	{
+		name: "Attention ds slab reused without clear",
+		dir:  "internal/tensor", file: "attention.go",
+		old:     "\t\t\tclear(ds)\n",
+		new:     "",
+		dynamic: "TestAttentionMatchesPerHeadChain",
+	},
+	{
 		name: "Trainer wall-clock read loses its pragma",
 		dir:  "internal/exec", file: "trainer.go",
 		old:  "\t\t//lint:ignore determinism wall-clock measurement of training time for Metrics reporting\n",

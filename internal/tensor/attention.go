@@ -30,13 +30,13 @@ func Attention(q, k, v *Tensor, batch, heads int, scale float32) (attn, ctx *Ten
 	attn = NewFrom(q, batch, heads, seq, seq)
 	ctx = NewFrom(q, batch*seq, dim)
 	pairs := batch * heads
-	denseQ := denseCoefs(q.data)
+	denseK, denseV := denseB(k.data), denseB(v.data)
 	pairFanOut(q, pairs, seq*dh, pairs*seq*seq*(4*dh+8), func(pack []float32, lo, hi int) {
 		for pr := lo; pr < hi; pr++ {
 			off := pr/heads*seq*dim + pr%heads*dh // the head's first element
 			a := attn.data[pr*seq*seq : (pr+1)*seq*seq]
 			packHeadT(pack, k.data[off:], seq, dh, dim)
-			tileKernel(a, seq, seq, seq, q.data[off:], dim, 1, pack, dh, denseQ)
+			tileKernel(a, seq, seq, seq, q.data[off:], dim, 1, pack, dh, denseK)
 			for r := 0; r < seq; r++ {
 				row := a[r*seq : (r+1)*seq]
 				for j := range row {
@@ -45,7 +45,7 @@ func Attention(q, k, v *Tensor, batch, heads int, scale float32) (attn, ctx *Ten
 				softmaxRow(row, row)
 			}
 			packHead(pack, v.data[off:], seq, dh, dim)
-			tileKernel(ctx.data[off:], dim, seq, dh, a, seq, 1, pack, seq, denseCoefs(a))
+			tileKernel(ctx.data[off:], dim, seq, dh, a, seq, 1, pack, seq, denseV)
 		}
 	})
 	return attn, ctx
@@ -68,17 +68,17 @@ func AttentionBackward(q, k, v, attn, dctx *Tensor, scale float32) (dq, dk, dv *
 	dk = NewFrom(dctx, batch*seq, dim)
 	dv = NewFrom(dctx, batch*seq, dim)
 	pairs := batch * heads
-	denseDctx := denseCoefs(dctx.data)
+	denseDctx, denseV, denseK, denseQ := denseB(dctx.data), denseB(v.data), denseB(k.data), denseB(q.data)
 	pairFanOut(dctx, pairs, seq*dh+seq*seq, pairs*seq*seq*(8*dh+4), func(s []float32, lo, hi int) {
 		pack, ds := s[:seq*dh], s[seq*dh:]
 		for pr := lo; pr < hi; pr++ {
 			off := pr/heads*seq*dim + pr%heads*dh
 			a := attn.data[pr*seq*seq : (pr+1)*seq*seq]
 			packHead(pack, dctx.data[off:], seq, dh, dim)
-			tileKernel(dv.data[off:], dim, seq, dh, a, 1, seq, pack, seq, denseCoefs(a))
+			tileKernel(dv.data[off:], dim, seq, dh, a, 1, seq, pack, seq, denseDctx)
 			clear(ds)
 			packHeadT(pack, v.data[off:], seq, dh, dim)
-			tileKernel(ds, seq, seq, seq, dctx.data[off:], dim, 1, pack, dh, denseDctx)
+			tileKernel(ds, seq, seq, seq, dctx.data[off:], dim, 1, pack, dh, denseV)
 			for r := 0; r < seq; r++ {
 				yr, gr := a[r*seq:(r+1)*seq], ds[r*seq:(r+1)*seq]
 				var dot float64
@@ -90,11 +90,10 @@ func AttentionBackward(q, k, v, attn, dctx *Tensor, scale float32) (dq, dk, dv *
 					gr[j] = float32(yr[j]*(gr[j]-d)) * scale
 				}
 			}
-			denseDs := denseCoefs(ds)
 			packHead(pack, k.data[off:], seq, dh, dim)
-			tileKernel(dq.data[off:], dim, seq, dh, ds, seq, 1, pack, seq, denseDs)
+			tileKernel(dq.data[off:], dim, seq, dh, ds, seq, 1, pack, seq, denseK)
 			packHead(pack, q.data[off:], seq, dh, dim)
-			tileKernel(dk.data[off:], dim, seq, dh, ds, 1, seq, pack, seq, denseDs)
+			tileKernel(dk.data[off:], dim, seq, dh, ds, 1, seq, pack, seq, denseQ)
 		}
 	})
 	return dq, dk, dv

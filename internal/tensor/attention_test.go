@@ -13,16 +13,28 @@ import (
 // kernel's 4- and 8-column blocks, odd head widths, one to four heads,
 // zeros of both signs, NaN and ±Inf planted in q, k, v and dctx, worker
 // caps 1–3, on the heap and in a step scope. Half the shapes draw q, k, v
-// and dctx with no zero, so the tile kernel's dense body runs wherever a
-// scan allows it; every shape's first batch element has softmax rows with
-// exact zeros (underflowed scores) in front of ±Inf/NaN rows of v and dctx,
-// which only the skip keeps out of ctx and dv. The larger shapes pass the
+// and dctx with no zero; every shape's first batch element has softmax
+// rows with exact zeros (underflowed scores) in front of ±Inf/NaN rows of v
+// and dctx, which only the skip keeps out of ctx and dv — except where
+// those rows are finite and mixed-sign instead (the zero-free shapes with
+// no specials), so the tile kernel's dense body runs over the zeros and its
+// -0 products meet +0 accumulators. The larger shapes pass the
 // parallel threshold, so under -race two or three chunks run at once and a
 // scratch slot they shared would be reported.
 func TestAttentionMatchesPerHeadChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	t.Cleanup(func() { SetMaxWorkers(0) })
+	// The planted NaN (bits 0x7fc00000) meets the NaNs 0·Inf and Inf−Inf
+	// produce (0xffc00000), so the test checks which payload wins. The fused
+	// kernels scan whole operands for finiteness and the chain one head at a
+	// time, so a product may run the portable tile body on one side and the
+	// assembly on the other; they keep the same payload except in a -race
+	// build, which reorders the portable body's adds. There the planted NaN
+	// is the default one, so no two payloads meet.
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	if raceBuild {
+		nan = math.Float32frombits(0xffc00000)
+	}
 	for i, sh := range []struct{ batch, seq, heads, dh int }{
 		{1, 1, 1, 1},
 		{2, 3, 4, 1},
@@ -41,7 +53,11 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 		}
 		q, k, v, dctx := fill(rng, New(rows, dim)), fill(rng, New(rows, dim)), fill(rng, New(rows, dim)), fill(rng, New(rows, dim))
 		if sh.seq >= 2 {
-			plantUnderflow(q, k, v, dctx, sh.heads, sh.dh)
+			behind := []float32{inf, nan, -inf}
+			if i%4 == 2 {
+				behind = []float32{3, -2, 0.5}
+			}
+			plantUnderflow(q, k, v, dctx, sh.heads, sh.dh, behind)
 		}
 		if i%2 == 1 { // specials: one of each in every operand
 			for _, m := range []*Tensor{q, k, v, dctx} {
@@ -91,10 +107,9 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 
 // plantUnderflow makes attn[0][1] of every head of batch element 0 an exact
 // zero — q row 0 and k row 0 are +10, k row 1 is -10, so the row's scores
-// differ by at least 200·scale·dh — and puts ±Inf/NaN behind it: v row 1
-// (ctx row 0's term 1) and dctx row 0 (dv row 1's term 0).
-func plantUnderflow(q, k, v, dctx *Tensor, heads, dh int) {
-	specials := []float32{float32(math.Inf(1)), float32(math.NaN()), float32(math.Inf(-1))}
+// differ by at least 200·scale·dh — and puts the three values of specials
+// behind it: v row 1 (ctx row 0's term 1) and dctx row 0 (dv row 1's term 0).
+func plantUnderflow(q, k, v, dctx *Tensor, heads, dh int, specials []float32) {
 	for c := 0; c < heads*dh; c++ {
 		q.Row(0)[c], k.Row(0)[c], k.Row(1)[c] = 10, 10, -10
 		v.Row(1)[c], dctx.Row(0)[c] = specials[c%3], specials[(c+1)%3]

@@ -96,7 +96,10 @@ func BenchmarkEltwiseAdd256(b *testing.B) {
 // workloads spend it: im2col-shaped operands (many rows, 8-16 output
 // channels) whose coefficient operand is half exact zeros, as a post-ReLU
 // cols matrix or a ReLU-masked dz is, beside two dense shapes (the bench/
-// probe's 384x32x64 and 256^3). Shapes are m x k x n of the product.
+// probe's 384x32x64 and 256^3). Shapes are m x k x n of the product. Every
+// b operand here is finite, so all rows run the dense tile body: the
+// half0 rows measure it over zero coefficients, which it multiplies
+// rather than skips.
 func BenchmarkMatMulConvShapes(b *testing.B) {
 	for _, tc := range []struct {
 		m, k, n int

@@ -211,10 +211,13 @@ func TestMatMulATTileEdges(t *testing.T) {
 // TestMatMulFamilyLoneZero plants one zero coefficient (either sign) in
 // an otherwise zero-free operand, in front of a b row that is all Inf and
 // NaN: only the skip keeps that row out of the coefficient's output row, so
-// a dense choice made over the wrong rows turns it NaN. The zero sits at
-// the first term, in the ragged last K-block, in a 1-3-row tail after the
-// 4-row tiles and in the second chunk of a parallel fan-out, for MatMul,
-// MatMulBT and MatMulAT at worker caps 1-3.
+// a dense choice over a non-finite b turns it NaN. The zero sits at the
+// first term, in the ragged last K-block, in a 1-3-row tail after the 4-row
+// tiles and in the second chunk of a parallel fan-out, for MatMul, MatMulBT
+// and MatMulAT at worker caps 1-3. The finite-b leg puts the same zeros,
+// and a whole row of zero coefficients of both signs, in front of finite
+// mixed-sign b rows, where the dense body runs: its -0 products meet +0
+// accumulators and must leave them as the skip does.
 func TestMatMulFamilyLoneZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	t.Cleanup(func() {
@@ -222,7 +225,7 @@ func TestMatMulFamilyLoneZero(t *testing.T) {
 		SetScheduleSource(nil)
 	})
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
-	const m, k, n, tileK = 11, 10, 13, 4 // two 4-row tiles + 3 rows; K-blocks 4, 4, 2
+	const m, k, n = 11, 10, 13 // two 4-row tiles + 3 rows; K-blocks 4, 4, 2
 	for _, at := range []struct {
 		name string
 		i, p int
@@ -248,17 +251,52 @@ func TestMatMulFamilyLoneZero(t *testing.T) {
 					}
 				}
 			}
-			for workers := 1; workers <= 3; workers++ {
-				SetMaxWorkers(workers)
-				for _, sch := range []Schedule{{TileK: tileK}, {TileK: tileK, SerialBelow: 1}, {TileM: 1, SerialBelow: 1}} {
-					label := fmt.Sprintf("%s sign %d workers %d %s", at.name, sign, workers, sch.String())
-					SetScheduleSource(testForce{sch})
-					assertBitsEqual(t, "MatMul "+label, MatMul(a, b), wantMM)
-					assertBitsEqual(t, "MatMulBT "+label, MatMulBT(a, bt), wantBT)
-					assertBitsEqual(t, "MatMulAT "+label, MatMulAT(aT, b), wantAT)
-					SetScheduleSource(nil)
+			checkLoneZero(t, fmt.Sprintf("%s sign %d", at.name, sign), a, aT, b, bt, wantMM, wantBT, wantAT)
+		}
+	}
+	// Finite b: every zero above at once, plus an all-zero row zeroRow of a
+	// (and column zeroRow of aT) with alternating signs.
+	const zeroRow = 5
+	for sign, zero := range []float32{0, float32(math.Copysign(0, -1))} {
+		a, aT := fillDense(rng, New(m, k)), fillDense(rng, New(k, m))
+		b, bt := fillMixed(rng, New(k, n)), fillMixed(rng, New(n, k))
+		for _, at := range []struct{ i, p int }{{1, 0}, {2, k - 1}, {m - 2, 5}, {7, 3}} {
+			a.Data()[at.i*k+at.p], aT.Data()[at.p*m+at.i] = zero, zero
+		}
+		for p := 0; p < k; p++ {
+			z := []float32{0, float32(math.Copysign(0, -1))}[(p+sign)%2]
+			a.Data()[zeroRow*k+p], aT.Data()[p*m+zeroRow] = z, z
+		}
+		if denseB([]float32{1}) && !(denseB(b.Data()) && denseB(bt.Data())) { // a dense body exists, but not for this b
+			t.Fatal("finite b reads as non-finite: the leg would not run the dense body")
+		}
+		wantMM, wantBT, wantAT := refMatMul(a, b), refMatMulBT(a, bt), refMatMulAT(aT, b)
+		for _, want := range []*Tensor{wantMM, wantBT, wantAT} {
+			for _, v := range want.Row(zeroRow) {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("finite b: reference row %d of zero coefficients holds %v (bits %08x), want +0", zeroRow, v, math.Float32bits(v))
 				}
 			}
+		}
+		checkLoneZero(t, fmt.Sprintf("finite b sign %d", sign), a, aT, b, bt, wantMM, wantBT, wantAT)
+	}
+}
+
+// checkLoneZero runs TestMatMulFamilyLoneZero's operands through the three
+// matmuls at worker caps 1-3 under its K-blocked, forced-parallel and
+// single-row schedules.
+func checkLoneZero(t *testing.T, name string, a, aT, b, bt, wantMM, wantBT, wantAT *Tensor) {
+	t.Helper()
+	const tileK = 4
+	for workers := 1; workers <= 3; workers++ {
+		SetMaxWorkers(workers)
+		for _, sch := range []Schedule{{TileK: tileK}, {TileK: tileK, SerialBelow: 1}, {TileM: 1, SerialBelow: 1}} {
+			label := fmt.Sprintf("%s workers %d %s", name, workers, sch.String())
+			SetScheduleSource(testForce{sch})
+			assertBitsEqual(t, "MatMul "+label, MatMul(a, b), wantMM)
+			assertBitsEqual(t, "MatMulBT "+label, MatMulBT(a, bt), wantBT)
+			assertBitsEqual(t, "MatMulAT "+label, MatMulAT(aT, b), wantAT)
+			SetScheduleSource(nil)
 		}
 	}
 }
@@ -371,6 +409,12 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		assertBitsEqual(t, "ReLUMask", gotMask, wantMask)
 
 		checkTileKernel(t, rng, n)
+		checkChannelHelpers(t, rng, 1+rng.Intn(70))
+	}
+	// 32-, 8- and 1-channel blocks by name: ResNet-mini's 8-64 channels and
+	// mixes with a tail.
+	for _, c := range []int{1, 7, 8, 12, 16, 32, 33, 41, 64} {
+		checkChannelHelpers(t, rng, c)
 	}
 	// Every column-block mix of 16, 8, 4 and 1 by name: 4 and 12 end on
 	// the 4-block, 5, 7, 13 and 20 leave single columns after it.
@@ -378,75 +422,135 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		checkTileKernel(t, rng, n)
 	}
 
-	// What makes the exact-zero skip branchless: a skipped term adds -0, and
-	// x + (-0) is x bit for bit. Every coefficient is a zero, b holds values
-	// whose product with zero is not neutral (0 x Inf and 0 x NaN are NaN,
-	// 0 x 1 is +0 and -0 + +0 is +0), and out already holds -0, +0, both
-	// infinities and NaN: it must come back untouched. Adding the raw
-	// product, or +0 in its place, fails here.
-	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	// Zero coefficients leave out as it is. Every coefficient is a zero (both
+	// signs). Over a b holding Inf and NaN (0 x Inf and 0 x NaN are NaN) the
+	// scan picks the portable body, whose skip leaves even a -0 in out alone.
+	// Over a finite b the dense body adds 0 x b = +-0, which leaves +0,
+	// +-Inf, NaN and nonzero values alone — out holds no -0 there, as no
+	// accumulator does.
+	inf := float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
 	const rows, kc, n = 7, 3, 29 // 4-row tile + 3 single rows; column blocks of 16, 8, 4 and 1
-	held := []float32{negZero, 0, inf, -inf, nan, 1.5}
-	out, b, coef := New(rows, n), New(kc, n), New(rows, kc)
-	for i := range out.Data() {
-		out.Data()[i] = held[i%len(held)]
-	}
-	for i := range b.Data() {
-		b.Data()[i] = []float32{1, inf, nan, -2}[(i/len(held))%4]
-	}
+	coef := New(rows, kc)
 	for i := range coef.Data() {
 		coef.Data()[i] = []float32{0, negZero}[i%2]
 	}
-	for name, kernel := range map[string]func([]float32, int, int, int, []float32, int, int, []float32, int){
-		"tileKernel": func(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
-			tileKernel(out, os, rows, n, a, si, sp, b, kc, false)
-		},
-		"tileKernelGeneric": tileKernelGeneric,
-	} {
+	for _, finite := range []bool{false, true} {
+		held := []float32{negZero, 0, inf, -inf, nan, 1.5}
+		bv := []float32{1, inf, nan, -2}
+		if finite {
+			held[0], bv[1], bv[2] = -3, math.MaxFloat32, negZero
+		}
+		out, b := New(rows, n), New(kc, n)
+		for i := range out.Data() {
+			out.Data()[i] = held[i%len(held)]
+		}
+		for i := range b.Data() {
+			b.Data()[i] = bv[(i/len(held))%4]
+		}
 		got := out.Clone()
-		kernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc)
-		assertBitsEqual(t, name+" skipped terms", got, out)
+		tileKernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc, denseB(b.Data()))
+		assertBitsEqual(t, fmt.Sprintf("tileKernel zero terms, finite b %v", finite), got, out)
+		got = out.Clone()
+		tileKernelGeneric(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc)
+		assertBitsEqual(t, fmt.Sprintf("tileKernelGeneric zero terms, finite b %v", finite), got, out)
 	}
 }
 
 // checkTileKernel runs the tile kernel against its portable body at width
 // n under both stride forms of the family (A row-major and transposed), on
-// an accumulator that already holds values (zeros of both signs too), with
-// a NaN coefficient, for out row strides n (the matmuls) and wider (the
-// attention kernels' head columns, whose gap columns must stay untouched):
-// the skip body on coefficients with zeros, and both bodies on zero-free
-// coefficients against b holding zeros, ±Inf and NaN.
+// an accumulator that already holds values, with a NaN coefficient, for out
+// row strides n (the matmuls) and wider (the attention kernels' head
+// columns, whose gap columns must stay untouched): the dense body on
+// coefficients with zeros against a finite b (out then holds no -0, as an
+// accumulator never does) and on zero-free coefficients against b holding
+// ±Inf and NaN, and the portable dispatch on coefficients with zeros
+// against that b, where zeros of both signs in out must survive.
 func checkTileKernel(t *testing.T, rng *rand.Rand, n int) {
 	t.Helper()
 	rows, kc := 1+rng.Intn(9), 1+rng.Intn(20)
-	b := fillMixed(rng, New(kc, n))
-	plantSpecials(rng, b)
+	finiteB := fillMixed(rng, New(kc, n))
+	specialB := finiteB.Clone()
+	plantSpecials(rng, specialB)
 	mixed, dense := fillMixed(rng, New(rows*kc)), fillDense(rng, New(rows*kc))
 	for _, c := range []*Tensor{mixed, dense} {
 		c.Data()[rng.Intn(rows*kc)] = float32(math.NaN())
 	}
 	for _, os := range []int{n, n + 1 + rng.Intn(5)} {
 		out := fillMixed(rng, New(rows, os))
+		noNegZero := out.Clone()
+		for i, v := range noNegZero.Data() {
+			if math.Float32bits(v) == 0x80000000 {
+				noNegZero.Data()[i] = 0
+			}
+		}
 		for _, st := range [][2]int{{kc, 1}, {1, rows}} {
 			for _, tc := range []struct {
-				coef  *Tensor
-				dense bool
-			}{{mixed, false}, {dense, false}, {dense, true}} {
-				want, got := out.Clone(), out.Clone()
-				tileKernelGeneric(want.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], b.Data(), kc)
-				tileKernel(got.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], b.Data(), kc, tc.dense)
-				assertBitsEqual(t, fmt.Sprintf("tileKernel n=%d os=%d rows=%d dense=%v", n, os, rows, tc.dense), got, want)
+				name         string
+				out, coef, b *Tensor
+				dense        bool
+			}{
+				{"zeros, finite b", noNegZero, mixed, finiteB, true},
+				{"zero-free, specials in b", out, dense, specialB, true},
+				{"zeros, specials in b", out, mixed, specialB, false},
+			} {
+				want, got := tc.out.Clone(), tc.out.Clone()
+				tileKernelGeneric(want.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], tc.b.Data(), kc)
+				tileKernel(got.Data(), os, rows, n, tc.coef.Data(), st[0], st[1], tc.b.Data(), kc, tc.dense)
+				assertBitsEqual(t, fmt.Sprintf("tileKernel %s n=%d os=%d rows=%d", tc.name, n, os, rows), got, want)
 			}
 		}
 	}
+}
+
+// checkChannelHelpers holds ChannelAffineRows, ChannelScaleRows and
+// ChannelGradRows to their portable bodies at c channels over a few rows,
+// with zeros of both signs, ±Inf and NaN in x, g, gamma and beta. The one
+// NaN is x86's default NaN, the bits 0·Inf and Inf−Inf produce, so no two
+// payloads meet: which one survives depends on the operand order the
+// compiler gives the portable body, and that varies with inlining and
+// -race. The layers' oracle test holds the payloads.
+func checkChannelHelpers(t *testing.T, rng *rand.Rand, c int) {
+	t.Helper()
+	rows := 1 + rng.Intn(9)
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0xffc00000),
+	}
+	fill := func(n int) []float32 {
+		d := make([]float32, n)
+		for i := range d {
+			d[i] = float32(rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				d[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return d
+	}
+	x, g, gamma, beta := fill(rows*c), fill(rows*c), fill(c), fill(c)
+	label := fmt.Sprintf("c=%d rows=%d", c, rows)
+
+	want, got := make([]float32, rows*c), make([]float32, rows*c)
+	channelAffineGeneric(want, x, gamma, beta)
+	ChannelAffineRows(got, x, gamma, beta)
+	assertBitsEqual(t, "ChannelAffineRows "+label, FromSlice(got, rows, c), FromSlice(want, rows, c))
+
+	channelScaleGeneric(want, g, gamma)
+	ChannelScaleRows(got, g, gamma)
+	assertBitsEqual(t, "ChannelScaleRows "+label, FromSlice(got, rows, c), FromSlice(want, rows, c))
+
+	acc := fill(2 * c) // dgamma, then dbeta
+	want, got = append([]float32(nil), acc...), append([]float32(nil), acc...)
+	channelGradGeneric(want[:c], want[c:], g, x)
+	ChannelGradRows(got[:c], got[c:], g, x)
+	assertBitsEqual(t, "ChannelGradRows "+label, FromSlice(got, 2, c), FromSlice(want, 2, c))
 }
 
 // TestSIMDHelpersRejectShortOperands: the assembly takes raw pointers, so
 // every wrapper must refuse an operand shorter than the extent it will
 // touch, as the portable bodies' re-slicing does.
 func TestSIMDHelpersRejectShortOperands(t *testing.T) {
-	long, short := make([]float32, 40), make([]float32, 39)
+	long, short, ch := make([]float32, 40), make([]float32, 39), make([]float32, 8)
 	for name, fn := range map[string]func(){
 		"saxpy":                 func() { saxpy(long, short, 2) },
 		"saxpyGeneric":          func() { saxpyGeneric(long, short, 2) },
@@ -457,14 +561,22 @@ func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 		"ReLUMask g":            func() { ReLUMask(long, short, long) },
 		"ReLUMask out":          func() { ReLUMask(long, long, short) },
 		"reluMaskGeneric":       func() { reluMaskGeneric(long, long, short) },
-		"tileKernel out":        func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4, false) },
-		"tileKernel out stride": func() { tileKernel(long, 13, 4, 4, long, 4, 1, long, 4, false) },
-		"tileKernel a":          func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4, false) },
-		"tileKernel b":          func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4, false) },
-		"tileKernel dense out":  func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4, true) },
-		"tileKernel dense a":    func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4, true) },
-		"tileKernel dense b":    func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4, true) },
+		"tileKernel out":        func() { tileKernel(short, 10, 4, 10, long, 10, 1, long, 4, true) },
+		"tileKernel out stride": func() { tileKernel(long, 13, 4, 4, long, 4, 1, long, 4, true) },
+		"tileKernel a":          func() { tileKernel(long, 10, 4, 10, short, 12, 1, long, 4, true) },
+		"tileKernel b":          func() { tileKernel(long, 10, 4, 10, long, 10, 1, short, 4, true) },
 		"tileKernelGeneric a":   func() { tileKernelGeneric(long, 10, 4, 10, short, 12, 1, long, 4) },
+		"ChannelAffineRows x":   func() { ChannelAffineRows(long, short, ch, ch) },
+		"ChannelAffineRows β":   func() { ChannelAffineRows(long, long, ch, ch[:7:7]) },
+		"ChannelAffineRows dst": func() { ChannelAffineRows(short, short, ch, ch) },
+		"ChannelScaleRows g":    func() { ChannelScaleRows(long, short, ch) },
+		"ChannelScaleRows dst":  func() { ChannelScaleRows(short, short, ch) },
+		"ChannelGradRows x":     func() { ChannelGradRows(ch, ch, long, short) },
+		"ChannelGradRows g":     func() { ChannelGradRows(ch, ch, short, short) },
+		"ChannelGradRows β":     func() { ChannelGradRows(ch, ch[:7:7], long, long) },
+		"channelAffineGeneric":  func() { channelAffineGeneric(long, short, ch, ch) },
+		"channelScaleGeneric":   func() { channelScaleGeneric(long, short, ch) },
+		"channelGradGeneric":    func() { channelGradGeneric(ch, ch, long, short) },
 	} {
 		func() {
 			defer func() {

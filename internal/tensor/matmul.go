@@ -5,10 +5,10 @@ import "fmt"
 // The matmul family has one body per op, parameterized by the Schedule its
 // shape resolves to (see schedule.go). The strategy: keep the seed's
 // per-output-element accumulation chain (ascending p, one multiply then one
-// add per term, exact-zero a-coefficients skipped — the sparsity fast path
-// the seed MatMul had, uniform across the family, so frozen-layer zero
-// gradients short-circuit in backward passes too) but run it in a register
-// tile and reorganize the loops for locality:
+// add per term, exact-zero a-coefficients skipped — the sparsity rule the
+// seed MatMul had, uniform across the family, so a 0×Inf or 0×NaN product
+// never reaches an output) but run it in a register tile and reorganize the
+// loops for locality:
 //
 //   - tileKernel (simd_amd64.s; portable body in simd.go) loads a 4-row ×
 //     16/8/4/1-column block of out into registers, runs a whole K-block
@@ -22,26 +22,21 @@ import "fmt"
 //     cache-resident across the whole row sweep (and, for MatMulBT, so the
 //     transposed panel can be packed once into a contiguous slab).
 //
-// The exact-zero skip is branchless. A skipped term adds -0.0 in place of
-// its product, and x + (-0.0) is x bit for bit for every float32 x: +0
-// stays +0 (only -0 + -0 is -0), -0 stays -0, infinities and NaNs pass
-// through. So a 0×Inf or 0×NaN product never reaches the accumulator, as
-// the seed loop's `continue` guarantees, and no pattern of zeros among a
-// tile's four coefficients leaves the SIMD path — post-ReLU operands are
-// about half zeros, so a branch on "all four nonzero" would fail fifteen
-// terms in sixteen. +0.0 would not do: -0 + +0 is +0. "Zero" is Go's
-// a == 0: both signs, and never NaN (a NaN coefficient turns its row NaN).
-//
-// Dense operands skip the skip. The skip costs four of a 16-column term's
-// nine vector ops, and most coefficient operands hold no ±0 at all (GELU
-// and LayerNorm outputs, softmax weights and their gradients; ReLU outputs
-// are the exception). So the tile kernel has a dense twin without it, and a
-// caller runs the twin over coefficients one vector scan (denseCoefs) found
-// free of ±0 — where every skip key keeps its product, so both bodies give
-// the same bits. The scan runs once per operand, never per tile: MatMul and
-// MatMulBT scan each chunk's rows of a inside the fan-out, MatMulAT the
-// whole operand before it, the attention kernels q or dctx once per call
-// and each pair's softmax slabs once per pair.
+// The assembly tile body has no skip at all; it runs where b is finite.
+// Every output starts at +0 — a zero-filled tensor from New or a scope's
+// Get, or a scratch slab the caller clears — and that is an obligation on
+// every caller of tileKernel: under round-to-nearest a sum is -0 only when
+// both addends are -0, so an accumulator that starts at +0 is never -0.
+// With a finite b, a zero coefficient of either sign adds 0·b = ±0, and
+// x + (±0) is x bit for bit for every x that is not -0 — a NaN keeps its
+// payload, an infinity stays — so the term leaves every bit as the skip
+// would. With an infinite or NaN b a zero coefficient would add NaN, so
+// such a call runs tileKernelGeneric, the portable body with the skip and
+// the tests' oracle. One vector scan (denseB) decides, once per b operand
+// per call, never per tile: the weight for MatMul and MatMulBT, dz for
+// MatMulAT; the attention kernels scan theirs once per call. Off amd64
+// and without AVX2 the portable body is the only one and nothing is
+// scanned. A NaN coefficient is not a zero and turns its row NaN.
 //
 // Each term is one multiply then one add, never a fused multiply-add, which
 // rounds once where the seed loop rounds twice. The multiply takes
@@ -123,15 +118,8 @@ func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
 	if tk < 1 || tk > k {
 		tk = k
 	}
-	// A chunk that reads whole rows of a (sp == 1: MatMul, and MatMulAT of
-	// one column) scans them inside the fan-out; MatMulAT's chunk reads a
-	// band of columns, so its whole operand is scanned once before it.
-	whole := sp != 1 && denseCoefs(a.data)
+	dense := denseB(b.data)
 	parallelFor(sch, m, m*k*n, func(lo, hi int) {
-		dense := whole
-		if sp == 1 {
-			dense = denseRows(a.data, si, lo, hi, 0, k)
-		}
 		for kk := 0; kk < k; kk += tk {
 			ke := kk + tk
 			if ke > k {
@@ -151,8 +139,8 @@ func matMulBlocked(out, a, b *Tensor, si, sp int, sch Schedule) {
 // matMulBTPacked computes a × bᵀ by packing K-blocks of bᵀ into a
 // contiguous [tk, n] slab, then running the same tile kernel against the
 // slab. Packing turns MatMulBT's column-strided b accesses into the
-// contiguous panels MatMul enjoys and gives the family's exact-zero skip
-// to the BT form for free.
+// contiguous panels MatMul enjoys, and gives the BT form MatMul's tile
+// kernel and its choice of body by the finiteness of b.
 func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Rows()
@@ -164,6 +152,8 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 	if tk > k {
 		tk = k
 	}
+	// The packed slab holds b's elements, so b's scan speaks for it.
+	dense := denseB(b.data)
 	// One packed slab reused across K-blocks; derived from the operands'
 	// allocator so step-scoped callers stay arena-pooled.
 	pack := NewFrom2(a, b, tk, n)
@@ -180,7 +170,6 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 			}
 		}
 		parallelFor(sch, m, m*(ke-kk)*n, func(lo, hi int) {
-			dense := denseRows(a.data, k, lo, hi, kk, ke)
 			for i0 := lo; i0 < hi; i0 += tm {
 				i1 := i0 + tm
 				if i1 > hi {
@@ -195,22 +184,7 @@ func matMulBTPacked(out, a, b *Tensor, sch Schedule) {
 // matMulTile accumulates out rows [i0,i1) over reduction terms [kk,ke),
 // with row i's coefficient for term p at ad[i*si+p*sp] and b-panel rows
 // read from bdata at (p-pOff)*n: one tileKernel call over the block's
-// sub-slices, dense as the caller's scan decided.
+// sub-slices, dense as the caller's scan of b decided.
 func matMulTile(out *Tensor, ad []float32, si, sp int, bdata []float32, pOff, i0, i1, kk, ke, n int, dense bool) {
 	tileKernel(out.data[i0*n:i1*n], n, i1-i0, n, ad[i0*si+kk*sp:], si, sp, bdata[(kk-pOff)*n:(ke-pOff)*n], ke-kk, dense)
-}
-
-// denseRows is denseCoefs over columns [c0,c1) of rows [lo,hi) of the
-// row-major a (row stride rs): one scan when those rows are one contiguous
-// span, else one per row, stopped at the first row with a zero.
-func denseRows(a []float32, rs, lo, hi, c0, c1 int) bool {
-	if c0 == 0 && c1 == rs {
-		return denseCoefs(a[lo*rs : hi*rs])
-	}
-	for i := lo; i < hi; i++ {
-		if !denseCoefs(a[i*rs+c0 : i*rs+c1]) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Portable scalar bodies of the SIMD micro-kernels. The assembly variants
 // must produce bit-identical results to these: one multiply then one add
 // per output element, ascending index order.
@@ -34,6 +36,58 @@ func tileKernelGeneric(out []float32, os, rows, n int, a []float32, si, sp int, 
 				continue
 			}
 			saxpyGeneric(or, b[p*n:(p+1)*n], av)
+		}
+	}
+}
+
+// channelRows returns the rows of m as rows of c = len(ch) channels,
+// panicking unless they tile m exactly: the channel helpers' shape check.
+func channelRows(m, ch []float32) (rows, c int) {
+	c = len(ch)
+	if c == 0 || len(m)%c != 0 {
+		if len(m) == 0 {
+			return 0, c
+		}
+		panic(fmt.Sprintf("tensor: %d elements are not rows of %d channels", len(m), c))
+	}
+	return len(m) / c, c
+}
+
+// The channel helpers' portable bodies: the scalar loops of
+// layers.ChannelAffine, rows of c = len(gamma) (or len(dgamma)) channels. The
+// float32 conversion keeps each product rounded on its own, so no compiler
+// fuses it into the add.
+
+func channelAffineGeneric(dst, x, gamma, beta []float32) {
+	c := len(gamma)
+	x, beta = x[:len(dst)], beta[:c]
+	for r := 0; r < len(dst); r += c {
+		dr, xr := dst[r:r+c], x[r:r+c]
+		for j, gj := range gamma {
+			dr[j] = float32(xr[j]*gj) + beta[j]
+		}
+	}
+}
+
+func channelScaleGeneric(dst, g, gamma []float32) {
+	c := len(gamma)
+	g = g[:len(dst)]
+	for r := 0; r < len(dst); r += c {
+		dr, gr := dst[r:r+c], g[r:r+c]
+		for j, gj := range gamma {
+			dr[j] = gr[j] * gj
+		}
+	}
+}
+
+func channelGradGeneric(dgamma, dbeta, g, x []float32) {
+	c := len(dgamma)
+	dbeta, x = dbeta[:c], x[:len(g)]
+	for r := 0; r < len(g); r += c {
+		gr, xr := g[r:r+c], x[r:r+c]
+		for j := range dgamma {
+			dgamma[j] += float32(gr[j] * xr[j])
+			dbeta[j] += gr[j]
 		}
 	}
 }

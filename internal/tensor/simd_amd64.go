@@ -16,13 +16,19 @@ func saxpyAsm(dst, x *float32, n int, a float32)
 func vaddAsm(dst, x *float32, n int)
 
 //go:noescape
-func tileKernelAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
-
-//go:noescape
 func tileKernelDenseAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
 
 //go:noescape
-func zeroFreeAsm(x *float32, n int) bool
+func finiteAsm(x *float32, n int) bool
+
+//go:noescape
+func channelAffineAsm(dst, x, gamma, beta *float32, rows, c int)
+
+//go:noescape
+func channelScaleAsm(dst, grad, gamma *float32, rows, c int)
+
+//go:noescape
+func channelGradAsm(dgamma, dbeta, grad, x *float32, rows, c int)
 
 //go:noescape
 func reluClampAsm(dst, src *float32, n int)
@@ -89,11 +95,12 @@ func vadd(dst, x []float32) {
 
 // tileKernel is tileKernelGeneric through the register-tile assembly: four
 // rows per call, and each leftover row as a tile of row stride 0 (its four
-// lanes compute and store the same row). dense selects the body without the
-// exact-zero skip; the caller passes denseCoefs of the coefficients the call
-// reads, so it is only true where both bodies give the same bits.
+// lanes compute and store the same row). The assembly has no exact-zero
+// skip, so it runs only where dense is true: the caller passes denseB of
+// the b operand, and out must hold no -0 (every caller accumulates into
+// outputs that start at +0). Otherwise the portable body runs.
 func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int, dense bool) {
-	if !hasAVX2 {
+	if !hasAVX2 || !dense {
 		tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 		return
 	}
@@ -104,31 +111,70 @@ func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []flo
 	_, _, _ = out[(rows-1)*os+n-1], a[(rows-1)*si+(kc-1)*sp], b[kc*n-1]
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		if dense {
-			tileKernelDenseAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
-		} else {
-			tileKernelAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
-		}
+		tileKernelDenseAsm(&out[r*os], os, &a[r*si], si, sp, &b[0], n, kc)
 	}
 	for ; r < rows; r++ {
-		if dense {
-			tileKernelDenseAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
-		} else {
-			tileKernelAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
-		}
+		tileKernelDenseAsm(&out[r*os], 0, &a[r*si], 0, sp, &b[0], n, kc)
 	}
 }
 
-// denseCoefs reports whether the tile kernel may run its dense body over
-// coefficients drawn from x: AVX2 is present and no element of x is a zero
-// of either sign (Go's x[i] == 0; NaN and subnormals are not zero). One
-// vector scan, stopped at the first zero; without AVX2 there is one body
-// and nothing to scan.
-func denseCoefs(x []float32) bool {
+// denseB reports whether the tile kernel may run its assembly body with b
+// as its b operand: AVX2 is present and every element of b is finite (no
+// ±Inf, no NaN). Then a zero coefficient's product 0·b is ±0, which leaves
+// an accumulator that is never -0 bit for bit as the skip would. One
+// vector scan, stopped at the first non-finite element; without AVX2 there
+// is one body and nothing to scan.
+func denseB(b []float32) bool {
 	if !hasAVX2 {
 		return false
 	}
-	return len(x) == 0 || zeroFreeAsm(&x[0], len(x))
+	return len(b) == 0 || finiteAsm(&b[0], len(b))
+}
+
+// ChannelAffineRows writes dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j] for
+// every row r of dst, c = len(gamma): one multiply then one add per
+// element, never FMA. len(dst) must be a multiple of c; dst may be x.
+func ChannelAffineRows(dst, x, gamma, beta []float32) {
+	rows, c := channelRows(dst, gamma)
+	if !hasAVX2 {
+		channelAffineGeneric(dst, x, gamma, beta)
+		return
+	}
+	x, beta = x[:len(dst)], beta[:c]
+	if rows > 0 {
+		channelAffineAsm(&dst[0], &x[0], &gamma[0], &beta[0], rows, c)
+	}
+}
+
+// ChannelScaleRows writes dst[r*c+j] = g[r*c+j]*gamma[j] for every row r
+// of dst, c = len(gamma): one multiply per element. len(dst) must be a
+// multiple of c; dst may be g.
+func ChannelScaleRows(dst, g, gamma []float32) {
+	rows, c := channelRows(dst, gamma)
+	if !hasAVX2 {
+		channelScaleGeneric(dst, g, gamma)
+		return
+	}
+	g = g[:len(dst)]
+	if rows > 0 {
+		channelScaleAsm(&dst[0], &g[0], &gamma[0], rows, c)
+	}
+}
+
+// ChannelGradRows adds g[r*c+j]*x[r*c+j] into dgamma[j] and g[r*c+j] into
+// dbeta[j] for every row r of g, c = len(dgamma), rows in ascending order:
+// one multiply then one add per dgamma term, one add per dbeta term, as
+// SumRows adds. len(g) must be a multiple of c.
+func ChannelGradRows(dgamma, dbeta, g, x []float32) {
+	rows, c := channelRows(g, dgamma)
+	if !hasAVX2 {
+		channelGradGeneric(dgamma, dbeta, g, x)
+		return
+	}
+	dbeta, x = dbeta[:c], x[:len(g)]
+	if rows > 0 {
+		channelGradAsm(&dgamma[0], &dbeta[0], &g[0], &x[0], rows, c)
+	}
 }
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN

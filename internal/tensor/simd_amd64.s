@@ -5,7 +5,7 @@
 // fused multiply-add rounds once where the scalar code rounds twice, which
 // would break bit-identity with the naive kernels). SIMD lanes vectorize
 // across independent output columns, so no accumulation order changes.
-// zeroFreeAsm computes nothing: it is the scan that picks the tile kernel.
+// finiteAsm computes nothing: it is the scan that picks the tile kernel.
 
 #include "textflag.h"
 
@@ -69,68 +69,22 @@ done:
 	VZEROUPPER
 	RET
 
-// The tile kernels keep a 4-row block of out in registers for a whole
-// K-block. They sweep the columns in blocks of 16 and 8 (YMM), one of 4 (the
+// The tile kernel keeps a 4-row block of out in registers for a whole
+// K-block. It sweeps the columns in blocks of 16 and 8 (YMM), one of 4 (the
 // same term on XMM) and single columns, so n = 12 — BERT-mini's sequence
 // length, the attention score width — is 8 + 4 instead of 8 + 1 + 1 + 1 + 1.
-// Two kernels share that structure (TILE, written once below) and differ only
-// in the term macro each block runs:
-//   - tileKernelAsm makes the exact-zero skip branchless (SKIP*);
-//   - tileKernelDenseAsm has no skip (DENSE*: broadcast, multiply, add) and
-//     runs where the caller's scan (zeroFreeAsm) found no ±0 among the
-//     coefficients. On such a block every skip key below is INT32_MAX,
-//     which keeps every product as it is, so both kernels give every
-//     accumulator the same multiply-then-add sequence and the same bits,
-//     NaN payloads included.
+// Every term is dense (DENSE*: broadcast, multiply, add) with no exact-zero
+// skip: the caller runs it only where its scan (finiteAsm) found b finite.
+// There a zero coefficient adds 0*b = +-0 to an accumulator that is never
+// -0 — it starts at +0, and under round-to-nearest a sum is -0 only when
+// both addends are — which leaves the accumulator's bits as they are, as
+// the skip in tileKernelGeneric does.
 // Register roles:
 //   Y0-Y7  accumulators (row r: Y(2r), Y(2r+1))   Y8, Y9  the b-row columns
-//   Y10 broadcast coefficient   Y11 its blend key   Y12, Y13 products
-//   Y14 -0.0 (0x80000000) in every lane (skip kernel only)
-// A skipped term adds -0.0 in place of the product: x + (-0) = x bit for bit
-// for every x (+-0, +-Inf and quiet NaN included), so a 0*Inf or 0*NaN
-// product never reaches the accumulator. The blend is one signed integer
-// minimum per product vector, where VBLENDVPS costs two or three uops: the
-// key is (coefficient != 0) XOR 0x80000000, so INT32_MAX keeps any product
-// bit pattern as it is and INT32_MIN, whose bits are -0.0, replaces it.
-// NEQ_UQ ($4) against -0.0 is Go's a != 0: a NaN coefficient is kept, a zero
-// of either sign is skipped. Multiply takes (b, coefficient) and add takes
-// (product, accumulator), the operand order of saxpyAsm, so a NaN result
-// carries the payload it carries there.
-
-#define SKIP16(coef, acc0, acc1) \
-	VBROADCASTSS coef, Y10; \
-	VCMPPS       $4, Y14, Y10, Y11; \
-	VPXOR        Y14, Y11, Y11; \
-	VMULPS       Y10, Y8, Y12; \
-	VMULPS       Y10, Y9, Y13; \
-	VPMINSD      Y11, Y12, Y12; \
-	VPMINSD      Y11, Y13, Y13; \
-	VADDPS       acc0, Y12, acc0; \
-	VADDPS       acc1, Y13, acc1
-
-#define SKIP8(coef, acc) \
-	VBROADCASTSS coef, Y10; \
-	VCMPPS       $4, Y14, Y10, Y11; \
-	VPXOR        Y14, Y11, Y11; \
-	VMULPS       Y10, Y8, Y12; \
-	VPMINSD      Y11, Y12, Y12; \
-	VADDPS       acc, Y12, acc
-
-#define SKIP4(coef, acc) \
-	VBROADCASTSS coef, X10; \
-	VCMPPS       $4, X14, X10, X11; \
-	VPXOR        X14, X11, X11; \
-	VMULPS       X10, X8, X12; \
-	VPMINSD      X11, X12, X12; \
-	VADDPS       acc, X12, acc
-
-#define SKIP1(coef, acc) \
-	VMOVSS  coef, X10; \
-	VCMPPS  $4, X14, X10, X11; \
-	VPXOR   X14, X11, X11; \
-	VMULSS  X10, X8, X12; \
-	VPMINSD X11, X12, X12; \
-	VADDSS  acc, X12, acc
+//   Y10 broadcast coefficient   Y12, Y13 products
+// Multiply takes (b, coefficient) and add takes (product, accumulator), the
+// operand order of saxpyAsm, so a NaN result carries the payload it carries
+// there.
 
 #define DENSE16(coef, acc0, acc1) \
 	VBROADCASTSS coef, Y10; \
@@ -154,176 +108,15 @@ done:
 	VMULSS X10, X8, X12; \
 	VADDSS acc, X12, acc
 
-// COLS16, COLS8, COLS4 and COLS1 run one column block under the term macro
-// TERM: load the 4-row block of out, run the K-block over it, store it and
-// step DI and BX past its columns (SI counts the columns left). COLS16 and
-// COLS1 repeat while their width fits; at most one 8- and one 4-block follow
-// the 16-blocks.
-
-#define COLS16(TERM) \
-block16: \
-	CMPQ    SI, $16; \
-	JL      block8; \
-	VMOVUPS (DI), Y0; \
-	VMOVUPS 32(DI), Y1; \
-	VMOVUPS (DI)(R8*4), Y2; \
-	VMOVUPS 32(DI)(R8*4), Y3; \
-	VMOVUPS (DI)(R8*8), Y4; \
-	VMOVUPS 32(DI)(R8*8), Y5; \
-	VMOVUPS (DI)(R9*4), Y6; \
-	VMOVUPS 32(DI)(R9*4), Y7; \
-	MOVQ    R14, AX; \
-	MOVQ    BX, DX; \
-	MOVQ    R15, CX; \
-term16: \
-	VMOVUPS (DX), Y8; \
-	VMOVUPS 32(DX), Y9; \
-	TERM((AX), Y0, Y1); \
-	TERM((AX)(R10*4), Y2, Y3); \
-	TERM((AX)(R10*8), Y4, Y5); \
-	TERM((AX)(R11*4), Y6, Y7); \
-	LEAQ    (AX)(R13*4), AX; \
-	LEAQ    (DX)(R12*4), DX; \
-	DECQ    CX; \
-	JNZ     term16; \
-	VMOVUPS Y0, (DI); \
-	VMOVUPS Y1, 32(DI); \
-	VMOVUPS Y2, (DI)(R8*4); \
-	VMOVUPS Y3, 32(DI)(R8*4); \
-	VMOVUPS Y4, (DI)(R8*8); \
-	VMOVUPS Y5, 32(DI)(R8*8); \
-	VMOVUPS Y6, (DI)(R9*4); \
-	VMOVUPS Y7, 32(DI)(R9*4); \
-	ADDQ    $64, DI; \
-	ADDQ    $64, BX; \
-	SUBQ    $16, SI; \
-	JMP     block16
-
-#define COLS8(TERM) \
-block8: \
-	CMPQ    SI, $8; \
-	JL      block4; \
-	VMOVUPS (DI), Y0; \
-	VMOVUPS (DI)(R8*4), Y1; \
-	VMOVUPS (DI)(R8*8), Y2; \
-	VMOVUPS (DI)(R9*4), Y3; \
-	MOVQ    R14, AX; \
-	MOVQ    BX, DX; \
-	MOVQ    R15, CX; \
-term8: \
-	VMOVUPS (DX), Y8; \
-	TERM((AX), Y0); \
-	TERM((AX)(R10*4), Y1); \
-	TERM((AX)(R10*8), Y2); \
-	TERM((AX)(R11*4), Y3); \
-	LEAQ    (AX)(R13*4), AX; \
-	LEAQ    (DX)(R12*4), DX; \
-	DECQ    CX; \
-	JNZ     term8; \
-	VMOVUPS Y0, (DI); \
-	VMOVUPS Y1, (DI)(R8*4); \
-	VMOVUPS Y2, (DI)(R8*8); \
-	VMOVUPS Y3, (DI)(R9*4); \
-	ADDQ    $32, DI; \
-	ADDQ    $32, BX; \
-	SUBQ    $8, SI
-
-#define COLS4(TERM) \
-block4: \
-	CMPQ    SI, $4; \
-	JL      block1; \
-	VMOVUPS (DI), X0; \
-	VMOVUPS (DI)(R8*4), X1; \
-	VMOVUPS (DI)(R8*8), X2; \
-	VMOVUPS (DI)(R9*4), X3; \
-	MOVQ    R14, AX; \
-	MOVQ    BX, DX; \
-	MOVQ    R15, CX; \
-term4: \
-	VMOVUPS (DX), X8; \
-	TERM((AX), X0); \
-	TERM((AX)(R10*4), X1); \
-	TERM((AX)(R10*8), X2); \
-	TERM((AX)(R11*4), X3); \
-	LEAQ    (AX)(R13*4), AX; \
-	LEAQ    (DX)(R12*4), DX; \
-	DECQ    CX; \
-	JNZ     term4; \
-	VMOVUPS X0, (DI); \
-	VMOVUPS X1, (DI)(R8*4); \
-	VMOVUPS X2, (DI)(R8*8); \
-	VMOVUPS X3, (DI)(R9*4); \
-	ADDQ    $16, DI; \
-	ADDQ    $16, BX; \
-	SUBQ    $4, SI
-
-#define COLS1(TERM) \
-block1: \
-	CMPQ   SI, $0; \
-	JLE    done; \
-	VMOVSS (DI), X0; \
-	VMOVSS (DI)(R8*4), X1; \
-	VMOVSS (DI)(R8*8), X2; \
-	VMOVSS (DI)(R9*4), X3; \
-	MOVQ   R14, AX; \
-	MOVQ   BX, DX; \
-	MOVQ   R15, CX; \
-term1: \
-	VMOVSS (DX), X8; \
-	TERM((AX), X0); \
-	TERM((AX)(R10*4), X1); \
-	TERM((AX)(R10*8), X2); \
-	TERM((AX)(R11*4), X3); \
-	LEAQ   (AX)(R13*4), AX; \
-	LEAQ   (DX)(R12*4), DX; \
-	DECQ   CX; \
-	JNZ    term1; \
-	VMOVSS X0, (DI); \
-	VMOVSS X1, (DI)(R8*4); \
-	VMOVSS X2, (DI)(R8*8); \
-	VMOVSS X3, (DI)(R9*4); \
-	ADDQ   $4, DI; \
-	ADDQ   $4, BX; \
-	DECQ   SI; \
-	JMP    block1
-
-// TILE runs every column block under the term macros T16, T8, T4 and T1,
-// then jumps to done. The caller has loaded the arguments: DI out, R8 os,
-// R14 a, R10 si, R13 sp, BX b, R12 n, R15 kc.
-#define TILE(T16, T8, T4, T1) \
-	LEAQ (R8)(R8*2), R9; \
-	LEAQ (R10)(R10*2), R11; \
-	MOVQ R12, SI; \
-	COLS16(T16); \
-	COLS8(T8); \
-	COLS4(T4); \
-	COLS1(T1)
-
-// func tileKernelAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
-// For r in [0,4) and j in [0,n): out[r*os+j] += a[r*si+p*sp] * b[p*n+j]
-// over p in [0,kc), ascending, terms with a zero coefficient skipped. n and
-// kc must be positive. Strides are in elements (R9 = 3*os, R11 = 3*si);
-// os = si = 0 runs one row in all four lanes (each stores the same values).
-TEXT ·tileKernelAsm(SB), NOSPLIT, $0-64
-	MOVQ     out+0(FP), DI
-	MOVQ     os+8(FP), R8
-	MOVQ     a+16(FP), R14
-	MOVQ     si+24(FP), R10
-	MOVQ     sp+32(FP), R13
-	MOVQ     b+40(FP), BX
-	MOVQ     n+48(FP), R12
-	MOVQ     kc+56(FP), R15
-	VPCMPEQD Y14, Y14, Y14
-	VPSLLD   $31, Y14, Y14
-	TILE(SKIP16, SKIP8, SKIP4, SKIP1)
-
-done:
-	VZEROUPPER
-	RET
-
 // func tileKernelDenseAsm(out *float32, os int, a *float32, si, sp int, b *float32, n, kc int)
-// tileKernelAsm without the skip: the coefficients it reads must hold no
-// zero of either sign, and then its results are tileKernelAsm's bit for bit.
+// For r in [0,4) and j in [0,n): out[r*os+j] += a[r*si+p*sp] * b[p*n+j]
+// over p in [0,kc), ascending. n and kc must be positive. Strides are in
+// elements (R9 = 3*os, R11 = 3*si); os = si = 0 runs one row in all four
+// lanes (each stores the same values). Each column block loads the 4-row
+// block of out, runs the K-block over it, stores it and steps DI and BX
+// past its columns (SI counts the columns left); the 16- and 1-blocks
+// repeat while their width fits, at most one 8- and one 4-block follow the
+// 16-blocks.
 TEXT ·tileKernelDenseAsm(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ os+8(FP), R8
@@ -333,35 +126,165 @@ TEXT ·tileKernelDenseAsm(SB), NOSPLIT, $0-64
 	MOVQ b+40(FP), BX
 	MOVQ n+48(FP), R12
 	MOVQ kc+56(FP), R15
-	TILE(DENSE16, DENSE8, DENSE4, DENSE1)
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R10)(R10*2), R11
+	MOVQ R12, SI
+
+block16:
+	CMPQ    SI, $16
+	JL      block8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*4), Y2
+	VMOVUPS 32(DI)(R8*4), Y3
+	VMOVUPS (DI)(R8*8), Y4
+	VMOVUPS 32(DI)(R8*8), Y5
+	VMOVUPS (DI)(R9*4), Y6
+	VMOVUPS 32(DI)(R9*4), Y7
+	MOVQ    R14, AX
+	MOVQ    BX, DX
+	MOVQ    R15, CX
+
+term16:
+	VMOVUPS (DX), Y8
+	VMOVUPS 32(DX), Y9
+	DENSE16((AX), Y0, Y1)
+	DENSE16((AX)(R10*4), Y2, Y3)
+	DENSE16((AX)(R10*8), Y4, Y5)
+	DENSE16((AX)(R11*4), Y6, Y7)
+	LEAQ    (AX)(R13*4), AX
+	LEAQ    (DX)(R12*4), DX
+	DECQ    CX
+	JNZ     term16
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*4)
+	VMOVUPS Y3, 32(DI)(R8*4)
+	VMOVUPS Y4, (DI)(R8*8)
+	VMOVUPS Y5, 32(DI)(R8*8)
+	VMOVUPS Y6, (DI)(R9*4)
+	VMOVUPS Y7, 32(DI)(R9*4)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $16, SI
+	JMP     block16
+
+block8:
+	CMPQ    SI, $8
+	JL      block4
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*4), Y1
+	VMOVUPS (DI)(R8*8), Y2
+	VMOVUPS (DI)(R9*4), Y3
+	MOVQ    R14, AX
+	MOVQ    BX, DX
+	MOVQ    R15, CX
+
+term8:
+	VMOVUPS (DX), Y8
+	DENSE8((AX), Y0)
+	DENSE8((AX)(R10*4), Y1)
+	DENSE8((AX)(R10*8), Y2)
+	DENSE8((AX)(R11*4), Y3)
+	LEAQ    (AX)(R13*4), AX
+	LEAQ    (DX)(R12*4), DX
+	DECQ    CX
+	JNZ     term8
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R8*4)
+	VMOVUPS Y2, (DI)(R8*8)
+	VMOVUPS Y3, (DI)(R9*4)
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	SUBQ    $8, SI
+
+block4:
+	CMPQ    SI, $4
+	JL      block1
+	VMOVUPS (DI), X0
+	VMOVUPS (DI)(R8*4), X1
+	VMOVUPS (DI)(R8*8), X2
+	VMOVUPS (DI)(R9*4), X3
+	MOVQ    R14, AX
+	MOVQ    BX, DX
+	MOVQ    R15, CX
+
+term4:
+	VMOVUPS (DX), X8
+	DENSE4((AX), X0)
+	DENSE4((AX)(R10*4), X1)
+	DENSE4((AX)(R10*8), X2)
+	DENSE4((AX)(R11*4), X3)
+	LEAQ    (AX)(R13*4), AX
+	LEAQ    (DX)(R12*4), DX
+	DECQ    CX
+	JNZ     term4
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(R8*4)
+	VMOVUPS X2, (DI)(R8*8)
+	VMOVUPS X3, (DI)(R9*4)
+	ADDQ    $16, DI
+	ADDQ    $16, BX
+	SUBQ    $4, SI
+
+block1:
+	CMPQ   SI, $0
+	JLE    done
+	VMOVSS (DI), X0
+	VMOVSS (DI)(R8*4), X1
+	VMOVSS (DI)(R8*8), X2
+	VMOVSS (DI)(R9*4), X3
+	MOVQ   R14, AX
+	MOVQ   BX, DX
+	MOVQ   R15, CX
+
+term1:
+	VMOVSS (DX), X8
+	DENSE1((AX), X0)
+	DENSE1((AX)(R10*4), X1)
+	DENSE1((AX)(R10*8), X2)
+	DENSE1((AX)(R11*4), X3)
+	LEAQ   (AX)(R13*4), AX
+	LEAQ   (DX)(R12*4), DX
+	DECQ   CX
+	JNZ    term1
+	VMOVSS X0, (DI)
+	VMOVSS X1, (DI)(R8*4)
+	VMOVSS X2, (DI)(R8*8)
+	VMOVSS X3, (DI)(R9*4)
+	ADDQ   $4, DI
+	ADDQ   $4, BX
+	DECQ   SI
+	JMP    block1
 
 done:
 	VZEROUPPER
 	RET
 
-// func zeroFreeAsm(x *float32, n int) bool
-// Reports whether no x[i], i in [0,n), is a zero of either sign — Go's
-// x[i] == 0, so NaN and subnormals are not zero. Shifting the sign bit out
-// leaves all-zero bits exactly for +0 and -0; VPCMPEQD against zero marks
-// those lanes and VPTEST stops at the first block that has one. Blocks of
-// 16 and 8, then single elements.
-TEXT ·zeroFreeAsm(SB), NOSPLIT, $0-17
-	MOVQ  x+0(FP), SI
-	MOVQ  n+8(FP), CX
-	VPXOR Y2, Y2, Y2
+// func finiteAsm(x *float32, n int) bool
+// Reports whether every x[i], i in [0,n), is finite: its exponent field is
+// not all ones. ±Inf and every NaN have an all-ones exponent; ±0,
+// subnormals and ±MaxFloat32 do not. VPAND keeps the exponent field,
+// VPCMPEQD against the field's mask marks the non-finite lanes and VPTEST
+// stops at the first block that has one. Blocks of 16 and 8, then single
+// elements.
+TEXT ·finiteAsm(SB), NOSPLIT, $0-17
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7f800000, AX
+	VMOVD        AX, X2
+	VPBROADCASTD X2, Y2
 
 scan16:
 	CMPQ     CX, $16
 	JL       scan8
-	VMOVDQU  (SI), Y0
-	VMOVDQU  32(SI), Y1
-	VPSLLD   $1, Y0, Y0
-	VPSLLD   $1, Y1, Y1
+	VPAND    (SI), Y2, Y0
+	VPAND    32(SI), Y2, Y1
 	VPCMPEQD Y2, Y0, Y0
 	VPCMPEQD Y2, Y1, Y1
 	VPOR     Y1, Y0, Y0
 	VPTEST   Y0, Y0
-	JNZ      zero
+	JNZ      nonfinite
 	ADDQ     $64, SI
 	SUBQ     $16, CX
 	JMP      scan16
@@ -369,31 +292,236 @@ scan16:
 scan8:
 	CMPQ     CX, $8
 	JL       scan1
-	VMOVDQU  (SI), Y0
-	VPSLLD   $1, Y0, Y0
+	VPAND    (SI), Y2, Y0
 	VPCMPEQD Y2, Y0, Y0
 	VPTEST   Y0, Y0
-	JNZ      zero
+	JNZ      nonfinite
 	ADDQ     $32, SI
 	SUBQ     $8, CX
 
 scan1:
 	CMPQ CX, $0
-	JLE  free
-	MOVL (SI), AX
-	SHLL $1, AX
-	JZ   zero
+	JLE  finite
+	MOVL (SI), DX
+	ANDL AX, DX
+	CMPL DX, AX
+	JEQ  nonfinite
 	ADDQ $4, SI
 	DECQ CX
 	JMP  scan1
 
-free:
+finite:
 	MOVB $1, ret+16(FP)
 	VZEROUPPER
 	RET
 
-zero:
+nonfinite:
 	MOVB $0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// The per-channel affine kernels behind layers.ChannelAffine: rows of c
+// channels, c > 0 and rows > 0, each channel j scaled by gamma[j]. Lanes
+// run across channels; every element is one VMULPS (then one VADDPS),
+// never FMA, in the operand order of the scalar loops they replace.
+
+// func channelAffineAsm(dst, x, gamma, beta *float32, rows, c int)
+// dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j]: multiply (x, gamma), add
+// (product, beta). Blocks of 8 channels, then single channels, per row.
+TEXT ·channelAffineAsm(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ gamma+16(FP), R8
+	MOVQ beta+24(FP), R9
+	MOVQ rows+32(FP), BX
+	MOVQ c+40(FP), R10
+
+affineRow:
+	XORQ AX, AX
+
+affine8:
+	LEAQ    8(AX), DX
+	CMPQ    DX, R10
+	JG      affine1
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS  (R8)(AX*4), Y0, Y0
+	VADDPS  (R9)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	MOVQ    DX, AX
+	JMP     affine8
+
+affine1:
+	CMPQ   AX, R10
+	JGE    affineNext
+	VMOVSS (SI)(AX*4), X0
+	VMULSS (R8)(AX*4), X0, X0
+	VADDSS (R9)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    affine1
+
+affineNext:
+	LEAQ (SI)(R10*4), SI
+	LEAQ (DI)(R10*4), DI
+	DECQ BX
+	JNZ  affineRow
+	VZEROUPPER
+	RET
+
+// func channelScaleAsm(dst, grad, gamma *float32, rows, c int)
+// dst[r*c+j] = grad[r*c+j]*gamma[j]: a pure multiply (grad, gamma) — no
+// add, since adding +0 would turn a -0 product into +0.
+TEXT ·channelScaleAsm(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ gamma+16(FP), R8
+	MOVQ rows+24(FP), BX
+	MOVQ c+32(FP), R10
+
+scaleRow:
+	XORQ AX, AX
+
+scale8:
+	LEAQ    8(AX), DX
+	CMPQ    DX, R10
+	JG      scale1
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS  (R8)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	MOVQ    DX, AX
+	JMP     scale8
+
+scale1:
+	CMPQ   AX, R10
+	JGE    scaleNext
+	VMOVSS (SI)(AX*4), X0
+	VMULSS (R8)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    scale1
+
+scaleNext:
+	LEAQ (SI)(R10*4), SI
+	LEAQ (DI)(R10*4), DI
+	DECQ BX
+	JNZ  scaleRow
+	VZEROUPPER
+	RET
+
+// func channelGradAsm(dgamma, dbeta, grad, x *float32, rows, c int)
+// dgamma[j] += grad[r*c+j]*x[r*c+j] and dbeta[j] += grad[r*c+j] over r in
+// [0,rows), ascending: multiply (grad, x), add (dgamma, product) and
+// (grad, dbeta) — the operand orders of the scalar loop and of vaddAsm,
+// which SumRows runs. A block of channels keeps both sums in registers
+// down all the rows: 32 channels (four independent chains each), then 8,
+// then single channels.
+TEXT ·channelGradAsm(SB), NOSPLIT, $0-48
+	MOVQ dgamma+0(FP), DI
+	MOVQ dbeta+8(FP), R9
+	MOVQ grad+16(FP), SI
+	MOVQ x+24(FP), R8
+	MOVQ rows+32(FP), BX
+	MOVQ c+40(FP), R10
+	MOVQ R10, R11
+	SHLQ $2, R11
+	XORQ AX, AX
+
+grad32:
+	LEAQ    32(AX), DX
+	CMPQ    DX, R10
+	JG      grad8
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMOVUPS 64(DI)(AX*4), Y2
+	VMOVUPS 96(DI)(AX*4), Y3
+	VMOVUPS (R9)(AX*4), Y4
+	VMOVUPS 32(R9)(AX*4), Y5
+	VMOVUPS 64(R9)(AX*4), Y6
+	VMOVUPS 96(R9)(AX*4), Y7
+	LEAQ    (SI)(AX*4), R12
+	LEAQ    (R8)(AX*4), R13
+	MOVQ    BX, CX
+
+grad32Rows:
+	VMOVUPS (R12), Y8
+	VMOVUPS 32(R12), Y9
+	VMOVUPS 64(R12), Y10
+	VMOVUPS 96(R12), Y11
+	VMULPS  (R13), Y8, Y12
+	VMULPS  32(R13), Y9, Y13
+	VMULPS  64(R13), Y10, Y14
+	VMULPS  96(R13), Y11, Y15
+	VADDPS  Y12, Y0, Y0
+	VADDPS  Y13, Y1, Y1
+	VADDPS  Y14, Y2, Y2
+	VADDPS  Y15, Y3, Y3
+	VADDPS  Y4, Y8, Y4
+	VADDPS  Y5, Y9, Y5
+	VADDPS  Y6, Y10, Y6
+	VADDPS  Y7, Y11, Y7
+	ADDQ    R11, R12
+	ADDQ    R11, R13
+	DECQ    CX
+	JNZ     grad32Rows
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMOVUPS Y3, 96(DI)(AX*4)
+	VMOVUPS Y4, (R9)(AX*4)
+	VMOVUPS Y5, 32(R9)(AX*4)
+	VMOVUPS Y6, 64(R9)(AX*4)
+	VMOVUPS Y7, 96(R9)(AX*4)
+	MOVQ    DX, AX
+	JMP     grad32
+
+grad8:
+	LEAQ    8(AX), DX
+	CMPQ    DX, R10
+	JG      grad1
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS (R9)(AX*4), Y4
+	LEAQ    (SI)(AX*4), R12
+	LEAQ    (R8)(AX*4), R13
+	MOVQ    BX, CX
+
+grad8Rows:
+	VMOVUPS (R12), Y8
+	VMULPS  (R13), Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	VADDPS  Y4, Y8, Y4
+	ADDQ    R11, R12
+	ADDQ    R11, R13
+	DECQ    CX
+	JNZ     grad8Rows
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y4, (R9)(AX*4)
+	MOVQ    DX, AX
+	JMP     grad8
+
+grad1:
+	CMPQ   AX, R10
+	JGE    gradDone
+	VMOVSS (DI)(AX*4), X0
+	VMOVSS (R9)(AX*4), X4
+	LEAQ   (SI)(AX*4), R12
+	LEAQ   (R8)(AX*4), R13
+	MOVQ   BX, CX
+
+grad1Rows:
+	VMOVSS (R12), X8
+	VMULSS (R13), X8, X12
+	VADDSS X12, X0, X0
+	VADDSS X4, X8, X4
+	ADDQ   R11, R12
+	ADDQ   R11, R13
+	DECQ   CX
+	JNZ    grad1Rows
+	VMOVSS X0, (DI)(AX*4)
+	VMOVSS X4, (R9)(AX*4)
+	INCQ   AX
+	JMP    grad1
+
+gradDone:
 	VZEROUPPER
 	RET
 

@@ -3,44 +3,48 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
 
-// TestZeroFreeScan holds the dense kernel's scan to Go's x == 0 at every
-// length from 0 to 40 (16-blocks, an 8-block and single elements in every
-// mix), with a zero of either sign at every index: NaN, both infinities,
-// the smallest subnormals of both signs, ±MaxFloat32 and ±2 (one bit below
-// the sign) are not zero, and
-// a zero just past the end is not read.
-func TestZeroFreeScan(t *testing.T) {
+// TestFiniteScan holds the dense kernel's scan to "no ±Inf, no NaN" at
+// every length from 0 to 40 (16-blocks, an 8-block and single elements in
+// every mix): zeros of both signs, the smallest subnormals of both signs,
+// ±MaxFloat32 and ±1.5 are finite, and +Inf, -Inf and NaNs of four
+// payloads (quiet and signalling bit patterns, both signs) planted at every
+// index are not; a non-finite element just past the end is not read.
+func TestFiniteScan(t *testing.T) {
 	if !hasAVX2 {
-		t.Skip("no AVX2: denseCoefs scans nothing")
+		t.Skip("no AVX2: denseB scans nothing")
 	}
-	nonzero := []float32{
-		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
-		math.Float32frombits(0x1), math.Float32frombits(0x80000001),
-		math.MaxFloat32, -math.MaxFloat32, 2, -2, 1.5, -0.25,
+	bits := math.Float32frombits
+	finite := []float32{
+		0, float32(math.Copysign(0, -1)), bits(0x1), bits(0x80000001), bits(0x007fffff),
+		math.MaxFloat32, -math.MaxFloat32, 1.5, -1.5, math.SmallestNonzeroFloat32,
+	}
+	nonfinite := []float32{
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		bits(0x7fc00000), bits(0xffc0000a), bits(0x7f800001), bits(0xffbfffff),
 	}
 	for n := 0; n <= 40; n++ {
-		buf := make([]float32, n+1) // buf[n] stays +0: past the end
+		buf := make([]float32, n+1)
+		buf[n] = float32(math.NaN()) // past the end
 		x := buf[:n]
 		for i := range x {
-			x[i] = nonzero[i%len(nonzero)]
+			x[i] = finite[i%len(finite)]
 		}
-		if !denseCoefs(x) {
-			t.Fatalf("n=%d: a zero-free operand reads as holding a zero", n)
+		if !denseB(x) {
+			t.Fatalf("n=%d: a finite operand reads as holding a non-finite element", n)
 		}
 		for i := range x {
-			for _, zero := range []float32{0, float32(math.Copysign(0, -1))} {
-				keep := x[i]
-				x[i] = zero
-				if denseCoefs(x) {
-					t.Fatalf("n=%d: zero (bits %08x) at index %d missed", n, math.Float32bits(zero), i)
+			keep := x[i]
+			for _, v := range nonfinite {
+				x[i] = v
+				if denseB(x) {
+					t.Fatalf("n=%d: bits %08x at index %d missed", n, math.Float32bits(v), i)
 				}
-				x[i] = keep
 			}
+			x[i] = keep
 		}
 	}
 }
@@ -48,8 +52,8 @@ func TestZeroFreeScan(t *testing.T) {
 // TestTileKernelNaNPayloads: where two NaNs meet, x86 returns its first
 // source's payload, so the operand order of each multiply and add shows in
 // the bits. Coefficients (no zero), b and out hold NaNs of three payloads
-// beside finite values and -Inf; both assembly bodies must leave the
-// payloads a saxpyAsm per term leaves.
+// beside finite values and -Inf; the assembly body must leave the payloads
+// a saxpyAsm per term leaves.
 func TestTileKernelNaNPayloads(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2: no assembly body")
@@ -72,24 +76,22 @@ func TestTileKernelNaNPayloads(t *testing.T) {
 			saxpy(want.Row(r), b.Row(p), coef.Data()[r*kc+p])
 		}
 	}
-	for _, dense := range []bool{false, true} {
-		got := out.Clone()
-		tileKernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc, dense)
-		assertBitsEqual(t, fmt.Sprintf("tileKernel dense=%v", dense), got, want)
-	}
+	got := out.Clone()
+	tileKernel(got.Data(), n, rows, n, coef.Data(), kc, 1, b.Data(), kc, true)
+	assertBitsEqual(t, "tileKernel dense", got, want)
 }
 
 // TestPortableDispatchOnAMD64 reruns the kernel sweeps with hasAVX2 off,
 // so every `if !hasAVX2` branch of this file's dispatchers runs the
 // portable bodies on a host that has AVX2: the matmul family, the conv and
 // pool kernels, the SIMD helpers and the attention kernels, all against
-// their seed bodies, and denseCoefs choosing the dense body nowhere.
+// their seed bodies, and denseB choosing the dense body nowhere.
 func TestPortableDispatchOnAMD64(t *testing.T) {
 	prev := hasAVX2
 	hasAVX2 = false
 	t.Cleanup(func() { hasAVX2 = prev })
-	if denseCoefs([]float32{1, 2, 3}) {
-		t.Fatal("denseCoefs chose the dense body without AVX2")
+	if denseB([]float32{1, 2, 3}) {
+		t.Fatal("denseB chose the dense body without AVX2")
 	}
 	for _, tc := range []struct {
 		name string

@@ -13,8 +13,29 @@ func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []flo
 	tileKernelGeneric(out, os, rows, n, a, si, sp, b, kc)
 }
 
-// denseCoefs is false without a dense body to choose, so callers scan nothing.
-func denseCoefs(x []float32) bool { return false }
+// denseB is false without a dense body to choose, so callers scan nothing.
+func denseB(b []float32) bool { return false }
+
+// ChannelAffineRows writes dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j] for
+// every row r of dst, c = len(gamma). dst may be x.
+func ChannelAffineRows(dst, x, gamma, beta []float32) {
+	channelRows(dst, gamma)
+	channelAffineGeneric(dst, x, gamma, beta)
+}
+
+// ChannelScaleRows writes dst[r*c+j] = g[r*c+j]*gamma[j] for every row r
+// of dst, c = len(gamma). dst may be g.
+func ChannelScaleRows(dst, g, gamma []float32) {
+	channelRows(dst, gamma)
+	channelScaleGeneric(dst, g, gamma)
+}
+
+// ChannelGradRows adds g[r*c+j]*x[r*c+j] into dgamma[j] and g[r*c+j] into
+// dbeta[j] for every row r of g, c = len(dgamma), rows in ascending order.
+func ChannelGradRows(dgamma, dbeta, g, x []float32) {
+	channelRows(g, dgamma)
+	channelGradGeneric(dgamma, dbeta, g, x)
+}
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
 // and -0 included), for i in [0, len(dst)). dst may be src.

@@ -96,6 +96,8 @@ fuzz:
 # benchmarks (BenchmarkDenseGeLUStep, BenchmarkAdapterStep: forward(train)
 # + backward at BERT-mini shapes, ns per activated element;
 # BenchmarkAttentionStep: one BERT-mini self-attention layer's step in a
+# recycled scope, ns/op and allocs/op; BenchmarkResidualBlockStep: one
+# ResNet-mini residual block's step, block 1 and block 3 at batch 32, in a
 # recycled scope, ns/op and allocs/op; BenchmarkChannelAffine: the
 # per-channel affine's forward and its backward at ResNet-mini shapes,
 # channels 8/16/32/64, ns per element;

@@ -8,8 +8,10 @@ import (
 	"reflect"
 	"testing"
 
+	"nautilus/internal/data"
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
+	"nautilus/internal/models"
 	"nautilus/internal/opt"
 	"nautilus/internal/tensor"
 	"nautilus/internal/train"
@@ -36,92 +38,134 @@ var arenaApproaches = []struct {
 // optimization, for every approach: materializing and training with tensor
 // recycling — TrainGroups on two slots, each group's step scope recycled
 // per batch and each activation freed into it at its last use, feeds
-// prefetched into their own scopes — gives exactly the accuracy and loss
-// bits and the checkpoint bytes of heap allocation on one slot without
-// prefetch. One candidate reads the trunk through an output that aliases
-// its input, so an early free of a shared buffer shows too.
+// prefetched into their own scopes, the tape keeping fresh gradients
+// instead of copying them — gives exactly the accuracy and loss bits and
+// the checkpoint bytes of heap allocation on one slot without prefetch,
+// where every first gradient is copied. One BERT candidate reads the trunk
+// through an output that aliases its input, so an early free of a shared
+// buffer shows too. The resnet_ legs train ResNet-mini fine-tuning
+// candidates (FTU), where the tape keeps most first gradients as the
+// layers return them and pointwise convs keep their input as their column
+// matrix.
 func TestArenaTrainingBitIdentical(t *testing.T) {
-	snap := nerSnapshot(t, 2)
-	for _, ap := range arenaApproaches {
-		t.Run(ap.name, func(t *testing.T) {
-			run := func(arena *tensor.Arena, slots int) (accs []string, ckpts map[string][]byte) {
-				withSlots(t, slots)
-				items, mm := workloadOf(t, append(bertCandidates(t, 3), aliasedCandidate(t))...)
-				sigs := map[graph.Signature]bool{}
-				switch ap.mat {
-				case "all":
-					for _, n := range mm.MaterializableNodes() {
-						sigs[mm.Sig(n)] = true
-					}
-				case "opt":
-					res, err := opt.OptimizeMaterialization(mm, items, opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 200})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sigs = res.Sigs
-				}
-				store, _ := newTestStore(t)
-				mz, err := NewMaterializer(store, mm, sigs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mz != nil {
-					mz.Arena = arena
-					if err := mz.SyncSplit(Train, snap.TrainX); err != nil {
-						t.Fatal(err)
-					}
-					if err := mz.SyncSplit(Valid, snap.ValidX); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var groups []*opt.FusedGroup
-				if ap.fuse {
-					groups = fuse(t, items, sigs)
-				} else {
-					for _, it := range items {
-						g, err := opt.BuildGroup([]opt.WorkItem{it}, sigs, ap.plan, opt.AdamSlotBytes)
+	sets := []struct {
+		prefix string
+		cands  func(testing.TB) []*graph.Model
+		snap   data.Snapshot
+	}{
+		{"", func(t testing.TB) []*graph.Model { return append(bertCandidates(t, 3), aliasedCandidate(t)) }, nerSnapshot(t, 2)},
+		{"resnet_", resnetCandidates, imageSnapshot(t)},
+	}
+	for _, set := range sets {
+		for _, ap := range arenaApproaches {
+			t.Run(set.prefix+ap.name, func(t *testing.T) {
+				run := func(arena *tensor.Arena, slots int) (accs []string, ckpts map[string][]byte) {
+					withSlots(t, slots)
+					items, mm := workloadOf(t, set.cands(t)...)
+					sigs := map[graph.Signature]bool{}
+					switch ap.mat {
+					case "all":
+						for _, n := range mm.MaterializableNodes() {
+							sigs[mm.Sig(n)] = true
+						}
+					case "opt":
+						res, err := opt.OptimizeMaterialization(mm, items, opt.MatConfig{DiskBudgetBytes: 1 << 40, MaxRecords: 200})
 						if err != nil {
 							t.Fatal(err)
 						}
-						groups = append(groups, g)
+						sigs = res.Sigs
 					}
-				}
-				trainer := &Trainer{Store: store, Loss: train.SoftmaxCrossEntropy{}, Seed: 7, Arena: arena, Prefetch: arena != nil}
-				dir := t.TempDir()
-				res, err := trainer.TrainGroups(groups, snap, 1<<40, func(gi int, g *opt.FusedGroup) error {
-					return trainer.Checkpoint(g, filepath.Join(dir, fmt.Sprintf("g%d.nckp", gi)), ap.fullCkpts)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, branches := range res {
-					for _, r := range branches {
-						accs = append(accs, fmt.Sprintf("%s %x %x %x", r.Item.Model.Name, math.Float64bits(r.ValAcc), math.Float64bits(r.ValLoss), math.Float64bits(r.FinalLoss)))
-					}
-				}
-				ckpts = map[string][]byte{}
-				for gi := range groups {
-					name := fmt.Sprintf("g%d.nckp", gi)
-					if ckpts[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+					store, _ := newTestStore(t)
+					mz, err := NewMaterializer(store, mm, sigs)
+					if err != nil {
 						t.Fatal(err)
 					}
+					if mz != nil {
+						mz.Arena = arena
+						if err := mz.SyncSplit(Train, set.snap.TrainX); err != nil {
+							t.Fatal(err)
+						}
+						if err := mz.SyncSplit(Valid, set.snap.ValidX); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var groups []*opt.FusedGroup
+					if ap.fuse {
+						groups = fuse(t, items, sigs)
+					} else {
+						for _, it := range items {
+							g, err := opt.BuildGroup([]opt.WorkItem{it}, sigs, ap.plan, opt.AdamSlotBytes)
+							if err != nil {
+								t.Fatal(err)
+							}
+							groups = append(groups, g)
+						}
+					}
+					trainer := &Trainer{Store: store, Loss: train.SoftmaxCrossEntropy{}, Seed: 7, Arena: arena, Prefetch: arena != nil}
+					dir := t.TempDir()
+					res, err := trainer.TrainGroups(groups, set.snap, 1<<40, func(gi int, g *opt.FusedGroup) error {
+						return trainer.Checkpoint(g, filepath.Join(dir, fmt.Sprintf("g%d.nckp", gi)), ap.fullCkpts)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, branches := range res {
+						for _, r := range branches {
+							accs = append(accs, fmt.Sprintf("%s %x %x %x", r.Item.Model.Name, math.Float64bits(r.ValAcc), math.Float64bits(r.ValLoss), math.Float64bits(r.FinalLoss)))
+						}
+					}
+					ckpts = map[string][]byte{}
+					for gi := range groups {
+						name := fmt.Sprintf("g%d.nckp", gi)
+						if ckpts[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return accs, ckpts
 				}
-				return accs, ckpts
-			}
-			wantAccs, wantCkpts := run(nil, 1)
-			arena := tensor.NewArena()
-			gotAccs, gotCkpts := run(arena, 2)
-			if !reflect.DeepEqual(gotAccs, wantAccs) {
-				t.Errorf("arena changed results:\n got %v\nwant %v", gotAccs, wantAccs)
-			}
-			if !reflect.DeepEqual(gotCkpts, wantCkpts) {
-				t.Errorf("arena changed checkpoint bytes")
-			}
-			if st := arena.Stats(); st.Hits == 0 {
-				t.Errorf("the arena served no recycled buffer: %+v", st)
-			}
-		})
+				wantAccs, wantCkpts := run(nil, 1)
+				arena := tensor.NewArena()
+				gotAccs, gotCkpts := run(arena, 2)
+				if !reflect.DeepEqual(gotAccs, wantAccs) {
+					t.Errorf("arena changed results:\n got %v\nwant %v", gotAccs, wantAccs)
+				}
+				if !reflect.DeepEqual(gotCkpts, wantCkpts) {
+					t.Errorf("arena changed checkpoint bytes")
+				}
+				if st := arena.Stats(); st.Hits == 0 {
+					t.Errorf("the arena served no recycled buffer: %+v", st)
+				}
+			})
+		}
 	}
+}
+
+// resnetCandidates returns two fine-tuning candidates over one ResNet-mini
+// hub, training its top block and its top two.
+func resnetCandidates(t testing.TB) []*graph.Model {
+	t.Helper()
+	hub := models.NewResNetHub(models.ResNetMini())
+	var ms []*graph.Model
+	for i := 0; i < 2; i++ {
+		m, err := hub.FineTuneModel(fmt.Sprintf("r%d", i), 1+i, 2, int64(600+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// imageSnapshot labels two cycles of synthetic ResNet-mini images.
+func imageSnapshot(t testing.TB) data.Snapshot {
+	t.Helper()
+	pool := data.SynthImages(data.ImageConfig{Records: 120, H: 16, W: 16, C: 3, Seed: 77})
+	lab := data.NewLabeler(pool, 20, 16)
+	var snap data.Snapshot
+	for i := 0; i < 2; i++ {
+		snap, _, _ = lab.NextCycle()
+	}
+	return snap
 }
 
 // aliasedCandidate is a feature-transfer candidate whose head reads the

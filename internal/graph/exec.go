@@ -266,7 +266,8 @@ func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts Backw
 		return nil
 	}
 	in := t.ins[p.parOff[i]:p.parOff[i+1]]
-	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, t.acts[i], g, BackwardNeed{Inputs: needInputs, Params: needParams})
+	out := t.acts[i]
+	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, out, g, BackwardNeed{Inputs: needInputs, Params: needParams})
 	if needParams {
 		nums := p.paramOf[p.paramOff[i]:p.paramOff[i+1]]
 		if len(gradParams) != len(nums) {
@@ -274,23 +275,53 @@ func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts Backw
 		}
 		for j, k := range nums {
 			if gradParams[j] != nil {
-				accumulate(&t.paramGrads[k], gradParams[j], t.alloc)
+				accumulate(&t.paramGrads[k], gradParams[j], t.alloc, t.fresh(gradParams[j], g, out, in, gradParams, gradIn))
 			}
 		}
 	}
 	for j, q := range parents {
 		if gradIn != nil && gradIn[j] != nil && needGrad[q] {
-			accumulate(&t.grads[q], gradIn[j], t.alloc)
+			accumulate(&t.grads[q], gradIn[j], t.alloc, t.fresh(gradIn[j], g, out, in, gradParams, gradIn))
 		}
 	}
 	return nil
 }
 
-// accumulate adds g into *acc, which it first makes a copy of g in s.
-func accumulate(acc **tensor.Tensor, g *tensor.Tensor, s *tensor.Scope) {
-	if *acc != nil {
+// fresh reports whether gradient d, returned by a backward call, belongs
+// to the tape alone: the step scope owns its buffer (a heap run owns
+// nothing, so it keeps copying), and no other tensor of the call shares
+// it — not the call's output gradient g, which the tape frees after the
+// call (Add returns it for every parent, an identity or a Reshape returns
+// it or a view of it), not the node's output or inputs, which the tape
+// frees at their last use, and no other gradient the call returned, which
+// an accumulation into d would write through. Views that start at an
+// offset into a buffer are neither owned nor detected (tensor.SameBuffer);
+// no layer makes one.
+func (t *Tape) fresh(d, g, out *tensor.Tensor, in, gradParams, gradIn []*tensor.Tensor) bool {
+	if !t.alloc.Owns(d) || tensor.SameBuffer(d, g) || tensor.SameBuffer(d, out) {
+		return false
+	}
+	sharers := 0
+	for _, list := range [...][]*tensor.Tensor{in, gradParams, gradIn} {
+		for _, o := range list {
+			if o != nil && tensor.SameBuffer(d, o) {
+				sharers++
+			}
+		}
+	}
+	return sharers == 1 // d itself
+}
+
+// accumulate adds g into *acc. The first gradient starts the accumulator:
+// g itself when fresh, else a copy of g in s. Either way the sum is the
+// same: AddInPlace onto g is the vadd AddInPlace runs onto its copy.
+func accumulate(acc **tensor.Tensor, g *tensor.Tensor, s *tensor.Scope, fresh bool) {
+	switch {
+	case *acc != nil:
 		tensor.AddInPlace(*acc, g)
-	} else {
+	case fresh:
+		*acc = g
+	default:
 		*acc = tensor.CloneIn(s, g)
 	}
 }

@@ -68,25 +68,23 @@ type actCache struct {
 // actSweep is the one pass every nonlinearity runs: per element z = src
 // (+ bias per row, tensor.AddRowVec's float32 add), out = act(z), and for a
 // transcendental act keep (if non-nil) gets act′(z) when deriv, else z.
-// out and keep may alias src.
+// out and keep may alias src. None and relu run once per chunk of rows:
+// tensor.BiasRows is AddRowVec's add in its operand order, so a NaN bias
+// meeting a NaN z keeps the payload AddRowVec keeps.
 func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32, deriv bool) {
 	sd, od, c := src.Data(), out.Data(), src.Cols()
 	if act == ActNone || act == ActReLU {
 		tensor.Parallel(src.Rows(), len(sd), func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				sr, or := sd[r*c:(r+1)*c], od[r*c:(r+1)*c]
-				if bias != nil {
-					for j := range or {
-						or[j] = sr[j] + bias[j]
-					}
-					sr = or
-				}
-				switch {
-				case act == ActReLU:
-					tensor.ReLUClamp(or, sr) // !(z > 0) gives +0: NaN and -0 too
-				case bias == nil:
-					copy(or, sr)
-				}
+			s, o := sd[lo*c:hi*c], od[lo*c:hi*c]
+			if bias != nil {
+				tensor.BiasRows(o, s, bias)
+				s = o
+			}
+			switch {
+			case act == ActReLU:
+				tensor.ReLUClamp(o, s) // !(z > 0) gives +0: NaN and -0 too
+			case bias == nil:
+				copy(o, s)
 			}
 		})
 		return

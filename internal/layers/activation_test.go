@@ -453,6 +453,29 @@ func TestFusedLayersMatchOracle(t *testing.T) {
 		img := tensor.RandNormal(rng, 1, 2, 6, 5, 3)
 		assertMatchesOracle(t, "conv2d/"+act, NewConv2D(3, 4, 3, 2, 1, act, 13), []*tensor.Tensor{img})
 	}
+	// Pointwise convs (1×1, stride 1, unpadded) read x in place and reshape
+	// the column gradient; a padded or strided 1×1 conv keeps the lowering.
+	// Each gets a nonzero bias (biases initialize to 0) and ±0, ±Inf and
+	// NaNs in x, the bias and the output gradient. Under none and relu the
+	// NaNs have distinct payloads, which meet the matmul's NaNs in the bias
+	// add (tensor.BiasRows against AddRowVec) in both operand orders. The
+	// transcendentals' row kernels and their scalar oracle need not agree
+	// on a NaN's payload or sign (the oracle's math.Exp returns a NaN of
+	// its own), so there the planted NaNs are left out.
+	for _, act := range acts {
+		for _, k := range [][2]int{{1, 0}, {2, 0}, {1, 1}} { // stride, pad
+			l := NewConv2D(12, 8, 1, k[0], k[1], act, 43)
+			bias := l.b.Tensor()
+			copy(bias.Data(), tensor.RandNormal(rng, 1, 8).Data())
+			img := tensor.RandNormal(rng, 1, 2, 6, 5, 12)
+			plantAffineSpecials(img, nil, nil, 0)
+			plantConvBias(bias)
+			dropNaNs(act, img, bias)
+			assertMatchesOracleGrad(t, fmt.Sprintf("conv2d_1x1/stride=%d/pad=%d/%s", k[0], k[1], act), l, []*tensor.Tensor{img},
+				func(g *tensor.Tensor) { plantAffineSpecials(g, nil, nil, 1); dropNaNs(act, g) })
+		}
+	}
+
 	// A nonzero bias, so the fused add is exercised (biases initialize to 0).
 	d := NewDense(6, 5, ActGeLU, 17)
 	copy(d.b.Tensor().Data(), tensor.RandNormal(rng, 1, 5).Data())
@@ -520,6 +543,30 @@ func plantAffineSpecials(m, gamma, beta *tensor.Tensor, shift int) {
 	}
 	for j, b := range beta.Data() {
 		beta.Data()[j] = []float32{b, nan(0x7fc0000f), b, -inf, b}[j%5]
+	}
+}
+
+// plantConvBias writes NaNs of two payloads, -0, +Inf and -Inf into every
+// other channel of a conv bias, the rest keeping their values.
+func plantConvBias(bias *tensor.Tensor) {
+	nan := math.Float32frombits
+	specials := []float32{nan(0x7fc0000d), float32(math.Copysign(0, -1)), nan(0xffc0000e), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for j := 0; j < bias.Len(); j += 2 {
+		bias.Data()[j] = specials[j/2%len(specials)]
+	}
+}
+
+// dropNaNs replaces every NaN of ms by +Inf unless act is none or relu.
+func dropNaNs(act string, ms ...*tensor.Tensor) {
+	if act == ActNone || act == ActReLU {
+		return
+	}
+	for _, m := range ms {
+		for i, v := range m.Data() {
+			if math.IsNaN(float64(v)) {
+				m.Data()[i] = float32(math.Inf(1))
+			}
+		}
 	}
 }
 
@@ -691,7 +738,8 @@ func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Ten
 // TestActSweepCallShapes is the call-shape matrix: every width from 0 to 67
 // (so every c mod 4 tail, with and without whole 4-blocks), bias nil and
 // non-nil, keep nil / fresh / aliasing src, out fresh / aliasing src, train
-// and eval, serial and fanned out over two workers.
+// and eval, serial and fanned out over two workers; then none and relu at
+// 1, 3, 8, 12 and 64 channels.
 func TestActSweepCallShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	defer tensor.SetMaxWorkers(0)
@@ -744,6 +792,52 @@ func TestActSweepCallShapes(t *testing.T) {
 					if keepMode != 0 {
 						bitsEqual(t, label+" keep", tensor.FromSlice(gotKeep, rows, c), tensor.FromSlice(wantKeep, rows, c))
 					}
+				}
+			}
+		}
+	}
+	// None and relu, which run once per chunk of rows (tensor.BiasRows,
+	// tensor.ReLUClamp), at ResNet-mini's channel counts and tails of the
+	// 8-lane block, against the scalar add and clamp: bias nil and not, out
+	// fresh and aliasing src, serial and fanned out, with ±0, ±Inf and NaN
+	// in src.
+	for _, workers := range []int{1, 2} {
+		tensor.SetMaxWorkers(workers)
+		for _, c := range []int{1, 3, 8, 12, 64} {
+			rows := 3
+			if workers == 2 {
+				rows = 1<<16/c + 1 // rows·c reaches the fan-out threshold
+			}
+			x := tensor.RandNormal(rng, 2, rows, c)
+			for i := range x.Data() {
+				if rng.Intn(8) == 0 {
+					x.Data()[i] = []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}[rng.Intn(5)]
+				}
+			}
+			for _, act := range []string{ActNone, ActReLU} {
+				for shape := 0; shape < 4; shape++ {
+					withBias, outAlias := shape&1 == 1, shape&2 == 2
+					var bias []float32
+					if withBias {
+						bias = tensor.RandNormal(rng, 1, c).Data()
+					}
+					src := x.Clone()
+					out := tensor.New(rows, c)
+					if outAlias {
+						out = src
+					}
+					want := x.Clone()
+					for i, z := range want.Data() {
+						if bias != nil {
+							z += bias[i%c]
+						}
+						if act == ActReLU && !(z > 0) {
+							z = 0
+						}
+						want.Data()[i] = z
+					}
+					actSweep(act, src, bias, out, nil, false)
+					bitsEqual(t, fmt.Sprintf("%s c=%d workers=%d bias=%v outAlias=%v", act, c, workers, withBias, outAlias), out, want)
 				}
 			}
 		}

@@ -63,6 +63,40 @@ func BenchmarkAttentionStep(b *testing.B) {
 	}
 }
 
+// BenchmarkResidualBlockStep is one training step — forward in train mode
+// and backward with input and parameter gradients, in a recycled step
+// scope — of ResNet-mini's block 1 (16×16, 8 → 8 → 32 channels, stride 1:
+// conv1, conv3 and the projection shortcut are pointwise) and block 3
+// (16×16, 32 → 16 → 64, stride 2: the shortcut keeps the lowering), at
+// batch 32: ns/op and allocs/op.
+func BenchmarkResidualBlockStep(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  ResidualBlockConfig
+	}{
+		{"block1", ResidualBlockConfig{InH: 16, InW: 16, InC: 8, MidC: 8, OutC: 32, Stride: 1, Seed: 1}},
+		{"block3", ResidualBlockConfig{InH: 16, InW: 16, InC: 32, MidC: 16, OutC: 64, Stride: 2, Seed: 3}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			l := NewResidualBlock(bc.cfg)
+			x := tensor.RandNormal(rng, 1, 32, bc.cfg.InH, bc.cfg.InW, bc.cfg.InC)
+			g := tensor.RandNormal(rng, 1, append([]int{32}, l.OutShape([][]int{x.Shape()[1:]})...)...)
+			scope := tensor.NewArena().Scope()
+			defer scope.Release()
+			need := graph.BackwardNeed{Inputs: true, Params: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in := []*tensor.Tensor{tensor.WithAlloc(scope, x)}
+				out, cache := l.Forward(in, true)
+				l.Backward(cache, in, out, tensor.WithAlloc(scope, g), need)
+				scope.Recycle()
+			}
+		})
+	}
+}
+
 // benchActSweep times the train-mode epilogue alone — bias add, gelu, gelu′
 // into the matmul buffer — in ns per element.
 func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32, deriv bool), rows, c int) {

@@ -8,7 +8,8 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NHWC tensors with an optional fused
-// activation, implemented as im2col + matmul.
+// activation, implemented as im2col + matmul; a pointwise conv (1×1,
+// stride 1, no padding) skips the lowering.
 type Conv2D struct {
 	InC, OutC        int
 	KH, KW           int
@@ -76,11 +77,29 @@ type convCache struct {
 	geom tensor.ConvGeom
 }
 
+// pointwise reports a 1×1, stride-1, unpadded conv: its column matrix is
+// its input, row for row. Im2Col would be an exact copy of x, and Col2Im
+// adds each column gradient once onto a +0, which is the value itself —
+// a MatMulBT output is never -0 (it starts at +0, and a sum is -0 only
+// when both addends are), and +0 + v is v for every other v, NaN payloads
+// included. So the layer reads x in place and reshapes the column
+// gradient, with the bits of the lowering. The cache then aliases x,
+// which the tape holds live until this node's backward step anyway (the
+// liveness edge from a parent's output to its child's backward).
+func (l *Conv2D) pointwise() bool {
+	return l.KH == 1 && l.KW == 1 && l.StrideH == 1 && l.StrideW == 1 && l.PadH == 0 && l.PadW == 0
+}
+
 func (l *Conv2D) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
 	s := x.Shape()
 	g := l.geom(s[1:])
-	cols := tensor.Im2Col(x, g)
+	var cols *tensor.Tensor
+	if l.pointwise() {
+		cols = x.Reshape(-1, l.InC)
+	} else {
+		cols = tensor.Im2Col(x, g)
+	}
 	out, c := fusedAct(l.Act, tensor.MatMul(cols, l.w.Tensor()), l.b.Tensor(), train)
 	return out.Reshape(s[0], g.OutH(), g.OutW(), l.OutC), convCache{cols: cols, act: c, geom: g}
 }
@@ -98,7 +117,11 @@ func (l *Conv2D) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tens
 	}
 	if need.Inputs {
 		dcols := tensor.MatMulBT(dz2, l.w.Tensor())
-		dx = tensor.Col2Im(dcols, batch, c.geom)
+		if l.pointwise() {
+			dx = dcols.Reshape(x.Shape()...)
+		} else {
+			dx = tensor.Col2Im(dcols, batch, c.geom)
+		}
 	}
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dw, db}
 }

@@ -172,6 +172,20 @@ var seededRegressions = []seededRegression{
 		dynamic: "TestAttentionMatchesPerHeadChain",
 	},
 	{
+		name: "Tape adopts a gradient aliasing gradOut",
+		dir:  "internal/graph", file: "exec.go",
+		old:     "\tif !t.alloc.Owns(d) || tensor.SameBuffer(d, g) || tensor.SameBuffer(d, out) {\n",
+		new:     "\tif !t.alloc.Owns(d) || tensor.SameBuffer(d, out) {\n",
+		dynamic: "TestTapeAdoptsOnlyFreshGradients",
+	},
+	{
+		name: "Pointwise path taken for a padded 1×1 conv",
+		dir:  "internal/layers", file: "conv.go",
+		old:     "\treturn l.KH == 1 && l.KW == 1 && l.StrideH == 1 && l.StrideW == 1 && l.PadH == 0 && l.PadW == 0\n",
+		new:     "\treturn l.KH == 1 && l.KW == 1 && l.StrideH == 1 && l.StrideW == 1\n",
+		dynamic: "TestFusedLayersMatchOracle",
+	},
+	{
 		name: "Trainer wall-clock read loses its pragma",
 		dir:  "internal/exec", file: "trainer.go",
 		old:  "\t\t//lint:ignore determinism wall-clock measurement of training time for Metrics reporting\n",

@@ -174,17 +174,25 @@ func (s *Scope) header() *Tensor {
 // unpooled oversize buffer, or one already freed. Like Get, it is for the
 // scope's one owner.
 func (s *Scope) Free(t *Tensor) {
-	if s == nil || t == nil || t.scope != s || t.taken == 0 || t.taken > len(s.taken) {
+	if !s.Owns(t) {
 		return
 	}
 	buf := s.taken[t.taken-1]
-	if buf == nil || &buf[0] != &t.data[0] {
-		return
-	}
 	s.taken[t.taken-1] = nil
 	c := bits.Len(uint(cap(buf) - 1))
 	s.free[c] = append(s.free[c], buf)
 	s.stats.Puts++
+}
+
+// Owns reports whether t is a header over a pooled buffer the scope handed
+// out since its last Recycle and has not had back: a buffer Free would
+// take. A nil scope owns nothing.
+func (s *Scope) Owns(t *Tensor) bool {
+	if s == nil || t == nil || t.scope != s || t.taken == 0 || t.taken > len(s.taken) {
+		return false
+	}
+	buf := s.taken[t.taken-1]
+	return buf != nil && &buf[0] == &t.data[0]
 }
 
 // Recycle returns every buffer and header handed out since the last

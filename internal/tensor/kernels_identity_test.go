@@ -410,11 +410,13 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 
 		checkTileKernel(t, rng, n)
 		checkChannelHelpers(t, rng, 1+rng.Intn(70))
+		checkBiasRows(t, rng, 1+rng.Intn(70))
 	}
 	// 32-, 8- and 1-channel blocks by name: ResNet-mini's 8-64 channels and
 	// mixes with a tail.
 	for _, c := range []int{1, 7, 8, 12, 16, 32, 33, 41, 64} {
 		checkChannelHelpers(t, rng, c)
+		checkBiasRows(t, rng, c)
 	}
 	// Every column-block mix of 16, 8, 4 and 1 by name: 4 and 12 end on
 	// the 4-block, 5, 7, 13 and 20 leave single columns after it.
@@ -546,6 +548,45 @@ func checkChannelHelpers(t *testing.T, rng *rand.Rand, c int) {
 	assertBitsEqual(t, "ChannelGradRows "+label, FromSlice(got, 2, c), FromSlice(want, 2, c))
 }
 
+// checkBiasRows holds BiasRows to AddRowVec, the bias add it stands in
+// for, at c channels over a few rows, into a fresh dst and in place: zeros
+// of both signs and ±Inf in src and bias, and NaNs of distinct payloads
+// meeting in both operand orders — src holds payload a where bias holds b
+// on some rows and b where bias holds a on others — so the add must keep
+// the payload AddRowVec's vadd keeps, with and without AVX2.
+func checkBiasRows(t *testing.T, rng *rand.Rand, c int) {
+	t.Helper()
+	rows := 2 + rng.Intn(9)
+	nanA, nanB := math.Float32frombits(0x7fc0000a), math.Float32frombits(0xffc0000b)
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), nanA, nanB}
+	src, bias := fillMixed(rng, New(rows, c)), fillMixed(rng, New(c))
+	for i := range src.Data() {
+		if rng.Intn(3) == 0 {
+			src.Data()[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	for j := range bias.Data() {
+		if j%2 == 0 {
+			bias.Data()[j] = []float32{nanA, nanB, float32(math.Inf(-1)), float32(math.Copysign(0, -1))}[j/2%4]
+		}
+	}
+	for r := 0; r < rows; r++ { // every NaN of bias meets the other payload and its own
+		for j, b := range bias.Data() {
+			if math.IsNaN(float64(b)) && r < 2 {
+				src.Row(r)[j] = []float32{nanA, nanB}[r]
+			}
+		}
+	}
+	label := fmt.Sprintf("BiasRows c=%d rows=%d", c, rows)
+	want := AddRowVec(src, bias)
+	got := New(rows, c)
+	BiasRows(got.Data(), src.Data(), bias.Data())
+	assertBitsEqual(t, label, got, want)
+	got = src.Clone()
+	BiasRows(got.Data(), got.Data(), bias.Data())
+	assertBitsEqual(t, label+" in place", got, want)
+}
+
 // TestSIMDHelpersRejectShortOperands: the assembly takes raw pointers, so
 // every wrapper must refuse an operand shorter than the extent it will
 // touch, as the portable bodies' re-slicing does.
@@ -577,6 +618,9 @@ func TestSIMDHelpersRejectShortOperands(t *testing.T) {
 		"channelAffineGeneric":  func() { channelAffineGeneric(long, short, ch, ch) },
 		"channelScaleGeneric":   func() { channelScaleGeneric(long, short, ch) },
 		"channelGradGeneric":    func() { channelGradGeneric(ch, ch, long, short) },
+		"BiasRows src":          func() { BiasRows(long, short, ch) },
+		"BiasRows dst":          func() { BiasRows(short, short, ch) },
+		"biasRowsGeneric":       func() { biasRowsGeneric(long, short, ch) },
 	} {
 		func() {
 			defer func() {

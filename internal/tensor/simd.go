@@ -92,6 +92,18 @@ func channelGradGeneric(dgamma, dbeta, g, x []float32) {
 	}
 }
 
+// biasRowsGeneric is AddRowVec's body, row by row: a copy of the source
+// row, then vaddGeneric of the bias into it, so it is vaddGeneric's add in
+// vaddGeneric's operand order by construction.
+func biasRowsGeneric(dst, src, bias []float32) {
+	c := len(bias)
+	src = src[:len(dst)]
+	for r := 0; r < len(dst); r += c {
+		copy(dst[r:r+c], src[r:r+c]) // a no-op when dst is src
+		vaddGeneric(dst[r:r+c], bias)
+	}
+}
+
 func reluClampGeneric(dst, src []float32) {
 	src = src[:len(dst)]
 	for i, z := range src {

@@ -31,6 +31,9 @@ func channelScaleAsm(dst, grad, gamma *float32, rows, c int)
 func channelGradAsm(dgamma, dbeta, grad, x *float32, rows, c int)
 
 //go:noescape
+func biasRowsAsm(dst, src, bias *float32, rows, c int)
+
+//go:noescape
 func reluClampAsm(dst, src *float32, n int)
 
 //go:noescape
@@ -174,6 +177,22 @@ func ChannelGradRows(dgamma, dbeta, g, x []float32) {
 	dbeta, x = dbeta[:c], x[:len(g)]
 	if rows > 0 {
 		channelGradAsm(&dgamma[0], &dbeta[0], &g[0], &x[0], rows, c)
+	}
+}
+
+// BiasRows writes dst[r*c+j] = src[r*c+j] + bias[j] for every row r of
+// dst, c = len(bias): AddRowVec's add, in vaddAsm's operand order, with
+// lanes across channels and one call per chunk of rows. len(dst) must be
+// a multiple of c; dst may be src.
+func BiasRows(dst, src, bias []float32) {
+	rows, c := channelRows(dst, bias)
+	if !hasAVX2 {
+		biasRowsGeneric(dst, src, bias)
+		return
+	}
+	src = src[:len(dst)]
+	if rows > 0 {
+		biasRowsAsm(&dst[0], &src[0], &bias[0], rows, c)
 	}
 }
 

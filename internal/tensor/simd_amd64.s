@@ -320,10 +320,11 @@ nonfinite:
 	VZEROUPPER
 	RET
 
-// The per-channel affine kernels behind layers.ChannelAffine: rows of c
-// channels, c > 0 and rows > 0, each channel j scaled by gamma[j]. Lanes
-// run across channels; every element is one VMULPS (then one VADDPS),
-// never FMA, in the operand order of the scalar loops they replace.
+// The per-channel kernels behind layers.ChannelAffine and the activation
+// epilogue's bias add: rows of c channels, c > 0 and rows > 0, each
+// channel j scaled by gamma[j] or offset by bias[j]. Lanes run across
+// channels; every element is one VMULPS and/or one VADDPS, never FMA, in
+// the operand order of the scalar loops or the vaddAsm they replace.
 
 // func channelAffineAsm(dst, x, gamma, beta *float32, rows, c int)
 // dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j]: multiply (x, gamma), add
@@ -365,6 +366,48 @@ affineNext:
 	LEAQ (DI)(R10*4), DI
 	DECQ BX
 	JNZ  affineRow
+	VZEROUPPER
+	RET
+
+// func biasRowsAsm(dst, src, bias *float32, rows, c int)
+// dst[r*c+j] = bias[j] + src[r*c+j]: the add takes (bias, src), the
+// operand order of vaddAsm's (x, dst) as AddRowVec calls it with the bias
+// as x, so where two NaNs meet the bias's payload survives in both.
+// Blocks of 8 channels, then single channels, per row.
+TEXT ·biasRowsAsm(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ rows+24(FP), BX
+	MOVQ c+32(FP), R10
+
+biasRow:
+	XORQ AX, AX
+
+bias8:
+	LEAQ    8(AX), DX
+	CMPQ    DX, R10
+	JG      bias1
+	VMOVUPS (R8)(AX*4), Y0
+	VADDPS  (SI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	MOVQ    DX, AX
+	JMP     bias8
+
+bias1:
+	CMPQ   AX, R10
+	JGE    biasNext
+	VMOVSS (R8)(AX*4), X0
+	VADDSS (SI)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	JMP    bias1
+
+biasNext:
+	LEAQ (SI)(R10*4), SI
+	LEAQ (DI)(R10*4), DI
+	DECQ BX
+	JNZ  biasRow
 	VZEROUPPER
 	RET
 

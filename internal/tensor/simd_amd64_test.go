@@ -84,7 +84,8 @@ func TestTileKernelNaNPayloads(t *testing.T) {
 // TestPortableDispatchOnAMD64 reruns the kernel sweeps with hasAVX2 off,
 // so every `if !hasAVX2` branch of this file's dispatchers runs the
 // portable bodies on a host that has AVX2: the matmul family, the conv and
-// pool kernels, the SIMD helpers and the attention kernels, all against
+// pool kernels, the SIMD helpers (BiasRows against AddRowVec, NaN
+// payloads meeting, included) and the attention kernels, all against
 // their seed bodies, and denseB choosing the dense body nowhere.
 func TestPortableDispatchOnAMD64(t *testing.T) {
 	prev := hasAVX2

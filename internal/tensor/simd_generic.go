@@ -37,6 +37,13 @@ func ChannelGradRows(dgamma, dbeta, g, x []float32) {
 	channelGradGeneric(dgamma, dbeta, g, x)
 }
 
+// BiasRows writes dst[r*c+j] = src[r*c+j] + bias[j] for every row r of
+// dst, c = len(bias): AddRowVec's add. dst may be src.
+func BiasRows(dst, src, bias []float32) {
+	channelRows(dst, bias)
+	biasRowsGeneric(dst, src, bias)
+}
+
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
 // and -0 included), for i in [0, len(dst)). dst may be src.
 func ReLUClamp(dst, src []float32) { reluClampGeneric(dst, src) }

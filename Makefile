@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-fixtures check check-exhaustive fuzz bench bench-e2e trace-demo tune
+.PHONY: build test check check-exhaustive fuzz bench bench-e2e trace-demo tune
 
 build:
 	$(GO) build ./...
@@ -8,38 +8,22 @@ build:
 test:
 	$(GO) test ./...
 
-# nautilus-lint is the repo's own stdlib static-analysis suite
-# (internal/lint), six syntactic analyzers and no CFG pass: allochygiene,
-# determinism, floateq, layerpurity, uncheckederr, and the ignoreaudit
-# stale-suppression check.
-# One whole-module sweep (well under a second); check's lint step is the
-# same invocation.
-lint:
-	$(GO) run ./cmd/nautilus-lint ./...
-
-# lint-fixtures re-runs the golden-fixture tests that pin every analyzer's
-# exact diagnostics (positions + messages) over testdata/src/violations,
-# plus the static leg of the seeded-regression yield corpus
-# (TestSeededRegressions: each analyzer must catch its bug re-introduced
-# into a copy of the real package; the pattern leaves out its build-tagged
-# dynamic leg, which check runs), and the parallel driver's determinism
-# check.
-lint-fixtures:
-	$(GO) test ./internal/lint -run '^Test(ViolationsGolden|IgnoreAudit|RunSorted|RunTimed|DiagnosticJSON|AnalyzeParallel|SelectAnalyzers|SeededRegressions$$)' -count=1
-
-# check is the full pre-merge gate: vet + gofmt + build + the full analyzer
-# suite + the race detector over the concurrent planning, execution,
-# observability, and storage layers (the core and exec test packages force
-# at least two group slots in TestMain, so concurrent fused groups are
-# exercised whatever the box's CPU count;
-# the graph leg holds the shared-param first-use test; the core leg also
-# runs the golden plan files), plus a short pass of the end-to-end ledger
-# (all six ./bench workloads, every output checked bit for bit; nonzero
-# exit on any failed check or operation — timing claims are made from
-# alternating parent/change pairs, bench/README.md, not from this step).
-# The seeded leg is the yield corpus's dynamic half: each lock, goroutine,
-# arena, chunk or span bug the corpus seeds must fail its named test under
-# go test -race -cpu 2 (applied through -overlay) and pass without it.
+# check is the full pre-merge gate: vet + gofmt + build + the race detector
+# over the concurrent planning, execution, observability, and storage
+# layers (the core and exec test packages force at least two group slots
+# in TestMain, so concurrent fused groups are exercised whatever the box's
+# CPU count; the graph leg holds the shared-param first-use test; the
+# core leg also runs the golden plan files), plus a short pass of the
+# end-to-end ledger (all six ./bench workloads, every output checked bit
+# for bit; nonzero exit on any failed check or operation — timing claims
+# are made from alternating parent/change pairs, bench/README.md, not
+# from this step).
+# The seeded leg runs the seeded-regression corpus (internal/lint holds
+# only the corpus): each lock, goroutine, arena, chunk, span, shared-layer,
+# footprint or dropped-write-error bug it seeds must fail its named test
+# under go test -race -cpu 2 (applied through -overlay) and pass without
+# it, and every seed must still apply once, name a declared test and
+# appear in DESIGN.md.
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
 # cross-build compiles the portable kernel bodies, the only path off amd64.
 # The layers package rides the tensor/graph race leg for LayerNorm.Backward's
@@ -51,13 +35,12 @@ check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
-	$(GO) run ./cmd/nautilus-lint ./...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
-	$(GO) test -tags seeded -run '^TestSeededRegressionsDynamic$$' -count=1 ./internal/lint
+	$(GO) test -tags seeded -run '^TestSeededRegressions(Dynamic)?$$' -count=1 ./internal/lint
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/tensor ./internal/layers
 	$(GO) run ./bench -seconds 3
 

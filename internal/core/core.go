@@ -417,7 +417,6 @@ func (ms *ModelSelection) LastDelta() *PlanDelta { return ms.lastDelta }
 // incrementally materializes, trains every group, and returns per-candidate
 // validation results.
 func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
-	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	started := time.Now()
 	span, reopt, err := ms.beginCycle(snap)
 	defer span.End()
@@ -444,7 +443,6 @@ func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
 	res.Results = candidateResults(trained)
 	sort.Slice(res.Results, func(i, j int) bool { return res.Results[i].Model < res.Results[j].Model })
 	res.Best = bestResult(res.Results)
-	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	res.Duration = time.Since(started)
 	// Physical disk traffic so far, checkpoints included: the store.*
 	// counters carry only the tensor store's share.

@@ -46,7 +46,6 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 	if keep <= 0 || keep >= 1 {
 		keep = 0.5
 	}
-	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	started := time.Now()
 	span, reopt, err := ms.beginCycle(snap)
 	defer span.End()
@@ -83,7 +82,6 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 		}
 		rungResults := candidateResults(trained)
 		sort.Slice(rungResults, func(i, j int) bool {
-			//lint:ignore floateq deterministic tie-break requires exact equality of reported scores
 			if rungResults[i].ValAcc != rungResults[j].ValAcc {
 				return rungResults[i].ValAcc > rungResults[j].ValAcc
 			}
@@ -111,7 +109,6 @@ func (ms *ModelSelection) FitHalving(snap data.Snapshot, cfg HalvingConfig) (*Ha
 		}
 		survivors = next
 	}
-	//lint:ignore determinism wall-clock measurement of real fit time, reported to the user
 	res.Duration = time.Since(started)
 	return res, nil
 }

@@ -264,7 +264,6 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown approach %q", p.cfg.Approach)
 	}
-	//lint:ignore determinism wall-clock measurement of optimizer solve time, reported in Stats
 	start := time.Now()
 	span := p.cfg.Obs.Start("plan/workload",
 		obs.Str("approach", string(p.cfg.Approach)),
@@ -282,7 +281,6 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	}
 	wp.Groups = groups
 	wp.Stats.Fuse = fuseStats
-	//lint:ignore determinism wall-clock measurement of optimizer solve time, reported in Stats
 	wp.Stats.OptimizeTime = time.Since(start)
 	wp.Stats.Groups = len(wp.Groups)
 

@@ -66,7 +66,6 @@ func RunWithPool(inst *workloads.Instance, cfg Config, pool *data.Pool, maxCycle
 	defer ms.Close()
 
 	report := &RunReport{Workload: inst.Spec.Name, Approach: cfg.Approach, Metrics: ms.Metrics(), TuneCoverage: ms.TuneCoverage()}
-	//lint:ignore determinism wall-clock measurement of end-to-end run time, reported to the user
 	started := time.Now()
 	for k := 0; k < cycles && labeler.HasMore(); k++ {
 		snap, _, _ := labeler.NextCycle()
@@ -84,7 +83,6 @@ func RunWithPool(inst *workloads.Instance, cfg Config, pool *data.Pool, maxCycle
 		})
 		report.FinalBest = fit.Best
 	}
-	//lint:ignore determinism wall-clock measurement of end-to-end run time, reported to the user
 	report.Total = time.Since(started)
 	report.Init = ms.InitStats()
 	return report, nil

@@ -66,7 +66,6 @@ func (t *Trainer) TrainGroup(g *opt.FusedGroup, snap data.Snapshot) ([]BranchRes
 // spans on slot's tracks, so groups TrainGroups runs side by side neither
 // share counters nor overlap in the trace.
 func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, slot int) ([]BranchResult, error) {
-	//lint:ignore determinism wall-clock measurement of training time for Metrics reporting
 	started := time.Now()
 	span := t.Obs.Start("train/group",
 		obs.Str("group", g.Name()),
@@ -282,7 +281,6 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 		}
 	}
 	if m != nil {
-		//lint:ignore determinism wall-clock measurement of training time for Metrics reporting
 		m.Wall += time.Since(started)
 	}
 	return results, nil

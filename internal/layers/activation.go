@@ -198,8 +198,12 @@ func (l *Activation) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *
 }
 
 // Dropout zeroes a fraction of activations during training and rescales the
-// rest; it is the identity in evaluation mode. The mask is drawn from a
-// deterministic per-forward counter so runs are reproducible.
+// rest; it is the identity in evaluation mode and at rate 0. Each training
+// forward draws its mask from a stream keyed by a per-layer call counter, so
+// masks repeat run to run only while one goroutine calls the layer. A rate >
+// 0 Dropout shared by concurrent fused groups stays race-free, but which
+// group gets which mask depends on how their calls interleave; no shipped
+// model has one.
 type Dropout struct {
 	Rate float64
 
@@ -229,7 +233,6 @@ func (l *Dropout) FLOPsPerRecord(in [][]int) int64 {
 
 func (l *Dropout) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
-	//lint:ignore floateq Rate==0 is the exact configured no-op sentinel
 	if !train || l.Rate == 0 {
 		return x, nil
 	}

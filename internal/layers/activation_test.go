@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"nautilus/internal/graph"
@@ -657,6 +658,80 @@ func TestDenseForwardScopeTensors(t *testing.T) {
 			}
 			scope.Release()
 		}
+	}
+}
+
+// TestDropoutForwardScopeTensors pins Dropout's train-mode footprint: at
+// rate 0 it is the identity — its input back, no scope tensor — and at rate
+// 0.5 it takes exactly two, the mask and out, both from the step scope.
+func TestDropoutForwardScopeTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range []struct {
+		rate float64
+		want int
+	}{{0, 0}, {0.5, 2}} {
+		scope := tensor.NewArena().Scope()
+		x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, 4, 6))
+		out, _ := NewDropout(tc.rate).Forward([]*tensor.Tensor{x}, true)
+		if got := scope.Live(); got != tc.want {
+			t.Errorf("rate %v: forward took %d scope tensors, want %d", tc.rate, got, tc.want)
+		}
+		if tc.rate == 0 && out != x {
+			t.Error("rate 0: forward did not return its input")
+		}
+		scope.Release()
+	}
+}
+
+// TestSharedLayersConcurrentSteps runs one instance of every layer type in
+// the package through Forward(train) and Backward from two goroutines at
+// once, as fused groups sharing a layer do. A layer keeps per-call state in
+// its cache, never in its receiver, so -race must report nothing. It checks
+// races only: a shared rate > 0 Dropout's masks depend on the interleaving.
+func TestSharedLayersConcurrentSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	seq := tensor.RandNormal(rng, 0.5, 2, 3, 8)
+	img := tensor.RandNormal(rng, 1, 2, 4, 4, 3)
+	ids := tensor.FromSlice([]float32{1, 3, 5, 3, 0, 9}, 2, 3)
+	one, two := []*tensor.Tensor{seq}, []*tensor.Tensor{seq, seq}
+	steps := []struct {
+		l  graph.Layer
+		in []*tensor.Tensor
+	}{
+		{NewActivation(ActGeLU), one},
+		{NewDropout(0.5), one},
+		{NewMultiHeadAttention(8, 2, 61), one},
+		{NewTransformerBlock(TransformerBlockConfig{Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 67, Adapter: 2, AdapterSeed: 71}), one},
+		{NewResidualBlock(ResidualBlockConfig{InH: 4, InW: 4, InC: 3, MidC: 2, OutC: 6, Stride: 2, Seed: 73}), []*tensor.Tensor{img}},
+		{NewAdapter(8, 2, 79), one},
+		{NewConv2D(3, 4, 3, 1, 1, ActReLU, 83), []*tensor.Tensor{img}},
+		{NewMaxPool2D(2, 2, 0), []*tensor.Tensor{img}},
+		{NewGlobalAvgPool2D(), []*tensor.Tensor{img}},
+		{NewDense(8, 5, ActTanh, 89), one},
+		{NewEmbedding(10, 8, 97), []*tensor.Tensor{ids}},
+		{NewPositionalEmbedding(3, 8, 101), one},
+		{NewAdd(2), two},
+		{NewConcat(2), two},
+		{NewFlatten(), one},
+		{NewMeanPoolSeq(), one},
+		{NewLayerNorm(8), one},
+		{NewChannelAffine(3, 103), []*tensor.Tensor{img}},
+	}
+	for _, s := range steps {
+		// Two goroutines per layer, and nothing else between them: a race
+		// on the layer cannot hide behind another layer's synchronization.
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, cache := s.l.Forward(s.in, true)
+				g := tensor.New(out.Shape()...)
+				g.Fill(1)
+				s.l.Backward(cache, s.in, out, g, graph.BackwardNeed{Inputs: true, Params: true})
+			}()
+		}
+		wg.Wait()
 	}
 }
 

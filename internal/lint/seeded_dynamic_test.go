@@ -13,31 +13,24 @@ import (
 	"testing"
 )
 
-// TestSeededRegressionsDynamic is the yield corpus's dynamic leg: each row
-// that names a dynamic test runs it under the race detector on two CPUs,
-// once with the row's seed laid over the committed file through
-// go test -overlay (it must fail) and once on the committed tree (it must
-// pass). Rows sharing a test share its clean run. It shells out to go test
-// once per run, so it sits behind a build tag:
+// TestSeededRegressionsDynamic is the corpus's dynamic leg: each row's
+// test runs under the race detector on two CPUs, once with the row's seed
+// laid over the committed file through go test -overlay (it must fail) and
+// once on the committed tree (it must pass). Rows sharing a test share its
+// clean run. It shells out to go test once per run, so it sits behind a
+// build tag:
 //
 //	go test -tags seeded -run SeededRegressionsDynamic ./internal/lint
 func TestSeededRegressionsDynamic(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := loader.ModuleRoot
+	root := moduleRoot(t)
 	clean := map[string]func() (string, error){}
 	for _, row := range seededRegressions {
-		key := row.dir + " " + row.dynamic
-		if row.dynamic != "" && clean[key] == nil {
+		key := row.dir + " " + row.test
+		if clean[key] == nil {
 			clean[key] = sync.OnceValues(func() (string, error) { return raceTest(root, row, "") })
 		}
 	}
 	for _, row := range seededRegressions {
-		if row.dynamic == "" {
-			continue
-		}
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(root, filepath.FromSlash(row.dir), row.file)
@@ -61,12 +54,12 @@ func TestSeededRegressionsDynamic(t *testing.T) {
 			out, err := raceTest(root, row, overlayFile)
 			switch {
 			case err == nil:
-				t.Errorf("%s passes with the seed in %s/%s:\n%s", row.dynamic, row.dir, row.file, tail(out))
+				t.Errorf("%s passes with the seed in %s/%s:\n%s", row.test, row.dir, row.file, tail(out))
 			case buildFailed.MatchString(out):
 				t.Errorf("the seeded %s/%s does not build:\n%s", row.dir, row.file, tail(out))
 			}
-			if out, err := clean[row.dir+" "+row.dynamic](); err != nil || !strings.Contains(out, "--- PASS: "+row.dynamic+" ") {
-				t.Errorf("%s does not pass on the committed tree (%v):\n%s", row.dynamic, err, tail(out))
+			if out, err := clean[row.dir+" "+row.test](); err != nil || !strings.Contains(out, "--- PASS: "+row.test+" ") {
+				t.Errorf("%s does not pass on the committed tree (%v):\n%s", row.test, err, tail(out))
 			}
 		})
 	}
@@ -79,7 +72,7 @@ var buildFailed = regexp.MustCompile(`\[(build|setup) failed\]`)
 // through the overlay file when one is given, and returns go test's output.
 func raceTest(root string, row seededRegression, overlay string) (string, error) {
 	var run []string
-	for _, part := range strings.Split(row.dynamic, "/") {
+	for _, part := range strings.Split(row.test, "/") {
 		run = append(run, "^"+regexp.QuoteMeta(part)+"$")
 	}
 	args := []string{"test", "-race", "-cpu", "2", "-count=1", "-timeout", "30s", "-v", "-run", strings.Join(run, "/")}

@@ -304,7 +304,6 @@ func pivot(tab [][]float64, basis []int, r, col int) {
 			continue
 		}
 		f := tab[i][col]
-		//lint:ignore floateq exact-zero pivot-column entries need no elimination
 		if f == 0 {
 			continue
 		}

@@ -90,9 +90,8 @@ func Fit(log *obs.SampleLog, source string) (*profile.Calibration, error) {
 		return nil, fmt.Errorf("calib: no sample log (run with observability enabled)")
 	}
 	c := &profile.Calibration{
-		Version: profile.CalibrationVersion,
-		Source:  source,
-		//lint:ignore determinism calibration files are timestamped measurement artifacts
+		Version:       profile.CalibrationVersion,
+		Source:        source,
 		CreatedUnixNs: time.Now().UnixNano(),
 		Compute:       FitChannel(log.Compute()),
 		Read:          FitChannel(log.Read()),
@@ -131,7 +130,6 @@ func Trim(samples []obs.Sample) []obs.Sample {
 	kept := make([]obs.Sample, 0, len(samples))
 	for _, s := range samples {
 		r := s.Ratio()
-		//lint:ignore floateq exactly-zero MAD means every ratio is the median; keep all
 		if r > 0 && (mad == 0 || abs(r-med) <= trimK*mad) {
 			kept = append(kept, s)
 		}

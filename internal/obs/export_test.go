@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -345,5 +347,40 @@ func TestTelemetryOpenFailureClosesTrace(t *testing.T) {
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Errorf("trace file left unterminated: %v\n%s", err, data)
+	}
+}
+
+// fullDisk returns /dev/full, a device every write to fails with ENOSPC,
+// or skips the test where there is none.
+func fullDisk(t *testing.T) string {
+	t.Helper()
+	const path = "/dev/full"
+	if _, err := os.Stat(path); err != nil {
+		t.Skipf("no %s: %v", path, err)
+	}
+	return path
+}
+
+// TestExporterFullDiskFailsClose points -live at a full disk: the snapshot
+// Close flushes cannot be written, and Close must say so.
+func TestExporterFullDiskFailsClose(t *testing.T) {
+	e, err := obs.StartExporter(obs.New(nil), obs.ExporterConfig{SnapshotPath: fullDisk(t), Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("Close on a full disk = %v, want ENOSPC", err)
+	}
+}
+
+// TestTelemetryFullDiskFailsClose points -metrics at a full disk: the
+// report Close writes cannot land, and Close must say so.
+func TestTelemetryFullDiskFailsClose(t *testing.T) {
+	tel := obs.Telemetry{Metrics: fullDisk(t)}
+	if err := tel.Open(false, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.Close(io.Discard); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("Close with -metrics on a full disk = %v, want ENOSPC", err)
 	}
 }

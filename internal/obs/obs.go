@@ -26,7 +26,6 @@ import (
 // timestamps funnel through here; everything downstream works on
 // durations relative to the tracer's base time.
 func now() time.Time {
-	//lint:ignore determinism obs is the reporting layer; every span timestamp funnels through this one annotated site
 	return time.Now()
 }
 

@@ -69,7 +69,6 @@ type MatResult struct {
 // (Section 4.2): choose V ⊆ U minimizing total training cost subject to the
 // storage budget, and derive each model's optimal reuse plan.
 func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig) (*MatResult, error) {
-	//lint:ignore determinism wall-clock measurement of solver time, reported as SolveTime
 	start := time.Now()
 	if cfg.MaxRecords <= 0 {
 		return nil, fmt.Errorf("opt: MaxRecords must be positive")
@@ -112,7 +111,6 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 	}
 	// Post-process (Section 4.2.2): drop materialized layers no plan loads.
 	res.pruneUnused(cfg.MaxRecords)
-	//lint:ignore determinism wall-clock measurement of solver time, reported as SolveTime
 	res.SolveTime = time.Since(start)
 	return res, nil
 }

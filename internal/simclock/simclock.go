@@ -148,7 +148,6 @@ func (r *Result) TotalSec() float64 {
 // simulator's analogue of average GPU utilization (Figure 11).
 func (r *Result) Utilization() float64 {
 	t := r.TotalSec()
-	//lint:ignore floateq guard against dividing by an exactly-zero simulated total
 	if t == 0 {
 		return 0
 	}

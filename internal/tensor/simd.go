@@ -31,7 +31,6 @@ func tileKernelGeneric(out []float32, os, rows, n int, a []float32, si, sp int, 
 		or := out[r*os : r*os+n]
 		for p := 0; p < kc; p++ {
 			av := a[r*si+p*sp]
-			//lint:ignore floateq exact-zero skip: sparsity fast path, not a tolerance check
 			if av == 0 {
 				continue
 			}

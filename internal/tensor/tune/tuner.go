@@ -150,12 +150,10 @@ func timeSchedule(c Case, sch tensor.Schedule) float64 {
 	defer tensor.SetScheduleSource(nil)
 	c.Run() // warmup
 	measure := func(iters int) time.Duration {
-		//lint:ignore determinism wall-clock measurement is the tuner's input signal
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			c.Run()
 		}
-		//lint:ignore determinism wall-clock measurement is the tuner's input signal
 		return time.Since(start)
 	}
 	iters := 1

@@ -14,9 +14,10 @@ import (
 // returns the activations whose last use that step was to the step scope
 // (Scope.Free), and it meters its live bytes against the same table
 // (PeakBytes). An output that shares its input's buffer — Dropout in eval
-// mode or at rate 0, an identity Activation, a Reshape or Flatten view —
+// mode or at rate 0, an identity Activation, a Reshape or Flatten view, a
+// ReLU or Add written over the input the table says dies at its step —
 // keeps that buffer alive until its own last use too. Feeds are never
-// freed: they belong to the caller.
+// freed or written over: they belong to the caller.
 type Tape struct {
 	prog  *Program
 	train bool
@@ -46,8 +47,9 @@ type ForwardOptions struct {
 	// in it are re-headered into it, so every intermediate, cache, and
 	// (later) gradient tensor the pass creates comes from the scope, is
 	// freed into it at its last use and recycled wholesale once the step
-	// retires. Metering counts tensor lifetimes, not mallocs, so it is the
-	// same with or without a scope.
+	// retires. Metering counts tensor lifetimes, not mallocs; it is lower
+	// in a scope only where a layer writes over a dying input, which needs
+	// the scope to own the buffer.
 	Alloc *tensor.Scope
 }
 
@@ -113,7 +115,13 @@ func (t *Tape) forward() {
 			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {
 				in[j] = t.acts[q]
 			}
-			out, cache := n.Layer.Forward(in, t.train)
+			var out *tensor.Tensor
+			var cache any
+			if t.donor(i) {
+				out, cache = in[0], n.Layer.(InPlaceForward).ForwardInto(in[0], in, t.train)
+			} else {
+				out, cache = n.Layer.Forward(in, t.train)
+			}
 			t.acts[i], t.caches[i] = out, cache
 			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {
 				if tensor.SameBuffer(out, in[j]) {
@@ -135,6 +143,21 @@ func (t *Tape) forward() {
 	}
 }
 
+// donor reports whether position i's layer writes its output over its
+// first input: the program marks i (donates), the step scope owns the
+// input's buffer, no other live tensor shares it (the alias rule then
+// meters and frees it as i's output), and it is not a feed's buffer — a
+// Composite's inner feeds are its caller's activations.
+func (t *Tape) donor(i int) bool {
+	p := t.prog
+	if p.flags[i]&donates == 0 {
+		return false
+	}
+	q := p.par[p.parOff[i]]
+	o := t.owner[q]
+	return t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && !p.nodes[o].IsInput()
+}
+
 // step meters step s's tensor and retires the tensors whose last use s
 // is: a forward tensor's buffer goes back to the scope once no alias of it
 // is live, a backward tensor leaves the meter.
@@ -154,7 +177,10 @@ func (t *Tape) step(s int32) {
 				t.alloc.Free(t.acts[d]) // d shares o's buffer
 			}
 		}
-		t.acts[d], t.caches[d] = nil, nil
+		t.acts[d] = nil
+		if p.live.Bwd[d] < 0 {
+			t.caches[d] = nil // else its backward step drops it
+		}
 	}
 }
 
@@ -185,6 +211,11 @@ type BackwardOptions struct {
 	// frozen composite uses it so its inner backward pass only routes
 	// input gradients (2× forward cost, not 3×).
 	SkipParamGrads bool
+	// OwnsOutGrads gives the tape the output gradients' buffers
+	// (BackwardNeed.OwnsGradOut): one the step scope owns becomes the
+	// tape's, where it is otherwise copied. A Composite passes its own
+	// grant down.
+	OwnsOutGrads bool
 }
 
 // Backward back-propagates the given output gradients (keyed by node name)
@@ -206,7 +237,11 @@ func (t *Tape) Backward(outGrads map[string]*tensor.Tensor) error {
 // given in the model's output order.
 func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor, opts BackwardOptions) error {
 	for k, o := range t.prog.outs {
-		t.grads[o] = tensor.CloneIn(t.alloc, outGrads[k])
+		if g := outGrads[k]; opts.OwnsOutGrads && t.alloc.Owns(g) {
+			t.grads[o] = g
+		} else {
+			t.grads[o] = tensor.CloneIn(t.alloc, g)
+		}
 	}
 	return t.backward(opts)
 }
@@ -239,21 +274,34 @@ func (t *Tape) backward(opts BackwardOptions) error {
 			continue // an input keeps its gradient; no other node has one
 		}
 		if g := t.grads[i]; g != nil {
-			if err := t.backwardNode(i, g, needGrad, opts); err != nil {
+			adopted, err := t.backwardNode(i, g, needGrad, opts)
+			if err != nil {
 				return err
 			}
-			// The gradient is dead once distributed to params and parents.
-			t.alloc.Free(g)
+			// The gradient is dead once distributed to params and parents,
+			// unless a parent took its buffer over.
+			if !adopted {
+				t.alloc.Free(g)
+			}
 			t.grads[i] = nil
 		}
+		t.caches[i] = nil
 		t.step(b)
 	}
 	return nil
 }
 
 // backwardNode runs position i's layer backward on its output gradient g
-// and accumulates the parameter and parent gradients.
-func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts BackwardOptions) error {
+// and accumulates the parameter and parent gradients. It reports whether a
+// parent took g's buffer over as its gradient.
+//
+// The call owns g when the step scope does: the tape's gradients are its
+// own, shared with nothing. A layer may then write over g and return it —
+// ReLU's mask, ChannelAffine's dx — or return it as it is, as Add does for
+// every parent and an identity for its one. The first parent that starts
+// its gradient with g adopts it, and the tape does not free it; every
+// other parent copies it, in this call, before anything writes over it.
+func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts BackwardOptions) (adopted bool, err error) {
 	p := t.prog
 	n := p.nodes[i]
 	parents := p.par[p.parOff[i]:p.parOff[i+1]]
@@ -263,15 +311,24 @@ func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts Backw
 		needInputs = needInputs || needGrad[q]
 	}
 	if !needParams && !needInputs {
-		return nil
+		return false, nil
 	}
+	// What the layer says its backward does not read, it gets as nil: its
+	// buffer may already back another tensor.
 	in := t.ins[p.parOff[i]:p.parOff[i+1]]
+	if p.flags[i]&SkipsInputs != 0 {
+		clear(in)
+	}
 	out := t.acts[i]
-	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, out, g, BackwardNeed{Inputs: needInputs, Params: needParams})
+	if p.flags[i]&SkipsOutput != 0 {
+		out = nil
+	}
+	own := t.alloc.Owns(g)
+	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, out, g, BackwardNeed{Inputs: needInputs, Params: needParams, OwnsGradOut: own})
 	if needParams {
 		nums := p.paramOf[p.paramOff[i]:p.paramOff[i+1]]
 		if len(gradParams) != len(nums) {
-			return fmt.Errorf("graph: node %q returned %d param grads for %d params", n.Name, len(gradParams), len(nums))
+			return false, fmt.Errorf("graph: node %q returned %d param grads for %d params", n.Name, len(gradParams), len(nums))
 		}
 		for j, k := range nums {
 			if gradParams[j] != nil {
@@ -280,25 +337,30 @@ func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts Backw
 		}
 	}
 	for j, q := range parents {
-		if gradIn != nil && gradIn[j] != nil && needGrad[q] {
-			accumulate(&t.grads[q], gradIn[j], t.alloc, t.fresh(gradIn[j], g, out, in, gradParams, gradIn))
+		if gradIn == nil || gradIn[j] == nil || !needGrad[q] {
+			continue
 		}
+		d := gradIn[j]
+		keep := t.fresh(d, g, out, in, gradParams, gradIn)
+		if own && !adopted && t.grads[q] == nil && tensor.SameBuffer(d, g) {
+			keep, adopted = true, true
+		}
+		accumulate(&t.grads[q], d, t.alloc, keep)
 	}
-	return nil
+	return adopted, nil
 }
 
 // fresh reports whether gradient d, returned by a backward call, belongs
 // to the tape alone: the step scope owns its buffer (a heap run owns
 // nothing, so it keeps copying), and no other tensor of the call shares
-// it — not the call's output gradient g, which the tape frees after the
-// call (Add returns it for every parent, an identity or a Reshape returns
-// it or a view of it), not the node's output or inputs, which the tape
+// it — not the call's output gradient g, which only backwardNode's
+// adoption rule hands on, not the node's output or inputs, which the tape
 // frees at their last use, and no other gradient the call returned, which
 // an accumulation into d would write through. Views that start at an
 // offset into a buffer are neither owned nor detected (tensor.SameBuffer);
 // no layer makes one.
 func (t *Tape) fresh(d, g, out *tensor.Tensor, in, gradParams, gradIn []*tensor.Tensor) bool {
-	if !t.alloc.Owns(d) || tensor.SameBuffer(d, g) || tensor.SameBuffer(d, out) {
+	if !t.alloc.Owns(d) || tensor.SameBuffer(d, g) || out != nil && tensor.SameBuffer(d, out) {
 		return false
 	}
 	sharers := 0

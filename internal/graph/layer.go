@@ -48,6 +48,34 @@ type BackwardNeed struct {
 	Inputs bool
 	// Params requests parameter gradients (the node is trainable).
 	Params bool
+	// OwnsGradOut hands gradOut's buffer to the call: the step scope owns
+	// it and nothing else of the step shares it, so Backward may write over
+	// it, element i read before element i is written, and return it (or a
+	// view of it) as an input gradient.
+	OwnsGradOut bool
+}
+
+// BackwardReader is implemented by a layer whose Backward reads less than
+// the paper's rule assumes (Section 4.3.3: a backward step reads the
+// layer's inputs and its output). inputs and output report what Backward
+// reads; a layer that does not implement it reads both. Compile turns the
+// answer into the SkipsInputs and SkipsOutput flags, so the tape frees what
+// is not read at its last other reader, and passes nil in its place to
+// Backward. A layer's cache must not keep what it says it does not read.
+type BackwardReader interface {
+	BackwardReads() (inputs, output bool)
+}
+
+// InPlaceForward is implemented by an elementwise layer whose output has
+// its first input's shape and may be written over that input: element i of
+// the output is computed from element i of the inputs, each read before it
+// is written. ForwardInto is Forward writing into out, which is either a
+// fresh zero tensor of the output's shape (Forward allocates one and calls
+// ForwardInto) or inputs[0] itself. The tape donates inputs[0] only to a
+// layer whose Backward does not read its inputs (BackwardReader), and only
+// when no other reader of that buffer is ahead.
+type InPlaceForward interface {
+	ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, train bool) (cache any)
 }
 
 // PartialTrainer is implemented by layers whose trainable parameters are a

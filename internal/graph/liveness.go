@@ -12,6 +12,12 @@ const (
 	// Seeds: gradient starts at the node — it trains, or it is an input
 	// whose gradient the caller asks for.
 	Seeds
+	// SkipsInputs, SkipsOutput: the node's backward step reads not its
+	// inputs / not its own output (its layer says so, BackwardReader).
+	// Without them a backward reads both, the paper's rule, which the
+	// planner's estimate keeps: it never sets them.
+	SkipsInputs
+	SkipsOutput
 )
 
 // Liveness is the live-tensor table of one training step: the topological
@@ -86,7 +92,7 @@ func (lv *Liveness) Build(parOff, par []int32, flags []uint8, outs []int32) {
 		if f < 0 || fl&Computed == 0 {
 			continue
 		}
-		if b >= 0 {
+		if b >= 0 && fl&SkipsOutput == 0 {
 			use(f, b) // (l_i, l'_i): backward reads the forward output
 		}
 		for _, p := range parents(i) {
@@ -96,7 +102,9 @@ func (lv *Liveness) Build(parOff, par []int32, flags []uint8, outs []int32) {
 			}
 			use(pf, f) // the child's forward reads the parent's output
 			if b >= 0 {
-				use(pf, b) // (l_p, l'_i): backward reads the forward inputs
+				if fl&SkipsInputs == 0 {
+					use(pf, b) // (l_p, l'_i): backward reads the forward inputs
+				}
 				if pb := lv.Bwd[p]; pb >= 0 {
 					use(b, pb) // (l'_i, l'_p): the child's gradient feeds the parent's backward
 				}

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,9 +12,14 @@ import (
 )
 
 // livenessModels are the shapes the tape's meter is checked on: a chain, a
-// diamond, and a composite-bearing model. Each has an aliasing output on
-// its frozen trunk (a rate-0 Dropout, a Flatten, an identity Activation)
-// that a trainable head reads at its backward step.
+// diamond, a composite-bearing model and a ResNet bottleneck laid out flat.
+// Each of the first three has an aliasing output on its frozen trunk (a
+// rate-0 Dropout, a Flatten, an identity Activation) that a trainable head
+// reads at its backward step. In the bottleneck relu2, the residual Add and
+// relu_out write over their first input, which dies at their step. Its
+// first conv and bn are frozen, so bn1's own tensor dies at relu1's step
+// too, but relu1 may not write over it: bn1's buffer has a live alias
+// (peek, then its Flatten) that a head reads at its backward step.
 func livenessModels() map[string]*graph.Model {
 	chain := graph.NewModel("chain")
 	in := chain.AddInput("in", 4, 3)
@@ -48,7 +54,27 @@ func livenessModels() map[string]*graph.Model {
 	cls := comp.AddNode("cls", layers.NewDense(8, 4, layers.ActNone, 12), adapt)
 	adapt.Trainable, cls.Trainable = true, true
 	comp.SetOutputs(cls)
-	return map[string]*graph.Model{"chain": chain, "diamond": diamond, "composite": comp}
+
+	res := graph.NewModel("bottleneck")
+	x := res.AddInput("x", 4, 4, 4)
+	c1 := res.AddNode("conv1", layers.NewConv2D(4, 6, 1, 1, 0, layers.ActNone, 13), x)
+	b1 := res.AddNode("bn1", layers.NewChannelAffine(6, 14), c1)
+	peek := res.AddNode("peek", layers.NewDropout(0), b1)
+	r1 := res.AddNode("relu1", layers.NewActivation(layers.ActReLU), b1)
+	c2 := res.AddNode("conv2", layers.NewConv2D(6, 6, 3, 1, 1, layers.ActNone, 15), r1)
+	b2 := res.AddNode("bn2", layers.NewChannelAffine(6, 16), c2)
+	r2 := res.AddNode("relu2", layers.NewActivation(layers.ActReLU), b2)
+	c3 := res.AddNode("conv3", layers.NewConv2D(6, 4, 1, 1, 0, layers.ActNone, 17), r2)
+	b3 := res.AddNode("bn3", layers.NewChannelAffine(4, 18), c3)
+	sum := res.AddNode("res", layers.NewAdd(2), b3, x)
+	out := res.AddNode("relu_out", layers.NewActivation(layers.ActReLU), sum)
+	head := res.AddNode("head", layers.NewDense(4, 3, layers.ActNone, 19), res.AddNode("gap", layers.NewGlobalAvgPool2D(), out))
+	side := res.AddNode("side", layers.NewDense(96, 2, layers.ActNone, 20), res.AddNode("peek_flat", layers.NewFlatten(), peek))
+	for _, n := range res.Nodes() {
+		n.Trainable = !n.IsInput() && n != c1 && n != b1
+	}
+	res.SetOutputs(head, side)
+	return map[string]*graph.Model{"chain": chain, "diamond": diamond, "composite": comp, "bottleneck": res}
 }
 
 // aliases reports whether n's output shares its input's buffer.
@@ -64,14 +90,44 @@ func aliases(n *graph.Node) bool {
 	return false
 }
 
+// donates reports whether, in a step scope, the tape writes node p's output
+// over its first parent's buffer: p is a relu Activation or an Add, the
+// table says that parent's tensor dies at p's forward step, no other slot
+// of p is the same parent, the buffer is not a feed's, and no other tensor
+// sharing it (owner says whose buffer each node's output is) is still live
+// at that step.
+func donates(prog *graph.Program, owner []int, pos map[*graph.Node]int, p int) bool {
+	n, lv := prog.Nodes()[p], prog.Liveness()
+	switch l := n.Layer.(type) {
+	case *layers.Activation:
+		if l.Act != layers.ActReLU {
+			return false
+		}
+	case *layers.Add:
+	default:
+		return false
+	}
+	q := pos[n.Parents[0]]
+	if lv.LastUse[lv.Fwd[q]] != lv.Fwd[p] || slices.Contains(n.Parents[1:], n.Parents[0]) || prog.Nodes()[owner[q]].IsInput() {
+		return false
+	}
+	for s := range p {
+		if s != q && owner[s] == owner[q] && lv.LastUse[lv.Fwd[s]] >= lv.Fwd[p] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestTapePeakMatchesLivenessReplay: the live bytes the tape meters over
 // one training step peak exactly where the program's liveness table,
 // replayed over the step's real tensor sizes by graph.PeakLive (the sweep
 // opt.EstimatePeakMemory runs), says they do — with an aliasing output
-// counted once and holding its input's buffer to its own last use. The
-// meter is the same with and without a step scope, and so are the bits of
-// every parameter gradient: a buffer freed while a reader is still ahead
-// gets reused within the step and corrupts them.
+// counted once and holding its input's buffer to its own last use. In a
+// step scope a ReLU or Add written over its dying input is such an alias
+// too; a heap run owns no buffer and writes over none. The bits of every
+// parameter gradient are the same with and without a scope: a buffer freed
+// or written over while a reader is still ahead corrupts them.
 func TestTapePeakMatchesLivenessReplay(t *testing.T) {
 	const batch = 3
 	for name, m := range livenessModels() {
@@ -86,31 +142,34 @@ func TestTapePeakMatchesLivenessReplay(t *testing.T) {
 			// The replay: a node's forward tensor and its backward step's
 			// gradient are its output's bytes; an alias's forward tensor is
 			// nothing, and extends its buffer's owner to its own last use.
-			size := make([]int64, lv.Steps())
-			last := slices.Clone(lv.LastUse)
-			owner := make([]int, len(prog.Nodes()))
-			pos := map[*graph.Node]int{}
-			for p, n := range prog.Nodes() {
-				pos[n] = p
-				bytes := int64(batch*tensor.NumElems(shapes[n.Index()])) * 4
-				owner[p] = p
-				if aliases(n) {
-					owner[p] = owner[pos[n.Parents[0]]]
-				} else {
-					size[lv.Fwd[p]] = bytes
+			replay := func(scoped bool) int64 {
+				size := make([]int64, lv.Steps())
+				last := slices.Clone(lv.LastUse)
+				owner := make([]int, len(prog.Nodes()))
+				pos := map[*graph.Node]int{}
+				for p, n := range prog.Nodes() {
+					pos[n] = p
+					bytes := int64(batch*tensor.NumElems(shapes[n.Index()])) * 4
+					owner[p] = p
+					if aliases(n) || scoped && donates(prog, owner, pos, p) {
+						owner[p] = owner[pos[n.Parents[0]]]
+					} else {
+						size[lv.Fwd[p]] = bytes
+					}
+					if b := lv.Bwd[p]; b >= 0 {
+						size[b] = bytes
+					}
 				}
-				if b := lv.Bwd[p]; b >= 0 {
-					size[b] = bytes
+				for p, o := range owner {
+					last[o] = max(last[o], lv.LastUse[p])
 				}
+				return graph.PeakLive(size, last, make([]int64, len(size)))
 			}
-			for p, o := range owner {
-				last[o] = max(last[o], lv.LastUse[p])
-			}
-			want := graph.PeakLive(size, last, make([]int64, len(size)))
 
 			var heapGrads []*tensor.Tensor
 			for _, arena := range []*tensor.Arena{nil, tensor.NewArena()} {
 				scope := arena.Scope()
+				want := replay(scope != nil)
 				rng := rand.New(rand.NewSource(1))
 				var feeds []*tensor.Tensor
 				for _, in := range prog.Inputs() {
@@ -166,6 +225,43 @@ func TestLivenessFreesAtLastUse(t *testing.T) {
 	}
 	if lv.Bwd[at["join"]] < 0 || !lv.NeedGrad[at["join"]] {
 		t.Errorf("join sits under the trainable left branch: it needs a backward step")
+	}
+}
+
+// TestDonatedReLUScopeTensors pins what donation saves: a ReLU over a
+// ChannelAffine output that dies at the ReLU's step writes over it and
+// takes no scope tensor of its own; over one that is still live (a second
+// model output) it takes one. The bn's output is the forward's other
+// tensor. The ReLU's output has the heap run's bits either way.
+func TestDonatedReLUScopeTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x := tensor.RandNormal(rng, 1, 4, 6)
+	for _, tc := range []struct {
+		keepBN bool
+		want   int
+	}{{false, 0}, {true, 1}} {
+		m := graph.NewModel("bn_relu")
+		bn := m.AddNode("bn", layers.NewChannelAffine(6, 1), m.AddInput("in", 6))
+		relu := m.AddNode("relu", layers.NewActivation(layers.ActReLU), bn)
+		bn.Trainable = true
+		outs := []*graph.Node{relu}
+		if tc.keepBN {
+			outs = append(outs, bn)
+		}
+		m.SetOutputs(outs...)
+		prog := graph.Compile(m, false)
+		heap := prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true}).Output(relu)
+		scope := tensor.NewArena().Scope()
+		got := prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true, Alloc: scope}).Output(relu)
+		if n := scope.Live() - 1; n != tc.want {
+			t.Errorf("bn output live past the relu = %v: relu took %d scope tensors, want %d", tc.keepBN, n, tc.want)
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(heap.Data()[i]) {
+				t.Fatalf("bn output live past the relu = %v: relu[%d] = %v in a step scope, %v on the heap", tc.keepBN, i, v, heap.Data()[i])
+			}
+		}
+		scope.Release()
 	}
 }
 

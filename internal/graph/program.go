@@ -20,7 +20,7 @@ type Program struct {
 	par    []int32
 	outs   []int32 // the outputs' positions
 	inputs []*Node // the reachable input nodes, in order: Run's feeds
-	flags  []uint8 // by position: the flags live was built from
+	flags  []uint8 // by position: the flags live was built from, and donates
 
 	params   []*Param // distinct parameters of the computed nodes
 	paramOff []int32  // position p's j-th layer param is params[paramOf[paramOff[p]+j]]
@@ -37,6 +37,15 @@ type Program struct {
 	// the one after t; −1 ends a list.
 	dies, next []int32
 }
+
+// donates marks a position whose layer may write its output over its first
+// parent's tensor (InPlaceForward) because the table says that tensor dies
+// at the position's forward step, the layer's backward does not read it,
+// and no other parent slot of the position is the same tensor. The tape
+// donates only when, at run time, the scope owns the buffer, no other
+// live tensor shares it, and it is not a feed's. Liveness.Build ignores
+// the bit.
+const donates uint8 = 1 << 7
 
 // Compile compiles m. With inputGrads the table is the one of a backward
 // pass that asks for input gradients (BackwardOptions.InputGrads): the
@@ -82,6 +91,15 @@ func Compile(m *Model, inputGrads bool) *Program {
 			if node.Trainable && len(params) > 0 { // !Frozen()
 				p.flags[i] |= Seeds
 			}
+			if r, ok := node.Layer.(BackwardReader); ok {
+				ins, out := r.BackwardReads()
+				if !ins {
+					p.flags[i] |= SkipsInputs
+				}
+				if !out {
+					p.flags[i] |= SkipsOutput
+				}
+			}
 			for _, q := range params {
 				k := slices.Index(p.params, q)
 				if k < 0 {
@@ -103,6 +121,17 @@ func Compile(m *Model, inputGrads bool) *Program {
 		}
 		p.live.NeedGrad = nil // keep the base bits; Build reuses the rest
 		p.live.Build(p.parOff, p.par, p.flags, p.outs)
+	}
+
+	for i, node := range p.nodes {
+		_, inPlace := node.Layer.(InPlaceForward)
+		if !inPlace || p.flags[i]&SkipsInputs == 0 {
+			continue
+		}
+		ps := p.par[p.parOff[i]:p.parOff[i+1]]
+		if q := ps[0]; p.live.LastUse[p.live.Fwd[q]] == p.live.Fwd[i] && !slices.Contains(ps[1:], q) {
+			p.flags[i] |= donates
+		}
 	}
 
 	// Thread the tensors that die at each step into a list per step.

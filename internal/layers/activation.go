@@ -115,15 +115,20 @@ func fusedAct(act string, a, bias *tensor.Tensor, train bool) (*tensor.Tensor, a
 }
 
 // backward returns dL/dz = g ⊙ act′(z) for the forward that produced c and
-// out. After a train-mode forward it is one multiply per element.
-func (c actCache) backward(act string, out, g *tensor.Tensor) *tensor.Tensor {
+// out. After a train-mode forward it is one multiply per element. When the
+// caller owns g (graph.BackwardNeed.OwnsGradOut), relu's mask writes over
+// g: ReLUMask reads element i before it writes it.
+func (c actCache) backward(act string, out, g *tensor.Tensor, own bool) *tensor.Tensor {
 	switch {
 	case act == ActNone:
 		return g
 	case act != ActReLU && c.deriv:
 		return tensor.Mul(g, c.t.Reshape(g.Shape()...))
 	}
-	dz := tensor.NewFrom2(out, g, g.Shape()...)
+	dz := g
+	if !own || act != ActReLU {
+		dz = tensor.NewFrom2(out, g, g.Shape()...)
+	}
 	gd, dd := g.Data(), dz.Data()
 	if act == ActReLU {
 		od := out.Data()
@@ -175,26 +180,42 @@ func (l *Activation) FLOPsPerRecord(in [][]int) int64 {
 	return int64(tensor.NumElems(in[0])) * activationFLOPsPerElem(l.Act)
 }
 
+// BackwardReads implements graph.BackwardReader: relu's backward reads
+// only its output (out > 0 ⇔ x > 0); the others keep the paper's rule.
+func (l *Activation) BackwardReads() (inputs, output bool) { return l.Act != ActReLU, true }
+
 func (l *Activation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
 	if l.Act == ActNone {
 		return x, actCache{}
 	}
 	out := tensor.NewFrom(x, x.Shape()...)
+	return out, l.ForwardInto(out, inputs, train)
+}
+
+// ForwardInto implements graph.InPlaceForward: one sweep from x into out,
+// which may be x (relu, whose backward never reads x).
+func (l *Activation) ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, train bool) any {
+	x := inputs[0]
 	// x belongs to the parent node: an eval-mode forward caches it as z as
-	// is, a train-mode one gives act′ a tensor of its own.
-	c := actCache{t: x}
+	// is, a train-mode one gives act′ a tensor of its own. None and relu
+	// need neither.
+	var c actCache
 	var keep []float32
-	if train && l.Act != ActReLU {
+	switch {
+	case l.Act == ActNone || l.Act == ActReLU:
+	case train:
 		c = actCache{t: tensor.NewFrom(x, x.Shape()...), deriv: true}
 		keep = c.t.Data()
+	default:
+		c = actCache{t: x}
 	}
 	actSweep(l.Act, x, nil, out, keep, train)
-	return out, c
+	return c
 }
 
 func (l *Activation) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	return []*tensor.Tensor{cache.(actCache).backward(l.Act, out, gradOut)}, nil
+	return []*tensor.Tensor{cache.(actCache).backward(l.Act, out, gradOut, need.OwnsGradOut)}, nil
 }
 
 // Dropout zeroes a fraction of activations during training and rescales the

@@ -335,6 +335,10 @@ func (l oracleChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, g
 
 type oracleActivation struct{ *Activation }
 
+// BackwardReads keeps the paper's rule: the oracle's backward reads z, its
+// input, where relu's reads only its output.
+func (l oracleActivation) BackwardReads() (inputs, output bool) { return true, true }
+
 func (l oracleActivation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	return applyActivation(l.Act, inputs[0]), nil
 }

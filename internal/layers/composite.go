@@ -120,7 +120,7 @@ func (c *Composite) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *t
 	tape := cache.(*graph.Tape)
 	err := tape.BackwardOutputs(
 		[]*tensor.Tensor{gradOut},
-		graph.BackwardOptions{InputGrads: need.Inputs, SkipParamGrads: !need.Params},
+		graph.BackwardOptions{InputGrads: need.Inputs, SkipParamGrads: !need.Params, OwnsOutGrads: need.OwnsGradOut},
 	)
 	if err != nil {
 		panic(fmt.Sprintf("layers: composite %q backward: %v", c.typ, err))
@@ -322,7 +322,7 @@ func (l *Adapter) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *ten
 	g := gradOut.Reshape(-1, l.Dim)
 	var dwu, dbu, dwd, dbd *tensor.Tensor
 	dh := tensor.MatMulBT(g, l.wu.Tensor())
-	dz := c.act.backward(ActGeLU, c.h, dh)
+	dz := c.act.backward(ActGeLU, c.h, dh, false)
 	if need.Params {
 		dwu = tensor.MatMulAT(c.h, g)
 		dbu = tensor.SumRows(g)

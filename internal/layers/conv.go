@@ -104,11 +104,15 @@ func (l *Conv2D) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, a
 	return out.Reshape(s[0], g.OutH(), g.OutW(), l.OutC), convCache{cols: cols, act: c, geom: g}
 }
 
+// BackwardReads implements graph.BackwardReader: the backward reads the
+// cache and the input, and the output only through an activation's mask.
+func (l *Conv2D) BackwardReads() (inputs, output bool) { return true, l.Act != ActNone }
+
 func (l *Conv2D) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	c := cache.(convCache)
 	x := inputs[0]
 	batch := x.Dim(0)
-	dz := c.act.backward(l.Act, out, gradOut)
+	dz := c.act.backward(l.Act, out, gradOut, need.OwnsGradOut)
 	dz2 := dz.Reshape(-1, l.OutC)
 	var dw, db, dx *tensor.Tensor
 	if need.Params {

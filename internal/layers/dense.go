@@ -73,7 +73,7 @@ func (l *Dense) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, an
 
 func (l *Dense) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	x := inputs[0]
-	dz := cache.(actCache).backward(l.Act, out, gradOut)
+	dz := cache.(actCache).backward(l.Act, out, gradOut, need.OwnsGradOut)
 	var dw, db, dx *tensor.Tensor
 	if need.Params {
 		dw = tensor.MatMulAT(x, dz)

@@ -40,12 +40,25 @@ func (l *Add) FLOPsPerRecord(in [][]int) int64 {
 	return int64(tensor.NumElems(in[0])) * int64(l.N-1)
 }
 
+// BackwardReads implements graph.BackwardReader: the backward hands
+// gradOut to every input and reads nothing else.
+func (l *Add) BackwardReads() (inputs, output bool) { return false, false }
+
 func (l *Add) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	out := inputs[0].Clone()
+	out := tensor.NewFrom(inputs[0], inputs[0].Shape()...)
+	return out, l.ForwardInto(out, inputs, train)
+}
+
+// ForwardInto implements graph.InPlaceForward: out starts as inputs[0]
+// (a copy, unless it is inputs[0]) and adds the others in order.
+func (l *Add) ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, train bool) any {
+	if !tensor.SameBuffer(out, inputs[0]) {
+		copy(out.Data(), inputs[0].Data())
+	}
 	for _, x := range inputs[1:] {
 		tensor.AddInPlace(out, x)
 	}
-	return out, nil
+	return nil
 }
 
 func (l *Add) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {

@@ -180,6 +180,10 @@ func (l *ChannelAffine) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Te
 	return out, nil
 }
 
+// BackwardReads implements graph.BackwardReader: the backward reads x
+// (for dγ), never its output.
+func (l *ChannelAffine) BackwardReads() (inputs, output bool) { return true, false }
+
 func (l *ChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	x := inputs[0]
 	g := l.gamma.Tensor().Data()
@@ -192,7 +196,11 @@ func (l *ChannelAffine) Backward(cache any, inputs []*tensor.Tensor, out, gradOu
 		tensor.ChannelGradRows(dgamma.Data(), dbeta.Data(), gd, x.Data())
 	}
 	if need.Inputs {
-		dx = tensor.NewFrom(gradOut, x.Shape()...)
+		// An owned gradOut takes dx, after the reduction above has read it.
+		dx = gradOut
+		if !need.OwnsGradOut {
+			dx = tensor.NewFrom(gradOut, x.Shape()...)
+		}
 		dd := dx.Data()
 		tensor.Parallel(x.Rows(), x.Len(), func(lo, hi int) {
 			tensor.ChannelScaleRows(dd[lo*c:hi*c], gd[lo*c:hi*c], g)

@@ -57,6 +57,8 @@ func TestSeededRegressionsDynamic(t *testing.T) {
 				t.Errorf("%s passes with the seed in %s/%s:\n%s", row.test, row.dir, row.file, tail(out))
 			case buildFailed.MatchString(out):
 				t.Errorf("the seeded %s/%s does not build:\n%s", row.dir, row.file, tail(out))
+			case row.hang && !strings.Contains(out, "panic: test timed out after "+hangTimeout):
+				t.Errorf("%s fails with the seed in %s/%s, but not by hanging until the %s timeout:\n%s", row.test, row.dir, row.file, hangTimeout, tail(out))
 			}
 			if out, err := clean[row.dir+" "+row.test](); err != nil || !strings.Contains(out, "--- PASS: "+row.test+" ") {
 				t.Errorf("%s does not pass on the committed tree (%v):\n%s", row.test, err, tail(out))
@@ -68,6 +70,11 @@ func TestSeededRegressionsDynamic(t *testing.T) {
 // buildFailed matches go test's report of a package that never ran.
 var buildFailed = regexp.MustCompile(`\[(build|setup) failed\]`)
 
+// hangTimeout is a hang row's seeded -timeout: its test deadlocks, and the
+// clean runs of the hang rows' tests take well under a second each under
+// -race. Every other run keeps 30 s.
+const hangTimeout = "5s"
+
 // raceTest runs the row's dynamic test alone under -race on two CPUs,
 // through the overlay file when one is given, and returns go test's output.
 func raceTest(root string, row seededRegression, overlay string) (string, error) {
@@ -75,7 +82,11 @@ func raceTest(root string, row seededRegression, overlay string) (string, error)
 	for _, part := range strings.Split(row.test, "/") {
 		run = append(run, "^"+regexp.QuoteMeta(part)+"$")
 	}
-	args := []string{"test", "-race", "-cpu", "2", "-count=1", "-timeout", "30s", "-v", "-run", strings.Join(run, "/")}
+	timeout := "30s"
+	if overlay != "" && row.hang {
+		timeout = hangTimeout
+	}
+	args := []string{"test", "-race", "-cpu", "2", "-count=1", "-timeout", timeout, "-v", "-run", strings.Join(run, "/")}
 	if overlay != "" {
 		args = append(args, "-overlay", overlay)
 	}

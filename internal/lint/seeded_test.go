@@ -17,12 +17,14 @@ import (
 // seededRegression re-introduces one bug into a real package: old is
 // replaced by new in file. test names a test of the package (Name or
 // Name/subtest) that fails with the seed under go test -race -cpu 2 and
-// passes without it (TestSeededRegressionsDynamic).
+// passes without it (TestSeededRegressionsDynamic). A hang row seeds a
+// deadlock: its seeded run must end in go test's timeout panic.
 type seededRegression struct {
 	name      string
 	dir, file string // package directory (module-relative) and file in it
 	old, new  string
 	test      string
+	hang      bool
 }
 
 // seededRegressions is the corpus (DESIGN.md "Yield" prints this table;
@@ -78,6 +80,7 @@ var seededRegressions = []seededRegression{
 		old:  "\tdefer e.wg.Done()\n\tticker := ",
 		new:  "\tticker := ",
 		test: "TestExporterSnapshotsUnderLoad",
+		hang: true,
 	},
 	{
 		name: "Span.SetTrack writes track without the tracer mutex (PR 20)",
@@ -92,6 +95,7 @@ var seededRegressions = []seededRegression{
 		old:  "\t\td := s.dur\n\t\tt.mu.Unlock()\n\t\treturn d\n",
 		new:  "\t\treturn s.dur\n",
 		test: "TestEndIdempotent",
+		hang: true,
 	},
 	{
 		name: "Arena.Scope pool hit returns holding a.mu",
@@ -99,6 +103,7 @@ var seededRegressions = []seededRegression{
 		old:  "\t\ts.idle = false\n\t\ta.mu.Unlock()\n\t\treturn s\n",
 		new:  "\t\ts.idle = false\n\t\treturn s\n",
 		test: "TestScopeHandoffOverChannel",
+		hang: true,
 	},
 	{
 		name: "Span.Track calls SetTrack under the mutex both take",
@@ -106,6 +111,7 @@ var seededRegressions = []seededRegression{
 		old:  "\tdefer s.t.mu.Unlock()\n\treturn s.track\n",
 		new:  "\tdefer s.t.mu.Unlock()\n\treturn s.SetTrack(s.track).track\n",
 		test: "TestSetTrackDuringSnapshots",
+		hang: true,
 	},
 	{
 		name: "TensorStore.SetObs never unlocks",
@@ -113,6 +119,7 @@ var seededRegressions = []seededRegression{
 		old:  "\ts.obs = tr\n\ts.mu.Unlock()\n",
 		new:  "\ts.obs = tr\n",
 		test: "TestRowCacheHitsAndEviction",
+		hang: true,
 	},
 	{
 		name: "Trainer validation scope released before scoring",
@@ -174,9 +181,23 @@ var seededRegressions = []seededRegression{
 	{
 		name: "Tape adopts a gradient aliasing gradOut",
 		dir:  "internal/graph", file: "exec.go",
-		old:  "\tif !t.alloc.Owns(d) || tensor.SameBuffer(d, g) || tensor.SameBuffer(d, out) {\n",
-		new:  "\tif !t.alloc.Owns(d) || tensor.SameBuffer(d, out) {\n",
+		old:  "\t\tif own && !adopted && t.grads[q] == nil && tensor.SameBuffer(d, g) {\n",
+		new:  "\t\tif own && t.grads[q] == nil && tensor.SameBuffer(d, g) {\n",
 		test: "TestTapeAdoptsOnlyFreshGradients",
+	},
+	{
+		name: "Tape donates an input with another live alias",
+		dir:  "internal/graph", file: "exec.go",
+		old:  "\treturn t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && !p.nodes[o].IsInput()\n",
+		new:  "\treturn t.alloc.Owns(t.acts[q]) && !p.nodes[o].IsInput()\n",
+		test: "TestTapePeakMatchesLivenessReplay",
+	},
+	{
+		name: "ChannelAffine declares it reads no input",
+		dir:  "internal/layers", file: "norm.go",
+		old:  "func (l *ChannelAffine) BackwardReads() (inputs, output bool) { return true, false }\n",
+		new:  "func (l *ChannelAffine) BackwardReads() (inputs, output bool) { return false, false }\n",
+		test: "TestFusedLayersMatchOracle",
 	},
 	{
 		name: "Pointwise path taken for a padded 1×1 conv",

@@ -408,6 +408,20 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		ReLUMask(gotMask.Data(), dst.Data(), x.Data())
 		assertBitsEqual(t, "ReLUMask", gotMask, wantMask)
 
+		// Aliased calls, as donation and owned gradients make them: each
+		// gives the bits of the call into a separate dst.
+		self := dst.Clone()
+		vadd(self.Data(), self.Data())
+		twice := dst.Clone()
+		vadd(twice.Data(), dst.Data())
+		assertBitsEqual(t, "vadd(a, a)", self, twice)
+		self = x.Clone()
+		ReLUClamp(self.Data(), self.Data())
+		assertBitsEqual(t, "ReLUClamp(x, x)", self, gotClamp)
+		self = dst.Clone()
+		ReLUMask(self.Data(), self.Data(), x.Data())
+		assertBitsEqual(t, "ReLUMask(g, g, out)", self, gotMask)
+
 		checkTileKernel(t, rng, n)
 		checkChannelHelpers(t, rng, 1+rng.Intn(70))
 		checkBiasRows(t, rng, 1+rng.Intn(70))
@@ -540,6 +554,9 @@ func checkChannelHelpers(t *testing.T, rng *rand.Rand, c int) {
 	channelScaleGeneric(want, g, gamma)
 	ChannelScaleRows(got, g, gamma)
 	assertBitsEqual(t, "ChannelScaleRows "+label, FromSlice(got, rows, c), FromSlice(want, rows, c))
+	self := append([]float32(nil), g...)
+	ChannelScaleRows(self, self, gamma) // aliased, as an owned gradient's dx
+	assertBitsEqual(t, "ChannelScaleRows(g, g, γ) "+label, FromSlice(self, rows, c), FromSlice(want, rows, c))
 
 	acc := fill(2 * c) // dgamma, then dbeta
 	want, got = append([]float32(nil), acc...), append([]float32(nil), acc...)

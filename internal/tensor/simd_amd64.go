@@ -84,7 +84,8 @@ func saxpy(dst, x []float32, a float32) {
 	}
 }
 
-// vadd computes dst[i] += x[i] for i in [0, len(dst)).
+// vadd computes dst[i] += x[i] for i in [0, len(dst)). dst may alias x:
+// each element is read before it is written.
 func vadd(dst, x []float32) {
 	if !hasAVX2 {
 		vaddGeneric(dst, x)
@@ -136,7 +137,7 @@ func denseB(b []float32) bool {
 
 // ChannelAffineRows writes dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j] for
 // every row r of dst, c = len(gamma): one multiply then one add per
-// element, never FMA. len(dst) must be a multiple of c; dst may be x.
+// element, never FMA. len(dst) must be a multiple of c; dst may alias x.
 func ChannelAffineRows(dst, x, gamma, beta []float32) {
 	rows, c := channelRows(dst, gamma)
 	if !hasAVX2 {
@@ -151,7 +152,7 @@ func ChannelAffineRows(dst, x, gamma, beta []float32) {
 
 // ChannelScaleRows writes dst[r*c+j] = g[r*c+j]*gamma[j] for every row r
 // of dst, c = len(gamma): one multiply per element. len(dst) must be a
-// multiple of c; dst may be g.
+// multiple of c; dst may alias g.
 func ChannelScaleRows(dst, g, gamma []float32) {
 	rows, c := channelRows(dst, gamma)
 	if !hasAVX2 {
@@ -183,7 +184,7 @@ func ChannelGradRows(dgamma, dbeta, g, x []float32) {
 // BiasRows writes dst[r*c+j] = src[r*c+j] + bias[j] for every row r of
 // dst, c = len(bias): AddRowVec's add, in vaddAsm's operand order, with
 // lanes across channels and one call per chunk of rows. len(dst) must be
-// a multiple of c; dst may be src.
+// a multiple of c; dst may alias src.
 func BiasRows(dst, src, bias []float32) {
 	rows, c := channelRows(dst, bias)
 	if !hasAVX2 {
@@ -198,7 +199,7 @@ func BiasRows(dst, src, bias []float32) {
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
 // and -0 included), for i in [0, len(dst)), without a branch per element.
-// dst may be src.
+// dst may alias src.
 func ReLUClamp(dst, src []float32) {
 	if !hasAVX2 {
 		reluClampGeneric(dst, src)
@@ -212,7 +213,7 @@ func ReLUClamp(dst, src []float32) {
 
 // ReLUMask writes dst[i] = g[i] where out[i] > 0 and +0 elsewhere, for i in
 // [0, len(dst)): ReLU's backward from its output, without a branch per
-// element. dst may be g.
+// element. dst may alias g.
 func ReLUMask(dst, g, out []float32) {
 	if !hasAVX2 {
 		reluMaskGeneric(dst, g, out)

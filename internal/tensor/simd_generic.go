@@ -6,6 +6,7 @@ package tensor
 
 func saxpy(dst, x []float32, a float32) { saxpyGeneric(dst, x, a) }
 
+// vadd computes dst[i] += x[i] for i in [0, len(dst)). dst may alias x.
 func vadd(dst, x []float32) { vaddGeneric(dst, x) }
 
 // tileKernel ignores dense: off amd64 the portable body is the only one.
@@ -17,14 +18,14 @@ func tileKernel(out []float32, os, rows, n int, a []float32, si, sp int, b []flo
 func denseB(b []float32) bool { return false }
 
 // ChannelAffineRows writes dst[r*c+j] = x[r*c+j]*gamma[j] + beta[j] for
-// every row r of dst, c = len(gamma). dst may be x.
+// every row r of dst, c = len(gamma). dst may alias x.
 func ChannelAffineRows(dst, x, gamma, beta []float32) {
 	channelRows(dst, gamma)
 	channelAffineGeneric(dst, x, gamma, beta)
 }
 
 // ChannelScaleRows writes dst[r*c+j] = g[r*c+j]*gamma[j] for every row r
-// of dst, c = len(gamma). dst may be g.
+// of dst, c = len(gamma). dst may alias g.
 func ChannelScaleRows(dst, g, gamma []float32) {
 	channelRows(dst, gamma)
 	channelScaleGeneric(dst, g, gamma)
@@ -38,16 +39,16 @@ func ChannelGradRows(dgamma, dbeta, g, x []float32) {
 }
 
 // BiasRows writes dst[r*c+j] = src[r*c+j] + bias[j] for every row r of
-// dst, c = len(bias): AddRowVec's add. dst may be src.
+// dst, c = len(bias): AddRowVec's add. dst may alias src.
 func BiasRows(dst, src, bias []float32) {
 	channelRows(dst, bias)
 	biasRowsGeneric(dst, src, bias)
 }
 
 // ReLUClamp writes dst[i] = src[i] where src[i] > 0 and +0 elsewhere (NaN
-// and -0 included), for i in [0, len(dst)). dst may be src.
+// and -0 included), for i in [0, len(dst)). dst may alias src.
 func ReLUClamp(dst, src []float32) { reluClampGeneric(dst, src) }
 
 // ReLUMask writes dst[i] = g[i] where out[i] > 0 and +0 elsewhere, for i in
-// [0, len(dst)): ReLU's backward from its output. dst may be g.
+// [0, len(dst)): ReLU's backward from its output. dst may alias g.
 func ReLUMask(dst, g, out []float32) { reluMaskGeneric(dst, g, out) }

@@ -98,7 +98,7 @@ func NewMaterializer(store *storage.TensorStore, mm *mmg.MultiModel, sigs map[gr
 	return &Materializer{
 		store:     store,
 		matModel:  matModel,
-		matProg:   graph.Compile(matModel, false),
+		matProg:   graph.Compile(matModel),
 		outputs:   outputs,
 		ChunkSize: 64,
 		Prefetch:  true,
@@ -125,7 +125,7 @@ func (mz *Materializer) outputNodes() []*graph.Node {
 func (mz *Materializer) appendNodes(split Split, nodes []*graph.Node, deltaX *tensor.Tensor) error {
 	prog := mz.matProg
 	if len(nodes) < len(mz.outputs) {
-		prog = graph.Compile(mz.matModel.WithOutputs(nodes...), false)
+		prog = graph.Compile(mz.matModel.WithOutputs(nodes...))
 	}
 	n := deltaX.Dim(0)
 	span := mz.Obs.Start("mat/append_delta",

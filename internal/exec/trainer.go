@@ -80,7 +80,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 	if len(planModel.Outputs) != len(g.Items) {
 		return nil, fmt.Errorf("exec: %d outputs for %d branches", len(planModel.Outputs), len(g.Items))
 	}
-	prog := graph.Compile(planModel, false)
+	prog := graph.Compile(planModel)
 	// Branch optimizers over each source model's trainable params (layer
 	// instances are shared between source models and the plan model), found
 	// among the program's parameters once per group.
@@ -185,7 +185,7 @@ func (t *Trainer) trainGroup(g *opt.FusedGroup, snap data.Snapshot, m *Metrics, 
 				lastLoss = loss
 				outGrads[i] = grad
 			}
-			if err := tape.BackwardOutputs(outGrads, graph.BackwardOptions{}); err != nil {
+			if err := tape.BackwardOutputs(outGrads); err != nil {
 				fed.scope.Release()
 				return nil, err
 			}

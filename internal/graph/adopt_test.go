@@ -82,7 +82,7 @@ func TestTapeAdoptsOnlyFreshGradients(t *testing.T) {
 	const batch = 4
 	for _, kind := range []string{"grad_out", "fresh_shared", "grad_out_view", "input"} {
 		t.Run(kind, func(t *testing.T) {
-			prog := graph.Compile(adoptionModel(kind), false)
+			prog := graph.Compile(adoptionModel(kind))
 			var heap []*tensor.Tensor
 			for _, arena := range []*tensor.Arena{nil, tensor.NewArena()} {
 				scope := arena.Scope()
@@ -90,7 +90,7 @@ func TestTapeAdoptsOnlyFreshGradients(t *testing.T) {
 				feeds := []*tensor.Tensor{tensor.RandNormal(rng, 1, batch, 16)}
 				tape := prog.Run(feeds, graph.ForwardOptions{Train: true, Alloc: scope})
 				g := tensor.RandNormal(rng, 1, batch, 16)
-				if err := tape.BackwardOutputs([]*tensor.Tensor{g}, graph.BackwardOptions{}); err != nil {
+				if err := tape.BackwardOutputs([]*tensor.Tensor{g}); err != nil {
 					t.Fatal(err)
 				}
 				for k := range prog.Params() {

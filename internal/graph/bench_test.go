@@ -25,7 +25,7 @@ func BenchmarkMiniBERTForwardBackward(b *testing.B) {
 		ids.Data()[i] = float32(rng.Intn(hub.Cfg.Vocab))
 	}
 	grads := []*tensor.Tensor{tensor.RandNormal(rng, 0.1, 8, hub.Cfg.Seq, 9)}
-	prog := graph.Compile(m, false)
+	prog := graph.Compile(m)
 	feeds := []*tensor.Tensor{ids}
 	scope := tensor.NewArena().Scope()
 	defer scope.Release()
@@ -33,7 +33,7 @@ func BenchmarkMiniBERTForwardBackward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tape := prog.Run(feeds, graph.ForwardOptions{Train: true, Alloc: scope})
-		if err := tape.BackwardOutputs(grads, graph.BackwardOptions{}); err != nil {
+		if err := tape.BackwardOutputs(grads); err != nil {
 			b.Fatal(err)
 		}
 		scope.Recycle()

@@ -65,7 +65,7 @@ func (m *Model) Forward(feeds map[string]*tensor.Tensor, train bool) (*Tape, err
 // this one pass; callers that run a model step after step compile it once
 // (Compile) and call Program.Run.
 func (m *Model) ForwardOpts(feeds map[string]*tensor.Tensor, opts ForwardOptions) (*Tape, error) {
-	p := Compile(m, false)
+	p := Compile(m)
 	in := make([]*tensor.Tensor, len(p.inputs))
 	for k, n := range p.inputs {
 		v, ok := feeds[n.Name]
@@ -106,9 +106,9 @@ func (p *Program) newTape(opts ForwardOptions) *Tape {
 // forward runs every forward step, the feeds already in acts.
 func (t *Tape) forward() {
 	p := t.prog
-	for i, n := range p.nodes {
+	for i, k := range p.kerns {
 		t.owner[i], t.refs[i] = int32(i), 1
-		if n.IsInput() {
+		if k == nil {
 			t.acts[i] = tensor.WithAlloc(t.alloc, t.acts[i])
 		} else {
 			in := t.ins[p.parOff[i]:p.parOff[i+1]]
@@ -118,9 +118,9 @@ func (t *Tape) forward() {
 			var out *tensor.Tensor
 			var cache any
 			if t.donor(i) {
-				out, cache = in[0], n.Layer.(InPlaceForward).ForwardInto(in[0], in, t.train)
+				out, cache = in[0], k.(InPlaceForward).ForwardInto(in[0], in, t.train)
 			} else {
-				out, cache = n.Layer.Forward(in, t.train)
+				out, cache = k.Forward(in, t.train)
 			}
 			t.acts[i], t.caches[i] = out, cache
 			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {
@@ -146,8 +146,7 @@ func (t *Tape) forward() {
 // donor reports whether position i's layer writes its output over its
 // first input: the program marks i (donates), the step scope owns the
 // input's buffer, no other live tensor shares it (the alias rule then
-// meters and frees it as i's output), and it is not a feed's buffer — a
-// Composite's inner feeds are its caller's activations.
+// meters and frees it as i's output), and it is not a feed's buffer.
 func (t *Tape) donor(i int) bool {
 	p := t.prog
 	if p.flags[i]&donates == 0 {
@@ -155,7 +154,7 @@ func (t *Tape) donor(i int) bool {
 	}
 	q := p.par[p.parOff[i]]
 	o := t.owner[q]
-	return t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && !p.nodes[o].IsInput()
+	return t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && p.kerns[o] != nil
 }
 
 // step meters step s's tensor and retires the tensors whose last use s
@@ -173,7 +172,7 @@ func (t *Tape) step(s int32) {
 		o := t.owner[d]
 		if t.refs[o]--; t.refs[o] == 0 {
 			t.live -= t.bytes[o]
-			if !p.nodes[o].IsInput() {
+			if p.kerns[o] != nil {
 				t.alloc.Free(t.acts[d]) // d shares o's buffer
 			}
 		}
@@ -200,24 +199,6 @@ func (t *Tape) Output(n *Node) *tensor.Tensor {
 	return nil
 }
 
-// BackwardOptions controls which gradients a backward pass produces.
-type BackwardOptions struct {
-	// InputGrads forces gradient flow all the way to input nodes, whose
-	// gradients become available via InputGradAt. Composite layers use this
-	// to chain backward passes through their inner model. The program must
-	// be compiled with inputGrads.
-	InputGrads bool
-	// SkipParamGrads suppresses all parameter-gradient computation; a
-	// frozen composite uses it so its inner backward pass only routes
-	// input gradients (2× forward cost, not 3×).
-	SkipParamGrads bool
-	// OwnsOutGrads gives the tape the output gradients' buffers
-	// (BackwardNeed.OwnsGradOut): one the step scope owns becomes the
-	// tape's, where it is otherwise copied. A Composite passes its own
-	// grant down.
-	OwnsOutGrads bool
-}
-
 // Backward back-propagates the given output gradients (keyed by node name)
 // through the tape, accumulating parameter gradients for trainable nodes.
 func (t *Tape) Backward(outGrads map[string]*tensor.Tensor) error {
@@ -230,20 +211,16 @@ func (t *Tape) Backward(outGrads map[string]*tensor.Tensor) error {
 			t.grads[i] = tensor.CloneIn(t.alloc, g)
 		}
 	}
-	return t.backward(BackwardOptions{})
+	return t.backward()
 }
 
-// BackwardOutputs is Backward with explicit options and the gradients
-// given in the model's output order.
-func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor, opts BackwardOptions) error {
+// BackwardOutputs is Backward with the gradients given in the model's
+// output order.
+func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor) error {
 	for k, o := range t.prog.outs {
-		if g := outGrads[k]; opts.OwnsOutGrads && t.alloc.Owns(g) {
-			t.grads[o] = g
-		} else {
-			t.grads[o] = tensor.CloneIn(t.alloc, g)
-		}
+		t.grads[o] = tensor.CloneIn(t.alloc, outGrads[k])
 	}
-	return t.backward(opts)
+	return t.backward()
 }
 
 // backward runs the loss step and every backward step, the output
@@ -254,27 +231,20 @@ func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor, opts BackwardOptions) 
 // the paper's cost model where a trainable layer costs 3× its forward
 // FLOPs, a frozen non-materializable layer 2×, and a materializable layer
 // 1× (Section 4.1).
-func (t *Tape) backward(opts BackwardOptions) error {
+func (t *Tape) backward() error {
 	p := t.prog
-	switch {
-	case t.backwardDone:
+	if t.backwardDone {
 		return fmt.Errorf("graph: second backward pass over one tape of model %q", p.model.Name)
-	case opts.InputGrads && !p.inputGrads:
-		return fmt.Errorf("graph: input gradients of model %q, compiled without them", p.model.Name)
 	}
 	t.backwardDone = true
-	needGrad := p.needGrad
-	if opts.InputGrads {
-		needGrad = p.live.NeedGrad
-	}
 	t.step(p.live.F) // the loss
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		b := p.live.Bwd[i]
 		if b < 0 {
-			continue // an input keeps its gradient; no other node has one
+			continue // a feed, or a node no gradient reaches
 		}
 		if g := t.grads[i]; g != nil {
-			adopted, err := t.backwardNode(i, g, needGrad, opts)
+			adopted, err := t.backwardNode(i, g)
 			if err != nil {
 				return err
 			}
@@ -301,11 +271,11 @@ func (t *Tape) backward(opts BackwardOptions) error {
 // every parent and an identity for its one. The first parent that starts
 // its gradient with g adopts it, and the tape does not free it; every
 // other parent copies it, in this call, before anything writes over it.
-func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts BackwardOptions) (adopted bool, err error) {
+func (t *Tape) backwardNode(i int, g *tensor.Tensor) (adopted bool, err error) {
 	p := t.prog
-	n := p.nodes[i]
 	parents := p.par[p.parOff[i]:p.parOff[i+1]]
-	needParams := p.flags[i]&Seeds != 0 && !opts.SkipParamGrads
+	needGrad := p.live.NeedGrad
+	needParams := p.flags[i]&Seeds != 0
 	needInputs := false
 	for _, q := range parents {
 		needInputs = needInputs || needGrad[q]
@@ -324,11 +294,11 @@ func (t *Tape) backwardNode(i int, g *tensor.Tensor, needGrad []bool, opts Backw
 		out = nil
 	}
 	own := t.alloc.Owns(g)
-	gradIn, gradParams := n.Layer.Backward(t.caches[i], in, out, g, BackwardNeed{Inputs: needInputs, Params: needParams, OwnsGradOut: own})
+	gradIn, gradParams := p.kerns[i].Backward(t.caches[i], in, out, g, BackwardNeed{Inputs: needInputs, Params: needParams, OwnsGradOut: own})
 	if needParams {
 		nums := p.paramOf[p.paramOff[i]:p.paramOff[i+1]]
 		if len(gradParams) != len(nums) {
-			return false, fmt.Errorf("graph: node %q returned %d param grads for %d params", n.Name, len(gradParams), len(nums))
+			return false, fmt.Errorf("graph: node %q returned %d param grads for %d params", p.nodes[i].Name, len(gradParams), len(nums))
 		}
 		for j, k := range nums {
 			if gradParams[j] != nil {
@@ -402,7 +372,3 @@ func (t *Tape) ParamGrads() map[*Param]*tensor.Tensor {
 // ParamGradAt returns the accumulated gradient of Program.Params()[k], or
 // nil if the pass produced none.
 func (t *Tape) ParamGradAt(k int) *tensor.Tensor { return t.paramGrads[k] }
-
-// InputGradAt returns the gradient that flowed into the program's k-th
-// input (Inputs() order) during a pass with InputGrads set, or nil.
-func (t *Tape) InputGradAt(k int) *tensor.Tensor { return t.grads[t.prog.pos[t.prog.inputs[k].index]] }

@@ -4,15 +4,15 @@ import (
 	"nautilus/internal/tensor"
 )
 
-// Layer is a pure tensor function (paper Definition 2.1). Implementations
-// hold parameters but never activations: Forward returns an opaque cache
-// that Backward consumes, so a single layer instance can appear in many
-// models and plans simultaneously — the property multi-model merging and
-// model fusion rely on.
+// Layer is a pure tensor function (paper Definition 2.1) as the planner
+// sees it: a type and configuration, parameters, and per-record shapes and
+// costs. Implementations hold parameters but never activations, so a
+// single layer instance can appear in many models and plans simultaneously
+// — the property multi-model merging and model fusion rely on.
 //
 // All shapes exchanged through OutShape and FLOPsPerRecord are per-record
-// shapes (batch dimension excluded); tensors passed to Forward/Backward
-// carry the batch as their leading dimension.
+// shapes (batch dimension excluded). Compile runs a layer through Kernel,
+// or splices it through Block.
 type Layer interface {
 	// Type returns the layer type name, e.g. "dense".
 	Type() string
@@ -30,6 +30,13 @@ type Layer interface {
 	// FLOPsPerRecord estimates the forward-pass floating point operations
 	// for one record with the given per-record input shapes.
 	FLOPsPerRecord(in [][]int) int64
+}
+
+// Kernel is a layer the executor runs. Forward returns an opaque cache
+// that Backward consumes; tensors passed to either carry the batch as their
+// leading dimension.
+type Kernel interface {
+	Layer
 	// Forward computes the layer output for a batch. train toggles
 	// training-only behaviour such as dropout.
 	Forward(inputs []*tensor.Tensor, train bool) (out *tensor.Tensor, cache any)
@@ -39,6 +46,16 @@ type Layer interface {
 	// skip avoidable work: a frozen layer on the gradient path costs 2×
 	// its forward FLOPs (need.Params false), a trainable one 3×.
 	Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need BackwardNeed) (gradIn []*tensor.Tensor, gradParams []*tensor.Tensor)
+}
+
+// Block is a layer that is a model of layers, as transformer and residual
+// blocks are (paper Section 4.1): one node to the planner, whose costs
+// cover the inner model. Compile splices the inner model into the program
+// at the node's position, inner input k standing for the node's k-th
+// parent and the inner model's one output for the node.
+type Block interface {
+	Layer
+	Inner() *Model
 }
 
 // BackwardNeed tells a layer which gradients its Backward call must
@@ -142,11 +159,3 @@ func (l *InputLayer) OutShape(in [][]int) []int {
 }
 
 func (l *InputLayer) FLOPsPerRecord(in [][]int) int64 { return 0 }
-
-func (l *InputLayer) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	panic("graph: input layer values must be fed, not computed")
-}
-
-func (l *InputLayer) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	return nil, nil
-}

@@ -90,15 +90,15 @@ func aliases(n *graph.Node) bool {
 	return false
 }
 
-// donates reports whether, in a step scope, the tape writes node p's output
-// over its first parent's buffer: p is a relu Activation or an Add, the
-// table says that parent's tensor dies at p's forward step, no other slot
-// of p is the same parent, the buffer is not a feed's, and no other tensor
-// sharing it (owner says whose buffer each node's output is) is still live
-// at that step.
-func donates(prog *graph.Program, owner []int, pos map[*graph.Node]int, p int) bool {
-	n, lv := prog.Nodes()[p], prog.Liveness()
-	switch l := n.Layer.(type) {
+// donates reports whether, in a step scope, the tape writes position p's
+// output over its first parent's buffer: p runs a relu Activation or an
+// Add, the table says that parent's tensor dies at p's forward step, no
+// other slot of p is the same parent, the buffer is not a feed's, and no
+// other tensor sharing it (owner says whose buffer each position's output
+// is) is still live at that step.
+func donates(prog *graph.Program, owner []int, p int) bool {
+	lv := prog.Liveness()
+	switch l := prog.Nodes()[p].Layer.(type) {
 	case *layers.Activation:
 		if l.Act != layers.ActReLU {
 			return false
@@ -107,8 +107,9 @@ func donates(prog *graph.Program, owner []int, pos map[*graph.Node]int, p int) b
 	default:
 		return false
 	}
-	q := pos[n.Parents[0]]
-	if lv.LastUse[lv.Fwd[q]] != lv.Fwd[p] || slices.Contains(n.Parents[1:], n.Parents[0]) || prog.Nodes()[owner[q]].IsInput() {
+	ps := prog.Parents(p)
+	q := int(ps[0])
+	if lv.LastUse[lv.Fwd[q]] != lv.Fwd[p] || slices.Contains(ps[1:], ps[0]) || prog.Nodes()[owner[q]].IsInput() {
 		return false
 	}
 	for s := range p {
@@ -136,23 +137,29 @@ func TestTapePeakMatchesLivenessReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := graph.Compile(m, false)
+			prog := graph.Compile(m)
 			lv := prog.Liveness()
 
-			// The replay: a node's forward tensor and its backward step's
-			// gradient are its output's bytes; an alias's forward tensor is
-			// nothing, and extends its buffer's owner to its own last use.
+			// The replay, over every position (a block's inner nodes have
+			// their own): a position's forward tensor and its backward
+			// step's gradient are its output's bytes; an alias's forward
+			// tensor is nothing, and extends its buffer's owner to its own
+			// last use.
 			replay := func(scoped bool) int64 {
 				size := make([]int64, lv.Steps())
 				last := slices.Clone(lv.LastUse)
 				owner := make([]int, len(prog.Nodes()))
-				pos := map[*graph.Node]int{}
+				shape := make([][]int, len(prog.Nodes()))
 				for p, n := range prog.Nodes() {
-					pos[n] = p
-					bytes := int64(batch*tensor.NumElems(shapes[n.Index()])) * 4
+					var in [][]int
+					for _, q := range prog.Parents(p) {
+						in = append(in, shape[q])
+					}
+					shape[p] = n.Layer.OutShape(in)
+					bytes := int64(batch*tensor.NumElems(shape[p])) * 4
 					owner[p] = p
-					if aliases(n) || scoped && donates(prog, owner, pos, p) {
-						owner[p] = owner[pos[n.Parents[0]]]
+					if aliases(n) || scoped && donates(prog, owner, p) {
+						owner[p] = owner[prog.Parents(p)[0]]
 					} else {
 						size[lv.Fwd[p]] = bytes
 					}
@@ -208,7 +215,7 @@ func TestTapePeakMatchesLivenessReplay(t *testing.T) {
 // reader is the trainable left branch's backward: the last step.
 func TestLivenessFreesAtLastUse(t *testing.T) {
 	m := livenessModels()["diamond"]
-	prog := graph.Compile(m, false)
+	prog := graph.Compile(m)
 	lv := prog.Liveness()
 	at := map[string]int{}
 	for p, n := range prog.Nodes() {
@@ -249,7 +256,7 @@ func TestDonatedReLUScopeTensors(t *testing.T) {
 			outs = append(outs, bn)
 		}
 		m.SetOutputs(outs...)
-		prog := graph.Compile(m, false)
+		prog := graph.Compile(m)
 		heap := prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true}).Output(relu)
 		scope := tensor.NewArena().Scope()
 		got := prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true, Alloc: scope}).Output(relu)
@@ -285,13 +292,13 @@ func fusedStep(t *testing.T) func() {
 		grads = append(grads, tensor.RandNormal(rng, 1, 5, 3))
 	}
 	m.SetOutputs(outs...)
-	prog := graph.Compile(m, false)
+	prog := graph.Compile(m)
 	feeds := []*tensor.Tensor{tensor.RandNormal(rng, 1, 5, 4, 3)}
 	scope := tensor.NewArena().Scope()
 	t.Cleanup(scope.Release)
 	step := func() {
 		tape := prog.Run(feeds, graph.ForwardOptions{Train: true, Alloc: scope})
-		if err := tape.BackwardOutputs(grads, graph.BackwardOptions{}); err != nil {
+		if err := tape.BackwardOutputs(grads); err != nil {
 			t.Fatal(err)
 		}
 		for k := range prog.Params() {

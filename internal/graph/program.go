@@ -1,22 +1,29 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
-// Program is a model compiled for execution: its reachable nodes in
+// Program is a model compiled for execution: the nodes it runs in
 // topological order, their parents as positions, the distinct parameters
 // they hold, and the step's liveness table. Tapes index everything by
 // program position — nothing per step is keyed by node.
 //
+// A Block is spliced: its inner nodes take positions of their own, so one
+// table and one tape cover every tensor of the step, a block's inner ones
+// too. The planner still sees the block as one node.
+//
 // A Program is compiled once and then only read, so any number of tapes
 // may run it at once: the trainer compiles one per group after
-// opt.BuildPlanModel, the materializer one per view, and a Composite one at
-// construction for its inner model, which concurrent groups share.
+// opt.BuildPlanModel and the materializer one per view.
 // Model.ForwardOpts compiles a fresh one per call.
 type Program struct {
 	model  *Model
-	nodes  []*Node // by position: the reachable nodes in topological order
-	pos    []int32 // by Node.Index(): the node's position, −1 if unreachable
-	parOff []int32 // position p's parents are par[parOff[p]:parOff[p+1]]
+	nodes  []*Node  // by position: a reachable node, or an inner node of a block
+	kerns  []Kernel // by position: the layer run there, nil for a feed
+	pos    []int32  // by Node.Index(): the node's position (a block's inner output's), −1 if unreachable
+	parOff []int32  // position p's parents are par[parOff[p]:parOff[p+1]]
 	par    []int32
 	outs   []int32 // the outputs' positions
 	inputs []*Node // the reachable input nodes, in order: Run's feeds
@@ -26,13 +33,7 @@ type Program struct {
 	paramOff []int32  // position p's j-th layer param is params[paramOf[paramOff[p]+j]]
 	paramOf  []int32
 
-	// live is the step table by position (every position is held);
-	// inputGrads says whether it was built with input nodes seeding
-	// gradient. needGrad is by position, for backward passes that do not
-	// ask for input gradients.
-	live       Liveness
-	inputGrads bool
-	needGrad   []bool
+	live Liveness // the step table, by position (every position is held)
 	// dies[s] is the first of the steps whose tensors die at step s, next[t]
 	// the one after t; −1 ends a list.
 	dies, next []int32
@@ -47,84 +48,22 @@ type Program struct {
 // the bit.
 const donates uint8 = 1 << 7
 
-// Compile compiles m. With inputGrads the table is the one of a backward
-// pass that asks for input gradients (BackwardOptions.InputGrads): the
-// widest pass the program's tapes may then run, as a Composite's inner
-// model needs; without it such a pass is an error.
-func Compile(m *Model, inputGrads bool) *Program {
-	keep := m.MarkReachable(nil)
-	n, npar, nin := 0, 0, 0
-	for i, k := range keep {
-		if k {
-			n, npar = n+1, npar+len(m.nodes[i].Parents)
-			if m.nodes[i].IsInput() {
-				nin++
-			}
-		}
-	}
-	// One array backs the int32 tables whose lengths are known up front.
-	ints := make([]int32, len(m.nodes)+2*(n+1)+npar+len(m.Outputs))
-	cut := func(l, c int) []int32 { s := ints[:l:c]; ints = ints[c:]; return s }
-	p := &Program{model: m, inputGrads: inputGrads,
-		nodes: make([]*Node, 0, n), pos: cut(len(m.nodes), len(m.nodes)),
-		parOff: cut(1, n+1), par: cut(0, npar), paramOff: cut(1, n+1),
-		inputs: make([]*Node, 0, nin), outs: cut(0, len(m.Outputs)),
-		flags: make([]uint8, n), params: make([]*Param, 0, 2*n), paramOf: make([]int32, 0, 2*n)}
-	for i, k := range keep {
-		p.pos[i] = -1
-		if k {
-			p.pos[i] = int32(len(p.nodes))
-			p.nodes = append(p.nodes, m.nodes[i])
-		}
-	}
-	for i, node := range p.nodes {
-		for _, q := range node.Parents {
-			p.par = append(p.par, p.pos[q.index])
-		}
-		p.parOff = append(p.parOff, int32(len(p.par)))
-		p.flags[i] = Held
-		if node.IsInput() {
-			p.inputs = append(p.inputs, node)
-		} else {
-			p.flags[i] |= Computed
-			params := node.Layer.Params()
-			if node.Trainable && len(params) > 0 { // !Frozen()
-				p.flags[i] |= Seeds
-			}
-			if r, ok := node.Layer.(BackwardReader); ok {
-				ins, out := r.BackwardReads()
-				if !ins {
-					p.flags[i] |= SkipsInputs
-				}
-				if !out {
-					p.flags[i] |= SkipsOutput
-				}
-			}
-			for _, q := range params {
-				k := slices.Index(p.params, q)
-				if k < 0 {
-					k, p.params = len(p.params), append(p.params, q)
-				}
-				p.paramOf = append(p.paramOf, int32(k))
-			}
-		}
-		p.paramOff = append(p.paramOff, int32(len(p.paramOf)))
-	}
+// Compile compiles m, splicing every Block it reaches. It panics, naming
+// the node, if a computed node's layer is neither a Kernel nor a Block.
+func Compile(m *Model) *Program {
+	n := spliced(m)
+	p := &Program{model: m,
+		nodes: make([]*Node, 0, n), kerns: make([]Kernel, 0, n), flags: make([]uint8, 0, n),
+		parOff: append(make([]int32, 0, n+1), 0), par: make([]int32, 0, 2*n),
+		paramOff: append(make([]int32, 0, n+1), 0), params: make([]*Param, 0, 2*n), paramOf: make([]int32, 0, 2*n)}
+	p.pos = p.splice(m, nil, true)
 	for _, o := range m.Outputs {
 		p.outs = append(p.outs, p.pos[o.index])
 	}
 	p.live.Build(p.parOff, p.par, p.flags, p.outs)
-	p.needGrad = p.live.NeedGrad
-	if inputGrads {
-		for _, in := range p.inputs {
-			p.flags[p.pos[in.index]] |= Seeds
-		}
-		p.live.NeedGrad = nil // keep the base bits; Build reuses the rest
-		p.live.Build(p.parOff, p.par, p.flags, p.outs)
-	}
 
-	for i, node := range p.nodes {
-		_, inPlace := node.Layer.(InPlaceForward)
+	for i, k := range p.kerns {
+		_, inPlace := k.(InPlaceForward)
 		if !inPlace || p.flags[i]&SkipsInputs == 0 {
 			continue
 		}
@@ -148,12 +87,102 @@ func Compile(m *Model, inputGrads bool) *Program {
 	return p
 }
 
+// splice gives the nodes of m its outputs reach positions, in order, and
+// returns the positions by Node.Index(). Top-level inputs (args nil) are
+// feeds; in a block, inner input k is args[k], the block node's k-th
+// parent, and the block node is its inner output. A node trains only if
+// every block around it does (trainable).
+func (p *Program) splice(m *Model, args []int32, trainable bool) []int32 {
+	pos := make([]int32, len(m.nodes))
+	k := 0
+	for i, keep := range m.MarkReachable(nil) {
+		n := m.nodes[i]
+		pos[i] = -1
+		switch {
+		case n.IsInput() && args != nil:
+			pos[i], k = args[k], k+1
+		case !keep:
+		case n.IsInput():
+			p.inputs = append(p.inputs, n)
+			pos[i] = p.add(n, nil, nil, pos, Held)
+		default:
+			if b, ok := n.Layer.(Block); ok {
+				args := make([]int32, len(n.Parents))
+				for j, q := range n.Parents {
+					args[j] = pos[q.index]
+				}
+				inner := b.Inner()
+				pos[i] = p.splice(inner, args, trainable && n.Trainable)[inner.Outputs[0].index]
+				continue
+			}
+			kern, ok := n.Layer.(Kernel)
+			if !ok {
+				panic(fmt.Sprintf("graph: node %q: layer %q neither runs (Kernel) nor splices (Block)", n.Name, n.Layer.Type()))
+			}
+			params := n.Layer.Params()
+			f := Held | Computed
+			if trainable && n.Trainable && len(params) > 0 { // !n.Frozen(), params read once
+				f |= Seeds
+			}
+			if r, ok := kern.(BackwardReader); ok {
+				ins, out := r.BackwardReads()
+				if !ins {
+					f |= SkipsInputs
+				}
+				if !out {
+					f |= SkipsOutput
+				}
+			}
+			pos[i] = p.add(n, kern, params, pos, f)
+		}
+	}
+	return pos
+}
+
+// spliced bounds the positions Compile gives m: its nodes and, for each
+// block, its inner model's.
+func spliced(m *Model) int {
+	n := len(m.nodes)
+	for _, node := range m.nodes {
+		if b, ok := node.Layer.(Block); ok {
+			n += spliced(b.Inner())
+		}
+	}
+	return n
+}
+
+// add appends a position running n's layer as kern (nil for a feed) with
+// its params, the positions of n's parents in pos (by Node.Index() of n's
+// model).
+func (p *Program) add(n *Node, kern Kernel, params []*Param, pos []int32, flags uint8) int32 {
+	i := int32(len(p.nodes))
+	p.nodes, p.kerns, p.flags = append(p.nodes, n), append(p.kerns, kern), append(p.flags, flags)
+	for _, q := range n.Parents {
+		p.par = append(p.par, pos[q.index])
+	}
+	p.parOff = append(p.parOff, int32(len(p.par)))
+	for _, q := range params {
+		k := slices.Index(p.params, q)
+		if k < 0 {
+			k, p.params = len(p.params), append(p.params, q)
+		}
+		p.paramOf = append(p.paramOf, int32(k))
+	}
+	p.paramOff = append(p.paramOff, int32(len(p.paramOf)))
+	return i
+}
+
 // retireAt is the step after which a tape retires step s's tensor.
 func (p *Program) retireAt(s int) int32 { return p.live.LastUse[s] }
 
-// Nodes returns the reachable nodes by position. The slice must not be
+// Nodes returns the node run at each position: a reachable node of the
+// model or, for a spliced block, an inner node. The slice must not be
 // modified.
 func (p *Program) Nodes() []*Node { return p.nodes }
+
+// Parents returns the positions of position i's parents. The slice must
+// not be modified.
+func (p *Program) Parents(i int) []int32 { return p.par[p.parOff[i]:p.parOff[i+1]] }
 
 // Inputs returns the reachable input nodes: the order Run takes feeds in.
 // The slice must not be modified.

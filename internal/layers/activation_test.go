@@ -347,10 +347,11 @@ func (l oracleActivation) Backward(cache any, inputs []*tensor.Tensor, out, grad
 	return []*tensor.Tensor{activationBackward(l.Act, inputs[0], gradOut)}, nil
 }
 
-// oracleOf returns the pre-change implementation of l; a Composite is
-// rebuilt node for node around the same layer instances (so the same
-// parameters), with every fused-nonlinearity layer swapped for its oracle.
-func oracleOf(l graph.Layer) graph.Layer {
+// oracleOf returns the pre-change implementation of l; a compiled block is
+// rebuilt around an oracle twin of its composite — inner node for inner
+// node, around the same layer instances (so the same parameters), every
+// fused-nonlinearity layer swapped for its oracle — and its front's oracle.
+func oracleOf(l graph.Kernel) graph.Kernel {
 	switch l := l.(type) {
 	case *Dense:
 		return oracleDense{l}
@@ -364,7 +365,7 @@ func oracleOf(l graph.Layer) graph.Layer {
 		return oracleMHA{l}
 	case *ChannelAffine:
 		return oracleChannelAffine{l}
-	case *Composite:
+	case compiled:
 		inner := graph.NewModel(l.inner.Name + "_oracle")
 		twin := map[*graph.Node]*graph.Node{}
 		for _, n := range l.inner.Nodes() {
@@ -376,13 +377,13 @@ func oracleOf(l graph.Layer) graph.Layer {
 			for i, p := range n.Parents {
 				parents[i] = twin[p]
 			}
-			twin[n] = inner.AddNode(n.Name, oracleOf(n.Layer), parents...)
+			twin[n] = inner.AddNode(n.Name, oracleOf(n.Layer.(graph.Kernel)), parents...)
 			twin[n].Trainable = n.Trainable
 		}
 		inner.SetOutputs(twin[l.inner.Outputs[0]])
-		o := *l
-		o.inner, o.prog = inner, graph.Compile(inner, true)
-		return &o
+		o := *l.Composite
+		o.inner = inner
+		return compile(&o, oracleOf(l.front))
 	}
 	return l
 }
@@ -413,14 +414,14 @@ func bitsEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 // assertMatchesOracle runs Forward+Backward in train and in eval mode and
 // requires out, every input gradient and every parameter gradient to equal
 // the oracle's bits.
-func assertMatchesOracle(t *testing.T, label string, l graph.Layer, inputs []*tensor.Tensor) {
+func assertMatchesOracle(t *testing.T, label string, l graph.Kernel, inputs []*tensor.Tensor) {
 	t.Helper()
 	assertMatchesOracleGrad(t, label, l, inputs, nil)
 }
 
 // assertMatchesOracleGrad is assertMatchesOracle with the output gradient
 // drawn standard normal and then handed to plant, when plant is not nil.
-func assertMatchesOracleGrad(t *testing.T, label string, l graph.Layer, inputs []*tensor.Tensor, plant func(*tensor.Tensor)) {
+func assertMatchesOracleGrad(t *testing.T, label string, l graph.Kernel, inputs []*tensor.Tensor, plant func(*tensor.Tensor)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	need := graph.BackwardNeed{Inputs: true, Params: true}
@@ -501,10 +502,10 @@ func TestFusedLayersMatchOracle(t *testing.T) {
 
 	for _, adapter := range []int{0, 4} {
 		blk := NewTransformerBlock(TransformerBlockConfig{Seq: 5, Dim: 8, Heads: 2, FFN: 16, Seed: 29, Adapter: adapter, AdapterSeed: 31})
-		assertMatchesOracle(t, fmt.Sprintf("transformer_block/adapter=%d", adapter), blk, []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
+		assertMatchesOracle(t, fmt.Sprintf("transformer_block/adapter=%d", adapter), compile(blk, NewChannelAffine(8, 30)), []*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 5, 8)})
 	}
 	assertMatchesOracle(t, "residual_block",
-		NewResidualBlock(ResidualBlockConfig{InH: 6, InW: 6, InC: 4, MidC: 3, OutC: 8, Stride: 2, Seed: 37}),
+		compile(NewResidualBlock(ResidualBlockConfig{InH: 6, InW: 6, InC: 4, MidC: 3, OutC: 8, Stride: 2, Seed: 37}), NewChannelAffine(4, 38)),
 		[]*tensor.Tensor{tensor.RandNormal(rng, 1, 2, 6, 6, 4)})
 
 	// ChannelAffine at ResNet-mini widths (12 leaves a 4-channel tail after
@@ -699,14 +700,14 @@ func TestSharedLayersConcurrentSteps(t *testing.T) {
 	ids := tensor.FromSlice([]float32{1, 3, 5, 3, 0, 9}, 2, 3)
 	one, two := []*tensor.Tensor{seq}, []*tensor.Tensor{seq, seq}
 	steps := []struct {
-		l  graph.Layer
+		l  graph.Kernel
 		in []*tensor.Tensor
 	}{
 		{NewActivation(ActGeLU), one},
 		{NewDropout(0.5), one},
 		{NewMultiHeadAttention(8, 2, 61), one},
-		{NewTransformerBlock(TransformerBlockConfig{Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 67, Adapter: 2, AdapterSeed: 71}), one},
-		{NewResidualBlock(ResidualBlockConfig{InH: 4, InW: 4, InC: 3, MidC: 2, OutC: 6, Stride: 2, Seed: 73}), []*tensor.Tensor{img}},
+		{compile(NewTransformerBlock(TransformerBlockConfig{Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 67, Adapter: 2, AdapterSeed: 71}), NewChannelAffine(8, 68)), one},
+		{compile(NewResidualBlock(ResidualBlockConfig{InH: 4, InW: 4, InC: 3, MidC: 2, OutC: 6, Stride: 2, Seed: 73}), NewChannelAffine(3, 74)), []*tensor.Tensor{img}},
 		{NewAdapter(8, 2, 79), one},
 		{NewConv2D(3, 4, 3, 1, 1, ActReLU, 83), []*tensor.Tensor{img}},
 		{NewMaxPool2D(2, 2, 0), []*tensor.Tensor{img}},

@@ -14,7 +14,7 @@ import (
 // a step Scope released at the end — and reports ns per activated element
 // (elems = rows × the nonlinearity's width), the unit in which a GELU's
 // 30–55 ns can be read against a matmul's ~0.07 ns per flop.
-func benchStep(b *testing.B, l graph.Layer, elems int, shape ...int) {
+func benchStep(b *testing.B, l graph.Kernel, elems int, shape ...int) {
 	rng := rand.New(rand.NewSource(1))
 	scope := tensor.NewArena().Scope()
 	in := []*tensor.Tensor{tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, shape...))}
@@ -63,12 +63,13 @@ func BenchmarkAttentionStep(b *testing.B) {
 	}
 }
 
-// BenchmarkResidualBlockStep is one training step — forward in train mode
-// and backward with input and parameter gradients, in a recycled step
-// scope — of ResNet-mini's block 1 (16×16, 8 → 8 → 32 channels, stride 1:
-// conv1, conv3 and the projection shortcut are pointwise) and block 3
-// (16×16, 32 → 16 → 64, stride 2: the shortcut keeps the lowering), at
-// batch 32: ns/op and allocs/op.
+// BenchmarkResidualBlockStep is one training step of ResNet-mini's block 1
+// (16×16, 8 → 8 → 32 channels, stride 1: conv1, conv3 and the projection
+// shortcut are pointwise) and block 3 (16×16, 32 → 16 → 64, stride 2: the
+// shortcut keeps the lowering), at batch 32: ns/op and allocs/op. The
+// block runs as the trainer runs it, spliced into a compiled model behind a
+// trainable ChannelAffine, so it takes input and parameter gradients:
+// Program.Run in train mode, BackwardOutputs, then the step scope recycled.
 func BenchmarkResidualBlockStep(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -79,18 +80,18 @@ func BenchmarkResidualBlockStep(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			l := NewResidualBlock(bc.cfg)
+			l := compile(NewResidualBlock(bc.cfg), NewChannelAffine(bc.cfg.InC, 2))
 			x := tensor.RandNormal(rng, 1, 32, bc.cfg.InH, bc.cfg.InW, bc.cfg.InC)
-			g := tensor.RandNormal(rng, 1, append([]int{32}, l.OutShape([][]int{x.Shape()[1:]})...)...)
+			g := []*tensor.Tensor{tensor.RandNormal(rng, 1, append([]int{32}, l.OutShape([][]int{x.Shape()[1:]})...)...)}
 			scope := tensor.NewArena().Scope()
 			defer scope.Release()
-			need := graph.BackwardNeed{Inputs: true, Params: true}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in := []*tensor.Tensor{tensor.WithAlloc(scope, x)}
-				out, cache := l.Forward(in, true)
-				l.Backward(cache, in, out, tensor.WithAlloc(scope, g), need)
+				tape := l.prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true, Alloc: scope})
+				if err := tape.BackwardOutputs(g); err != nil {
+					b.Fatal(err)
+				}
 				scope.Recycle()
 			}
 		})

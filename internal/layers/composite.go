@@ -11,6 +11,8 @@ import (
 // transformer and residual blocks as composite layers (Section 4.1): a
 // single node in the optimizer's multi-model graph whose memory footprint
 // sums every internal activation the backward pass retains (Section 4.3.3).
+// It is a graph.Block: graph.Compile splices the inner model into the
+// program that runs it.
 //
 // A composite may be partially trainable (adapter blocks train only their
 // adapters); the trainable subset is whatever its inner nodes mark
@@ -19,11 +21,8 @@ type Composite struct {
 	typ   string
 	cfg   map[string]any
 	inner *graph.Model
-	// prog is inner compiled once, here, with input gradients: every group
-	// running the composite shares it, so nothing may compile it lazily.
-	prog *graph.Program
 
-	params    []*graph.Param // prog.Params(): every inner node is reachable
+	params    []*graph.Param // every distinct inner param, by first inner node
 	trainable []*graph.Param
 
 	// Per-record facts of the inner model, computed once at construction.
@@ -34,19 +33,20 @@ type Composite struct {
 }
 
 func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite {
-	c := &Composite{typ: typ, cfg: cfg, inner: inner, prog: graph.Compile(inner, true)}
-	if len(c.prog.Nodes()) != inner.NumNodes() {
-		panic(fmt.Sprintf("layers: composite %q has inner nodes its output does not read", typ))
-	}
+	c := &Composite{typ: typ, cfg: cfg, inner: inner}
 	// Qualify each param's name by the inner node holding it first, for
-	// checkpointing: prog.Params() lists the params in that order.
-	c.params = c.prog.Params()
-	k := 0
-	for _, n := range inner.Nodes() {
+	// checkpointing.
+	seen := map[*graph.Param]bool{}
+	for i, keep := range inner.MarkReachable(nil) {
+		n := inner.Nodes()[i]
+		if !keep {
+			panic(fmt.Sprintf("layers: composite %q has inner nodes its output does not read", typ))
+		}
 		for _, p := range n.Layer.Params() {
-			if k < len(c.params) && p == c.params[k] {
+			if !seen[p] {
+				seen[p] = true
 				p.Name = n.Name + "." + p.Name
-				k++
+				c.params = append(c.params, p)
 			}
 		}
 	}
@@ -84,7 +84,8 @@ func (c *Composite) Params() []*graph.Param { return c.params }
 // parameters (e.g. adapters) receive optimizer updates.
 func (c *Composite) TrainableSubset() []*graph.Param { return c.trainable }
 
-// Inner exposes the wrapped model for tests and documentation tooling.
+// Inner implements graph.Block: the model Compile splices in the
+// composite's place.
 func (c *Composite) Inner() *graph.Model { return c.inner }
 
 func (c *Composite) OutShape(in [][]int) []int {
@@ -108,35 +109,6 @@ func (c *Composite) TrainableFLOPsPerRecord(in [][]int) int64 { return c.trainab
 // ActivationBytesPerRecord sums the activation bytes of every inner node,
 // accounting for all intermediate tensors the backward pass needs.
 func (c *Composite) ActivationBytesPerRecord(in [][]int) int64 { return c.activationBytes }
-
-// Forward runs the inner program in the scope of the composite's first
-// input, so the inner tape frees into the step scope of the outer one.
-func (c *Composite) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	tape := c.prog.Run(inputs, graph.ForwardOptions{Train: train, Alloc: inputs[0].Scope()})
-	return tape.Output(c.inner.Outputs[0]), tape
-}
-
-func (c *Composite) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	tape := cache.(*graph.Tape)
-	err := tape.BackwardOutputs(
-		[]*tensor.Tensor{gradOut},
-		graph.BackwardOptions{InputGrads: need.Inputs, SkipParamGrads: !need.Params, OwnsOutGrads: need.OwnsGradOut},
-	)
-	if err != nil {
-		panic(fmt.Sprintf("layers: composite %q backward: %v", c.typ, err))
-	}
-	gradIn := make([]*tensor.Tensor, len(inputs))
-	if need.Inputs {
-		for i := range gradIn {
-			gradIn[i] = tape.InputGradAt(i)
-		}
-	}
-	gradParams := make([]*tensor.Tensor, len(c.params))
-	for i := range gradParams {
-		gradParams[i] = tape.ParamGradAt(i) // nil for frozen inner params
-	}
-	return gradIn, gradParams
-}
 
 // TransformerBlockConfig parameterizes NewTransformerBlock.
 type TransformerBlockConfig struct {

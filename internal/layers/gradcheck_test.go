@@ -10,8 +10,51 @@ import (
 	"nautilus/internal/tensor"
 )
 
+// compiled runs a composite block the way the executor does: spliced by
+// graph.Compile into the model x → front → block, both nodes trainable,
+// front a trainable layer standing in for the block's upstream. As a
+// graph.Kernel over that program's parameters (front's, then the block's)
+// it takes a block through the layer checks: front's parameter gradients
+// are made from the gradient the block hands its input, so a finite
+// difference on them checks that gradient too. Its own input gets none.
+type compiled struct {
+	*Composite
+	front graph.Kernel
+	prog  *graph.Program
+	out   *graph.Node
+}
+
+func compile(blk *Composite, front graph.Kernel) compiled {
+	m := graph.NewModel(blk.Type())
+	in := m.AddInput("x", blk.inner.Inputs()[0].Layer.(*graph.InputLayer).Shape...)
+	f := m.AddNode("front", front, in)
+	out := m.AddNode("block", blk, f)
+	f.Trainable, out.Trainable = true, true
+	m.SetOutputs(out)
+	return compiled{Composite: blk, front: front, prog: graph.Compile(m), out: out}
+}
+
+func (c compiled) Params() []*graph.Param { return c.prog.Params() }
+
+func (c compiled) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	tape := c.prog.Run(inputs, graph.ForwardOptions{Train: train})
+	return tape.Output(c.out), tape
+}
+
+func (c compiled) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
+	tape := cache.(*graph.Tape)
+	if err := tape.BackwardOutputs([]*tensor.Tensor{gradOut}); err != nil {
+		panic(err)
+	}
+	grads := make([]*tensor.Tensor, len(c.prog.Params()))
+	for k := range grads {
+		grads[k] = tape.ParamGradAt(k)
+	}
+	return make([]*tensor.Tensor, len(inputs)), grads
+}
+
 // lossOf computes the probe loss Σ w·out used by gradient checks.
-func lossOf(l graph.Layer, inputs []*tensor.Tensor, w *tensor.Tensor) float64 {
+func lossOf(l graph.Kernel, inputs []*tensor.Tensor, w *tensor.Tensor) float64 {
 	out, _ := l.Forward(inputs, false)
 	return tensor.Sum(tensor.Mul(out, w))
 }
@@ -21,14 +64,14 @@ func lossOf(l graph.Layer, inputs []*tensor.Tensor, w *tensor.Tensor) float64 {
 // forward mode: train-mode and eval-mode forwards leave different caches
 // (act′ vs the pre-activation) and Backward must serve both.
 // skipInputs lists input indices that carry no gradient (e.g. token ids).
-func checkGrads(t *testing.T, l graph.Layer, inputs []*tensor.Tensor, skipInputs ...int) {
+func checkGrads(t *testing.T, l graph.Kernel, inputs []*tensor.Tensor, skipInputs ...int) {
 	t.Helper()
 	for _, train := range []bool{false, true} {
 		checkGradsMode(t, l, inputs, train, skipInputs...)
 	}
 }
 
-func checkGradsMode(t *testing.T, l graph.Layer, inputs []*tensor.Tensor, train bool, skipInputs ...int) {
+func checkGradsMode(t *testing.T, l graph.Kernel, inputs []*tensor.Tensor, train bool, skipInputs ...int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(123))
 	out, cache := l.Forward(inputs, train)
@@ -94,7 +137,7 @@ func checkGradsMode(t *testing.T, l graph.Layer, inputs []*tensor.Tensor, train 
 
 // checkOutShape verifies that the inferred shape matches the actual
 // forward output (with the batch dimension stripped).
-func checkOutShape(t *testing.T, l graph.Layer, inputs []*tensor.Tensor) {
+func checkOutShape(t *testing.T, l graph.Kernel, inputs []*tensor.Tensor) {
 	t.Helper()
 	in := make([][]int, len(inputs))
 	for i, x := range inputs {
@@ -203,7 +246,7 @@ func TestLayerNormGradients(t *testing.T) {
 // the all-true call.
 func TestNormBackwardHonoursNeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for name, l := range map[string]graph.Layer{"layer_norm": NewLayerNorm(6), "channel_affine": NewChannelAffine(6, 3)} {
+	for name, l := range map[string]graph.Kernel{"layer_norm": NewLayerNorm(6), "channel_affine": NewChannelAffine(6, 3)} {
 		in := []*tensor.Tensor{tensor.RandNormal(rng, 1, 3, 4, 6)}
 		out, cache := l.Forward(in, true)
 		g := tensor.RandNormal(rng, 1, out.Shape()...)
@@ -426,25 +469,25 @@ func TestAdapterGradientsAndNearIdentity(t *testing.T) {
 
 func TestTransformerBlockGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	l := NewTransformerBlock(TransformerBlockConfig{Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 51})
+	l := compile(NewTransformerBlock(TransformerBlockConfig{Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 51}), NewChannelAffine(8, 52))
 	x := tensor.RandNormal(rng, 0.5, 2, 3, 8)
 	checkOutShape(t, l, []*tensor.Tensor{x})
-	checkGrads(t, l, []*tensor.Tensor{x})
+	checkGrads(t, l, []*tensor.Tensor{x}, 0)
 }
 
 func TestResidualBlockGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	l := NewResidualBlock(ResidualBlockConfig{InH: 4, InW: 4, InC: 3, MidC: 2, OutC: 6, Stride: 2, Seed: 61})
+	l := compile(NewResidualBlock(ResidualBlockConfig{InH: 4, InW: 4, InC: 3, MidC: 2, OutC: 6, Stride: 2, Seed: 61}), NewChannelAffine(3, 62))
 	x := tensor.RandNormal(rng, 1, 1, 4, 4, 3)
 	checkOutShape(t, l, []*tensor.Tensor{x})
-	checkGrads(t, l, []*tensor.Tensor{x})
+	checkGrads(t, l, []*tensor.Tensor{x}, 0)
 }
 
 func TestAdapterBlockTrainsOnlyAdapters(t *testing.T) {
-	l := NewTransformerBlock(TransformerBlockConfig{
+	blk := NewTransformerBlock(TransformerBlockConfig{
 		Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 71, Adapter: 2, AdapterSeed: 99,
 	})
-	sub := l.TrainableSubset()
+	sub := blk.TrainableSubset()
 	if len(sub) != 8 { // 2 adapters × 4 params
 		t.Fatalf("trainable subset has %d params, want 8", len(sub))
 	}
@@ -454,16 +497,18 @@ func TestAdapterBlockTrainsOnlyAdapters(t *testing.T) {
 			t.Errorf("unexpected trainable param %q", p.Name)
 		}
 	}
-	// Backward must produce grads only for the adapters.
+	// Backward must produce grads only for the adapters (and the trainable
+	// front, whose gradient crosses the frozen base).
+	l := compile(blk, NewChannelAffine(8, 72))
+	trainSet := map[*graph.Param]bool{}
+	for _, p := range append(sub, l.front.Params()...) {
+		trainSet[p] = true
+	}
 	rng := rand.New(rand.NewSource(19))
 	x := tensor.RandNormal(rng, 0.5, 1, 3, 8)
 	out, cache := l.Forward([]*tensor.Tensor{x}, false)
 	g := tensor.RandNormal(rng, 1, out.Shape()...)
 	_, gp := l.Backward(cache, []*tensor.Tensor{x}, out, g, graph.BackwardNeed{Inputs: true, Params: true})
-	trainSet := map[*graph.Param]bool{}
-	for _, p := range sub {
-		trainSet[p] = true
-	}
 	for i, p := range l.Params() {
 		if trainSet[p] && gp[i] == nil {
 			t.Errorf("trainable param %q got no gradient", p.Name)

@@ -188,9 +188,16 @@ var seededRegressions = []seededRegression{
 	{
 		name: "Tape donates an input with another live alias",
 		dir:  "internal/graph", file: "exec.go",
-		old:  "\treturn t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && !p.nodes[o].IsInput()\n",
-		new:  "\treturn t.alloc.Owns(t.acts[q]) && !p.nodes[o].IsInput()\n",
+		old:  "\treturn t.alloc.Owns(t.acts[q]) && t.refs[o] == 1 && p.kerns[o] != nil\n",
+		new:  "\treturn t.alloc.Owns(t.acts[q]) && p.kerns[o] != nil\n",
 		test: "TestTapePeakMatchesLivenessReplay",
+	},
+	{
+		name: "Splice ignores the outer node's Trainable flag",
+		dir:  "internal/graph", file: "program.go",
+		old:  "p.splice(inner, args, trainable && n.Trainable)",
+		new:  "p.splice(inner, args, trainable)",
+		test: "TestFrozenBlockTakesNoParamGrads",
 	},
 	{
 		name: "ChannelAffine declares it reads no input",

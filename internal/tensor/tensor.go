@@ -79,9 +79,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
 
-// Scope returns the step scope t derives from, nil for a heap tensor.
-func (t *Tensor) Scope() *Scope { return t.scope }
-
 // Data returns the backing slice. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 

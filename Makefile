@@ -45,9 +45,11 @@ check:
 	$(GO) run ./bench -seconds 3
 
 # check-exhaustive compares the vector GELU, tanh and exp-sub kernels with
-# the scalar definitions on all 2^32 float32 inputs each, float32 rows and
-# float64 lanes (two goroutines; ~4 min in all on 2 vCPUs). Run it after any
-# edit to vecmath_amd64.s.
+# the scalar definitions on all 2^32 float32 inputs each: the activation rows'
+# y and act′ (the one keep the rows store), the exp-sub rows' outputs and
+# sums, and the float64 lanes behind both (two goroutines; ~4 min in all on
+# 2 vCPUs). It is not part of check; run it after any edit to
+# vecmath_amd64.s.
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"nautilus/internal/graph"
@@ -10,8 +11,15 @@ import (
 // EntropyScores computes per-record uncertainty scores for active
 // learning's informativeness sampling (Figure 1A): the mean softmax
 // entropy of the model's outputs over each record (averaged over positions
-// for sequence labelling). Higher means more uncertain.
+// for sequence labelling). Higher means more uncertain. The model is
+// compiled once and run in eval mode per chunk of batch records.
 func EntropyScores(m *graph.Model, inputName string, x *tensor.Tensor, batch int) ([]float64, error) {
+	prog := graph.Compile(m)
+	for _, in := range prog.Inputs() {
+		if in.Name != inputName {
+			return nil, fmt.Errorf("graph: no feed for input %q of model %q", in.Name, m.Name)
+		}
+	}
 	n := x.Dim(0)
 	scores := make([]float64, n)
 	recSize := x.Len() / n
@@ -23,11 +31,7 @@ func EntropyScores(m *graph.Model, inputName string, x *tensor.Tensor, batch int
 		}
 		shape[0] = hi - lo
 		chunk := tensor.FromSlice(x.Data()[lo*recSize:hi*recSize], shape...)
-		tape, err := m.Forward(map[string]*tensor.Tensor{inputName: chunk}, false)
-		if err != nil {
-			return nil, err
-		}
-		logits := tape.Output(m.Outputs[0])
+		logits := prog.Run([]*tensor.Tensor{chunk}, graph.ForwardOptions{}).Output(m.Outputs[0])
 		probs := tensor.SoftmaxRows(logits)
 		rows := probs.Rows()
 		perRecord := rows / (hi - lo)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"nautilus/internal/data"
@@ -187,6 +188,9 @@ func TestEntropyScoresAndActiveLearningLoop(t *testing.T) {
 				t.Fatalf("best model %q not found", best)
 			}
 			idx := pool.UnlabeledIndices()
+			if _, err := EntropyScores(m, "nope", pool.GatherX(idx), 16); err == nil || !strings.Contains(err.Error(), `no feed for input "ids"`) {
+				t.Fatalf("unknown input name: error %v, want no feed for input \"ids\"", err)
+			}
 			scores, err = EntropyScores(m, "ids", pool.GatherX(idx), 16)
 			if err != nil {
 				t.Fatal(err)

@@ -41,7 +41,8 @@ type Tape struct {
 
 // ForwardOptions controls a forward pass.
 type ForwardOptions struct {
-	// Train enables training-only layer behaviour (dropout).
+	// Train enables training-only layer behaviour (dropout) and the caches
+	// a backward reads: Backward needs a train-mode pass.
 	Train bool
 	// Alloc, when non-nil, is the step scope of the pass: feeds not already
 	// in it are re-headered into it, so every intermediate, cache, and
@@ -55,8 +56,7 @@ type ForwardOptions struct {
 
 // Forward executes the model on the given feeds. Every input node of the
 // model must be present in feeds, keyed by node name; reuse plans also feed
-// materialized intermediates this way. train enables training-only layer
-// behaviour (dropout).
+// materialized intermediates this way. train is ForwardOptions.Train.
 func (m *Model) Forward(feeds map[string]*tensor.Tensor, train bool) (*Tape, error) {
 	return m.ForwardOpts(feeds, ForwardOptions{Train: train})
 }
@@ -233,6 +233,9 @@ func (t *Tape) BackwardOutputs(outGrads []*tensor.Tensor) error {
 // 1× (Section 4.1).
 func (t *Tape) backward() error {
 	p := t.prog
+	if !t.train {
+		return fmt.Errorf("graph: backward over an eval-mode pass of model %q", p.model.Name)
+	}
 	if t.backwardDone {
 		return fmt.Errorf("graph: second backward pass over one tape of model %q", p.model.Name)
 	}

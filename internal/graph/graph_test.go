@@ -81,7 +81,7 @@ func TestForwardBackwardEndToEnd(t *testing.T) {
 	m, _, _, d3 := buildChain(t)
 	rng := rand.New(rand.NewSource(42))
 	x := tensor.RandNormal(rng, 1, 2, 4)
-	tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
+	tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFeedingIntermediateReproducesFullModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.RandNormal(rng, 1, 3, 4)
 
-	fullTape, err := full.Forward(map[string]*tensor.Tensor{"in": x}, false)
+	fullTape, err := full.Forward(map[string]*tensor.Tensor{"in": x}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFeedingIntermediateReproducesFullModel(t *testing.T) {
 	h.Trainable = true
 	plan.SetOutputs(h)
 
-	planTape, err := plan.Forward(map[string]*tensor.Tensor{"feed_d2": d2out}, false)
+	planTape, err := plan.Forward(map[string]*tensor.Tensor{"feed_d2": d2out}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSharedLayerAcrossTwoNodes(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(11))
 	x := tensor.RandNormal(rng, 1, 2, 3)
-	tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
+	tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,6 +344,27 @@ func TestBackwardUnknownOutputErrors(t *testing.T) {
 	tape, _ := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
 	if err := tape.Backward(map[string]*tensor.Tensor{"nope": tensor.New(1, 3)}); err == nil {
 		t.Error("unknown output node should error")
+	}
+}
+
+// TestBackwardNeedsTrainPass: an eval-mode pass keeps no derivative state,
+// so a backward over it is an error, as a second backward over one
+// train-mode pass is.
+func TestBackwardNeedsTrainPass(t *testing.T) {
+	m, _, _, _ := buildChain(t)
+	feeds := map[string]*tensor.Tensor{"in": tensor.New(1, 4)}
+	grads := map[string]*tensor.Tensor{"d3": tensor.New(1, 3)}
+	for _, train := range []bool{false, true} {
+		tape, err := m.Forward(feeds, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tape.Backward(grads); (err == nil) != train {
+			t.Errorf("train=%v: backward error %v", train, err)
+		}
+		if err := tape.Backward(grads); err == nil {
+			t.Errorf("train=%v: a second backward over one pass did not error", train)
+		}
 	}
 }
 
@@ -406,7 +427,7 @@ func TestRandomDAGEndToEndGradients(t *testing.T) {
 			}
 			return tensor.Sum(tensor.Mul(tp.Output(out), probe))
 		}
-		tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
+		tape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, true)
 		if err != nil {
 			return false
 		}

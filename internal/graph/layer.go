@@ -38,7 +38,8 @@ type Layer interface {
 type Kernel interface {
 	Layer
 	// Forward computes the layer output for a batch. train toggles
-	// training-only behaviour such as dropout.
+	// training-only behaviour such as dropout, and whether the cache holds
+	// what Backward reads: Backward needs a train-mode pass.
 	Forward(inputs []*tensor.Tensor, train bool) (out *tensor.Tensor, cache any)
 	// Backward propagates gradOut to input gradients and parameter
 	// gradients (aligned with Params()). Implementations may return nil
@@ -93,13 +94,6 @@ type BackwardReader interface {
 // when no other reader of that buffer is ahead.
 type InPlaceForward interface {
 	ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, train bool) (cache any)
-}
-
-// PartialTrainer is implemented by layers whose trainable parameters are a
-// strict subset of Params() — composite blocks that train only their
-// adapters. Model.TrainableParams consults it.
-type PartialTrainer interface {
-	TrainableSubset() []*Param
 }
 
 // PartialFLOPs is implemented by partially trainable layers to report the

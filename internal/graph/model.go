@@ -31,6 +31,21 @@ func (n *Node) Index() int { return n.index }
 // it has no parameters at all.
 func (n *Node) Frozen() bool { return !n.Trainable || len(n.Layer.Params()) == 0 }
 
+// TrainableParams returns the parameters the node trains: none if it is
+// frozen, a Block's inner model's TrainableParams (the inner nodes a
+// spliced program seeds), else every parameter of its layer. It is the one
+// trainability rule: Model.TrainableParams (what the optimizer updates),
+// ParamCount, Summary and the profile's parameter table read it.
+func (n *Node) TrainableParams() []*Param {
+	if n.Frozen() {
+		return nil
+	}
+	if b, ok := n.Layer.(Block); ok {
+		return b.Inner().TrainableParams()
+	}
+	return n.Layer.Params()
+}
+
 // IsInput reports whether the node is a model input layer.
 func (n *Node) IsInput() bool {
 	_, ok := n.Layer.(*InputLayer)
@@ -154,14 +169,7 @@ func (m *Model) TrainableParams() []*Param {
 	var out []*Param
 	seen := map[*Param]bool{}
 	for _, n := range m.nodes {
-		if n.Frozen() {
-			continue
-		}
-		params := n.Layer.Params()
-		if pt, ok := n.Layer.(PartialTrainer); ok {
-			params = pt.TrainableSubset()
-		}
-		for _, p := range params {
+		for _, p := range n.TrainableParams() {
 			if !seen[p] {
 				seen[p] = true
 				out = append(out, p)
@@ -187,30 +195,13 @@ func (m *Model) AllParams() []*Param {
 }
 
 // ParamCount returns the total number of scalar parameters, and the number
-// that are trainable.
+// that are trainable: element sums over AllParams and TrainableParams.
 func (m *Model) ParamCount() (total, trainable int64) {
-	seen := map[*Param]bool{}
-	for _, n := range m.nodes {
-		trainSet := map[*Param]bool{}
-		if !n.Frozen() {
-			params := n.Layer.Params()
-			if pt, ok := n.Layer.(PartialTrainer); ok {
-				params = pt.TrainableSubset()
-			}
-			for _, p := range params {
-				trainSet[p] = true
-			}
-		}
-		for _, p := range n.Layer.Params() {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			total += int64(p.NumElems())
-			if trainSet[p] {
-				trainable += int64(p.NumElems())
-			}
-		}
+	for _, p := range m.AllParams() {
+		total += int64(p.NumElems())
+	}
+	for _, p := range m.TrainableParams() {
+		trainable += int64(p.NumElems())
 	}
 	return total, trainable
 }

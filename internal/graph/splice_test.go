@@ -91,7 +91,7 @@ func TestFrozenBlockTakesNoParamGrads(t *testing.T) {
 				want[p] = true
 			}
 			if trains {
-				for _, p := range blk.TrainableSubset() {
+				for _, p := range blk.Inner().TrainableParams() {
 					want[p] = true
 				}
 			}

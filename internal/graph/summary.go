@@ -17,32 +17,13 @@ func (m *Model) Summary() string {
 	fmt.Fprintf(&b, "Model: %s\n", m.Name)
 	fmt.Fprintf(&b, "%-34s %-18s %-14s %12s %10s\n", "node (type)", "output shape", "parents", "params", "trainable")
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 92))
-	seen := map[*Param]bool{}
-	seenTrainable := map[*Param]bool{}
-	var total, trainable int64
 	for _, n := range m.Nodes() {
-		var params int64
+		var params, nodeTrainable int64
 		for _, p := range n.Layer.Params() {
 			params += int64(p.NumElems())
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			total += int64(p.NumElems())
 		}
-		var nodeTrainable int64
-		if !n.Frozen() {
-			ps := n.Layer.Params()
-			if pt, ok := n.Layer.(PartialTrainer); ok {
-				ps = pt.TrainableSubset()
-			}
-			for _, p := range ps {
-				nodeTrainable += int64(p.NumElems())
-				if !seenTrainable[p] {
-					seenTrainable[p] = true
-					trainable += int64(p.NumElems())
-				}
-			}
+		for _, p := range n.TrainableParams() {
+			nodeTrainable += int64(p.NumElems())
 		}
 
 		parents := make([]string, len(n.Parents))
@@ -68,6 +49,7 @@ func (m *Model) Summary() string {
 		}
 		fmt.Fprintf(&b, "%-34s %-18s %-14s %12d %10s\n", name, fmt.Sprint(shapes[n.Index()]), par, params, flag)
 	}
+	total, trainable := m.ParamCount() // shared parameters count once
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 92))
 	fmt.Fprintf(&b, "total params: %d   trainable: %d (%.1f%%)\n",
 		total, trainable, 100*float64(trainable)/float64(max64(total, 1)))

@@ -7,8 +7,9 @@
 // Nonlinearities evaluate each transcendental once per element per step:
 // one scalar definition per activation yields act(z) and act′(z); a
 // train-mode forward caches act′ in the buffer z occupied, so Backward is
-// one multiply, and bias + activation run as one in-place sweep over the
-// matmul output (fusedAct; DESIGN.md "The activation epilogue").
+// one multiply, an eval-mode forward keeps nothing, and bias + activation
+// run as one in-place sweep over the matmul output (fusedAct; DESIGN.md
+// "The activation epilogue").
 package layers
 
 import (
@@ -39,13 +40,13 @@ func sigmoidYD(x float64) (y, d float64) {
 	return s, s * (1 - s)
 }
 
-func sigmoidRow(out, keep, src, bias []float32, deriv bool) {
-	tensor.RowYD(sigmoidYD, out, keep, src, bias, deriv)
+func sigmoidRow(out, keep, src, bias []float32) {
+	tensor.RowYD(sigmoidYD, out, keep, src, bias)
 }
 
 // actRow returns act's row evaluator (tensor.RowYD's contract): gelu and
 // tanh through the vector kernels where they run, sigmoid the scalar sweep.
-func actRow(act string) func(out, keep, src, bias []float32, deriv bool) {
+func actRow(act string) func(out, keep, src, bias []float32) {
 	switch act {
 	case ActGeLU:
 		return tensor.GeluRow
@@ -57,21 +58,18 @@ func actRow(act string) func(out, keep, src, bias []float32, deriv bool) {
 	panic(fmt.Sprintf("layers: unknown activation %q", act))
 }
 
-// actCache is what a nonlinearity's forward leaves for Backward: act′(z)
-// when deriv (train mode), else the pre-activation z. None and relu never
-// read it: their Backward needs only the output (out > 0 ⇔ z > 0).
-type actCache struct {
-	t     *tensor.Tensor
-	deriv bool
-}
+// actCache is what a train-mode nonlinearity's forward leaves for
+// Backward: act′(z). None and relu never read it: their Backward needs only
+// the output (out > 0 ⇔ z > 0). An eval-mode forward leaves it empty.
+type actCache struct{ t *tensor.Tensor }
 
 // actSweep is the one pass every nonlinearity runs: per element z = src
 // (+ bias per row, tensor.AddRowVec's float32 add), out = act(z), and for a
-// transcendental act keep (if non-nil) gets act′(z) when deriv, else z.
-// out and keep may alias src. None and relu run once per chunk of rows:
-// tensor.BiasRows is AddRowVec's add in its operand order, so a NaN bias
-// meeting a NaN z keeps the payload AddRowVec keeps.
-func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32, deriv bool) {
+// transcendental act keep (if non-nil) gets act′(z). out and keep may
+// alias src. None and relu run once per chunk of rows: tensor.BiasRows is
+// AddRowVec's add in its operand order, so a NaN bias meeting a NaN z keeps
+// the payload AddRowVec keeps.
+func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32) {
 	sd, od, c := src.Data(), out.Data(), src.Cols()
 	if act == ActNone || act == ActReLU {
 		tensor.Parallel(src.Rows(), len(sd), func(lo, hi int) {
@@ -96,55 +94,45 @@ func actSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor
 			if keep != nil {
 				kr = keep[r*c : (r+1)*c]
 			}
-			row(od[r*c:(r+1)*c], kr, sd[r*c:(r+1)*c], bias, deriv)
+			row(od[r*c:(r+1)*c], kr, sd[r*c:(r+1)*c], bias)
 		}
 	})
 }
 
 // fusedAct is the epilogue of a layer's affine part, in place over a, the
-// matmul output the caller allocated and gives up. None and relu overwrite
-// a; the transcendentals return a second tensor and leave the actCache in a.
+// matmul output the caller allocated and gives up. None, relu and every
+// eval-mode forward overwrite a; a train-mode transcendental returns a
+// second tensor and leaves act′ in a.
 func fusedAct(act string, a, bias *tensor.Tensor, train bool) (*tensor.Tensor, actCache) {
-	if act == ActNone || act == ActReLU {
-		actSweep(act, a, bias.Data(), a, nil, false)
+	if act == ActNone || act == ActReLU || !train {
+		actSweep(act, a, bias.Data(), a, nil)
 		return a, actCache{}
 	}
 	out := tensor.NewFrom(a, a.Shape()...)
-	actSweep(act, a, bias.Data(), out, a.Data(), train)
-	return out, actCache{t: a, deriv: train}
+	actSweep(act, a, bias.Data(), out, a.Data())
+	return out, actCache{a}
 }
 
-// backward returns dL/dz = g ⊙ act′(z) for the forward that produced c and
-// out. After a train-mode forward it is one multiply per element. When the
-// caller owns g (graph.BackwardNeed.OwnsGradOut), relu's mask writes over
-// g: ReLUMask reads element i before it writes it.
+// backward returns dL/dz = g ⊙ act′(z) for the train-mode forward that
+// produced c and out: one multiply per element. When the caller owns g
+// (graph.BackwardNeed.OwnsGradOut), relu's mask writes over g: ReLUMask
+// reads element i before it writes it.
 func (c actCache) backward(act string, out, g *tensor.Tensor, own bool) *tensor.Tensor {
-	switch {
-	case act == ActNone:
+	switch act {
+	case ActNone:
 		return g
-	case act != ActReLU && c.deriv:
-		return tensor.Mul(g, c.t.Reshape(g.Shape()...))
-	}
-	dz := g
-	if !own || act != ActReLU {
-		dz = tensor.NewFrom2(out, g, g.Shape()...)
-	}
-	gd, dd := g.Data(), dz.Data()
-	if act == ActReLU {
-		od := out.Data()
+	case ActReLU:
+		dz := g
+		if !own {
+			dz = tensor.NewFrom2(out, g, g.Shape()...)
+		}
+		gd, dd, od := g.Data(), dz.Data(), out.Data()
 		tensor.Parallel(len(gd), len(gd), func(lo, hi int) {
 			tensor.ReLUMask(dd[lo:hi], gd[lo:hi], od[lo:hi])
 		})
 		return dz
 	}
-	row, zd := actRow(act), c.t.Data() // eval-mode forward: derive act′ from z
-	tensor.Parallel(len(gd), len(gd)*8, func(lo, hi int) {
-		row(dd[lo:hi], dd[lo:hi], zd[lo:hi], nil, true) // keep is stored last: dd = act′(z)
-		for i := lo; i < hi; i++ {
-			dd[i] = gd[i] * dd[i]
-		}
-	})
-	return dz
+	return tensor.Mul(g, c.t.Reshape(g.Shape()...))
 }
 
 // activationFLOPsPerElem returns the approximate FLOPs one activation
@@ -197,20 +185,15 @@ func (l *Activation) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tenso
 // which may be x (relu, whose backward never reads x).
 func (l *Activation) ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, train bool) any {
 	x := inputs[0]
-	// x belongs to the parent node: an eval-mode forward caches it as z as
-	// is, a train-mode one gives act′ a tensor of its own. None and relu
-	// need neither.
+	// x belongs to the parent node: a train-mode transcendental gives act′
+	// a tensor of its own. None, relu and eval mode keep nothing.
 	var c actCache
 	var keep []float32
-	switch {
-	case l.Act == ActNone || l.Act == ActReLU:
-	case train:
-		c = actCache{t: tensor.NewFrom(x, x.Shape()...), deriv: true}
+	if train && l.Act != ActNone && l.Act != ActReLU {
+		c = actCache{tensor.NewFrom(x, x.Shape()...)}
 		keep = c.t.Data()
-	default:
-		c = actCache{t: x}
 	}
-	actSweep(l.Act, x, nil, out, keep, train)
+	actSweep(l.Act, x, nil, out, keep)
 	return c
 }
 

@@ -411,9 +411,9 @@ func bitsEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	}
 }
 
-// assertMatchesOracle runs Forward+Backward in train and in eval mode and
-// requires out, every input gradient and every parameter gradient to equal
-// the oracle's bits.
+// assertMatchesOracle runs Forward+Backward in train mode and Forward in
+// eval mode and requires out, every input gradient and every parameter
+// gradient to equal the oracle's bits.
 func assertMatchesOracle(t *testing.T, label string, l graph.Kernel, inputs []*tensor.Tensor) {
 	t.Helper()
 	assertMatchesOracleGrad(t, label, l, inputs, nil)
@@ -426,27 +426,26 @@ func assertMatchesOracleGrad(t *testing.T, label string, l graph.Kernel, inputs 
 	rng := rand.New(rand.NewSource(99))
 	need := graph.BackwardNeed{Inputs: true, Params: true}
 	ref := oracleOf(l)
-	wantOut, wantCache := ref.Forward(inputs, false)
+	wantOut, wantCache := ref.Forward(inputs, true)
 	g := tensor.RandNormal(rng, 1, wantOut.Shape()...)
 	if plant != nil {
 		plant(g)
 	}
 	wantIn, wantParams := ref.Backward(wantCache, inputs, wantOut, g.Clone(), need)
-	for _, train := range []bool{true, false} {
-		mode := fmt.Sprintf("%s train=%v", label, train)
-		out, cache := l.Forward(inputs, train)
-		bitsEqual(t, mode+" out", out, wantOut)
-		gotIn, gotParams := l.Backward(cache, inputs, out, g.Clone(), need)
-		for i := range wantIn {
-			bitsEqual(t, fmt.Sprintf("%s dx%d", mode, i), gotIn[i], wantIn[i])
-		}
-		if len(gotParams) != len(wantParams) {
-			t.Fatalf("%s: %d param grads, want %d", mode, len(gotParams), len(wantParams))
-		}
-		for i, p := range l.Params() {
-			bitsEqual(t, mode+" d"+p.Name, gotParams[i], wantParams[i])
-		}
+	out, cache := l.Forward(inputs, true)
+	bitsEqual(t, label+" out", out, wantOut)
+	gotIn, gotParams := l.Backward(cache, inputs, out, g.Clone(), need)
+	for i := range wantIn {
+		bitsEqual(t, fmt.Sprintf("%s dx%d", label, i), gotIn[i], wantIn[i])
 	}
+	if len(gotParams) != len(wantParams) {
+		t.Fatalf("%s: %d param grads, want %d", label, len(gotParams), len(wantParams))
+	}
+	for i, p := range l.Params() {
+		bitsEqual(t, label+" d"+p.Name, gotParams[i], wantParams[i])
+	}
+	evalOut, _ := l.Forward(inputs, false)
+	bitsEqual(t, label+" eval out", evalOut, wantOut)
 }
 
 func TestFusedLayersMatchOracle(t *testing.T) {
@@ -619,8 +618,8 @@ func activationSweep() []float32 {
 }
 
 // TestActivationScalarBitIdentity pins each activation's single definition
-// to the oracle over the sweep: the emitted y, the cached act′ (train mode)
-// and the backward product with g = 1 in both modes.
+// to the oracle over the sweep: the emitted y in both modes, the cached act′
+// and the backward product with g = 1 after a train-mode forward.
 func TestActivationScalarBitIdentity(t *testing.T) {
 	xs := activationSweep()
 	z := tensor.FromSlice(xs, len(xs))
@@ -629,25 +628,24 @@ func TestActivationScalarBitIdentity(t *testing.T) {
 	for _, act := range []string{ActGeLU, ActTanh, ActSigmoid, ActReLU} {
 		wantY := applyActivation(act, z)
 		wantD := activationBackward(act, z, ones)
-		for _, train := range []bool{true, false} {
-			mode := fmt.Sprintf("%s train=%v", act, train)
-			l := NewActivation(act)
-			out, cache := l.Forward([]*tensor.Tensor{z}, train)
-			bitsEqual(t, mode+" y", out, wantY)
-			if c := cache.(actCache); c.deriv {
-				bitsEqual(t, mode+" cached act′", c.t, wantD)
-			}
-			gi, _ := l.Backward(cache, []*tensor.Tensor{z}, out, ones, graph.BackwardNeed{Inputs: true})
-			bitsEqual(t, mode+" d", gi[0], wantD)
+		l := NewActivation(act)
+		out, cache := l.Forward([]*tensor.Tensor{z}, true)
+		bitsEqual(t, act+" y", out, wantY)
+		if c := cache.(actCache); c.t != nil {
+			bitsEqual(t, act+" cached act′", c.t, wantD)
 		}
+		gi, _ := l.Backward(cache, []*tensor.Tensor{z}, out, ones, graph.BackwardNeed{Inputs: true})
+		bitsEqual(t, act+" d", gi[0], wantD)
+		evalOut, _ := l.Forward([]*tensor.Tensor{z}, false)
+		bitsEqual(t, act+" eval y", evalOut, wantY)
 	}
 }
 
-// TestDenseForwardScopeTensors pins the fusion's arena footprint: a dense
-// forward with a transcendental activation takes two step-scope tensors
-// (the matmul buffer, which ends up holding act′ or z, and out) where the
-// unfused path took three (matmul, z, out); none/relu finish in the matmul
-// buffer itself.
+// TestDenseForwardScopeTensors pins the fusion's arena footprint: a
+// train-mode dense forward with a transcendental activation takes two
+// step-scope tensors (the matmul buffer, which ends up holding act′, and
+// out) where the unfused path took three (matmul, z, out); none, relu and
+// every eval-mode forward finish in the matmul buffer itself.
 func TestDenseForwardScopeTensors(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct {
@@ -658,8 +656,12 @@ func TestDenseForwardScopeTensors(t *testing.T) {
 			scope := tensor.NewArena().Scope()
 			x := tensor.WithAlloc(scope, tensor.RandNormal(rng, 1, 4, 6))
 			NewDense(6, 5, tc.act, 43).Forward([]*tensor.Tensor{x}, train)
-			if got := scope.Live(); got != tc.want {
-				t.Errorf("dense/%s train=%v: forward took %d scope tensors, want %d", tc.act, train, got, tc.want)
+			want := tc.want
+			if !train {
+				want = 1
+			}
+			if got := scope.Live(); got != want {
+				t.Errorf("dense/%s train=%v: forward took %d scope tensors, want %d", tc.act, train, got, want)
 			}
 			scope.Release()
 		}
@@ -793,7 +795,7 @@ func scalarYD(act string) func(x float64) (y, d float64) {
 	panic(fmt.Sprintf("layers: unknown activation %q", act))
 }
 
-func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32, deriv bool) {
+func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Tensor, keep []float32) {
 	sd, od, c := src.Data(), out.Data(), src.Cols()
 	f := scalarYD(act)
 	for r := 0; r < src.Rows(); r++ {
@@ -805,11 +807,8 @@ func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Ten
 			}
 			y, d := f(float64(z))
 			od[i] = float32(y)
-			if deriv {
-				z = float32(d)
-			}
 			if keep != nil {
-				keep[i] = z
+				keep[i] = float32(d)
 			}
 		}
 	}
@@ -817,9 +816,9 @@ func scalarSweep(act string, src *tensor.Tensor, bias []float32, out *tensor.Ten
 
 // TestActSweepCallShapes is the call-shape matrix: every width from 0 to 67
 // (so every c mod 4 tail, with and without whole 4-blocks), bias nil and
-// non-nil, keep nil / fresh / aliasing src, out fresh / aliasing src, train
-// and eval, serial and fanned out over two workers; then none and relu at
-// 1, 3, 8, 12 and 64 channels.
+// non-nil, keep nil / fresh / aliasing src, out fresh / aliasing src,
+// serial and fanned out over two workers; then none and relu at 1, 3, 8, 12
+// and 64 channels.
 func TestActSweepCallShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	defer tensor.SetMaxWorkers(0)
@@ -844,13 +843,13 @@ func TestActSweepCallShapes(t *testing.T) {
 				}
 			}
 			for _, act := range []string{ActGeLU, ActTanh, ActSigmoid} {
-				for shape := 0; shape < 24; shape++ {
-					withBias, keepMode, outAlias, train := shape&1 == 1, shape>>1%3, shape/6&1 == 1, shape/12 == 1
+				for shape := 0; shape < 12; shape++ {
+					withBias, keepMode, outAlias := shape&1 == 1, shape>>1%3, shape/6 == 1
 					var bias []float32
 					if withBias {
 						bias = tensor.RandNormal(rng, 1, c).Data()
 					}
-					run := func(sweep func(string, *tensor.Tensor, []float32, *tensor.Tensor, []float32, bool)) (out *tensor.Tensor, keep []float32) {
+					run := func(sweep func(string, *tensor.Tensor, []float32, *tensor.Tensor, []float32)) (out *tensor.Tensor, keep []float32) {
 						src := x.Clone()
 						out = tensor.New(rows, c)
 						if outAlias {
@@ -862,10 +861,10 @@ func TestActSweepCallShapes(t *testing.T) {
 						case 2:
 							keep = src.Data()
 						}
-						sweep(act, src, bias, out, keep, train)
+						sweep(act, src, bias, out, keep)
 						return out, keep
 					}
-					label := fmt.Sprintf("%s c=%d workers=%d bias=%v keep=%d outAlias=%v train=%v", act, c, workers, withBias, keepMode, outAlias, train)
+					label := fmt.Sprintf("%s c=%d workers=%d bias=%v keep=%d outAlias=%v", act, c, workers, withBias, keepMode, outAlias)
 					got, gotKeep := run(actSweep)
 					want, wantKeep := run(scalarSweep)
 					bitsEqual(t, label+" out", got, want)
@@ -916,7 +915,7 @@ func TestActSweepCallShapes(t *testing.T) {
 						}
 						want.Data()[i] = z
 					}
-					actSweep(act, src, bias, out, nil, false)
+					actSweep(act, src, bias, out, nil)
 					bitsEqual(t, fmt.Sprintf("%s c=%d workers=%d bias=%v outAlias=%v", act, c, workers, withBias, outAlias), out, want)
 				}
 			}
@@ -942,7 +941,7 @@ func TestActSweepAllocations(t *testing.T) {
 	x, out := tensor.RandNormal(rng, 1, 8, 67), tensor.New(8, 67)
 	keep, bias := make([]float32, x.Len()), make([]float32, 67)
 	for _, act := range []string{ActGeLU, ActTanh, ActSigmoid} {
-		if n := testing.AllocsPerRun(50, func() { actSweep(act, x, bias, out, keep, true) }); n > 1 {
+		if n := testing.AllocsPerRun(50, func() { actSweep(act, x, bias, out, keep) }); n > 1 {
 			t.Errorf("actSweep(%s): %v allocations per call, want at most the Parallel closure", act, n)
 		}
 	}

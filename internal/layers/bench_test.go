@@ -100,7 +100,7 @@ func BenchmarkResidualBlockStep(b *testing.B) {
 
 // benchActSweep times the train-mode epilogue alone — bias add, gelu, gelu′
 // into the matmul buffer — in ns per element.
-func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32, deriv bool), rows, c int) {
+func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32), rows, c int) {
 	rng := rand.New(rand.NewSource(1))
 	z, out := tensor.RandNormal(rng, 1, rows, c), tensor.New(rows, c)
 	bias, keep := tensor.RandNormal(rng, 1, c).Data(), make([]float32, rows*c)
@@ -108,11 +108,11 @@ func benchActSweep(b *testing.B, row func(out, keep, src, bias []float32, deriv 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if row == nil {
-			actSweep(ActGeLU, z, bias, out, keep, true)
+			actSweep(ActGeLU, z, bias, out, keep)
 			continue
 		}
 		for r := 0; r < rows; r++ {
-			row(out.Row(r), keep[r*c:(r+1)*c], z.Row(r), bias, true)
+			row(out.Row(r), keep[r*c:(r+1)*c], z.Row(r), bias)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*c), "ns/elem")
@@ -129,8 +129,8 @@ func BenchmarkActSweepGELU(b *testing.B) {
 // serially: what every element cost before the row kernels, and still does
 // off amd64 or without FMA.
 func BenchmarkGeluRowScalar(b *testing.B) {
-	scalar := func(out, keep, src, bias []float32, deriv bool) {
-		tensor.RowYD(scalarYD(ActGeLU), out, keep, src, bias, deriv)
+	scalar := func(out, keep, src, bias []float32) {
+		tensor.RowYD(scalarYD(ActGeLU), out, keep, src, bias)
 	}
 	b.Run("128x3072", func(b *testing.B) { benchActSweep(b, scalar, 128, 3072) })
 	b.Run("32x64", func(b *testing.B) { benchActSweep(b, scalar, 32, 64) })

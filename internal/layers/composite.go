@@ -15,15 +15,14 @@ import (
 // program that runs it.
 //
 // A composite may be partially trainable (adapter blocks train only their
-// adapters); the trainable subset is whatever its inner nodes mark
-// trainable.
+// adapters): its node trains what its inner nodes mark trainable
+// (graph.Node.TrainableParams).
 type Composite struct {
 	typ   string
 	cfg   map[string]any
 	inner *graph.Model
 
-	params    []*graph.Param // every distinct inner param, by first inner node
-	trainable []*graph.Param
+	params []*graph.Param // every distinct inner param, by first inner node
 
 	// Per-record facts of the inner model, computed once at construction.
 	outShape        []int
@@ -50,7 +49,6 @@ func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite
 			}
 		}
 	}
-	c.trainable = inner.TrainableParams()
 	shapes, err := inner.Validate()
 	if err != nil {
 		panic(fmt.Sprintf("layers: composite %q inner model invalid: %v", typ, err))
@@ -79,10 +77,6 @@ func newComposite(typ string, cfg map[string]any, inner *graph.Model) *Composite
 func (c *Composite) Type() string           { return c.typ }
 func (c *Composite) Config() map[string]any { return c.cfg }
 func (c *Composite) Params() []*graph.Param { return c.params }
-
-// TrainableSubset implements graph.PartialTrainer: only the inner trainable
-// parameters (e.g. adapters) receive optimizer updates.
-func (c *Composite) TrainableSubset() []*graph.Param { return c.trainable }
 
 // Inner implements graph.Block: the model Compile splices in the
 // composite's place.
@@ -276,7 +270,7 @@ func (l *Adapter) ActivationBytesPerRecord(in [][]int) int64 {
 }
 
 type adapterCache struct {
-	act actCache       // of the bottleneck pre-activation
+	act actCache       // act′ of the bottleneck pre-activation
 	h   *tensor.Tensor // post-activation bottleneck
 }
 

@@ -59,22 +59,14 @@ func lossOf(l graph.Kernel, inputs []*tensor.Tensor, w *tensor.Tensor) float64 {
 	return tensor.Sum(tensor.Mul(out, w))
 }
 
-// checkGrads verifies a layer's analytic gradients against central finite
-// differences on a sample of input and parameter coordinates, once per
-// forward mode: train-mode and eval-mode forwards leave different caches
-// (act′ vs the pre-activation) and Backward must serve both.
-// skipInputs lists input indices that carry no gradient (e.g. token ids).
+// checkGrads verifies a layer's analytic gradients, after a train-mode
+// forward, against central finite differences of the eval-mode loss on a
+// sample of input and parameter coordinates. skipInputs lists input indices
+// that carry no gradient (e.g. token ids).
 func checkGrads(t *testing.T, l graph.Kernel, inputs []*tensor.Tensor, skipInputs ...int) {
 	t.Helper()
-	for _, train := range []bool{false, true} {
-		checkGradsMode(t, l, inputs, train, skipInputs...)
-	}
-}
-
-func checkGradsMode(t *testing.T, l graph.Kernel, inputs []*tensor.Tensor, train bool, skipInputs ...int) {
-	t.Helper()
 	rng := rand.New(rand.NewSource(123))
-	out, cache := l.Forward(inputs, train)
+	out, cache := l.Forward(inputs, true)
 	w := tensor.RandNormal(rng, 1, out.Shape()...)
 	gradIn, gradParams := l.Backward(cache, inputs, out, w, graph.BackwardNeed{Inputs: true, Params: true})
 
@@ -179,7 +171,7 @@ func TestDenseBackwardHonoursNeedFlags(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewDense(4, 4, ActNone, 5)
 	x := tensor.RandNormal(rng, 1, 2, 4)
-	out, cache := l.Forward([]*tensor.Tensor{x}, false)
+	out, cache := l.Forward([]*tensor.Tensor{x}, true)
 	g := tensor.RandNormal(rng, 1, out.Shape()...)
 	gi, gp := l.Backward(cache, []*tensor.Tensor{x}, out, g, graph.BackwardNeed{Inputs: false, Params: true})
 	if gi[0] != nil {
@@ -203,7 +195,7 @@ func TestEmbeddingGradients(t *testing.T) {
 	checkOutShape(t, l, []*tensor.Tensor{ids})
 	checkGrads(t, l, []*tensor.Tensor{ids}, 0)
 	// Repeated id 3 must accumulate gradient from both positions.
-	out, cache := l.Forward([]*tensor.Tensor{ids}, false)
+	out, cache := l.Forward([]*tensor.Tensor{ids}, true)
 	g := tensor.New(out.Shape()...)
 	g.Fill(1)
 	_, gp := l.Backward(cache, []*tensor.Tensor{ids}, out, g, graph.BackwardNeed{Inputs: false, Params: true})
@@ -487,7 +479,7 @@ func TestAdapterBlockTrainsOnlyAdapters(t *testing.T) {
 	blk := NewTransformerBlock(TransformerBlockConfig{
 		Seq: 3, Dim: 8, Heads: 2, FFN: 16, Seed: 71, Adapter: 2, AdapterSeed: 99,
 	})
-	sub := blk.TrainableSubset()
+	sub := blk.Inner().TrainableParams()
 	if len(sub) != 8 { // 2 adapters × 4 params
 		t.Fatalf("trainable subset has %d params, want 8", len(sub))
 	}
@@ -506,7 +498,7 @@ func TestAdapterBlockTrainsOnlyAdapters(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(19))
 	x := tensor.RandNormal(rng, 0.5, 1, 3, 8)
-	out, cache := l.Forward([]*tensor.Tensor{x}, false)
+	out, cache := l.Forward([]*tensor.Tensor{x}, true)
 	g := tensor.RandNormal(rng, 1, out.Shape()...)
 	_, gp := l.Backward(cache, []*tensor.Tensor{x}, out, g, graph.BackwardNeed{Inputs: true, Params: true})
 	for i, p := range l.Params() {

@@ -200,6 +200,20 @@ var seededRegressions = []seededRegression{
 		test: "TestFrozenBlockTakesNoParamGrads",
 	},
 	{
+		name: "A Block's trainable params ignore the outer node's Trainable flag",
+		dir:  "internal/graph", file: "model.go",
+		old:  "\tif n.Frozen() {\n\t\treturn nil\n\t}\n\tif b, ok := n.Layer.(Block); ok {\n\t\treturn b.Inner().TrainableParams()\n\t}\n",
+		new:  "\tif b, ok := n.Layer.(Block); ok {\n\t\treturn b.Inner().TrainableParams()\n\t}\n\tif n.Frozen() {\n\t\treturn nil\n\t}\n",
+		test: "TestTrainingRuleAgrees",
+	},
+	{
+		name: "Eval-mode epilogue allocates a fresh output",
+		dir:  "internal/layers", file: "activation.go",
+		old:  "\tif act == ActNone || act == ActReLU || !train {\n",
+		new:  "\tif act == ActNone || act == ActReLU {\n",
+		test: "TestDenseForwardScopeTensors",
+	},
+	{
 		name: "ChannelAffine declares it reads no input",
 		dir:  "internal/layers", file: "norm.go",
 		old:  "func (l *ChannelAffine) BackwardReads() (inputs, output bool) { return true, false }\n",

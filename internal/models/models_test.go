@@ -276,11 +276,11 @@ func TestBERTBaseStructuralScale(t *testing.T) {
 }
 
 func TestAdapterBlockComposition(t *testing.T) {
-	// An adapter block's trainable subset is exactly its adapters.
+	// An adapter block trains exactly its adapters.
 	blk := layers.NewTransformerBlock(layers.TransformerBlockConfig{
 		Seq: 12, Dim: 32, Heads: 2, FFN: 64, Seed: 5, Adapter: 8, AdapterSeed: 77,
 	})
-	if len(blk.TrainableSubset()) != 8 {
-		t.Errorf("adapter block trainable subset = %d params, want 8", len(blk.TrainableSubset()))
+	if len(blk.Inner().TrainableParams()) != 8 {
+		t.Errorf("adapter block trainable subset = %d params, want 8", len(blk.Inner().TrainableParams()))
 	}
 }

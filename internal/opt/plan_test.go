@@ -240,7 +240,7 @@ func TestBuildPlanModelExecutionEquivalence(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.RandNormal(rng, 1, 3, 6)
-	origTape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, false)
+	origTape, err := m.Forward(map[string]*tensor.Tensor{"in": x}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestBuildPlanModelExecutionEquivalence(t *testing.T) {
 	for name := range feeds {
 		planFeeds[name] = origTape.Output(d2)
 	}
-	planTape, err := pm.Forward(planFeeds, false)
+	planTape, err := pm.Forward(planFeeds, true)
 	if err != nil {
 		t.Fatal(err)
 	}

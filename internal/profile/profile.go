@@ -150,7 +150,6 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 	}
 	mat := m.Materializable()
 	sigs := m.ExprSignatures()
-	needGrad := gradPath(m)
 
 	held := 0 // parameters over all nodes, shared ones counted per holder
 	for _, n := range m.Nodes() {
@@ -189,7 +188,7 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 			} else {
 				comp = 3 * fwd // forward + input gradient + parameter gradient
 			}
-		case needGrad[i]:
+		case !mat[i]: // frozen, below a trainable node
 			comp = 2 * fwd // forward + input gradient only
 		default:
 			comp = fwd
@@ -206,14 +205,8 @@ func Profile(m *graph.Model, hw Hardware) (*ModelProfile, error) {
 		for _, q := range n.Layer.Params() {
 			ids = append(ids, p.intern(ParamProfile{Param: q, Bytes: q.Bytes()}))
 		}
-		if n.Trainable { // what the node trains, as graph.Model.TrainableParams has it
-			trains := n.Layer.Params()
-			if pt, ok := n.Layer.(graph.PartialTrainer); ok {
-				trains = pt.TrainableSubset()
-			}
-			for _, q := range trains { // a subset of Params: interned above
-				p.intern(ParamProfile{Param: q, Bytes: q.Bytes(), Trainable: true})
-			}
+		for _, q := range n.TrainableParams() { // a subset of Params: interned above
+			p.intern(ParamProfile{Param: q, Bytes: q.Bytes(), Trainable: true})
 		}
 
 		p.Layers[i] = LayerProfile{
@@ -264,26 +257,6 @@ func (d *Deriver) Add(n *graph.Node, src *ModelProfile, lp *LayerProfile) {
 	for i, sid := range lp.Params {
 		out.Params[i] = p.intern(*src.Param(sid))
 	}
-}
-
-// gradPath marks nodes (by index) whose backward pass must run when the
-// full model trains: a node is on the gradient path if it is trainable or
-// any ancestor is. (Materializable nodes are never on it.)
-func gradPath(m *graph.Model) []bool {
-	need := make([]bool, m.NumNodes())
-	for i, n := range m.Nodes() {
-		v := !n.Frozen()
-		if !v {
-			for _, p := range n.Parents {
-				if need[p.Index()] {
-					v = true
-					break
-				}
-			}
-		}
-		need[i] = v
-	}
-	return need
 }
 
 // TotalCompFLOPs returns the per-record training cost of the unmodified

@@ -24,14 +24,14 @@ func tanhYD(x float64) (y, d float64) {
 
 // RowYD is the scalar activation row: per element z = src[j] (+ bias[j],
 // a float32 add, when bias is non-nil), out[j] = float32(y) and, when keep
-// is non-nil, keep[j] = float32(d) if deriv, else z — stored after out[j].
-// out and keep may alias src or each other.
-func RowYD(f func(x float64) (y, d float64), out, keep, src, bias []float32, deriv bool) {
-	rowYD(f, out, keep, src, bias, deriv, 0)
+// is non-nil, keep[j] = float32(d), stored after out[j]. out and keep may
+// alias src or each other.
+func RowYD(f func(x float64) (y, d float64), out, keep, src, bias []float32) {
+	rowYD(f, out, keep, src, bias, 0)
 }
 
 // rowYD is RowYD over the elements from index from on.
-func rowYD(f func(x float64) (y, d float64), out, keep, src, bias []float32, deriv bool, from int) {
+func rowYD(f func(x float64) (y, d float64), out, keep, src, bias []float32, from int) {
 	for j := from; j < len(src); j++ {
 		z := src[j]
 		if bias != nil {
@@ -39,11 +39,8 @@ func rowYD(f func(x float64) (y, d float64), out, keep, src, bias []float32, der
 		}
 		y, d := f(float64(z))
 		out[j] = float32(y)
-		if deriv {
-			z = float32(d)
-		}
 		if keep != nil {
-			keep[j] = z
+			keep[j] = float32(d)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import "math"
 // place. One verdict gates all three kernels.
 
 //go:noescape
-func geluRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+func geluRowAsm(out, keep, src, bias *float32, n int)
 
 //go:noescape
-func tanhRowAsm(out, keep, src, bias *float32, n int, deriv bool)
+func tanhRowAsm(out, keep, src, bias *float32, n int)
 
 //go:noescape
 func geluF64Asm(y, d, x *float64, n int)
@@ -29,7 +29,7 @@ func expSubAsm(out *float32, e *float64, src *float32, max float32, n int) int
 // vecAct is one activation's kernels beside the definition they repeat:
 // the float32 row, and the same lanes with float64 in and out.
 type vecAct struct {
-	row func(out, keep, src, bias *float32, n int, deriv bool)
+	row func(out, keep, src, bias *float32, n int)
 	f64 func(y, d, x *float64, n int)
 	f   func(x float64) (y, d float64)
 }
@@ -85,7 +85,7 @@ func vecMathAgrees(exp func(float64) float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 	}
 	for _, k := range []vecAct{vecGelu, vecTanh} {
-		k.row(&y[0], &d[0], &xs[0], nil, n, true)
+		k.row(&y[0], &d[0], &xs[0], nil, n)
 		k.f64(&y64[0], &d64[0], &x64[0], n)
 		for i, x := range x64 {
 			wy, wd := k.f(x)
@@ -99,16 +99,16 @@ func vecMathAgrees(exp func(float64) float64) bool {
 
 // GeluRow is RowYD over geluYD, four lanes at a time where the vector path
 // is active; the last len(src) mod 4 elements take the scalar body.
-func GeluRow(out, keep, src, bias []float32, deriv bool) {
-	actRow(vecGelu, out, keep, src, bias, deriv)
+func GeluRow(out, keep, src, bias []float32) {
+	actRow(vecGelu, out, keep, src, bias)
 }
 
 // TanhRow is RowYD over tanhYD, likewise.
-func TanhRow(out, keep, src, bias []float32, deriv bool) {
-	actRow(vecTanh, out, keep, src, bias, deriv)
+func TanhRow(out, keep, src, bias []float32) {
+	actRow(vecTanh, out, keep, src, bias)
 }
 
-func actRow(k vecAct, out, keep, src, bias []float32, deriv bool) {
+func actRow(k vecAct, out, keep, src, bias []float32) {
 	n4 := 0
 	if useVecMath {
 		n4 = len(src) &^ 3
@@ -121,9 +121,9 @@ func actRow(k vecAct, out, keep, src, bias []float32, deriv bool) {
 		if bias != nil {
 			bp = &bias[:n4][0]
 		}
-		k.row(&out[:n4][0], kp, &src[0], bp, n4, deriv)
+		k.row(&out[:n4][0], kp, &src[0], bp, n4)
 	}
-	rowYD(k.f, out, keep, src, bias, deriv, n4)
+	rowYD(k.f, out, keep, src, bias, n4)
 }
 
 // expSubRow is expSubGeneric from a zero sum. The kernel leaves each e in a

@@ -200,18 +200,17 @@ GLOBL vm<>(SB), RODATA|NOPTR, $928
 // The two activation rows share this frame: n is a positive multiple of 4;
 // per 4-block, z = src (+ bias, added in float32) is loaded before anything
 // is stored, so out and keep may alias src; out gets float32(y); keep, when
-// non-nil, gets float32(act'(z)) if deriv, else z, and is stored after out.
+// non-nil, gets float32(act'(z)), stored after out.
 #define ROWARGS \
 	MOVQ    out+0(FP), DI; \
 	MOVQ    keep+8(FP), R8; \
 	MOVQ    src+16(FP), SI; \
 	MOVQ    bias+24(FP), R9; \
 	MOVQ    n+32(FP), CX; \
-	MOVBQZX deriv+40(FP), R10; \
 	XORQ    AX, AX
 
-// func geluRowAsm(out, keep, src, bias *float32, n int, deriv bool)
-TEXT ·geluRowAsm(SB), NOSPLIT, $0-41
+// func geluRowAsm(out, keep, src, bias *float32, n int)
+TEXT ·geluRowAsm(SB), NOSPLIT, $0-40
 	ROWARGS
 
 gloop:
@@ -227,12 +226,8 @@ gwiden:
 	VMOVUPS    X3, (DI)(AX*4)
 	TESTQ      R8, R8
 	JZ         gnext
-	TESTQ      R10, R10
-	JZ         gkeep
 	GELUD
 	VCVTPD2PSY Y5, X15
-
-gkeep:
 	VMOVUPS    X15, (R8)(AX*4)
 
 gnext:
@@ -242,8 +237,8 @@ gnext:
 	VZEROUPPER
 	RET
 
-// func tanhRowAsm(out, keep, src, bias *float32, n int, deriv bool)
-TEXT ·tanhRowAsm(SB), NOSPLIT, $0-41
+// func tanhRowAsm(out, keep, src, bias *float32, n int)
+TEXT ·tanhRowAsm(SB), NOSPLIT, $0-40
 	ROWARGS
 
 tloop:
@@ -259,12 +254,8 @@ twiden:
 	VMOVUPS    X3, (DI)(AX*4)
 	TESTQ      R8, R8
 	JZ         tnext
-	TESTQ      R10, R10
-	JZ         tkeep
 	TANHD
 	VCVTPD2PSY Y5, X15
-
-tkeep:
 	VMOVUPS    X15, (R8)(AX*4)
 
 tnext:

@@ -93,11 +93,11 @@ func TestVectorPathStepsAsideOnMismatch(t *testing.T) {
 	}
 	xs := vecMathSweep()[:64]
 	y, d, wy, wd := make([]float32, 64), make([]float32, 64), make([]float32, 64), make([]float32, 64)
-	spy := func(out, keep, src, bias *float32, n int, deriv bool) {
+	spy := func(out, keep, src, bias *float32, n int) {
 		t.Error("kernel entered after a failed self-check")
 	}
-	actRow(vecAct{row: spy, f: geluYD}, y, d, xs, nil, true)
-	RowYD(geluYD, wy, wd, xs, nil, true)
+	actRow(vecAct{row: spy, f: geluYD}, y, d, xs, nil)
+	RowYD(geluYD, wy, wd, xs, nil)
 	for i := range xs {
 		if !sameBits(y[i], wy[i]) || !sameBits(d[i], wd[i]) {
 			t.Fatalf("scalar dispatch differs from RowYD at %v", xs[i])

@@ -5,13 +5,13 @@ package tensor
 // Non-amd64 builds run the scalar definitions directly.
 
 // GeluRow is RowYD over geluYD.
-func GeluRow(out, keep, src, bias []float32, deriv bool) {
-	RowYD(geluYD, out, keep, src, bias, deriv)
+func GeluRow(out, keep, src, bias []float32) {
+	RowYD(geluYD, out, keep, src, bias)
 }
 
 // TanhRow is RowYD over tanhYD.
-func TanhRow(out, keep, src, bias []float32, deriv bool) {
-	RowYD(tanhYD, out, keep, src, bias, deriv)
+func TanhRow(out, keep, src, bias []float32) {
+	RowYD(tanhYD, out, keep, src, bias)
 }
 
 func expSubRow(or, ar []float32, maxv float32) float64 { return expSubGeneric(or, ar, maxv, 0) }

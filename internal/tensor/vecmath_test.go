@@ -18,7 +18,7 @@ var exhaustive = flag.Bool("exhaustive", false, "run the 2^32-input bit-identity
 
 type actKernel struct {
 	name string
-	row  func(out, keep, src, bias []float32, deriv bool)
+	row  func(out, keep, src, bias []float32)
 	f    func(x float64) (y, d float64)
 }
 
@@ -34,15 +34,15 @@ func sameBits64(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
 }
 
-// checkAct runs k's row over xs in train mode against RowYD and reports
-// every input whose y or act′ differs, up to a handful; where the kernels
-// run, their float64 lanes are compared as well (checkActCore).
+// checkAct runs k's row over xs against RowYD and reports every input
+// whose y or act′ differs, up to a handful; where the kernels run, their
+// float64 lanes are compared as well (checkActCore).
 func checkAct(t *testing.T, k actKernel, xs []float32, buf *[4][]float32) (bad int) {
 	t.Helper()
 	n := len(xs)
 	y, d, wy, wd := buf[0][:n], buf[1][:n], buf[2][:n], buf[3][:n]
-	k.row(y, d, xs, nil, true)
-	RowYD(k.f, wy, wd, xs, nil, true)
+	k.row(y, d, xs, nil)
+	RowYD(k.f, wy, wd, xs, nil)
 	if i := checkActCore(k.name, xs[:n&^3]); i >= 0 {
 		t.Errorf("%s(%v [%08x]): float64 lanes differ from the scalar definition", k.name, xs[i], math.Float32bits(xs[i]))
 		bad++
@@ -230,8 +230,8 @@ func TestRowKernelsDoNotAllocate(t *testing.T) {
 	y, d, bias := make([]float32, len(xs)), make([]float32, len(xs)), make([]float32, len(xs))
 	var sink float64
 	for name, fn := range map[string]func(){
-		"GeluRow":   func() { GeluRow(y, d, xs, bias, true) },
-		"TanhRow":   func() { TanhRow(y, nil, xs, nil, false) },
+		"GeluRow":   func() { GeluRow(y, d, xs, bias) },
+		"TanhRow":   func() { TanhRow(y, nil, xs, nil) },
 		"expSubRow": func() { sink += expSubRow(y, xs, 1) },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 {

@@ -25,7 +25,8 @@ test:
 # it, and every seed must still apply once, name a declared test and
 # appear in DESIGN.md.
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
-# cross-build compiles the portable kernel bodies, the only path off amd64.
+# cross-build compiles the portable kernel bodies, the only path off amd64,
+# and the arm64 vet type-checks the !amd64 test files beside them.
 # The layers package rides the tensor/graph race leg for LayerNorm.Backward's
 # row fan-out. Under GODEBUG=cpu.fma=off math.Exp leaves its FMA path, so
 # that leg proves the vector transcendentals' init self-check stands them
@@ -35,6 +36,7 @@ check:
 	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...

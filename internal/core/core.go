@@ -338,6 +338,11 @@ func New(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*ModelSelection,
 	if err != nil {
 		return nil, err
 	}
+	// The checkpoint directory comes first: an error after the store opens
+	// would leave it open.
+	if err := os.MkdirAll(filepath.Join(cfg.WorkDir, "checkpoints"), 0o755); err != nil {
+		return nil, err
+	}
 	metrics := exec.NewMetrics()
 	store, err := storage.NewTensorStore(filepath.Join(cfg.WorkDir, "store"), metrics.Disk)
 	if err != nil {
@@ -347,9 +352,6 @@ func New(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config) (*ModelSelection,
 		store.EnableCache(cfg.PageCacheBytes)
 	}
 	store.SetObs(cfg.Obs)
-	if err := os.MkdirAll(filepath.Join(cfg.WorkDir, "checkpoints"), 0o755); err != nil {
-		return nil, err
-	}
 	if cfg.HW.Workers > 0 {
 		tensor.SetMaxWorkers(cfg.HW.Workers)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nautilus/internal/data"
@@ -266,6 +268,26 @@ func TestInitStatsPopulated(t *testing.T) {
 func TestEmptyCandidateSetRejected(t *testing.T) {
 	if _, err := New(nil, nil, DefaultConfig(t.TempDir())); err == nil {
 		t.Error("empty candidate set should error")
+	}
+}
+
+// TestNewCheckpointDirErrorOpensNoStore: a WorkDir whose checkpoints path
+// is a regular file fails New before the tensor store opens, so the
+// error leaves no store behind.
+func TestNewCheckpointDirErrorOpensNoStore(t *testing.T) {
+	items, mm := tinyWorkload(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoints"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(dir)
+	cfg.HW = miniHW
+	if ms, err := New(items, mm, cfg); err == nil {
+		ms.Close()
+		t.Fatal("New succeeded with a regular file for its checkpoint directory")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+		t.Errorf("New failed but left a store directory behind (stat: %v)", err)
 	}
 }
 

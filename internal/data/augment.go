@@ -86,56 +86,12 @@ func HorizontalFlip(p float64) Augmenter {
 	}
 }
 
-// RandomShift translates an [H, W, C] image by up to max pixels in each
-// spatial direction, zero-padding the exposed border — the "random
-// cropping"-style spatial jitter of vision pipelines.
-func RandomShift(max int) Augmenter {
-	return func(rng *rand.Rand, record []float32, shape []int) []float32 {
-		if len(shape) != 3 {
-			panic(fmt.Sprintf("data: RandomShift expects [H,W,C], got %v", shape))
-		}
-		h, w, c := shape[0], shape[1], shape[2]
-		di := rng.Intn(2*max+1) - max
-		dj := rng.Intn(2*max+1) - max
-		out := make([]float32, len(record))
-		for i := 0; i < h; i++ {
-			si := i - di
-			if si < 0 || si >= h {
-				continue
-			}
-			for j := 0; j < w; j++ {
-				sj := j - dj
-				if sj < 0 || sj >= w {
-					continue
-				}
-				copy(out[(i*w+j)*c:(i*w+j+1)*c], record[(si*w+sj)*c:(si*w+sj+1)*c])
-			}
-		}
-		return out
-	}
-}
-
 // PixelNoise adds N(0, std²) noise to every value.
 func PixelNoise(std float64) Augmenter {
 	return func(rng *rand.Rand, record []float32, shape []int) []float32 {
 		out := append([]float32(nil), record...)
 		for i := range out {
 			out[i] += float32(rng.NormFloat64() * std)
-		}
-		return out
-	}
-}
-
-// TokenDropout replaces each token id of a [seq] text record with unkID
-// with probability p — the text-side analogue of augmentation (word
-// dropout).
-func TokenDropout(p float64, unkID int) Augmenter {
-	return func(rng *rand.Rand, record []float32, shape []int) []float32 {
-		out := append([]float32(nil), record...)
-		for i := range out {
-			if rng.Float64() < p {
-				out[i] = float32(unkID)
-			}
 		}
 		return out
 	}

@@ -65,54 +65,6 @@ func TestHorizontalFlipZeroProbabilityIsIdentity(t *testing.T) {
 	}
 }
 
-func TestRandomShiftPreservesMass(t *testing.T) {
-	// A zero-max shift is the identity; a shifted image contains a subset
-	// of the original values plus zero padding.
-	shape := []int{4, 4, 1}
-	rec := make([]float32, 16)
-	for i := range rec {
-		rec[i] = float32(i + 1)
-	}
-	same := RandomShift(0)(rand.New(rand.NewSource(3)), rec, shape)
-	for i := range rec {
-		if same[i] != rec[i] {
-			t.Fatal("max=0 shift must be identity")
-		}
-	}
-	shifted := RandomShift(2)(rand.New(rand.NewSource(4)), rec, shape)
-	inOrig := map[float32]bool{0: true}
-	for _, v := range rec {
-		inOrig[v] = true
-	}
-	for _, v := range shifted {
-		if !inOrig[v] {
-			t.Fatalf("shift invented value %v", v)
-		}
-	}
-}
-
-func TestTokenDropout(t *testing.T) {
-	shape := []int{8}
-	rec := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	// p=1: everything becomes UNK.
-	out := TokenDropout(1, 0)(rand.New(rand.NewSource(5)), rec, shape)
-	for _, v := range out {
-		if v != 0 {
-			t.Fatalf("full dropout left token %v", v)
-		}
-	}
-	// p=0: identity, and the input is not mutated.
-	out = TokenDropout(0, 0)(rand.New(rand.NewSource(5)), rec, shape)
-	for i, v := range out {
-		if v != rec[i] {
-			t.Fatal("zero dropout must be identity")
-		}
-	}
-	if rec[0] != 1 {
-		t.Fatal("augmenter mutated its input")
-	}
-}
-
 func TestChainComposesInOrder(t *testing.T) {
 	add := func(delta float32) Augmenter {
 		return func(_ *rand.Rand, r []float32, _ []int) []float32 {

@@ -169,8 +169,8 @@ func imageSnapshot(t testing.TB) data.Snapshot {
 }
 
 // aliasedCandidate is a feature-transfer candidate whose head reads the
-// last hidden layer through a rate-0 Dropout, which returns its input: the
-// trunk's output buffer must outlive its own last use until the head's
+// last hidden layer through an identity Activation, which returns its input:
+// the trunk's output buffer must outlive its own last use until the head's
 // backward step has read the alias.
 func aliasedCandidate(t testing.TB) *graph.Model {
 	t.Helper()
@@ -186,7 +186,7 @@ func aliasedCandidate(t testing.TB) *graph.Model {
 		twin[n] = m.AddNode(n.Name, n.Layer, parents...)
 		twin[n].Trainable = n.Trainable
 		if n == feat {
-			twin[n] = m.AddNode("feat_drop0", layers.NewDropout(0), twin[n])
+			twin[n] = m.AddNode("feat_ident", layers.NewActivation(layers.ActNone), twin[n])
 		}
 	}
 	m.SetOutputs(twin[src.Outputs[0]])

@@ -13,11 +13,12 @@ import (
 // The tape follows the program's liveness table: after each step it
 // returns the activations whose last use that step was to the step scope
 // (Scope.Free), and it meters its live bytes against the same table
-// (PeakBytes). An output that shares its input's buffer — Dropout in eval
-// mode or at rate 0, an identity Activation, a Reshape or Flatten view, a
-// ReLU or Add written over the input the table says dies at its step —
-// keeps that buffer alive until its own last use too. Feeds are never
-// freed or written over: they belong to the caller.
+// (PeakBytes). An output that shares its input's buffer — an identity
+// Activation, a ReLU or Add written over the input the table says dies at
+// its step — keeps that buffer alive until its own last use too. Feeds are
+// never freed or written over: they belong to the caller. A layer runs in
+// train mode only at a position with a backward step, so a node no
+// gradient reaches keeps no backward state, even in a training pass.
 type Tape struct {
 	prog  *Program
 	train bool
@@ -41,8 +42,10 @@ type Tape struct {
 
 // ForwardOptions controls a forward pass.
 type ForwardOptions struct {
-	// Train enables training-only layer behaviour (dropout) and the caches
-	// a backward reads: Backward needs a train-mode pass.
+	// Train keeps what a backward reads: each layer with a backward step
+	// in the program's liveness table runs in train mode and fills the
+	// cache its Backward reads. Backward needs a train-mode pass. No
+	// layer's output depends on the mode.
 	Train bool
 	// Alloc, when non-nil, is the step scope of the pass: feeds not already
 	// in it are re-headered into it, so every intermediate, cache, and
@@ -117,10 +120,11 @@ func (t *Tape) forward() {
 			}
 			var out *tensor.Tensor
 			var cache any
+			train := t.train && p.live.Bwd[i] >= 0
 			if t.donor(i) {
-				out, cache = in[0], k.(InPlaceForward).ForwardInto(in[0], in, t.train)
+				out, cache = in[0], k.(InPlaceForward).ForwardInto(in[0], in, train)
 			} else {
-				out, cache = k.Forward(in, t.train)
+				out, cache = k.Forward(in, train)
 			}
 			t.acts[i], t.caches[i] = out, cache
 			for j, q := range p.par[p.parOff[i]:p.parOff[i+1]] {

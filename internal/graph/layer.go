@@ -37,9 +37,9 @@ type Layer interface {
 // leading dimension.
 type Kernel interface {
 	Layer
-	// Forward computes the layer output for a batch. train toggles
-	// training-only behaviour such as dropout, and whether the cache holds
-	// what Backward reads: Backward needs a train-mode pass.
+	// Forward computes the layer output for a batch. train says whether
+	// the cache holds what Backward reads: Backward needs a train-mode
+	// pass. The output does not depend on train.
 	Forward(inputs []*tensor.Tensor, train bool) (out *tensor.Tensor, cache any)
 	// Backward propagates gradOut to input gradients and parameter
 	// gradients (aligned with Params()). Implementations may return nil

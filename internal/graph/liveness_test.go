@@ -9,23 +9,24 @@ import (
 	"nautilus/internal/graph"
 	"nautilus/internal/layers"
 	"nautilus/internal/tensor"
+	"nautilus/internal/train"
 )
 
 // livenessModels are the shapes the tape's meter is checked on: a chain, a
 // diamond, a composite-bearing model and a ResNet bottleneck laid out flat.
-// Each of the first three has an aliasing output on its frozen trunk (a
-// rate-0 Dropout, a Flatten, an identity Activation) that a trainable head
-// reads at its backward step. In the bottleneck relu2, the residual Add and
-// relu_out write over their first input, which dies at their step. Its
-// first conv and bn are frozen, so bn1's own tensor dies at relu1's step
-// too, but relu1 may not write over it: bn1's buffer has a live alias
-// (peek, then its Flatten) that a head reads at its backward step.
+// Each of the first three has an aliasing output on its frozen trunk (an
+// identity Activation) that a trainable head reads at its backward step.
+// In the bottleneck relu2, the residual Add and relu_out write over their
+// first input, which dies at their step. Its first conv and bn are frozen,
+// so bn1's own tensor dies at relu1's step too, but relu1 may not write
+// over it: bn1's buffer has a live alias (peek, an identity Activation)
+// that a head reads at its backward step.
 func livenessModels() map[string]*graph.Model {
 	chain := graph.NewModel("chain")
 	in := chain.AddInput("in", 4, 3)
 	d1 := chain.AddNode("d1", layers.NewDense(3, 5, layers.ActTanh, 1), in)
-	flat := chain.AddNode("flat", layers.NewFlatten(), d1)
-	d2 := chain.AddNode("d2", layers.NewDense(20, 6, layers.ActGeLU, 2), flat)
+	ident := chain.AddNode("ident", layers.NewActivation(layers.ActNone), d1)
+	d2 := chain.AddNode("d2", layers.NewDense(5, 6, layers.ActGeLU, 2), ident)
 	d3 := chain.AddNode("d3", layers.NewDense(6, 3, layers.ActNone, 3), d2)
 	d2.Trainable, d3.Trainable = true, true
 	chain.SetOutputs(d3)
@@ -33,12 +34,12 @@ func livenessModels() map[string]*graph.Model {
 	diamond := graph.NewModel("diamond")
 	in = diamond.AddInput("in", 6)
 	trunk := diamond.AddNode("trunk", layers.NewDense(6, 8, layers.ActReLU, 4), in)
-	drop := diamond.AddNode("drop0", layers.NewDropout(0), trunk)
-	left := diamond.AddNode("left", layers.NewDense(8, 8, layers.ActTanh, 5), drop)
-	right := diamond.AddNode("right", layers.NewDense(8, 8, layers.ActSigmoid, 6), drop)
+	ident = diamond.AddNode("ident", layers.NewActivation(layers.ActNone), trunk)
+	left := diamond.AddNode("left", layers.NewDense(8, 8, layers.ActTanh, 5), ident)
+	right := diamond.AddNode("right", layers.NewDense(8, 8, layers.ActSigmoid, 6), ident)
 	join := diamond.AddNode("join", layers.NewAdd(2), left, right)
 	headA := diamond.AddNode("head_a", layers.NewDense(8, 3, layers.ActNone, 7), join)
-	headB := diamond.AddNode("head_b", layers.NewDense(8, 2, layers.ActNone, 8), drop)
+	headB := diamond.AddNode("head_b", layers.NewDense(8, 2, layers.ActNone, 8), ident)
 	left.Trainable, headA.Trainable, headB.Trainable = true, true, true
 	diamond.SetOutputs(headA, headB)
 
@@ -47,7 +48,7 @@ func livenessModels() map[string]*graph.Model {
 	blk := comp.AddNode("block", layers.NewTransformerBlock(layers.TransformerBlockConfig{
 		Seq: 5, Dim: 8, Heads: 2, FFN: 16, Seed: 9,
 	}), in)
-	ident := comp.AddNode("ident", layers.NewActivation(layers.ActNone), blk)
+	ident = comp.AddNode("ident", layers.NewActivation(layers.ActNone), blk)
 	adapt := comp.AddNode("adapted", layers.NewTransformerBlock(layers.TransformerBlockConfig{
 		Seq: 5, Dim: 8, Heads: 2, FFN: 16, Seed: 10, Adapter: 3, AdapterSeed: 11,
 	}), ident)
@@ -59,7 +60,7 @@ func livenessModels() map[string]*graph.Model {
 	x := res.AddInput("x", 4, 4, 4)
 	c1 := res.AddNode("conv1", layers.NewConv2D(4, 6, 1, 1, 0, layers.ActNone, 13), x)
 	b1 := res.AddNode("bn1", layers.NewChannelAffine(6, 14), c1)
-	peek := res.AddNode("peek", layers.NewDropout(0), b1)
+	peek := res.AddNode("peek", layers.NewActivation(layers.ActNone), b1)
 	r1 := res.AddNode("relu1", layers.NewActivation(layers.ActReLU), b1)
 	c2 := res.AddNode("conv2", layers.NewConv2D(6, 6, 3, 1, 1, layers.ActNone, 15), r1)
 	b2 := res.AddNode("bn2", layers.NewChannelAffine(6, 16), c2)
@@ -69,7 +70,7 @@ func livenessModels() map[string]*graph.Model {
 	sum := res.AddNode("res", layers.NewAdd(2), b3, x)
 	out := res.AddNode("relu_out", layers.NewActivation(layers.ActReLU), sum)
 	head := res.AddNode("head", layers.NewDense(4, 3, layers.ActNone, 19), res.AddNode("gap", layers.NewGlobalAvgPool2D(), out))
-	side := res.AddNode("side", layers.NewDense(96, 2, layers.ActNone, 20), res.AddNode("peek_flat", layers.NewFlatten(), peek))
+	side := res.AddNode("side", layers.NewDense(6, 2, layers.ActNone, 20), peek)
 	for _, n := range res.Nodes() {
 		n.Trainable = !n.IsInput() && n != c1 && n != b1
 	}
@@ -79,15 +80,8 @@ func livenessModels() map[string]*graph.Model {
 
 // aliases reports whether n's output shares its input's buffer.
 func aliases(n *graph.Node) bool {
-	switch l := n.Layer.(type) {
-	case *layers.Flatten:
-		return true
-	case *layers.Dropout:
-		return l.Rate == 0
-	case *layers.Activation:
-		return l.Act == layers.ActNone
-	}
-	return false
+	l, ok := n.Layer.(*layers.Activation)
+	return ok && l.Act == layers.ActNone
 }
 
 // donates reports whether, in a step scope, the tape writes position p's
@@ -211,8 +205,8 @@ func TestTapePeakMatchesLivenessReplay(t *testing.T) {
 }
 
 // TestLivenessFreesAtLastUse walks the diamond's table: the trunk's ReLU
-// output is read only by the rate-0 Dropout that aliases it, whose last
-// reader is the trainable left branch's backward: the last step.
+// output is read only by the identity Activation that aliases it, whose
+// last reader is the trainable left branch's backward: the last step.
 func TestLivenessFreesAtLastUse(t *testing.T) {
 	m := livenessModels()["diamond"]
 	prog := graph.Compile(m)
@@ -221,13 +215,13 @@ func TestLivenessFreesAtLastUse(t *testing.T) {
 	for p, n := range prog.Nodes() {
 		at[n.Name] = p
 	}
-	if got := lv.LastUse[lv.Fwd[at["trunk"]]]; got != lv.Fwd[at["drop0"]] {
-		t.Errorf("trunk's own last use is step %d, want the dropout's forward %d", got, lv.Fwd[at["drop0"]])
+	if got := lv.LastUse[lv.Fwd[at["trunk"]]]; got != lv.Fwd[at["ident"]] {
+		t.Errorf("trunk's own last use is step %d, want the identity's forward %d", got, lv.Fwd[at["ident"]])
 	}
-	if got, want := lv.LastUse[lv.Fwd[at["drop0"]]], int32(lv.Steps()-1); got != want {
-		t.Errorf("drop0's last use is step %d, want the last backward step %d", got, want)
+	if got, want := lv.LastUse[lv.Fwd[at["ident"]]], int32(lv.Steps()-1); got != want {
+		t.Errorf("ident's last use is step %d, want the last backward step %d", got, want)
 	}
-	if lv.Bwd[at["trunk"]] >= 0 || lv.Bwd[at["drop0"]] >= 0 || lv.NeedGrad[at["right"]] {
+	if lv.Bwd[at["trunk"]] >= 0 || lv.Bwd[at["ident"]] >= 0 || lv.NeedGrad[at["right"]] {
 		t.Errorf("the frozen trunk and the frozen right branch take no gradient")
 	}
 	if lv.Bwd[at["join"]] < 0 || !lv.NeedGrad[at["join"]] {
@@ -272,20 +266,83 @@ func TestDonatedReLUScopeTensors(t *testing.T) {
 	}
 }
 
+// TestFrozenDenseKeepsNoBackwardState: a layer runs in train mode only at a
+// position with a backward step. In a training step of x → frozen GELU
+// dense → trainable head, the frozen dense keeps no act′: the forward takes
+// two scope tensors, the dense's output and the head's, where with the
+// dense trainable it takes a third, act′. The output, the loss and the
+// head's gradients have the same bits either way.
+func TestFrozenDenseKeepsNoBackwardState(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.RandNormal(rng, 1, 6, 8)
+	labels := tensor.FromSlice([]float32{0, 2, 1, 3, 2, 0}, 6)
+	trunk := layers.NewDense(8, 16, layers.ActGeLU, 1)
+	head := layers.NewDense(16, 4, layers.ActNone, 2)
+	type step struct {
+		out   []float32
+		loss  float64
+		grads map[*graph.Param][]float32
+	}
+	run := func(trunkTrains bool, wantLive int) step {
+		m := graph.NewModel("frozen_dense")
+		d := m.AddNode("trunk", trunk, m.AddInput("x", 8))
+		h := m.AddNode("head", head, d)
+		d.Trainable, h.Trainable = trunkTrains, true
+		m.SetOutputs(h)
+		prog := graph.Compile(m)
+		scope := tensor.NewArena().Scope()
+		defer scope.Release()
+		tape := prog.Run([]*tensor.Tensor{x}, graph.ForwardOptions{Train: true, Alloc: scope})
+		if got := scope.Live(); got != wantLive {
+			t.Errorf("trunk trainable = %v: the forward took %d scope tensors, want %d", trunkTrains, got, wantLive)
+		}
+		out := tape.Output(h)
+		loss, g := train.SoftmaxCrossEntropy{}.Compute(out, labels)
+		r := step{out: slices.Clone(out.Data()), loss: loss, grads: map[*graph.Param][]float32{}}
+		if err := tape.BackwardOutputs([]*tensor.Tensor{g}); err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range prog.Params() {
+			if g := tape.ParamGradAt(k); g != nil {
+				r.grads[p] = slices.Clone(g.Data())
+			}
+		}
+		return r
+	}
+	frozen, trained := run(false, 2), run(true, 3)
+	same := func(what string, got, want []float32) {
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %v with the trunk frozen, %v with it trainable", what, i, v, want[i])
+			}
+		}
+	}
+	same("output", frozen.out, trained.out)
+	if math.Float64bits(frozen.loss) != math.Float64bits(trained.loss) {
+		t.Errorf("loss = %v with the trunk frozen, %v with it trainable", frozen.loss, trained.loss)
+	}
+	for _, p := range head.Params() {
+		if frozen.grads[p] == nil || trained.grads[p] == nil {
+			t.Fatalf("head parameter %q got no gradient", p.Name)
+		}
+		same("head "+p.Name+" gradient", frozen.grads[p], trained.grads[p])
+	}
+}
+
 // fusedStep builds a small fused plan model — two trainable heads over one
-// frozen trunk with an aliasing Flatten — and returns one warm training
-// step of it in a recycled scope.
+// frozen trunk with an aliasing identity Activation — and returns one warm
+// training step of it in a recycled scope.
 func fusedStep(t *testing.T) func() {
 	t.Helper()
 	m := graph.NewModel("fused")
-	in := m.AddInput("in", 4, 3)
-	trunk := m.AddNode("trunk", layers.NewDense(3, 6, layers.ActReLU, 1), in)
-	flat := m.AddNode("flat", layers.NewFlatten(), trunk)
+	in := m.AddInput("in", 12)
+	trunk := m.AddNode("trunk", layers.NewDense(12, 24, layers.ActReLU, 1), in)
+	ident := m.AddNode("ident", layers.NewActivation(layers.ActNone), trunk)
 	var outs []*graph.Node
 	var grads []*tensor.Tensor
 	rng := rand.New(rand.NewSource(2))
 	for i, act := range []string{layers.ActTanh, layers.ActGeLU} {
-		h := m.AddNode("hidden"+act, layers.NewDense(24, 8, act, int64(10+i)), flat)
+		h := m.AddNode("hidden"+act, layers.NewDense(24, 8, act, int64(10+i)), ident)
 		o := m.AddNode("out"+act, layers.NewDense(8, 3, layers.ActNone, int64(20+i)), h)
 		h.Trainable, o.Trainable = true, true
 		outs = append(outs, o)
@@ -293,7 +350,7 @@ func fusedStep(t *testing.T) func() {
 	}
 	m.SetOutputs(outs...)
 	prog := graph.Compile(m)
-	feeds := []*tensor.Tensor{tensor.RandNormal(rng, 1, 5, 4, 3)}
+	feeds := []*tensor.Tensor{tensor.RandNormal(rng, 1, 5, 12)}
 	scope := tensor.NewArena().Scope()
 	t.Cleanup(scope.Release)
 	step := func() {
@@ -314,12 +371,12 @@ func fusedStep(t *testing.T) func() {
 
 // TestTrainStepAllocs pins the heap objects of one warm training step of a
 // compiled program in a recycled scope: five for the tape's slices, the
-// rest the layers' boxed caches, gradient lists and kernel closures (42 in
+// rest the layers' boxed caches, gradient lists and kernel closures (36 in
 // all). The limit sits one above, so a per-step map keyed by node or
 // parameter — two objects at least — fails it.
 func TestTrainStepAllocs(t *testing.T) {
 	step := fusedStep(t)
-	if got, limit := testing.AllocsPerRun(20, step), 43.0; got > limit {
+	if got, limit := testing.AllocsPerRun(20, step), 37.0; got > limit {
 		t.Errorf("warm training step: %v allocs, want at most %v", got, limit)
 	}
 }

@@ -15,7 +15,6 @@ package layers
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/tensor"
@@ -199,80 +198,6 @@ func (l *Activation) ForwardInto(out *tensor.Tensor, inputs []*tensor.Tensor, tr
 
 func (l *Activation) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	return []*tensor.Tensor{cache.(actCache).backward(l.Act, out, gradOut, need.OwnsGradOut)}, nil
-}
-
-// Dropout zeroes a fraction of activations during training and rescales the
-// rest; it is the identity in evaluation mode and at rate 0. Each training
-// forward draws its mask from a stream keyed by a per-layer call counter, so
-// masks repeat run to run only while one goroutine calls the layer. A rate >
-// 0 Dropout shared by concurrent fused groups stays race-free, but which
-// group gets which mask depends on how their calls interleave; no shipped
-// model has one.
-type Dropout struct {
-	Rate float64
-
-	calls atomic.Uint64 // forward-call counter; each call keys its own mask stream
-}
-
-// NewDropout returns a dropout layer with the given drop rate in [0,1).
-func NewDropout(rate float64) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("layers: dropout rate %v out of [0,1)", rate))
-	}
-	return &Dropout{Rate: rate}
-}
-
-func (l *Dropout) Type() string           { return "dropout" }
-func (l *Dropout) Config() map[string]any { return map[string]any{"rate": l.Rate} }
-func (l *Dropout) Params() []*graph.Param { return nil }
-
-func (l *Dropout) OutShape(in [][]int) []int {
-	requireInputs("dropout", in, 1)
-	return append([]int(nil), in[0]...)
-}
-
-func (l *Dropout) FLOPsPerRecord(in [][]int) int64 {
-	return int64(tensor.NumElems(in[0]))
-}
-
-func (l *Dropout) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	x := inputs[0]
-	if !train || l.Rate == 0 {
-		return x, nil
-	}
-	mask := tensor.NewFrom(x, x.Shape()...)
-	out := tensor.NewFrom(x, x.Shape()...)
-	keep := float32(1 - l.Rate)
-	inv := 1 / keep
-	// Key an independent xorshift stream off the call number (splitmix64
-	// finalizer) instead of mutating layer state: Forward stays pure per
-	// the Layer contract and safe under concurrent fused execution.
-	s := l.calls.Add(1) * 0x9e3779b97f4a7c15
-	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
-	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
-	s ^= s >> 31
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	md, xd, od := mask.Data(), x.Data(), out.Data()
-	for i := range xd {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		if float32(s>>40)/float32(1<<24) < keep {
-			md[i] = inv
-			od[i] = xd[i] * inv
-		}
-	}
-	return out, mask
-}
-
-func (l *Dropout) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	if cache == nil {
-		return []*tensor.Tensor{gradOut}, nil
-	}
-	mask := cache.(*tensor.Tensor)
-	return []*tensor.Tensor{tensor.Mul(gradOut, mask)}, nil
 }
 
 func requireInputs(typ string, in [][]int, n int) {

@@ -99,12 +99,6 @@ type Embedding struct {
 	table *graph.Param
 }
 
-// NewEmbedding returns an embedding layer initialized from N(0, 0.02²), the
-// BERT convention.
-func NewEmbedding(vocab, dim int, seed int64) *Embedding {
-	return &Embedding{Vocab: vocab, Dim: dim, table: graph.NewParamNormal("table", seed, 0.02, vocab, dim)}
-}
-
 // NewClusteredEmbedding returns an embedding whose "pre-trained" table
 // plants semantic cluster structure: tokens in the same contiguous cluster
 // of the vocabulary share a center vector plus small per-token noise. This

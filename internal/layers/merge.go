@@ -119,89 +119,3 @@ func (l *Concat) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tens
 	}
 	return tensor.SplitLast(gradOut, widths), nil
 }
-
-// Flatten reshapes each record to a vector, e.g. [H,W,C] → [H·W·C].
-type Flatten struct{}
-
-// NewFlatten returns a flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-func (l *Flatten) Type() string           { return "flatten" }
-func (l *Flatten) Config() map[string]any { return map[string]any{} }
-func (l *Flatten) Params() []*graph.Param { return nil }
-
-func (l *Flatten) OutShape(in [][]int) []int {
-	requireInputs("flatten", in, 1)
-	return []int{tensor.NumElems(in[0])}
-}
-
-func (l *Flatten) FLOPsPerRecord(in [][]int) int64 { return 0 }
-
-func (l *Flatten) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	x := inputs[0]
-	return x.Reshape(x.Dim(0), -1), nil
-}
-
-func (l *Flatten) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	return []*tensor.Tensor{gradOut.Reshape(inputs[0].Shape()...)}, nil
-}
-
-// MeanPoolSeq averages a [seq, dim] record over the sequence dimension,
-// producing [dim]; classification heads over token features use it.
-type MeanPoolSeq struct{}
-
-// NewMeanPoolSeq returns a sequence mean-pooling layer.
-func NewMeanPoolSeq() *MeanPoolSeq { return &MeanPoolSeq{} }
-
-func (l *MeanPoolSeq) Type() string           { return "mean_pool_seq" }
-func (l *MeanPoolSeq) Config() map[string]any { return map[string]any{} }
-func (l *MeanPoolSeq) Params() []*graph.Param { return nil }
-
-func (l *MeanPoolSeq) OutShape(in [][]int) []int {
-	requireInputs("mean_pool_seq", in, 1)
-	if len(in[0]) != 2 {
-		panic(fmt.Sprintf("layers: mean_pool_seq expects [seq,dim], got %v", in[0]))
-	}
-	return []int{in[0][1]}
-}
-
-func (l *MeanPoolSeq) FLOPsPerRecord(in [][]int) int64 {
-	return int64(tensor.NumElems(in[0]))
-}
-
-func (l *MeanPoolSeq) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	x := inputs[0]
-	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.NewFrom(x, batch, dim)
-	inv := 1 / float32(seq)
-	for b := 0; b < batch; b++ {
-		or := out.Row(b)
-		for s := 0; s < seq; s++ {
-			xr := x.Row(b*seq + s)
-			for j := range or {
-				or[j] += xr[j]
-			}
-		}
-		for j := range or {
-			or[j] *= inv
-		}
-	}
-	return out, nil
-}
-
-func (l *MeanPoolSeq) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
-	x := inputs[0]
-	batch, seq, dim := x.Dim(0), x.Dim(1), x.Dim(2)
-	dx := tensor.NewFrom(gradOut, batch, seq, dim)
-	inv := 1 / float32(seq)
-	for b := 0; b < batch; b++ {
-		gr := gradOut.Row(b)
-		for s := 0; s < seq; s++ {
-			dr := dx.Row(b*seq + s)
-			for j := range dr {
-				dr[j] = gr[j] * inv
-			}
-		}
-	}
-	return []*tensor.Tensor{dx}, nil
-}

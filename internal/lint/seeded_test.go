@@ -31,10 +31,10 @@ type seededRegression struct {
 // TestSeededRegressions holds the two equal).
 var seededRegressions = []seededRegression{
 	{
-		name: "Dropout.Forward writes its receiver (PR 1)",
-		dir:  "internal/layers", file: "activation.go",
-		old:  "\tmd, xd, od := mask.Data(), x.Data(), out.Data()\n",
-		new:  "\tl.Rate = 1 - float64(keep)\n\tmd, xd, od := mask.Data(), x.Data(), out.Data()\n",
+		name: "Conv2D.Forward writes its receiver",
+		dir:  "internal/layers", file: "conv.go",
+		old:  "\tg := l.geom(s[1:])\n\tvar cols *tensor.Tensor\n",
+		new:  "\tl.InC = s[3]\n\tg := l.geom(s[1:])\n\tvar cols *tensor.Tensor\n",
 		test: "TestSharedLayersConcurrentSteps",
 	},
 	{
@@ -151,11 +151,18 @@ var seededRegressions = []seededRegression{
 		test: "TestTapePeakMatchesLivenessReplay",
 	},
 	{
-		name: "Tape drops the alias rule: a Flatten or rate-0 Dropout output outlives its freed input",
+		name: "Tape drops the alias rule: an identity Activation's output outlives its freed input",
 		dir:  "internal/graph", file: "exec.go",
 		old:  "\t\t\t\tif tensor.SameBuffer(out, in[j]) {\n",
 		new:  "\t\t\t\tif false && tensor.SameBuffer(out, in[j]) {\n",
 		test: "TestTapePeakMatchesLivenessReplay",
+	},
+	{
+		name: "Tape keeps backward state where no backward step runs",
+		dir:  "internal/graph", file: "exec.go",
+		old:  "\t\t\ttrain := t.train && p.live.Bwd[i] >= 0\n",
+		new:  "\t\t\ttrain := t.train\n",
+		test: "TestFrozenDenseKeepsNoBackwardState",
 	},
 	{
 		name: "Attention chunks share a scratch slot: a chunk size parallelFor does not cut",
@@ -235,13 +242,6 @@ var seededRegressions = []seededRegression{
 		test: "TestArenaTrainingBitIdentical/nautilus",
 	},
 	{
-		name: "Rate-0 Dropout loses its identity path",
-		dir:  "internal/layers", file: "activation.go",
-		old:  "\tif !train || l.Rate == 0 {\n",
-		new:  "\tif !train {\n",
-		test: "TestDropoutForwardScopeTensors",
-	},
-	{
 		name: "Exporter drops a snapshot write error",
 		dir:  "internal/obs", file: "export.go",
 		old:  "\t\te.err = e.enc.Encode(snap)\n",
@@ -249,11 +249,11 @@ var seededRegressions = []seededRegression{
 		test: "TestExporterFullDiskFailsClose",
 	},
 	{
-		name: "Dropout mask allocated outside the step arena",
+		name: "Activation epilogue output allocated outside the step arena",
 		dir:  "internal/layers", file: "activation.go",
-		old:  "\tmask := tensor.NewFrom(x, x.Shape()...)\n",
-		new:  "\tmask := tensor.New(x.Shape()...)\n",
-		test: "TestDropoutForwardScopeTensors",
+		old:  "\tout := tensor.NewFrom(a, a.Shape()...)\n",
+		new:  "\tout := tensor.New(a.Shape()...)\n",
+		test: "TestDenseForwardScopeTensors",
 	},
 	{
 		name: "Trainer validation span not ended on a feed error",

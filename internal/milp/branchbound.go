@@ -3,7 +3,6 @@ package milp
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Options tunes the branch & bound search.
@@ -107,20 +106,4 @@ func snap(x []float64, binary []bool) []float64 {
 		}
 	}
 	return out
-}
-
-// BinaryVarsBySensitivity returns binary variable indices ordered by the
-// magnitude of their objective coefficient — a useful branching order
-// report for diagnostics.
-func BinaryVarsBySensitivity(p *Problem) []int {
-	var vars []int
-	for v := 0; v < p.NumVars && v < len(p.Binary); v++ {
-		if p.Binary[v] {
-			vars = append(vars, v)
-		}
-	}
-	sort.Slice(vars, func(i, j int) bool {
-		return math.Abs(p.Minimize[vars[i]]) > math.Abs(p.Minimize[vars[j]])
-	})
-	return vars
 }

@@ -186,14 +186,6 @@ func TestMILPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBinaryVarsBySensitivity(t *testing.T) {
-	p := &Problem{NumVars: 3, Minimize: []float64{1, -9, 4}, Binary: []bool{true, true, true}}
-	order := BinaryVarsBySensitivity(p)
-	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
-		t.Errorf("order = %v", order)
-	}
-}
-
 func TestSolveObjectiveLengthMismatch(t *testing.T) {
 	p := &Problem{NumVars: 3, Minimize: []float64{1}}
 	if _, err := Solve(p, Options{}); err == nil {

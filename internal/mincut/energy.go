@@ -50,14 +50,6 @@ func (e *Energy) AddImplication(u, v int) {
 	e.g.AddEdge(u+2, v+2, Inf)
 }
 
-// AddPairwise adds a finite penalty c ≥ 0 for (x_u = 1, x_v = 0).
-func (e *Energy) AddPairwise(u, v int, c int64) {
-	if c < 0 {
-		panic(fmt.Sprintf("mincut: negative pairwise term %d", c))
-	}
-	e.g.AddEdge(u+2, v+2, c)
-}
-
 // Min exactly minimizes the energy and returns the minimum alone, or an
 // error when the hard constraints are unsatisfiable (minimum ≥ Inf). The
 // terms are consumed: call Min or Solve once per Reset.

@@ -1,6 +1,7 @@
 package mincut
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -237,4 +238,12 @@ func TestSatAddSaturates(t *testing.T) {
 	if satAdd(3, 4) != 7 {
 		t.Error("plain addition broken")
 	}
+}
+
+// AddPairwise adds a finite penalty c ≥ 0 for (x_u = 1, x_v = 0).
+func (e *Energy) AddPairwise(u, v int, c int64) {
+	if c < 0 {
+		panic(fmt.Sprintf("mincut: negative pairwise term %d", c))
+	}
+	e.g.AddEdge(u+2, v+2, c)
 }

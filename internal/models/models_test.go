@@ -230,8 +230,12 @@ func TestResNetForwardBackward(t *testing.T) {
 
 func TestResNet50Shape(t *testing.T) {
 	cfg := ResNet50()
-	if cfg.TotalBlocks() != 16 {
-		t.Errorf("ResNet-50 has %d blocks, want 16", cfg.TotalBlocks())
+	blocks := 0
+	for _, b := range cfg.StageBlocks {
+		blocks += b
+	}
+	if blocks != 16 {
+		t.Errorf("ResNet-50 has %d blocks, want 16", blocks)
 	}
 	// Structural build (no weight materialization) must validate at paper
 	// scale: this exercises the lazy-parameter design.

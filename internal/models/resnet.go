@@ -50,15 +50,6 @@ func ResNetMini() ResNetConfig {
 	}
 }
 
-// TotalBlocks returns the number of residual blocks across all stages.
-func (c ResNetConfig) TotalBlocks() int {
-	n := 0
-	for _, b := range c.StageBlocks {
-		n += b
-	}
-	return n
-}
-
 // ResNetHub holds the shared pre-trained layer instances of one downloaded
 // ResNet checkpoint.
 type ResNetHub struct {

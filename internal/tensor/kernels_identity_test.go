@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -432,6 +433,7 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		checkChannelHelpers(t, rng, c)
 		checkBiasRows(t, rng, c)
 	}
+	checkChannelGradNaNs(t)
 	// Every column-block mix of 16, 8, 4 and 1 by name: 4 and 12 end on
 	// the 4-block, 5, 7, 13 and 20 leave single columns after it.
 	for _, n := range []int{4, 5, 7, 12, 13, 20} {
@@ -525,7 +527,8 @@ func checkTileKernel(t *testing.T, rng *rand.Rand, n int) {
 // NaN is x86's default NaN, the bits 0·Inf and Inf−Inf produce, so no two
 // payloads meet: which one survives depends on the operand order the
 // compiler gives the portable body, and that varies with inlining and
-// -race. The layers' oracle test holds the payloads.
+// -race. checkChannelGradNaNs and the layers' oracle test hold the
+// payloads.
 func checkChannelHelpers(t *testing.T, rng *rand.Rand, c int) {
 	t.Helper()
 	rows := 1 + rng.Intn(9)
@@ -563,6 +566,38 @@ func checkChannelHelpers(t *testing.T, rng *rand.Rand, c int) {
 	channelGradGeneric(want[:c], want[c:], g, x)
 	ChannelGradRows(got[:c], got[c:], g, x)
 	assertBitsEqual(t, "ChannelGradRows "+label, FromSlice(got, 2, c), FromSlice(want, 2, c))
+}
+
+// checkChannelGradNaNs holds ChannelGradRows to its portable body where
+// NaN payloads meet in dgamma's add: two rows, one channel per pick of
+// (g, x) for each row from a grid of zeros of both signs, finite values,
+// ±Inf and, in x only, two NaN payloads — so a row whose g·x is 0·Inf
+// turns the accumulator into the default NaN and a later row's x brings
+// another payload to it. The add keeps the accumulator's NaN, as
+// layers.ChannelAffine's oracle does. g holds no NaN, so no two payloads
+// meet in a product or in dbeta's add, where the operand order is the
+// compiler's.
+func checkChannelGradNaNs(t *testing.T) {
+	t.Helper()
+	gs := []float32{0, float32(math.Copysign(0, -1)), 1.5, -2, float32(math.Inf(1)), float32(math.Inf(-1))}
+	xs := append(slices.Clone(gs), math.Float32frombits(0x7fc0000c), math.Float32frombits(0xffc00000))
+	var g, x [2][]float32
+	for _, g0 := range gs {
+		for _, x0 := range xs {
+			for _, g1 := range gs {
+				for _, x1 := range xs {
+					g[0], x[0] = append(g[0], g0), append(x[0], x0)
+					g[1], x[1] = append(g[1], g1), append(x[1], x1)
+				}
+			}
+		}
+	}
+	c := len(g[0])
+	gr, xr := append(g[0], g[1]...), append(x[0], x[1]...)
+	want, got := make([]float32, 2*c), make([]float32, 2*c)
+	channelGradGeneric(want[:c], want[c:], gr, xr)
+	ChannelGradRows(got[:c], got[c:], gr, xr)
+	assertBitsEqual(t, "ChannelGradRows NaN payloads", FromSlice(got, 2, c), FromSlice(want, 2, c))
 }
 
 // checkBiasRows holds BiasRows to AddRowVec, the bias add it stands in

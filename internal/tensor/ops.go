@@ -107,34 +107,6 @@ func Sum(a *Tensor) float64 {
 	return s
 }
 
-// MaxAbs returns the largest absolute element value.
-func MaxAbs(a *Tensor) float32 {
-	var m float32
-	for _, v := range a.data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Transpose2D returns the transpose of a's 2-D view as a [cols, rows]
-// tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	r, c := a.Rows(), a.Cols()
-	out := NewFrom(a, c, r)
-	for i := 0; i < r; i++ {
-		ai := a.Row(i)
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = ai[j]
-		}
-	}
-	return out
-}
-
 // SoftmaxRows applies a numerically stable softmax to each row of a's 2-D
 // view.
 func SoftmaxRows(a *Tensor) *Tensor {

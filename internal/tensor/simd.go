@@ -27,6 +27,9 @@ func vaddGeneric(dst, x []float32) {
 // The matmuls pass os = n; the attention kernels write a head's columns of
 // a wider matrix in place.
 func tileKernelGeneric(out []float32, os, rows, n int, a []float32, si, sp int, b []float32, kc int) {
+	if rows > 0 && n > 0 && kc > 0 {
+		_ = b[kc*n-1] // b's extent, which zero coefficients may leave unread
+	}
 	for r := 0; r < rows; r++ {
 		or := out[r*os : r*os+n]
 		for p := 0; p < kc; p++ {
@@ -85,7 +88,12 @@ func channelGradGeneric(dgamma, dbeta, g, x []float32) {
 	for r := 0; r < len(g); r += c {
 		gr, xr := g[r:r+c], x[r:r+c]
 		for j := range dgamma {
-			dgamma[j] += float32(gr[j] * xr[j])
+			// A NaN accumulator keeps its payload, as the assembly's add
+			// (the accumulator its first operand) and the layer's oracle
+			// do, whichever operand order the compiler gives the add.
+			if d := dgamma[j]; d == d {
+				dgamma[j] = d + float32(gr[j]*xr[j])
+			}
 			dbeta[j] += gr[j]
 		}
 	}

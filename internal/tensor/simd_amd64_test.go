@@ -86,7 +86,8 @@ func TestTileKernelNaNPayloads(t *testing.T) {
 // portable bodies on a host that has AVX2: the matmul family, the conv and
 // pool kernels, the SIMD helpers (BiasRows against AddRowVec, NaN
 // payloads meeting, included) and the attention kernels, all against
-// their seed bodies, and denseB choosing the dense body nowhere.
+// their seed bodies, the portable bodies' refusal of a short operand, and
+// denseB choosing the dense body nowhere.
 func TestPortableDispatchOnAMD64(t *testing.T) {
 	prev := hasAVX2
 	hasAVX2 = false
@@ -103,6 +104,7 @@ func TestPortableDispatchOnAMD64(t *testing.T) {
 		{"MatMulFamilyLoneZero", TestMatMulFamilyLoneZero},
 		{"ConvFamilyBitIdentity", TestConvFamilyBitIdentity},
 		{"SIMDHelpersMatchScalar", TestSIMDHelpersMatchScalar},
+		{"SIMDHelpersRejectShortOperands", TestSIMDHelpersRejectShortOperands},
 		{"AttentionMatchesPerHeadChain", TestAttentionMatchesPerHeadChain},
 	} {
 		t.Run(tc.name, tc.test)

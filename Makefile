@@ -26,7 +26,9 @@ test:
 # appear in DESIGN.md.
 # vet's asmdecl pass checks the assembly kernels' frames; the arm64
 # cross-build compiles the portable kernel bodies, the only path off amd64,
-# and the arm64 vet type-checks the !amd64 test files beside them.
+# and the arm64 vet type-checks the !amd64 test files beside them. The
+# s390x vet type-checks the storage codec on a big-endian target, where it
+# swaps each word instead of moving floats as raw bytes.
 # The layers package rides the tensor/graph race leg for LayerNorm.Backward's
 # row fan-out. Under GODEBUG=cpu.fma=off math.Exp leaves its FMA path, so
 # that leg proves the vector transcendentals' init self-check stands them
@@ -37,6 +39,7 @@ check:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./internal/storage/...
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...

@@ -278,6 +278,20 @@ var seededRegressions = []seededRegression{
 		new:  "\t\t\t_ = writeIndented(f, t.Tracer.Report())\n\t\t\terr = f.Close()\n",
 		test: "TestTelemetryFullDiskFailsClose",
 	},
+	{
+		name: "Append does not advance the key's count",
+		dir:  "internal/storage", file: "tensorstore.go",
+		old:  "\tkf.count += recs.Dim(0)\n",
+		new:  "",
+		test: "TestTensorStoreIncrementalAppend",
+	},
+	{
+		name: "putCopy keeps the caller's slice",
+		dir:  "internal/storage", file: "cache.go",
+		old:  "\te.data = append(e.data[:0], src...)\n",
+		new:  "\te.data = src\n",
+		test: "TestTensorStoreReadsDoNotAliasCache",
+	},
 }
 
 // TestSeededRegressions is the corpus's static leg, plain go test: each

@@ -35,48 +35,61 @@ func newRowCache(maxBytes int64) *rowCache {
 	return &rowCache{maxBytes: maxBytes, ll: list.New(), items: map[rowKey]*list.Element{}}
 }
 
-// get returns the cached row and moves it to the front.
-func (c *rowCache) get(key string, row int) ([]float32, bool) {
+// getInto copies the cached row into dst and moves it to the front; false
+// (a miss) leaves dst alone.
+func (c *rowCache) getInto(key string, row int, dst []float32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[rowKey{key, row}]
 	if !ok {
 		c.misses++
-		return nil, false
+		return false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*rowEntry).data, true
+	copy(dst, el.Value.(*rowEntry).data)
+	return true
 }
 
-// put inserts a row, evicting least-recently-used rows beyond capacity.
-// The slice is stored as-is; callers must not mutate it afterwards.
-func (c *rowCache) put(key string, row int, data []float32) {
+// putCopy admits a copy of src as the row's most recent entry, evicting
+// least-recently-used rows until it fits. The last row evicted lends the
+// new one its list element, entry and slice, so a full cache of rows of
+// one size admits rows without allocating. The cache never keeps src.
+func (c *rowCache) putCopy(key string, row int, src []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := rowKey{key, row}
-	if el, ok := c.items[k]; ok {
+	bytes := int64(len(src)) * 4
+	el, ok := c.items[k]
+	if ok {
+		c.used -= int64(len(el.Value.(*rowEntry).data)) * 4
 		c.ll.MoveToFront(el)
-		el.Value.(*rowEntry).data = data
-		return
-	}
-	bytes := int64(len(data)) * 4
-	if bytes > c.maxBytes {
-		return // row larger than the whole cache
-	}
-	el := c.ll.PushFront(&rowEntry{k: k, data: data})
-	c.items[k] = el
-	c.used += bytes
-	for c.used > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
+	} else {
+		if bytes > c.maxBytes {
+			return // row larger than the whole cache
 		}
-		e := back.Value.(*rowEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.k)
-		c.used -= int64(len(e.data)) * 4
+		var victim *list.Element
+		for back := c.ll.Back(); back != nil && c.used+bytes > c.maxBytes; back = back.Prev() {
+			if victim != nil {
+				c.ll.Remove(victim)
+			}
+			victim = back
+			e := back.Value.(*rowEntry)
+			delete(c.items, e.k)
+			c.used -= int64(len(e.data)) * 4
+		}
+		if victim != nil {
+			el = victim
+			c.ll.MoveToFront(el)
+		} else {
+			el = c.ll.PushFront(&rowEntry{})
+		}
+		c.items[k] = el
 	}
+	e := el.Value.(*rowEntry)
+	e.k = k
+	e.data = append(e.data[:0], src...)
+	c.used += bytes
 }
 
 // invalidate drops every cached row of a key (after Delete).

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"nautilus/internal/graph"
@@ -109,10 +108,7 @@ func SaveModel(path string, m *graph.Model, opts CheckpointOptions, counters *Co
 	}
 	var written int64 = int64(len(pre) + len(hb))
 	for _, b := range blobs {
-		buf := make([]byte, 4*b.data.Len())
-		for i, v := range b.data.Data() {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
+		buf := encodeFloats(b.data.Data())
 		if _, err := f.Write(buf); err != nil {
 			return err
 		}
@@ -214,16 +210,12 @@ func loadParams(hdr *checkpointHeader, f *os.File, base, size int64, m *graph.Mo
 	var read int64
 	for i, e := range hdr.Params {
 		p := params[i]
-		buf := make([]byte, p.Bytes())
-		if _, err := f.ReadAt(buf, base+e.Offset); err != nil {
+		t := tensor.New(p.Shape...)
+		if err := readFloats(f, t.Data(), base+e.Offset); err != nil {
 			return fmt.Errorf("read param %s/%s: %w", e.Node, e.Param, err)
 		}
-		t := tensor.New(p.Shape...)
-		for i := range t.Data() {
-			t.Data()[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
 		p.SetData(t)
-		read += int64(len(buf))
+		read += p.Bytes()
 	}
 	counters.AddRead(read)
 	return nil

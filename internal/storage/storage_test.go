@@ -495,3 +495,203 @@ func TestRowCacheOversizeRowBypasses(t *testing.T) {
 		t.Error("oversize rows must not be cached")
 	}
 }
+
+// A torn append (a crash mid-write) leaves a partial record behind. The
+// count rounds it away, and the next append lands at the counted end, over
+// the torn bytes: appended after them, every later row read shifted.
+func TestTensorStoreTornTailOverwritten(t *testing.T) {
+	s, _ := newStore(t)
+	if err := s.Append("k", tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(s.Dir(), "k.nts"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewTensorStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, err := re.Count("k"); err != nil || n != 1 {
+		t.Fatalf("count over a torn tail = %d (%v), want 1", n, err)
+	}
+	if err := re.Append("k", tensor.FromSlice([]float32{10, 11, 12, 13}, 1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.ReadRowsIn("k", rows(0, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float32{1, 2, 3, 4, 10, 11, 12, 13}; sameBits(got.Data(), want) >= 0 {
+		t.Errorf("rows after a torn append = %v, want %v", got.Data(), want)
+	}
+}
+
+// A batch ReadRowsIn returns is the caller's: writing into it, whether its
+// rows came from disk or from the cache, changes nothing the next read of
+// those rows returns.
+func TestTensorStoreReadsDoNotAliasCache(t *testing.T) {
+	s, _ := newStore(t)
+	s.EnableCache(1 << 20)
+	x := tensor.FromSlice([]float32{0, 1, 2, 3, 4, 5, 6, 7}, 4, 2)
+	if err := s.Append("k", x); err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "cached", "cached again"} {
+		got, err := s.ReadRowsIn("k", rows(0, 4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sameBits(got.Data(), x.Data()) >= 0 {
+			t.Fatalf("%s read = %v, want %v", pass, got.Data(), x.Data())
+		}
+		got.Fill(-1)
+	}
+	if hits, misses := s.CacheStats(); hits != 8 || misses != 4 {
+		t.Errorf("hits/misses = %d/%d, want 8/4", hits, misses)
+	}
+}
+
+// A cache a few rows too small for the working set recycles its victims'
+// slices, across keys of two row widths: every row still reads back as
+// appended, and hits and misses follow a plain LRU over row bytes.
+func TestRowCacheRecyclesVictims(t *testing.T) {
+	s, _ := newStore(t)
+	const capRows, wide, narrow = 4, 5, 3
+	s.EnableCache(capRows * wide * 4)
+	widths := map[string]int{"a": narrow, "b": wide}
+	data := map[string]*tensor.Tensor{}
+	for key, w := range widths {
+		x := tensor.New(6, w)
+		for i := range x.Data() {
+			x.Data()[i] = float32(100*w + i)
+		}
+		if err := s.Append(key, x); err != nil {
+			t.Fatal(err)
+		}
+		data[key] = x
+	}
+	// The reference LRU: front = most recent, sized in bytes.
+	type ref struct {
+		key string
+		row int
+	}
+	var lru []ref
+	var used, wantHits, wantMisses int
+	touch := func(key string, row int) {
+		for i, e := range lru {
+			if e == (ref{key, row}) {
+				wantHits++
+				lru = append(append([]ref{e}, lru[:i]...), lru[i+1:]...)
+				return
+			}
+		}
+		wantMisses++
+		bytes := 4 * widths[key]
+		for used+bytes > capRows*wide*4 {
+			used -= 4 * widths[lru[len(lru)-1].key]
+			lru = lru[:len(lru)-1]
+		}
+		lru = append([]ref{{key, row}}, lru...)
+		used += bytes
+	}
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 200; step++ {
+		key := []string{"a", "b"}[rng.Intn(2)]
+		idx := make([]int, 1+rng.Intn(3))
+		for i := range idx {
+			idx[i] = rng.Intn(6)
+		}
+		got, err := s.ReadRowsIn(key, idx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range idx {
+			touch(key, r)
+			if j := sameBits(got.Row(i), data[key].Row(r)); j >= 0 {
+				t.Fatalf("step %d: %s row %d = %v, want %v", step, key, r, got.Row(i), data[key].Row(r))
+			}
+		}
+		got.Fill(-1)
+	}
+	if hits, misses := s.CacheStats(); hits != int64(wantHits) || misses != int64(wantMisses) {
+		t.Errorf("hits/misses = %d/%d, the reference LRU's %d/%d", hits, misses, wantHits, wantMisses)
+	}
+}
+
+// Delete forgets the key's header and count with its file: the key's next
+// append may carry another record shape, and Count and ReadRowsIn follow
+// the new file.
+func TestTensorStoreDeleteThenNewShape(t *testing.T) {
+	s, _ := newStore(t)
+	s.EnableCache(1 << 20)
+	if err := s.Append("k", tensor.New(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadRowsIn("k", rows(0, 2), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	y := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 3, 5)
+	if err := s.Append("k", y); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Count("k"); err != nil || n != 3 {
+		t.Errorf("count after delete and re-append = %d (%v), want 3", n, err)
+	}
+	got, err := s.ReadRowsIn("k", rows(0, 3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.ShapeEq(got.Shape(), []int{3, 5}) || sameBits(got.Data(), y.Data()) >= 0 {
+		t.Errorf("read after re-append = %v %v, want %v %v", got.Shape(), got.Data(), y.Shape(), y.Data())
+	}
+}
+
+// The counts a store keeps per open key agree with what a reopened store
+// derives from the files, after appends, a GC and Close.
+func TestTensorStoreCountsSurviveGCAndReopen(t *testing.T) {
+	s, _ := newStore(t)
+	for _, a := range []struct {
+		key  string
+		rows int
+	}{{"a", 3}, {"b", 5}, {"c", 2}, {"a", 2}} {
+		if err := s.Append(a.key, tensor.New(a.rows, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.GC(func(key string) bool { return key != "b" }); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"a": 5, "b": 0, "c": 2}
+	for key, n := range want {
+		if got, err := s.Count(key); err != nil || got != n {
+			t.Errorf("after GC: count %q = %d (%v), want %d", key, got, err, n)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewTensorStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for key, n := range want {
+		if got, err := re.Count(key); err != nil || got != n {
+			t.Errorf("reopened: count %q = %d (%v), want %d", key, got, err, n)
+		}
+	}
+}

@@ -28,8 +28,14 @@ var ErrClosed = errors.New("storage: tensor store is closed")
 // as new labeled data arrives; reads gather mini-batches of rows.
 //
 // File layout: magic, uint32 rank, rank×uint32 record dims, then float32
-// record data in row-major order. The record count is derived from the file
-// size, so appends are crash-consistent at record granularity.
+// record data in row-major order, little-endian. The record count is
+// derived once per open of a key, from the header and the file size
+// (whole records only); the store then keeps it beside the handle. An
+// append lands at the counted end, so a torn partial record left by a
+// crash is overwritten, not appended after.
+//
+// One open store owns its directory: the handles, headers and counts it
+// keeps assume no other writer touches the files until Close.
 type TensorStore struct {
 	dir      string
 	counters *Counters
@@ -37,8 +43,22 @@ type TensorStore struct {
 	obs      *obs.Tracer
 
 	mu     sync.Mutex
-	files  map[string]*os.File
+	files  map[string]*keyFile
 	closed bool
+}
+
+// keyFile is one open key: its handle and what its header says. A file
+// with no header yet has a nil shape and no records.
+type keyFile struct {
+	f        *os.File
+	shape    []int // record shape
+	recBytes int64 // byte size of one record
+	count    int   // whole records stored
+}
+
+// rowOffset is the file offset of record r.
+func (kf *keyFile) rowOffset(r int) int64 {
+	return headerSize(len(kf.shape)) + int64(r)*kf.recBytes
 }
 
 // SetObs attaches an observability tracer: reads and writes emit spans
@@ -55,7 +75,7 @@ func NewTensorStore(dir string, counters *Counters) (*TensorStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create store dir: %w", err)
 	}
-	return &TensorStore{dir: dir, counters: counters, files: map[string]*os.File{}}, nil
+	return &TensorStore{dir: dir, counters: counters, files: map[string]*keyFile{}}, nil
 }
 
 // EnableCache attaches an LRU row cache of the given capacity, emulating
@@ -86,21 +106,6 @@ func (s *TensorStore) path(key string) string {
 		panic(fmt.Sprintf("storage: invalid key %q", key))
 	}
 	return filepath.Join(s.dir, key+".nts")
-}
-
-func (s *TensorStore) open(key string) (*os.File, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if f := s.files[key]; f != nil {
-		return f, nil
-	}
-	f, err := os.OpenFile(s.path(key), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %q: %w", key, err)
-	}
-	s.files[key] = f
-	return f, nil
 }
 
 // headerSize returns the byte size of a header with the given rank.
@@ -157,28 +162,49 @@ func readHeader(f *os.File, key string) ([]int, int64, error) {
 	return shape, recBytes, nil
 }
 
-// stored opens key's file and reads its header: the record shape and byte
-// size, and how many whole records the file holds. A file with no header
-// yet has a nil shape and no records.
-func (s *TensorStore) stored(key string) (*os.File, []int, int64, int, error) {
-	f, err := s.open(key)
+// stored returns key's open file. The first call after an open reads the
+// header and sizes the file once; later calls return what it found.
+func (s *TensorStore) stored(key string) (*keyFile, error) {
+	if s.closed {
+		return nil, ErrClosed
+	}
+	if kf := s.files[key]; kf != nil {
+		return kf, nil
+	}
+	f, err := os.OpenFile(s.path(key), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, fmt.Errorf("storage: open %q: %w", key, err)
 	}
-	shape, recBytes, err := readHeader(f, key)
-	if err != nil || shape == nil {
-		return f, nil, 0, 0, err
+	kf := &keyFile{f: f}
+	if kf.shape, kf.recBytes, err = readHeader(f, key); err == nil && kf.shape != nil {
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			kf.count = int((st.Size() - headerSize(len(kf.shape))) / kf.recBytes)
+		}
 	}
-	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, 0, 0, err
+		_ = f.Close() // read-side close on the error path
+		return nil, err
 	}
-	return f, shape, recBytes, int((st.Size() - headerSize(len(shape))) / recBytes), nil
+	s.files[key] = kf
+	return kf, nil
 }
 
-// Append writes the records of recs (shape [n, ...rec]) to the end of key's
-// file, creating it (and its header) on first use. The record shape must
-// match previous appends.
+// drop closes key's handle and forgets its header and count.
+func (s *TensorStore) drop(key string) {
+	if kf := s.files[key]; kf != nil {
+		_ = kf.f.Close() // the file is being deleted; close errors are moot
+		delete(s.files, key)
+	}
+	if s.cache != nil {
+		s.cache.invalidate(key)
+	}
+}
+
+// Append writes the records of recs (shape [n, ...rec]) after the last
+// whole record of key's file, creating it (and its header) on first use,
+// and counts them once the write succeeds. The record shape must match
+// previous appends.
 func (s *TensorStore) Append(key string, recs *tensor.Tensor) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,18 +218,15 @@ func (s *TensorStore) Append(key string, recs *tensor.Tensor) error {
 		}
 	}()
 	recShape := recs.Shape()[1:]
-	if _, ok := recordBytes(recShape); !ok {
+	recBytes, ok := recordBytes(recShape)
+	if !ok {
 		return fmt.Errorf("storage: append %q: records of shape %v have a zero or overflowing size", key, recShape)
 	}
-	f, err := s.open(key)
+	kf, err := s.stored(key)
 	if err != nil {
 		return err
 	}
-	existing, _, err := readHeader(f, key)
-	if err != nil {
-		return err
-	}
-	if existing == nil {
+	if kf.shape == nil {
 		// Fresh file: write header.
 		buf := make([]byte, headerSize(len(recShape)))
 		copy(buf, tensorStoreMagic)
@@ -211,24 +234,19 @@ func (s *TensorStore) Append(key string, recs *tensor.Tensor) error {
 		for i, d := range recShape {
 			binary.LittleEndian.PutUint32(buf[8+4*i:], uint32(d))
 		}
-		if _, err := f.WriteAt(buf, 0); err != nil {
+		if _, err := kf.f.WriteAt(buf, 0); err != nil {
 			return fmt.Errorf("storage: write header: %w", err)
 		}
 		s.counters.AddWrite(int64(len(buf)))
-	} else if !tensor.ShapeEq(existing, recShape) {
-		return fmt.Errorf("storage: key %q holds records of shape %v, appending %v", key, existing, recShape)
+		kf.shape, kf.recBytes = append([]int(nil), recShape...), recBytes
+	} else if !tensor.ShapeEq(kf.shape, recShape) {
+		return fmt.Errorf("storage: key %q holds records of shape %v, appending %v", key, kf.shape, recShape)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 4*recs.Len())
-	for i, v := range recs.Data() {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	if _, err := f.WriteAt(buf, st.Size()); err != nil {
+	buf := encodeFloats(recs.Data())
+	if _, err := kf.f.WriteAt(buf, kf.rowOffset(kf.count)); err != nil {
 		return fmt.Errorf("storage: append %q: %w", key, err)
 	}
+	kf.count += recs.Dim(0)
 	s.counters.AddWrite(int64(len(buf)))
 	wroteBytes = int64(len(buf))
 	sp.Attr(obs.Int("bytes", int64(len(buf))))
@@ -244,8 +262,11 @@ func (s *TensorStore) Count(key string) (int, error) {
 }
 
 func (s *TensorStore) countLocked(key string) (int, error) {
-	_, _, _, count, err := s.stored(key)
-	return count, err
+	kf, err := s.stored(key)
+	if err != nil {
+		return 0, err
+	}
+	return kf.count, nil
 }
 
 // ReadRowsIn gathers the given record indices into a [len(idx), ...rec]
@@ -266,44 +287,37 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, scope *tensor.Scope) (*t
 			s.obs.Samples().AddRead(coldSample, d)
 		}
 	}()
-	f, shape, recBytes, count, err := s.stored(key)
+	kf, err := s.stored(key)
 	if err != nil {
 		return nil, err
 	}
-	if shape == nil {
+	if kf.shape == nil {
 		return nil, fmt.Errorf("storage: key %q is empty", key)
 	}
 	// Rows are checked before anything is allocated: the header, not the
 	// file, sizes the result.
 	for _, r := range idx {
-		if r < 0 || r >= count {
-			return nil, fmt.Errorf("storage: read %q row %d: outside the %d records stored", key, r, count)
+		if r < 0 || r >= kf.count {
+			return nil, fmt.Errorf("storage: read %q row %d: outside the %d records stored", key, r, kf.count)
 		}
 	}
-	recElems := int(recBytes / 4)
-	base := headerSize(len(shape))
+	recElems := int(kf.recBytes / 4)
 	var dims [4]int // the shape stays on the stack up to rank 4
-	outShape := append(append(dims[:0], len(idx)), shape...)
+	outShape := append(append(dims[:0], len(idx)), kf.shape...)
 	out := scope.Get(outShape...)
-	buf := make([]byte, recBytes)
 	var coldBytes int64
 	for i, r := range idx {
+		// Cold rows are read straight into their slot of the batch.
 		dst := out.Data()[i*recElems : (i+1)*recElems]
-		if s.cache != nil {
-			if row, ok := s.cache.get(key, r); ok {
-				copy(dst, row)
-				continue
-			}
+		if s.cache != nil && s.cache.getInto(key, r, dst) {
+			continue
 		}
-		if _, err := f.ReadAt(buf, base+int64(r)*recBytes); err != nil {
+		if err := readFloats(kf.f, dst, kf.rowOffset(r)); err != nil {
 			return nil, fmt.Errorf("storage: read %q row %d: %w", key, r, err)
 		}
-		for j := range dst {
-			dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
-		}
-		coldBytes += recBytes
+		coldBytes += kf.recBytes
 		if s.cache != nil {
-			s.cache.put(key, r, append([]float32(nil), dst...))
+			s.cache.putCopy(key, r, dst)
 		}
 	}
 	if coldBytes > 0 {
@@ -311,7 +325,7 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, scope *tensor.Scope) (*t
 		coldSample = coldBytes
 	}
 	if s.obs.Enabled() {
-		coldRows := int(coldBytes / recBytes)
+		coldRows := int(coldBytes / kf.recBytes)
 		sp.Attr(obs.Int("cold_bytes", coldBytes))
 		reg := s.obs.Registry()
 		reg.Counter("store.read.cold_bytes").Add(coldBytes)
@@ -329,13 +343,7 @@ func (s *TensorStore) Delete(key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if f := s.files[key]; f != nil {
-		_ = f.Close() // the file is being deleted; close errors are moot
-		delete(s.files, key)
-	}
-	if s.cache != nil {
-		s.cache.invalidate(key)
-	}
+	s.drop(key)
 	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -386,13 +394,7 @@ func (s *TensorStore) GC(keep func(key string) bool) (deleted []string, freed in
 		if st, serr := os.Stat(s.path(key)); serr == nil {
 			freed += st.Size()
 		}
-		if f := s.files[key]; f != nil {
-			_ = f.Close() // the file is being deleted; close errors are moot
-			delete(s.files, key)
-		}
-		if s.cache != nil {
-			s.cache.invalidate(key)
-		}
+		s.drop(key)
 		if rerr := os.Remove(s.path(key)); rerr != nil && !os.IsNotExist(rerr) {
 			return deleted, freed, fmt.Errorf("storage: gc %q: %w", key, rerr)
 		}
@@ -409,8 +411,8 @@ func (s *TensorStore) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	var first error
-	for k, f := range s.files {
-		if err := f.Close(); err != nil && first == nil {
+	for k, kf := range s.files {
+		if err := kf.f.Close(); err != nil && first == nil {
 			first = err
 		}
 		delete(s.files, k)

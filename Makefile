@@ -18,6 +18,10 @@ test:
 # for bit; nonzero exit on any failed check or operation — timing claims
 # are made from alternating parent/change pairs, bench/README.md, not
 # from this step).
+# The single-threaded planning packages run without the race detector in
+# one leg (~20 s on 2 vCPUs): the plan verifier with its solver and fuser
+# agreement property (TestSolversAndFusersAgree), the max-flow
+# differential test, the multi-model merge and the profiler.
 # The seeded leg runs the seeded-regression corpus (internal/lint holds
 # only the corpus): each lock, goroutine, arena, chunk, span, shared-layer,
 # footprint or dropped-write-error bug it seeds must fail its named test
@@ -43,6 +47,7 @@ check:
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...
+	$(GO) test ./internal/verify/... ./internal/mincut/... ./internal/mmg/... ./internal/profile/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) test -tags seeded -run '^TestSeededRegressions(Dynamic)?$$' -count=1 ./internal/lint
@@ -108,8 +113,9 @@ fuzz:
 # one paper-scale FUSE OPT trial pair on a merged view, the ns/op and
 # allocs/op behind plan_zoo's opt.fuse_s — BenchmarkFuseModels12, BenchmarkOptimizeMaterialization12Models,
 # BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut on one reused
-# Energy, BenchmarkWorkloadCost12Models — one MAT OPT objective evaluation,
-# twelve cost-only min-cuts — and BenchmarkEstimatePeakMemoryFused — the
+# Energy, BenchmarkWorkloadCost12Models — one MAT OPT objective evaluation
+# over twelve models, one cost-only min-cut per structural class (three) —
+# and BenchmarkEstimatePeakMemoryFused — the
 # Figure 5 replay of a four-member paper-scale group).
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/graph ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt

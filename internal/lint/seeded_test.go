@@ -292,6 +292,20 @@ var seededRegressions = []seededRegression{
 		new:  "\te.data = src\n",
 		test: "TestTensorStoreReadsDoNotAliasCache",
 	},
+	{
+		name: "MAT class weight is the representative's epochs, not the class's sum",
+		dir:  "internal/opt", file: "matopt.go",
+		old:  "\t\t\ts.weight = append(s.weight, 0)\n\t\t}\n\t\ts.weight[k] += int64(it.Epochs)\n",
+		new:  "\t\t\ts.weight = append(s.weight, int64(it.Epochs))\n\t\t}\n",
+		test: "TestClassPricingMatchesPerItem/fixtures",
+	},
+	{
+		name: "FUSE class key omits s_mem",
+		dir:  "internal/opt", file: "view.go",
+		old:  "\t\tb = binary.AppendVarint(b, lp.MemBytes)\n",
+		new:  "",
+		test: "TestClassPricingMatchesPerItem/fixtures",
+	},
 }
 
 // TestSeededRegressions is the corpus's static leg, plain go test: each

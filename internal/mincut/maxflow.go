@@ -55,6 +55,10 @@ func (g *Graph) AddEdge(u, v int, cap int64) {
 	g.head[u], g.head[v] = e, e+1
 }
 
+// bfs levels the residual graph from s and reports whether t is reachable.
+// It stops as soon as it labels t: every node nearer s than t is labelled
+// by then, and a node at t's level or beyond lies on no shortest augmenting
+// path, so dfs finds the same blocking flow either way.
 func (g *Graph) bfs(s, t int) bool {
 	for i := range g.level {
 		g.level[i] = -1
@@ -66,11 +70,14 @@ func (g *Graph) bfs(s, t int) bool {
 		for e := g.head[u]; e >= 0; e = g.next[e] {
 			if v := g.to[e]; g.cap[e] > 0 && g.level[v] < 0 {
 				g.level[v] = g.level[u] + 1
+				if v == int32(t) {
+					return true
+				}
 				g.queue = append(g.queue, v)
 			}
 		}
 	}
-	return g.level[t] >= 0
+	return false
 }
 
 func (g *Graph) dfs(u, t int32, f int64) int64 {

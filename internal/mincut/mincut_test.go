@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +170,109 @@ func TestEnergyMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// edmondsKarp is the reference max flow: shortest augmenting paths over a
+// capacity matrix, parallel edges summed. It returns min(flow, Inf) and,
+// when the flow is finite, the nodes reachable from s in the residual
+// graph — the inclusion-minimal minimum cut's source side.
+func edmondsKarp(n, s, t int, edges [][3]int64) (int64, []bool) {
+	r := make([][]int64, n)
+	for u := range r {
+		r[u] = make([]int64, n)
+	}
+	for _, e := range edges {
+		if u, v := int(e[0]), int(e[1]); u != v {
+			r[u][v] = min(r[u][v]+e[2], 8*Inf)
+		}
+	}
+	reach := func() []int {
+		prev := make([]int, n)
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[s] = s
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for v := 0; v < n; v++ {
+				if r[u][v] > 0 && prev[v] < 0 {
+					prev[v] = u
+					queue = append(queue, v)
+				}
+			}
+		}
+		return prev
+	}
+	var flow int64
+	for {
+		prev := reach()
+		if prev[t] < 0 {
+			side := make([]bool, n)
+			for v := range side {
+				side[v] = prev[v] >= 0
+			}
+			return flow, side
+		}
+		d := 8 * Inf
+		for v := t; v != s; v = prev[v] {
+			d = min(d, r[prev[v]][v])
+		}
+		for v := t; v != s; v = prev[v] {
+			r[prev[v]][v] -= d
+			r[v][prev[v]] += d
+		}
+		if flow += d; flow >= Inf {
+			return Inf, nil
+		}
+	}
+}
+
+// TestMaxFlowMatchesEdmondsKarp: on seeded random networks of 2–40 nodes —
+// finite capacities (zeros included), Inf ones, parallel edges and
+// self-loops — MaxFlow and MinCutSide equal the Edmonds–Karp reference for
+// the edges in their drawn order, reversed and shuffled, on one Graph
+// reused throughout.
+func TestMaxFlowMatchesEdmondsKarp(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := new(Graph)
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(39)
+		s, t2 := rng.Intn(n), rng.Intn(n-1)
+		if t2 >= s {
+			t2++
+		}
+		edges := make([][3]int64, rng.Intn(4*n+1))
+		for i := range edges {
+			c := int64(rng.Intn(21))
+			if rng.Intn(8) == 0 {
+				c = Inf
+			}
+			edges[i] = [3]int64{int64(rng.Intn(n)), int64(rng.Intn(n)), c}
+		}
+		want, wantSide := edmondsKarp(n, s, t2, edges)
+		for order := 0; order < 3; order++ {
+			es := append([][3]int64(nil), edges...)
+			switch order {
+			case 1:
+				slices.Reverse(es)
+			case 2:
+				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+			}
+			g.Reset(n)
+			for _, e := range es {
+				g.AddEdge(int(e[0]), int(e[1]), e[2])
+			}
+			if got := g.MaxFlow(s, t2); got != want {
+				t.Fatalf("trial %d (%d nodes, %d edges, s=%d t=%d), order %d: MaxFlow = %d, Edmonds–Karp %d", trial, n, len(es), s, t2, order, got, want)
+			}
+			if wantSide == nil {
+				continue
+			}
+			if side := g.MinCutSide(s); !slices.Equal(side, wantSide) {
+				t.Fatalf("trial %d (%d nodes, %d edges, s=%d t=%d), order %d: MinCutSide = %v, Edmonds–Karp %v", trial, n, len(es), s, t2, order, side, wantSide)
+			}
+		}
 	}
 }
 

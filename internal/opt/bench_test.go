@@ -104,9 +104,10 @@ func BenchmarkBuildGroupPair(b *testing.B) {
 }
 
 // BenchmarkWorkloadCost12Models is one evaluation of MAT OPT's objective —
-// twelve cost-only min-cuts, one per model — for the loadable set MAT OPT
-// ends on. The B&B and its greedy incumbent make |U|+1 to a few hundred of
-// these per replan (plan_zoo: 13 812 plan pricings a session).
+// one cost-only min-cut per structural class: three for these twelve
+// models, four to a feature strategy — for the loadable set MAT OPT ends
+// on. The B&B and its greedy incumbent make |U|+1 to a few hundred of these
+// per replan.
 func BenchmarkWorkloadCost12Models(b *testing.B) {
 	items, mm := benchWorkload(b, 12)
 	cands, err := candidates(mm, items)

@@ -1,10 +1,10 @@
 package opt
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 
 	"nautilus/internal/graph"
 )
@@ -25,7 +25,8 @@ var errFuseStateBudget = errors.New("opt: fuse state budget exhausted")
 
 // enumState is one Fuse call's search state, shared across buckets: what
 // trials are priced with, whether buckets are enumerated at all, the
-// remaining candidate budget and the trial memo (keyed by the member set).
+// remaining candidate budget, the enumerated bucket's trial memo (keyed by
+// the member set) and the priced trials by member class sequence.
 //
 // Enumeration is the cost-based fusion plan search (the SystemML
 // fusion-plan idea applied to FUSE OPT): per bucket, the minimum-
@@ -43,11 +44,37 @@ type enumState struct {
 	cfg       FuseConfig
 	enumerate bool
 	remaining int
-	cache     map[string]*trial
+	memo      map[int]*trial // by bitmask over the bucket being enumerated
+	byClass   map[string]*trial
+	key       []byte
 }
 
+// price prices a trial group, or answers it from the trial first priced for
+// the same batch size and sequence of member classes: such trials merge to
+// the same view with the same priced facts, so they have the same actions,
+// cost and peak. The answer carries the caller's items.
 func (e *enumState) price(items []WorkItem) (*trial, error) {
-	return e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+	e.key = binary.AppendVarint(e.key[:0], int64(items[0].BatchSize))
+	for _, it := range items {
+		x := e.nums.of[it.Prof]
+		if x == nil || x.class < 0 {
+			return e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+		}
+		e.key = binary.AppendVarint(e.key, int64(x.class))
+	}
+	if t, ok := e.byClass[string(e.key)]; ok {
+		hit := &trial{items: items, actions: slices.Clone(t.actions), cost: t.cost, peak: t.peak}
+		if classPricingCheck.fuse != nil {
+			classPricingCheck.fuse(e, items, hit)
+		}
+		return hit, nil
+	}
+	t, err := e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	e.byClass[string(e.key)] = t
+	return t, nil
 }
 
 // fuseBucket partitions one compatibility bucket of singleton trials: by
@@ -90,10 +117,11 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 	// plan for it.
 	items := make([]WorkItem, n)
 	single := make([]int64, n)
+	e.memo = make(map[int]*trial, n)
 	for i, g := range bucket {
 		items[i] = g.items[0]
 		single[i] = g.perEpochCost()
-		e.cache[memberKey(g.items)] = g
+		e.memo[1<<uint(i)] = g
 	}
 	// maxSingle[m] = max over set bits of single — both the group-cost
 	// lower bound for a candidate over m and (since any partition of m
@@ -136,7 +164,7 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 				}
 				continue
 			}
-			g, err := e.priceCached(subsetItems(items, sub))
+			g, err := e.priceCached(items, sub)
 			if err != nil {
 				return 0, err
 			}
@@ -172,7 +200,7 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 	var groups []*trial
 	for mask := full; mask != 0; {
 		sub := choice[mask]
-		g, err := e.priceCached(subsetItems(items, sub))
+		g, err := e.priceCached(items, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -190,13 +218,12 @@ func restBound(maxSingle []int64, rest int) int64 {
 	return maxSingle[rest]
 }
 
-// priceCached returns the candidate trial for a member set, pricing it at
-// most once per Fuse call and drawing down the state budget for each
-// pricing. The bucket's singletons are in the memo before the search
-// starts: every strategy needs them, so they are free.
-func (e *enumState) priceCached(items []WorkItem) (*trial, error) {
-	key := memberKey(items)
-	if g, ok := e.cache[key]; ok {
+// priceCached returns the candidate trial for the bucket items a bitmask
+// names, pricing it at most once per bucket and drawing down the state
+// budget for each pricing. The bucket's singletons are in the memo before
+// the search starts: every strategy needs them, so they are free.
+func (e *enumState) priceCached(items []WorkItem, mask int) (*trial, error) {
+	if g, ok := e.memo[mask]; ok {
 		if e.cfg.Stats != nil {
 			e.cfg.Stats.MemoHits++
 		}
@@ -206,27 +233,15 @@ func (e *enumState) priceCached(items []WorkItem) (*trial, error) {
 		return nil, errFuseStateBudget
 	}
 	e.remaining--
-	g, err := e.price(items)
+	g, err := e.price(subsetItems(items, mask))
 	if err != nil {
 		return nil, err
 	}
 	if e.cfg.Stats != nil {
 		e.cfg.Stats.PairsEvaluated++
 	}
-	e.cache[key] = g
+	e.memo[mask] = g
 	return g, nil
-}
-
-// memberKey is the memo key for a candidate group: its sorted member
-// model names. Buckets never share items and the planner rejects duplicate
-// model names (core.CandidateError), so the key is unique globally.
-func memberKey(items []WorkItem) string {
-	names := make([]string, len(items))
-	for i, it := range items {
-		names[i] = it.Model.Name
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
 }
 
 // subsetItems extracts the bucket items named by a bitmask, in bit order.

@@ -287,3 +287,84 @@ func TestEnumFuserRespectsBucketBoundaries(t *testing.T) {
 		t.Errorf("verify: %v", err)
 	}
 }
+
+// TestEnumFuserMemoKeysMembersNotNames: model names may hold the separator
+// a joined-name key would use. In one bucket, "a|b" and "c" train on
+// private trunks while "a" and "b|c" share one, and B_mem holds every pair
+// but no triple; {a, b|c} and {a|b, c} both spell "a|b|c". The enumerated
+// plan must still train each candidate in exactly one group, priced as its
+// own members, and pass the verifier.
+func TestEnumFuserMemoKeysMembersNotNames(t *testing.T) {
+	shared := layers.NewDense(12, 48, layers.ActTanh, 51)
+	build := func(name string, trunk *layers.Dense) opt.WorkItem {
+		m := graph.NewModel(name)
+		tr := m.AddNode("trunk", trunk, m.AddInput("in", 12))
+		head := m.AddNode("head", layers.NewDense(48, 2, layers.ActNone, int64(len(name))+52), tr)
+		head.Trainable = true
+		m.SetOutputs(head)
+		prof, err := profile.Profile(m, enumTestHW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt.WorkItem{Model: m, Prof: prof, Epochs: 2, BatchSize: 8}
+	}
+	items := []opt.WorkItem{
+		build("a", shared),
+		build("a|b", layers.NewDense(12, 48, layers.ActTanh, 53)),
+		build("b|c", shared),
+		build("c", layers.NewDense(12, 48, layers.ActTanh, 54)),
+	}
+	peak := func(members ...opt.WorkItem) int64 {
+		g, err := opt.BuildGroup(members, nil, opt.ReusePlan, opt.AdamSlotBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.PeakMemBytes
+	}
+	var budget int64
+	for i := range items {
+		for j := i + 1; j < len(items); j++ {
+			budget = max(budget, peak(items[i], items[j]))
+		}
+	}
+	for i := range items {
+		rest := append(append([]opt.WorkItem(nil), items[:i]...), items[i+1:]...)
+		if p := peak(rest...); p <= budget {
+			t.Fatalf("fixture: the triple without %s peaks at %d, within B_mem %d", items[i].Model.Name, p, budget)
+		}
+	}
+
+	fuser, err := opt.NewFuser(opt.FuserEnum, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &opt.FuseStats{}
+	groups, err := fuser.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: opt.AdamSlotBytes, Stats: stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Fallbacks != 0 {
+		t.Fatalf("the bucket fell back to greedy (%+v): the memo was not searched", *stats)
+	}
+	seen := map[string]int{}
+	for _, g := range groups {
+		for _, it := range g.Items {
+			seen[it.Model.Name]++
+		}
+		want, err := opt.BuildGroup(g.Items, nil, opt.ReusePlan, opt.AdamSlotBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Plan.CostPerRecord != want.Plan.CostPerRecord || g.PeakMemBytes != want.PeakMemBytes {
+			t.Errorf("group %s: cost %d peak %d, its members price at %d and %d", groupKey(g), g.Plan.CostPerRecord, g.PeakMemBytes, want.Plan.CostPerRecord, want.PeakMemBytes)
+		}
+	}
+	for _, it := range items {
+		if seen[it.Model.Name] != 1 {
+			t.Errorf("%s trains in %d groups, want 1", it.Model.Name, seen[it.Model.Name])
+		}
+	}
+	if err := verify.Groups(groups, items, budget, nil); err != nil {
+		t.Errorf("verify: %v", err)
+	}
+}

@@ -233,14 +233,16 @@ func (f *Fuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg Fus
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	nb := number(items)
+	nb.classify(items, matSigs)
 	e := &enumState{
 		sc:        sc,
-		nums:      number(items),
+		nums:      nb,
 		matSigs:   matSigs,
 		cfg:       cfg,
 		enumerate: f.name == FuserEnum,
 		remaining: f.stateBudget,
-		cache:     map[string]*trial{},
+		byClass:   map[string]*trial{},
 	}
 	singles := make([]*trial, len(items))
 	for i, it := range items {

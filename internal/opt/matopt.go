@@ -178,15 +178,21 @@ func candidates(mm *mmg.MultiModel, items []WorkItem) ([]MatCandidate, error) {
 }
 
 // matSearch is one MAT OPT search over subsets of U. A subset is chosen[] by
-// candidate position, not a signature set: each item knows which candidate
-// each of its nodes is, so pricing a subset fills one []bool per item.
+// candidate position, not a signature set: each class knows which candidate
+// each of its nodes is, so pricing a subset fills one []bool per class.
+//
+// Items of one structural class (numbering) have equal optimal plan costs
+// under every subset, so the search prices one representative per class,
+// the class's first item, and weighs its cost by the class's summed epochs:
+// Σ_i cost_i·epochs_i, exactly.
 type matSearch struct {
 	sc     *scratch
 	cands  []MatCandidate
-	items  []WorkItem
-	views  []view    // by item: its profile, wrapped once per search
-	candOf [][]int32 // [item][node index] → 1 + candidate position, 0 if none
-	chosen []bool    // by candidate position
+	items  []WorkItem // what classPricingCheck re-prices item by item
+	views  []view     // by class: its representative's profile, wrapped once per search
+	candOf [][]int32  // [class][node index] → 1 + candidate position, 0 if none
+	weight []int64    // by class: the summed epochs of its items
+	chosen []bool     // by candidate position
 }
 
 func newMatSearch(sc *scratch, cands []MatCandidate, items []WorkItem) *matSearch {
@@ -194,23 +200,38 @@ func newMatSearch(sc *scratch, cands []MatCandidate, items []WorkItem) *matSearc
 	for c, cand := range cands {
 		pos[cand.Sig] = int32(c) + 1
 	}
-	s := &matSearch{sc: sc, cands: cands, items: items, views: make([]view, len(items)), candOf: make([][]int32, len(items)), chosen: make([]bool, len(cands))}
-	for k, it := range items {
-		s.views[k].wrap(it.Prof)
-		s.candOf[k] = make([]int32, len(it.Prof.Layers))
-		for i := range it.Prof.Layers {
-			s.candOf[k][i] = pos[it.Prof.Layers[i].Sig]
+	s := &matSearch{sc: sc, cands: cands, items: items, chosen: make([]bool, len(cands))}
+	nb, u := number(items), make(map[graph.Signature]bool, len(cands))
+	for _, c := range cands {
+		u[c.Sig] = true
+	}
+	nb.classify(items, u)
+	slot := map[int32]int{} // class → its position in the search
+	for _, it := range items {
+		c := nb.of[it.Prof].class
+		k, ok := slot[c]
+		if !ok || c < 0 {
+			k = len(s.views)
+			slot[c] = k
+			s.views = append(s.views, view{})
+			s.views[k].wrap(it.Prof)
+			candOf := make([]int32, len(it.Prof.Layers))
+			for i := range it.Prof.Layers {
+				candOf[i] = pos[it.Prof.Layers[i].Sig]
+			}
+			s.candOf = append(s.candOf, candOf)
+			s.weight = append(s.weight, 0)
 		}
+		s.weight[k] += int64(it.Epochs)
 	}
 	return s
 }
 
-// cost evaluates Σ_i C(M_i^opt)·epochs_i (per record) exactly, by per-model
-// min-cuts, for the loadable set chosen ∪ cands[from:].
+// cost evaluates Σ_i C(M_i^opt)·epochs_i (per record) exactly, by one
+// min-cut per class, for the loadable set chosen ∪ cands[from:].
 func (s *matSearch) cost(from int) (int64, error) {
 	var total int64
-	for k, it := range s.items {
-		candOf := s.candOf[k]
+	for k, candOf := range s.candOf {
 		s.sc.loadable = resize(s.sc.loadable, len(candOf))
 		for i, c := range candOf {
 			s.sc.loadable[i] = c > 0 && (int(c) > from || s.chosen[c-1])
@@ -219,9 +240,20 @@ func (s *matSearch) cost(from int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		total += cost * int64(it.Epochs)
+		total += cost * s.weight[k]
+	}
+	if classPricingCheck.mat != nil {
+		classPricingCheck.mat(s, from, total)
 	}
 	return total, nil
+}
+
+// classPricingCheck, when a test sets it, sees every MAT OPT evaluation and
+// every trial FUSE OPT answers from an equal class sequence, priced by
+// class, so it can re-price them item by item.
+var classPricingCheck struct {
+	mat  func(s *matSearch, from int, cost int64)
+	fuse func(e *enumState, items []WorkItem, hit *trial)
 }
 
 // sigs is the chosen subset as a signature set.

@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/profile"
@@ -97,7 +99,9 @@ func (v *view) markReachable(buf []bool) []bool {
 
 // numbering numbers the materializable expressions and the parameters of a
 // set of profiles once, so a merged view over any subset of them finds shared
-// nodes and parameters by array index.
+// nodes and parameters by array index. classify sorts the profiles into
+// structural classes on top: profiles of one class price alike wherever
+// either stands in a trial, so MAT OPT and FUSE OPT price one per class.
 type numbering struct {
 	of            map[*profile.ModelProfile]*numbered
 	exprs, params int
@@ -107,6 +111,9 @@ type numbered struct {
 	expr   []int32 // by node: 1 + expression number if materializable, else 0
 	param  []int32 // by parameter id: parameter number
 	trains []int32 // the parameter numbers the profile trains
+	// class is 1 + the profile's structural class once classified, -1 for
+	// a profile without a model, which no class vouches for.
+	class int32
 }
 
 func number(items []WorkItem) *numbering {
@@ -135,6 +142,109 @@ func number(items []WorkItem) *numbering {
 	}
 	nb.exprs, nb.params = len(exprs), len(params)
 	return nb
+}
+
+// classify gives every numbered profile its structural class, once, for
+// plans that may load the signatures in loadable (V for FUSE OPT, U for MAT
+// OPT): profiles get one class when their classKeys are equal.
+func (nb *numbering) classify(items []WorkItem, loadable map[graph.Signature]bool) {
+	// A parameter two items hold is shared: a trial dedupes it across
+	// members by its number. Any other parameter meets only its own item.
+	uses := make([]int32, nb.params)
+	for _, it := range items {
+		if x := nb.of[it.Prof]; x != nil {
+			for _, num := range x.param {
+				uses[num]++
+			}
+		}
+	}
+	classes := map[string]int32{}
+	var key []byte
+	for _, it := range items {
+		p := it.Prof
+		x := nb.of[p]
+		if x == nil || x.class != 0 {
+			continue // no profile, or classed already
+		}
+		if p.Model == nil {
+			x.class = -1
+			continue
+		}
+		key = classKey(key[:0], p, x, uses, loadable)
+		c, ok := classes[string(key)]
+		if !ok {
+			c = int32(len(classes)) + 1
+			classes[string(key)] = c
+		}
+		x.class = c
+	}
+}
+
+// classKey appends to b every fact of p that pricing it in a trial reads:
+// the hardware (c_load at the view's hardware, the workspace), the graph's
+// shape (parents, outputs), and per node its flags, its signature where it
+// decides the merge or V ∩ node (a materializable or loadable node), c_comp,
+// c_load, s_disk and s_mem, and its parameters — a shared one by number, a
+// private one by its id in p — with their bytes and p's trainable flag. Two
+// profiles with equal keys swap in any trial without changing its merged
+// view's priced facts, nor a MAT OPT plan's cost.
+func classKey(b []byte, p *profile.ModelProfile, x *numbered, uses []int32, loadable map[graph.Signature]bool) []byte {
+	hw := p.HW
+	b = binary.AppendUvarint(b, math.Float64bits(hw.FLOPSThroughput))
+	b = binary.AppendUvarint(b, math.Float64bits(hw.DiskThroughput))
+	b = binary.AppendVarint(b, hw.WorkspaceBytes)
+	b = binary.AppendVarint(b, int64(hw.Workers))
+	b = binary.AppendVarint(b, int64(p.Model.NumNodes()))
+	b = binary.AppendVarint(b, int64(len(p.Layers)))
+	b = binary.AppendVarint(b, int64(len(p.Model.Outputs)))
+	for _, o := range p.Model.Outputs {
+		b = binary.AppendVarint(b, int64(o.Index()))
+	}
+	for i := range p.Layers {
+		lp := &p.Layers[i]
+		var flags uint64
+		if lp.Node.IsInput() {
+			flags |= 1
+		}
+		if lp.Materializable {
+			flags |= 2
+		}
+		if lp.Node.Trainable {
+			flags |= 4
+		}
+		sig := lp.Materializable || loadable[lp.Sig]
+		if sig {
+			flags |= 8
+		}
+		b = binary.AppendUvarint(b, flags)
+		if sig {
+			b = binary.AppendUvarint(b, uint64(lp.Sig))
+		}
+		b = binary.AppendVarint(b, lp.CompFLOPs)
+		b = binary.AppendVarint(b, lp.LoadFLOPs)
+		b = binary.AppendVarint(b, lp.OutBytes)
+		b = binary.AppendVarint(b, lp.MemBytes)
+		b = binary.AppendVarint(b, int64(len(lp.Node.Parents)))
+		for _, par := range lp.Node.Parents {
+			b = binary.AppendVarint(b, int64(par.Index()))
+		}
+		b = binary.AppendVarint(b, int64(len(lp.Params)))
+		for _, id := range lp.Params {
+			q, num, ident := p.Param(id), x.param[id], uint64(id)
+			var pflags uint64
+			if q.Trainable {
+				pflags |= 1
+			}
+			if uses[num] > 1 {
+				pflags |= 2
+				ident = uint64(num)
+			}
+			b = binary.AppendUvarint(b, pflags)
+			b = binary.AppendUvarint(b, ident)
+			b = binary.AppendVarint(b, q.Bytes)
+		}
+	}
+	return b
 }
 
 // intern returns k's number in m, numbering it next if it has none.

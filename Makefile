@@ -21,7 +21,11 @@ test:
 # The single-threaded planning packages run without the race detector in
 # one leg (~20 s on 2 vCPUs): the plan verifier with its solver and fuser
 # agreement property (TestSolversAndFusersAgree), the max-flow
-# differential test, the multi-model merge and the profiler.
+# differential test, the multi-model merge and the profiler. A second plain
+# leg (~15 s, nearly all of it the experiments package) covers the layer
+# above the planner: the labeler, the Table 3 workload builds, the
+# experiment drivers with the mini-scale runner, the model zoo and the
+# simulated clock.
 # The seeded leg runs the seeded-regression corpus (internal/lint holds
 # only the corpus): each lock, goroutine, arena, chunk, span, shared-layer,
 # footprint or dropped-write-error bug it seeds must fail its named test
@@ -48,6 +52,7 @@ check:
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...
 	$(GO) test ./internal/verify/... ./internal/mincut/... ./internal/mmg/... ./internal/profile/...
+	$(GO) test ./internal/data/... ./internal/workloads/... ./internal/experiments/... ./internal/models/... ./internal/simclock/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) test -tags seeded -run '^TestSeededRegressions(Dynamic)?$$' -count=1 ./internal/lint

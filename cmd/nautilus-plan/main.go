@@ -120,17 +120,7 @@ func fatalIf(err error) {
 	fmt.Fprintln(os.Stderr, "nautilus-plan:", err)
 	var pe *verify.PlanError
 	if errors.As(err, &pe) {
-		fmt.Fprintf(os.Stderr, "nautilus-plan: plan rejected: kind=%s", pe.Kind)
-		if pe.Group != "" {
-			fmt.Fprintf(os.Stderr, " group=%s", pe.Group)
-		}
-		if pe.Model != "" {
-			fmt.Fprintf(os.Stderr, " model=%s", pe.Model)
-		}
-		if pe.Node != "" {
-			fmt.Fprintf(os.Stderr, " node=%s", pe.Node)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "nautilus-plan: plan rejected: %s\n", pe.Fields())
 	}
 	os.Exit(1)
 }

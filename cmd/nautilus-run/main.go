@@ -112,30 +112,19 @@ func main() {
 }
 
 // runCompare executes the workload under both Current Practice and
-// Nautilus with identical seeds, printing the wall-clock speedup and the
-// per-cycle accuracy parity (Section 5.2 in miniature).
+// Nautilus through experiments.RunMini, the runner behind Figure 7,
+// printing the wall-clock speedup and the per-cycle accuracy parity
+// (Section 5.2 in miniature).
 func runCompare(workload string, seed int64, cycles int) {
 	spec, err := workloads.ByName(workload)
 	fatalIf(err)
 	fmt.Printf("comparing approaches on %s at mini scale (%d models)...\n\n", spec.Name, spec.NumModels())
-	reports := map[core.Approach]*core.RunReport{}
-	for _, approach := range []core.Approach{core.CurrentPractice, core.Nautilus} {
-		inst, err := spec.Build(workloads.Mini, experiments.MiniHardware())
-		fatalIf(err)
-		dir, err := os.MkdirTemp("", "nautilus-compare-")
-		fatalIf(err)
-		cfg := core.DefaultConfig(dir)
-		cfg.Approach = approach
-		cfg.HW = experiments.MiniHardware()
-		cfg.Seed = seed
-		cfg.MaxRecords = 600
-		report, err := core.Run(inst, cfg, seed, cycles)
-		_ = os.RemoveAll(dir) // best-effort scratch cleanup
-		fatalIf(err)
-		reports[approach] = report
-		fmt.Printf("%-18s total %v\n", approach, report.Total.Round(1e6))
+	reports, err := experiments.RunMini(spec, []core.Approach{core.CurrentPractice, core.Nautilus}, seed, cycles, nil)
+	fatalIf(err)
+	for _, report := range reports {
+		fmt.Printf("%-18s total %v\n", report.Approach, report.Total.Round(1e6))
 	}
-	cp, nt := reports[core.CurrentPractice], reports[core.Nautilus]
+	cp, nt := reports[0], reports[1]
 	fmt.Printf("\nspeedup: %.2fX\n", cp.Total.Seconds()/nt.Total.Seconds())
 	fmt.Printf("%-6s %18s %12s\n", "cycle", "current-best-acc", "nautilus")
 	for i := range cp.Cycles {
@@ -150,17 +139,7 @@ func fatalIf(err error) {
 	fmt.Fprintln(os.Stderr, "nautilus-run:", err)
 	var pe *verify.PlanError
 	if errors.As(err, &pe) {
-		fmt.Fprintf(os.Stderr, "nautilus-run: plan rejected: kind=%s", pe.Kind)
-		if pe.Group != "" {
-			fmt.Fprintf(os.Stderr, " group=%s", pe.Group)
-		}
-		if pe.Model != "" {
-			fmt.Fprintf(os.Stderr, " model=%s", pe.Model)
-		}
-		if pe.Node != "" {
-			fmt.Fprintf(os.Stderr, " node=%s", pe.Node)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "nautilus-run: plan rejected: %s\n", pe.Fields())
 	}
 	os.Exit(1)
 }

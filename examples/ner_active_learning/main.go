@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"nautilus/internal/core"
 	"nautilus/internal/experiments"
@@ -31,43 +30,22 @@ func main() {
 
 	fmt.Printf("workload: %d candidate models over an evolving NER corpus\n\n", spec.NumModels())
 
-	type outcome struct {
-		accs  []float64
-		total float64
+	reports, err := experiments.RunMini(spec, []core.Approach{core.CurrentPractice, core.Nautilus}, 42, 4, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	results := map[core.Approach]outcome{}
-	for _, approach := range []core.Approach{core.CurrentPractice, core.Nautilus} {
-		inst, err := spec.Build(workloads.Mini, experiments.MiniHardware())
-		if err != nil {
-			log.Fatal(err)
-		}
-		dir, err := os.MkdirTemp("", "nautilus-ner-")
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := core.DefaultConfig(dir)
-		cfg.Approach = approach
-		cfg.HW = experiments.MiniHardware()
-		cfg.MaxRecords = 600
-
-		report, err := core.Run(inst, cfg, 42, 4)
-		_ = os.RemoveAll(dir) // best-effort scratch cleanup
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		fmt.Printf("--- %s ---\n", approach)
+	for _, report := range reports {
+		fmt.Printf("--- %s ---\n", report.Approach)
 		for _, c := range report.Cycles {
 			fmt.Printf("cycle %d: %3d labeled train records → best accuracy %.4f (%v)\n",
 				c.Cycle, c.TrainSize, c.BestAcc, c.Duration.Round(1e7))
 		}
 		fmt.Printf("total: %v\n\n", report.Total.Round(1e7))
-		results[approach] = outcome{accs: report.BestAccs(), total: report.Total.Seconds()}
 	}
 
-	cp, nt := results[core.CurrentPractice], results[core.Nautilus]
-	fmt.Printf("speedup: %.1fX with matching accuracy trajectories:\n", cp.total/nt.total)
-	for i := range cp.accs {
-		fmt.Printf("  cycle %d: current practice %.4f vs nautilus %.4f\n", i+1, cp.accs[i], nt.accs[i])
+	cp, nt := reports[0], reports[1]
+	fmt.Printf("speedup: %.1fX with matching accuracy trajectories:\n", cp.Total.Seconds()/nt.Total.Seconds())
+	for i := range cp.Cycles {
+		fmt.Printf("  cycle %d: current practice %.4f vs nautilus %.4f\n", i+1, cp.Cycles[i].BestAcc, nt.Cycles[i].BestAcc)
 	}
 }

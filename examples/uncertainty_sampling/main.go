@@ -53,7 +53,7 @@ func main() {
 	defer ms.Close()
 
 	pool := data.SynthNER(data.NERConfig{Records: 500, Seq: 12, Vocab: 1024, Types: 4, Seed: 31})
-	labeler := data.NewActiveLabeler(pool, 50, 40)
+	labeler := data.NewLabeler(pool, 50, 40)
 
 	var best string
 	for cycle := 1; cycle <= 4 && labeler.HasMore(); cycle++ {
@@ -70,7 +70,7 @@ func main() {
 			}
 			sampler = fmt.Sprintf("entropy scores from %s", best)
 		}
-		snap, err := labeler.NextCycle(scores)
+		snap, err := labeler.NextCycleScored(scores)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -103,9 +103,8 @@ type PlanDelta struct {
 	Kept     []graph.Signature
 	New      []graph.Signature
 	Orphaned []graph.Signature
-	// GroupsTotal is the number of groups in the new plan; GroupsChecked is
-	// how many of them were statically verified — all of them.
-	GroupsTotal   int
+	// GroupsChecked is how many of the new plan's groups were statically
+	// verified: all of them.
 	GroupsChecked int
 	// DeletedKeys and FreedBytes report the artifact GC that applied this
 	// delta (zero until the delta is applied to a store).
@@ -285,7 +284,6 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	wp.Stats.Groups = len(wp.Groups)
 
 	delta := diffPlans(p.wp, wp)
-	delta.GroupsTotal = len(wp.Groups)
 	delta.GroupsChecked = len(wp.Groups)
 	span.Attr(obs.Int("kept", int64(len(delta.Kept))),
 		obs.Int("new", int64(len(delta.New))),
@@ -432,7 +430,7 @@ func (ms *ModelSelection) applyPlan(wp *WorkloadPlan, delta *PlanDelta) error {
 		obs.Int("kept", int64(len(delta.Kept))),
 		obs.Int("new", int64(len(delta.New))),
 		obs.Int("orphaned", int64(len(delta.Orphaned))),
-		obs.Int("groups_total", int64(delta.GroupsTotal)))
+		obs.Int("groups_total", int64(len(wp.Groups))))
 	defer sp.End()
 	st, err := exec.ReconcileArtifacts(ms.store, delta.OldSigs(), wp.MatSigs)
 	if err != nil {

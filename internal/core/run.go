@@ -32,15 +32,6 @@ type RunReport struct {
 	FinalBest CandidateResult
 }
 
-// BestAccs returns the per-cycle best validation accuracies.
-func (r *RunReport) BestAccs() []float64 {
-	out := make([]float64, len(r.Cycles))
-	for i, c := range r.Cycles {
-		out[i] = c.BestAcc
-	}
-	return out
-}
-
 // Run executes a full evolving-data workload (Figure 1A/B): the simulated
 // labeler releases a batch per cycle and every cycle performs model
 // selection over all labeled data so far, under the configured approach.

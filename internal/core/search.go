@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"nautilus/internal/graph"
 	"nautilus/internal/mmg"
@@ -81,51 +79,21 @@ func enumerate(space SearchSpace) []map[string]any {
 	return assignments
 }
 
+// buildItems initializes the candidates in order (init functions may share
+// state) and hands them to the one candidate-set builder.
 func buildItems(assignments []map[string]any, init ModelInitFunc, hw profile.Hardware) ([]opt.WorkItem, *mmg.MultiModel, error) {
 	if len(assignments) == 0 {
 		return nil, nil, fmt.Errorf("core: empty search space")
 	}
-	// Initialization runs user code sequentially (init functions may share
-	// state); profiling is pure graph analysis, so candidates fan out across
-	// goroutines with results kept in input order.
 	items := make([]opt.WorkItem, len(assignments))
-	ms := make([]*graph.Model, len(assignments))
-	hypers := make([]Hyper, len(assignments))
 	for i, a := range assignments {
 		m, hyper, err := init(a)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: init candidate %d (%v): %w", i, a, err)
 		}
-		ms[i] = m
-		hypers[i] = hyper
+		items[i] = opt.WorkItem{Model: m, Epochs: hyper.Epochs, BatchSize: hyper.BatchSize, LR: hyper.LR}
 	}
-	errs := make([]error, len(assignments))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range ms {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			prof, err := profile.Profile(ms[i], hw)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: profile candidate %q: %w", ms[i].Name, err)
-				return
-			}
-			items[i] = opt.WorkItem{
-				Model: ms[i], Prof: prof,
-				Epochs: hypers[i].Epochs, BatchSize: hypers[i].BatchSize, LR: hypers[i].LR,
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	multi, err := mmg.Build(ms...)
+	multi, err := opt.ProfileWorkload(items, hw)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -177,7 +177,7 @@ func TestEntropyScoresAndActiveLearningLoop(t *testing.T) {
 	defer ms.Close()
 
 	pool := data.SynthNER(data.NERConfig{Records: 300, Seq: 12, Vocab: 1024, Types: 4, Seed: 55})
-	al := data.NewActiveLabeler(pool, 40, 32)
+	al := data.NewLabeler(pool, 40, 32)
 
 	var best string
 	for cycle := 0; cycle < 2; cycle++ {
@@ -204,7 +204,7 @@ func TestEntropyScoresAndActiveLearningLoop(t *testing.T) {
 				}
 			}
 		}
-		snap, err := al.NextCycle(scores)
+		snap, err := al.NextCycleScored(scores)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 
 	"nautilus/internal/tensor"
 )
@@ -64,75 +63,4 @@ func (p *Pool) ensureLabeled() {
 	if p.labeled == nil {
 		p.labeled = make([]bool, p.Size())
 	}
-}
-
-// ActiveLabeler drives active-learning cycles (Figure 1A): each cycle the
-// caller scores the unlabeled pool with the current best model and the
-// labeler releases the top-scoring batch, growing the snapshot exactly as
-// the sequential Labeler does.
-type ActiveLabeler struct {
-	Pool          *Pool
-	PerCycle      int
-	TrainPerCycle int
-
-	cycle int
-	cur   Snapshot
-}
-
-// NewActiveLabeler returns an active labeler with the given cycle shape.
-func NewActiveLabeler(pool *Pool, perCycle, trainPerCycle int) *ActiveLabeler {
-	if trainPerCycle <= 0 || trainPerCycle >= perCycle {
-		panic(fmt.Sprintf("data: trainPerCycle %d must be in (0, %d)", trainPerCycle, perCycle))
-	}
-	pool.ensureLabeled()
-	return &ActiveLabeler{Pool: pool, PerCycle: perCycle, TrainPerCycle: trainPerCycle}
-}
-
-// HasMore reports whether a full cycle's worth of unlabeled data remains.
-func (l *ActiveLabeler) HasMore() bool {
-	return len(l.Pool.UnlabeledIndices()) >= l.PerCycle
-}
-
-// Snapshot returns the accumulated snapshot.
-func (l *ActiveLabeler) Snapshot() Snapshot { return l.cur }
-
-// NextCycle labels the next batch and returns the grown snapshot. scores,
-// when non-nil, must align with the current UnlabeledIndices(); the
-// highest-scoring records are labeled first (uncertainty sampling). A nil
-// scores falls back to pool order, reproducing the sequential Labeler.
-func (l *ActiveLabeler) NextCycle(scores []float64) (Snapshot, error) {
-	unlabeled := l.Pool.UnlabeledIndices()
-	if len(unlabeled) < l.PerCycle {
-		return l.cur, fmt.Errorf("data: only %d unlabeled records left, need %d", len(unlabeled), l.PerCycle)
-	}
-	pick := make([]int, len(unlabeled))
-	copy(pick, unlabeled)
-	if scores != nil {
-		if len(scores) != len(unlabeled) {
-			return l.cur, fmt.Errorf("data: %d scores for %d unlabeled records", len(scores), len(unlabeled))
-		}
-		order := make([]int, len(unlabeled))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-		for i, o := range order {
-			pick[i] = unlabeled[o]
-		}
-	}
-	batch := pick[:l.PerCycle]
-	x, y, err := l.Pool.LabelIndices(batch)
-	if err != nil {
-		return l.cur, err
-	}
-	tn := l.TrainPerCycle
-	l.cycle++
-	l.cur = Snapshot{
-		Cycle:  l.cycle,
-		TrainX: append0(l.cur.TrainX, slice0(x, 0, tn)),
-		TrainY: append0(l.cur.TrainY, slice0(y, 0, tn)),
-		ValidX: append0(l.cur.ValidX, slice0(x, tn, l.PerCycle)),
-		ValidY: append0(l.cur.ValidY, slice0(y, tn, l.PerCycle)),
-	}
-	return l.cur, nil
 }

@@ -7,6 +7,7 @@ package data
 
 import (
 	"fmt"
+	"sort"
 
 	"nautilus/internal/tensor"
 )
@@ -24,24 +25,6 @@ type Pool struct {
 
 // Size returns the number of records in the pool.
 func (p *Pool) Size() int { return p.X.Dim(0) }
-
-// Remaining returns how many records are still unlabeled.
-func (p *Pool) Remaining() int { return len(p.UnlabeledIndices()) }
-
-// LabelBatch releases the next n labels in pool order, returning the newly
-// labeled records ΔD⁺. It returns fewer than n records when the pool runs
-// dry.
-func (p *Pool) LabelBatch(n int) (x, y *tensor.Tensor) {
-	idx := p.UnlabeledIndices()
-	if n > len(idx) {
-		n = len(idx)
-	}
-	x, y, err := p.LabelIndices(idx[:n])
-	if err != nil {
-		panic(err) // unreachable: indices come from UnlabeledIndices
-	}
-	return x, y
-}
 
 // slice0 copies records [lo,hi) along dimension 0.
 func slice0(t *tensor.Tensor, lo, hi int) *tensor.Tensor {
@@ -79,7 +62,9 @@ func (s Snapshot) ValidSize() int {
 // Labeler drives the model-selection cycles: each cycle it labels PerCycle
 // new records, splits them TrainPerCycle/ValidPerCycle, and appends them to
 // the accumulated snapshot. The paper uses 500 records per cycle with a
-// 400/100 split for 10 cycles.
+// 400/100 split for 10 cycles. Records are released in pool order
+// (NextCycle) or, for active learning, highest score first
+// (NextCycleScored).
 type Labeler struct {
 	Pool          *Pool
 	PerCycle      int
@@ -99,18 +84,57 @@ func NewLabeler(pool *Pool, perCycle, trainPerCycle int) *Labeler {
 }
 
 // HasMore reports whether the pool can supply another full cycle.
-func (l *Labeler) HasMore() bool { return l.Pool.Remaining() >= l.PerCycle }
+func (l *Labeler) HasMore() bool { return len(l.Pool.UnlabeledIndices()) >= l.PerCycle }
 
-// NextCycle labels one more batch and returns the grown snapshot D_{k+1}
-// along with the newly added training records ΔD⁺ (for incremental
-// materialization).
+// NextCycle labels the next PerCycle records in pool order and returns the
+// grown snapshot D_{k+1} along with the newly added training records ΔD⁺
+// (for incremental materialization). A pool running dry releases what is
+// left.
 func (l *Labeler) NextCycle() (snap Snapshot, deltaX, deltaY *tensor.Tensor) {
-	x, y := l.Pool.LabelBatch(l.PerCycle)
-	n := x.Dim(0)
-	tn := l.TrainPerCycle
-	if tn > n {
-		tn = n
+	idx := l.Pool.UnlabeledIndices()
+	if len(idx) > l.PerCycle {
+		idx = idx[:l.PerCycle]
 	}
+	return l.release(idx)
+}
+
+// NextCycleScored is the active-learning cycle (Figure 1A): scores align
+// with the pool's UnlabeledIndices(), and the PerCycle highest-scoring
+// records are labeled (uncertainty sampling), ties in pool order. A nil
+// scores labels in pool order, as NextCycle does. A pool short of a full
+// cycle or a scores slice of the wrong length is an error.
+func (l *Labeler) NextCycleScored(scores []float64) (Snapshot, error) {
+	unlabeled := l.Pool.UnlabeledIndices()
+	if len(unlabeled) < l.PerCycle {
+		return l.cur, fmt.Errorf("data: only %d unlabeled records left, need %d", len(unlabeled), l.PerCycle)
+	}
+	if scores != nil {
+		if len(scores) != len(unlabeled) {
+			return l.cur, fmt.Errorf("data: %d scores for %d unlabeled records", len(scores), len(unlabeled))
+		}
+		order := make([]int, len(unlabeled))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
+		for i, o := range order {
+			order[i] = unlabeled[o]
+		}
+		unlabeled = order
+	}
+	snap, _, _ := l.release(unlabeled[:l.PerCycle])
+	return snap, nil
+}
+
+// release labels the given unlabeled records, splits them train-first, and
+// appends them to the snapshot.
+func (l *Labeler) release(idx []int) (snap Snapshot, deltaX, deltaY *tensor.Tensor) {
+	x, y, err := l.Pool.LabelIndices(idx)
+	if err != nil {
+		panic(err) // unreachable: indices come from UnlabeledIndices
+	}
+	n := len(idx)
+	tn := min(l.TrainPerCycle, n)
 	dx, dy := slice0(x, 0, tn), slice0(y, 0, tn)
 	vx, vy := slice0(x, tn, n), slice0(y, tn, n)
 	l.cycle++

@@ -92,25 +92,25 @@ func TestSynthImagesBalancedAndMarked(t *testing.T) {
 	}
 }
 
-func TestLabelBatchReleasesSequentially(t *testing.T) {
-	cfg := NERConfig{Records: 30, Seq: 4, Vocab: 50, Types: 2, Seed: 5}
+func TestLabelerReleasesInPoolOrder(t *testing.T) {
+	cfg := NERConfig{Records: 25, Seq: 4, Vocab: 50, Types: 2, Seed: 5}
 	p := SynthNER(cfg)
-	x1, _ := p.LabelBatch(10)
-	x2, _ := p.LabelBatch(10)
-	if x1.Dim(0) != 10 || x2.Dim(0) != 10 {
+	l := NewLabeler(p, 10, 8)
+	s1, dx1, _ := l.NextCycle()
+	_, dx2, _ := l.NextCycle()
+	if dx1.Dim(0) != 8 || dx2.Dim(0) != 8 || s1.ValidSize() != 2 {
 		t.Fatal("wrong batch sizes")
 	}
-	if p.Remaining() != 10 {
-		t.Errorf("remaining = %d, want 10", p.Remaining())
+	if got := len(p.UnlabeledIndices()); got != 5 || l.HasMore() {
+		t.Errorf("unlabeled = %d (HasMore %v), want 5 and no full cycle", got, l.HasMore())
 	}
-	// Over-request drains what's left.
-	x3, _ := p.LabelBatch(99)
-	if x3.Dim(0) != 10 || p.Remaining() != 0 {
-		t.Error("over-request should drain the pool")
+	if !dx1.AllClose(p.GatherX([]int{0, 1, 2, 3, 4, 5, 6, 7}), 0) || !dx2.AllClose(p.GatherX([]int{10, 11, 12, 13, 14, 15, 16, 17}), 0) {
+		t.Error("cycles must take the pool's records in order, train split first")
 	}
-	// Batches must be distinct prefixes of the pool.
-	if x1.AllClose(x2, 0) {
-		t.Error("consecutive batches should differ")
+	// A pool running dry releases what is left, train split first.
+	s3, dx3, _ := l.NextCycle()
+	if dx3.Dim(0) != 5 || s3.TrainSize() != 21 || s3.ValidSize() != 4 || len(p.UnlabeledIndices()) != 0 {
+		t.Errorf("last cycle: delta %d, snapshot %d/%d; want 5, 21/4 and a drained pool", dx3.Dim(0), s3.TrainSize(), s3.ValidSize())
 	}
 }
 
@@ -126,6 +126,39 @@ func TestLabelerAccumulatesSnapshots(t *testing.T) {
 		}
 		if dx.Dim(0) != 16 {
 			t.Fatalf("delta train = %d, want 16", dx.Dim(0))
+		}
+		if snap.TrainSize() != prevTrain+16 {
+			t.Fatalf("train size = %d, want %d", snap.TrainSize(), prevTrain+16)
+		}
+		if snap.ValidSize() != k*4 {
+			t.Fatalf("valid size = %d, want %d", snap.ValidSize(), k*4)
+		}
+		prevTrain = snap.TrainSize()
+	}
+	if l.Snapshot().Cycle != 5 {
+		t.Errorf("completed %d cycles, want 5", l.Snapshot().Cycle)
+	}
+}
+
+// TestActiveLabelerSnapshotsGrow drives scored cycles: each releases PerCycle
+// records, grows the snapshot by the train share, and the pool drains on
+// schedule whatever order the scores pick.
+func TestActiveLabelerSnapshotsGrow(t *testing.T) {
+	p := SynthNER(NERConfig{Records: 100, Seq: 4, Vocab: 50, Types: 2, Seed: 6})
+	l := NewLabeler(p, 20, 16)
+	var prevTrain int
+	for k := 1; l.HasMore(); k++ {
+		// Reverse pool order: the last unlabeled record scores highest.
+		scores := make([]float64, len(p.UnlabeledIndices()))
+		for i := range scores {
+			scores[i] = float64(i)
+		}
+		snap, err := l.NextCycleScored(scores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Cycle != k {
+			t.Fatalf("cycle = %d, want %d", snap.Cycle, k)
 		}
 		if snap.TrainSize() != prevTrain+16 {
 			t.Fatalf("train size = %d, want %d", snap.TrainSize(), prevTrain+16)
@@ -199,8 +232,8 @@ func TestLabelIndicesAndUnlabeled(t *testing.T) {
 			t.Fatal("gathered rows differ from pool")
 		}
 	}
-	if p.Remaining() != 8 {
-		t.Errorf("remaining = %d, want 8", p.Remaining())
+	if got := len(p.UnlabeledIndices()); got != 8 {
+		t.Errorf("unlabeled = %d, want 8", got)
 	}
 	// Double-labeling rejected.
 	if _, _, err := p.LabelIndices([]int{7}); err == nil {
@@ -210,7 +243,7 @@ func TestLabelIndicesAndUnlabeled(t *testing.T) {
 		t.Error("out-of-range index must error")
 	}
 	// Sequential labeling skips already-labeled records.
-	xb, _ := p.LabelBatch(3)
+	_, xb, _ := NewLabeler(p, 4, 3).NextCycle()
 	if xb.Dim(0) != 3 {
 		t.Fatal("sequential batch size")
 	}
@@ -219,10 +252,10 @@ func TestLabelIndicesAndUnlabeled(t *testing.T) {
 	}
 }
 
-func TestActiveLabelerPicksHighestScores(t *testing.T) {
+func TestLabelerScoredPicksHighestScores(t *testing.T) {
 	p := SynthNER(NERConfig{Records: 12, Seq: 2, Vocab: 30, Types: 1, Seed: 9})
-	al := NewActiveLabeler(p, 4, 3)
-	if !al.HasMore() {
+	l := NewLabeler(p, 4, 3)
+	if !l.HasMore() {
 		t.Fatal("should have cycles available")
 	}
 	// Score record i with value i: the labeler must pick 11,10,9,8.
@@ -231,7 +264,7 @@ func TestActiveLabelerPicksHighestScores(t *testing.T) {
 	for i, r := range unlabeled {
 		scores[i] = float64(r)
 	}
-	snap, err := al.NextCycle(scores)
+	snap, err := l.NextCycleScored(scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,48 +285,35 @@ func TestActiveLabelerPicksHighestScores(t *testing.T) {
 	}
 }
 
-func TestActiveLabelerNilScoresSequential(t *testing.T) {
-	p := SynthNER(NERConfig{Records: 8, Seq: 2, Vocab: 30, Types: 1, Seed: 10})
-	al := NewActiveLabeler(p, 4, 3)
-	if _, err := al.NextCycle(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if !p.labeled[i] {
-			t.Errorf("sequential fallback should label record %d", i)
-		}
-	}
-	// Score length mismatch rejected.
-	if _, err := al.NextCycle([]float64{1}); err == nil {
-		t.Error("score length mismatch must error")
-	}
-	// Second sequential cycle drains the pool; a third must error.
-	if _, err := al.NextCycle(nil); err != nil {
-		t.Fatal(err)
-	}
-	if al.HasMore() {
-		t.Error("pool drained, HasMore should be false")
-	}
-	if _, err := al.NextCycle(nil); err == nil {
-		t.Error("exhausted pool must error")
-	}
-}
-
-func TestActiveLabelerSnapshotsGrow(t *testing.T) {
-	p := SynthNER(NERConfig{Records: 20, Seq: 2, Vocab: 30, Types: 1, Seed: 11})
-	al := NewActiveLabeler(p, 5, 4)
-	var prev int
-	for al.HasMore() {
-		snap, err := al.NextCycle(nil)
+// A nil-scored cycle is a pool-order cycle: on equal pools the two calls
+// grow equal snapshots. A wrong scores length and a pool short of a full
+// cycle are errors.
+func TestLabelerScoredNilMatchesNextCycle(t *testing.T) {
+	cfg := NERConfig{Records: 10, Seq: 2, Vocab: 30, Types: 1, Seed: 10}
+	seq, scored := NewLabeler(SynthNER(cfg), 4, 3), NewLabeler(SynthNER(cfg), 4, 3)
+	for cycle := 1; cycle <= 2; cycle++ {
+		want, _, _ := seq.NextCycle()
+		got, err := scored.NextCycleScored(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.TrainSize() != prev+4 {
-			t.Fatalf("train size %d, want %d", snap.TrainSize(), prev+4)
+		if got.Cycle != want.Cycle || !got.TrainX.AllClose(want.TrainX, 0) || !got.TrainY.AllClose(want.TrainY, 0) ||
+			!got.ValidX.AllClose(want.ValidX, 0) || !got.ValidY.AllClose(want.ValidY, 0) {
+			t.Fatalf("cycle %d: NextCycleScored(nil) snapshot differs from NextCycle's", cycle)
 		}
-		prev = snap.TrainSize()
+		if cycle == 1 {
+			if _, err := scored.NextCycleScored([]float64{1}); err == nil {
+				t.Error("score length mismatch must error")
+			}
+		}
 	}
-	if al.Snapshot().Cycle != 4 {
-		t.Errorf("cycles = %d, want 4", al.Snapshot().Cycle)
+	if scored.HasMore() {
+		t.Error("2 records left, HasMore should be false")
+	}
+	if _, err := scored.NextCycleScored(nil); err == nil {
+		t.Error("a pool short of a full cycle must error")
+	}
+	if scored.Snapshot().Cycle != 2 {
+		t.Errorf("failed cycles advanced the labeler to cycle %d", scored.Snapshot().Cycle)
 	}
 }

@@ -142,8 +142,12 @@ func TestMaterializerIncrementalMatchesBulk(t *testing.T) {
 	sig := mm.Sig(mat[len(mat)-1])
 	sigs := map[graph.Signature]bool{sig: true}
 
-	xAll, _ := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7}).LabelBatch(60)
-	prefix, _ := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7}).LabelBatch(30)
+	pool := data.SynthNER(data.NERConfig{Records: 60, Seq: 12, Vocab: 1024, Types: 4, Seed: 7})
+	first := make([]int, 30)
+	for i := range first {
+		first[i] = i
+	}
+	xAll, prefix := pool.X, pool.GatherX(first)
 
 	storeA, _ := newTestStore(t)
 	mzA, err := NewMaterializer(storeA, mm, sigs)

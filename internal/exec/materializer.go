@@ -234,11 +234,6 @@ func (mz *Materializer) SyncSplit(split Split, fullX *tensor.Tensor) error {
 // ReconcileStats reports what an artifact reconciliation kept and
 // collected.
 type ReconcileStats struct {
-	// KeptSigs, NewSigs, and OrphanedSigs partition old ∪ new V: signatures
-	// in both plans, only the new one, and only the old one.
-	KeptSigs     int
-	NewSigs      int
-	OrphanedSigs int
 	// DeletedKeys are the store keys GC removed (sorted).
 	DeletedKeys []string
 	// FreedBytes is the on-disk footprint of the deleted artifacts.
@@ -249,22 +244,9 @@ type ReconcileStats struct {
 // replan: every artifact whose signature left the materialized set V is
 // deleted, every artifact still in V stays on disk with its records intact
 // (the plan-delta reuse at the heart of evolving-workload replanning).
-// Store keys not written by this package are never touched. oldSigs may be
-// nil (first plan: nothing to collect).
+// Store keys not written by this package are never touched. What goes is
+// decided by newSigs alone; oldSigs, the previous plan's V, may be nil.
 func ReconcileArtifacts(store *storage.TensorStore, oldSigs, newSigs map[graph.Signature]bool) (*ReconcileStats, error) {
-	st := &ReconcileStats{}
-	for sig := range oldSigs {
-		if newSigs[sig] {
-			st.KeptSigs++
-		} else {
-			st.OrphanedSigs++
-		}
-	}
-	for sig := range newSigs {
-		if !oldSigs[sig] {
-			st.NewSigs++
-		}
-	}
 	deleted, freed, err := store.GC(func(key string) bool {
 		sig, ok := keySig(key)
 		if !ok {
@@ -275,9 +257,7 @@ func ReconcileArtifacts(store *storage.TensorStore, oldSigs, newSigs map[graph.S
 	if err != nil {
 		return nil, fmt.Errorf("exec: reconcile artifacts: %w", err)
 	}
-	st.DeletedKeys = deleted
-	st.FreedBytes = freed
-	return st, nil
+	return &ReconcileStats{DeletedKeys: deleted, FreedBytes: freed}, nil
 }
 
 // sliceRecords copies records [lo,hi) along dim 0 into a tensor allocated

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -61,9 +62,6 @@ func TestReconcileArtifactsGCsOrphansOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.KeptSigs != 1 || st.NewSigs != 1 || st.OrphanedSigs != 1 {
-		t.Errorf("partition = %d kept %d new %d orphaned, want 1/1/1", st.KeptSigs, st.NewSigs, st.OrphanedSigs)
-	}
 	wantDeleted := []string{storeKey(orphan, Train), storeKey(orphan, Valid)}
 	sort.Strings(wantDeleted)
 	if len(st.DeletedKeys) != 2 || st.DeletedKeys[0] != wantDeleted[0] || st.DeletedKeys[1] != wantDeleted[1] {
@@ -82,13 +80,21 @@ func TestReconcileArtifactsGCsOrphansOnly(t *testing.T) {
 			t.Errorf("surviving artifact %s unreadable: count %d, err %v", key, n, err)
 		}
 	}
+	wantKept := []string{storeKey(kept, Train), storeKey(kept, Valid), "scratch"}
+	sort.Strings(wantKept)
+	if keys, err := store.Keys(); err != nil || !slices.Equal(keys, wantKept) {
+		t.Errorf("store keys after GC = %v (err %v), want %v", keys, err, wantKept)
+	}
 
 	// First plan: nil oldSigs, nothing collected.
 	st, err = ReconcileArtifacts(store, nil, newSigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.KeptSigs != 0 || st.NewSigs != 2 || len(st.DeletedKeys) != 0 {
-		t.Errorf("first-plan reconcile = %+v, want 2 new and no deletions", st)
+	if len(st.DeletedKeys) != 0 || st.FreedBytes != 0 {
+		t.Errorf("first-plan reconcile = %+v, want no deletions", st)
+	}
+	if keys, err := store.Keys(); err != nil || !slices.Equal(keys, wantKept) {
+		t.Errorf("store keys after first-plan reconcile = %v (err %v), want %v", keys, err, wantKept)
 	}
 }

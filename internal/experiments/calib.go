@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"os"
 
 	"nautilus/internal/core"
 	"nautilus/internal/obs"
@@ -48,22 +47,8 @@ func Calib() (*CalibResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst, err := spec.Build(workloads.Mini, MiniHardware())
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "nautilus-calibbench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
 	tr := obs.New(nil)
-	cfg := core.DefaultConfig(dir)
-	cfg.HW = MiniHardware()
-	cfg.MaxRecords = 600
-	cfg.Obs = tr
-	if _, err := core.Run(inst, cfg, 1, cycles); err != nil {
+	if _, err := RunMini(spec, []core.Approach{core.Nautilus}, 1, cycles, tr); err != nil {
 		return nil, err
 	}
 

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"nautilus/internal/core"
 	"nautilus/internal/workloads"
 )
 
@@ -259,10 +262,13 @@ func TestHardwareSweepMonotoneLoads(t *testing.T) {
 // equivalent SGD, so their best validation accuracies are bit-identical
 // cycle by cycle.
 func TestFig7ApproachesReachEqualAccuracy(t *testing.T) {
-	r, err := Fig7(Fig7Config{LRs: 1, Cycles: 1, Seed: 11, WorkDir: t.TempDir()})
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	r, err := Fig7(Fig7Config{LRs: 1, Cycles: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireEmptyDir(t, tmp)
 	if len(r.CurrentPractice) != 1 || len(r.Nautilus) != 1 {
 		t.Fatalf("cycles: current practice %d, nautilus %d; want 1 each", len(r.CurrentPractice), len(r.Nautilus))
 	}
@@ -271,5 +277,44 @@ func TestFig7ApproachesReachEqualAccuracy(t *testing.T) {
 		if cp.Cycle != nt.Cycle || cp.BestAcc != nt.BestAcc {
 			t.Errorf("cycle %d: current practice best acc %v, nautilus cycle %d best acc %v", cp.Cycle, cp.BestAcc, nt.Cycle, nt.BestAcc)
 		}
+	}
+}
+
+// RunMini returns one report per approach, in order, and removes every
+// work directory it made; a work directory it cannot make is an error.
+func TestRunMiniRemovesWorkDirs(t *testing.T) {
+	spec := workloads.FTR3()
+	spec.BatchSizes, spec.LRs, spec.Epochs = []int{8}, []float64{5e-5}, []int{1}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	approaches := []core.Approach{core.Nautilus, core.CurrentPractice}
+	reports, err := RunMini(spec, approaches, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != len(approaches) {
+		t.Fatalf("%d reports for %d approaches", len(reports), len(approaches))
+	}
+	for i, rep := range reports {
+		if rep.Approach != approaches[i] || len(rep.Cycles) != 1 {
+			t.Errorf("report %d: approach %s with %d cycles, want %s with 1", i, rep.Approach, len(rep.Cycles), approaches[i])
+		}
+	}
+	requireEmptyDir(t, tmp)
+
+	t.Setenv("TMPDIR", filepath.Join(tmp, "missing"))
+	if _, err := RunMini(spec, approaches, 3, 1, nil); err == nil {
+		t.Error("RunMini with no usable temp directory: want an error")
+	}
+}
+
+func requireEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in the temp directory: %s", e.Name())
 	}
 }

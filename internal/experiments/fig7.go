@@ -2,39 +2,11 @@ package experiments
 
 import (
 	"io"
-	"os"
-	"path/filepath"
 
 	"nautilus/internal/core"
 	"nautilus/internal/obs"
-	"nautilus/internal/profile"
 	"nautilus/internal/workloads"
 )
-
-// workDirOr returns base/sub, or a fresh temp dir when base is empty.
-func workDirOr(base, sub string) string {
-	if base == "" {
-		dir, err := os.MkdirTemp("", "nautilus-fig7-")
-		if err != nil {
-			panic(err)
-		}
-		return dir
-	}
-	dir := filepath.Join(base, sub)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		panic(err)
-	}
-	return dir
-}
-
-// MiniHardware returns a cost-model profile proportioned for real CPU
-// execution of mini-scale models: a few GFLOP/s of effective compute
-// against SSD-class storage, i.e. ~10 FLOPs of compute per byte of disk
-// bandwidth. The optimizer's load-vs-recompute decisions at mini scale
-// then mirror the regime paper-scale models occupy on a GPU.
-func MiniHardware() profile.Hardware {
-	return profile.Hardware{FLOPSThroughput: 5e9, DiskThroughput: 500e6, WorkspaceBytes: 256 << 20}
-}
 
 // Fig7Config sizes the real-training learning-curve experiment. The
 // default (zero value → DefaultFig7Config) trims the FTR-2 grid so the
@@ -49,9 +21,7 @@ type Fig7Config struct {
 	// SecPerLabel adds simulated human labeling time per record
 	// (Figure 7B); 0 reproduces Figure 7A.
 	SecPerLabel float64
-	// WorkDir hosts stores and checkpoints (a temp dir if empty).
-	WorkDir string
-	Seed    int64
+	Seed        int64
 	// Obs, when set, instruments both approaches' runs; defaults to the
 	// package tracer installed via SetObs.
 	Obs *obs.Tracer
@@ -101,40 +71,20 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	base.LRs = lrs
 	base.Epochs = []int{3}
 
-	out := &Fig7Result{}
+	reports, err := RunMini(base, []core.Approach{core.CurrentPractice, core.Nautilus}, cfg.Seed, cfg.Cycles, cfg.Obs)
+	if err != nil {
+		return nil, err
+	}
+	perCycle, _, _ := (&workloads.Instance{Scale: workloads.Mini}).CycleSchedule()
+	var curves [2][]Fig7Point
 	var totals [2]float64
-	for ai, approach := range []core.Approach{core.CurrentPractice, core.Nautilus} {
-		inst, err := base.Build(workloads.Mini, MiniHardware())
-		if err != nil {
-			return nil, err
-		}
-		ccfg := core.DefaultConfig(workDirOr(cfg.WorkDir, string(approach)))
-		ccfg.Approach = approach
-		ccfg.HW = MiniHardware()
-		ccfg.Seed = cfg.Seed
-		ccfg.MaxRecords = 600
-		ccfg.Obs = cfg.Obs
-
-		rep, err := core.Run(inst, ccfg, cfg.Seed, cfg.Cycles)
-		if err != nil {
-			return nil, err
-		}
-		perCycle, _, _ := inst.CycleSchedule()
-		elapsed := 0.0
-		pts := make([]Fig7Point, len(rep.Cycles))
-		for i, c := range rep.Cycles {
-			elapsed += cfg.SecPerLabel*float64(perCycle) + c.Duration.Seconds()
-			pts[i] = Fig7Point{Cycle: c.Cycle, ElapsedSec: elapsed, BestAcc: c.BestAcc}
-		}
-		totals[ai] = elapsed
-		if approach == core.CurrentPractice {
-			out.CurrentPractice = pts
-		} else {
-			out.Nautilus = pts
+	for ai, rep := range reports {
+		for _, c := range rep.Cycles {
+			totals[ai] += cfg.SecPerLabel*float64(perCycle) + c.Duration.Seconds()
+			curves[ai] = append(curves[ai], Fig7Point{Cycle: c.Cycle, ElapsedSec: totals[ai], BestAcc: c.BestAcc})
 		}
 	}
-	out.Speedup = totals[0] / totals[1]
-	return out, nil
+	return &Fig7Result{CurrentPractice: curves[0], Nautilus: curves[1], Speedup: totals[0] / totals[1]}, nil
 }
 
 // PrintFig7 renders both learning curves.

@@ -23,6 +23,23 @@ type WorkItem struct {
 	LR float64
 }
 
+// ProfileWorkload is the one candidate-set builder behind
+// workloads.Spec.Build and core.GridSearch/RandomSearch: it profiles each
+// item's model against hw, in order, sets the item's Prof, and merges the
+// profiled models into the workload's multi-model graph.
+func ProfileWorkload(items []WorkItem, hw profile.Hardware) (*mmg.MultiModel, error) {
+	profs := make([]*profile.ModelProfile, len(items))
+	for i := range items {
+		prof, err := profile.Profile(items[i].Model, hw)
+		if err != nil {
+			return nil, fmt.Errorf("opt: profile %s: %w", items[i].Model.Name, err)
+		}
+		items[i].Prof, profs[i] = prof, prof
+	}
+	mm, _, err := mmg.BuildProfiled(profs...)
+	return mm, err
+}
+
 // MatConfig configures the materialization optimization.
 type MatConfig struct {
 	// DiskBudgetBytes is B_disk.

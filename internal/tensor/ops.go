@@ -14,18 +14,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame("Sub", a, b)
-	out := NewFrom2(a, b, a.shape...)
-	parallelFor(scheduleFor(OpEltwise, [3]int{len(a.data), 0, 0}), len(a.data), len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] - b.data[i]
-		}
-	})
-	return out
-}
-
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
@@ -38,31 +26,11 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale returns a*s elementwise.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := NewFrom(a, a.shape...)
-	parallelFor(scheduleFor(OpEltwise, [3]int{len(a.data), 0, 0}), len(a.data), len(a.data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.data[i] = a.data[i] * s
-		}
-	})
-	return out
-}
-
 // AddInPlace accumulates b into a and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
 	checkSame("AddInPlace", a, b)
 	parallelFor(scheduleFor(OpEltwise, [3]int{len(a.data), 0, 0}), len(a.data), len(a.data), func(lo, hi int) {
 		vadd(a.data[lo:hi], b.data[lo:hi])
-	})
-	return a
-}
-
-// AxpyInPlace computes a += s*b and returns a.
-func AxpyInPlace(a *Tensor, s float32, b *Tensor) *Tensor {
-	checkSame("AxpyInPlace", a, b)
-	parallelFor(scheduleFor(OpEltwise, [3]int{len(a.data), 0, 0}), len(a.data), len(a.data), func(lo, hi int) {
-		saxpy(a.data[lo:hi], b.data[lo:hi], s)
 	})
 	return a
 }

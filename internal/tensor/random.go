@@ -15,20 +15,16 @@ func RandNormal(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform fills a new tensor with samples from U(lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-	return t
-}
-
 // GlorotUniform fills a new tensor using Glorot/Xavier uniform
-// initialization for a weight matrix with the given fan-in and fan-out.
+// initialization for a weight matrix with the given fan-in and fan-out:
+// samples from U(-limit, limit), limit = sqrt(6 / (fanIn + fanOut)).
 func GlorotUniform(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
 	limit := math.Sqrt(6 / float64(fanIn+fanOut))
-	return RandUniform(rng, -limit, limit, shape...)
+	t := New(shape...)
+	for i := range t.data {
+		t.data[i] = float32(-limit + rng.Float64()*2*limit)
+	}
+	return t
 }
 
 // HeNormal fills a new tensor using He normal initialization for the given

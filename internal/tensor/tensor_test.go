@@ -98,18 +98,8 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Add(a, b).Data()[3]; got != 12 {
 		t.Errorf("Add = %v, want 12", got)
 	}
-	if got := Sub(b, a).Data()[0]; got != 4 {
-		t.Errorf("Sub = %v, want 4", got)
-	}
 	if got := Mul(a, b).Data()[1]; got != 12 {
 		t.Errorf("Mul = %v, want 12", got)
-	}
-	if got := Scale(a, 2).Data()[2]; got != 6 {
-		t.Errorf("Scale = %v, want 6", got)
-	}
-	AxpyInPlace(a, 10, b)
-	if a.Data()[0] != 51 {
-		t.Errorf("Axpy = %v, want 51", a.Data()[0])
 	}
 }
 
@@ -362,12 +352,6 @@ func TestGlobalAvgPool(t *testing.T) {
 
 func TestRandomInitializers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	u := RandUniform(rng, -2, 2, 1000)
-	for _, v := range u.Data() {
-		if v < -2 || v > 2 {
-			t.Fatalf("uniform sample %v out of range", v)
-		}
-	}
 	n := RandNormal(rng, 0.5, 10000)
 	var mean, m2 float64
 	for _, v := range n.Data() {

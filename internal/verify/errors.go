@@ -63,6 +63,18 @@ func (e *PlanError) Error() string { return e.msg }
 // Unwrap exposes the wrapped cause for errors.Is/As chains.
 func (e *PlanError) Unwrap() error { return e.Err }
 
+// Fields renders the error's context as "kind=K group=G model=M node=N",
+// leaving out empty fields: the line a CLI prints under a rejected plan.
+func (e *PlanError) Fields() string {
+	s := "kind=" + string(e.Kind)
+	for _, f := range [...]struct{ key, val string }{{"group", e.Group}, {"model", e.Model}, {"node", e.Node}} {
+		if f.val != "" {
+			s += " " + f.key + "=" + f.val
+		}
+	}
+	return s
+}
+
 // planErrf builds a PlanError with a formatted message. The message keeps
 // the package's established "verify: ..." phrasing so logs and tests stay
 // stable across the typed-error migration.

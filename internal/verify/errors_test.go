@@ -106,6 +106,23 @@ func TestPlanErrorKinds(t *testing.T) {
 	})
 }
 
+// Fields is the context line the CLIs print under a rejected plan: kind
+// first, then group, model and node, each only when set.
+func TestPlanErrorFields(t *testing.T) {
+	for _, tc := range []struct {
+		pe   verify.PlanError
+		want string
+	}{
+		{verify.PlanError{Kind: verify.KindCost}, "kind=cost"},
+		{verify.PlanError{Kind: verify.KindModel, Node: "f1"}, "kind=model node=f1"},
+		{verify.PlanError{Kind: verify.KindLegality, Group: "g", Model: "m", Node: "n"}, "kind=legality group=g model=m node=n"},
+	} {
+		if got := tc.pe.Fields(); got != tc.want {
+			t.Errorf("Fields() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 // loadingGroup builds a singleton group whose plan loads f1 from V, so the
 // group's legality depends on loadable membership.
 func loadingGroup(t *testing.T, name string, seed int64) (*opt.FusedGroup, []opt.WorkItem, graph.Signature) {

@@ -250,7 +250,6 @@ func (s Spec) Build(scale Scale, hw profile.Hardware) (*Instance, error) {
 		return nil, fmt.Errorf("workloads: unknown approach %q", s.Approach)
 	}
 
-	var profs []*profile.ModelProfile
 	idx := 0
 	for _, v := range variants {
 		for _, bs := range s.BatchSizes {
@@ -261,20 +260,15 @@ func (s Spec) Build(scale Scale, hw profile.Hardware) (*Instance, error) {
 					if err != nil {
 						return nil, fmt.Errorf("workloads: build %s: %w", name, err)
 					}
-					prof, err := profile.Profile(m, hw)
-					if err != nil {
-						return nil, fmt.Errorf("workloads: profile %s: %w", name, err)
-					}
 					inst.Items = append(inst.Items, opt.WorkItem{
-						Model: m, Prof: prof, Epochs: ep, BatchSize: bs, LR: lr * lrScale,
+						Model: m, Epochs: ep, BatchSize: bs, LR: lr * lrScale,
 					})
-					profs = append(profs, prof)
 					idx++
 				}
 			}
 		}
 	}
-	mm, _, err := mmg.BuildProfiled(profs...)
+	mm, err := opt.ProfileWorkload(inst.Items, hw)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,11 @@ test:
 # leg (~15 s, nearly all of it the experiments package) covers the layer
 # above the planner: the labeler, the Table 3 workload builds, the
 # experiment drivers with the mini-scale runner, the model zoo and the
-# simulated clock.
+# simulated clock. A third plain leg (~2 s) runs the packages no other leg
+# names: the root package (TestTraceDemo and the optimizer benchmarks'
+# test file), bench/'s unit tests (TestContract,
+# TestStagedMatchesFitAndCurrentPractice, ...), the MILP solver and
+# nautilus-run's flag rule for -compare.
 # The seeded leg runs the seeded-regression corpus (internal/lint holds
 # only the corpus): each lock, goroutine, arena, chunk, span, shared-layer,
 # footprint or dropped-write-error bug it seeds must fail its named test
@@ -53,6 +57,7 @@ check:
 	$(GO) test -race ./internal/opt/...
 	$(GO) test ./internal/verify/... ./internal/mincut/... ./internal/mmg/... ./internal/profile/...
 	$(GO) test ./internal/data/... ./internal/workloads/... ./internal/experiments/... ./internal/models/... ./internal/simclock/...
+	$(GO) test . ./bench ./internal/milp ./cmd/...
 	$(GO) test -race ./internal/tensor/... ./internal/graph/... ./internal/layers/...
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) test -tags seeded -run '^TestSeededRegressions(Dynamic)?$$' -count=1 ./internal/lint

@@ -10,6 +10,7 @@
 //	nautilus-run -workload FTR-3 -calibrate-out hw.json     # fit measured constants
 //	nautilus-run -workload FTR-3 -calibration hw.json       # plan against them
 //	nautilus-run -workload FTR-3 -listen localhost:6060 -live live.jsonl
+//	nautilus-run -workload FTR-3 -compare -metrics compare.json
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"nautilus/internal/core"
 	"nautilus/internal/experiments"
@@ -28,27 +30,53 @@ import (
 	"nautilus/internal/workloads"
 )
 
+// options are the command's own flags, beside the planner's and the
+// telemetry's.
+type options struct {
+	workload, calibrateOut string
+	cycles                 int
+	compare                bool
+}
+
+// registerFlags declares every nautilus-run flag on fs: the planner's, bound
+// to cfg, the telemetry's, bound to tel, and the command's own.
+func registerFlags(fs *flag.FlagSet, cfg *core.Config, tel *obs.Telemetry) *options {
+	cfg.RegisterFlags(fs)
+	tel.RegisterFlags(fs)
+	o := &options{}
+	fs.StringVar(&o.workload, "workload", "FTR-3", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
+	fs.IntVar(&o.cycles, "cycles", 0, "limit labeling cycles (0 = workload default)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "random seed for data and shuffling")
+	fs.StringVar(&cfg.WorkDir, "workdir", "", "working directory (default: temp dir)")
+	fs.BoolVar(&o.compare, "compare", false, "run current_practice AND nautilus, reporting speedup and accuracy parity")
+	fs.StringVar(&o.calibrateOut, "calibrate-out", "", "fit a hardware calibration from this run's trace and write it here")
+	return o
+}
+
 func main() {
 	cfg := core.DefaultConfig("")
 	cfg.HW = experiments.MiniHardware()
 	cfg.MaxRecords = 600
-	cfg.RegisterFlags(flag.CommandLine)
 	var tel obs.Telemetry
-	tel.RegisterFlags(flag.CommandLine)
-	workload := flag.String("workload", "FTR-3", "workload name (FTR-1, FTR-2, FTR-3, ATR, FTU)")
-	cycles := flag.Int("cycles", 0, "limit labeling cycles (0 = workload default)")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed for data and shuffling")
-	flag.StringVar(&cfg.WorkDir, "workdir", "", "working directory (default: temp dir)")
-	compare := flag.Bool("compare", false, "run current_practice AND nautilus, reporting speedup and accuracy parity")
-	calibrateOut := flag.String("calibrate-out", "", "fit a hardware calibration from this run's trace and write it here")
+	o := registerFlags(flag.CommandLine, &cfg, &tel)
 	flag.Parse()
 
-	if *compare {
-		runCompare(*workload, cfg.Seed, *cycles)
+	if o.compare {
+		if ignored := compareIgnores(flag.CommandLine); len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "nautilus-run: %s does not apply with -compare: it runs both approaches at the mini-scale runner's fixed settings\n", strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
+		fatalIf(tel.Open(false, os.Stdout))
+		runCompare(o.workload, cfg.Seed, o.cycles, tel.Tracer)
+		if tel.Tracer != nil {
+			fmt.Println()
+			fatalIf(obs.WriteSummary(os.Stdout, tel.Tracer.Report(), 12))
+			fatalIf(tel.Close(os.Stdout))
+		}
 		return
 	}
 
-	spec, err := workloads.ByName(*workload)
+	spec, err := workloads.ByName(o.workload)
 	fatalIf(err)
 	fmt.Printf("building %s at mini scale (%d candidate models)...\n", spec.Name, spec.NumModels())
 	inst, err := spec.Build(workloads.Mini, cfg.HW)
@@ -65,10 +93,10 @@ func main() {
 	}
 	// Calibration fitting needs the tracer's metering even when no
 	// telemetry flag asked for one.
-	fatalIf(tel.Open(*calibrateOut != "", os.Stdout))
+	fatalIf(tel.Open(o.calibrateOut != "", os.Stdout))
 	cfg.Obs = tel.Tracer
 
-	report, err := core.Run(inst, cfg, cfg.Seed, *cycles)
+	report, err := core.Run(inst, cfg, cfg.Seed, o.cycles)
 	fatalIf(err)
 
 	fmt.Printf("\n%s on %s (mini scale, real training)\n", report.Approach, report.Workload)
@@ -99,27 +127,46 @@ func main() {
 	if tel.Tracer != nil {
 		fmt.Println()
 		fatalIf(obs.WriteSummary(os.Stdout, tel.Tracer.Report(), 12))
-		if *calibrateOut != "" {
-			c, err := calib.FromTracer(tel.Tracer, fmt.Sprintf("nautilus-run %s %s", *workload, cfg.Approach))
+		if o.calibrateOut != "" {
+			c, err := calib.FromTracer(tel.Tracer, fmt.Sprintf("nautilus-run %s %s", o.workload, cfg.Approach))
 			fatalIf(err)
-			fatalIf(profile.SaveCalibration(*calibrateOut, c))
+			fatalIf(profile.SaveCalibration(o.calibrateOut, c))
 			fmt.Printf("calibration written to %s: compute %.3g FLOP/s (%d samples, %d trimmed), read %.3g B/s, write %.3g B/s\n",
-				*calibrateOut, c.Compute.Throughput, c.Compute.Samples, c.Compute.Trimmed,
+				o.calibrateOut, c.Compute.Throughput, c.Compute.Samples, c.Compute.Trimmed,
 				c.Read.Throughput, c.Write.Throughput)
 		}
 		fatalIf(tel.Close(os.Stdout))
 	}
 }
 
+// compareFlags are the flags -compare honours: experiments.RunMini fixes
+// the approach, budgets, r, hardware and work directory itself.
+var compareFlags = map[string]bool{
+	"compare": true, "workload": true, "seed": true, "cycles": true,
+	"trace": true, "metrics": true, "live": true, "listen": true,
+}
+
+// compareIgnores lists, as "-name", the flags set on fs that -compare
+// would ignore.
+func compareIgnores(fs *flag.FlagSet) []string {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !compareFlags[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
+}
+
 // runCompare executes the workload under both Current Practice and
 // Nautilus through experiments.RunMini, the runner behind Figure 7,
 // printing the wall-clock speedup and the per-cycle accuracy parity
-// (Section 5.2 in miniature).
-func runCompare(workload string, seed int64, cycles int) {
+// (Section 5.2 in miniature). tr, when non-nil, instruments both runs.
+func runCompare(workload string, seed int64, cycles int, tr *obs.Tracer) {
 	spec, err := workloads.ByName(workload)
 	fatalIf(err)
 	fmt.Printf("comparing approaches on %s at mini scale (%d models)...\n\n", spec.Name, spec.NumModels())
-	reports, err := experiments.RunMini(spec, []core.Approach{core.CurrentPractice, core.Nautilus}, seed, cycles, nil)
+	reports, err := experiments.RunMini(spec, []core.Approach{core.CurrentPractice, core.Nautilus}, seed, cycles, tr)
 	fatalIf(err)
 	for _, report := range reports {
 		fmt.Printf("%-18s total %v\n", report.Approach, report.Total.Round(1e6))

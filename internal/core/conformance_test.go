@@ -55,14 +55,14 @@ func TestConformanceMatchesCostModel(t *testing.T) {
 				if _, err := ms.Fit(snap); err != nil {
 					t.Fatal(err)
 				}
-				for _, g := range ms.Groups() {
+				for _, g := range ms.Planner().Plan().Groups {
 					wantTrain[g.Name()] += int64(g.Epochs() * snap.TrainSize())
 					wantValid[g.Name()] += int64(snap.ValidSize())
 				}
 			}
 
 			byName := map[string]*opt.FusedGroup{}
-			for _, g := range ms.Groups() {
+			for _, g := range ms.Planner().Plan().Groups {
 				byName[g.Name()] = g
 			}
 			reports := tr.Conformance().Report()

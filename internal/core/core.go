@@ -12,7 +12,7 @@
 // approach is a row of approachSpecs — a V policy, a plan policy and
 // whether candidates fuse — and the planner's stages read the row. Groups
 // are built by opt.SingletonGroups / opt.Fuser and checked by
-// verify.Groups, every group on every replan and halving rung.
+// verify.Groups, every group on every replan.
 // Config.RegisterFlags and Config.Resolve are the one front door the
 // commands configure a run through.
 package core
@@ -109,16 +109,8 @@ func (a Approach) FullCheckpoints() bool {
 	return s.fullCheckpoints
 }
 
-// Approaches lists every runnable approach.
-func Approaches() []Approach {
-	out := make([]Approach, len(approachSpecs))
-	for i, s := range approachSpecs {
-		out[i] = s.name
-	}
-	return out
-}
-
-// ApproachNames is Approaches as one comma-separated string, for flag help.
+// ApproachNames lists every runnable approach as one comma-separated
+// string, for flag help.
 func ApproachNames() string {
 	names := make([]string, len(approachSpecs))
 	for i, s := range approachSpecs {
@@ -205,10 +197,18 @@ func (g gbFlag) String() string {
 	return strconv.FormatFloat(float64(*g.bytes)/(1<<30), 'g', -1, 64)
 }
 
+// maxGB is the first GB count whose byte count overflows int64.
+const maxGB = 1 << 33
+
+// Set parses a GB count from 0 up to, not including, maxGB; NaN, infinities
+// and negative counts are errors.
 func (g gbFlag) Set(s string) error {
 	gb, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return err
+	}
+	if !(gb >= 0 && gb < maxGB) {
+		return fmt.Errorf("want a GB count at least 0 and below %d", maxGB)
 	}
 	*g.bytes = int64(gb * (1 << 30))
 	return nil
@@ -393,22 +393,6 @@ func (ms *ModelSelection) InitStats() *InitStats {
 	return &stats
 }
 
-// Groups exposes the optimized training plan for inspection.
-func (ms *ModelSelection) Groups() []*opt.FusedGroup {
-	if ms.planner.wp == nil {
-		return nil
-	}
-	return ms.planner.wp.Groups
-}
-
-// MaterializedSignatures returns the chosen set V.
-func (ms *ModelSelection) MaterializedSignatures() map[graph.Signature]bool {
-	if ms.planner.wp == nil {
-		return nil
-	}
-	return ms.planner.wp.MatSigs
-}
-
 // LastDelta returns the plan delta of the most recent replan (nil before
 // the first Fit): which signatures were kept, newly materialized, and
 // garbage-collected.
@@ -420,10 +404,23 @@ func (ms *ModelSelection) LastDelta() *PlanDelta { return ms.lastDelta }
 // validation results.
 func (ms *ModelSelection) Fit(snap data.Snapshot) (*FitResult, error) {
 	started := time.Now()
-	span, reopt, err := ms.beginCycle(snap)
+	ms.cycle++
+	span := ms.cfg.Obs.Start("core/fit",
+		obs.Int("cycle", int64(ms.cycle)),
+		obs.Int("train_records", int64(snap.TrainSize())))
 	defer span.End()
+	reopt, err := ms.ensurePlanned(snap.TrainSize())
 	if err != nil {
 		return nil, err
+	}
+	span.Attr(obs.Bool("reoptimized", reopt))
+	if ms.materializer != nil {
+		if err := ms.materializer.SyncSplit(exec.Train, snap.TrainX); err != nil {
+			return nil, err
+		}
+		if err := ms.materializer.SyncSplit(exec.Valid, snap.ValidX); err != nil {
+			return nil, err
+		}
 	}
 
 	// Model selection restarts every candidate from its initial weights.
@@ -481,31 +478,6 @@ func PlanWorkload(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config, maxRecor
 	p.r = maxRecords
 	wp, _, err := p.Replan()
 	return wp, err
-}
-
-// beginCycle is the prologue Fit and FitHalving share: it counts the
-// cycle, opens its core/fit span, replans if needed, and brings the
-// materialized splits up to the snapshot. It reports whether a replan ran.
-// The caller ends the span, on error too.
-func (ms *ModelSelection) beginCycle(snap data.Snapshot) (*obs.Span, bool, error) {
-	ms.cycle++
-	span := ms.cfg.Obs.Start("core/fit",
-		obs.Int("cycle", int64(ms.cycle)),
-		obs.Int("train_records", int64(snap.TrainSize())))
-	reopt, err := ms.ensurePlanned(snap.TrainSize())
-	if err != nil {
-		return span, false, err
-	}
-	span.Attr(obs.Bool("reoptimized", reopt))
-	if ms.materializer != nil {
-		if err := ms.materializer.SyncSplit(exec.Train, snap.TrainX); err != nil {
-			return span, reopt, err
-		}
-		if err := ms.materializer.SyncSplit(exec.Valid, snap.ValidX); err != nil {
-			return span, reopt, err
-		}
-	}
-	return span, reopt, nil
 }
 
 // ensurePlanned reacts to dataset growth and pending evolution events: it

@@ -235,15 +235,19 @@ func TestExponentialBackoffReOptimizes(t *testing.T) {
 func TestNoBackoffWhenRecordsCovered(t *testing.T) {
 	ms := newMS(t, Nautilus) // MaxRecords 600 covers everything
 	snaps := snapshots(t, 2)
-	if _, err := ms.Fit(snaps[0]); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ms.Fit(snaps[1])
+	res, err := ms.Fit(snaps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ReOptimized {
-		t.Error("no re-optimization expected while r covers the snapshot")
+	if res.Cycle != 1 || !res.ReOptimized || res.Duration <= 0 {
+		t.Errorf("first cycle: Cycle=%d ReOptimized=%v Duration=%v, want 1, true, > 0", res.Cycle, res.ReOptimized, res.Duration)
+	}
+	res, err = ms.Fit(snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycle != 2 || res.ReOptimized || res.Duration <= 0 {
+		t.Errorf("second cycle: Cycle=%d ReOptimized=%v Duration=%v, want 2, false, > 0", res.Cycle, res.ReOptimized, res.Duration)
 	}
 }
 

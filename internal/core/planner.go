@@ -274,7 +274,7 @@ func (p *Planner) Replan() (*WorkloadPlan, *PlanDelta, error) {
 	if err := p.stageMatSigs(span, spec, wp); err != nil {
 		return nil, nil, err
 	}
-	groups, fuseStats, err := p.planGroups(span, spec, p.items, wp.MatSigs)
+	groups, fuseStats, err := p.planGroups(span, spec, wp.MatSigs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -334,14 +334,14 @@ func (p *Planner) stageMatSigs(span *obs.Span, spec approachSpec, wp *WorkloadPl
 	return nil
 }
 
-// planGroups runs the grouping and verification stages for a subset of the
-// candidates against materialized set sigs: every candidate becomes a group
-// of its own under the approach's plan policy, or FUSE OPT partitions them
-// under B_mem, and the resulting training plan is statically verified,
-// every group every time. Replan calls it with every candidate, FitHalving
-// with each rung's survivors. It returns the groups and the fuser's
-// counters (zero when nothing fuses).
-func (p *Planner) planGroups(span *obs.Span, spec approachSpec, items []opt.WorkItem, sigs map[graph.Signature]bool) (groups []*opt.FusedGroup, fuseStats opt.FuseStats, err error) {
+// planGroups runs the grouping and verification stages for the candidates
+// against materialized set sigs: every candidate becomes a group of its own
+// under the approach's plan policy, or FUSE OPT partitions them under
+// B_mem, and the resulting training plan is statically verified, every
+// group every time. It returns the groups and the fuser's counters (zero
+// when nothing fuses).
+func (p *Planner) planGroups(span *obs.Span, spec approachSpec, sigs map[graph.Signature]bool) (groups []*opt.FusedGroup, fuseStats opt.FuseStats, err error) {
+	items := p.items
 	var memBudget int64 // only fused groups are planned against B_mem
 	if !spec.fuse {
 		groups, err = opt.SingletonGroups(items, sigs, spec.plan, opt.AdamSlotBytes)

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -99,6 +102,49 @@ func TestConfigValidationRejectsBadBudgets(t *testing.T) {
 			t.Fatalf("solver %q rejected: %v", solver, err)
 		}
 		ms.Close()
+	}
+}
+
+// TestBudgetFlagsRejectOutOfRange: -disk-gb and -mem-gb take a GB count
+// from 0 up to, not including, 2^33 (2^63 bytes). NaN, infinities, negative
+// counts and counts whose byte count overflows int64 are parse errors, so
+// flag prints usage and the command exits 2, and the budget keeps its value.
+func TestBudgetFlagsRejectOutOfRange(t *testing.T) {
+	cases := []struct {
+		arg  string
+		want int64 // bytes; -1 marks a rejected value
+	}{
+		{"0", 0},
+		{"0.5", 1 << 29},
+		{"25", 25 << 30},
+		{"8589934591", 8589934591 << 30},
+		{"8589934592", -1},
+		{"1e12", -1},
+		{"NaN", -1},
+		{"Inf", -1},
+		{"-Inf", -1},
+		{"-3", -1},
+		{"ten", -1},
+	}
+	for _, name := range []string{"disk-gb", "mem-gb"} {
+		for _, tc := range cases {
+			cfg := DefaultConfig("")
+			budget := &cfg.DiskBudgetBytes
+			if name == "mem-gb" {
+				budget = &cfg.MemBudgetBytes
+			}
+			before := *budget
+			fs := flag.NewFlagSet("budget", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cfg.RegisterFlags(fs)
+			err := fs.Parse([]string{"-" + name, tc.arg})
+			switch {
+			case tc.want < 0 && (err == nil || *budget != before):
+				t.Errorf("-%s %s: err %v, budget %d; want a parse error and %d kept", name, tc.arg, err, *budget, before)
+			case tc.want >= 0 && (err != nil || *budget != tc.want):
+				t.Errorf("-%s %s: err %v, budget %d; want %d", name, tc.arg, err, *budget, tc.want)
+			}
+		}
 	}
 }
 
@@ -310,7 +356,7 @@ func TestIncrementalReplanWritesLessThanFull(t *testing.T) {
 
 func TestAddCandidatesRejectsMalformedModel(t *testing.T) {
 	ms := newMS(t, Nautilus)
-	before := ms.Candidates()
+	before := candidateNames(ms.Planner())
 
 	bad := graph.NewModel("bad")
 	in := bad.AddInput("in", 8)
@@ -325,10 +371,20 @@ func TestAddCandidatesRejectsMalformedModel(t *testing.T) {
 	if pe.Kind != verify.KindModel {
 		t.Errorf("PlanError.Kind = %q, want %q", pe.Kind, verify.KindModel)
 	}
-	after := ms.Candidates()
+	after := candidateNames(ms.Planner())
 	if len(after) != len(before) {
 		t.Errorf("rejected evolution changed the candidate set: %v -> %v", before, after)
 	}
+}
+
+// candidateNames lists the planner's current candidate model names, sorted.
+func candidateNames(p *Planner) []string {
+	var names []string
+	for _, it := range p.Items() {
+		names = append(names, it.Model.Name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // freshCandidate builds and profiles one more tiny feature-transfer
@@ -357,7 +413,7 @@ func TestPlannerRejectsDuplicateNamesAndBadProfiles(t *testing.T) {
 	if _, err := ms.Fit(snapshots(t, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
-	before := ms.Candidates()
+	before := candidateNames(ms.Planner())
 
 	other := freshCandidate(t, "other")
 	noProfile := freshCandidate(t, "t9")
@@ -383,7 +439,7 @@ func TestPlannerRejectsDuplicateNamesAndBadProfiles(t *testing.T) {
 		} else if ce.Model != tc.model {
 			t.Errorf("%s: CandidateError.Model = %q, want %q", tc.name, ce.Model, tc.model)
 		}
-		if after := ms.Candidates(); !reflect.DeepEqual(after, before) {
+		if after := candidateNames(ms.Planner()); !reflect.DeepEqual(after, before) {
 			t.Fatalf("%s: rejected evolution changed the candidate set: %v -> %v", tc.name, before, after)
 		}
 		if ms.Planner().NeedsReplan() {
@@ -406,7 +462,7 @@ func TestPlannerRejectsDuplicateNamesAndBadProfiles(t *testing.T) {
 	if err := ms.AddCandidates(other); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ms.Candidates()); got != len(before)+1 {
+	if got := len(candidateNames(ms.Planner())); got != len(before)+1 {
 		t.Errorf("%d candidates after a valid AddCandidates, want %d", got, len(before)+1)
 	}
 }

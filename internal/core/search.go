@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"nautilus/internal/graph"
@@ -32,26 +31,27 @@ type Hyper struct {
 type ModelInitFunc func(params map[string]any) (*graph.Model, Hyper, error)
 
 // GridSearch enumerates the full cross product of the search space,
-// initializes and profiles every candidate, and returns the workload ready
-// for New.
+// initializes every candidate in order (init functions may share state),
+// profiles them through the one candidate-set builder, and returns the
+// workload ready for New.
 func GridSearch(space SearchSpace, init ModelInitFunc, hw profile.Hardware) ([]opt.WorkItem, *mmg.MultiModel, error) {
 	assignments := enumerate(space)
-	return buildItems(assignments, init, hw)
-}
-
-// RandomSearch samples n distinct assignments from the search space with
-// the given seed. If the space holds fewer than n assignments, all of them
-// are used (random search degrades to grid search, as in practice).
-func RandomSearch(space SearchSpace, n int, seed int64, init ModelInitFunc, hw profile.Hardware) ([]opt.WorkItem, *mmg.MultiModel, error) {
-	assignments := enumerate(space)
-	if n < len(assignments) {
-		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(len(assignments), func(i, j int) {
-			assignments[i], assignments[j] = assignments[j], assignments[i]
-		})
-		assignments = assignments[:n]
+	if len(assignments) == 0 {
+		return nil, nil, fmt.Errorf("core: empty search space")
 	}
-	return buildItems(assignments, init, hw)
+	items := make([]opt.WorkItem, len(assignments))
+	for i, a := range assignments {
+		m, hyper, err := init(a)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: init candidate %d (%v): %w", i, a, err)
+		}
+		items[i] = opt.WorkItem{Model: m, Epochs: hyper.Epochs, BatchSize: hyper.BatchSize, LR: hyper.LR}
+	}
+	multi, err := opt.ProfileWorkload(items, hw)
+	if err != nil {
+		return nil, nil, err
+	}
+	return items, multi, nil
 }
 
 // enumerate expands the cross product in deterministic (sorted-key) order.
@@ -79,27 +79,6 @@ func enumerate(space SearchSpace) []map[string]any {
 	return assignments
 }
 
-// buildItems initializes the candidates in order (init functions may share
-// state) and hands them to the one candidate-set builder.
-func buildItems(assignments []map[string]any, init ModelInitFunc, hw profile.Hardware) ([]opt.WorkItem, *mmg.MultiModel, error) {
-	if len(assignments) == 0 {
-		return nil, nil, fmt.Errorf("core: empty search space")
-	}
-	items := make([]opt.WorkItem, len(assignments))
-	for i, a := range assignments {
-		m, hyper, err := init(a)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: init candidate %d (%v): %w", i, a, err)
-		}
-		items[i] = opt.WorkItem{Model: m, Epochs: hyper.Epochs, BatchSize: hyper.BatchSize, LR: hyper.LR}
-	}
-	multi, err := opt.ProfileWorkload(items, hw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return items, multi, nil
-}
-
 // AddCandidates grows the workload with new candidates mid-run (the
 // "evolving model selection workloads" extension of Section 7): the
 // multi-model graph is rebuilt, the next Fit replans (MAT OPT and FUSE OPT
@@ -116,14 +95,4 @@ func (ms *ModelSelection) AddCandidates(items ...opt.WorkItem) error {
 // the remaining workload and garbage-collects artifacts only it used.
 func (ms *ModelSelection) RemoveCandidate(name string) error {
 	return ms.planner.RemoveCandidate(name)
-}
-
-// Candidates returns the current candidate model names.
-func (ms *ModelSelection) Candidates() []string {
-	names := make([]string, len(ms.planner.items))
-	for i, it := range ms.planner.items {
-		names[i] = it.Model.Name
-	}
-	sort.Strings(names)
-	return names
 }

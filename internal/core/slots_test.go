@@ -72,8 +72,8 @@ func runSlotSession(t *testing.T, spec workloads.Spec, approach Approach, slots 
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(cfg.WorkDir, "checkpoints", "*.nckp"))
-	if err != nil || len(files) != 2*len(ms.Groups()) {
-		t.Fatalf("%d checkpoint files for %d groups × 2 cycles (%v)", len(files), len(ms.Groups()), err)
+	if err != nil || len(files) != 2*len(ms.Planner().Plan().Groups) {
+		t.Fatalf("%d checkpoint files for %d groups × 2 cycles (%v)", len(files), len(ms.Planner().Plan().Groups), err)
 	}
 	for _, f := range files {
 		b, err := os.ReadFile(f)

@@ -148,9 +148,6 @@ func (l *Labeler) release(idx []int) (snap Snapshot, deltaX, deltaY *tensor.Tens
 	return l.cur, dx, dy
 }
 
-// Snapshot returns the current accumulated snapshot.
-func (l *Labeler) Snapshot() Snapshot { return l.cur }
-
 // append0 concatenates b after a along dimension 0; a may be nil.
 func append0(a, b *tensor.Tensor) *tensor.Tensor {
 	if a == nil {

@@ -135,8 +135,8 @@ func TestLabelerAccumulatesSnapshots(t *testing.T) {
 		}
 		prevTrain = snap.TrainSize()
 	}
-	if l.Snapshot().Cycle != 5 {
-		t.Errorf("completed %d cycles, want 5", l.Snapshot().Cycle)
+	if l.cur.Cycle != 5 {
+		t.Errorf("completed %d cycles, want 5", l.cur.Cycle)
 	}
 }
 
@@ -168,8 +168,8 @@ func TestActiveLabelerSnapshotsGrow(t *testing.T) {
 		}
 		prevTrain = snap.TrainSize()
 	}
-	if l.Snapshot().Cycle != 5 {
-		t.Errorf("completed %d cycles, want 5", l.Snapshot().Cycle)
+	if l.cur.Cycle != 5 {
+		t.Errorf("completed %d cycles, want 5", l.cur.Cycle)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestLabelerScoredNilMatchesNextCycle(t *testing.T) {
 	if _, err := scored.NextCycleScored(nil); err == nil {
 		t.Error("a pool short of a full cycle must error")
 	}
-	if scored.Snapshot().Cycle != 2 {
-		t.Errorf("failed cycles advanced the labeler to cycle %d", scored.Snapshot().Cycle)
+	if scored.cur.Cycle != 2 {
+		t.Errorf("failed cycles advanced the labeler to cycle %d", scored.cur.Cycle)
 	}
 }

@@ -52,15 +52,6 @@ func (n *Node) IsInput() bool {
 	return ok
 }
 
-// FeedKey returns the materialized-feed key for reuse-plan input nodes, or
-// "" for ordinary nodes and dataset inputs.
-func (n *Node) FeedKey() string {
-	if in, ok := n.Layer.(*InputLayer); ok {
-		return in.FeedKey
-	}
-	return ""
-}
-
 // Model is a DAG of layers (paper Definition 2.2) with designated outputs.
 // Inputs are the nodes whose layer is an InputLayer.
 type Model struct {

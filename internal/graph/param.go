@@ -209,14 +209,3 @@ func (p *Param) Reset() {
 		p.data.Store(nil)
 	}
 }
-
-// Clone returns an independent copy of the parameter. If the source has been
-// materialized the data is deep-copied; otherwise the lazy spec is copied,
-// so the clone will initialize to the same values.
-func (p *Param) Clone() *Param {
-	c := &Param{Name: p.Name, Shape: append([]int(nil), p.Shape...), seed: p.seed, kind: p.kind, std: p.std, restored: p.restored, tag: p.tag, fn: p.fn}
-	if d := p.data.Load(); d != nil {
-		c.data.Store(d.Clone())
-	}
-	return c
-}

@@ -175,15 +175,6 @@ func (p *Program) add(n *Node, kern Kernel, params []*Param, pos []int32, flags 
 // retireAt is the step after which a tape retires step s's tensor.
 func (p *Program) retireAt(s int) int32 { return p.live.LastUse[s] }
 
-// Nodes returns the node run at each position: a reachable node of the
-// model or, for a spliced block, an inner node. The slice must not be
-// modified.
-func (p *Program) Nodes() []*Node { return p.nodes }
-
-// Parents returns the positions of position i's parents. The slice must
-// not be modified.
-func (p *Program) Parents(i int) []int32 { return p.par[p.parOff[i]:p.parOff[i+1]] }
-
 // Inputs returns the reachable input nodes: the order Run takes feeds in.
 // The slice must not be modified.
 func (p *Program) Inputs() []*Node { return p.inputs }
@@ -191,9 +182,6 @@ func (p *Program) Inputs() []*Node { return p.inputs }
 // Params returns the distinct parameters of the computed nodes, in the
 // order Tape.ParamGradAt takes. The slice must not be modified.
 func (p *Program) Params() []*Param { return slices.Clip(p.params) }
-
-// Liveness returns the step table, by position. It must not be modified.
-func (p *Program) Liveness() *Liveness { return &p.live }
 
 // position returns n's position, or −1 if n is not a reachable node of the
 // program's model.

@@ -21,13 +21,6 @@ type Energy struct {
 	g Graph
 }
 
-// NewEnergy returns an energy over n binary variables, numbered 0..n-1.
-func NewEnergy(n int) *Energy {
-	e := &Energy{}
-	e.Reset(n)
-	return e
-}
-
 // Reset clears the energy to n variables and no terms, keeping its arrays.
 func (e *Energy) Reset(n int) {
 	e.cost0, e.cost1 = resize(e.cost0, n), resize(e.cost1, n)

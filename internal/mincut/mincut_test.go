@@ -77,7 +77,8 @@ func TestMinCutSideSeparates(t *testing.T) {
 }
 
 func TestEnergyUnaryOnly(t *testing.T) {
-	e := NewEnergy(3)
+	var e Energy
+	e.Reset(3)
 	e.AddUnary(0, 5, 1)  // prefers 1
 	e.AddUnary(1, 2, 9)  // prefers 0
 	e.AddUnary(2, -4, 3) // negative cost0: prefers 0
@@ -98,7 +99,8 @@ func TestEnergyUnaryOnly(t *testing.T) {
 
 func TestEnergyImplicationForcesLabel(t *testing.T) {
 	// x0 strongly wants 1; x0 ⇒ x1; x1 mildly wants 0. Optimal: both 1.
-	e := NewEnergy(2)
+	var e Energy
+	e.Reset(2)
 	e.AddUnary(0, 100, 0)
 	e.AddUnary(1, 0, 10)
 	e.AddImplication(0, 1)
@@ -116,7 +118,8 @@ func TestEnergyImplicationForcesLabel(t *testing.T) {
 
 func TestEnergyUnsatisfiable(t *testing.T) {
 	// x0 forced to 1 (Inf cost at 0), x1 forced to 0, x0 ⇒ x1.
-	e := NewEnergy(2)
+	var e Energy
+	e.Reset(2)
 	e.AddUnary(0, Inf, 0)
 	e.AddUnary(1, 0, Inf)
 	e.AddImplication(0, 1)
@@ -131,7 +134,8 @@ func TestEnergyMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
-		e := NewEnergy(n)
+		var e Energy
+		e.Reset(n)
 		for v := 0; v < n; v++ {
 			e.AddUnary(v, int64(rng.Intn(41)-20), int64(rng.Intn(41)-20))
 		}
@@ -304,8 +308,8 @@ func TestEnergyReuseMatchesFresh(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, n := range sizes {
 			seed := int64(100*round + i)
-			fresh := NewEnergy(n)
-			randomEnergy(fresh, n, seed)
+			var fresh Energy
+			randomEnergy(&fresh, n, seed)
 			want, wantVal, wantErr := fresh.Solve()
 
 			randomEnergy(reused, n, seed)

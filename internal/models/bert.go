@@ -162,31 +162,6 @@ func (h *BERTHub) FeatureTransferModel(name string, strat FeatureStrategy, numCl
 	return m, nil
 }
 
-// FineTuneModel builds a fine-tuning candidate: the bottom blocks stay
-// frozen (shared instances) while the top tuneTop blocks are fresh
-// trainable copies, plus a trainable classification head.
-func (h *BERTHub) FineTuneModel(name string, tuneTop, numClasses int, headSeed int64) (*graph.Model, error) {
-	if tuneTop < 0 || tuneTop > h.Cfg.Blocks {
-		return nil, fmt.Errorf("models: tuneTop %d out of range [0,%d]", tuneTop, h.Cfg.Blocks)
-	}
-	m := graph.NewModel(name)
-	frozen := h.Cfg.Blocks - tuneTop
-	_, blockOuts := h.addTrunk(m, frozen)
-	prev := m.Node("ln_emb")
-	if len(blockOuts) > 0 {
-		prev = blockOuts[len(blockOuts)-1]
-	}
-	for i := frozen; i < h.Cfg.Blocks; i++ {
-		n := m.AddNode(fmt.Sprintf("block_%d", i+1), h.freshBlock(i, 0, 0), prev)
-		n.Trainable = true
-		prev = n
-	}
-	cls := m.AddNode("classifier", layers.NewDense(h.Cfg.Dim, numClasses, layers.ActNone, headSeed+7), prev)
-	cls.Trainable = true
-	m.SetOutputs(cls)
-	return m, nil
-}
-
 // AdapterModel builds an adapter-training candidate (Houlsby adapters in
 // the top adaptTop blocks, workload ATR): adapted blocks are fresh
 // instances whose base weights stay frozen and whose adapters train, lower

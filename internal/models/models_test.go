@@ -83,33 +83,10 @@ func TestBERTFeatureTransferForwardAndTrainStep(t *testing.T) {
 	}
 }
 
-func TestBERTFineTuneFreezingBoundary(t *testing.T) {
+func TestBERTAdapterRangeErrors(t *testing.T) {
 	h := miniHub()
-	m, err := h.FineTuneModel("ftu", 2, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	mat := m.Materializable()
-	// 4 blocks total; blocks 1-2 frozen, 3-4 trainable.
-	if !mat[m.Node("block_2").Index()] {
-		t.Error("block_2 should be materializable")
-	}
-	if mat[m.Node("block_3").Index()] || mat[m.Node("block_4").Index()] {
-		t.Error("tuned blocks must not be materializable")
-	}
-	_, trainable := m.ParamCount()
-	if trainable == 0 {
-		t.Error("fine-tune model must have trainable params")
-	}
-}
-
-func TestBERTFineTuneRangeErrors(t *testing.T) {
-	h := miniHub()
-	if _, err := h.FineTuneModel("bad", 99, 2, 1); err == nil {
-		t.Error("out-of-range tuneTop should error")
+	if _, err := h.AdapterModel("bad", 99, 4, 2, 1); err == nil {
+		t.Error("out-of-range adaptTop should error")
 	}
 	if _, err := h.AdapterModel("bad", 0, 4, 2, 1); err == nil {
 		t.Error("adaptTop 0 should error")
@@ -145,7 +122,7 @@ func TestSharedTrunkSignaturesMatchAcrossCandidates(t *testing.T) {
 	// shared instances and the other fresh copies.
 	h := miniHub()
 	a, _ := h.FeatureTransferModel("a", FeatLastHidden, 3, 1)
-	b, _ := h.FineTuneModel("b", 1, 3, 2)
+	b, _ := h.AdapterModel("b", 1, 4, 3, 2)
 	sa, sb := a.ExprSignatures(), b.ExprSignatures()
 	for i := 1; i <= h.Cfg.Blocks-1; i++ {
 		name := fmt.Sprintf("block_%d", i)
@@ -153,7 +130,7 @@ func TestSharedTrunkSignaturesMatchAcrossCandidates(t *testing.T) {
 			t.Errorf("%s signatures differ across candidates", name)
 		}
 	}
-	// The fine-tuned top block differs (trainable fresh copy).
+	// The adapted top block differs (trainable fresh instance).
 	top := fmt.Sprintf("block_%d", h.Cfg.Blocks)
 	if sa[a.Node(top).Index()] == sb[b.Node(top).Index()] {
 		t.Error("frozen vs trainable top block must differ in signature")

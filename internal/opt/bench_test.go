@@ -157,7 +157,7 @@ func BenchmarkEnergyMinCut(b *testing.B) {
 	// Representative reuse-plan energy: chain of 40 nodes with branching,
 	// reset and solved on one reusable Energy as the planner does.
 	b.ReportAllocs()
-	e := mincut.NewEnergy(80)
+	var e mincut.Energy
 	for i := 0; i < b.N; i++ {
 		e.Reset(80)
 		for v := 0; v < 80; v++ {

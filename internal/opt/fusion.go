@@ -83,9 +83,6 @@ func (g *FusedGroup) BatchSize() int { return g.Items[0].BatchSize }
 // Epochs returns the group's (shared) epoch count.
 func (g *FusedGroup) Epochs() int { return g.Items[0].Epochs }
 
-// CostPerRecord returns the group's per-record training cost.
-func (g *FusedGroup) CostPerRecord() int64 { return g.Plan.CostPerRecord }
-
 // Name identifies the group in traces and conformance reports: the first
 // member's model name, plus the count of further fused members.
 func (g *FusedGroup) Name() string {

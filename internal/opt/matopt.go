@@ -24,7 +24,7 @@ type WorkItem struct {
 }
 
 // ProfileWorkload is the one candidate-set builder behind
-// workloads.Spec.Build and core.GridSearch/RandomSearch: it profiles each
+// workloads.Spec.Build and core.GridSearch: it profiles each
 // item's model against hw, in order, sets the item's Prof, and merges the
 // profiled models into the workload's multi-model graph.
 func ProfileWorkload(items []WorkItem, hw profile.Hardware) (*mmg.MultiModel, error) {

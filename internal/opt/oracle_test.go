@@ -43,7 +43,8 @@ func oracleSolveReusePlan(prof *profile.ModelProfile, loadableSigs map[graph.Sig
 		}
 	}
 
-	e := mincut.NewEnergy(nv)
+	var e mincut.Energy
+	e.Reset(nv)
 	for _, n := range nodes {
 		lp := prof.Layer(n)
 		switch {

@@ -92,7 +92,7 @@ func (c *rowCache) putCopy(key string, row int, src []float32) {
 	c.used += bytes
 }
 
-// invalidate drops every cached row of a key (after Delete).
+// invalidate drops every cached row of a key (after GC deletes it).
 func (c *rowCache) invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

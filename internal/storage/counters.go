@@ -57,11 +57,3 @@ func (c *Counters) Merge(o *Counters) {
 	c.reads.Add(o.reads.Load())
 	c.writes.Add(o.writes.Load())
 }
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.bytesRead.Store(0)
-	c.bytesWritten.Store(0)
-	c.reads.Store(0)
-	c.writes.Store(0)
-}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -125,10 +126,6 @@ func TestTensorStoreCountersAndSizes(t *testing.T) {
 	if st, err := os.Stat(filepath.Join(s.Dir(), "k.nts")); err != nil || st.Size() != headerSize(1)+320 {
 		t.Errorf("file size = %v (%v), want header %d + 320 data bytes", st, err, headerSize(1))
 	}
-	c.Reset()
-	if c.BytesRead() != 0 || c.Writes() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 // A negative row index is an error naming the key and row. Unchecked, row
@@ -145,19 +142,30 @@ func TestTensorStoreReadRowsRejectsNegativeRow(t *testing.T) {
 	}
 }
 
+// gcKey deletes key through GC, the store's one deleter, keeping every
+// other key, and returns the keys GC reports deleted.
+func gcKey(t *testing.T, s *TensorStore, key string) []string {
+	t.Helper()
+	deleted, _, err := s.GC(func(k string) bool { return k != key })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deleted
+}
+
 func TestTensorStoreDelete(t *testing.T) {
 	s, _ := newStore(t)
 	if err := s.Append("k", tensor.New(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
+	if got := gcKey(t, s, "k"); !slices.Equal(got, []string{"k"}) {
+		t.Errorf("GC deleted %v, want [k]", got)
 	}
 	if n, _ := s.Count("k"); n != 0 {
 		t.Errorf("count after delete = %d", n)
 	}
-	if err := s.Delete("never_existed"); err != nil {
-		t.Errorf("deleting a missing key should be a no-op, got %v", err)
+	if got := gcKey(t, s, "never_existed"); len(got) != 0 {
+		t.Errorf("deleting a missing key should be a no-op, GC deleted %v", got)
 	}
 }
 
@@ -187,7 +195,6 @@ func TestTensorStoreClosedRefusesOperations(t *testing.T) {
 		"AppendNew":  func() error { return s.Append("fresh", tensor.New(1, 3)) },
 		"Count":      func() error { _, err := s.Count("k"); return err },
 		"ReadRowsIn": func() error { _, err := s.ReadRowsIn("k", []int{0}, nil); return err },
-		"Delete":     func() error { return s.Delete("k") },
 		"Keys":       func() error { _, err := s.Keys(); return err },
 		"GC":         func() error { _, _, err := s.GC(func(string) bool { return false }); return err },
 	}
@@ -203,7 +210,7 @@ func TestTensorStoreClosedRefusesOperations(t *testing.T) {
 		t.Errorf("Append on a closed store created a file (stat err %v)", err)
 	}
 	if _, err := os.Stat(filepath.Join(s.Dir(), "k.nts")); err != nil {
-		t.Errorf("Delete/GC on a closed store removed the artifact: %v", err)
+		t.Errorf("GC on a closed store removed the artifact: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
@@ -459,9 +466,7 @@ func TestRowCacheInvalidatedOnDelete(t *testing.T) {
 	if _, err := s.ReadRowsIn("k", rows(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
+	gcKey(t, s, "k")
 	// Re-create the key with different data; reads must not see stale
 	// cache entries.
 	y := tensor.New(2, 4)
@@ -629,7 +634,7 @@ func TestRowCacheRecyclesVictims(t *testing.T) {
 	}
 }
 
-// Delete forgets the key's header and count with its file: the key's next
+// GC forgets a deleted key's header and count with its file: the key's next
 // append may carry another record shape, and Count and ReadRowsIn follow
 // the new file.
 func TestTensorStoreDeleteThenNewShape(t *testing.T) {
@@ -641,9 +646,7 @@ func TestTensorStoreDeleteThenNewShape(t *testing.T) {
 	if _, err := s.ReadRowsIn("k", rows(0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
+	gcKey(t, s, "k")
 	y := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 3, 5)
 	if err := s.Append("k", y); err != nil {
 		t.Fatal(err)

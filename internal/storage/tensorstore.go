@@ -335,21 +335,6 @@ func (s *TensorStore) ReadRowsIn(key string, idx []int, scope *tensor.Scope) (*t
 	return out, nil
 }
 
-// Delete removes key's file, e.g. when re-optimization drops a materialized
-// layer.
-func (s *TensorStore) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.drop(key)
-	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
 // Keys lists every key with a file in the store, sorted.
 func (s *TensorStore) Keys() ([]string, error) {
 	s.mu.Lock()

@@ -6,8 +6,8 @@
 // plans), and the B_disk / B_mem budgets. Solver bugs that violate them
 // would otherwise surface as silent wrong training results or storage blow-
 // ups deep inside execution; this package turns them into typed PlanErrors
-// at planning time. core.PlanWorkload (and through it every Fit cycle and
-// halving rung) runs these checks on every group of each plan it emits.
+// at planning time. core.PlanWorkload (and through it every Fit cycle)
+// runs these checks on every group of each plan it emits.
 package verify
 
 import (

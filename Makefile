@@ -41,11 +41,14 @@ test:
 # and the arm64 vet type-checks the !amd64 test files beside them. The
 # s390x vet type-checks the storage codec on a big-endian target, where it
 # swaps each word instead of moving floats as raw bytes.
-# The layers package rides the tensor/graph race leg for LayerNorm.Backward's
-# row fan-out. Under GODEBUG=cpu.fma=off math.Exp leaves its FMA path, so
-# that leg proves the vector transcendentals' init self-check stands them
-# down at both widths (TestVecMathVerdicts asserts the ymm and the zmm
-# verdict are off) and every bit-identity test passes on the scalar bodies.
+# The tensor/graph/layers race leg holds LayerNorm's row fan-out
+# (TestLayerNormForwardMatchesScalar, TestLayerNormGradMatchesScalar fan
+# out at a cap of 2). Under GODEBUG=cpu.fma=off math.Exp leaves its FMA
+# path, so that leg proves the vector transcendentals' init self-check
+# stands them down at both widths (TestVecMathVerdicts asserts the ymm and
+# the zmm verdict are off) — the zmm verdict gates the softmax slab kernel
+# too, so softmax and the attention scores run their scalar rows there —
+# and every bit-identity test passes on the scalar bodies.
 check:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
@@ -69,9 +72,10 @@ check:
 # the scalar definitions on all 2^32 float32 inputs each: the activation rows'
 # y and act′ (the one keep the rows store), the exp-sub rows' outputs and
 # sums, and the float64 lanes behind both, at every width this host runs —
-# the ymm kernels and, with AVX-512F, the zmm GELU kernels each called
-# directly as well as through the public rows (two goroutines). It is not
-# part of check; run it after any edit to vecmath_amd64.s.
+# the ymm kernels and, with AVX-512F, the zmm GELU kernels and the softmax
+# slab kernel's exp lanes (softmaxExpAsm, which shares their code) each
+# called directly as well as through the public rows (two goroutines). It
+# is not part of check; run it after any edit to vecmath_amd64.s.
 check-exhaustive:
 	$(GO) test ./internal/tensor -run Exhaustive -exhaustive -count=1 -v -timeout 60m
 
@@ -111,7 +115,9 @@ fuzz:
 # BenchmarkActSweepGELU beside BenchmarkGeluRowScalar: the bias+gelu+gelu′
 # epilogue alone through the row kernel and through the scalar definition,
 # at 128x3072 and 32x64), the tensor kernels (BenchmarkSoftmaxRows: 512x128
-# through the exp kernel; BenchmarkMatMulConvShapes: the matmul family at
+# through the ymm exp row and 384x12, an attention layer's scores, through
+# the slab kernel; BenchmarkLayerNormRows: LayerNorm's rows at 384x32,
+# train and eval forward and the backward; BenchmarkMatMulConvShapes: the matmul family at
 # conv-layer shapes with half-zero coefficients, in gflops, all through the
 # dense tile body since their b operands are finite;
 # BenchmarkEltwiseAdd256: serial vs fanned out; BenchmarkScopeGet: one warm

@@ -295,7 +295,7 @@ func layerNormBackwardSerial(l *LayerNorm, c lnCache, x, gradOut *tensor.Tensor,
 			sumDh += dh
 			sumDhH += dh * float64(hr[j])
 		}
-		inv := float64(c.invStd[r])
+		inv := float64(c.invStd.Data()[r])
 		nd := float64(d)
 		dr := dx.Row(r)
 		for j := 0; j < d; j++ {
@@ -306,10 +306,10 @@ func layerNormBackwardSerial(l *LayerNorm, c lnCache, x, gradOut *tensor.Tensor,
 	return dx, dgamma, dbeta
 }
 
-// TestLayerNormBackwardFanOutBits: dx rows computed under tensor.Parallel
-// (384×32·8 work is past the fan-out threshold at a cap of 2) and the
-// dgamma/dbeta reduction in its own serial loop carry the serial body's
-// bits, for every BackwardNeed. Some input and gradient rows hold zeros of
+// TestLayerNormBackwardFanOutBits: dx rows computed under
+// tensor.LayerNormGradRows' fan-out (384×32·8 work is past the threshold at
+// a cap of 2) and the dgamma/dbeta reduction in its own serial pass carry
+// the serial body's bits, for every BackwardNeed. Some input and gradient rows hold zeros of
 // both signs, ±Inf and NaN.
 func TestLayerNormBackwardFanOutBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -339,6 +339,43 @@ func TestLayerNormBackwardFanOutBits(t *testing.T) {
 			bitsEqual(t, label+" dgamma", gotParams[0], wantDg)
 			bitsEqual(t, label+" dbeta", gotParams[1], wantDb)
 		}
+	}
+}
+
+// TestLayerNormForwardScopeTensors pins the forward's arena footprint, in
+// the style of TestDenseForwardScopeTensors: a train forward takes out,
+// xhat and invStd from the step scope; an eval forward takes only out,
+// returns a nil cache and, in a recycled scope, allocates nothing.
+func TestLayerNormForwardScopeTensors(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	l := NewLayerNorm(6)
+	heapX := tensor.RandNormal(rng, 1, 4, 6)
+	for _, train := range []bool{true, false} {
+		scope := tensor.NewArena().Scope()
+		_, cache := l.Forward([]*tensor.Tensor{tensor.WithAlloc(scope, heapX)}, train)
+		want := 3
+		if !train {
+			want = 1
+			if cache != nil {
+				t.Errorf("eval forward kept a cache: %v", cache)
+			}
+		}
+		if got := scope.Live(); got != want {
+			t.Errorf("train=%v: forward took %d scope tensors, want %d", train, got, want)
+		}
+		scope.Release()
+	}
+	scope := tensor.NewArena().Scope()
+	defer scope.Release()
+	in := make([]*tensor.Tensor, 1)
+	eval := func() {
+		in[0] = tensor.WithAlloc(scope, heapX)
+		l.Forward(in, false)
+		scope.Recycle()
+	}
+	eval()
+	if n := testing.AllocsPerRun(50, eval); n != 0 {
+		t.Errorf("eval forward in a recycled scope: %v allocations, want 0", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package layers
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"nautilus/internal/graph"
@@ -44,83 +43,40 @@ func (l *LayerNorm) FLOPsPerRecord(in [][]int) int64 {
 	return int64(tensor.NumElems(in[0])) * 8
 }
 
+// lnCache is what a train-mode forward keeps for the backward: xhat and
+// one inverse deviation per row, both step-scope tensors.
 type lnCache struct {
-	xhat   *tensor.Tensor
-	invStd []float32 // one per row
+	xhat, invStd *tensor.Tensor
 }
 
+// Forward normalizes through tensor.LayerNormRows. An eval pass keeps
+// neither xhat nor invStd and returns a nil cache.
 func (l *LayerNorm) Forward(inputs []*tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	x := inputs[0]
-	rows, d := x.Rows(), l.Dim
 	out := tensor.NewFrom(x, x.Shape()...)
-	xhat := tensor.NewFrom(x, x.Shape()...)
-	invStd := make([]float32, rows)
 	g, b := l.gamma.Tensor().Data(), l.beta.Tensor().Data()
-	tensor.Parallel(rows, x.Len()*8, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xr, or, hr := x.Row(r), out.Row(r), xhat.Row(r)
-			var mean float64
-			for _, v := range xr {
-				mean += float64(v)
-			}
-			mean /= float64(d)
-			var varsum float64
-			for _, v := range xr {
-				dv := float64(v) - mean
-				varsum += dv * dv
-			}
-			inv := float32(1 / math.Sqrt(varsum/float64(d)+lnEps))
-			invStd[r] = inv
-			for j := 0; j < d; j++ {
-				h := (xr[j] - float32(mean)) * inv
-				hr[j] = h
-				or[j] = h*g[j] + b[j]
-			}
-		}
-	})
+	if !train {
+		tensor.LayerNormRows(out.Data(), nil, nil, x.Data(), g, b, lnEps)
+		return out, nil
+	}
+	xhat, invStd := tensor.NewFrom(x, x.Shape()...), tensor.NewFrom(x, x.Rows())
+	tensor.LayerNormRows(out.Data(), xhat.Data(), invStd.Data(), x.Data(), g, b, lnEps)
 	return out, lnCache{xhat: xhat, invStd: invStd}
 }
 
 func (l *LayerNorm) Backward(cache any, inputs []*tensor.Tensor, out, gradOut *tensor.Tensor, need graph.BackwardNeed) ([]*tensor.Tensor, []*tensor.Tensor) {
 	c := cache.(lnCache)
-	x := inputs[0]
-	rows, d := x.Rows(), l.Dim
-	g := l.gamma.Tensor().Data()
-	var dgamma, dbeta *tensor.Tensor
+	var dx, dgamma, dbeta *tensor.Tensor
+	var dxd, dg, db []float32
 	if need.Params { // all rows reduce into one vector: serial, ascending r
 		dgamma, dbeta = tensor.NewFrom(gradOut, l.Dim), tensor.NewFrom(gradOut, l.Dim)
-		dg, db := dgamma.Data(), dbeta.Data()
-		for r := 0; r < rows; r++ {
-			gr, hr := gradOut.Row(r), c.xhat.Row(r)
-			for j := 0; j < d; j++ {
-				dg[j] += gr[j] * hr[j]
-				db[j] += gr[j]
-			}
-		}
+		dg, db = dgamma.Data(), dbeta.Data()
 	}
-	if !need.Inputs {
-		return []*tensor.Tensor{nil}, []*tensor.Tensor{dgamma, dbeta}
+	if need.Inputs {
+		dx = tensor.NewFrom(gradOut, inputs[0].Shape()...)
+		dxd = dx.Data()
 	}
-	dx := tensor.NewFrom(gradOut, x.Shape()...)
-	tensor.Parallel(rows, x.Len()*8, func(lo, hi int) { // row r of dx reads only row r
-		for r := lo; r < hi; r++ {
-			gr, hr := gradOut.Row(r), c.xhat.Row(r)
-			var sumDh, sumDhH float64
-			for j := 0; j < d; j++ {
-				dh := float64(gr[j]) * float64(g[j])
-				sumDh += dh
-				sumDhH += dh * float64(hr[j])
-			}
-			inv := float64(c.invStd[r])
-			nd := float64(d)
-			meanDh := sumDh / nd // loop-invariant: the same quotient per element
-			dr := dx.Row(r)
-			for j := 0; j < d; j++ {
-				dh := float64(gr[j]) * float64(g[j])
-				dr[j] = float32(inv * (dh - meanDh - float64(hr[j])*sumDhH/nd))
-			}
-		}
-	})
+	tensor.LayerNormGradRows(dxd, dg, db, gradOut.Data(), c.xhat.Data(), c.invStd.Data(), l.gamma.Tensor().Data())
 	return []*tensor.Tensor{dx}, []*tensor.Tensor{dgamma, dbeta}
 }
 

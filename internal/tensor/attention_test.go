@@ -44,6 +44,8 @@ func TestAttentionMatchesPerHeadChain(t *testing.T) {
 		{4, 7, 1, 9},
 		{6, 12, 2, 16}, // fans out
 		{8, 13, 4, 9},  // fans out
+		{2, 17, 2, 5},  // two full 8-row blocks and one row
+		{1, 9, 3, 4},   // a full block and one row
 	} {
 		dim := sh.heads * sh.dh
 		rows := sh.batch * sh.seq

@@ -40,13 +40,47 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftmaxRows times SoftmaxRows at 512×128 (rows too wide for
+// the slab kernel: the ymm exp row) and at 384×12, an attention layer's
+// scores at BERT-mini's batch and sequence length (the slab kernel where
+// the zmm verdict holds).
 func BenchmarkSoftmaxRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	x := RandNormal(rng, 1, 512, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SoftmaxRows(x)
+	for _, sh := range [][2]int{{512, 128}, {384, 12}} {
+		x := RandNormal(rng, 1, sh[0], sh[1])
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SoftmaxRows(x)
+			}
+		})
 	}
+}
+
+// BenchmarkLayerNormRows times LayerNorm's rows at BERT-mini's shape, 384
+// rows of 32: a train forward (xhat and invStd kept), an eval forward, and
+// the backward with dγ/dβ.
+func BenchmarkLayerNormRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const rows, d = 384, 32
+	x, g := RandNormal(rng, 1, rows, d).Data(), RandNormal(rng, 1, rows, d).Data()
+	gamma, beta := RandNormal(rng, 1, d).Data(), RandNormal(rng, 1, d).Data()
+	out, xhat, inv := make([]float32, rows*d), make([]float32, rows*d), make([]float32, rows)
+	dx, dg, db := make([]float32, rows*d), make([]float32, d), make([]float32, d)
+	b.Run("train", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LayerNormRows(out, xhat, inv, x, gamma, beta, 1e-5)
+		}
+	})
+	b.Run("eval", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LayerNormRows(out, nil, nil, x, gamma, beta, 1e-5)
+		}
+	})
+	b.Run("backward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LayerNormGradRows(dx, dg, db, g, xhat, inv, gamma)
+		}
+	})
 }
 
 // BenchmarkScopeGet times one warm step-scope allocation at an attention

@@ -92,16 +92,32 @@ func SoftmaxRowsInto(dst, a *Tensor) *Tensor {
 	// Exp dominates; weight the work estimate accordingly so moderate row
 	// counts still parallelize.
 	parallelFor(scheduleFor(OpRowwise, [3]int{a.Rows(), c, 0}), a.Rows(), a.Len()*8, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			softmaxRow(dst.Row(r), a.Row(r))
-		}
+		softmaxRows(dst.data[lo*c:hi*c], a.data[lo*c:hi*c], c, 1)
 	})
 	return dst
 }
 
-// softmaxRow is softmax's row body, shared by SoftmaxRowsInto and the fused
-// attention forward: or = exp(ar − max) / Σ exp(ar − max), the sum taken in
-// float64 in ascending order. ar must be non-empty; or may be ar.
+// softmaxRowsGeneric is the softmax slab kernel's portable body over the
+// rows of c of src into dst (dst may be src): per row, or = ar·scale in
+// float32 — the attention scores' multiply — then softmaxRow. A scale of 1
+// is skipped: x·1 is x but for quieting a signalling NaN, and the max
+// subtraction, the first arithmetic on every element, quiets it anyway.
+func softmaxRowsGeneric(dst, src []float32, c int, scale float32) {
+	for r := 0; r+c <= len(src); r += c {
+		or, ar := dst[r:r+c], src[r:r+c]
+		if scale != 1 {
+			for j, v := range ar {
+				or[j] = v * scale
+			}
+			ar = or
+		}
+		softmaxRow(or, ar)
+	}
+}
+
+// softmaxRow is softmax's row body: or = exp(ar − max) / Σ exp(ar − max),
+// the sum taken in float64 in ascending order. ar must be non-empty; or
+// may be ar.
 func softmaxRow(or, ar []float32) {
 	maxv := ar[0]
 	for _, v := range ar[1:] {

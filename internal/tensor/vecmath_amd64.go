@@ -10,8 +10,8 @@ import "math"
 // scalar definitions bit for bit in this process: a GODEBUG=cpu.fma=off run
 // or a build whose scalar expression trees fuse leaves the scalar bodies in
 // place. Two verdicts, one per register width: useVecMath gates the ymm
-// GELU, tanh and exp rows, useVecMath512 the zmm GELU row, and the zmm
-// verdict is never true without the ymm one.
+// GELU, tanh and exp rows, useVecMath512 the zmm GELU row and the softmax
+// slab kernel, and the zmm verdict is never true without the ymm one.
 
 //go:noescape
 func geluRowAsm(out, keep, src, bias *float32, n int)
@@ -34,6 +34,12 @@ func geluRowZAsm(out, keep, src, bias *float32, n int)
 //go:noescape
 func geluF64ZAsm(y, d, x *float64, n int)
 
+//go:noescape
+func softmaxAsm(dst, src *float32, rows, c int, scale float32) bool
+
+//go:noescape
+func softmaxExpAsm(e *float64, src *float32, max float32, n int) int
+
 // rowKernel is an activation's float32 row kernel.
 type rowKernel func(out, keep, src, bias *float32, n int)
 
@@ -55,11 +61,30 @@ var useVecMath, useVecMath512 = vecMathGate(math.Exp)
 
 // vecMathGate returns the ymm verdict (the exp row against exp, the scalar
 // exp the kernels must repeat, and the GELU and tanh rows) and the zmm
-// verdict (the GELU row, whose EXP8 has no row of its own), which needs
-// the ymm one: a wrong exp fails both.
+// verdict (the GELU row and the softmax slab kernel's exp lanes), which
+// needs the ymm one: a wrong exp fails both.
 func vecMathGate(exp func(float64) float64) (ymm, zmm bool) {
 	ymm = hasAVX2 && hasFMA() && vecMathAgrees(exp, vecGelu, vecTanh)
-	return ymm, ymm && hasAVX512 && vecMathAgrees(exp, vecGeluZ)
+	return ymm, ymm && hasAVX512 && vecMathAgrees(exp, vecGeluZ) && softmaxExpAgrees(exp)
+}
+
+// softmaxExpAgrees runs softmaxAsm's exp lanes (softmaxExpAsm) over
+// vecMathAgrees' strided probe values and compares every e with exp.
+func softmaxExpAgrees(exp func(float64) float64) bool {
+	const strided = 512
+	xs, e := make([]float32, strided), make([]float64, strided)
+	for i := range xs {
+		xs[i] = float32(i-strided/2) * 0.371
+	}
+	if softmaxExpAsm(&e[0], &xs[0], 0, strided) != strided {
+		return false
+	}
+	for i, x := range xs {
+		if math.Float64bits(e[i]) != math.Float64bits(exp(float64(x))) {
+			return false
+		}
+	}
+	return true
 }
 
 func hasFMA() bool {
@@ -160,6 +185,41 @@ func actBlocks(row rowKernel, out, keep, src, bias []float32, lo, hi int) {
 		bp = &bias[lo:hi][0]
 	}
 	row(&out[lo:hi][0], kp, &src[lo:hi][0], bp, hi-lo)
+}
+
+// softmaxKernel is the softmax slab kernel's signature (softmaxAsm): one
+// block of rows ≤ 8 rows of c ≤ softmaxMaxCols, false where it declined
+// the block without writing dst.
+type softmaxKernel func(dst, src *float32, rows, c int, scale float32) bool
+
+// softmaxMaxCols is the widest row the slab kernel takes: its frame holds
+// the block's columns.
+const softmaxMaxCols = 16
+
+// softmaxRows is softmaxRowsGeneric through the softmax slab kernel where
+// the zmm verdict holds and rows are at most softmaxMaxCols wide: eight
+// rows at a time (the last block partial), one row's max, exp sum and
+// normalization per lane, each row's sum in ascending j. A block the kernel
+// declines (a NaN or an exponent outside [-700, 100]: masked scores,
+// -Inf, as expSubAsm declines a 4-block) runs the scalar body. len(src)
+// must be a multiple of c; dst may be src.
+func softmaxRows(dst, src []float32, c int, scale float32) {
+	softmaxRowsWith(softmaxAsm, dst, src, c, scale)
+}
+
+func softmaxRowsWith(k softmaxKernel, dst, src []float32, c int, scale float32) {
+	if !useVecMath512 || c > softmaxMaxCols {
+		softmaxRowsGeneric(dst, src, c, scale)
+		return
+	}
+	dst = dst[:len(src)]
+	for r := 0; r < len(src); r += 8 * c {
+		n := min(8, (len(src)-r)/c)
+		d, s := dst[r:r+n*c], src[r:r+n*c]
+		if !k(&d[0], &s[0], n, c, scale) {
+			softmaxRowsGeneric(d, s, c, scale)
+		}
+	}
 }
 
 // expSubRow is expSubGeneric from a zero sum. The kernel leaves each e in a

@@ -1,7 +1,8 @@
 // AVX2+FMA row kernels for the transcendental activations and softmax's
-// exp, and an AVX-512F twin of the GELU row. Each float64 lane, ymm
-// or zmm, repeats the scalar definition operation for operation, so every
-// lane rounds exactly as the scalar call does:
+// exp, an AVX-512F twin of the GELU row, and the AVX-512F softmax slab
+// kernel (one row per lane). Each float64 lane, ymm or zmm, repeats the
+// scalar definition operation for operation, so every lane rounds exactly
+// as the scalar call does:
 //
 //   EXP4    math.archExp's FMA path (exp_amd64.s, Shibata's algorithm),
 //           instruction for instruction on ymm lanes, for arguments whose
@@ -12,16 +13,18 @@
 //           and VADDPD only, in the source's association order.
 //   gelu    geluYD's expression tree around TANH4, unfused as well.
 //   EXP8, TANH8*, GELU*8
-//           the same on eight zmm lanes, for the GELU row only (no zmm
-//           tanh row: no workload trains a tanh layer).
+//           the same on eight zmm lanes, for the GELU row (no zmm tanh
+//           row: no workload trains a tanh layer); EXP8 also for the
+//           softmax slab kernel, where a lane is a row.
 //
 // FMA appears exactly where exp_amd64.s uses it and nowhere else. The Go
 // wrappers (vecmath_amd64.go) run these only after a package-init self-check
 // has found them bit-identical to the scalar bodies on this CPU: the ymm
-// kernels under one verdict, the zmm GELU kernels under a second one that
-// also needs the first.
+// kernels under one verdict, the zmm GELU kernels and the slab kernel's
+// exp lanes under a second one that also needs the first.
 
 #include "textflag.h"
+#include "rows_amd64.h"
 
 #define D4(off, v) \
 	DATA vm<>+(off+0)(SB)/8, v; \
@@ -245,6 +248,118 @@ GLOBL vm<>(SB), RODATA|NOPTR, $928
 	VPADDQ.BCST       cBias, kz, kz; \
 	VPSLLQ            $52, kz, kz; \
 	VMULPD            kz, a, a
+
+// EXP8X4: EXP8 of four independent blocks, step by step interleaved: one
+// block's dependent chain alone leaves the FP units idle.
+#define EXP8X4(a, p, ky, kz, a2, p2, ky2, kz2, a3, p3, ky3, kz3, a4, p4, ky4, kz4) \
+	VMULPD.BCST       cLOG2E, a, p; \
+	VMULPD.BCST       cLOG2E, a2, p2; \
+	VMULPD.BCST       cLOG2E, a3, p3; \
+	VMULPD.BCST       cLOG2E, a4, p4; \
+	VCVTPD2DQ         p, ky; \
+	VCVTPD2DQ         p2, ky2; \
+	VCVTPD2DQ         p3, ky3; \
+	VCVTPD2DQ         p4, ky4; \
+	VCVTDQ2PD         ky, p; \
+	VCVTDQ2PD         ky2, p2; \
+	VCVTDQ2PD         ky3, p3; \
+	VCVTDQ2PD         ky4, p4; \
+	VFNMADD231PD.BCST cLN2U, p, a; \
+	VFNMADD231PD.BCST cLN2U, p2, a2; \
+	VFNMADD231PD.BCST cLN2U, p3, a3; \
+	VFNMADD231PD.BCST cLN2U, p4, a4; \
+	VFNMADD231PD.BCST cLN2L, p, a; \
+	VFNMADD231PD.BCST cLN2L, p2, a2; \
+	VFNMADD231PD.BCST cLN2L, p3, a3; \
+	VFNMADD231PD.BCST cLN2L, p4, a4; \
+	VMULPD.BCST       c0625, a, a; \
+	VMULPD.BCST       c0625, a2, a2; \
+	VMULPD.BCST       c0625, a3, a3; \
+	VMULPD.BCST       c0625, a4, a4; \
+	VBROADCASTSD      cE8, p; \
+	VBROADCASTSD      cE8, p2; \
+	VBROADCASTSD      cE8, p3; \
+	VBROADCASTSD      cE8, p4; \
+	VFMADD213PD.BCST  cE7, a, p; \
+	VFMADD213PD.BCST  cE7, a2, p2; \
+	VFMADD213PD.BCST  cE7, a3, p3; \
+	VFMADD213PD.BCST  cE7, a4, p4; \
+	VFMADD213PD.BCST  cE6, a, p; \
+	VFMADD213PD.BCST  cE6, a2, p2; \
+	VFMADD213PD.BCST  cE6, a3, p3; \
+	VFMADD213PD.BCST  cE6, a4, p4; \
+	VFMADD213PD.BCST  cE5, a, p; \
+	VFMADD213PD.BCST  cE5, a2, p2; \
+	VFMADD213PD.BCST  cE5, a3, p3; \
+	VFMADD213PD.BCST  cE5, a4, p4; \
+	VFMADD213PD.BCST  cE4, a, p; \
+	VFMADD213PD.BCST  cE4, a2, p2; \
+	VFMADD213PD.BCST  cE4, a3, p3; \
+	VFMADD213PD.BCST  cE4, a4, p4; \
+	VFMADD213PD.BCST  cE3, a, p; \
+	VFMADD213PD.BCST  cE3, a2, p2; \
+	VFMADD213PD.BCST  cE3, a3, p3; \
+	VFMADD213PD.BCST  cE3, a4, p4; \
+	VFMADD213PD.BCST  cHalf, a, p; \
+	VFMADD213PD.BCST  cHalf, a2, p2; \
+	VFMADD213PD.BCST  cHalf, a3, p3; \
+	VFMADD213PD.BCST  cHalf, a4, p4; \
+	VFMADD213PD.BCST  cOne, a, p; \
+	VFMADD213PD.BCST  cOne, a2, p2; \
+	VFMADD213PD.BCST  cOne, a3, p3; \
+	VFMADD213PD.BCST  cOne, a4, p4; \
+	VMULPD            p, a, a; \
+	VMULPD            p2, a2, a2; \
+	VMULPD            p3, a3, a3; \
+	VMULPD            p4, a4, a4; \
+	VADDPD.BCST       cTwo, a, p; \
+	VADDPD.BCST       cTwo, a2, p2; \
+	VADDPD.BCST       cTwo, a3, p3; \
+	VADDPD.BCST       cTwo, a4, p4; \
+	VMULPD            p, a, a; \
+	VMULPD            p2, a2, a2; \
+	VMULPD            p3, a3, a3; \
+	VMULPD            p4, a4, a4; \
+	VADDPD.BCST       cTwo, a, p; \
+	VADDPD.BCST       cTwo, a2, p2; \
+	VADDPD.BCST       cTwo, a3, p3; \
+	VADDPD.BCST       cTwo, a4, p4; \
+	VMULPD            p, a, a; \
+	VMULPD            p2, a2, a2; \
+	VMULPD            p3, a3, a3; \
+	VMULPD            p4, a4, a4; \
+	VADDPD.BCST       cTwo, a, p; \
+	VADDPD.BCST       cTwo, a2, p2; \
+	VADDPD.BCST       cTwo, a3, p3; \
+	VADDPD.BCST       cTwo, a4, p4; \
+	VMULPD            p, a, a; \
+	VMULPD            p2, a2, a2; \
+	VMULPD            p3, a3, a3; \
+	VMULPD            p4, a4, a4; \
+	VADDPD.BCST       cTwo, a, p; \
+	VADDPD.BCST       cTwo, a2, p2; \
+	VADDPD.BCST       cTwo, a3, p3; \
+	VADDPD.BCST       cTwo, a4, p4; \
+	VFMADD213PD.BCST  cOne, p, a; \
+	VFMADD213PD.BCST  cOne, p2, a2; \
+	VFMADD213PD.BCST  cOne, p3, a3; \
+	VFMADD213PD.BCST  cOne, p4, a4; \
+	VPMOVSXDQ         ky, kz; \
+	VPMOVSXDQ         ky2, kz2; \
+	VPMOVSXDQ         ky3, kz3; \
+	VPMOVSXDQ         ky4, kz4; \
+	VPADDQ.BCST       cBias, kz, kz; \
+	VPADDQ.BCST       cBias, kz2, kz2; \
+	VPADDQ.BCST       cBias, kz3, kz3; \
+	VPADDQ.BCST       cBias, kz4, kz4; \
+	VPSLLQ            $52, kz, kz; \
+	VPSLLQ            $52, kz2, kz2; \
+	VPSLLQ            $52, kz3, kz3; \
+	VPSLLQ            $52, kz4, kz4; \
+	VMULPD            kz, a, a; \
+	VMULPD            kz2, a2, a2; \
+	VMULPD            kz3, a3, a3; \
+	VMULPD            kz4, a4, a4
 
 // GELUU8: u = geluC*(x + ((0.044715*x)*x)*x).
 #define GELUU8(x, u) \
@@ -495,7 +610,8 @@ edone:
 // iteration (n a multiple of 16), two 8-blocks through GELUY8X2 and
 // GELUD8X2; the float32 halves pass through Y7 and Y15. There is no zmm
 // exp row: the training workloads' softmax rows are at most 12 wide, where
-// an 8-block beside expSubAsm's 4-blocks costs more than it saves.
+// an 8-block beside expSubAsm's 4-blocks costs more than it saves; the slab
+// kernel below fills its lanes with rows instead.
 
 // func geluRowZAsm(out, keep, src, bias *float32, n int)
 TEXT ·geluRowZAsm(SB), NOSPLIT, $0-40
@@ -552,5 +668,230 @@ zgfloop:
 	ADDQ    $16, AX
 	CMPQ    AX, CX
 	JL      zgfloop
+	VZEROUPPER
+	RET
+
+// EXPARG: a = float64(v − max), the subtraction in float32 (v first),
+// from the float32 lanes of v into the zmm of v. INRANGE: k &= the lanes
+// of a in [-700, 100] (false on NaN), where EXP8 repeats archExp's
+// straight-line path. softmaxAsm and softmaxExpAsm share both.
+#define EXPARG(v, yv, max) \
+	VSUBPS    max, v, v; \
+	VCVTPS2PD yv, v
+
+#define INRANGE(a, k) \
+	VCMPPD.BCST $0x1D, cExpLo, a, k, k; \
+	VCMPPD.BCST $0x12, c100, a, k, k
+
+// func softmaxAsm(dst, src *float32, rows, c int, scale float32) bool
+// The softmax slab kernel over one block of rows ≤ 8 rows of c ≤ 16, one
+// row per lane (rows_amd64.h moves the block between row and column
+// layout): the columns v = src·scale go to the frame, max = the first v,
+// then max = v where v > max (VMAXPS keeps max on NaN and equal zeros);
+// then per column in ascending j (four at a time, EXP8X4),
+// a = float64(v − max) (EXPARG), e = exp(a), sum += e, v = float32(e); inv = float32(1/sum) and
+// every column times inv; then the rows to dst. If any a was NaN or
+// outside [-700, 100] (INRANGE) it returns false before writing dst, and
+// the caller runs the scalar body over the block. dst may be src.
+TEXT ·softmaxAsm(SB), NOSPLIT, $576-41
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         rows+16(FP), AX
+	MOVQ         c+24(FP), R12
+	VBROADCASTSS scale+32(FP), Z18
+	MOVQ         R12, R14
+	SHLQ         $2, R14
+	DECQ         AX
+	ROWOFFS(AX, R14, R10)
+	LEAQ         ·rowMasks(SB), CX
+	XORQ         R15, R15
+	LEAQ         64(SP), R13
+
+smLoad:
+	MOVQ    R12, BX
+	SUBQ    R15, BX
+	MOVQ    $8, R10
+	CMPQ    BX, R10
+	CMOVQGT R10, BX
+	MOVWLZX (CX)(BX*2), DX
+	KMOVW   DX, K1
+	LEAQ    (SI)(R15*4), R11
+	LOADROWS(R11, R9)
+	TRANSPOSE8
+	VMULPS  Z18, Z8, Z8
+	VMULPS  Z18, Z9, Z9
+	VMULPS  Z18, Z10, Z10
+	VMULPS  Z18, Z11, Z11
+	VMULPS  Z18, Z12, Z12
+	VMULPS  Z18, Z13, Z13
+	VMULPS  Z18, Z14, Z14
+	VMULPS  Z18, Z15, Z15
+	VMOVUPS Y8, (R13)
+	VMOVUPS Y9, 32(R13)
+	VMOVUPS Y10, 64(R13)
+	VMOVUPS Y11, 96(R13)
+	VMOVUPS Y12, 128(R13)
+	VMOVUPS Y13, 160(R13)
+	VMOVUPS Y14, 192(R13)
+	VMOVUPS Y15, 224(R13)
+	ADDQ    $8, R15
+	ADDQ    $256, R13
+	CMPQ    R15, R12
+	JL      smLoad
+	VMOVUPS 64(SP), Y0
+	VMOVAPS Z0, Z16
+	MOVQ    $1, R15
+	LEAQ    96(SP), R13
+
+smMax:
+	CMPQ    R15, R12
+	JGE     smMaxDone
+	VMOVUPS (R13), Y0
+	VMAXPS  Z16, Z0, Z16
+	ADDQ    $32, R13
+	INCQ    R15
+	JMP     smMax
+
+smMaxDone:
+	VPXORQ Z17, Z17, Z17
+	MOVL   $0xff, DX
+	KMOVW  DX, K3
+	XORQ   R15, R15
+	LEAQ   64(SP), R13
+
+smExp4:
+	LEAQ      4(R15), R10
+	CMPQ      R10, R12
+	JG        smExp1
+	VMOVUPS   (R13), Y0
+	VMOVUPS   32(R13), Y3
+	VMOVUPS   64(R13), Y6
+	VMOVUPS   96(R13), Y9
+	EXPARG(Z0, Y0, Z16)
+	EXPARG(Z3, Y3, Z16)
+	EXPARG(Z6, Y6, Z16)
+	EXPARG(Z9, Y9, Z16)
+	INRANGE(Z0, K3)
+	INRANGE(Z3, K3)
+	INRANGE(Z6, K3)
+	INRANGE(Z9, K3)
+	EXP8X4(Z0, Z1, Y2, Z2, Z3, Z4, Y5, Z5, Z6, Z7, Y8, Z8, Z9, Z10, Y11, Z11)
+	VADDPD    Z0, Z17, Z17
+	VADDPD    Z3, Z17, Z17
+	VADDPD    Z6, Z17, Z17
+	VADDPD    Z9, Z17, Z17
+	VCVTPD2PS Z0, Y0
+	VCVTPD2PS Z3, Y3
+	VCVTPD2PS Z6, Y6
+	VCVTPD2PS Z9, Y9
+	VMOVUPS   Y0, (R13)
+	VMOVUPS   Y3, 32(R13)
+	VMOVUPS   Y6, 64(R13)
+	VMOVUPS   Y9, 96(R13)
+	ADDQ      $128, R13
+	MOVQ      R10, R15
+	JMP       smExp4
+
+smExp1:
+	CMPQ      R15, R12
+	JGE       smExpDone
+	VMOVUPS   (R13), Y0
+	EXPARG(Z0, Y0, Z16)
+	INRANGE(Z0, K3)
+	EXP8(Z0, Z1, Y2, Z2)
+	VADDPD    Z0, Z17, Z17
+	VCVTPD2PS Z0, Y0
+	VMOVUPS   Y0, (R13)
+	ADDQ      $32, R13
+	INCQ      R15
+	JMP       smExp1
+
+smExpDone:
+	KMOVW        K3, DX
+	CMPL         DX, $0xff
+	JNE          smDecline
+	VBROADCASTSD cOne, Z1
+	VDIVPD       Z17, Z1, Z1
+	VCVTPD2PS    Z1, Y1
+	XORQ         R15, R15
+	LEAQ         64(SP), R13
+
+smScale:
+	CMPQ    R15, R12
+	JGE     smStore
+	VMOVUPS (R13), Y0
+	VMULPS  Y1, Y0, Y0
+	VMOVUPS Y0, (R13)
+	ADDQ    $32, R13
+	INCQ    R15
+	JMP     smScale
+
+smStore:
+	XORQ R15, R15
+	LEAQ 64(SP), R13
+
+smStoreChunk:
+	MOVQ    R12, BX
+	SUBQ    R15, BX
+	MOVQ    $8, R10
+	CMPQ    BX, R10
+	CMOVQGT R10, BX
+	MOVWLZX (CX)(BX*2), DX
+	KMOVW   DX, K1
+	VMOVUPS (R13), Y0
+	VMOVUPS 32(R13), Y1
+	VMOVUPS 64(R13), Y2
+	VMOVUPS 96(R13), Y3
+	VMOVUPS 128(R13), Y4
+	VMOVUPS 160(R13), Y5
+	VMOVUPS 192(R13), Y6
+	VMOVUPS 224(R13), Y7
+	TRANSPOSE8
+	LEAQ    (DI)(R15*4), R11
+	STOREROWS(R11, R9)
+	ADDQ    $8, R15
+	ADDQ    $256, R13
+	CMPQ    R15, R12
+	JL      smStoreChunk
+	MOVB    $1, ret+40(FP)
+	VZEROUPPER
+	RET
+
+smDecline:
+	MOVB $0, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func softmaxExpAsm(e *float64, src *float32, max float32, n int) int
+// softmaxAsm's exp lanes over a plain row: per 8-block of src, EXPARG and
+// INRANGE against max, then, if every lane is in range, e = exp(a) (EXP8);
+// it returns the number of elements done (n a multiple of 8). The init
+// self-check and the exhaustive test reach the slab kernel's exp through
+// it.
+TEXT ·softmaxExpAsm(SB), NOSPLIT, $0-40
+	MOVQ         e+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSS max+16(FP), Z16
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	MOVL         $0xff, DX
+
+sxLoop:
+	CMPQ    AX, CX
+	JGE     sxDone
+	VMOVUPS (SI)(AX*4), Y0
+	EXPARG(Z0, Y0, Z16)
+	KMOVW   DX, K3
+	INRANGE(Z0, K3)
+	KMOVW   K3, BX
+	CMPL    BX, DX
+	JNE     sxDone
+	EXP8(Z0, Z1, Y2, Z2)
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     sxLoop
+
+sxDone:
+	MOVQ AX, ret+32(FP)
 	VZEROUPPER
 	RET

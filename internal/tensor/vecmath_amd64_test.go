@@ -83,6 +83,39 @@ func checkExpCore(xs []float32, maxv float32) bool {
 	return true
 }
 
+// checkSoftmaxExp compares the softmax slab kernel's exp lanes
+// (softmaxExpAsm, which shares their code) with math.Exp over xs in
+// 8-blocks at max maxv: every e of a block the lanes take, at float64; a
+// block they decline must hold a NaN or an argument outside [-700, 100].
+// It returns the number of blocks that differ.
+func checkSoftmaxExp(t *testing.T, xs []float32, maxv float32) (bad int) {
+	t.Helper()
+	if !useVecMath512 {
+		return 0
+	}
+	var e [8]float64
+	for i := 0; i+8 <= len(xs); i += 8 {
+		blk, ok := xs[i:i+8], true
+		if softmaxExpAsm(&e[0], &blk[0], maxv, 8) == 8 {
+			for k, x := range blk {
+				ok = ok && sameBits64(e[k], math.Exp(float64(x-maxv)))
+			}
+		} else {
+			ok = false
+			for _, x := range blk {
+				a := float64(x - maxv)
+				ok = ok || a != a || a < -700 || a > 100
+			}
+		}
+		if !ok {
+			if bad++; bad <= 5 {
+				t.Errorf("slab exp lanes %v - %v: e %v", blk, maxv, e)
+			}
+		}
+	}
+	return bad
+}
+
 // checkActCore runs every active width's kernels for name over the
 // longest prefix of xs it takes whole blocks of — the float64 lanes and
 // the float32 row — and compares them with the scalar definition, y and d
@@ -126,9 +159,10 @@ func TestVecMathVerdicts(t *testing.T) {
 
 // TestVectorPathStepsAsideOnMismatch hands the gate a scalar exp that is
 // one ulp off: both verdicts must be false, and with them in place the
-// GELU row wrapper must enter no kernel of either width, and expSubRow
-// must give expSubGeneric's bits. A passing ymm verdict beside a failing
-// zmm one keeps the zmm GELU row out likewise.
+// GELU row wrapper must enter no kernel of either width, the softmax rows
+// must not enter the slab kernel, and expSubRow must give expSubGeneric's
+// bits. A passing ymm verdict beside a failing zmm one keeps the zmm GELU
+// row and the slab kernel out likewise.
 func TestVectorPathStepsAsideOnMismatch(t *testing.T) {
 	prevY, prevZ := useVecMath, useVecMath512
 	defer func() { useVecMath, useVecMath512 = prevY, prevZ }()
@@ -152,6 +186,15 @@ func TestVectorPathStepsAsideOnMismatch(t *testing.T) {
 	}
 	actRow(spy, vecAct{row: spy, f: geluYD}, y, d, xs, nil)
 	check("both verdicts false")
+	slabSpy := func(dst, src *float32, rows, c int, scale float32) bool {
+		t.Error("softmax slab kernel entered after a failed self-check")
+		return false
+	}
+	so, wso := make([]float32, 64), make([]float32, 64)
+	softmaxRowsWith(slabSpy, so, xs, 8, 0.5)
+	if softmaxRowsGeneric(wso, xs, 8, 0.5); !slices.Equal(bits32(so), bits32(wso)) {
+		t.Fatal("softmax dispatch differs from softmaxRowsGeneric")
+	}
 	eo, weo := make([]float32, 64), make([]float32, 64)
 	if s, ws := expSubRow(eo, xs, 0.5), expSubGeneric(weo, xs, 0.5, 0); !sameBits64(s, ws) || !slices.Equal(bits32(eo), bits32(weo)) {
 		t.Fatal("exp dispatch differs from expSubGeneric")
@@ -160,6 +203,7 @@ func TestVectorPathStepsAsideOnMismatch(t *testing.T) {
 		useVecMath = true
 		actRow(spy, vecGelu, y, d, xs, nil)
 		check("ymm verdict only")
+		softmaxRowsWith(slabSpy, so, xs, 8, 0.5)
 		if ymm, zmm := vecMathGate(math.Exp); !ymm || zmm != hasAVX512 {
 			t.Errorf("self-check against math.Exp itself: ymm %v zmm %v", ymm, zmm)
 		}

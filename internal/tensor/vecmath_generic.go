@@ -15,3 +15,7 @@ func TanhRow(out, keep, src, bias []float32) {
 }
 
 func expSubRow(or, ar []float32, maxv float32) float64 { return expSubGeneric(or, ar, maxv, 0) }
+
+func softmaxRows(dst, src []float32, c int, scale float32) {
+	softmaxRowsGeneric(dst, src, c, scale)
+}

@@ -19,17 +19,20 @@ test:
 # are made from alternating parent/change pairs, bench/README.md, not
 # from this step).
 # The single-threaded planning packages run without the race detector in
-# one leg (~20 s on 2 vCPUs): the plan verifier with its solver and fuser
-# agreement property (TestSolversAndFusersAgree), the max-flow
-# differential test, the multi-model merge and the profiler. A second plain
+# one leg (~3 s on 2 vCPUs): the plan verifier, the max-flow differential
+# test, the multi-model merge and the profiler. The opt race leg runs
+# TestSolversAndFusersAgree — MAT OPT and FUSE OPT against their oracles,
+# the joint MILP and the partition search — on its random corpus only;
+# its own plain leg (~15 s) runs it in full. A second plain
 # leg (~15 s, nearly all of it the experiments package) covers the layer
 # above the planner: the labeler, the Table 3 workload builds, the
 # experiment drivers with the mini-scale runner, the model zoo and the
 # simulated clock. A third plain leg (~2 s) runs the packages no other leg
 # names: the root package (TestTraceDemo and the optimizer benchmarks'
 # test file), bench/'s unit tests (TestContract,
-# TestStagedMatchesFitAndCurrentPractice, ...), the MILP solver and
-# nautilus-run's flag rule for -compare.
+# TestStagedMatchesFitAndCurrentPractice, ...), the MILP solver behind
+# the MAT OPT oracle, nautilus-run's flag rule for -compare and
+# nautilus-plan's exit on a retired flag.
 # The seeded leg runs the seeded-regression corpus (internal/lint holds
 # only the corpus): each lock, goroutine, arena, chunk, span, shared-layer,
 # footprint or dropped-write-error bug it seeds must fail its named test
@@ -48,7 +51,11 @@ test:
 # stands them down at both widths (TestVecMathVerdicts asserts the ymm and
 # the zmm verdict are off) — the zmm verdict gates the softmax slab kernel
 # too, so softmax and the attention scores run their scalar rows there —
-# and every bit-identity test passes on the scalar bodies.
+# and every bit-identity test passes on the scalar bodies. The purego leg
+# builds the portable kernel bodies on amd64 (the purego tag leaves out the
+# assembly and its dispatch), runs the kernel, layer, graph and trainer
+# tests on them and a short ledger pass whose outputs are checked bit for
+# bit.
 check:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
@@ -59,6 +66,7 @@ check:
 	$(GO) test -race ./internal/exec/... ./internal/train/...
 	$(GO) test -race ./internal/core/...
 	$(GO) test -race ./internal/opt/...
+	$(GO) test -run '^TestSolversAndFusersAgree$$' ./internal/opt
 	$(GO) test ./internal/verify/... ./internal/mincut/... ./internal/mmg/... ./internal/profile/...
 	$(GO) test ./internal/data/... ./internal/workloads/... ./internal/experiments/... ./internal/models/... ./internal/simclock/...
 	$(GO) test . ./bench ./internal/milp ./cmd/...
@@ -66,6 +74,8 @@ check:
 	$(GO) test -race ./internal/storage/... ./internal/obs/...
 	$(GO) test -tags seeded -run '^TestSeededRegressions(Dynamic)?$$' -count=1 ./internal/lint
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/tensor ./internal/layers
+	$(GO) test -tags purego ./internal/tensor ./internal/layers ./internal/graph ./internal/exec
+	$(GO) run -tags purego ./bench -seconds 1
 	$(GO) run ./bench -seconds 3
 
 # check-exhaustive compares the vector GELU, tanh and exp-sub kernels with
@@ -98,8 +108,8 @@ fuzz:
 	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzLoadCalibration$$' -fuzztime 30s -parallel 2
 	$(GO) test ./internal/tensor/tune -run '^$$' -fuzz '^FuzzLoadTuneTable$$' -fuzztime 30s -parallel 2
 
-# bench runs the optimizer benchmarks at the root (solve time, B&B vs MILP,
-# backoff factor, Figure 5 estimate; the paper's tables and figures are
+# bench runs the optimizer benchmarks at the root (solve time, backoff
+# factor, Figure 5 estimate; the paper's tables and figures are
 # `nautilus-bench -exp <name>`), the whole-step engine benchmarks
 # (internal/graph: BenchmarkMiniBERTForwardBackward — one mini BERT training
 # step in a recycled step scope, ns/op and allocs/op, the closest number to
@@ -133,8 +143,10 @@ fuzz:
 # BenchmarkSolveReusePlanBERTBase, BenchmarkEnergyMinCut on one reused
 # Energy, BenchmarkWorkloadCost12Models — one MAT OPT objective evaluation
 # over twelve models, one cost-only min-cut per structural class (three) —
-# and BenchmarkEstimatePeakMemoryFused — the
-# Figure 5 replay of a four-member paper-scale group).
+# BenchmarkEstimatePeakMemoryFused — the
+# Figure 5 replay of a four-member paper-scale group — and
+# BenchmarkAblation_MincutVsMILP — B&B over min-cut against its MILP
+# oracle on paper-scale FTR-3).
 bench:
 	$(GO) test -bench=. -benchmem . ./internal/graph ./internal/layers ./internal/tensor ./internal/exec ./internal/obs ./internal/opt
 

@@ -1,9 +1,9 @@
 // Optimizer benchmarks with no other home: solve time at the largest
-// workload, the B&B+min-cut solver against the joint MILP, the storage
-// response to the backoff estimate r, and one Figure 5 peak-memory
-// estimate — all at paper scale over the real optimizer. The paper's
-// tables and figures themselves are printed by `nautilus-bench -exp <name>`
-// and their shapes asserted in internal/experiments/experiments_test.go.
+// workload, the storage response to the backoff estimate r, and one
+// Figure 5 peak-memory estimate — all at paper scale over the real
+// optimizer. The paper's tables and figures themselves are printed by
+// `nautilus-bench -exp <name>` and their shapes asserted in
+// internal/experiments/experiments_test.go.
 package nautilus_test
 
 import (
@@ -17,8 +17,9 @@ import (
 )
 
 func BenchmarkOptimizer_SolveTime(b *testing.B) {
-	// §5.3: optimizer solve time at practical workload sizes. The B&B
-	// solver is benchmarked on the largest workload; the MILP on FTR-3.
+	// §5.3: optimizer solve time at practical workload sizes, on the
+	// largest workload (internal/opt's BenchmarkAblation_MincutVsMILP times
+	// the MILP oracle on FTR-3).
 	inst, err := experiments.PaperInstance(workloads.FTR1())
 	if err != nil {
 		b.Fatal(err)
@@ -35,32 +36,6 @@ func BenchmarkOptimizer_SolveTime(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(res.NodesExplored), "bnb_nodes")
 		}
-	}
-}
-
-func BenchmarkAblation_MincutVsMILP(b *testing.B) {
-	// The scalable B&B+min-cut solver against the faithful joint MILP on
-	// the same instance: identical optima, different solve times.
-	inst, err := experiments.PaperInstance(workloads.FTR3())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := experiments.PaperConfig(core.Nautilus)
-	for _, solver := range []string{"bnb", "milp"} {
-		solver := solver
-		b.Run(solver, func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				res, err := opt.OptimizeMaterialization(inst.MM, inst.Items, opt.MatConfig{
-					DiskBudgetBytes: cfg.DiskBudgetBytes, MaxRecords: cfg.MaxRecords, Solver: solver,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.TotalCostFLOPs
-			}
-			b.ReportMetric(float64(cost)/1e12, "plan_TFLOPs")
-		})
 	}
 }
 

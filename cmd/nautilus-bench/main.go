@@ -26,7 +26,6 @@ import (
 	"nautilus/internal/experiments"
 	"nautilus/internal/obs"
 	"nautilus/internal/tensor/tune"
-	"nautilus/internal/workloads"
 )
 
 // Flags the experiment runners below read; the rest are local to main.
@@ -101,9 +100,6 @@ var experimentTable = []struct {
 	{"fig10b", report(experiments.Fig10B, experiments.PrintFig10B)},
 	{"fig11", report(experiments.Fig11, experiments.PrintFig11)},
 	{"hwsweep", report(experiments.HardwareSweep, experiments.PrintHardwareSweep)},
-	{"solver", report(func() (*experiments.SolverStats, error) {
-		return experiments.CompareSolvers(workloads.FTR3())
-	}, experiments.PrintSolverStats)},
 	{"tune", runTune},
 	{"calib", report(experiments.Calib, experiments.PrintCalib)},
 }
@@ -123,8 +119,7 @@ func main() {
 	}
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, " ")+" all")
 	// Experiments fix their own approach, budgets, r and hardware; of the
-	// planner's flags they take the fusion override (default: each
-	// experiment's own strategy) and the schedule table.
+	// planner's flags they take only the schedule table.
 	cfg := core.Config{}
 	cfg.RegisterFlags(flag.CommandLine)
 	var tel obs.Telemetry
@@ -149,7 +144,6 @@ func main() {
 		}
 		selected[name] = true
 	}
-	experiments.SetFuser(cfg.Fuser, cfg.FuseStateBudget)
 	tuning, err := cfg.Resolve()
 	if err != nil {
 		fatal(err)

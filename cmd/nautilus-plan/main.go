@@ -71,12 +71,8 @@ func main() {
 		cfg.Approach, float64(cfg.DiskBudgetBytes)/(1<<30), float64(cfg.MemBudgetBytes)/(1<<30), cfg.MaxRecords)
 	fmt.Printf("theoretical speedup (Eq. 11): %.2fX\n", experiments.TheoreticalSpeedup(inst))
 	fmt.Printf("optimizer time: %v (%d search nodes)\n", wp.Stats.OptimizeTime, wp.Stats.MatSolveNodes)
-	if fu := wp.Stats.Fuse; fu.Strategy != "" {
-		fmt.Printf("fusion strategy: %s | %d rounds, %d groups built, %d rejected", fu.Strategy, fu.Rounds, fu.PairsEvaluated, fu.PairsRejected)
-		if fu.Strategy == opt.FuserEnum {
-			fmt.Printf(" | %d DP states, %d memo hits, %d bound prunings, %d fallbacks", fu.StatesExplored, fu.MemoHits, fu.BoundPrunings, fu.Fallbacks)
-		}
-		fmt.Println()
+	if fu := wp.Stats.Fuse; fu.PairsEvaluated > 0 {
+		fmt.Printf("fusion (Algorithm 1): %d rounds, %d groups built, %d rejected\n", fu.Rounds, fu.PairsEvaluated, fu.PairsRejected)
 	}
 
 	fmt.Printf("\nmaterialized set V: %d expressions, %.2f GB at r records\n",

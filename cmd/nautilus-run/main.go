@@ -24,7 +24,6 @@ import (
 	"nautilus/internal/experiments"
 	"nautilus/internal/obs"
 	"nautilus/internal/obs/calib"
-	"nautilus/internal/opt"
 	"nautilus/internal/profile"
 	"nautilus/internal/verify"
 	"nautilus/internal/workloads"
@@ -106,10 +105,6 @@ func main() {
 	if report.Init != nil {
 		fmt.Printf("optimizer: %d materialized expressions, %d groups, solve %v\n",
 			report.Init.Materialized, report.Init.Groups, report.Init.OptimizeTime)
-		if fu := report.Init.Fuse; fu.Strategy == opt.FuserEnum {
-			fmt.Printf("fusion: %s | %d DP states, %d memo hits, %d bound prunings, %d fallbacks\n",
-				fu.Strategy, fu.StatesExplored, fu.MemoHits, fu.BoundPrunings, fu.Fallbacks)
-		}
 	}
 	fmt.Printf("%-6s %10s %12s %9s  %s\n", "cycle", "train-size", "duration", "best-acc", "best model")
 	for _, c := range report.Cycles {

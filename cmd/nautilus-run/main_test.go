@@ -23,8 +23,7 @@ func TestCompareIgnores(t *testing.T) {
 		{[]string{"-compare", "-trace", "t", "-metrics", "m.json", "-live", "l", "-listen", "localhost:0"}, nil},
 		{[]string{"-compare", "-mem-gb", "1"}, []string{"-mem-gb"}},
 		{[]string{"-compare", "-approach", "mat_all", "-workdir", "w", "-seed", "2"}, []string{"-approach", "-workdir"}},
-		{[]string{"-compare", "-disk-gb", "1", "-max-records", "9", "-fuser", "enum", "-fuse-budget", "5"},
-			[]string{"-disk-gb", "-fuse-budget", "-fuser", "-max-records"}},
+		{[]string{"-compare", "-disk-gb", "1", "-max-records", "9"}, []string{"-disk-gb", "-max-records"}},
 		{[]string{"-compare", "-calibration", "c", "-tune-table", "t", "-calibrate-out", "o"},
 			[]string{"-calibrate-out", "-calibration", "-tune-table"}},
 	}

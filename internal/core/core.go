@@ -130,14 +130,14 @@ type Config struct {
 	// MaxRecords is the initial expected maximum training records r; it
 	// grows by exponential backoff (factor 2) when exceeded.
 	MaxRecords int
-	// Solver is the materialization solver ("bnb" or "milp").
-	Solver string
-	// Fuser is the fusion strategy ("greedy" — Algorithm 1 — or "enum",
-	// the cost-based partition enumeration). Empty means greedy.
-	Fuser string
-	// FuseStateBudget caps enumerated candidate-group pricings per plan for
-	// the enum fuser (0 means opt.DefaultFuseStateBudget); buckets that
-	// would exceed it degrade to greedy.
+	// Solver, Fuser and FuseStateBudget are the retired optimizer
+	// selection, which bench/ still sets: MAT OPT is branch & bound over
+	// min-cut and FUSE OPT is Algorithm 1, so New and PlanWorkload accept
+	// only the defaults — Solver "" or "bnb", Fuser "" or "greedy",
+	// FuseStateBudget 0 — and return a *ConfigError otherwise. ROADMAP
+	// item 3(1)'s benchmark PR removes the three fields.
+	Solver          string
+	Fuser           string
 	FuseStateBudget int
 	// WorkDir hosts the tensor store and checkpoints.
 	WorkDir string
@@ -178,7 +178,6 @@ func DefaultConfig(workDir string) Config {
 		DiskBudgetBytes: 25 << 30,
 		MemBudgetBytes:  10 << 30,
 		MaxRecords:      1000,
-		Fuser:           opt.FuserGreedy,
 		WorkDir:         workDir,
 		Seed:            1,
 		Loss:            train.SoftmaxCrossEntropy{},
@@ -223,8 +222,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Var(gbFlag{&c.DiskBudgetBytes}, "disk-gb", "disk storage budget B_disk in `GB`")
 	fs.Var(gbFlag{&c.MemBudgetBytes}, "mem-gb", "runtime memory budget B_mem in `GB`")
 	fs.IntVar(&c.MaxRecords, "max-records", c.MaxRecords, "expected maximum training records r")
-	fs.StringVar(&c.Fuser, "fuser", c.Fuser, "fusion strategy: greedy (Algorithm 1) or enum (cost-based partition search)")
-	fs.IntVar(&c.FuseStateBudget, "fuse-budget", c.FuseStateBudget, "enum fuser state budget (candidate groups priced before falling back to greedy; 0 = default)")
 	fs.StringVar(&c.CalibrationPath, "calibration", c.CalibrationPath, "plan against measured constants from this calibration file (nautilus-run -calibrate-out)")
 	fs.StringVar(&c.TuneTablePath, "tune-table", c.TuneTablePath, "dispatch tensor kernels on this autotuned schedule table (make tune)")
 }
@@ -270,7 +267,7 @@ type InitStats struct {
 	StorageBytes int64
 	// Groups is the number of training groups after fusion.
 	Groups int
-	// Fuse carries the fusion strategy's search counters for the last
+	// Fuse carries FUSE OPT's (Algorithm 1's) counters for the last
 	// (re-)optimization (zero-valued for the singleton approaches).
 	Fuse opt.FuseStats
 }
@@ -464,11 +461,14 @@ type WorkloadPlan struct {
 // materialized set V and the grouped reuse plans. Both the live system
 // (ModelSelection) and the paper-scale simulator consume it, so simulated
 // experiments replay exactly the decisions the real system makes. It is a
-// one-shot front door to the staged planner session (candidates are
-// validated, the configuration is not: experiments legitimately sweep
-// degenerate budgets).
+// one-shot front door to the staged planner session (candidates and the
+// retired selection fields are validated, the budgets are not: experiments
+// legitimately sweep degenerate budgets).
 func PlanWorkload(items []opt.WorkItem, mm *mmg.MultiModel, cfg Config, maxRecords int) (*WorkloadPlan, error) {
 	if _, err := cfg.Resolve(); err != nil {
+		return nil, err
+	}
+	if err := validateSelection(cfg); err != nil {
 		return nil, err
 	}
 	if err := validateCandidates(items); err != nil {

@@ -42,23 +42,28 @@ func validateConfig(cfg Config) error {
 	if cfg.MaxRecords <= 0 {
 		return &ConfigError{Field: "MaxRecords", Reason: fmt.Sprintf("must be positive (initial r), got %d", cfg.MaxRecords)}
 	}
-	switch cfg.Solver {
-	case "", "bnb", "milp":
-	default:
-		return &ConfigError{Field: "Solver", Reason: fmt.Sprintf("unknown solver %q (want \"bnb\" or \"milp\")", cfg.Solver)}
+	return validateSelection(cfg)
+}
+
+// validateSelection rejects a value other than its default in the three
+// retired selection fields (see their doc comments). PlanWorkload, which
+// skips the budget checks, runs it too, so no path ignores one silently.
+func validateSelection(cfg Config) error {
+	if cfg.Solver != "" && cfg.Solver != "bnb" {
+		return &ConfigError{Field: "Solver", Reason: fmt.Sprintf("unknown solver %q (want \"bnb\", MAT OPT's one solver)", cfg.Solver)}
 	}
-	if cfg.FuseStateBudget < 0 {
-		return &ConfigError{Field: "FuseStateBudget", Reason: fmt.Sprintf("must be non-negative (0 = default), got %d", cfg.FuseStateBudget)}
+	if cfg.Fuser != "" && cfg.Fuser != opt.FuserGreedy {
+		return &ConfigError{Field: "Fuser", Reason: fmt.Sprintf("unknown fuser %q (want %q, FUSE OPT's one fuser)", cfg.Fuser, opt.FuserGreedy)}
 	}
-	if _, err := opt.NewFuser(cfg.Fuser, cfg.FuseStateBudget); err != nil {
-		return &ConfigError{Field: "Fuser", Reason: fmt.Sprintf("unknown fuser %q (want %q or %q)", cfg.Fuser, opt.FuserGreedy, opt.FuserEnum)}
+	if cfg.FuseStateBudget != 0 {
+		return &ConfigError{Field: "FuseStateBudget", Reason: fmt.Sprintf("must be 0 (Algorithm 1 takes no state budget), got %d", cfg.FuseStateBudget)}
 	}
 	return nil
 }
 
 // CandidateError reports a candidate set the planner cannot hold: two
-// candidates under one model name (RemoveCandidate, the fusers' member-set
-// memo and checkpoints all key by name), or a work item whose profile is
+// candidates under one model name (RemoveCandidate, FUSE OPT's group order
+// and checkpoints all key by name), or a work item whose profile is
 // missing or describes another model (every group's facts are derived from
 // its members' profiles).
 type CandidateError struct {
@@ -309,9 +314,8 @@ func (p *Planner) stageMatSigs(span *obs.Span, spec approachSpec, wp *WorkloadPl
 	matCfg := opt.MatConfig{
 		DiskBudgetBytes: p.cfg.DiskBudgetBytes,
 		MaxRecords:      p.r,
-		Solver:          p.cfg.Solver,
 	}
-	ms := span.Child("plan/mat_opt", obs.Str("solver", p.cfg.Solver))
+	ms := span.Child("plan/mat_opt")
 	matRes, err := opt.OptimizeMaterialization(p.mm, p.items, matCfg)
 	if err != nil {
 		ms.End()
@@ -346,12 +350,9 @@ func (p *Planner) planGroups(span *obs.Span, spec approachSpec, sigs map[graph.S
 	if !spec.fuse {
 		groups, err = opt.SingletonGroups(items, sigs, spec.plan, opt.AdamSlotBytes)
 	} else {
-		var fuser *opt.Fuser
-		if fuser, err = opt.NewFuser(p.cfg.Fuser, p.cfg.FuseStateBudget); err != nil {
-			return nil, fuseStats, err
-		}
+		var fuser opt.Fuser
 		memBudget = p.cfg.MemBudgetBytes
-		fs := span.Child("plan/fuse_opt", obs.Str("fuser", fuser.Name()))
+		fs := span.Child("plan/fuse_opt")
 		groups, err = fuser.Fuse(items, sigs, opt.FuseConfig{
 			MemBudgetBytes:     memBudget,
 			OptimizerSlotBytes: opt.AdamSlotBytes,
@@ -359,11 +360,7 @@ func (p *Planner) planGroups(span *obs.Span, spec approachSpec, sigs map[graph.S
 		})
 		fs.Attr(obs.Int("rounds", int64(fuseStats.Rounds)),
 			obs.Int("pairs_evaluated", int64(fuseStats.PairsEvaluated)),
-			obs.Int("pairs_rejected", int64(fuseStats.PairsRejected)),
-			obs.Int("states_explored", int64(fuseStats.StatesExplored)),
-			obs.Int("memo_hits", int64(fuseStats.MemoHits)),
-			obs.Int("bound_prunings", int64(fuseStats.BoundPrunings)),
-			obs.Int("fallbacks", int64(fuseStats.Fallbacks)))
+			obs.Int("pairs_rejected", int64(fuseStats.PairsRejected)))
 		fs.End()
 	}
 	if err != nil {

@@ -76,6 +76,11 @@ func TestConfigValidationRejectsBadBudgets(t *testing.T) {
 		{"unknown solver", func(c *Config) { c.Solver = "simplex" }, "Solver"},
 		{"unknown fuser", func(c *Config) { c.Fuser = "annealing" }, "Fuser"},
 		{"negative fuse budget", func(c *Config) { c.FuseStateBudget = -5 }, "FuseStateBudget"},
+		// The retired MILP solver, partition-search fuser and its state
+		// budget are test oracles in internal/opt now.
+		{"milp solver", func(c *Config) { c.Solver = "milp" }, "Solver"},
+		{"enum fuser", func(c *Config) { c.Fuser = "enum" }, "Fuser"},
+		{"fuse budget", func(c *Config) { c.FuseStateBudget = 7 }, "FuseStateBudget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,23 +88,37 @@ func TestConfigValidationRejectsBadBudgets(t *testing.T) {
 			cfg.HW = miniHW
 			tc.mut(&cfg)
 			_, err := New(items, mm, cfg)
-			var ce *ConfigError
-			if !errors.As(err, &ce) {
-				t.Fatalf("New = %v, want *ConfigError", err)
+			_, perr := NewPlanner(items, mm, cfg)
+			errs := []error{err, perr}
+			if tc.field == "Solver" || tc.field == "Fuser" || tc.field == "FuseStateBudget" {
+				// PlanWorkload skips the budget checks, not these.
+				_, werr := PlanWorkload(items, mm, cfg, 600)
+				errs = append(errs, werr)
 			}
-			if ce.Field != tc.field {
-				t.Errorf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
+			for _, err := range errs {
+				var ce *ConfigError
+				if !errors.As(err, &ce) {
+					t.Fatalf("New/NewPlanner/PlanWorkload = %v, want *ConfigError", err)
+				}
+				if ce.Field != tc.field {
+					t.Errorf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
+				}
 			}
 		})
 	}
-	// Every named solver passes validation.
-	for _, solver := range []string{"", "bnb", "milp"} {
+	// Each field's accepted values pass validation.
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Solver = "" },
+		func(c *Config) { c.Solver = "bnb" },
+		func(c *Config) { c.Fuser = "" },
+		func(c *Config) { c.Fuser = opt.FuserGreedy },
+	} {
 		cfg := DefaultConfig(t.TempDir())
 		cfg.HW = miniHW
-		cfg.Solver = solver
+		mut(&cfg)
 		ms, err := New(items, mm, cfg)
 		if err != nil {
-			t.Fatalf("solver %q rejected: %v", solver, err)
+			t.Fatalf("solver %q fuser %q rejected: %v", cfg.Solver, cfg.Fuser, err)
 		}
 		ms.Close()
 	}
@@ -148,46 +167,12 @@ func TestBudgetFlagsRejectOutOfRange(t *testing.T) {
 	}
 }
 
-// TestReplanWithEnumFuser drives the full staged pipeline under the enum
-// strategy: the plan must verify, cost no more than greedy's, and surface
-// the enumeration counters through InitStats.
-func TestReplanWithEnumFuser(t *testing.T) {
-	items, mm := tinyWorkload(t)
-	planFor := func(fuser string) *WorkloadPlan {
-		t.Helper()
-		cfg := DefaultConfig(t.TempDir())
-		cfg.HW = miniHW
-		cfg.Fuser = fuser
-		wp, err := PlanWorkload(items, mm, cfg, 600)
-		if err != nil {
-			t.Fatalf("fuser %q: %v", fuser, err)
-		}
-		return wp
-	}
-	greedy := planFor(opt.FuserGreedy)
-	enum := planFor(opt.FuserEnum)
-	if got, want := opt.TotalPlanCost(enum.Groups), opt.TotalPlanCost(greedy.Groups); got > want {
-		t.Errorf("enum plan cost %d exceeds greedy %d", got, want)
-	}
-	if enum.Stats.Fuse.Strategy != opt.FuserEnum || enum.Stats.Fuse.StatesExplored == 0 {
-		t.Errorf("enum Fuse stats not surfaced: %+v", enum.Stats.Fuse)
-	}
-	if greedy.Stats.Fuse.Strategy != opt.FuserGreedy {
-		t.Errorf("greedy Fuse stats not surfaced: %+v", greedy.Stats.Fuse)
-	}
-	if err := verify.Groups(enum.Groups, items, DefaultConfig("").MemBudgetBytes, enum.MatSigs); err != nil {
-		t.Errorf("enum plan fails verify: %v", err)
-	}
-}
-
-// TestPlannerEvolutionWithEnumFuser checks plan deltas and incremental
-// verification keep working when the enum strategy replans an evolved
-// candidate set.
-func TestPlannerEvolutionWithEnumFuser(t *testing.T) {
+// TestPlannerReplanAfterRemovalChecksEveryGroup: a replan of an evolved
+// candidate set verifies every group and trains every remaining candidate.
+func TestPlannerReplanAfterRemovalChecksEveryGroup(t *testing.T) {
 	items, mm := tinyWorkload(t)
 	cfg := DefaultConfig(t.TempDir())
 	cfg.HW = miniHW
-	cfg.Fuser = opt.FuserEnum
 	p, err := NewPlanner(items, mm, cfg)
 	if err != nil {
 		t.Fatal(err)

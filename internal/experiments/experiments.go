@@ -42,23 +42,8 @@ func PaperConfig(approach core.Approach) core.Config {
 	cfg := core.DefaultConfig("")
 	cfg.Approach = approach
 	cfg.MaxRecords = paperMaxRecords
-	if fuserName != "" {
-		cfg.Fuser = fuserName
-	}
-	cfg.FuseStateBudget = fuserBudget
 	return cfg
 }
-
-// fuserName/fuserBudget override the fusion strategy for every experiment
-// config (nautilus-bench -fuser / -fuse-budget).
-var (
-	fuserName   string
-	fuserBudget int
-)
-
-// SetFuser applies a fusion-strategy override to all subsequently built
-// experiment configs. Empty name keeps each experiment's own default.
-func SetFuser(name string, budget int) { fuserName, fuserBudget = name, budget }
 
 // instanceCache memoizes built paper-scale workload instances (building 36
 // BERT-base candidates and profiling them is not free).
@@ -78,13 +63,12 @@ func PaperInstance(spec workloads.Spec) (*workloads.Instance, error) {
 	return inst, nil
 }
 
-// planCache memoizes workload plans keyed by (workload, approach, budgets,
-// solver, fusion strategy).
+// planCache memoizes workload plans keyed by (workload, approach, budgets).
 var planCache = map[string]*core.WorkloadPlan{}
 
 // planFor runs PlanWorkload with memoization.
 func planFor(inst *workloads.Instance, cfg core.Config) (*core.WorkloadPlan, error) {
-	key := fmt.Sprintf("%s|%s|%d|%d|%s|%s|%d", inst.Spec.Name, cfg.Approach, cfg.DiskBudgetBytes, cfg.MemBudgetBytes, cfg.Solver, cfg.Fuser, cfg.FuseStateBudget)
+	key := fmt.Sprintf("%s|%s|%d|%d", inst.Spec.Name, cfg.Approach, cfg.DiskBudgetBytes, cfg.MemBudgetBytes)
 	if wp, ok := planCache[key]; ok {
 		return wp, nil
 	}

@@ -225,17 +225,6 @@ func TestTable3Catalog(t *testing.T) {
 	PrintTable3(io.Discard, rows)
 }
 
-func TestCompareSolversAgree(t *testing.T) {
-	st, err := CompareSolvers(workloads.FTR3())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.CostsAgree {
-		t.Errorf("solvers disagree: bnb %d vs milp %d", st.BnBCost, st.MILPCost)
-	}
-	PrintSolverStats(io.Discard, st)
-}
-
 func TestHardwareSweepMonotoneLoads(t *testing.T) {
 	rows, err := HardwareSweep()
 	if err != nil {

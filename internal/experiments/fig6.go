@@ -165,8 +165,6 @@ func Fig6C() ([]Fig6CRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := workloads.FTR2()
-	_ = sched
 	labeled := 10 * 500 // records labeled across the run
 	var rows []Fig6CRow
 	for _, spl := range []float64{0.5, 1, 2, 4, 8} {

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"io"
-	"time"
 
-	"nautilus/internal/core"
-	"nautilus/internal/opt"
 	"nautilus/internal/workloads"
 )
 
@@ -59,61 +56,5 @@ func PrintTable3(w io.Writer, rows []Table3Row) error {
 		p.printf("%-8s %-18s %9d %12v %22v %9v %8d %9.1fX\n",
 			r.Workload, r.Approach, r.Variants, r.BatchSizes, r.LRs, r.Epochs, r.NumModels, r.TheoreticalSpeedup)
 	}
-	return p.err
-}
-
-// SolverStats compares the two materialization solvers on one paper-scale
-// workload (the Section 5.3 claim that the MILP solves in a few tens of
-// seconds at practical workload sizes).
-type SolverStats struct {
-	Workload   string
-	BnBTime    time.Duration
-	BnBNodes   int
-	BnBCost    int64
-	MILPTime   time.Duration
-	MILPCost   int64
-	CostsAgree bool
-}
-
-// CompareSolvers runs both materialization solvers on the workload.
-// FTR-3's 12 models keep the dense-simplex MILP tractable; the B&B solver
-// handles every workload size.
-func CompareSolvers(spec workloads.Spec) (*SolverStats, error) {
-	inst, err := PaperInstance(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg := PaperConfig(core.Nautilus)
-	st := &SolverStats{Workload: spec.Name}
-
-	bnb, err := opt.OptimizeMaterialization(inst.MM, inst.Items, opt.MatConfig{
-		DiskBudgetBytes: cfg.DiskBudgetBytes, MaxRecords: cfg.MaxRecords, Solver: "bnb",
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.BnBTime = bnb.SolveTime
-	st.BnBNodes = bnb.NodesExplored
-	st.BnBCost = bnb.TotalCostFLOPs
-
-	ml, err := opt.OptimizeMaterialization(inst.MM, inst.Items, opt.MatConfig{
-		DiskBudgetBytes: cfg.DiskBudgetBytes, MaxRecords: cfg.MaxRecords, Solver: "milp",
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.MILPTime = ml.SolveTime
-	st.MILPCost = ml.TotalCostFLOPs
-	st.CostsAgree = st.BnBCost == st.MILPCost
-	return st, nil
-}
-
-// PrintSolverStats renders solver comparison results.
-func PrintSolverStats(w io.Writer, st *SolverStats) error {
-	p := &printer{w: w}
-	p.printf("Optimizer solve time (%s, paper scale)\n", st.Workload)
-	p.printf("branch&bound + min-cut: %v (%d nodes), plan cost %d\n", st.BnBTime, st.BnBNodes, st.BnBCost)
-	p.printf("joint MILP (simplex):   %v, plan cost %d\n", st.MILPTime, st.MILPCost)
-	p.printf("solvers agree on optimal cost: %v\n", st.CostsAgree)
 	return p.err
 }

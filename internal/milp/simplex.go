@@ -1,9 +1,9 @@
 // Package milp implements a mixed-integer linear programming solver:
 // two-phase dense primal simplex for LP relaxations and depth-first branch
 // & bound over binary variables. It is the generic counterpart of the
-// paper's Gurobi dependency and is used to solve the materialization MILP
-// (Equations 8–10) directly at small workload sizes and to cross-validate
-// the scalable min-cut-based optimizer in property tests.
+// paper's Gurobi dependency. Only tests import it: it solves the
+// materialization MILP (Equations 8–10) behind opt.SolveMILP, the oracle
+// the planner's branch & bound over min-cut is checked against.
 package milp
 
 import (

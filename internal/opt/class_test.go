@@ -13,9 +13,10 @@ import (
 	"nautilus/internal/workloads"
 )
 
-// planWith runs MAT OPT over the items at r records, then each named fuser
-// under B_mem on the chosen set, as a replan does.
-func planWith(t *testing.T, fusers []string, items []opt.WorkItem, diskBytes, memBytes int64, r int) {
+// planWith runs MAT OPT over the items at r records, then FUSE OPT under
+// B_mem on the chosen set, as a replan does, and with enum the partition
+// search oracle too.
+func planWith(t *testing.T, enum bool, items []opt.WorkItem, diskBytes, memBytes int64, r int) {
 	t.Helper()
 	ms := make([]*graph.Model, len(items))
 	for i, it := range items {
@@ -29,18 +30,16 @@ func planWith(t *testing.T, fusers []string, items []opt.WorkItem, diskBytes, me
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range fusers {
-		f, err := opt.NewFuser(name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Fuse(items, res.Sigs, opt.FuseConfig{MemBudgetBytes: memBytes, OptimizerSlotBytes: opt.AdamSlotBytes}); err != nil {
+	cfg := opt.FuseConfig{MemBudgetBytes: memBytes, OptimizerSlotBytes: opt.AdamSlotBytes}
+	if _, err := new(opt.Fuser).Fuse(items, res.Sigs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if enum {
+		if _, _, err := opt.FuseEnum(items, res.Sigs, cfg, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
-
-var bothFusers = []string{opt.FuserGreedy, opt.FuserEnum}
 
 // requireAgreement fails the test on any disagreement the check saw, and
 // when it saw fewer evaluations or class hits than the workload must give.
@@ -90,14 +89,10 @@ func TestClassPricingMatchesPerItem(t *testing.T) {
 					t.Fatal(err)
 				}
 				check := opt.CheckClassPricing(t)
-				// plan_zoo fuses greedily; enum, which spends its whole
-				// state budget on the larger grids, runs on FTR-3.
-				fusers := []string{opt.FuserGreedy}
-				if len(inst.Items) <= 12 {
-					fusers = bothFusers
-				}
+				// The partition search spends its whole state budget on
+				// the larger grids, so it runs on FTR-3 only.
 				for _, r := range []int{400, 1600} {
-					planWith(t, fusers, inst.Items, c.diskGB*gb, c.memGB*gb, r)
+					planWith(t, len(inst.Items) <= 12, inst.Items, c.diskGB*gb, c.memGB*gb, r)
 				}
 				requireAgreement(t, check, 2, 2)
 			})
@@ -108,7 +103,7 @@ func TestClassPricingMatchesPerItem(t *testing.T) {
 		for seed := int64(0); seed < 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			items := randomFusionWorkload(rng)
-			planWith(t, bothFusers, items, int64(rng.Intn(1<<20)), int64(1)<<(27+rng.Intn(14)), 100)
+			planWith(t, true, items, int64(rng.Intn(1<<20)), int64(1)<<(27+rng.Intn(14)), 100)
 		}
 		// Every item's "own" layer is a frozen expression of its own, so no
 		// two items share a class: only MAT OPT's evaluations are re-priced.
@@ -118,9 +113,9 @@ func TestClassPricingMatchesPerItem(t *testing.T) {
 		check := opt.CheckClassPricing(t)
 		rng := rand.New(rand.NewSource(15))
 		for i := 0; i < 12; i++ {
-			planWith(t, bothFusers, randomWorkload(t, rng, 2+rng.Intn(5)), int64(rng.Intn(1<<16)), 1<<30, 50)
+			planWith(t, true, randomWorkload(t, rng, 2+rng.Intn(5)), int64(rng.Intn(1<<16)), 1<<30, 50)
 		}
-		planWith(t, bothFusers, aliasedWorkload(t), 1<<16, 1<<30, 50)
+		planWith(t, true, aliasedWorkload(t), 1<<16, 1<<30, 50)
 		requireAgreement(t, check, 13, 0)
 	})
 	t.Run("fixtures", func(t *testing.T) {
@@ -146,7 +141,7 @@ func TestClassPricingMatchesPerItem(t *testing.T) {
 		trunkParam := items[2].Prof.Layer(items[2].Model.Nodes()[1]).Params[0]
 		items[2].Prof.Param(trunkParam).Trainable = true
 		check := opt.CheckClassPricing(t)
-		planWith(t, bothFusers, items, 1<<20, 1<<30, 100)
+		planWith(t, true, items, 1<<20, 1<<30, 100)
 		requireAgreement(t, check, 1, 1)
 	})
 }

@@ -1,19 +1,17 @@
 package opt
 
 import (
-	"encoding/binary"
 	"errors"
 	"math"
-	"slices"
 
 	"nautilus/internal/graph"
 )
 
-// DefaultFuseStateBudget bounds how many multi-model candidate groups the
-// enum strategy will price before a bucket degrades to greedy. Each pricing
-// is a merged view, a min-cut solve and a peak-memory replay, so this is the
-// knob that trades search optimality for planning latency.
-const DefaultFuseStateBudget = 4096
+// EnumStateBudget is the partition search's default state budget: how many
+// multi-model candidate groups FuseEnum prices before a bucket degrades to
+// Algorithm 1. Each pricing is a merged view, a min-cut solve and a
+// peak-memory replay.
+const EnumStateBudget = 4096
 
 // maxEnumBucketItems is the bitmask width cap: a compatibility bucket
 // larger than this always falls back to greedy regardless of budget.
@@ -23,67 +21,60 @@ const maxEnumBucketItems = 20
 // state budget runs out mid-enumeration; the bucket is re-solved greedily.
 var errFuseStateBudget = errors.New("opt: fuse state budget exhausted")
 
-// enumState is one Fuse call's search state, shared across buckets: what
-// trials are priced with, whether buckets are enumerated at all, the
-// remaining candidate budget, the enumerated bucket's trial memo (keyed by
-// the member set) and the priced trials by member class sequence.
-//
-// Enumeration is the cost-based fusion plan search (the SystemML
-// fusion-plan idea applied to FUSE OPT): per bucket, the minimum-
-// TotalPlanCost partition into fused groups by dynamic programming over
-// member subsets. Candidate groups are memoized on their member set so each
-// subset is priced at most once, and a branch-and-bound check (each group
-// costs at least its most expensive member's singleton plan) prunes
-// sub-partitions that cannot beat the bucket's incumbent. A
-// bucket that would (or does) exceed the budget degrades to Algorithm 1,
-// whose result the DP search space contains.
-type enumState struct {
-	sc        *scratch
-	nums      *numbering
-	matSigs   map[graph.Signature]bool
-	cfg       FuseConfig
-	enumerate bool
+// EnumStats counts the work of one FuseEnum call: FuseStats for the
+// pricings and greedy rounds, and the partition search's own counters.
+type EnumStats struct {
+	FuseStats
+	// StatesExplored counts partition-DP subproblems solved (memoized
+	// states are not recounted).
+	StatesExplored int
+	// MemoHits counts candidate-group lookups answered by the member-set
+	// memo instead of a fresh pricing.
+	MemoHits int
+	// BoundPrunings counts candidate sub-partitions skipped because a
+	// lower bound already met or exceeded the best known completion.
+	BoundPrunings int
+	// Fallbacks counts compatibility buckets degraded to greedy because
+	// the state budget was (or would be) exhausted.
+	Fallbacks int
+}
+
+// FuseEnum is FUSE OPT's exact oracle, the cost-based fusion plan search
+// (the SystemML fusion-plan idea applied to FUSE OPT): Fuser.Fuse with
+// each compatibility bucket partitioned by dynamic programming over member
+// subsets into the minimum-TotalPlanCost set of feasible fused groups.
+// Candidate groups are memoized on their member set so each subset is
+// priced at most once, and a branch-and-bound check (each group costs at
+// least its most expensive member's singleton plan) prunes sub-partitions
+// that cannot beat the bucket's incumbent. A bucket that would (or does)
+// exceed stateBudget (0 means EnumStateBudget) degrades to Algorithm 1,
+// whose result the DP search space contains, so FuseEnum never costs more
+// than Fuse.
+func FuseEnum(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig, stateBudget int) ([]*FusedGroup, EnumStats, error) {
+	if stateBudget == 0 {
+		stateBudget = EnumStateBudget
+	}
+	e := &enumSearch{remaining: stateBudget}
+	cfg.Stats = &e.stats.FuseStats
+	groups, err := fuse(items, matSigs, cfg, e.fuseBucket)
+	return groups, e.stats, err
+}
+
+// enumSearch is one FuseEnum call's search state, shared across buckets:
+// the remaining candidate budget, the enumerated bucket's trial memo
+// (keyed by the member set) and the counters.
+type enumSearch struct {
 	remaining int
 	memo      map[int]*trial // by bitmask over the bucket being enumerated
-	byClass   map[string]*trial
-	key       []byte
+	stats     EnumStats
 }
 
-// price prices a trial group, or answers it from the trial first priced for
-// the same batch size and sequence of member classes: such trials merge to
-// the same view with the same priced facts, so they have the same actions,
-// cost and peak. The answer carries the caller's items.
-func (e *enumState) price(items []WorkItem) (*trial, error) {
-	e.key = binary.AppendVarint(e.key[:0], int64(items[0].BatchSize))
-	for _, it := range items {
-		x := e.nums.of[it.Prof]
-		if x == nil || x.class < 0 {
-			return e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
-		}
-		e.key = binary.AppendVarint(e.key, int64(x.class))
-	}
-	if t, ok := e.byClass[string(e.key)]; ok {
-		hit := &trial{items: items, actions: slices.Clone(t.actions), cost: t.cost, peak: t.peak}
-		if classPricingCheck.fuse != nil {
-			classPricingCheck.fuse(e, items, hit)
-		}
-		return hit, nil
-	}
-	t, err := e.sc.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
-	if err != nil {
-		return nil, err
-	}
-	e.byClass[string(e.key)] = t
-	return t, nil
-}
-
-// fuseBucket partitions one compatibility bucket of singleton trials: by
-// Algorithm 1 in input order when not enumerating; otherwise by the
-// partition search over the name-sorted bucket (so bitmask positions are
-// stable), degrading to Algorithm 1 when the budget cannot cover it.
-func (e *enumState) fuseBucket(bucket []*trial) ([]*trial, error) {
-	if !e.enumerate || len(bucket) == 1 {
-		return e.fuseGreedy(bucket)
+// fuseBucket partitions one compatibility bucket of singleton trials by
+// the partition search over the name-sorted bucket (so bitmask positions
+// are stable), degrading to Algorithm 1 when the budget cannot cover it.
+func (e *enumSearch) fuseBucket(p *pricer, bucket []*trial) ([]*trial, error) {
+	if len(bucket) == 1 {
+		return bucket, nil
 	}
 	sortTrials(bucket)
 	// A bucket of n items can require up to 2^n-1 candidate pricings; if
@@ -91,22 +82,20 @@ func (e *enumState) fuseBucket(bucket []*trial) ([]*trial, error) {
 	// doomed to abort.
 	fits := len(bucket) <= maxEnumBucketItems && (1<<uint(len(bucket)))-1 <= e.remaining
 	if fits {
-		groups, err := e.solveBucket(bucket)
+		groups, err := e.solveBucket(p, bucket)
 		if !errors.Is(err, errFuseStateBudget) {
 			return groups, err
 		}
 	}
-	if e.cfg.Stats != nil {
-		e.cfg.Stats.Fallbacks++
-	}
-	return e.fuseGreedy(bucket)
+	e.stats.Fallbacks++
+	return p.fuseGreedy(bucket)
 }
 
 // solveBucket finds the minimum-cost feasible partition of the bucket by
 // DP over member subsets. Every partition of mask has exactly one group
 // containing mask's lowest set bit, so candidate groups are anchored
 // there and each partition is enumerated once.
-func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
+func (e *enumSearch) solveBucket(p *pricer, bucket []*trial) ([]*trial, error) {
 	n := len(bucket)
 	full := (1 << uint(n)) - 1
 
@@ -145,9 +134,7 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 		if c, ok := memo[mask]; ok {
 			return c, nil
 		}
-		if e.cfg.Stats != nil {
-			e.cfg.Stats.StatesExplored++
-		}
+		e.stats.StatesExplored++
 		low := mask & (-mask)
 		best := int64(math.MaxInt64)
 		bestSub := 0
@@ -159,23 +146,19 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 			if best != math.MaxInt64 && maxSingle[sub]+restBound(maxSingle, rest) >= best {
 				// Even an ideally cheap group over sub cannot beat the
 				// incumbent partition of this mask — skip the pricing.
-				if e.cfg.Stats != nil {
-					e.cfg.Stats.BoundPrunings++
-				}
+				e.stats.BoundPrunings++
 				continue
 			}
-			g, err := e.priceCached(items, sub)
+			g, err := e.priceCached(p, items, sub)
 			if err != nil {
 				return 0, err
 			}
-			if len(g.items) > 1 && g.peak > e.cfg.MemBudgetBytes {
+			if len(g.items) > 1 && g.peak > p.cfg.MemBudgetBytes {
 				continue // infeasible fusion under B_mem
 			}
 			cost := g.perEpochCost()
 			if best != math.MaxInt64 && cost+restBound(maxSingle, rest) >= best {
-				if e.cfg.Stats != nil {
-					e.cfg.Stats.BoundPrunings++
-				}
+				e.stats.BoundPrunings++
 				continue
 			}
 			restCost, err := solve(rest)
@@ -200,7 +183,7 @@ func (e *enumState) solveBucket(bucket []*trial) ([]*trial, error) {
 	var groups []*trial
 	for mask := full; mask != 0; {
 		sub := choice[mask]
-		g, err := e.priceCached(items, sub)
+		g, err := e.priceCached(p, items, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -222,24 +205,20 @@ func restBound(maxSingle []int64, rest int) int64 {
 // names, pricing it at most once per bucket and drawing down the state
 // budget for each pricing. The bucket's singletons are in the memo before
 // the search starts: every strategy needs them, so they are free.
-func (e *enumState) priceCached(items []WorkItem, mask int) (*trial, error) {
+func (e *enumSearch) priceCached(p *pricer, items []WorkItem, mask int) (*trial, error) {
 	if g, ok := e.memo[mask]; ok {
-		if e.cfg.Stats != nil {
-			e.cfg.Stats.MemoHits++
-		}
+		e.stats.MemoHits++
 		return g, nil
 	}
 	if e.remaining <= 0 {
 		return nil, errFuseStateBudget
 	}
 	e.remaining--
-	g, err := e.price(subsetItems(items, mask))
+	g, err := p.price(subsetItems(items, mask))
 	if err != nil {
 		return nil, err
 	}
-	if e.cfg.Stats != nil {
-		e.cfg.Stats.PairsEvaluated++
-	}
+	e.stats.PairsEvaluated++
 	e.memo[mask] = g
 	return g, nil
 }

@@ -19,13 +19,9 @@ var enumTestHW = profile.Hardware{
 	WorkspaceBytes:  1 << 28,
 }
 
-// fuseGreedy runs FUSE OPT under Algorithm 1.
+// fuseGreedy runs FUSE OPT, Algorithm 1.
 func fuseGreedy(items []opt.WorkItem, sigs map[graph.Signature]bool, cfg opt.FuseConfig) ([]*opt.FusedGroup, error) {
-	f, err := opt.NewFuser(opt.FuserGreedy, 0)
-	if err != nil {
-		return nil, err
-	}
-	return f.Fuse(items, sigs, cfg)
+	return new(opt.Fuser).Fuse(items, sigs, cfg)
 }
 
 // groupKey spells out what makes two groups the same plan entry: members
@@ -39,30 +35,21 @@ func groupKey(g *opt.FusedGroup) string {
 	return fmt.Sprintf("%v cost=%d mem=%d actions=%d/%d/%d", names, g.Plan.CostPerRecord, g.PeakMemBytes, pruned, computed, loaded)
 }
 
-// TestEnumFuserBeatsGreedyOnTrapFixture pins the reason enumeration exists:
-// on the trap workload, greedy's best-pair-first choice is provably
-// suboptimal and enumeration finds the cheaper partition — while both
-// plans stay legal under the verifier.
+// TestEnumFuserBeatsGreedyOnTrapFixture pins what the partition search
+// oracle can see that Algorithm 1 cannot: on the trap workload, greedy's
+// best-pair-first choice is provably suboptimal and enumeration finds the
+// cheaper partition — while both plans stay legal under the verifier.
 func TestEnumFuserBeatsGreedyOnTrapFixture(t *testing.T) {
 	items, budget, err := opt.GreedyTrapWorkload()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := func(stats *opt.FuseStats) opt.FuseConfig {
-		return opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2, Stats: stats}
-	}
-
-	greedyStats := &opt.FuseStats{}
-	greedy, err := fuseGreedy(items, nil, cfg(greedyStats))
+	cfg := opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2}
+	greedy, err := fuseGreedy(items, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enumStats := &opt.FuseStats{}
-	fuser, err := opt.NewFuser(opt.FuserEnum, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enum, err := fuser.Fuse(items, nil, cfg(enumStats))
+	enum, enumStats, err := opt.FuseEnum(items, nil, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +58,7 @@ func TestEnumFuserBeatsGreedyOnTrapFixture(t *testing.T) {
 	if eCost >= gCost {
 		t.Errorf("enum cost %d not strictly below greedy %d on the trap fixture", eCost, gCost)
 	}
+	t.Logf("enum %d, greedy %d: %.1f%% cheaper", eCost, gCost, 100*float64(gCost-eCost)/float64(gCost))
 	// The designed optimum is {A,C} + {B,D}: two pairs, no singletons.
 	if len(enum) != 2 {
 		t.Errorf("enum produced %d groups, want the 2-pair optimum", len(enum))
@@ -89,20 +77,17 @@ func TestEnumFuserBeatsGreedyOnTrapFixture(t *testing.T) {
 	if err := verify.Groups(enum, items, budget, nil); err != nil {
 		t.Errorf("enum plan fails verify: %v", err)
 	}
-	if enumStats.Strategy != opt.FuserEnum || greedyStats.Strategy != opt.FuserGreedy {
-		t.Errorf("stats strategies %q/%q, want enum/greedy", enumStats.Strategy, greedyStats.Strategy)
-	}
 	if enumStats.StatesExplored == 0 || enumStats.PairsEvaluated == 0 {
 		t.Errorf("enum search counters empty: %+v", enumStats)
 	}
 	if enumStats.Fallbacks != 0 {
-		t.Errorf("enum fell back %d times on a 4-model bucket; budget %d should suffice", enumStats.Fallbacks, opt.DefaultFuseStateBudget)
+		t.Errorf("enum fell back %d times on a 4-model bucket; budget %d should suffice", enumStats.Fallbacks, opt.EnumStateBudget)
 	}
 }
 
 // TestEnumFuserFallsBackToGreedyOnTinyBudget checks graceful degradation:
-// with a state budget too small for the bucket, the enum fuser must report the
-// fallback and reproduce the greedy partition exactly.
+// with a state budget too small for the bucket, the partition search must
+// report the fallback and reproduce Algorithm 1's partition exactly.
 func TestEnumFuserFallsBackToGreedyOnTinyBudget(t *testing.T) {
 	items, budget, err := opt.GreedyTrapWorkload()
 	if err != nil {
@@ -112,12 +97,7 @@ func TestEnumFuserFallsBackToGreedyOnTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := &opt.FuseStats{}
-	fuser, err := opt.NewFuser(opt.FuserEnum, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fell, err := fuser.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2, Stats: stats})
+	fell, stats, err := opt.FuseEnum(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,20 +114,23 @@ func TestEnumFuserFallsBackToGreedyOnTinyBudget(t *testing.T) {
 	}
 }
 
-// TestNewFuserRejectsUnknownName pins the factory's error contract used by
-// core.Config validation and the CLI flags.
+// TestNewFuserRejectsUnknownName pins the factory's contract: bench/ still
+// passes a strategy name and a state budget, and only Algorithm 1's name
+// ("" or "greedy") with budget 0 is accepted — the partition search is a
+// test oracle, not a strategy.
 func TestNewFuserRejectsUnknownName(t *testing.T) {
 	for _, name := range []string{"", opt.FuserGreedy} {
-		f, err := opt.NewFuser(name, 0)
-		if err != nil || f.Name() != opt.FuserGreedy {
-			t.Errorf("NewFuser(%q) = %v, %v; want greedy", name, f, err)
+		if f, err := opt.NewFuser(name, 0); err != nil || f == nil {
+			t.Errorf("NewFuser(%q, 0) = %v, %v; want the fuser", name, f, err)
 		}
 	}
-	if f, err := opt.NewFuser(opt.FuserEnum, 7); err != nil || f.Name() != opt.FuserEnum {
-		t.Errorf("NewFuser(enum) = %v, %v", f, err)
-	}
-	if _, err := opt.NewFuser("steepest-descent", 0); err == nil {
-		t.Error("NewFuser must reject unknown strategy names")
+	for _, c := range []struct {
+		name   string
+		budget int
+	}{{"enum", 0}, {"steepest-descent", 0}, {"", 7}, {opt.FuserGreedy, -1}} {
+		if _, err := opt.NewFuser(c.name, c.budget); err == nil {
+			t.Errorf("NewFuser(%q, %d) must fail", c.name, c.budget)
+		}
 	}
 }
 
@@ -204,22 +187,23 @@ func TestEnumFuserPropertyNeverWorseThanGreedy(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomFusionWorkload(rng)
 		budget := int64(1 << (27 + rng.Intn(14)))
-		mk := func(name string, stats *opt.FuseStats) []*opt.FusedGroup {
-			f, err := opt.NewFuser(name, 0)
-			if err != nil {
-				t.Log(err)
-				return nil
+		cfg := opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2}
+		mk := func(name string) []*opt.FusedGroup {
+			var gs []*opt.FusedGroup
+			var err error
+			if name == "enum" {
+				gs, _, err = opt.FuseEnum(items, nil, cfg, 0)
+			} else {
+				gs, err = fuseGreedy(items, nil, cfg)
 			}
-			gs, err := f.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: 2, Stats: stats})
 			if err != nil {
 				t.Log(err)
 				return nil
 			}
 			return gs
 		}
-		greedy := mk(opt.FuserGreedy, &opt.FuseStats{})
-		enumStats := &opt.FuseStats{}
-		enum := mk(opt.FuserEnum, enumStats)
+		greedy := mk("greedy")
+		enum := mk("enum")
 		if greedy == nil || enum == nil {
 			return false
 		}
@@ -245,7 +229,7 @@ func TestEnumFuserPropertyNeverWorseThanGreedy(t *testing.T) {
 		}
 		// Re-running enumeration must reproduce the same plan (memo and
 		// bucket order are deterministic).
-		again := mk(opt.FuserEnum, &opt.FuseStats{})
+		again := mk("enum")
 		if len(again) != len(enum) {
 			return false
 		}
@@ -268,11 +252,7 @@ func TestEnumFuserRespectsBucketBoundaries(t *testing.T) {
 	items := randomFusionWorkload(rng)
 	// Force at least two compatibility classes.
 	items[0].BatchSize, items[1].BatchSize = 8, 16
-	fuser, err := opt.NewFuser(opt.FuserEnum, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := fuser.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2})
+	groups, _, err := opt.FuseEnum(items, nil, opt.FuseConfig{MemBudgetBytes: 1 << 40, OptimizerSlotBytes: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,17 +314,12 @@ func TestEnumFuserMemoKeysMembersNotNames(t *testing.T) {
 		}
 	}
 
-	fuser, err := opt.NewFuser(opt.FuserEnum, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := &opt.FuseStats{}
-	groups, err := fuser.Fuse(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: opt.AdamSlotBytes, Stats: stats})
+	groups, stats, err := opt.FuseEnum(items, nil, opt.FuseConfig{MemBudgetBytes: budget, OptimizerSlotBytes: opt.AdamSlotBytes}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Fallbacks != 0 {
-		t.Fatalf("the bucket fell back to greedy (%+v): the memo was not searched", *stats)
+		t.Fatalf("the bucket fell back to greedy (%+v): the memo was not searched", stats)
 	}
 	seen := map[string]int{}
 	for _, g := range groups {

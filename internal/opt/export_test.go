@@ -70,9 +70,9 @@ func CheckClassPricing(t testing.TB) *ClassPricingCheck {
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf("MAT evaluation (from %d, chosen %v): by class %d, item by item %d", from, s.chosen, cost, want))
 		}
 	}
-	classPricingCheck.fuse = func(e *enumState, items []WorkItem, hit *trial) {
+	classPricingCheck.fuse = func(p *pricer, items []WorkItem, hit *trial) {
 		c.FuseHits++
-		want, err := ref.price(e.nums, items, e.matSigs, ReusePlan, e.cfg.OptimizerSlotBytes)
+		want, err := ref.price(p.nums, items, p.matSigs, ReusePlan, p.cfg.OptimizerSlotBytes)
 		switch {
 		case err != nil:
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf("FUSE trial %s: %v", memberNames(items), err))

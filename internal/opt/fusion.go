@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nautilus/internal/graph"
@@ -9,14 +11,10 @@ import (
 	"nautilus/internal/profile"
 )
 
-// Fusion strategy names accepted by NewFuser (and core.Config.Fuser).
-const (
-	// FuserGreedy is the paper's Algorithm 1: greedy best-pair merging.
-	FuserGreedy = "greedy"
-	// FuserEnum is the cost-based partition enumeration (SystemML-style):
-	// a memoized DP over subset partitions per compatibility bucket.
-	FuserEnum = "enum"
-)
+// FuserGreedy is the one fusion strategy, the paper's Algorithm 1:
+// greedy best-pair merging. NewFuser and core.Config.Fuser accept it or
+// "".
+const FuserGreedy = "greedy"
 
 // FuseConfig configures the model fusion optimization.
 type FuseConfig struct {
@@ -30,34 +28,18 @@ type FuseConfig struct {
 	Stats *FuseStats
 }
 
-// FuseStats counts the work of one Fuse run: the Algorithm 1 counters for
-// every bucket solved greedily, the partition-search counters for every
-// bucket enumerated.
+// FuseStats counts the work of one Fuse run of Algorithm 1.
 type FuseStats struct {
-	// Strategy is the Fuser.Name() that produced these stats.
-	Strategy string
 	// Rounds is the number of greedy iterations that merged a pair.
 	Rounds int
 	// PairsEvaluated counts the trial groups priced — on a merged view of
 	// the members' profiles: reuse-plan solve and memory estimate, no graph
-	// built — greedy pairs and enumerated subset candidates alike. Cached
-	// trials don't recount. Only the groups Fuse returns become graphs.
+	// built. Cached trials don't recount. Only the groups Fuse returns
+	// become graphs.
 	PairsEvaluated int
 	// PairsRejected counts greedy pairs dismissed for non-positive gain
 	// or a B_mem violation.
 	PairsRejected int
-	// StatesExplored counts partition-DP subproblems solved while
-	// enumerating (memoized states are not recounted).
-	StatesExplored int
-	// MemoHits counts candidate-group lookups answered by the member-set
-	// memo instead of a fresh pricing.
-	MemoHits int
-	// BoundPrunings counts candidate sub-partitions skipped because a
-	// lower bound already met or exceeded the best known completion.
-	BoundPrunings int
-	// Fallbacks counts compatibility buckets the enum strategy degraded
-	// to greedy because the state budget was (or would be) exhausted.
-	Fallbacks int
 }
 
 // FusedGroup is one entry of the optimized training plan: one or more
@@ -185,72 +167,54 @@ func SingletonGroups(items []WorkItem, matSigs map[graph.Signature]bool, policy 
 
 // Fuser is the model fusion optimization (FUSE OPT, Section 4.3): it
 // partitions the workload into fused groups, each priced and built as
-// BuildGroup does under ReusePlan. Only items with equal batch size and
-// equal epoch count can share a group — batch size because fused branches train on the same
-// mini-batches (the paper's condition), epochs because the fused model runs
-// one training loop — so the search runs per compatibility bucket. It is
-// one enumerator with two settings: "enum" searches a bucket's partitions
-// exactly while the state budget lasts and solves the rest with Algorithm
-// 1; "greedy" never enumerates, so every bucket is Algorithm 1. Either way
-// the result is a partition of the input whose multi-model groups respect
-// cfg.MemBudgetBytes, and enum never costs more than greedy.
-type Fuser struct {
-	name string
-	// stateBudget caps multi-model candidate pricings spent enumerating
-	// across one Fuse call.
-	stateBudget int
-}
+// BuildGroup does under ReusePlan, by Algorithm 1. Only items with equal
+// batch size and equal epoch count can share a group — batch size because
+// fused branches train on the same mini-batches (the paper's condition),
+// epochs because the fused model runs one training loop — so Algorithm 1
+// runs per compatibility bucket. The result is a partition of the input
+// whose multi-model groups respect cfg.MemBudgetBytes.
+type Fuser struct{}
 
-// NewFuser resolves a strategy name ("" means greedy). stateBudget only
-// matters to enum (0 means DefaultFuseStateBudget).
+// NewFuser returns the fuser. Its arguments are the retired strategy
+// selection, which bench/probes.go still passes: only name "" or
+// FuserGreedy and stateBudget 0 are accepted. ROADMAP item 3(1)'s
+// benchmark PR removes both parameters.
 func NewFuser(name string, stateBudget int) (*Fuser, error) {
-	switch name {
-	case "":
-		name = FuserGreedy
-	case FuserGreedy, FuserEnum:
-	default:
-		return nil, fmt.Errorf("opt: unknown fuser %q (want %q or %q)", name, FuserGreedy, FuserEnum)
+	if name != "" && name != FuserGreedy {
+		return nil, fmt.Errorf("opt: unknown fuser %q (want %q)", name, FuserGreedy)
 	}
-	if stateBudget == 0 {
-		stateBudget = DefaultFuseStateBudget
+	if stateBudget != 0 {
+		return nil, fmt.Errorf("opt: fuse state budget %d: Algorithm 1 takes none (want 0)", stateBudget)
 	}
-	return &Fuser{name: name, stateBudget: stateBudget}, nil
+	return &Fuser{}, nil
 }
-
-// Name is the strategy name the fuser was created with, for stats, traces
-// and CLI output.
-func (f *Fuser) Name() string { return f.name }
 
 // Fuse partitions the work items into fused groups given the materialized
-// set V (by expression signature), ordered by first member name. Trials,
-// singletons included, are priced with one scratch and one numbering.
+// set V (by expression signature), ordered by first member name.
 func (f *Fuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig) ([]*FusedGroup, error) {
-	if cfg.Stats != nil {
-		cfg.Stats.Strategy = f.name
-	}
+	return fuse(items, matSigs, cfg, (*pricer).fuseGreedy)
+}
+
+// fuse prices every item's singleton trial, partitions each compatibility
+// bucket by solve, and builds the groups in first-member-name order.
+// Trials, singletons included, are priced with one scratch and one
+// numbering.
+func fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg FuseConfig, solve func(*pricer, []*trial) ([]*trial, error)) ([]*FusedGroup, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	nb := number(items)
 	nb.classify(items, matSigs)
-	e := &enumState{
-		sc:        sc,
-		nums:      nb,
-		matSigs:   matSigs,
-		cfg:       cfg,
-		enumerate: f.name == FuserEnum,
-		remaining: f.stateBudget,
-		byClass:   map[string]*trial{},
-	}
+	p := &pricer{sc: sc, nums: nb, matSigs: matSigs, cfg: cfg, byClass: map[string]*trial{}}
 	singles := make([]*trial, len(items))
 	for i, it := range items {
 		var err error
-		if singles[i], err = e.price([]WorkItem{it}); err != nil {
+		if singles[i], err = p.price([]WorkItem{it}); err != nil {
 			return nil, err
 		}
 	}
 	var out []*trial
 	for _, bucket := range compatBuckets(singles) {
-		trials, err := e.fuseBucket(bucket)
+		trials, err := solve(p, bucket)
 		if err != nil {
 			return nil, err
 		}
@@ -265,6 +229,45 @@ func (f *Fuser) Fuse(items []WorkItem, matSigs map[graph.Signature]bool, cfg Fus
 		}
 	}
 	return groups, nil
+}
+
+// pricer prices one Fuse call's trial groups: what they are priced with
+// and the priced trials by batch size and member class sequence.
+type pricer struct {
+	sc      *scratch
+	nums    *numbering
+	matSigs map[graph.Signature]bool
+	cfg     FuseConfig
+	byClass map[string]*trial
+	key     []byte
+}
+
+// price prices a trial group, or answers it from the trial first priced for
+// the same batch size and sequence of member classes: such trials merge to
+// the same view with the same priced facts, so they have the same actions,
+// cost and peak. The answer carries the caller's items.
+func (p *pricer) price(items []WorkItem) (*trial, error) {
+	p.key = binary.AppendVarint(p.key[:0], int64(items[0].BatchSize))
+	for _, it := range items {
+		x := p.nums.of[it.Prof]
+		if x == nil || x.class < 0 {
+			return p.sc.price(p.nums, items, p.matSigs, ReusePlan, p.cfg.OptimizerSlotBytes)
+		}
+		p.key = binary.AppendVarint(p.key, int64(x.class))
+	}
+	if t, ok := p.byClass[string(p.key)]; ok {
+		hit := &trial{items: items, actions: slices.Clone(t.actions), cost: t.cost, peak: t.peak}
+		if classPricingCheck.fuse != nil {
+			classPricingCheck.fuse(p, items, hit)
+		}
+		return hit, nil
+	}
+	t, err := p.sc.price(p.nums, items, p.matSigs, ReusePlan, p.cfg.OptimizerSlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	p.byClass[string(p.key)] = t
+	return t, nil
 }
 
 // sortTrials orders trials deterministically by first member name.
@@ -306,8 +309,8 @@ func compatBuckets(singles []*trial) [][]*trial {
 // fits B_mem, until no beneficial fusible pair remains. Pairs are scanned
 // in list order and only a strictly larger gain displaces the incumbent,
 // so ties go to the earliest pair.
-func (e *enumState) fuseGreedy(groups []*trial) ([]*trial, error) {
-	cfg := e.cfg
+func (p *pricer) fuseGreedy(groups []*trial) ([]*trial, error) {
+	cfg := p.cfg
 	// Trials are immutable once priced, so a pair is priced once and its
 	// fused trial reused across greedy rounds; a rejected pair maps to nil.
 	type pairKey struct{ a, b *trial }
@@ -328,7 +331,7 @@ func (e *enumState) fuseGreedy(groups []*trial) ([]*trial, error) {
 				}
 				if !seen {
 					var err error
-					if fused, err = e.price(append(append([]WorkItem(nil), gi.items...), gj.items...)); err != nil {
+					if fused, err = p.price(append(append([]WorkItem(nil), gi.items...), gj.items...)); err != nil {
 						return nil, err
 					}
 					tried[key] = fused

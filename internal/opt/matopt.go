@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nautilus/internal/graph"
-	"nautilus/internal/milp"
 	"nautilus/internal/mmg"
 	"nautilus/internal/profile"
 )
@@ -47,9 +46,10 @@ type MatConfig struct {
 	// MaxRecords is r, the expected maximum number of training records the
 	// storage footprint is sized for (Section 4.2.1).
 	MaxRecords int
-	// Solver selects "bnb" (branch & bound over Z with exact min-cut
-	// sub-evaluation; the default) or "milp" (the paper's joint MILP via
-	// the generic simplex solver; tractable at small workload sizes).
+	// Solver is the retired solver selection, which bench/probes.go still
+	// sets: only "" and "bnb" (branch & bound over Z with exact min-cut
+	// sub-evaluation) are accepted. ROADMAP item 3(1)'s benchmark PR
+	// removes it.
 	Solver string
 	// MaxNodes caps the branch-and-bound tree (default 50k). On exhaustion
 	// the best incumbent (at least as good as greedy) is returned.
@@ -90,28 +90,33 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 	if cfg.MaxRecords <= 0 {
 		return nil, fmt.Errorf("opt: MaxRecords must be positive")
 	}
+	if cfg.Solver != "" && cfg.Solver != "bnb" {
+		return nil, fmt.Errorf("opt: unknown solver %q (want \"bnb\")", cfg.Solver)
+	}
 	cands, err := candidates(mm, items)
 	if err != nil {
 		return nil, err
 	}
-
 	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	var chosen map[graph.Signature]bool
-	var explored int
-	switch cfg.Solver {
-	case "", "bnb":
-		chosen, explored, err = solveBnB(sc, cands, items, cfg)
-	case "milp":
-		chosen, explored, err = solveMILP(cands, items, cfg)
-	default:
-		err = fmt.Errorf("opt: unknown solver %q", cfg.Solver)
-	}
+	chosen, explored, err := solveBnB(sc, cands, items, cfg)
+	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
 	}
+	res, err := newMatResult(cands, chosen, items, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.NodesExplored = explored
+	res.SolveTime = time.Since(start)
+	return res, nil
+}
 
-	res := &MatResult{Sigs: chosen, Plans: map[*graph.Model]*Plan{}, NodesExplored: explored}
+// newMatResult derives the outcome of a chosen set V: its candidates and
+// storage, each model's optimal reuse plan given V and their total cost,
+// with the candidates no plan loads dropped (Section 4.2.2).
+func newMatResult(cands []MatCandidate, chosen map[graph.Signature]bool, items []WorkItem, cfg MatConfig) (*MatResult, error) {
+	res := &MatResult{Sigs: chosen, Plans: map[*graph.Model]*Plan{}}
 	for _, c := range cands {
 		if chosen[c.Sig] {
 			res.Materialized = append(res.Materialized, c)
@@ -126,9 +131,7 @@ func OptimizeMaterialization(mm *mmg.MultiModel, items []WorkItem, cfg MatConfig
 		res.Plans[it.Model] = plan
 		res.TotalCostFLOPs += plan.CostPerRecord * int64(cfg.MaxRecords) * int64(it.Epochs)
 	}
-	// Post-process (Section 4.2.2): drop materialized layers no plan loads.
 	res.pruneUnused(cfg.MaxRecords)
-	res.SolveTime = time.Since(start)
 	return res, nil
 }
 
@@ -270,7 +273,7 @@ func (s *matSearch) cost(from int) (int64, error) {
 // class, so it can re-price them item by item.
 var classPricingCheck struct {
 	mat  func(s *matSearch, from int, cost int64)
-	fuse func(e *enumState, items []WorkItem, hit *trial)
+	fuse func(p *pricer, items []WorkItem, hit *trial)
 }
 
 // sigs is the chosen subset as a signature set.
@@ -374,101 +377,4 @@ func (s *matSearch) greedy(cfg MatConfig) (int64, error) {
 		}
 	}
 	return cost, nil
-}
-
-// solveMILP builds and solves the joint MILP of Section 4.2.2
-// (Equations 8–10) with the generic simplex + branch & bound solver.
-func solveMILP(cands []MatCandidate, items []WorkItem, cfg MatConfig) (map[graph.Signature]bool, int, error) {
-	p, zVar := BuildMILP(cands, items, cfg)
-	sol, err := milp.Solve(p, milp.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	if sol.Status != milp.Optimal {
-		return nil, 0, fmt.Errorf("opt: MILP status %v", sol.Status)
-	}
-	chosen := map[graph.Signature]bool{}
-	for sig, v := range zVar {
-		if sol.X[v] > 0.5 {
-			chosen[sig] = true
-		}
-	}
-	return chosen, 1, nil
-}
-
-// BuildMILP constructs the paper's MILP (Equations 8–10): binary X_{i,j}
-// (layer present), Y_{i,j} (layer computed), Z_k (candidate materialized),
-// with the storage-budget and structural constraints. It returns the
-// problem and the Z variable index per candidate signature.
-func BuildMILP(cands []MatCandidate, items []WorkItem, cfg MatConfig) (*milp.Problem, map[graph.Signature]int) {
-	p := &milp.Problem{}
-	r := float64(cfg.MaxRecords)
-
-	zVar := map[graph.Signature]int{}
-	newVar := func(obj float64) int {
-		v := p.NumVars
-		p.NumVars++
-		p.Minimize = append(p.Minimize, obj)
-		p.Binary = append(p.Binary, true)
-		return v
-	}
-	for _, c := range cands {
-		zVar[c.Sig] = newVar(0)
-	}
-
-	for _, it := range items {
-		scale := r * float64(it.Epochs)
-		reachable := it.Prof.Model.Reachable()
-		// X and Y variables by Node.Index(); only reachable nodes get one.
-		xVar := make([]int, len(it.Prof.Layers))
-		yVar := make([]int, len(it.Prof.Layers))
-		for _, n := range reachable {
-			lp := it.Prof.Layer(n)
-			// Objective: X·cload + Y·(ccomp − cload), scaled (Equation 9).
-			xVar[n.Index()] = newVar(float64(lp.LoadFLOPs) * scale)
-			if !n.IsInput() {
-				yVar[n.Index()] = newVar(float64(lp.CompFLOPs-lp.LoadFLOPs) * scale)
-			}
-		}
-		isOut := make([]bool, len(it.Prof.Layers))
-		for _, o := range it.Prof.Model.Outputs {
-			isOut[o.Index()] = true
-		}
-		for _, n := range reachable {
-			x, y := xVar[n.Index()], yVar[n.Index()]
-			// (a) outputs present.
-			if isOut[n.Index()] {
-				p.AddConstraint(milp.GE, 1, milp.Term{Var: x, Coef: 1})
-			}
-			if n.IsInput() {
-				continue
-			}
-			// (b) Y ≤ X.
-			p.AddConstraint(milp.GE, 0, milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1})
-			// (c) computed ⇒ every parent present.
-			for _, par := range n.Parents {
-				p.AddConstraint(milp.GE, 0, milp.Term{Var: xVar[par.Index()], Coef: 1}, milp.Term{Var: y, Coef: -1})
-			}
-			// (d) loaded (X−Y=1) only if the matching candidate is
-			// materialized; non-materializable layers have no candidate and
-			// get X−Y ≤ 0.
-			lp := it.Prof.Layer(n)
-			if z, ok := zVar[lp.Sig]; ok && lp.Materializable {
-				p.AddConstraint(milp.LE, 0,
-					milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1}, milp.Term{Var: z, Coef: -1})
-			} else {
-				p.AddConstraint(milp.LE, 0,
-					milp.Term{Var: x, Coef: 1}, milp.Term{Var: y, Coef: -1})
-			}
-		}
-	}
-	// (e) storage budget.
-	var terms []milp.Term
-	for _, c := range cands {
-		terms = append(terms, milp.Term{Var: zVar[c.Sig], Coef: float64(c.BytesPerRec) * r})
-	}
-	if len(terms) > 0 {
-		p.AddConstraint(milp.LE, float64(cfg.DiskBudgetBytes), terms...)
-	}
-	return p, zVar
 }

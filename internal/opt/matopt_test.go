@@ -113,8 +113,8 @@ func TestOptimizeMaterializationBnBMatchesMILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ml, err := OptimizeMaterialization(mm, items, MatConfig{
-			DiskBudgetBytes: budget, MaxRecords: 50, Solver: "milp",
+		ml, err := SolveMILP(mm, items, MatConfig{
+			DiskBudgetBytes: budget, MaxRecords: 50,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestOptimizeMaterializationRandomDAGsBnBMatchesMILP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := OptimizeMaterialization(mm, items, MatConfig{DiskBudgetBytes: budget, MaxRecords: 20, Solver: "milp"})
+		b, err := SolveMILP(mm, items, MatConfig{DiskBudgetBytes: budget, MaxRecords: 20})
 		if err != nil {
 			return false
 		}
@@ -221,8 +221,16 @@ func TestOptimizeMaterializationInvalidConfig(t *testing.T) {
 	if _, err := OptimizeMaterialization(mm, items, MatConfig{MaxRecords: 0}); err == nil {
 		t.Error("zero MaxRecords should error")
 	}
-	if _, err := OptimizeMaterialization(mm, items, MatConfig{MaxRecords: 10, Solver: "nope"}); err == nil {
-		t.Error("unknown solver should error")
+	// Solver accepts only B&B's names: the MILP is SolveMILP, a test oracle.
+	for _, solver := range []string{"nope", "milp"} {
+		if _, err := OptimizeMaterialization(mm, items, MatConfig{MaxRecords: 10, Solver: solver}); err == nil {
+			t.Errorf("solver %q should error", solver)
+		}
+	}
+	for _, solver := range []string{"", "bnb"} {
+		if _, err := OptimizeMaterialization(mm, items, MatConfig{MaxRecords: 10, Solver: solver}); err != nil {
+			t.Errorf("solver %q: %v", solver, err)
+		}
 	}
 }
 

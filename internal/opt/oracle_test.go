@@ -255,8 +255,9 @@ func oracleEstimatePeakMemory(prof *profile.ModelProfile, actions map[*graph.Nod
 }
 
 // randomWorkload is internal/verify's generator (verify_test.go), copied so
-// seed 15 draws the 12 workloads TestSolversAndFusersAgree draws: 2–6
-// models on a shared frozen trunk, private frozen middles, trainable heads.
+// seed 15 draws the 12 workloads TestSolversAndFusersAgree and verify's
+// TestDerivedGroupFactsMatchFreshProfile draw: 2–6 models on a shared
+// frozen trunk, private frozen middles, trainable heads.
 func randomWorkload(t *testing.T, rng *rand.Rand, nModels int) []opt.WorkItem {
 	t.Helper()
 	trunkDepth := 1 + rng.Intn(3)
@@ -472,21 +473,22 @@ func TestFlatPlannerMatchesMapOracle(t *testing.T) {
 					assertPlanMatchesOracle(t, fmt.Sprintf("%s %s", v.name, it.Model.Name), plan, v.sigs, it.BatchSize, -1)
 					checked++
 				}
-				for _, name := range []string{opt.FuserGreedy, opt.FuserEnum} {
-					if !v.fuse {
-						break
-					}
-					fuser, err := opt.NewFuser(name, opt.DefaultFuseStateBudget/8)
+				if v.fuse {
+					// Algorithm 1's groups, and the partition search's.
+					cfg := opt.FuseConfig{MemBudgetBytes: r.mem, OptimizerSlotBytes: opt.AdamSlotBytes}
+					greedy, err := new(opt.Fuser).Fuse(r.items, v.sigs, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					groups, err := fuser.Fuse(r.items, v.sigs, opt.FuseConfig{MemBudgetBytes: r.mem, OptimizerSlotBytes: opt.AdamSlotBytes})
+					enum, _, err := opt.FuseEnum(r.items, v.sigs, cfg, opt.EnumStateBudget/8)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, g := range groups {
-						assertPlanMatchesOracle(t, fmt.Sprintf("%s %s group %s", v.name, name, g.Name()), g.Plan, v.sigs, g.BatchSize(), g.PeakMemBytes)
-						checked++
+					for name, groups := range map[string][]*opt.FusedGroup{"greedy": greedy, "enum": enum} {
+						for _, g := range groups {
+							assertPlanMatchesOracle(t, fmt.Sprintf("%s %s group %s", v.name, name, g.Name()), g.Plan, v.sigs, g.BatchSize(), g.PeakMemBytes)
+							checked++
+						}
 					}
 				}
 				// Small workloads: every candidate group FUSE OPT could try,

@@ -1,14 +1,15 @@
 // Package opt implements Nautilus's optimizer (paper Section 4): optimal
 // reuse-plan models via a polynomial-time min-cut reduction, the
-// materialization optimization (Section 4.2) via both the faithful MILP
-// formulation (Equations 8–10) and a scalable branch-and-bound search with
-// exact min-cut sub-evaluation, the model fusion optimization (Section 4.3:
-// one Fuser that searches a bucket's partitions exactly or, with
-// enumeration off, is the paper's greedy Algorithm 1), the one builder
+// materialization optimization (Section 4.2) via a branch-and-bound search
+// with exact min-cut sub-evaluation, the model fusion optimization
+// (Section 4.3: the paper's greedy Algorithm 1), the one builder
 // every training group comes from (BuildGroup: merge the members and
 // derive the merged graph's profile from theirs, plan by policy, estimate
 // memory), the topological live-tensor peak-memory estimator (Section
-// 4.3.3), and the theoretical speedup bound (Equation 11).
+// 4.3.3), and the theoretical speedup bound (Equation 11). The exact
+// oracles both optimizations are tested against — the joint MILP
+// (SolveMILP) and the partition search (FuseEnum) — live in the test
+// files.
 // Tables over one graph's nodes (actions, solver variables, replay positions)
 // are slices by graph.Node.Index() on a reusable scratch (DESIGN.md).
 package opt

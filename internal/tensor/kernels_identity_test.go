@@ -435,6 +435,7 @@ func TestSIMDHelpersMatchScalar(t *testing.T) {
 		checkBiasRows(t, rng, c)
 	}
 	checkChannelGradNaNs(t)
+	checkChannelGradBetaNaNs(t)
 	// Every column-block mix of 16, 8, 4 and 1 by name: 4 and 12 end on
 	// the 4-block, 5, 7, 13 and 20 leave single columns after it; 48, 61
 	// and 77 put a zmm 32-block in front of them.
@@ -600,6 +601,34 @@ func checkChannelGradNaNs(t *testing.T) {
 	channelGradGeneric(want[:c], want[c:], gr, xr)
 	ChannelGradRows(got[:c], got[c:], gr, xr)
 	assertBitsEqual(t, "ChannelGradRows NaN payloads", FromSlice(got, 2, c), FromSlice(want, 2, c))
+}
+
+// checkChannelGradBetaNaNs: where two NaN rows meet in dbeta, every
+// channel-grad body keeps the payload SumRows keeps — the later row's, as
+// vaddAsm keeps its x operand's — at c = 1, 8 and 32 (the single-, 8- and
+// 32-channel blocks), whichever body the dispatch runs.
+func checkChannelGradBetaNaNs(t *testing.T) {
+	t.Helper()
+	nanA, nanB := math.Float32frombits(0x7fc0000a), math.Float32frombits(0x7fc0000b)
+	for _, c := range []int{1, 8, 32} {
+		g, x := make([]float32, 2*c), make([]float32, 2*c)
+		for j := 0; j < c; j++ {
+			g[j], g[c+j] = nanA, nanB
+			x[j], x[c+j] = 1, 1
+		}
+		want := SumRows(FromSlice(g, 2, c))
+		if bits := math.Float32bits(want.Data()[0]); bits != 0x7fc0000b {
+			t.Errorf("SumRows over NaN rows %08x then %08x = %08x, want the later row's", 0x7fc0000a, 0x7fc0000b, bits)
+		}
+		for _, body := range []struct {
+			name string
+			grad func(dgamma, dbeta, g, x []float32)
+		}{{"channelGradGeneric", channelGradGeneric}, {"ChannelGradRows", ChannelGradRows}} {
+			dgamma, dbeta := make([]float32, c), make([]float32, c)
+			body.grad(dgamma, dbeta, g, x)
+			assertBitsEqual(t, fmt.Sprintf("%s dbeta over two NaN rows, c=%d", body.name, c), FromSlice(dbeta, c), want)
+		}
+	}
 }
 
 // checkBiasRows holds BiasRows to AddRowVec, the bias add it stands in

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // AVX-512F rows-in-lanes kernels: LayerNorm's forward and backward rows.
 // A row's float64 reduction — LayerNorm's mean and variance, its backward
 // sums — is one latency chain over ascending j; the kernels put up to

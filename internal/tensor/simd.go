@@ -15,9 +15,20 @@ func saxpyGeneric(dst, x []float32, a float32) {
 
 func vaddGeneric(dst, x []float32) {
 	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] += x[i]
+	for i, v := range x {
+		dst[i] = addKeepingNaN(dst[i], v)
 	}
+}
+
+// addKeepingNaN is acc + v where, if both are NaN, v's payload survives, as
+// in vaddAsm, whose add takes x first: a NaN v is added to itself, which
+// quiets it and keeps its payload whichever operand order the compiler
+// gives the add.
+func addKeepingNaN(acc, v float32) float32 {
+	if v != v {
+		return v + v
+	}
+	return acc + v
 }
 
 // tileKernelGeneric is the matmul family's tile body: for r < rows and
@@ -94,7 +105,8 @@ func channelGradGeneric(dgamma, dbeta, g, x []float32) {
 			if d := dgamma[j]; d == d {
 				dgamma[j] = d + float32(gr[j]*xr[j])
 			}
-			dbeta[j] += gr[j]
+			// dbeta's add is SumRows' vadd, where the row's NaN survives.
+			dbeta[j] = addKeepingNaN(dbeta[j], gr[j])
 		}
 	}
 }

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // AVX2 micro-kernels behind the blocked matmul and cache-aware conv
 // variants, and the tile kernel's AVX-512F column block (run where
 // hasAVX512 is set). Every kernel preserves the scalar reference's float32

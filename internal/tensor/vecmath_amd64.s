@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // AVX2+FMA row kernels for the transcendental activations and softmax's
 // exp, an AVX-512F twin of the GELU row, and the AVX-512F softmax slab
 // kernel (one row per lane). Each float64 lane, ymm or zmm, repeats the

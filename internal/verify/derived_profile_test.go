@@ -228,11 +228,11 @@ func sortPartition(p [][]string) {
 // TestDerivedGroupFactsMatchFreshProfile is the differential test behind
 // "profile each candidate once": on the golden-plan workloads (FTR-3, ATR
 // and FTU at both scales under nautilus-plan's budgets, and the greedy
-// trap) and the 12 seeded random workloads of TestSolversAndFusersAgree,
-// every group replayFuse builds and every group either fuser emits carries
-// the merged graph and profile the fresh-profile oracle computes. The
-// replay's partition must be the greedy fuser's, so the pairs it tried are
-// the pairs Algorithm 1 tried.
+// trap) and the 12 seeded random workloads of TestSolversAndFusersAgree
+// (internal/opt), every group replayFuse builds and every group the fuser
+// emits carries the merged graph and profile the fresh-profile oracle
+// computes. The replay's partition must be the greedy fuser's, so the
+// pairs it tried are the pairs Algorithm 1 tried.
 func TestDerivedGroupFactsMatchFreshProfile(t *testing.T) {
 	type row struct {
 		name  string
@@ -295,24 +295,22 @@ func TestDerivedGroupFactsMatchFreshProfile(t *testing.T) {
 				checked++
 			}
 			replayed := replayFuse(t, r.items, r.sigs, r.mem, check)
-			for _, name := range []string{opt.FuserGreedy, opt.FuserEnum} {
-				fuser, err := opt.NewFuser(name, opt.DefaultFuseStateBudget/8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				groups, err := fuser.Fuse(r.items, r.sigs, opt.FuseConfig{MemBudgetBytes: r.mem, OptimizerSlotBytes: opt.AdamSlotBytes})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var partition [][]string
-				for _, g := range groups {
-					check(g)
-					partition = append(partition, memberNames(g))
-				}
-				sortPartition(partition)
-				if name == opt.FuserGreedy && !reflect.DeepEqual(partition, replayed) {
-					t.Errorf("replay ended on %v, the greedy fuser on %v: the replay did not follow Algorithm 1", replayed, partition)
-				}
+			fuser, err := opt.NewFuser(opt.FuserGreedy, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups, err := fuser.Fuse(r.items, r.sigs, opt.FuseConfig{MemBudgetBytes: r.mem, OptimizerSlotBytes: opt.AdamSlotBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var partition [][]string
+			for _, g := range groups {
+				check(g)
+				partition = append(partition, memberNames(g))
+			}
+			sortPartition(partition)
+			if !reflect.DeepEqual(partition, replayed) {
+				t.Errorf("replay ended on %v, the greedy fuser on %v: the replay did not follow Algorithm 1", replayed, partition)
 			}
 			t.Logf("%d groups checked against the fresh-profile oracle", checked)
 		})

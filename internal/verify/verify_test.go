@@ -328,19 +328,17 @@ func TestOptimizerOutputsAlwaysVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solvers := []string{"bnb", "milp"}
 		matCfg := opt.MatConfig{
 			// Random budget: sometimes generous, sometimes tight, sometimes zero.
 			DiskBudgetBytes: int64(rng.Intn(1 << 16)),
 			MaxRecords:      1 + rng.Intn(200),
-			Solver:          solvers[rng.Intn(len(solvers))],
 		}
 		res, err := opt.OptimizeMaterialization(mm, items, matCfg)
 		if err != nil {
 			t.Fatalf("trial %d: optimize: %v", trial, err)
 		}
 		if err := verify.MatResult(res, items, matCfg); err != nil {
-			t.Fatalf("trial %d (solver %s): materialization output fails verification: %v", trial, matCfg.Solver, err)
+			t.Fatalf("trial %d: materialization output fails verification: %v", trial, err)
 		}
 		memBudget := int64(1 + rng.Intn(1<<26))
 		groups, err := fuser.Fuse(items, res.Sigs, opt.FuseConfig{
